@@ -597,18 +597,18 @@ let stats () =
   Record.summary "systolic8_emit_s" dt_sys_emit
 
 (* ------------------------------------------------------------------ *)
-(* Simulator engines: fixpoint vs scheduled vs compiled                *)
+(* Simulator engines: fixpoint vs compiled                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of the simulator's three evaluation engines on
-   identical designs. Cycle counts must match exactly across all three
-   (the differential fuzz suite proves observational equivalence in
+(* Wall-clock comparison of the simulator's two evaluation engines on
+   identical designs. Cycle counts must match exactly (the differential
+   fuzz suite proves observational equivalence in
    depth; the check here guards the benchmark itself).
 
    Each engine's run is phase-split the way Verilator reports are:
    instantiation ([Sim.create] — for the compiled engine this is the AOT
    specialization pass) is timed separately from simulation (stimulus
-   loading + clocked execution), and the speedup columns compare
+   loading + clocked execution), and the speedup column compares
    simulation time. The compile cost is paid once per design and
    amortizes over a testbench's many runs; reporting it in its own
    column keeps the comparison honest rather than hiding it. The "_s"
@@ -637,45 +637,30 @@ let best_of_3_phased f =
   (Option.get !res, !bc, !bs)
 
 let engines () =
-  header "Simulator engines: fixpoint vs scheduled vs compiled";
-  Printf.printf "%-14s %8s %8s %8s %8s %8s %8s %8s %7s %7s %6s\n" "design"
-    "fix-cyc" "sch-cyc" "cmp-cyc" "fix-s" "sch-s" "cmp-aot" "cmp-s" "sch-x"
-    "cmp-x" "match";
-  let speedups = ref []
-  and comp_speedups = ref []
-  and systolic8 = ref nan
-  and systolic8_comp = ref nan
-  and mismatches = ref 0 in
-  let report name (fc, fcr, ft) (sc, scr, st) (cc, ccr, ct) =
-    let s = ft /. st in
-    let cx = st /. ct in
-    let equal = fc = sc && sc = cc in
+  header "Simulator engines: fixpoint vs compiled";
+  Printf.printf "%-14s %8s %8s %8s %8s %8s %7s %6s\n" "design" "fix-cyc"
+    "cmp-cyc" "fix-s" "cmp-aot" "cmp-s" "cmp-x" "match";
+  let speedups = ref [] and systolic8 = ref nan and mismatches = ref 0 in
+  let report name (fc, fcr, ft) (cc, ccr, ct) =
+    let s = ft /. ct in
+    let equal = fc = cc in
     if not equal then incr mismatches;
-    if name = "systolic-8x8" then begin
-      systolic8 := s;
-      systolic8_comp := cx
-    end;
+    if name = "systolic-8x8" then systolic8 := s;
     speedups := s :: !speedups;
-    comp_speedups := cx :: !comp_speedups;
-    Printf.printf
-      "%-14s %8d %8d %8d %8.4f %8.4f %8.4f %8.4f %6.2fx %6.2fx %6s\n" name fc
-      sc cc ft st ccr ct s cx
+    Printf.printf "%-14s %8d %8d %8.4f %8.4f %8.4f %6.2fx %6s\n" name fc cc ft
+      ccr ct s
       (if equal then "ok" else "FAIL");
     Record.row
       [
         ("design", Json.str name);
         ("fixpoint_cycles", Json.int fc);
-        ("scheduled_cycles", Json.int sc);
         ("compiled_cycles", Json.int cc);
         ("cycles_equal", Json.bool equal);
         ("fixpoint_compile_s", Json.float fcr);
-        ("scheduled_compile_s", Json.float scr);
         ("compiled_compile_s", Json.float ccr);
         ("fixpoint_s", Json.float ft);
-        ("scheduled_s", Json.float st);
         ("compiled_s", Json.float ct);
         ("speedup_x", Json.float s);
-        ("compiled_over_scheduled_x", Json.float cx);
       ]
   in
   List.iter
@@ -702,7 +687,6 @@ let engines () =
       report
         (Printf.sprintf "systolic-%dx%d" n n)
         (best_of_3_phased (run `Fixpoint))
-        (best_of_3_phased (run `Scheduled))
         (best_of_3_phased (run `Compiled)))
     [ 4; 8 ];
   List.iter
@@ -725,20 +709,14 @@ let engines () =
       in
       report name
         (best_of_3_phased (run `Fixpoint))
-        (best_of_3_phased (run `Scheduled))
         (best_of_3_phased (run `Compiled)))
     [ "gemm"; "gemver"; "atax" ];
   Printf.printf
-    "geomean sched/fix %.2fx, systolic-8x8 %.2fx (target: >= 2x); geomean \
-     comp/sched %.2fx, systolic-8x8 %.2fx (target: >= 3x); %d cycle \
-     mismatches\n"
-    (geomean !speedups) !systolic8 (geomean !comp_speedups) !systolic8_comp
-    !mismatches;
+    "geomean comp/fix %.2fx, systolic-8x8 %.2fx; %d cycle mismatches\n"
+    (geomean !speedups) !systolic8 !mismatches;
   Record.summary "cycle_mismatches" (float_of_int !mismatches);
   Record.summary "geomean_speedup_x" (geomean !speedups);
-  Record.summary "systolic8_speedup_x" !systolic8;
-  Record.summary "geomean_compiled_speedup_x" (geomean !comp_speedups);
-  Record.summary "systolic8_compiled_speedup_x" !systolic8_comp
+  Record.summary "systolic8_speedup_x" !systolic8
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: the zero-cost-when-disabled claim                        *)
@@ -752,7 +730,7 @@ let engines () =
       (settles x ns-per-disabled-site) / disabled runtime, gated against
       the 2% budget. The settle count — the number of times a disabled
       site actually executes on the sim hot path — is read back from the
-      scheduled engine's dirty-set histogram under an enabled run, so the
+      compiled engine's dirty-set histogram under an enabled run, so the
       estimate uses the real op count rather than a guess.
 
    The enabled/disabled wall ratio is also recorded ("_x", excluded from
@@ -790,7 +768,7 @@ let telemetry_bench () =
   let mismatches = ref 0 and over_budget = ref 0 and rows = ref 0 in
   let budget = 0.02 in
   let settle_count run =
-    (* Number of scheduled-engine settles in one run: the dirty-set
+    (* Number of compiled-engine settles in one run: the dirty-set
        histogram's count delta under an enabled run. This is exactly how
        many times the per-settle telemetry branch executes. *)
     let count () =
@@ -800,13 +778,13 @@ let telemetry_bench () =
     in
     T.Runtime.with_enabled (fun () ->
         let before = count () in
-        ignore (run `Scheduled ());
+        ignore (run `Compiled ());
         count () - before)
   in
   let report name run =
     let settles = settle_count run in
     List.iter
-      (fun (engine, label) ->
+      (fun (label, engine) ->
         incr rows;
         let cycles_off, off_s = best_of_3 (run engine) in
         let cycles_on, on_s =
@@ -833,11 +811,7 @@ let telemetry_bench () =
             ("overhead_x", Json.float (on_s /. off_s));
             ("est_disabled_overhead_x", Json.float est);
           ])
-      [
-        (`Fixpoint, "fixpoint");
-        (`Scheduled, "scheduled");
-        (`Compiled, "compiled");
-      ]
+      Calyx_sim.Sim.engines
   in
   List.iter
     (fun n ->

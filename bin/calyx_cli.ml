@@ -69,16 +69,9 @@ let file_arg =
 let engine_term =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("fixpoint", `Fixpoint);
-             ("scheduled", `Scheduled);
-             ("compiled", `Compiled);
-           ])
-        `Fixpoint
+    & opt (some (enum Calyx_sim.Sim.engines)) None
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Simulation evaluation engine: $(b,fixpoint) (the reference dense iteration), $(b,scheduled) (levelized dirty-set evaluation; observably identical, faster on large designs), or $(b,compiled) (ahead-of-time specialized closures over the levelized graph; observably identical, fastest).")
+        ~doc:"Simulation evaluation engine: $(b,compiled) (the default: ahead-of-time specialized closures over the levelized slot graph, evaluating only what changed) or $(b,fixpoint) (the reference dense iteration, the semantic oracle; observably identical, slower).")
 
 let mems_term =
   Arg.(
@@ -395,7 +388,7 @@ let interp_cmd =
     handle_errors (fun () ->
         let ctx = parse_calyx file in
         Calyx.Well_formed.check ctx;
-        let sim = Calyx_sim.Sim.create ~engine ctx in
+        let sim = Calyx_sim.Sim.create ?engine ctx in
         let sp =
           Option.map (fun _ -> Calyx_cover.Spans.create ctx sim) spans
         in
@@ -423,7 +416,7 @@ let sim_cmd =
     handle_errors (fun () ->
         let ctx = parse_calyx file in
         let lowered = Calyx.Pipelines.compile ~config ctx in
-        let sim = Calyx_sim.Sim.create ~engine lowered in
+        let sim = Calyx_sim.Sim.create ?engine lowered in
         (* A compiled program has no control tree; derive spans from the
            value runs of its generated fsm schedule registers instead. *)
         let sp =
@@ -552,7 +545,7 @@ let polybench_cmd =
         let jobs =
           List.map
             (fun k ->
-              Fjob.make ~config ~engine
+              Fjob.make ~config ?engine
                 (Fjob.Polybench
                    { kernel = k.Polybench.Kernels.name; unrolled }))
             kernels
@@ -613,7 +606,7 @@ let profile_cmd =
              profiling (lowering erases groups). Invoke is the one control
              construct the interpreter refuses, so compile it away. *)
           let runnable = Calyx.Pass.run Calyx.Compile_invoke.pass ctx in
-          let sim = Calyx_sim.Sim.create ~engine runnable in
+          let sim = Calyx_sim.Sim.create ?engine runnable in
           load_mems sim mems;
           with_observers sim ~trace ~profile:true (fun prof ->
               let cycles = Calyx_sim.Sim.run sim in
@@ -699,7 +692,7 @@ let cover_cmd =
              the par critical path; invoke is the one control construct
              the interpreter refuses, so compile it away first. *)
           let runnable = Calyx.Pass.run Calyx.Compile_invoke.pass ctx in
-          let ssim = Calyx_sim.Sim.create ~engine runnable in
+          let ssim = Calyx_sim.Sim.create ?engine runnable in
           let cov = Calyx_cover.Coverage.create runnable ssim in
           let sp = Calyx_cover.Spans.create runnable ssim in
           load_mems ssim mems;
@@ -715,7 +708,7 @@ let cover_cmd =
               (* A second, compiled pass covers the generated fsm schedule
                  registers — the states the lowered hardware visits. *)
               let lowered = Calyx.Pipelines.compile ~config ctx in
-              let fsim = Calyx_sim.Sim.create ~engine lowered in
+              let fsim = Calyx_sim.Sim.create ?engine lowered in
               let fcov = Calyx_cover.Coverage.create lowered fsim in
               load_mems fsim mems;
               let fcycles = Calyx_sim.Sim.run fsim in
@@ -812,7 +805,7 @@ let validate_cmd =
     let cache = Option.map Fcache.open_dir cache_dir in
     let validate_ctx ~what ?(load = fun _ -> ()) lowered =
       match
-        Calyx_verilog.Validate.validate ~engine ?max_cycles ~load lowered
+        Calyx_verilog.Validate.validate ?engine ?max_cycles ~load lowered
       with
       | r ->
           Format.printf "%-24s %a@." what Calyx_verilog.Validate.pp_report r;
@@ -852,7 +845,7 @@ let validate_cmd =
                   (fun k ->
                     let name = k.Polybench.Kernels.name in
                     match
-                      Polybench.Harness.run_rtl ~config ~engine ?max_cycles k
+                      Polybench.Harness.run_rtl ~config ?engine ?max_cycles k
                         ~unrolled:false
                     with
                     | r ->
@@ -874,7 +867,7 @@ let validate_cmd =
                 let jobs =
                   List.map
                     (fun k ->
-                      Fjob.make ~config ~engine ~validate:true
+                      Fjob.make ~config ?engine ~validate:true
                         (Fjob.Polybench
                            {
                              kernel = k.Polybench.Kernels.name;
@@ -914,7 +907,7 @@ let validate_cmd =
                 let lowered =
                   Calyx.Pipelines.compile ~config (Calyx.Fuzz_gen.build spec)
                 in
-                Calyx_verilog.Validate.validate ~engine ?max_cycles lowered
+                Calyx_verilog.Validate.validate ?engine ?max_cycles lowered
               with
               | r ->
                   if r.Calyx_verilog.Validate.ok then None
@@ -975,7 +968,7 @@ let validate_cmd =
                 let jobs =
                   List.map
                     (fun s ->
-                      Fjob.make ~config ~engine ~validate:true
+                      Fjob.make ~config ?engine ~validate:true
                         (Fjob.Fuzz { seed = s }))
                     seeds
                 in
@@ -1066,22 +1059,19 @@ let validate_cmd =
           $ config_term $ engine_term $ max_cycles $ cex_dir $ farm_jobs
           $ cache_dir $ telemetry_term)
 
-(* Tri-engine differential fuzzing: every generated program runs under
-   the fixpoint, scheduled and compiled engines (both as generated and
-   through the full pipeline) and the engines must agree on cycle count,
-   final registers, final memories, the ordered control-event stream —
-   and on the error paths: a Conflict/Unstable/Timeout must be raised by
-   all three at the same cycle with the same message. Disagreements are
-   shrunk to minimal counterexample programs, like validate --fuzz. *)
+(* Differential fuzzing: every generated program runs under the fixpoint
+   and the compiled engine (both as generated and through the full
+   pipeline) and the engines must agree on cycle count, final registers,
+   final memories, the ordered control-event stream — and on the error
+   paths: a Conflict/Unstable/Timeout must be raised by both at the same
+   cycle with the same message. Disagreements are shrunk to minimal
+   counterexample programs, like validate --fuzz. *)
 let fuzz_cmd =
   let comment s =
     String.concat "\n"
       (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
   in
   let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
-  let engines =
-    [ ("fixpoint", `Fixpoint); ("scheduled", `Scheduled); ("compiled", `Compiled) ]
-  in
   (* One engine's observation of one program: everything the equivalence
      contract covers, or the error it raised. *)
   let observe engine ctx regs mems =
@@ -1123,7 +1113,11 @@ let fuzz_cmd =
   (* First pairwise disagreement on one program, or None. *)
   let disagreement ctx =
     let regs, mems = state_cells ctx in
-    let runs = List.map (fun (n, e) -> (n, observe e ctx regs mems)) engines in
+    let runs =
+      List.map
+        (fun (n, e) -> (n, observe e ctx regs mems))
+        Calyx_sim.Sim.engines
+    in
     let diff (an, a) (bn, b) =
       let where =
         match (a, b) with
@@ -1207,7 +1201,7 @@ let fuzz_cmd =
             write_file path
               (Printf.sprintf "// seed: %d\n// spec: %s\n%s\n%s" s
                  (Calyx.Fuzz_gen.to_string spec)
-                 (comment ("tri-engine disagreement: " ^ descr))
+                 (comment ("engine disagreement: " ^ descr))
                  (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
             Format.printf
               "fuzz seed %d             DISAGREES: %s@.  minimized \
@@ -1220,7 +1214,7 @@ let fuzz_cmd =
     Format.printf
       "fuzz: %d program(s) from seed %d under %d engines (source and \
        lowered): %d disagreement(s)@."
-      count seed (List.length engines) !failures;
+      count seed (List.length Calyx_sim.Sim.engines) !failures;
     if !failures > 0 then 1 else 0
   in
   let count =
@@ -1250,7 +1244,7 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz"
-       ~doc:"Tri-engine differential fuzzing: run randomly generated programs under the fixpoint, scheduled and compiled simulation engines (as generated and through the full pipeline) and require pairwise agreement on cycle counts, final registers and memories, ordered control events, and error behaviour. Disagreements are shrunk to minimal counterexample programs.")
+       ~doc:"Differential fuzzing: run randomly generated programs under the fixpoint and compiled simulation engines (as generated and through the full pipeline) and require agreement on cycle counts, final registers and memories, ordered control events, and error behaviour. Disagreements are shrunk to minimal counterexample programs.")
     Term.(const run $ count $ seed $ config_term $ cex_dir $ jobs
           $ telemetry_term)
 
@@ -1316,8 +1310,8 @@ let farm_cmd =
     let gate_failed = ref false in
     let code =
       handle_errors (fun () ->
-          let mk = Fjob.make ~config ~engine ~validate in
-          let of_file = Fjob.of_file ~config ~engine ~validate in
+          let mk = Fjob.make ~config ?engine ~validate in
+          let of_file = Fjob.of_file ~config ?engine ~validate in
           let kernel_jobs =
             if not polybench then []
             else

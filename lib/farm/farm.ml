@@ -79,7 +79,8 @@ let execute cache job =
 
 let run ?jobs ?cache batch =
   let jobs =
-    max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ())
+    max 1
+      (match jobs with Some j -> j | None -> Calyx_pool.Pool.default_jobs ())
   in
   let t0 = Unix.gettimeofday () in
   let before =
@@ -87,7 +88,7 @@ let run ?jobs ?cache batch =
     | Some c -> Cache.stats c
     | None -> { Cache.hits = 0; misses = 0; stores = 0; evictions = 0 }
   in
-  let results = Pool.map ~jobs (execute cache) batch in
+  let results = Calyx_pool.Pool.map ~jobs (execute cache) batch in
   let wall_s = Unix.gettimeofday () -. t0 in
   let after =
     match cache with

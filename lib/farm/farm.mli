@@ -1,6 +1,6 @@
-(** The compile/sim farm: shard a batch of {!Job}s across a {!Pool} of
-    OCaml 5 domains, short-circuiting each job through the
-    content-addressed {!Cache}.
+(** The compile/sim farm: shard a batch of {!Job}s across a
+    {!Calyx_pool.Pool} of OCaml 5 domains, short-circuiting each job
+    through the content-addressed {!Cache}.
 
     Results come back in submission order with per-job wall time and
     cache provenance; parallel execution and cache hits are both required
@@ -26,8 +26,8 @@ type summary = {
 }
 
 val run : ?jobs:int -> ?cache:Cache.t -> Job.t list -> summary
-(** Execute the batch. [jobs] defaults to {!Pool.default_jobs} (clamped to
-    at least 1); omit [cache] to force every job cold. For each job the
+(** Execute the batch. [jobs] defaults to
+    {!Calyx_pool.Pool.default_jobs} (clamped to at least 1); omit [cache] to force every job cold. For each job the
     worker looks up the cache key (source text + pass-pipeline id +
     engine + tool version); a verified hit is decoded instead of run, a
     decode failure evicts the blob and falls back to a cold run, and cold

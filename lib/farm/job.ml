@@ -13,8 +13,8 @@ type t = {
   validate : bool;
 }
 
-let make ?(config = Calyx.Pipelines.default_config) ?(engine = `Fixpoint)
-    ?(validate = false) source =
+let make ?(config = Calyx.Pipelines.default_config)
+    ?(engine = Calyx_sim.Sim.default_engine) ?(validate = false) source =
   { source; config; engine; validate }
 
 let read_file path =
@@ -39,11 +39,7 @@ let label t =
       Printf.sprintf "systolic-%dx%dx%d" rows cols depth
   | Fuzz { seed } -> Printf.sprintf "fuzz-%d" seed
 
-let engine_name t =
-  match t.engine with
-  | `Fixpoint -> "fixpoint"
-  | `Scheduled -> "scheduled"
-  | `Compiled -> "compiled"
+let engine_name t = Calyx_sim.Sim.engine_name t.engine
 
 let systolic_width = 32
 

@@ -32,7 +32,9 @@ val make :
   ?validate:bool ->
   source ->
   t
-(** Defaults: [Pipelines.default_config], [`Fixpoint], no validation. *)
+(** Defaults: [Pipelines.default_config], {!Calyx_sim.Sim.default_engine},
+    no validation. The engine is resolved here, not left optional: it is
+    part of the job's cache key. *)
 
 val of_file :
   ?config:Calyx.Pipelines.config ->

@@ -23,10 +23,8 @@ let stamp_run (k : Kernels.kernel) ~unrolled ~config ~engine =
       ~source_hash:(Tele.Manifest.hash source)
       ~pipeline:(Calyx.Pipelines.id config)
       ~engine:
-        (match engine with
-        | Some `Scheduled -> "scheduled"
-        | Some `Compiled -> "compiled"
-        | Some `Fixpoint | None -> "fixpoint")
+        (Calyx_sim.Sim.engine_name
+           (Option.value engine ~default:Calyx_sim.Sim.default_engine))
       ()
   end
 
@@ -65,8 +63,8 @@ let verify (k : Kernels.kernel) prog io =
 let load_inputs (k : Kernels.kernel) prog io =
   List.iter (fun (name, values) -> Data.load prog io name values) k.Kernels.inputs
 
-let execute ?(engine = `Fixpoint) (k : Kernels.kernel) prog ctx =
-  let sim = Calyx_sim.Sim.create ~engine ctx in
+let execute ?engine (k : Kernels.kernel) prog ctx =
+  let sim = Calyx_sim.Sim.create ?engine ctx in
   let io = Calyx_sim.Testbench.of_sim sim in
   load_inputs k prog io;
   let cycles = Calyx_sim.Sim.run sim in

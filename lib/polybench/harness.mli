@@ -48,7 +48,8 @@ val run :
   unrolled:bool ->
   result
 (** Compile (default: all optimizations), simulate, verify. [engine]
-    selects the simulator's evaluation engine (default [`Fixpoint]). *)
+    selects the simulator's evaluation engine (default
+    {!Calyx_sim.Sim.default_engine}). *)
 
 val run_interp :
   ?engine:Calyx_sim.Sim.engine -> Kernels.kernel -> unrolled:bool -> result

@@ -1,6 +1,6 @@
-(* The compiled engine's static shape: the scheduled engine's levelized
-   SCC condensation, frozen into an array of steps executed straight-line
-   every settle. All dynamic scheduling (dirty sets, buckets, reader
+(* The compiled engine's static shape: the slot graph's levelized SCC
+   condensation (Sched), frozen into an array of steps executed
+   straight-line every settle. All dynamic scheduling (dirty sets, buckets, reader
    walks) is gone; what remains is the evaluation ORDER, which is exactly
    the property the levelization proves: by the time a step runs, every
    acyclic input of its nodes is final. *)

@@ -1,14 +1,14 @@
 (** AOT level plan for the compiled simulation engine.
 
-    The compiled engine takes the levelized, SCC-condensed slot graph the
-    scheduled engine computes ({!Sched}) and freezes it into a {e level
-    plan}: a static sequence of steps, one specialized closure per node,
-    executed straight-line every settle. Acyclic nodes of a level become a
+    The compiled engine takes the levelized, SCC-condensed slot graph
+    ({!Sched}) of each instance and freezes it into a {e level plan}: a
+    static sequence of steps, one specialized closure per node, executed
+    straight-line every settle. Acyclic nodes of a level become a
     {!constructor:Straight} step (each closure runs exactly once per
     settle, in static order); every genuinely cyclic component becomes its
     own {!constructor:Iterate} step (its members are swept repeatedly
     until a sweep changes nothing — the fallback for combinational cycles,
-    with the same divergence budget as the other engines).
+    with the same divergence budget as the fixpoint engine).
 
     The plan itself is value-agnostic — node ids are the caller's; the
     simulator builds the closures. {!render} prints the plan with

@@ -210,76 +210,55 @@ let outputs t ~read =
       in
       outs @ [ ("done", bool_bit p.p_done) ]
 
-(* [commit] returns whether the primitive's *outputs* may differ next
-   cycle, so the scheduled engine knows which primitive nodes to re-mark at
-   the clock edge. False negatives would be unsound (a stale output
-   survives a settle); false positives only cost a wasted re-evaluation, so
-   hard-to-track cases (memory writes, custom models) answer [true]. *)
 let commit t ~read =
   match t with
-  | Custom c ->
-      c.c_commit read;
-      true
-  | Comb _ -> false
+  | Custom c -> c.c_commit read
+  | Comb _ -> ()
   | Reg r ->
       if Bitvec.is_true (read "write_en") then begin
-        let v = read "in" in
-        let changed = (not r.r_done) || not (Bitvec.equal r.r_value v) in
-        r.r_value <- v;
-        r.r_done <- true;
-        changed
+        r.r_value <- read "in";
+        r.r_done <- true
       end
-      else begin
-        let changed = r.r_done in
-        r.r_done <- false;
-        changed
-      end
+      else r.r_done <- false
   | Mem m ->
       if Bitvec.is_true (read "write_en") then begin
         (match mem_address m ~read with
         | Some addr -> m.m_data.(addr) <- read "write_data"
         | None -> ());
-        m.m_done <- true;
-        true
+        m.m_done <- true
+      end
+      else m.m_done <- false
+  | Pipe p ->
+      if not (Bitvec.is_true (read "go")) then begin
+        p.p_counter <- 0;
+        p.p_done <- false
+      end
+      else if p.p_done then begin
+        (* go held through the done cycle: restart. *)
+        p.p_done <- false;
+        p.p_counter <- 0
       end
       else begin
-        let changed = m.m_done in
-        m.m_done <- false;
-        changed
+        (if p.p_counter = 0 then
+           (* Sample the operands and fix the latency as the operation
+              starts. *)
+           p.p_target <-
+             (match p.p_fixed_latency with
+             | Some l -> l
+             | None -> sqrt_cycles (Bitvec.to_int64 (read "in"))));
+        p.p_counter <- p.p_counter + 1;
+        if p.p_counter >= p.p_target then begin
+          p.p_results <- pipe_compute p ~read;
+          p.p_done <- true;
+          p.p_counter <- 0
+        end
       end
-  | Pipe p ->
-      let was_done = p.p_done and was_results = p.p_results in
-      (if not (Bitvec.is_true (read "go")) then begin
-         p.p_counter <- 0;
-         p.p_done <- false
-       end
-       else if p.p_done then begin
-         (* go held through the done cycle: restart. *)
-         p.p_done <- false;
-         p.p_counter <- 0
-       end
-       else begin
-         (if p.p_counter = 0 then
-            (* Sample the operands and fix the latency as the operation
-               starts. *)
-            p.p_target <-
-              (match p.p_fixed_latency with
-              | Some l -> l
-              | None -> sqrt_cycles (Bitvec.to_int64 (read "in"))));
-         p.p_counter <- p.p_counter + 1;
-         if p.p_counter >= p.p_target then begin
-           p.p_results <- pipe_compute p ~read;
-           p.p_done <- true;
-           p.p_counter <- 0
-         end
-       end);
-      p.p_done <> was_done || p.p_results != was_results
 
 (* Which input ports an output can depend on *combinationally* (within one
    cycle); [None] means "assume all". Registered primitives whose outputs
    come only from committed state report the empty list — without this, a
    register's in -> done path would appear as a false combinational cycle
-   to the scheduled engine's dependency graph. *)
+   in the slot-dependency graph. *)
 let comb_inputs = function
   | Comb (Const _) -> Some []
   | Comb Wire | Comb (Slice _) | Comb (Pad _) | Comb (Unop _) -> Some [ "in" ]
@@ -295,7 +274,8 @@ let comb_inputs = function
    resolved to a slot thunk/writer ONCE, at closure-build time, so the
    per-settle hot path does no string lookups and allocates nothing
    beyond the result bitvecs. Semantics mirror [outputs] and [commit]
-   exactly — the tri-engine differential fuzz depends on it. *)
+   exactly — the differential fuzz against the fixpoint engine depends
+   on it. *)
 
 let staged_mem_address m ~read =
   let dims = Array.of_list m.m_dims in

@@ -23,11 +23,8 @@ val outputs : t -> read:(string -> Bitvec.t) -> (string * Bitvec.t) list
 (** Current output port values as a function of the input ports (via
     [read]) and the internal state. Pure with respect to the state. *)
 
-val commit : t -> read:(string -> Bitvec.t) -> bool
-(** Clock edge: update internal state from the input ports. Returns whether
-    the primitive's outputs may differ from before the edge (conservative:
-    [true] may be a false positive, [false] never is) — the scheduled
-    engine's commit-time invalidation hook. *)
+val commit : t -> read:(string -> Bitvec.t) -> unit
+(** Clock edge: update internal state from the input ports. *)
 
 val compile_step :
   t ->
@@ -42,9 +39,11 @@ val compile_step :
     that output. Behaviourally identical to {!outputs}. *)
 
 val compile_commit : t -> read:(string -> unit -> Bitvec.t) -> unit -> bool
-(** Staged {!commit}: same clock-edge semantics and the same change report,
-    names resolved at build time. The compiled engine uses the report for
-    the same commit-time invalidation as the scheduled one. *)
+(** Staged {!commit}: same clock-edge semantics, names resolved at build
+    time. Returns whether the primitive's outputs may differ from before
+    the edge (conservative: [true] may be a false positive, [false] never
+    is) — the compiled engine's commit-time invalidation hook: a [true]
+    re-marks the primitive's node in the slot graph. *)
 
 val comb_inputs : t -> string list option
 (** Input ports that an output of this primitive can depend on within the

@@ -8,7 +8,7 @@
    node in an acyclic singleton component is evaluated at most once per
    settle, while the members of a genuinely cyclic component iterate on a
    worklist until they stop re-marking each other (or exceed the budget,
-   which is the scheduled analogue of a diverging fixpoint).
+   which is the graph analogue of a diverging fixpoint).
 
    The scheduler itself never reads slot values; the caller's [eval]
    callback performs the actual computation and reports value changes back

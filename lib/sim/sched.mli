@@ -1,8 +1,8 @@
 (** Static evaluation schedule over a slot-dependency graph.
 
-    The scheduled simulation engine's core: nodes (assignments, primitives,
-    child components, group go holes) declare which value slots they read
-    and write; {!build} condenses the induced dependency graph into
+    The graph the compiled simulation engine runs on: nodes (assignments,
+    primitives, child components, group go holes) declare which value slots
+    they read and write; {!build} condenses the induced dependency graph into
     strongly connected components and levelizes the condensation. {!run}
     then evaluates only dirty nodes in level order — acyclic nodes at most
     once per settle, members of a cyclic component on a worklist until they
@@ -31,7 +31,7 @@ val mark_slot : t -> int -> unit
 val mark_all : t -> unit
 
 exception Diverged
-(** A cyclic component exceeded its evaluation budget — the scheduled
+(** A cyclic component exceeded its evaluation budget — the graph
     analogue of a combinational fixpoint that does not converge. *)
 
 val run : t -> eval:(int -> unit) -> max_passes:int -> int

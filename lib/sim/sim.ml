@@ -233,7 +233,15 @@ let rec cadvance ~emit st ~group_done ~port_true =
 (* Compiled per-instance representation                                *)
 (* ------------------------------------------------------------------ *)
 
-type engine = [ `Fixpoint | `Scheduled | `Compiled ]
+type engine = [ `Fixpoint | `Compiled ]
+
+let engines : (string * engine) list =
+  [ ("fixpoint", `Fixpoint); ("compiled", `Compiled) ]
+
+let engine_name (e : engine) =
+  fst (List.find (fun (_, e') -> e' = e) engines)
+
+let default_engine : engine = `Compiled
 
 type compiled_assign = {
   ca_dst : int;
@@ -247,7 +255,7 @@ type compiled_assign = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Scheduled-engine state (see Sched for the graph machinery)          *)
+(* Slot-graph state (see Sched for the graph machinery)               *)
 (* ------------------------------------------------------------------ *)
 
 (* One graph node per primitive, child instance, group go hole, and
@@ -315,8 +323,8 @@ type prim_inst = {
 
 type cexec = {
   x_sched : sstate;
-      (* the compiled engine runs the same dirty-set schedule as the
-         scheduled one — only the per-node eval is specialized *)
+      (* the dirty-set schedule over the slot graph; the per-node eval
+         is the specialized closure below *)
   x_eval : int -> unit;  (* node id -> its specialized closure *)
   x_commits : (unit -> bool) array;
       (* staged prim clock edges; [true] = outputs may differ next cycle *)
@@ -352,7 +360,7 @@ type instance = {
   mutable i_done_reg : bool;
   mutable i_iters_cycle : int;
       (* evaluation work accumulated this cycle: fixpoint iterations under
-         the reference engine, nodes touched under the scheduled engine;
+         the reference engine, nodes touched under the compiled engine;
          reset at commit *)
   i_max_iters : int;  (* fixpoint iteration / worklist pass budget *)
   i_groups : string array;  (* declaration order (the static scan order) *)
@@ -362,7 +370,6 @@ type instance = {
   i_drv_gen : int array;
   i_drv_val : Bitvec.t array;
   i_drv_text : string Lazy.t array;
-  mutable i_sched : sstate option;  (* Some iff built with `Scheduled *)
   mutable i_compiled : cexec option;  (* Some iff built with `Compiled *)
 }
 
@@ -398,7 +405,7 @@ let active_groups inst ~go = cactive [] (effective_ctrl inst ~go)
 
 (* Conflict detection at the settled point: two active assignments driving
    the same port with different values is undefined behaviour. Shared by
-   all three engines so the diagnostics are bit-identical. The driver
+   both engines so the diagnostics are bit-identical. The driver
    table is a generation-stamped per-instance scratch array — bumping
    [i_gen] clears it in O(1). *)
 let check_conflicts inst =
@@ -442,8 +449,8 @@ let check_conflicts inst =
 (* Conflicts need >= 2 simultaneously-live writers on one slot, so a
    per-slot live count (maintained only for statically multi-written
    slots) tells us when the exact — and comparatively expensive — settled
-   check can be skipped. Shared by the scheduled engine's interpreter and
-   the compiled engine's specialized closures. *)
+   check can be skipped. Maintained by the compiled engine's shared-slot
+   closures. *)
 let live_transition st sa becoming =
   let dst = sa.sa_ca.ca_dst in
   if Array.length st.s_writers.(dst) > 1 then begin
@@ -459,8 +466,8 @@ let live_transition st sa becoming =
 (* Recompute which groups the control schedules this cycle and diff
    against the last settle's view; a changed group has its go node and all
    its assignment nodes re-marked. Cheap (one walk of the control state),
-   so it runs unconditionally at the top of every settle — under both the
-   scheduled and the compiled engine. *)
+   so it runs unconditionally at the top of every compiled-engine
+   settle. *)
 let refresh_entries inst st =
   let go = Bitvec.is_true inst.i_env.(go_slot inst) in
   (* The active-group view is a pure function of (running, ctrl, go), and
@@ -493,7 +500,7 @@ let refresh_entries inst st =
   end
 
 let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
-    ?(engine : engine = `Fixpoint) ?(max_iters = 1000) ~(path : string)
+    ~(engine : engine) ?(max_iters = 1000) ~(path : string)
     (ctx : context) (comp : component) : instance =
   let port_ids : (port_ref, int) Hashtbl.t = Hashtbl.create 64 in
   let widths = ref [] in
@@ -718,12 +725,10 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
       i_drv_gen = Array.make (max slots 1) 0;
       i_drv_val = Array.copy zeros;
       i_drv_text = Array.make (max slots 1) (lazy "");
-      i_sched = None;
       i_compiled = None;
     }
   in
   (match engine with
-  | `Scheduled -> inst.i_sched <- Some (build_sched inst)
   | `Compiled -> inst.i_compiled <- Some (compile_instance inst)
   | `Fixpoint -> ());
   inst
@@ -840,12 +845,11 @@ and build_sched inst : sstate =
   Sched.mark_all st.s_graph;
   st
 
-(* AOT compilation: freeze the scheduled engine's levelized graph into
-   one specialized closure per node (see Compiled for the plan shape),
-   then let the same dirty-set scheduler (Sched) drive those closures.
-   The engine keeps everything that makes the scheduled engine sparse —
-   dirty buckets, commit-time invalidation, group-entry diffing — and
-   wins on per-node cost: guards and sources are partially evaluated
+(* AOT compilation: freeze the instance's levelized slot graph into one
+   specialized closure per node (see Compiled for the plan shape), then
+   let the dirty-set scheduler (Sched) drive those closures. Settles are
+   sparse — dirty buckets, commit-time invalidation, group-entry diffing —
+   and each node is cheap: guards and sources are partially evaluated
    against the AST (constant guards fold to always/never, constant
    single-writer assignments fold into the initial env and disappear,
    comparisons compile to alloc-free int64 compares), primitive port
@@ -853,9 +857,9 @@ and build_sched inst : sstate =
    Prim_state.compile_step, and slot resolution replays the reference
    scan through prefetched writer cells with an early exit instead of
    re-walking index arrays. Cyclic SCCs iterate on the worklist under
-   the same divergence budget and message as the scheduled engine, and
-   conflict detection reuses [check_conflicts] gated by the shared
-   suspect count, so error paths stay bit-identical. *)
+   the same divergence budget and message as the fixpoint engine, and
+   conflict detection reuses [check_conflicts] gated by the suspect
+   count, so error paths stay bit-identical. *)
 and compile_instance inst : cexec =
   let st = build_sched inst in
   let env = inst.i_env in
@@ -863,7 +867,7 @@ and compile_instance inst : cexec =
   let nslots = inst.i_slots in
   let na = Array.length st.s_assigns in
   (* The single sink for every computed slot value: a change enqueues
-     the slot's readers, exactly like [resolve_slot]'s tail. *)
+     the slot's readers. *)
   let wr slot v =
     if not (Bitvec.equal env.(slot) v) then begin
       env.(slot) <- v;
@@ -886,8 +890,8 @@ and compile_instance inst : cexec =
   Array.iter (fun s -> has_producer.(s) <- true) st.s_group_go_slot;
   (* Staged per-slot resolvers for slots with assignment writers: the
      last live writer in static scan order wins, else the producer's
-     base — [resolve_slot]'s scan with the writer records prefetched and
-     an early exit from the back, no allocation. *)
+     base — the reference engine's last-write-wins scan, with the writer
+     records prefetched and an early exit from the back, no allocation. *)
   let resolvers = Array.make (max nslots 1) (fun () -> ()) in
   for slot = 0 to nslots - 1 do
     let ws = st.s_writers.(slot) in
@@ -912,7 +916,7 @@ and compile_instance inst : cexec =
   done;
   (* A non-assignment producer pushed a value: writer-less slots skip
      the base cell and write the env directly; writer-shadowed slots
-     stage the base and re-resolve ([set_base], staged). *)
+     stage the base and re-resolve. *)
   let produce slot =
     if Array.length st.s_writers.(slot) = 0 then fun v -> wr slot v
     else begin
@@ -1020,7 +1024,8 @@ and compile_instance inst : cexec =
       | `Slot i -> fun () -> env.(i)
     in
     (* Group gating, staged against the entry view [refresh_entries]
-       maintains — the same predicate as [eval_sassign]. *)
+       maintains: a done write is live while its group is active, a data
+       write unless every entry is gated and the done hole reads 1. *)
     let sched =
       if sa.sa_group < 0 then None
       else if sa.sa_data then begin
@@ -1070,9 +1075,8 @@ and compile_instance inst : cexec =
     end
     else begin
       (* Shared slot: maintain this writer's live/value cell — the
-         sstate's own record, so live transitions, the suspect count and
-         hence the conflict check behave exactly like the scheduled
-         engine — and re-resolve the slot. *)
+         sstate's own record, so live transitions feed the suspect count
+         that gates the conflict check — and re-resolve the slot. *)
       let resolve = resolvers.(dst) in
       let drive =
         match (sched, guard) with
@@ -1101,8 +1105,8 @@ and compile_instance inst : cexec =
   in
   let one1 = Bitvec.one 1 and zero1 = Bitvec.zero 1 in
   let build_go gi =
-    (* Mirrors [eval_go]: one write per active entry in actives order,
-       so the last entry's liveness wins. *)
+    (* Mirrors the reference loop: one write per active entry in actives
+       order, so the last entry's liveness wins. *)
     let w = produce st.s_group_go_slot.(gi) in
     let done_slot = st.s_group_done.(gi) in
     fun () ->
@@ -1221,9 +1225,9 @@ and compile_instance inst : cexec =
 
 (* One settle under the compiled engine: stage the inputs, refresh the
    per-group entry view (diffed, re-marking changed groups' nodes), then
-   let the shared dirty-set scheduler drive the specialized closures in
+   let the dirty-set scheduler drive the specialized closures in
    level order. Cyclic components iterate on the worklist under the same
-   divergence budget and error message as the scheduled engine. *)
+   divergence budget and error message as the fixpoint engine. *)
 and eval_compiled inst (inputs : Bitvec.t array) =
   let cs =
     match inst.i_compiled with Some cs -> cs | None -> assert false
@@ -1344,178 +1348,40 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
   check_conflicts inst
 
 (* ------------------------------------------------------------------ *)
-(* Scheduled evaluation (dirty-set settle over the static graph)       *)
-(* ------------------------------------------------------------------ *)
-
-(* Final value of a slot: the last live assignment writer in static scan
-   order wins, else the base producer's value — exactly the reference
-   engine's last-write-wins array scan. A change enqueues the readers. *)
-let resolve_slot inst st slot =
-  let v = ref st.s_base.(slot) in
-  Array.iter
-    (fun ai ->
-      let sa = st.s_assigns.(ai) in
-      if sa.sa_live then v := sa.sa_val)
-    st.s_writers.(slot);
-  if not (Bitvec.equal inst.i_env.(slot) !v) then begin
-    inst.i_env.(slot) <- !v;
-    Sched.mark_slot st.s_graph slot
-  end
-
-(* A non-assignment producer (component input, primitive output, child
-   output, go hole) pushed a value. *)
-let set_base inst st slot v =
-  if not (Bitvec.equal st.s_base.(slot) v) then begin
-    st.s_base.(slot) <- v;
-    resolve_slot inst st slot
-  end
-
-let eval_sassign inst st ai =
-  let sa = st.s_assigns.(ai) in
-  let env = inst.i_env in
-  let scheduled =
-    sa.sa_group < 0
-    ||
-    let entries = st.s_entries.(sa.sa_group) in
-    Array.length entries > 0
-    && ((not sa.sa_data)
-       || Array.exists not entries
-       || not (Bitvec.is_true env.(st.s_group_done.(sa.sa_group))))
-  in
-  if scheduled && sa.sa_ca.ca_guard env then begin
-    let v = sa.sa_ca.ca_src env in
-    if (not sa.sa_live) || not (Bitvec.equal v sa.sa_val) then begin
-      if not sa.sa_live then live_transition st sa true;
-      sa.sa_live <- true;
-      sa.sa_val <- v;
-      resolve_slot inst st sa.sa_ca.ca_dst
-    end
-  end
-  else if sa.sa_live then begin
-    live_transition st sa false;
-    sa.sa_live <- false;
-    resolve_slot inst st sa.sa_ca.ca_dst
-  end
-
-(* The go hole mirrors the reference loop: one write per active entry in
-   actives order, so the last entry's liveness wins. *)
-let eval_go inst st gi =
-  let entries = st.s_entries.(gi) in
-  let v =
-    if Array.length entries = 0 then Bitvec.zero 1
-    else if
-      (not entries.(Array.length entries - 1))
-      || not (Bitvec.is_true inst.i_env.(st.s_group_done.(gi)))
-    then Bitvec.one 1
-    else Bitvec.zero 1
-  in
-  set_base inst st st.s_group_go_slot.(gi) v
-
-let eval_sprim inst st p =
-  let pi = inst.i_prims.(p) in
-  let outs = Prim_state.outputs pi.pi_state ~read:(prim_reader inst.i_env pi) in
-  List.iter
-    (fun (port, v) ->
-      match List.assoc_opt port pi.pi_outputs with
-      | Some slot -> set_base inst st slot v
-      | None -> ())
-    outs
-
-let rec eval_scheduled inst (inputs : Bitvec.t array) =
-  let st =
-    match inst.i_sched with Some st -> st | None -> assert false
-  in
-  List.iteri
-    (fun i (_, slot) -> set_base inst st slot inputs.(i))
-    inst.i_input_slots;
-  refresh_entries inst st;
-  let eval k =
-    match st.s_nodes.(k) with
-    | NPrim p -> eval_sprim inst st p
-    | NChild c -> eval_schild inst st c
-    | NGo gi -> eval_go inst st gi
-    | NAssign ai -> eval_sassign inst st ai
-  in
-  let touched =
-    try Sched.run st.s_graph ~eval ~max_passes:inst.i_max_iters
-    with Sched.Diverged ->
-      raise
-        (Unstable_msg
-           (Printf.sprintf "component %s: combinational fixpoint diverged"
-              inst.i_comp.comp_name))
-  in
-  inst.i_iters_cycle <- inst.i_iters_cycle + touched;
-  if Tele.Runtime.on () then
-    Tele.Metrics.observe dirty_set_size (float_of_int touched);
-  if st.s_suspects > 0 then check_conflicts inst
-
-and eval_schild inst st c =
-  let _, ch = inst.i_children.(c) in
-  Array.iteri
-    (fun i (pslot, _) -> ch.c_buf.(i) <- inst.i_env.(pslot))
-    ch.c_input_map;
-  eval_scheduled ch.c_inst ch.c_buf;
-  Array.iter
-    (fun (cslot, pslot) -> set_base inst st pslot ch.c_inst.i_env.(cslot))
-    ch.c_output_map;
-  (* Structured children report a registered done. *)
-  if ch.c_inst.i_structured then
-    set_base inst st ch.c_done_parent_slot
-      (if ch.c_inst.i_done_reg then Bitvec.one 1 else Bitvec.zero 1)
-
-(* ------------------------------------------------------------------ *)
 (* Clock edge                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let rec commit ~now ~csink inst =
   inst.i_iters_cycle <- 0;
   let env = inst.i_env in
-  (match inst.i_sched with
-  | None -> (
-      match inst.i_compiled with
-      | Some cs ->
-          (* Staged clock edges with the same commit-time invalidation
-             as the scheduled engine: re-mark exactly the primitives
-             whose latched state changed, and every child (whose
-             internal control may advance with stable inputs). *)
-          let st = cs.x_sched in
-          let xc = cs.x_commits in
-          for p = 0 to Array.length xc - 1 do
-            if xc.(p) () then Sched.mark_node st.s_graph st.s_prim_node.(p)
-          done;
-          let chs = inst.i_children in
-          for c = 0 to Array.length chs - 1 do
-            let _, ch = chs.(c) in
-            commit ~now ~csink ch.c_inst;
-            Sched.mark_node st.s_graph st.s_child_node.(c)
-          done
-      | None ->
-          (* Primitive state updates. *)
-          Array.iter
-            (fun pi ->
-              ignore
-                (Prim_state.commit pi.pi_state ~read:(prim_reader env pi)))
-            inst.i_prims;
-          (* Child updates (their env is consistent with the converged
-             parent env). *)
-          Array.iter
-            (fun (_, ch) ->
-              commit ~now ~csink ch.c_inst;
-              ch.c_buf_valid <- false)
-            inst.i_children)
-  | Some st ->
+  (match inst.i_compiled with
+  | Some cs ->
       (* Commit-time invalidation: re-mark exactly the nodes whose outputs
-         can differ next cycle — primitives that latched state, and every
-         child (whose internal control may advance with stable inputs). *)
-      Array.iteri
-        (fun p pi ->
-          if Prim_state.commit pi.pi_state ~read:(prim_reader env pi) then
-            Sched.mark_node st.s_graph st.s_prim_node.(p))
+         can differ next cycle — primitives whose latched state changed,
+         and every child (whose internal control may advance with stable
+         inputs). *)
+      let st = cs.x_sched in
+      let xc = cs.x_commits in
+      for p = 0 to Array.length xc - 1 do
+        if xc.(p) () then Sched.mark_node st.s_graph st.s_prim_node.(p)
+      done;
+      let chs = inst.i_children in
+      for c = 0 to Array.length chs - 1 do
+        let _, ch = chs.(c) in
+        commit ~now ~csink ch.c_inst;
+        Sched.mark_node st.s_graph st.s_child_node.(c)
+      done
+  | None ->
+      (* Primitive state updates. *)
+      Array.iter
+        (fun pi -> Prim_state.commit pi.pi_state ~read:(prim_reader env pi))
         inst.i_prims;
-      Array.iteri
-        (fun c (_, ch) ->
+      (* Child updates (their env is consistent with the converged parent
+         env). *)
+      Array.iter
+        (fun (_, ch) ->
           commit ~now ~csink ch.c_inst;
-          Sched.mark_node st.s_graph st.s_child_node.(c))
+          ch.c_buf_valid <- false)
         inst.i_children);
   (* Control lifecycle. The emit closures are only materialized when a
      control sink is attached — on the hot no-sink path every instance
@@ -1609,8 +1475,8 @@ type t = {
       (* built on demand: flattened signal metadata + where to read each *)
 }
 
-let create ?externs ?(engine : engine = `Fixpoint) ?(max_fixpoint_iters = 1000)
-    ctx =
+let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
+    =
   let comp = entry ctx in
   let root =
     build ?externs ~engine ~max_iters:max_fixpoint_iters ~path:"" ctx comp
@@ -1851,10 +1717,7 @@ let read_output t name =
   | None -> ir_error "no output port %s" name
 
 let engine t : engine =
-  match (t.root.i_sched, t.root.i_compiled) with
-  | Some _, _ -> `Scheduled
-  | None, Some _ -> `Compiled
-  | None, None -> `Fixpoint
+  match t.root.i_compiled with Some _ -> `Compiled | None -> `Fixpoint
 
 (* The rendered level plans of the whole instance tree (compiled engine
    only) — the golden-snapshot view of what was specialized. *)
@@ -1874,12 +1737,9 @@ let compiled_plan t =
 
 let cycle t =
   (try
-     match t.root.i_sched with
-     | Some _ -> eval_scheduled t.root t.inputs
-     | None -> (
-         match t.root.i_compiled with
-         | Some _ -> eval_compiled t.root t.inputs
-         | None -> eval_comb t.root t.inputs)
+     match t.root.i_compiled with
+     | Some _ -> eval_compiled t.root t.inputs
+     | None -> eval_comb t.root t.inputs
    with
   | Conflict_msg message ->
       raise (Conflict { cycle = t.cycles; message; snapshot = status t })
@@ -1914,11 +1774,7 @@ let done_seen t = t.finished
 let run ?(max_cycles = 5_000_000) t =
   Tele.Trace.with_span ~cat:"stage" "sim" @@ fun () ->
   if Tele.Runtime.on () then
-    Tele.Trace.add_tag "engine"
-      (match engine t with
-      | `Fixpoint -> "fixpoint"
-      | `Scheduled -> "scheduled"
-      | `Compiled -> "compiled");
+    Tele.Trace.add_tag "engine" (engine_name (engine t));
   set_input t "go" (Bitvec.one 1);
   let cycles = ref 0 in
   while (not t.finished) && !cycles < max_cycles do
@@ -1962,10 +1818,9 @@ let prim_state_at (inst, p) = inst.i_prims.(p).pi_state
 (* A test-bench write changed primitive state behind the scheduler's back;
    mark the primitive so the next settle re-reads its outputs. *)
 let touch_prim (inst, p) =
-  match (inst.i_sched, inst.i_compiled) with
-  | Some st, _ | None, Some { x_sched = st; _ } ->
-      Sched.mark_node st.s_graph st.s_prim_node.(p)
-  | None, None -> ()  (* the fixpoint engine re-reads every output *)
+  match inst.i_compiled with
+  | Some { x_sched = st; _ } -> Sched.mark_node st.s_graph st.s_prim_node.(p)
+  | None -> ()  (* the fixpoint engine re-reads every output *)
 
 let read_register t path =
   Prim_state.get_register (prim_state_at (resolve_prim t.root path))

@@ -16,35 +16,46 @@
     control program when its [go] input rises and presents [done] for one
     cycle when it finishes.
 
-    Three interchangeable evaluation {b engines} implement the settle:
+    Two interchangeable evaluation {b engines} implement the settle:
 
-    - [`Fixpoint] (the default) — the reference engine: dense Jacobi
-      iteration re-evaluating every assignment and primitive until the full
+    - [`Fixpoint] — the reference engine: dense Jacobi iteration
+      re-evaluating every assignment and primitive until the full
       environment stops changing. The semantic oracle.
-    - [`Scheduled] — a static slot-dependency graph is built per instance at
-      construction time, condensed into strongly connected components and
-      levelized; each settle evaluates only {e dirty} nodes in level order,
-      with a worklist for the (rare) cyclic remainder, and the clock edge
-      re-marks exactly the primitives whose committed state changed. A
-      settled cycle costs O(nodes touched) instead of
-      O(iterations x all slots).
-    - [`Compiled] — the scheduled engine's levelized graph is compiled
-      ahead of time into one specialized OCaml closure per node (guards
-      partially evaluated, constant assignments folded, primitive port
-      names resolved to slots, no dispatch) and each settle runs the
-      level plan straight through; cyclic components fall back to
-      sweeping their members to a local fixpoint. See {!compiled_plan}
-      for the emitted plan.
+    - [`Compiled] (the default) — a static slot-dependency graph is built
+      per instance at construction time, condensed into strongly connected
+      components and levelized ({!Sched}), and compiled ahead of time into
+      one specialized OCaml closure per node (guards partially evaluated,
+      constant assignments folded, primitive port names resolved to slots,
+      no dispatch). Each settle runs only the {e dirty} closures in level
+      order, with a worklist for the (rare) cyclic remainder, and the
+      clock edge re-marks exactly the primitives whose committed state
+      changed, so a settled cycle costs O(nodes touched) instead of
+      O(iterations x all slots). See {!compiled_plan} for the emitted
+      plan.
 
-    All engines are observably equivalent: same cycle counts, same
+    The engines are observably equivalent: same cycle counts, same
     {!Conflict}/{!Unstable} errors at the same cycle, same event streams
-    (differentially fuzz-tested pairwise across all three). *)
+    (differentially fuzz-tested against each other). *)
 
 open Calyx
 
 type t
 
-type engine = [ `Fixpoint | `Scheduled | `Compiled ]
+type engine = [ `Fixpoint | `Compiled ]
+
+val engines : (string * engine) list
+(** Every engine with its name, as used on the command line, in trace
+    tags, run manifests and cache keys. *)
+
+val engine_name : engine -> string
+(** The engine's name in {!engines}. *)
+
+val default_engine : engine
+(** [`Compiled]: what {!create} builds when no engine is given. Every
+    other optional [?engine] in the toolchain passes through to {!create}
+    untouched; only callers that must name the engine before simulating
+    (a farm job's cache key, a run manifest's engine stamp) read this
+    value. *)
 
 exception Timeout of { budget : int; snapshot : string }
 (** Raised by {!run} when the design does not finish within the cycle
@@ -74,11 +85,10 @@ val create :
     behavioural models for [extern] black-box components by component name
     (the simulation-side analogue of linking the referenced [.sv] file,
     Section 6.2); a fresh state is made per instance. [engine] selects the
-    evaluation engine (default [`Fixpoint]). [max_fixpoint_iters] bounds
-    the settle work per cycle before {!Unstable} is raised: fixpoint
+    evaluation engine (default {!default_engine}). [max_fixpoint_iters]
+    bounds the settle work per cycle before {!Unstable} is raised: fixpoint
     iterations under [`Fixpoint], worklist passes per cyclic-component
-    member under [`Scheduled], sweeps per cyclic component under
-    [`Compiled] (default 1000). *)
+    member under [`Compiled] (default 1000). *)
 
 val engine : t -> engine
 (** Which evaluation engine this simulation was built with. *)
@@ -146,7 +156,7 @@ type event = {
   ev_iters : int;
       (** Evaluation work spent settling this cycle, summed over the
           instance hierarchy: fixpoint iterations under the [`Fixpoint]
-          engine, graph nodes touched under [`Scheduled]. A measure of
+          engine, graph nodes touched under [`Compiled]. A measure of
           combinational activity either way, but not comparable across
           engines. *)
 }

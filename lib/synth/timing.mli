@@ -127,7 +127,7 @@ val to_json :
 val port_edges : Ir.context -> Ir.component -> (string * string) list
 (** The flattened combinational port graph the analysis ran on, as
     [(src, dst)] dotted-path pairs — the same dependency structure the
-    Scheduled simulation engine levelizes, exposed so tests can
+    compiled simulation engine levelizes, exposed so tests can
     cross-check the two. *)
 
 val delay_constants : (string * int) list

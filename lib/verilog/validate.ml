@@ -64,11 +64,11 @@ let disagreements =
     ~help:"Translation validations with at least one mismatch"
     "calyx_validate_disagree_total"
 
-let validate ?(engine = `Fixpoint) ?max_cycles
+let validate ?engine ?max_cycles
     ?(load = fun (_ : Calyx_sim.Testbench.io) -> ()) ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "validate" @@ fun () ->
   let sv = Verilog.emit ctx in
-  let sim = Calyx_sim.Sim.create ~engine ctx in
+  let sim = Calyx_sim.Sim.create ?engine ctx in
   let rtl = Vinterp.load ~top:ctx.entrypoint sv in
   let sim_io = Calyx_sim.Testbench.of_sim sim in
   let rtl_io = rtl_io rtl in

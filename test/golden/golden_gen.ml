@@ -18,7 +18,7 @@ let parse file =
   else Calyx.Parser.parse_file file
 
 (* One full telemetry-enabled toolchain run: parse, compile, simulate
-   under all three engines, analyze timing, emit. Everything the instruments
+   under both engines, analyze timing, emit. Everything the instruments
    and spans record for it is deterministic — cycle counts, pass lists,
    dirty-set sizes — which is what makes these two modes golden-testable
    (wall-clock fields are scrubbed from the trace and never exported by
@@ -32,7 +32,7 @@ let pipeline_run file =
     (fun engine ->
       let sim = Calyx_sim.Sim.create ~engine lowered in
       ignore (Calyx_sim.Sim.run ~max_cycles:100_000 sim))
-    [ `Fixpoint; `Scheduled; `Compiled ];
+    [ `Fixpoint; `Compiled ];
   ignore (Calyx_synth.Timing.context_timing lowered);
   ignore (Calyx_verilog.Verilog.emit lowered)
 

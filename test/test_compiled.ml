@@ -3,7 +3,7 @@
    observable-equivalence checks against the reference fixpoint engine on
    the shared sample programs — including every error path (Conflict,
    Unstable/diverged and Timeout must fire at the same cycle with the
-   same message under all three engines). *)
+   same message under both engines). *)
 
 open Calyx
 
@@ -102,7 +102,8 @@ let test_run_batch_sims () =
   in
   let expected =
     List.init 8 (fun i ->
-        Sim.run (Sim.create (Progs.counter ~limit:(i + 2) ())))
+        Sim.run
+          (Sim.create ~engine:`Fixpoint (Progs.counter ~limit:(i + 2) ())))
   in
   Alcotest.(check (list int)) "batched = sequential oracle" expected cycles
 
@@ -233,19 +234,19 @@ let test_timeout_parity () =
 
 let test_engine_accessor () =
   let ctx = Progs.counter ~limit:2 () in
-  Alcotest.(check bool) "default is fixpoint" true
-    (Sim.engine (Sim.create ctx) = `Fixpoint);
-  Alcotest.(check bool) "compiled reported" true
-    (Sim.engine (Sim.create ~engine:`Compiled ctx) = `Compiled)
+  Alcotest.(check bool) "default is compiled" true
+    (Sim.engine (Sim.create ctx) = `Compiled);
+  Alcotest.(check bool) "fixpoint reported" true
+    (Sim.engine (Sim.create ~engine:`Fixpoint ctx) = `Fixpoint);
+  Alcotest.(check (list string)) "engine names" [ "fixpoint"; "compiled" ]
+    (List.map Sim.engine_name [ `Fixpoint; `Compiled ])
 
 (* compiled_plan: Some under `Compiled (mentioning levels and the fold
-   annotations), None under the interpreting engines. *)
+   annotations), None under the fixpoint engine. *)
 let test_compiled_plan () =
   let ctx = Progs.counter ~limit:3 () in
   Alcotest.(check bool) "fixpoint has no plan" true
-    (Sim.compiled_plan (Sim.create ctx) = None);
-  Alcotest.(check bool) "scheduled has no plan" true
-    (Sim.compiled_plan (Sim.create ~engine:`Scheduled ctx) = None);
+    (Sim.compiled_plan (Sim.create ~engine:`Fixpoint ctx) = None);
   match Sim.compiled_plan (Sim.create ~engine:`Compiled ctx) with
   | None -> Alcotest.fail "compiled engine must expose its plan"
   | Some text ->

@@ -16,7 +16,7 @@
 module Farm = Calyx_farm.Farm
 module Job = Calyx_farm.Job
 module Cache = Calyx_farm.Cache
-module Pool = Calyx_farm.Pool
+module Pool = Calyx_pool.Pool
 module T = Calyx_telemetry
 
 let example file =
@@ -122,11 +122,11 @@ let test_telemetry_neutral () =
   let jobs () =
     List.map
       (fun (k : Polybench.Kernels.kernel) ->
-        Job.make ~engine:`Scheduled
+        Job.make ~engine:`Compiled
           (Job.Polybench { kernel = k.name; unrolled = false }))
       [ Polybench.Kernels.find "gemm"; Polybench.Kernels.find "atax" ]
     @ List.map
-        (fun s -> Job.make ~engine:`Scheduled (Job.Fuzz { seed = s }))
+        (fun s -> Job.make ~engine:`Compiled (Job.Fuzz { seed = s }))
         [ 4; 5 ]
   in
   let baseline = outcome_bytes (Farm.run ~jobs:1 (jobs ())) in
@@ -146,9 +146,9 @@ let test_validate_outcomes_cached () =
   with_temp_dir "farm_val" @@ fun dir ->
   let jobs () =
     [
-      Job.make ~engine:`Scheduled ~validate:true
+      Job.make ~engine:`Compiled ~validate:true
         (Job.Polybench { kernel = "trisolv"; unrolled = false });
-      Job.make ~engine:`Scheduled ~validate:true (Job.Fuzz { seed = 6 });
+      Job.make ~engine:`Compiled ~validate:true (Job.Fuzz { seed = 6 });
     ]
   in
   let cold = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (jobs ()) in
@@ -167,7 +167,7 @@ let test_validate_outcomes_cached () =
   let plain =
     Farm.run ~jobs:1
       ~cache:(Cache.open_dir dir)
-      [ Job.make ~engine:`Scheduled (Job.Fuzz { seed = 6 }) ]
+      [ Job.make ~engine:`Compiled (Job.Fuzz { seed = 6 }) ]
   in
   (match plain.Farm.results with
   | [ r ] ->
@@ -180,7 +180,7 @@ let test_validate_outcomes_cached () =
 
 let test_outcome_roundtrip () =
   let job =
-    Job.make ~engine:`Scheduled ~validate:true (Job.Fuzz { seed = 42 })
+    Job.make ~engine:`Compiled ~validate:true (Job.Fuzz { seed = 42 })
   in
   let o = Job.run job in
   let bytes = Job.outcome_to_json o in
@@ -224,7 +224,7 @@ let prop_mutation_rekeys =
       in
       let key t =
         Cache.key ~source:("+sim\ncalyx:" ^ t) ~pipeline:pipeline_id
-          ~engine:"scheduled"
+          ~engine:"compiled"
       in
       let k, k' = (key text, key (mutate text)) in
       with_temp_dir "farm_rekey" @@ fun dir ->
@@ -244,7 +244,7 @@ let prop_identical_source_hits =
       with_temp_dir "farm_hit" @@ fun dir ->
       (* Two fresh job values from the same seed: equal content, no
          sharing — the hit must come from the key, not from memory. *)
-      let job () = [ Job.make ~engine:`Scheduled (Job.Fuzz { seed }) ] in
+      let job () = [ Job.make ~engine:`Compiled (Job.Fuzz { seed }) ] in
       let a = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (job ()) in
       let b = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (job ()) in
       match (a.Farm.results, b.Farm.results) with
@@ -261,7 +261,7 @@ let prop_corrupt_blob_rejected =
     (Fuzz_seed.seed_arb "farm-corrupt")
     (fun seed ->
       with_temp_dir "farm_corrupt" @@ fun dir ->
-      let job () = [ Job.make ~engine:`Scheduled (Job.Fuzz { seed }) ] in
+      let job () = [ Job.make ~engine:`Compiled (Job.Fuzz { seed }) ] in
       let a = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (job ()) in
       (* Flip one byte in the middle of every stored blob: depending on
          where it lands this breaks the JSON, the key echo, or the
@@ -297,7 +297,7 @@ let prop_corrupt_blob_rejected =
    layer, recomputed cold, never fatal. *)
 let test_schema_drift_evicted () =
   with_temp_dir "farm_drift" @@ fun dir ->
-  let job = Job.make ~engine:`Scheduled (Job.Fuzz { seed = 9 }) in
+  let job = Job.make ~engine:`Compiled (Job.Fuzz { seed = 9 }) in
   let key =
     Cache.key ~source:(Job.key_source job)
       ~pipeline:(Calyx.Pipelines.id job.Job.config)
@@ -314,8 +314,8 @@ let test_schema_drift_evicted () =
       Alcotest.(check int) "fresh blob stored" 2 (Cache.stats c).Cache.stores
   | _ -> Alcotest.fail "expected one result"
 
-(* The engine is a key component: the same source under the three
-   evaluation engines occupies three distinct cache slots, so a result
+(* The engine is a key component: the same source under the two
+   evaluation engines occupies two distinct cache slots, so a result
    computed by one engine is never served as another's. The outcomes
    themselves must still agree (the engines are observably equal), which
    is exactly why the key — not the bytes — must separate them. *)
@@ -327,15 +327,14 @@ let test_engine_key_separation () =
       ~pipeline:(Calyx.Pipelines.id j.Job.config)
       ~engine:(Job.engine_name j)
   in
-  let kf = key `Fixpoint and ks = key `Scheduled and kc = key `Compiled in
   Alcotest.(check bool)
-    "three engines, three keys" true
-    (kf <> ks && ks <> kc && kf <> kc);
+    "two engines, two keys" true
+    (key `Fixpoint <> key `Compiled);
   with_temp_dir "farm_engines" @@ fun dir ->
   let run engine = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) [ job engine ] in
-  let s1 = run `Scheduled in
+  let f1 = run `Fixpoint in
   let c1 = run `Compiled in
-  Alcotest.(check int) "compiled run misses the scheduled entry" 0 c1.Farm.hits;
+  Alcotest.(check int) "compiled run misses the fixpoint entry" 0 c1.Farm.hits;
   Alcotest.(check int) "compiled outcome stored separately" 1 c1.Farm.stores;
   let c2 = run `Compiled in
   Alcotest.(check int) "compiled warm run hits" 1 c2.Farm.hits;
@@ -353,7 +352,31 @@ let test_engine_key_separation () =
   in
   Alcotest.(check bool)
     "engines observably agree" true
-    (observable s1 = observable c1)
+    (observable f1 = observable c1)
+
+(* A job made without an engine is keyed under the default engine's name,
+   so it shares that engine's cache slot: an entry stored by an explicit
+   default-engine job serves it byte-identically. *)
+let test_default_engine_key () =
+  let implicit () = Job.make (Job.Fuzz { seed = 12 }) in
+  let explicit () =
+    Job.make ~engine:Calyx_sim.Sim.default_engine (Job.Fuzz { seed = 12 })
+  in
+  Alcotest.(check bool)
+    "resolved to the default" true
+    ((implicit ()).Job.engine = Calyx_sim.Sim.default_engine);
+  Alcotest.(check string)
+    "keyed under the default's name"
+    (Calyx_sim.Sim.engine_name Calyx_sim.Sim.default_engine)
+    (Job.engine_name (implicit ()));
+  with_temp_dir "farm_default" @@ fun dir ->
+  let run j = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) [ j () ] in
+  let e = run explicit in
+  let i = run implicit in
+  Alcotest.(check int) "explicit run stored" 1 e.Farm.stores;
+  Alcotest.(check int) "implicit run hits" 1 i.Farm.hits;
+  Alcotest.(check (list string))
+    "served outcome byte-identical" (outcome_bytes e) (outcome_bytes i)
 
 (* Tool version is a key component: a cache written by a different
    toolchain version never serves entries to this one. *)
@@ -418,8 +441,6 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "scheduled engine, full corpus" `Slow
-            (check_determinism `Scheduled);
           Alcotest.test_case "fixpoint engine, full corpus" `Slow
             (check_determinism `Fixpoint);
           Alcotest.test_case "compiled engine, full corpus" `Slow
@@ -440,6 +461,8 @@ let () =
             test_schema_drift_evicted;
           Alcotest.test_case "engine key separation" `Quick
             test_engine_key_separation;
+          Alcotest.test_case "default engine key" `Quick
+            test_default_engine_key;
           Alcotest.test_case "key anatomy" `Quick test_tool_version_in_key;
         ] );
       ( "manifest",

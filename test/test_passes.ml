@@ -6,7 +6,7 @@ open Calyx
 open Calyx.Ir
 
 let interp_run ?inputs ctx =
-  let sim = Calyx_sim.Sim.create ctx in
+  let sim = Calyx_sim.Sim.create ~engine:`Fixpoint ctx in
   Option.iter (fun f -> f sim) inputs;
   let cycles = Calyx_sim.Sim.run sim in
   (sim, cycles)

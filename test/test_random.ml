@@ -1,9 +1,9 @@
 (* Differential fuzzing: randomly generated Calyx programs executed by the
    reference interpreter (the oracle) must compute identical register state
    when compiled by the full pipeline — across pass configurations. Every
-   program (source and lowered alike) additionally runs under all three
-   evaluation engines, which must agree pairwise on cycle counts, final
-   registers, and the ordered control-event stream.
+   program (source and lowered alike) additionally runs under both
+   evaluation engines, which must agree on cycle counts, final registers,
+   and the ordered control-event stream.
 
    Generated programs are well-formed and race-free by construction:
    - every action group writes its own dedicated register, and groups may
@@ -34,43 +34,27 @@ let run_engine ~engine ctx regs =
   let cycles = Calyx_sim.Sim.run ~max_cycles:400_000 sim in
   (cycles, register_values sim regs, List.rev !events)
 
-(* Engine differential: the scheduled and compiled engines must be
-   observably identical to the reference fixpoint engine — same cycle
-   count, same final register state, same ordered control-event stream.
-   Every pair is compared (fixpoint is the oracle; the scheduled/compiled
-   pair is checked directly too, so a shared-divergence-from-fixpoint bug
-   cannot mask an inter-engine disagreement). *)
+(* Engine differential: the compiled engine must be observably identical
+   to the reference fixpoint engine (the oracle) — same cycle count, same
+   final register state, same ordered control-event stream. *)
 let check_engines ctx regs =
-  let runs =
-    List.map
-      (fun (name, engine) -> (name, run_engine ~engine ctx regs))
-      [
-        ("fixpoint", `Fixpoint);
-        ("scheduled", `Scheduled);
-        ("compiled", `Compiled);
-      ]
-  in
-  let pair (an, (ac, ar, ae)) (bn, (bc, br, be)) =
-    if ac <> bc then begin
-      Printf.printf "engine cycle mismatch: %s %d vs %s %d\n" an ac bn bc;
-      false
-    end
-    else if ar <> br then begin
-      Printf.printf "engine final-register mismatch: %s vs %s\n" an bn;
-      false
-    end
-    else if ae <> be then begin
-      Printf.printf "engine ctrl-event mismatch: %s %d vs %s %d events\n" an
-        (List.length ae) bn (List.length be);
-      false
-    end
-    else true
-  in
-  let rec all_pairs = function
-    | [] -> true
-    | a :: rest -> List.for_all (pair a) rest && all_pairs rest
-  in
-  all_pairs runs
+  let fc, fr, fe = run_engine ~engine:`Fixpoint ctx regs in
+  let cc, cr, ce = run_engine ~engine:`Compiled ctx regs in
+  if fc <> cc then begin
+    Printf.printf "engine cycle mismatch: fixpoint %d vs compiled %d\n" fc cc;
+    false
+  end
+  else if fr <> cr then begin
+    Printf.printf "engine final-register mismatch: fixpoint vs compiled\n";
+    false
+  end
+  else if fe <> ce then begin
+    Printf.printf
+      "engine ctrl-event mismatch: fixpoint %d vs compiled %d events\n"
+      (List.length fe) (List.length ce);
+    false
+  end
+  else true
 
 let configs =
   [
@@ -96,14 +80,14 @@ let check_seed seed =
         | _ -> None)
       (entry ctx).cells
   in
-  let oracle = Calyx_sim.Sim.create ctx in
+  let oracle = Calyx_sim.Sim.create ~engine:`Fixpoint ctx in
   let oracle_cycles = Calyx_sim.Sim.run ~max_cycles:200_000 oracle in
   let expected = register_values oracle regs in
   check_engines ctx regs
   && List.for_all
        (fun (name, config) ->
          let lowered = Pipelines.compile ~config ctx in
-         let sim = Calyx_sim.Sim.create lowered in
+         let sim = Calyx_sim.Sim.create ~engine:`Fixpoint lowered in
          let cycles = Calyx_sim.Sim.run ~max_cycles:400_000 sim in
          ignore cycles;
          let got = register_values sim regs in
@@ -122,9 +106,9 @@ let prop_differential =
 
 (* A wider engine-only sweep (no compilation, so it is cheap): together
    with the fixed-seed sweep and the differential property this exercises
-   well over 500 random programs under all three engines per run. *)
+   well over 500 random programs under both engines per run. *)
 let prop_engines =
-  QCheck.Test.make ~name:"scheduled/compiled engines = fixpoint engine"
+  QCheck.Test.make ~name:"compiled engine = fixpoint engine"
     ~count:300
     (Fuzz_seed.seed_arb "random-engines")
     (fun seed ->

@@ -1,8 +1,11 @@
-(* The scheduled evaluation engine: unit tests for the Sched graph module
-   (levelization, dirty-set evaluation, cyclic-remainder worklist) and
-   observable-equivalence checks against the reference fixpoint engine on
-   the shared sample programs — including the error paths (Conflict and
-   Unstable must fire at the same cycle with the same message). *)
+(* The Sched graph module the compiled engine runs on: unit tests for
+   levelization, dirty-set evaluation and the cyclic-remainder worklist,
+   then wire-level checks of the dirty-set settle against the reference
+   fixpoint engine on the shared sample programs. Every signal must hold
+   the oracle's value on every cycle — a node the dirty set failed to
+   re-evaluate shows up here even when the final state happens to agree.
+   The error paths (Conflict and Unstable) must fire at the same cycle
+   with the same message after the same wire history. *)
 
 open Calyx
 
@@ -110,171 +113,245 @@ let test_self_edge () =
   Alcotest.(check bool) "self-edge cyclic" true (Sched.cyclic g 0)
 
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence on the shared sample programs                    *)
+(* Wire-level equivalence on the shared sample programs                *)
 (* ------------------------------------------------------------------ *)
 
-let run_both ctx =
+(* One cycle as the sink sees it: every signal's value, the active
+   groups. ev_iters is left out — it measures different work per engine. *)
+type snap = {
+  s_cycle : int;
+  s_values : string array;
+  s_active : (string * string) list;
+}
+
+let record sim =
+  let trace = ref [] in
+  Sim.add_sink sim (fun ev ->
+      trace :=
+        {
+          s_cycle = ev.Sim.ev_cycle;
+          s_values = Array.map Bitvec.to_string ev.Sim.ev_values;
+          s_active = ev.Sim.ev_active;
+        }
+        :: !trace);
+  fun () -> List.rev !trace
+
+(* Compare two wire histories cycle by cycle, naming the first signal
+   that differs. *)
+let check_traces sim ft ct =
+  let paths = Array.map (fun s -> s.Sim.sig_path) (Sim.signals sim) in
+  Alcotest.(check int) "traced cycles" (List.length ft) (List.length ct);
+  List.iter2
+    (fun f c ->
+      Alcotest.(check int) "cycle number" f.s_cycle c.s_cycle;
+      Array.iteri
+        (fun i v ->
+          if v <> c.s_values.(i) then
+            Alcotest.failf "cycle %d: %s is %s under fixpoint, %s compiled"
+              f.s_cycle paths.(i) v c.s_values.(i))
+        f.s_values;
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "cycle %d active groups" f.s_cycle)
+        f.s_active c.s_active)
+    ft ct
+
+(* Run [ctx] under both engines with [setup] applied before the first
+   cycle; the wire histories and cycle counts must agree. *)
+let run_both ?(setup = ignore) ctx =
   let go engine =
     let sim = Sim.create ~engine ctx in
+    setup sim;
+    let trace = record sim in
     let cycles = Sim.run sim in
-    (sim, cycles)
+    (sim, cycles, trace ())
   in
-  let f, fc = go `Fixpoint in
-  let s, sc = go `Scheduled in
-  Alcotest.(check int) "cycle counts agree" fc sc;
-  (f, s)
+  let f, fc, ft = go `Fixpoint in
+  let c, cc, ct = go `Compiled in
+  Alcotest.(check (array string))
+    "same signals"
+    (Array.map (fun s -> s.Sim.sig_path) (Sim.signals f))
+    (Array.map (fun s -> s.Sim.sig_path) (Sim.signals c));
+  Alcotest.(check int) "cycle counts agree" fc cc;
+  Alcotest.(check bool) "wires traced" true (ft <> []);
+  check_traces f ft ct;
+  (f, c)
 
-let check_reg name f s =
+let check_reg name f c =
   Alcotest.(check int64) ("register " ^ name)
     (Bitvec.to_int64 (Sim.read_register f name))
-    (Bitvec.to_int64 (Sim.read_register s name))
+    (Bitvec.to_int64 (Sim.read_register c name))
 
 let test_counter () =
-  let f, s = run_both (Progs.counter ~limit:5 ()) in
-  check_reg "r" f s
+  let f, c = run_both (Progs.counter ~limit:7 ()) in
+  check_reg "r" f c
 
 let test_seq () =
-  let f, s = run_both (Progs.two_writes_seq ()) in
-  check_reg "x" f s
+  let f, c = run_both (Progs.two_writes_seq ~w:16 ()) in
+  check_reg "x" f c
 
 let test_par () =
-  let f, s = run_both (Progs.two_writes_par ()) in
-  check_reg "x" f s;
-  check_reg "y" f s
+  let f, c = run_both (Progs.two_writes_par ~w:16 ()) in
+  check_reg "x" f c;
+  check_reg "y" f c
 
+(* Both branches, and the tie, which takes the else branch. *)
 let test_if () =
-  let f, s = run_both (Progs.if_program ~x:3 ~y:7 ()) in
-  check_reg "r" f s;
-  let f, s = run_both (Progs.if_program ~x:7 ~y:3 ()) in
-  check_reg "r" f s
+  List.iter
+    (fun (x, y) ->
+      let f, c = run_both (Progs.if_program ~x ~y ()) in
+      check_reg "r" f c)
+    [ (2, 9); (9, 2); (5, 5) ]
 
 (* Hierarchy: a child component evaluated through an NChild graph node. *)
 let test_hierarchy () =
-  let f, s = run_both (Progs.hierarchy ~input:21 ()) in
-  check_reg "r" f s;
-  Alcotest.(check int64) "doubler result" 42L
-    (Bitvec.to_int64 (Sim.read_register s "r"))
+  let f, c = run_both (Progs.hierarchy ~input:50 ()) in
+  check_reg "r" f c;
+  Alcotest.(check int64) "doubler result" 100L
+    (Bitvec.to_int64 (Sim.read_register c "r"))
 
 (* The pipelined multiplier exercises commit-time invalidation: its done
-   output changes cycles after its inputs stopped changing. *)
+   output changes cycles after its inputs stopped changing, so the clock
+   edge must re-mark it dirty. *)
 let test_mult () =
-  let f, s = run_both (Progs.mult_program ~x:12 ~y:11 ()) in
-  check_reg "r" f s;
-  Alcotest.(check int64) "product" 132L (Bitvec.to_int64 (Sim.read_register s "r"))
+  let f, c = run_both (Progs.mult_program ~x:250 ~y:3 ()) in
+  check_reg "r" f c;
+  Alcotest.(check int64) "product" 750L
+    (Bitvec.to_int64 (Sim.read_register c "r"))
 
-(* Memories: load inputs into both simulations, compare the output memory. *)
+(* Memories: load the inputs before the first cycle, compare the output
+   memory as well as the wires. *)
 let test_reduction_tree () =
-  let ctx = Progs.reduction_tree ~len:4 () in
-  let load sim =
+  let len = 8 in
+  let setup sim =
     List.iteri
       (fun i m ->
         Sim.write_memory_ints sim m ~width:32
-          (List.init 4 (fun j -> (10 * i) + j)))
+          (List.init len (fun j -> (7 * i) + (3 * j))))
       [ "m0"; "m1"; "m2"; "m3" ]
   in
-  let go engine =
-    let sim = Sim.create ~engine ctx in
-    load sim;
-    let cycles = Sim.run sim in
-    (cycles, Sim.read_memory_ints sim "out")
-  in
-  let fc, fm = go `Fixpoint in
-  let sc, sm = go `Scheduled in
-  Alcotest.(check int) "cycles" fc sc;
-  Alcotest.(check (list int)) "output memory" fm sm
+  let f, c = run_both ~setup (Progs.reduction_tree ~len ()) in
+  Alcotest.(check (list int))
+    "output memory"
+    (Sim.read_memory_ints f "out")
+    (Sim.read_memory_ints c "out")
 
-(* Lowered (flat, FSM-driven) programs — no control tree at all. *)
+(* Lowered (flat, FSM-driven) programs — no control tree at all, so the
+   wires are the whole schedule. *)
 let test_lowered () =
   List.iter
-    (fun ctx ->
-      let lowered = Pipelines.compile ctx in
-      let f, s = run_both lowered in
-      ignore f;
-      ignore s)
+    (fun ctx -> ignore (run_both (Pipelines.compile ctx)))
     [
-      Progs.counter ~limit:4 ();
-      Progs.two_writes_seq ();
-      Progs.reduction_tree ~len:2 ();
+      Progs.counter ~limit:6 ();
+      Progs.two_writes_par ();
+      Progs.if_program ~x:4 ~y:1 ();
+      Progs.hierarchy ~input:3 ();
+      Progs.mult_program ~x:6 ~y:7 ();
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Error-path parity                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let error_info run ctx engine =
+let error_info ctx engine =
   let sim = Sim.create ~engine ctx in
-  match run sim with
-  | exception Sim.Conflict { cycle; message; snapshot } ->
-      Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
-      ("conflict", cycle, message)
-  | exception Sim.Unstable { cycle; message; snapshot } ->
-      Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
-      ("unstable", cycle, message)
-  | _ -> Alcotest.fail "expected a simulation error"
+  let trace = record sim in
+  let kind, cycle, message =
+    match Sim.run sim with
+    | exception Sim.Conflict { cycle; message; snapshot } ->
+        Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
+        ("conflict", cycle, message)
+    | exception Sim.Unstable { cycle; message; snapshot } ->
+        Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
+        ("unstable", cycle, message)
+    | _ -> Alcotest.fail "expected a simulation error"
+  in
+  (sim, kind, cycle, message, trace ())
 
-let test_conflict_parity () =
-  let ctx = Progs.conflict_program () in
-  let run sim = Sim.run sim in
-  let fk, fc, fm = error_info run ctx `Fixpoint in
-  let sk, sc, sm = error_info run ctx `Scheduled in
-  Alcotest.(check string) "kind" "conflict" fk;
-  Alcotest.(check string) "same kind" fk sk;
-  Alcotest.(check int) "same cycle" fc sc;
-  Alcotest.(check string) "same message" fm sm
+(* Same error, same cycle, same message, and the same wires on every
+   cycle that settled before it. *)
+let check_parity kind ctx =
+  let f, fk, fc, fm, ft = error_info ctx `Fixpoint in
+  let _, ck, cc, cm, ct = error_info ctx `Compiled in
+  Alcotest.(check string) "kind" kind fk;
+  Alcotest.(check string) "same kind" fk ck;
+  Alcotest.(check int) "same cycle" fc cc;
+  Alcotest.(check string) "same message" fm cm;
+  check_traces f ft ct
 
-let test_unstable_parity () =
-  let ctx = Progs.unstable_program () in
-  let run sim = Sim.run sim in
-  let fk, fc, fm = error_info run ctx `Fixpoint in
-  let sk, sc, sm = error_info run ctx `Scheduled in
-  Alcotest.(check string) "kind" "unstable" fk;
-  Alcotest.(check string) "same kind" fk sk;
-  Alcotest.(check int) "same cycle" fc sc;
-  Alcotest.(check string) "same message" fm sm
+let test_conflict_parity () = check_parity "conflict" (Progs.conflict_program ())
+let test_unstable_parity () = check_parity "unstable" (Progs.unstable_program ())
 
 (* ------------------------------------------------------------------ *)
 (* Engine plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The engine table: one entry per engine, distinct names, engine_name
+   agreeing with it, and every entry (and the default) reported back by
+   the simulation it builds. *)
 let test_engine_accessor () =
   let ctx = Progs.counter ~limit:2 () in
-  Alcotest.(check bool) "default is fixpoint" true
-    (Sim.engine (Sim.create ctx) = `Fixpoint);
-  Alcotest.(check bool) "scheduled reported" true
-    (Sim.engine (Sim.create ~engine:`Scheduled ctx) = `Scheduled)
+  let names = List.map fst Sim.engines in
+  Alcotest.(check int)
+    "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check bool)
+    "both engines listed" true
+    (List.mem `Fixpoint (List.map snd Sim.engines)
+    && List.mem `Compiled (List.map snd Sim.engines));
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check string) ("engine_name " ^ name) name
+        (Sim.engine_name engine);
+      Alcotest.(check bool) (name ^ " reported") true
+        (Sim.engine (Sim.create ~engine ctx) = engine))
+    Sim.engines;
+  Alcotest.(check bool)
+    "default reported" true
+    (Sim.engine (Sim.create ctx) = Sim.default_engine)
 
 (* A test-bench register write behind the scheduler's back must be picked
-   up by the next settle (the touch_prim invalidation path). *)
+   up by the next settle (the touch_prim invalidation path), whichever
+   cycle it lands on. *)
 let test_testbench_write () =
   let ctx = Progs.counter ~limit:10 () in
-  let go engine =
+  let go engine at =
     let sim = Sim.create ~engine ctx in
     Sim.set_input sim "go" (Bitvec.one 1);
-    for _ = 1 to 8 do
+    for _ = 1 to at do
       Sim.cycle sim
     done;
-    Sim.write_register sim "r" (Bitvec.of_int ~width:8 9);
+    let trace = record sim in
+    Sim.write_register sim "r" (Bitvec.of_int ~width:8 (at + 1));
     let extra = ref 0 in
     while not (Sim.done_seen sim) do
       Sim.cycle sim;
       incr extra
     done;
-    (!extra, Bitvec.to_int64 (Sim.read_register sim "r"))
+    (sim, !extra, Bitvec.to_int64 (Sim.read_register sim "r"), trace ())
   in
-  let fe, fr = go `Fixpoint in
-  let se, sr = go `Scheduled in
-  Alcotest.(check int) "same remaining cycles" fe se;
-  Alcotest.(check int64) "same final value" fr sr
+  for at = 1 to 8 do
+    let f, fe, fr, ft = go `Fixpoint at in
+    let _, ce, cr, ct = go `Compiled at in
+    Alcotest.(check int) "same remaining cycles" fe ce;
+    Alcotest.(check int64) "same final value" fr cr;
+    check_traces f ft ct
+  done
 
-(* ev_iters under the scheduled engine counts touched nodes: positive on a
-   busy cycle, and bounded by work actually performed. *)
+(* ev_iters under the compiled engine counts graph nodes touched: work is
+   recorded, and the dirty set keeps some cycle below the busiest one —
+   a dense settle would touch the same nodes every cycle. *)
 let test_iters_stat () =
   let ctx = Progs.counter ~limit:5 () in
-  let sim = Sim.create ~engine:`Scheduled ctx in
-  let total = ref 0 in
-  Sim.add_sink sim (fun ev -> total := !total + ev.Sim.ev_iters);
+  let sim = Sim.create ~engine:`Compiled ctx in
+  let per_cycle = ref [] in
+  Sim.add_sink sim (fun ev -> per_cycle := ev.Sim.ev_iters :: !per_cycle);
   ignore (Sim.run sim);
-  Alcotest.(check bool) "touched nodes recorded" true (!total > 0)
+  let total = List.fold_left ( + ) 0 !per_cycle in
+  Alcotest.(check bool) "touched nodes recorded" true (total > 0);
+  Alcotest.(check bool)
+    "dirty set is sparse" true
+    (List.fold_left min max_int !per_cycle
+    < List.fold_left max 0 !per_cycle)
 
 let () =
   Alcotest.run "sched"

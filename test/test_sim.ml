@@ -2,9 +2,12 @@
 
 open Calyx
 
+(* The reference interpreter is the fixpoint engine. *)
+let create ?externs ctx = Calyx_sim.Sim.create ?externs ~engine:`Fixpoint ctx
+
 let run_ctx ?max_cycles ctx =
   Well_formed.check ctx;
-  let sim = Calyx_sim.Sim.create ctx in
+  let sim = create ctx in
   let cycles = Calyx_sim.Sim.run ?max_cycles sim in
   (sim, cycles)
 
@@ -45,7 +48,7 @@ let test_if_false () =
 
 let test_reduction_tree () =
   let ctx = Progs.reduction_tree ~len:4 () in
-  let sim = Calyx_sim.Sim.create ctx in
+  let sim = create ctx in
   let m0 = [ 1; 2; 3; 4 ]
   and m1 = [ 10; 20; 30; 40 ]
   and m2 = [ 100; 200; 300; 400 ]
@@ -64,7 +67,7 @@ let test_reduction_tree () =
 
 let test_external_memories () =
   let ctx = Progs.reduction_tree () in
-  let sim = Calyx_sim.Sim.create ctx in
+  let sim = create ctx in
   Alcotest.(check (list string)) "externals"
     [ "m0"; "m1"; "m2"; "m3"; "out" ]
     (Calyx_sim.Sim.external_memories sim)
@@ -83,7 +86,7 @@ let test_mult_pipe () =
 
 let test_conflict_detected () =
   let ctx = Progs.conflict_program () in
-  let sim = Calyx_sim.Sim.create ctx in
+  let sim = create ctx in
   match Calyx_sim.Sim.run sim with
   | (_ : int) -> Alcotest.fail "expected Conflict"
   | exception Calyx_sim.Sim.Conflict { cycle; message; snapshot } ->
@@ -96,7 +99,7 @@ let test_conflict_detected () =
 
 let test_unstable_detected () =
   let ctx = Progs.unstable_program () in
-  let sim = Calyx_sim.Sim.create ctx in
+  let sim = create ctx in
   match Calyx_sim.Sim.run sim with
   | (_ : int) -> Alcotest.fail "expected Unstable"
   | exception Calyx_sim.Sim.Unstable { cycle; message; snapshot } ->
@@ -119,7 +122,7 @@ let test_timeout () =
          ]
     |> with_control (enable "stuck")
   in
-  let sim = Calyx_sim.Sim.create (context [ main ]) in
+  let sim = create (context [ main ]) in
   match Calyx_sim.Sim.run ~max_cycles:100 sim with
   | (_ : int) -> Alcotest.fail "expected Timeout"
   | exception Calyx_sim.Sim.Timeout { budget; snapshot } ->
@@ -137,7 +140,7 @@ let test_empty_control_times_out_without_done () =
   let main =
     component "main" |> with_control (seq [])
   in
-  let sim = Calyx_sim.Sim.create (context [ main ]) in
+  let sim = create (context [ main ]) in
   (* seq [] is structurally Empty-like; control Seq([],_) is non-Empty so the
      component is structured and finishes in one cycle. *)
   let cycles = Calyx_sim.Sim.run sim in
@@ -175,7 +178,7 @@ let test_mem_d2 () =
          ]
     |> with_control (seq [ enable "store"; enable "load" ])
   in
-  let sim = Calyx_sim.Sim.create (context [ main ]) in
+  let sim = create (context [ main ]) in
   ignore (Calyx_sim.Sim.run sim);
   Alcotest.(check int) "read back" 777
     (Bitvec.to_int (Calyx_sim.Sim.read_register sim "r"));
@@ -221,7 +224,7 @@ let test_width_adapters_and_ops () =
          ]
     |> with_control (enable "go_all")
   in
-  let sim = Calyx_sim.Sim.create (context [ main ]) in
+  let sim = create (context [ main ]) in
   ignore (Calyx_sim.Sim.run sim);
   let reg r = Bitvec.to_int (Calyx_sim.Sim.read_register sim r) in
   Alcotest.(check int) "slice" 0xD (reg "a");
@@ -251,7 +254,7 @@ let test_div_pipe () =
          ]
     |> with_control (enable "divide")
   in
-  let sim = Calyx_sim.Sim.create (context [ main ]) in
+  let sim = create (context [ main ]) in
   let cycles = Calyx_sim.Sim.run sim in
   Alcotest.(check int) "quotient" 10
     (Bitvec.to_int (Calyx_sim.Sim.read_register sim "q"));
@@ -285,7 +288,7 @@ component main(go: 1) -> (done: 1) {
   (* Without a model, simulation refuses. *)
   Alcotest.(check bool) "unlinked extern rejected" true
     (try
-       ignore (Calyx_sim.Sim.create ctx);
+       ignore (create ctx);
        false
      with Ir.Ir_error _ -> true);
   (* A two-cycle behavioural square root. *)
@@ -312,14 +315,14 @@ component main(go: 1) -> (done: 1) {
   in
   List.iter
     (fun ctx' ->
-      let sim = Calyx_sim.Sim.create ~externs:[ ("ext_sqrt", make_model) ] ctx' in
+      let sim = create ~externs:[ ("ext_sqrt", make_model) ] ctx' in
       ignore (Calyx_sim.Sim.run sim);
       Alcotest.(check int) "sqrt(1764)" 42
         (Bitvec.to_int (Calyx_sim.Sim.read_register sim "r")))
     [ ctx; Pipelines.compile ctx ]
 
 let test_status_lifecycle () =
-  let sim = Calyx_sim.Sim.create (Progs.two_writes_seq ()) in
+  let sim = create (Progs.two_writes_seq ()) in
   Alcotest.(check bool) "idle before run" true
     (contains ~needle:"idle" (Calyx_sim.Sim.status sim));
   ignore (Calyx_sim.Sim.run sim);
@@ -329,7 +332,7 @@ let test_status_lifecycle () =
 let test_add_sink_composes () =
   (* add_sink composes with whatever is installed: both observers see every
      cycle, in attachment order. *)
-  let sim = Calyx_sim.Sim.create (Progs.two_writes_seq ()) in
+  let sim = create (Progs.two_writes_seq ()) in
   let calls = ref [] in
   Calyx_sim.Sim.set_sink sim
     (Some (fun ev -> calls := ("a", ev.Calyx_sim.Sim.ev_cycle) :: !calls));

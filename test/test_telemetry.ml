@@ -190,7 +190,7 @@ let test_manifest_roundtrip () =
   T.Runtime.with_enabled (fun () ->
       let w = T.Manifest.open_file file in
       T.Manifest.set_run ~source:"roundtrip.futil" ~source_hash:"deadbeef"
-        ~pipeline:"cafe" ~engine:"scheduled" ();
+        ~pipeline:"cafe" ~engine:"compiled" ();
       T.Manifest.record ~cat:"stage" ~seconds:0.25
         ~data:[ ("cycles", 99.); ("luts", 12.) ]
         w "sim";
@@ -203,7 +203,7 @@ let test_manifest_roundtrip () =
       Alcotest.(check string) "source" "roundtrip.futil" sim.T.Manifest.mf_source;
       Alcotest.(check string) "source hash" "deadbeef" sim.T.Manifest.mf_source_hash;
       Alcotest.(check string) "pipeline" "cafe" sim.T.Manifest.mf_pipeline;
-      Alcotest.(check string) "engine" "scheduled" sim.T.Manifest.mf_engine;
+      Alcotest.(check string) "engine" "compiled" sim.T.Manifest.mf_engine;
       Alcotest.(check (float 1e-9)) "seconds" 0.25 sim.T.Manifest.mf_seconds;
       Alcotest.(check (list (pair string (float 0.))))
         "data" [ ("cycles", 99.); ("luts", 12.) ] sim.T.Manifest.mf_data;

@@ -2,8 +2,8 @@
    width-aware delay model, exact primitive input->output arcs (no false
    paths through registers), mux and guard delay, hierarchical flattening,
    the clock/wall-time helpers, attribution back to groups and control,
-   and a cross-check of the STA's port graph against the Scheduled
-   engine's levelization. *)
+   and a cross-check of the STA's port graph against the simulator's
+   Sched levelization. *)
 
 open Calyx
 open Calyx.Builder
@@ -283,14 +283,14 @@ let test_json_parses () =
   | _ -> Alcotest.fail "no paths in JSON"
 
 (* ------------------------------------------------------------------ *)
-(* Cross-check against the Scheduled engine's levelization             *)
+(* Cross-check against the simulator's Sched levelization             *)
 (* ------------------------------------------------------------------ *)
 
 (* Build a Sched graph whose nodes are the STA's port edges: node i reads
    its edge's source slot and writes its destination slot. Consecutive
    edges along the reported critical path must then sit on strictly
    increasing Sched levels — the same partial order the simulator's
-   scheduled engine derives independently. *)
+   compiled engine derives independently. *)
 let test_sched_levels_agree () =
   let lowered = Pipelines.compile (counter_ctx ()) in
   let edges = Timing.port_edges lowered (Ir.entry lowered) in
