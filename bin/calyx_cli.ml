@@ -10,9 +10,11 @@
      cover      coverage analysis, span traces, par critical-path report
      dahlia     compile a Dahlia program (optionally run it)
      systolic   generate (and optionally run) a systolic array
-     polybench  run PolyBench kernels and report cycles/area/Fmax
-     farm       batch compile/sim/validate/timing jobs across domains,
-                with a content-addressed result cache
+     farm       the corpus runner: batch compile/sim/validate/engine-
+                differential jobs (files, PolyBench, systolic, fuzz)
+                across domains, with a content-addressed result cache;
+                failed fuzz jobs are shrunk to counterexample programs
+     validate   translation validation of single designs (RTL vs sim)
      stats      compilation statistics for a design (Section 7.4)
      timing     static timing analysis: critical path, Fmax, worst paths
      report     aggregate telemetry manifests; gate perf regressions
@@ -91,16 +93,18 @@ let parse_mem_flag s =
       in
       (name, values)
 
-let load_mems sim flags =
+(* Through a Testbench.io, so the same --mem flags initialize the
+   simulator and (under validate) the RTL interpreter identically. *)
+let load_mems (io : Calyx_sim.Testbench.io) flags =
   List.iter
     (fun flag ->
       let name, values = parse_mem_flag flag in
-      let current = Calyx_sim.Sim.read_memory sim name in
+      let current = io.read_memory name in
       let width =
         if Array.length current = 0 then 32
         else Calyx.Bitvec.width current.(0)
       in
-      Calyx_sim.Sim.write_memory_ints sim name ~width values)
+      Calyx_sim.Testbench.write_memory_ints io name ~width values)
     flags
 
 let dump_externals sim =
@@ -392,7 +396,7 @@ let interp_cmd =
         let sp =
           Option.map (fun _ -> Calyx_cover.Spans.create ctx sim) spans
         in
-        load_mems sim mems;
+        load_mems (Calyx_sim.Testbench.of_sim sim) mems;
         let finish () =
           Option.iter
             (fun path ->
@@ -424,7 +428,7 @@ let sim_cmd =
             (fun _ -> Calyx_cover.Spans.create_fsm lowered sim)
             spans
         in
-        load_mems sim mems;
+        load_mems (Calyx_sim.Testbench.of_sim sim) mems;
         let finish () =
           Option.iter
             (fun path ->
@@ -438,7 +442,7 @@ let sim_cmd =
                 Printf.printf "cycles: %d\n" cycles;
                 dump_externals sim;
                 (* The lowered program has no groups left, so this reports
-                   totals, fixpoint behaviour, and cell utilization; use the
+                   totals, settle behaviour, and cell utilization; use the
                    [profile] subcommand for group-level attribution. *)
                 Option.iter
                   (fun p -> print_string (Calyx_obs.Profile.render p))
@@ -448,7 +452,7 @@ let sim_cmd =
     Arg.(
       value & flag
       & info [ "profile" ]
-          ~doc:"Print cycle counts, fixpoint statistics, and cell utilization after the run.")
+          ~doc:"Print cycle counts, settle statistics, and cell utilization after the run.")
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Compile a Calyx program and run the cycle-accurate flat simulator.")
@@ -468,7 +472,7 @@ let dahlia_cmd =
         if execute then begin
           let lowered = Calyx.Pipelines.compile ~config ctx in
           let sim = Calyx_sim.Sim.create lowered in
-          load_mems sim mems;
+          load_mems (Calyx_sim.Testbench.of_sim sim) mems;
           let cycles = Calyx_sim.Sim.run sim in
           Printf.printf "cycles: %d\n" cycles;
           dump_externals sim
@@ -527,71 +531,6 @@ let systolic_cmd =
           $ Arg.(value & flag & info [ "run" ] ~doc:"Simulate with test data.")
           $ telemetry_term)
 
-let polybench_cmd =
-  let run kernel unrolled engine farm_jobs cache_dir config tele =
-    with_telemetry tele @@ fun () ->
-    handle_errors (fun () ->
-        let kernels =
-          match kernel with
-          | Some name -> [ Polybench.Kernels.find name ]
-          | None ->
-              if unrolled then Polybench.Kernels.unrollable
-              else Polybench.Kernels.all
-        in
-        (* Kernels are submitted through the farm: they compile and
-           simulate [--jobs] at a time (and short-circuit through the
-           result cache under --cache), while the table stays in kernel
-           order because farm results come back in submission order. *)
-        let jobs =
-          List.map
-            (fun k ->
-              Fjob.make ~config ?engine
-                (Fjob.Polybench
-                   { kernel = k.Polybench.Kernels.name; unrolled }))
-            kernels
-        in
-        let cache = Option.map Fcache.open_dir cache_dir in
-        let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
-        Printf.printf "%-12s %10s %8s %8s %6s %9s %10s  %s\n" "kernel" "cycles"
-          "LUTs" "regs" "DSPs" "Fmax_MHz" "wall_ns" "check";
-        List.iter
-          (fun r ->
-            let o = r.Farm.outcome in
-            let wall_ns =
-              if o.Fjob.o_fmax_mhz > 0. then
-                float_of_int o.Fjob.o_cycles *. 1000. /. o.Fjob.o_fmax_mhz
-              else 0.
-            in
-            Printf.printf "%-12s %10d %8d %8d %6d %9.1f %10.1f  %s\n"
-              o.Fjob.o_label o.Fjob.o_cycles o.Fjob.o_luts
-              o.Fjob.o_register_bits o.Fjob.o_dsps o.Fjob.o_fmax_mhz wall_ns
-              (if o.Fjob.o_ok then "ok"
-               else "MISMATCH: " ^ String.concat "; " o.Fjob.o_diagnostics))
-          summary.Farm.results)
-  in
-  let kernel =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name (default: all).")
-  in
-  let unrolled = Arg.(value & flag & info [ "unrolled" ] ~doc:"Use the unrolled variants.") in
-  let farm_jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains (default: the machine's recommended domain count).")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:"Serve previously computed kernel results from the farm cache at $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "polybench" ~doc:"Run PolyBench kernels through the Dahlia-to-Calyx flow (batched on the compile/sim farm).")
-    Term.(const run $ kernel $ unrolled $ engine_term $ farm_jobs $ cache_dir
-          $ config_term $ telemetry_term)
-
 let profile_cmd =
   let run file config mems trace json strict engine tele =
     with_telemetry ~source:file tele @@ fun () ->
@@ -607,7 +546,7 @@ let profile_cmd =
              construct the interpreter refuses, so compile it away. *)
           let runnable = Calyx.Pass.run Calyx.Compile_invoke.pass ctx in
           let sim = Calyx_sim.Sim.create ?engine runnable in
-          load_mems sim mems;
+          load_mems (Calyx_sim.Testbench.of_sim sim) mems;
           with_observers sim ~trace ~profile:true (fun prof ->
               let cycles = Calyx_sim.Sim.run sim in
               let prof = Option.get prof in
@@ -676,7 +615,7 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Compile a Calyx (or Dahlia) program and print a merged report: per-pass compile statistics plus a runtime profile from interpreting the structured program (per-group active cycles and activations attributed against derived latencies, fixpoint statistics, cell utilization).")
+       ~doc:"Compile a Calyx (or Dahlia) program and print a merged report: per-pass compile statistics plus a runtime profile from interpreting the structured program (per-group active cycles and activations attributed against derived latencies, settle statistics, cell utilization).")
     Term.(const run $ file_arg $ config_term $ mems_term $ trace_term $ json
           $ strict $ engine_term $ telemetry_term)
 
@@ -695,7 +634,7 @@ let cover_cmd =
           let ssim = Calyx_sim.Sim.create ?engine runnable in
           let cov = Calyx_cover.Coverage.create runnable ssim in
           let sp = Calyx_cover.Spans.create runnable ssim in
-          load_mems ssim mems;
+          load_mems (Calyx_sim.Testbench.of_sim ssim) mems;
           let finish () =
             Option.iter
               (fun path ->
@@ -710,7 +649,7 @@ let cover_cmd =
               let lowered = Calyx.Pipelines.compile ~config ctx in
               let fsim = Calyx_sim.Sim.create ?engine lowered in
               let fcov = Calyx_cover.Coverage.create lowered fsim in
-              load_mems fsim mems;
+              load_mems (Calyx_sim.Testbench.of_sim fsim) mems;
               let fcycles = Calyx_sim.Sim.run fsim in
               (* STA of the lowered design converts the par report's
                  cycle slacks into nanoseconds. *)
@@ -779,217 +718,34 @@ let cover_cmd =
           $ fail_under $ engine_term $ telemetry_term)
 
 let validate_cmd =
-  (* Mirrors [load_mems], but through a Testbench.io so the same --mem
-     flags initialize the simulator and the RTL interpreter identically. *)
-  let load_mems_io mems io =
-    List.iter
-      (fun flag ->
-        let name, values = parse_mem_flag flag in
-        let current = io.Calyx_sim.Testbench.read_memory name in
-        let width =
-          if Array.length current = 0 then 32
-          else Calyx.Bitvec.width current.(0)
-        in
-        Calyx_sim.Testbench.write_memory_ints io name ~width values)
-      mems
-  in
-  let comment s =
-    String.concat "\n"
-      (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
-  in
-  let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
-  let run files fuzz seed polybench kernel mems config engine max_cycles
-      cex_dir farm_jobs cache_dir tele =
+  let run files mems config engine max_cycles tele =
     with_telemetry tele @@ fun () ->
     let failures = ref 0 in
-    let cache = Option.map Fcache.open_dir cache_dir in
-    let validate_ctx ~what ?(load = fun _ -> ()) lowered =
-      match
-        Calyx_verilog.Validate.validate ?engine ?max_cycles ~load lowered
-      with
-      | r ->
-          Format.printf "%-24s %a@." what Calyx_verilog.Validate.pp_report r;
-          if not r.Calyx_verilog.Validate.ok then incr failures
-      | exception e ->
-          Format.printf "%-24s CRASH: %s@." what (Printexc.to_string e);
-          incr failures
-    in
     let code =
       handle_errors (fun () ->
-          (* Explicit source files. *)
           List.iter
             (fun file ->
               if Tele.Runtime.on () then
                 Tele.Manifest.set_run ~source:(Filename.basename file)
                   ~source_hash:(Tele.Manifest.hash (read_file file))
                   ~pipeline:(Calyx.Pipelines.id config) ();
-              let ctx = parse_source file in
-              let lowered = Calyx.Pipelines.compile ~config ctx in
-              validate_ctx ~what:(Filename.basename file)
-                ~load:(load_mems_io mems) lowered)
-            files;
-          (* PolyBench kernels: both backends additionally checked against
-             the kernel's golden reference. The corpus goes through the
-             farm (validation included in each job), except under an
-             explicit --max-cycles budget, which only the direct harness
-             can express. *)
-          if polybench then begin
-            let kernels =
-              match kernel with
-              | Some name -> [ Polybench.Kernels.find name ]
-              | None -> Polybench.Kernels.all
-            in
-            match max_cycles with
-            | Some _ ->
-                List.iter
-                  (fun k ->
-                    let name = k.Polybench.Kernels.name in
-                    match
-                      Polybench.Harness.run_rtl ~config ?engine ?max_cycles k
-                        ~unrolled:false
-                    with
-                    | r ->
-                        Format.printf "%-24s %a; ref %s@." name
-                          Calyx_verilog.Validate.pp_report
-                          r.Polybench.Harness.report
-                          (if
-                             r.Polybench.Harness.mismatches_sim = []
-                             && r.Polybench.Harness.mismatches_rtl = []
-                           then "ok"
-                           else "MISMATCH");
-                        if not (Polybench.Harness.rtl_ok r) then incr failures
-                    | exception e ->
-                        Format.printf "%-24s CRASH: %s@." name
-                          (Printexc.to_string e);
-                        incr failures)
-                  kernels
-            | None ->
-                let jobs =
-                  List.map
-                    (fun k ->
-                      Fjob.make ~config ?engine ~validate:true
-                        (Fjob.Polybench
-                           {
-                             kernel = k.Polybench.Kernels.name;
-                             unrolled = false;
-                           }))
-                    kernels
-                in
-                let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
-                List.iter
-                  (fun r ->
-                    let o = r.Farm.outcome in
-                    (match o.Fjob.o_validate with
-                    | Some v ->
-                        Format.printf
-                          "%-24s %s: %d cycle(s) (rtl %d), %d register(s), \
-                           %d memory(ies); ref %s@."
-                          o.Fjob.o_label
-                          (if v.Fjob.v_ok then "agree" else "DISAGREE")
-                          o.Fjob.o_cycles v.Fjob.v_cycles_rtl
-                          v.Fjob.v_registers_checked v.Fjob.v_memories_checked
-                          (if o.Fjob.o_diagnostics = [] then "ok"
-                           else "MISMATCH");
-                        List.iter
-                          (fun m -> Format.printf "  %s@." m)
-                          v.Fjob.v_mismatches
-                    | None ->
-                        Format.printf "%-24s CRASH: %s@." o.Fjob.o_label
-                          (String.concat "; " o.Fjob.o_diagnostics));
-                    if not o.Fjob.o_ok then incr failures)
-                  summary.Farm.results
-          end;
-          (* Random programs; failures are shrunk to a minimal spec and
-             written out as counterexample files. *)
-          if fuzz > 0 then begin
-            let fails spec =
+              let lowered =
+                Calyx.Pipelines.compile ~config (parse_source file)
+              in
+              let what = Filename.basename file in
               match
-                let lowered =
-                  Calyx.Pipelines.compile ~config (Calyx.Fuzz_gen.build spec)
-                in
-                Calyx_verilog.Validate.validate ?engine ?max_cycles lowered
+                Calyx_verilog.Validate.validate ?engine ?max_cycles
+                  ~load:(fun io -> load_mems io mems)
+                  lowered
               with
               | r ->
-                  if r.Calyx_verilog.Validate.ok then None
-                  else
-                    Some (Format.asprintf "%a" Calyx_verilog.Validate.pp_report r)
-              | exception e -> Some (Printexc.to_string e)
-            in
-            let rec minimize (spec, descr) =
-              match
-                List.find_map
-                  (fun c -> Option.map (fun d -> (c, d)) (fails c))
-                  (Calyx.Fuzz_gen.shrink spec)
-              with
-              | Some smaller -> minimize smaller
-              | None -> (spec, descr)
-            in
-            (* Shrinking stays on the calling domain: it is a sequential
-               search where each step depends on the last, so only the
-               initial sweep is worth farming out. *)
-            let report_failure s spec descr =
-              incr failures;
-              let spec, descr = minimize (spec, descr) in
-              ensure_dir cex_dir;
-              let path =
-                Filename.concat cex_dir (Printf.sprintf "fuzz_%d.futil" s)
-              in
-              write_file path
-                (Printf.sprintf
-                   "// seed: %d\n// spec: %s\n%s\n%s" s
-                   (Calyx.Fuzz_gen.to_string spec)
-                   (comment ("failure: " ^ descr))
-                   (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
-              Format.printf
-                "fuzz seed %d             FAILED: %s@.  minimized \
-                 counterexample (%d nodes): %s@.  written to %s@."
-                s descr
-                (Calyx.Fuzz_gen.size spec)
-                (Calyx.Fuzz_gen.to_string spec)
-                path
-            in
-            (match max_cycles with
-            | Some _ ->
-                for i = 0 to fuzz - 1 do
-                  let s = seed + i in
-                  let spec = Calyx.Fuzz_gen.spec_of_seed s in
-                  if Tele.Runtime.on () then
-                    Tele.Manifest.set_run
-                      ~source:(Printf.sprintf "fuzz-%d" s)
-                      ~source_hash:
-                        (Tele.Manifest.hash (Calyx.Fuzz_gen.to_string spec))
-                      ~pipeline:(Calyx.Pipelines.id config) ();
-                  match fails spec with
-                  | None -> ()
-                  | Some descr -> report_failure s spec descr
-                done
-            | None ->
-                let seeds = List.init fuzz (fun i -> seed + i) in
-                let jobs =
-                  List.map
-                    (fun s ->
-                      Fjob.make ~config ?engine ~validate:true
-                        (Fjob.Fuzz { seed = s }))
-                    seeds
-                in
-                let summary = Farm.run ?jobs:farm_jobs ?cache jobs in
-                List.iter2
-                  (fun s r ->
-                    let o = r.Farm.outcome in
-                    if not o.Fjob.o_ok then
-                      let descr =
-                        String.concat "; "
-                          (o.Fjob.o_diagnostics
-                          @
-                          match o.Fjob.o_validate with
-                          | Some v -> v.Fjob.v_mismatches
-                          | None -> [])
-                      in
-                      report_failure s (Calyx.Fuzz_gen.spec_of_seed s) descr)
-                  seeds summary.Farm.results);
-            Format.printf "fuzz: %d program(s) validated from seed %d@." fuzz
-              seed
-          end)
+                  Format.printf "%-24s %a@." what
+                    Calyx_verilog.Validate.pp_report r;
+                  if not r.Calyx_verilog.Validate.ok then incr failures
+              | exception e ->
+                  Format.printf "%-24s CRASH: %s@." what (Printexc.to_string e);
+                  incr failures)
+            files)
     in
     if code <> 0 then code
     else if !failures > 0 then begin
@@ -999,32 +755,9 @@ let validate_cmd =
     else 0
   in
   let files =
-    Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc:"Calyx or Dahlia source files to validate.")
-  in
-  let fuzz =
     Arg.(
-      value & opt int 0
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:"Additionally validate $(docv) randomly generated programs.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 2026
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Base seed for --fuzz (program $(i,i) uses seed S+i).")
-  in
-  let polybench =
-    Arg.(
-      value & flag
-      & info [ "polybench" ]
-          ~doc:"Additionally validate the PolyBench kernels (against each other and the golden references).")
-  in
-  let kernel =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "kernel" ] ~docv:"NAME"
-          ~doc:"With --polybench, validate only this kernel.")
+      non_empty & pos_all file []
+      & info [] ~docv:"FILE" ~doc:"Calyx or Dahlia source files to validate.")
   in
   let max_cycles =
     Arg.(
@@ -1032,221 +765,11 @@ let validate_cmd =
       & opt (some int) None
       & info [ "max-cycles" ] ~docv:"N" ~doc:"Per-run cycle budget.")
   in
-  let cex_dir =
-    Arg.(
-      value & opt string "counterexamples"
-      & info [ "counterexamples" ] ~docv:"DIR"
-          ~doc:"Directory for minimized failing programs from --fuzz.")
-  in
-  let farm_jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for the --polybench/--fuzz corpora (default: the machine's recommended domain count).")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:"Serve previously validated --polybench/--fuzz results from the farm cache at $(docv).")
-  in
   Cmd.v
     (Cmd.info "validate"
-       ~doc:"Translation validation: compile each program through the full pipeline, execute the emitted SystemVerilog with the RTL interpreter and the lowered Calyx with the cycle-accurate simulator on identical inputs, and require exact agreement on cycle count, every register, and every memory. The --polybench and --fuzz corpora run on the compile/sim farm (--jobs domains, optional --cache). Fuzz failures are shrunk to minimal counterexample programs.")
-    Term.(const run $ files $ fuzz $ seed $ polybench $ kernel $ mems_term
-          $ config_term $ engine_term $ max_cycles $ cex_dir $ farm_jobs
-          $ cache_dir $ telemetry_term)
-
-(* Differential fuzzing: every generated program runs under the fixpoint
-   and the compiled engine (both as generated and through the full
-   pipeline) and the engines must agree on cycle count, final registers,
-   final memories, the ordered control-event stream — and on the error
-   paths: a Conflict/Unstable/Timeout must be raised by both at the same
-   cycle with the same message. Disagreements are shrunk to minimal
-   counterexample programs, like validate --fuzz. *)
-let fuzz_cmd =
-  let comment s =
-    String.concat "\n"
-      (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
-  in
-  let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
-  (* One engine's observation of one program: everything the equivalence
-     contract covers, or the error it raised. *)
-  let observe engine ctx regs mems =
-    match
-      let sim = Calyx_sim.Sim.create ~engine ctx in
-      let events = ref [] in
-      Calyx_sim.Sim.set_ctrl_sink sim (Some (fun e -> events := e :: !events));
-      let cycles = Calyx_sim.Sim.run ~max_cycles:400_000 sim in
-      ( cycles,
-        List.map
-          (fun r ->
-            Calyx.Bitvec.to_int64 (Calyx_sim.Sim.read_register sim r))
-          regs,
-        List.map (fun m -> Calyx_sim.Sim.read_memory_ints sim m) mems,
-        List.rev !events )
-    with
-    | obs -> Ok obs
-    | exception Calyx_sim.Sim.Conflict { cycle; message; _ } ->
-        Error (Printf.sprintf "conflict at cycle %d: %s" cycle message)
-    | exception Calyx_sim.Sim.Unstable { cycle; message; _ } ->
-        Error (Printf.sprintf "unstable at cycle %d: %s" cycle message)
-    | exception Calyx_sim.Sim.Timeout { budget; _ } ->
-        Error (Printf.sprintf "timeout after %d cycles" budget)
-    | exception e -> Error (Printexc.to_string e)
-  in
-  let state_cells ctx =
-    List.fold_left
-      (fun (regs, mems) c ->
-        match c.Calyx.Ir.cell_proto with
-        | Calyx.Ir.Prim ("std_reg", _) ->
-            (c.Calyx.Ir.cell_name :: regs, mems)
-        | Calyx.Ir.Prim (p, _)
-          when String.length p >= 7 && String.sub p 0 7 = "std_mem" ->
-            (regs, c.Calyx.Ir.cell_name :: mems)
-        | _ -> (regs, mems))
-      ([], [])
-      (Calyx.Ir.entry ctx).Calyx.Ir.cells
-  in
-  (* First pairwise disagreement on one program, or None. *)
-  let disagreement ctx =
-    let regs, mems = state_cells ctx in
-    let runs =
-      List.map
-        (fun (n, e) -> (n, observe e ctx regs mems))
-        Calyx_sim.Sim.engines
-    in
-    let diff (an, a) (bn, b) =
-      let where =
-        match (a, b) with
-        | Ok (ac, _, _, _), Ok (bc, _, _, _) when ac <> bc ->
-            Some (Printf.sprintf "cycles %d vs %d" ac bc)
-        | Ok (_, ar, _, _), Ok (_, br, _, _) when ar <> br ->
-            Some "final registers differ"
-        | Ok (_, _, am, _), Ok (_, _, bm, _) when am <> bm ->
-            Some "final memories differ"
-        | Ok (_, _, _, ae), Ok (_, _, _, be) when ae <> be ->
-            Some
-              (Printf.sprintf "ctrl events differ (%d vs %d)"
-                 (List.length ae) (List.length be))
-        | Ok _, Ok _ -> None
-        | Error ea, Error eb when ea = eb -> None
-        | Error ea, Error eb ->
-            Some (Printf.sprintf "errors differ: %S vs %S" ea eb)
-        | Ok _, Error eb -> Some (Printf.sprintf "ok vs error %S" eb)
-        | Error ea, Ok _ -> Some (Printf.sprintf "error %S vs ok" ea)
-      in
-      Option.map (fun w -> Printf.sprintf "%s vs %s: %s" an bn w) where
-    in
-    let rec pairs = function
-      | [] -> None
-      | a :: rest -> (
-          match List.find_map (diff a) rest with
-          | Some d -> Some d
-          | None -> pairs rest)
-    in
-    pairs runs
-  in
-  let run count seed config cex_dir jobs tele =
-    with_telemetry tele @@ fun () ->
-    (* A spec fails if the engines disagree on the generated program or
-       on its fully compiled form. *)
-    let fails spec =
-      match
-        let ctx = Calyx.Fuzz_gen.build spec in
-        match disagreement ctx with
-        | Some d -> Some ("source: " ^ d)
-        | None ->
-            Option.map
-              (fun d -> "lowered: " ^ d)
-              (disagreement (Calyx.Pipelines.compile ~config ctx))
-      with
-      | d -> d
-      | exception e -> Some (Printexc.to_string e)
-    in
-    let rec minimize (spec, descr) =
-      match
-        List.find_map
-          (fun c -> Option.map (fun d -> (c, d)) (fails c))
-          (Calyx.Fuzz_gen.shrink spec)
-      with
-      | Some smaller -> minimize smaller
-      | None -> (spec, descr)
-    in
-    let failures = ref 0 in
-    let seeds = List.init count (fun i -> seed + i) in
-    (* The initial sweep shards across domains; shrinking is a sequential
-       search and stays on the calling domain. *)
-    let outcomes =
-      Calyx_sim.Compiled.run_batch ?jobs
-        (List.map
-           (fun s () -> fails (Calyx.Fuzz_gen.spec_of_seed s))
-           seeds)
-    in
-    List.iter2
-      (fun s outcome ->
-        match outcome with
-        | None -> ()
-        | Some descr ->
-            incr failures;
-            let spec, descr =
-              minimize (Calyx.Fuzz_gen.spec_of_seed s, descr)
-            in
-            ensure_dir cex_dir;
-            let path =
-              Filename.concat cex_dir (Printf.sprintf "fuzz_%d.futil" s)
-            in
-            write_file path
-              (Printf.sprintf "// seed: %d\n// spec: %s\n%s\n%s" s
-                 (Calyx.Fuzz_gen.to_string spec)
-                 (comment ("engine disagreement: " ^ descr))
-                 (Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec)));
-            Format.printf
-              "fuzz seed %d             DISAGREES: %s@.  minimized \
-               counterexample (%d nodes): %s@.  written to %s@."
-              s descr
-              (Calyx.Fuzz_gen.size spec)
-              (Calyx.Fuzz_gen.to_string spec)
-              path)
-      seeds outcomes;
-    Format.printf
-      "fuzz: %d program(s) from seed %d under %d engines (source and \
-       lowered): %d disagreement(s)@."
-      count seed (List.length Calyx_sim.Sim.engines) !failures;
-    if !failures > 0 then 1 else 0
-  in
-  let count =
-    Arg.(
-      value & opt int 250
-      & info [ "count"; "n" ] ~docv:"N"
-          ~doc:"Number of randomly generated programs.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 2026
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Base seed (program $(i,i) uses seed S+i).")
-  in
-  let cex_dir =
-    Arg.(
-      value & opt string "counterexamples"
-      & info [ "counterexamples" ] ~docv:"DIR"
-          ~doc:"Directory for minimized disagreeing programs.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for the initial sweep (default: the machine's recommended domain count).")
-  in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:"Differential fuzzing: run randomly generated programs under the fixpoint and compiled simulation engines (as generated and through the full pipeline) and require agreement on cycle counts, final registers and memories, ordered control events, and error behaviour. Disagreements are shrunk to minimal counterexample programs.")
-    Term.(const run $ count $ seed $ config_term $ cex_dir $ jobs
-          $ telemetry_term)
+       ~doc:"Translation validation of single designs: compile each program through the full pipeline, execute the emitted SystemVerilog with the RTL interpreter and the lowered Calyx with the cycle-accurate simulator on identical inputs, and require exact agreement on cycle count, every register, and every memory. Corpora (PolyBench, random programs) run on $(b,calyx farm --check validate).")
+    Term.(const run $ files $ mems_term $ config_term $ engine_term
+          $ max_cycles $ telemetry_term)
 
 let farm_cmd =
   let int_or_bad what s =
@@ -1303,15 +826,15 @@ let farm_cmd =
                    (Printf.sprintf "%s: unrecognized manifest line %S" path
                       line))
   in
-  let run files polybench kernel unrolled systolic fuzz seed manifest validate
-      engine farm_jobs cache_dir no_cache json min_hit_rate config tele =
+  let run files polybench kernel unrolled systolic fuzz seed manifest check
+      cex_dir engine farm_jobs cache_dir no_cache json min_hit_rate config tele =
     with_telemetry tele @@ fun () ->
     let job_failed = ref false in
     let gate_failed = ref false in
     let code =
       handle_errors (fun () ->
-          let mk = Fjob.make ~config ?engine ~validate in
-          let of_file = Fjob.of_file ~config ?engine ~validate in
+          let mk = Fjob.make ~config ?engine ~check in
+          let of_file = Fjob.of_file ~config ?engine ~check in
           let kernel_jobs =
             if not polybench then []
             else
@@ -1359,6 +882,29 @@ let farm_cmd =
               (fun r -> not r.Farm.outcome.Fjob.o_ok)
               summary.Farm.results
           then job_failed := true;
+          (* Failed fuzz jobs are shrunk to minimal programs on this
+             domain: each shrink step depends on the last, so only the
+             sweep above is worth farming out. *)
+          List.iter
+            (fun r ->
+              Option.iter
+                (fun (c : Farm.counterexample) ->
+                  if not (Sys.file_exists cex_dir) then Sys.mkdir cex_dir 0o755;
+                  let path =
+                    Filename.concat cex_dir
+                      (Printf.sprintf "fuzz_%d.futil" c.seed)
+                  in
+                  write_file path (Farm.counterexample_file c);
+                  Printf.eprintf
+                    "fuzz seed %d: minimized counterexample (%d nodes): %s\n\
+                    \  %s\n\
+                    \  written to %s\n"
+                    c.seed
+                    (Calyx.Fuzz_gen.size c.spec)
+                    (Calyx.Fuzz_gen.to_string c.spec)
+                    c.failure path)
+                (Farm.shrink r))
+            summary.Farm.results;
           match min_hit_rate with
           | Some pct when Farm.hit_rate summary < pct ->
               Printf.eprintf
@@ -1419,11 +965,18 @@ let farm_cmd =
       & info [ "manifest" ] ~docv:"FILE"
           ~doc:"Corpus manifest: one job per line ($(b,file PATH), $(b,polybench NAME [unrolled]), $(b,systolic R C D), $(b,fuzz SEED)); blank lines and #-comments skipped.")
   in
-  let validate =
+  let check =
     Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:"Additionally run RTL translation validation in every job.")
+      value
+      & opt (enum Fjob.checks) Fjob.Simulate
+      & info [ "check" ] ~docv:"CHECK"
+          ~doc:"What every job checks beyond its golden reference: $(b,simulate) (compile, simulate, time), $(b,validate) (also RTL translation validation of the emitted SystemVerilog) or $(b,engines) (also the fixpoint-vs-compiled engine differential on the structured and the lowered program).")
+  in
+  let cex_dir =
+    Arg.(
+      value & opt string "counterexamples"
+      & info [ "counterexamples" ] ~docv:"DIR"
+          ~doc:"Directory for the minimized programs of failed --fuzz jobs.")
   in
   let farm_jobs =
     Arg.(
@@ -1456,9 +1009,9 @@ let farm_cmd =
   in
   Cmd.v
     (Cmd.info "farm"
-       ~doc:"Batch compile/sim/validate/timing jobs across OCaml domains with a content-addressed result cache. The batch is assembled from source FILES, --polybench, --systolic, --fuzz, and/or a --manifest corpus; results are reported in submission order and are byte-identical whether computed sequentially, in parallel, or served from the cache.")
+       ~doc:"The corpus runner: batch compile/sim/validate/timing jobs across OCaml domains with a content-addressed result cache. The batch is assembled from source FILES, --polybench, --systolic, --fuzz, and/or a --manifest corpus; results are reported in submission order and are byte-identical whether computed sequentially, in parallel, or served from the cache. Failed --fuzz jobs are shrunk to minimal counterexample programs.")
     Term.(const run $ files $ polybench $ kernel $ unrolled $ systolic $ fuzz
-          $ seed $ manifest $ validate $ engine_term $ farm_jobs $ cache_dir
+          $ seed $ manifest $ check $ cex_dir $ engine_term $ farm_jobs $ cache_dir
           $ no_cache $ json $ min_hit_rate $ config_term $ telemetry_term)
 
 let stats_cmd =
@@ -1686,6 +1239,6 @@ let () =
           (Cmd.info "calyx" ~version:"1.0.0" ~doc)
           [
             check_cmd; compile_cmd; interp_cmd; sim_cmd; profile_cmd;
-            cover_cmd; dahlia_cmd; systolic_cmd; polybench_cmd; farm_cmd;
-            validate_cmd; fuzz_cmd; stats_cmd; timing_cmd; report_cmd;
+            cover_cmd; dahlia_cmd; systolic_cmd; farm_cmd; validate_cmd;
+            stats_cmd; timing_cmd; report_cmd;
           ]))

@@ -275,6 +275,13 @@ and shrink_list rebuild cs =
          (fun i c -> List.map (fun c' -> rebuild (subst_at i c' cs)) (shrink c))
          cs)
 
+(* Greedy descent: take the first failing candidate at every step. Each
+   step depends on the last, so this is sequential by nature. *)
+let rec minimize ~fails spec =
+  match List.find_opt fails (shrink spec) with
+  | Some smaller -> minimize ~fails smaller
+  | None -> spec
+
 (* ------------------------------------------------------------------ *)
 
 let rec to_string spec =

@@ -52,6 +52,12 @@ val shrink : spec -> spec list
     subtrees, then one-child drops, then in-place child shrinks. All
     candidates build well-formed programs. *)
 
+val minimize : fails:(spec -> bool) -> spec -> spec
+(** Greedy shrinking: repeatedly replace the spec by the first {!shrink}
+    candidate that still [fails], until none does. The result is a local
+    minimum; [fails] is never called on the input itself. The one
+    shrinking loop behind every counterexample the toolchain writes. *)
+
 val size : spec -> int
 (** Number of spec nodes (the measure {!shrink} decreases). *)
 

@@ -99,11 +99,13 @@ let find c ~key =
 
 let store c ~key payload =
   let final = path c ~key in
-  (* Per-domain temp name: concurrent stores of different keys never
-     collide, and two domains storing the same key each rename a complete
-     blob into place (last writer wins with identical content). *)
+  (* Per-process, per-domain temp name: concurrent stores never share a
+     temp file, so writers storing the same key — other domains or other
+     processes on a shared cache directory — each rename a complete blob
+     into place (last writer wins with identical content). *)
   let tmp =
-    Printf.sprintf "%s.tmp.%d" final (Domain.self () :> int)
+    Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
+      (Domain.self () :> int)
   in
   let oc = open_out_bin tmp in
   Fun.protect

@@ -8,10 +8,11 @@
     evicted, and reported as a miss — the farm then falls back to a cold
     compile instead of serving (or crashing on) damaged state.
 
-    All operations are safe to call from concurrent farm workers: stats
-    are mutex-guarded and blob writes go through a per-domain temp file
-    renamed into place, so concurrent writers of the same key are atomic
-    at the filesystem level. *)
+    All operations are safe to call from concurrent farm workers, and
+    from several processes sharing one cache directory: stats are
+    mutex-guarded and blob writes go through a per-process, per-domain
+    temp file renamed into place, so concurrent writers of the same key
+    are atomic at the filesystem level. *)
 
 type t
 

@@ -120,6 +120,59 @@ let hit_rate s =
   if lookups = 0 then 0. else 100. *. float_of_int s.hits /. float_of_int lookups
 
 (* ------------------------------------------------------------------ *)
+(* Counterexamples                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type counterexample = {
+  seed : int;
+  spec : Calyx.Fuzz_gen.spec;
+  failure : string;
+}
+
+let failure_of (o : Job.outcome) =
+  String.concat "; "
+    (o.o_diagnostics
+    @ match o.o_validate with Some v -> v.v_mismatches | None -> [])
+
+let shrink r =
+  match r.job.Job.source with
+  | Job.Fuzz { seed } when not r.outcome.Job.o_ok ->
+      let last = ref r.outcome in
+      let fails spec =
+        let text = Calyx.Printer.to_string (Calyx.Fuzz_gen.build spec) in
+        let o =
+          Job.run
+            {
+              r.job with
+              source = Job.Text { name = Job.label r.job; dahlia = false; text };
+            }
+        in
+        if not o.o_ok then last := o;
+        not o.o_ok
+      in
+      let spec =
+        Calyx.Fuzz_gen.minimize ~fails (Calyx.Fuzz_gen.spec_of_seed seed)
+      in
+      let failure =
+        (match r.job.check with
+        | Job.Engines -> "engine disagreement: "
+        | Simulate | Validate -> "failure: ")
+        ^ failure_of !last
+      in
+      Some { seed; spec; failure }
+  | _ -> None
+
+let counterexample_file c =
+  let comment s =
+    String.concat "\n"
+      (List.map (fun l -> "// " ^ l) (String.split_on_char '\n' s))
+  in
+  Printf.sprintf "// seed: %d\n// spec: %s\n%s\n%s" c.seed
+    (Calyx.Fuzz_gen.to_string c.spec)
+    (comment c.failure)
+    (Calyx.Printer.to_string (Calyx.Fuzz_gen.build c.spec))
+
+(* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 

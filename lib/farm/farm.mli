@@ -39,6 +39,25 @@ val hit_rate : summary -> float
 (** Hits over cache lookups, in percent; [0.] when nothing was looked
     up. *)
 
+(** {1 Counterexamples} *)
+
+type counterexample = {
+  seed : int;  (** The failed [Fuzz] job's seed. *)
+  spec : Calyx.Fuzz_gen.spec;  (** The minimized program spec. *)
+  failure : string;  (** Why the minimized program fails. *)
+}
+
+val shrink : result -> counterexample option
+(** For a failed [Fuzz] job, minimize its program with
+    {!Calyx.Fuzz_gen.minimize}. A candidate fails when the same job
+    (config, engine and check) on a [Text] source holding the printed
+    candidate fails; candidates run through {!Job.run} on the calling
+    domain and never touch the cache. [None] for every other result. *)
+
+val counterexample_file : counterexample -> string
+(** The counterexample file: [// seed:], [// spec:] and [//]-commented
+    failure lines, then the minimized program. *)
+
 val render : summary -> string
 (** The human-readable table: one row per job (label, engine, cache
     provenance, ok, cycles, fmax, wall time) plus a totals footer. *)

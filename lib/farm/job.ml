@@ -6,16 +6,21 @@ type source =
   | Systolic of { rows : int; cols : int; depth : int }
   | Fuzz of { seed : int }
 
+type check = Simulate | Validate | Engines
+
+let checks =
+  [ ("simulate", Simulate); ("validate", Validate); ("engines", Engines) ]
+
 type t = {
   source : source;
   config : Calyx.Pipelines.config;
   engine : Calyx_sim.Sim.engine;
-  validate : bool;
+  check : check;
 }
 
 let make ?(config = Calyx.Pipelines.default_config)
-    ?(engine = Calyx_sim.Sim.default_engine) ?(validate = false) source =
-  { source; config; engine; validate }
+    ?(engine = Calyx_sim.Sim.default_engine) ?(check = Simulate) source =
+  { source; config; engine; check }
 
 let read_file path =
   let ic = open_in_bin path in
@@ -23,11 +28,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let of_file ?config ?engine ?validate file =
+let of_file ?config ?engine ?check file =
   let dahlia =
     Filename.check_suffix file ".dahlia" || Filename.check_suffix file ".fuse"
   in
-  make ?config ?engine ?validate
+  make ?config ?engine ?check
     (Text { name = Filename.basename file; dahlia; text = read_file file })
 
 let label t =
@@ -43,11 +48,16 @@ let engine_name t = Calyx_sim.Sim.engine_name t.engine
 
 let systolic_width = 32
 
-(* The validate flag is part of the source key: a validated outcome
-   carries extra payload, so serving a non-validated cached outcome to a
-   [validate = true] job (or vice versa) would be wrong. *)
+(* The check is part of the source key: a validated outcome carries extra
+   payload and an engines outcome vouches for the differential, so serving
+   one check's cached outcome to another would be wrong. *)
 let key_source t =
-  let mode = if t.validate then "+validate\n" else "+sim\n" in
+  let mode =
+    match t.check with
+    | Simulate -> "+sim\n"
+    | Validate -> "+validate\n"
+    | Engines -> "+engines\n"
+  in
   mode
   ^
   match t.source with
@@ -108,8 +118,8 @@ type outcome = {
 
 (* Structured context, input loader, post-run golden check (returns
    mismatch diagnostics). The loader runs against a Testbench.io so the
-   same data drives the simulator and, under --validate, the RTL
-   interpreter. *)
+   same data drives the simulator, the RTL interpreter (Validate) and
+   every engine of the differential (Engines). *)
 let build t =
   let nothing (_ : Calyx_sim.Testbench.io) = [] in
   match t.source with
@@ -210,6 +220,14 @@ let describe_error = function
       Some (Printf.sprintf "simulation error at cycle %d: %s" cycle message)
   | Calyx_sim.Sim.Timeout { budget; _ } ->
       Some (Printf.sprintf "simulation timeout after %d cycles" budget)
+  | Calyx_verilog.Verilog.Not_lowered msg -> Some ("emit error: " ^ msg)
+  | Calyx_verilog.Vinterp.Parse_error msg
+  | Calyx_verilog.Vinterp.Elab_error msg ->
+      Some ("rtl error: " ^ msg)
+  | Calyx_verilog.Vinterp.Unstable { cycle; message } ->
+      Some (Printf.sprintf "rtl error at cycle %d: %s" cycle message)
+  | Calyx_verilog.Vinterp.Timeout { budget } ->
+      Some (Printf.sprintf "rtl timeout after %d cycles" budget)
   | Calyx_synth.Timing.Combinational_loop port ->
       Some ("combinational loop through " ^ port)
   | Polybench.Data.Data_error msg -> Some ("data error: " ^ msg)
@@ -250,6 +268,17 @@ let run_validation t ~load lowered =
         r.mismatches;
   }
 
+(* The engine differential on the structured program and on its lowered
+   form, each loaded with the job's inputs. *)
+let engine_disagreements ~load ctx lowered =
+  let load sim = load (Calyx_sim.Testbench.of_sim sim) in
+  List.filter_map
+    (fun (form, c) ->
+      Option.map
+        (fun d -> form ^ ": " ^ d)
+        (Calyx_sim.Sim.disagreement ~load c))
+    [ ("source", ctx); ("lowered", lowered) ]
+
 let run t =
   Tele.Manifest.set_run ~source:(label t)
     ~source_hash:(Tele.Manifest.hash (key_source t))
@@ -285,11 +314,17 @@ let run t =
             memories
         in
         let validation =
-          if t.validate then
+          if t.check = Validate then
             Some
               (Tele.Trace.with_span ~cat:"stage" "validate" (fun () ->
                    run_validation t ~load lowered))
           else None
+        in
+        let disagreements =
+          if t.check = Engines then
+            Tele.Trace.with_span ~cat:"stage" "engines" (fun () ->
+                engine_disagreements ~load ctx lowered)
+          else []
         in
         let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
         let area = Calyx_synth.Area.context_usage lowered in
@@ -299,11 +334,11 @@ let run t =
         {
           o_label = label t;
           o_engine = engine_name t;
-          o_ok = golden = [] && validation_ok;
+          o_ok = golden = [] && validation_ok && disagreements = [];
           o_cycles = cycles;
           o_registers;
           o_memories;
-          o_diagnostics = golden;
+          o_diagnostics = golden @ disagreements;
           o_validate = validation;
           o_delay_ps = timing.delay_ps;
           o_fmax_mhz = timing.fmax_mhz;

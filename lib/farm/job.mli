@@ -1,5 +1,6 @@
-(** One unit of farm work: compile → simulate → (optionally) validate →
-    time one design, producing a fully serializable {!outcome}.
+(** One unit of farm work: compile → simulate → (per its {!check})
+    validate or run the engine differential → time one design, producing
+    a fully serializable {!outcome}.
 
     A job is pure data: its {!key_source} is the exact text the cache
     hashes, and {!run} is deterministic in the job — the determinism
@@ -17,29 +18,41 @@ type source =
           checked against the software product. *)
   | Fuzz of { seed : int }  (** [Fuzz_gen.program_of_seed]. *)
 
+(** What a job checks beyond its own golden reference. *)
+type check =
+  | Simulate  (** Compile, simulate under the job's engine, time. *)
+  | Validate
+      (** Also run RTL translation validation on the emitted
+          SystemVerilog. *)
+  | Engines
+      (** Also run the engine differential ({!Calyx_sim.Sim.disagreement})
+          on the structured program and on its lowered form, with the
+          job's inputs loaded; a disagreement becomes a diagnostic. *)
+
+val checks : (string * check) list
+(** Every check with its command-line name. *)
+
 type t = {
   source : source;
   config : Calyx.Pipelines.config;
   engine : Calyx_sim.Sim.engine;
-  validate : bool;
-      (** Also run RTL translation validation on the emitted
-          SystemVerilog. *)
+  check : check;
 }
 
 val make :
   ?config:Calyx.Pipelines.config ->
   ?engine:Calyx_sim.Sim.engine ->
-  ?validate:bool ->
+  ?check:check ->
   source ->
   t
 (** Defaults: [Pipelines.default_config], {!Calyx_sim.Sim.default_engine},
-    no validation. The engine is resolved here, not left optional: it is
+    [Simulate]. The engine is resolved here, not left optional: it is
     part of the job's cache key. *)
 
 val of_file :
   ?config:Calyx.Pipelines.config ->
   ?engine:Calyx_sim.Sim.engine ->
-  ?validate:bool ->
+  ?check:check ->
   string ->
   t
 (** Read a [.futil]/[.dahlia]/[.fuse] source file into a [Text] job (the
@@ -50,9 +63,10 @@ val label : t -> string
 val engine_name : t -> string
 
 val key_source : t -> string
-(** The exact text hashed into the cache key: a frontend-tagged rendering
-    of the source (file text, kernel source + input data, generator
-    parameters, fuzz spec). Any change to it must change the key. *)
+(** The exact text hashed into the cache key: the check ([+sim],
+    [+validate] or [+engines]) and a frontend-tagged rendering of the
+    source (file text, kernel source + input data, generator parameters,
+    fuzz spec). Any change to it must change the key. *)
 
 (** {1 Outcomes} *)
 
@@ -67,15 +81,17 @@ type validation = {
 type outcome = {
   o_label : string;
   o_engine : string;
-  o_ok : bool;  (** No diagnostics and (if run) validation agreed. *)
+  o_ok : bool;
+      (** No diagnostics, and (if run) validation and the engine
+          differential agreed. *)
   o_cycles : int;
   o_registers : (string * string) list;
       (** Every [std_reg]'s final value, in {!Calyx_verilog.Validate.state_cells}
           order, as [Bitvec.to_string]. *)
   o_memories : (string * string list) list;  (** Final memory contents. *)
   o_diagnostics : string list;
-      (** Compile/lint/simulation failures and golden-reference
-          mismatches; [[]] when the job succeeded. *)
+      (** Compile/lint/simulation failures, golden-reference mismatches
+          and engine disagreements; [[]] when the job succeeded. *)
   o_validate : validation option;
   o_delay_ps : int;
   o_fmax_mhz : float;

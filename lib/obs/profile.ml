@@ -25,8 +25,8 @@ type t = {
   cells : cell_watch list;  (* sorted by path *)
   mutable prev_active : (string * string) list;
   mutable cycles : int;
-  mutable fix_total : int;
-  mutable fix_max : int;
+  mutable settle_total : int;
+  mutable settle_max : int;
 }
 
 let cell_path instance cell =
@@ -63,14 +63,14 @@ let create sim =
     cells;
     prev_active = [];
     cycles = 0;
-    fix_total = 0;
-    fix_max = 0;
+    settle_total = 0;
+    settle_max = 0;
   }
 
 let sink t (ev : Sim.event) =
   t.cycles <- t.cycles + 1;
-  t.fix_total <- t.fix_total + ev.Sim.ev_iters;
-  if ev.Sim.ev_iters > t.fix_max then t.fix_max <- ev.Sim.ev_iters;
+  t.settle_total <- t.settle_total + ev.Sim.ev_iters;
+  if ev.Sim.ev_iters > t.settle_max then t.settle_max <- ev.Sim.ev_iters;
   List.iter
     (fun key ->
       let acc =
@@ -96,8 +96,8 @@ let sink t (ev : Sim.event) =
     t.cells
 
 let total_cycles t = t.cycles
-let fixpoint_total t = t.fix_total
-let fixpoint_max t = t.fix_max
+let settle_total t = t.settle_total
+let settle_max t = t.settle_max
 
 let group_stats t =
   Hashtbl.fold
@@ -199,7 +199,8 @@ let render ?ctx t =
   let buf = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pf "total cycles: %d\n" t.cycles;
-  pf "fixpoint iterations: %d total, %d max/cycle\n" t.fix_total t.fix_max;
+  pf "settle iterations: %d total, %d max/cycle\n" t.settle_total
+    t.settle_max;
   let stats = group_stats t in
   if stats <> [] then begin
     pf "\ngroups:\n";
@@ -298,8 +299,8 @@ let to_json ?ctx t =
   Json.obj
     [
       ("total_cycles", Json.int t.cycles);
-      ("fixpoint_iterations", Json.int t.fix_total);
-      ("fixpoint_max_per_cycle", Json.int t.fix_max);
+      ("settle_iterations", Json.int t.settle_total);
+      ("settle_iterations_max_per_cycle", Json.int t.settle_max);
       ("groups", Json.arr groups);
       ("cells", Json.arr cells);
     ]

@@ -1,6 +1,6 @@
 (** The runtime profiler — a {!Calyx_sim.Sim.sink} that accumulates
-    per-group active-cycle counts, per-cell utilization, and combinational
-    fixpoint iteration counts, and attributes measured group cycles against
+    per-group active-cycle counts, per-cell utilization, and settle
+    iteration counts, and attributes measured group cycles against
     the latencies {!Calyx.Infer_latency} derives.
 
     Groups and instances are addressed as in {!Calyx_sim.Sim}: instance
@@ -59,11 +59,13 @@ val cell_stats : t -> cell_stat list
 (** Only cells with a [go] or [write_en] input appear (combinational cells
     have no meaningful activity bit); sorted by path. *)
 
-val fixpoint_total : t -> int
-(** Combinational fixpoint iterations summed over all observed cycles and
-    the whole instance hierarchy. *)
+val settle_total : t -> int
+(** Settle work ({!Calyx_sim.Sim.event}'s [ev_iters]: fixpoint iterations
+    under the fixpoint engine, graph nodes touched under the compiled
+    engine) summed over all observed cycles and the whole instance
+    hierarchy. *)
 
-val fixpoint_max : t -> int
+val settle_max : t -> int
 (** The worst single cycle. *)
 
 (** {1 Latency attribution} *)
@@ -100,7 +102,7 @@ val mismatches : Ir.context -> t -> latency_row list
 (** {1 Rendering} *)
 
 val render : ?ctx:Ir.context -> t -> string
-(** The human-readable report: totals, fixpoint statistics, the per-group
+(** The human-readable report: totals, settle statistics, the per-group
     table (with latency attribution when [ctx] is given), and cell
     utilization. *)
 

@@ -93,15 +93,14 @@ type rtl_result = {
   mismatches_rtl : string list;
 }
 
-let run_rtl ?(config = Calyx.Pipelines.default_config) ?engine ?max_cycles k
-    ~unrolled =
+let run_rtl ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
   stamp_run k ~unrolled ~config ~engine;
   let prog = program k ~unrolled in
   let ctx = Dahlia.To_calyx.compile prog in
   let lowered = Calyx.Pipelines.compile ~config ctx in
   let report =
-    Calyx_verilog.Validate.validate ?engine ?max_cycles
-      ~load:(load_inputs k prog) lowered
+    Calyx_verilog.Validate.validate ?engine ~load:(load_inputs k prog)
+      lowered
   in
   let mismatches_sim = verify k prog report.Calyx_verilog.Validate.sim_io in
   let mismatches_rtl = verify k prog report.Calyx_verilog.Validate.rtl_io in

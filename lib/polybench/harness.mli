@@ -72,7 +72,6 @@ type rtl_result = {
 val run_rtl :
   ?config:Calyx.Pipelines.config ->
   ?engine:Calyx_sim.Sim.engine ->
-  ?max_cycles:int ->
   Kernels.kernel ->
   unrolled:bool ->
   rtl_result

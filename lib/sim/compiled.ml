@@ -87,9 +87,3 @@ let render ~label p =
             nodes)
     p.p_steps;
   Buffer.contents b
-
-let run_batch ?jobs thunks =
-  let jobs =
-    match jobs with Some j -> j | None -> Calyx_pool.Pool.default_jobs ()
-  in
-  Calyx_pool.Pool.map ~jobs (fun f -> f ()) thunks

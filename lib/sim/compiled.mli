@@ -37,10 +37,3 @@ val plan : Sched.t -> plan
 val render : label:(int -> string) -> plan -> string
 (** Pretty-print the plan, one line per node via [label], grouped by
     level with cyclic components marked — the golden-snapshot format. *)
-
-val run_batch : ?jobs:int -> (unit -> 'a) list -> 'a list
-(** Shard independent simulation thunks (a fuzz corpus, a PolyBench
-    sweep) across OCaml 5 domains via {!Calyx_pool.Pool}; results in
-    input order. [jobs] defaults to the recommended domain count;
-    [jobs <= 1] runs sequentially on the calling domain. Thunks must not
-    share mutable simulator state. *)

@@ -16,7 +16,7 @@ let fixpoint_iterations_total =
 
 let dirty_set_size =
   Tele.Metrics.histogram
-    ~help:"Nodes touched per scheduled-engine settle"
+    ~help:"Nodes touched per compiled-engine settle"
     ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. ]
     "calyx_sched_dirty_set_size"
 
@@ -1850,3 +1850,76 @@ let external_memories t =
     (fun c ->
       if Attrs.external_mem c.cell_attrs then Some c.cell_name else None)
     t.root.i_comp.cells
+
+(* ------------------------------------------------------------------ *)
+(* Engine differential                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One engine's observation of one program: everything the equivalence
+   contract covers, or the error it raised. *)
+let observe ~load engine ctx regs mems =
+  match
+    let sim = create ~engine ctx in
+    load sim;
+    let events = ref [] in
+    set_ctrl_sink sim (Some (fun e -> events := e :: !events));
+    let cycles = run ~max_cycles:400_000 sim in
+    ( cycles,
+      List.map (fun r -> Bitvec.to_int64 (read_register sim r)) regs,
+      List.map (fun m -> read_memory_ints sim m) mems,
+      List.rev !events )
+  with
+  | obs -> Ok obs
+  | exception Conflict { cycle; message; _ } ->
+      Error (Printf.sprintf "conflict at cycle %d: %s" cycle message)
+  | exception Unstable { cycle; message; _ } ->
+      Error (Printf.sprintf "unstable at cycle %d: %s" cycle message)
+  | exception Timeout { budget; _ } ->
+      Error (Printf.sprintf "timeout after %d cycles" budget)
+  | exception e -> Error (Printexc.to_string e)
+
+let state_cells ctx =
+  List.fold_left
+    (fun (regs, mems) c ->
+      match c.cell_proto with
+      | Prim ("std_reg", _) -> (c.cell_name :: regs, mems)
+      | Prim (p, _) when String.starts_with ~prefix:"std_mem" p ->
+          (regs, c.cell_name :: mems)
+      | _ -> (regs, mems))
+    ([], []) (entry ctx).cells
+
+let disagreement ?(load = ignore) ctx =
+  let regs, mems = state_cells ctx in
+  let runs =
+    List.map (fun (n, e) -> (n, observe ~load e ctx regs mems)) engines
+  in
+  let diff (an, a) (bn, b) =
+    let where =
+      match (a, b) with
+      | Ok (ac, _, _, _), Ok (bc, _, _, _) when ac <> bc ->
+          Some (Printf.sprintf "cycles %d vs %d" ac bc)
+      | Ok (_, ar, _, _), Ok (_, br, _, _) when ar <> br ->
+          Some "final registers differ"
+      | Ok (_, _, am, _), Ok (_, _, bm, _) when am <> bm ->
+          Some "final memories differ"
+      | Ok (_, _, _, ae), Ok (_, _, _, be) when ae <> be ->
+          Some
+            (Printf.sprintf "ctrl events differ (%d vs %d)" (List.length ae)
+               (List.length be))
+      | Ok _, Ok _ -> None
+      | Error ea, Error eb when ea = eb -> None
+      | Error ea, Error eb ->
+          Some (Printf.sprintf "errors differ: %S vs %S" ea eb)
+      | Ok _, Error eb -> Some (Printf.sprintf "ok vs error %S" eb)
+      | Error ea, Ok _ -> Some (Printf.sprintf "error %S vs ok" ea)
+    in
+    Option.map (fun w -> Printf.sprintf "%s vs %s: %s" an bn w) where
+  in
+  let rec pairs = function
+    | [] -> None
+    | a :: rest -> (
+        match List.find_map (diff a) rest with
+        | Some d -> Some d
+        | None -> pairs rest)
+  in
+  pairs runs

@@ -57,6 +57,15 @@ val default_engine : engine
     (a farm job's cache key, a run manifest's engine stamp) read this
     value. *)
 
+val disagreement : ?load:(t -> unit) -> Ir.context -> string option
+(** The engine differential: run [ctx] under every engine in {!engines}
+    (each built fresh, [load] applied before the run, 400 000-cycle
+    budget) and return the first pairwise disagreement, or [None]. The
+    engines must agree on cycle count, every entry-component register
+    and memory's final value, and the ordered control-event stream — or,
+    on the error paths, raise the same {!Conflict}/{!Unstable}/{!Timeout}
+    at the same cycle with the same message. *)
+
 exception Timeout of { budget : int; snapshot : string }
 (** Raised by {!run} when the design does not finish within the cycle
     budget. Carries the budget and a {!status} snapshot taken at the

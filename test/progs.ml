@@ -266,7 +266,7 @@ let unstable_program () =
 (* Random well-formed, race-free, terminating programs — shared between
    the differential fuzzer (test_random) and the observability tests
    (test_obs). The generator itself now lives in Calyx.Fuzz_gen (it is a
-   shrinkable spec-based generator used by `calyx validate --fuzz` too);
+   shrinkable spec-based generator used by `calyx farm --fuzz` too);
    this module keeps the historical entry point.
 
    Construction invariants (enforced by Fuzz_gen.build):

@@ -1,5 +1,6 @@
 (* The compiled evaluation engine: unit tests for the Compiled level-plan
-   module (level bucketing, cyclic-component steps, the batch runner) and
+   module (level bucketing, cyclic-component steps), compiled simulations
+   sharded across domains, and
    observable-equivalence checks against the reference fixpoint engine on
    the shared sample programs — including every error path (Conflict,
    Unstable/diverged and Timeout must fire at the same cycle with the
@@ -10,6 +11,7 @@ open Calyx
 module Sim = Calyx_sim.Sim
 module Sched = Calyx_sim.Sched
 module Compiled = Calyx_sim.Compiled
+module Pool = Calyx_pool.Pool
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -75,30 +77,26 @@ let test_plan_render () =
     [ "level 0:"; "level 1:"; "level 2:"; "node0"; "node3" ]
 
 (* ------------------------------------------------------------------ *)
-(* The batch runner                                                    *)
+(* Domain-parallel simulation                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Results come back in input order regardless of sharding, and real
-   simulations can run concurrently (each thunk owns its instance). *)
-let test_run_batch () =
-  let thunks = List.init 17 (fun i () -> i * i) in
+   simulations can run concurrently (each call owns its instance). *)
+let test_pool_order () =
+  let squares = List.init 17 (fun i -> i * i) in
   Alcotest.(check (list int))
-    "in order, parallel"
-    (List.init 17 (fun i -> i * i))
-    (Compiled.run_batch ~jobs:4 thunks);
+    "in order, parallel" squares
+    (Pool.map ~jobs:4 (fun i -> i * i) (List.init 17 Fun.id));
   Alcotest.(check (list int))
-    "in order, sequential"
-    (List.init 17 (fun i -> i * i))
-    (Compiled.run_batch ~jobs:1 thunks)
+    "in order, sequential" squares
+    (Pool.map ~jobs:1 (fun i -> i * i) (List.init 17 Fun.id))
 
-let test_run_batch_sims () =
+let test_pool_sims () =
   let cycles =
-    Compiled.run_batch ~jobs:4
-      (List.init 8 (fun i () ->
-           let sim =
-             Sim.create ~engine:`Compiled (Progs.counter ~limit:(i + 2) ())
-           in
-           Sim.run sim))
+    Pool.map ~jobs:4
+      (fun i ->
+        Sim.run (Sim.create ~engine:`Compiled (Progs.counter ~limit:(i + 2) ())))
+      (List.init 8 Fun.id)
   in
   let expected =
     List.init 8 (fun i ->
@@ -299,8 +297,8 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "run_batch order" `Quick test_run_batch;
-          Alcotest.test_case "run_batch sims" `Quick test_run_batch_sims;
+          Alcotest.test_case "domain-parallel order" `Quick test_pool_order;
+          Alcotest.test_case "domain-parallel sims" `Quick test_pool_sims;
         ] );
       ( "equivalence",
         [

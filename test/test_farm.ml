@@ -146,9 +146,9 @@ let test_validate_outcomes_cached () =
   with_temp_dir "farm_val" @@ fun dir ->
   let jobs () =
     [
-      Job.make ~engine:`Compiled ~validate:true
+      Job.make ~engine:`Compiled ~check:Validate
         (Job.Polybench { kernel = "trisolv"; unrolled = false });
-      Job.make ~engine:`Compiled ~validate:true (Job.Fuzz { seed = 6 });
+      Job.make ~engine:`Compiled ~check:Validate (Job.Fuzz { seed = 6 });
     ]
   in
   let cold = Farm.run ~jobs:1 ~cache:(Cache.open_dir dir) (jobs ()) in
@@ -162,8 +162,19 @@ let test_validate_outcomes_cached () =
       | Some v -> Alcotest.(check bool) "rtl agrees" true v.Job.v_ok
       | None -> Alcotest.fail "validation report missing from outcome")
     warm.Farm.results;
-  (* And the validate flag participates in the key: the same source
-     without validation is a different entry, not a wrong hit. *)
+  (* And the check participates in the key: simulate, validate and
+     engines on the same source are three entries, never a wrong hit. *)
+  let key check =
+    let j = Job.make ~engine:`Compiled ~check (Job.Fuzz { seed = 6 }) in
+    Cache.key ~source:(Job.key_source j)
+      ~pipeline:(Calyx.Pipelines.id j.Job.config)
+      ~engine:(Job.engine_name j)
+  in
+  Alcotest.(check int)
+    "three checks, three keys" 3
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (_, c) -> key c) Job.checks)));
   let plain =
     Farm.run ~jobs:1
       ~cache:(Cache.open_dir dir)
@@ -178,9 +189,42 @@ let test_validate_outcomes_cached () =
   | _ -> Alcotest.fail "expected one result");
   Alcotest.(check int) "cold stored both" 2 cold.Farm.stores
 
+(* Engines jobs run the fixpoint-vs-compiled differential on the
+   structured and the lowered program, inputs loaded; the engines agree on
+   the fuzz corpus and on a PolyBench kernel, and a passing job has
+   nothing to shrink. *)
+let test_engines_jobs () =
+  let jobs =
+    Job.make ~check:Engines (Job.Polybench { kernel = "gemm"; unrolled = false })
+    :: List.map
+         (fun s -> Job.make ~check:Engines (Job.Fuzz { seed = s }))
+         (List.init 8 Fun.id)
+  in
+  let s = Farm.run ~jobs:2 jobs in
+  List.iter
+    (fun r ->
+      let o = r.Farm.outcome in
+      if not o.Job.o_ok then
+        Alcotest.failf "%s: %s" o.Job.o_label
+          (String.concat "; " o.Job.o_diagnostics);
+      Alcotest.(check bool)
+        (o.Job.o_label ^ " has no counterexample")
+        true
+        (Farm.shrink r = None))
+    s.Farm.results;
+  (* The differential adds no payload: an engines outcome is the
+     simulate outcome. *)
+  let plain = Farm.run ~jobs:1 [ Job.make (Job.Fuzz { seed = 3 }) ] in
+  let engines =
+    List.find (fun r -> r.Farm.outcome.Job.o_label = "fuzz-3") s.Farm.results
+  in
+  Alcotest.(check (list string))
+    "engines outcome = simulate outcome" (outcome_bytes plain)
+    [ Job.outcome_to_json engines.Farm.outcome ]
+
 let test_outcome_roundtrip () =
   let job =
-    Job.make ~engine:`Compiled ~validate:true (Job.Fuzz { seed = 42 })
+    Job.make ~engine:`Compiled ~check:Validate (Job.Fuzz { seed = 42 })
   in
   let o = Job.run job in
   let bytes = Job.outcome_to_json o in
@@ -394,6 +438,47 @@ let test_tool_version_in_key () =
     (Cache.key ~source:"ab" ~pipeline:"c" ~engine:""
     <> Cache.key ~source:"a" ~pipeline:"bc" ~engine:"")
 
+(* Several processes sharing one cache directory store the same key at
+   once (the CI farm jobs, or two concurrent [calyx farm] runs). Each
+   writer is this test binary re-executed in [cache-writer] mode: OCaml 5
+   refuses [Unix.fork] once domains have been spawned, which the pool
+   tests above already did. *)
+let writers = 4
+
+let stores_per_writer = 200
+
+let cache_writer dir key payload =
+  let c = Cache.open_dir dir in
+  for _ = 1 to stores_per_writer do
+    Cache.store c ~key payload
+  done
+
+let test_cache_process_writers () =
+  with_temp_dir "farm_procs" @@ fun dir ->
+  let key = Cache.key ~source:"shared" ~pipeline:"p" ~engine:"e" in
+  let payload = String.concat "," (List.init 2000 string_of_int) in
+  let pids =
+    List.init writers (fun _ ->
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; "cache-writer"; dir; key; payload |]
+          Unix.stdin Unix.stdout Unix.stderr)
+  in
+  (* Reap every writer before judging any, so none outlives the
+     directory. *)
+  List.map (fun pid -> snd (Unix.waitpid [] pid)) pids
+  |> List.iter (function
+       | Unix.WEXITED 0 -> ()
+       | Unix.WEXITED n -> Alcotest.failf "writer exited %d" n
+       | _ -> Alcotest.fail "writer killed");
+  Alcotest.(check (array string))
+    "one blob, no stray temp files"
+    [| key ^ ".json" |]
+    (Sys.readdir dir);
+  let c = Cache.open_dir dir in
+  Alcotest.(check (option string))
+    "verified hit" (Some payload) (Cache.find c ~key);
+  Alcotest.(check int) "counted as a hit" 1 (Cache.stats c).Cache.hits
+
 (* ------------------------------------------------------------------ *)
 (* Manifest writer: atomic lines under concurrent domains              *)
 (* ------------------------------------------------------------------ *)
@@ -431,43 +516,49 @@ let test_manifest_concurrent_writes () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  scrub ();
-  Alcotest.run "farm"
-    [
-      ( "pool",
+  match Sys.argv with
+  | [| _; "cache-writer"; dir; key; payload |] -> cache_writer dir key payload
+  | _ ->
+      scrub ();
+      Alcotest.run "farm"
         [
-          Alcotest.test_case "order preserved" `Quick test_pool_order;
-          Alcotest.test_case "failure propagation" `Quick test_pool_failure;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "fixpoint engine, full corpus" `Slow
-            (check_determinism `Fixpoint);
-          Alcotest.test_case "compiled engine, full corpus" `Slow
-            (check_determinism `Compiled);
-          Alcotest.test_case "telemetry neutrality" `Quick
-            test_telemetry_neutral;
-          Alcotest.test_case "validated outcomes cached" `Quick
-            test_validate_outcomes_cached;
-          Alcotest.test_case "outcome JSON round-trip" `Quick
-            test_outcome_roundtrip;
-        ] );
-      ( "cache",
-        [
-          QCheck_alcotest.to_alcotest prop_mutation_rekeys;
-          QCheck_alcotest.to_alcotest prop_identical_source_hits;
-          QCheck_alcotest.to_alcotest prop_corrupt_blob_rejected;
-          Alcotest.test_case "schema drift evicted" `Quick
-            test_schema_drift_evicted;
-          Alcotest.test_case "engine key separation" `Quick
-            test_engine_key_separation;
-          Alcotest.test_case "default engine key" `Quick
-            test_default_engine_key;
-          Alcotest.test_case "key anatomy" `Quick test_tool_version_in_key;
-        ] );
-      ( "manifest",
-        [
-          Alcotest.test_case "concurrent writers, atomic lines" `Quick
-            test_manifest_concurrent_writes;
-        ] );
-    ]
+          ( "pool",
+            [
+              Alcotest.test_case "order preserved" `Quick test_pool_order;
+              Alcotest.test_case "failure propagation" `Quick test_pool_failure;
+            ] );
+          ( "determinism",
+            [
+              Alcotest.test_case "fixpoint engine, full corpus" `Slow
+                (check_determinism `Fixpoint);
+              Alcotest.test_case "compiled engine, full corpus" `Slow
+                (check_determinism `Compiled);
+              Alcotest.test_case "telemetry neutrality" `Quick
+                test_telemetry_neutral;
+              Alcotest.test_case "validated outcomes cached" `Quick
+                test_validate_outcomes_cached;
+              Alcotest.test_case "engines jobs agree" `Quick test_engines_jobs;
+              Alcotest.test_case "outcome JSON round-trip" `Quick
+                test_outcome_roundtrip;
+            ] );
+          ( "cache",
+            [
+              QCheck_alcotest.to_alcotest prop_mutation_rekeys;
+              QCheck_alcotest.to_alcotest prop_identical_source_hits;
+              QCheck_alcotest.to_alcotest prop_corrupt_blob_rejected;
+              Alcotest.test_case "schema drift evicted" `Quick
+                test_schema_drift_evicted;
+              Alcotest.test_case "engine key separation" `Quick
+                test_engine_key_separation;
+              Alcotest.test_case "default engine key" `Quick
+                test_default_engine_key;
+              Alcotest.test_case "key anatomy" `Quick test_tool_version_in_key;
+              Alcotest.test_case "concurrent process writers" `Quick
+                test_cache_process_writers;
+            ] );
+          ( "manifest",
+            [
+              Alcotest.test_case "concurrent writers, atomic lines" `Quick
+                test_manifest_concurrent_writes;
+            ] );
+        ]

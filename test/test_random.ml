@@ -1,9 +1,10 @@
 (* Differential fuzzing: randomly generated Calyx programs executed by the
    reference interpreter (the oracle) must compute identical register state
    when compiled by the full pipeline — across pass configurations. Every
-   program (source and lowered alike) additionally runs under both
-   evaluation engines, which must agree on cycle counts, final registers,
-   and the ordered control-event stream.
+   program (source and lowered alike) additionally runs through the
+   engine differential (Sim.disagreement): both evaluation engines must
+   agree on cycle counts, final registers and memories, the ordered
+   control-event stream, and any error raised.
 
    Generated programs are well-formed and race-free by construction:
    - every action group writes its own dedicated register, and groups may
@@ -25,36 +26,14 @@ let gen_program = Progs.Fuzz.gen_program
 let register_values sim regs =
   List.map (fun r -> Bitvec.to_int64 (Calyx_sim.Sim.read_register sim r)) regs
 
-(* Run a program under one engine, recording the full ordered control-event
-   stream alongside the cycle count and final register state. *)
-let run_engine ~engine ctx regs =
-  let sim = Calyx_sim.Sim.create ~engine ctx in
-  let events = ref [] in
-  Calyx_sim.Sim.set_ctrl_sink sim (Some (fun e -> events := e :: !events));
-  let cycles = Calyx_sim.Sim.run ~max_cycles:400_000 sim in
-  (cycles, register_values sim regs, List.rev !events)
-
-(* Engine differential: the compiled engine must be observably identical
-   to the reference fixpoint engine (the oracle) — same cycle count, same
-   final register state, same ordered control-event stream. *)
-let check_engines ctx regs =
-  let fc, fr, fe = run_engine ~engine:`Fixpoint ctx regs in
-  let cc, cr, ce = run_engine ~engine:`Compiled ctx regs in
-  if fc <> cc then begin
-    Printf.printf "engine cycle mismatch: fixpoint %d vs compiled %d\n" fc cc;
-    false
-  end
-  else if fr <> cr then begin
-    Printf.printf "engine final-register mismatch: fixpoint vs compiled\n";
-    false
-  end
-  else if fe <> ce then begin
-    Printf.printf
-      "engine ctrl-event mismatch: fixpoint %d vs compiled %d events\n"
-      (List.length fe) (List.length ce);
-    false
-  end
-  else true
+(* The compiled engine must be observably identical to the reference
+   fixpoint engine (the oracle). *)
+let check_engines ctx =
+  match Calyx_sim.Sim.disagreement ctx with
+  | None -> true
+  | Some d ->
+      Printf.printf "engine disagreement: %s\n" d;
+      false
 
 let configs =
   [
@@ -83,7 +62,7 @@ let check_seed seed =
   let oracle = Calyx_sim.Sim.create ~engine:`Fixpoint ctx in
   let oracle_cycles = Calyx_sim.Sim.run ~max_cycles:200_000 oracle in
   let expected = register_values oracle regs in
-  check_engines ctx regs
+  check_engines ctx
   && List.for_all
        (fun (name, config) ->
          let lowered = Pipelines.compile ~config ctx in
@@ -96,7 +75,7 @@ let check_seed seed =
              name oracle_cycles;
            false
          end
-         else check_engines lowered regs)
+         else check_engines lowered)
        configs
 
 let prop_differential =
@@ -111,17 +90,7 @@ let prop_engines =
   QCheck.Test.make ~name:"compiled engine = fixpoint engine"
     ~count:300
     (Fuzz_seed.seed_arb "random-engines")
-    (fun seed ->
-      let ctx = gen_program seed in
-      let regs =
-        List.filter_map
-          (fun c ->
-            match c.cell_proto with
-            | Prim ("std_reg", _) -> Some c.cell_name
-            | _ -> None)
-          (entry ctx).cells
-      in
-      check_engines ctx regs)
+    (fun seed -> check_engines (gen_program seed))
 
 (* Random programs also exercise the printer/parser round trip. *)
 let prop_roundtrip =

@@ -350,12 +350,7 @@ let test_shrink_minimizes () =
     if any is_while spec then begin
       has_while := true;
       let fails s = any is_while s in
-      let rec minimize s =
-        match List.find_opt fails (Fuzz_gen.shrink s) with
-        | Some smaller -> minimize smaller
-        | None -> s
-      in
-      let min = minimize spec in
+      let min = Fuzz_gen.minimize ~fails spec in
       if not (fails min) then Alcotest.failf "seed %d: minimum lost bug" seed;
       (* The fixed point of while-preserving shrinking is a bare minimal
          loop: nothing inside it survives. *)
