@@ -186,10 +186,10 @@ let systolic_ctx n config =
   let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
   Pipelines.compile ~config (Systolic.generate d)
 
-let systolic_cycles n config =
-  let ctx = systolic_ctx n config in
+(* Simulate an [n]x[n] array's lowered program on deterministic input
+   matrices; also verify the product. *)
+let systolic_run n ctx =
   let sim = Calyx_sim.Sim.create ctx in
-  (* Deterministic input matrices; also verify the product. *)
   let a = Array.init n (fun r -> Array.init n (fun k -> (((r * 3) + k) mod 9) + 1)) in
   let b = Array.init n (fun k -> Array.init n (fun c -> (((k * 5) + c) mod 7) + 1)) in
   for r = 0 to n - 1 do
@@ -213,6 +213,8 @@ let systolic_cycles n config =
     done
   done;
   (cycles, !ok)
+
+let systolic_cycles n config = systolic_run n (systolic_ctx n config)
 
 let hls_matmul n =
   let prog = Dahlia.Parser.parse_string (Hls_model.matmul_source ~n) in
@@ -595,6 +597,108 @@ let stats () =
     (float_of_int (Calyx_verilog.Verilog.loc sv_sys));
   Record.summary "systolic8_compile_s" dt_sys;
   Record.summary "systolic8_emit_s" dt_sys_emit
+
+(* ------------------------------------------------------------------ *)
+(* Compile time per stage, from the telemetry spans                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One full [Pipelines.compile] per design under the default config, with
+   span buffering on. Its stage spans give check and lint, its pass spans
+   each pass, and the "revalidate" span nested in every pass span the
+   well-formedness re-check after it (a pass's own time excludes it). The
+   lowered program is then simulated. The stage list (the "stages" count)
+   and the cycle counts are deterministic and regression-gated; the "_s"
+   times are informational. *)
+let stage_times ctx =
+  let module T = Calyx_telemetry in
+  T.Runtime.with_enabled @@ fun () ->
+  T.Trace.reset ();
+  T.Trace.set_keep true;
+  let lowered = Pipelines.compile ctx in
+  let spans = T.Trace.spans () in
+  T.Trace.set_keep false;
+  T.Trace.reset ();
+  let nested_revalidate (parent : T.Trace.span) =
+    List.fold_left
+      (fun acc (sp : T.Trace.span) ->
+        if sp.sp_parent = parent.sp_id && sp.sp_name = "revalidate" then
+          acc +. T.Trace.seconds sp
+        else acc)
+      0. spans
+  in
+  let add name dt stages =
+    match List.assoc_opt name stages with
+    | Some t -> (name, t +. dt) :: List.remove_assoc name stages
+    | None -> (name, dt) :: stages
+  in
+  let stages =
+    List.fold_left
+      (fun stages (sp : T.Trace.span) ->
+        match (sp.sp_cat, sp.sp_name) with
+        | "stage", ("check" | "lint") -> add sp.sp_name (T.Trace.seconds sp) stages
+        | "pass", "revalidate" -> add "revalidate" (T.Trace.seconds sp) stages
+        | "pass", name ->
+            add name (T.Trace.seconds sp -. nested_revalidate sp) stages
+        | _ -> stages)
+      [] spans
+  in
+  let total =
+    List.fold_left
+      (fun acc (sp : T.Trace.span) ->
+        if sp.sp_name = "compile" then acc +. T.Trace.seconds sp else acc)
+      0. spans
+  in
+  (lowered, List.rev stages, total)
+
+let stages () =
+  header "Compile time per stage (telemetry spans)";
+  let systolic =
+    List.map
+      (fun n ->
+        let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
+        ( Printf.sprintf "systolic-%dx%d" n n,
+          Systolic.generate d,
+          fun lowered -> fst (systolic_run n lowered) ))
+      [ 4; 8; 10 ]
+  in
+  let kernels =
+    List.map
+      (fun (k : Polybench.Kernels.kernel) ->
+        let prog = Polybench.Harness.program k ~unrolled:false in
+        ( k.name,
+          Dahlia.To_calyx.compile prog,
+          fun lowered -> fst (Polybench.Harness.execute k prog lowered) ))
+      Polybench.Kernels.all
+  in
+  let totals = ref [] in
+  List.iteri
+    (fun i (name, ctx, simulate) ->
+      let lowered, stages, total = stage_times ctx in
+      let cycles = simulate lowered in
+      if i = 0 then
+        Printf.printf "%-16s %9s %8s %s\n" "design" "compile" "cycles"
+          (String.concat " " (List.map (fun (s, _) -> Printf.sprintf "%10s" s) stages));
+      Printf.printf "%-16s %7.1fms %8d %s\n" name (total *. 1e3) cycles
+        (String.concat " "
+           (List.map (fun (_, t) -> Printf.sprintf "%8.1fms" (t *. 1e3)) stages));
+      List.iter
+        (fun (s, t) ->
+          totals :=
+            (s, t +. Option.value ~default:0. (List.assoc_opt s !totals))
+            :: List.remove_assoc s !totals)
+        stages;
+      Record.row
+        ([
+           ("design", Json.str name);
+           ("stages", Json.int (List.length stages));
+           ("cycles", Json.int cycles);
+           ("compile_s", Json.float total);
+         ]
+        @ List.map (fun (s, t) -> (s ^ "_s", Json.float t)) stages))
+    (systolic @ kernels);
+  List.iter
+    (fun (s, t) -> Record.summary (s ^ "_s") t)
+    (List.rev !totals)
 
 (* ------------------------------------------------------------------ *)
 (* Simulator engines: fixpoint vs compiled                            *)
@@ -1229,6 +1333,7 @@ let experiments =
     ("fig9b", fig9b);
     ("fig9c", fig9c);
     ("stats", stats);
+    ("stages", stages);
     ("engine", engines);
     ("telemetry", telemetry_bench);
     ("cover", cover);

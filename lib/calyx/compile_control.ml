@@ -8,18 +8,25 @@ let clog2 n =
 
 let generated = Attrs.of_list [ ("generated", 1) ]
 
-type st = { mutable comp : component }
+(* The pass state: fresh-name supplies for cells and groups and the cells
+   and groups generated so far, newest first. *)
+type st = {
+  fresh_cell_name : string -> string;
+  fresh_group_name : string -> string;
+  mutable new_cells : cell list;
+  mutable new_groups : group list;
+}
 
-let add_cell st cell = st.comp <- Ir.add_cell st.comp cell
-let add_group st group = st.comp <- Ir.add_group st.comp group
+let add_cell st cell = st.new_cells <- cell :: st.new_cells
+let add_group st group = st.new_groups <- group :: st.new_groups
 
 let fresh_cell st base w =
-  let name = fresh_cell_name st.comp base in
+  let name = st.fresh_cell_name base in
   add_cell st (Builder.prim ~attrs:generated name "std_reg" [ w ]);
   name
 
 let fresh_group st base assigns =
-  let name = fresh_group_name st.comp base in
+  let name = st.fresh_group_name base in
   (name, assigns name)
 
 (* All generated data assignments are guarded by the compilation group's own
@@ -70,10 +77,8 @@ let make_par st children =
   (* The all-children-done conjunction is computed once into a wire; the
      done condition and every reset reference the wire instead of each
      duplicating a |children|-wide expression. *)
-  let all_wire = fresh_cell_name st.comp "pd_all" in
-  st.comp <-
-    Ir.add_cell st.comp
-      (Builder.prim ~attrs:generated all_wire "std_wire" [ 1 ]);
+  let all_wire = st.fresh_cell_name "pd_all" in
+  add_cell st (Builder.prim ~attrs:generated all_wire "std_wire" [ 1 ]);
   let name, assigns =
     fresh_group st "par" (fun name ->
         let self = g_hole name "go" in
@@ -237,12 +242,26 @@ let rec compile_ctrl st = function
         cell
 
 let compile_component (_ctx : context) comp =
-  let st = { comp } in
+  let st =
+    {
+      fresh_cell_name =
+        name_supply (List.map (fun c -> c.cell_name) comp.cells);
+      fresh_group_name =
+        name_supply (List.map (fun g -> g.group_name) comp.groups);
+      new_cells = [];
+      new_groups = [];
+    }
+  in
   let root = compile_ctrl st comp.control in
   let control =
     match root with None -> Empty | Some g -> Enable (g, Attrs.empty)
   in
-  { st.comp with control }
+  {
+    comp with
+    cells = comp.cells @ List.rev st.new_cells;
+    groups = comp.groups @ List.rev st.new_groups;
+    control;
+  }
 
 let pass =
   Pass.make ~name:"compile-control"

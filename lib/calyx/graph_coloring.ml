@@ -1,55 +1,105 @@
-module SS = Ir.String_set
 module SM = Ir.String_map
 
+(* Nodes are interned to dense ids in first-add order; the adjacency of
+   node [i] is the bitset [rows.(i)]. No row ever contains its own id. *)
 type t = {
-  nodes : (string, unit) Hashtbl.t;
-  edges : (string * string, unit) Hashtbl.t;  (* keys ordered (min, max) *)
+  ids : (string, int) Hashtbl.t;
+  mutable names : string array;
+  mutable rows : Bitset.t array;
+  mutable size : int;
 }
 
-let create () = { nodes = Hashtbl.create 64; edges = Hashtbl.create 256 }
-let add_node g n = if not (Hashtbl.mem g.nodes n) then Hashtbl.replace g.nodes n ()
+let create () =
+  { ids = Hashtbl.create 64; names = [||]; rows = [||]; size = 0 }
 
-let key a b = if String.compare a b <= 0 then (a, b) else (b, a)
+let node g n =
+  match Hashtbl.find_opt g.ids n with
+  | Some i -> i
+  | None ->
+      let i = g.size in
+      if i = Array.length g.names then begin
+        let cap = max 16 (2 * i) in
+        g.names <- Array.init cap (fun k -> if k < i then g.names.(k) else "");
+        g.rows <-
+          Array.init cap (fun k -> if k < i then g.rows.(k) else Bitset.create ())
+      end;
+      g.names.(i) <- n;
+      Hashtbl.replace g.ids n i;
+      g.size <- i + 1;
+      i
+
+let add_node g n = ignore (node g n)
+
+let connect g i s =
+  Bitset.union_into ~into:g.rows.(i) s;
+  Bitset.remove g.rows.(i) i
 
 let add_edge g a b =
   if not (String.equal a b) then begin
-    add_node g a;
-    add_node g b;
-    Hashtbl.replace g.edges (key a b) ()
+    let i = node g a and j = node g b in
+    Bitset.add g.rows.(i) j;
+    Bitset.add g.rows.(j) i
   end
 
-let rec add_clique g = function
-  | [] -> ()
-  | n :: rest ->
-      add_node g n;
-      List.iter (add_edge g n) rest;
-      add_clique g rest
+let add_clique_ids g s = Bitset.iter (fun i -> connect g i s) s
 
-let conflicting g a b = Hashtbl.mem g.edges (key a b)
+let add_clique g names = add_clique_ids g (Bitset.of_list (List.map (node g) names))
 
+(* Each member of arm [k] is connected to the union of the other arms: the
+   union of the arms before [k] (a running prefix) and of those after it
+   (precomputed suffixes). Every cross-arm pair is reached from both ends,
+   so the rows stay symmetric. *)
+let add_cross_ids g arms =
+  let arms = Array.of_list arms in
+  let n = Array.length arms in
+  let suffix = Array.make (n + 1) (Bitset.create ()) in
+  for k = n - 1 downto 0 do
+    suffix.(k) <- Bitset.union arms.(k) suffix.(k + 1)
+  done;
+  let prefix = ref (Bitset.create ()) in
+  Array.iteri
+    (fun k arm ->
+      let others = Bitset.union !prefix suffix.(k + 1) in
+      Bitset.iter (fun i -> connect g i others) arm;
+      prefix := Bitset.union !prefix arm)
+    arms
+
+let conflicting g a b =
+  match (Hashtbl.find_opt g.ids a, Hashtbl.find_opt g.ids b) with
+  | Some i, Some j -> Bitset.mem g.rows.(i) j
+  | _ -> false
+
+(* A representative's members, as one bitset: a node fits it when its own
+   row is disjoint from that set. Representatives are kept per class, in
+   creation order, so the first fit is the first fit overall. *)
 let greedy g ~cls ~order =
-  (* members.(rep) = nodes already assigned to rep *)
-  let members : (string, string list) Hashtbl.t = Hashtbl.create 16 in
-  let reps = ref [] in
-  let assignment = ref SM.empty in
-  List.iter
-    (fun node ->
-      let node_class = cls node in
-      let fits rep =
-        String.equal (cls rep) node_class
-        && List.for_all
-             (fun m -> not (conflicting g m node))
-             (Option.value ~default:[] (Hashtbl.find_opt members rep))
+  let reps : (string, (string * Bitset.t) list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  List.fold_left
+    (fun assignment name ->
+      let i = node g name in
+      let same_class =
+        let c = cls name in
+        match Hashtbl.find_opt reps c with
+        | Some l -> l
+        | None ->
+            let l = ref [] in
+            Hashtbl.replace reps c l;
+            l
       in
       let rep =
-        match List.find_opt fits (List.rev !reps) with
-        | Some r -> r
+        match
+          List.find_opt
+            (fun (_, members) -> Bitset.disjoint members g.rows.(i))
+            !same_class
+        with
+        | Some (rep, members) ->
+            Bitset.add members i;
+            rep
         | None ->
-            reps := node :: !reps;
-            node
+            same_class := !same_class @ [ (name, Bitset.of_list [ i ]) ];
+            name
       in
-      Hashtbl.replace members rep
-        (node :: Option.value ~default:[] (Hashtbl.find_opt members rep));
-      assignment := SM.add node rep !assignment)
-    order;
-  !assignment
+      SM.add name rep assignment)
+    SM.empty order

@@ -184,6 +184,29 @@ let fresh_name ~taken base =
     in
     go 0
 
+let name_supply taken =
+  let used = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace used n ()) taken;
+  (* Names are only ever added, so the first free index of a base never
+     decreases: [next] resumes each base's search where it last stopped. *)
+  let next = Hashtbl.create 16 in
+  fun base ->
+    let name =
+      if not (Hashtbl.mem used base) then base
+      else
+        let rec go i =
+          let candidate = base ^ string_of_int i in
+          if Hashtbl.mem used candidate then go (i + 1)
+          else begin
+            Hashtbl.replace next base (i + 1);
+            candidate
+          end
+        in
+        go (Option.value ~default:0 (Hashtbl.find_opt next base))
+    in
+    Hashtbl.replace used name ();
+    name
+
 let fresh_cell_name comp base =
   fresh_name ~taken:(fun n -> find_cell_opt comp n <> None) base
 

@@ -60,8 +60,20 @@ let tokenize src =
   in
   let read_number () =
     let digits = read_while is_digit in
-    let value = int_of_string digits in
+    let value =
+      match int_of_string_opt digits with
+      | Some v -> v
+      | None -> lex_error !line "number %s is too large" digits
+    in
     (* A width-annotated literal: <width>'d<value>. *)
+    let literal text v =
+      if value < 1 || value > Bitvec.max_width then
+        lex_error !line "literal %d'%s: width %d is outside 1..%d" value text
+          value Bitvec.max_width;
+      match Int64.of_string_opt v with
+      | Some n -> emit (LIT (Bitvec.make ~width:value n))
+      | None -> lex_error !line "literal %d'%s does not fit in 64 bits" value text
+    in
     if peek () = Some '\'' then begin
       advance ();
       match peek () with
@@ -69,12 +81,12 @@ let tokenize src =
           advance ();
           let v = read_while is_digit in
           if String.equal v "" then lex_error !line "expected digits after 'd";
-          emit (LIT (Bitvec.make ~width:value (Int64.of_string v)))
+          literal ("d" ^ v) v
       | Some 'b' ->
           advance ();
           let v = read_while (fun c -> c = '0' || c = '1') in
           if String.equal v "" then lex_error !line "expected bits after 'b";
-          emit (LIT (Bitvec.make ~width:value (Int64.of_string ("0b" ^ v))))
+          literal ("b" ^ v) ("0b" ^ v)
       | _ -> lex_error !line "expected 'd or 'b in literal"
     end
     else emit (NUMBER value)

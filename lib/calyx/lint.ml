@@ -15,12 +15,23 @@ let port_key p = Format.asprintf "%a" pp_port_ref p
    reads, the outcome depends on the schedule — undefined behaviour. *)
 let par_races comp =
   let diags = ref [] in
+  let groups = Hashtbl.create 64 and cells = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      if not (Hashtbl.mem groups g.group_name) then
+        Hashtbl.replace groups g.group_name g)
+    comp.groups;
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem cells c.cell_name) then
+        Hashtbl.replace cells c.cell_name c)
+    comp.cells;
   let memo tbl f g =
     match Hashtbl.find_opt tbl g with
     | Some s -> s
     | None ->
         let s =
-          match find_group_opt comp g with Some gr -> f gr | None -> SS.empty
+          match Hashtbl.find_opt groups g with Some gr -> f gr | None -> SS.empty
         in
         Hashtbl.replace tbl g s;
         s
@@ -34,12 +45,37 @@ let par_races comp =
      only write/write is a race there. Combinational outputs reflect this
      cycle's inputs, so cross-arm read+write is schedule-dependent. *)
   let is_stateful c =
-    match find_cell_opt comp c with
+    match Hashtbl.find_opt cells c with
     | Some { cell_proto = Prim (name, _); _ } -> (
         match Prims.find name with
         | Some i -> not i.combinational
         | None -> true)
     | Some { cell_proto = Comp _; _ } | None -> true
+  in
+  (* A linear screen per [par]: a race needs a cell written under two
+     arms (which includes one group enabled in two arms), or a
+     combinational cell written under one arm and read under another.
+     Only a [par] the screen flags runs the pairwise reporter below, which
+     names the groups involved. *)
+  let may_race arms =
+    let writer = Hashtbl.create 64 in
+    let each_cell sets f =
+      List.iteri
+        (fun arm groups ->
+          SS.iter (fun g -> SS.iter (fun c -> f arm c) (sets g)) groups)
+        arms
+    in
+    let race = ref false in
+    each_cell writes (fun arm c ->
+        match Hashtbl.find_opt writer c with
+        | Some a -> if a <> arm then race := true
+        | None -> Hashtbl.replace writer c arm);
+    if not !race then
+      each_cell reads (fun arm c ->
+          match Hashtbl.find_opt writer c with
+          | Some a -> if a <> arm && not (is_stateful c) then race := true
+          | None -> ());
+    !race
   in
   let reported = Hashtbl.create 16 in
   let report ~path fmt =
@@ -102,7 +138,7 @@ let par_races comp =
                   rest;
                 cross rest
           in
-          cross sets
+          if may_race sets then cross sets
       | _ -> ())
     comp.control;
   List.rev !diags

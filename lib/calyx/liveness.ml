@@ -1,80 +1,118 @@
 open Ir
 module SS = String_set
+module B = Bitset
+
+module Set_tbl = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = Bitset.equal
+  let hash = Bitset.hash
+end)
 
 type result = {
-  live_in : SS.t;
-  conflict_cliques : SS.t list;
+  registers : string array;
+  live_in : Bitset.t;
+  conflict_cliques : Bitset.t list;
 }
 
+(* A group's register sets as bitsets over register ids. *)
+type sets = { reads : B.t; must_writes : B.t; may_writes : B.t; touched : B.t }
+
 let analyze comp =
+  let registers =
+    Array.of_list
+      (List.filter_map
+         (fun c ->
+           match c.cell_proto with
+           | Prim ("std_reg", _) -> Some c.cell_name
+           | _ -> None)
+         comp.cells)
+  in
+  let id = Hashtbl.create (Array.length registers) in
+  Array.iteri
+    (fun i r -> if not (Hashtbl.mem id r) then Hashtbl.replace id r i)
+    registers;
   let regs = Read_write_set.registers comp in
-  let group g = find_group comp g in
-  let reads_tbl = Hashtbl.create 16 in
-  let reads g =
-    match Hashtbl.find_opt reads_tbl g with
+  let bits s =
+    let b = B.create () in
+    SS.iter (fun r -> B.add b (Hashtbl.find id r)) s;
+    b
+  in
+  let groups = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      if not (Hashtbl.mem groups g.group_name) then
+        Hashtbl.replace groups g.group_name g)
+    comp.groups;
+  let sets_tbl = Hashtbl.create 64 in
+  let sets g =
+    match Hashtbl.find_opt sets_tbl g with
     | Some s -> s
     | None ->
-        let s = Read_write_set.reads comp (group g) in
-        Hashtbl.replace reads_tbl g s;
+        let group =
+          match Hashtbl.find_opt groups g with
+          | Some group -> group
+          | None -> find_group comp g
+        in
+        let reads = bits (Read_write_set.reads regs group) in
+        let may_writes = bits (Read_write_set.may_writes regs group) in
+        let s =
+          {
+            reads;
+            must_writes = bits (Read_write_set.must_writes regs group);
+            may_writes;
+            touched = B.union reads may_writes;
+          }
+        in
+        Hashtbl.replace sets_tbl g s;
         s
   in
-  let memo tbl f g =
-    match Hashtbl.find_opt tbl g with
-    | Some s -> s
-    | None ->
-        let s = f comp (group g) in
-        Hashtbl.replace tbl g s;
-        s
+  let reg_of_atom = function
+    | Port (Cell_port (c, "out")) -> Hashtbl.find_opt id c
+    | _ -> None
   in
-  let must_tbl = Hashtbl.create 16 and may_tbl = Hashtbl.create 16 in
-  let must_writes g = memo must_tbl Read_write_set.must_writes g in
-  let may_writes g = memo may_tbl Read_write_set.may_writes g in
   (* Registers read from continuous assignments are observable at any time
      (e.g. they feed output ports); they interfere with everything. *)
-  let always_live =
-    List.fold_left
-      (fun acc a ->
-        List.fold_left
-          (fun acc atom ->
-            match atom with
-            | Port (Cell_port (c, _)) when SS.mem c regs -> SS.add c acc
-            | _ -> acc)
-          acc (a.src :: guard_atoms a.guard))
-      SS.empty comp.continuous
-  in
+  let always_live = B.create () in
+  List.iter
+    (fun a ->
+      List.iter
+        (function
+          | Port (Cell_port (c, _)) -> (
+              match Hashtbl.find_opt id c with
+              | Some i -> B.add always_live i
+              | None -> ())
+          | Lit _ | Port _ -> ())
+        (a.src :: guard_atoms a.guard))
+    comp.continuous;
+  (* Live sets repeat heavily across groups; deduplicate. Sets are never
+     mutated once built, so they can be shared as table keys. *)
   let cliques = ref [] in
-  let seen_cliques = Hashtbl.create 64 in
+  let seen = Set_tbl.create 64 in
   let clique s =
-    if SS.cardinal s > 1 then begin
-      (* Live sets repeat heavily across groups; deduplicate. *)
-      let k = String.concat "\x00" (SS.elements s) in
-      if not (Hashtbl.mem seen_cliques k) then begin
-        Hashtbl.replace seen_cliques k ();
-        cliques := s :: !cliques
-      end
+    if B.cardinal s > 1 && not (Set_tbl.mem seen s) then begin
+      Set_tbl.replace seen s ();
+      cliques := s :: !cliques
     end
   in
-  (* Touched registers of a subtree (for parallel interference). *)
-  let touched_tbl = Hashtbl.create 64 in
-  let touched ctrl =
-    let groups = Schedule_conflicts.subtree_groups ctrl in
-    let k = String.concat "\x00" (SS.elements groups) in
-    match Hashtbl.find_opt touched_tbl k with
-    | Some s -> s
-    | None ->
-        let s =
-          SS.fold
-            (fun g acc -> SS.union acc (SS.union (reads g) (may_writes g)))
-            groups SS.empty
-        in
-        Hashtbl.replace touched_tbl k s;
-        s
+  let union_all = List.fold_left B.union (B.create ()) in
+  let cond = function Some g -> (sets g).touched | None -> B.create () in
+  (* Registers touched anywhere in a subtree (for parallel interference). *)
+  let rec touched = function
+    | Empty | Invoke _ -> B.create ()
+    | Enable (g, _) -> (sets g).touched
+    | Seq (cs, _) | Par (cs, _) -> union_all (List.map touched cs)
+    | If { cond_group; tbranch; fbranch; _ } ->
+        union_all [ cond cond_group; touched tbranch; touched fbranch ]
+    | While { cond_group; body; _ } ->
+        B.union (cond cond_group) (touched body)
   in
   let visit_group g live_after =
-    let live_in = SS.union (reads g) (SS.diff live_after (must_writes g)) in
+    let s = sets g in
+    let live_in = B.union s.reads (B.diff live_after s.must_writes) in
     (* At this node, everything written interferes with everything live
        across or out of the node. *)
-    clique (SS.union (SS.union live_in (may_writes g)) always_live);
+    clique (B.union (B.union live_in s.may_writes) always_live);
     live_in
   in
   let rec flow ctrl live_after =
@@ -83,46 +121,39 @@ let analyze comp =
     | Invoke { invoke_inputs; invoke_outputs; _ } ->
         (* Reads its argument registers; writes the invoked cell and any
            registers bound as output destinations. *)
-        let read =
-          List.fold_left
-            (fun acc (_, a) ->
-              match a with
-              | Port (Cell_port (c, "out")) when SS.mem c regs -> SS.add c acc
-              | _ -> acc)
-            SS.empty invoke_inputs
-        in
-        let written =
-          List.fold_left
-            (fun acc (_, dst) ->
-              match dst with
-              | Cell_port (c, _) when SS.mem c regs -> SS.add c acc
-              | _ -> acc)
-            SS.empty invoke_outputs
-        in
+        let read = B.create () and written = B.create () in
+        List.iter
+          (fun (_, a) -> Option.iter (B.add read) (reg_of_atom a))
+          invoke_inputs;
+        List.iter
+          (fun (_, dst) ->
+            match dst with
+            | Cell_port (c, _) -> Option.iter (B.add written) (Hashtbl.find_opt id c)
+            | Hole _ | This _ -> ())
+          invoke_outputs;
         (* Conservative: output writes are not treated as must-writes (no
            kill), but they interfere with everything live across the call. *)
-        let live_in = SS.union read live_after in
-        clique (SS.union (SS.union live_in written) always_live);
+        let live_in = B.union read live_after in
+        clique (B.union (B.union live_in written) always_live);
         live_in
     | Enable (g, _) -> visit_group g live_after
     | Seq (cs, _) -> List.fold_right flow cs live_after
     | Par (cs, _) ->
         (* Each child sees the liveness leaving the par (writes in one child
-           are visible after the block; Section 5.2). *)
+           are visible after the block; Section 5.2). Registers touched by
+           different children interfere: one clique over the union of the
+           children's touched sets has exactly the edges of the pairwise
+           cliques, since any two of its members lie in one child or in
+           two different ones. *)
         let ins = List.map (fun c -> flow c live_after) cs in
-        let rec cross = function
-          | [] -> ()
-          | c :: rest ->
-              let tc = touched c in
-              List.iter (fun c' -> clique (SS.union tc (touched c'))) rest;
-              cross rest
-        in
-        cross cs;
-        List.fold_left SS.union live_after ins
+        (match cs with
+        | _ :: _ :: _ -> clique (union_all (List.map touched cs))
+        | _ -> ());
+        List.fold_left B.union live_after ins
     | If { cond_group; tbranch; fbranch; _ } ->
         let lt = flow tbranch live_after in
         let lf = flow fbranch live_after in
-        let l = SS.union lt lf in
+        let l = B.union lt lf in
         (match cond_group with Some cg -> visit_group cg l | None -> l)
     | While { cond_group; body; _ } ->
         (* live_in = reads(cond) ∪ live_after ∪ live_in(body applied to
@@ -130,15 +161,15 @@ let analyze comp =
         let rec iterate current =
           let body_in = flow body current in
           let next =
-            let l = SS.union live_after body_in in
+            let l = B.union live_after body_in in
             match cond_group with Some cg -> visit_group cg l | None -> l
           in
-          if SS.equal next current then next else iterate (SS.union next current)
+          if B.equal next current then next else iterate (B.union next current)
         in
         iterate
           (match cond_group with
-          | Some cg -> SS.union (reads cg) live_after
+          | Some cg -> B.union (sets cg).reads live_after
           | None -> live_after)
   in
   let live_in = flow comp.control always_live in
-  { live_in; conflict_cliques = !cliques }
+  { registers; live_in; conflict_cliques = !cliques }

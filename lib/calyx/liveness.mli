@@ -8,13 +8,18 @@
 
     The result is the interference relation the register-sharing pass
     colors: two registers conflict when one is defined (or live) at a point
-    where the other is live, or when parallel branches touch both. *)
+    where the other is live, or when parallel branches touch both.
+
+    Register sets are {!Bitset}s over register ids: id [i] is
+    [registers.(i)]. *)
 
 type result = {
-  live_in : Ir.String_set.t;
+  registers : string array;
+      (** The component's [std_reg] cells, in declaration order. *)
+  live_in : Bitset.t;
       (** Registers live on entry to the whole control program. *)
-  conflict_cliques : Ir.String_set.t list;
-      (** Each set is pairwise-interfering. *)
+  conflict_cliques : Bitset.t list;
+      (** Each set is pairwise-interfering; no two sets are equal. *)
 }
 
 val analyze : Ir.component -> result

@@ -43,7 +43,10 @@ type observation = {
 }
 
 let validate_after pass ctx' =
-  match Well_formed.errors ctx' with
+  match
+    Calyx_telemetry.Trace.with_span ~cat:"pass" "revalidate" (fun () ->
+        Well_formed.errors ctx')
+  with
   | [] -> ()
   | errors ->
       raise

@@ -54,7 +54,8 @@ val run :
   Ir.context
 (** Apply one pass; with [validate] (default true), raises
     [Well_formed.Malformed] annotated with the pass name if the output is
-    malformed. [observe] (off by default — the uninstrumented path measures
+    malformed. The pass runs in a telemetry span named after it; the
+    re-validation, in a ["revalidate"] span nested inside that one. [observe] (off by default — the uninstrumented path measures
     nothing) receives one {!observation} after the pass completes. *)
 
 val run_all :

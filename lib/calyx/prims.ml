@@ -24,9 +24,23 @@ let bad_params name expected got =
   invalid_arg
     (Printf.sprintf "%s expects %d parameter(s), got %d" name expected got)
 
+(* Every port a primitive exposes carries a bit vector, so its width must
+   be one the simulator and the emitter can represent. *)
+let check_widths name params ports =
+  List.iter
+    (fun p ->
+      if p.pp_width < 1 || p.pp_width > Bitvec.max_width then
+        invalid_arg
+          (Printf.sprintf "%s(%s): port %s would be %d bits wide (must be 1..%d)"
+             name
+             (String.concat ", " (List.map string_of_int params))
+             p.pp_name p.pp_width Bitvec.max_width))
+    ports;
+  ports
+
 let with_params name n f params =
   if List.length params <> n then bad_params name n (List.length params)
-  else f params
+  else check_widths name params (f params)
 
 (* A two-input, one-output combinational operator of uniform width. *)
 let binop ?(out_width = fun w -> w) name =

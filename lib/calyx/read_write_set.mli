@@ -2,18 +2,21 @@
 
     Conservative over-approximation as the paper requires: the read set is
     the registers a group {e may} read; the must-write set is the registers
-    it {e must} write (an unconditional [write_en = 1] drive). *)
+    it {e must} write (an unconditional [write_en = 1] drive).
+
+    The per-group sets take the component's register set, {!registers},
+    computed once by the caller. *)
 
 val registers : Ir.component -> Ir.String_set.t
 (** Names of all [std_reg] cells of a component. *)
 
-val reads : Ir.component -> Ir.group -> Ir.String_set.t
+val reads : Ir.String_set.t -> Ir.group -> Ir.String_set.t
 (** Registers whose [out] port appears in a source or guard of the group. *)
 
-val may_writes : Ir.component -> Ir.group -> Ir.String_set.t
+val may_writes : Ir.String_set.t -> Ir.group -> Ir.String_set.t
 (** Registers whose [in] or [write_en] port is driven by the group. *)
 
-val must_writes : Ir.component -> Ir.group -> Ir.String_set.t
+val must_writes : Ir.String_set.t -> Ir.group -> Ir.String_set.t
 (** Registers whose [write_en] the group drives unconditionally with a
     non-zero constant. *)
 

@@ -1,30 +1,23 @@
 open Ir
-module SS = String_set
-module SM = String_map
-
-let reg_width comp name =
-  match (find_cell comp name).cell_proto with
-  | Prim ("std_reg", [ w ]) -> w
-  | _ -> ir_error "register-sharing: %s is not a register" name
 
 let sharing_map (_ctx : context) comp =
-  let { Liveness.conflict_cliques; _ } = Liveness.analyze comp in
-  let regs = Read_write_set.registers comp in
+  let { Liveness.registers; conflict_cliques; _ } = Liveness.analyze comp in
+  (* Added first, in order, so graph ids are the liveness register ids. *)
   let graph = Graph_coloring.create () in
-  SS.iter (Graph_coloring.add_node graph) regs;
+  Array.iter (Graph_coloring.add_node graph) registers;
+  List.iter (Graph_coloring.add_clique_ids graph) conflict_cliques;
+  let protos = Hashtbl.create 64 in
   List.iter
-    (fun clique -> Graph_coloring.add_clique graph (SS.elements clique))
-    conflict_cliques;
-  let cls name = string_of_int (reg_width comp name) in
-  let order =
-    List.filter_map
-      (fun c ->
-        match c.cell_proto with
-        | Prim ("std_reg", _) -> Some c.cell_name
-        | _ -> None)
-      comp.cells
+    (fun c ->
+      if not (Hashtbl.mem protos c.cell_name) then
+        Hashtbl.replace protos c.cell_name c.cell_proto)
+    comp.cells;
+  let cls name =
+    match Hashtbl.find_opt protos name with
+    | Some (Prim ("std_reg", [ w ])) -> string_of_int w
+    | _ -> ir_error "register-sharing: %s is not a register" name
   in
-  Graph_coloring.greedy graph ~cls ~order
+  Graph_coloring.greedy graph ~cls ~order:(Array.to_list registers)
 
 let share (ctx : context) comp =
   Resource_sharing.apply_map comp (sharing_map ctx comp)

@@ -26,17 +26,18 @@ let lower_component (_ctx : context) comp =
     in
     (* One wire per hole that is referenced anywhere. *)
     let wires : (string * string, string) Hashtbl.t = Hashtbl.create 32 in
-    let comp_ref = ref comp in
+    let fresh = name_supply (List.map (fun c -> c.cell_name) comp.cells) in
+    let new_cells = ref [] in
     let wire_for (g, h) =
       match Hashtbl.find_opt wires (g, h) with
       | Some w -> w
       | None ->
-          let name = fresh_cell_name !comp_ref (g ^ "_" ^ h) in
-          comp_ref :=
-            Ir.add_cell !comp_ref
-              (Builder.prim
-                 ~attrs:(Attrs.of_list [ ("generated", 1) ])
-                 name "std_wire" [ 1 ]);
+          let name = fresh (g ^ "_" ^ h) in
+          new_cells :=
+            Builder.prim
+              ~attrs:(Attrs.of_list [ ("generated", 1) ])
+              name "std_wire" [ 1 ]
+            :: !new_cells;
           Hashtbl.replace wires (g, h) name;
           name
     in
@@ -93,7 +94,8 @@ let lower_component (_ctx : context) comp =
     (* Drop assignments whose guard is the canonical false. *)
     let live a = match a.guard with Not True -> false | _ -> true in
     {
-      !comp_ref with
+      comp with
+      cells = comp.cells @ List.rev !new_cells;
       groups = [];
       continuous = List.filter live (lowered @ interface);
       control = Empty;

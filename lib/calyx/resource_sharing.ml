@@ -57,11 +57,6 @@ let cost_guided proto =
   sharing_profit proto > mux_cost
 
 let sharing_map ?(profitable = fun _ -> true) ctx comp =
-  let candidates =
-    List.filter
-      (fun c -> shareable ctx c && profitable c.cell_proto)
-      comp.cells
-  in
   (* Cells referenced by continuous assignments are permanently in use. *)
   let continuous_cells =
     List.fold_left
@@ -76,35 +71,58 @@ let sharing_map ?(profitable = fun _ -> true) ctx comp =
   in
   let candidates =
     List.filter
-      (fun c -> not (SS.mem c.cell_name continuous_cells))
-      candidates
+      (fun c ->
+        shareable ctx c && profitable c.cell_proto
+        && not (SS.mem c.cell_name continuous_cells))
+      comp.cells
   in
-  let candidate_names = SS.of_list (List.map (fun c -> c.cell_name) candidates) in
   let graph = Graph_coloring.create () in
-  SS.iter (Graph_coloring.add_node graph) candidate_names;
-  let usage =
-    List.map (fun g -> (g.group_name, SS.inter (cells_used g) candidate_names))
-      comp.groups
-  in
-  (* Cells used within one group conflict. *)
+  let protos = Hashtbl.create 64 in
   List.iter
-    (fun (_, cells) -> Graph_coloring.add_clique graph (SS.elements cells))
-    usage;
-  (* Cells used by groups that may run in parallel conflict. *)
-  let usage_of g = Option.value ~default:SS.empty (List.assoc_opt g usage) in
+    (fun c ->
+      Graph_coloring.add_node graph c.cell_name;
+      if not (Hashtbl.mem protos c.cell_name) then
+        Hashtbl.replace protos c.cell_name (proto_key c.cell_proto))
+    candidates;
+  (* Candidate cells a group uses, as graph ids. *)
+  let usage = Hashtbl.create 64 in
   List.iter
-    (fun (g1, g2) ->
+    (fun g ->
+      let used = Bitset.create () in
       SS.iter
-        (fun c1 -> SS.iter (fun c2 -> Graph_coloring.add_edge graph c1 c2) (usage_of g2))
-        (usage_of g1))
-    (Schedule_conflicts.conflicts comp.control);
-  let cls name = proto_key (find_cell comp name).cell_proto in
-  Graph_coloring.greedy graph ~cls
-    ~order:
-      (List.filter_map
-         (fun c ->
-           if SS.mem c.cell_name candidate_names then Some c.cell_name else None)
-         comp.cells)
+        (fun c ->
+          if Hashtbl.mem protos c then Bitset.add used (Graph_coloring.node graph c))
+        (cells_used g);
+      (* Cells used within one group conflict. *)
+      Graph_coloring.add_clique_ids graph used;
+      if not (Hashtbl.mem usage g.group_name) then
+        Hashtbl.replace usage g.group_name used)
+    comp.groups;
+  let usage_of g =
+    match Hashtbl.find_opt usage g with Some s -> s | None -> Bitset.create ()
+  in
+  (* Cells used by groups that may run in parallel conflict: those under
+     different arms of a [par]. One bottom-up walk collects each subtree's
+     usage, and each [par] connects its arms' usages in one cross product
+     (the edges of all the group pairs Schedule_conflicts lists). *)
+  let union_all = List.fold_left Bitset.union (Bitset.create ()) in
+  let cond = function Some g -> usage_of g | None -> Bitset.create () in
+  let rec used = function
+    | Empty | Invoke _ -> Bitset.create ()
+    | Enable (g, _) -> usage_of g
+    | Seq (cs, _) -> union_all (List.map used cs)
+    | Par (cs, _) ->
+        let arms = List.map used cs in
+        Graph_coloring.add_cross_ids graph arms;
+        union_all arms
+    | If { cond_group; tbranch; fbranch; _ } ->
+        union_all [ cond cond_group; used tbranch; used fbranch ]
+    | While { cond_group; body; _ } -> Bitset.union (cond cond_group) (used body)
+  in
+  ignore (used comp.control);
+  Graph_coloring.greedy graph
+    ~cls:(Hashtbl.find protos)
+    ~order:(List.map (fun c -> c.cell_name) candidates)
 
 let apply_map comp mapping =
   let rename_cell c = Option.value ~default:c (SM.find_opt c mapping) in

@@ -32,10 +32,28 @@ let rec control_latency comp = function
       | _ -> None)
   | If { cond_group = None; _ } | While _ | Invoke _ -> None
 
-type st = { mutable comp : component }
+(* The pass state: fresh-name supplies, the "static" attribute of every
+   group (original and generated), and the generated cells and groups,
+   newest first. *)
+type st = {
+  comp : component;
+  fresh_cell_name : string -> string;
+  fresh_group_name : string -> string;
+  statics : (string, int option) Hashtbl.t;
+  mutable new_cells : cell list;
+  mutable new_groups : group list;
+}
 
-let add_cell st cell = st.comp <- Ir.add_cell st.comp cell
-let add_group st group = st.comp <- Ir.add_group st.comp group
+let add_cell st cell = st.new_cells <- cell :: st.new_cells
+
+let add_group st group =
+  Hashtbl.replace st.statics group.group_name (Attrs.static group.group_attrs);
+  st.new_groups <- group :: st.new_groups
+
+let static_attr st g =
+  match Hashtbl.find_opt st.statics g with
+  | Some s -> s
+  | None -> group_static st.comp g
 
 (* A static group's FSM: a counter that increments every active cycle and
    wraps (unguarded, self-cleaning) from the final state. Returns the fsm
@@ -43,9 +61,9 @@ let add_group st group = st.comp <- Ir.add_group st.comp group
 let make_counter st name total =
   let open Builder in
   let w = Compile_control.clog2 (total + 1) in
-  let fsm = fresh_cell_name st.comp "fsm" in
+  let fsm = st.fresh_cell_name "fsm" in
   add_cell st (prim ~attrs:(Attrs.of_list [ ("generated", 1) ]) fsm "std_reg" [ w ]);
-  let adder = fresh_cell_name st.comp "fsm_incr" in
+  let adder = st.fresh_cell_name "fsm_incr" in
   add_cell st (prim ~attrs:(Attrs.of_list [ ("generated", 1) ]) adder "std_add" [ w ]);
   let self = g_hole name "go" in
   let last = g_eq (pa fsm "out") (lit ~width:w total) in
@@ -79,7 +97,7 @@ let window name fsm w lo hi child =
 let make_static_seq st children =
   (* children: (group, latency) in order *)
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 children in
-  let name = fresh_group_name st.comp "static_seq" in
+  let name = st.fresh_group_name "static_seq" in
   let fsm, w, counter = make_counter st name total in
   let enables =
     let off = ref 0 in
@@ -98,7 +116,7 @@ let make_static_seq st children =
 
 let make_static_par st children =
   let total = List.fold_left (fun acc (_, n) -> max acc n) 0 children in
-  let name = fresh_group_name st.comp "static_par" in
+  let name = st.fresh_group_name "static_par" in
   let fsm, w, counter = make_counter st name total in
   let enables =
     List.filter_map
@@ -114,8 +132,8 @@ let make_static_if st ~cond_port ~cond ~t ~f =
   let branch_latency = function Some (_, n) -> n | None -> 0 in
   let m = max (branch_latency t) (branch_latency f) in
   let total = c + m in
-  let name = fresh_group_name st.comp "static_if" in
-  let cs = fresh_cell_name st.comp "cs" in
+  let name = st.fresh_group_name "static_if" in
+  let cs = st.fresh_cell_name "cs" in
   add_cell st (prim ~attrs:(Attrs.of_list [ ("generated", 1) ]) cs "std_reg" [ 1 ]);
   let fsm, w, counter = make_counter st name total in
   let self = g_hole name "go" in
@@ -195,7 +213,7 @@ let rec rewrite st ctrl =
       let tbranch = rewrite st r.tbranch in
       let fbranch = rewrite st r.fbranch in
       match
-        (group_static st.comp cg, branch_static st tbranch, branch_static st fbranch)
+        (static_attr st cg, branch_static st tbranch, branch_static st fbranch)
       with
       | Some c, Some t, Some f when c > 0 ->
           let g, n = make_static_if st ~cond_port ~cond:(cg, c) ~t ~f in
@@ -210,7 +228,7 @@ let rec rewrite st ctrl =
 and static_of st = function
   | Empty -> None
   | Enable (g, _) -> (
-      match group_static st.comp g with Some n -> Some (g, n) | None -> None)
+      match static_attr st g with Some n -> Some (g, n) | None -> None)
   | _ -> None
 
 (* Like [static_of] but an absent branch is a zero-latency [Some None]. *)
@@ -219,9 +237,30 @@ and branch_static st = function
   | c -> ( match static_of st c with Some gn -> Some (Some gn) | None -> None)
 
 let transform (_ctx : context) comp =
-  let st = { comp } in
+  let statics = Hashtbl.create 64 in
+  List.iter
+    (fun g ->
+      if not (Hashtbl.mem statics g.group_name) then
+        Hashtbl.replace statics g.group_name (Attrs.static g.group_attrs))
+    comp.groups;
+  let st =
+    {
+      comp;
+      fresh_cell_name = name_supply (List.map (fun c -> c.cell_name) comp.cells);
+      fresh_group_name =
+        name_supply (List.map (fun g -> g.group_name) comp.groups);
+      statics;
+      new_cells = [];
+      new_groups = [];
+    }
+  in
   let control = rewrite st comp.control in
-  { st.comp with control }
+  {
+    comp with
+    cells = comp.cells @ List.rev st.new_cells;
+    groups = comp.groups @ List.rev st.new_groups;
+    control;
+  }
 
 let pass =
   Pass.make ~name:"static-timing"

@@ -10,27 +10,69 @@ exception Malformed of string list
      CX007 missing done         CX008 multiple drivers   CX009 unknown group
      CX010 bad condition        CX011 bad invoke         CX012 no entrypoint *)
 
-let component_diagnostics ctx comp =
+(* Port tables of prototypes, memoized across the components of one check:
+   each prototype's ports in order plus a name index, or [None] when the
+   prototype does not resolve. An unresolved prototype is reported once, at
+   its cell (CX002/CX003), not again at every reference to its ports. *)
+let port_tables ctx =
+  let memo = Hashtbl.create 32 in
+  fun proto ->
+    match Hashtbl.find_opt memo proto with
+    | Some t -> t
+    | None ->
+        let t =
+          match cell_ports ctx proto with
+          | ports ->
+              let index = Hashtbl.create 8 in
+              List.iter
+                (fun (n, w, d) ->
+                  if not (Hashtbl.mem index n) then Hashtbl.replace index n (w, d))
+                ports;
+              Some (ports, index)
+          | exception (Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
+            ->
+              None
+        in
+        Hashtbl.replace memo proto t;
+        t
+
+(* First-wins name index, matching the [find_*_opt] list scans it replaces
+   (duplicates are reported separately, as CX001). *)
+let index name l =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun x -> if not (Hashtbl.mem tbl (name x)) then Hashtbl.replace tbl (name x) x)
+    l;
+  tbl
+
+(* Locations are lazy: an assignment's location prints its destination
+   port, which is only worth doing for the few assignments reported. *)
+let component_diagnostics_with ports_of ctx comp =
   let acc = ref [] in
   let report sev ~code ~loc fmt =
     Format.kasprintf
       (fun message ->
-        acc := { D.code; severity = sev; loc; message } :: !acc)
+        acc :=
+          { D.code; severity = sev; loc = Lazy.force loc; message } :: !acc)
       fmt
   in
   let error ~code ~loc fmt = report D.Error ~code ~loc fmt in
-  let comp_loc = D.Component comp.comp_name in
-  let group_loc g = D.Group { comp = comp.comp_name; group = g } in
-  let cell_loc c = D.Cell { comp = comp.comp_name; cell = c } in
+  let comp_loc = Lazy.from_val (D.Component comp.comp_name) in
+  let group_loc g = Lazy.from_val (D.Group { comp = comp.comp_name; group = g }) in
+  let cell_loc c = Lazy.from_val (D.Cell { comp = comp.comp_name; cell = c }) in
   let assign_loc group a =
-    D.Assignment
-      {
-        comp = comp.comp_name;
-        group;
-        dst = Format.asprintf "%a" pp_port_ref a.dst;
-      }
+    lazy
+      (D.Assignment
+         {
+           comp = comp.comp_name;
+           group;
+           dst = Format.asprintf "%a" pp_port_ref a.dst;
+         })
   in
-  let control_loc path = D.Control { comp = comp.comp_name; path } in
+  let control_loc path = Lazy.from_val (D.Control { comp = comp.comp_name; path }) in
+  let cells = index (fun c -> c.cell_name) comp.cells in
+  let groups = index (fun g -> g.group_name) comp.groups in
+  let signature = index (fun pd -> pd.pd_name) (signature_ports comp) in
   let check_duplicates what names =
     let tbl = Hashtbl.create 16 in
     List.iter
@@ -68,7 +110,7 @@ let component_diagnostics ctx comp =
                   "recursive instantiation of %s" name))
     comp.cells;
   (* Port reference resolution + direction checks for assignments. *)
-  let group_exists g = find_group_opt comp g <> None in
+  let group_exists g = Hashtbl.mem groups g in
   let port_info ~loc p =
     (* Returns (width, is_readable, is_writable) or None with a problem. *)
     match p with
@@ -83,11 +125,7 @@ let component_diagnostics ctx comp =
         end
         else Some (1, true, true)
     | This name -> (
-        match
-          List.find_opt
-            (fun pd -> String.equal pd.pd_name name)
-            (signature_ports comp)
-        with
+        match Hashtbl.find_opt signature name with
         | None ->
             error ~code:"CX004" ~loc "unknown component port %s" name;
             None
@@ -95,24 +133,21 @@ let component_diagnostics ctx comp =
             (* Inside the component, inputs are read and outputs written. *)
             Some (pd.pd_width, pd.pd_dir = Input, pd.pd_dir = Output))
     | Cell_port (c, p) -> (
-        match find_cell_opt comp c with
+        match Hashtbl.find_opt cells c with
         | None ->
             error ~code:"CX004" ~loc "reference to unknown cell %s" c;
             None
         | Some cell -> (
-            match
-              try
-                List.find_opt
-                  (fun (n, _, _) -> String.equal n p)
-                  (cell_ports ctx cell.cell_proto)
-              with Ir_error _ | Prims.Unknown_primitive _ -> None
-            with
-            | None ->
-                error ~code:"CX004" ~loc "cell %s has no port %s" c p;
-                None
-            | Some (_, w, dir) ->
-                (* Outputs of cells are read; inputs are written. *)
-                Some (w, dir = Output, dir = Input)))
+            match ports_of cell.cell_proto with
+            | None -> None (* the prototype is reported at the cell *)
+            | Some (_, index) -> (
+                match Hashtbl.find_opt index p with
+                | None ->
+                    error ~code:"CX004" ~loc "cell %s has no port %s" c p;
+                    None
+                | Some (w, dir) ->
+                    (* Outputs of cells are read; inputs are written. *)
+                    Some (w, dir = Output, dir = Input))))
   in
   let atom_info ~loc = function
     | Port p -> port_info ~loc p
@@ -120,17 +155,19 @@ let component_diagnostics ctx comp =
   in
   let check_assignment group a =
     let loc = assign_loc group a in
-    (match port_info ~loc a.dst with
+    let dst = port_info ~loc a.dst in
+    (match dst with
     | Some (_, _, false) ->
         error ~code:"CX005" ~loc
           "%a is not writable (not a cell input or component output)"
           pp_port_ref a.dst
     | _ -> ());
-    (match atom_info ~loc a.src with
+    let src = atom_info ~loc a.src in
+    (match src with
     | Some (_, false, _) ->
         error ~code:"CX005" ~loc "%a is not readable" pp_atom a.src
     | _ -> ());
-    (match (port_info ~loc a.dst, atom_info ~loc a.src) with
+    (match (dst, src) with
     | Some (dw, _, _), Some (sw, _, _) when dw <> sw ->
         error ~code:"CX006" ~loc "width mismatch in %a = %a (%d vs %d)"
           pp_port_ref a.dst pp_atom a.src dw sw
@@ -212,13 +249,12 @@ let component_diagnostics ctx comp =
       | While { cond_group; cond_port; _ } ->
           check_cond ~loc cond_group cond_port
       | Invoke { cell; invoke_inputs; invoke_outputs; _ } -> (
-          match find_cell_opt comp cell with
+          match Hashtbl.find_opt cells cell with
           | None -> error ~code:"CX011" ~loc "invoke of unknown cell %s" cell
-          | Some c ->
-              let ports =
-                try cell_ports ctx c.cell_proto
-                with Ir_error _ | Prims.Unknown_primitive _ -> []
-              in
+          | Some c -> (
+              match ports_of c.cell_proto with
+              | None -> () (* the prototype is reported at the cell *)
+              | Some (ports, _) ->
               let has name dir =
                 List.exists
                   (fun (n, _, d) -> String.equal n name && d = dir)
@@ -275,10 +311,13 @@ let component_diagnostics ctx comp =
                              vs %d)"
                             cell p w dw
                       | _ -> ()))
-                invoke_outputs)
+                invoke_outputs))
       | Empty | Seq _ | Par _ -> ())
     comp.control;
   List.rev !acc
+
+let component_diagnostics ctx comp =
+  component_diagnostics_with (port_tables ctx) ctx comp
 
 let diagnostics ctx =
   (match find_component_opt ctx ctx.entrypoint with
@@ -288,9 +327,12 @@ let diagnostics ctx =
         D.error ~code:"CX012" ~loc:D.Program
           "entrypoint component %s not found" ctx.entrypoint;
       ])
-  @ List.concat_map
-      (fun c -> if c.is_extern <> None then [] else component_diagnostics ctx c)
-      ctx.components
+  @
+  let ports_of = port_tables ctx in
+  List.concat_map
+    (fun c ->
+      if c.is_extern <> None then [] else component_diagnostics_with ports_of ctx c)
+    ctx.components
 
 let check_component ctx comp =
   List.map D.render (component_diagnostics ctx comp)

@@ -161,6 +161,38 @@ let test_parse_errors () =
   expect_parse_error "component main(go: 1) -> (done: 1) { cells {} wires {} control { if x { } }";
   expect_parse_error "@#!"
 
+(* Widths outside 1..64 end in a diagnostic, never an escaping
+   Bitvec.Width_error: a register's is a CX002 "bad primitive" error, a
+   literal's a lexer error carrying its line. *)
+let test_out_of_range_widths () =
+  let program cell lit =
+    Printf.sprintf
+      "component main(go: 1) -> (done: 1) {\n\
+      \  cells { r = %s; }\n\
+      \  wires { group g { r.in = %s; r.write_en = 1'd1; g[done] = r.done; } }\n\
+      \  control { g; }\n\
+       }"
+      cell lit
+  in
+  List.iter
+    (fun w ->
+      let ctx = Parser.parse_string (program (Printf.sprintf "std_reg(%d)" w) "8'd1") in
+      match Well_formed.diagnostics ctx with
+      | [ d ] -> Alcotest.(check string) "bad primitive" "CX002" d.Diagnostics.code
+      | ds ->
+          Alcotest.failf "std_reg(%d): expected one CX002, got %d diagnostic(s)" w
+            (List.length ds))
+    [ 0; 70 ];
+  List.iter
+    (fun lit ->
+      match Parser.parse_string (program "std_reg(8)" lit) with
+      | exception Lexer.Lex_error msg ->
+          Alcotest.(check bool)
+            (lit ^ " error is located") true
+            (String.length msg > 7 && String.sub msg 0 7 = "line 3:")
+      | _ -> Alcotest.failf "%s: expected a lexer error" lit)
+    [ "70'd1"; "0'd0"; "8'd99999999999999999999999" ]
+
 let test_lexer_literals () =
   let toks = Lexer.tokenize "8'd255 4'b1010" in
   match toks with
@@ -212,5 +244,7 @@ let () =
         [
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "lexer literals" `Quick test_lexer_literals;
+          Alcotest.test_case "out-of-range widths" `Quick
+            test_out_of_range_widths;
         ] );
     ]
