@@ -618,37 +618,28 @@ let stage_times ctx =
   let spans = T.Trace.spans () in
   T.Trace.set_keep false;
   T.Trace.reset ();
-  let nested_revalidate (parent : T.Trace.span) =
+  let total keep =
     List.fold_left
       (fun acc (sp : T.Trace.span) ->
-        if sp.sp_parent = parent.sp_id && sp.sp_name = "revalidate" then
-          acc +. T.Trace.seconds sp
-        else acc)
+        if keep sp then acc +. T.Trace.seconds sp else acc)
       0. spans
   in
-  let add name dt stages =
-    match List.assoc_opt name stages with
-    | Some t -> (name, t +. dt) :: List.remove_assoc name stages
-    | None -> (name, dt) :: stages
+  let named name (sp : T.Trace.span) = sp.sp_name = name in
+  let revalidate = named "revalidate" in
+  let stage name = (name, total (named name)) in
+  let pass (sp : T.Trace.span) =
+    ( sp.sp_name,
+      T.Trace.seconds sp
+      -. total (fun child -> child.sp_parent = sp.sp_id && revalidate child) )
   in
-  let stages =
-    List.fold_left
-      (fun stages (sp : T.Trace.span) ->
-        match (sp.sp_cat, sp.sp_name) with
-        | "stage", ("check" | "lint") -> add sp.sp_name (T.Trace.seconds sp) stages
-        | "pass", "revalidate" -> add "revalidate" (T.Trace.seconds sp) stages
-        | "pass", name ->
-            add name (T.Trace.seconds sp -. nested_revalidate sp) stages
-        | _ -> stages)
-      [] spans
+  let passes =
+    List.filter
+      (fun (sp : T.Trace.span) -> sp.sp_cat = "pass" && not (revalidate sp))
+      spans
   in
-  let total =
-    List.fold_left
-      (fun acc (sp : T.Trace.span) ->
-        if sp.sp_name = "compile" then acc +. T.Trace.seconds sp else acc)
-      0. spans
-  in
-  (lowered, List.rev stages, total)
+  ( lowered,
+    [ stage "check"; stage "lint" ] @ List.map pass passes @ [ stage "revalidate" ],
+    total (named "compile") )
 
 let stages () =
   header "Compile time per stage (telemetry spans)";
@@ -670,23 +661,21 @@ let stages () =
           fun lowered -> fst (Polybench.Harness.execute k prog lowered) ))
       Polybench.Kernels.all
   in
-  let totals = ref [] in
-  List.iteri
-    (fun i (name, ctx, simulate) ->
-      let lowered, stages, total = stage_times ctx in
-      let cycles = simulate lowered in
-      if i = 0 then
-        Printf.printf "%-16s %9s %8s %s\n" "design" "compile" "cycles"
-          (String.concat " " (List.map (fun (s, _) -> Printf.sprintf "%10s" s) stages));
+  let rows =
+    List.map
+      (fun (name, ctx, simulate) ->
+        let lowered, stages, total = stage_times ctx in
+        (name, stages, total, simulate lowered))
+      (systolic @ kernels)
+  in
+  let _, first, _, _ = List.hd rows in
+  Printf.printf "%-16s %9s %8s %s\n" "design" "compile" "cycles"
+    (String.concat " " (List.map (fun (s, _) -> Printf.sprintf "%10s" s) first));
+  List.iter
+    (fun (name, stages, total, cycles) ->
       Printf.printf "%-16s %7.1fms %8d %s\n" name (total *. 1e3) cycles
         (String.concat " "
            (List.map (fun (_, t) -> Printf.sprintf "%8.1fms" (t *. 1e3)) stages));
-      List.iter
-        (fun (s, t) ->
-          totals :=
-            (s, t +. Option.value ~default:0. (List.assoc_opt s !totals))
-            :: List.remove_assoc s !totals)
-        stages;
       Record.row
         ([
            ("design", Json.str name);
@@ -695,10 +684,15 @@ let stages () =
            ("compile_s", Json.float total);
          ]
         @ List.map (fun (s, t) -> (s ^ "_s", Json.float t)) stages))
-    (systolic @ kernels);
+    rows;
   List.iter
-    (fun (s, t) -> Record.summary (s ^ "_s") t)
-    (List.rev !totals)
+    (fun (s, _) ->
+      Record.summary (s ^ "_s")
+        (List.fold_left
+           (fun acc (_, stages, _, _) ->
+             acc +. Option.value ~default:0. (List.assoc_opt s stages))
+           0. rows))
+    first
 
 (* ------------------------------------------------------------------ *)
 (* Simulator engines: fixpoint vs compiled                            *)

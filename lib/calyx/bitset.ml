@@ -68,8 +68,6 @@ let used s =
   let rec go n = if n > 0 && s.words.(n - 1) = 0 then go (n - 1) else n in
   go (Array.length s.words)
 
-let is_empty s = used s = 0
-
 let equal a b =
   let n = used a in
   n = used b
@@ -96,8 +94,3 @@ let iter f s =
 let cardinal s =
   let rec pop n w = if w = 0 then n else pop (n + 1) (w land (w - 1)) in
   Array.fold_left pop 0 s.words
-
-let elements s =
-  let acc = ref [] in
-  iter (fun i -> acc := i :: !acc) s;
-  List.rev !acc

@@ -12,7 +12,6 @@ type t
 val create : unit -> t
 (** The empty set. *)
 
-val copy : t -> t
 val of_list : int list -> t
 
 val add : t -> int -> unit
@@ -29,7 +28,6 @@ val diff : t -> t -> t
 (** [diff a b]: a fresh set of the members of [a] not in [b]. *)
 
 val disjoint : t -> t -> bool
-val is_empty : t -> bool
 val equal : t -> t -> bool
 val hash : t -> int
 (** Consistent with {!equal}. *)
@@ -37,7 +35,4 @@ val hash : t -> int
 val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
-(** Members in increasing order. *)
-
-val elements : t -> int list
 (** Members in increasing order. *)

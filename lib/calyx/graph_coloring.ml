@@ -2,30 +2,20 @@ module SM = Ir.String_map
 
 (* Nodes are interned to dense ids in first-add order; the adjacency of
    node [i] is the bitset [rows.(i)]. No row ever contains its own id. *)
-type t = {
-  ids : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable rows : Bitset.t array;
-  mutable size : int;
-}
+type t = { ids : (string, int) Hashtbl.t; mutable rows : Bitset.t array }
 
-let create () =
-  { ids = Hashtbl.create 64; names = [||]; rows = [||]; size = 0 }
+let create () = { ids = Hashtbl.create 64; rows = [||] }
 
 let node g n =
   match Hashtbl.find_opt g.ids n with
   | Some i -> i
   | None ->
-      let i = g.size in
-      if i = Array.length g.names then begin
-        let cap = max 16 (2 * i) in
-        g.names <- Array.init cap (fun k -> if k < i then g.names.(k) else "");
+      let i = Hashtbl.length g.ids in
+      if i = Array.length g.rows then
         g.rows <-
-          Array.init cap (fun k -> if k < i then g.rows.(k) else Bitset.create ())
-      end;
-      g.names.(i) <- n;
+          Array.init (max 16 (2 * i)) (fun k ->
+              if k < i then g.rows.(k) else Bitset.create ());
       Hashtbl.replace g.ids n i;
-      g.size <- i + 1;
       i
 
 let add_node g n = ignore (node g n)

@@ -108,6 +108,16 @@ let find_group comp name =
   | Some g -> g
   | None -> ir_error "unknown group %s in component %s" name comp.comp_name
 
+let index_by name l =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun x -> if not (Hashtbl.mem tbl (name x)) then Hashtbl.replace tbl (name x) x)
+    l;
+  tbl
+
+let cell_index comp = index_by (fun c -> c.cell_name) comp.cells
+let group_index comp = index_by (fun g -> g.group_name) comp.groups
+
 let signature_ports comp = comp.inputs @ comp.outputs
 
 let update_component ctx comp =
@@ -185,12 +195,18 @@ let fresh_name ~taken base =
     go 0
 
 let name_supply taken =
-  let used = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace used n ()) taken;
+  (* Built on the first request: a pass often generates no names at all. *)
+  let used =
+    lazy
+      (let used = Hashtbl.create 64 in
+       List.iter (fun n -> Hashtbl.replace used n ()) taken;
+       used)
+  in
   (* Names are only ever added, so the first free index of a base never
      decreases: [next] resumes each base's search where it last stopped. *)
   let next = Hashtbl.create 16 in
   fun base ->
+    let used = Lazy.force used in
     let name =
       if not (Hashtbl.mem used base) then base
       else

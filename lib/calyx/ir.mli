@@ -129,6 +129,12 @@ val find_cell_opt : component -> string -> cell option
 val find_group : component -> string -> group
 val find_group_opt : component -> string -> group option
 
+val cell_index : component -> (string, cell) Hashtbl.t
+val group_index : component -> (string, group) Hashtbl.t
+(** Name tables, first declaration winning as in {!find_cell_opt} and
+    {!find_group_opt}: for analyses that look names up in a loop, where a
+    list scan per lookup would make them quadratic. *)
+
 val signature_ports : component -> port_def list
 (** Inputs followed by outputs. *)
 

@@ -15,17 +15,7 @@ let port_key p = Format.asprintf "%a" pp_port_ref p
    reads, the outcome depends on the schedule — undefined behaviour. *)
 let par_races comp =
   let diags = ref [] in
-  let groups = Hashtbl.create 64 and cells = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      if not (Hashtbl.mem groups g.group_name) then
-        Hashtbl.replace groups g.group_name g)
-    comp.groups;
-  List.iter
-    (fun c ->
-      if not (Hashtbl.mem cells c.cell_name) then
-        Hashtbl.replace cells c.cell_name c)
-    comp.cells;
+  let groups = group_index comp and cells = cell_index comp in
   let memo tbl f g =
     match Hashtbl.find_opt tbl g with
     | Some s -> s

@@ -38,12 +38,7 @@ let analyze comp =
     SS.iter (fun r -> B.add b (Hashtbl.find id r)) s;
     b
   in
-  let groups = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      if not (Hashtbl.mem groups g.group_name) then
-        Hashtbl.replace groups g.group_name g)
-    comp.groups;
+  let groups = group_index comp in
   let sets_tbl = Hashtbl.create 64 in
   let sets g =
     match Hashtbl.find_opt sets_tbl g with

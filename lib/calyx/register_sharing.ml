@@ -6,15 +6,10 @@ let sharing_map (_ctx : context) comp =
   let graph = Graph_coloring.create () in
   Array.iter (Graph_coloring.add_node graph) registers;
   List.iter (Graph_coloring.add_clique_ids graph) conflict_cliques;
-  let protos = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      if not (Hashtbl.mem protos c.cell_name) then
-        Hashtbl.replace protos c.cell_name c.cell_proto)
-    comp.cells;
+  let cells = cell_index comp in
   let cls name =
-    match Hashtbl.find_opt protos name with
-    | Some (Prim ("std_reg", [ w ])) -> string_of_int w
+    match Hashtbl.find_opt cells name with
+    | Some { cell_proto = Prim ("std_reg", [ w ]); _ } -> string_of_int w
     | _ -> ir_error "register-sharing: %s is not a register" name
   in
   Graph_coloring.greedy graph ~cls ~order:(Array.to_list registers)

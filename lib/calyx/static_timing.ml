@@ -32,14 +32,13 @@ let rec control_latency comp = function
       | _ -> None)
   | If { cond_group = None; _ } | While _ | Invoke _ -> None
 
-(* The pass state: fresh-name supplies, the "static" attribute of every
-   group (original and generated), and the generated cells and groups,
-   newest first. *)
+(* The pass state: fresh-name supplies, every group by name (original and
+   generated), and the generated cells and groups, newest first. *)
 type st = {
   comp : component;
   fresh_cell_name : string -> string;
   fresh_group_name : string -> string;
-  statics : (string, int option) Hashtbl.t;
+  groups : (string, group) Hashtbl.t;
   mutable new_cells : cell list;
   mutable new_groups : group list;
 }
@@ -47,12 +46,12 @@ type st = {
 let add_cell st cell = st.new_cells <- cell :: st.new_cells
 
 let add_group st group =
-  Hashtbl.replace st.statics group.group_name (Attrs.static group.group_attrs);
+  Hashtbl.replace st.groups group.group_name group;
   st.new_groups <- group :: st.new_groups
 
 let static_attr st g =
-  match Hashtbl.find_opt st.statics g with
-  | Some s -> s
+  match Hashtbl.find_opt st.groups g with
+  | Some group -> Attrs.static group.group_attrs
   | None -> group_static st.comp g
 
 (* A static group's FSM: a counter that increments every active cycle and
@@ -237,19 +236,13 @@ and branch_static st = function
   | c -> ( match static_of st c with Some gn -> Some (Some gn) | None -> None)
 
 let transform (_ctx : context) comp =
-  let statics = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      if not (Hashtbl.mem statics g.group_name) then
-        Hashtbl.replace statics g.group_name (Attrs.static g.group_attrs))
-    comp.groups;
   let st =
     {
       comp;
       fresh_cell_name = name_supply (List.map (fun c -> c.cell_name) comp.cells);
       fresh_group_name =
         name_supply (List.map (fun g -> g.group_name) comp.groups);
-      statics;
+      groups = group_index comp;
       new_cells = [];
       new_groups = [];
     }

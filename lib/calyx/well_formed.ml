@@ -36,15 +36,6 @@ let port_tables ctx =
         Hashtbl.replace memo proto t;
         t
 
-(* First-wins name index, matching the [find_*_opt] list scans it replaces
-   (duplicates are reported separately, as CX001). *)
-let index name l =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun x -> if not (Hashtbl.mem tbl (name x)) then Hashtbl.replace tbl (name x) x)
-    l;
-  tbl
-
 (* Locations are lazy: an assignment's location prints its destination
    port, which is only worth doing for the few assignments reported. *)
 let component_diagnostics_with ports_of ctx comp =
@@ -70,9 +61,8 @@ let component_diagnostics_with ports_of ctx comp =
          })
   in
   let control_loc path = Lazy.from_val (D.Control { comp = comp.comp_name; path }) in
-  let cells = index (fun c -> c.cell_name) comp.cells in
-  let groups = index (fun g -> g.group_name) comp.groups in
-  let signature = index (fun pd -> pd.pd_name) (signature_ports comp) in
+  let cells = cell_index comp and groups = group_index comp in
+  let signature = signature_ports comp in
   let check_duplicates what names =
     let tbl = Hashtbl.create 16 in
     List.iter
@@ -84,8 +74,7 @@ let component_diagnostics_with ports_of ctx comp =
   in
   check_duplicates "cell" (List.map (fun c -> c.cell_name) comp.cells);
   check_duplicates "group" (List.map (fun g -> g.group_name) comp.groups);
-  check_duplicates "port"
-    (List.map (fun pd -> pd.pd_name) (signature_ports comp));
+  check_duplicates "port" (List.map (fun pd -> pd.pd_name) signature);
   (* Cells must instantiate known primitives or components. *)
   List.iter
     (fun c ->
@@ -125,7 +114,9 @@ let component_diagnostics_with ports_of ctx comp =
         end
         else Some (1, true, true)
     | This name -> (
-        match Hashtbl.find_opt signature name with
+        match
+          List.find_opt (fun pd -> String.equal pd.pd_name name) signature
+        with
         | None ->
             error ~code:"CX004" ~loc "unknown component port %s" name;
             None
