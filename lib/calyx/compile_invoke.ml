@@ -1,13 +1,14 @@
 open Ir
 
 let lower_invokes (_ctx : context) comp =
-  let comp_ref = ref comp in
+  let fresh = name_supply (List.map (fun g -> g.group_name) comp.groups) in
+  let added = ref [] in
   let control =
     map_control
       (function
         | Invoke { cell = target; invoke_inputs; invoke_outputs; invoke_attrs }
           ->
-            let name = fresh_group_name !comp_ref ("invoke_" ^ target) in
+            let name = fresh ("invoke_" ^ target) in
             let assigns =
               List.map
                 (fun (p, a) -> Builder.assign (Builder.port target p) a)
@@ -22,12 +23,12 @@ let lower_invokes (_ctx : context) comp =
                     (Builder.pa target "done");
                 ]
             in
-            comp_ref := Ir.add_group !comp_ref (Builder.group name assigns);
+            added := Builder.group name assigns :: !added;
             Enable (name, invoke_attrs)
         | c -> c)
       comp.control
   in
-  { !comp_ref with control }
+  { comp with groups = comp.groups @ List.rev !added; control }
 
 let pass =
   Pass.make ~name:"compile-invoke"

@@ -185,15 +185,6 @@ let atom_width ctx comp = function
 
 (* Construction *)
 
-let fresh_name ~taken base =
-  if not (taken base) then base
-  else
-    let rec go i =
-      let candidate = base ^ string_of_int i in
-      if taken candidate then go (i + 1) else candidate
-    in
-    go 0
-
 let name_supply taken =
   (* Built on the first request: a pass often generates no names at all. *)
   let used =
@@ -222,12 +213,6 @@ let name_supply taken =
     in
     Hashtbl.replace used name ();
     name
-
-let fresh_cell_name comp base =
-  fresh_name ~taken:(fun n -> find_cell_opt comp n <> None) base
-
-let fresh_group_name comp base =
-  fresh_name ~taken:(fun n -> find_group_opt comp n <> None) base
 
 let add_cell comp cell =
   if find_cell_opt comp cell.cell_name <> None then

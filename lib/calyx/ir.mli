@@ -160,19 +160,11 @@ val cell_ports : context -> prototype -> (string * int * direction) list
 
 (** {1 Construction helpers} *)
 
-val fresh_name : taken:(string -> bool) -> string -> string
-(** [fresh_name ~taken base] returns [base] or [base0], [base1], … — the
-    first candidate for which [taken] is false. *)
-
 val name_supply : string list -> string -> string
 (** [name_supply taken] is a generator of fresh names: each call [fresh base]
-    returns what {!fresh_name} would for the names in [taken] plus every
-    name the generator returned before. Amortized constant time per name, for
-    passes that add many cells or groups (where {!fresh_cell_name} on the
-    growing component would be quadratic). *)
-
-val fresh_cell_name : component -> string -> string
-val fresh_group_name : component -> string -> string
+    returns [base] or [base0], [base1], … — the first candidate that is
+    neither in [taken] nor a name the generator returned before. Amortized
+    constant time per name. *)
 
 val add_cell : component -> cell -> component
 val add_cells : component -> cell list -> component

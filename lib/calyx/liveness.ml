@@ -10,7 +10,7 @@ module Set_tbl = Hashtbl.Make (struct
 end)
 
 type result = {
-  registers : string array;
+  registers : string list;
   live_in : Bitset.t;
   conflict_cliques : Bitset.t list;
 }
@@ -18,21 +18,18 @@ type result = {
 (* A group's register sets as bitsets over register ids. *)
 type sets = { reads : B.t; must_writes : B.t; may_writes : B.t; touched : B.t }
 
-let analyze comp =
+let analyze ~id:reg_id comp =
   let registers =
-    Array.of_list
-      (List.filter_map
-         (fun c ->
-           match c.cell_proto with
-           | Prim ("std_reg", _) -> Some c.cell_name
-           | _ -> None)
-         comp.cells)
+    List.filter_map
+      (fun c ->
+        match c.cell_proto with
+        | Prim ("std_reg", _) -> Some c.cell_name
+        | _ -> None)
+      comp.cells
   in
-  let id = Hashtbl.create (Array.length registers) in
-  Array.iteri
-    (fun i r -> if not (Hashtbl.mem id r) then Hashtbl.replace id r i)
-    registers;
-  let regs = Read_write_set.registers comp in
+  let id = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace id r (reg_id r)) registers;
+  let regs = SS.of_list registers in
   let bits s =
     let b = B.create () in
     SS.iter (fun r -> B.add b (Hashtbl.find id r)) s;

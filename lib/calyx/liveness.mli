@@ -10,11 +10,11 @@
     colors: two registers conflict when one is defined (or live) at a point
     where the other is live, or when parallel branches touch both.
 
-    Register sets are {!Bitset}s over register ids: id [i] is
-    [registers.(i)]. *)
+    Register sets are {!Bitset}s over the register ids that the caller
+    supplies, so they index the caller's own tables directly. *)
 
 type result = {
-  registers : string array;
+  registers : string list;
       (** The component's [std_reg] cells, in declaration order. *)
   live_in : Bitset.t;
       (** Registers live on entry to the whole control program. *)
@@ -22,7 +22,9 @@ type result = {
       (** Each set is pairwise-interfering; no two sets are equal. *)
 }
 
-val analyze : Ir.component -> result
-(** Analyze a component's control program over its [std_reg] cells.
-    Registers referenced by continuous assignments are treated as live
-    everywhere (they join every clique). *)
+val analyze : id:(string -> int) -> Ir.component -> result
+(** [analyze ~id comp] analyzes a component's control program over its
+    [std_reg] cells. [id] numbers the registers: it is called once per
+    register, in declaration order, before any set is built, and must give
+    distinct names distinct ids. Registers referenced by continuous
+    assignments are treated as live everywhere (they join every clique). *)

@@ -1,14 +1,6 @@
 open Ir
 module SS = String_set
 
-let registers comp =
-  List.fold_left
-    (fun acc c ->
-      match c.cell_proto with
-      | Prim ("std_reg", _) -> SS.add c.cell_name acc
-      | _ -> acc)
-    SS.empty comp.cells
-
 let reads regs group =
   List.fold_left
     (fun acc a ->

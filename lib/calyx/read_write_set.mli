@@ -4,11 +4,8 @@
     the registers a group {e may} read; the must-write set is the registers
     it {e must} write (an unconditional [write_en = 1] drive).
 
-    The per-group sets take the component's register set, {!registers},
+    The per-group sets take the names of the component's [std_reg] cells,
     computed once by the caller. *)
-
-val registers : Ir.component -> Ir.String_set.t
-(** Names of all [std_reg] cells of a component. *)
 
 val reads : Ir.String_set.t -> Ir.group -> Ir.String_set.t
 (** Registers whose [out] port appears in a source or guard of the group. *)

@@ -1,10 +1,10 @@
 open Ir
 
 let sharing_map (_ctx : context) comp =
-  let { Liveness.registers; conflict_cliques; _ } = Liveness.analyze comp in
-  (* Added first, in order, so graph ids are the liveness register ids. *)
   let graph = Graph_coloring.create () in
-  Array.iter (Graph_coloring.add_node graph) registers;
+  let { Liveness.registers; conflict_cliques; _ } =
+    Liveness.analyze ~id:(Graph_coloring.node graph) comp
+  in
   List.iter (Graph_coloring.add_clique_ids graph) conflict_cliques;
   let cells = cell_index comp in
   let cls name =
@@ -12,7 +12,7 @@ let sharing_map (_ctx : context) comp =
     | Some { cell_proto = Prim ("std_reg", [ w ]); _ } -> string_of_int w
     | _ -> ir_error "register-sharing: %s is not a register" name
   in
-  Graph_coloring.greedy graph ~cls ~order:(Array.to_list registers)
+  Graph_coloring.greedy graph ~cls ~order:registers
 
 let share (ctx : context) comp =
   Resource_sharing.apply_map comp (sharing_map ctx comp)

@@ -26,8 +26,10 @@ let test_fresh_names () =
   let c =
     component "c" |> with_cells [ reg "r" 8; reg "r0" 8 ]
   in
-  Alcotest.(check string) "skips taken" "r1" (fresh_cell_name c "r");
-  Alcotest.(check string) "base free" "s" (fresh_cell_name c "s")
+  let fresh = name_supply (List.map (fun c -> c.cell_name) c.cells) in
+  Alcotest.(check string) "skips taken" "r1" (fresh "r");
+  Alcotest.(check string) "base free" "s" (fresh "s");
+  Alcotest.(check string) "skips its own names" "r2" (fresh "r")
 
 let test_widths () =
   let ctx = Progs.reduction_tree () in

@@ -67,7 +67,7 @@ module Reference = struct
   (* Live-range interference cliques (Section 5.2), parallel children
      interfering pairwise. *)
   let liveness_cliques comp =
-    let regs = Read_write_set.registers comp in
+    let regs = SS.of_list (registers comp) in
     let group g = find_group comp g in
     let reads g = Read_write_set.reads regs (group g) in
     let must_writes g = Read_write_set.must_writes regs (group g) in
@@ -258,8 +258,7 @@ let agree name ctx =
 
 let prop_fuzz_programs =
   QCheck.Test.make ~name:"random programs: sharing maps = reference" ~count:300
-    (QCheck.make ~print:Fuzz_gen.to_string
-       (QCheck.Gen.map Fuzz_gen.spec_of_seed QCheck.Gen.nat))
+    (Fuzz_seed.spec_arb "sharing-reference")
     (fun spec ->
       agree (Fuzz_gen.to_string spec) (Fuzz_gen.build spec);
       true)
