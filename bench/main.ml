@@ -1165,7 +1165,8 @@ let perf () =
 (* Corpus-wide RTL-vs-simulator agreement. Every row's cycle counts and
    agreement flag are deterministic, so the regression mode catches both
    a divergence (agree drops to 0) and an unexplained schedule change
-   (cycles move). *)
+   (cycles move). [rtl_evals], the RTL settle-process evaluations, is
+   deterministic too: a rise flags lost activity sparsity. *)
 let validate () =
   header "Translation validation: emitted RTL vs cycle-accurate simulator";
   Printf.printf "%-16s %10s %10s %7s %7s %7s\n" "design" "sim-cyc" "rtl-cyc"
@@ -1186,6 +1187,7 @@ let validate () =
         ("agree", Json.int (if r.Calyx_verilog.Validate.ok then 1 else 0));
         ("rtl_nets", Json.int r.Calyx_verilog.Validate.nets);
         ("rtl_procs", Json.int r.Calyx_verilog.Validate.procs);
+        ("rtl_evals", Json.int r.Calyx_verilog.Validate.evals);
       ]
   in
   List.iter

@@ -254,8 +254,8 @@ let failed_outcome t diagnostics =
     o_brams = 0;
   }
 
-let run_validation t ~load lowered =
-  let r = Calyx_verilog.Validate.validate ~engine:t.engine ~load lowered in
+let run_validation ~load ~simulated lowered =
+  let r = Calyx_verilog.Validate.validate ~load ~simulated lowered in
   {
     v_ok = r.ok;
     v_cycles_rtl = r.cycles_rtl;
@@ -317,7 +317,7 @@ let run t =
           if t.check = Validate then
             Some
               (Tele.Trace.with_span ~cat:"stage" "validate" (fun () ->
-                   run_validation t ~load lowered))
+                   run_validation ~load ~simulated:sim lowered))
           else None
         in
         let disagreements =

@@ -17,6 +17,7 @@ type report = {
   memories_checked : int;
   nets : int;
   procs : int;
+  evals : int;
   sim_io : Calyx_sim.Testbench.io;
   rtl_io : Calyx_sim.Testbench.io;
 }
@@ -65,16 +66,24 @@ let disagreements =
     "calyx_validate_disagree_total"
 
 let validate ?engine ?max_cycles
-    ?(load = fun (_ : Calyx_sim.Testbench.io) -> ()) ctx =
+    ?(load = fun (_ : Calyx_sim.Testbench.io) -> ()) ?simulated ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "validate" @@ fun () ->
   let sv = Verilog.emit ctx in
-  let sim = Calyx_sim.Sim.create ?engine ctx in
+  let sim =
+    match simulated with
+    | Some sim -> sim
+    | None -> Calyx_sim.Sim.create ?engine ctx
+  in
   let rtl = Vinterp.load ~top:ctx.entrypoint sv in
   let sim_io = Calyx_sim.Testbench.of_sim sim in
   let rtl_io = rtl_io rtl in
-  load sim_io;
+  if Option.is_none simulated then load sim_io;
   load rtl_io;
-  let cycles_sim = Calyx_sim.Sim.run ?max_cycles sim in
+  let cycles_sim =
+    match simulated with
+    | Some _ -> Calyx_sim.Sim.cycles_elapsed sim
+    | None -> Calyx_sim.Sim.run ?max_cycles sim
+  in
   let cycles_rtl = Vinterp.run ?max_cycles rtl in
   let regs, mems = state_cells ctx in
   let mismatches = ref [] in
@@ -116,6 +125,7 @@ let validate ?engine ?max_cycles
     memories_checked = List.length mems;
     nets;
     procs;
+    evals = Vinterp.evals rtl;
     sim_io;
     rtl_io;
   }

@@ -25,6 +25,7 @@ type report = {
   memories_checked : int;
   nets : int;  (** Elaborated RTL nets. *)
   procs : int;  (** Elaborated RTL evaluation processes. *)
+  evals : int;  (** RTL settle-process evaluations ({!Vinterp.evals}). *)
   sim_io : Calyx_sim.Testbench.io;  (** Post-run simulator state access. *)
   rtl_io : Calyx_sim.Testbench.io;  (** Post-run RTL state access. *)
 }
@@ -41,11 +42,17 @@ val validate :
   ?engine:Calyx_sim.Sim.engine ->
   ?max_cycles:int ->
   ?load:(Calyx_sim.Testbench.io -> unit) ->
+  ?simulated:Calyx_sim.Sim.t ->
   Ir.context ->
   report
 (** Emit [ctx] (which must already be lowered — see {!Verilog.emit}) to
     SystemVerilog, elaborate it with {!Vinterp}, apply [load] to both
     backends (default: nothing), run both to completion, and compare.
+    [simulated] is a simulator of [ctx] that the caller has already
+    loaded and run to completion from creation: it stands in for the
+    simulator side (its state, and {!Calyx_sim.Sim.cycles_elapsed} as its
+    cycle count), so the program is not simulated twice; [load] then
+    applies to the RTL only, and [engine] is unused.
     Raises whatever either backend raises ([Sim.Timeout], {!Vinterp.Unstable},
     ...) — a crash on one side is a validation failure the caller reports. *)
 

@@ -3,10 +3,18 @@
    synthesizable subset, an elaborator that flattens the instance hierarchy
    into one net table (every net named by its dotted hierarchical path,
    parameters bound, constant expressions folded, expressions compiled to
-   closures), and a two-phase engine mirroring Sim's per-cycle discipline:
-   settle the combinational network (continuous assigns + always_comb, in a
-   dependency-levelized order with a divergence budget), then commit every
-   always_ff block with non-blocking semantics. *)
+   closures), and a two-phase engine mirroring Sim's per-cycle discipline.
+
+   The engine is activity-driven. Settle processes (continuous assigns,
+   port bindings, always_comb blocks) are the nodes of a
+   [Calyx_sim.Sched] graph whose slots are the nets plus one slot per
+   memory array; settle runs only the dirty processes, in level order,
+   with the scheduler's divergence budget on cyclic components. Commit
+   runs an always_ff block only when a slot it reads or writes changed
+   since its last run, staging its non-blocking writes in preallocated
+   buffers. Every change to a slot — by a process, a commit write or a
+   poke — marks that slot's readers, so each cycle touches only what can
+   have changed. *)
 
 open Calyx
 
@@ -553,7 +561,11 @@ let parse_file src =
 (* Elaborated design                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type arr = { a_width : int; a_data : int64 array }
+module Sched = Calyx_sim.Sched
+
+(* A memory array. Its schedule slot is [nnets + a_id]; until elaboration
+   has counted every net, read and write sets name it [lnot a_id]. *)
+type arr = { a_id : int; a_width : int; a_data : int64 array }
 
 type cexpr = { w : int; ev : unit -> int64 }
 
@@ -563,8 +575,11 @@ type cstmt =
   | C_arr of arr * cexpr * cexpr  (* array, index, rhs *)
 
 (* A settle-time evaluation process: a continuous assign or an always_comb
-   block. [run] returns whether it changed any net. *)
-type proc = { pr_reads : int list; pr_writes : int list; pr_run : unit -> bool }
+   block. [pr_run] marks every net it changes. *)
+type proc = { pr_reads : int list; pr_writes : int list; pr_run : unit -> unit }
+
+(* An always_ff block and every slot it reads or writes. *)
+type ff = { ff_slots : int list; ff_body : cstmt list }
 
 type t = {
   mutable vals : int64 array;
@@ -572,14 +587,26 @@ type t = {
   mutable nnets : int;
   net_ids : (string, int) Hashtbl.t;
   arrays_tbl : (string, arr) Hashtbl.t;
+  mutable arrays : arr array;  (* by [a_id] *)
   driven : (int, unit) Hashtbl.t;
-  ff_targets : (int, unit) Hashtbl.t;
+  ff_targets : (int, unit) Hashtbl.t;  (* nets and [lnot a_id] arrays *)
   mutable rev_procs : proc list;
-  mutable ffs : cstmt list list;
-  mutable order_acyclic : (unit -> bool) array;
-  mutable order_cyclic : (unit -> bool) array;
+  mutable rev_ffs : ff list;
+  (* Built by [finalize] once every net is known. *)
+  mutable sched : Sched.t;  (* settle processes over the slots *)
+  mutable eval : int -> unit;  (* run settle process k *)
+  mutable ffs : cstmt list array;
+  mutable ff_readers : int array array;  (* slot -> ff blocks touching it *)
+  mutable ff_dirty : bool array;
+  (* Commit staging, one entry per executed non-blocking assignment: the
+     target slot, the element index (array writes) and the value. *)
+  mutable stg_slot : int array;
+  mutable stg_idx : int array;
+  mutable stg_val : int64 array;
+  mutable stg_len : int;
   max_iters : int;
   mutable cycles : int;
+  mutable evals : int;
 }
 
 let mask64 w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
@@ -599,6 +626,18 @@ let new_net d name w =
   d.widths.(id) <- w;
   Hashtbl.add d.net_ids name id;
   id
+
+(* Record a change to a slot: its settle readers join the schedule and the
+   ff blocks that read or write it run at the next commit. *)
+let mark d s =
+  Sched.mark_slot d.sched s;
+  let blocks = d.ff_readers.(s) in
+  for i = 0 to Array.length blocks - 1 do
+    d.ff_dirty.(blocks.(i)) <- true
+  done
+
+let net_name d id =
+  Hashtbl.fold (fun name i acc -> if i = id then name else acc) d.net_ids "?"
 
 type scope = { sc_d : t; sc_prefix : string; sc_params : (string * int64) list }
 
@@ -782,6 +821,7 @@ let rec compile sc rd e =
   | E_index (name, ix) -> (
       match Hashtbl.find_opt d.arrays_tbl (sc.sc_prefix ^ name) with
       | Some a ->
+          rd := lnot a.a_id :: !rd;
           let ci = compile sc rd ix in
           let len = Int64.of_int (Array.length a.a_data) in
           {
@@ -825,42 +865,39 @@ let rec compile_stmts sc rd wr stmts =
           C_net (id, mask64 sc.sc_d.widths.(id), compile sc rd e)
       | S_assign (L_idx (n, ix), e) -> (
           match Hashtbl.find_opt sc.sc_d.arrays_tbl (sc.sc_prefix ^ n) with
-          | Some a -> C_arr (a, compile sc rd ix, compile sc rd e)
+          | Some a ->
+              wr := lnot a.a_id :: !wr;
+              C_arr (a, compile sc rd ix, compile sc rd e)
           | None -> elab_error "assignment to unknown array %s%s" sc.sc_prefix n))
     stmts
 
 let add_drive d tgt (ce : cexpr) reads =
   if Hashtbl.mem d.driven tgt then
-    elab_error "multiple drivers for net %s"
-      (Hashtbl.fold
-         (fun name id acc -> if id = tgt then name else acc)
-         d.net_ids "?");
+    elab_error "multiple drivers for net %s" (net_name d tgt);
   Hashtbl.add d.driven tgt ();
   let m = mask64 d.widths.(tgt) in
   let run () =
     let v = Int64.logand (ce.ev ()) m in
-    if Int64.equal d.vals.(tgt) v then false
-    else begin
+    if not (Int64.equal d.vals.(tgt) v) then begin
       d.vals.(tgt) <- v;
-      true
+      mark d tgt
     end
   in
   d.rev_procs <- { pr_reads = reads; pr_writes = [ tgt ]; pr_run = run } :: d.rev_procs
 
-let rec exec_comb d changed stmts =
+let rec exec_comb d stmts =
   List.iter
     (fun s ->
       match s with
       | C_if (c, t, f) ->
-          if Int64.equal (c.ev ()) 0L then exec_comb d changed f
-          else exec_comb d changed t
+          if Int64.equal (c.ev ()) 0L then exec_comb d f else exec_comb d t
       | C_net (id, m, e) ->
           let v = Int64.logand (e.ev ()) m in
           if not (Int64.equal d.vals.(id) v) then begin
             d.vals.(id) <- v;
-            changed := true
+            mark d id
           end
-      | C_arr _ -> elab_error "array write outside always_ff")
+      | C_arr _ -> assert false (* rejected by [add_comb] *))
     stmts
 
 let add_comb d stmts reads writes =
@@ -869,16 +906,32 @@ let add_comb d stmts reads writes =
   let writes = List.sort_uniq compare writes in
   List.iter
     (fun tgt ->
+      if tgt < 0 then elab_error "array write outside always_ff";
       if Hashtbl.mem d.driven tgt then
         elab_error "net driven by both assign and always_comb";
       Hashtbl.add d.driven tgt ())
     writes;
-  let run () =
-    let changed = ref false in
-    exec_comb d changed stmts;
-    !changed
-  in
+  let run () = exec_comb d stmts in
   d.rev_procs <- { pr_reads = reads; pr_writes = writes; pr_run = run } :: d.rev_procs
+
+(* One always_ff block. Every net or memory it writes must have no other
+   always_ff driver: [commit] skips blocks whose inputs are unchanged, which
+   is exact only while each target has a single writer. *)
+let add_ff d stmts reads writes =
+  let writes = List.sort_uniq compare writes in
+  List.iter
+    (fun tgt ->
+      if Hashtbl.mem d.ff_targets tgt then
+        if tgt >= 0 then
+          elab_error "multiple drivers for net %s" (net_name d tgt)
+        else
+          elab_error "multiple drivers for memory %s"
+            (Hashtbl.fold
+               (fun name a acc -> if a.a_id = lnot tgt then name else acc)
+               d.arrays_tbl "?");
+      Hashtbl.add d.ff_targets tgt ())
+    writes;
+  d.rev_ffs <- { ff_slots = reads @ writes; ff_body = stmts } :: d.rev_ffs
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration                                                         *)
@@ -915,8 +968,11 @@ let rec elab_module d mods ~path ~params m =
           if ew < 1 || ew > 64 then
             elab_error "array %s%s has unsupported element width %d" prefix
               name ew;
-          Hashtbl.replace d.arrays_tbl (prefix ^ name)
-            { a_width = ew; a_data = Array.make size 0L }
+          if Hashtbl.mem d.arrays_tbl (prefix ^ name) then
+            elab_error "duplicate array %s%s" prefix name;
+          let a_id = Hashtbl.length d.arrays_tbl in
+          Hashtbl.add d.arrays_tbl (prefix ^ name)
+            { a_id; a_width = ew; a_data = Array.make size 0L }
       | _ -> ())
     m.m_items;
   List.iter
@@ -930,8 +986,7 @@ let rec elab_module d mods ~path ~params m =
       | I_ff stmts ->
           let rd = ref [] and wr = ref [] in
           let cs = compile_stmts sc rd wr stmts in
-          List.iter (fun id -> Hashtbl.replace d.ff_targets id ()) !wr;
-          d.ffs <- cs :: d.ffs
+          add_ff d cs !rd !wr
       | I_comb stmts ->
           let rd = ref [] and wr = ref [] in
           let cs = compile_stmts sc rd wr stmts in
@@ -986,55 +1041,50 @@ let rec elab_module d mods ~path ~params m =
             i_conns)
     m.m_items
 
-(* Levelize the settle processes: Kahn's algorithm over the net-dependency
-   graph. The acyclic prefix is evaluated once per settle, in dependency
-   order; any cyclic remainder (and its downstream cone) iterates to a
-   fixpoint under the divergence budget. State nets (always_ff targets) and
-   top-level inputs have no settle-time producer, so they act as sources. *)
+(* Build the activity schedule once every net is known. Slots are the nets,
+   then one per memory array. The settle processes are the nodes of a
+   [Sched] graph; each always_ff block is listed under every slot it reads
+   or writes. State nets and top-level inputs have no settle-time producer:
+   their changes arrive as marks from [commit] and the pokes. Everything
+   starts dirty, so the first cycle sees the whole design. *)
 let finalize d =
+  let slot r = if r >= 0 then r else d.nnets + lnot r in
+  let slots rs = List.sort_uniq compare (List.map slot rs) in
+  let nslots = d.nnets + Hashtbl.length d.arrays_tbl in
   let procs = Array.of_list (List.rev d.rev_procs) in
-  let n = Array.length procs in
-  let producer = Hashtbl.create (2 * n) in
+  d.sched <-
+    Sched.build ~slots:nslots
+      ~nodes:(Array.map (fun p -> (slots p.pr_reads, slots p.pr_writes)) procs);
+  let runs = Array.map (fun p -> p.pr_run) procs in
+  d.eval <- (fun k -> runs.(k) ());
+  let ffs = Array.of_list (List.rev d.rev_ffs) in
+  let readers = Array.make nslots [] in
   Array.iteri
-    (fun i p -> List.iter (fun wnet -> Hashtbl.replace producer wnet i) p.pr_writes)
-    procs;
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  Array.iteri
-    (fun i p ->
-      let seen = Hashtbl.create 8 in
-      let selfdep = List.exists (fun r -> List.mem r p.pr_writes) p.pr_reads in
-      if selfdep then indeg.(i) <- indeg.(i) + 1;
+    (fun b ff ->
       List.iter
-        (fun r ->
-          match Hashtbl.find_opt producer r with
-          | Some j when j <> i && not (Hashtbl.mem seen j) ->
-              Hashtbl.add seen j ();
-              indeg.(i) <- indeg.(i) + 1;
-              succs.(j) <- i :: succs.(j)
-          | _ -> ())
-        p.pr_reads)
-    procs;
-  let q = Queue.create () in
-  Array.iteri (fun i deg -> if deg = 0 then Queue.add i q) indeg;
-  let popped = Array.make n false in
-  let order = ref [] in
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    popped.(i) <- true;
-    order := i :: !order;
-    List.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then Queue.add s q)
-      succs.(i)
-  done;
-  d.order_acyclic <-
-    Array.of_list (List.rev_map (fun i -> procs.(i).pr_run) !order);
-  let rest = ref [] in
-  Array.iteri (fun i p -> if not popped.(i) then rest := p.pr_run :: !rest) procs;
-  d.order_cyclic <- Array.of_list (List.rev !rest);
-  d.ffs <- List.rev d.ffs
+        (fun s -> readers.(s) <- b :: readers.(s))
+        (slots ff.ff_slots))
+    ffs;
+  d.ff_readers <- Array.map (fun bs -> Array.of_list (List.rev bs)) readers;
+  d.ffs <- Array.map (fun ff -> ff.ff_body) ffs;
+  d.ff_dirty <- Array.make (Array.length ffs) true;
+  d.arrays <-
+    Array.of_list
+      (List.sort
+         (fun a b -> compare a.a_id b.a_id)
+         (Hashtbl.fold (fun _ a acc -> a :: acc) d.arrays_tbl []));
+  (* Each assignment runs at most once per edge, so this many staging
+     entries always suffice. *)
+  let rec assigns n = function
+    | [] -> n
+    | C_if (_, t, f) :: rest -> assigns (assigns (assigns n t) f) rest
+    | (C_net _ | C_arr _) :: rest -> assigns (n + 1) rest
+  in
+  let cap = Array.fold_left assigns 0 d.ffs in
+  d.stg_slot <- Array.make cap 0;
+  d.stg_idx <- Array.make cap 0;
+  d.stg_val <- Array.make cap 0L;
+  Sched.mark_all d.sched
 
 let load ?(max_fixpoint_iters = 1000) ~top src =
   let modules = parse_file src in
@@ -1052,14 +1102,23 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
       nnets = 0;
       net_ids = Hashtbl.create 256;
       arrays_tbl = Hashtbl.create 16;
+      arrays = [||];
       driven = Hashtbl.create 256;
       ff_targets = Hashtbl.create 64;
       rev_procs = [];
-      ffs = [];
-      order_acyclic = [||];
-      order_cyclic = [||];
+      rev_ffs = [];
+      sched = Sched.build ~slots:0 ~nodes:[||];
+      eval = ignore;
+      ffs = [||];
+      ff_readers = [||];
+      ff_dirty = [||];
+      stg_slot = [||];
+      stg_idx = [||];
+      stg_val = [||];
+      stg_len = 0;
       max_iters = max_fixpoint_iters;
       cycles = 0;
+      evals = 0;
     }
   in
   let params =
@@ -1082,58 +1141,65 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
 (* ------------------------------------------------------------------ *)
 
 let settle d =
-  Array.iter (fun run -> ignore (run ())) d.order_acyclic;
-  if Array.length d.order_cyclic > 0 then begin
-    let pass = ref 0 and changed = ref true in
-    while !changed do
-      if !pass > d.max_iters then
-        raise
-          (Unstable
-             {
-               cycle = d.cycles;
-               message = "combinational settle did not converge";
-             });
-      incr pass;
-      changed := false;
-      Array.iter (fun run -> if run () then changed := true) d.order_cyclic
-    done
-  end
+  match Sched.run d.sched ~eval:d.eval ~max_passes:d.max_iters with
+  | evals -> d.evals <- d.evals + evals
+  | exception Sched.Diverged ->
+      raise
+        (Unstable
+           { cycle = d.cycles; message = "combinational settle did not converge" })
 
-type pending = P_net of int * int64 | P_arr of arr * int * int64
+let stage_write d slot idx v =
+  let i = d.stg_len in
+  d.stg_slot.(i) <- slot;
+  d.stg_idx.(i) <- idx;
+  d.stg_val.(i) <- v;
+  d.stg_len <- i + 1
 
+let rec stage d = function
+  | [] -> ()
+  | s :: rest ->
+      (match s with
+      | C_if (c, t, f) -> stage d (if Int64.equal (c.ev ()) 0L then f else t)
+      | C_net (id, m, e) -> stage_write d id 0 (Int64.logand (e.ev ()) m)
+      | C_arr (a, ix, e) ->
+          let i = ix.ev () in
+          (* Out-of-range writes are dropped, like the simulator's memory
+             model. *)
+          if Int64.unsigned_compare i (Int64.of_int (Array.length a.a_data)) < 0
+          then
+            stage_write d (d.nnets + a.a_id) (Int64.to_int i)
+              (Int64.logand (e.ev ()) (mask64 a.a_width)));
+      stage d rest
+
+(* Non-blocking commit: the dirty blocks evaluate against pre-edge values
+   into the staging buffers, then the staged writes apply in program order
+   (the last write to a target wins), marking the readers of every slot
+   that changed. A clean block would rewrite exactly the values its
+   targets hold, so skipping it is exact. *)
 let commit d =
-  let pend = ref [] in
-  let rec go stmts =
-    List.iter
-      (fun s ->
-        match s with
-        | C_if (c, t, f) -> if Int64.equal (c.ev ()) 0L then go f else go t
-        | C_net (id, m, e) ->
-            pend := P_net (id, Int64.logand (e.ev ()) m) :: !pend
-        | C_arr (a, ix, e) ->
-            let i = ix.ev () in
-            (* Out-of-range writes are dropped, like the simulator's
-               memory model. *)
-            if
-              Int64.unsigned_compare i
-                (Int64.of_int (Array.length a.a_data))
-              < 0
-            then
-              pend :=
-                P_arr
-                  ( a,
-                    Int64.to_int i,
-                    Int64.logand (e.ev ()) (mask64 a.a_width) )
-                :: !pend)
-      stmts
-  in
-  List.iter go d.ffs;
-  List.iter
-    (fun p ->
-      match p with
-      | P_net (id, v) -> d.vals.(id) <- v
-      | P_arr (a, i, v) -> a.a_data.(i) <- v)
-    (List.rev !pend)
+  d.stg_len <- 0;
+  for b = 0 to Array.length d.ffs - 1 do
+    if d.ff_dirty.(b) then begin
+      d.ff_dirty.(b) <- false;
+      stage d d.ffs.(b)
+    end
+  done;
+  for i = 0 to d.stg_len - 1 do
+    let s = d.stg_slot.(i) and v = d.stg_val.(i) in
+    if s < d.nnets then begin
+      if not (Int64.equal d.vals.(s) v) then begin
+        d.vals.(s) <- v;
+        mark d s
+      end
+    end
+    else begin
+      let a = d.arrays.(s - d.nnets) and j = d.stg_idx.(i) in
+      if not (Int64.equal a.a_data.(j) v) then begin
+        a.a_data.(j) <- v;
+        mark d s
+      end
+    end
+  done
 
 let cycle d =
   settle d;
@@ -1141,15 +1207,21 @@ let cycle d =
   d.cycles <- d.cycles + 1
 
 let cycles_elapsed d = d.cycles
+let evals d = d.evals
 
 let top_net d name =
   match Hashtbl.find_opt d.net_ids name with
   | Some id -> id
   | None -> elab_error "no top-level net %s" name
 
-let set_input d name v =
-  let id = top_net d name in
-  d.vals.(id) <- Int64.logand (Bitvec.to_int64 v) (mask64 d.widths.(id))
+let poke_net d id v =
+  let v = Int64.logand (Bitvec.to_int64 v) (mask64 d.widths.(id)) in
+  if not (Int64.equal d.vals.(id) v) then begin
+    d.vals.(id) <- v;
+    mark d id
+  end
+
+let set_input d name v = poke_net d (top_net d name) v
 
 let read_output d name =
   let id = top_net d name in
@@ -1159,6 +1231,7 @@ let run ?(max_cycles = 5_000_000) d =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "rtl-sim" @@ fun () ->
   if Calyx_telemetry.Runtime.on () then
     Calyx_telemetry.Trace.add_tag "engine" "rtl";
+  let evals0 = d.evals in
   set_input d "go" (Bitvec.one 1);
   let done_id = top_net d "done" in
   let count = ref 0 in
@@ -1172,8 +1245,10 @@ let run ?(max_cycles = 5_000_000) d =
     incr count;
     if not (Int64.equal dv 0L) then finished := true
   done;
-  if Calyx_telemetry.Runtime.on () then
+  if Calyx_telemetry.Runtime.on () then begin
     Calyx_telemetry.Trace.add_metric "cycles" (float_of_int !count);
+    Calyx_telemetry.Trace.add_metric "evals" (float_of_int (d.evals - evals0))
+  end;
   !count
 
 (* ------------------------------------------------------------------ *)
@@ -1190,9 +1265,7 @@ let read_register d path =
   let id = register_net d path in
   Bitvec.make ~width:d.widths.(id) d.vals.(id)
 
-let write_register d path v =
-  let id = register_net d path in
-  d.vals.(id) <- Int64.logand (Bitvec.to_int64 v) (mask64 d.widths.(id))
+let write_register d path v = poke_net d (register_net d path) v
 
 let memory_array d path =
   match Hashtbl.find_opt d.arrays_tbl (path ^ ".mem") with
@@ -1211,10 +1284,7 @@ let write_memory d path values =
   Array.iteri
     (fun i v ->
       a.a_data.(i) <- Int64.logand (Bitvec.to_int64 v) (mask64 a.a_width))
-    values
+    values;
+  mark d (d.nnets + a.a_id)
 
-let stats d =
-  ( d.nnets,
-    Array.length d.order_acyclic
-    + Array.length d.order_cyclic
-    + List.length d.ffs )
+let stats d = (d.nnets, Sched.node_count d.sched + Array.length d.ffs)

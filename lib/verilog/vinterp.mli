@@ -9,11 +9,22 @@
     design — every instance's nets named by its dotted hierarchical path,
     parameters bound, constant expressions folded — and then simulated with
     the same per-cycle discipline as {!Calyx_sim.Sim}: continuous
-    assignments and [always_comb] blocks settle to a fixpoint (evaluated in
-    a dependency-levelized order, with a divergence budget that raises
-    {!Unstable} on combinational cycles that do not converge), then all
+    assignments and [always_comb] blocks settle to a fixpoint, then all
     [always_ff] blocks execute with non-blocking semantics — right-hand
     sides read pre-edge values, all updates commit atomically.
+
+    Simulation is activity-driven, on the compiled engine's scheduler
+    ({!Calyx_sim.Sched}). The settle processes are its nodes and its slots
+    are the nets plus one slot per memory array. A settle runs only the
+    processes with a changed input, in dependency-level order; a cyclic
+    component iterates on a worklist under a divergence budget that raises
+    {!Unstable}. A commit runs only the [always_ff] blocks with a changed
+    input or target since their last run: any other block would rewrite the
+    values its targets already hold. Every change — by a process, a commit
+    write, {!set_input}, {!write_register} or {!write_memory} — marks the
+    readers of what changed, so a cycle costs the work of what can have
+    changed, not of the whole design. Results are those of evaluating every
+    process on every cycle.
 
     Expression evaluation uses self-determined widths: every net and sized
     literal carries its declared width, binary operators extend to the
@@ -30,7 +41,8 @@ exception Parse_error of string
 
 exception Elab_error of string
 (** Elaboration failed: unknown module, unbound name, non-constant range,
-    multiple drivers on one net, or similar. *)
+    multiple drivers on one net or memory (two continuous drivers, or two
+    [always_ff] blocks writing it), or similar. *)
 
 exception Unstable of { cycle : int; message : string }
 (** The combinational settle did not converge within the iteration budget
@@ -45,7 +57,8 @@ type t
 val load : ?max_fixpoint_iters:int -> top:string -> string -> t
 (** [load ~top source] parses [source] and elaborates module [top] (the
     design's entrypoint, instantiated at the empty hierarchical path).
-    [max_fixpoint_iters] bounds settle passes per cycle (default 1000). *)
+    [max_fixpoint_iters] bounds how often each member of a combinational
+    cycle may evaluate in one settle (default 1000). *)
 
 (** {1 The [go]/[done] test-bench convention} *)
 
@@ -53,12 +66,18 @@ val run : ?max_cycles:int -> t -> int
 (** Drive the top-level [go] input high and simulate until the design
     presents [done]; returns the latency in cycles, the done cycle
     included — the exact counting convention of {!Calyx_sim.Sim.run}.
-    [max_cycles] defaults to 5,000,000. *)
+    [max_cycles] defaults to 5,000,000. With telemetry on, the [rtl-sim]
+    span carries the run's [cycles] and settle [evals]. *)
 
 val cycle : t -> unit
 (** Advance one clock: settle, then commit every [always_ff] block. *)
 
 val cycles_elapsed : t -> int
+
+val evals : t -> int
+(** Settle-process evaluations since {!load}: the measure of how much of
+    the design the activity-driven settle actually ran. Deterministic in
+    the design and its inputs. *)
 
 val set_input : t -> string -> Calyx.Bitvec.t -> unit
 (** Set a top-level input port (held until changed). *)

@@ -166,10 +166,135 @@ assign x = 4'd2;
 endmodule
 |}
   in
-  Alcotest.(check bool) "double driver rejected" true
-    (match V.load ~top:"main" src with
-    | exception V.Elab_error _ -> true
-    | _ -> false)
+  let multiple_drivers what src =
+    Alcotest.(check bool) what true
+      (match V.load ~top:"main" src with
+      | exception V.Elab_error msg ->
+          String.starts_with ~prefix:"multiple drivers" msg
+      | _ -> false)
+  in
+  multiple_drivers "double driver rejected" src;
+  (* Two always_ff blocks on one net or one memory: the later block must
+     not silently win. *)
+  multiple_drivers "two always_ff blocks on one net"
+    {|
+module main(input logic clk, output logic [3:0] x);
+always_ff @(posedge clk) x <= 4'd1;
+always_ff @(posedge clk) x <= 4'd2;
+endmodule
+|};
+  multiple_drivers "two always_ff blocks on one memory"
+    {|
+module main(input logic clk, input logic [1:0] a);
+logic [7:0] mem[3:0];
+always_ff @(posedge clk) mem[a] <= 8'd1;
+always_ff @(posedge clk) mem[0] <= 8'd2;
+endmodule
+|}
+
+(* Every way a value changes outside settle must reach the processes and
+   always_ff blocks that read it on the next cycle: a commit write (net or
+   memory element), [set_input], [write_register] and [write_memory]. *)
+let ram_src =
+  {|
+module ram(
+  input logic clk,
+  input logic [1:0] addr,
+  input logic [7:0] write_data,
+  input logic write_en,
+  output logic [7:0] read_data
+);
+logic [7:0] mem[3:0];
+assign read_data = mem[addr];
+always_ff @(posedge clk) if (write_en) mem[addr] <= write_data;
+endmodule
+module reg8(
+  input logic clk,
+  input logic [7:0] in,
+  input logic write_en,
+  output logic [7:0] out
+);
+always_ff @(posedge clk) if (write_en) out <= in;
+endmodule
+module main(
+  input logic clk,
+  input logic [1:0] addr,
+  input logic [7:0] data,
+  input logic we,
+  input logic [7:0] in,
+  input logic en,
+  output logic [7:0] rd,
+  output logic [7:0] q,
+  output logic [7:0] q1
+);
+ram m (.clk(clk), .addr(addr), .write_data(data), .write_en(we), .read_data(rd));
+reg8 r (.clk(clk), .in(in), .write_en(en), .out(q));
+assign q1 = q + 8'd1;
+endmodule
+|}
+
+let test_memory_readback () =
+  let d = V.load ~top:"main" ram_src in
+  let set n v = V.set_input d n (Bitvec.of_int ~width:8 v) in
+  let out n = Bitvec.to_int (V.read_output d n) in
+  set "addr" 2;
+  set "data" 77;
+  set "we" 1;
+  V.cycle d;
+  Alcotest.(check int) "before the write" 0 (out "rd");
+  set "we" 0;
+  V.cycle d;
+  Alcotest.(check int) "element written by always_ff reads back" 77 (out "rd");
+  set "addr" 1;
+  V.cycle d;
+  Alcotest.(check int) "other element untouched" 0 (out "rd");
+  set "addr" 2;
+  set "data" 9;
+  set "we" 1;
+  V.cycle d;
+  set "we" 0;
+  V.cycle d;
+  Alcotest.(check int) "rewritten element reads back" 9 (out "rd")
+
+let test_pokes_between_cycles () =
+  let d = V.load ~top:"main" ram_src in
+  let set n v = V.set_input d n (Bitvec.of_int ~width:8 v) in
+  let out n = Bitvec.to_int (V.read_output d n) in
+  let reg () = Bitvec.to_int (V.read_register d "r") in
+  V.cycle d;
+  V.cycle d;
+  (* set_input: the settle reader and the always_ff reader both see it. *)
+  set "in" 5;
+  set "en" 1;
+  V.cycle d;
+  Alcotest.(check int) "set_input reaches always_ff" 5 (reg ());
+  V.cycle d;
+  Alcotest.(check (pair int int)) "and the settle readers" (5, 6)
+    (out "q", out "q1");
+  (* write_register: the settle readers see the poked value, and the
+     block that drives the register runs again and restores its input. *)
+  V.write_register d "r" (Bitvec.of_int ~width:8 42);
+  V.cycle d;
+  Alcotest.(check (pair int int)) "write_register reaches settle" (42, 43)
+    (out "q", out "q1");
+  Alcotest.(check int) "write_register re-runs its driver" 5 (reg ());
+  set "en" 0;
+  V.cycle d;
+  V.write_register d "r" (Bitvec.of_int ~width:8 42);
+  V.cycle d;
+  V.cycle d;
+  Alcotest.(check (pair int int)) "a disabled register keeps the poke" (42, 43)
+    (out "q", out "q1");
+  (* write_memory: the combinational read port sees the new contents. *)
+  set "addr" 3;
+  V.cycle d;
+  Alcotest.(check int) "memory starts at zero" 0 (out "rd");
+  V.write_memory d "m"
+    (Array.map (Bitvec.of_int ~width:8) [| 10; 11; 12; 13 |]);
+  V.cycle d;
+  Alcotest.(check int) "write_memory reaches settle" 13 (out "rd");
+  Alcotest.(check (array int)) "and reads back" [| 10; 11; 12; 13 |]
+    (Array.map Bitvec.to_int (V.read_memory d "m"))
 
 let test_parse_error () =
   Alcotest.(check bool) "garbage rejected" true
@@ -221,7 +346,18 @@ let test_examples () =
   List.iter
     (fun file ->
       let lowered = Pipelines.compile (parse_example file) in
-      check_ok file (Validate.validate lowered))
+      let r = Validate.validate lowered in
+      check_ok file r;
+      (* A simulator the caller has already run stands in for the
+         validator's own. *)
+      let sim = Calyx_sim.Sim.create lowered in
+      ignore (Calyx_sim.Sim.run sim);
+      let r' = Validate.validate ~simulated:sim lowered in
+      check_ok (file ^ " (simulated)") r';
+      Alcotest.(check (pair int int))
+        (file ^ ": same cycles with ~simulated")
+        (r.Validate.cycles_sim, r.Validate.cycles_rtl)
+        (r'.Validate.cycles_sim, r'.Validate.cycles_rtl))
     [ "counter.futil"; "invoke.futil"; "dotprod.dahlia"; "histogram.dahlia" ]
 
 (* Pass-configuration sweep: the RTL must track the simulator under every
@@ -377,6 +513,10 @@ let () =
           Alcotest.test_case "combinational cycle detection" `Quick
             test_unstable;
           Alcotest.test_case "double driver rejected" `Quick test_double_driver;
+          Alcotest.test_case "memory write reads back" `Quick
+            test_memory_readback;
+          Alcotest.test_case "pokes between cycles" `Quick
+            test_pokes_between_cycles;
           Alcotest.test_case "parse errors" `Quick test_parse_error;
           Alcotest.test_case "hierarchy and parameters" `Quick
             test_hierarchy_params;
