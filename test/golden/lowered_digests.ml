@@ -1,11 +1,19 @@
-(* The lowered-output corpus, pinned by digest: systolic arrays 2x2 to
-   10x10, every PolyBench kernel and unrolled variant, and the .futil
-   examples in DIR, each compiled under the default and the
-   latency-insensitive configuration. One line per design and config: the
-   MD5 of the printed lowered program. A change to what any pass emits
-   shows up as a changed digest.
+(* The compile corpus, pinned by digest: systolic arrays 2x2 to 10x10,
+   every PolyBench kernel and unrolled variant, and the .futil examples in
+   DIR, each compiled under the default and the latency-insensitive
+   configuration.
 
-   Usage: lowered_digests DIR *)
+   [lowered_digests DIR] prints one line per design and config: the MD5 of
+   the printed lowered program. A change to what any pass emits shows up
+   as a changed digest.
+
+   [lowered_digests backend DIR] prints the back end's outputs on the same
+   corpus, one line per design and config with three MD5s: the emitted
+   SystemVerilog, the static-timing JSON of the structured and the lowered
+   program (five worst paths, attributed to the structured program; a
+   structured program's combinational loop prints as "loop"), and the area
+   model's [Area.pp] of the structured and the lowered program. A change
+   to the emitter, the timing analysis or the area model shows up here. *)
 
 let systolic n =
   ( Printf.sprintf "systolic-%dx%d" n n,
@@ -27,12 +35,32 @@ let configs =
     ("insensitive", Calyx.Pipelines.insensitive_config);
   ]
 
+let md5 s = Digest.to_hex (Digest.string s)
+
+let lowered_line _structured lowered = md5 (Calyx.Printer.to_string lowered)
+
+let backend_line structured lowered =
+  let sv = Calyx_verilog.Verilog.emit lowered in
+  let timing ctx =
+    match Calyx_synth.Timing.context_timing ~paths:5 ctx with
+    | r -> Calyx_synth.Timing.to_json ~attribute_ctx:structured r
+    | exception Calyx_synth.Timing.Combinational_loop _ -> "loop"
+  in
+  let area =
+    Format.asprintf "%a %a" Calyx_synth.Area.pp
+      (Calyx_synth.Area.context_usage structured)
+      Calyx_synth.Area.pp
+      (Calyx_synth.Area.context_usage lowered)
+  in
+  String.concat " " [ md5 sv; md5 (timing structured ^ timing lowered); md5 area ]
+
 let () =
-  let dir =
+  let line, dir =
     match Sys.argv with
-    | [| _; dir |] -> dir
+    | [| _; dir |] -> (lowered_line, dir)
+    | [| _; "backend"; dir |] -> (backend_line, dir)
     | _ ->
-        prerr_endline "usage: lowered_digests DIR";
+        prerr_endline "usage: lowered_digests [backend] DIR";
         exit 2
   in
   let examples =
@@ -44,9 +72,9 @@ let () =
     (fun (name, build) ->
       List.iter
         (fun (cname, config) ->
-          let lowered = Calyx.Pipelines.compile ~config (build ()) in
-          Printf.printf "%s %s %s\n" name cname
-            (Digest.to_hex (Digest.string (Calyx.Printer.to_string lowered))))
+          let structured = build () in
+          let lowered = Calyx.Pipelines.compile ~config structured in
+          Printf.printf "%s %s %s\n" name cname (line structured lowered))
         configs)
     (List.map systolic [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     @ List.concat_map kernel Polybench.Kernels.all
