@@ -153,6 +153,7 @@ let code_descriptions =
                condition group)");
     ("CX011", "invalid invoke (missing go/done interface or bad binding)");
     ("CX012", "entrypoint component not found");
+    ("CX013", "component lacks the go: 1 input or done: 1 output interface");
     ("CX020", "par data race: parallel arms read/write the same state");
     ("CX021", "combinational cycle: the fixpoint evaluation cannot settle");
     ("CX022", "overlapping guarded drivers: guards not provably exclusive");

@@ -140,7 +140,7 @@ let add_component ctx comp =
     ir_error "component %s already exists" comp.comp_name;
   { ctx with components = ctx.components @ [ comp ] }
 
-(* Widths *)
+(* Ports *)
 
 let cell_ports ctx proto =
   match proto with
@@ -157,31 +157,188 @@ let cell_ports ctx proto =
         (fun pd -> (pd.pd_name, pd.pd_width, pd.pd_dir))
         (signature_ports c)
 
-let cell_port_width ctx comp cell port =
-  let c = find_cell comp cell in
-  match
-    List.find_opt (fun (n, _, _) -> String.equal n port)
-      (cell_ports ctx c.cell_proto)
-  with
-  | Some (_, w, _) -> w
-  | None ->
-      ir_error "cell %s (in %s) has no port %s" cell comp.comp_name port
+(* One component's ports, indexed. Prototype port lists are memoized per
+   table: nothing is cached across [create] calls, so tables built on
+   different domains share no state. *)
+module Ports = struct
+  type proto = {
+    pr_list : (string * int * direction) list;
+    pr_index : (string, int) Hashtbl.t;
+        (* first declaration of each name -> position among the distinct
+           names, which is also its offset from a cell's base id *)
+  }
 
-let port_ref_width ctx comp = function
-  | Cell_port (c, p) -> cell_port_width ctx comp c p
-  | Hole (_, _) -> 1
-  | This p -> (
-      match
-        List.find_opt
-          (fun pd -> String.equal pd.pd_name p)
-          (signature_ports comp)
-      with
-      | Some pd -> pd.pd_width
-      | None -> ir_error "component %s has no port %s" comp.comp_name p)
+  (* A cell's first declaration: its base id and its prototype's ports, or
+     the exception resolving the prototype raised (re-raised on lookup,
+     where {!cell_ports} would have raised it). *)
+  type cell_entry = {
+    ce_cell : cell;
+    ce_base : int;
+    ce_proto : (proto, exn) result;
+  }
 
-let atom_width ctx comp = function
-  | Port p -> port_ref_width ctx comp p
-  | Lit v -> Bitvec.width v
+  type t = {
+    comp : component;
+    proto_of : prototype -> (proto, exn) result;
+    cells : (string, cell_entry) Hashtbl.t;
+    signature : (string, int) Hashtbl.t;
+    holes : (string, int) Hashtbl.t;  (* group -> id of its go hole *)
+    ports : port_ref array;
+    widths : int array;
+    dirs : direction array;
+  }
+
+  type resolution =
+    | Resolved of int
+    | Unknown_cell
+    | Unresolved_prototype of exn
+    | No_port
+
+  let create ctx comp =
+    let protos = Hashtbl.create 16 in
+    let proto_of p =
+      match Hashtbl.find_opt protos p with
+      | Some r -> r
+      | None ->
+          let r =
+            match cell_ports ctx p with
+            | ports ->
+                let index = Hashtbl.create 8 in
+                List.iter
+                  (fun (n, _, _) ->
+                    if not (Hashtbl.mem index n) then
+                      Hashtbl.replace index n (Hashtbl.length index))
+                  ports;
+                Ok { pr_list = ports; pr_index = index }
+            | exception
+                ((Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
+                 as e) ->
+                Error e
+          in
+          Hashtbl.replace protos p r;
+          r
+    in
+    let ports = ref [] and widths = ref [] and dirs = ref [] in
+    let count = ref 0 in
+    let add p w d =
+      ports := p :: !ports;
+      widths := w :: !widths;
+      dirs := d :: !dirs;
+      incr count
+    in
+    let signature = Hashtbl.create 8 in
+    List.iter
+      (fun pd ->
+        if not (Hashtbl.mem signature pd.pd_name) then begin
+          Hashtbl.replace signature pd.pd_name !count;
+          add (This pd.pd_name) pd.pd_width pd.pd_dir
+        end)
+      (signature_ports comp);
+    let holes = Hashtbl.create 16 in
+    List.iter
+      (fun g ->
+        if not (Hashtbl.mem holes g.group_name) then begin
+          Hashtbl.replace holes g.group_name !count;
+          add (Hole (g.group_name, "go")) 1 Input;
+          add (Hole (g.group_name, "done")) 1 Output
+        end)
+      comp.groups;
+    let cells = Hashtbl.create 64 in
+    List.iter
+      (fun c ->
+        if not (Hashtbl.mem cells c.cell_name) then begin
+          let pr = proto_of c.cell_proto in
+          Hashtbl.replace cells c.cell_name
+            { ce_cell = c; ce_base = !count; ce_proto = pr };
+          match pr with
+          | Error _ -> ()
+          | Ok pr ->
+              (* Distinct names only: a repeated port keeps its first id. *)
+              let seen = Hashtbl.create 8 in
+              List.iter
+                (fun (n, w, d) ->
+                  if not (Hashtbl.mem seen n) then begin
+                    Hashtbl.replace seen n ();
+                    add (Cell_port (c.cell_name, n)) w d
+                  end)
+                pr.pr_list
+        end)
+      comp.cells;
+    let rev l = Array.of_list (List.rev l) in
+    {
+      comp;
+      proto_of;
+      cells;
+      signature;
+      holes;
+      ports = rev !ports;
+      widths = rev !widths;
+      dirs = rev !dirs;
+    }
+
+  let component t = t.comp
+  let count t = Array.length t.ports
+  let port t i = t.ports.(i)
+  let width_of_id t i = t.widths.(i)
+  let direction_of_id t i = t.dirs.(i)
+
+  let find_cell t name =
+    Option.map (fun ce -> ce.ce_cell) (Hashtbl.find_opt t.cells name)
+
+  let proto_ports t p =
+    match t.proto_of p with Ok pr -> pr.pr_list | Error e -> raise e
+
+  let cell_ports t name =
+    Option.map
+      (fun ce -> Result.map (fun pr -> pr.pr_list) ce.ce_proto)
+      (Hashtbl.find_opt t.cells name)
+
+  let resolve t = function
+    | This p -> (
+        match Hashtbl.find_opt t.signature p with
+        | Some i -> Resolved i
+        | None -> No_port)
+    | Hole (g, h) -> (
+        match Hashtbl.find_opt t.holes g with
+        | None -> Unknown_cell
+        | Some i -> (
+            match h with
+            | "go" -> Resolved i
+            | "done" -> Resolved (i + 1)
+            | _ -> No_port))
+    | Cell_port (c, p) -> (
+        match Hashtbl.find_opt t.cells c with
+        | None -> Unknown_cell
+        | Some { ce_proto = Error e; _ } -> Unresolved_prototype e
+        | Some { ce_proto = Ok pr; ce_base; _ } -> (
+            match Hashtbl.find_opt pr.pr_index p with
+            | Some k -> Resolved (ce_base + k)
+            | None -> No_port))
+
+  let id t p =
+    match resolve t p with
+    | Resolved i -> i
+    | Unresolved_prototype e -> raise e
+    | Unknown_cell | No_port -> (
+        let comp = t.comp.comp_name in
+        match p with
+        | This p -> ir_error "component %s has no port %s" comp p
+        | Hole (g, h) ->
+            if Hashtbl.mem t.holes g then
+              ir_error "group %s (in %s) has no hole %s" g comp h
+            else ir_error "unknown group %s in component %s" g comp
+        | Cell_port (c, p) ->
+            if Hashtbl.mem t.cells c then
+              ir_error "cell %s (in %s) has no port %s" c comp p
+            else ir_error "unknown cell %s in component %s" c comp)
+
+  let id_opt t p = match resolve t p with Resolved i -> Some i | _ -> None
+
+  (* A hole is one bit whether or not its group exists. *)
+  let width t = function Hole _ -> 1 | p -> t.widths.(id t p)
+
+  let atom_width t = function Port p -> width t p | Lit v -> Bitvec.width v
+end
 
 (* Construction *)
 

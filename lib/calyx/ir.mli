@@ -143,20 +143,75 @@ val update_component : context -> component -> context
 
 val add_component : context -> component -> context
 
-(** {1 Widths}
-
-    Width resolution needs the context (cells may instantiate user-defined
-    components) and the enclosing component (for [This] ports). *)
-
-val cell_port_width : context -> component -> string -> string -> int
-(** [cell_port_width ctx comp cell port]: width of [cell.port]; raises
-    {!Ir_error} for unknown cells or ports. *)
-
-val port_ref_width : context -> component -> port_ref -> int
-val atom_width : context -> component -> atom -> int
+(** {1 Ports} *)
 
 val cell_ports : context -> prototype -> (string * int * direction) list
 (** All ports of a prototype as [(name, width, direction)]. *)
+
+(** {1 Port tables}
+
+    One component's ports, indexed: the cells by name, each prototype's
+    port list, and a dense int id for every port. Width and id queries are
+    constant time, where a scan of the component's cells per query makes
+    every back end that asks once per assignment quadratic. *)
+
+module Ports : sig
+  type t
+
+  val create : context -> component -> t
+  (** Build the table of a component. Ids are dense from 0, in this order:
+      the signature ports (inputs, then outputs), each group's [go] then
+      [done] hole, then each cell's ports in {!cell_ports} order. The first
+      declaration of a name (signature port, group, cell, or a prototype's
+      port) wins and later ones get no id. Prototype port lists are
+      memoized in the table only, never across tables. A cell whose
+      prototype does not resolve gets no ids; lookups of its ports re-raise
+      what {!cell_ports} raised. *)
+
+  val component : t -> component
+  val count : t -> int
+  val port : t -> int -> port_ref
+  (** The port an id names ([This], [Hole] or [Cell_port]). *)
+
+  val width_of_id : t -> int -> int
+  val direction_of_id : t -> int -> direction
+  (** The declared direction: a signature port's, a cell port's as seen
+      from the cell (an adder's [left] is an [Input]), [Input] for a [go]
+      hole and [Output] for a [done] hole. *)
+
+  type resolution =
+    | Resolved of int
+    | Unknown_cell  (** No such cell, or a hole of no such group. *)
+    | Unresolved_prototype of exn
+        (** The cell's prototype raised this when resolved. *)
+    | No_port  (** No such port on the cell, signature or group. *)
+
+  val resolve : t -> port_ref -> resolution
+
+  val id : t -> port_ref -> int
+  (** Raises {!Ir_error} (["unknown cell %s in component %s"],
+      ["cell %s (in %s) has no port %s"], ["component %s has no port %s"],
+      or the group counterparts for holes) or the exception of an
+      unresolved prototype. *)
+
+  val id_opt : t -> port_ref -> int option
+
+  val width : t -> port_ref -> int
+  (** Width of a port; a hole is 1 bit even when its group is unknown.
+      Raises as {!id} otherwise. *)
+
+  val atom_width : t -> atom -> int
+
+  val find_cell : t -> string -> cell option
+  (** The first declaration of a cell. *)
+
+  val cell_ports :
+    t -> string -> ((string * int * direction) list, exn) result option
+  (** The ports of a cell's prototype ([None] for an unknown cell). *)
+
+  val proto_ports : t -> prototype -> (string * int * direction) list
+  (** {!cell_ports} of a prototype, memoized in the table. *)
+end
 
 (** {1 Construction helpers} *)
 

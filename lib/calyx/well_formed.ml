@@ -8,37 +8,12 @@ exception Malformed of string list
      CX001 duplicates           CX002 bad primitive      CX003 bad component
      CX004 unresolved reference CX005 direction          CX006 width
      CX007 missing done         CX008 multiple drivers   CX009 unknown group
-     CX010 bad condition        CX011 bad invoke         CX012 no entrypoint *)
-
-(* Port tables of prototypes, memoized across the components of one check:
-   each prototype's ports in order plus a name index, or [None] when the
-   prototype does not resolve. An unresolved prototype is reported once, at
-   its cell (CX002/CX003), not again at every reference to its ports. *)
-let port_tables ctx =
-  let memo = Hashtbl.create 32 in
-  fun proto ->
-    match Hashtbl.find_opt memo proto with
-    | Some t -> t
-    | None ->
-        let t =
-          match cell_ports ctx proto with
-          | ports ->
-              let index = Hashtbl.create 8 in
-              List.iter
-                (fun (n, w, d) ->
-                  if not (Hashtbl.mem index n) then Hashtbl.replace index n (w, d))
-                ports;
-              Some (ports, index)
-          | exception (Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
-            ->
-              None
-        in
-        Hashtbl.replace memo proto t;
-        t
+     CX010 bad condition        CX011 bad invoke         CX012 no entrypoint
+     CX013 no go/done interface *)
 
 (* Locations are lazy: an assignment's location prints its destination
    port, which is only worth doing for the few assignments reported. *)
-let component_diagnostics_with ports_of ctx comp =
+let component_diagnostics ctx comp =
   let acc = ref [] in
   let report sev ~code ~loc fmt =
     Format.kasprintf
@@ -61,7 +36,9 @@ let component_diagnostics_with ports_of ctx comp =
          })
   in
   let control_loc path = Lazy.from_val (D.Control { comp = comp.comp_name; path }) in
-  let cells = cell_index comp and groups = group_index comp in
+  (* An unresolved prototype is reported once, at its cell (CX002/CX003),
+     not again at every reference to its ports. *)
+  let ports = Ports.create ctx comp and groups = group_index comp in
   let signature = signature_ports comp in
   let check_duplicates what names =
     let tbl = Hashtbl.create 16 in
@@ -75,6 +52,23 @@ let component_diagnostics_with ports_of ctx comp =
   check_duplicates "cell" (List.map (fun c -> c.cell_name) comp.cells);
   check_duplicates "group" (List.map (fun g -> g.group_name) comp.groups);
   check_duplicates "port" (List.map (fun pd -> pd.pd_name) signature);
+  (* The calling convention (Section 4.1): a component with a body has a
+     1-bit go input and a 1-bit done output, which the control compiler
+     wires up. *)
+  if comp.is_extern = None then
+    List.iter
+      (fun (name, dir, what) ->
+        let ok =
+          match Ports.resolve ports (This name) with
+          | Ports.Resolved i ->
+              Ports.direction_of_id ports i = dir && Ports.width_of_id ports i = 1
+          | _ -> false
+        in
+        if not ok then
+          error ~code:"CX013" ~loc:comp_loc
+            "component %s has no %s: 1 %s (the go/done interface)"
+            comp.comp_name name what)
+      [ ("go", Input, "input"); ("done", Output, "output") ];
   (* Cells must instantiate known primitives or components. *)
   List.iter
     (fun c ->
@@ -102,43 +96,29 @@ let component_diagnostics_with ports_of ctx comp =
   let group_exists g = Hashtbl.mem groups g in
   let port_info ~loc p =
     (* Returns (width, is_readable, is_writable) or None with a problem. *)
-    match p with
-    | Hole (g, h) ->
-        if not (group_exists g) then begin
-          error ~code:"CX004" ~loc "reference to hole of unknown group %s" g;
-          None
-        end
-        else if not (List.mem h [ "go"; "done" ]) then begin
-          error ~code:"CX004" ~loc "unknown hole %s[%s]" g h;
-          None
-        end
-        else Some (1, true, true)
-    | This name -> (
-        match
-          List.find_opt (fun pd -> String.equal pd.pd_name name) signature
-        with
-        | None ->
-            error ~code:"CX004" ~loc "unknown component port %s" name;
-            None
-        | Some pd ->
-            (* Inside the component, inputs are read and outputs written. *)
-            Some (pd.pd_width, pd.pd_dir = Input, pd.pd_dir = Output))
-    | Cell_port (c, p) -> (
-        match Hashtbl.find_opt cells c with
-        | None ->
-            error ~code:"CX004" ~loc "reference to unknown cell %s" c;
-            None
-        | Some cell -> (
-            match ports_of cell.cell_proto with
-            | None -> None (* the prototype is reported at the cell *)
-            | Some (_, index) -> (
-                match Hashtbl.find_opt index p with
-                | None ->
-                    error ~code:"CX004" ~loc "cell %s has no port %s" c p;
-                    None
-                | Some (w, dir) ->
-                    (* Outputs of cells are read; inputs are written. *)
-                    Some (w, dir = Output, dir = Input))))
+    match Ports.resolve ports p with
+    | Ports.Resolved i -> (
+        match p with
+        | Hole _ -> Some (1, true, true)
+        | This _ | Cell_port _ ->
+            (* Inside the component, inputs are read and outputs written;
+               a cell's outputs are read and its inputs written. *)
+            let read_dir = match p with This _ -> Input | _ -> Output in
+            let readable = Ports.direction_of_id ports i = read_dir in
+            Some (Ports.width_of_id ports i, readable, not readable))
+    | Ports.Unresolved_prototype _ -> None
+    | (Ports.Unknown_cell | Ports.No_port) as r ->
+        (match (p, r) with
+        | Hole (g, _), Ports.Unknown_cell ->
+            error ~code:"CX004" ~loc "reference to hole of unknown group %s" g
+        | Hole (g, h), _ -> error ~code:"CX004" ~loc "unknown hole %s[%s]" g h
+        | Cell_port (c, _), Ports.Unknown_cell ->
+            error ~code:"CX004" ~loc "reference to unknown cell %s" c
+        | Cell_port (c, q), _ ->
+            error ~code:"CX004" ~loc "cell %s has no port %s" c q
+        | This name, _ ->
+            error ~code:"CX004" ~loc "unknown component port %s" name);
+        None
   in
   let atom_info ~loc = function
     | Port p -> port_info ~loc p
@@ -240,12 +220,12 @@ let component_diagnostics_with ports_of ctx comp =
       | While { cond_group; cond_port; _ } ->
           check_cond ~loc cond_group cond_port
       | Invoke { cell; invoke_inputs; invoke_outputs; _ } -> (
-          match Hashtbl.find_opt cells cell with
+          match Ports.cell_ports ports cell with
           | None -> error ~code:"CX011" ~loc "invoke of unknown cell %s" cell
-          | Some c -> (
-              match ports_of c.cell_proto with
-              | None -> () (* the prototype is reported at the cell *)
-              | Some (ports, _) ->
+          | Some cell_ports -> (
+              match cell_ports with
+              | Error _ -> () (* the prototype is reported at the cell *)
+              | Ok ports ->
               let has name dir =
                 List.exists
                   (fun (n, _, d) -> String.equal n name && d = dir)
@@ -307,9 +287,6 @@ let component_diagnostics_with ports_of ctx comp =
     comp.control;
   List.rev !acc
 
-let component_diagnostics ctx comp =
-  component_diagnostics_with (port_tables ctx) ctx comp
-
 let diagnostics ctx =
   (match find_component_opt ctx ctx.entrypoint with
   | Some _ -> []
@@ -319,10 +296,8 @@ let diagnostics ctx =
           "entrypoint component %s not found" ctx.entrypoint;
       ])
   @
-  let ports_of = port_tables ctx in
   List.concat_map
-    (fun c ->
-      if c.is_extern <> None then [] else component_diagnostics_with ports_of ctx c)
+    (fun c -> if c.is_extern <> None then [] else component_diagnostics ctx c)
     ctx.components
 
 let check_component ctx comp =

@@ -4,9 +4,11 @@
     names, direction-correct and width-correct assignments, groups that
     drive their own [done] hole, control programs that reference existing
     groups, valid invoke bindings (inputs {e and} outputs), readable 1-bit
-    conditions, and no duplicate unconditional drivers within a group.
+    conditions, no duplicate unconditional drivers within a group, and the
+    [go: 1] input and [done: 1] output of the calling convention on every
+    component with a body.
 
-    Every check emits a coded {!Diagnostics.t} (codes [CX001]–[CX012], all
+    Every check emits a coded {!Diagnostics.t} (codes [CX001]–[CX013], all
     [Error] severity); the string-based API below renders them for
     backwards compatibility. Semantic lints with [CX02x] codes live in
     {!Lint}. *)

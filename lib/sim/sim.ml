@@ -338,7 +338,7 @@ type cexec = {
 type instance = {
   i_comp : component;
   i_path : string;  (* dotted instance path from the entrypoint; root is "" *)
-  i_slots : int;  (* number of interned ports *)
+  i_slots : int;  (* number of ports in [i_ports] *)
   i_zeros : Bitvec.t array;  (* per-slot zero values (template) *)
   mutable i_env : Bitvec.t array;
   mutable i_next : Bitvec.t array;
@@ -352,7 +352,7 @@ type instance = {
   i_input_slots : (string * int) list;  (* This input ports *)
   i_go_slot : int;  (* slot of the [go] input (read on every settle) *)
   i_output_slots : (string * int) list;
-  i_port_ids : (port_ref, int) Hashtbl.t;
+  i_ports : Ports.t;  (* slot numbering: a slot is a port id *)
   i_structured : bool;  (* control program is non-empty *)
   i_ictrl : ictrl;  (* control program annotated with preorder node ids *)
   mutable i_ctrl : cstate;
@@ -502,42 +502,13 @@ let refresh_entries inst st =
 let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
     ~(engine : engine) ?(max_iters = 1000) ~(path : string)
     (ctx : context) (comp : component) : instance =
-  let port_ids : (port_ref, int) Hashtbl.t = Hashtbl.create 64 in
-  let widths = ref [] in
-  let count = ref 0 in
-  let intern p w =
-    match Hashtbl.find_opt port_ids p with
-    | Some id -> id
-    | None ->
-        let id = !count in
-        Hashtbl.add port_ids p id;
-        widths := w :: !widths;
-        incr count;
-        id
+  let ports = Ports.create ctx comp in
+  let id = Ports.id ports in
+  let slots = Ports.count ports in
+  let zeros =
+    Array.init (max slots 1) (fun i ->
+        Bitvec.zero (if i < slots then Ports.width_of_id ports i else 1))
   in
-  List.iter
-    (fun pd -> ignore (intern (This pd.pd_name) pd.pd_width))
-    (signature_ports comp);
-  List.iter
-    (fun g ->
-      ignore (intern (Hole (g.group_name, "go")) 1);
-      ignore (intern (Hole (g.group_name, "done")) 1))
-    comp.groups;
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (p, w, _) -> ignore (intern (Cell_port (c.cell_name, p)) w))
-        (cell_ports ctx c.cell_proto))
-    comp.cells;
-  let id p =
-    match Hashtbl.find_opt port_ids p with
-    | Some id -> id
-    | None -> ir_error "simulator: unresolved port %a" pp_port_ref p
-  in
-  let slots = !count in
-  let zeros = Array.make (max slots 1) (Bitvec.zero 1) in
-  (* The widths list was consed, so entry 0 describes the last slot. *)
-  List.iteri (fun i w -> zeros.(slots - 1 - i) <- Bitvec.zero w) !widths;
   let compile_atom = function
     | Lit v -> fun _ -> v
     | Port p ->
@@ -590,20 +561,20 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
     (fun c ->
       match c.cell_proto with
       | Prim (name, params) ->
-          let ports = cell_ports ctx c.cell_proto in
+          let cports = Ports.proto_ports ports c.cell_proto in
           let ins =
             List.filter_map
               (fun (p, _, d) ->
                 if d = Input then Some (p, id (Cell_port (c.cell_name, p)))
                 else None)
-              ports
+              cports
           in
           let outs =
             List.filter_map
               (fun (p, _, d) ->
                 if d = Output then Some (p, id (Cell_port (c.cell_name, p)))
                 else None)
-              ports
+              cports
           in
           prims :=
             { pi_cell = c.cell_name;
@@ -712,7 +683,7 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
       i_input_slots = input_slots;
       i_go_slot = List.assoc "go" input_slots;
       i_output_slots = output_slots;
-      i_port_ids = port_ids;
+      i_ports = ports;
       i_structured = comp.control <> Empty;
       i_ictrl = annotate comp.control;
       i_ctrl = CDone;
@@ -935,7 +906,7 @@ and compile_instance inst : cexec =
      to the generic closure to preserve the runtime Width_error. *)
   let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
   let notes = Array.make (max na 1) "" in
-  let slot_of p = Hashtbl.find inst.i_port_ids p in
+  let slot_of = Ports.id inst.i_ports in
   let stage_src = function
     | Lit v ->
         incr fold_consts;
@@ -1423,7 +1394,7 @@ let rec commit ~now ~csink inst =
         Bitvec.is_true env.(Hashtbl.find inst.i_group_done g)
       in
       let port_true p =
-        Bitvec.is_true env.(Hashtbl.find inst.i_port_ids p)
+        Bitvec.is_true env.(Ports.id inst.i_ports p)
       in
       inst.i_ctrl <- cadvance ~emit:emit_adv inst.i_ctrl ~group_done ~port_true;
       if inst.i_ctrl = CDone then begin
@@ -1507,31 +1478,25 @@ let strip_prefix prefix =
 
 let build_probes t =
   let rec walk prefix inst acc =
-    let by_slot = Array.make (max inst.i_slots 1) None in
-    Hashtbl.iter (fun p id -> by_slot.(id) <- Some p) inst.i_port_ids;
     let inst_path = strip_prefix prefix in
     let acc = ref acc in
-    Array.iteri
-      (fun slot p ->
-        match p with
-        | None -> ()
-        | Some p ->
-            let kind, local =
-              match p with
-              | This n -> (Sig_this n, n)
-              | Hole (g, h) -> (Sig_hole (g, h), g ^ "." ^ h)
-              | Cell_port (c, q) -> (Sig_cell (c, q), c ^ "." ^ q)
-            in
-            acc :=
-              ( {
-                  sig_path = prefix ^ local;
-                  sig_width = Bitvec.width inst.i_zeros.(slot);
-                  sig_instance = inst_path;
-                  sig_kind = kind;
-                },
-                (inst, slot) )
-              :: !acc)
-      by_slot;
+    for slot = 0 to inst.i_slots - 1 do
+      let kind, local =
+        match Ports.port inst.i_ports slot with
+        | This n -> (Sig_this n, n)
+        | Hole (g, h) -> (Sig_hole (g, h), g ^ "." ^ h)
+        | Cell_port (c, q) -> (Sig_cell (c, q), c ^ "." ^ q)
+      in
+      acc :=
+        ( {
+            sig_path = prefix ^ local;
+            sig_width = Bitvec.width inst.i_zeros.(slot);
+            sig_instance = inst_path;
+            sig_kind = kind;
+          },
+          (inst, slot) )
+        :: !acc
+    done;
     Array.fold_left
       (fun acc (name, ch) -> walk (prefix ^ name ^ ".") ch.c_inst acc)
       !acc inst.i_children

@@ -64,7 +64,7 @@ let primitive_usage name params =
 (* Multiplexing: k guarded drivers of a w-bit port synthesize to a k:1 mux,
    roughly one LUT6 per 3 extra inputs per bit; guard expressions cost one
    LUT per ~5 operators. *)
-let wiring_usage ctx comp =
+let wiring_usage ports comp =
   let drivers : (port_ref, int * int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun a ->
@@ -75,23 +75,36 @@ let wiring_usage ctx comp =
     (all_assignments comp);
   Hashtbl.fold
     (fun dst (count, gsize) acc ->
-      let w = try port_ref_width ctx comp dst with Ir_error _ -> 1 in
+      let w = try Ports.width ports dst with Ir_error _ -> 1 in
       let mux = if count <= 1 then 0 else w * cdiv (count - 1) 3 in
       add acc { zero with luts = mux + cdiv gsize 5 })
     drivers zero
 
-let rec component_usage ctx comp =
-  let cells =
-    List.fold_left
-      (fun acc c ->
-        match c.cell_proto with
-        | Prim (name, params) -> add acc (primitive_usage name params)
-        | Comp name -> add acc (component_usage ctx (find_component ctx name)))
-      zero comp.cells
+(* A component's cost depends on nothing but its definition, so each one
+   is costed once per call however often it is instantiated. *)
+let component_usage ctx comp =
+  let memo = Hashtbl.create 8 in
+  let rec usage comp =
+    match Hashtbl.find_opt memo comp.comp_name with
+    | Some u -> u
+    | None ->
+        let cells =
+          List.fold_left
+            (fun acc c ->
+              match c.cell_proto with
+              | Prim (name, params) -> add acc (primitive_usage name params)
+              | Comp name -> add acc (usage (find_component ctx name)))
+            zero comp.cells
+        in
+        let u = add cells (wiring_usage (Ports.create ctx comp) comp) in
+        Hashtbl.replace memo comp.comp_name u;
+        u
   in
-  add cells (wiring_usage ctx comp)
+  usage comp
 
-let context_usage ctx = component_usage ctx (entry ctx)
+let context_usage ctx =
+  Calyx_telemetry.Trace.with_span ~cat:"stage" "area" @@ fun () ->
+  component_usage ctx (entry ctx)
 
 let pp fmt u =
   Format.fprintf fmt "{luts=%d; regs=%d; reg_cells=%d; dsps=%d; brams=%d}"

@@ -121,224 +121,296 @@ let prim_arcs name params =
 (* Guard logic depth feeding a mux select: atoms pay an OR-reduction to
    one bit, comparisons pay their operator, each connective a LUT level
    (negation folds into the LUT). *)
-let rec guard_ps ctx comp = function
+let rec guard_ps ports = function
   | True -> 0
-  | Atom a -> reduce_ps (atom_width ctx comp a)
+  | Atom a -> reduce_ps (Ports.atom_width ports a)
   | Cmp (op, a, b) ->
-      let w = max (atom_width ctx comp a) (atom_width ctx comp b) in
+      let w = max (Ports.atom_width ports a) (Ports.atom_width ports b) in
       (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
   | And (g1, g2) | Or (g1, g2) ->
-      t_lut + max (guard_ps ctx comp g1) (guard_ps ctx comp g2)
-  | Not g -> guard_ps ctx comp g
+      t_lut + max (guard_ps ports g1) (guard_ps ports g2)
+  | Not g -> guard_ps ports g
 
 (* ------------------------------------------------------------------ *)
 (* The flattened port graph                                            *)
 (* ------------------------------------------------------------------ *)
 
-type node = {
-  mutable n_edges : (string * int * int) list; (* dst, ps, levels *)
-  mutable n_source : int option; (* launch offset (clock-to-Q) *)
-  mutable n_setup : int; (* capture cost when a path ends here *)
-  mutable n_driven : bool;
+(* Nodes are ints: every instance of the flattened hierarchy owns a range
+   of ids, one per port of its component's port table, except that a
+   child's signature ports are the parent's ports of that cell, so
+   hierarchical binding is the id map. A node is [present] when the
+   analysis mentions it (a launch or capture point, an edge end, an
+   assigned port); only present nodes launch paths. *)
+type graph = {
+  names : string array;  (* dotted path from the analysis root *)
+  edges : (int * int * int) list array;  (* dst, ps, levels *)
+  source : int array;  (* launch offset (clock-to-Q); -1 when none *)
+  setup : int array;  (* capture cost when a path ends here *)
+  driven : bool array;
+  present : bool array;
 }
-
-type graph = (string, node) Hashtbl.t
-
-let node (g : graph) name =
-  match Hashtbl.find_opt g name with
-  | Some n -> n
-  | None ->
-      let n = { n_edges = []; n_source = None; n_setup = 0; n_driven = false } in
-      Hashtbl.replace g name n;
-      n
 
 let join prefix name = if prefix = "" then name else prefix ^ "." ^ name
 
-(* Components are flattened under their dotted instance prefix, so a child
-   instance [c]'s signature port [p] and the parent's [c.p] cell port are
-   the same node — hierarchical binding falls out of the naming. *)
-let rec add_component (g : graph) ctx ~prefix ~top comp =
-  let name_of = function
-    | Cell_port (c, p) -> join prefix (c ^ "." ^ p)
-    | This p -> join prefix p
-    | Hole (grp, h) -> join prefix (grp ^ "[" ^ h ^ "]")
-  in
-  let edge src dst ps lv =
-    let s = node g src in
-    s.n_edges <- (dst, ps, lv) :: s.n_edges;
-    (node g dst).n_driven <- true
-  in
-  (* Interface ports of the analysis root launch and capture paths. *)
-  if top then begin
-    List.iter
-      (fun (p : port_def) -> (node g (name_of (This p.pd_name))).n_source <- Some 0)
-      comp.inputs;
-    List.iter
-      (fun (p : port_def) -> ignore (node g (name_of (This p.pd_name))))
-      comp.outputs
-  end;
-  (* Group go holes are FSM-driven once compiled: they launch paths. *)
-  List.iter
-    (fun grp ->
-      (node g (name_of (Hole (grp.group_name, "go")))).n_source <- Some t_clk_q)
-    comp.groups;
-  (* Assignments: data rides the destination's mux tree, guard reads
-     additionally pay the guard logic into the mux select. *)
-  let assigns = all_assignments comp in
-  let drivers = Hashtbl.create 64 in
-  List.iter
-    (fun a ->
-      let d = name_of a.dst in
-      Hashtbl.replace drivers d
-        (1 + Option.value ~default:0 (Hashtbl.find_opt drivers d)))
-    assigns;
-  List.iter
-    (fun a ->
-      let dst = name_of a.dst in
-      (node g dst).n_driven <- true;
-      let mux = mux_ps (Option.value ~default:1 (Hashtbl.find_opt drivers dst)) in
-      (match a.src with
-      | Port p -> edge (name_of p) dst mux 1
-      | Lit _ -> ());
-      match a.guard with
-      | True -> ()
-      | guard ->
-          let gps = guard_ps ctx comp guard + mux in
-          List.iter
-            (fun atom ->
-              match atom with
-              | Port p -> edge (name_of p) dst gps 1
-              | Lit _ -> ())
-            (guard_atoms guard))
-    assigns;
-  (* Cells: primitives contribute their exact arcs and launch/capture
-     points; sub-components are flattened in place. *)
-  List.iter
-    (fun c ->
-      match c.cell_proto with
-      | Prim (name, params) ->
-          let info = Prims.info name in
-          let ports = info.Prims.make_ports params in
-          let pname p = join prefix (c.cell_name ^ "." ^ p) in
-          if info.Prims.stateful then
-            List.iter
-              (fun (p : Prims.prim_port) ->
-                match p.Prims.pp_dir with
-                | Prims.Out -> (node g (pname p.Prims.pp_name)).n_source <- Some t_clk_q
-                | Prims.In -> (node g (pname p.Prims.pp_name)).n_setup <- t_setup)
-              ports;
-          if name = "std_const" then
-            (node g (pname "out")).n_source <- Some 0;
-          List.iter
-            (fun (i, o, ps, lv) -> edge (pname i) (pname o) ps lv)
-            (prim_arcs name params)
-      | Comp cname -> (
-          let child = find_component ctx cname in
-          let cprefix = join prefix c.cell_name in
-          match child.is_extern with
-          | Some _ ->
-              (* Black box: its outputs launch, its inputs capture. *)
-              List.iter
-                (fun (p : port_def) ->
-                  let n = node g (join cprefix p.pd_name) in
-                  match p.pd_dir with
-                  | Output -> n.n_source <- Some t_clk_q
-                  | Input -> n.n_setup <- t_setup)
-                (signature_ports child)
-          | None -> add_component g ctx ~prefix:cprefix ~top:false child))
-    comp.cells
+let local_name = function
+  | Cell_port (c, p) -> c ^ "." ^ p
+  | This p -> p
+  | Hole (grp, h) -> grp ^ "[" ^ h ^ "]"
 
 let build ctx comp =
-  let g : graph = Hashtbl.create 256 in
-  add_component g ctx ~prefix:"" ~top:true comp;
+  (* One port table per component, however often it is instantiated. *)
+  let tables = Hashtbl.create 8 in
+  let table comp =
+    match Hashtbl.find_opt tables comp.comp_name with
+    | Some t -> t
+    | None ->
+        let t = Ports.create ctx comp in
+        Hashtbl.replace tables comp.comp_name t;
+        t
+  in
+  (* Signature ports take the first ids of a table. *)
+  let nsig t =
+    let rec go i =
+      if i < Ports.count t && (match Ports.port t i with This _ -> true | _ -> false)
+      then go (i + 1)
+      else i
+    in
+    go 0
+  in
+  (* Nodes an instance adds beyond the signature ports it shares. *)
+  let rec own comp =
+    let t = table comp in
+    Ports.count t - nsig t
+    + List.fold_left
+        (fun acc c ->
+          match c.cell_proto with
+          | Comp cname -> (
+              let child = find_component ctx cname in
+              match child.is_extern with
+              | Some _ -> acc
+              | None -> acc + own child)
+          | Prim _ -> acc)
+        0 comp.cells
+  in
+  let n = own comp + nsig (table comp) in
+  let g =
+    {
+      names = Array.make n "";
+      edges = Array.make n [];
+      source = Array.make n (-1);
+      setup = Array.make n 0;
+      driven = Array.make n false;
+      present = Array.make n false;
+    }
+  in
+  let next = ref 0 in
+  let touch v = g.present.(v) <- true in
+  let edge src dst ps lv =
+    touch src;
+    touch dst;
+    g.edges.(src) <- (dst, ps, lv) :: g.edges.(src);
+    g.driven.(dst) <- true
+  in
+  (* [outer] maps a child instance's signature ports to the parent's
+     ports of its cell; the root owns its signature ports. *)
+  let rec add_instance ~prefix ~outer comp =
+    let ports = table comp in
+    let map =
+      Array.init (Ports.count ports) (fun i ->
+          match (Ports.port ports i, outer) with
+          | This p, Some outer -> outer p
+          | port, _ ->
+              let v = !next in
+              incr next;
+              g.names.(v) <- join prefix (local_name port);
+              v)
+    in
+    let node p = map.(Ports.id ports p) in
+    (* Interface ports of the analysis root launch and capture paths. *)
+    if outer = None then begin
+      List.iter
+        (fun (p : port_def) ->
+          let v = node (This p.pd_name) in
+          touch v;
+          g.source.(v) <- 0)
+        comp.inputs;
+      List.iter (fun (p : port_def) -> touch (node (This p.pd_name))) comp.outputs
+    end;
+    (* Group go holes are FSM-driven once compiled: they launch paths. *)
+    List.iter
+      (fun grp ->
+        let v = node (Hole (grp.group_name, "go")) in
+        touch v;
+        g.source.(v) <- t_clk_q)
+      comp.groups;
+    (* Assignments: data rides the destination's mux tree, guard reads
+       additionally pay the guard logic into the mux select. *)
+    let assigns = all_assignments comp in
+    let drivers = Array.make (Ports.count ports) 0 in
+    let assigns =
+      List.map
+        (fun a ->
+          let d = Ports.id ports a.dst in
+          drivers.(d) <- drivers.(d) + 1;
+          (d, a))
+        assigns
+    in
+    List.iter
+      (fun (d, a) ->
+        let dst = map.(d) in
+        touch dst;
+        g.driven.(dst) <- true;
+        let mux = mux_ps drivers.(d) in
+        (match a.src with Port p -> edge (node p) dst mux 1 | Lit _ -> ());
+        match a.guard with
+        | True -> ()
+        | guard ->
+            let gps = guard_ps ports guard + mux in
+            List.iter
+              (function Port p -> edge (node p) dst gps 1 | Lit _ -> ())
+              (guard_atoms guard))
+      assigns;
+    (* Cells: primitives contribute their exact arcs and launch/capture
+       points; sub-components are flattened in place. A repeated
+       declaration of a cell name is skipped, as in the port table. *)
+    List.iter
+      (fun c ->
+        let pnode p = node (Cell_port (c.cell_name, p)) in
+        match (Ports.find_cell ports c.cell_name, c.cell_proto) with
+        | None, _ -> ()
+        | Some first, _ when first != c -> ()
+        | Some _, Prim (name, params) ->
+            let info = Prims.info name in
+            if info.Prims.stateful then
+              List.iter
+                (fun (p : Prims.prim_port) ->
+                  let v = pnode p.Prims.pp_name in
+                  touch v;
+                  match p.Prims.pp_dir with
+                  | Prims.Out -> g.source.(v) <- t_clk_q
+                  | Prims.In -> g.setup.(v) <- t_setup)
+                (info.Prims.make_ports params);
+            if name = "std_const" then begin
+              let v = pnode "out" in
+              touch v;
+              g.source.(v) <- 0
+            end;
+            List.iter
+              (fun (i, o, ps, lv) -> edge (pnode i) (pnode o) ps lv)
+              (prim_arcs name params)
+        | Some _, Comp cname -> (
+            let child = find_component ctx cname in
+            match child.is_extern with
+            | Some _ ->
+                (* Black box: its outputs launch, its inputs capture. *)
+                List.iter
+                  (fun (p : port_def) ->
+                    let v = pnode p.pd_name in
+                    touch v;
+                    match p.pd_dir with
+                    | Output -> g.source.(v) <- t_clk_q
+                    | Input -> g.setup.(v) <- t_setup)
+                  (signature_ports child)
+            | None ->
+                add_instance ~prefix:(join prefix c.cell_name)
+                  ~outer:(Some pnode) child))
+      comp.cells
+  in
+  add_instance ~prefix:"" ~outer:None comp;
   g
 
 (* ------------------------------------------------------------------ *)
 (* Longest paths                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Memoized DFS: for each node, the worst (ps, levels, chain) of any path
-   continuing downstream from it, maximizing picoseconds (levels break
-   ties). The chain excludes the node itself. A path may always terminate
-   in place, paying the node's setup cost. *)
-let longest_from (g : graph) =
-  let memo : (string, int * int * string list) Hashtbl.t = Hashtbl.create 256 in
-  let visiting : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec down name =
-    match Hashtbl.find_opt memo name with
-    | Some r -> r
-    | None ->
-        if Hashtbl.mem visiting name then raise (Combinational_loop name);
-        Hashtbl.replace visiting name ();
-        let info = node g name in
-        let best =
-          List.fold_left
-            (fun (bps, blv, bchain) (dst, ps, lv) ->
-              let dps, dlv, dchain = down dst in
-              let cps = ps + dps and clv = lv + dlv in
-              if cps > bps || (cps = bps && clv > blv) then
-                (cps, clv, dst :: dchain)
-              else (bps, blv, bchain))
-            (info.n_setup, 0, [])
-            info.n_edges
-        in
-        Hashtbl.remove visiting name;
-        Hashtbl.replace memo name best;
-        best
-  in
-  down
+(* One memoized DFS over the present nodes in id order. For each node:
+   the worst (ps, levels) of any path continuing downstream from it,
+   maximizing picoseconds (levels break ties), with [next] the first hop
+   of that path (-1 when the path ends here, paying the node's setup
+   cost); and [deep], the most logic levels on any path from it (the
+   [levels] measure counts the deepest path by levels, which need not be
+   the slowest). The first node found on a cycle is reported. *)
+type longest = {
+  ps : int array;
+  lv : int array;
+  next : int array;
+  deep : int array;
+}
 
-(* Separate maximization of logic levels (the legacy [levels] measure
-   counts the deepest path by levels, which need not be the slowest). *)
-let deepest_from (g : graph) =
-  let memo : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let visiting : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec down name =
-    match Hashtbl.find_opt memo name with
-    | Some r -> r
-    | None ->
-        if Hashtbl.mem visiting name then raise (Combinational_loop name);
-        Hashtbl.replace visiting name ();
-        let best =
-          List.fold_left
-            (fun b (dst, _, lv) -> max b (lv + down dst))
-            0 (node g name).n_edges
-        in
-        Hashtbl.remove visiting name;
-        Hashtbl.replace memo name best;
-        best
+let longest_paths g =
+  let n = Array.length g.names in
+  let r =
+    {
+      ps = Array.make n 0;
+      lv = Array.make n 0;
+      next = Array.make n (-1);
+      deep = Array.make n 0;
+    }
   in
-  down
+  let state = Bytes.make n '\000' (* 0 new, 1 visiting, 2 done *) in
+  let rec down v =
+    match Bytes.get state v with
+    | '\002' -> ()
+    | '\001' -> raise (Combinational_loop g.names.(v))
+    | _ ->
+        Bytes.set state v '\001';
+        let bps = ref g.setup.(v) and blv = ref 0 and bnext = ref (-1) in
+        let deep = ref 0 in
+        List.iter
+          (fun (dst, ps, lv) ->
+            down dst;
+            let cps = ps + r.ps.(dst) and clv = lv + r.lv.(dst) in
+            if cps > !bps || (cps = !bps && clv > !blv) then begin
+              bps := cps;
+              blv := clv;
+              bnext := dst
+            end;
+            deep := max !deep (lv + r.deep.(dst)))
+          g.edges.(v);
+        r.ps.(v) <- !bps;
+        r.lv.(v) <- !blv;
+        r.next.(v) <- !bnext;
+        r.deep.(v) <- !deep;
+        Bytes.set state v '\002'
+  in
+  for v = 0 to n - 1 do
+    if g.present.(v) then down v
+  done;
+  r
 
 let fmax_of_ps ps = 1e6 /. float_of_int (max ps min_period_ps)
 
 let component_timing ?(paths = 5) ctx comp =
   let g = build ctx comp in
-  let down = longest_from g in
-  let deep = deepest_from g in
+  let r = longest_paths g in
+  let chain v =
+    let rec go v acc = if v < 0 then List.rev acc else go r.next.(v) (v :: acc) in
+    go v []
+  in
   (* Paths launch at declared sources (register outputs, constants, the
      root's inputs, go holes) and at any undriven port. *)
-  let starts =
-    Hashtbl.fold
-      (fun name n acc ->
-        match n.n_source with
-        | Some offset -> (name, offset) :: acc
-        | None -> if n.n_driven then acc else (name, 0) :: acc)
-      g []
-  in
+  let candidates = ref [] in
+  for v = Array.length g.names - 1 downto 0 do
+    if g.present.(v) then
+      let offset =
+        if g.source.(v) >= 0 then g.source.(v)
+        else if g.driven.(v) then -1
+        else 0
+      in
+      if offset >= 0 then candidates := (v, offset) :: !candidates
+  done;
   let candidates =
     List.map
-      (fun (name, offset) ->
-        let ps, lv, chain = down name in
-        let ports = name :: chain in
+      (fun (v, offset) ->
+        let ports = List.map (fun v -> g.names.(v)) (chain v) in
         {
-          p_start = name;
+          p_start = g.names.(v);
           p_end = List.nth ports (List.length ports - 1);
-          p_delay_ps = offset + ps;
-          p_levels = lv;
+          p_delay_ps = offset + r.ps.(v);
+          p_levels = r.lv.(v);
           p_ports = ports;
         })
-      starts
+      !candidates
     |> List.sort (fun a b ->
            match compare b.p_delay_ps a.p_delay_ps with
            | 0 -> compare (a.p_start, a.p_end) (b.p_start, b.p_end)
@@ -363,9 +435,7 @@ let component_timing ?(paths = 5) ctx comp =
       candidates
   in
   let kept = List.filteri (fun i _ -> i < max paths 1) worst in
-  let levels =
-    Hashtbl.fold (fun name _ acc -> max acc (deep name)) g 0
-  in
+  let levels = Array.fold_left max 0 r.deep in
   let delay_ps = match worst with [] -> 0 | p :: _ -> p.p_delay_ps in
   {
     levels;
@@ -393,11 +463,12 @@ let slack_ps r ~period_ps = period_ps - r.delay_ps
 
 let port_edges ctx comp =
   let g = build ctx comp in
-  Hashtbl.fold
-    (fun src n acc ->
-      List.fold_left (fun acc (dst, _, _) -> (src, dst) :: acc) acc n.n_edges)
-    g []
-  |> List.sort_uniq compare
+  let acc = ref [] in
+  Array.iteri
+    (fun src es ->
+      List.iter (fun (dst, _, _) -> acc := (g.names.(src), g.names.(dst)) :: !acc) es)
+    g.edges;
+  List.sort_uniq compare !acc
 
 (* ------------------------------------------------------------------ *)
 (* Attribution back to cells, groups, and control                      *)

@@ -291,25 +291,29 @@ let emit_component ctx comp =
   in
   buf_add b (Printf.sprintf "module %s (\n%s\n);\n" comp.comp_name
                (String.concat ",\n" ports));
+  let ports = Ports.create ctx comp in
+  let cells =
+    List.map (fun c -> (c, Ports.proto_ports ports c.cell_proto)) comp.cells
+  in
   (* Wires for every cell port. *)
   List.iter
-    (fun c ->
+    (fun (c, cports) ->
       List.iter
         (fun (p, w, _) ->
           buf_add b
             (Printf.sprintf "  logic [%d-1:0] %s;\n" w
                (wire_name (Cell_port (c.cell_name, p)))))
-        (cell_ports ctx c.cell_proto))
-    comp.cells;
+        cports)
+    cells;
   (* Instantiate cells. *)
   List.iter
-    (fun c ->
-      let connections ports clocked =
+    (fun (c, cports) ->
+      let connections clocked =
         String.concat ", "
           ((List.map
               (fun (p, _, _) ->
                 Printf.sprintf ".%s(%s)" p (wire_name (Cell_port (c.cell_name, p))))
-              ports)
+              cports)
           @ if clocked then [ ".clk(clk)" ] else [])
       in
       match c.cell_proto with
@@ -321,52 +325,48 @@ let emit_component ctx comp =
           in
           buf_add b
             (Printf.sprintf "  %s %s (%s);\n" header c.cell_name
-               (connections (cell_ports ctx c.cell_proto) (prim_is_clocked name)))
+               (connections (prim_is_clocked name)))
       | Comp name ->
           buf_add b
             (Printf.sprintf "  %s %s (%s);\n" name c.cell_name
-               (connections (cell_ports ctx c.cell_proto) true)))
-    comp.cells;
-  (* Guarded drivers per destination, in first-appearance order. *)
+               (connections true)))
+    cells;
+  (* Guarded drivers per destination, destinations in first-appearance
+     order. Each list is consed newest first, so folding it from the left
+     nests the first driver outermost. *)
   let order = ref [] in
-  let drivers : (port_ref, (guard * atom) list) Hashtbl.t = Hashtbl.create 32 in
+  let drivers = Array.make (Ports.count ports) [] in
   List.iter
     (fun a ->
-      let existing =
-        match Hashtbl.find_opt drivers a.dst with
-        | Some l -> l
-        | None ->
-            order := a.dst :: !order;
-            []
-      in
-      Hashtbl.replace drivers a.dst (existing @ [ (a.guard, a.src) ]))
+      let d = Ports.id ports a.dst in
+      if drivers.(d) = [] then order := d :: !order;
+      drivers.(d) <- (a.guard, a.src) :: drivers.(d))
     comp.continuous;
   List.iter
-    (fun dst ->
-      let cases = Hashtbl.find drivers dst in
-      let w = port_ref_width ctx comp dst in
+    (fun d ->
       let rhs =
-        List.fold_right
-          (fun (g, src) acc ->
+        List.fold_left
+          (fun acc (g, src) ->
             match g with
             | True -> atom_sv src
             | _ -> Printf.sprintf "%s ? %s : %s" (guard_sv g) (atom_sv src) acc)
-          cases
-          (Printf.sprintf "%d'd0" w)
+          (Printf.sprintf "%d'd0" (Ports.width_of_id ports d))
+          drivers.(d)
       in
-      buf_add b (Printf.sprintf "  assign %s = %s;\n" (wire_name dst) rhs))
+      buf_add b
+        (Printf.sprintf "  assign %s = %s;\n" (wire_name (Ports.port ports d)) rhs))
     (List.rev !order);
   (* Undriven cell inputs default to zero so the netlist is closed. *)
   List.iter
-    (fun c ->
+    (fun (c, cports) ->
       List.iter
         (fun (p, w, dir) ->
           let pr = Cell_port (c.cell_name, p) in
-          if dir = Input && not (Hashtbl.mem drivers pr) then
+          if dir = Input && drivers.(Ports.id ports pr) = [] then
             buf_add b
               (Printf.sprintf "  assign %s = %d'd0;\n" (wire_name pr) w))
-        (cell_ports ctx c.cell_proto))
-    comp.cells;
+        cports)
+    cells;
   buf_add b "endmodule\n";
   Buffer.contents b
 

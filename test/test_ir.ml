@@ -33,13 +33,13 @@ let test_fresh_names () =
 
 let test_widths () =
   let ctx = Progs.reduction_tree () in
-  let main = entry ctx in
+  let ports = Ports.create ctx (entry ctx) in
   Alcotest.(check int) "adder out" 32
-    (port_ref_width ctx main (Cell_port ("a0", "out")));
+    (Ports.width ports (Cell_port ("a0", "out")));
   Alcotest.(check int) "mem addr" 3
-    (port_ref_width ctx main (Cell_port ("m0", "addr0")));
-  Alcotest.(check int) "hole" 1 (port_ref_width ctx main (Hole ("add0", "go")));
-  Alcotest.(check int) "this go" 1 (port_ref_width ctx main (This "go"))
+    (Ports.width ports (Cell_port ("m0", "addr0")));
+  Alcotest.(check int) "hole" 1 (Ports.width ports (Hole ("add0", "go")));
+  Alcotest.(check int) "this go" 1 (Ports.width ports (This "go"))
 
 let test_enabled_groups () =
   let ctx = Progs.reduction_tree () in
