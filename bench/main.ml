@@ -606,15 +606,20 @@ let stats () =
    span buffering on. Its stage spans give check and lint, its pass spans
    each pass, and the "revalidate" span nested in every pass span the
    well-formedness re-check after it (a pass's own time excludes it). The
-   lowered program is then simulated. The stage list (the "stages" count)
-   and the cycle counts are deterministic and regression-gated; the "_s"
-   times are informational. *)
-let stage_times ctx =
+   back end then runs on the lowered program under the same spans: emit,
+   the simulator build inside the simulation, timing and area. The stage
+   list (the "stages" count) and the cycle counts are deterministic and
+   regression-gated; the "_s" times are informational. *)
+let stage_times ctx simulate =
   let module T = Calyx_telemetry in
   T.Runtime.with_enabled @@ fun () ->
   T.Trace.reset ();
   T.Trace.set_keep true;
   let lowered = Pipelines.compile ctx in
+  ignore (Calyx_verilog.Verilog.emit lowered);
+  let cycles = simulate lowered in
+  ignore (Calyx_synth.Timing.context_timing ~paths:1 lowered);
+  ignore (Calyx_synth.Area.context_usage lowered);
   let spans = T.Trace.spans () in
   T.Trace.set_keep false;
   T.Trace.reset ();
@@ -637,12 +642,14 @@ let stage_times ctx =
       (fun (sp : T.Trace.span) -> sp.sp_cat = "pass" && not (revalidate sp))
       spans
   in
-  ( lowered,
-    [ stage "check"; stage "lint" ] @ List.map pass passes @ [ stage "revalidate" ],
+  ( cycles,
+    [ stage "check"; stage "lint" ]
+    @ List.map pass passes
+    @ List.map stage [ "revalidate"; "emit"; "sim-build"; "timing"; "area" ],
     total (named "compile") )
 
 let stages () =
-  header "Compile time per stage (telemetry spans)";
+  header "Compile and back-end time per stage (telemetry spans)";
   let systolic =
     List.map
       (fun n ->
@@ -664,8 +671,8 @@ let stages () =
   let rows =
     List.map
       (fun (name, ctx, simulate) ->
-        let lowered, stages, total = stage_times ctx in
-        (name, stages, total, simulate lowered))
+        let cycles, stages, total = stage_times ctx simulate in
+        (name, stages, total, cycles))
       (systolic @ kernels)
   in
   let _, first, _, _ = List.hd rows in

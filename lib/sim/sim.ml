@@ -1448,6 +1448,7 @@ type t = {
 
 let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
     =
+  Tele.Trace.with_span ~cat:"stage" "sim-build" @@ fun () ->
   let comp = entry ctx in
   let root =
     build ?externs ~engine ~max_iters:max_fixpoint_iters ~path:"" ctx comp

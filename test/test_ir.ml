@@ -41,6 +41,198 @@ let test_widths () =
   Alcotest.(check int) "hole" 1 (Ports.width ports (Hole ("add0", "go")));
   Alcotest.(check int) "this go" 1 (Ports.width ports (This "go"))
 
+(* Port tables against the linear scans they replace. The reference
+   resolves a width by scanning the component's cells and the prototype's
+   ports, raising what the scan-based width queries raised, and numbers
+   ports the way the simulator interned them: signature ports, each
+   group's go and done hole, then each cell's ports; a repeated name keeps
+   its first number and a cell whose prototype does not resolve gets
+   none. *)
+let ref_width ctx comp = function
+  | Cell_port (c, p) -> (
+      match List.find_opt (fun x -> String.equal x.cell_name c) comp.cells with
+      | None -> ir_error "unknown cell %s in component %s" c comp.comp_name
+      | Some cell -> (
+          match
+            List.find_opt
+              (fun (n, _, _) -> String.equal n p)
+              (cell_ports ctx cell.cell_proto)
+          with
+          | Some (_, w, _) -> w
+          | None ->
+              ir_error "cell %s (in %s) has no port %s" c comp.comp_name p))
+  | Hole _ -> 1
+  | This p -> (
+      match
+        List.find_opt (fun pd -> String.equal pd.pd_name p) (signature_ports comp)
+      with
+      | Some pd -> pd.pd_width
+      | None -> ir_error "component %s has no port %s" comp.comp_name p)
+
+let ref_numbering ctx comp =
+  let seen = Hashtbl.create 64 and order = ref [] in
+  let intern p w d =
+    if not (Hashtbl.mem seen p) then begin
+      Hashtbl.add seen p ();
+      order := (p, w, d) :: !order
+    end
+  in
+  List.iter (fun pd -> intern (This pd.pd_name) pd.pd_width pd.pd_dir)
+    (signature_ports comp);
+  List.iter
+    (fun g ->
+      intern (Hole (g.group_name, "go")) 1 Input;
+      intern (Hole (g.group_name, "done")) 1 Output)
+    comp.groups;
+  let cells = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem cells c.cell_name) then begin
+        Hashtbl.add cells c.cell_name ();
+        match cell_ports ctx c.cell_proto with
+        | ports ->
+            List.iter (fun (p, w, d) -> intern (Cell_port (c.cell_name, p)) w d) ports
+        | exception (Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _) -> ()
+      end)
+    comp.cells;
+  List.rev !order
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* Every port the component mentions or declares, and probes that miss:
+   an unknown cell, a missing port on every cell, an unknown signature
+   port, a hole of an unknown group and an unknown hole. *)
+let port_queries ctx comp =
+  let atoms a = List.filter_map (function Port p -> Some p | Lit _ -> None) (assignment_atoms a) in
+  let conds = ref [] in
+  iter_control
+    (function
+      | If { cond_port; _ } | While { cond_port; _ } -> conds := cond_port :: !conds
+      | _ -> ())
+    comp.control;
+  List.concat_map (fun a -> a.dst :: atoms a) (all_assignments comp)
+  @ !conds
+  @ List.map (fun pd -> This pd.pd_name) (signature_ports comp)
+  @ List.concat_map
+      (fun c ->
+        Cell_port (c.cell_name, "no_such_port")
+        :: (try
+              List.map (fun (p, _, _) -> Cell_port (c.cell_name, p))
+                (cell_ports ctx c.cell_proto)
+            with _ -> []))
+      comp.cells
+  @ List.concat_map
+      (fun g -> [ Hole (g.group_name, "go"); Hole (g.group_name, "done"); Hole (g.group_name, "bogus") ])
+      comp.groups
+  @ [ Cell_port ("no_such_cell", "out"); This "no_such_port"; Hole ("no_such_group", "go") ]
+
+(* [None] when the table agrees with the reference on [ctx], else what
+   differed first. *)
+let ports_disagreement ctx =
+  let exception Differ of string in
+  let fail fmt = Format.kasprintf (fun m -> raise (Differ m)) fmt in
+  try
+    List.iter
+      (fun comp ->
+        let t = Ports.create ctx comp in
+        let name = comp.comp_name in
+        List.iter
+          (fun p ->
+            let got = outcome (fun () -> Ports.width t p)
+            and want = outcome (fun () -> ref_width ctx comp p) in
+            if got <> want then
+              fail "%s: width of %a: table %s, reference %s" name pp_port_ref p
+                (match got with Ok w -> string_of_int w | Error e -> e)
+                (match want with Ok w -> string_of_int w | Error e -> e))
+          (port_queries ctx comp);
+        let numbering = ref_numbering ctx comp in
+        if List.length numbering <> Ports.count t then
+          fail "%s: %d ports, reference %d" name (Ports.count t)
+            (List.length numbering);
+        List.iteri
+          (fun i (p, w, d) ->
+            if not (equal_port_ref (Ports.port t i) p) then
+              fail "%s: id %d is %a, reference %a" name i pp_port_ref
+                (Ports.port t i) pp_port_ref p;
+            if Ports.id t p <> i || Ports.width_of_id t i <> w
+               || Ports.direction_of_id t i <> d
+            then fail "%s: id, width or direction of %a" name pp_port_ref p)
+          numbering)
+      ctx.components;
+    None
+  with Differ m -> Some m
+
+let check_ports_agree label ctx =
+  match ports_disagreement ctx with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s" label m
+
+let test_ports_corpus () =
+  let example f =
+    (* dune runtest runs in the test directory; dune exec from the root. *)
+    Parser.parse_file
+      (List.find Sys.file_exists
+         [ "../examples/sources/" ^ f; "examples/sources/" ^ f ])
+  in
+  let programs =
+    [
+      ("counter.futil", example "counter.futil");
+      ("invoke.futil", example "invoke.futil");
+      ("reduction tree", Progs.reduction_tree ());
+      ("hierarchy", Progs.hierarchy ~input:1 ());
+      ( "systolic 3x3",
+        Systolic.generate { Systolic.rows = 3; cols = 3; depth = 3; width = 32 } );
+    ]
+    @ List.map
+        (fun (k : Polybench.Kernels.kernel) ->
+          (k.name, Polybench.Harness.build k ~unrolled:false))
+        (List.filteri (fun i _ -> i < 4) Polybench.Kernels.all)
+  in
+  List.iter
+    (fun (label, ctx) ->
+      check_ports_agree label ctx;
+      check_ports_agree (label ^ " (lowered)") (Pipelines.compile ctx))
+    programs
+
+(* First declarations win, and an unresolved prototype's ports raise what
+   resolving it raised. *)
+let test_ports_malformed () =
+  let main =
+    {
+      (component "main" ~inputs:[ ("x", 8); ("x", 4) ]) with
+      cells =
+        [
+          reg "r" 8;
+          prim "r" "std_add" [ 4 ];
+          prim "bad" "std_bogus" [ 1 ];
+          prim "params" "std_reg" [ 8; 9 ];
+          { cell_name = "sub"; cell_proto = Comp "missing"; cell_attrs = Attrs.empty };
+        ];
+      groups =
+        [
+          group "g" [ assign (hole "g" "done") (pa "r" "done") ];
+          group "g" [ assign (hole "g" "done") (lit ~width:1 1) ];
+        ];
+    }
+  in
+  check_ports_agree "malformed" (context [ main ]);
+  let t = Ports.create (context [ main ]) main in
+  Alcotest.(check int) "first x" 8 (Ports.width t (This "x"));
+  Alcotest.(check int) "first r" 8 (Ports.width t (Cell_port ("r", "in")));
+  Alcotest.(check bool) "second r's ports are not r's" true
+    (Ports.id_opt t (Cell_port ("r", "left")) = None)
+
+let prop_ports_fuzz =
+  QCheck.Test.make ~name:"port tables agree with the linear scans" ~count:60
+    (Fuzz_seed.spec_arb "ports-reference")
+    (fun spec ->
+      let ctx = Fuzz_gen.build spec in
+      match
+        (ports_disagreement ctx, ports_disagreement (Pipelines.compile ctx))
+      with
+      | None, None -> true
+      | Some m, _ | None, Some m -> QCheck.Test.fail_report m)
+
 let test_enabled_groups () =
   let ctx = Progs.reduction_tree () in
   let main = entry ctx in
@@ -142,6 +334,49 @@ let test_wf_unknown_prim_params () =
   in
   expect_error (context [ main ]) "std_reg expects 1 parameter"
 
+(* The parser takes a signature as written: a component that omits go or
+   done is reported by the checker, not left to fail in remove-groups. *)
+let test_wf_missing_interface () =
+  let src iface =
+    Printf.sprintf
+      {|component main%s {
+  cells { r = std_reg(8); }
+  wires { group g { r.in = 8'd1; r.write_en = 1'd1; g[done] = r.done; } }
+  control { g; }
+}|}
+      iface
+  in
+  let codes iface =
+    List.filter_map
+      (fun (d : Diagnostics.t) ->
+        if String.equal d.code "CX013" then Some d.message else None)
+      (Well_formed.diagnostics (Parser.parse_string (src iface)))
+  in
+  Alcotest.(check (list string)) "both present" [] (codes "(go: 1) -> (done: 1)");
+  Alcotest.(check (list string)) "no go"
+    [ "component main has no go: 1 input (the go/done interface)" ]
+    (codes "() -> (done: 1)");
+  Alcotest.(check (list string)) "no done"
+    [ "component main has no done: 1 output (the go/done interface)" ]
+    (codes "(go: 1) -> ()");
+  Alcotest.(check int) "wrong width and direction" 2
+    (List.length (codes "(done: 1) -> (go: 2)"));
+  (* An extern declares a signature only and is exempt. *)
+  let ext =
+    Parser.parse_string
+      ({|extern "ip.sv" { component ip(x: 8) -> (y: 8); }
+|}
+      ^ src "(go: 1) -> (done: 1)")
+  in
+  Alcotest.(check int) "extern exempt" 0
+    (List.length
+       (List.filter
+          (fun (d : Diagnostics.t) -> String.equal d.code "CX013")
+          (Well_formed.diagnostics ext)));
+  Alcotest.(check (option string)) "registered"
+    (Some "component lacks the go: 1 input or done: 1 output interface")
+    (Diagnostics.describe "CX013")
+
 let test_prims_metadata () =
   let info = Prims.info "std_reg" in
   Alcotest.(check bool) "stateful" true info.Prims.stateful;
@@ -170,6 +405,10 @@ let () =
       ( "queries",
         [
           Alcotest.test_case "port widths" `Quick test_widths;
+          Alcotest.test_case "port tables on the corpus" `Quick test_ports_corpus;
+          Alcotest.test_case "port tables, first declaration wins" `Quick
+            test_ports_malformed;
+          QCheck_alcotest.to_alcotest prop_ports_fuzz;
           Alcotest.test_case "enabled groups" `Quick test_enabled_groups;
           Alcotest.test_case "control size" `Quick test_control_size;
           Alcotest.test_case "rename enables" `Quick test_rename_enables;
@@ -184,6 +423,8 @@ let () =
           Alcotest.test_case "bad entrypoint" `Quick test_wf_bad_entrypoint;
           Alcotest.test_case "duplicate cells" `Quick test_wf_duplicate_cells;
           Alcotest.test_case "bad prim params" `Quick test_wf_unknown_prim_params;
+          Alcotest.test_case "missing go/done interface" `Quick
+            test_wf_missing_interface;
         ] );
       ( "primitives",
         [ Alcotest.test_case "metadata" `Quick test_prims_metadata ] );

@@ -323,6 +323,28 @@ let test_sched_levels_agree () =
         (Sched.level g e1 < Sched.level g e2)
   done
 
+(* Loop reports are deterministic: the search walks ports in id order
+   (signature, then each cell's ports), so here it enters the w1/w2 cycle
+   from w0 at w2.in, although w1.in is numbered lower. *)
+let test_loop_port () =
+  let main =
+    component "main"
+    |> with_cells
+         [ prim "w0" "std_wire" [ 1 ]; prim "w1" "std_wire" [ 1 ]; prim "w2" "std_wire" [ 1 ] ]
+    |> with_continuous
+         [
+           assign (port "w2" "in") (pa "w0" "out");
+           assign (port "w1" "in") (pa "w2" "out");
+           assign (port "w2" "in") (pa "w1" "out");
+           assign (this "done") (pa "w1" "out");
+         ]
+  in
+  Alcotest.(check string) "first looping port reached" "w2.in"
+    (try
+       ignore (timing (context [ main ]));
+       "no loop"
+     with Timing.Combinational_loop port -> port)
+
 let () =
   Alcotest.run "timing"
     [
@@ -351,6 +373,7 @@ let () =
           Alcotest.test_case "counter report + attribution" `Quick
             test_counter_report;
           Alcotest.test_case "json round-trips" `Quick test_json_parses;
+          Alcotest.test_case "combinational loop port" `Quick test_loop_port;
         ] );
       ( "cross-check",
         [
