@@ -163,14 +163,15 @@ let cell_ports ctx proto =
 module Ports = struct
   type proto = {
     pr_list : (string * int * direction) list;
-    pr_index : (string, int) Hashtbl.t;
-        (* first declaration of each name -> position among the distinct
-           names, which is also its offset from a cell's base id *)
+    pr_distinct : (string * int * direction) list;
+        (* the first declaration of each name, in order: a cell's ports
+           take consecutive ids from its base in this order *)
+    pr_index : (string, int) Hashtbl.t;  (* name -> offset in pr_distinct *)
   }
 
   (* A cell's first declaration: its base id and its prototype's ports, or
-     the exception resolving the prototype raised (re-raised on lookup,
-     where {!cell_ports} would have raised it). *)
+     the exception resolving the prototype raised, which a lookup of the
+     cell's ports re-raises. *)
   type cell_entry = {
     ce_cell : cell;
     ce_base : int;
@@ -204,12 +205,17 @@ module Ports = struct
             match cell_ports ctx p with
             | ports ->
                 let index = Hashtbl.create 8 in
-                List.iter
-                  (fun (n, _, _) ->
-                    if not (Hashtbl.mem index n) then
-                      Hashtbl.replace index n (Hashtbl.length index))
-                  ports;
-                Ok { pr_list = ports; pr_index = index }
+                let distinct =
+                  List.filter
+                    (fun (n, _, _) ->
+                      if Hashtbl.mem index n then false
+                      else begin
+                        Hashtbl.replace index n (Hashtbl.length index);
+                        true
+                      end)
+                    ports
+                in
+                Ok { pr_list = ports; pr_distinct = distinct; pr_index = index }
             | exception
                 ((Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
                  as e) ->
@@ -253,15 +259,9 @@ module Ports = struct
           match pr with
           | Error _ -> ()
           | Ok pr ->
-              (* Distinct names only: a repeated port keeps its first id. *)
-              let seen = Hashtbl.create 8 in
               List.iter
-                (fun (n, w, d) ->
-                  if not (Hashtbl.mem seen n) then begin
-                    Hashtbl.replace seen n ();
-                    add (Cell_port (c.cell_name, n)) w d
-                  end)
-                pr.pr_list
+                (fun (n, w, d) -> add (Cell_port (c.cell_name, n)) w d)
+                pr.pr_distinct
         end)
       comp.cells;
     let rev l = Array.of_list (List.rev l) in
@@ -276,7 +276,6 @@ module Ports = struct
       dirs = rev !dirs;
     }
 
-  let component t = t.comp
   let count t = Array.length t.ports
   let port t i = t.ports.(i)
   let width_of_id t i = t.widths.(i)
@@ -331,8 +330,6 @@ module Ports = struct
             if Hashtbl.mem t.cells c then
               ir_error "cell %s (in %s) has no port %s" c comp p
             else ir_error "unknown cell %s in component %s" c comp)
-
-  let id_opt t p = match resolve t p with Resolved i -> Some i | _ -> None
 
   (* A hole is one bit whether or not its group exists. *)
   let width t = function Hole _ -> 1 | p -> t.widths.(id t p)

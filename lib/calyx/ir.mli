@@ -168,7 +168,6 @@ module Ports : sig
       prototype does not resolve gets no ids; lookups of its ports re-raise
       what {!cell_ports} raised. *)
 
-  val component : t -> component
   val count : t -> int
   val port : t -> int -> port_ref
   (** The port an id names ([This], [Hole] or [Cell_port]). *)
@@ -193,8 +192,6 @@ module Ports : sig
       ["cell %s (in %s) has no port %s"], ["component %s has no port %s"],
       or the group counterparts for holes) or the exception of an
       unresolved prototype. *)
-
-  val id_opt : t -> port_ref -> int option
 
   val width : t -> port_ref -> int
   (** Width of a port; a hole is 1 bit even when its group is unknown.

@@ -220,7 +220,7 @@ let test_ports_malformed () =
   Alcotest.(check int) "first x" 8 (Ports.width t (This "x"));
   Alcotest.(check int) "first r" 8 (Ports.width t (Cell_port ("r", "in")));
   Alcotest.(check bool) "second r's ports are not r's" true
-    (Ports.id_opt t (Cell_port ("r", "left")) = None)
+    (Ports.resolve t (Cell_port ("r", "left")) = Ports.No_port)
 
 let prop_ports_fuzz =
   QCheck.Test.make ~name:"port tables agree with the linear scans" ~count:60
