@@ -163,10 +163,10 @@ let cell_ports ctx proto =
 module Ports = struct
   type proto = {
     pr_list : (string * int * direction) list;
-    pr_distinct : (string * int * direction) list;
+    pr_ports : (string * int * direction) array;
         (* the first declaration of each name, in order: a cell's ports
            take consecutive ids from its base in this order *)
-    pr_index : (string, int) Hashtbl.t;  (* name -> offset in pr_distinct *)
+    pr_index : (string, int) Hashtbl.t;  (* name -> offset in pr_ports *)
   }
 
   (* A cell's first declaration: its base id and its prototype's ports, or
@@ -182,15 +182,18 @@ module Ports = struct
     comp : component;
     proto_of : prototype -> (proto, exn) result;
     cells : (string, cell_entry) Hashtbl.t;
-    signature : (string, int) Hashtbl.t;
+    signature : (string, int * port_def) Hashtbl.t;
     holes : (string, int) Hashtbl.t;  (* group -> id of its go hole *)
-    ports : port_ref array;
-    widths : int array;
-    dirs : direction array;
+    count : int;
+    by_id : (port_ref array * int array * direction array) Lazy.t;
+        (* built on the first query by id: the checker and the area model
+           only resolve names *)
   }
 
+  type info = { id : int; width : int; dir : direction }
+
   type resolution =
-    | Resolved of int
+    | Resolved of info
     | Unknown_cell
     | Unresolved_prototype of exn
     | No_port
@@ -215,7 +218,12 @@ module Ports = struct
                       end)
                     ports
                 in
-                Ok { pr_list = ports; pr_distinct = distinct; pr_index = index }
+                Ok
+                  {
+                    pr_list = ports;
+                    pr_ports = Array.of_list distinct;
+                    pr_index = index;
+                  }
             | exception
                 ((Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
                  as e) ->
@@ -224,62 +232,91 @@ module Ports = struct
           Hashtbl.replace protos p r;
           r
     in
-    let ports = ref [] and widths = ref [] and dirs = ref [] in
     let count = ref 0 in
-    let add p w d =
-      ports := p :: !ports;
-      widths := w :: !widths;
-      dirs := d :: !dirs;
-      incr count
-    in
     let signature = Hashtbl.create 8 in
-    List.iter
-      (fun pd ->
-        if not (Hashtbl.mem signature pd.pd_name) then begin
-          Hashtbl.replace signature pd.pd_name !count;
-          add (This pd.pd_name) pd.pd_width pd.pd_dir
-        end)
-      (signature_ports comp);
+    let sig_order =
+      List.filter
+        (fun pd ->
+          if Hashtbl.mem signature pd.pd_name then false
+          else begin
+            Hashtbl.replace signature pd.pd_name (!count, pd);
+            incr count;
+            true
+          end)
+        (signature_ports comp)
+    in
     let holes = Hashtbl.create 16 in
-    List.iter
-      (fun g ->
-        if not (Hashtbl.mem holes g.group_name) then begin
-          Hashtbl.replace holes g.group_name !count;
-          add (Hole (g.group_name, "go")) 1 Input;
-          add (Hole (g.group_name, "done")) 1 Output
-        end)
-      comp.groups;
+    let group_order =
+      List.filter
+        (fun g ->
+          if Hashtbl.mem holes g.group_name then false
+          else begin
+            Hashtbl.replace holes g.group_name !count;
+            count := !count + 2;
+            true
+          end)
+        comp.groups
+    in
     let cells = Hashtbl.create 64 in
-    List.iter
-      (fun c ->
-        if not (Hashtbl.mem cells c.cell_name) then begin
-          let pr = proto_of c.cell_proto in
-          Hashtbl.replace cells c.cell_name
-            { ce_cell = c; ce_base = !count; ce_proto = pr };
-          match pr with
-          | Error _ -> ()
-          | Ok pr ->
-              List.iter
-                (fun (n, w, d) -> add (Cell_port (c.cell_name, n)) w d)
-                pr.pr_distinct
-        end)
-      comp.cells;
-    let rev l = Array.of_list (List.rev l) in
-    {
-      comp;
-      proto_of;
-      cells;
-      signature;
-      holes;
-      ports = rev !ports;
-      widths = rev !widths;
-      dirs = rev !dirs;
-    }
+    let cell_order =
+      List.filter_map
+        (fun c ->
+          if Hashtbl.mem cells c.cell_name then None
+          else begin
+            let ce = { ce_cell = c; ce_base = !count; ce_proto = proto_of c.cell_proto } in
+            Hashtbl.replace cells c.cell_name ce;
+            (match ce.ce_proto with
+            | Ok pr -> count := !count + Array.length pr.pr_ports
+            | Error _ -> ());
+            Some ce
+          end)
+        comp.cells
+    in
+    let count = !count in
+    let by_id =
+      lazy
+        (let ports = Array.make count (This "")
+         and widths = Array.make count 0
+         and dirs = Array.make count Input in
+         let set i p w d =
+           ports.(i) <- p;
+           widths.(i) <- w;
+           dirs.(i) <- d
+         in
+         List.iteri (fun i pd -> set i (This pd.pd_name) pd.pd_width pd.pd_dir) sig_order;
+         List.iter
+           (fun g ->
+             let i = Hashtbl.find holes g.group_name in
+             set i (Hole (g.group_name, "go")) 1 Input;
+             set (i + 1) (Hole (g.group_name, "done")) 1 Output)
+           group_order;
+         List.iter
+           (fun ce ->
+             match ce.ce_proto with
+             | Error _ -> ()
+             | Ok pr ->
+                 Array.iteri
+                   (fun k (n, w, d) ->
+                     set (ce.ce_base + k) (Cell_port (ce.ce_cell.cell_name, n)) w d)
+                   pr.pr_ports)
+           cell_order;
+         (ports, widths, dirs))
+    in
+    { comp; proto_of; cells; signature; holes; count; by_id }
 
-  let count t = Array.length t.ports
-  let port t i = t.ports.(i)
-  let width_of_id t i = t.widths.(i)
-  let direction_of_id t i = t.dirs.(i)
+  let count t = t.count
+
+  let port t i =
+    let ports, _, _ = Lazy.force t.by_id in
+    ports.(i)
+
+  let width_of_id t i =
+    let _, widths, _ = Lazy.force t.by_id in
+    widths.(i)
+
+  let direction_of_id t i =
+    let _, _, dirs = Lazy.force t.by_id in
+    dirs.(i)
 
   let find_cell t name =
     Option.map (fun ce -> ce.ce_cell) (Hashtbl.find_opt t.cells name)
@@ -295,15 +332,15 @@ module Ports = struct
   let resolve t = function
     | This p -> (
         match Hashtbl.find_opt t.signature p with
-        | Some i -> Resolved i
+        | Some (id, pd) -> Resolved { id; width = pd.pd_width; dir = pd.pd_dir }
         | None -> No_port)
     | Hole (g, h) -> (
         match Hashtbl.find_opt t.holes g with
         | None -> Unknown_cell
-        | Some i -> (
+        | Some id -> (
             match h with
-            | "go" -> Resolved i
-            | "done" -> Resolved (i + 1)
+            | "go" -> Resolved { id; width = 1; dir = Input }
+            | "done" -> Resolved { id = id + 1; width = 1; dir = Output }
             | _ -> No_port))
     | Cell_port (c, p) -> (
         match Hashtbl.find_opt t.cells c with
@@ -311,12 +348,14 @@ module Ports = struct
         | Some { ce_proto = Error e; _ } -> Unresolved_prototype e
         | Some { ce_proto = Ok pr; ce_base; _ } -> (
             match Hashtbl.find_opt pr.pr_index p with
-            | Some k -> Resolved (ce_base + k)
+            | Some k ->
+                let _, width, dir = pr.pr_ports.(k) in
+                Resolved { id = ce_base + k; width; dir }
             | None -> No_port))
 
-  let id t p =
+  let resolved t p =
     match resolve t p with
-    | Resolved i -> i
+    | Resolved r -> r
     | Unresolved_prototype e -> raise e
     | Unknown_cell | No_port -> (
         let comp = t.comp.comp_name in
@@ -331,8 +370,10 @@ module Ports = struct
               ir_error "cell %s (in %s) has no port %s" c comp p
             else ir_error "unknown cell %s in component %s" c comp)
 
+  let id t p = (resolved t p).id
+
   (* A hole is one bit whether or not its group exists. *)
-  let width t = function Hole _ -> 1 | p -> t.widths.(id t p)
+  let width t = function Hole _ -> 1 | p -> (resolved t p).width
 
   let atom_width t = function Port p -> width t p | Lit v -> Bitvec.width v
 end

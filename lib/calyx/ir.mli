@@ -166,7 +166,9 @@ module Ports : sig
       port) wins and later ones get no id. Prototype port lists are
       memoized in the table only, never across tables. A cell whose
       prototype does not resolve gets no ids; lookups of its ports re-raise
-      what {!cell_ports} raised. *)
+      what {!cell_ports} raised. Name lookups cost two hash lookups; the
+      per-id arrays behind {!port}, {!width_of_id} and {!direction_of_id}
+      are built on the first such query. *)
 
   val count : t -> int
   val port : t -> int -> port_ref
@@ -178,8 +180,11 @@ module Ports : sig
       from the cell (an adder's [left] is an [Input]), [Input] for a [go]
       hole and [Output] for a [done] hole. *)
 
+  type info = { id : int; width : int; dir : direction }
+  (** A port's id, width and direction ([dir] as {!direction_of_id}). *)
+
   type resolution =
-    | Resolved of int
+    | Resolved of info
     | Unknown_cell  (** No such cell, or a hole of no such group. *)
     | Unresolved_prototype of exn
         (** The cell's prototype raised this when resolved. *)

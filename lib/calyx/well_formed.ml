@@ -60,8 +60,7 @@ let component_diagnostics ctx comp =
       (fun (name, dir, what) ->
         let ok =
           match Ports.resolve ports (This name) with
-          | Ports.Resolved i ->
-              Ports.direction_of_id ports i = dir && Ports.width_of_id ports i = 1
+          | Ports.Resolved r -> r.dir = dir && r.width = 1
           | _ -> false
         in
         if not ok then
@@ -97,15 +96,15 @@ let component_diagnostics ctx comp =
   let port_info ~loc p =
     (* Returns (width, is_readable, is_writable) or None with a problem. *)
     match Ports.resolve ports p with
-    | Ports.Resolved i -> (
+    | Ports.Resolved r -> (
         match p with
         | Hole _ -> Some (1, true, true)
         | This _ | Cell_port _ ->
             (* Inside the component, inputs are read and outputs written;
                a cell's outputs are read and its inputs written. *)
             let read_dir = match p with This _ -> Input | _ -> Output in
-            let readable = Ports.direction_of_id ports i = read_dir in
-            Some (Ports.width_of_id ports i, readable, not readable))
+            let readable = r.dir = read_dir in
+            Some (r.width, readable, not readable))
     | Ports.Unresolved_prototype _ -> None
     | (Ports.Unknown_cell | Ports.No_port) as r ->
         (match (p, r) with
