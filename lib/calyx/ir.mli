@@ -161,12 +161,12 @@ module Ports : sig
   val create : context -> component -> t
   (** Build the table of a component. Ids are dense from 0, in this order:
       the signature ports (inputs, then outputs), each group's [go] then
-      [done] hole, then each cell's ports in {!cell_ports} order. The first
+      [done] hole, then each cell's ports in [Ir.cell_ports] order. The first
       declaration of a name (signature port, group, cell, or a prototype's
       port) wins and later ones get no id. Prototype port lists are
       memoized in the table only, never across tables. A cell whose
       prototype does not resolve gets no ids; lookups of its ports re-raise
-      what {!cell_ports} raised. Name lookups cost two hash lookups; the
+      what [Ir.cell_ports] raised. Name lookups cost two hash lookups; the
       per-id arrays behind {!port}, {!width_of_id} and {!direction_of_id}
       are built on the first such query. *)
 
@@ -212,7 +212,8 @@ module Ports : sig
   (** The ports of a cell's prototype ([None] for an unknown cell). *)
 
   val proto_ports : t -> prototype -> (string * int * direction) list
-  (** {!cell_ports} of a prototype, memoized in the table. *)
+  (** [Ir.cell_ports] of a prototype (raising what it raises), memoized in
+      the table. *)
 end
 
 (** {1 Construction helpers} *)
