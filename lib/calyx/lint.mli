@@ -1,7 +1,7 @@
 (** Control-flow-sensitive semantic lints.
 
     Where {!Well_formed} checks structural invariants (codes [CX001]–
-    [CX012]), this module checks semantic safety properties the paper
+    [CX013]), this module checks semantic safety properties the paper
     leaves implicit, reporting {!Diagnostics.t} values with [CX02x] codes:
 
     - {b CX020 par data race} (error): groups enabled under distinct arms
