@@ -168,31 +168,19 @@ let build ctx comp =
         Hashtbl.replace tables comp.comp_name t;
         t
   in
-  (* Signature ports take the first ids of a table. *)
-  let nsig t =
-    let rec go i =
-      if i < Ports.count t && (match Ports.port t i with This _ -> true | _ -> false)
-      then go (i + 1)
-      else i
-    in
-    go 0
+  (* Room for every port of every instance; a child's signature ports
+     share the parent's ids, so a few trailing slots stay unused. *)
+  let rec size comp =
+    List.fold_left
+      (fun acc c ->
+        match c.cell_proto with
+        | Comp cname -> (
+            let child = find_component ctx cname in
+            match child.is_extern with Some _ -> acc | None -> acc + size child)
+        | Prim _ -> acc)
+      (Ports.count (table comp)) comp.cells
   in
-  (* Nodes an instance adds beyond the signature ports it shares. *)
-  let rec own comp =
-    let t = table comp in
-    Ports.count t - nsig t
-    + List.fold_left
-        (fun acc c ->
-          match c.cell_proto with
-          | Comp cname -> (
-              let child = find_component ctx cname in
-              match child.is_extern with
-              | Some _ -> acc
-              | None -> acc + own child)
-          | Prim _ -> acc)
-        0 comp.cells
-  in
-  let n = own comp + nsig (table comp) in
+  let n = size comp in
   let g =
     {
       names = Array.make n "";
