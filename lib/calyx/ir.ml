@@ -304,6 +304,16 @@ module Ports = struct
     in
     { comp; proto_of; cells; signature; holes; count; by_id }
 
+  let tables ctx =
+    let memo = Hashtbl.create 8 in
+    fun comp ->
+      match Hashtbl.find_opt memo comp.comp_name with
+      | Some t -> t
+      | None ->
+          let t = create ctx comp in
+          Hashtbl.replace memo comp.comp_name t;
+          t
+
   let count t = t.count
 
   let port t i =

@@ -170,6 +170,11 @@ module Ports : sig
       per-id arrays behind {!port}, {!width_of_id} and {!direction_of_id}
       are built on the first such query. *)
 
+  val tables : context -> component -> t
+  (** [tables ctx] builds a component's table on its first request and
+      returns the same table after, for analyses that visit every instance
+      of a hierarchy. Each [tables ctx] keeps its own tables. *)
+
   val count : t -> int
   val port : t -> int -> port_ref
   (** The port an id names ([This], [Hole] or [Cell_port]). *)

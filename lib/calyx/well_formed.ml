@@ -221,10 +221,8 @@ let component_diagnostics ctx comp =
       | Invoke { cell; invoke_inputs; invoke_outputs; _ } -> (
           match Ports.cell_ports ports cell with
           | None -> error ~code:"CX011" ~loc "invoke of unknown cell %s" cell
-          | Some cell_ports -> (
-              match cell_ports with
-              | Error _ -> () (* the prototype is reported at the cell *)
-              | Ok ports ->
+          | Some (Error _) -> () (* the prototype is reported at the cell *)
+          | Some (Ok ports) ->
               let has name dir =
                 List.exists
                   (fun (n, _, d) -> String.equal n name && d = dir)
@@ -281,7 +279,7 @@ let component_diagnostics ctx comp =
                              vs %d)"
                             cell p w dw
                       | _ -> ()))
-                invoke_outputs))
+                invoke_outputs)
       | Empty | Seq _ | Par _ -> ())
     comp.control;
   List.rev !acc

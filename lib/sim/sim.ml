@@ -500,9 +500,9 @@ let refresh_entries inst st =
   end
 
 let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
-    ~(engine : engine) ?(max_iters = 1000) ~(path : string)
+    ~(engine : engine) ?(max_iters = 1000) ~(path : string) ~ports_of
     (ctx : context) (comp : component) : instance =
-  let ports = Ports.create ctx comp in
+  let ports = ports_of comp in
   let id = Ports.id ports in
   let slots = Ports.count ports in
   let zeros =
@@ -619,7 +619,9 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
           let child_path =
             if path = "" then c.cell_name else path ^ "." ^ c.cell_name
           in
-          let inst = build ~externs ~engine ~max_iters ~path:child_path ctx sub in
+          let inst =
+            build ~externs ~engine ~max_iters ~path:child_path ~ports_of ctx sub
+          in
           let input_map =
             List.map
               (fun (p, slot) -> (id (Cell_port (c.cell_name, p)), slot))
@@ -1451,7 +1453,8 @@ let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
   Tele.Trace.with_span ~cat:"stage" "sim-build" @@ fun () ->
   let comp = entry ctx in
   let root =
-    build ?externs ~engine ~max_iters:max_fixpoint_iters ~path:"" ctx comp
+    build ?externs ~engine ~max_iters:max_fixpoint_iters ~path:""
+      ~ports_of:(Ports.tables ctx) ctx comp
   in
   let inputs =
     Array.of_list

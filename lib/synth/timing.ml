@@ -158,16 +158,7 @@ let local_name = function
   | Hole (grp, h) -> grp ^ "[" ^ h ^ "]"
 
 let build ctx comp =
-  (* One port table per component, however often it is instantiated. *)
-  let tables = Hashtbl.create 8 in
-  let table comp =
-    match Hashtbl.find_opt tables comp.comp_name with
-    | Some t -> t
-    | None ->
-        let t = Ports.create ctx comp in
-        Hashtbl.replace tables comp.comp_name t;
-        t
-  in
+  let table = Ports.tables ctx in
   (* Room for every port of every instance; a child's signature ports
      share the parent's ids, so a few trailing slots stay unused. *)
   let rec size comp =
