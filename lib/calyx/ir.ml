@@ -263,7 +263,8 @@ module Ports = struct
         (fun c ->
           if Hashtbl.mem cells c.cell_name then None
           else begin
-            let ce = { ce_cell = c; ce_base = !count; ce_proto = proto_of c.cell_proto } in
+            let ce_proto = proto_of c.cell_proto in
+            let ce = { ce_cell = c; ce_base = !count; ce_proto } in
             Hashtbl.replace cells c.cell_name ce;
             (match ce.ce_proto with
             | Ok pr -> count := !count + Array.length pr.pr_ports
@@ -283,7 +284,9 @@ module Ports = struct
            widths.(i) <- w;
            dirs.(i) <- d
          in
-         List.iteri (fun i pd -> set i (This pd.pd_name) pd.pd_width pd.pd_dir) sig_order;
+         List.iteri
+           (fun i pd -> set i (This pd.pd_name) pd.pd_width pd.pd_dir)
+           sig_order;
          List.iter
            (fun g ->
              let i = Hashtbl.find holes g.group_name in
@@ -295,9 +298,10 @@ module Ports = struct
              match ce.ce_proto with
              | Error _ -> ()
              | Ok pr ->
+                 let c = ce.ce_cell.cell_name in
                  Array.iteri
                    (fun k (n, w, d) ->
-                     set (ce.ce_base + k) (Cell_port (ce.ce_cell.cell_name, n)) w d)
+                     set (ce.ce_base + k) (Cell_port (c, n)) w d)
                    pr.pr_ports)
            cell_order;
          (ports, widths, dirs))

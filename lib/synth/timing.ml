@@ -213,7 +213,9 @@ let build ctx comp =
           touch v;
           g.source.(v) <- 0)
         comp.inputs;
-      List.iter (fun (p : port_def) -> touch (node (This p.pd_name))) comp.outputs
+      List.iter
+        (fun (p : port_def) -> touch (node (This p.pd_name)))
+        comp.outputs
     end;
     (* Group go holes are FSM-driven once compiled: they launch paths. *)
     List.iter
@@ -363,7 +365,9 @@ let component_timing ?(paths = 5) ctx comp =
   let g = build ctx comp in
   let r = longest_paths g in
   let chain v =
-    let rec go v acc = if v < 0 then List.rev acc else go r.next.(v) (v :: acc) in
+    let rec go v acc =
+      if v < 0 then List.rev acc else go r.next.(v) (v :: acc)
+    in
     go v []
   in
   (* Paths launch at declared sources (register outputs, constants, the
@@ -445,7 +449,9 @@ let port_edges ctx comp =
   let acc = ref [] in
   Array.iteri
     (fun src es ->
-      List.iter (fun (dst, _, _) -> acc := (g.names.(src), g.names.(dst)) :: !acc) es)
+      List.iter
+        (fun (dst, _, _) -> acc := (g.names.(src), g.names.(dst)) :: !acc)
+        es)
     g.edges;
   List.sort_uniq compare !acc
 

@@ -354,7 +354,9 @@ let emit_component ctx comp =
           drivers.(d)
       in
       buf_add b
-        (Printf.sprintf "  assign %s = %s;\n" (wire_name (Ports.port ports d)) rhs))
+        (Printf.sprintf "  assign %s = %s;\n"
+           (wire_name (Ports.port ports d))
+           rhs))
     (List.rev !order);
   (* Undriven cell inputs default to zero so the netlist is closed. *)
   List.iter

@@ -52,7 +52,8 @@ let backend_line structured lowered =
       Calyx_synth.Area.pp
       (Calyx_synth.Area.context_usage lowered)
   in
-  String.concat " " [ md5 sv; md5 (timing structured ^ timing lowered); md5 area ]
+  String.concat " "
+    [ md5 sv; md5 (timing structured ^ timing lowered); md5 area ]
 
 let () =
   let line, dir =

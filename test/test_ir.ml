@@ -64,7 +64,9 @@ let ref_width ctx comp = function
   | Hole _ -> 1
   | This p -> (
       match
-        List.find_opt (fun pd -> String.equal pd.pd_name p) (signature_ports comp)
+        List.find_opt
+          (fun pd -> String.equal pd.pd_name p)
+          (signature_ports comp)
       with
       | Some pd -> pd.pd_width
       | None -> ir_error "component %s has no port %s" comp.comp_name p)
@@ -91,8 +93,12 @@ let ref_numbering ctx comp =
         Hashtbl.add cells c.cell_name ();
         match cell_ports ctx c.cell_proto with
         | ports ->
-            List.iter (fun (p, w, d) -> intern (Cell_port (c.cell_name, p)) w d) ports
-        | exception (Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _) -> ()
+            List.iter
+              (fun (p, w, d) -> intern (Cell_port (c.cell_name, p)) w d)
+              ports
+        | exception
+            (Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _) ->
+            ()
       end)
     comp.cells;
   List.rev !order
@@ -103,7 +109,11 @@ let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_st
    an unknown cell, a missing port on every cell, an unknown signature
    port, a hole of an unknown group and an unknown hole. *)
 let port_queries ctx comp =
-  let atoms a = List.filter_map (function Port p -> Some p | Lit _ -> None) (assignment_atoms a) in
+  let atoms a =
+    List.filter_map
+      (function Port p -> Some p | Lit _ -> None)
+      (assignment_atoms a)
+  in
   let conds = ref [] in
   iter_control
     (function
@@ -122,9 +132,14 @@ let port_queries ctx comp =
             with _ -> []))
       comp.cells
   @ List.concat_map
-      (fun g -> [ Hole (g.group_name, "go"); Hole (g.group_name, "done"); Hole (g.group_name, "bogus") ])
+      (fun g ->
+        List.map (fun h -> Hole (g.group_name, h)) [ "go"; "done"; "bogus" ])
       comp.groups
-  @ [ Cell_port ("no_such_cell", "out"); This "no_such_port"; Hole ("no_such_group", "go") ]
+  @ [
+      Cell_port ("no_such_cell", "out");
+      This "no_such_port";
+      Hole ("no_such_group", "go");
+    ]
 
 (* [None] when the table agrees with the reference on [ctx], else what
    differed first. *)

@@ -330,7 +330,7 @@ let test_loop_port () =
   let main =
     component "main"
     |> with_cells
-         [ prim "w0" "std_wire" [ 1 ]; prim "w1" "std_wire" [ 1 ]; prim "w2" "std_wire" [ 1 ] ]
+         (List.map (fun w -> prim w "std_wire" [ 1 ]) [ "w0"; "w1"; "w2" ])
     |> with_continuous
          [
            assign (port "w2" "in") (pa "w0" "out");
