@@ -530,8 +530,8 @@ let fig9c () =
 (* ------------------------------------------------------------------ *)
 
 (* All wall-clock measurement goes through the telemetry clock: one
-   monotonic time source for the bench harness, the pass framework, and
-   the span tracer. *)
+   monotonic time source for the bench harness and the span tracer (which
+   times the passes). *)
 let time f = Calyx_telemetry.Clock.timed f
 
 let stats () =
@@ -602,27 +602,25 @@ let stats () =
 (* Compile time per stage, from the telemetry spans                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One full [Pipelines.compile] per design under the default config, with
-   span buffering on. Its stage spans give check and lint, its pass spans
-   each pass, and the "revalidate" span nested in every pass span the
-   well-formedness re-check after it (a pass's own time excludes it). The
+(* One full [Pipelines.compile] per design under the default config, its
+   spans gathered by [Trace.collect]. Its stage spans give check and lint,
+   its pass spans each pass (own time, as [compile --pass-stats] reports
+   it), and the "revalidate" spans the well-formedness re-checks. The
    back end then runs on the lowered program under the same spans: emit,
    the simulator build inside the simulation, timing and area. The stage
    list (the "stages" count) and the cycle counts are deterministic and
    regression-gated; the "_s" times are informational. *)
 let stage_times ctx simulate =
   let module T = Calyx_telemetry in
-  T.Runtime.with_enabled @@ fun () ->
-  T.Trace.reset ();
-  T.Trace.set_keep true;
-  let lowered = Pipelines.compile ctx in
-  ignore (Calyx_verilog.Verilog.emit lowered);
-  let cycles = simulate lowered in
-  ignore (Calyx_synth.Timing.context_timing ~paths:1 lowered);
-  ignore (Calyx_synth.Area.context_usage lowered);
-  let spans = T.Trace.spans () in
-  T.Trace.set_keep false;
-  T.Trace.reset ();
+  let cycles, spans =
+    T.Trace.collect (fun () ->
+        let lowered = Pipelines.compile ctx in
+        ignore (Calyx_verilog.Verilog.emit lowered);
+        let cycles = simulate lowered in
+        ignore (Calyx_synth.Timing.context_timing ~paths:1 lowered);
+        ignore (Calyx_synth.Area.context_usage lowered);
+        cycles)
+  in
   let total keep =
     List.fold_left
       (fun acc (sp : T.Trace.span) ->
@@ -630,21 +628,18 @@ let stage_times ctx simulate =
       0. spans
   in
   let named name (sp : T.Trace.span) = sp.sp_name = name in
-  let revalidate = named "revalidate" in
   let stage name = (name, total (named name)) in
-  let pass (sp : T.Trace.span) =
-    ( sp.sp_name,
-      T.Trace.seconds sp
-      -. total (fun child -> child.sp_parent = sp.sp_id && revalidate child) )
-  in
   let passes =
     List.filter
-      (fun (sp : T.Trace.span) -> sp.sp_cat = "pass" && not (revalidate sp))
+      (fun (sp : T.Trace.span) -> sp.sp_cat = "pass" && not (named "revalidate" sp))
       spans
   in
   ( cycles,
     [ stage "check"; stage "lint" ]
-    @ List.map pass passes
+    @ List.map
+        (fun (sp : T.Trace.span) ->
+          (sp.sp_name, Calyx_obs.Pass_stats.self_seconds spans sp))
+        passes
     @ List.map stage [ "revalidate"; "emit"; "sim-build"; "timing"; "area" ],
     total (named "compile") )
 
@@ -960,7 +955,7 @@ let telemetry_bench () =
   Record.summary "cycle_mismatches" (float_of_int !mismatches)
 
 (* ------------------------------------------------------------------ *)
-(* Coverage of the generated designs (calyx_cover)                     *)
+(* Coverage of the generated designs (Calyx_obs.Coverage)             *)
 (* ------------------------------------------------------------------ *)
 
 (* Structured-interpretation coverage of the systolic generator's output:
@@ -974,12 +969,12 @@ let cover () =
   let one name ctx load =
     let ctx = Pass.run Compile_invoke.pass ctx in
     let sim = Calyx_sim.Sim.create ctx in
-    let cov = Calyx_cover.Coverage.create ctx sim in
+    let cov = Calyx_obs.Coverage.create ctx sim in
     load sim;
     let cycles = Calyx_sim.Sim.run sim in
-    let groups = Calyx_cover.Coverage.group_pct cov in
-    let overall = Calyx_cover.Coverage.overall_pct cov in
-    let uncovered = List.length (Calyx_cover.Coverage.uncovered cov) in
+    let groups = Calyx_obs.Coverage.group_pct cov in
+    let overall = Calyx_obs.Coverage.overall_pct cov in
+    let uncovered = List.length (Calyx_obs.Coverage.uncovered cov) in
     min_group := min !min_group groups;
     Printf.printf "%-14s %8d %8.1f%% %8.1f%% %10d\n" name cycles groups
       overall uncovered;

@@ -299,6 +299,14 @@ let with_telemetry ?source tele f =
     Fun.protect ~finally:finalize f
   end
 
+(* Run [f], then write the --spans trace, also when [f] raises (e.g.
+   Timeout): partial traces stay loadable. *)
+let with_spans sp f =
+  Fun.protect f ~finally:(fun () ->
+      Option.iter
+        (fun (path, sp) -> write_file path (Calyx_obs.Spans.to_chrome sp))
+        sp)
+
 (* Frontend selection by suffix: .dahlia/.fuse sources go through the
    Dahlia frontend, everything else parses as Calyx. *)
 let parse_calyx file =
@@ -394,17 +402,10 @@ let interp_cmd =
         Calyx.Well_formed.check ctx;
         let sim = Calyx_sim.Sim.create ?engine ctx in
         let sp =
-          Option.map (fun _ -> Calyx_cover.Spans.create ctx sim) spans
+          Option.map (fun path -> (path, Calyx_obs.Spans.create ctx sim)) spans
         in
         load_mems (Calyx_sim.Testbench.of_sim sim) mems;
-        let finish () =
-          Option.iter
-            (fun path ->
-              write_file path
-                (Calyx_cover.Spans.to_chrome (Option.get sp)))
-            spans
-        in
-        Fun.protect ~finally:finish (fun () ->
+        with_spans sp (fun () ->
             let cycles = Calyx_sim.Sim.run sim in
             Printf.printf "cycles: %d\n" cycles;
             dump_externals sim))
@@ -425,18 +426,11 @@ let sim_cmd =
            value runs of its generated fsm schedule registers instead. *)
         let sp =
           Option.map
-            (fun _ -> Calyx_cover.Spans.create_fsm lowered sim)
+            (fun path -> (path, Calyx_obs.Spans.create_fsm lowered sim))
             spans
         in
         load_mems (Calyx_sim.Testbench.of_sim sim) mems;
-        let finish () =
-          Option.iter
-            (fun path ->
-              write_file path
-                (Calyx_cover.Spans.to_chrome (Option.get sp)))
-            spans
-        in
-        Fun.protect ~finally:finish (fun () ->
+        with_spans sp (fun () ->
             with_observers sim ~trace ~profile (fun prof ->
                 let cycles = Calyx_sim.Sim.run sim in
                 Printf.printf "cycles: %d\n" cycles;
@@ -632,23 +626,17 @@ let cover_cmd =
              the interpreter refuses, so compile it away first. *)
           let runnable = Calyx.Pass.run Calyx.Compile_invoke.pass ctx in
           let ssim = Calyx_sim.Sim.create ?engine runnable in
-          let cov = Calyx_cover.Coverage.create runnable ssim in
-          let sp = Calyx_cover.Spans.create runnable ssim in
+          let cov = Calyx_obs.Coverage.create runnable ssim in
+          let sp = Calyx_obs.Spans.create runnable ssim in
           load_mems (Calyx_sim.Testbench.of_sim ssim) mems;
-          let finish () =
-            Option.iter
-              (fun path ->
-                write_file path (Calyx_cover.Spans.to_chrome sp))
-              spans
-          in
-          Fun.protect ~finally:finish (fun () ->
+          with_spans (Option.map (fun path -> (path, sp)) spans) (fun () ->
               let scycles = Calyx_sim.Sim.run ssim in
-              let crit = Calyx_cover.Crit_path.analyze runnable ssim sp in
+              let crit = Calyx_obs.Crit_path.analyze runnable ssim sp in
               (* A second, compiled pass covers the generated fsm schedule
                  registers — the states the lowered hardware visits. *)
               let lowered = Calyx.Pipelines.compile ~config ctx in
               let fsim = Calyx_sim.Sim.create ?engine lowered in
-              let fcov = Calyx_cover.Coverage.create lowered fsim in
+              let fcov = Calyx_obs.Coverage.create lowered fsim in
               load_mems (Calyx_sim.Testbench.of_sim fsim) mems;
               let fcycles = Calyx_sim.Sim.run fsim in
               (* STA of the lowered design converts the par report's
@@ -665,25 +653,25 @@ let cover_cmd =
                        ("period_ns", Calyx.Json.float period_ns);
                        ( "fmax_mhz",
                          Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
-                       ("coverage", Calyx_cover.Coverage.to_json cov);
+                       ("coverage", Calyx_obs.Coverage.to_json cov);
                        ( "fsm_coverage",
-                         Calyx_cover.Coverage.to_json fcov );
+                         Calyx_obs.Coverage.to_json fcov );
                        ( "critical_path",
-                         Calyx_cover.Crit_path.to_json ~period_ns crit );
+                         Calyx_obs.Crit_path.to_json ~period_ns crit );
                      ])
               else begin
                 Printf.printf "== coverage (structured, %d cycles) ==\n%s\n"
                   scycles
-                  (Calyx_cover.Coverage.render cov);
+                  (Calyx_obs.Coverage.render cov);
                 Printf.printf "== par critical path ==\n%s\n"
-                  (Calyx_cover.Crit_path.render ~period_ns crit);
+                  (Calyx_obs.Crit_path.render ~period_ns crit);
                 Printf.printf "== coverage (compiled, %d cycles) ==\n%s"
                   fcycles
-                  (Calyx_cover.Coverage.render fcov)
+                  (Calyx_obs.Coverage.render fcov)
               end;
               Option.iter
                 (fun threshold ->
-                  let got = Calyx_cover.Coverage.group_pct cov in
+                  let got = Calyx_obs.Coverage.group_pct cov in
                   if got < threshold then begin
                     Printf.eprintf
                       "group coverage %.1f%% is below the --fail-under \
@@ -691,7 +679,7 @@ let cover_cmd =
                       got threshold;
                     List.iter
                       (fun item -> Printf.eprintf "  %s\n" item)
-                      (Calyx_cover.Coverage.uncovered cov);
+                      (Calyx_obs.Coverage.uncovered cov);
                     failed := true
                   end)
                 fail_under))

@@ -1,4 +1,5 @@
-(* Coverage demo: the calyx_cover library driven from OCaml.
+(* Coverage demo: the coverage collectors of calyx_obs driven from
+   OCaml.
 
    Builds a small program with a genuine coverage hole — a bounds check
    whose overflow branch the chosen input never exercises — and shows the
@@ -19,9 +20,9 @@ open Calyx
 open Calyx.Ir
 open Calyx.Builder
 module Sim = Calyx_sim.Sim
-module Coverage = Calyx_cover.Coverage
-module Spans = Calyx_cover.Spans
-module Crit_path = Calyx_cover.Crit_path
+module Coverage = Calyx_obs.Coverage
+module Spans = Calyx_obs.Spans
+module Crit_path = Calyx_obs.Crit_path
 
 let width = 8
 

@@ -32,15 +32,31 @@ let measure (ctx : Ir.context) =
     { components = 0; cells = 0; groups = 0; assignments = 0; control_nodes = 0 }
     ctx.Ir.components
 
-type observation = {
-  obs_pass : string;
-  obs_description : string;
-  obs_seconds : float;
-  obs_before : counts;
-  obs_after : counts;
-  obs_ctx_before : Ir.context;
-  obs_ctx_after : Ir.context;
-}
+let record_counts ctx =
+  if Calyx_telemetry.Runtime.on () then begin
+    let c = measure ctx in
+    List.iter
+      (fun (k, v) -> Calyx_telemetry.Trace.add_metric k (float_of_int v))
+      [
+        ("components", c.components);
+        ("cells", c.cells);
+        ("groups", c.groups);
+        ("assignments", c.assignments);
+        ("control_nodes", c.control_nodes);
+      ]
+  end
+
+let span_counts sp =
+  let metrics = Calyx_telemetry.Trace.metrics sp in
+  let get k = Option.map int_of_float (List.assoc_opt k metrics) in
+  match
+    (get "components", get "cells", get "groups", get "assignments",
+     get "control_nodes")
+  with
+  | Some components, Some cells, Some groups, Some assignments,
+    Some control_nodes ->
+      Some { components; cells; groups; assignments; control_nodes }
+  | _ -> None
 
 let validate_after pass ctx' =
   match
@@ -58,34 +74,16 @@ let invocations =
     ~help:"Compiler pass invocations across the process"
     "calyx_pass_invocations_total"
 
-let run ?(validate = true) ?observe pass ctx =
+let run ?(validate = true) pass ctx =
   Calyx_telemetry.Metrics.inc invocations;
   Calyx_telemetry.Trace.with_span ~cat:"pass" pass.name @@ fun () ->
-  match observe with
-  | None ->
-      let ctx' = pass.transform ctx in
-      if validate then validate_after pass ctx';
-      ctx'
-  | Some notify ->
-      let before = measure ctx in
-      let ctx', seconds =
-        Calyx_telemetry.Clock.timed (fun () -> pass.transform ctx)
-      in
-      if validate then validate_after pass ctx';
-      notify
-        {
-          obs_pass = pass.name;
-          obs_description = pass.description;
-          obs_seconds = seconds;
-          obs_before = before;
-          obs_after = measure ctx';
-          obs_ctx_before = ctx;
-          obs_ctx_after = ctx';
-        };
-      ctx'
+  let ctx' = pass.transform ctx in
+  if validate then validate_after pass ctx';
+  record_counts ctx';
+  ctx'
 
-let run_all ?validate ?observe passes ctx =
-  List.fold_left (fun ctx pass -> run ?validate ?observe pass ctx) ctx passes
+let run_all ?validate passes ctx =
+  List.fold_left (fun ctx pass -> run ?validate pass ctx) ctx passes
 
 let per_component f (ctx : Ir.context) =
   {

@@ -58,12 +58,13 @@ let programs_compiled =
   Tele.Metrics.counter ~help:"Programs taken through the full pass pipeline"
     "calyx_programs_compiled_total"
 
-let compile ?(config = default_config) ?observe ctx =
+let compile ?(config = default_config) ctx =
   Tele.Metrics.inc programs_compiled;
   if Tele.Runtime.on () then Tele.Manifest.set_run ~pipeline:(id config) ();
   Tele.Trace.with_span ~cat:"stage" "compile" @@ fun () ->
   Tele.Log.debug "compile: pipeline %s (%s)" (id config) (description config);
+  Pass.record_counts ctx;
   Tele.Trace.with_span ~cat:"stage" "check" (fun () -> Well_formed.check ctx);
   if config.lint then
     Tele.Trace.with_span ~cat:"stage" "lint" (fun () -> Lint.check ctx);
-  Pass.run_all ?observe (passes config) ctx
+  Pass.run_all (passes config) ctx

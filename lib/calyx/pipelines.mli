@@ -4,7 +4,12 @@
     {!optimize} (resource sharing, register sharing, latency inference)
     followed by {!lower} (GoInsertion, optional latency-sensitive
     compilation, CompileControl, RemoveGroups, cleanup). Every knob of the
-    evaluation section maps to a flag here. *)
+    evaluation section maps to a flag here.
+
+    A {!compile} is one ["compile"] telemetry span holding the check and
+    lint spans and one span per pass. With telemetry on, these spans are
+    the compile's record of time and IR size: the compile span carries the
+    input's {!Pass.counts}, each pass span its output's. *)
 
 type config = {
   infer_latency : bool;  (** Section 5.3. *)
@@ -29,12 +34,11 @@ val optimize : config -> Pass.t list
 
 val lower : config -> Pass.t list
 
-val compile :
-  ?config:config -> ?observe:(Pass.observation -> unit) -> Ir.context ->
-  Ir.context
-(** Run the whole pipeline; validates after every pass. [observe] receives
-    one {!Pass.observation} per pass (see [Calyx_obs.Pass_stats] for a
-    ready-made collector and renderers). *)
+val compile : ?config:config -> Ir.context -> Ir.context
+(** Run the whole pipeline; validates after every pass. Runs in a
+    ["compile"] telemetry span whose metrics, with telemetry on, are the
+    input's {!Pass.counts}; each pass span nested in it carries its
+    output's ([Calyx_obs.Pass_stats] renders them). *)
 
 val passes : config -> Pass.t list
 (** The passes {!compile} runs, in order. *)

@@ -323,86 +323,6 @@ let untoggled t =
     t.toggled;
   List.rev !acc
 
-(* Overall coverage counts group activations, both if arms, while bodies,
-   and fsm states; port toggles are reported separately (constant-driven
-   ports make a toggle total of 100% unreachable by construction). *)
-let counts t =
-  let groups = group_rows t in
-  let ifs = if_rows t in
-  let whiles = while_rows t in
-  let fsms = fsm_rows t in
-  let covered = ref 0 and total = ref 0 in
-  let item hit =
-    incr total;
-    if hit then incr covered
-  in
-  List.iter (fun g -> item (g.gr_cycles > 0)) groups;
-  List.iter
-    (fun i ->
-      item (i.ir_taken > 0);
-      item (i.ir_untaken > 0))
-    ifs;
-  List.iter (fun w -> item (while_body_ran w)) whiles;
-  List.iter
-    (fun f ->
-      List.iter (fun s -> item (not (List.mem s f.fr_missed))) f.fr_possible)
-    fsms;
-  (!covered, !total)
-
-let pct (covered, total) =
-  if total = 0 then 100. else 100. *. float_of_int covered /. float_of_int total
-
-let overall_pct t = pct (counts t)
-
-let group_counts t =
-  let groups = group_rows t in
-  ( List.length (List.filter (fun g -> g.gr_cycles > 0) groups),
-    List.length groups )
-
-let group_pct t = pct (group_counts t)
-
-let cycles_observed t = t.cycles
-
-let qualify inst name = if inst = "" then name else inst ^ "." ^ name
-
-let uncovered t =
-  let acc = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> acc := s :: !acc) fmt in
-  List.iter
-    (fun g ->
-      if g.gr_cycles = 0 then
-        add "group %s (component %s) never activated"
-          (qualify g.gr_instance g.gr_group)
-          g.gr_component)
-    (group_rows t);
-  List.iter
-    (fun i ->
-      let where =
-        Printf.sprintf "if %s (component %s)"
-          (qualify i.ir_instance i.ir_path)
-          i.ir_component
-      in
-      if i.ir_taken = 0 then add "%s: then-branch never taken" where;
-      if i.ir_untaken = 0 then add "%s: else-branch never taken" where)
-    (if_rows t);
-  List.iter
-    (fun w ->
-      if not (while_body_ran w) then
-        add "while %s (component %s): body never executed"
-          (qualify w.wr_instance w.wr_path)
-          w.wr_component)
-    (while_rows t);
-  List.iter
-    (fun f ->
-      List.iter
-        (fun s ->
-          add "fsm %s (component %s): state %d never reached"
-            (qualify f.fr_instance f.fr_cell)
-            f.fr_component s)
-        f.fr_missed)
-    (fsm_rows t);
-  List.rev !acc
-
 (* Per-component rollups. *)
 
 type rollup = {
@@ -454,6 +374,70 @@ let rollups t =
     table []
   |> List.sort (fun a b -> compare a.ru_component b.ru_component)
 
+let pct (covered, total) =
+  if total = 0 then 100. else 100. *. float_of_int covered /. float_of_int total
+
+(* [(covered, total)] of the given rollup classes, over all components. *)
+let summed t classes =
+  List.fold_left
+    (fun acc r ->
+      List.fold_left
+        (fun (c, n) (c', n') -> (c + c', n + n'))
+        acc (classes r))
+    (0, 0) (rollups t)
+
+(* Overall coverage counts group activations, both if arms, while bodies,
+   and fsm states; port toggles are reported separately (constant-driven
+   ports make a toggle total of 100% unreachable by construction). *)
+let overall_pct t =
+  pct
+    (summed t (fun r ->
+         [ r.ru_groups; r.ru_if_arms; r.ru_whiles; r.ru_fsm_states ]))
+
+let group_pct t = pct (summed t (fun r -> [ r.ru_groups ]))
+
+let cycles_observed t = t.cycles
+
+let qualify inst name = if inst = "" then name else inst ^ "." ^ name
+
+let uncovered t =
+  let acc = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> acc := s :: !acc) fmt in
+  List.iter
+    (fun g ->
+      if g.gr_cycles = 0 then
+        add "group %s (component %s) never activated"
+          (qualify g.gr_instance g.gr_group)
+          g.gr_component)
+    (group_rows t);
+  List.iter
+    (fun i ->
+      let where =
+        Printf.sprintf "if %s (component %s)"
+          (qualify i.ir_instance i.ir_path)
+          i.ir_component
+      in
+      if i.ir_taken = 0 then add "%s: then-branch never taken" where;
+      if i.ir_untaken = 0 then add "%s: else-branch never taken" where)
+    (if_rows t);
+  List.iter
+    (fun w ->
+      if not (while_body_ran w) then
+        add "while %s (component %s): body never executed"
+          (qualify w.wr_instance w.wr_path)
+          w.wr_component)
+    (while_rows t);
+  List.iter
+    (fun f ->
+      List.iter
+        (fun s ->
+          add "fsm %s (component %s): state %d never reached"
+            (qualify f.fr_instance f.fr_cell)
+            f.fr_component s)
+        f.fr_missed)
+    (fsm_rows t);
+  List.rev !acc
+
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -469,7 +453,7 @@ let render t =
   let groups = group_rows t in
   if groups <> [] then begin
     pf "\ngroup activation:\n";
-    Calyx_obs.Tables.add_table buf
+    Tables.add_table buf
       ([ "group"; "component"; "cycles"; "covered" ]
       :: List.map
            (fun g ->
@@ -484,7 +468,7 @@ let render t =
   let ifs = if_rows t in
   if ifs <> [] then begin
     pf "\nif branches:\n";
-    Calyx_obs.Tables.add_table buf
+    Tables.add_table buf
       ([ "if"; "component"; "taken"; "not-taken"; "covered" ]
       :: List.map
            (fun i ->
@@ -500,7 +484,7 @@ let render t =
   let whiles = while_rows t in
   if whiles <> [] then begin
     pf "\nwhile loops:\n";
-    Calyx_obs.Tables.add_table buf
+    Tables.add_table buf
       ([ "while"; "component"; "activations"; "trip counts"; "zero-trip" ]
       :: List.map
            (fun w ->
@@ -519,7 +503,7 @@ let render t =
   let fsms = fsm_rows t in
   if fsms <> [] then begin
     pf "\nfsm states:\n";
-    Calyx_obs.Tables.add_table buf
+    Tables.add_table buf
       ([ "fsm"; "component"; "states"; "missed" ]
       :: List.map
            (fun f ->
@@ -540,7 +524,7 @@ let render t =
   let rus = rollups t in
   if rus <> [] then begin
     pf "\nper-component rollup:\n";
-    Calyx_obs.Tables.add_table buf
+    Tables.add_table buf
       ([ "component"; "groups"; "if-arms"; "whiles"; "fsm-states" ]
       :: List.map
            (fun r ->

@@ -35,7 +35,7 @@ let arm_expectation ctx comp (node : Ir.control) =
       | Some grp ->
           Option.map
             (fun d ->
-              if Calyx_obs.Profile.combinational_done grp then d else d + 1)
+              if Profile.combinational_done grp then d else d + 1)
             (Infer_latency.derived_group_latency ctx comp grp))
   | _ -> None
 
@@ -204,7 +204,7 @@ let render ?period_ns reports =
           @ (if period_ns = None then [] else [ "slack_ns" ])
           @ [ "expected"; "check" ]
         in
-        Calyx_obs.Tables.add_table buf
+        Tables.add_table buf
           (header
           :: List.map
                (fun a ->

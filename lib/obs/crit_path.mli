@@ -5,7 +5,7 @@
     slack against the slowest arm, and names the bottleneck. Arms that are
     plain group enables are cross-checked against the latency
     {!Calyx.Infer_latency} derives (plus the done-observation cycle unless
-    the group's done is combinational — the {!Calyx_obs.Profile}
+    the group's done is combinational — the {!Profile}
     convention); on a static program the measured and expected durations
     agree, and any disagreement is flagged. *)
 

@@ -1,40 +1,77 @@
 open Calyx
+module Trace = Calyx_telemetry.Trace
 
-type t = { mutable obs : Pass.observation list (* reversed *) }
+type row = {
+  pass : string;
+  description : string;
+  seconds : float;
+  before : Pass.counts;
+  after : Pass.counts;
+  timing_before : (int * float) option;
+  timing_after : (int * float) option;
+}
 
-let create () = { obs = [] }
-let observer t (o : Pass.observation) = t.obs <- o :: t.obs
-let observations t = List.rev t.obs
+type t = row list
 
-let compile ?config ctx =
-  let t = create () in
-  let ctx = Pipelines.compile ?config ~observe:(observer t) ctx in
-  (ctx, t)
-
-let total_seconds t =
-  List.fold_left (fun acc o -> acc +. o.Pass.obs_seconds) 0. t.obs
-
-let consistent t =
-  let rec check = function
-    | a :: (b :: _ as rest) ->
-        a.Pass.obs_after = b.Pass.obs_before && check rest
-    | _ -> true
-  in
-  check (observations t)
-
-let delta before after =
-  if after = before then Printf.sprintf "%d" after
-  else Printf.sprintf "%d->%d (%+d)" before after (after - before)
+let self_seconds spans (sp : Trace.span) =
+  List.fold_left
+    (fun acc (child : Trace.span) ->
+      if child.sp_parent = sp.sp_id && child.sp_name = "revalidate" then
+        acc -. Trace.seconds child
+      else acc)
+    (Trace.seconds sp) spans
 
 (* Per-pass timing: mid-pipeline (structured) contexts are analyzed as
    their merged netlist, which can exhibit cycles that lowering later
    resolves — those passes report no timing rather than failing. *)
 let timing_of ctx =
-  try Some (Calyx_synth.Timing.context_timing ~paths:1 ctx)
-  with Calyx_synth.Timing.Combinational_loop _ | Ir.Ir_error _ -> None
+  match Calyx_synth.Timing.context_timing ~paths:1 ctx with
+  | r -> Some (r.Calyx_synth.Timing.delay_ps, r.Calyx_synth.Timing.fmax_mhz)
+  | exception (Calyx_synth.Timing.Combinational_loop _ | Ir.Ir_error _) -> None
 
-let timing_pair (o : Pass.observation) =
-  (timing_of o.Pass.obs_ctx_before, timing_of o.Pass.obs_ctx_after)
+let replay config ctx f =
+  let step (ctx, acc) (p : Pass.t) =
+    let ctx = p.Pass.transform ctx in
+    (ctx, f ctx :: acc)
+  in
+  List.rev (snd (List.fold_left step (ctx, [ f ctx ]) (Pipelines.passes config)))
+
+(* The compile span's counts are the input's; each pass span's, its
+   output's — so a pass's before-counts are the previous span's. *)
+let compile ?(config = Pipelines.default_config) ctx =
+  let lowered, spans =
+    Trace.collect (fun () -> Pipelines.compile ~config ctx)
+  in
+  let top = List.find (fun (sp : Trace.span) -> sp.sp_name = "compile") spans in
+  let pass_spans =
+    List.filter
+      (fun (sp : Trace.span) -> sp.sp_parent = top.sp_id && sp.sp_cat = "pass")
+      spans
+  in
+  let counts =
+    Array.of_list
+      (List.map (fun sp -> Option.get (Pass.span_counts sp)) (top :: pass_spans))
+  in
+  let timings = Array.of_list (replay config ctx timing_of) in
+  ( lowered,
+    List.mapi
+      (fun i ((p : Pass.t), sp) ->
+        {
+          pass = p.Pass.name;
+          description = p.Pass.description;
+          seconds = self_seconds spans sp;
+          before = counts.(i);
+          after = counts.(i + 1);
+          timing_before = timings.(i);
+          timing_after = timings.(i + 1);
+        })
+      (List.combine (Pipelines.passes config) pass_spans) )
+
+let total_seconds t = List.fold_left (fun acc r -> acc +. r.seconds) 0. t
+
+let delta before after =
+  if after = before then Printf.sprintf "%d" after
+  else Printf.sprintf "%d->%d (%+d)" before after (after - before)
 
 let odelta fmt before after =
   match (before, after) with
@@ -43,51 +80,32 @@ let odelta fmt before after =
   | _ -> "-"
 
 let render t =
-  let obs = observations t in
+  let delay = Option.map fst and fmax = Option.map snd in
   let rows =
     [ "pass"; "ms"; "cells"; "groups"; "assigns"; "control";
       "depth_ps"; "fmax_mhz" ]
     :: List.map
-         (fun (o : Pass.observation) ->
-           let b = o.obs_before and a = o.obs_after in
-           let tb, ta = timing_pair o in
-           let delay r = r.Calyx_synth.Timing.delay_ps in
-           let fmax r = r.Calyx_synth.Timing.fmax_mhz in
+         (fun r ->
+           let b = r.before and a = r.after in
            [
-             o.obs_pass;
-             Printf.sprintf "%.2f" (o.obs_seconds *. 1000.);
+             r.pass;
+             Printf.sprintf "%.2f" (r.seconds *. 1000.);
              delta b.Pass.cells a.Pass.cells;
              delta b.Pass.groups a.Pass.groups;
              delta b.Pass.assignments a.Pass.assignments;
              delta b.Pass.control_nodes a.Pass.control_nodes;
-             odelta string_of_int (Option.map delay tb) (Option.map delay ta);
+             odelta string_of_int (delay r.timing_before)
+               (delay r.timing_after);
              odelta
                (fun f -> Printf.sprintf "%.0f" f)
-               (Option.map fmax tb) (Option.map fmax ta);
+               (fmax r.timing_before) (fmax r.timing_after);
            ])
-         obs
+         t
   in
-  let ncols = 8 in
-  let width c =
-    List.fold_left (fun w row -> max w (String.length (List.nth row c))) 0 rows
-  in
-  let widths = List.init ncols width in
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun c field ->
-          if c > 0 then Buffer.add_string buf "  ";
-          Buffer.add_string buf
-            (Printf.sprintf "%-*s" (List.nth widths c) field))
-        row;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf "total: %.2f ms over %d passes\n"
-       (total_seconds t *. 1000.)
-       (List.length obs));
-  Buffer.contents buf
+  Tables.render rows
+  ^ Printf.sprintf "total: %.2f ms over %d passes\n"
+      (total_seconds t *. 1000.)
+      (List.length t)
 
 let counts_json (c : Pass.counts) =
   Json.obj
@@ -100,31 +118,24 @@ let counts_json (c : Pass.counts) =
     ]
 
 let to_json t =
+  let delay = function Some (d, _) -> Json.int d | None -> Json.null in
+  let fmax = function Some (_, f) -> Json.float f | None -> Json.null in
   let passes =
     List.map
-      (fun (o : Pass.observation) ->
-        let tb, ta = timing_pair o in
-        let delay = function
-          | Some r -> Json.int r.Calyx_synth.Timing.delay_ps
-          | None -> Json.null
-        in
-        let fmax = function
-          | Some r -> Json.float r.Calyx_synth.Timing.fmax_mhz
-          | None -> Json.null
-        in
+      (fun r ->
         Json.obj
           [
-            ("name", Json.str o.obs_pass);
-            ("description", Json.str o.obs_description);
-            ("seconds", Json.float o.obs_seconds);
-            ("before", counts_json o.obs_before);
-            ("after", counts_json o.obs_after);
-            ("delay_ps_before", delay tb);
-            ("delay_ps_after", delay ta);
-            ("fmax_mhz_before", fmax tb);
-            ("fmax_mhz_after", fmax ta);
+            ("name", Json.str r.pass);
+            ("description", Json.str r.description);
+            ("seconds", Json.float r.seconds);
+            ("before", counts_json r.before);
+            ("after", counts_json r.after);
+            ("delay_ps_before", delay r.timing_before);
+            ("delay_ps_after", delay r.timing_after);
+            ("fmax_mhz_before", fmax r.timing_before);
+            ("fmax_mhz_after", fmax r.timing_after);
           ])
-      (observations t)
+      t
   in
   Json.obj
     [

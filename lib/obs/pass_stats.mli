@@ -1,5 +1,7 @@
-(** Pass-pipeline instrumentation: collect the {!Calyx.Pass.observation}s
-    a compile emits and render them as a human table or JSON.
+(** Per-pass statistics of a compile ([calyx compile --pass-stats], the
+    [profile] report), rendered from its telemetry spans: each pass span
+    carries its output's {!Calyx.Pass.counts} and the ["compile"] span the
+    input's, so a pass's before-counts are the previous span's.
 
     {[
       let ctx, stats = Pass_stats.compile ~config ctx in
@@ -8,32 +10,39 @@
 
 open Calyx
 
-type t
+type row = {
+  pass : string;
+  description : string;
+  seconds : float;  (** {!self_seconds} of the pass span. *)
+  before : Pass.counts;
+  after : Pass.counts;
+  timing_before : (int * float) option;
+      (** Delay (ps) and Fmax (MHz) of the pass's input; [None] when its
+          merged netlist cannot be timed. *)
+  timing_after : (int * float) option;
+}
 
-val create : unit -> t
+type t = row list
+(** One row per pass, in execution order. *)
 
-val observer : t -> Pass.observation -> unit
-(** Pass as [~observe] to {!Calyx.Pass.run_all} / {!Calyx.Pipelines.compile}. *)
+val compile : ?config:Pipelines.config -> Ir.context -> Ir.context * t
+(** [Pipelines.compile] under {!Calyx_telemetry.Trace.collect}, plus one
+    static timing analysis of each program {!replay} rebuilds. *)
 
-val compile :
-  ?config:Pipelines.config -> Ir.context -> Ir.context * t
-(** [Pipelines.compile] with a fresh collector attached. *)
+val self_seconds :
+  Calyx_telemetry.Trace.span list -> Calyx_telemetry.Trace.span -> float
+(** A pass span's duration minus its ["revalidate"] child's (found in the
+    list): the pass's own time. *)
 
-val observations : t -> Pass.observation list
-(** In execution order. *)
-
-val total_seconds : t -> float
-
-val consistent : t -> bool
-(** Each pass's [obs_after] equals the next pass's [obs_before] — the
-    deltas chain without gaps. Vacuously true for an empty run. *)
+val replay : Pipelines.config -> Ir.context -> (Ir.context -> 'a) -> 'a list
+(** [f] of the input and of each pass's output, folding the passes'
+    transforms once; one intermediate program is alive at a time. *)
 
 val render : t -> string
-(** The human table: per pass, wall-clock milliseconds,
+(** The human table: per pass, milliseconds,
     [before->after (+/-delta)] for cells, groups, assignments, and control
     nodes, plus critical-path depth (ps) and Fmax (MHz) deltas from the
-    static timing analysis. Passes whose intermediate netlist cannot be
-    timed (merged-netlist cycles mid-pipeline) show ["-"]. *)
+    static timing analysis ("-" where a program cannot be timed). *)
 
 val to_json : t -> string
 (** [{"passes": [...], "total_seconds": ...}] following the

@@ -26,7 +26,8 @@ type t = {
   fsms : fsm_track list;
 }
 
-let thread_of inst cell = if inst = "" then cell else inst ^ "." ^ cell
+let empty labels fsms =
+  { labels; open_nodes = Hashtbl.create 16; closed = []; last_cycle = -1; fsms }
 
 let node_span t inst node ~enter ~exit =
   let path, label =
@@ -62,6 +63,17 @@ let ctrl_sink t (ce : Sim.ctrl_event) =
         :: t.closed
   | Sim.Ctrl_branch _ -> ()
 
+(* The interval [since..exit] over which an fsm register held [v]. *)
+let fsm_span ft v ~since ~exit =
+  {
+    sp_thread = ft.ft_thread;
+    sp_name = Printf.sprintf "%s=%d" ft.ft_cell v;
+    sp_path = ft.ft_cell;
+    sp_node = -1;
+    sp_enter = since;
+    sp_exit = exit;
+  }
+
 let value_sink t (ev : Sim.event) =
   t.last_cycle <- max t.last_cycle ev.Sim.ev_cycle;
   List.iter
@@ -71,15 +83,7 @@ let value_sink t (ev : Sim.event) =
       | Some (prev, _) when prev = v -> ()
       | Some (prev, since) ->
           t.closed <-
-            {
-              sp_thread = ft.ft_thread;
-              sp_name = Printf.sprintf "%s=%d" ft.ft_cell prev;
-              sp_path = ft.ft_cell;
-              sp_node = -1;
-              sp_enter = since;
-              sp_exit = ev.Sim.ev_cycle - 1;
-            }
-            :: t.closed;
+            fsm_span ft prev ~since ~exit:(ev.Sim.ev_cycle - 1) :: t.closed;
           ft.ft_since <- Some (v, ev.Sim.ev_cycle)
       | None -> ft.ft_since <- Some (v, ev.Sim.ev_cycle))
     t.fsms
@@ -97,37 +101,23 @@ let create ctx sim =
                 (path, Ir.control_node_label node))
             (Ir.control_preorder comp.Ir.control))
     (Sim.instances sim);
-  let t =
-    {
-      labels;
-      open_nodes = Hashtbl.create 16;
-      closed = [];
-      last_cycle = -1;
-      fsms = [];
-    }
-  in
+  let t = empty labels [] in
   Sim.add_ctrl_sink sim (ctrl_sink t);
   Sim.add_sink sim (fun ev -> t.last_cycle <- max t.last_cycle ev.Sim.ev_cycle);
   t
 
 let create_fsm ctx sim =
   let t =
-    {
-      labels = Hashtbl.create 1;
-      open_nodes = Hashtbl.create 1;
-      closed = [];
-      last_cycle = -1;
-      fsms =
-        List.map
-          (fun (inst, cell, slot) ->
-            {
-              ft_thread = thread_of inst cell;
-              ft_cell = cell;
-              ft_slot = slot;
-              ft_since = None;
-            })
-          (Coverage.fsm_registers ctx sim);
-    }
+    empty (Hashtbl.create 1)
+      (List.map
+         (fun (inst, cell, slot) ->
+           {
+             ft_thread = (if inst = "" then cell else inst ^ "." ^ cell);
+             ft_cell = cell;
+             ft_slot = slot;
+             ft_since = None;
+           })
+         (Coverage.fsm_registers ctx sim))
   in
   Sim.add_sink sim (value_sink t);
   t
@@ -148,15 +138,7 @@ let spans t =
       (fun ft ->
         match ft.ft_since with
         | Some (v, since) when t.last_cycle >= since ->
-            Some
-              {
-                sp_thread = ft.ft_thread;
-                sp_name = Printf.sprintf "%s=%d" ft.ft_cell v;
-                sp_path = ft.ft_cell;
-                sp_node = -1;
-                sp_enter = since;
-                sp_exit = t.last_cycle;
-              }
+            Some (fsm_span ft v ~since ~exit:t.last_cycle)
         | _ -> None)
       t.fsms
   in
@@ -166,74 +148,24 @@ let spans t =
 (* Chrome trace_event export (load at ui.perfetto.dev)                 *)
 (* ------------------------------------------------------------------ *)
 
-let thread_display name = if name = "" then "<entry>" else name
-
+(* One track per instance or fsm register. Sorting by node id first breaks
+   the exporter's (track, start, longest-first) ties. *)
 let to_chrome t =
-  let all = spans t in
-  let threads =
-    List.sort_uniq compare (List.map (fun s -> s.sp_thread) all)
+  let module Trace = Calyx_telemetry.Trace in
+  let event s =
+    {
+      Trace.ev_name = s.sp_name;
+      ev_cat = (if s.sp_node >= 0 then "control" else "fsm");
+      ev_track = (if s.sp_thread = "" then "<entry>" else s.sp_thread);
+      ev_domain = Trace.Cycles;
+      ev_start = float_of_int s.sp_enter;
+      ev_dur = float_of_int (s.sp_exit - s.sp_enter + 1);
+      ev_args =
+        ("path", Trace.S s.sp_path)
+        :: (if s.sp_node < 0 then []
+            else [ ("node", Trace.F (float_of_int s.sp_node)) ]);
+    }
   in
-  let tid th =
-    let rec go i = function
-      | [] -> 0
-      | x :: _ when x = th -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    1 + go 0 threads
-  in
-  let metadata =
-    List.map
-      (fun th ->
-        Json.obj
-          [
-            ("ph", Json.str "M");
-            ("name", Json.str "thread_name");
-            ("pid", Json.int 1);
-            ("tid", Json.int (tid th));
-            ("args", Json.obj [ ("name", Json.str (thread_display th)) ]);
-          ])
-      threads
-  in
-  (* One complete ("X") event per span; 1 cycle = 1 µs. Sorted so nesting
-     renders correctly: by thread, then start time, longest span first. *)
-  let ordered =
-    List.sort
-      (fun a b ->
-        match compare (tid a.sp_thread) (tid b.sp_thread) with
-        | 0 -> (
-            match compare a.sp_enter b.sp_enter with
-            | 0 -> (
-                let dur s = s.sp_exit - s.sp_enter in
-                match compare (dur b) (dur a) with
-                | 0 -> compare a.sp_node b.sp_node
-                | c -> c)
-            | c -> c)
-        | c -> c)
-      all
-  in
-  let events =
-    List.map
-      (fun s ->
-        Json.obj
-          [
-            ("name", Json.str s.sp_name);
-            ("cat", Json.str (if s.sp_node >= 0 then "control" else "fsm"));
-            ("ph", Json.str "X");
-            ("pid", Json.int 1);
-            ("tid", Json.int (tid s.sp_thread));
-            ("ts", Json.int s.sp_enter);
-            ("dur", Json.int (s.sp_exit - s.sp_enter + 1));
-            ( "args",
-              Json.obj
-                (("path", Json.str s.sp_path)
-                ::
-                (if s.sp_node >= 0 then [ ("node", Json.int s.sp_node) ]
-                 else [])) );
-          ])
-      ordered
-  in
-  Json.obj
-    [
-      ("traceEvents", Json.arr (metadata @ events));
-      ("displayTimeUnit", Json.str "ms");
-    ]
+  Trace.chrome
+    (List.map event
+       (List.stable_sort (fun a b -> compare a.sp_node b.sp_node) (spans t)))

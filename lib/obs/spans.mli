@@ -12,8 +12,10 @@
     trace thread per register.
 
     {!to_chrome} renders either kind as Chrome trace_event JSON — open
-    {:https://ui.perfetto.dev} and drop the file in. Instances (or fsm
-    registers) become named threads; 1 cycle = 1 µs. *)
+    {:https://ui.perfetto.dev} and drop the file in. The spans become
+    {!Calyx_telemetry.Trace.Cycles} events of the toolchain's one exporter,
+    {!Calyx_telemetry.Trace.chrome}: instances (or fsm registers) are named
+    threads ([<entry>] for the entrypoint); 1 cycle = 1 µs. *)
 
 open Calyx
 
@@ -42,5 +44,5 @@ val spans : t -> span list
 
 val to_chrome : t -> string
 (** The spans as a Chrome trace_event JSON document ([traceEvents] array of
-    ["X"] complete events plus thread-name metadata), deterministically
-    ordered. *)
+    ["X"] complete events plus process- and thread-name metadata),
+    deterministically ordered. *)

@@ -31,7 +31,7 @@ exception Conflict_msg of string
 exception Unstable_msg of string
 
 (* ------------------------------------------------------------------ *)
-(* Control events (the span-tracing interface of calyx_cover)          *)
+(* Control events (the span-tracing interface of Calyx_obs.Spans)      *)
 (* ------------------------------------------------------------------ *)
 
 type ctrl_phase = Ctrl_enter | Ctrl_exit | Ctrl_branch of bool

@@ -1,6 +1,7 @@
 (** The single monotonic clock behind every wall-time measurement in the
-    toolchain (pass observations, spans, the bench harness, [calyx stats]).
-    Readings never decrease and are relative to process start. *)
+    toolchain: telemetry spans (and so every compiler pass's time), the
+    bench harness, [calyx stats]. Readings never decrease and are relative
+    to process start. *)
 
 val now_ns : unit -> float
 (** Monotonic nanoseconds since process start. *)

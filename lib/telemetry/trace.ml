@@ -154,67 +154,130 @@ let with_span ?(cat = "span") ?(args = []) name f =
         raise e
   end
 
+(* The buffer is consed at the head, so [f]'s spans are the prefix in
+   front of the list it started with. Unless the caller was already
+   buffering under telemetry (a --trace-pipeline run), it is dropped. *)
+let collect f =
+  let was_on = Runtime.on () and was_keep = !keep and before = !completed in
+  keep := true;
+  let finish () =
+    Mutex.lock close_mutex;
+    let after = !completed in
+    if not (was_on && was_keep) then completed := before;
+    Mutex.unlock close_mutex;
+    keep := was_keep;
+    let rec added l =
+      match l with
+      | sp :: rest when l != before -> sp :: added rest
+      | _ -> []
+    in
+    List.sort (fun a b -> compare a.sp_seq b.sp_seq) (added after)
+  in
+  match Runtime.with_enabled f with
+  | v -> (v, finish ())
+  | exception e ->
+      ignore (finish ());
+      raise e
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 (* ------------------------------------------------------------------ *)
 
+type domain = Wall | Cycles
+
+type event = {
+  ev_name : string;
+  ev_cat : string;
+  ev_track : string;
+  ev_domain : domain;
+  ev_start : float;
+  ev_dur : float;
+  ev_args : (string * arg) list;
+}
+
 let arg_json = function F f -> Json.float f | S s -> Json.str s
 
-(* Complete ("X") events, one per span, on a single pid/tid (the pipeline
-   is one thread of work). [scrub] replaces wall-clock timestamps with the
-   deterministic open/close sequence numbers and drops the GC and error
-   args — the form committed as a golden test, which pins the span
-   *structure* (names, categories, nesting, deterministic metrics like
-   cycle counts) without the run-to-run timing noise. *)
-let to_chrome ?(scrub = false) () =
-  let all = spans () in
-  let events =
-    List.map
-      (fun sp ->
-        let ts, dur =
-          if scrub then
-            (float_of_int sp.sp_seq, float_of_int (sp.sp_seq_close - sp.sp_seq))
-          else (sp.sp_start_ns /. 1e3, (sp.sp_end_ns -. sp.sp_start_ns) /. 1e3)
-        in
-        let args =
-          if scrub then
-            List.filter (fun (k, v) ->
-                match v with F _ -> k <> "seconds" | S _ -> k <> "error")
-              (args sp)
-          else
-            args sp
-            @ [
-                ("gc_minor_words", F sp.sp_minor_words);
-                ("gc_major_words", F sp.sp_major_words);
-                ("gc_heap_delta_words", F (float_of_int sp.sp_heap_delta_words));
-              ]
-        in
-        Json.obj
-          [
-            ("ph", Json.str "X");
-            ("name", Json.str sp.sp_name);
-            ("cat", Json.str sp.sp_cat);
-            ("pid", Json.int 1);
-            ("tid", Json.int 1);
-            ("ts", Json.float ts);
-            ("dur", Json.float dur);
-            ( "args",
-              Json.obj (List.map (fun (k, v) -> (k, arg_json v)) args) );
-          ])
-      all
-  in
+let process = function
+  | Wall -> (1, "calyx toolchain")
+  | Cycles -> (2, "simulation (1 cycle = 1 us)")
+
+let metadata kind pid tid name =
+  Json.obj
+    [
+      ("ph", Json.str "M");
+      ("name", Json.str kind);
+      ("pid", Json.int pid);
+      ("tid", Json.int tid);
+      ("args", Json.obj [ ("name", Json.str name) ]);
+    ]
+
+(* One process per domain. Its tracks are numbered from 1 in name order, so
+   the unnamed track [""] is thread 1 and has no thread_name record. *)
+let chrome events =
+  let tids = Hashtbl.create 8 in
   let metadata =
+    List.concat_map
+      (fun (domain, track) ->
+        let pid, pname = process domain in
+        let tid =
+          Hashtbl.fold (fun (d, _) _ n -> if d = domain then n + 1 else n) tids 1
+        in
+        Hashtbl.replace tids (domain, track) tid;
+        (if tid = 1 then [ metadata "process_name" pid 1 pname ] else [])
+        @ if track = "" then [] else [ metadata "thread_name" pid tid track ])
+      (List.sort_uniq compare
+         (List.map (fun e -> (e.ev_domain, e.ev_track)) events))
+  in
+  let tid e = Hashtbl.find tids (e.ev_domain, e.ev_track) in
+  let key e = (e.ev_domain, tid e, e.ev_start, -.e.ev_dur) in
+  let event e =
     Json.obj
       [
-        ("ph", Json.str "M");
-        ("name", Json.str "process_name");
-        ("pid", Json.int 1);
-        ("tid", Json.int 1);
-        ("args", Json.obj [ ("name", Json.str "calyx toolchain") ]);
+        ("ph", Json.str "X");
+        ("name", Json.str e.ev_name);
+        ("cat", Json.str e.ev_cat);
+        ("pid", Json.int (fst (process e.ev_domain)));
+        ("tid", Json.int (tid e));
+        ("ts", Json.float e.ev_start);
+        ("dur", Json.float e.ev_dur);
+        ("args", Json.obj (List.map (fun (k, v) -> (k, arg_json v)) e.ev_args));
       ]
   in
   Json.obj
     [
-      ("traceEvents", Json.arr (metadata :: events));
+      ( "traceEvents",
+        Json.arr
+          (metadata
+          @ List.map event
+              (List.stable_sort (fun a b -> compare (key a) (key b)) events)) );
       ("displayTimeUnit", Json.str "ms");
     ]
+
+(* [scrub] gives the golden-test form: deterministic open/close sequence
+   numbers for timestamps, no GC or error args. It pins the span structure
+   (names, categories, nesting, cycle counts, IR sizes) without the
+   run-to-run timing noise. *)
+let to_chrome ?(scrub = false) () =
+  let event sp =
+    let ev_start, ev_dur =
+      if scrub then
+        (float_of_int sp.sp_seq, float_of_int (sp.sp_seq_close - sp.sp_seq))
+      else (sp.sp_start_ns /. 1e3, (sp.sp_end_ns -. sp.sp_start_ns) /. 1e3)
+    in
+    let ev_args =
+      if scrub then
+        List.filter
+          (fun (k, v) -> match v with F _ -> k <> "seconds" | S _ -> k <> "error")
+          (args sp)
+      else
+        args sp
+        @ [
+            ("gc_minor_words", F sp.sp_minor_words);
+            ("gc_major_words", F sp.sp_major_words);
+            ("gc_heap_delta_words", F (float_of_int sp.sp_heap_delta_words));
+          ]
+    in
+    { ev_name = sp.sp_name; ev_cat = sp.sp_cat; ev_track = ""; ev_domain = Wall;
+      ev_start; ev_dur; ev_args }
+  in
+  chrome (List.map event (spans ()))

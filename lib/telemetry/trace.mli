@@ -10,9 +10,11 @@
 
     With telemetry disabled ({!Runtime.on} [= false]) [with_span] calls
     its thunk directly — one branch of overhead. Completed spans are
-    buffered only when {!set_keep} asked for them (Chrome export); they
-    are always passed to the {!set_on_close} hook, which {!Manifest} uses
-    to stream per-stage JSONL events. *)
+    buffered only when {!set_keep} asked for them (Chrome export) or while
+    {!collect} runs; they are always passed to the {!set_on_close} hook,
+    which {!Manifest} uses to stream per-stage JSONL events. {!chrome} is
+    the toolchain's one Chrome trace renderer, for these spans and for
+    the simulated-cycle spans of [Calyx_obs.Spans]. *)
 
 type arg = F of float | S of string
 
@@ -65,8 +67,35 @@ val clear_on_close : unit -> unit
 val reset : unit -> unit
 (** Drop buffered and open spans and restart ids (tests, golden gen). *)
 
+val collect : (unit -> 'a) -> 'a * span list
+(** [collect f] runs [f] with telemetry on and returns its result and the
+    spans that closed meanwhile, in open order. {!Runtime.on} and
+    {!set_keep} are restored afterwards, also when [f] raises (the
+    exception is re-raised). [f]'s spans stay in the buffer only if they
+    would have without the call: telemetry on and buffering. *)
+
+(** {1 Chrome trace_event export} *)
+
+type domain =
+  | Wall  (** Wall-clock microseconds: process 1. *)
+  | Cycles  (** Simulated cycles, 1 cycle = 1 µs: process 2. *)
+
+type event = {
+  ev_name : string;
+  ev_cat : string;
+  ev_track : string;  (** Thread within the process; [""] is unnamed. *)
+  ev_domain : domain;
+  ev_start : float;
+  ev_dur : float;
+  ev_args : (string * arg) list;
+}
+
+val chrome : event list -> string
+(** Chrome [trace_event] JSON (open it at ui.perfetto.dev): process and
+    named-thread metadata, then one ["X"] event per event, by track, then
+    start, longest first (ties keep the input order). *)
+
 val to_chrome : ?scrub:bool -> unit -> string
-(** The buffered spans as Chrome [trace_event] JSON (open the file at
-    ui.perfetto.dev). [scrub] substitutes deterministic sequence numbers
-    for wall-clock timestamps and drops GC/error args, producing
+(** The buffered spans as {!Wall} events on one unnamed track. [scrub]
+    substitutes sequence numbers for timestamps and drops GC/error args:
     byte-stable output for golden tests. *)

@@ -1,4 +1,4 @@
-(* calyx_cover: coverage collection, control-span tracing, and par
+(* Calyx_obs coverage collection, control-span tracing, and par
    critical-path analysis.
 
    The load-bearing properties:
@@ -12,9 +12,9 @@
 
 open Calyx
 module Sim = Calyx_sim.Sim
-module Coverage = Calyx_cover.Coverage
-module Spans = Calyx_cover.Spans
-module Crit_path = Calyx_cover.Crit_path
+module Coverage = Calyx_obs.Coverage
+module Spans = Calyx_obs.Spans
+module Crit_path = Calyx_obs.Crit_path
 
 let example file =
   List.find Sys.file_exists
@@ -44,10 +44,11 @@ let contains ~needle hay =
 
 (* seq { one; two }: each write group takes 2 cycles (1 derived + 1 done
    observation), so the whole program spans cycles 0..3. The export is
-   deterministic down to the byte: thread metadata first, then complete
-   events sorted by (thread, start, longest-first). *)
+   deterministic down to the byte: the cycle-domain process and thread
+   metadata first, then complete events sorted by (thread, start,
+   longest-first). *)
 let golden_chrome =
-  {|{"traceEvents":[{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"<entry>"}},{"name":"seq","cat":"control","ph":"X","pid":1,"tid":1,"ts":0,"dur":4,"args":{"path":"","node":0}},{"name":"enable one","cat":"control","ph":"X","pid":1,"tid":1,"ts":0,"dur":2,"args":{"path":"seq[0]","node":1}},{"name":"enable two","cat":"control","ph":"X","pid":1,"tid":1,"ts":2,"dur":2,"args":{"path":"seq[1]","node":2}}],"displayTimeUnit":"ms"}|}
+  {|{"traceEvents":[{"ph":"M","name":"process_name","pid":2,"tid":1,"args":{"name":"simulation (1 cycle = 1 us)"}},{"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"<entry>"}},{"ph":"X","name":"seq","cat":"control","pid":2,"tid":1,"ts":0,"dur":4,"args":{"path":"","node":0}},{"ph":"X","name":"enable one","cat":"control","pid":2,"tid":1,"ts":0,"dur":2,"args":{"path":"seq[0]","node":1}},{"ph":"X","name":"enable two","cat":"control","pid":2,"tid":1,"ts":2,"dur":2,"args":{"path":"seq[1]","node":2}}],"displayTimeUnit":"ms"}|}
 
 let test_golden_chrome () =
   let _, _, _, sp, cycles = covered (Progs.two_writes_seq ()) in

@@ -6,8 +6,8 @@
    - the profiler's cycle total equals Sim.run's return value;
    - group active cycles agree with derived latencies (and, for purely
      sequential schedules, sum to the total);
-   - pass observations chain: each pass's after-counts are the next
-     pass's before-counts, and the last matches the final program. *)
+   - each pass span carries its output's IR counts and the compile span
+     the input's, and Pass_stats renders one row per pass from them. *)
 
 open Calyx
 module Sim = Calyx_sim.Sim
@@ -207,26 +207,93 @@ let test_vcd_wellformed_on_lowered () =
 (* Pass instrumentation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_pass_stats () =
-  let ctx = Progs.counter ~limit:5 () in
-  let lowered, stats = Calyx_obs.Pass_stats.compile ctx in
-  let obs = Calyx_obs.Pass_stats.observations stats in
-  Alcotest.(check bool) "observed every pass" true
-    (List.length obs = List.length (Pipelines.passes Pipelines.default_config));
-  Alcotest.(check bool) "deltas chain" true
-    (Calyx_obs.Pass_stats.consistent stats);
-  let last = List.nth obs (List.length obs - 1) in
-  Alcotest.(check bool) "final counts describe the result" true
-    (last.Pass.obs_after = Pass.measure lowered);
+module Trace = Calyx_telemetry.Trace
+module Pass_stats = Calyx_obs.Pass_stats
+
+let systolic4 () =
+  Systolic.generate { Systolic.rows = 4; cols = 4; depth = 4; width = 32 }
+
+let dotprod () =
+  let ic = open_in (example "dotprod.dahlia") in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Dahlia.To_calyx.compile (Dahlia.Parser.parse_string src)
+
+(* counter, dotprod, systolic 4x4, then 50 fuzzed programs. *)
+let span_corpus () =
+  let st = Random.State.make [| Fuzz_seed.derive "obs-pass-spans" |] in
+  [ ("counter", Progs.counter ~limit:5 ()); ("dotprod", dotprod ());
+    ("systolic-4x4", systolic4 ()) ]
+  @ List.init 50 (fun _ ->
+        let seed = Random.State.int st 1_000_000 in
+        (Fuzz_seed.print_seed "obs-pass-spans" seed, Progs.Fuzz.gen_program seed))
+
+(* The spans are the record: the compile span carries the input's counts
+   and each pass span its own output's, which the replayed pipeline
+   re-measures; the replay ends at the program the compile returned. *)
+let test_pass_spans () =
   List.iter
-    (fun (o : Pass.observation) ->
-      Alcotest.(check bool) (o.obs_pass ^ " time is non-negative") true
-        (o.obs_seconds >= 0.))
-    obs;
+    (fun (name, ctx) ->
+      let lowered, spans = Trace.collect (fun () -> Pipelines.compile ctx) in
+      let top =
+        List.find (fun (sp : Trace.span) -> sp.sp_name = "compile") spans
+      in
+      let passes =
+        List.filter
+          (fun (sp : Trace.span) ->
+            sp.sp_parent = top.sp_id && sp.sp_cat = "pass")
+          spans
+      in
+      let measured =
+        Pass_stats.replay Pipelines.default_config ctx Pass.measure
+      in
+      Alcotest.(check bool)
+        (name ^ ": span counts are the measured programs'") true
+        (List.map Pass.span_counts (top :: passes)
+        = List.map Option.some measured);
+      let printed =
+        Pass_stats.replay Pipelines.default_config ctx Printer.to_string
+      in
+      Alcotest.(check string)
+        (name ^ ": the replay ends at the compiled program")
+        (Printer.to_string lowered)
+        (List.nth printed (List.length printed - 1)))
+    (span_corpus ())
+
+let pass_json_keys =
+  [ "name"; "description"; "seconds"; "before"; "after"; "delay_ps_before";
+    "delay_ps_after"; "fmax_mhz_before"; "fmax_mhz_after" ]
+
+let test_pass_stats () =
+  let ctx = systolic4 () in
+  let lowered, stats = Pass_stats.compile ctx in
+  Alcotest.(check (list string)) "a row per pass"
+    (List.map (fun (p : Pass.t) -> p.Pass.name)
+       (Pipelines.passes Pipelines.default_config))
+    (List.map (fun (r : Pass_stats.row) -> r.pass) stats);
+  List.iter
+    (fun (r : Pass_stats.row) ->
+      Alcotest.(check bool) (r.pass ^ " time is non-negative") true
+        (r.seconds >= 0.))
+    stats;
+  let last = List.nth stats (List.length stats - 1) in
+  Alcotest.(check bool) "final counts describe the result" true
+    (last.after = Pass.measure lowered);
   (* Lowering must end groupless and control-free. *)
-  Alcotest.(check int) "no groups after lowering" 0 last.Pass.obs_after.groups;
+  Alcotest.(check int) "no groups after lowering" 0 last.after.groups;
   Alcotest.(check int) "no control after lowering" 0
-    last.Pass.obs_after.control_nodes
+    last.after.control_nodes;
+  let doc = Json.parse (Pass_stats.to_json stats) in
+  let passes =
+    Option.get (Option.bind (Json.member "passes" doc) Json.to_list)
+  in
+  Alcotest.(check int) "a JSON entry per pass" (List.length stats)
+    (List.length passes);
+  List.iter
+    (fun p ->
+      Alcotest.(check (list string)) "pass JSON keys" pass_json_keys
+        (Json.keys p))
+    passes
 
 (* ------------------------------------------------------------------ *)
 (* Tracing is pure observation                                         *)
@@ -306,7 +373,10 @@ let () =
             test_vcd_wellformed_on_lowered;
         ] );
       ( "pass-stats",
-        [ Alcotest.test_case "chain and totals" `Quick test_pass_stats ] );
+        [
+          Alcotest.test_case "span counts and replay" `Quick test_pass_spans;
+          Alcotest.test_case "rows and JSON" `Quick test_pass_stats;
+        ] );
       ( "neutrality",
         [
           Alcotest.test_case "fixed seeds 0..60" `Quick test_neutral_fixed_seeds;

@@ -171,6 +171,57 @@ let test_chrome_export () =
     (T.Trace.to_chrome ~scrub:true ());
   scrub ()
 
+let names spans = List.map (fun (sp : T.Trace.span) -> sp.T.Trace.sp_name) spans
+
+(* Whether span buffering is on, seen from outside: does a span opened
+   under enabled telemetry land in the buffer? The probe is dropped. *)
+let keeping () =
+  let before = T.Trace.spans () in
+  T.Runtime.with_enabled (fun () -> T.Trace.with_span "probe" ignore);
+  List.length (T.Trace.spans ()) > List.length before
+
+let test_collect () =
+  T.Trace.reset ();
+  (* Telemetry off, nothing buffered: the call sees its spans, the
+     process afterwards sees nothing. *)
+  let v, spans =
+    T.Trace.collect (fun () ->
+        T.Trace.with_span "a" (fun () -> T.Trace.with_span "b" (fun () -> 7)))
+  in
+  Alcotest.(check int) "result" 7 v;
+  Alcotest.(check (list string)) "spans in open order" [ "a"; "b" ]
+    (names spans);
+  Alcotest.(check bool) "telemetry off again" false (T.Runtime.on ());
+  Alcotest.(check (list string)) "buffer untouched" [] (names (T.Trace.spans ()));
+  Alcotest.(check bool) "buffering off again" false (keeping ());
+  (* Buffering on, telemetry off: earlier spans stay, the call's go. *)
+  T.Trace.set_keep true;
+  T.Runtime.with_enabled (fun () -> T.Trace.with_span "kept" ignore);
+  let _, spans = T.Trace.collect (fun () -> T.Trace.with_span "c" ignore) in
+  Alcotest.(check (list string)) "collected" [ "c" ] (names spans);
+  Alcotest.(check (list string)) "keep buffer untouched" [ "kept" ]
+    (names (T.Trace.spans ()));
+  (* A --trace-pipeline run (on and buffering) keeps the call's spans, as
+     it would have without the call. *)
+  T.Runtime.with_enabled (fun () ->
+      ignore (T.Trace.collect (fun () -> T.Trace.with_span "d" ignore)));
+  Alcotest.(check (list string)) "traced run keeps them" [ "kept"; "d" ]
+    (names (T.Trace.spans ()));
+  T.Trace.set_keep false;
+  T.Trace.reset ();
+  (* A raising thunk: the exception comes through, the state is restored. *)
+  (match
+     T.Trace.collect (fun () ->
+         T.Trace.with_span "boom" (fun () -> failwith "expected"))
+   with
+  | _ -> Alcotest.fail "collect swallowed the exception"
+  | exception Failure msg -> Alcotest.(check string) "re-raised" "expected" msg);
+  Alcotest.(check bool) "off after a raise" false (T.Runtime.on ());
+  Alcotest.(check (list string)) "buffer untouched after a raise" []
+    (names (T.Trace.spans ()));
+  Alcotest.(check bool) "buffering off after a raise" false (keeping ());
+  scrub ()
+
 (* ------------------------------------------------------------------ *)
 (* Manifests                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -380,6 +431,7 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
+          Alcotest.test_case "collect" `Quick test_collect;
         ] );
       ( "manifest",
         [
