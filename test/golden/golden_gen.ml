@@ -1,7 +1,8 @@
 (* Deterministic renderer behind the golden-file snapshot tests: prints
    the structured program (the `calyx compile --emit calyx` view), the
    fully lowered SystemVerilog, the timing report, the compiled engine's
-   emitted level plan, the scrubbed Chrome trace of a whole toolchain
+   emitted level plan (of the lowered or the structured program), the
+   scrubbed Chrome trace of a whole toolchain
    run, or the OpenMetrics exposition after one. The dune rules diff its
    output against checked-in .expected files; `dune promote` accepts
    intentional changes. *)
@@ -73,6 +74,14 @@ let () =
       match Calyx_sim.Sim.compiled_plan sim with
       | Some plan -> print_string plan
       | None -> failwith "compiled engine produced no plan")
+  | [| _; "structured-plan"; file |] -> (
+      (* The same snapshot for the program as written, before any pass:
+         its group go holes and group-gated assignments are nodes of the
+         graph too. *)
+      let sim = Calyx_sim.Sim.create ~engine:`Compiled (parse file) in
+      match Calyx_sim.Sim.compiled_plan sim with
+      | Some plan -> print_string plan
+      | None -> failwith "compiled engine produced no plan")
   | [| _; "trace"; file |] ->
       pipeline_run file;
       print_string (Tele.Trace.to_chrome ~scrub:true ())
@@ -81,5 +90,6 @@ let () =
       print_string (Tele.Metrics.to_openmetrics ~names:instrument_names ())
   | _ ->
       prerr_endline
-        "usage: golden_gen (print|verilog|timing|plan|trace|metrics) FILE";
+        "usage: golden_gen \
+         (print|verilog|timing|plan|structured-plan|trace|metrics) FILE";
       exit 2

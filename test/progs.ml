@@ -252,6 +252,17 @@ let conflict_program () =
   in
   context [ main ]
 
+(* A group whose done never rises: the run hits its cycle budget. *)
+let stuck_program () =
+  let main =
+    component "main"
+    |> with_cells [ reg "r" 8 ]
+    |> with_groups
+         [ group "stuck" [ assign (hole "stuck" "done") (pa "r" "done") ] ]
+    |> with_control (enable "stuck")
+  in
+  context [ main ]
+
 (* A combinational oscillator: n.in = !n.in through std_not. *)
 let unstable_program () =
   let main =

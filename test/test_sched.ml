@@ -281,6 +281,45 @@ let check_parity kind ctx =
 let test_conflict_parity () = check_parity "conflict" (Progs.conflict_program ())
 let test_unstable_parity () = check_parity "unstable" (Progs.unstable_program ())
 
+(* The status snapshot an error carries, pinned as text: both engines
+   must render the same control state, active groups and done wiring at
+   the moment of the error. *)
+let snapshot ?max_cycles ctx engine =
+  match Sim.run ?max_cycles (Sim.create ~engine ctx) with
+  | exception Sim.Timeout { snapshot; _ } -> snapshot
+  | exception Sim.Conflict { snapshot; _ } -> snapshot
+  | _ -> Alcotest.fail "expected a simulation error"
+
+let test_snapshot_parity () =
+  List.iter
+    (fun (name, max_cycles, ctx, expected) ->
+      let f = snapshot ?max_cycles ctx `Fixpoint in
+      let c = snapshot ?max_cycles ctx `Compiled in
+      Alcotest.(check string) (name ^ ": engines agree") f c;
+      Alcotest.(check string) (name ^ ": snapshot text") expected f)
+    [
+      ( "stuck group",
+        Some 100,
+        Progs.stuck_program (),
+        "simulation state after 100 cycles:\n\
+        \  <entry> (component main): running stuck\n\
+        \    active group stuck: waiting on stuck[done] = r.done;\n" );
+      ( "child mid-run",
+        Some 1,
+        Progs.hierarchy ~input:5 (),
+        "simulation state after 1 cycles:\n\
+        \  <entry> (component main): running seq(call_d; +1 more)\n\
+        \    active group call_d: waiting on call_d[done] = d.done;\n\
+        \  d (component doubler): running compute\n\
+        \    active group compute: waiting on compute[done] = acc.done;\n" );
+      ( "conflict",
+        None,
+        Progs.conflict_program (),
+        "simulation state after 0 cycles:\n\
+        \  <entry> (component main): idle\n\
+        \    active group bad: waiting on bad[done] = x.done;\n" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -379,6 +418,7 @@ let () =
         [
           Alcotest.test_case "conflict parity" `Quick test_conflict_parity;
           Alcotest.test_case "unstable parity" `Quick test_unstable_parity;
+          Alcotest.test_case "snapshot parity" `Quick test_snapshot_parity;
         ] );
       ( "plumbing",
         [

@@ -109,20 +109,7 @@ let test_unstable_detected () =
 
 let test_timeout () =
   (* A group whose done never rises. *)
-  let open Calyx.Builder in
-  let main =
-    component "main"
-    |> with_cells [ reg "r" 8 ]
-    |> with_groups
-         [
-           group "stuck"
-             [
-               assign (Ir.Hole ("stuck", "done")) (pa "r" "done");
-             ];
-         ]
-    |> with_control (enable "stuck")
-  in
-  let sim = create (context [ main ]) in
+  let sim = create (Progs.stuck_program ()) in
   match Calyx_sim.Sim.run ~max_cycles:100 sim with
   | (_ : int) -> Alcotest.fail "expected Timeout"
   | exception Calyx_sim.Sim.Timeout { budget; snapshot } ->
