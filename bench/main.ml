@@ -11,6 +11,7 @@
    recorded against the paper in EXPERIMENTS.md. *)
 
 open Calyx
+module Json = Calyx_telemetry.Json
 
 let geomean = function
   | [] -> nan

@@ -552,18 +552,18 @@ let profile_cmd =
               let wall = Calyx_synth.Timing.wall_ns timing ~cycles in
               if json then
                 print_endline
-                  (Calyx.Json.obj
+                  (Tele.Json.obj
                      [
-                       ("file", Calyx.Json.str file);
-                       ("cycles", Calyx.Json.int cycles);
+                       ("file", Tele.Json.str file);
+                       ("cycles", Tele.Json.int cycles);
                        ( "delay_ps",
-                         Calyx.Json.int timing.Calyx_synth.Timing.delay_ps );
+                         Tele.Json.int timing.Calyx_synth.Timing.delay_ps );
                        ( "fmax_mhz",
-                         Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
                        ( "period_ns",
-                         Calyx.Json.float
+                         Tele.Json.float
                            (Calyx_synth.Timing.period_ns timing) );
-                       ("wall_ns", Calyx.Json.float wall);
+                       ("wall_ns", Tele.Json.float wall);
                        ("pass_stats", Calyx_obs.Pass_stats.to_json stats);
                        ( "profile",
                          Calyx_obs.Profile.to_json ~ctx:runnable prof );
@@ -645,14 +645,14 @@ let cover_cmd =
               let period_ns = Calyx_synth.Timing.period_ns timing in
               if json then
                 print_endline
-                  (Calyx.Json.obj
+                  (Tele.Json.obj
                      [
-                       ("file", Calyx.Json.str file);
-                       ("cycles", Calyx.Json.int scycles);
-                       ("compiled_cycles", Calyx.Json.int fcycles);
-                       ("period_ns", Calyx.Json.float period_ns);
+                       ("file", Tele.Json.str file);
+                       ("cycles", Tele.Json.int scycles);
+                       ("compiled_cycles", Tele.Json.int fcycles);
+                       ("period_ns", Tele.Json.float period_ns);
                        ( "fmax_mhz",
-                         Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
                        ("coverage", Calyx_obs.Coverage.to_json cov);
                        ( "fsm_coverage",
                          Calyx_obs.Coverage.to_json fcov );
@@ -1018,40 +1018,40 @@ let stats_cmd =
         let timing = Calyx_synth.Timing.context_depth lowered in
         if json then
           print_endline
-            (Calyx.Json.obj
+            (Tele.Json.obj
                [
-                 ("file", Calyx.Json.str file);
-                 ("cells", Calyx.Json.int (List.length main.Calyx.Ir.cells));
-                 ("groups", Calyx.Json.int (List.length main.Calyx.Ir.groups));
+                 ("file", Tele.Json.str file);
+                 ("cells", Tele.Json.int (List.length main.Calyx.Ir.cells));
+                 ("groups", Tele.Json.int (List.length main.Calyx.Ir.groups));
                  ( "control_statements",
-                   Calyx.Json.int (Calyx.Ir.control_size main.Calyx.Ir.control)
+                   Tele.Json.int (Calyx.Ir.control_size main.Calyx.Ir.control)
                  );
-                 ("compile_seconds", Calyx.Json.float compile_s);
-                 ("emit_seconds", Calyx.Json.float emit_s);
-                 ("loc", Calyx.Json.int (Calyx_verilog.Verilog.loc sv));
+                 ("compile_seconds", Tele.Json.float compile_s);
+                 ("emit_seconds", Tele.Json.float emit_s);
+                 ("loc", Tele.Json.int (Calyx_verilog.Verilog.loc sv));
                  ( "area",
-                   Calyx.Json.obj
+                   Tele.Json.obj
                      [
-                       ("luts", Calyx.Json.int usage.Calyx_synth.Area.luts);
+                       ("luts", Tele.Json.int usage.Calyx_synth.Area.luts);
                        ( "registers",
-                         Calyx.Json.int usage.Calyx_synth.Area.registers );
+                         Tele.Json.int usage.Calyx_synth.Area.registers );
                        ( "register_cells",
-                         Calyx.Json.int usage.Calyx_synth.Area.register_cells );
-                       ("dsps", Calyx.Json.int usage.Calyx_synth.Area.dsps);
-                       ("brams", Calyx.Json.int usage.Calyx_synth.Area.brams);
+                         Tele.Json.int usage.Calyx_synth.Area.register_cells );
+                       ("dsps", Tele.Json.int usage.Calyx_synth.Area.dsps);
+                       ("brams", Tele.Json.int usage.Calyx_synth.Area.brams);
                      ] );
                  ( "timing",
-                   Calyx.Json.obj
+                   Tele.Json.obj
                      [
                        ( "levels",
-                         Calyx.Json.int timing.Calyx_synth.Timing.levels );
+                         Tele.Json.int timing.Calyx_synth.Timing.levels );
                        ( "delay_ps",
-                         Calyx.Json.int timing.Calyx_synth.Timing.delay_ps );
+                         Tele.Json.int timing.Calyx_synth.Timing.delay_ps );
                        ( "fmax_mhz",
-                         Calyx.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
                        ( "critical",
-                         Calyx.Json.arr
-                           (List.map Calyx.Json.str
+                         Tele.Json.arr
+                           (List.map Tele.Json.str
                               timing.Calyx_synth.Timing.critical) );
                      ] );
                ])

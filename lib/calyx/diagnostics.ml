@@ -83,6 +83,8 @@ let render_all ds =
 (* JSON emission via the shared combinators (the repo deliberately has no
    JSON dependency). *)
 
+module Json = Calyx_telemetry.Json
+
 let json_str = Json.str
 let json_obj = Json.obj
 

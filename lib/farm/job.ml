@@ -299,7 +299,7 @@ let run t =
               Calyx_sim.Sim.run sim)
         in
         let golden = check io in
-        let registers, memories = Calyx_verilog.Validate.state_cells lowered in
+        let registers, memories = Calyx_sim.Sim.state_cells lowered in
         let o_registers =
           List.map
             (fun p -> (p, Calyx.Bitvec.to_string (io.read_register p)))

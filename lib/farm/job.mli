@@ -86,7 +86,7 @@ type outcome = {
           differential agreed. *)
   o_cycles : int;
   o_registers : (string * string) list;
-      (** Every [std_reg]'s final value, in {!Calyx_verilog.Validate.state_cells}
+      (** Every [std_reg]'s final value, in {!Calyx_sim.Sim.state_cells}
           order, as [Bitvec.to_string]. *)
   o_memories : (string * string list) list;  (** Final memory contents. *)
   o_diagnostics : string list;
@@ -110,4 +110,4 @@ val outcome_to_json : outcome -> string
     the determinism suite compares. [outcome_of_json] inverts it exactly:
     serializing a decoded outcome reproduces the input bytes. *)
 
-val outcome_of_json : Calyx.Json.value -> outcome option
+val outcome_of_json : Calyx_telemetry.Json.value -> outcome option

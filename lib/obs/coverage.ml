@@ -1,5 +1,6 @@
 open Calyx
 module Sim = Calyx_sim.Sim
+module Json = Calyx_telemetry.Json
 
 (* ------------------------------------------------------------------ *)
 (* FSM register identification (shared with Spans)                     *)

@@ -1,5 +1,6 @@
 open Calyx
 module Sim = Calyx_sim.Sim
+module Json = Calyx_telemetry.Json
 
 type arm_report = {
   ar_path : string;

@@ -1,5 +1,6 @@
 open Calyx
 module Trace = Calyx_telemetry.Trace
+module Json = Calyx_telemetry.Json
 
 type row = {
   pass : string;

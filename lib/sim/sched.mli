@@ -58,5 +58,5 @@ val scc : t -> int -> int
     are assigned in reverse topological order (every edge of the
     condensation goes to a strictly smaller id), so two nodes are
     mutually dependent iff their ids are equal. Used by the compiled
-    engine to group the members of each cyclic component into one
-    iterated step of its level plan. *)
+    engine to list the members of each cyclic component together when it
+    renders its plan. *)

@@ -1,6 +1,6 @@
 (** Cycle-accurate simulation of Calyx programs.
 
-    One engine serves two roles from the paper's evaluation workflow:
+    One simulator serves two roles from the paper's evaluation workflow:
 
     - a {b reference interpreter} for structured programs (groups + control),
       executing the control-tree semantics directly — the functional oracle
@@ -16,7 +16,10 @@
     control program when its [go] input rises and presents [done] for one
     cycle when it finishes.
 
-    Two interchangeable evaluation {b engines} implement the settle:
+    Every component instance is one record that both evaluation
+    {b engines} read: its slots, its primitives and children, its groups
+    (numbered once, in declaration order) and its control state. The
+    engines implement the settle:
 
     - [`Fixpoint] — the reference engine: dense Jacobi iteration
       re-evaluating every assignment and primitive until the full
@@ -26,12 +29,12 @@
       components and levelized ({!Sched}), and compiled ahead of time into
       one specialized OCaml closure per node (guards partially evaluated,
       constant assignments folded, primitive port names resolved to slots,
-      no dispatch). Each settle runs only the {e dirty} closures in level
-      order, with a worklist for the (rare) cyclic remainder, and the
+      no dispatch). Each settle runs only the {e dirty} closures, level by
+      level, with a worklist for the (rare) cyclic remainder, and the
       clock edge re-marks exactly the primitives whose committed state
       changed, so a settled cycle costs O(nodes touched) instead of
-      O(iterations x all slots). See {!compiled_plan} for the emitted
-      plan.
+      O(iterations x all slots). The engine lives in [Compiled]; see
+      {!compiled_plan} for its graph as text.
 
     The engines are observably equivalent: same cycle counts, same
     {!Conflict}/{!Unstable} errors at the same cycle, same event streams
@@ -57,14 +60,19 @@ val default_engine : engine
     (a farm job's cache key, a run manifest's engine stamp) read this
     value. *)
 
+val state_cells : Ir.context -> string list * string list
+(** [(registers, memories)]: the dotted paths of every [std_reg] and
+    every memory cell reachable from the entrypoint, child component
+    instances included, in declaration order (depth first). *)
+
 val disagreement : ?load:(t -> unit) -> Ir.context -> string option
 (** The engine differential: run [ctx] under every engine in {!engines}
     (each built fresh, [load] applied before the run, 400 000-cycle
     budget) and return the first pairwise disagreement, or [None]. The
-    engines must agree on cycle count, every entry-component register
-    and memory's final value, and the ordered control-event stream — or,
-    on the error paths, raise the same {!Conflict}/{!Unstable}/{!Timeout}
-    at the same cycle with the same message. *)
+    engines must agree on cycle count, the final value of every register
+    and memory in {!state_cells}, and the ordered control-event stream —
+    or, on the error paths, raise the same {!Conflict}/{!Unstable}/
+    {!Timeout} at the same cycle with the same message. *)
 
 exception Timeout of { budget : int; snapshot : string }
 (** Raised by {!run} when the design does not finish within the cycle
@@ -103,10 +111,13 @@ val engine : t -> engine
 (** Which evaluation engine this simulation was built with. *)
 
 val compiled_plan : t -> string option
-(** The rendered level plans of the instance tree — which closures the
-    [`Compiled] engine emitted, per level, with partial-evaluation
-    annotations. [None] unless built with [`Compiled]. Snapshot-tested
-    so codegen changes show up as reviewable diffs. *)
+(** The [`Compiled] engine's graph of every instance, as text: one line
+    per node (the closure it compiled, with partial-evaluation
+    annotations), grouped by level, cyclic components marked. A
+    rendering of the graph a settle runs on, not an execution order:
+    within a level, dirty nodes run in the order they were marked.
+    [None] unless built with [`Compiled]. Snapshot-tested so codegen
+    changes show up as reviewable diffs. *)
 
 val run : ?max_cycles:int -> t -> int
 (** Drive [go] high and simulate until the design signals [done]; returns

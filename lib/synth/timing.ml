@@ -1,5 +1,6 @@
 open Calyx
 open Calyx.Ir
+module Json = Calyx_telemetry.Json
 
 type path = {
   p_start : string;

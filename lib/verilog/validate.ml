@@ -30,27 +30,6 @@ let rtl_io v =
     write_memory = Vinterp.write_memory v;
   }
 
-let is_memory = function "std_mem_d1" | "std_mem_d2" -> true | _ -> false
-
-let state_cells ctx =
-  let regs = ref [] and mems = ref [] in
-  let rec walk comp prefix =
-    List.iter
-      (fun c ->
-        let path =
-          if String.equal prefix "" then c.cell_name
-          else prefix ^ "." ^ c.cell_name
-        in
-        match c.cell_proto with
-        | Prim ("std_reg", _) -> regs := path :: !regs
-        | Prim (name, _) when is_memory name -> mems := path :: !mems
-        | Prim _ -> ()
-        | Comp name -> walk (find_component ctx name) path)
-      comp.cells
-  in
-  walk (find_component ctx ctx.entrypoint) "";
-  (List.rev !regs, List.rev !mems)
-
 let mem_to_string vs =
   String.concat ","
     (Array.to_list (Array.map (fun v -> Int64.to_string (Bitvec.to_int64 v)) vs))
@@ -85,7 +64,7 @@ let validate ?engine ?max_cycles
     | None -> Calyx_sim.Sim.run ?max_cycles sim
   in
   let cycles_rtl = Vinterp.run ?max_cycles rtl in
-  let regs, mems = state_cells ctx in
+  let regs, mems = Calyx_sim.Sim.state_cells ctx in
   let mismatches = ref [] in
   let add path kind sim_value rtl_value =
     mismatches := { path; kind; sim_value; rtl_value } :: !mismatches

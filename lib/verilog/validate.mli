@@ -34,10 +34,6 @@ val rtl_io : Vinterp.t -> Calyx_sim.Testbench.io
 (** The RTL interpreter's poke/peek operations as a {!Calyx_sim.Testbench.io},
     so data loaders written against the simulator drive the RTL too. *)
 
-val state_cells : Ir.context -> string list * string list
-(** [(registers, memories)]: dotted paths of every [std_reg] and every
-    memory cell reachable from the entrypoint of a lowered context. *)
-
 val validate :
   ?engine:Calyx_sim.Sim.engine ->
   ?max_cycles:int ->
@@ -47,7 +43,8 @@ val validate :
   report
 (** Emit [ctx] (which must already be lowered — see {!Verilog.emit}) to
     SystemVerilog, elaborate it with {!Vinterp}, apply [load] to both
-    backends (default: nothing), run both to completion, and compare.
+    backends (default: nothing), run both to completion, and compare the
+    cycle counts and every cell of {!Calyx_sim.Sim.state_cells}.
     [simulated] is a simulator of [ctx] that the caller has already
     loaded and run to completion from creation: it stands in for the
     simulator side (its state, and {!Calyx_sim.Sim.cycles_elapsed} as its

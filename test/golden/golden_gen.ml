@@ -1,9 +1,9 @@
 (* Deterministic renderer behind the golden-file snapshot tests: prints
    the structured program (the `calyx compile --emit calyx` view), the
    fully lowered SystemVerilog, the timing report, the compiled engine's
-   emitted level plan (of the lowered or the structured program), the
-   scrubbed Chrome trace of a whole toolchain
-   run, or the OpenMetrics exposition after one. The dune rules diff its
+   plan (of the lowered or the structured program), the scrubbed Chrome
+   trace of a whole toolchain run, or the OpenMetrics exposition after
+   one. The dune rules diff its
    output against checked-in .expected files; `dune promote` accepts
    intentional changes. *)
 
@@ -64,9 +64,9 @@ let () =
       let report = Calyx_synth.Timing.context_timing ~paths:3 lowered in
       print_endline (Calyx_synth.Timing.to_json ~attribute_ctx:ctx report)
   | [| _; "plan"; file |] -> (
-      (* The compiled engine's codegen, as a reviewable snapshot: the
-         level plan it froze for the fully lowered program, with the
-         partial-evaluation annotations. *)
+      (* The compiled engine's codegen, as a reviewable snapshot: its
+         graph of the fully lowered program, with the partial-evaluation
+         annotations. *)
       let sim =
         Calyx_sim.Sim.create ~engine:`Compiled
           (Calyx.Pipelines.compile (parse file))

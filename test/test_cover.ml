@@ -15,6 +15,7 @@ module Sim = Calyx_sim.Sim
 module Coverage = Calyx_obs.Coverage
 module Spans = Calyx_obs.Spans
 module Crit_path = Calyx_obs.Crit_path
+module Json = Calyx_telemetry.Json
 
 let example file =
   List.find Sys.file_exists

@@ -11,6 +11,7 @@
 
 open Calyx
 module Sim = Calyx_sim.Sim
+module Json = Calyx_telemetry.Json
 
 let example file =
   List.find Sys.file_exists

@@ -1,16 +1,19 @@
-(* The Sched graph module the compiled engine runs on: unit tests for
-   levelization, dirty-set evaluation and the cyclic-remainder worklist,
-   then wire-level checks of the dirty-set settle against the reference
-   fixpoint engine on the shared sample programs. Every signal must hold
-   the oracle's value on every cycle — a node the dirty set failed to
-   re-evaluate shows up here even when the final state happens to agree.
-   The error paths (Conflict and Unstable) must fire at the same cycle
-   with the same message after the same wire history. *)
+(* The compiled engine and the Sched graph module it runs on: unit tests
+   for levelization, dirty-set evaluation and the cyclic-remainder
+   worklist, then wire-level checks of the compiled engine against the
+   reference fixpoint engine on the shared sample programs. Every signal
+   must hold the oracle's value on every cycle — a node the dirty set
+   failed to re-evaluate shows up here even when the final state happens
+   to agree. The error paths (Conflict, Unstable and Timeout) must fire at
+   the same cycle with the same message after the same wire history, and
+   carry the same status snapshot. Compiled simulations also run sharded
+   across domains. *)
 
 open Calyx
 
 module Sim = Calyx_sim.Sim
 module Sched = Calyx_sim.Sched
+module Pool = Calyx_pool.Pool
 
 (* ------------------------------------------------------------------ *)
 (* Sched: the graph scheduler in isolation                             *)
@@ -242,36 +245,41 @@ let test_lowered () =
     (fun ctx -> ignore (run_both (Pipelines.compile ctx)))
     [
       Progs.counter ~limit:6 ();
+      Progs.two_writes_seq ();
       Progs.two_writes_par ();
       Progs.if_program ~x:4 ~y:1 ();
       Progs.hierarchy ~input:3 ();
       Progs.mult_program ~x:6 ~y:7 ();
+      Progs.reduction_tree ~len:2 ();
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Error-path parity                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let error_info ctx engine =
+let error_info ?max_cycles ctx engine =
   let sim = Sim.create ~engine ctx in
   let trace = record sim in
   let kind, cycle, message =
-    match Sim.run sim with
+    match Sim.run ?max_cycles sim with
     | exception Sim.Conflict { cycle; message; snapshot } ->
         Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
         ("conflict", cycle, message)
     | exception Sim.Unstable { cycle; message; snapshot } ->
         Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
         ("unstable", cycle, message)
+    | exception Sim.Timeout { budget; snapshot } ->
+        Alcotest.(check bool) "snapshot non-empty" true (snapshot <> "");
+        ("timeout", budget, "")
     | _ -> Alcotest.fail "expected a simulation error"
   in
   (sim, kind, cycle, message, trace ())
 
 (* Same error, same cycle, same message, and the same wires on every
    cycle that settled before it. *)
-let check_parity kind ctx =
-  let f, fk, fc, fm, ft = error_info ctx `Fixpoint in
-  let _, ck, cc, cm, ct = error_info ctx `Compiled in
+let check_parity ?max_cycles kind ctx =
+  let f, fk, fc, fm, ft = error_info ?max_cycles ctx `Fixpoint in
+  let _, ck, cc, cm, ct = error_info ?max_cycles ctx `Compiled in
   Alcotest.(check string) "kind" kind fk;
   Alcotest.(check string) "same kind" fk ck;
   Alcotest.(check int) "same cycle" fc cc;
@@ -280,6 +288,9 @@ let check_parity kind ctx =
 
 let test_conflict_parity () = check_parity "conflict" (Progs.conflict_program ())
 let test_unstable_parity () = check_parity "unstable" (Progs.unstable_program ())
+
+let test_timeout_parity () =
+  check_parity ~max_cycles:10 "timeout" (Progs.counter ~limit:200 ())
 
 (* The status snapshot an error carries, pinned as text: both engines
    must render the same control state, active groups and done wiring at
@@ -324,26 +335,32 @@ let test_snapshot_parity () =
 (* Engine plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The engine table: one entry per engine, distinct names, engine_name
-   agreeing with it, and every entry (and the default) reported back by
-   the simulation it builds. *)
+(* The engine table: exactly the two engines, engine_name agreeing with
+   it, every entry (and the default, the compiled engine) reported back
+   by the simulation it builds, and a plan only under the compiled
+   engine. *)
 let test_engine_accessor () =
   let ctx = Progs.counter ~limit:2 () in
-  let names = List.map fst Sim.engines in
-  Alcotest.(check int)
-    "names distinct" (List.length names)
-    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string))
+    "engine names" [ "fixpoint"; "compiled" ]
+    (List.map fst Sim.engines);
   Alcotest.(check bool)
     "both engines listed" true
-    (List.mem `Fixpoint (List.map snd Sim.engines)
-    && List.mem `Compiled (List.map snd Sim.engines));
+    (List.map snd Sim.engines = [ `Fixpoint; `Compiled ]);
   List.iter
     (fun (name, engine) ->
+      let sim = Sim.create ~engine ctx in
       Alcotest.(check string) ("engine_name " ^ name) name
         (Sim.engine_name engine);
-      Alcotest.(check bool) (name ^ " reported") true
-        (Sim.engine (Sim.create ~engine ctx) = engine))
+      Alcotest.(check bool) (name ^ " reported") true (Sim.engine sim = engine);
+      Alcotest.(check bool)
+        (name ^ " plan iff compiled")
+        (engine = `Compiled)
+        (Sim.compiled_plan sim <> None))
     Sim.engines;
+  Alcotest.(check bool)
+    "default is compiled" true
+    (Sim.default_engine = `Compiled);
   Alcotest.(check bool)
     "default reported" true
     (Sim.engine (Sim.create ctx) = Sim.default_engine)
@@ -375,6 +392,31 @@ let test_testbench_write () =
     Alcotest.(check int64) "same final value" fr cr;
     check_traces f ft ct
   done
+
+(* Results come back in input order regardless of sharding, and real
+   simulations can run concurrently (each call owns its instance). *)
+let test_pool_order () =
+  let squares = List.init 17 (fun i -> i * i) in
+  Alcotest.(check (list int))
+    "in order, parallel" squares
+    (Pool.map ~jobs:4 (fun i -> i * i) (List.init 17 Fun.id));
+  Alcotest.(check (list int))
+    "in order, sequential" squares
+    (Pool.map ~jobs:1 (fun i -> i * i) (List.init 17 Fun.id))
+
+let test_pool_sims () =
+  let cycles =
+    Pool.map ~jobs:4
+      (fun i ->
+        Sim.run (Sim.create ~engine:`Compiled (Progs.counter ~limit:(i + 2) ())))
+      (List.init 8 Fun.id)
+  in
+  let expected =
+    List.init 8 (fun i ->
+        Sim.run
+          (Sim.create ~engine:`Fixpoint (Progs.counter ~limit:(i + 2) ())))
+  in
+  Alcotest.(check (list int)) "batched = sequential oracle" expected cycles
 
 (* ev_iters under the compiled engine counts graph nodes touched: work is
    recorded, and the dirty set keeps some cycle below the busiest one —
@@ -418,6 +460,7 @@ let () =
         [
           Alcotest.test_case "conflict parity" `Quick test_conflict_parity;
           Alcotest.test_case "unstable parity" `Quick test_unstable_parity;
+          Alcotest.test_case "timeout parity" `Quick test_timeout_parity;
           Alcotest.test_case "snapshot parity" `Quick test_snapshot_parity;
         ] );
       ( "plumbing",
@@ -425,5 +468,10 @@ let () =
           Alcotest.test_case "engine accessor" `Quick test_engine_accessor;
           Alcotest.test_case "test-bench write" `Quick test_testbench_write;
           Alcotest.test_case "iters stat" `Quick test_iters_stat;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "domain-parallel order" `Quick test_pool_order;
+          Alcotest.test_case "domain-parallel sims" `Quick test_pool_sims;
         ] );
     ]

@@ -9,6 +9,7 @@ open Calyx
 open Calyx.Builder
 module Timing = Calyx_synth.Timing
 module Sched = Calyx_sim.Sched
+module Json = Calyx_telemetry.Json
 
 let example file =
   List.find Sys.file_exists
