@@ -418,6 +418,292 @@ let test_pool_sims () =
   in
   Alcotest.(check (list int)) "batched = sequential oracle" expected cycles
 
+(* ------------------------------------------------------------------ *)
+(* The compiled plan as text                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One instance's section of [Sim.compiled_plan]: its component, the
+   header's node/level/cyclic counts, and each level header (level,
+   cyclic) with its node lines, in print order. *)
+type plan_level = { pl_level : int; pl_cyclic : bool; pl_nodes : string list }
+
+type plan_section = {
+  ps_comp : string;
+  ps_counts : int * int * int;
+  ps_body : plan_level list;
+}
+
+let parse_plan text =
+  let sections = ref [] in
+  let update f =
+    match !sections with
+    | s :: rest -> sections := f s :: rest
+    | [] -> Alcotest.fail "plan line before any component line"
+  in
+  List.iter
+    (fun line ->
+      if line = "" then ()
+      else if String.starts_with ~prefix:"component " line then
+        let comp = Scanf.sscanf line "component %s@:" Fun.id in
+        sections :=
+          { ps_comp = comp; ps_counts = (-1, -1, -1); ps_body = [] }
+          :: !sections
+      else if String.starts_with ~prefix:"level " line then
+        let level, cyclic =
+          Scanf.sscanf line "level %d%[^\n]" (fun l rest ->
+              match rest with
+              | ":" -> (l, false)
+              | " (cyclic, iterate):" -> (l, true)
+              | _ -> Alcotest.failf "bad level header %S" line)
+        in
+        update (fun s ->
+            {
+              s with
+              ps_body =
+                { pl_level = level; pl_cyclic = cyclic; pl_nodes = [] }
+                :: s.ps_body;
+            })
+      else if String.starts_with ~prefix:"  " line then
+        update (fun s ->
+            match s.ps_body with
+            | l :: rest ->
+                {
+                  s with
+                  ps_body =
+                    { l with pl_nodes = String.trim line :: l.pl_nodes }
+                    :: rest;
+                }
+            | [] -> Alcotest.failf "node line before any level: %S" line)
+      else
+        let counts =
+          Scanf.sscanf line "%d nodes, %d levels, %d cyclic components%!"
+            (fun n l c -> (n, l, c))
+        in
+        update (fun s -> { s with ps_counts = counts }))
+    (String.split_on_char '\n' text);
+  List.rev_map
+    (fun s ->
+      {
+        s with
+        ps_body =
+          List.rev_map
+            (fun l -> { l with pl_nodes = List.rev l.pl_nodes })
+            s.ps_body;
+      })
+    !sections
+
+let plan_of ctx =
+  match Sim.compiled_plan (Sim.create ~engine:`Compiled ctx) with
+  | Some text -> parse_plan text
+  | None -> Alcotest.fail "compiled engine must expose its plan"
+
+let plan_samples () =
+  (* Lint rejects the oscillator, so only the others are also lowered. *)
+  let structured =
+    [
+      Progs.counter ~limit:3 ();
+      Progs.two_writes_par ();
+      Progs.if_program ~x:1 ~y:2 ();
+      Progs.hierarchy ~input:2 ();
+      Progs.mult_program ~x:2 ~y:3 ();
+      Progs.reduction_tree ();
+    ]
+  in
+  (Progs.unstable_program () :: structured)
+  @ List.map Pipelines.compile structured
+
+(* Each section's header agrees with its body: as many node lines as
+   nodes, levels printed in ascending order covering 0 .. levels-1 with
+   no empty level, and one marked level per cyclic component. *)
+let test_plan_counts () =
+  List.iter
+    (fun ctx ->
+      List.iter
+        (fun s ->
+          let nodes, levels, cyclic = s.ps_counts in
+          let body = s.ps_body in
+          let where = "component " ^ s.ps_comp in
+          Alcotest.(check int)
+            (where ^ ": node lines") nodes
+            (List.fold_left (fun n l -> n + List.length l.pl_nodes) 0 body);
+          Alcotest.(check int)
+            (where ^ ": cyclic levels") cyclic
+            (List.length (List.filter (fun l -> l.pl_cyclic) body));
+          let numbers = List.map (fun l -> l.pl_level) body in
+          Alcotest.(check (list int))
+            (where ^ ": levels ascending")
+            (List.sort compare numbers) numbers;
+          Alcotest.(check (list int))
+            (where ^ ": every level printed")
+            (List.init levels Fun.id)
+            (List.sort_uniq compare numbers);
+          Alcotest.(check bool)
+            (where ^ ": no empty level") true
+            (List.for_all (fun l -> l.pl_nodes <> []) body))
+        (plan_of ctx))
+    (plan_samples ())
+
+(* The oscillator n.in = !n.in is the one cyclic component: the not gate
+   and the continuous assignment that closes the loop, marked cyclic;
+   the counter has none. *)
+let test_plan_cyclic () =
+  (match plan_of (Progs.unstable_program ()) with
+  | [ s ] ->
+      let _, _, cyclic = s.ps_counts in
+      Alcotest.(check int) "one cyclic component" 1 cyclic;
+      Alcotest.(check (list (list string)))
+        "its members"
+        [ [ "prim n : std_not(1)"; "assign [continuous] n.in = n.out;" ] ]
+        (List.filter_map
+           (fun l -> if l.pl_cyclic then Some l.pl_nodes else None)
+           s.ps_body)
+  | _ -> Alcotest.fail "expected one instance");
+  List.iter
+    (fun s ->
+      let _, _, cyclic = s.ps_counts in
+      Alcotest.(check int) "counter is acyclic" 0 cyclic)
+    (plan_of (Progs.counter ~limit:3 ()))
+
+(* Group nodes are labelled by name: one [go] node per group of the
+   section's component, and every group-gated assignment names one of
+   those groups. *)
+let test_plan_groups () =
+  List.iter
+    (fun ctx ->
+      List.iter
+        (fun s ->
+          let comp = Ir.find_component ctx s.ps_comp in
+          let groups =
+            List.sort compare
+              (List.map (fun g -> g.Ir.group_name) comp.Ir.groups)
+          in
+          let lines = List.concat_map (fun l -> l.pl_nodes) s.ps_body in
+          let gos =
+            List.filter_map
+              (fun n ->
+                if String.starts_with ~prefix:"go " n then
+                  Some (String.sub n 3 (String.length n - 3))
+                else None)
+              lines
+          in
+          Alcotest.(check (list string))
+            (s.ps_comp ^ ": one go node per group")
+            groups (List.sort compare gos);
+          List.iter
+            (fun n ->
+              if String.starts_with ~prefix:"assign [" n then
+                let label = Scanf.sscanf n "assign [%[^]]]" Fun.id in
+                let group =
+                  match String.split_on_char ' ' label with
+                  | [ g ] | [ g; "done" ] -> g
+                  | _ -> Alcotest.failf "bad assignment label %S" label
+                in
+                if group <> "continuous" && not (List.mem group groups) then
+                  Alcotest.failf "%s: %S names no group" s.ps_comp n)
+            lines)
+        (plan_of ctx))
+    [
+      Progs.counter ~limit:3 ();
+      Progs.two_writes_seq ();
+      Progs.if_program ~x:1 ~y:2 ();
+      Progs.hierarchy ~input:2 ();
+      Progs.reduction_tree ();
+    ]
+
+(* One section per instance, in the order [Sim.instances] lists them,
+   and each child instance is one [child] node of its parent. *)
+let test_plan_instances () =
+  let ctx = Progs.hierarchy ~input:2 () in
+  let sim = Sim.create ~engine:`Compiled ctx in
+  let sections =
+    match Sim.compiled_plan sim with
+    | Some text -> parse_plan text
+    | None -> Alcotest.fail "compiled engine must expose its plan"
+  in
+  Alcotest.(check (list string))
+    "sections follow the instances"
+    (List.map snd (Sim.instances sim))
+    (List.map (fun s -> s.ps_comp) sections);
+  match sections with
+  | main :: _ ->
+      Alcotest.(check bool)
+        "child node" true
+        (List.exists
+           (fun l -> List.mem "child d : doubler" l.pl_nodes)
+           main.ps_body)
+  | [] -> Alcotest.fail "empty plan"
+
+(* ------------------------------------------------------------------ *)
+(* Groups are reported by name                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The distinct active-group sets of a run, in order, under [engine]. *)
+let active_sets ctx engine =
+  let sim = Sim.create ~engine ctx in
+  let sets = ref [] in
+  Sim.add_sink sim (fun ev ->
+      match !sets with
+      | last :: _ when last = ev.Sim.ev_active -> ()
+      | _ -> sets := ev.Sim.ev_active :: !sets);
+  ignore (Sim.run sim);
+  List.rev !sets
+
+let check_active_sets name ctx expected =
+  List.iter
+    (fun (ename, engine) ->
+      Alcotest.(check (list (list (pair string string))))
+        (name ^ " under " ^ ename)
+        expected (active_sets ctx engine))
+    Sim.engines
+
+(* Parent and child groups through a run of the hierarchy: the child's
+   group is reported under its instance path while the parent's group
+   that started it stays active. *)
+let test_active_hierarchy () =
+  check_active_sets "hierarchy" (Progs.hierarchy ~input:2 ())
+    [
+      [ ("", "call_d"); ("d", "compute") ];
+      [ ("", "call_d") ];
+      [ ("", "store") ];
+    ]
+
+(* A child group with the same name as its parent's: both are active at
+   once, each under its own instance, and the result is right. *)
+let test_active_same_name () =
+  let open Builder in
+  let child =
+    component "child" ~outputs:[ ("out", 8) ]
+    |> with_cells [ reg "acc" 8 ]
+    |> with_groups
+         [ Progs.write_group "work" ~reg:"acc" ~value:(lit ~width:8 5) ]
+    |> with_continuous [ assign (this "out") (pa "acc" "out") ]
+    |> with_control (enable "work")
+  in
+  let main =
+    component "main"
+    |> with_cells [ instance "c" "child"; reg "r" 8 ]
+    |> with_groups
+         [
+           group "work"
+             [
+               assign (port "c" "go") (bit true);
+               assign (hole "work" "done") (pa "c" "done");
+             ];
+           Progs.write_group "store" ~reg:"r" ~value:(pa "c" "out");
+         ]
+    |> with_control (seq [ enable "work"; enable "store" ])
+  in
+  let ctx = context [ child; main ] in
+  check_active_sets "same name" ctx
+    [
+      [ ("", "work"); ("c", "work") ];
+      [ ("", "work") ];
+      [ ("", "store") ];
+    ];
+  let f, c = run_both ctx in
+  check_reg "r" f c;
+  Alcotest.(check int64) "stored" 5L (Bitvec.to_int64 (Sim.read_register c "r"))
+
 (* ev_iters under the compiled engine counts graph nodes touched: work is
    recorded, and the dirty set keeps some cycle below the busiest one —
    a dense settle would touch the same nodes every cycle. *)
@@ -473,5 +759,19 @@ let () =
         [
           Alcotest.test_case "domain-parallel order" `Quick test_pool_order;
           Alcotest.test_case "domain-parallel sims" `Quick test_pool_sims;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "header counts" `Quick test_plan_counts;
+          Alcotest.test_case "cyclic component" `Quick test_plan_cyclic;
+          Alcotest.test_case "group nodes" `Quick test_plan_groups;
+          Alcotest.test_case "instance sections" `Quick test_plan_instances;
+        ] );
+      ( "groups",
+        [
+          Alcotest.test_case "active in a hierarchy" `Quick
+            test_active_hierarchy;
+          Alcotest.test_case "same name in parent and child" `Quick
+            test_active_same_name;
         ] );
     ]

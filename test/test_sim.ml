@@ -335,6 +335,154 @@ let test_add_sink_composes () =
       Alcotest.(check int) "cycle stamp" (i / 2) cyc)
     log
 
+(* ------------------------------------------------------------------ *)
+(* State cells and the engine differential                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Three levels of hierarchy: main holds registers on both sides of its
+   child, mid a grandchild and a register, leaf a register and a memory.
+   Only leaf's [c] is ever written; the rest is state a test bench may
+   load. *)
+let nested_program () =
+  let open Calyx.Builder in
+  let leaf =
+    component "leaf"
+    |> with_cells [ reg "c" 4; mem_d1 "lm" ~width:8 ~size:2 ~idx:1 ]
+    |> with_groups
+         [ Progs.write_group "touch" ~reg:"c" ~value:(lit ~width:4 1) ]
+    |> with_control (enable "touch")
+  in
+  let run_child name cell =
+    group name
+      [
+        assign (port cell "go") (bit true);
+        assign (hole name "done") (pa cell "done");
+      ]
+  in
+  let mid =
+    component "mid"
+    |> with_cells [ instance "l" "leaf"; reg "b" 4 ]
+    |> with_groups [ run_child "run_l" "l" ]
+    |> with_control (enable "run_l")
+  in
+  let main =
+    component "main"
+    |> with_cells
+         [
+           reg "a" 4;
+           instance "m" "mid";
+           reg "z" 4;
+           mem_d1 "top" ~width:8 ~size:2 ~idx:1;
+         ]
+    |> with_groups [ run_child "run_m" "m" ]
+    |> with_control (enable "run_m")
+  in
+  context [ leaf; mid; main ]
+
+let check_state_cells name ctx (regs, mems) =
+  let r, m = Calyx_sim.Sim.state_cells ctx in
+  Alcotest.(check (list string)) (name ^ " registers") regs r;
+  Alcotest.(check (list string)) (name ^ " memories") mems m
+
+let test_state_cells_flat () =
+  check_state_cells "counter" (Progs.counter ~limit:3 ()) ([ "r" ], []);
+  check_state_cells "par" (Progs.two_writes_par ()) ([ "x"; "y" ], [])
+
+let test_state_cells_memories () =
+  check_state_cells "reduction tree" (Progs.reduction_tree ())
+    ([ "r0"; "r1"; "r2"; "idx" ], [ "m0"; "m1"; "m2"; "m3"; "out" ])
+
+let test_state_cells_child () =
+  check_state_cells "hierarchy" (Progs.hierarchy ~input:1 ())
+    ([ "d.acc"; "r" ], [])
+
+let test_state_cells_nested () =
+  check_state_cells "nested" (nested_program ())
+    ([ "a"; "m.l.c"; "m.b"; "z" ], [ "m.l.lm"; "top" ])
+
+(* Every path state_cells reports names a cell the test bench can read,
+   under both engines. *)
+let test_state_cells_resolve () =
+  List.iter
+    (fun ctx ->
+      let regs, mems = Calyx_sim.Sim.state_cells ctx in
+      List.iter
+        (fun (_, engine) ->
+          let sim = Calyx_sim.Sim.create ~engine ctx in
+          ignore (Calyx_sim.Sim.run sim);
+          List.iter
+            (fun r -> ignore (Calyx_sim.Sim.read_register sim r))
+            regs;
+          List.iter (fun m -> ignore (Calyx_sim.Sim.read_memory sim m)) mems)
+        Calyx_sim.Sim.engines)
+    [
+      Progs.counter ~limit:3 ();
+      Progs.reduction_tree ();
+      Progs.hierarchy ~input:4 ();
+      nested_program ();
+    ]
+
+let check_agree name ?load ctx =
+  Alcotest.(check (option string))
+    (name ^ ": engines agree") None
+    (Calyx_sim.Sim.disagreement ?load ctx)
+
+let test_differential_samples () =
+  List.iter
+    (fun (name, ctx) -> check_agree name ctx)
+    [
+      ("counter", Progs.counter ~limit:4 ());
+      ("seq", Progs.two_writes_seq ());
+      ("par", Progs.two_writes_par ());
+      ("if", Progs.if_program ~x:3 ~y:7 ());
+      ("hierarchy", Progs.hierarchy ~input:9 ());
+      ("mult", Progs.mult_program ~x:5 ~y:6 ());
+      ("nested", nested_program ());
+      ("lowered nested", Pipelines.compile (nested_program ()));
+    ]
+
+(* Both engines raise the same error at the same cycle: no disagreement. *)
+let test_differential_errors () =
+  check_agree "conflict" (Progs.conflict_program ());
+  check_agree "unstable" (Progs.unstable_program ())
+
+let test_differential_load () =
+  let load sim =
+    List.iteri
+      (fun i m ->
+        Calyx_sim.Sim.write_memory_ints sim m ~width:32
+          (List.init 4 (fun j -> (5 * i) + j)))
+      [ "m0"; "m1"; "m2"; "m3" ]
+  in
+  check_agree "reduction tree" ~load (Progs.reduction_tree ())
+
+(* The differential bites: state that only the compiled run was given
+   ends up in its final values, and [disagreement] names what differs —
+   for an entry register, a grandchild's register and a grandchild's
+   memory alike. *)
+let check_bites name load expected =
+  let load sim = if Calyx_sim.Sim.engine sim = `Compiled then load sim in
+  Alcotest.(check (option string))
+    name (Some expected)
+    (Calyx_sim.Sim.disagreement ~load (nested_program ()))
+
+let test_differential_entry_register () =
+  check_bites "entry register"
+    (fun sim ->
+      Calyx_sim.Sim.write_register sim "a" (Bitvec.of_int ~width:4 3))
+    "fixpoint vs compiled: final registers differ"
+
+let test_differential_child_register () =
+  check_bites "child register"
+    (fun sim ->
+      Calyx_sim.Sim.write_register sim "m.b" (Bitvec.of_int ~width:4 3))
+    "fixpoint vs compiled: final registers differ"
+
+let test_differential_child_memory () =
+  check_bites "child memory"
+    (fun sim -> Calyx_sim.Sim.write_memory_ints sim "m.l.lm" ~width:8 [ 7; 9 ])
+    "fixpoint vs compiled: final memories differ"
+
 let test_sqrt_prim () =
   Alcotest.(check int64) "isqrt 0" 0L (Calyx_sim.Prim_state.isqrt 0L);
   Alcotest.(check int64) "isqrt 1" 1L (Calyx_sim.Prim_state.isqrt 1L);
@@ -383,5 +531,28 @@ let () =
           Alcotest.test_case "slice/pad/shift/xor" `Quick
             test_width_adapters_and_ops;
           Alcotest.test_case "pipelined divider" `Quick test_div_pipe;
+        ] );
+      ( "state cells",
+        [
+          Alcotest.test_case "flat registers" `Quick test_state_cells_flat;
+          Alcotest.test_case "memories" `Quick test_state_cells_memories;
+          Alcotest.test_case "child paths" `Quick test_state_cells_child;
+          Alcotest.test_case "nested depth first" `Quick
+            test_state_cells_nested;
+          Alcotest.test_case "paths resolve" `Quick test_state_cells_resolve;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "samples agree" `Quick test_differential_samples;
+          Alcotest.test_case "error paths agree" `Quick
+            test_differential_errors;
+          Alcotest.test_case "loaded memories agree" `Quick
+            test_differential_load;
+          Alcotest.test_case "entry register bites" `Quick
+            test_differential_entry_register;
+          Alcotest.test_case "child register bites" `Quick
+            test_differential_child_register;
+          Alcotest.test_case "child memory bites" `Quick
+            test_differential_child_memory;
         ] );
     ]
