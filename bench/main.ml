@@ -183,38 +183,33 @@ let sensitive_config =
 
 let systolic_sizes = [ 2; 3; 4; 5; 6; 7; 8 ]
 
+let systolic_dims n = { Systolic.rows = n; cols = n; depth = n; width = 32 }
+let systolic_name n = Printf.sprintf "systolic-%dx%d" n n
+
 let systolic_ctx n config =
-  let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-  Pipelines.compile ~config (Systolic.generate d)
+  Pipelines.compile ~config (Systolic.generate (systolic_dims n))
 
-(* Simulate an [n]x[n] array's lowered program on deterministic input
-   matrices; also verify the product. *)
-let systolic_run n ctx =
-  let sim = Calyx_sim.Sim.create ctx in
-  let a = Array.init n (fun r -> Array.init n (fun k -> (((r * 3) + k) mod 9) + 1)) in
-  let b = Array.init n (fun k -> Array.init n (fun c -> (((k * 5) + c) mod 7) + 1)) in
-  for r = 0 to n - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r) ~width:32
-      (Array.to_list a.(r))
-  done;
-  for c = 0 to n - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c) ~width:32
-      (List.init n (fun k -> b.(k).(c)))
-  done;
-  let cycles = Calyx_sim.Sim.run sim in
-  let flat = Array.of_list (Calyx_sim.Sim.read_memory_ints sim Systolic.out_memory) in
-  let ok = ref true in
-  for r = 0 to n - 1 do
-    for c = 0 to n - 1 do
-      let expect = ref 0 in
-      for k = 0 to n - 1 do
-        expect := !expect + (a.(r).(k) * b.(k).(c))
-      done;
-      if flat.((r * n) + c) <> !expect then ok := false
-    done
-  done;
-  (cycles, !ok)
+(* Every systolic row runs the array on the sample matrices and checks
+   the product. *)
+let systolic_testbench n =
+  let d = systolic_dims n in
+  let a, b = Systolic.sample d in
+  Systolic.testbench d ~a ~b
 
+(* A wrong answer stops the bench with the design's name and the first
+   message of its test bench's check. *)
+let verdict name = function
+  | [] -> ()
+  | msg :: _ -> failwith (Printf.sprintf "%s: %s" name msg)
+
+(* Simulate a compiled design under its test bench and check the answer;
+   returns the cycle count. *)
+let checked_run ?engine name tb ctx =
+  let cycles, bad = Calyx_sim.Testbench.run ?engine tb ctx in
+  verdict name bad;
+  cycles
+
+let systolic_run n ctx = checked_run (systolic_name n) (systolic_testbench n) ctx
 let systolic_cycles n config = systolic_run n (systolic_ctx n config)
 
 let hls_matmul n =
@@ -228,12 +223,14 @@ let fig7a () =
   let ratios =
     List.map
       (fun n ->
-        let insens, ok1 = systolic_cycles n Pipelines.insensitive_config in
-        let sens, ok2 = systolic_cycles n sensitive_config in
+        (* A wrong product stops the bench, so a printed row is a
+           checked one. *)
+        let insens = systolic_cycles n Pipelines.insensitive_config in
+        let sens = systolic_cycles n sensitive_config in
         let hls = (hls_matmul n).Hls_model.cycles in
         let ratio = float_of_int hls /. float_of_int sens in
         Printf.printf "%4d %12d %12d %10d %17.2fx %6s\n" n insens sens hls ratio
-          (if ok1 && ok2 then "ok" else "FAIL");
+          "ok";
         Record.row
           [
             ("n", Json.int n);
@@ -241,7 +238,7 @@ let fig7a () =
             ("sensitive_cycles", Json.int sens);
             ("hls_cycles", Json.int hls);
             ("hls_over_sensitive", Json.float ratio);
-            ("correct", Json.bool (ok1 && ok2));
+            ("correct", Json.bool true);
           ];
         ratio)
       systolic_sizes
@@ -289,8 +286,8 @@ let fig7_sensitive_effect () =
   let speedups =
     List.map
       (fun n ->
-        let insens, _ = systolic_cycles n Pipelines.insensitive_config in
-        let sens, _ = systolic_cycles n sensitive_config in
+        let insens = systolic_cycles n Pipelines.insensitive_config in
+        let sens = systolic_cycles n sensitive_config in
         let s = float_of_int insens /. float_of_int sens in
         Printf.printf "%4d %12d %12d %9.2fx\n" n insens sens s;
         Record.row
@@ -546,8 +543,7 @@ let stats () =
      26.1 s for Vivado HLS)\n"
     dt dt_emit;
   Printf.printf "gemver SystemVerilog: %d LOC\n" (Calyx_verilog.Verilog.loc sv);
-  let d = { Systolic.rows = 8; cols = 8; depth = 8; width = 32 } in
-  let sys = Systolic.generate d in
+  let sys = Systolic.generate (systolic_dims 8) in
   let main = Ir.entry sys in
   Printf.printf
     "8x8 systolic array: %d cells, %d groups, %d control statements\n\
@@ -649,10 +645,9 @@ let stages () =
   let systolic =
     List.map
       (fun n ->
-        let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-        ( Printf.sprintf "systolic-%dx%d" n n,
-          Systolic.generate d,
-          fun lowered -> fst (systolic_run n lowered) ))
+        ( systolic_name n,
+          Systolic.generate (systolic_dims n),
+          systolic_run n ))
       [ 4; 8; 10 ]
   in
   let kernels =
@@ -661,7 +656,7 @@ let stages () =
         let prog = Polybench.Harness.program k ~unrolled:false in
         ( k.name,
           Dahlia.To_calyx.compile prog,
-          fun lowered -> fst (Polybench.Harness.execute k prog lowered) ))
+          checked_run k.name (Polybench.Harness.testbench k prog) ))
       Polybench.Kernels.all
   in
   let rows =
@@ -764,53 +759,36 @@ let engines () =
         ("speedup_x", Json.float s);
       ]
   in
+  (* Loading the inputs is timed with the run; the check is not. *)
+  let row name ctx (tb : Calyx_sim.Testbench.t) =
+    let run engine () =
+      let sim, create_s = time (fun () -> Calyx_sim.Sim.create ~engine ctx) in
+      let io = Calyx_sim.Testbench.of_sim sim in
+      let cycles, sim_s =
+        time (fun () ->
+            tb.load io;
+            Calyx_sim.Sim.run sim)
+      in
+      verdict name (tb.check io);
+      (cycles, create_s, sim_s)
+    in
+    report name
+      (best_of_3_phased (run `Fixpoint))
+      (best_of_3_phased (run `Compiled))
+  in
   List.iter
     (fun n ->
-      let ctx = systolic_ctx n Pipelines.insensitive_config in
-      let run engine () =
-        let sim, create_s = time (fun () -> Calyx_sim.Sim.create ~engine ctx) in
-        let cycles, sim_s =
-          time (fun () ->
-              for r = 0 to n - 1 do
-                Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-                  ~width:32
-                  (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-              done;
-              for c = 0 to n - 1 do
-                Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-                  ~width:32
-                  (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-              done;
-              Calyx_sim.Sim.run sim)
-        in
-        (cycles, create_s, sim_s)
-      in
-      report
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (best_of_3_phased (run `Fixpoint))
-        (best_of_3_phased (run `Compiled)))
+      row (systolic_name n)
+        (systolic_ctx n Pipelines.insensitive_config)
+        (systolic_testbench n))
     [ 4; 8 ];
   List.iter
     (fun name ->
       let k = Polybench.Kernels.find name in
       let prog = Polybench.Harness.program k ~unrolled:false in
-      let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
-      let run engine () =
-        let sim, create_s =
-          time (fun () -> Calyx_sim.Sim.create ~engine lowered)
-        in
-        let io = Calyx_sim.Testbench.of_sim sim in
-        let cycles, sim_s =
-          time (fun () ->
-              Polybench.Harness.load_inputs k prog io;
-              Calyx_sim.Sim.run sim)
-        in
-        assert (Polybench.Harness.verify k prog io = []);
-        (cycles, create_s, sim_s)
-      in
-      report name
-        (best_of_3_phased (run `Fixpoint))
-        (best_of_3_phased (run `Compiled)))
+      row name
+        (Pipelines.compile (Dahlia.To_calyx.compile prog))
+        (Polybench.Harness.testbench k prog))
     [ "gemm"; "gemver"; "atax" ];
   Printf.printf
     "geomean comp/fix %.2fx, systolic-8x8 %.2fx; %d cycle mismatches\n"
@@ -882,14 +860,25 @@ let telemetry_bench () =
         ignore (run `Compiled ());
         count () - before)
   in
-  let report name run =
+  let report name ctx (tb : Calyx_sim.Testbench.t) =
+    (* The timed run creates, loads and runs; the check comes after. *)
+    let run engine () =
+      let sim = Calyx_sim.Sim.create ~engine ctx in
+      let io = Calyx_sim.Testbench.of_sim sim in
+      tb.load io;
+      (Calyx_sim.Sim.run sim, io)
+    in
+    let checked ((cycles, io), s) =
+      verdict name (tb.check io);
+      (cycles, s)
+    in
     let settles = settle_count run in
     List.iter
       (fun (label, engine) ->
         incr rows;
-        let cycles_off, off_s = best_of_3 (run engine) in
+        let cycles_off, off_s = checked (best_of_3 (run engine)) in
         let cycles_on, on_s =
-          T.Runtime.with_enabled (fun () -> best_of_3 (run engine))
+          checked (T.Runtime.with_enabled (fun () -> best_of_3 (run engine)))
         in
         if cycles_off <> cycles_on then incr mismatches;
         (* Estimated disabled overhead: every settle evaluates one
@@ -914,37 +903,14 @@ let telemetry_bench () =
           ])
       Calyx_sim.Sim.engines
   in
-  List.iter
-    (fun n ->
-      let ctx = systolic_ctx n Pipelines.insensitive_config in
-      let run engine () =
-        let sim = Calyx_sim.Sim.create ~engine ctx in
-        for r = 0 to n - 1 do
-          Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-            ~width:32
-            (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-        done;
-        for c = 0 to n - 1 do
-          Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-            ~width:32
-            (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-        done;
-        Calyx_sim.Sim.run sim
-      in
-      report (Printf.sprintf "systolic-%dx%d" n n) run)
-    [ 4 ];
-  List.iter
-    (fun name ->
-      let k = Polybench.Kernels.find name in
-      let prog = Polybench.Harness.program k ~unrolled:false in
-      let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
-      let run engine () =
-        let cycles, bad = Polybench.Harness.execute ~engine k prog lowered in
-        assert (bad = []);
-        cycles
-      in
-      report name run)
-    [ "gemm" ];
+  report (systolic_name 4)
+    (systolic_ctx 4 Pipelines.insensitive_config)
+    (systolic_testbench 4);
+  let k = Polybench.Kernels.find "gemm" in
+  let prog = Polybench.Harness.program k ~unrolled:false in
+  report "gemm"
+    (Pipelines.compile (Dahlia.To_calyx.compile prog))
+    (Polybench.Harness.testbench k prog);
   Printf.printf
     "\n%d/%d rows within the %.0f%% disabled-overhead budget; %d cycle \
      mismatch(es) between enabled and disabled runs\n"
@@ -967,12 +933,14 @@ let cover () =
   Printf.printf "%-14s %8s %9s %9s %10s\n" "design" "cycles" "groups"
     "overall" "uncovered";
   let min_group = ref 100. in
-  let one name ctx load =
+  let one name ctx (tb : Calyx_sim.Testbench.t) =
     let ctx = Pass.run Compile_invoke.pass ctx in
     let sim = Calyx_sim.Sim.create ctx in
     let cov = Calyx_obs.Coverage.create ctx sim in
-    load sim;
+    let io = Calyx_sim.Testbench.of_sim sim in
+    tb.load io;
     let cycles = Calyx_sim.Sim.run sim in
+    verdict name (tb.check io);
     let groups = Calyx_obs.Coverage.group_pct cov in
     let overall = Calyx_obs.Coverage.overall_pct cov in
     let uncovered = List.length (Calyx_obs.Coverage.uncovered cov) in
@@ -990,21 +958,9 @@ let cover () =
   in
   List.iter
     (fun n ->
-      let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-      one
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (Systolic.generate d)
-        (fun sim ->
-          for r = 0 to n - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-              ~width:32
-              (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-          done;
-          for c = 0 to n - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-              ~width:32
-              (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-          done))
+      one (systolic_name n)
+        (Systolic.generate (systolic_dims n))
+        (systolic_testbench n))
     [ 2; 4 ];
   Record.summary "min_group_pct" !min_group
 
@@ -1031,6 +987,8 @@ let timing_bench () =
       let sens =
         Polybench.Harness.run ~config:sensitive_config k ~unrolled:false
       in
+      verdict k.Polybench.Kernels.name insens.Polybench.Harness.mismatches;
+      verdict k.Polybench.Kernels.name sens.Polybench.Harness.mismatches;
       let s = insens.Polybench.Harness.wall_ns /. sens.Polybench.Harness.wall_ns in
       wall_speedups := s :: !wall_speedups;
       Printf.printf "%-12s %9.1f %9.1f %10.1f %9.1f %9d %10d %7.2fx\n"
@@ -1064,7 +1022,7 @@ let timing_bench () =
     (fun n ->
       let measure config =
         let ctx = systolic_ctx n config in
-        let cycles, _ = systolic_cycles n config in
+        let cycles = systolic_run n ctx in
         let t = Calyx_synth.Timing.context_timing ~paths:1 ctx in
         (t, Calyx_synth.Timing.wall_ns t ~cycles)
       in
@@ -1101,18 +1059,13 @@ let perf () =
   let gemver_ctx =
     Polybench.Harness.build (Polybench.Kernels.find "gemver") ~unrolled:false
   in
-  let sys4 =
-    Systolic.generate { Systolic.rows = 4; cols = 4; depth = 4; width = 32 }
-  in
+  let sys4 = Systolic.generate (systolic_dims 4) in
   let lowered = Pipelines.compile gemm_ctx in
   let tests =
     [
       Test.make ~name:"fig7: generate+compile 4x4 systolic"
         (Staged.stage (fun () ->
-             ignore
-               (Pipelines.compile
-                  (Systolic.generate
-                     { Systolic.rows = 4; cols = 4; depth = 4; width = 32 }))));
+             ignore (Pipelines.compile (Systolic.generate (systolic_dims 4)))));
       Test.make ~name:"fig8: compile gemm to RTL"
         (Staged.stage (fun () -> ignore (Pipelines.compile gemm_ctx)));
       Test.make ~name:"fig9a: resource-sharing pass"
@@ -1202,23 +1155,13 @@ let validate () =
     [ "gemm"; "atax"; "mvt"; "cholesky"; "gramschmidt"; "trisolv" ];
   List.iter
     (fun n ->
-      let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
-      let lowered = Pipelines.compile (Systolic.generate d) in
-      let load io =
-        for r = 0 to n - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.left_memory r)
-            ~width:32
-            (List.init n (fun k -> (((r * 3) + k) mod 9) + 1))
-        done;
-        for c = 0 to n - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.top_memory c)
-            ~width:32
-            (List.init n (fun k -> (((k * 5) + c) mod 7) + 1))
-        done
+      let tb = systolic_testbench n in
+      let r =
+        Calyx_verilog.Validate.validate ~load:tb.load
+          (systolic_ctx n Pipelines.default_config)
       in
-      emit
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (Calyx_verilog.Validate.validate ~load lowered))
+      verdict (systolic_name n) (tb.check r.Calyx_verilog.Validate.sim_io);
+      emit (systolic_name n) r)
     [ 2; 4 ];
   (* A fixed fuzz sweep: agreement count is a deterministic metric. *)
   let fuzz_total = 100 in

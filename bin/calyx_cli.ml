@@ -3,13 +3,12 @@
 
    Subcommands:
      check      report well-formedness and lint diagnostics (optionally JSON)
-     compile    compile a Calyx source file and print Calyx or SystemVerilog
-     interp     run a structured Calyx program with the reference interpreter
-     sim        compile a Calyx program and run the flat simulator
+     compile    compile a source file and print Calyx or SystemVerilog
+     interp     run a structured program with the reference interpreter
+     sim        compile a program and run the flat simulator
      profile    merged compile + runtime report (pass stats, group cycles)
      cover      coverage analysis, span traces, par critical-path report
-     dahlia     compile a Dahlia program (optionally run it)
-     systolic   generate (and optionally run) a systolic array
+     systolic   generate (and optionally run and check) a systolic array
      farm       the corpus runner: batch compile/sim/validate/engine-
                 differential jobs (files, PolyBench, systolic, fuzz)
                 across domains, with a content-addressed result cache;
@@ -19,8 +18,11 @@
      timing     static timing analysis: critical path, Fmax, worst paths
      report     aggregate telemetry manifests; gate perf regressions
 
-   Every subcommand additionally takes --telemetry/--trace-pipeline/
-   --metrics-out/--log-level (see telemetry_term below). *)
+   Every command that takes a source FILE chooses the frontend by its
+   suffix: .dahlia/.fuse sources go through Dahlia, anything else parses
+   as Calyx. Every subcommand additionally takes --telemetry/
+   --trace-pipeline/--metrics-out/--log-level (see telemetry_term
+   below). *)
 
 open Cmdliner
 module Tele = Calyx_telemetry
@@ -307,12 +309,8 @@ let with_spans sp f =
         (fun (path, sp) -> write_file path (Calyx_obs.Spans.to_chrome sp))
         sp)
 
-(* Frontend selection by suffix: .dahlia/.fuse sources go through the
-   Dahlia frontend, everything else parses as Calyx. *)
-let parse_calyx file =
-  Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
-      Calyx.Parser.parse_file file)
-
+(* The one frontend dispatch, by suffix: .dahlia/.fuse sources go through
+   the Dahlia frontend, everything else parses as Calyx. *)
 let parse_source file =
   if Filename.check_suffix file ".dahlia" || Filename.check_suffix file ".fuse"
   then begin
@@ -323,7 +321,9 @@ let parse_source file =
     in
     Dahlia.To_calyx.compile prog
   end
-  else parse_calyx file
+  else
+    Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
+        Calyx.Parser.parse_file file)
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
@@ -335,7 +335,7 @@ let check_cmd =
     let failed = ref false in
     let code =
       handle_errors (fun () ->
-          let ctx = parse_calyx file in
+          let ctx = parse_source file in
           let wf =
             Tele.Trace.with_span ~cat:"stage" "check" (fun () ->
                 Calyx.Well_formed.diagnostics ctx)
@@ -360,14 +360,14 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Check a Calyx program: well-formedness plus semantic lints (data races, combinational cycles, driver conflicts, dead code, latency contracts). Exits non-zero if any error-severity diagnostic is reported.")
+       ~doc:"Check a Calyx (or Dahlia) program: well-formedness plus semantic lints (data races, combinational cycles, driver conflicts, dead code, latency contracts). Exits non-zero if any error-severity diagnostic is reported.")
     Term.(const run $ file_arg $ json $ telemetry_term)
 
 let compile_cmd =
   let run file config emit pass_stats json tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
-        let ctx = parse_calyx file in
+        let ctx = parse_source file in
         if pass_stats then begin
           let lowered, stats = Calyx_obs.Pass_stats.compile ~config ctx in
           (* Stats on stderr so stdout stays the compiled program. *)
@@ -390,7 +390,7 @@ let compile_cmd =
       & info [ "json" ] ~doc:"With --pass-stats, emit the report as JSON.")
   in
   Cmd.v
-    (Cmd.info "compile" ~doc:"Compile a Calyx program to lowered Calyx or SystemVerilog.")
+    (Cmd.info "compile" ~doc:"Compile a Calyx (or Dahlia) program to lowered Calyx or SystemVerilog.")
     Term.(const run $ file_arg $ config_term $ emit_term $ pass_stats $ json
           $ telemetry_term)
 
@@ -398,7 +398,7 @@ let interp_cmd =
   let run file mems spans engine tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
-        let ctx = parse_calyx file in
+        let ctx = parse_source file in
         Calyx.Well_formed.check ctx;
         let sim = Calyx_sim.Sim.create ?engine ctx in
         let sp =
@@ -411,7 +411,7 @@ let interp_cmd =
             dump_externals sim))
   in
   Cmd.v
-    (Cmd.info "interp" ~doc:"Execute a structured Calyx program with the reference interpreter.")
+    (Cmd.info "interp" ~doc:"Execute a structured Calyx (or Dahlia) program with the reference interpreter.")
     Term.(const run $ file_arg $ mems_term $ spans_term $ engine_term
           $ telemetry_term)
 
@@ -419,7 +419,7 @@ let sim_cmd =
   let run file config mems trace profile spans engine tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
-        let ctx = parse_calyx file in
+        let ctx = parse_source file in
         let lowered = Calyx.Pipelines.compile ~config ctx in
         let sim = Calyx_sim.Sim.create ?engine lowered in
         (* A compiled program has no control tree; derive spans from the
@@ -449,37 +449,9 @@ let sim_cmd =
           ~doc:"Print cycle counts, settle statistics, and cell utilization after the run.")
   in
   Cmd.v
-    (Cmd.info "sim" ~doc:"Compile a Calyx program and run the cycle-accurate flat simulator.")
+    (Cmd.info "sim" ~doc:"Compile a Calyx (or Dahlia) program and run the cycle-accurate flat simulator.")
     Term.(const run $ file_arg $ config_term $ mems_term $ trace_term $ profile
           $ spans_term $ engine_term $ telemetry_term)
-
-let dahlia_cmd =
-  let run file config emit execute mems tele =
-    with_telemetry ~source:file tele @@ fun () ->
-    handle_errors (fun () ->
-        let src = read_file file in
-        let prog =
-          Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
-              Dahlia.Parser.parse_string src)
-        in
-        let ctx = Dahlia.To_calyx.compile prog in
-        if execute then begin
-          let lowered = Calyx.Pipelines.compile ~config ctx in
-          let sim = Calyx_sim.Sim.create lowered in
-          load_mems (Calyx_sim.Testbench.of_sim sim) mems;
-          let cycles = Calyx_sim.Sim.run sim in
-          Printf.printf "cycles: %d\n" cycles;
-          dump_externals sim
-        end
-        else output (Calyx.Pipelines.compile ~config ctx) emit)
-  in
-  let execute =
-    Arg.(value & flag & info [ "run" ] ~doc:"Compile and simulate instead of printing.")
-  in
-  Cmd.v
-    (Cmd.info "dahlia" ~doc:"Compile a Dahlia program to hardware via Calyx.")
-    Term.(const run $ file_arg $ config_term $ emit_term $ execute $ mems_term
-          $ telemetry_term)
 
 let systolic_cmd =
   let run rows cols depth config emit execute tele =
@@ -500,20 +472,14 @@ let systolic_cmd =
         if execute then begin
           let lowered = Calyx.Pipelines.compile ~config ctx in
           let sim = Calyx_sim.Sim.create lowered in
-          (* Identity-ish test data. *)
-          for r = 0 to rows - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r)
-              ~width:32
-              (List.init depth (fun k -> r + k + 1))
-          done;
-          for c = 0 to cols - 1 do
-            Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c)
-              ~width:32
-              (List.init depth (fun k -> (2 * k) + c + 1))
-          done;
+          let io = Calyx_sim.Testbench.of_sim sim in
+          let a, b = Systolic.sample d in
+          let tb = Systolic.testbench d ~a ~b in
+          tb.load io;
           let cycles = Calyx_sim.Sim.run sim in
           Printf.printf "cycles: %d\n" cycles;
-          dump_externals sim
+          dump_externals sim;
+          match tb.check io with [] -> () | msg :: _ -> failwith msg
         end
         else output (Calyx.Pipelines.compile ~config ctx) emit)
   in
@@ -522,7 +488,10 @@ let systolic_cmd =
     (Cmd.info "systolic" ~doc:"Generate a matrix-multiply systolic array (Section 6.1).")
     Term.(const run $ dim "rows" $ dim "cols" $ dim "depth" $ config_term
           $ emit_term
-          $ Arg.(value & flag & info [ "run" ] ~doc:"Simulate with test data.")
+          $ Arg.(
+              value & flag
+              & info [ "run" ]
+                  ~doc:"Simulate on the sample matrices and check the product against the software matmul; exits 1 on a wrong answer.")
           $ telemetry_term)
 
 let profile_cmd =
@@ -1006,7 +975,7 @@ let stats_cmd =
   let run file config json tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
-        let ctx = parse_calyx file in
+        let ctx = parse_source file in
         let lowered, compile_s =
           Tele.Clock.timed (fun () -> Calyx.Pipelines.compile ~config ctx)
         in
@@ -1085,7 +1054,7 @@ let stats_cmd =
           ~doc:"Emit the same statistics as a single JSON object.")
   in
   Cmd.v
-    (Cmd.info "stats" ~doc:"Compilation statistics for a Calyx design (Section 7.4).")
+    (Cmd.info "stats" ~doc:"Compilation statistics for a Calyx (or Dahlia) design (Section 7.4).")
     Term.(const run $ file_arg $ config_term $ json $ telemetry_term)
 
 let timing_cmd =
@@ -1227,6 +1196,6 @@ let () =
           (Cmd.info "calyx" ~version:"1.0.0" ~doc)
           [
             check_cmd; compile_cmd; interp_cmd; sim_cmd; profile_cmd;
-            cover_cmd; dahlia_cmd; systolic_cmd; farm_cmd; validate_cmd;
+            cover_cmd; systolic_cmd; farm_cmd; validate_cmd;
             stats_cmd; timing_cmd; report_cmd;
           ]))

@@ -14,29 +14,16 @@ let d = { Systolic.rows = n; cols = n; depth = n; width = 32 }
 let a = Array.init n (fun r -> Array.init n (fun k -> (r * n) + k + 1))
 let b = Array.init n (fun k -> Array.init n (fun c -> if k = c then 2 else 1))
 
-let load sim =
-  for r = 0 to n - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r) ~width:32
-      (Array.to_list a.(r))
-  done;
-  for c = 0 to n - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c) ~width:32
-      (List.init n (fun k -> b.(k).(c)))
-  done
-
-let print_result sim =
-  let flat = Array.of_list (Calyx_sim.Sim.read_memory_ints sim Systolic.out_memory) in
-  for r = 0 to n - 1 do
-    Printf.printf "  [ %s ]\n"
-      (String.concat " "
-         (List.init n (fun c -> Printf.sprintf "%4d" flat.((r * n) + c))))
-  done
+(* The generator's test bench: loads [a] and [b], checks the product
+   against its software matmul. *)
+let tb = Systolic.testbench d ~a ~b
 
 let run config =
   let ctx = Pipelines.compile ~config (Systolic.generate d) in
   let sim = Calyx_sim.Sim.create ctx in
-  load sim;
-  Calyx_sim.Sim.run sim
+  let io = Calyx_sim.Testbench.of_sim sim in
+  tb.load io;
+  (Calyx_sim.Sim.run sim, io)
 
 let () =
   let ctx = Systolic.generate d in
@@ -54,33 +41,20 @@ let () =
   | Some l -> Printf.printf "Inferred whole-array latency: %d cycles\n" l
   | None -> print_endline "latency not inferred (unexpected!)");
 
-  let insensitive = run Pipelines.insensitive_config in
-  let sensitive = run Pipelines.default_config in
+  let insensitive, _ = run Pipelines.insensitive_config in
+  let sensitive, io = run Pipelines.default_config in
   Printf.printf "\nLatency-insensitive compilation: %d cycles\n" insensitive;
   Printf.printf "Latency-sensitive compilation:   %d cycles (%.2fx faster)\n"
     sensitive
     (float_of_int insensitive /. float_of_int sensitive);
 
   (* Show the product (and that it is correct). *)
-  let ctx' = Pipelines.compile (Systolic.generate d) in
-  let sim = Calyx_sim.Sim.create ctx' in
-  load sim;
-  ignore (Calyx_sim.Sim.run sim);
   print_endline "\nC = A x B:";
-  print_result sim;
-  let expected r c =
-    let acc = ref 0 in
-    for k = 0 to n - 1 do
-      acc := !acc + (a.(r).(k) * b.(k).(c))
-    done;
-    !acc
-  in
-  let flat = Array.of_list (Calyx_sim.Sim.read_memory_ints sim Systolic.out_memory) in
-  let ok = ref true in
-  for r = 0 to n - 1 do
-    for c = 0 to n - 1 do
-      if flat.((r * n) + c) <> expected r c then ok := false
-    done
-  done;
+  Array.iter
+    (fun row ->
+      Printf.printf "  [ %s ]\n"
+        (String.concat " "
+           (Array.to_list (Array.map (Printf.sprintf "%4d") row))))
+    (Systolic.result d io);
   Printf.printf "verified against software matmul: %s\n"
-    (if !ok then "ok" else "MISMATCH")
+    (if tb.check io = [] then "ok" else "MISMATCH")

@@ -113,15 +113,15 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Per-source build / load / golden-check                              *)
+(* Per-source program and test bench                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Structured context, input loader, post-run golden check (returns
-   mismatch diagnostics). The loader runs against a Testbench.io so the
-   same data drives the simulator, the RTL interpreter (Validate) and
-   every engine of the differential (Engines). *)
+(* Structured context and its test bench. The loader runs against a
+   Testbench.io so the same data drives the simulator, the RTL
+   interpreter (Validate) and every engine of the differential
+   (Engines). *)
 let build t =
-  let nothing (_ : Calyx_sim.Testbench.io) = [] in
+  let nothing = { Calyx_sim.Testbench.load = ignore; check = (fun _ -> []) } in
   match t.source with
   | Text { dahlia; text; _ } ->
       let ctx =
@@ -129,68 +129,16 @@ let build t =
           Dahlia.To_calyx.compile (Dahlia.Parser.parse_string text)
         else Calyx.Parser.parse_string text
       in
-      (ctx, ignore, nothing)
-  | Fuzz { seed } -> (Calyx.Fuzz_gen.program_of_seed seed, ignore, nothing)
+      (ctx, nothing)
+  | Fuzz { seed } -> (Calyx.Fuzz_gen.program_of_seed seed, nothing)
   | Polybench { kernel; unrolled } ->
       let k = Polybench.Kernels.find kernel in
       let prog = Polybench.Harness.program k ~unrolled in
-      let ctx = Polybench.Harness.build k ~unrolled in
-      let load io =
-        List.iter
-          (fun (name, values) -> Polybench.Data.load prog io name values)
-          k.inputs
-      in
-      let check io =
-        let lookup name = Array.of_list (List.assoc name k.inputs) in
-        let expected = k.reference lookup in
-        List.filter_map
-          (fun name ->
-            let got = Polybench.Data.read prog io name in
-            let want = Array.to_list (List.assoc name expected) in
-            if got = want then None
-            else Some (Printf.sprintf "golden mismatch in memory %s" name))
-          k.outputs
-      in
-      (ctx, load, check)
+      (Dahlia.To_calyx.compile prog, Polybench.Harness.testbench k prog)
   | Systolic { rows; cols; depth } ->
-      let dims =
-        Systolic.{ rows; cols; depth; width = systolic_width }
-      in
-      let a r k = (((r * 3) + k) mod 9) + 1 in
-      let b k c = (((k * 5) + c) mod 7) + 1 in
-      let load (io : Calyx_sim.Testbench.io) =
-        for r = 0 to rows - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.left_memory r)
-            ~width:systolic_width
-            (List.init depth (a r))
-        done;
-        for c = 0 to cols - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.top_memory c)
-            ~width:systolic_width
-            (List.init depth (fun k -> b k c))
-        done
-      in
-      let check io =
-        let got =
-          Calyx_sim.Testbench.read_memory_ints io Systolic.out_memory
-        in
-        let bad = ref [] in
-        List.iteri
-          (fun i v ->
-            let r = i / cols and c = i mod cols in
-            let want = ref 0 in
-            for k = 0 to depth - 1 do
-              want := !want + (a r k * b k c)
-            done;
-            if v <> !want then
-              bad :=
-                Printf.sprintf "product mismatch at C[%d][%d]: %d <> %d" r c
-                  v !want
-                :: !bad)
-          got;
-        List.rev !bad
-      in
-      (Systolic.generate dims, load, check)
+      let d = Systolic.{ rows; cols; depth; width = systolic_width } in
+      let a, b = Systolic.sample d in
+      (Systolic.generate d, Systolic.testbench d ~a ~b)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -286,19 +234,19 @@ let run t =
     ~engine:(engine_name t) ();
   match
     Tele.Trace.with_span ~cat:"farm" ("job:" ^ label t) (fun () ->
-        let ctx, load, check = build t in
+        let ctx, tb = build t in
         let lowered =
           Tele.Trace.with_span ~cat:"stage" "compile" (fun () ->
               Calyx.Pipelines.compile ~config:t.config ctx)
         in
         let sim = Calyx_sim.Sim.create ~engine:t.engine lowered in
         let io = Calyx_sim.Testbench.of_sim sim in
-        load io;
+        tb.load io;
         let cycles =
           Tele.Trace.with_span ~cat:"stage" "simulate" (fun () ->
               Calyx_sim.Sim.run sim)
         in
-        let golden = check io in
+        let golden = tb.check io in
         let registers, memories = Calyx_sim.Sim.state_cells lowered in
         let o_registers =
           List.map
@@ -317,13 +265,13 @@ let run t =
           if t.check = Validate then
             Some
               (Tele.Trace.with_span ~cat:"stage" "validate" (fun () ->
-                   run_validation ~load ~simulated:sim lowered))
+                   run_validation ~load:tb.load ~simulated:sim lowered))
           else None
         in
         let disagreements =
           if t.check = Engines then
             Tele.Trace.with_span ~cat:"stage" "engines" (fun () ->
-                engine_disagreements ~load ctx lowered)
+                engine_disagreements ~load:tb.load ctx lowered)
           else []
         in
         let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in

@@ -12,10 +12,13 @@ type source =
   | Text of { name : string; dahlia : bool; text : string }
       (** An in-memory Calyx ([dahlia = false]) or Dahlia source. *)
   | Polybench of { kernel : string; unrolled : bool }
-      (** A PolyBench kernel, run against its golden reference. *)
+      (** A PolyBench kernel, run under its test bench
+          ([Polybench.Harness.testbench]): its inputs, and every output
+          checked against the golden reference. *)
   | Systolic of { rows : int; cols : int; depth : int }
-      (** A generated systolic array, run on deterministic matrices and
-          checked against the software product. *)
+      (** A generated 32-bit systolic array, run under
+          [Systolic.testbench] on [Systolic.sample]'s matrices: the
+          product is checked against the software matmul. *)
   | Fuzz of { seed : int }  (** [Fuzz_gen.program_of_seed]. *)
 
 (** What a job checks beyond its own golden reference. *)

@@ -63,29 +63,38 @@ let verify (k : Kernels.kernel) prog io =
 let load_inputs (k : Kernels.kernel) prog io =
   List.iter (fun (name, values) -> Data.load prog io name values) k.Kernels.inputs
 
-let execute ?engine (k : Kernels.kernel) prog ctx =
-  let sim = Calyx_sim.Sim.create ?engine ctx in
-  let io = Calyx_sim.Testbench.of_sim sim in
-  load_inputs k prog io;
-  let cycles = Calyx_sim.Sim.run sim in
-  let mismatches = verify k prog io in
-  (cycles, mismatches)
+let testbench k prog =
+  {
+    Calyx_sim.Testbench.load = load_inputs k prog;
+    check =
+      (fun io ->
+        List.map
+          (fun name -> "golden mismatch in memory " ^ name)
+          (verify k prog io));
+  }
 
-let run ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
-  stamp_run k ~unrolled ~config ~engine;
-  let prog = program k ~unrolled in
-  let ctx = Dahlia.To_calyx.compile prog in
-  let lowered = Calyx.Pipelines.compile ~config ctx in
-  let cycles, mismatches = execute ?engine k prog lowered in
-  let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
+(* The result of a simulated run of [ctx]; [timed] is the design the
+   timing model analyzes. *)
+let result ?engine k prog ~timed ctx =
+  let cycles, mismatches =
+    Calyx_sim.Testbench.run ?engine (testbench k prog) ctx
+  in
+  let timing = timed () in
   {
     cycles;
     correct = mismatches = [];
     mismatches;
-    area = Calyx_synth.Area.context_usage lowered;
+    area = Calyx_synth.Area.context_usage ctx;
     timing;
     wall_ns = Calyx_synth.Timing.wall_ns timing ~cycles;
   }
+
+let run ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
+  stamp_run k ~unrolled ~config ~engine;
+  let prog = program k ~unrolled in
+  let lowered = Calyx.Pipelines.compile ~config (Dahlia.To_calyx.compile prog) in
+  result ?engine k prog lowered ~timed:(fun () ->
+      Calyx_synth.Timing.context_timing ~paths:1 lowered)
 
 type rtl_result = {
   report : Calyx_verilog.Validate.report;
@@ -96,15 +105,14 @@ type rtl_result = {
 let run_rtl ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
   stamp_run k ~unrolled ~config ~engine;
   let prog = program k ~unrolled in
-  let ctx = Dahlia.To_calyx.compile prog in
-  let lowered = Calyx.Pipelines.compile ~config ctx in
-  let report =
-    Calyx_verilog.Validate.validate ?engine ~load:(load_inputs k prog)
-      lowered
-  in
-  let mismatches_sim = verify k prog report.Calyx_verilog.Validate.sim_io in
-  let mismatches_rtl = verify k prog report.Calyx_verilog.Validate.rtl_io in
-  { report; mismatches_sim; mismatches_rtl }
+  let lowered = Calyx.Pipelines.compile ~config (Dahlia.To_calyx.compile prog) in
+  let tb = testbench k prog in
+  let report = Calyx_verilog.Validate.validate ?engine ~load:tb.load lowered in
+  {
+    report;
+    mismatches_sim = tb.check report.Calyx_verilog.Validate.sim_io;
+    mismatches_rtl = tb.check report.Calyx_verilog.Validate.rtl_io;
+  }
 
 let rtl_ok r =
   r.report.Calyx_verilog.Validate.ok
@@ -114,20 +122,10 @@ let run_interp ?engine k ~unrolled =
   stamp_run k ~unrolled ~config:Calyx.Pipelines.default_config ~engine;
   let prog = program k ~unrolled in
   let ctx = Dahlia.To_calyx.compile prog in
-  let cycles, mismatches = execute ?engine k prog ctx in
   (* Structured programs are timed as their merged netlist, which can have
      cycles lowering would resolve; fall back to the lowered design. *)
-  let timing =
-    try Calyx_synth.Timing.context_timing ~paths:1 ctx
-    with Calyx_synth.Timing.Combinational_loop _ ->
-      Calyx_synth.Timing.context_timing ~paths:1
-        (Calyx.Pipelines.compile ctx)
-  in
-  {
-    cycles;
-    correct = mismatches = [];
-    mismatches;
-    area = Calyx_synth.Area.context_usage ctx;
-    timing;
-    wall_ns = Calyx_synth.Timing.wall_ns timing ~cycles;
-  }
+  result ?engine k prog ctx ~timed:(fun () ->
+      try Calyx_synth.Timing.context_timing ~paths:1 ctx
+      with Calyx_synth.Timing.Combinational_loop _ ->
+        Calyx_synth.Timing.context_timing ~paths:1
+          (Calyx.Pipelines.compile ctx))

@@ -1,15 +1,16 @@
 (** Uniform execution harness for the PolyBench kernels.
 
-    Used by both the test suite and the evaluation benches: builds a
-    kernel's Calyx program, compiles it under a pass configuration,
-    simulates it with its deterministic inputs, checks every output memory
-    against the golden reference, and reports cycle count and the area
-    model's usage. *)
+    Used by the test suite, the evaluation benches and the farm: builds a
+    kernel's Calyx program, compiles it under a pass configuration, and
+    runs it against the kernel's {!testbench} — its deterministic inputs,
+    and every output memory checked against the golden reference — then
+    reports cycle count and the area model's usage. *)
 
 type result = {
   cycles : int;
   correct : bool;
-  mismatches : string list;  (** Names of output memories that differ. *)
+  mismatches : string list;
+      (** The test bench's messages, one per output memory that differs. *)
   area : Calyx_synth.Area.usage;  (** Of the fully lowered design. *)
   timing : Calyx_synth.Timing.report;  (** STA of the same design. *)
   wall_ns : float;  (** [cycles * estimated clock period]. *)
@@ -22,24 +23,19 @@ val program : Kernels.kernel -> unrolled:bool -> Dahlia.Ast.prog
 val build : Kernels.kernel -> unrolled:bool -> Calyx.Ir.context
 (** The structured Calyx program (before the compilation pipeline). *)
 
-val execute :
-  ?engine:Calyx_sim.Sim.engine ->
-  Kernels.kernel ->
-  Dahlia.Ast.prog ->
-  Calyx.Ir.context ->
-  int * string list
-(** Simulate an already-compiled [ctx]: load the kernel's inputs, run to
-    completion, verify outputs. Returns the cycle count and the names of
-    mismatching output memories. Lets benches time simulation alone. *)
-
 val load_inputs : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.io -> unit
-(** Load the kernel's deterministic inputs through the bank-aware loader.
-    Exposed (with {!verify}) so benches can phase-split {!execute}: time
-    instantiation and simulation separately, verify untimed. *)
+(** Load the kernel's deterministic inputs through the bank-aware loader. *)
 
 val verify : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.io -> string list
 (** Check every output memory against the golden reference; returns the
     names of those that differ. *)
+
+val testbench : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.t
+(** The kernel's test bench, written once for the farm, the benches and
+    the tests: {!load_inputs}, and a check that renders each name
+    {!verify} returns as [golden mismatch in memory NAME]. [prog] is the
+    parsed source ({!program}), which the loader needs for the memories'
+    banking. *)
 
 val run :
   ?config:Calyx.Pipelines.config ->
@@ -47,7 +43,8 @@ val run :
   Kernels.kernel ->
   unrolled:bool ->
   result
-(** Compile (default: all optimizations), simulate, verify. [engine]
+(** Compile (default: all optimizations), then run the {!testbench}
+    ({!Calyx_sim.Testbench.run}). [engine]
     selects the simulator's evaluation engine (default
     {!Calyx_sim.Sim.default_engine}). *)
 
@@ -62,11 +59,9 @@ type rtl_result = {
   report : Calyx_verilog.Validate.report;
       (** RTL-vs-simulator agreement on cycles and all architectural state. *)
   mismatches_sim : string list;
-      (** Output memories where the simulator disagrees with the golden
-          reference. *)
+      (** The test bench's check of the simulator's final state. *)
   mismatches_rtl : string list;
-      (** Output memories where the RTL interpreter disagrees with the
-          golden reference. *)
+      (** The test bench's check of the RTL interpreter's final state. *)
 }
 
 val run_rtl :
@@ -77,8 +72,9 @@ val run_rtl :
   rtl_result
 (** Compile the kernel, then run the emitted SystemVerilog under the RTL
     interpreter and the lowered design under the simulator on identical
-    inputs (via the shared bank-aware loader), comparing both against each
-    other and against the kernel's golden reference. *)
+    inputs (the {!testbench}'s loader), comparing both against each other
+    and, through the test bench's check, against the kernel's golden
+    reference. *)
 
 val rtl_ok : rtl_result -> bool
 (** Exact RTL/simulator agreement {e and} both match the reference. *)

@@ -21,3 +21,12 @@ let write_memory_ints io name ~width values =
 
 let read_memory_ints io name =
   Array.to_list (Array.map (fun v -> Bitvec.to_int v) (io.read_memory name))
+
+type t = { load : io -> unit; check : io -> string list }
+
+let run ?engine tb ctx =
+  let sim = Sim.create ?engine ctx in
+  let io = of_sim sim in
+  tb.load io;
+  let cycles = Sim.run sim in
+  (cycles, tb.check io)

@@ -228,3 +228,57 @@ let generate ?pe d =
     |> with_control (seq (schedule @ drain_schedule))
   in
   context [ pe; main ]
+
+(* ------------------------------------------------------------------ *)
+(* Test bench                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Tb = Calyx_sim.Testbench
+
+let load d ~a ~b io =
+  for r = 0 to d.rows - 1 do
+    Tb.write_memory_ints io (left_memory r) ~width:d.width
+      (List.init d.depth (fun k -> a.(r).(k)))
+  done;
+  for c = 0 to d.cols - 1 do
+    Tb.write_memory_ints io (top_memory c) ~width:d.width
+      (List.init d.depth (fun k -> b.(k).(c)))
+  done
+
+let result d io =
+  let flat = Array.of_list (Tb.read_memory_ints io out_memory) in
+  Array.init d.rows (fun r -> Array.init d.cols (fun c -> flat.((r * d.cols) + c)))
+
+(* The accumulators wrap at the data width, and so does this sum. *)
+let product d a b =
+  let mask = if d.width >= Sys.int_size then -1 else (1 lsl d.width) - 1 in
+  Array.init d.rows (fun r ->
+      Array.init d.cols (fun c ->
+          let acc = ref 0 in
+          for k = 0 to d.depth - 1 do
+            acc := !acc + (a.(r).(k) * b.(k).(c))
+          done;
+          !acc land mask))
+
+let sample d =
+  ( Array.init d.rows (fun r ->
+        Array.init d.depth (fun k -> (((r * 3) + k) mod 9) + 1)),
+    Array.init d.depth (fun k ->
+        Array.init d.cols (fun c -> (((k * 5) + c) mod 7) + 1)) )
+
+let testbench d ~a ~b =
+  let want = product d a b in
+  let check io =
+    let got = result d io in
+    List.concat
+      (List.init d.rows (fun r ->
+           List.filter_map
+             (fun c ->
+               if got.(r).(c) = want.(r).(c) then None
+               else
+                 Some
+                   (Printf.sprintf "product mismatch at C[%d][%d]: %d <> %d" r
+                      c got.(r).(c) want.(r).(c)))
+             (List.init d.cols Fun.id)))
+  in
+  { Tb.load = load d ~a ~b; check }

@@ -35,7 +35,35 @@ val generate : ?pe:Ir.component -> dims -> Ir.context
 (** The full program; the entrypoint is ["main"]. [pe] defaults to
     {!matmul_pe} at the array's width. *)
 
-(** {1 Test-bench interface (external memory names)} *)
+(** {1 Test bench}
+
+    The array's inputs and its reference check, written once here for
+    every caller: the farm's systolic jobs, [calyx systolic --run], the
+    benches, the tests and the examples. Matrices are [int array array]s:
+    [a] is [rows]×[depth], [b] is [depth]×[cols]. *)
+
+val load : dims -> a:int array array -> b:int array array -> Calyx_sim.Testbench.io -> unit
+(** Write row [r] of [a] into [left_memory r] and column [c] of [b] into
+    [top_memory c], at the array's width. *)
+
+val result : dims -> Calyx_sim.Testbench.io -> int array array
+(** The [rows]×[cols] product the array left in {!out_memory}. *)
+
+val product : dims -> int array array -> int array array -> int array array
+(** The software matmul [a·b], each entry wrapped at the data width as
+    the array's accumulators wrap. *)
+
+val sample : dims -> int array array * int array array
+(** The deterministic input pair the farm and the benches run:
+    [a.(r).(k) = ((3r + k) mod 9) + 1] and
+    [b.(k).(c) = ((5k + c) mod 7) + 1]. *)
+
+val testbench : dims -> a:int array array -> b:int array array -> Calyx_sim.Testbench.t
+(** {!load} [a] and [b]; the check compares {!result} with {!product},
+    one message [product mismatch at C[r][c]: got <> want] per wrong
+    entry, in row-major order. *)
+
+(** {1 External memory names} *)
 
 val left_memory : int -> string
 (** [left_memory r] holds row [r] of A ([depth] elements). *)

@@ -101,6 +101,28 @@ let test_inputs_deterministic () =
   Alcotest.(check bool) "same inputs" true
     (k.Polybench.Kernels.inputs = k'.Polybench.Kernels.inputs)
 
+(* The kernel's test bench bites: after a correct run, one corrupted
+   element of an output memory is reported with exactly the message the
+   farm records. *)
+let test_check_bites () =
+  let k = Polybench.Kernels.find "gemm" in
+  let prog = Polybench.Harness.program k ~unrolled:false in
+  let tb = Polybench.Harness.testbench k prog in
+  let sim =
+    Calyx_sim.Sim.create
+      (Calyx.Pipelines.compile (Dahlia.To_calyx.compile prog))
+  in
+  let io = Calyx_sim.Testbench.of_sim sim in
+  tb.load io;
+  ignore (Calyx_sim.Sim.run sim);
+  Alcotest.(check (list string)) "correct run" [] (tb.check io);
+  let c = Array.copy (io.read_memory "C") in
+  c.(5) <- Calyx.Bitvec.(of_int ~width:(width c.(5)) (to_int c.(5) + 1));
+  io.write_memory "C" c;
+  Alcotest.(check (list string)) "one corrupted element"
+    [ "golden mismatch in memory C" ]
+    (tb.check io)
+
 let test_kernel_count () =
   Alcotest.(check int) "19 kernels" 19 (List.length Polybench.Kernels.all);
   Alcotest.(check int) "11 unrollable" 11
@@ -124,6 +146,8 @@ let () =
             test_compiled_insensitive;
           Alcotest.test_case "all unrolled variants" `Slow
             test_unrolled_variants;
+          Alcotest.test_case "a corrupted output is reported" `Quick
+            test_check_bites;
         ] );
       ( "performance shape",
         [

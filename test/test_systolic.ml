@@ -1,33 +1,8 @@
-(* Systolic array generator tests: functional correctness against an OCaml
-   matmul, latency inference, and compiled-vs-interpreted agreement. *)
+(* Systolic array generator tests: functional correctness against the
+   generator's software matmul ([Systolic.product]), the test bench's
+   check, latency inference, and compiled-vs-interpreted agreement. *)
 
 open Calyx
-
-let matmul a b =
-  let rows = Array.length a in
-  let depth = Array.length b in
-  let cols = Array.length b.(0) in
-  Array.init rows (fun r ->
-      Array.init cols (fun c ->
-          let acc = ref 0 in
-          for k = 0 to depth - 1 do
-            acc := !acc + (a.(r).(k) * b.(k).(c))
-          done;
-          !acc))
-
-let load_sim sim (d : Systolic.dims) a b =
-  for r = 0 to d.rows - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.left_memory r) ~width:d.width
-      (Array.to_list a.(r))
-  done;
-  for c = 0 to d.cols - 1 do
-    Calyx_sim.Sim.write_memory_ints sim (Systolic.top_memory c) ~width:d.width
-      (List.init d.depth (fun k -> b.(k).(c)))
-  done
-
-let read_result sim (d : Systolic.dims) =
-  let flat = Array.of_list (Calyx_sim.Sim.read_memory_ints sim Systolic.out_memory) in
-  Array.init d.rows (fun r -> Array.init d.cols (fun c -> flat.((r * d.cols) + c)))
 
 let test_matrices d =
   let a =
@@ -52,22 +27,23 @@ let check_result name d got expected =
     got;
   ignore d
 
+(* Simulate [ctx] on the test matrices: (result, software product,
+   cycles). *)
+let run_on ctx d =
+  let a, b = test_matrices d in
+  let sim = Calyx_sim.Sim.create ctx in
+  let io = Calyx_sim.Testbench.of_sim sim in
+  Systolic.load d ~a ~b io;
+  let cycles = Calyx_sim.Sim.run sim in
+  (Systolic.result d io, Systolic.product d a b, cycles)
+
 let run_interp d =
   let ctx = Systolic.generate d in
   Well_formed.check ctx;
-  let a, b = test_matrices d in
-  let sim = Calyx_sim.Sim.create ctx in
-  load_sim sim d a b;
-  let cycles = Calyx_sim.Sim.run sim in
-  (read_result sim d, matmul a b, cycles)
+  run_on ctx d
 
 let run_compiled config d =
-  let ctx = Pipelines.compile ~config (Systolic.generate d) in
-  let a, b = test_matrices d in
-  let sim = Calyx_sim.Sim.create ctx in
-  load_sim sim d a b;
-  let cycles = Calyx_sim.Sim.run sim in
-  (read_result sim d, matmul a b, cycles)
+  run_on (Pipelines.compile ~config (Systolic.generate d)) d
 
 let square n = { Systolic.rows = n; cols = n; depth = n; width = 32 }
 
@@ -154,9 +130,10 @@ let test_sad_pe () =
   let a = [| [| 9; 2; 7 |]; [| 1; 8; 3 |]; [| 4; 4; 4 |] |] in
   let b = [| [| 5; 5; 5 |]; [| 2; 9; 1 |]; [| 7; 0; 6 |] |] in
   let sim = Calyx_sim.Sim.create ctx in
-  load_sim sim d a b;
+  let io = Calyx_sim.Testbench.of_sim sim in
+  Systolic.load d ~a ~b io;
   ignore (Calyx_sim.Sim.run sim);
-  let got = read_result sim d in
+  let got = Systolic.result d io in
   let expected =
     Array.init 3 (fun r ->
         Array.init 3 (fun c ->
@@ -192,9 +169,50 @@ let prop_random_matrices =
       in
       let ctx = Pipelines.compile (Systolic.generate d) in
       let sim = Calyx_sim.Sim.create ctx in
-      load_sim sim d a b;
+      let io = Calyx_sim.Testbench.of_sim sim in
+      Systolic.load d ~a ~b io;
       ignore (Calyx_sim.Sim.run sim);
-      read_result sim d = matmul a b)
+      Systolic.result d io = Systolic.product d a b)
+
+(* The compiled square array of size [n] run under [tb]; returns its
+   final state. *)
+let simulate n (tb : Calyx_sim.Testbench.t) =
+  let sim =
+    Calyx_sim.Sim.create (Pipelines.compile (Systolic.generate (square n)))
+  in
+  let io = Calyx_sim.Testbench.of_sim sim in
+  tb.load io;
+  ignore (Calyx_sim.Sim.run sim);
+  io
+
+(* The test bench's check bites: after a correct run, one corrupted
+   entry of the result memory is reported with exactly the message the
+   farm records. *)
+let test_check_bites () =
+  let d = square 2 in
+  let a, b = Systolic.sample d in
+  let tb = Systolic.testbench d ~a ~b in
+  let io = simulate 2 tb in
+  Alcotest.(check (list string)) "correct run" [] (tb.check io);
+  let out = Array.copy (io.read_memory Systolic.out_memory) in
+  out.(3) <- Bitvec.of_int ~width:d.width 42;
+  io.write_memory Systolic.out_memory out;
+  Alcotest.(check (list string)) "one corrupted entry"
+    [ "product mismatch at C[1][1]: 42 <> 43" ]
+    (tb.check io)
+
+(* Entries of 70 000 make every product exceed 2^32: the 32-bit
+   accumulators wrap, and so does the reference. *)
+let test_wraparound () =
+  let d = square 2 in
+  let a = [| [| 70_000; 70_001 |]; [| 70_002; 70_003 |] |] in
+  let b = [| [| 80_000; 80_001 |]; [| 80_002; 80_003 |] |] in
+  Alcotest.(check bool) "a dot product exceeds 2^32" true
+    ((a.(0).(0) * b.(0).(0)) + (a.(0).(1) * b.(1).(0)) > 1 lsl 32);
+  let tb = Systolic.testbench d ~a ~b in
+  let io = simulate 2 tb in
+  check_result "wrapped" d (Systolic.result d io) (Systolic.product d a b);
+  Alcotest.(check (list string)) "check passes" [] (tb.check io)
 
 let () =
   Alcotest.run "systolic"
@@ -210,6 +228,13 @@ let () =
           Alcotest.test_case "sizes 2 and 4 agree" `Slow test_sizes_agree;
           Alcotest.test_case "SAD processing element" `Quick test_sad_pe;
           QCheck_alcotest.to_alcotest prop_random_matrices;
+          Alcotest.test_case "wrap-around at the data width" `Quick
+            test_wraparound;
+        ] );
+      ( "test bench",
+        [
+          Alcotest.test_case "a corrupted entry is reported" `Quick
+            test_check_bites;
         ] );
       ( "latency",
         [

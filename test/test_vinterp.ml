@@ -408,22 +408,17 @@ let test_systolic () =
   List.iter
     (fun (rows, cols, depth) ->
       let d = { Systolic.rows; cols; depth; width = 32 } in
-      let lowered = Pipelines.compile (Systolic.generate d) in
-      let load io =
-        for r = 0 to rows - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.left_memory r)
-            ~width:32
-            (List.init depth (fun k -> r + k + 1))
-        done;
-        for c = 0 to cols - 1 do
-          Calyx_sim.Testbench.write_memory_ints io (Systolic.top_memory c)
-            ~width:32
-            (List.init depth (fun k -> (2 * k) + c + 1))
-        done
+      let a = Array.init rows (fun r -> Array.init depth (fun k -> r + k + 1)) in
+      let b =
+        Array.init depth (fun k -> Array.init cols (fun c -> (2 * k) + c + 1))
       in
-      check_ok
-        (Printf.sprintf "systolic %dx%dx%d" rows cols depth)
-        (Validate.validate ~load lowered))
+      let tb = Systolic.testbench d ~a ~b in
+      let lowered = Pipelines.compile (Systolic.generate d) in
+      let name = Printf.sprintf "systolic %dx%dx%d" rows cols depth in
+      let r = Validate.validate ~load:tb.load lowered in
+      check_ok name r;
+      Alcotest.(check (list string)) (name ^ ": RTL product") []
+        (tb.check r.Validate.rtl_io))
     [ (1, 1, 2); (2, 2, 3); (3, 3, 4) ]
 
 (* ------------------------------------------------------------------ *)
