@@ -204,8 +204,8 @@ let verdict name = function
 
 (* Simulate a compiled design under its test bench and check the answer;
    returns the cycle count. *)
-let checked_run ?engine name tb ctx =
-  let cycles, bad = Calyx_sim.Testbench.run ?engine tb ctx in
+let checked_run name tb ctx =
+  let cycles, bad = Calyx_sim.Testbench.run tb ctx in
   verdict name bad;
   cycles
 
