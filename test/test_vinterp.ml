@@ -323,6 +323,125 @@ endmodule
     "parameter binding" [ 225 * 225 ]
     (comb src [ ("a", 225) ] [ "sq" ])
 
+(* Nets and arrays at the top of the supported range, checked against
+   Bitvec at the same width: unsigned compares with the MSB set, wrapping
+   arithmetic, '1, division by zero, shifts by at least the width, selects
+   and concatenations reaching the top bit, and an unsized literal (a
+   64-bit operand) mixed into a narrower expression. *)
+let width_src w =
+  Printf.sprintf
+    {|
+module main #(parameter W = %d)(
+  input logic clk,
+  input logic [W-1:0] a,
+  input logic [W-1:0] b,
+  input logic [7:0] s,
+  input logic [1:0] ix,
+  input logic we,
+  output logic lt,
+  output logic ge,
+  output logic ltlit,
+  output logic abit,
+  output logic [W-1:0] sum,
+  output logic [W-1:0] dif,
+  output logic [W-1:0] prod,
+  output logic [W-1:0] quo,
+  output logic [W-1:0] rem,
+  output logic [W-1:0] ones,
+  output logic [W-1:0] shl,
+  output logic [W-1:0] shr,
+  output logic [7:0] top,
+  output logic [W-1:0] cat,
+  output logic [W-1:0] lit,
+  output logic [W-1:0] rd,
+  output logic [W-1:0] q
+);
+logic [W-1:0] mem[3:0];
+assign lt = a < b;
+assign ge = a >= b;
+assign ltlit = a < 9223372036854775807;
+assign abit = a[s];
+assign sum = a + b;
+assign dif = a - b;
+assign prod = a * b;
+assign quo = a / b;
+assign rem = a %% b;
+assign ones = '1;
+assign shl = a << s;
+assign shr = a >> s;
+assign top = a[W-1:W-8];
+assign cat = {a[W-9:0], s};
+assign lit = a + 9223372036854775807;
+assign rd = mem[ix];
+always_ff @(posedge clk) begin
+  if (we) mem[ix] <= a * b;
+  q <= a - b;
+end
+endmodule
+|}
+    w
+
+let bitvec = Alcotest.testable Bitvec.pp Bitvec.equal
+
+let test_width w () =
+  let d = V.load ~top:"main" (width_src w) in
+  let msb = Int64.shift_left 1L (w - 1) in
+  let bv v = Bitvec.make ~width:w v in
+  let max63 = 0x7FFF_FFFF_FFFF_FFFFL in
+  let pairs =
+    [
+      (Int64.logor msb 1L, 3L);
+      (5L, Int64.logor msb 7L);
+      (-1L, -1L);
+      (Int64.logor msb 0x1234_5678L, 0L);
+      (Int64.pred msb, Int64.logor msb 0xFFL);
+    ]
+  in
+  List.iter
+    (fun (a, b) ->
+      List.iter
+        (fun s ->
+          let a = bv a and b = bv b and s8 = Bitvec.of_int ~width:8 s in
+          V.set_input d "a" a;
+          V.set_input d "b" b;
+          V.set_input d "s" s8;
+          V.set_input d "ix" (Bitvec.of_int ~width:2 (s land 3));
+          V.set_input d "we" (Bitvec.one 1);
+          V.cycle d;
+          V.set_input d "we" (Bitvec.zero 1);
+          V.cycle d;
+          let what n =
+            Printf.sprintf "%d bits, a=%s b=%s s=%d: %s" w
+              (Bitvec.to_string a) (Bitvec.to_string b) s n
+          in
+          let check n want =
+            Alcotest.check bitvec (what n) want (V.read_output d n)
+          in
+          let s_w = Bitvec.make ~width:w (Int64.of_int s) in
+          check "lt" (Bitvec.lt a b);
+          check "ge" (Bitvec.ge a b);
+          check "ltlit"
+            (Bitvec.lt (Bitvec.zero_extend a 64) (Bitvec.make ~width:64 max63));
+          check "abit" (Bitvec.truncate (Bitvec.shift_right a s_w) 1);
+          check "sum" (Bitvec.add a b);
+          check "dif" (Bitvec.sub a b);
+          check "prod" (Bitvec.mul a b);
+          check "quo" (Bitvec.div a b);
+          check "rem" (Bitvec.rem a b);
+          check "ones" (Bitvec.ones w);
+          check "shl" (Bitvec.shift_left a s_w);
+          check "shr" (Bitvec.shift_right a s_w);
+          check "top"
+            (Bitvec.truncate
+               (Bitvec.shift_right a (Bitvec.of_int ~width:w (w - 8)))
+               8);
+          check "cat" (Bitvec.concat (Bitvec.truncate a (w - 8)) s8);
+          check "lit" (Bitvec.add a (Bitvec.make ~width:w max63));
+          check "rd" (Bitvec.mul a b);
+          check "q" (Bitvec.sub a b))
+        [ 0; 1; w - 2; w - 1; w; w + 1; 64; 255 ])
+    pairs
+
 (* ------------------------------------------------------------------ *)
 (* Differential validation over the corpus                             *)
 (* ------------------------------------------------------------------ *)
@@ -515,6 +634,9 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_error;
           Alcotest.test_case "hierarchy and parameters" `Quick
             test_hierarchy_params;
+          Alcotest.test_case "62-bit nets and arrays" `Quick (test_width 62);
+          Alcotest.test_case "63-bit nets and arrays" `Quick (test_width 63);
+          Alcotest.test_case "64-bit nets and arrays" `Quick (test_width 64);
         ] );
       ( "corpus",
         [
