@@ -11,6 +11,14 @@ let steps d = d.rows + d.cols + d.depth - 2
 
 let clog2 n = Compile_control.clog2 n
 
+(* The name of the cell or group at grid position (r, c). Two indices
+   below 10 join as two digits, the names arrays up to 10x10 have always
+   had; a larger index joins with "_", so that (1, 11) and (11, 1) stay
+   apart. *)
+let at prefix r c =
+  if r < 10 && c < 10 then Printf.sprintf "%s_%d%d" prefix r c
+  else Printf.sprintf "%s_%d_%d" prefix r c
+
 (* acc += left * top, one activation per go/done handshake. The accumulated
    value is continuously visible on [out]. *)
 let matmul_pe ~width =
@@ -82,9 +90,9 @@ let generate ?pe d =
   let idx_w = clog2 (d.depth + 1) in
   let row_w = clog2 (max d.rows 2) in
   let col_w = clog2 (max d.cols 2) in
-  let pe_name r c = Printf.sprintf "pe_%d%d" r c in
-  let top_reg r c = Printf.sprintf "top_%d%d" r c in
-  let left_reg r c = Printf.sprintf "left_%d%d" r c in
+  let pe_name = at "pe" in
+  let top_reg = at "top" in
+  let left_reg = at "left" in
   let idx_reg m = m ^ "_idx" in
   let idx_add m = m ^ "_add" in
   let grid f =
@@ -156,10 +164,10 @@ let generate ?pe d =
   in
   let feed_left r = Printf.sprintf "feed_l%d" r in
   let feed_top c = Printf.sprintf "feed_t%d" c in
-  let move_right r c = Printf.sprintf "right_%d%d" r c in
-  let move_down r c = Printf.sprintf "down_%d%d" r c in
-  let compute r c = Printf.sprintf "compute_%d%d" r c in
-  let drain r c = Printf.sprintf "drain_%d%d" r c in
+  let move_right = at "right" in
+  let move_down = at "down" in
+  let compute = at "compute" in
+  let drain = at "drain" in
   let groups =
     List.init d.rows (fun r ->
         feed_group (feed_left r) (left_memory r) (left_reg r 0))

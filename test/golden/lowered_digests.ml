@@ -1,4 +1,5 @@
 (* The compile corpus, pinned by digest: systolic arrays 2x2 to 10x10,
+   12x12, 16x16, 1x12, 12x1 and 5x12 (depth 7),
    every PolyBench kernel and unrolled variant, and the .futil examples in
    DIR, each compiled under the default and the latency-insensitive
    configuration.
@@ -15,11 +16,10 @@
    model's [Area.pp] of the structured and the lowered program. A change
    to the emitter, the timing analysis or the area model shows up here. *)
 
-let systolic n =
-  ( Printf.sprintf "systolic-%dx%d" n n,
-    fun () ->
-      Systolic.generate Systolic.{ rows = n; cols = n; depth = n; width = 32 }
-  )
+let systolic (rows, cols, depth) =
+  ( (if rows = cols && cols = depth then Printf.sprintf "systolic-%dx%d" rows cols
+     else Printf.sprintf "systolic-%dx%dx%d" rows cols depth),
+    fun () -> Systolic.generate Systolic.{ rows; cols; depth; width = 32 } )
 
 let kernel (k : Polybench.Kernels.kernel) =
   (k.name, fun () -> Polybench.Harness.build k ~unrolled:false)
@@ -77,6 +77,9 @@ let () =
           let lowered = Calyx.Pipelines.compile ~config structured in
           Printf.printf "%s %s %s\n" name cname (line structured lowered))
         configs)
-    (List.map systolic [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+    (List.map
+       (fun n -> systolic (n, n, n))
+       [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 16 ]
+    @ List.map systolic [ (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
     @ List.concat_map kernel Polybench.Kernels.all
     @ List.map (example dir) examples)

@@ -214,6 +214,23 @@ let test_wraparound () =
   check_result "wrapped" d (Systolic.result d io) (Systolic.product d a b);
   Alcotest.(check (list string)) "check passes" [] (tb.check io)
 
+(* Shapes whose grid indices reach two digits, where "pe_1_11" and
+   "pe_11_1" must stay apart, plus single-row, single-column and fully
+   rectangular arrays: each compiles, runs and passes its test bench. *)
+let test_large_shapes () =
+  List.iter
+    (fun (rows, cols, depth) ->
+      let d = { Systolic.rows; cols; depth; width = 32 } in
+      let a, b = Systolic.sample d in
+      let tb = Systolic.testbench d ~a ~b in
+      let _, check =
+        Calyx_sim.Testbench.run tb (Pipelines.compile (Systolic.generate d))
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%dx%dx%d" rows cols depth)
+        [] check)
+    [ (12, 12, 12); (16, 16, 16); (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
+
 let () =
   Alcotest.run "systolic"
     [
@@ -230,6 +247,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_matrices;
           Alcotest.test_case "wrap-around at the data width" `Quick
             test_wraparound;
+          Alcotest.test_case "shapes above 10x10" `Quick test_large_shapes;
         ] );
       ( "test bench",
         [
