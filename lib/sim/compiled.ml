@@ -304,12 +304,11 @@ let compile inst : compiled =
       in
       resolvers.(slot) <-
         fun () ->
-          let rec last i =
-            if i < 0 then base ()
-            else if sas.(i).sa_live then sas.(i).sa_val
-            else last (i - 1)
-          in
-          wr slot (last (n - 1))
+          let i = ref (n - 1) in
+          while !i >= 0 && not sas.(!i).sa_live do
+            decr i
+          done;
+          wr slot (if !i < 0 then base () else sas.(!i).sa_val)
     end
   done;
   (* A non-assignment producer pushed a value: writer-less slots skip
@@ -618,11 +617,11 @@ let compile inst : compiled =
     for p = 0 to Array.length commits - 1 do
       if commits.(p) () then Sched.mark_node st.s_graph st.s_prim_node.(p)
     done;
-    Array.iteri
-      (fun c (_, ch) ->
-        commit_child ch.c_inst;
-        Sched.mark_node st.s_graph st.s_child_node.(c))
-      inst.i_children
+    for c = 0 to Array.length inst.i_children - 1 do
+      let _, ch = inst.i_children.(c) in
+      commit_child ch.c_inst;
+      Sched.mark_node st.s_graph st.s_child_node.(c)
+    done
   in
   let proto_str cell =
     match List.find_opt (fun c -> String.equal c.cell_name cell) inst.i_comp.cells with

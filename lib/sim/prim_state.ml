@@ -4,13 +4,31 @@ exception Sim_error of string
 
 let sim_error fmt = Format.kasprintf (fun s -> raise (Sim_error s)) fmt
 
+(* Two-operand arithmetic, named so that the compiled engine can evaluate
+   it on native ints (see [compile_step]). *)
+type arith = Add | Sub | Mul | And | Or | Xor | Lsh | Rsh
+
 type comb_kind =
   | Const of Bitvec.t
   | Wire
   | Slice of int
   | Pad of int
+  | Arith of arith
   | Binop of (Bitvec.t -> Bitvec.t -> Bitvec.t)
   | Unop of (Bitvec.t -> Bitvec.t)
+
+(* An operator's reference semantics (Bitvec's, which the fixpoint engine
+   runs) and its native-int form, whose result the caller masks. A
+   shift's native form takes an amount below the width. *)
+let arith_fn = function
+  | Add -> (Bitvec.add, ( + ))
+  | Sub -> (Bitvec.sub, ( - ))
+  | Mul -> (Bitvec.mul, ( * ))
+  | And -> (Bitvec.logand, ( land ))
+  | Or -> (Bitvec.logor, ( lor ))
+  | Xor -> (Bitvec.logxor, ( lxor ))
+  | Lsh -> (Bitvec.shift_left, ( lsl ))
+  | Rsh -> (Bitvec.shift_right, ( lsr ))
 
 type pipe_op =
   | Mult
@@ -69,15 +87,15 @@ let create name params =
   | "std_wire", [ _ ] -> Comb Wire
   | "std_slice", [ _; ow ] -> Comb (Slice ow)
   | "std_pad", [ _; ow ] -> Comb (Pad ow)
-  | "std_add", [ _ ] -> Comb (Binop Bitvec.add)
-  | "std_sub", [ _ ] -> Comb (Binop Bitvec.sub)
-  | "std_and", [ _ ] -> Comb (Binop Bitvec.logand)
-  | "std_or", [ _ ] -> Comb (Binop Bitvec.logor)
-  | "std_xor", [ _ ] -> Comb (Binop Bitvec.logxor)
+  | "std_add", [ _ ] -> Comb (Arith Add)
+  | "std_sub", [ _ ] -> Comb (Arith Sub)
+  | "std_and", [ _ ] -> Comb (Arith And)
+  | "std_or", [ _ ] -> Comb (Arith Or)
+  | "std_xor", [ _ ] -> Comb (Arith Xor)
   | "std_not", [ _ ] -> Comb (Unop Bitvec.lognot)
-  | "std_lsh", [ _ ] -> Comb (Binop Bitvec.shift_left)
-  | "std_rsh", [ _ ] -> Comb (Binop Bitvec.shift_right)
-  | "std_mult", [ _ ] -> Comb (Binop Bitvec.mul)
+  | "std_lsh", [ _ ] -> Comb (Arith Lsh)
+  | "std_rsh", [ _ ] -> Comb (Arith Rsh)
+  | "std_mult", [ _ ] -> Comb (Arith Mul)
   | "std_lt", [ _ ] -> Comb (Binop Bitvec.lt)
   | "std_gt", [ _ ] -> Comb (Binop Bitvec.gt)
   | "std_eq", [ _ ] -> Comb (Binop Bitvec.eq)
@@ -185,6 +203,8 @@ let outputs t ~read =
   | Comb Wire -> [ ("out", read "in") ]
   | Comb (Slice ow) -> [ ("out", Bitvec.truncate (read "in") ow) ]
   | Comb (Pad ow) -> [ ("out", Bitvec.zero_extend (read "in") ow) ]
+  | Comb (Arith op) ->
+      [ ("out", fst (arith_fn op) (read "left") (read "right")) ]
   | Comb (Binop f) -> [ ("out", f (read "left") (read "right")) ]
   | Comb (Unop f) -> [ ("out", f (read "in")) ]
   | Reg r -> [ ("out", r.r_value); ("done", bool_bit r.r_done) ]
@@ -262,7 +282,7 @@ let commit t ~read =
 let comb_inputs = function
   | Comb (Const _) -> Some []
   | Comb Wire | Comb (Slice _) | Comb (Pad _) | Comb (Unop _) -> Some [ "in" ]
-  | Comb (Binop _) -> Some [ "left"; "right" ]
+  | Comb (Arith _) | Comb (Binop _) -> Some [ "left"; "right" ]
   | Reg _ -> Some []
   | Mem m ->
       (* read_data addresses combinationally; done is registered. *)
@@ -277,6 +297,28 @@ let comb_inputs = function
    exactly — the differential fuzz against the fixpoint engine depends
    on it. *)
 
+(* Native-int arithmetic for [Arith] results of up to [narrow] bits. A
+   result below 256 comes from [small], like Bitvec's own interned values,
+   so it costs no allocation. *)
+let narrow = 62
+
+let small =
+  Array.init narrow (fun wi ->
+      Array.init 256 (fun v -> Bitvec.of_int ~width:(wi + 1) v))
+
+let[@inline] ival x = Int64.to_int (Bitvec.to_int64 x)
+let[@inline] nmask w = (1 lsl w) - 1
+
+(* A [w]-bit value already masked to [w] bits. *)
+let native w v = if v < 256 then small.(w - 1).(v) else Bitvec.of_int ~width:w v
+
+(* Bitvec's shift amount: 64 stands for any amount of 64 or more. *)
+let shift_amount s =
+  let v = Bitvec.to_int64 s in
+  if Int64.unsigned_compare v 64L >= 0 then 64 else Int64.to_int v
+
+(* The flat element index the address ports select, or -1 when one of
+   them is out of range. *)
 let staged_mem_address m ~read =
   let dims = Array.of_list m.m_dims in
   let thunks =
@@ -285,13 +327,19 @@ let staged_mem_address m ~read =
   in
   let n = Array.length dims in
   fun () ->
-    let rec go i addr =
-      if i = n then Some addr
-      else
-        let v = Bitvec.to_int (thunks.(i) ()) in
-        if v >= dims.(i) then None else go (i + 1) ((addr * dims.(i)) + v)
-    in
-    go 0 0
+    let addr = ref 0 and i = ref 0 in
+    while !i < n do
+      let v = Bitvec.to_int (thunks.(!i) ()) in
+      if v >= dims.(!i) then begin
+        addr := -1;
+        i := n
+      end
+      else begin
+        addr := (!addr * dims.(!i)) + v;
+        incr i
+      end
+    done;
+    !addr
 
 let compile_step t ~read ~write =
   let w name = match write name with Some f -> f | None -> fun _ -> () in
@@ -309,6 +357,21 @@ let compile_step t ~read ~write =
   | Comb (Pad ow) ->
       let out = w "out" and vin = read "in" in
       fun () -> out (Bitvec.zero_extend (vin ()) ow)
+  | Comb (Arith op) ->
+      let out = w "out" and l = read "left" and r = read "right" in
+      let slow, f = arith_fn op in
+      let shift = op = Lsh || op = Rsh in
+      (* Operands of up to [narrow] bits compute on native ints; anything
+         else, the width error included, takes Bitvec's operator. *)
+      fun () ->
+        let a = l () and b = r () in
+        let w = Bitvec.width a in
+        if w > narrow then out (slow a b)
+        else if shift then
+          let n = shift_amount b in
+          out (native w (if n >= w then 0 else f (ival a) n land nmask w))
+        else if w <> Bitvec.width b then out (slow a b)
+        else out (native w (f (ival a) (ival b) land nmask w))
   | Comb (Binop f) ->
       let out = w "out" and l = read "left" and r = read "right" in
       fun () -> out (f (l ()) (r ()))
@@ -325,9 +388,8 @@ let compile_step t ~read ~write =
       let zero = Bitvec.zero m.m_width in
       let addr = staged_mem_address m ~read in
       fun () ->
-        (match addr () with
-        | Some a -> rd m.m_data.(a)
-        | None -> rd zero);
+        (let a = addr () in
+         rd (if a < 0 then zero else m.m_data.(a)));
         dn (if m.m_done then t1 else f1)
   | Pipe p -> (
       let dn = w "done" in
@@ -386,9 +448,8 @@ let compile_commit t ~read =
       let addr = staged_mem_address m ~read in
       fun () ->
         if Bitvec.is_true (we ()) then begin
-          (match addr () with
-          | Some a -> m.m_data.(a) <- wd ()
-          | None -> ());
+          (let a = addr () in
+           if a >= 0 then m.m_data.(a) <- wd ());
           m.m_done <- true;
           true
         end

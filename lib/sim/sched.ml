@@ -205,33 +205,35 @@ let mark_node t k =
     else vec_push t.acyclic_bucket.(l) k
   end
 
-let mark_slot t s = Array.iter (mark_node t) t.readers.(s)
+let mark_slot t s =
+  let rs = t.readers.(s) in
+  for i = 0 to Array.length rs - 1 do
+    mark_node t rs.(i)
+  done
 
 let mark_all t =
   for k = 0 to t.n - 1 do
     mark_node t k
   done
 
+(* Plain loops and no captured refs: a settle allocates nothing. *)
 let run t ~eval ~max_passes =
   let evals = ref 0 in
   (* Dirt only propagates to higher levels, so once the global pending
      count hits zero no later bucket can be non-empty. *)
-  let l = ref (-1) in
-  while
-    incr l;
-    !l < t.nlevels && t.npending > 0
-  do
-    let l = !l in
-    if t.pending.(l) > 0 then begin
+  let l = ref 0 in
+  while !l < t.nlevels && t.npending > 0 do
+    let lv = !l in
+    if t.pending.(lv) > 0 then begin
       (* Acyclic nodes at one level are mutually independent: evaluating
          one can only dirty strictly higher levels, so a single sweep
          settles the whole bucket. *)
-      let b = t.acyclic_bucket.(l) in
+      let b = t.acyclic_bucket.(lv) in
       for i = 0 to b.len - 1 do
         let k = b.data.(i) in
         if t.dirty.(k) then begin
           t.dirty.(k) <- false;
-          t.pending.(l) <- t.pending.(l) - 1;
+          t.pending.(lv) <- t.pending.(lv) - 1;
           t.npending <- t.npending - 1;
           incr evals;
           eval k
@@ -240,26 +242,28 @@ let run t ~eval ~max_passes =
       b.len <- 0;
       (* Cyclic components at this level iterate until quiet. Distinct
          components at one level are independent of each other. *)
-      Array.iter
-        (fun id ->
-          let b = t.scc_bucket.(id) in
-          let budget = max_passes * t.scc_size.(id) in
-          let steps = ref 0 in
-          while b.len > 0 do
-            let k = b.data.(b.len - 1) in
-            b.len <- b.len - 1;
-            if t.dirty.(k) then begin
-              t.dirty.(k) <- false;
-              t.pending.(l) <- t.pending.(l) - 1;
-              t.npending <- t.npending - 1;
-              incr steps;
-              if !steps > budget then raise Diverged;
-              incr evals;
-              eval k
-            end
-          done)
-        t.cyclic_at.(l)
-    end
+      let ids = t.cyclic_at.(lv) in
+      for c = 0 to Array.length ids - 1 do
+        let id = ids.(c) in
+        let b = t.scc_bucket.(id) in
+        let budget = max_passes * t.scc_size.(id) in
+        let steps = ref 0 in
+        while b.len > 0 do
+          let k = b.data.(b.len - 1) in
+          b.len <- b.len - 1;
+          if t.dirty.(k) then begin
+            t.dirty.(k) <- false;
+            t.pending.(lv) <- t.pending.(lv) - 1;
+            t.npending <- t.npending - 1;
+            incr steps;
+            if !steps > budget then raise Diverged;
+            incr evals;
+            eval k
+          end
+        done
+      done
+    end;
+    incr l
   done;
   !evals
 

@@ -363,7 +363,13 @@ let rec commit ~now ~csink inst =
   inst.i_iters_cycle <- 0;
   let env = inst.i_env in
   (match inst.i_compiled with
-  | Some x -> x.x_commit (commit ~now ~csink)
+  | Some x ->
+      (* Without a control sink [now] is never read, so the children commit
+         through one static closure, not a partial application per edge. *)
+      x.x_commit
+        (match csink with
+        | None -> commit_unobserved
+        | Some _ -> commit ~now ~csink)
   | None ->
       (* Primitive state updates. *)
       Array.iter
@@ -426,6 +432,8 @@ let rec commit ~now ~csink inst =
     else inst.i_done_reg <- false
   end
 
+and commit_unobserved inst = commit ~now:0 ~csink:None inst
+
 (* ------------------------------------------------------------------ *)
 (* Observation (the event-sink interface of calyx_obs)                 *)
 (* ------------------------------------------------------------------ *)
@@ -464,6 +472,7 @@ type t = {
   mutable ctrl_sink : ctrl_sink option;
   mutable probes : (signal array * (instance * int) array) option;
       (* built on demand: flattened signal metadata + where to read each *)
+  done_slot : int option;  (* the root's [done] output *)
 }
 
 let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
@@ -490,6 +499,7 @@ let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
     sink = None;
     ctrl_sink = None;
     probes = None;
+    done_slot = List.assoc_opt "done" root.i_output_slots;
   }
 
 (* Flattened views of the instance hierarchy. Instance paths are dotted
@@ -745,8 +755,10 @@ let cycle t =
         });
   let flat_done =
     (not t.root.i_structured)
-    && Bitvec.is_true
-         t.root.i_env.(List.assoc "done" t.root.i_output_slots)
+    &&
+    match t.done_slot with
+    | Some s -> Bitvec.is_true t.root.i_env.(s)
+    | None -> raise Not_found
   in
   commit ~now:t.cycles ~csink:t.ctrl_sink t.root;
   let structured_done =

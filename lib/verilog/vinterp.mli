@@ -26,6 +26,24 @@
     changed, not of the whole design. Results are those of evaluating every
     process on every cycle.
 
+    A same-width net-to-net copy — an [assign a = b;], an input port bound
+    to a net, an output port connected to one — is an alias, not a
+    process: the readers of the target listen on the source, and a change
+    of the source is copied into the target within the same settle. A
+    change made outside a settle (a commit write or a poke) reaches the
+    aliases of what changed when the next settle starts, so between
+    cycles an alias target reads what a copy process would hold: the
+    value of the last settle. A copy that would close a loop of aliases
+    stays a process.
+
+    Values are native ints: nets, array elements and staged writes of up
+    to 62 bits hold their value directly, and expressions evaluate without
+    allocating. 63- and 64-bit nets and arrays keep [int64] values, and an
+    operand that can exceed 62 bits (by a static bound on its value) is
+    evaluated through [Int64] wherever its whole value matters —
+    comparisons, [/], [%], [>>], indices, conditions and [$sqrt]. Results
+    are exact at every width from 1 to 64 bits.
+
     Expression evaluation uses self-determined widths: every net and sized
     literal carries its declared width, binary operators extend to the
     wider operand, comparisons produce one bit, concatenation and
@@ -101,5 +119,5 @@ val write_memory : t -> string -> Calyx.Bitvec.t array -> unit
 
 val stats : t -> int * int
 (** [(nets, processes)] of the elaborated design: flattened net count and
-    the number of evaluation processes (continuous assigns, comb blocks,
-    ff blocks). *)
+    the number of evaluation processes (continuous assigns and port
+    bindings that are not aliases, comb blocks, ff blocks). *)

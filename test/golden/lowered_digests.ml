@@ -17,7 +17,8 @@
    to the emitter, the timing analysis or the area model shows up here. *)
 
 let systolic (rows, cols, depth) =
-  ( (if rows = cols && cols = depth then Printf.sprintf "systolic-%dx%d" rows cols
+  ( (if rows = cols && cols = depth then
+       Printf.sprintf "systolic-%dx%d" rows cols
      else Printf.sprintf "systolic-%dx%dx%d" rows cols depth),
     fun () -> Systolic.generate Systolic.{ rows; cols; depth; width = 32 } )
 

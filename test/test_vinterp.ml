@@ -157,6 +157,60 @@ endmodule
     (V.Unstable { cycle = 0; message = "combinational settle did not converge" })
     (fun () -> V.cycle d)
 
+(* Same-width net-to-net copies are aliases, not processes: a chain through
+   two levels of hierarchy carries the source after one settle, and until
+   then the target keeps the value of the last settle. *)
+let test_alias_chain () =
+  let src =
+    {|
+module leaf(input logic [7:0] i, output logic [7:0] o);
+assign o = i;
+endmodule
+module mid(input logic [7:0] i, output logic [7:0] o);
+leaf l (.i(i), .o(o));
+endmodule
+module main(input logic [7:0] x, output logic [7:0] y);
+mid m (.i(x), .o(y));
+endmodule
+|}
+  in
+  let d = V.load ~top:"main" src in
+  Alcotest.(check int) "no copy process left" 0 (snd (V.stats d));
+  let y () = Bitvec.to_int (V.read_output d "y") in
+  V.set_input d "x" (Bitvec.of_int ~width:8 42);
+  V.cycle d;
+  Alcotest.(check int) "source after one settle" 42 (y ());
+  V.set_input d "x" (Bitvec.of_int ~width:8 7);
+  Alcotest.(check int) "unchanged before the settle" 42 (y ());
+  V.cycle d;
+  Alcotest.(check int) "and after it" 7 (y ())
+
+let test_copy_cycles () =
+  let d =
+    V.load ~top:"main"
+      {|
+module main(output logic [3:0] a, output logic [3:0] b);
+assign a = b;
+assign b = a;
+endmodule
+|}
+  in
+  V.cycle d;
+  Alcotest.(check (pair int int)) "a copy loop settles to zero" (0, 0)
+    (Bitvec.to_int (V.read_output d "a"), Bitvec.to_int (V.read_output d "b"));
+  let d =
+    V.load ~top:"main"
+      {|
+module main(output logic a, output logic b);
+assign a = ~b;
+assign b = a;
+endmodule
+|}
+  in
+  Alcotest.check_raises "an oscillator through an alias diverges"
+    (V.Unstable { cycle = 0; message = "combinational settle did not converge" })
+    (fun () -> V.cycle d)
+
 let test_double_driver () =
   let src =
     {|
@@ -540,6 +594,38 @@ let test_systolic () =
         (tb.check r.Validate.rtl_io))
     [ (1, 1, 2); (2, 2, 3); (3, 3, 4) ]
 
+(* Both evaluators' per-cycle loops allocate nothing once built: lowered
+   gemm under its test bench, with the minor-heap words each run allocates
+   divided by the cycles it simulates. The bound leaves room for the
+   constant work around the loop, not for a per-cycle allocation. *)
+let test_alloc_per_cycle () =
+  let k =
+    List.find
+      (fun k -> String.equal k.Polybench.Kernels.name "gemm")
+      Polybench.Kernels.all
+  in
+  let prog = Polybench.Harness.program k ~unrolled:false in
+  let tb = Polybench.Harness.testbench k prog in
+  let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
+  let per_cycle what run io =
+    tb.load io;
+    let w0 = Gc.minor_words () in
+    let cycles = run () in
+    let words = (Gc.minor_words () -. w0) /. float_of_int cycles in
+    Alcotest.(check (list string)) (what ^ ": product") [] (tb.check io);
+    if words > 8. then
+      Alcotest.failf "%s: %.1f minor words per cycle over %d cycles" what
+        words cycles
+  in
+  let sim = Calyx_sim.Sim.create lowered in
+  per_cycle "compiled Sim.run"
+    (fun () -> Calyx_sim.Sim.run sim)
+    (Calyx_sim.Testbench.of_sim sim);
+  let rtl =
+    V.load ~top:lowered.Ir.entrypoint (Calyx_verilog.Verilog.emit lowered)
+  in
+  per_cycle "Vinterp.run" (fun () -> V.run rtl) (Validate.rtl_io rtl)
+
 (* ------------------------------------------------------------------ *)
 (* Random programs                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -626,6 +712,9 @@ let () =
           Alcotest.test_case "always_ff counter" `Quick test_ff_counter;
           Alcotest.test_case "combinational cycle detection" `Quick
             test_unstable;
+          Alcotest.test_case "alias chain across hierarchy" `Quick
+            test_alias_chain;
+          Alcotest.test_case "copy cycles" `Quick test_copy_cycles;
           Alcotest.test_case "double driver rejected" `Quick test_double_driver;
           Alcotest.test_case "memory write reads back" `Quick
             test_memory_readback;
@@ -646,6 +735,7 @@ let () =
           Alcotest.test_case "polybench (unrolled)" `Slow
             test_polybench_unrolled;
           Alcotest.test_case "systolic arrays" `Slow test_systolic;
+          Alcotest.test_case "allocation per cycle" `Quick test_alloc_per_cycle;
         ] );
       ( "fuzz",
         [
