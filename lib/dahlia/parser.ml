@@ -2,7 +2,8 @@ open Ast
 
 exception Parse_error of string
 
-let parse_error fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
+let error_at line fmt =
+  Format.kasprintf (fun s -> raise (Parse_error (Printf.sprintf "line %d: %s" line s))) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
@@ -83,7 +84,7 @@ let tokenize src =
   let pos = ref 0 in
   let line = ref 1 in
   let out = ref [] in
-  let emit t = out := t :: !out in
+  let emit t = out := (t, !line) :: !out in
   let peek k = if !pos + k < n then Some src.[!pos + k] else None in
   let advance () =
     if !pos < n && src.[!pos] = '\n' then incr line;
@@ -144,64 +145,70 @@ let tokenize src =
       | '^', _, _ -> one CARET
       | '<', _, _ -> one LT
       | '>', _, _ -> one GT
-      | _ -> parse_error "line %d: unexpected character %C" !line c
+      | _ -> error_at !line "unexpected character %C" c
     end
   done;
-  emit EOF;
-  List.rev !out
+  (* End of input is where the last token is, not past trailing blanks. *)
+  out := (EOF, match !out with (_, l) :: _ -> l | [] -> 1) :: !out;
+  Array.of_list (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type state = { mutable tokens : token list }
+(* Each token carries its line; the last is EOF, where [pos] stays. *)
+type state = { tokens : (token * int) array; mutable pos : int }
 
-let peek st = match st.tokens with [] -> EOF | t :: _ -> t
+let peek st = fst st.tokens.(st.pos)
+let advance st = if peek st <> EOF then st.pos <- st.pos + 1
 
-let next st =
-  match st.tokens with
-  | [] -> EOF
-  | t :: rest ->
-      st.tokens <- rest;
-      t
+(* A parse error at the current token, which is never consumed first, so
+   the message names the line of the token the parser stopped at. *)
+let parse_error st fmt = error_at (snd st.tokens.(st.pos)) fmt
 
 let expect st tok =
-  let got = next st in
-  if got <> tok then
-    parse_error "expected %s but found %s" (token_name tok) (token_name got)
+  if peek st = tok then advance st
+  else
+    parse_error st "expected %s but found %s" (token_name tok)
+      (token_name (peek st))
 
 let accept st tok =
   if peek st = tok then begin
-    ignore (next st);
+    advance st;
     true
   end
   else false
 
 let expect_ident st =
-  match next st with
-  | IDENT s -> s
-  | t -> parse_error "expected an identifier, found %s" (token_name t)
+  match peek st with
+  | IDENT s ->
+      advance st;
+      s
+  | t -> parse_error st "expected an identifier, found %s" (token_name t)
 
 let expect_num st =
-  match next st with
-  | NUM v -> v
-  | t -> parse_error "expected a number, found %s" (token_name t)
+  match peek st with
+  | NUM v ->
+      advance st;
+      v
+  | t -> parse_error st "expected a number, found %s" (token_name t)
 
 let accept_keyword st kw =
   match peek st with
   | IDENT s when String.equal s kw ->
-      ignore (next st);
+      advance st;
       true
   | _ -> false
 
 let parse_typ st =
-  match next st with
-  | IDENT "ubit" ->
-      expect st LT;
-      let w = expect_num st in
-      expect st GT;
-      UBit w
-  | t -> parse_error "expected a type (ubit<N>), found %s" (token_name t)
+  if accept_keyword st "ubit" then begin
+    expect st LT;
+    let w = expect_num st in
+    expect st GT;
+    UBit w
+  end
+  else
+    parse_error st "expected a type (ubit<N>), found %s" (token_name (peek st))
 
 (* Expressions, by descending precedence:
    cmp > shift? No — comparisons loosest; then | ^ &, shifts, +/-, mul. *)
@@ -210,7 +217,7 @@ let rec parse_expr st = parse_cmp st
 and parse_cmp st =
   let lhs = parse_bitor st in
   let cmp op =
-    ignore (next st);
+    advance st;
     EBinop (op, lhs, parse_bitor st)
   in
   match peek st with
@@ -260,14 +267,18 @@ and parse_multiplicative st =
   go lhs
 
 and parse_atom st =
-  match next st with
-  | NUM v -> EInt v
+  match peek st with
+  | NUM v ->
+      advance st;
+      EInt v
   | IDENT "sqrt" ->
+      advance st;
       expect st LPAREN;
       let e = parse_expr st in
       expect st RPAREN;
       ESqrt e
   | IDENT x ->
+      advance st;
       let rec indices acc =
         if accept st LBRACKET then begin
           let e = parse_expr st in
@@ -279,10 +290,11 @@ and parse_atom st =
       let idxs = indices [] in
       if idxs = [] then EVar x else ERead (x, idxs)
   | LPAREN ->
+      advance st;
       let e = parse_expr st in
       expect st RPAREN;
       e
-  | t -> parse_error "expected an expression, found %s" (token_name t)
+  | t -> parse_error st "expected an expression, found %s" (token_name t)
 
 let rec parse_stmt st =
   if accept_keyword st "let" then begin
@@ -309,7 +321,7 @@ let rec parse_stmt st =
   end
   else if accept_keyword st "for" then begin
     expect st LPAREN;
-    if not (accept_keyword st "let") then parse_error "expected 'let' in for";
+    if not (accept_keyword st "let") then parse_error st "expected 'let' in for, found %s" (token_name (peek st));
     let var = expect_ident st in
     expect st COLON;
     let var_typ = parse_typ st in
@@ -384,7 +396,7 @@ let parse_decl st =
   { decl_name = name; elem; dims }
 
 let parse_string src =
-  let st = { tokens = tokenize src } in
+  let st = { tokens = tokenize src; pos = 0 } in
   let rec decls acc =
     if accept_keyword st "decl" then decls (parse_decl st :: acc)
     else List.rev acc

@@ -74,6 +74,23 @@ let test_type_errors () =
     "for (let i: ubit<4> = 0..8) unroll 3 { let t: ubit<8> = 0 }";
   expect_type_error "for (let i: ubit<4> = 0..4) { i := 2 }"
 
+(* Every parse error names the line of the token the parser stopped at;
+   end of input is on the line of the last token. *)
+let test_parse_error_lines () =
+  let check src want =
+    match Dahlia.Parser.parse_string src with
+    | exception Dahlia.Parser.Parse_error msg ->
+        Alcotest.(check string) "message" want msg
+    | _ -> Alcotest.failf "expected a parse error in %S" src
+  in
+  check "decl a: ubit<32>[4];\nfor (let i: ubit<3> = 0..4) {\n  a[i] := 1\n\n"
+    "line 3: expected an identifier, found end of input";
+  check "let x: ubit<32> = 1\n---\nx := x +\n---\nx := 2"
+    "line 4: expected an expression, found '---'";
+  check "decl a: ubit<32>[4]\nlet x: ubit<32> = 1"
+    "line 2: expected ';' but found identifier \"let\"";
+  check "let x: ubit<32> = 1\n\n  x := 2 $" "line 3: unexpected character '$'"
+
 let expect_lowering_error src =
   let prog = Dahlia.Parser.parse_string src in
   match Dahlia.Lowering.lower prog with
@@ -350,6 +367,8 @@ let () =
         [
           Alcotest.test_case "paper example parses" `Quick test_parse_paper_example;
           Alcotest.test_case "composition operators" `Quick test_composition_parsing;
+          Alcotest.test_case "parse errors name their line" `Quick
+            test_parse_error_lines;
           Alcotest.test_case "type errors" `Quick test_type_errors;
           Alcotest.test_case "lowering errors" `Quick test_lowering_errors;
         ] );
