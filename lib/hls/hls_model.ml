@@ -5,10 +5,6 @@ type report = {
   area : Calyx_synth.Area.usage;
 }
 
-exception Hls_error of string
-
-let hls_error fmt = Format.kasprintf (fun s -> raise (Hls_error s)) fmt
-
 (* Schedule parameters. *)
 let mem_read_latency = 1
 let mult_latency = 3
@@ -22,61 +18,7 @@ let loop_overhead = 2
    then costs a full non-pipelined memory transaction. *)
 let contended_access_cycles = 4
 
-(* ------------------------------------------------------------------ *)
-(* 32-bit wrapping functional evaluation                               *)
-(* ------------------------------------------------------------------ *)
-
-let mask = 0xFFFFFFFF
-let w v = v land mask
-
-let mul32 a b =
-  Int64.to_int (Int64.logand (Int64.mul (Int64.of_int a) (Int64.of_int b)) 0xFFFFFFFFL)
-
-let isq v = Int64.to_int (Calyx_sim.Prim_state.isqrt (Int64.of_int v))
-
-type env = {
-  vars : (string, int) Hashtbl.t;
-  mems : (string, int array * decl) Hashtbl.t;
-}
-
 let mem_banks d = List.fold_left (fun acc dim -> acc * dim.bank) 1 d.dims
-
-let flat_index d idxs =
-  List.fold_left2 (fun acc dim i -> (acc * dim.size) + i) 0 d.dims idxs
-
-let rec eval env = function
-  | EInt v -> w v
-  | EVar x -> (
-      match Hashtbl.find_opt env.vars x with
-      | Some v -> v
-      | None -> hls_error "unbound variable %s" x)
-  | ERead (m, idxs) -> (
-      match Hashtbl.find_opt env.mems m with
-      | None -> hls_error "unbound memory %s" m
-      | Some (data, d) ->
-          let is = List.map (eval env) idxs in
-          if List.exists2 (fun i dim -> i >= dim.size) is d.dims then 0
-          else data.(flat_index d is))
-  | ESqrt e -> isq (eval env e)
-  | EBinop (op, a, b) -> (
-      let x = eval env a and y = eval env b in
-      match op with
-      | Add -> w (x + y)
-      | Sub -> w (x - y)
-      | Mul -> mul32 x y
-      | Div -> if y = 0 then mask else x / y
-      | Rem -> if y = 0 then x else x mod y
-      | BAnd -> x land y
-      | BOr -> x lor y
-      | BXor -> x lxor y
-      | Shl -> if y >= 32 then 0 else w (x lsl y)
-      | Shr -> if y >= 32 then 0 else x lsr y
-      | Lt -> if x < y then 1 else 0
-      | Gt -> if x > y then 1 else 0
-      | Le -> if x <= y then 1 else 0
-      | Ge -> if x >= y then 1 else 0
-      | Eq -> if x = y then 1 else 0
-      | Neq -> if x <> y then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
 (* Static expression/statement metrics                                 *)
@@ -171,11 +113,11 @@ and vars_read e =
 (* Scheduled execution                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type st = { env : env; decls : decl list }
+type st = { env : Dahlia.Eval.env; decls : decl list }
 
 let ports st m =
-  match Hashtbl.find_opt st.env.mems m with
-  | Some (_, d) -> ports_per_memory * mem_banks d
+  match List.find_opt (fun d -> String.equal d.decl_name m) st.decls with
+  | Some d -> ports_per_memory * mem_banks d
   | None -> ports_per_memory
 
 let port_bound st accesses =
@@ -184,26 +126,16 @@ let port_bound st accesses =
     0
     (merge_counts accesses)
 
-(* Execute a statement, returning its scheduled cycle count. *)
+(* Execute a statement through the Dahlia semantics, returning its
+   scheduled cycle count. *)
 let rec exec st stmt =
   match stmt with
   | SSkip -> 0
-  | SLet (x, _, e) | SAssign (x, e) ->
-      let has_read = reads_of [] e <> [] in
-      let v = eval st.env e in
-      Hashtbl.replace st.env.vars x v;
-      stmt_depth e has_read
-  | SStore (m, idxs, e) -> (
-      match Hashtbl.find_opt st.env.mems m with
-      | None -> hls_error "unbound memory %s" m
-      | Some (data, d) ->
-          let is = List.map (eval st.env) idxs in
-          let v = eval st.env e in
-          if not (List.exists2 (fun i dim -> i >= dim.size) is d.dims) then
-            data.(flat_index d is) <- v;
-          stmt_depth e (reads_of [] e <> []))
+  | SLet (_, _, e) | SAssign (_, e) | SStore (_, _, e) ->
+      Dahlia.Eval.exec st.env stmt;
+      stmt_depth e (reads_of [] e <> [])
   | SIf (c, t, f) ->
-      let cond = eval st.env c in
+      let cond = Dahlia.Eval.expr st.env c in
       1 + exec st (if cond <> 0 then t else f)
   | SSeq ss -> List.fold_left (fun acc s -> acc + exec st s) 0 ss
   | SPar ss ->
@@ -212,7 +144,7 @@ let rec exec st stmt =
       max cycles (port_bound st (List.concat_map iter_accesses ss))
   | SWhile (c, body) ->
       let iters = ref 0 and depth = ref 0 and total = ref 0 in
-      while eval st.env c <> 0 do
+      while Dahlia.Eval.expr st.env c <> 0 do
         incr iters;
         let c = exec st body in
         depth := max !depth c;
@@ -226,7 +158,7 @@ let rec exec st stmt =
            schedule degenerates to serialized, non-pipelined accesses. *)
         let per_copy = ref 0 in
         for i = lo to hi - 1 do
-          Hashtbl.replace st.env.vars var i;
+          Dahlia.Eval.set st.env var i;
           per_copy := max !per_copy (exec st body)
         done;
         let totals =
@@ -244,7 +176,7 @@ let rec exec st stmt =
       else begin
         let iters = ref 0 and depth = ref 0 and total = ref 0 in
         for i = lo to hi - 1 do
-          Hashtbl.replace st.env.vars var i;
+          Dahlia.Eval.set st.env var i;
           incr iters;
           let c = exec st body in
           depth := max !depth c;
@@ -372,26 +304,8 @@ let decl_area d =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let prepare prog ~inputs =
-  Dahlia.Typecheck.check prog;
-  let env = { vars = Hashtbl.create 16; mems = Hashtbl.create 16 } in
-  List.iter
-    (fun d ->
-      let size = List.fold_left (fun acc dim -> acc * dim.size) 1 d.dims in
-      let data = Array.make size 0 in
-      (match List.assoc_opt d.decl_name inputs with
-      | Some values ->
-          if List.length values <> size then
-            hls_error "memory %s holds %d values, given %d" d.decl_name size
-              (List.length values);
-          List.iteri (fun i v -> data.(i) <- w v) values
-      | None -> ());
-      Hashtbl.replace env.mems d.decl_name (data, d))
-    prog.decls;
-  { env; decls = prog.decls }
-
 let run prog ~inputs =
-  let st = prepare prog ~inputs in
+  let st = { env = Dahlia.Eval.env prog ~inputs; decls = prog.decls } in
   let cycles = max 1 (exec st prog.body) in
   let sites = merge_counts (site_counts 1 prog.body) in
   let area =
@@ -404,15 +318,6 @@ let run prog ~inputs =
   { cycles; area }
 
 let run_source src ~inputs = run (Dahlia.Parser.parse_string src) ~inputs
-
-let outputs prog ~inputs =
-  let st = prepare prog ~inputs in
-  ignore (exec st prog.body);
-  List.map
-    (fun d ->
-      let data, _ = Hashtbl.find st.env.mems d.decl_name in
-      (d.decl_name, Array.copy data))
-    prog.decls
 
 (* The paper's Vivado HLS baseline for Figure 7: a straightforward matmul
    with the two outer loops fully unrolled and unpartitioned memories. *)

@@ -1,9 +1,9 @@
 (** An idealized static-scheduling HLS cost model — the commercial-HLS
     comparator of the paper's evaluation (Vivado HLS substitute).
 
-    The model executes a Dahlia program functionally (so data-dependent
-    trip counts are exact) while charging cycles according to a standard
-    HLS schedule:
+    The model executes a Dahlia program under its source semantics
+    ({!Dahlia.Eval}, so data-dependent trip counts are exact) while
+    charging cycles according to a standard HLS schedule:
 
     - combinational operators chain freely within a cycle;
     - block-RAM reads take one cycle; each logical memory has two ports
@@ -29,11 +29,9 @@ type report = {
   area : Calyx_synth.Area.usage;
 }
 
-exception Hls_error of string
-
 val run : Dahlia.Ast.prog -> inputs:(string * int list) list -> report
 (** Type-checks, executes, and prices the program. Memories without
-    supplied inputs start zeroed. *)
+    supplied inputs start zeroed ({!Dahlia.Eval.env}). *)
 
 val run_source : string -> inputs:(string * int list) list -> report
 
@@ -41,8 +39,3 @@ val matmul_source : n:int -> string
 (** The Figure-7 comparator: a straightforward matrix-multiply kernel whose
     two outer loops are fully unrolled (the paper's Vivado HLS baseline for
     the systolic arrays); memories are unpartitioned. *)
-
-val outputs : Dahlia.Ast.prog -> inputs:(string * int list) list ->
-  (string * int array) list
-(** The functional results of {!run}, for cross-checking the model against
-    the Calyx flow and the golden references. *)

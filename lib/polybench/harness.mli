@@ -3,14 +3,15 @@
     Used by the test suite, the evaluation benches and the farm: builds a
     kernel's Calyx program, compiles it under a pass configuration, and
     runs it against the kernel's {!testbench} — its deterministic inputs,
-    and every output memory checked against the golden reference — then
-    reports cycle count and the area model's usage. *)
+    and every declared memory checked against the source's semantics
+    ({!Dahlia.Eval}) — then reports cycle count and the area model's
+    usage. *)
 
 type result = {
   cycles : int;
   correct : bool;
   mismatches : string list;
-      (** The test bench's messages, one per output memory that differs. *)
+      (** The test bench's messages, one per memory that differs. *)
   area : Calyx_synth.Area.usage;  (** Of the fully lowered design. *)
   timing : Calyx_synth.Timing.report;  (** STA of the same design. *)
   wall_ns : float;  (** [cycles * estimated clock period]. *)
@@ -27,8 +28,9 @@ val load_inputs : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.io ->
 (** Load the kernel's deterministic inputs through the bank-aware loader. *)
 
 val verify : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.io -> string list
-(** Check every output memory against the golden reference; returns the
-    names of those that differ. *)
+(** Check every declared memory, scratch memories included, against
+    {!Dahlia.Eval.run} of [prog] on the kernel's inputs; returns the names
+    of those that differ. *)
 
 val testbench : Kernels.kernel -> Dahlia.Ast.prog -> Calyx_sim.Testbench.t
 (** The kernel's test bench, written once for the farm, the benches and
@@ -73,8 +75,8 @@ val run_rtl :
 (** Compile the kernel, then run the emitted SystemVerilog under the RTL
     interpreter and the lowered design under the simulator on identical
     inputs (the {!testbench}'s loader), comparing both against each other
-    and, through the test bench's check, against the kernel's golden
-    reference. *)
+    and, through the test bench's check, against the source's semantics
+    ({!verify}). *)
 
 val rtl_ok : rtl_result -> bool
-(** Exact RTL/simulator agreement {e and} both match the reference. *)
+(** Exact RTL/simulator agreement {e and} both match {!verify}. *)

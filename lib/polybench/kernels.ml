@@ -4,26 +4,9 @@ type kernel = {
   source : string;
   unrolled : string option;
   inputs : (string * int list) list;
-  outputs : string list;
-  reference : (string -> int array) -> (string * int array) list;
 }
 
 let n = 8
-
-(* ------------------------------------------------------------------ *)
-(* 32-bit wrapping reference arithmetic (mirrors the hardware exactly) *)
-(* ------------------------------------------------------------------ *)
-
-let mask = 0xFFFFFFFF
-let w v = v land mask
-let ( +% ) a b = w (a + b)
-let ( -% ) a b = w (a - b)
-
-let ( *% ) a b =
-  Int64.to_int (Int64.logand (Int64.mul (Int64.of_int a) (Int64.of_int b)) 0xFFFFFFFFL)
-
-let ( /% ) a b = if b = 0 then mask else a / b
-let isq v = Int64.to_int (Calyx_sim.Prim_state.isqrt (Int64.of_int v))
 
 (* Deterministic input data: small positive values. *)
 let data name count =
@@ -31,7 +14,6 @@ let data name count =
 
 let mat name = (name, data name (n * n))
 let vec name = (name, data name n)
-let ix i j = (i * n) + j
 
 (* An 8-leaf balanced addition tree over a banked scratch vector. *)
 let tree8 m =
@@ -89,22 +71,6 @@ for (let i: ubit<4> = 0..8) {
 }
 |};
     inputs = [ mat "A"; mat "B"; mat "C" ];
-    outputs = [ "C" ];
-    reference =
-      (fun get ->
-        let a = get "A" and b = get "B" in
-        let c = Array.copy (get "C") in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            c.(ix i j) <- c.(ix i j) *% 2;
-            for k = 0 to n - 1 do
-              let t = 3 *% a.(ix i k) in
-              let u = t *% b.(ix k j) in
-              c.(ix i j) <- c.(ix i j) +% u
-            done
-          done
-        done;
-        [ ("C", c) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -165,33 +131,6 @@ for (let i: ubit<4> = 0..8) {
     inputs =
       [ mat "A"; vec "u1"; vec "v1"; vec "u2"; vec "v2"; vec "x"; vec "y";
         vec "w"; vec "z" ];
-    outputs = [ "A"; "x"; "w" ];
-    reference =
-      (fun get ->
-        let a = Array.copy (get "A") in
-        let u1 = get "u1" and v1 = get "v1" and u2 = get "u2" and v2 = get "v2" in
-        let x = Array.copy (get "x") in
-        let y = get "y" and z = get "z" in
-        let wv = Array.copy (get "w") in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            a.(ix i j) <- a.(ix i j) +% (u1.(i) *% v1.(j)) +% (u2.(i) *% v2.(j))
-          done
-        done;
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            x.(i) <- x.(i) +% (2 *% a.(ix j i) *% y.(j))
-          done
-        done;
-        for i = 0 to n - 1 do
-          x.(i) <- x.(i) +% z.(i)
-        done;
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            wv.(i) <- wv.(i) +% (3 *% a.(ix i j) *% x.(j))
-          done
-        done;
-        [ ("A", a); ("x", x); ("w", wv) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -263,20 +202,6 @@ for (let i: ubit<4> = 0..8) {
 |}
            (tree8 "pa") (tree8 "pb"));
     inputs = [ mat "A"; mat "B"; vec "x"; vec "y" ];
-    outputs = [ "y" ];
-    reference =
-      (fun get ->
-        let a = get "A" and b = get "B" and x = get "x" in
-        let y = Array.copy (get "y") in
-        for i = 0 to n - 1 do
-          let s1 = ref 0 and s2 = ref 0 in
-          for j = 0 to n - 1 do
-            s1 := !s1 +% (a.(ix i j) *% x.(j));
-            s2 := !s2 +% (b.(ix i j) *% x.(j))
-          done;
-          y.(i) <- (3 *% !s1) +% (2 *% !s2)
-        done;
-        [ ("y", y) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -371,23 +296,6 @@ for (let i: ubit<4> = 0..8) {
 }
 |};
     inputs = [ mat "A"; mat "B"; mat "C" ];
-    outputs = [ "C" ];
-    reference =
-      (fun get ->
-        let a = get "A" and b = get "B" in
-        let c = Array.copy (get "C") in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            let tmp = ref 0 in
-            for k = 0 to i - 1 do
-              c.(ix k j) <- c.(ix k j) +% (3 *% b.(ix i j) *% a.(ix i k));
-              tmp := !tmp +% (b.(ix k j) *% a.(ix i k))
-            done;
-            c.(ix i j) <-
-              (2 *% c.(ix i j)) +% (3 *% b.(ix i j) *% a.(ix i i)) +% (3 *% !tmp)
-          done
-        done;
-        [ ("C", c) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -449,21 +357,6 @@ for (let i: ubit<4> = 0..8) {
 |}
            (tree8 "ps"));
     inputs = [ mat "A"; mat "C" ];
-    outputs = [ "C" ];
-    reference =
-      (fun get ->
-        let a = get "A" in
-        let c = Array.copy (get "C") in
-        for i = 0 to n - 1 do
-          for j = 0 to i do
-            let s = ref (2 *% c.(ix i j)) in
-            for k = 0 to n - 1 do
-              s := !s +% (3 *% (a.(ix i k) *% a.(ix j k)))
-            done;
-            c.(ix i j) <- !s
-          done
-        done;
-        [ ("C", c) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -531,23 +424,6 @@ for (let i: ubit<4> = 0..8) {
 |}
            (tree8 "ps"));
     inputs = [ mat "A"; mat "B"; mat "C" ];
-    outputs = [ "C" ];
-    reference =
-      (fun get ->
-        let a = get "A" and b = get "B" in
-        let c = Array.copy (get "C") in
-        for i = 0 to n - 1 do
-          for j = 0 to i do
-            let s = ref (2 *% c.(ix i j)) in
-            for k = 0 to n - 1 do
-              let t1 = a.(ix i k) *% b.(ix j k) in
-              let t2 = b.(ix i k) *% a.(ix j k) in
-              s := !s +% (3 *% (t1 +% t2))
-            done;
-            c.(ix i j) <- !s
-          done
-        done;
-        [ ("C", c) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -580,20 +456,6 @@ for (let i: ubit<4> = 0..8) {
 |};
     unrolled = None;
     inputs = [ mat "A"; mat "B" ];
-    outputs = [ "B" ];
-    reference =
-      (fun get ->
-        let a = get "A" in
-        let b = Array.copy (get "B") in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            for k = i + 1 to n - 1 do
-              b.(ix i j) <- b.(ix i j) +% (a.(ix k i) *% b.(ix k j))
-            done;
-            b.(ix i j) <- b.(ix i j) *% 3
-          done
-        done;
-        [ ("B", b) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -687,28 +549,6 @@ for (let i: ubit<4> = 0..8) {
 |}
            (drain8 "tmp" "p" "i"));
     inputs = [ mat "A"; mat "B"; mat "C"; mat "D" ];
-    outputs = [ "D" ];
-    reference =
-      (fun get ->
-        let a = get "A" and b = get "B" and c = get "C" in
-        let d = Array.copy (get "D") in
-        let tmp = Array.make (n * n) 0 in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            for k = 0 to n - 1 do
-              tmp.(ix i j) <- tmp.(ix i j) +% (3 *% a.(ix i k) *% b.(ix k j))
-            done
-          done
-        done;
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            d.(ix i j) <- d.(ix i j) *% 2;
-            for k = 0 to n - 1 do
-              d.(ix i j) <- d.(ix i j) +% (tmp.(ix i k) *% c.(ix k j))
-            done
-          done
-        done;
-        [ ("D", d) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -830,24 +670,6 @@ for (let i: ubit<4> = 0..8) {
 |}
            (drain8 "E" "p" "i") (drain8 "F" "p" "i"));
     inputs = [ mat "A"; mat "B"; mat "C"; mat "D" ];
-    outputs = [ "G" ];
-    reference =
-      (fun get ->
-        let a = get "A" and b = get "B" and c = get "C" and d = get "D" in
-        let matmul x y =
-          let r = Array.make (n * n) 0 in
-          for i = 0 to n - 1 do
-            for j = 0 to n - 1 do
-              for k = 0 to n - 1 do
-                r.(ix i j) <- r.(ix i j) +% (x.(ix i k) *% y.(ix k j))
-              done
-            done
-          done;
-          r
-        in
-        let e = matmul a b in
-        let f = matmul c d in
-        [ ("G", matmul e f) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -919,23 +741,6 @@ for (let j: ubit<4> = 0..8) {
 |}
            (tree8 "ps"));
     inputs = [ mat "A"; vec "x"; vec "y" ];
-    outputs = [ "y" ];
-    reference =
-      (fun get ->
-        let a = get "A" and x = get "x" in
-        let tmp = Array.make n 0 in
-        let y = Array.make n 0 in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            tmp.(i) <- tmp.(i) +% (a.(ix i j) *% x.(j))
-          done
-        done;
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            y.(j) <- y.(j) +% (a.(ix i j) *% tmp.(i))
-          done
-        done;
-        [ ("y", y) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1003,18 +808,6 @@ for (let j: ubit<4> = 0..8) {
 |}
            (tree8 "ps"));
     inputs = [ mat "A"; vec "r"; vec "p" ];
-    outputs = [ "s"; "q" ];
-    reference =
-      (fun get ->
-        let a = get "A" and r = get "r" and p = get "p" in
-        let s = Array.make n 0 and q = Array.make n 0 in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            s.(j) <- s.(j) +% (r.(i) *% a.(ix i j));
-            q.(i) <- q.(i) +% (a.(ix i j) *% p.(j))
-          done
-        done;
-        [ ("s", s); ("q", q) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1077,24 +870,6 @@ for (let rq: ubit<5> = 0..16) {
 }
 |};
     inputs = [ ("A2", data "A2" (16 * 4)); ("C4", data "C4" (4 * 4)) ];
-    outputs = [ "A2" ];
-    reference =
-      (fun get ->
-        let a2 = Array.copy (get "A2") in
-        let c4 = get "C4" in
-        let sum = Array.make 4 0 in
-        for rq = 0 to 15 do
-          for p = 0 to 3 do
-            sum.(p) <- 0;
-            for s = 0 to 3 do
-              sum.(p) <- sum.(p) +% (a2.((rq * 4) + s) *% c4.((s * 4) + p))
-            done
-          done;
-          for p = 0 to 3 do
-            a2.((rq * 4) + p) <- sum.(p)
-          done
-        done;
-        [ ("A2", a2) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1158,22 +933,6 @@ for (let i: ubit<4> = 0..8) {
 |}
            (tree8 "ps"));
     inputs = [ mat "A"; vec "x1"; vec "x2"; vec "y1"; vec "y2" ];
-    outputs = [ "x1"; "x2" ];
-    reference =
-      (fun get ->
-        let a = get "A" and y1 = get "y1" and y2 = get "y2" in
-        let x1 = Array.copy (get "x1") and x2 = Array.copy (get "x2") in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            x1.(i) <- x1.(i) +% (a.(ix i j) *% y1.(j))
-          done
-        done;
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            x2.(i) <- x2.(i) +% (a.(ix j i) *% y2.(j))
-          done
-        done;
-        [ ("x1", x1); ("x2", x2) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1221,23 +980,6 @@ for (let i: ubit<4> = 0..8) {
 |};
     unrolled = None;
     inputs = [ mat "A" ];
-    outputs = [ "A" ];
-    reference =
-      (fun get ->
-        let a = Array.copy (get "A") in
-        for i = 0 to n - 1 do
-          for j = 0 to i - 1 do
-            for k = 0 to j - 1 do
-              a.(ix i j) <- a.(ix i j) -% (a.(ix i k) *% a.(ix j k))
-            done;
-            a.(ix i j) <- a.(ix i j) /% a.(ix j j)
-          done;
-          for k = 0 to i - 1 do
-            a.(ix i i) <- a.(ix i i) -% (a.(ix i k) *% a.(ix i k))
-          done;
-          a.(ix i i) <- isq a.(ix i i)
-        done;
-        [ ("A", a) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1307,29 +1049,6 @@ for (let k: ubit<4> = 1..8) {
 |};
     unrolled = None;
     inputs = [ vec "r" ];
-    outputs = [ "y" ];
-    reference =
-      (fun get ->
-        let r = get "r" in
-        let y = Array.make n 0 and z = Array.make n 0 in
-        let alpha = ref (0 -% r.(0)) and beta = ref 1 in
-        y.(0) <- 0 -% r.(0);
-        for k = 1 to n - 1 do
-          beta := (1 -% (!alpha *% !alpha)) *% !beta;
-          let sum = ref 0 in
-          for i = 0 to k - 1 do
-            sum := !sum +% (r.(k - i - 1) *% y.(i))
-          done;
-          alpha := (0 -% (r.(k) +% !sum)) /% !beta;
-          for i = 0 to k - 1 do
-            z.(i) <- y.(i) +% (!alpha *% y.(k - i - 1))
-          done;
-          for i = 0 to k - 1 do
-            y.(i) <- z.(i)
-          done;
-          y.(k) <- !alpha
-        done;
-        [ ("y", y) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1383,31 +1102,6 @@ for (let k: ubit<4> = 0..8) {
 |};
     unrolled = None;
     inputs = [ mat "A" ];
-    outputs = [ "A"; "R" ];
-    reference =
-      (fun get ->
-        let a = Array.copy (get "A") in
-        let q = Array.make (n * n) 0 and r = Array.make (n * n) 0 in
-        for k = 0 to n - 1 do
-          let nrm = ref 0 in
-          for i = 0 to n - 1 do
-            nrm := !nrm +% (a.(ix i k) *% a.(ix i k))
-          done;
-          r.(ix k k) <- isq !nrm;
-          for i = 0 to n - 1 do
-            q.(ix i k) <- a.(ix i k) /% r.(ix k k)
-          done;
-          for j = k + 1 to n - 1 do
-            r.(ix k j) <- 0;
-            for i = 0 to n - 1 do
-              r.(ix k j) <- r.(ix k j) +% (q.(ix i k) *% a.(ix i j))
-            done;
-            for i = 0 to n - 1 do
-              a.(ix i j) <- a.(ix i j) -% (q.(ix i k) *% r.(ix k j))
-            done
-          done
-        done;
-        [ ("A", a); ("R", r) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1459,24 +1153,6 @@ for (let i: ubit<4> = 0..8) {
 |};
     unrolled = None;
     inputs = [ mat "A" ];
-    outputs = [ "A" ];
-    reference =
-      (fun get ->
-        let a = Array.copy (get "A") in
-        for i = 0 to n - 1 do
-          for j = 0 to i - 1 do
-            for k = 0 to j - 1 do
-              a.(ix i j) <- a.(ix i j) -% (a.(ix i k) *% a.(ix k j))
-            done;
-            a.(ix i j) <- a.(ix i j) /% a.(ix j j)
-          done;
-          for j = i to n - 1 do
-            for k = 0 to i - 1 do
-              a.(ix i j) <- a.(ix i j) -% (a.(ix i k) *% a.(ix k j))
-            done
-          done
-        done;
-        [ ("A", a) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1569,40 +1245,6 @@ while (ii > 0) {
 |};
     unrolled = None;
     inputs = [ mat "A"; vec "b" ];
-    outputs = [ "x" ];
-    reference =
-      (fun get ->
-        let a = Array.copy (get "A") in
-        let b = get "b" in
-        let x = Array.make n 0 and y = Array.make n 0 in
-        for i = 0 to n - 1 do
-          for j = 0 to i - 1 do
-            for k = 0 to j - 1 do
-              a.(ix i j) <- a.(ix i j) -% (a.(ix i k) *% a.(ix k j))
-            done;
-            a.(ix i j) <- a.(ix i j) /% a.(ix j j)
-          done;
-          for j = i to n - 1 do
-            for k = 0 to i - 1 do
-              a.(ix i j) <- a.(ix i j) -% (a.(ix i k) *% a.(ix k j))
-            done
-          done
-        done;
-        for i = 0 to n - 1 do
-          let acc = ref b.(i) in
-          for j = 0 to i - 1 do
-            acc := !acc -% (a.(ix i j) *% y.(j))
-          done;
-          y.(i) <- !acc
-        done;
-        for i = n - 1 downto 0 do
-          let acc = ref y.(i) in
-          for j = i + 1 to n - 1 do
-            acc := !acc -% (a.(ix i j) *% x.(j))
-          done;
-          x.(i) <- !acc /% a.(ix i i)
-        done;
-        [ ("x", x) ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1636,19 +1278,6 @@ for (let i: ubit<4> = 0..8) {
 |};
     unrolled = None;
     inputs = [ mat "L"; vec "b" ];
-    outputs = [ "x" ];
-    reference =
-      (fun get ->
-        let l = get "L" and b = get "b" in
-        let x = Array.make n 0 in
-        for i = 0 to n - 1 do
-          x.(i) <- b.(i);
-          for j = 0 to i - 1 do
-            x.(i) <- x.(i) -% (l.(ix i j) *% x.(j))
-          done;
-          x.(i) <- x.(i) /% l.(ix i i)
-        done;
-        [ ("x", x) ]);
   }
 
 let all =

@@ -2,10 +2,9 @@
 
     Each kernel carries its Dahlia source, an unrolled variant for the 11
     kernels whose parallelism the type discipline admits (banked memories +
-    fully unrolled parallel loops), deterministic input data, and a golden
-    OCaml reference mirroring the source bit-for-bit (32-bit wrapping
-    arithmetic, hardware division/remainder semantics, integer square
-    root).
+    fully unrolled parallel loops), and deterministic input data. What a
+    kernel computes is stated once, by its source: the test benches check
+    a design against the source's semantics ({!Dahlia.Eval}).
 
     Problem sizes are simulation-friendly (N = 8; doitgen 4×4×4); the
     paper's evaluation measures relative cycle counts and areas, which are
@@ -18,9 +17,6 @@ type kernel = {
   unrolled : string option;  (** Unrolled + banked variant, if admitted. *)
   inputs : (string * int list) list;
       (** Logical memory name → deterministic contents. *)
-  outputs : string list;  (** Memories to read back and compare. *)
-  reference : (string -> int array) -> (string * int array) list;
-      (** Golden model: given input lookup, the expected outputs. *)
 }
 
 val n : int
