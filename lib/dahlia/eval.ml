@@ -9,32 +9,25 @@ let eval_error fmt = Format.kasprintf (fun s -> raise (Eval_error s)) fmt
 let mask = 0xFFFFFFFF
 let w v = v land mask
 
-type env = {
-  vars : (string, int) Hashtbl.t;
-  mems : (string, int array * decl) Hashtbl.t;
-}
+module Tbl = Hashtbl.Make (String)
+
+type env = { vars : int Tbl.t; mems : (int array * decl) Tbl.t }
 
 let memory env m =
-  match Hashtbl.find_opt env.mems m with
+  match Tbl.find_opt env.mems m with
   | Some mem -> mem
   | None -> eval_error "unbound memory %s" m
-
-(* The row-major offset of in-bounds indices; [None] out of bounds. *)
-let offset d idxs =
-  if List.exists2 (fun i dim -> i >= dim.size) idxs d.dims then None
-  else Some (List.fold_left2 (fun acc dim i -> (acc * dim.size) + i) 0 d.dims idxs)
 
 let rec expr env = function
   | EInt v -> w v
   | EVar x -> (
-      match Hashtbl.find_opt env.vars x with
+      match Tbl.find_opt env.vars x with
       | Some v -> v
       | None -> eval_error "unbound variable %s" x)
-  | ERead (m, idxs) -> (
+  | ERead (m, idxs) ->
       let data, d = memory env m in
-      match offset d (List.map (expr env) idxs) with
-      | Some i -> data.(i)
-      | None -> 0)
+      let i = offset env d.dims idxs 0 in
+      if i < 0 then 0 else data.(i)
   | ESqrt e -> Int64.to_int (Calyx_sim.Prim_state.isqrt (Int64.of_int (expr env e)))
   | EBinop (op, a, b) -> (
       let x = expr env a and y = expr env b in
@@ -57,17 +50,24 @@ let rec expr env = function
       | Eq -> bit (x = y)
       | Neq -> bit (x <> y))
 
-let set env x v = Hashtbl.replace env.vars x v
+(* The row-major offset of a memory access, or -1 when an index is out of
+   bounds. *)
+and offset env dims idxs acc =
+  match (dims, idxs) with
+  | dim :: dims, e :: idxs ->
+      let i = expr env e in
+      if i >= dim.size then -1 else offset env dims idxs ((acc * dim.size) + i)
+  | _ -> acc
+
+let set env x v = Tbl.replace env.vars x v
 
 let rec exec env = function
   | SSkip -> ()
   | SLet (x, _, e) | SAssign (x, e) -> set env x (expr env e)
-  | SStore (m, idxs, e) -> (
+  | SStore (m, idxs, e) ->
       let data, d = memory env m in
-      let v = expr env e in
-      match offset d (List.map (expr env) idxs) with
-      | Some i -> data.(i) <- v
-      | None -> ())
+      let i = offset env d.dims idxs 0 in
+      if i >= 0 then data.(i) <- expr env e
   | SIf (c, t, f) -> exec env (if expr env c <> 0 then t else f)
   | SWhile (c, body) ->
       while expr env c <> 0 do
@@ -82,7 +82,7 @@ let rec exec env = function
 
 let env prog ~inputs =
   Typecheck.check prog;
-  let env = { vars = Hashtbl.create 16; mems = Hashtbl.create 16 } in
+  let env = { vars = Tbl.create 16; mems = Tbl.create 16 } in
   List.iter
     (fun d ->
       let size = List.fold_left (fun acc dim -> acc * dim.size) 1 d.dims in
@@ -94,7 +94,7 @@ let env prog ~inputs =
               (List.length values);
           List.iteri (fun i v -> data.(i) <- w v) values
       | None -> ());
-      Hashtbl.replace env.mems d.decl_name (data, d))
+      Tbl.replace env.mems d.decl_name (data, d))
     prog.decls;
   env
 
