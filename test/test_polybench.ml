@@ -102,10 +102,10 @@ let test_inputs_deterministic () =
     (k.Polybench.Kernels.inputs = k'.Polybench.Kernels.inputs)
 
 (* Every variant on two random input sets: values in 1..19, like the
-   kernels' own data, and full 32-bit values, which reach wrapping,
-   division and square root at their edges. The test bench compares the
-   simulated final contents of every declared memory, scratch memories
-   included, with Dahlia.Eval.run on the same inputs. *)
+   kernels' own data, and full 32-bit values, whose sums and products
+   wrap. The test bench compares the simulated final contents of every
+   declared memory, scratch memories included, with Dahlia.Eval.run on
+   the same inputs. *)
 let test_random_inputs () =
   let rng = Random.State.make [| 5 |] in
   let input_sets =
