@@ -806,10 +806,11 @@ let engines () =
    1. Micro: the measured cost of one disabled instrument site (a metric
       increment, a span) — a single [Runtime.on] branch each.
    2. Macro: per engine row, the estimated disabled-mode overhead =
-      (settles x ns-per-disabled-site) / disabled runtime, gated against
-      the 2% budget. The settle count — the number of times a disabled
-      site actually executes on the sim hot path — is read back from the
-      compiled engine's dirty-set histogram under an enabled run, so the
+      (sites x ns-per-disabled-site) / disabled runtime, gated against
+      the 2% budget. The site count — the number of times a disabled
+      site actually executes on the sim hot path, once per settle and
+      once per clock edge — is read back from the compiled engine's
+      dirty-set and commit-set histograms under an enabled run, so the
       estimate uses the real op count rather than a guess.
 
    The enabled/disabled wall ratio is also recorded ("_x", excluded from
@@ -843,17 +844,21 @@ let telemetry_bench () =
      each)\n\n"
     inc_ns span_ns;
   Printf.printf "%-22s %9s %9s %10s %10s %9s %12s %6s\n" "design" "cycles"
-    "settles" "off-s" "on-s" "on/off" "est-ovh" "match";
+    "sites" "off-s" "on-s" "on/off" "est-ovh" "match";
   let mismatches = ref 0 and over_budget = ref 0 and rows = ref 0 in
   let budget = 0.02 in
-  let settle_count run =
-    (* Number of compiled-engine settles in one run: the dirty-set
-       histogram's count delta under an enabled run. This is exactly how
-       many times the per-settle telemetry branch executes. *)
-    let count () =
-      match T.Metrics.histogram_counts "calyx_sched_dirty_set_size" with
+  let site_count run =
+    (* Number of compiled-engine settles and clock edges in one run: the
+       dirty-set and commit-set histograms' count deltas under an enabled
+       run. This is exactly how many times the per-settle and per-edge
+       telemetry branches execute. *)
+    let count name =
+      match T.Metrics.histogram_counts name with
       | Some (_, _, c) -> c
       | None -> 0
+    in
+    let count () =
+      count "calyx_sched_dirty_set_size" + count "calyx_sched_commit_set_size"
     in
     T.Runtime.with_enabled (fun () ->
         let before = count () in
@@ -872,7 +877,7 @@ let telemetry_bench () =
       verdict name (tb.check io);
       (cycles, s)
     in
-    let settles = settle_count run in
+    let sites = site_count run in
     List.iter
       (fun (label, engine) ->
         incr rows;
@@ -881,14 +886,15 @@ let telemetry_bench () =
           checked (T.Runtime.with_enabled (fun () -> best_of_3 (run engine)))
         in
         if cycles_off <> cycles_on then incr mismatches;
-        (* Estimated disabled overhead: every settle evaluates one
-           telemetry branch, plus a handful of per-run sites. *)
+        (* Estimated disabled overhead: every settle and every edge
+           evaluates one telemetry branch, plus a handful of per-run
+           sites. *)
         let est =
-          float_of_int (settles + 8) *. (inc_ns /. 1e9) /. off_s
+          float_of_int (sites + 8) *. (inc_ns /. 1e9) /. off_s
         in
         if est > budget then incr over_budget;
         Printf.printf "%-22s %9d %9d %10.4f %10.4f %8.2fx %11.4f%% %6s\n"
-          (name ^ "/" ^ label) cycles_off settles off_s on_s (on_s /. off_s)
+          (name ^ "/" ^ label) cycles_off sites off_s on_s (on_s /. off_s)
           (est *. 100.)
           (if cycles_off = cycles_on then "ok" else "FAIL");
         Record.row

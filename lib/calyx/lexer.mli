@@ -30,11 +30,24 @@ type token =
   | EOF
 
 exception Lex_error of string
-(** Raised with a message carrying the line number of the offending input. *)
+(** Raised with a message that starts with the line and column of the
+    offending token or comment ([line 3:14: ...]). *)
+
+val lex : string -> token array * int array
+(** Tokenize a whole source string; comments ([// …] and [/* … */]) and
+    whitespace are skipped. The tokens end with {!EOF}; the second array
+    holds the byte offset each token starts at (the end of the input for
+    {!EOF}). *)
 
 val tokenize : string -> token list
-(** Tokenize a whole source string; comments ([// …] and [/* … */]) and
-    whitespace are skipped. The result ends with {!EOF}. *)
+(** The tokens of {!lex} as a list. *)
+
+val line_col : string -> int -> int * int
+(** The 1-based line and column of a byte offset in a source string. *)
+
+val located : int * int -> string -> string
+(** [located (line, col) msg] prefixes a message with its location, in
+    the format of every Calyx lexer and parser error. *)
 
 val token_to_string : token -> string
 (** For error messages. *)

@@ -2,44 +2,64 @@ open Ir
 
 exception Parse_error of string
 
-let parse_error fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
+(* The tokens, the byte offset of each, and the index of the next one;
+   [pos] never moves past the closing EOF. *)
+type state = {
+  src : string;
+  tokens : Lexer.token array;
+  offsets : int array;
+  mutable pos : int;
+}
 
-type state = { mutable tokens : Lexer.token list }
+(* An error located at the token with index [k]. *)
+let error_at st k fmt =
+  Format.kasprintf
+    (fun s ->
+      raise
+        (Parse_error (Lexer.located (Lexer.line_col st.src st.offsets.(k)) s)))
+    fmt
 
-let peek st = match st.tokens with [] -> Lexer.EOF | t :: _ -> t
+let peek st = st.tokens.(st.pos)
 
 let next st =
-  match st.tokens with
-  | [] -> Lexer.EOF
-  | t :: rest ->
-      st.tokens <- rest;
-      t
+  let t = st.tokens.(st.pos) in
+  if st.pos < Array.length st.tokens - 1 then st.pos <- st.pos + 1;
+  t
 
 let expect st tok =
+  let k = st.pos in
   let got = next st in
   if got <> tok then
-    parse_error "expected %s but found %s" (Lexer.token_to_string tok)
+    error_at st k "expected %s but found %s" (Lexer.token_to_string tok)
       (Lexer.token_to_string got)
 
 let expect_ident st =
+  let k = st.pos in
   match next st with
   | Lexer.IDENT s -> s
-  | t -> parse_error "expected an identifier but found %s" (Lexer.token_to_string t)
+  | t ->
+      error_at st k "expected an identifier but found %s"
+        (Lexer.token_to_string t)
 
 let expect_number st =
+  let k = st.pos in
   match next st with
   | Lexer.NUMBER v -> v
-  | t -> parse_error "expected a number but found %s" (Lexer.token_to_string t)
+  | t ->
+      error_at st k "expected a number but found %s" (Lexer.token_to_string t)
 
 let expect_string st =
+  let k = st.pos in
   match next st with
   | Lexer.STRING s -> s
-  | t -> parse_error "expected a string but found %s" (Lexer.token_to_string t)
+  | t ->
+      error_at st k "expected a string but found %s" (Lexer.token_to_string t)
 
 let expect_keyword st kw =
+  let k = st.pos in
   match next st with
   | Lexer.IDENT s when String.equal s kw -> ()
-  | t -> parse_error "expected %S but found %s" kw (Lexer.token_to_string t)
+  | t -> error_at st k "expected %S but found %s" kw (Lexer.token_to_string t)
 
 let accept st tok =
   if peek st = tok then begin
@@ -90,7 +110,8 @@ let parse_atom st =
       ignore (next st);
       Lit v
   | Lexer.NUMBER _ ->
-      parse_error "bare numbers are not atoms; use a sized literal like 32'd5"
+      error_at st st.pos
+        "bare numbers are not atoms; use a sized literal like 32'd5"
   | _ -> Port (parse_port_ref st)
 
 (* Guards: ! binds tightest, then comparisons, then &, then |. *)
@@ -128,20 +149,22 @@ and parse_cmp st =
     | Lexer.GE -> cmp Ge
     | _ -> Atom lhs
 
-let guard_as_atom = function
+(* [k] is the index of the guard's first token. *)
+let guard_as_atom st k = function
   | Atom a -> a
-  | g -> parse_error "expected an atom but found guard %a" Ir.pp_guard g
+  | g -> error_at st k "expected an atom but found guard %a" Ir.pp_guard g
 
 (* dst = src; | dst = guard ? src; *)
 let parse_assignment st =
   let dst = parse_port_ref st in
   expect st Lexer.EQ;
+  let k = st.pos in
   let e = parse_guard st in
   let assignment =
     if accept st Lexer.QUESTION then
       let src = parse_atom st in
       { dst; src; guard = e }
-    else { dst; src = guard_as_atom e; guard = True }
+    else { dst; src = guard_as_atom st k e; guard = True }
   in
   expect st Lexer.SEMI;
   assignment
@@ -177,6 +200,7 @@ let parse_cells st =
       let attrs = parse_attrs st in
       let name = expect_ident st in
       expect st Lexer.EQ;
+      let proto_at = st.pos in
       let proto_name = expect_ident st in
       expect st Lexer.LPAREN;
       let rec params acc =
@@ -198,7 +222,8 @@ let parse_cells st =
         if Prims.find proto_name <> None then Prim (proto_name, ps)
         else if ps = [] then Comp proto_name
         else
-          parse_error "unknown primitive %s (user components take no parameters)"
+          error_at st proto_at
+            "unknown primitive %s (user components take no parameters)"
             proto_name
       in
       go ({ cell_name = name; cell_proto = proto; cell_attrs = attrs } :: acc)
@@ -428,7 +453,8 @@ let parse_context st entrypoint =
   { components = go []; entrypoint }
 
 let parse_string ?(entrypoint = "main") src =
-  let st = { tokens = Lexer.tokenize src } in
+  let tokens, offsets = Lexer.lex src in
+  let st = { src; tokens; offsets; pos = 0 } in
   parse_context st entrypoint
 
 let parse_file ?entrypoint path =

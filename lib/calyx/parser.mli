@@ -7,6 +7,8 @@
     components (Section 6.2 of the paper). *)
 
 exception Parse_error of string
+(** Raised with a message that starts with the line and column of the
+    token the parser stopped at ([line 3:14: expected ...]). *)
 
 val parse_string : ?entrypoint:string -> string -> Ir.context
 (** Parse a whole program. The entrypoint defaults to ["main"]; parsing does

@@ -134,7 +134,7 @@ let build_sched inst : sstate =
   let go_node = Array.init ngroups (fun g -> np + nc + g) in
   let assign_node = Array.init na (fun ai -> np + nc + ngroups + ai) in
   let nodes = Array.make (max n 1) (NGo 0) in
-  let specs = Array.make (max n 1) ([], []) in
+  let specs = Array.make (max n 1) ([], [], []) in
   Array.iteri
     (fun p pi ->
       nodes.(prim_node.(p)) <- NPrim p;
@@ -144,7 +144,7 @@ let build_sched inst : sstate =
         | Some names ->
             List.filter_map (fun nm -> List.assoc_opt nm pi.pi_inputs) names
       in
-      specs.(prim_node.(p)) <- (reads, List.map snd pi.pi_outputs))
+      specs.(prim_node.(p)) <- (reads, [], List.map snd pi.pi_outputs))
     inst.i_prims;
   Array.iteri
     (fun c (_, ch) ->
@@ -153,38 +153,49 @@ let build_sched inst : sstate =
       let writes =
         ch.c_done_parent_slot :: Array.to_list (Array.map snd ch.c_output_map)
       in
-      specs.(child_node.(c)) <- (reads, writes))
+      specs.(child_node.(c)) <- (reads, [], writes))
     inst.i_children;
   for g = 0 to ngroups - 1 do
     nodes.(go_node.(g)) <- NGo g;
     (* The go hole depends on the done hole through the gating rule. *)
     specs.(go_node.(g)) <-
-      ([ inst.i_group_done.(g) ], [ inst.i_group_go.(g) ])
+      ([ inst.i_group_done.(g) ], [], [ inst.i_group_go.(g) ])
   done;
   Array.iteri
     (fun ai sa ->
       nodes.(assign_node.(ai)) <- NAssign ai;
-      let reads =
-        if sa.sa_data then
-          inst.i_group_done.(sa.sa_group) :: sa.sa_ca.ca_reads
-        else sa.sa_ca.ca_reads
+      (* The guard's reads wake the node always, the source's only while
+         it drives. The group done hole gates a data write, so it counts
+         as a guard read. *)
+      let guard, source =
+        match (sa.sa_ca.ca_ast.src, sa.sa_ca.ca_reads) with
+        | Port _, s :: guard ->
+            if List.mem s guard then (guard, []) else (guard, [ s ])
+        | _, reads -> (reads, [])
       in
-      specs.(assign_node.(ai)) <- (reads, [ sa.sa_ca.ca_dst ]))
+      let guard =
+        if sa.sa_data then inst.i_group_done.(sa.sa_group) :: guard else guard
+      in
+      specs.(assign_node.(ai)) <- (guard, source, [ sa.sa_ca.ca_dst ]))
     s_assigns;
-  let graph = Sched.build ~slots:inst.i_slots ~nodes:(Array.sub specs 0 n) in
+  let graph =
+    Sched.build_sourced ~slots:inst.i_slots ~nodes:(Array.sub specs 0 n)
+  in
   let writer_lists = Array.make (max inst.i_slots 1) [] in
   Array.iteri
     (fun ai sa ->
       writer_lists.(sa.sa_ca.ca_dst) <- ai :: writer_lists.(sa.sa_ca.ca_dst))
     s_assigns;
-  let group_nodes = Array.make (max ngroups 1) [||] in
-  for g = 0 to ngroups - 1 do
-    let ns = ref [ go_node.(g) ] in
-    Array.iteri
-      (fun ai sa -> if sa.sa_group = g then ns := assign_node.(ai) :: !ns)
-      s_assigns;
-    group_nodes.(g) <- Array.of_list !ns
-  done;
+  let group_lists =
+    Array.init (max ngroups 1) (fun g -> if g < ngroups then [ go_node.(g) ] else [])
+  in
+  Array.iteri
+    (fun ai sa ->
+      if sa.sa_group >= 0 then
+        group_lists.(sa.sa_group) <-
+          assign_node.(ai) :: group_lists.(sa.sa_group))
+    s_assigns;
+  let group_nodes = Array.map Array.of_list group_lists in
   let st =
     {
       s_graph = graph;
@@ -264,12 +275,69 @@ let compile inst : compiled =
   let zeros = inst.i_zeros in
   let nslots = inst.i_slots in
   let na = Array.length st.s_assigns in
+  let blocked = Sched.blocked st.s_graph in
+  let stage_read ?(on_slot = ignore) pi name =
+    match List.assoc_opt name pi.pi_inputs with
+    | Some slot ->
+        on_slot slot;
+        fun () -> env.(slot)
+    | None ->
+        raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
+  in
+  (* Every primitive's clock edge, staged first so that [wr] knows which
+     edges read each slot: [edge_reads] is filled in while the reads are
+     staged. A custom model reads by name at run time, after [staging]
+     is cleared, and latches at every edge anyway. *)
+  let staging = ref true in
+  let edge_reads = Array.make (max nslots 1) [] in
+  (* Primitives whose next edge can change their state: set when a slot
+     their edge reads changes or their state is poked, and kept while
+     the edge is not idempotent. Every primitive but a combinational one
+     latches at the first edge. *)
+  let np = Array.length inst.i_prims in
+  let latch = Array.make np false in
+  (* The primitives in [latch], in the order they were set. *)
+  let queue = Array.make np 0 in
+  let queued = ref 0 in
+  let enqueue p =
+    if not latch.(p) then begin
+      latch.(p) <- true;
+      queue.(!queued) <- p;
+      incr queued
+    end
+  in
+  let commits =
+    Array.mapi
+      (fun p pi ->
+        let on_slot s =
+          if !staging then
+            match edge_reads.(s) with
+            | q :: _ when q = p -> ()
+            | ps -> edge_reads.(s) <- p :: ps
+        in
+        match
+          Prim_state.compile_commit pi.pi_state ~read:(stage_read ~on_slot pi)
+        with
+        | Some f ->
+            enqueue p;
+            f
+        | None -> fun () -> 0)
+      inst.i_prims
+  in
+  staging := false;
+  let edge_readers =
+    Array.map (fun ps -> Array.of_list (List.rev ps)) edge_reads
+  in
   (* The single sink for every computed slot value: a change enqueues
-     the slot's readers. *)
+     the slot's readers and the edges that read it. *)
   let wr slot v =
     if not (Bitvec.equal env.(slot) v) then begin
       env.(slot) <- v;
-      Sched.mark_slot st.s_graph slot
+      Sched.mark_slot st.s_graph slot;
+      let ps = edge_readers.(slot) in
+      for i = 0 to Array.length ps - 1 do
+        enqueue ps.(i)
+      done
     end
   in
   (* Slots with a non-assignment producer (component input, primitive
@@ -403,7 +471,9 @@ let compile inst : compiled =
         `Const b
     | s -> s
   in
-  let build_assign ai =
+  (* Every assignment closure records in [blocked] whether it drives, so
+     that Sched skips it on a source change while it does not. *)
+  let build_assign k ai =
     let sa = st.s_assigns.(ai) in
     let ca = sa.sa_ca in
     let dst = ca.ca_dst in
@@ -454,6 +524,7 @@ let compile inst : compiled =
           (* Never drives; env.(dst) stays at its zero initial. *)
           incr elided;
           note "  [elided]";
+          blocked.(k) <- true;
           fun () -> ()
       | None, `Const true -> (
           match ca.ca_ast.src with
@@ -465,10 +536,21 @@ let compile inst : compiled =
               note "  [folded]";
               fun () -> ()
           | _ -> fun () -> wr dst (src ()))
-      | None, `Fun g -> (fun () -> wr dst (if g () then src () else z))
-      | Some on, `Const true -> (fun () -> wr dst (if on () then src () else z))
+      | None, `Fun g ->
+          fun () ->
+            let d = g () in
+            blocked.(k) <- not d;
+            wr dst (if d then src () else z)
+      | Some on, `Const true ->
+          fun () ->
+            let d = on () in
+            blocked.(k) <- not d;
+            wr dst (if d then src () else z)
       | Some on, `Fun g ->
-          fun () -> wr dst (if on () && g () then src () else z)
+          fun () ->
+            let d = on () && g () in
+            blocked.(k) <- not d;
+            wr dst (if d then src () else z)
     end
     else begin
       (* Shared slot: maintain this writer's live/value cell — the
@@ -484,7 +566,9 @@ let compile inst : compiled =
         | Some on, `Fun g -> fun () -> on () && g ()
       in
       fun () ->
-        if drive () then begin
+        let d = drive () in
+        blocked.(k) <- not d;
+        if d then begin
           let v = src () in
           if (not sa.sa_live) || not (Bitvec.equal v sa.sa_val) then begin
             if not sa.sa_live then live_transition st sa true;
@@ -515,12 +599,6 @@ let compile inst : compiled =
            || not (Bitvec.is_true env.(done_slot))
          then one1
          else zero1)
-  in
-  let stage_read pi name =
-    match List.assoc_opt name pi.pi_inputs with
-    | Some slot -> fun () -> env.(slot)
-    | None ->
-        raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
   in
   let build_prim p =
     let pi = inst.i_prims.(p) in
@@ -575,15 +653,10 @@ let compile inst : compiled =
     | NPrim p -> build_prim p
     | NChild c -> build_child c
     | NGo g -> build_go g
-    | NAssign ai -> build_assign ai
+    | NAssign ai -> build_assign k ai
   in
   let closures = Array.init (Sched.node_count st.s_graph) closure_of in
   let eval k = closures.(k) () in
-  let commits =
-    Array.map
-      (fun pi -> Prim_state.compile_commit pi.pi_state ~read:(stage_read pi))
-      inst.i_prims
-  in
   let inputs =
     Array.of_list (List.map (fun (_, slot) -> produce slot) inst.i_input_slots)
   in
@@ -610,13 +683,40 @@ let compile inst : compiled =
       Tele.Metrics.observe dirty_set_size (float_of_int touched);
     if st.s_suspects > 0 then check_conflicts inst
   in
-  (* Commit-time invalidation: re-mark exactly the nodes whose outputs can
-     differ next cycle — primitives whose latched state changed, and every
-     child (whose internal control may advance with stable inputs). *)
+  (* The clock edge latches only the primitives in [latch], in ascending
+     order. Commit-time invalidation then re-marks exactly the nodes whose
+     outputs can differ next cycle — primitives whose latched state
+     changed, and every child (whose internal control may advance with
+     stable inputs). *)
   let x_commit commit_child =
-    for p = 0 to Array.length commits - 1 do
-      if commits.(p) () then Sched.mark_node st.s_graph st.s_prim_node.(p)
+    let n = !queued in
+    (* Insertion sort: the queue is short. *)
+    for i = 1 to n - 1 do
+      let p = queue.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && queue.(!j) > p do
+        queue.(!j + 1) <- queue.(!j);
+        decr j
+      done;
+      queue.(!j + 1) <- p
     done;
+    (* Latch in ascending order; a primitive whose edge must run again
+       stays queued, in place. *)
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let p = queue.(i) in
+      let r = commits.(p) () in
+      if r land Prim_state.edge_again <> 0 then begin
+        queue.(!kept) <- p;
+        incr kept
+      end
+      else latch.(p) <- false;
+      if r land Prim_state.edge_changed <> 0 then
+        Sched.mark_node st.s_graph st.s_prim_node.(p)
+    done;
+    queued := !kept;
+    if Tele.Runtime.on () then
+      Tele.Metrics.observe commit_set_size (float_of_int n);
     for c = 0 to Array.length inst.i_children - 1 do
       let _, ch = inst.i_children.(c) in
       commit_child ch.c_inst;
@@ -654,7 +754,10 @@ let compile inst : compiled =
   {
     x_settle;
     x_commit;
-    x_touch_prim = (fun p -> Sched.mark_node st.s_graph st.s_prim_node.(p));
+    x_touch_prim =
+      (fun p ->
+        Sched.mark_node st.s_graph st.s_prim_node.(p);
+        enqueue p);
     (* Lazy: rendering walks and prints every node, and only tests and
        [Sim.compiled_plan] ask. *)
     x_plan =

@@ -8,8 +8,11 @@
     primitive port names resolved to slots. A settle runs {!Sched.run}: it
     evaluates only the dirty nodes, level by level, each level in the
     order its nodes were marked, with a worklist for the members of cyclic
-    components. The clock edge re-marks exactly the primitives whose
-    latched state changed and every child instance.
+    components; an assignment whose last evaluation did not drive is not
+    woken by a change to its source alone. The clock edge latches only
+    the primitives whose edge inputs changed, that were poked, or whose
+    edge is not idempotent, then re-marks the primitives whose latched
+    state changed and every child instance.
 
     The engine's state is private to this module: an instance reaches it
     only through the {!Instance.compiled} closures {!compile} returns. *)

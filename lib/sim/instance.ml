@@ -32,6 +32,12 @@ let dirty_set_size =
     ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. ]
     "calyx_sched_dirty_set_size"
 
+let commit_set_size =
+  Tele.Metrics.histogram
+    ~help:"Primitives latched per compiled-engine clock edge"
+    ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. ]
+    "calyx_sched_commit_set_size"
+
 (* Raised deep inside either engine's settle, where neither the cycle
    number nor the status snapshot is in scope; [Sim.cycle] catches them
    at the root and re-raises the public exceptions with full context. *)
@@ -240,7 +246,9 @@ type compiled_assign = {
   ca_dst : int;
   ca_guard : Bitvec.t array -> bool;
   ca_src : Bitvec.t array -> Bitvec.t;
-  ca_reads : int list;  (* slots the guard and source read *)
+  ca_reads : int list;
+      (* slots the source and guard read: the source's first when it is
+         a port, then the guard's *)
   ca_text : string Lazy.t;
       (* for conflict diagnostics and plan labels — lazy, since pretty-
          printing thousands of assignments would dominate [create] *)

@@ -421,43 +421,50 @@ let compile_step t ~read ~write =
         let rd name = (read name) () in
         List.iter (fun (pname, v) -> (w pname) v) (c.c_outputs rd)
 
+(* What a staged clock edge reports, as a bit set. *)
+let edge_changed = 1
+let edge_again = 2
+
 let compile_commit t ~read =
   match t with
-  | Comb _ -> fun () -> false
+  | Comb _ -> None
   | Custom c ->
-      fun () ->
-        c.c_commit (fun name -> (read name) ());
-        true
+      Some
+        (fun () ->
+          c.c_commit (fun name -> (read name) ());
+          edge_changed lor edge_again)
   | Reg r ->
       let we = read "write_en" and vin = read "in" in
-      fun () ->
-        if Bitvec.is_true (we ()) then begin
-          let v = vin () in
-          let changed = (not r.r_done) || not (Bitvec.equal r.r_value v) in
-          r.r_value <- v;
-          r.r_done <- true;
-          changed
-        end
-        else begin
-          let changed = r.r_done in
-          r.r_done <- false;
-          changed
-        end
+      Some
+        (fun () ->
+          if Bitvec.is_true (we ()) then begin
+            let v = vin () in
+            let changed = (not r.r_done) || not (Bitvec.equal r.r_value v) in
+            r.r_value <- v;
+            r.r_done <- true;
+            if changed then edge_changed else 0
+          end
+          else begin
+            let changed = r.r_done in
+            r.r_done <- false;
+            if changed then edge_changed else 0
+          end)
   | Mem m ->
       let we = read "write_en" and wd = read "write_data" in
       let addr = staged_mem_address m ~read in
-      fun () ->
-        if Bitvec.is_true (we ()) then begin
-          (let a = addr () in
-           if a >= 0 then m.m_data.(a) <- wd ());
-          m.m_done <- true;
-          true
-        end
-        else begin
-          let changed = m.m_done in
-          m.m_done <- false;
-          changed
-        end
+      Some
+        (fun () ->
+          if Bitvec.is_true (we ()) then begin
+            (let a = addr () in
+             if a >= 0 then m.m_data.(a) <- wd ());
+            m.m_done <- true;
+            edge_changed
+          end
+          else begin
+            let changed = m.m_done in
+            m.m_done <- false;
+            if changed then edge_changed else 0
+          end)
   | Pipe p ->
       let go = read "go" in
       let compute, target =
@@ -488,27 +495,37 @@ let compile_commit t ~read =
                 | Some l -> l
                 | None -> sqrt_cycles (Bitvec.to_int64 (i ())) )
       in
-      fun () ->
-        let was_done = p.p_done and was_results = p.p_results in
-        (if not (Bitvec.is_true (go ())) then begin
-           p.p_counter <- 0;
-           p.p_done <- false
-         end
-         else if p.p_done then begin
-           (* go held through the done cycle: restart. *)
-           p.p_done <- false;
-           p.p_counter <- 0
-         end
-         else begin
-           if p.p_counter = 0 then p.p_target <- target ();
-           p.p_counter <- p.p_counter + 1;
-           if p.p_counter >= p.p_target then begin
-             p.p_results <- compute ();
-             p.p_done <- true;
-             p.p_counter <- 0
-           end
-         end);
-        p.p_done <> was_done || p.p_results != was_results
+      Some
+        (fun () ->
+          let was_done = p.p_done and was_results = p.p_results in
+          (* With go low the edge clears the unit, which is idempotent;
+             with go high it counts, so the next edge must run too. *)
+          let again =
+            if not (Bitvec.is_true (go ())) then begin
+              p.p_counter <- 0;
+              p.p_done <- false;
+              0
+            end
+            else if p.p_done then begin
+              (* go held through the done cycle: restart. *)
+              p.p_done <- false;
+              p.p_counter <- 0;
+              edge_again
+            end
+            else begin
+              if p.p_counter = 0 then p.p_target <- target ();
+              p.p_counter <- p.p_counter + 1;
+              if p.p_counter >= p.p_target then begin
+                p.p_results <- compute ();
+                p.p_done <- true;
+                p.p_counter <- 0
+              end;
+              edge_again
+            end
+          in
+          if p.p_done <> was_done || p.p_results != was_results then
+            again lor edge_changed
+          else again)
 
 let reset = function
   | Custom c -> c.c_reset ()

@@ -38,12 +38,22 @@ val compile_step :
     lookups or list allocation per call. [write] answering [None] drops
     that output. Behaviourally identical to {!outputs}. *)
 
-val compile_commit : t -> read:(string -> unit -> Bitvec.t) -> unit -> bool
+val edge_changed : int
+val edge_again : int
+
+val compile_commit :
+  t -> read:(string -> unit -> Bitvec.t) -> (unit -> int) option
 (** Staged {!commit}: same clock-edge semantics, names resolved at build
-    time. Returns whether the primitive's outputs may differ from before
-    the edge (conservative: [true] may be a false positive, [false] never
-    is) — the compiled engine's commit-time invalidation hook: a [true]
-    re-marks the primitive's node in the slot graph. *)
+    time; [None] for a combinational primitive, which has no edge. The
+    closure returns a bit set, the compiled engine's commit-time
+    bookkeeping:
+    - {!edge_changed}: the primitive's outputs may differ from before the
+      edge (conservative: it may be a false positive, its absence never
+      is). It re-marks the primitive's node in the slot graph.
+    - {!edge_again}: the edge is not idempotent, so the next edge must
+      run even if no input it reads changes — a pipelined unit while its
+      go is high, and every custom model. Otherwise, running the edge
+      again on the same inputs and state changes nothing. *)
 
 val comb_inputs : t -> string list option
 (** Input ports that an output of this primitive can depend on within the

@@ -15,7 +15,12 @@
    through [mark_slot], which enqueues the readers of that slot. Dirt
    persists across [run] calls, so commit-time invalidation (a register
    that latched a new value, a child whose state advanced) simply marks the
-   affected nodes and the next settle touches only what can have changed. *)
+   affected nodes and the next settle touches only what can have changed.
+
+   A node may also name source reads: slots it reads only while it
+   drives. While its last evaluation left it blocked (see [blocked]), a
+   change to one of them does not wake it. The edges still count for
+   components and levels. *)
 
 type vec = { mutable data : int array; mutable len : int }
 
@@ -33,13 +38,18 @@ let vec_push v x =
 type t = {
   n : int;
   readers : int array array;  (* slot -> nodes that read it *)
+  split : int array;
+      (* slot -> where its source readers (those that read it only while
+         they drive) start in [readers] *)
+  sourced : bool;  (* some node has source reads *)
+  blocked : bool array;  (* node -> last evaluation did not drive *)
   level : int array;  (* node -> level of its component *)
   cyclic : bool array;  (* node -> member of a cyclic component? *)
   scc : int array;  (* node -> component id *)
   scc_size : int array;
   nlevels : int;
   acyclic_bucket : vec array;  (* level -> dirty acyclic nodes *)
-  scc_bucket : vec array;  (* component id -> dirty cyclic members *)
+  scc_bucket : vec array;  (* cyclic component id -> its dirty members *)
   cyclic_at : int array array;  (* level -> cyclic component ids *)
   dirty : bool array;
   pending : int array;  (* level -> dirty node count *)
@@ -48,30 +58,39 @@ type t = {
 
 exception Diverged
 
-let build ~slots ~(nodes : (int list * int list) array) =
-  let n = Array.length nodes in
-  (* Reader lists per slot. *)
-  let reader_count = Array.make (max slots 1) 0 in
-  Array.iter
-    (fun (reads, _) ->
-      List.iter (fun s -> reader_count.(s) <- reader_count.(s) + 1) reads)
-    nodes;
-  let readers = Array.map (fun c -> Array.make c 0) reader_count in
+let make ~slots n ~reads ~sources ~writes =
+  (* Reader lists per slot: the nodes that read it always, then from
+     [split.(s)] on the nodes that read it only as a source. *)
+  let split = Array.make (max slots 1) 0 in
   let fill = Array.make (max slots 1) 0 in
-  Array.iteri
-    (fun k (reads, _) ->
-      List.iter
-        (fun s ->
-          readers.(s).(fill.(s)) <- k;
-          fill.(s) <- fill.(s) + 1)
-        reads)
-    nodes;
+  let sourced = ref false in
+  for k = 0 to n - 1 do
+    List.iter (fun s -> split.(s) <- split.(s) + 1) (reads k);
+    List.iter
+      (fun s ->
+        fill.(s) <- fill.(s) + 1;
+        sourced := true)
+      (sources k)
+  done;
+  let readers = Array.mapi (fun s c -> Array.make (split.(s) + c) 0) fill in
+  let sfill = Array.copy split in
+  Array.fill fill 0 (Array.length fill) 0;
+  for k = 0 to n - 1 do
+    List.iter
+      (fun s ->
+        readers.(s).(fill.(s)) <- k;
+        fill.(s) <- fill.(s) + 1)
+      (reads k);
+    List.iter
+      (fun s ->
+        readers.(s).(sfill.(s)) <- k;
+        sfill.(s) <- sfill.(s) + 1)
+      (sources k)
+  done;
   (* Successor adjacency (duplicates are harmless below). *)
   let succs =
-    Array.map
-      (fun (_, writes) ->
-        Array.concat (List.map (fun s -> readers.(s)) writes))
-      nodes
+    Array.init n (fun k ->
+        Array.concat (List.map (fun s -> readers.(s)) (writes k)))
   in
   (* Iterative Tarjan SCC. Components are numbered such that every edge
      leaving a component goes to a lower id, so decreasing id order is a
@@ -85,6 +104,10 @@ let build ~slots ~(nodes : (int list * int list) array) =
   let next_index = ref 0 in
   let frames = vec_make () in
   let iters = vec_make () in
+  (* Nodes in the order Tarjan pops them: grouped by component, in
+     increasing component id. *)
+  let popped = Array.make (max n 1) 0 in
+  let npopped = ref 0 in
   for root = 0 to n - 1 do
     if index.(root) < 0 then begin
       frames.len <- 0;
@@ -130,6 +153,8 @@ let build ~slots ~(nodes : (int list * int list) array) =
               stack.len <- stack.len - 1;
               on_stack.(w) <- false;
               scc.(w) <- id;
+              popped.(!npopped) <- w;
+              incr npopped;
               if w = v then continue := false
             done
           end
@@ -150,21 +175,17 @@ let build ~slots ~(nodes : (int list * int list) array) =
       scc_cyclic.(scc.(k)) <- true
   done;
   (* Levelize the condensation: predecessors have higher component ids, so
-     walking ids downward visits every component after its predecessors. *)
-  let members = Array.make (max nscc 1) [] in
-  for k = n - 1 downto 0 do
-    members.(scc.(k)) <- k :: members.(scc.(k))
-  done;
+     walking the pop order backwards visits every component after its
+     predecessors. *)
   let scc_level = Array.make (max nscc 1) 0 in
-  for id = nscc - 1 downto 0 do
-    List.iter
-      (fun k ->
-        Array.iter
-          (fun w ->
-            if scc.(w) <> id then
-              scc_level.(scc.(w)) <- max scc_level.(scc.(w)) (scc_level.(id) + 1))
-          succs.(k))
-      members.(id)
+  for i = n - 1 downto 0 do
+    let k = popped.(i) in
+    let id = scc.(k) in
+    Array.iter
+      (fun w ->
+        if scc.(w) <> id then
+          scc_level.(scc.(w)) <- max scc_level.(scc.(w)) (scc_level.(id) + 1))
+      succs.(k)
   done;
   let nlevels =
     1 + Array.fold_left max 0 (if nscc = 0 then [| 0 |] else scc_level)
@@ -182,18 +203,43 @@ let build ~slots ~(nodes : (int list * int list) array) =
   {
     n;
     readers;
+    split;
+    sourced = !sourced;
+    blocked = Array.make (max n 1) false;
     level;
     cyclic;
     scc;
     scc_size;
     nlevels;
     acyclic_bucket = Array.init nlevels (fun _ -> vec_make ());
-    scc_bucket = Array.init (max nscc 1) (fun _ -> vec_make ());
+    scc_bucket =
+      (* Only a cyclic component is ever queued on its own bucket. *)
+      (let unused = vec_make () in
+       Array.init (max nscc 1) (fun id ->
+           if scc_cyclic.(id) then vec_make () else unused));
     cyclic_at;
     dirty = Array.make (max n 1) false;
     pending = Array.make nlevels 0;
     npending = 0;
   }
+
+let build ~slots ~(nodes : (int list * int list) array) =
+  make ~slots (Array.length nodes)
+    ~reads:(fun k -> fst nodes.(k))
+    ~sources:(fun _ -> [])
+    ~writes:(fun k -> snd nodes.(k))
+
+let build_sourced ~slots ~(nodes : (int list * int list * int list) array) =
+  make ~slots (Array.length nodes)
+    ~reads:(fun k ->
+      let r, _, _ = nodes.(k) in
+      r)
+    ~sources:(fun k ->
+      let _, s, _ = nodes.(k) in
+      s)
+    ~writes:(fun k ->
+      let _, _, w = nodes.(k) in
+      w)
 
 let mark_node t k =
   if not t.dirty.(k) then begin
@@ -207,9 +253,22 @@ let mark_node t k =
 
 let mark_slot t s =
   let rs = t.readers.(s) in
-  for i = 0 to Array.length rs - 1 do
-    mark_node t rs.(i)
-  done
+  if t.sourced then begin
+    let split = t.split.(s) in
+    for i = 0 to split - 1 do
+      mark_node t rs.(i)
+    done;
+    for i = split to Array.length rs - 1 do
+      let k = rs.(i) in
+      if not t.blocked.(k) then mark_node t k
+    done
+  end
+  else
+    for i = 0 to Array.length rs - 1 do
+      mark_node t rs.(i)
+    done
+
+let blocked t = t.blocked
 
 let mark_all t =
   for k = 0 to t.n - 1 do

@@ -22,11 +22,29 @@ val build : slots:int -> nodes:(int list * int list) array -> t
 (** [build ~slots ~nodes] where [nodes.(k) = (reads, writes)] lists the
     slot ids node [k] reads and writes. Slot ids must be [< slots]. *)
 
+val build_sourced :
+  slots:int -> nodes:(int list * int list * int list) array -> t
+(** Like {!build}, with each node's reads in two parts:
+    [nodes.(k) = (reads, source_reads, writes)]. A source read is a slot
+    the node reads only while it drives its outputs (an assignment's
+    source, as opposed to its guard). A change to it does not wake the
+    node while the node is blocked (see {!blocked}). Source reads are edges
+    like any other for components and levels. *)
+
 val mark_node : t -> int -> unit
 (** Enqueue a node for re-evaluation (idempotent while already queued). *)
 
 val mark_slot : t -> int -> unit
-(** Enqueue every reader of a slot — the caller's change-propagation hook. *)
+(** Enqueue every reader of a slot — the caller's change-propagation hook —
+    except source readers that are blocked. *)
+
+val blocked : t -> bool array
+(** Node -> whether its last evaluation left it not driving, written by
+    the caller's [eval] (the array itself, so the hot path makes no
+    call). Nodes start unblocked. Skipping a blocked node's source reads
+    is exact as long as its outputs then do not depend on them, and
+    anything that can make it drive again is one of its other reads or
+    marks it with {!mark_node}. *)
 
 val mark_all : t -> unit
 

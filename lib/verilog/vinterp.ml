@@ -48,10 +48,90 @@ let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_id_char c = is_id_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+(* Monomorphic token equality: constant constructors are immediates. *)
+let tok_equal a b =
+  match (a, b) with
+  | Tid x, Tid y | Tsys x, Tsys y -> String.equal x y
+  | Tnum (w, v), Tnum (w', v') -> Option.equal Int.equal w w' && Int64.equal v v'
+  | (Tid _ | Tsys _ | Tnum _), _ | _, (Tid _ | Tsys _ | Tnum _) -> false
+  | _ -> a == b
+
+(* Identifier interning: one string per distinct identifier, found by
+   hashing the source bytes in place, so a repeated name costs no
+   allocation. Open addressing over a power-of-two table. *)
+type interner = { mutable keys : string array; mutable count : int }
+
+let hash_sub src s len =
+  let h = ref 0 in
+  for j = s to s + len - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get src j)
+  done;
+  !h land max_int
+
+let sub_equal src s len key =
+  String.length key = len
+  &&
+  let j = ref 0 in
+  while !j < len && String.unsafe_get src (s + !j) = String.unsafe_get key !j do
+    incr j
+  done;
+  !j = len
+
+(* The slot holding the identifier [src.[s .. s + len - 1]], or the empty
+   slot where it belongs. *)
+let find_slot keys src s len =
+  let mask = Array.length keys - 1 in
+  let i = ref (hash_sub src s len land mask) in
+  while
+    String.length keys.(!i) > 0 && not (sub_equal src s len keys.(!i))
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let intern tbl src s len =
+  let k = tbl.keys.(find_slot tbl.keys src s len) in
+  if len = 0 || String.length k > 0 then k
+  else begin
+    if 2 * (tbl.count + 1) > Array.length tbl.keys then begin
+      let keys = Array.make (2 * Array.length tbl.keys) "" in
+      Array.iter
+        (fun k ->
+          if String.length k > 0 then
+            keys.(find_slot keys k 0 (String.length k)) <- k)
+        tbl.keys;
+      tbl.keys <- keys
+    end;
+    let k = String.sub src s len in
+    tbl.keys.(find_slot tbl.keys src s len) <- k;
+    tbl.count <- tbl.count + 1;
+    k
+  end
+
+(* The token stream: [toks] and the line of each token in [lines], up to
+   [last], the index of the closing [Teof]. *)
+type lexed = { toks : tok array; lines : int array; last : int }
+
 let lex src =
   let n = String.length src in
-  let toks = ref [] and line = ref 1 in
-  let emit t = toks := (t, !line) :: !toks in
+  let cap = (n / 4) + 16 in
+  let toks = ref (Array.make cap Teof) and lines = ref (Array.make cap 0) in
+  let ntoks = ref 0 and line = ref 1 in
+  let emit t =
+    if !ntoks = Array.length !toks then begin
+      let grow a fill =
+        let b = Array.make (2 * !ntoks) fill in
+        Array.blit a 0 b 0 !ntoks;
+        b
+      in
+      toks := grow !toks Teof;
+      lines := grow !lines 0
+    end;
+    Array.unsafe_set !toks !ntoks t;
+    Array.unsafe_set !lines !ntoks !line;
+    incr ntoks
+  in
+  let names = { keys = Array.make 1024 ""; count = 0 } in
   let i = ref 0 in
   let digit_val c =
     if is_digit c then Char.code c - Char.code '0'
@@ -77,6 +157,15 @@ let lex src =
     done;
     if not !any then parse_error "line %d: expected digits" !line;
     !v
+  in
+  let word () =
+    let s = !i in
+    while !i < n && is_id_char src.[!i] do incr i done;
+    intern names src s (!i - s)
+  in
+  let two t =
+    emit t;
+    i := !i + 2
   in
   while !i < n do
     let c = src.[!i] in
@@ -116,28 +205,20 @@ let lex src =
       end
       else parse_error "line %d: unsupported unsized literal" !line
     end
-    else if is_id_start c then begin
-      let s = !i in
-      while !i < n && is_id_char src.[!i] do incr i done;
-      emit (Tid (String.sub src s (!i - s)))
-    end
+    else if is_id_start c then emit (Tid (word ()))
     else if c = '$' then begin
       incr i;
-      let s = !i in
-      while !i < n && is_id_char src.[!i] do incr i done;
-      emit (Tsys (String.sub src s (!i - s)))
+      emit (Tsys (word ()))
     end
     else begin
-      let two =
-        if !i + 1 < n then Some (String.sub src !i 2) else None
-      in
-      match two with
-      | Some "<=" -> emit Tle; i := !i + 2
-      | Some ">=" -> emit Tge; i := !i + 2
-      | Some "==" -> emit Teqeq; i := !i + 2
-      | Some "!=" -> emit Tneq; i := !i + 2
-      | Some "<<" -> emit Tshl; i := !i + 2
-      | Some ">>" -> emit Tshr; i := !i + 2
+      let c2 = if !i + 1 < n then src.[!i + 1] else ' ' in
+      match (c, c2) with
+      | '<', '=' -> two Tle
+      | '>', '=' -> two Tge
+      | '=', '=' -> two Teqeq
+      | '!', '=' -> two Tneq
+      | '<', '<' -> two Tshl
+      | '>', '>' -> two Tshr
       | _ ->
           (match c with
           | '(' -> emit Tlp
@@ -171,7 +252,7 @@ let lex src =
     end
   done;
   emit Teof;
-  Array.of_list (List.rev !toks)
+  { toks = !toks; lines = !lines; last = !ntoks - 1 }
 
 (* ------------------------------------------------------------------ *)
 (* AST and parser                                                      *)
@@ -220,11 +301,13 @@ type vmodule = {
   m_items : item list;
 }
 
-type pstate = { toks : (tok * int) array; mutable pos : int }
+type pstate = { lx : lexed; mutable pos : int }
 
-let peek p = fst p.toks.(p.pos)
-let cur_line p = snd p.toks.(p.pos)
-let advance p = p.pos <- p.pos + 1
+(* The parser never moves past the closing [Teof]. *)
+let peek p = p.lx.toks.(p.pos)
+let cur_line p = p.lx.lines.(p.pos)
+let advance p = if p.pos < p.lx.last then p.pos <- p.pos + 1
+let is p t = tok_equal (peek p) t
 
 let next p =
   let t = peek p in
@@ -240,7 +323,7 @@ let describe = function
   | _ -> "punctuation"
 
 let expect p t what =
-  if peek p = t then advance p
+  if is p t then advance p
   else parse_error "line %d: expected %s, found %s" (cur_line p) what
       (describe (peek p))
 
@@ -259,7 +342,7 @@ let rec parse_expr p = parse_cond p
 
 and parse_cond p =
   let c = parse_or p in
-  if peek p = Tquest then begin
+  if is p Tquest then begin
     advance p;
     let t = parse_cond p in
     expect p Tcolon ":";
@@ -270,7 +353,7 @@ and parse_cond p =
 
 and parse_binlevel p ops sub =
   let rec go acc =
-    match List.assoc_opt (peek p) ops with
+    match ops (peek p) with
     | Some name ->
         advance p;
         go (E_bin (name, acc, sub p))
@@ -278,26 +361,44 @@ and parse_binlevel p ops sub =
   in
   go (sub p)
 
-and parse_or p = parse_binlevel p [ (Tpipe, "|") ] parse_xor
-and parse_xor p = parse_binlevel p [ (Tcaret, "^") ] parse_and
-and parse_and p = parse_binlevel p [ (Tamp, "&") ] parse_eq
+and parse_or p =
+  parse_binlevel p (function Tpipe -> Some "|" | _ -> None) parse_xor
+
+and parse_xor p =
+  parse_binlevel p (function Tcaret -> Some "^" | _ -> None) parse_and
+
+and parse_and p =
+  parse_binlevel p (function Tamp -> Some "&" | _ -> None) parse_eq
 
 and parse_eq p =
-  parse_binlevel p [ (Teqeq, "=="); (Tneq, "!=") ] parse_rel
+  parse_binlevel p
+    (function Teqeq -> Some "==" | Tneq -> Some "!=" | _ -> None)
+    parse_rel
 
 and parse_rel p =
   parse_binlevel p
-    [ (Tlt, "<"); (Tgt, ">"); (Tle, "<="); (Tge, ">=") ]
+    (function
+      | Tlt -> Some "<"
+      | Tgt -> Some ">"
+      | Tle -> Some "<="
+      | Tge -> Some ">="
+      | _ -> None)
     parse_shift
 
-and parse_shift p = parse_binlevel p [ (Tshl, "<<"); (Tshr, ">>") ] parse_add
+and parse_shift p =
+  parse_binlevel p
+    (function Tshl -> Some "<<" | Tshr -> Some ">>" | _ -> None)
+    parse_add
 
 and parse_add p =
-  parse_binlevel p [ (Tplus, "+"); (Tminus, "-") ] parse_mul
+  parse_binlevel p
+    (function Tplus -> Some "+" | Tminus -> Some "-" | _ -> None)
+    parse_mul
 
 and parse_mul p =
   parse_binlevel p
-    [ (Tstar, "*"); (Tslash, "/"); (Tpercent, "%") ]
+    (function
+      | Tstar -> Some "*" | Tslash -> Some "/" | Tpercent -> Some "%" | _ -> None)
     parse_unary
 
 and parse_unary p =
@@ -317,7 +418,7 @@ and parse_primary p =
       e
   | Tlc ->
       let first = parse_expr p in
-      if peek p = Tlc then begin
+      if is p Tlc then begin
         (* Replication: { count { elem } } *)
         advance p;
         let elem = parse_expr p in
@@ -327,7 +428,7 @@ and parse_primary p =
       end
       else begin
         let elems = ref [ first ] in
-        while peek p = Tcomma do
+        while is p Tcomma do
           advance p;
           elems := parse_expr p :: !elems
         done;
@@ -340,10 +441,10 @@ and parse_primary p =
       expect p Trp ")";
       E_sqrt e
   | Tid name ->
-      if peek p = Tlb then begin
+      if is p Tlb then begin
         advance p;
         let e1 = parse_expr p in
-        if peek p = Tcolon then begin
+        if is p Tcolon then begin
           advance p;
           let e2 = parse_expr p in
           expect p Trb "]";
@@ -367,14 +468,14 @@ let parse_range p =
   expect p Trb "]";
   (msb, lsb)
 
-let parse_range_opt p = if peek p = Tlb then Some (parse_range p) else None
+let parse_range_opt p = if is p Tlb then Some (parse_range p) else None
 
 let rec parse_stmt p =
   match peek p with
   | Tid "begin" ->
       advance p;
       let acc = ref [] in
-      while peek p <> Tid "end" do
+      while not (is p (Tid "end")) do
         acc := List.rev_append (parse_stmt p) !acc
       done;
       advance p;
@@ -386,7 +487,7 @@ let rec parse_stmt p =
       expect p Trp ")";
       let t = parse_stmt p in
       let f =
-        if peek p = Tid "else" then begin
+        if is p (Tid "else") then begin
           advance p;
           parse_stmt p
         end
@@ -396,7 +497,7 @@ let rec parse_stmt p =
   | _ ->
       let name = expect_id p in
       let lv =
-        if peek p = Tlb then begin
+        if is p Tlb then begin
           advance p;
           let ix = parse_expr p in
           expect p Trb "]";
@@ -416,7 +517,7 @@ let rec parse_stmt p =
 let parse_named_bindings p =
   expect p Tlp "(";
   let acc = ref [] in
-  if peek p <> Trp then begin
+  if not (is p Trp) then begin
     let one () =
       expect p Tdot ".";
       let name = expect_id p in
@@ -426,7 +527,7 @@ let parse_named_bindings p =
       acc := (name, e) :: !acc
     in
     one ();
-    while peek p = Tcomma do
+    while is p Tcomma do
       advance p;
       one ()
     done
@@ -440,7 +541,7 @@ let parse_item p =
       advance p;
       let r = parse_range_opt p in
       let name = expect_id p in
-      if peek p = Tlb then begin
+      if is p Tlb then begin
         let sr = parse_range p in
         expect p Tsemi ";";
         let er =
@@ -452,7 +553,7 @@ let parse_item p =
       end
       else begin
         let names = ref [ name ] in
-        while peek p = Tcomma do
+        while is p Tcomma do
           advance p;
           names := expect_id p :: !names
         done;
@@ -479,7 +580,7 @@ let parse_item p =
       I_comb (parse_stmt p)
   | Tid _ ->
       let m = expect_id p in
-      let params = if peek p = Thash then (advance p; parse_named_bindings p) else [] in
+      let params = if is p Thash then (advance p; parse_named_bindings p) else [] in
       let params =
         (* #(.WIDTH(32)) — parameter bindings keep their names. *)
         params
@@ -494,7 +595,7 @@ let parse_module p =
   expect_kw p "module";
   let name = expect_id p in
   let params =
-    if peek p = Thash then begin
+    if is p Thash then begin
       advance p;
       expect p Tlp "(";
       let acc = ref [] in
@@ -505,7 +606,7 @@ let parse_module p =
         acc := (pname, parse_expr p) :: !acc
       in
       one ();
-      while peek p = Tcomma do
+      while is p Tcomma do
         advance p;
         one ()
       done;
@@ -516,7 +617,7 @@ let parse_module p =
   in
   expect p Tlp "(";
   let ports = ref [] in
-  if peek p <> Trp then begin
+  if not (is p Trp) then begin
     let one () =
       let dir =
         match next p with
@@ -532,7 +633,7 @@ let parse_module p =
       ports := { p_name = pname; p_dir = dir; p_range = r } :: !ports
     in
     one ();
-    while peek p = Tcomma do
+    while is p Tcomma do
       advance p;
       one ()
     done
@@ -540,7 +641,7 @@ let parse_module p =
   expect p Trp ")";
   expect p Tsemi ";";
   let items = ref [] in
-  while peek p <> Tid "endmodule" do
+  while not (is p (Tid "endmodule")) do
     items := parse_item p :: !items
   done;
   advance p;
@@ -552,9 +653,9 @@ let parse_module p =
   }
 
 let parse_file src =
-  let p = { toks = lex src; pos = 0 } in
+  let p = { lx = lex src; pos = 0 } in
   let mods = ref [] in
-  while peek p <> Teof do
+  while not (is p Teof) do
     mods := parse_module p :: !mods
   done;
   List.rev !mods

@@ -46,6 +46,7 @@ let instrument_names =
     "calyx_sim_cycles_total";
     "calyx_fixpoint_iterations_total";
     "calyx_sched_dirty_set_size";
+    "calyx_sched_commit_set_size";
     "calyx_validate_agree_total";
     "calyx_validate_disagree_total";
     "calyx_fuzz_programs_total";

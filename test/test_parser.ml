@@ -161,6 +161,42 @@ let test_parse_errors () =
   expect_parse_error "component main(go: 1) -> (done: 1) { cells {} wires {} control { if x { } }";
   expect_parse_error "@#!"
 
+(* Every parser and lexer error names the line and column of the token
+   (or comment) it stopped at. *)
+let test_error_locations () =
+  let message src =
+    match Parser.parse_string src with
+    | exception Parser.Parse_error msg -> msg
+    | exception Lexer.Lex_error msg -> msg
+    | _ -> Alcotest.fail "expected a parse error"
+  in
+  let head = "component main(go: 1) -> (done: 1) {\n" in
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) src expected (message src))
+    [
+      ( head ^ "  cells {}\n  wires {}\n  control {}\n",
+        "line 5:1: expected '}' but found end of input" );
+      ( "component main(go 1) -> (done: 1) {}",
+        "line 1:19: expected ':' but found number 1" );
+      ( head ^ "  cells {\n    r = std_bogus(8);\n  }\n",
+        "line 3:9: unknown primitive std_bogus (user components take no \
+         parameters)" );
+      ( head ^ "  cells {}\n  wires { group g { r.in = 5; } }\n",
+        "line 3:28: bare numbers are not atoms; use a sized literal like \
+         32'd5" );
+      ( head ^ "  cells {}\n  wires { x.in = a.out & b.out; }\n",
+        "line 3:18: expected an atom but found guard (a.out & b.out)" );
+      ( head ^ "  cells {}\n  wires {}\n  control { if x { } }\n",
+        "line 5:1: expected '}' but found end of input" );
+      ("@#!", "line 1:2: unexpected character '#'");
+      ( head ^ "  cells { r = std_reg(8); }\n  wires { r.in = 8'd1 - 1; }\n",
+        "line 3:23: unexpected '-'" );
+      (head ^ "  /* open", "line 2:3: unterminated comment");
+      (head ^ "\n  extern \"x", "line 3:10: unterminated string");
+      ( head ^ "  cells { r = std_reg(99999999999999999999); }",
+        "line 2:23: number 99999999999999999999 is too large" );
+    ]
+
 (* Widths outside 1..64 end in a diagnostic, never an escaping
    Bitvec.Width_error: a register's is a CX002 "bad primitive" error, a
    literal's a lexer error carrying its line. *)
@@ -243,6 +279,8 @@ let () =
       ( "errors",
         [
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "errors name line and column" `Quick
+            test_error_locations;
           Alcotest.test_case "lexer literals" `Quick test_lexer_literals;
           Alcotest.test_case "out-of-range widths" `Quick
             test_out_of_range_widths;

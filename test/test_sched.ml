@@ -720,6 +720,41 @@ let test_iters_stat () =
     (List.fold_left min max_int !per_cycle
     < List.fold_left max 0 !per_cycle)
 
+(* The work per cycle on gemm, read from the engine's two histograms:
+   primitives latched per clock edge, and nodes evaluated per settle. An
+   edge latches only the primitives whose edge inputs changed, and a
+   settle skips an assignment whose guard blocks it when only its source
+   changed. *)
+let test_work_per_cycle () =
+  let module T = Calyx_telemetry in
+  let k = Polybench.Kernels.find "gemm" in
+  let prog = Polybench.Harness.program k ~unrolled:false in
+  let tb = Polybench.Harness.testbench k prog in
+  let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
+  let sum name =
+    match T.Metrics.histogram_counts name with
+    | Some (_, s, _) -> s
+    | None -> Alcotest.failf "no histogram %s" name
+  in
+  let commits0 = sum "calyx_sched_commit_set_size"
+  and evals0 = sum "calyx_sched_dirty_set_size" in
+  let cycles =
+    T.Runtime.with_enabled (fun () ->
+        let sim = Sim.create ~engine:`Compiled lowered in
+        let io = Calyx_sim.Testbench.of_sim sim in
+        tb.load io;
+        let cycles = Sim.run sim in
+        Alcotest.(check (list string)) "product" [] (tb.check io);
+        float_of_int cycles)
+  in
+  let per_cycle name base = (sum name -. base) /. cycles in
+  let commits = per_cycle "calyx_sched_commit_set_size" commits0
+  and evals = per_cycle "calyx_sched_dirty_set_size" evals0 in
+  if commits > 8. then
+    Alcotest.failf "%.1f primitives latched per cycle (at most 8)" commits;
+  if evals > 32. then
+    Alcotest.failf "%.1f settle evaluations per cycle (at most 32)" evals
+
 let () =
   Alcotest.run "sched"
     [
@@ -754,6 +789,8 @@ let () =
           Alcotest.test_case "engine accessor" `Quick test_engine_accessor;
           Alcotest.test_case "test-bench write" `Quick test_testbench_write;
           Alcotest.test_case "iters stat" `Quick test_iters_stat;
+          Alcotest.test_case "work per cycle on gemm" `Quick
+            test_work_per_cycle;
         ] );
       ( "batch",
         [

@@ -483,6 +483,106 @@ let test_differential_child_memory () =
     (fun sim -> Calyx_sim.Sim.write_memory_ints sim "m.l.lm" ~width:8 [ 7; 9 ])
     "fixpoint vs compiled: final memories differ"
 
+(* Clock-edge exactness under pokes: both engines step in lockstep, the
+   test bench pokes state between cycles, and every register and memory
+   must agree after every cycle. The compiled engine latches only the
+   primitives whose edge inputs changed (or whose edge is not
+   idempotent), so a poke must make its primitive latch again. *)
+let lockstep name src ~cycles pokes =
+  let ctx = Parser.parse_string src in
+  let regs, mems = Calyx_sim.Sim.state_cells ctx in
+  let sims =
+    List.map
+      (fun (_, engine) -> Calyx_sim.Sim.create ~engine ctx)
+      Calyx_sim.Sim.engines
+  in
+  let state sim =
+    ( List.map (fun r -> (r, reg_int sim r)) regs,
+      List.map (fun m -> (m, Calyx_sim.Sim.read_memory_ints sim m)) mems )
+  in
+  let trace = ref [] in
+  for c = 0 to cycles - 1 do
+    List.iter
+      (fun sim ->
+        pokes c sim;
+        Calyx_sim.Sim.cycle sim)
+      sims;
+    match List.map state sims with
+    | reference :: others ->
+        List.iter
+          (fun st ->
+            if st <> reference then
+              Alcotest.failf "%s: engines disagree after cycle %d" name c)
+          others;
+        trace := reference :: !trace
+    | [] -> ()
+  done;
+  List.rev !trace
+
+let test_poke_register_held () =
+  let src =
+    {|component main(go: 1) -> (done: 1) {
+  cells { r = std_reg(8); c = std_reg(8); a = std_add(8); }
+  wires {
+    r.in = 8'd5; r.write_en = 1'd1;
+    a.left = c.out; a.right = 8'd1; c.in = a.out; c.write_en = 1'd1;
+  }
+  control {}
+}|}
+  in
+  let trace =
+    lockstep "register" src ~cycles:8 (fun c sim ->
+        if c = 3 then
+          Calyx_sim.Sim.write_register sim "r" (Bitvec.of_int ~width:8 99);
+        if c = 5 then
+          Calyx_sim.Sim.write_register sim "c" (Bitvec.of_int ~width:8 200))
+  in
+  (* The edge after each poke overwrites it: write_en is still high. *)
+  let regs c = fst (List.nth trace c) in
+  Alcotest.(check int) "poked r is latched over" 5 (List.assoc "r" (regs 3));
+  Alcotest.(check int) "poked c counts on" 201 (List.assoc "c" (regs 5))
+
+let test_poke_memory_held () =
+  let src =
+    {|component main(go: 1) -> (done: 1) {
+  cells { m = std_mem_d1(8, 4, 2); }
+  wires { m.addr0 = 2'd1; m.write_data = 8'd7; m.write_en = 1'd1; }
+  control {}
+}|}
+  in
+  let trace =
+    lockstep "memory" src ~cycles:6 (fun c sim ->
+        if c = 2 then Calyx_sim.Sim.write_memory_ints sim "m" ~width:8 [ 1; 2; 3; 4 ])
+  in
+  Alcotest.(check (list int)) "the held write lands on the poke"
+    [ 1; 7; 3; 4 ]
+    (List.assoc "m" (snd (List.nth trace 2)))
+
+let test_poke_pipe_midway () =
+  let src =
+    {|component main(go: 1) -> (done: 1) {
+  cells { mp = std_mult_pipe(8); x = std_reg(8); res = std_reg(8); n = std_reg(8); a = std_add(8); }
+  wires {
+    mp.left = x.out; mp.right = 8'd3; mp.go = 1'd1;
+    res.in = mp.out; res.write_en = mp.done;
+    a.left = n.out; a.right = 8'd1; n.in = a.out; n.write_en = mp.done;
+  }
+  control {}
+}|}
+  in
+  let trace =
+    lockstep "pipelined multiplier" src ~cycles:24 (fun c sim ->
+        if c = 1 || c = 7 || c = 14 then
+          Calyx_sim.Sim.write_register sim "x" (Bitvec.of_int ~width:8 (c + 2));
+        if c = 9 then
+          Calyx_sim.Sim.write_register sim "res" (Bitvec.of_int ~width:8 77))
+  in
+  (* With go held high the unit keeps restarting: it must latch at every
+     edge even though none of its inputs change between pokes. *)
+  let final = fst (List.nth trace 23) in
+  Alcotest.(check bool) "operations completed" true (List.assoc "n" final > 2);
+  Alcotest.(check int) "last product" (16 * 3) (List.assoc "res" final)
+
 let test_sqrt_prim () =
   Alcotest.(check int64) "isqrt 0" 0L (Calyx_sim.Prim_state.isqrt 0L);
   Alcotest.(check int64) "isqrt 1" 1L (Calyx_sim.Prim_state.isqrt 1L);
@@ -554,5 +654,11 @@ let () =
             test_differential_child_register;
           Alcotest.test_case "child memory bites" `Quick
             test_differential_child_memory;
+          Alcotest.test_case "register poked, write_en held" `Quick
+            test_poke_register_held;
+          Alcotest.test_case "memory poked, write_en held" `Quick
+            test_poke_memory_held;
+          Alcotest.test_case "pipelined unit poked midway" `Quick
+            test_poke_pipe_midway;
         ] );
     ]

@@ -356,6 +356,117 @@ let test_parse_error () =
     | exception V.Parse_error _ -> true
     | _ -> false)
 
+(* Every parse-error message, pinned byte for byte, each with the line
+   of the token it reports. *)
+let load_error src =
+  match V.load ~top:"main" src with
+  | exception V.Parse_error msg -> msg
+  | _ -> Alcotest.failf "expected a parse error: %S" src
+
+let check_errors cases =
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) src expected (load_error src))
+    cases
+
+let test_parse_error_messages () =
+  let m = "module main(input logic a);\n" in
+  check_errors
+    [
+      ( "module main(; endmodule",
+        "line 1: expected port direction, found punctuation" );
+      ( "module main(inout logic a);\nendmodule",
+        "line 1: expected port direction, found identifier inout" );
+      ("modul main();", "line 1: expected module, found identifier modul");
+      (m ^ "assign b = 8'dz;\nendmodule", "line 2: expected digits");
+      (m ^ "assign b = 8'h;\nendmodule", "line 2: expected digits");
+      (m ^ "assign b = 8'", "line 2: truncated literal");
+      (m ^ "assign b = 8'o7;\nendmodule", "line 2: unsupported base 'o'");
+      ( m ^ "assign b = 70'd1;\nendmodule",
+        "line 2: literal width 70 out of range" );
+      (m ^ "assign b = 0'd0;\nendmodule", "line 2: literal width 0 out of range");
+      (m ^ "assign b = 'x;\nendmodule", "line 2: unsupported unsized literal");
+      (m ^ "assign b = `a;\nendmodule", "line 2: unexpected character '`'");
+      ( m ^ "assign b = a\n+;\nendmodule",
+        "line 4: unexpected punctuation in expression" );
+      ( m ^ "assign b = $foo;\nendmodule",
+        "line 2: unexpected $foo in expression" );
+      ( m ^ "assign b = a\n;\n;\nendmodule",
+        "line 4: unexpected punctuation in module body" );
+      ( m ^ "always_comb begin\n b + a;\nend\nendmodule",
+        "line 3: expected assignment, found punctuation" );
+      ( m ^ "always_ff @(negedge clk) b <= a;\nendmodule",
+        "line 2: expected posedge, found identifier negedge" );
+      ( "module main(input logic a)\nendmodule",
+        "line 2: expected ;, found identifier endmodule" );
+      ( "module main(input logic [7:0 a);\nendmodule",
+        "line 1: expected ], found identifier a" );
+      ( m ^ "assign b = $sqrt a;\nendmodule",
+        "line 2: expected (, found identifier a" );
+      (m ^ "assign b = {a, 8'd1;\nendmodule", "line 2: expected }, found punctuation");
+      (m ^ "assign b = '1 '1;\nendmodule", "line 2: expected ;, found '1");
+      (m ^ "assign b = a 5;\nendmodule", "line 2: expected ;, found number");
+      (m ^ "assign = a;\nendmodule", "line 2: expected identifier, found punctuation");
+    ]
+
+(* A two-character operator whose first character ends the input lexes
+   as the one-character token, and the parser reports the end of input
+   at its line; written without spaces, every two-character operator
+   lexes as itself. *)
+let test_lexer_boundaries () =
+  let m = "module main(input logic a);\nassign b = a " in
+  check_errors
+    [
+      (m ^ "<", "line 2: unexpected end of input in expression");
+      (m ^ ">", "line 2: unexpected end of input in expression");
+      (m ^ "=", "line 2: expected ;, found punctuation");
+      (m ^ "!", "line 2: expected ;, found punctuation");
+      (m ^ "<\n", "line 3: unexpected end of input in expression");
+    ];
+  let src =
+    {|module main(
+  input logic [7:0] a,
+  input logic [7:0] b,
+  output logic le, output logic ge, output logic eq, output logic ne,
+  output logic [7:0] shl, output logic [7:0] shr, output logic lt, output logic gt
+);
+assign le = a<=b;
+assign ge = a>=b;
+assign eq = a==b;
+assign ne = a!=b;
+assign shl = a<<b;
+assign shr = a>>b;
+assign lt = a<b;
+assign gt = a>b;
+endmodule|}
+  in
+  Alcotest.(check (list int))
+    "operators without spaces" [ 0; 1; 0; 1; 48; 3; 0; 1 ]
+    (comb src
+       [ ("a", 12); ("b", 2) ]
+       [ "le"; "ge"; "eq"; "ne"; "shl"; "shr"; "lt"; "gt" ])
+
+(* Identifiers that extend a keyword are identifiers. *)
+let test_keyword_prefixes () =
+  let src =
+    {|module main(input logic [7:0] a, output logic [7:0] endmodule_x, output logic [7:0] end1);
+logic [7:0] begin_x;
+always_comb begin
+  begin_x = a + 8'd1;
+  end1 = begin_x;
+end
+assign endmodule_x = end1 + 8'd1;
+endmodule|}
+  in
+  Alcotest.(check (list int))
+    "keyword-prefixed nets" [ 6; 7 ]
+    (comb src [ ("a", 5) ] [ "end1"; "endmodule_x" ]);
+  check_errors
+    [
+      ("module main();\nendmodule_x", "line 2: expected identifier, found end of input");
+      ("module main();\nendmodule_x y", "line 2: expected (, found end of input");
+      ("module main();\nend1 = 3;\nendmodule", "line 2: expected identifier, found punctuation");
+    ]
+
 let test_hierarchy_params () =
   (* Parameterized instantiation: the child's width comes from the
      binding, and port connections drive both directions. *)
@@ -721,6 +832,11 @@ let () =
           Alcotest.test_case "pokes between cycles" `Quick
             test_pokes_between_cycles;
           Alcotest.test_case "parse errors" `Quick test_parse_error;
+          Alcotest.test_case "parse-error messages" `Quick
+            test_parse_error_messages;
+          Alcotest.test_case "lexer boundaries" `Quick test_lexer_boundaries;
+          Alcotest.test_case "keyword-prefixed identifiers" `Quick
+            test_keyword_prefixes;
           Alcotest.test_case "hierarchy and parameters" `Quick
             test_hierarchy_params;
           Alcotest.test_case "62-bit nets and arrays" `Quick (test_width 62);
