@@ -214,8 +214,6 @@ let lex src =
   emit EOF;
   (Array.sub !tokens 0 !ntokens, Array.sub !offsets 0 !ntokens)
 
-let tokenize src = Array.to_list (fst (lex src))
-
 let token_to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | NUMBER v -> Printf.sprintf "number %d" v

@@ -39,9 +39,6 @@ val lex : string -> token array * int array
     holds the byte offset each token starts at (the end of the input for
     {!EOF}). *)
 
-val tokenize : string -> token list
-(** The tokens of {!lex} as a list. *)
-
 val line_col : string -> int -> int * int
 (** The 1-based line and column of a byte offset in a source string. *)
 

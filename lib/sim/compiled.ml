@@ -179,7 +179,7 @@ let build_sched inst : sstate =
       specs.(assign_node.(ai)) <- (guard, source, [ sa.sa_ca.ca_dst ]))
     s_assigns;
   let graph =
-    Sched.build_sourced ~slots:inst.i_slots ~nodes:(Array.sub specs 0 n)
+    Sched.build ~slots:inst.i_slots ~nodes:(Array.sub specs 0 n)
   in
   let writer_lists = Array.make (max inst.i_slots 1) [] in
   Array.iteri
@@ -690,16 +690,27 @@ let compile inst : compiled =
      stable inputs). *)
   let x_commit commit_child =
     let n = !queued in
-    (* Insertion sort: the queue is short. *)
-    for i = 1 to n - 1 do
-      let p = queue.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && queue.(!j) > p do
-        queue.(!j + 1) <- queue.(!j);
-        decr j
-      done;
-      queue.(!j + 1) <- p
-    done;
+    (* Either order costs at most [np] steps: insertion sort while the
+       queue is short, else a walk over [latch] in index order. *)
+    if n * n <= np then
+      for i = 1 to n - 1 do
+        let p = queue.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && queue.(!j) > p do
+          queue.(!j + 1) <- queue.(!j);
+          decr j
+        done;
+        queue.(!j + 1) <- p
+      done
+    else begin
+      let k = ref 0 in
+      for p = 0 to np - 1 do
+        if latch.(p) then begin
+          queue.(!k) <- p;
+          incr k
+        end
+      done
+    end;
     (* Latch in ascending order; a primitive whose edge must run again
        stays queued, in place. *)
     let kept = ref 0 in

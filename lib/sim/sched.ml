@@ -41,7 +41,6 @@ type t = {
   split : int array;
       (* slot -> where its source readers (those that read it only while
          they drive) start in [readers] *)
-  sourced : bool;  (* some node has source reads *)
   blocked : bool array;  (* node -> last evaluation did not drive *)
   level : int array;  (* node -> level of its component *)
   cyclic : bool array;  (* node -> member of a cyclic component? *)
@@ -58,39 +57,39 @@ type t = {
 
 exception Diverged
 
-let make ~slots n ~reads ~sources ~writes =
+let build ~slots ~(nodes : (int list * int list * int list) array) =
+  let n = Array.length nodes in
   (* Reader lists per slot: the nodes that read it always, then from
      [split.(s)] on the nodes that read it only as a source. *)
   let split = Array.make (max slots 1) 0 in
   let fill = Array.make (max slots 1) 0 in
-  let sourced = ref false in
-  for k = 0 to n - 1 do
-    List.iter (fun s -> split.(s) <- split.(s) + 1) (reads k);
-    List.iter
-      (fun s ->
-        fill.(s) <- fill.(s) + 1;
-        sourced := true)
-      (sources k)
-  done;
+  Array.iter
+    (fun (reads, sources, _) ->
+      List.iter (fun s -> split.(s) <- split.(s) + 1) reads;
+      List.iter (fun s -> fill.(s) <- fill.(s) + 1) sources)
+    nodes;
   let readers = Array.mapi (fun s c -> Array.make (split.(s) + c) 0) fill in
   let sfill = Array.copy split in
   Array.fill fill 0 (Array.length fill) 0;
-  for k = 0 to n - 1 do
-    List.iter
-      (fun s ->
-        readers.(s).(fill.(s)) <- k;
-        fill.(s) <- fill.(s) + 1)
-      (reads k);
-    List.iter
-      (fun s ->
-        readers.(s).(sfill.(s)) <- k;
-        sfill.(s) <- sfill.(s) + 1)
-      (sources k)
-  done;
+  Array.iteri
+    (fun k (reads, sources, _) ->
+      List.iter
+        (fun s ->
+          readers.(s).(fill.(s)) <- k;
+          fill.(s) <- fill.(s) + 1)
+        reads;
+      List.iter
+        (fun s ->
+          readers.(s).(sfill.(s)) <- k;
+          sfill.(s) <- sfill.(s) + 1)
+        sources)
+    nodes;
   (* Successor adjacency (duplicates are harmless below). *)
   let succs =
-    Array.init n (fun k ->
-        Array.concat (List.map (fun s -> readers.(s)) (writes k)))
+    Array.map
+      (fun (_, _, writes) ->
+        Array.concat (List.map (fun s -> readers.(s)) writes))
+      nodes
   in
   (* Iterative Tarjan SCC. Components are numbered such that every edge
      leaving a component goes to a lower id, so decreasing id order is a
@@ -204,7 +203,6 @@ let make ~slots n ~reads ~sources ~writes =
     n;
     readers;
     split;
-    sourced = !sourced;
     blocked = Array.make (max n 1) false;
     level;
     cyclic;
@@ -223,24 +221,6 @@ let make ~slots n ~reads ~sources ~writes =
     npending = 0;
   }
 
-let build ~slots ~(nodes : (int list * int list) array) =
-  make ~slots (Array.length nodes)
-    ~reads:(fun k -> fst nodes.(k))
-    ~sources:(fun _ -> [])
-    ~writes:(fun k -> snd nodes.(k))
-
-let build_sourced ~slots ~(nodes : (int list * int list * int list) array) =
-  make ~slots (Array.length nodes)
-    ~reads:(fun k ->
-      let r, _, _ = nodes.(k) in
-      r)
-    ~sources:(fun k ->
-      let _, s, _ = nodes.(k) in
-      s)
-    ~writes:(fun k ->
-      let _, _, w = nodes.(k) in
-      w)
-
 let mark_node t k =
   if not t.dirty.(k) then begin
     t.dirty.(k) <- true;
@@ -253,20 +233,14 @@ let mark_node t k =
 
 let mark_slot t s =
   let rs = t.readers.(s) in
-  if t.sourced then begin
-    let split = t.split.(s) in
-    for i = 0 to split - 1 do
-      mark_node t rs.(i)
-    done;
-    for i = split to Array.length rs - 1 do
-      let k = rs.(i) in
-      if not t.blocked.(k) then mark_node t k
-    done
-  end
-  else
-    for i = 0 to Array.length rs - 1 do
-      mark_node t rs.(i)
-    done
+  let split = t.split.(s) in
+  for i = 0 to split - 1 do
+    mark_node t rs.(i)
+  done;
+  for i = split to Array.length rs - 1 do
+    let k = rs.(i) in
+    if not t.blocked.(k) then mark_node t k
+  done
 
 let blocked t = t.blocked
 

@@ -18,18 +18,14 @@
 
 type t
 
-val build : slots:int -> nodes:(int list * int list) array -> t
-(** [build ~slots ~nodes] where [nodes.(k) = (reads, writes)] lists the
-    slot ids node [k] reads and writes. Slot ids must be [< slots]. *)
-
-val build_sourced :
-  slots:int -> nodes:(int list * int list * int list) array -> t
-(** Like {!build}, with each node's reads in two parts:
-    [nodes.(k) = (reads, source_reads, writes)]. A source read is a slot
-    the node reads only while it drives its outputs (an assignment's
-    source, as opposed to its guard). A change to it does not wake the
-    node while the node is blocked (see {!blocked}). Source reads are edges
-    like any other for components and levels. *)
+val build : slots:int -> nodes:(int list * int list * int list) array -> t
+(** [build ~slots ~nodes] where [nodes.(k) = (reads, source_reads, writes)]
+    lists the slot ids node [k] reads and writes; slot ids must be
+    [< slots]. A source read is a slot the node reads only while it drives
+    its outputs (an assignment's source, as opposed to its guard). A change
+    to it does not wake the node while the node is blocked (see
+    {!blocked}). Source reads are edges like any other for components and
+    levels. *)
 
 val mark_node : t -> int -> unit
 (** Enqueue a node for re-evaluation (idempotent while already queued). *)

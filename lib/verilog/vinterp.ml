@@ -56,58 +56,6 @@ let tok_equal a b =
   | (Tid _ | Tsys _ | Tnum _), _ | _, (Tid _ | Tsys _ | Tnum _) -> false
   | _ -> a == b
 
-(* Identifier interning: one string per distinct identifier, found by
-   hashing the source bytes in place, so a repeated name costs no
-   allocation. Open addressing over a power-of-two table. *)
-type interner = { mutable keys : string array; mutable count : int }
-
-let hash_sub src s len =
-  let h = ref 0 in
-  for j = s to s + len - 1 do
-    h := (!h * 31) + Char.code (String.unsafe_get src j)
-  done;
-  !h land max_int
-
-let sub_equal src s len key =
-  String.length key = len
-  &&
-  let j = ref 0 in
-  while !j < len && String.unsafe_get src (s + !j) = String.unsafe_get key !j do
-    incr j
-  done;
-  !j = len
-
-(* The slot holding the identifier [src.[s .. s + len - 1]], or the empty
-   slot where it belongs. *)
-let find_slot keys src s len =
-  let mask = Array.length keys - 1 in
-  let i = ref (hash_sub src s len land mask) in
-  while
-    String.length keys.(!i) > 0 && not (sub_equal src s len keys.(!i))
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let intern tbl src s len =
-  let k = tbl.keys.(find_slot tbl.keys src s len) in
-  if len = 0 || String.length k > 0 then k
-  else begin
-    if 2 * (tbl.count + 1) > Array.length tbl.keys then begin
-      let keys = Array.make (2 * Array.length tbl.keys) "" in
-      Array.iter
-        (fun k ->
-          if String.length k > 0 then
-            keys.(find_slot keys k 0 (String.length k)) <- k)
-        tbl.keys;
-      tbl.keys <- keys
-    end;
-    let k = String.sub src s len in
-    tbl.keys.(find_slot tbl.keys src s len) <- k;
-    tbl.count <- tbl.count + 1;
-    k
-  end
-
 (* The token stream: [toks] and the line of each token in [lines], up to
    [last], the index of the closing [Teof]. *)
 type lexed = { toks : tok array; lines : int array; last : int }
@@ -131,7 +79,6 @@ let lex src =
     Array.unsafe_set !lines !ntoks !line;
     incr ntoks
   in
-  let names = { keys = Array.make 1024 ""; count = 0 } in
   let i = ref 0 in
   let digit_val c =
     if is_digit c then Char.code c - Char.code '0'
@@ -161,7 +108,7 @@ let lex src =
   let word () =
     let s = !i in
     while !i < n && is_id_char src.[!i] do incr i done;
-    intern names src s (!i - s)
+    String.sub src s (!i - s)
   in
   let two t =
     emit t;
@@ -1504,7 +1451,8 @@ let finalize d =
   let procs = Array.of_list (List.rev d.rev_procs) in
   d.sched <-
     Sched.build ~slots:nslots
-      ~nodes:(Array.map (fun p -> (slots p.pr_reads, slots p.pr_writes)) procs);
+      ~nodes:
+        (Array.map (fun p -> (slots p.pr_reads, [], slots p.pr_writes)) procs);
   let runs = Array.map (fun p -> p.pr_run) procs in
   d.eval <- (fun k -> runs.(k) ());
   let ffs = Array.of_list (List.rev d.rev_ffs) in

@@ -230,7 +230,7 @@ let test_out_of_range_widths () =
     [ "70'd1"; "0'd0"; "8'd99999999999999999999999" ]
 
 let test_lexer_literals () =
-  let toks = Lexer.tokenize "8'd255 4'b1010" in
+  let toks = Array.to_list (fst (Lexer.lex "8'd255 4'b1010")) in
   match toks with
   | [ Lexer.LIT a; Lexer.LIT b; Lexer.EOF ] ->
       Alcotest.(check int64) "decimal" 255L (Bitvec.to_int64 a);

@@ -23,7 +23,13 @@ module Pool = Calyx_pool.Pool
      node 0 writes a; nodes 1,2 read a and write b,c; node 3 reads b,c. *)
 let diamond () =
   Sched.build ~slots:4
-    ~nodes:[| ([], [ 0 ]); ([ 0 ], [ 1 ]); ([ 0 ], [ 2 ]); ([ 1; 2 ], [ 3 ]) |]
+    ~nodes:
+      [|
+        ([], [], [ 0 ]);
+        ([ 0 ], [], [ 1 ]);
+        ([ 0 ], [], [ 2 ]);
+        ([ 1; 2 ], [], [ 3 ]);
+      |]
 
 let test_levels () =
   let g = diamond () in
@@ -68,7 +74,7 @@ let test_dirty_order () =
 let test_cycle_converges () =
   let g =
     Sched.build ~slots:3
-      ~nodes:[| ([ 1 ], [ 0 ]); ([ 0 ], [ 1 ]); ([ 0; 1 ], [ 2 ]) |]
+      ~nodes:[| ([ 1 ], [], [ 0 ]); ([ 0 ], [], [ 1 ]); ([ 0; 1 ], [], [ 2 ]) |]
   in
   Alcotest.(check bool) "member cyclic" true (Sched.cyclic g 0);
   Alcotest.(check bool) "member cyclic" true (Sched.cyclic g 1);
@@ -102,7 +108,7 @@ let test_cycle_converges () =
 
 (* A cycle whose members re-mark each other forever must trip the budget. *)
 let test_cycle_diverges () =
-  let g = Sched.build ~slots:2 ~nodes:[| ([ 1 ], [ 0 ]); ([ 0 ], [ 1 ]) |] in
+  let g = Sched.build ~slots:2 ~nodes:[| ([ 1 ], [], [ 0 ]); ([ 0 ], [], [ 1 ]) |] in
   Sched.mark_all g;
   Alcotest.check_raises "budget exceeded" Sched.Diverged (fun () ->
       ignore
@@ -112,8 +118,25 @@ let test_cycle_diverges () =
 
 (* Self-edges count as cyclic even in a singleton component. *)
 let test_self_edge () =
-  let g = Sched.build ~slots:1 ~nodes:[| ([ 0 ], [ 0 ]) |] in
+  let g = Sched.build ~slots:1 ~nodes:[| ([ 0 ], [], [ 0 ]) |] in
   Alcotest.(check bool) "self-edge cyclic" true (Sched.cyclic g 0)
+
+(* Node 0 reads guard slot 0 and source slot 1. While it is blocked, a
+   change to its source does not wake it; a change to its guard does. A
+   node without source reads is woken by every read. *)
+let test_source_reads () =
+  let g =
+    Sched.build ~slots:2 ~nodes:[| ([ 0 ], [ 1 ], []); ([ 1 ], [], []) |]
+  in
+  let settle () = Sched.run g ~eval:(fun _ -> ()) ~max_passes:10 in
+  Sched.mark_slot g 1;
+  Alcotest.(check int) "unblocked: source wakes both" 2 (settle ());
+  (Sched.blocked g).(0) <- true;
+  Sched.mark_slot g 1;
+  Alcotest.(check int) "blocked: source wakes only the plain reader" 1
+    (settle ());
+  Sched.mark_slot g 0;
+  Alcotest.(check int) "blocked: guard still wakes" 1 (settle ())
 
 (* ------------------------------------------------------------------ *)
 (* Wire-level equivalence on the shared sample programs                *)
@@ -765,6 +788,7 @@ let () =
           Alcotest.test_case "cycle converges" `Quick test_cycle_converges;
           Alcotest.test_case "cycle diverges" `Quick test_cycle_diverges;
           Alcotest.test_case "self edge" `Quick test_self_edge;
+          Alcotest.test_case "source reads" `Quick test_source_reads;
         ] );
       ( "equivalence",
         [

@@ -306,7 +306,7 @@ let test_sched_levels_agree () =
   in
   let nodes =
     Array.of_list
-      (List.map (fun (s, d) -> ([ slot_of s ], [ slot_of d ])) edges)
+      (List.map (fun (s, d) -> ([ slot_of s ], [], [ slot_of d ])) edges)
   in
   let g = Sched.build ~slots:(Hashtbl.length slot) ~nodes in
   let edge_index = Hashtbl.create 64 in
