@@ -2,8 +2,14 @@ open Ast
 
 exception Parse_error of string
 
-let error_at line fmt =
-  Format.kasprintf (fun s -> raise (Parse_error (Printf.sprintf "line %d: %s" line s))) fmt
+(* An error at byte offset [ofs] of [src], located like a Calyx one. *)
+let error_at src ofs fmt =
+  Format.kasprintf
+    (fun s ->
+      raise
+        (Parse_error
+           (Calyx.Lexer.located (Calyx.Lexer.line_col src ofs) s)))
+    fmt
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
@@ -82,15 +88,17 @@ let is_ident_char c = is_ident_start c || is_digit c
 let tokenize src =
   let n = String.length src in
   let pos = ref 0 in
-  let line = ref 1 in
+  (* Where the token being read starts, and where the last one ended. *)
+  let start = ref 0 and last_end = ref 0 in
   let out = ref [] in
-  let emit t = out := (t, !line) :: !out in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
-  let advance () =
-    if !pos < n && src.[!pos] = '\n' then incr line;
-    incr pos
+  let emit t =
+    out := (t, !start) :: !out;
+    last_end := !pos
   in
+  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
+  let advance () = incr pos in
   while !pos < n do
+    start := !pos;
     let c = src.[!pos] in
     if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
     else if c = '/' && peek 1 = Some '/' then
@@ -98,18 +106,19 @@ let tokenize src =
         advance ()
       done
     else if is_digit c then begin
-      let start = !pos in
       while !pos < n && is_digit src.[!pos] do
         advance ()
       done;
-      emit (NUM (int_of_string (String.sub src start (!pos - start))))
+      let digits = String.sub src !start (!pos - !start) in
+      match int_of_string_opt digits with
+      | Some v -> emit (NUM v)
+      | None -> error_at src !start "number %s is too large" digits
     end
     else if is_ident_start c then begin
-      let start = !pos in
       while !pos < n && is_ident_char src.[!pos] do
         advance ()
       done;
-      emit (IDENT (String.sub src start (!pos - start)))
+      emit (IDENT (String.sub src !start (!pos - !start)))
     end
     else begin
       let two tok = advance (); advance (); emit tok in
@@ -145,26 +154,28 @@ let tokenize src =
       | '^', _, _ -> one CARET
       | '<', _, _ -> one LT
       | '>', _, _ -> one GT
-      | _ -> error_at !line "unexpected character %C" c
+      | _ -> error_at src !start "unexpected character %C" c
     end
   done;
-  (* End of input is where the last token is, not past trailing blanks. *)
-  out := (EOF, match !out with (_, l) :: _ -> l | [] -> 1) :: !out;
+  (* End of input is just past the last token, not past trailing blanks. *)
+  out := (EOF, !last_end) :: !out;
   Array.of_list (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Each token carries its line; the last is EOF, where [pos] stays. *)
-type state = { tokens : (token * int) array; mutable pos : int }
+(* Each token carries its byte offset in [src]; the last is EOF, where
+   [pos] stays. *)
+type state = { src : string; tokens : (token * int) array; mutable pos : int }
 
 let peek st = fst st.tokens.(st.pos)
 let advance st = if peek st <> EOF then st.pos <- st.pos + 1
 
 (* A parse error at the current token, which is never consumed first, so
-   the message names the line of the token the parser stopped at. *)
-let parse_error st fmt = error_at (snd st.tokens.(st.pos)) fmt
+   the message names the line and column of the token the parser stopped
+   at. *)
+let parse_error st fmt = error_at st.src (snd st.tokens.(st.pos)) fmt
 
 let expect st tok =
   if peek st = tok then advance st
@@ -396,7 +407,7 @@ let parse_decl st =
   { decl_name = name; elem; dims }
 
 let parse_string src =
-  let st = { tokens = tokenize src; pos = 0 } in
+  let st = { src; tokens = tokenize src; pos = 0 } in
   let rec decls acc =
     if accept_keyword st "decl" then decls (parse_decl st :: acc)
     else List.rev acc

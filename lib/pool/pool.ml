@@ -3,9 +3,99 @@
    seconds each), so claim overhead is irrelevant and a deque buys
    nothing; what matters is that results land at their input index, so
    the output order — and therefore every downstream rendering — is
-   independent of scheduling. *)
+   independent of scheduling.
 
-let default_jobs () = Domain.recommended_domain_count ()
+   Beside it, [both]: a two-way fork-join on one persistent helper
+   domain, for callers whose one job splits into two independent halves.
+   The helper and running maps share one account under [lock], so a core
+   is never counted by both: [both] runs sequentially while a map runs or
+   the helper is busy, and a map started while the helper is busy spawns
+   one worker fewer. *)
+
+let cores = Domain.recommended_domain_count ()
+let default_jobs () = cores
+
+let lock = Mutex.create ()
+
+(* The helper's state, all under [lock]. [busy] is set by the [both] that
+   claims the helper and cleared by that same [both] once it has joined;
+   the helper computes only while it is set. *)
+let busy = ref false
+let maps = ref 0
+let started = ref false
+let job : (unit -> unit) option ref = ref None
+let posted = Condition.create ()
+let finished = Condition.create ()
+
+let rec serve () =
+  Mutex.lock lock;
+  while Option.is_none !job do
+    Condition.wait posted lock
+  done;
+  let j = Option.get !job in
+  job := None;
+  Mutex.unlock lock;
+  j ();
+  serve ()
+
+let locked f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+(* Claim the helper for one [both]: false on one core, while a map runs,
+   or while the helper is busy — which is also the case when [both] is
+   called from the helper itself. *)
+let claim () =
+  cores > 1
+  && locked (fun () ->
+         let free = (not !busy) && !maps = 0 in
+         if free then begin
+           if not !started then begin
+             ignore (Domain.spawn serve : unit Domain.t);
+             started := true
+           end;
+           busy := true
+         end;
+         free)
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
+
+let both f g =
+  if not (claim ()) then begin
+    let a = f () in
+    (a, g ())
+  end
+  else begin
+    let b = ref None in
+    (* Backtrace recording is per domain, and off in a spawned one. *)
+    let backtraces = Printexc.backtrace_status () in
+    locked (fun () ->
+        job :=
+          Some
+            (fun () ->
+              Printexc.record_backtrace backtraces;
+              let r = outcome g in
+              locked (fun () ->
+                  b := Some r;
+                  Condition.signal finished));
+        Condition.signal posted);
+    let a = outcome f in
+    let b =
+      locked (fun () ->
+          while Option.is_none !b do
+            Condition.wait finished lock
+          done;
+          busy := false;
+          Option.get !b)
+    in
+    match (a, b) with
+    | Ok a, Ok b -> (a, b)
+    | Error (e, bt), _ | Ok _, Error (e, bt) ->
+        Printexc.raise_with_backtrace e bt
+  end
 
 let map ~jobs f items =
   match items with
@@ -31,9 +121,15 @@ let map ~jobs f items =
                   (Atomic.compare_and_set failure None (Some (e, bt)))
         done
       in
-      let domains =
-        List.init (min jobs n - 1) (fun _ -> Domain.spawn worker)
+      let helper_busy =
+        locked (fun () ->
+            incr maps;
+            !busy)
       in
+      Fun.protect ~finally:(fun () -> locked (fun () -> decr maps))
+      @@ fun () ->
+      let spawned = min jobs n - 1 - Bool.to_int helper_busy in
+      let domains = List.init (max 0 spawned) (fun _ -> Domain.spawn worker) in
       (* The calling domain is the last worker: [--jobs N] means N
          domains computing, not N+1. *)
       worker ();

@@ -1,4 +1,5 @@
-(** A worker pool over OCaml 5 domains: the farm's scheduler.
+(** A worker pool over OCaml 5 domains: the farm's scheduler, and a
+    two-way fork-join for one job with two independent halves.
 
     One shared queue (an atomic next-index over the input array — the
     simplest correct work distribution for jobs this coarse), [jobs]
@@ -14,9 +15,28 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     returns the results in the order of [items]. [jobs <= 1] degrades to
     a plain sequential [List.map] on the calling domain (no domains are
     spawned), which is the reference behaviour the determinism suite
-    compares parallel runs against.
+    compares parallel runs against. While {!both}'s helper is busy, the
+    helper counts as one of the [jobs] and one worker fewer is spawned.
 
     If [f] raises, remaining unstarted items are abandoned and the first
     exception (in completion order) is re-raised on the calling domain
     after all workers have joined. Callers that need per-item failures
     should catch inside [f]. *)
+
+val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+(** [both f g] is [(f (), g ())]: [f] runs on the calling domain while
+    [g] runs on the process's one helper domain, and [both] returns once
+    both have finished. The helper is spawned on the first such call and
+    then reused; between jobs it waits on a condition variable.
+
+    [both] runs [f] and then [g] on the calling domain instead when
+    [Domain.recommended_domain_count () = 1], while a parallel {!map}
+    runs, or while the helper is busy (so also when called from inside
+    [g]). The process therefore never has more domains computing than
+    cores. [f] and [g] may run at the same time, so they must not share
+    mutable state.
+
+    If only one side raises, its exception is re-raised with its
+    backtrace; if both raise, [f]'s is, as in the sequential order. On
+    the helper, [g] runs to completion even when [f] raises; in the
+    sequential fallback it does not run at all. *)

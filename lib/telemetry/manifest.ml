@@ -68,6 +68,19 @@ let set_run ?source ?source_hash ?pipeline ?engine () =
 
 let run_source () = (context ()).cx_source
 
+(* The other domain gets a copy, so a [set_run] there cannot change the
+   caller's context. *)
+let carry () =
+  let c = context () in
+  let run = { c with cx_source = c.cx_source } in
+  let spans = Trace.carry () in
+  fun f ->
+    let own = context () in
+    Domain.DLS.set context_key run;
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set context_key own)
+      (fun () -> spans f)
+
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -32,6 +32,13 @@ val set_run :
 
 val run_source : unit -> string
 
+val carry : unit -> (unit -> 'a) -> 'a
+(** {!Trace.carry} for the whole telemetry context: [carry ()] captures
+    the calling domain's open spans and a copy of its run context, and
+    the result runs a thunk on another domain under both, so the events
+    of spans closing there are nested and stamped as the caller's
+    would be. *)
+
 (** {1 JSON round-trip} *)
 
 val to_json : event -> string

@@ -14,7 +14,9 @@
    domain-local state (each domain nests its own spans), and the completed
    buffer plus the [on_close] hook are serialized by a mutex — so spans
    traced on N worker domains merge into the one process-wide trace as
-   they close, each with its parent links intact within its own domain. *)
+   they close, each with its parent links intact within its own domain —
+   or into the caller's, when [carry] handed a caller's open spans to the
+   domain that runs part of its work. *)
 
 type arg = F of float | S of string
 
@@ -32,6 +34,7 @@ type span = {
   mutable sp_args : (string * arg) list;  (* reversed attachment order *)
   sp_seq : int;  (* global open order *)
   mutable sp_seq_close : int;
+  sp_domain_id : int;  (* the domain that ran it; 0 is the main one *)
 }
 
 let next_id = Atomic.make 0
@@ -44,6 +47,17 @@ let stack_key : span list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let stack () = Domain.DLS.get stack_key
+
+(* The open spans are an immutable list, so the other domain can take the
+   captured list as its own stack: its spans get the caller's innermost
+   span as parent, and popping them never touches the caller's stack. *)
+let carry () =
+  let spans = !(stack ()) in
+  fun f ->
+    let stack = stack () in
+    let own = !stack in
+    stack := spans;
+    Fun.protect ~finally:(fun () -> stack := own) f
 
 (* The shared close-side state: the Chrome-trace buffer and the on_close
    hook (the Manifest bridge). Serialized so spans closing on different
@@ -118,6 +132,7 @@ let with_span ?(cat = "span") ?(args = []) name f =
         sp_args = List.rev_map (fun (k, v) -> (k, v)) args;
         sp_seq = seq;
         sp_seq_close = seq;
+        sp_domain_id = (Domain.self () :> int);
       }
     in
     stack := sp :: !stack;
@@ -277,7 +292,13 @@ let to_chrome ?(scrub = false) () =
             ("gc_heap_delta_words", F (float_of_int sp.sp_heap_delta_words));
           ]
     in
-    { ev_name = sp.sp_name; ev_cat = sp.sp_cat; ev_track = ""; ev_domain = Wall;
+    (* Spans run on other domains at the same time as the main domain's,
+       so each domain gets a track of its own to nest on. *)
+    let ev_track =
+      if sp.sp_domain_id = 0 then ""
+      else Printf.sprintf "domain %d" sp.sp_domain_id
+    in
+    { ev_name = sp.sp_name; ev_cat = sp.sp_cat; ev_track; ev_domain = Wall;
       ev_start; ev_dur; ev_args }
   in
   chrome (List.map event (spans ()))

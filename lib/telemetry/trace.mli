@@ -32,6 +32,7 @@ type span = {
   mutable sp_args : (string * arg) list;
   sp_seq : int;  (** Global open order. *)
   mutable sp_seq_close : int;  (** Global close order. *)
+  sp_domain_id : int;  (** The [Domain.self ()] that ran the span. *)
 }
 
 val with_span :
@@ -39,6 +40,14 @@ val with_span :
 (** Run the thunk inside a new span. The span is closed (and reported)
     even when the thunk raises; the exception is recorded as an ["error"]
     arg and re-raised. *)
+
+val carry : unit -> (unit -> 'a) -> 'a
+(** [carry ()] captures the calling domain's open spans. Applying the
+    result to a thunk on another domain runs the thunk with those spans
+    open there, so its spans nest under the caller's innermost span; the
+    other domain's own open spans are restored afterwards. The thunk must
+    finish before the caller closes that span, and must open its own span
+    before it adds args. {!Manifest.carry} carries the run context too. *)
 
 val add_metric : string -> float -> unit
 (** Attach a numeric result (cycle count, LUTs, ...) to the innermost open
@@ -96,6 +105,8 @@ val chrome : event list -> string
     start, longest first (ties keep the input order). *)
 
 val to_chrome : ?scrub:bool -> unit -> string
-(** The buffered spans as {!Wall} events on one unnamed track. [scrub]
+(** The buffered spans as {!Wall} events: the main domain's on the
+    unnamed track, each other domain's on a track named ["domain N"], so
+    spans that ran at the same time never overlap on one track. [scrub]
     substitutes sequence numbers for timestamps and drops GC/error args:
     byte-stable output for golden tests. *)

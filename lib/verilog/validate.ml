@@ -44,26 +44,62 @@ let disagreements =
     ~help:"Translation validations with at least one mismatch"
     "calyx_validate_disagree_total"
 
+(* One half of a validation: its result, or its exception with the rank
+   of the step that raised it in the sequential order emit (0),
+   Sim.create (1), Vinterp.load (2), load sim (3), load rtl (4), Sim.run
+   (5), Vinterp.run (6). When both halves fail, the lower rank wins, as
+   it would have in that order. *)
+let half f =
+  let at = ref 0 in
+  match f at with
+  | v -> Ok v
+  | exception e -> Error (!at, e, Printexc.get_raw_backtrace ())
+
+let rtl_half ?max_cycles ~load ctx at =
+  let sv = Verilog.emit ctx in
+  at := 2;
+  let rtl = Vinterp.load ~top:ctx.entrypoint sv in
+  let rtl_io = rtl_io rtl in
+  at := 4;
+  load rtl_io;
+  at := 6;
+  (rtl, rtl_io, Vinterp.run ?max_cycles rtl)
+
+let calyx_half ?engine ?max_cycles ~load ctx at =
+  at := 1;
+  let sim = Calyx_sim.Sim.create ?engine ctx in
+  let sim_io = Calyx_sim.Testbench.of_sim sim in
+  at := 3;
+  load sim_io;
+  at := 5;
+  (sim_io, Calyx_sim.Sim.run ?max_cycles sim)
+
 let validate ?engine ?max_cycles
     ?(load = fun (_ : Calyx_sim.Testbench.io) -> ()) ?simulated ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "validate" @@ fun () ->
-  let sv = Verilog.emit ctx in
-  let sim =
+  let rtl () = half (rtl_half ?max_cycles ~load ctx) in
+  let rtl, calyx =
     match simulated with
-    | Some sim -> sim
-    | None -> Calyx_sim.Sim.create ?engine ctx
+    | Some sim ->
+        let cycles = Calyx_sim.Sim.cycles_elapsed sim in
+        (rtl (), Ok (Calyx_sim.Testbench.of_sim sim, cycles))
+    | None ->
+        (* The Calyx half runs on Pool.both's helper while this domain
+           emits and runs the RTL. A program with groups or control fails
+           here, before either simulation starts. *)
+        Verilog.check_lowered ctx;
+        let carry = Calyx_telemetry.Manifest.carry () in
+        Calyx_pool.Pool.both rtl (fun () ->
+            carry (fun () -> half (calyx_half ?engine ?max_cycles ~load ctx)))
   in
-  let rtl = Vinterp.load ~top:ctx.entrypoint sv in
-  let sim_io = Calyx_sim.Testbench.of_sim sim in
-  let rtl_io = rtl_io rtl in
-  if Option.is_none simulated then load sim_io;
-  load rtl_io;
-  let cycles_sim =
-    match simulated with
-    | Some _ -> Calyx_sim.Sim.cycles_elapsed sim
-    | None -> Calyx_sim.Sim.run ?max_cycles sim
+  let (rtl, rtl_io, cycles_rtl), (sim_io, cycles_sim) =
+    match (rtl, calyx) with
+    | Ok r, Ok c -> (r, c)
+    | Error (i, e, bt), Error (j, _, _) when i < j ->
+        Printexc.raise_with_backtrace e bt
+    | _, Error (_, e, bt) | Error (_, e, bt), _ ->
+        Printexc.raise_with_backtrace e bt
   in
-  let cycles_rtl = Vinterp.run ?max_cycles rtl in
   let regs, mems = Calyx_sim.Sim.state_cells ctx in
   let mismatches = ref [] in
   let add path kind sim_value rtl_value =

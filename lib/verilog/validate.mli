@@ -45,13 +45,28 @@ val validate :
     SystemVerilog, elaborate it with {!Vinterp}, apply [load] to both
     backends (default: nothing), run both to completion, and compare the
     cycle counts and every cell of {!Calyx_sim.Sim.state_cells}.
+
+    Without [simulated], the simulator side ({!Calyx_sim.Sim.create},
+    [load], {!Calyx_sim.Sim.run}) runs through {!Calyx_pool.Pool.both}
+    while the calling domain emits, loads and runs the RTL: [load] may
+    run on two domains at once, on two distinct ios, so it must not
+    mutate state it shares between calls. Telemetry spans of the
+    simulator side nest under this call's ["validate"] span as if it had
+    run on the caller.
     [simulated] is a simulator of [ctx] that the caller has already
     loaded and run to completion from creation: it stands in for the
     simulator side (its state, and {!Calyx_sim.Sim.cycles_elapsed} as its
     cycle count), so the program is not simulated twice; [load] then
-    applies to the RTL only, and [engine] is unused.
-    Raises whatever either backend raises ([Sim.Timeout], {!Vinterp.Unstable},
-    ...) — a crash on one side is a validation failure the caller reports. *)
+    applies to the RTL only, [engine] is unused, and nothing runs on
+    another domain.
+
+    Raises {!Verilog.Not_lowered} before anything runs when [ctx] still
+    has groups or control. Otherwise raises whatever either backend
+    raises ([Sim.Timeout], {!Vinterp.Unstable}, ...) — a crash on one
+    side is a validation failure the caller reports. When both sides
+    raise, the exception is the one the sequential order (emit,
+    [Sim.create], [Vinterp.load], load the simulator, load the RTL,
+    [Sim.run], [Vinterp.run]) would have raised first. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** A short human-readable summary (cycle counts, state-element counts,

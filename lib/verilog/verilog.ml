@@ -269,7 +269,7 @@ let prim_is_clocked name =
 (* Components                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_lowered comp =
+let check_component comp =
   if comp.groups <> [] || comp.control <> Empty then
     raise
       (Not_lowered
@@ -278,9 +278,9 @@ let check_lowered comp =
              pipeline before emitting Verilog"
             comp.comp_name))
 
-let emit_component ctx comp =
-  check_lowered comp;
-  let b = Buffer.create 4096 in
+(* Appends the module to [b], which may already hold other modules. *)
+let emit_component_into b ctx comp =
+  check_component comp;
   let port_decl pd dir =
     Printf.sprintf "  %s logic [%d-1:0] %s" dir pd.pd_width pd.pd_name
   in
@@ -369,7 +369,11 @@ let emit_component ctx comp =
               (Printf.sprintf "  assign %s = %d'd0;\n" (wire_name pr) w))
         cports)
     cells;
-  buf_add b "endmodule\n";
+  buf_add b "endmodule\n"
+
+let emit_component ctx comp =
+  let b = Buffer.create 4096 in
+  emit_component_into b ctx comp;
   Buffer.contents b
 
 let used_primitives ctx =
@@ -389,6 +393,18 @@ let primitive_library ctx =
   String.concat "\n"
     (List.filter_map primitive_module (used_primitives ctx))
 
+(* The components that become modules, in emission order: the entrypoint
+   last. *)
+let modules ctx =
+  let others, entries =
+    List.partition
+      (fun c -> not (String.equal c.comp_name ctx.entrypoint))
+      ctx.components
+  in
+  List.filter (fun c -> c.is_extern = None) (others @ entries)
+
+let check_lowered ctx = List.iter check_component (modules ctx)
+
 let emit ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "emit" @@ fun () ->
   let b = Buffer.create 16384 in
@@ -402,15 +418,11 @@ let emit ctx =
     ctx.components;
   buf_add b (primitive_library ctx);
   buf_add b "\n";
-  let entry_name = ctx.entrypoint in
-  let others, entries =
-    List.partition
-      (fun c -> not (String.equal c.comp_name entry_name))
-      ctx.components
-  in
   List.iter
-    (fun c -> if c.is_extern = None then buf_add b (emit_component ctx c ^ "\n"))
-    (others @ entries);
+    (fun c ->
+      emit_component_into b ctx c;
+      buf_add b "\n")
+    (modules ctx);
   Buffer.contents b
 
 let loc text =

@@ -16,6 +16,11 @@ open Calyx
 exception Not_lowered of string
 (** Raised when a component still has groups or control statements. *)
 
+val check_lowered : Ir.context -> unit
+(** Raise {!Not_lowered} for the first component {!emit} would reject for
+    its groups or control, with the same message; do nothing when there
+    is none. *)
+
 val emit : Ir.context -> string
 (** The whole program: primitive library followed by component modules (the
     entrypoint last). *)

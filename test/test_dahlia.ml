@@ -84,12 +84,22 @@ let test_parse_error_lines () =
     | _ -> Alcotest.failf "expected a parse error in %S" src
   in
   check "decl a: ubit<32>[4];\nfor (let i: ubit<3> = 0..4) {\n  a[i] := 1\n\n"
-    "line 3: expected an identifier, found end of input";
+    "line 3:12: expected an identifier, found end of input";
   check "let x: ubit<32> = 1\n---\nx := x +\n---\nx := 2"
-    "line 4: expected an expression, found '---'";
+    "line 4:1: expected an expression, found '---'";
   check "decl a: ubit<32>[4]\nlet x: ubit<32> = 1"
-    "line 2: expected ';' but found identifier \"let\"";
-  check "let x: ubit<32> = 1\n\n  x := 2 $" "line 3: unexpected character '$'"
+    "line 2:1: expected ';' but found identifier \"let\"";
+  check "let x: ubit<32> = 1\n\n  x := 2 $"
+    "line 3:10: unexpected character '$'";
+  (* Columns count bytes from 1 on the token's own line. *)
+  check "let x: ubit<32> = 1;\nlet y: ubit<32> = x +;"
+    "line 2:22: expected an expression, found ';'";
+  check "decl a: ubit<32>[4];\n\tlet x: ubit<8> = a[0) ---"
+    "line 2:22: expected ']' but found ')'";
+  check "let x: ubit<32> =  \n\n"
+    "line 1:18: expected an expression, found end of input";
+  check "let x: ubit<32> = 1;\nx := 99999999999999999999"
+    "line 2:6: number 99999999999999999999 is too large"
 
 let expect_lowering_error src =
   let prog = Dahlia.Parser.parse_string src in

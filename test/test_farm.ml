@@ -72,6 +72,68 @@ let test_pool_failure () =
            (fun x -> if x = 13 then failwith "boom" else x)
            (List.init 40 Fun.id)))
 
+let cores = Domain.recommended_domain_count ()
+let self () = (Domain.self () :> int)
+
+let test_both_order () =
+  Alcotest.(check (pair int string))
+    "results in order" (1, "two")
+    (Pool.both (fun () -> 1) (fun () -> "two"));
+  let f_on, g_on = Pool.both self self in
+  Alcotest.(check int) "f runs on the caller" (self ()) f_on;
+  Alcotest.(check bool)
+    "g runs on another domain exactly when there are cores to spare"
+    (cores > 1) (g_on <> f_on)
+
+let test_both_failure () =
+  Alcotest.check_raises "f's exception" (Failure "f") (fun () ->
+      ignore (Pool.both (fun () -> failwith "f") (fun () -> 2)));
+  Alcotest.check_raises "g's exception" (Failure "g") (fun () ->
+      ignore (Pool.both (fun () -> 1) (fun () -> failwith "g")));
+  Alcotest.check_raises "f's wins when both raise" (Failure "f") (fun () ->
+      ignore (Pool.both (fun () -> failwith "f") (fun () -> failwith "g")));
+  (* A failed join leaves the helper free for the next call. *)
+  let f_on, g_on = Pool.both self self in
+  Alcotest.(check bool) "helper reused" (cores > 1) (g_on <> f_on)
+
+let test_both_nested () =
+  let (), (g_on, (inner_f, inner_g)) =
+    Pool.both (fun () -> Unix.sleepf 0.01) (fun () ->
+        (self (), Pool.both self self))
+  in
+  Alcotest.(check int) "inner f on the domain that called it" g_on inner_f;
+  Alcotest.(check int) "inner g runs sequentially there too" g_on inner_g
+
+(* Every [both] inside a full-width map falls back to the caller: at any
+   moment, no more distinct domains compute than there are cores. *)
+let test_both_in_map () =
+  let lock = Mutex.create () in
+  let computing = Hashtbl.create 8 and peak = ref 0 in
+  let compute () =
+    let id = self () in
+    Mutex.lock lock;
+    Hashtbl.replace computing id ();
+    peak := max !peak (Hashtbl.length computing);
+    Mutex.unlock lock;
+    Unix.sleepf 0.002;
+    Mutex.lock lock;
+    Hashtbl.remove computing id;
+    Mutex.unlock lock;
+    id
+  in
+  let ids =
+    Pool.map ~jobs:cores
+      (fun _ -> Pool.both compute compute)
+      (List.init (4 * cores) Fun.id)
+  in
+  List.iter
+    (fun (f_on, g_on) ->
+      Alcotest.(check int) "both inside a map runs on one domain" f_on g_on)
+    ids;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %d domains computing (saw %d)" cores !peak)
+    true (!peak <= cores)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism stress: jobs 1 vs jobs N vs cached-warm, all engines    *)
 (* ------------------------------------------------------------------ *)
@@ -526,6 +588,14 @@ let () =
             [
               Alcotest.test_case "order preserved" `Quick test_pool_order;
               Alcotest.test_case "failure propagation" `Quick test_pool_failure;
+              Alcotest.test_case "both: results in order" `Quick
+                test_both_order;
+              Alcotest.test_case "both: failure precedence" `Quick
+                test_both_failure;
+              Alcotest.test_case "both: nested call runs sequentially" `Quick
+                test_both_nested;
+              Alcotest.test_case "both: inside a map, no extra domain" `Quick
+                test_both_in_map;
             ] );
           ( "determinism",
             [

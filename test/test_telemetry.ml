@@ -281,6 +281,62 @@ let test_manifest_install () =
   Sys.remove file;
   scrub ()
 
+(* Validation simulates on Pool.both's helper domain (when there is a core
+   to spare). The helper's spans are still descendants of the caller's
+   validate span, and their manifest events carry the caller's run
+   context. *)
+let test_validate_across_domains () =
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/sources/counter.futil"; "examples/sources/counter.futil" ]
+  in
+  let lowered = Pipelines.compile (Parser.parse_file path) in
+  let file = Filename.temp_file "calyx_manifest" ".jsonl" in
+  let w = T.Manifest.open_file file in
+  T.Manifest.install w;
+  T.Manifest.set_run ~source:"across" ();
+  let _, spans =
+    T.Trace.collect (fun () -> Calyx_verilog.Validate.validate lowered)
+  in
+  T.Manifest.uninstall ();
+  T.Manifest.close w;
+  let find name =
+    match List.find_opt (fun sp -> sp.T.Trace.sp_name = name) spans with
+    | Some sp -> sp
+    | None -> Alcotest.failf "no %s span" name
+  in
+  let validate = find "validate" in
+  let rec descends sp =
+    sp.T.Trace.sp_parent = validate.T.Trace.sp_id
+    || List.exists
+         (fun p -> p.T.Trace.sp_id = sp.T.Trace.sp_parent && descends p)
+         spans
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " inside validate") true
+        (descends (find name)))
+    [ "sim-build"; "sim"; "emit"; "rtl-sim" ];
+  Alcotest.(check int) "sim is a child of validate"
+    (validate.T.Trace.sp_depth + 1) (find "sim").T.Trace.sp_depth;
+  Alcotest.(check bool) "sim ran on the helper when a core was spare"
+    (Domain.recommended_domain_count () > 1)
+    ((find "sim").T.Trace.sp_domain_id <> validate.T.Trace.sp_domain_id);
+  let events = T.Manifest.read_file file in
+  List.iter
+    (fun name ->
+      match
+        List.find_opt (fun e -> String.equal e.T.Manifest.mf_stage name) events
+      with
+      | Some e ->
+          Alcotest.(check string) (name ^ " event source") "across"
+            e.T.Manifest.mf_source
+      | None -> Alcotest.failf "no %s event" name)
+    [ "sim-build"; "sim"; "rtl-sim"; "validate" ];
+  Sys.remove file;
+  T.Manifest.set_run ~source:"" ();
+  scrub ()
+
 (* ------------------------------------------------------------------ *)
 (* Report: aggregation and the perf comparison                         *)
 (* ------------------------------------------------------------------ *)
@@ -438,6 +494,8 @@ let () =
           Alcotest.test_case "fnv-1a hash" `Quick test_hash;
           Alcotest.test_case "jsonl round-trip" `Quick test_manifest_roundtrip;
           Alcotest.test_case "span bridge" `Quick test_manifest_install;
+          Alcotest.test_case "validate across domains" `Quick
+            test_validate_across_domains;
         ] );
       ( "report",
         [

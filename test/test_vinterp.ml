@@ -688,17 +688,21 @@ let test_polybench_unrolled () =
         Alcotest.failf "%s (unrolled) diverged" k.Polybench.Kernels.name)
     Polybench.Kernels.unrollable
 
+(* A lowered systolic array and a test bench for it. *)
+let systolic (rows, cols, depth) =
+  let d = { Systolic.rows; cols; depth; width = 32 } in
+  let a = Array.init rows (fun r -> Array.init depth (fun k -> r + k + 1)) in
+  let b =
+    Array.init depth (fun k -> Array.init cols (fun c -> (2 * k) + c + 1))
+  in
+  ( Printf.sprintf "systolic %dx%dx%d" rows cols depth,
+    Systolic.testbench d ~a ~b,
+    Pipelines.compile (Systolic.generate d) )
+
 let test_systolic () =
   List.iter
-    (fun (rows, cols, depth) ->
-      let d = { Systolic.rows; cols; depth; width = 32 } in
-      let a = Array.init rows (fun r -> Array.init depth (fun k -> r + k + 1)) in
-      let b =
-        Array.init depth (fun k -> Array.init cols (fun c -> (2 * k) + c + 1))
-      in
-      let tb = Systolic.testbench d ~a ~b in
-      let lowered = Pipelines.compile (Systolic.generate d) in
-      let name = Printf.sprintf "systolic %dx%dx%d" rows cols depth in
+    (fun shape ->
+      let name, (tb : Calyx_sim.Testbench.t), lowered = systolic shape in
       let r = Validate.validate ~load:tb.load lowered in
       check_ok name r;
       Alcotest.(check (list string)) (name ^ ": RTL product") []
@@ -810,6 +814,156 @@ let test_shrink_minimizes () =
   done;
   if not !has_while then Alcotest.fail "sweep produced no while loops"
 
+(* ------------------------------------------------------------------ *)
+(* Parity with the sequential order                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Validate.validate runs its Calyx half beside its RTL half. This is the
+   sequential order it replaced, from public calls only: emit, Sim.create,
+   Vinterp.load, load sim, load rtl, Sim.run, Vinterp.run, then the same
+   comparisons, rendered field by field. *)
+let sequential ?max_cycles ?(load = ignore) lowered =
+  let sv = Calyx_verilog.Verilog.emit lowered in
+  let sim = Calyx_sim.Sim.create lowered in
+  let rtl = V.load ~top:lowered.Ir.entrypoint sv in
+  let sim_io = Calyx_sim.Testbench.of_sim sim in
+  let rtl_io = Validate.rtl_io rtl in
+  load sim_io;
+  load rtl_io;
+  let cycles_sim = Calyx_sim.Sim.run ?max_cycles sim in
+  let cycles_rtl = V.run ?max_cycles rtl in
+  let regs, mems = Calyx_sim.Sim.state_cells lowered in
+  let ints vs =
+    String.concat ","
+      (Array.to_list
+         (Array.map (fun v -> Int64.to_string (Bitvec.to_int64 v)) vs))
+  in
+  let mismatches =
+    (if cycles_sim = cycles_rtl then []
+     else [ ("cycles", string_of_int cycles_sim, string_of_int cycles_rtl) ])
+    @ List.filter_map
+        (fun p ->
+          let s = sim_io.read_register p and r = rtl_io.read_register p in
+          if Bitvec.equal s r then None
+          else Some (p, Bitvec.to_string s, Bitvec.to_string r))
+        regs
+    @ List.filter_map
+        (fun p ->
+          let s = sim_io.read_memory p and r = rtl_io.read_memory p in
+          if Array.length s = Array.length r && Array.for_all2 Bitvec.equal s r
+          then None
+          else Some (p, ints s, ints r))
+        mems
+  in
+  let nets, procs = V.stats rtl in
+  ( cycles_sim,
+    cycles_rtl,
+    mismatches,
+    List.length regs,
+    List.length mems,
+    nets,
+    procs,
+    V.evals rtl )
+
+let fields (r : Validate.report) =
+  ( r.cycles_sim,
+    r.cycles_rtl,
+    List.map
+      (fun (m : Validate.mismatch) -> (m.path, m.sim_value, m.rtl_value))
+      r.mismatches,
+    r.registers_checked,
+    r.memories_checked,
+    r.nets,
+    r.procs,
+    r.evals )
+
+let render = function
+  | Ok (cs, cr, ms, regs, mems, nets, procs, evals) ->
+      Printf.sprintf
+        "cycles %d/%d; mismatches [%s]; %d registers, %d memories; %d nets, \
+         %d procs, %d evals"
+        cs cr
+        (String.concat "; "
+           (List.map (fun (p, s, r) -> Printf.sprintf "%s %s %s" p s r) ms))
+        regs mems nets procs evals
+  | Error e -> "raised " ^ Printexc.to_string e
+
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let check_parity ?max_cycles ?load what lowered =
+  Alcotest.(check string) what
+    (render (outcome (fun () -> sequential ?max_cycles ?load lowered)))
+    (render
+       (outcome (fun () ->
+            fields (Validate.validate ?max_cycles ?load lowered))))
+
+let test_parity_corpus () =
+  List.iter
+    (fun file -> check_parity file (Pipelines.compile (parse_example file)))
+    [ "counter.futil"; "invoke.futil"; "dotprod.dahlia"; "histogram.dahlia" ];
+  let rng = Fuzz_seed.state_of (Fuzz_seed.derive "validate-parity") in
+  List.iter
+    (fun ((k : Polybench.Kernels.kernel), unrolled) ->
+      let prog = Polybench.Harness.program k ~unrolled in
+      let inputs =
+        List.map
+          (fun (name, values) ->
+            ( name,
+              List.map
+                (fun _ ->
+                  Random.State.bits rng lor (Random.State.int rng 4 lsl 30))
+                values ))
+          k.inputs
+      in
+      let tb = Polybench.Harness.testbench { k with inputs } prog in
+      check_parity ~load:tb.load
+        (k.name ^ if unrolled then "-unrolled" else "")
+        (Pipelines.compile (Dahlia.To_calyx.compile prog)))
+    (List.map (fun k -> (k, false)) Polybench.Kernels.all
+    @ List.map (fun k -> (k, true)) Polybench.Kernels.unrollable);
+  List.iter
+    (fun shape ->
+      let name, (tb : Calyx_sim.Testbench.t), lowered = systolic shape in
+      check_parity ~load:tb.load name lowered)
+    [ (4, 4, 4); (12, 1, 12) ];
+  for i = 1 to 100 do
+    let spec = Fuzz_gen.generate rng in
+    check_parity
+      (Printf.sprintf "fuzz program %d: %s" i (Fuzz_gen.to_string spec))
+      (Pipelines.compile (Fuzz_gen.build spec))
+  done
+
+(* Both halves failing raises what the sequential order raised first. *)
+let test_parity_failures () =
+  let lowered = Pipelines.compile (parse_example "counter.futil") in
+  (match Validate.validate ~max_cycles:5 lowered with
+  | exception Calyx_sim.Sim.Timeout _ -> ()
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a 5-cycle budget did not time out");
+  check_parity ~max_cycles:5 "both halves time out" lowered;
+  (* Only the RTL io raises Vinterp.Elab_error for a missing memory: a
+     load that fails on it alone comes before the simulator's timeout. *)
+  let load (io : Calyx_sim.Testbench.io) =
+    match io.read_memory "no_such_memory" with
+    | exception V.Elab_error _ -> failwith "rtl load"
+    | exception _ | _ -> ()
+  in
+  Alcotest.check_raises "RTL load failure wins over the Calyx timeout"
+    (Failure "rtl load") (fun () ->
+      ignore (Validate.validate ~max_cycles:5 ~load lowered));
+  check_parity ~max_cycles:5 ~load "rtl load fails, sim times out" lowered;
+  (* A structured program is rejected before either side loads. *)
+  let loads = ref 0 in
+  (match
+     Validate.validate
+       ~load:(fun _ -> incr loads)
+       (parse_example "counter.futil")
+   with
+  | exception Calyx_verilog.Verilog.Not_lowered _ -> ()
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a structured program validated");
+  Alcotest.(check int) "nothing loaded" 0 !loads
+
 let () =
   Alcotest.run "vinterp"
     [
@@ -851,6 +1005,9 @@ let () =
           Alcotest.test_case "polybench (unrolled)" `Slow
             test_polybench_unrolled;
           Alcotest.test_case "systolic arrays" `Slow test_systolic;
+          Alcotest.test_case "parity with the sequential order" `Slow
+            test_parity_corpus;
+          Alcotest.test_case "failure precedence" `Quick test_parity_failures;
           Alcotest.test_case "allocation per cycle" `Quick test_alloc_per_cycle;
         ] );
       ( "fuzz",
