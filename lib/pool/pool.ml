@@ -5,12 +5,10 @@
    the output order — and therefore every downstream rendering — is
    independent of scheduling.
 
-   Beside it, [both]: a two-way fork-join on one persistent helper
-   domain, for callers whose one job splits into two independent halves.
-   The helper and running maps share one account under [lock], so a core
-   is never counted by both: [both] runs sequentially while a map runs or
-   the helper is busy, and a map started while the helper is busy spawns
-   one worker fewer. *)
+   Beside it, [both]: a two-way fork-join on one helper domain, for
+   callers whose one job splits into two independent halves. [both] runs
+   sequentially while a map runs or the helper is busy, so a map's
+   workers and the helper never compute side by side. *)
 
 let cores = Domain.recommended_domain_count ()
 let default_jobs () = cores
@@ -19,28 +17,54 @@ let lock = Mutex.create ()
 
 (* The helper's state, all under [lock]. [busy] is set by the [both] that
    claims the helper and cleared by that same [both] once it has joined;
-   the helper computes only while it is set. *)
+   the helper computes only while it is set. [live] is false once the
+   helper has decided to exit; whoever spawns the next one joins it. *)
 let busy = ref false
 let maps = ref 0
-let started = ref false
+let live = ref false
+let helper : unit Domain.t option ref = ref None
 let job : (unit -> unit) option ref = ref None
-let posted = Condition.create ()
 let finished = Condition.create ()
 
-let rec serve () =
-  Mutex.lock lock;
-  while Option.is_none !job do
-    Condition.wait posted lock
-  done;
-  let j = Option.get !job in
-  job := None;
-  Mutex.unlock lock;
-  j ();
-  serve ()
+(* A parked helper slows allocating code on the other domains, so it
+   exits after [idle_s] without a job, and when a map starts. It waits on
+   a pipe with [Unix.select], the one wait in the standard distribution
+   that takes a timeout; every job, and every request to leave, writes
+   one byte to it. *)
+let idle_s = 0.5
+let wake = lazy (Unix.pipe ~cloexec:true ())
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let post () =
+  let _, w = Lazy.force wake in
+  ignore (Unix.write_substring w "j" 0 1 : int)
+
+let rec serve () =
+  let r, _ = Lazy.force wake in
+  (match Unix.select [ r ] [] [] idle_s with
+  | _ :: _, _, _ -> ignore (Unix.read r (Bytes.create 1) 0 1 : int)
+  | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> ());
+  (* With no job posted, a [both] that has claimed the helper is about to
+     post one; otherwise the helper has idled or been asked to leave. *)
+  let next =
+    locked (fun () ->
+        match !job with
+        | Some j ->
+            job := None;
+            Some j
+        | None when !busy -> Some ignore
+        | None ->
+            live := false;
+            None)
+  in
+  Option.iter
+    (fun j ->
+      j ();
+      serve ())
+    next
 
 (* Claim the helper for one [both]: false on one core, while a map runs,
    or while the helper is busy — which is also the case when [both] is
@@ -50,9 +74,11 @@ let claim () =
   && locked (fun () ->
          let free = (not !busy) && !maps = 0 in
          if free then begin
-           if not !started then begin
-             ignore (Domain.spawn serve : unit Domain.t);
-             started := true
+           if not !live then begin
+             ignore (Lazy.force wake);
+             Option.iter Domain.join !helper;
+             helper := Some (Domain.spawn serve);
+             live := true
            end;
            busy := true
          end;
@@ -81,7 +107,7 @@ let both f g =
               locked (fun () ->
                   b := Some r;
                   Condition.signal finished));
-        Condition.signal posted);
+        post ());
     let a = outcome f in
     let b =
       locked (fun () ->
@@ -121,15 +147,23 @@ let map ~jobs f items =
                   (Atomic.compare_and_set failure None (Some (e, bt)))
         done
       in
-      let helper_busy =
+      (* No [both] uses the helper while a map runs, so an idle one is
+         asked to leave and joined before the workers start. *)
+      let idle =
         locked (fun () ->
             incr maps;
-            !busy)
+            if !live && not !busy then begin
+              post ();
+              let h = !helper in
+              helper := None;
+              h
+            end
+            else None)
       in
       Fun.protect ~finally:(fun () -> locked (fun () -> decr maps))
       @@ fun () ->
-      let spawned = min jobs n - 1 - Bool.to_int helper_busy in
-      let domains = List.init (max 0 spawned) (fun _ -> Domain.spawn worker) in
+      Option.iter Domain.join idle;
+      let domains = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
       (* The calling domain is the last worker: [--jobs N] means N
          domains computing, not N+1. *)
       worker ();

@@ -15,8 +15,7 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     returns the results in the order of [items]. [jobs <= 1] degrades to
     a plain sequential [List.map] on the calling domain (no domains are
     spawned), which is the reference behaviour the determinism suite
-    compares parallel runs against. While {!both}'s helper is busy, the
-    helper counts as one of the [jobs] and one worker fewer is spawned.
+    compares parallel runs against.
 
     If [f] raises, remaining unstarted items are abandoned and the first
     exception (in completion order) is re-raised on the calling domain
@@ -27,14 +26,16 @@ val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [both f g] is [(f (), g ())]: [f] runs on the calling domain while
     [g] runs on the process's one helper domain, and [both] returns once
     both have finished. The helper is spawned on the first such call and
-    then reused; between jobs it waits on a condition variable.
+    reused by later ones. It exits after half a second without a job,
+    and when a {!map} starts (no [both] can use it then); the next call
+    spawns it again.
 
     [both] runs [f] and then [g] on the calling domain instead when
     [Domain.recommended_domain_count () = 1], while a parallel {!map}
     runs, or while the helper is busy (so also when called from inside
-    [g]). The process therefore never has more domains computing than
-    cores. [f] and [g] may run at the same time, so they must not share
-    mutable state.
+    [g]). So [both] computes on two domains only on a machine with two
+    or more cores and only while no map runs. [f] and [g] may run at the
+    same time, so they must not share mutable state.
 
     If only one side raises, its exception is re-raised with its
     backtrace; if both raise, [f]'s is, as in the sequential order. On

@@ -104,6 +104,20 @@ let test_both_nested () =
   Alcotest.(check int) "inner f on the domain that called it" g_on inner_f;
   Alcotest.(check int) "inner g runs sequentially there too" g_on inner_g
 
+(* The helper is reused while calls keep coming, leaves when a map
+   starts, and exits after half a second without a call; the next call
+   spawns a new domain (ids are never reused). *)
+let test_both_idle () =
+  let _, first = Pool.both ignore self in
+  let _, again = Pool.both ignore self in
+  Alcotest.(check int) "reused by the next call" first again;
+  ignore (Pool.map ~jobs:2 Fun.id [ 1; 2 ]);
+  let _, after_map = Pool.both ignore self in
+  Alcotest.(check bool) "a map retires it" (cores > 1) (after_map <> first);
+  Unix.sleepf 1.0;
+  let _, later = Pool.both ignore self in
+  Alcotest.(check bool) "respawned after idling" (cores > 1) (later <> after_map)
+
 (* Every [both] inside a full-width map falls back to the caller: at any
    moment, no more distinct domains compute than there are cores. *)
 let test_both_in_map () =
@@ -596,6 +610,8 @@ let () =
                 test_both_nested;
               Alcotest.test_case "both: inside a map, no extra domain" `Quick
                 test_both_in_map;
+              Alcotest.test_case "both: the helper leaves when idle" `Quick
+                test_both_idle;
             ] );
           ( "determinism",
             [
