@@ -28,7 +28,8 @@ let lower_invokes (_ctx : context) comp =
         | c -> c)
       comp.control
   in
-  { comp with groups = comp.groups @ List.rev !added; control }
+  if !added = [] then comp
+  else { comp with groups = comp.groups @ List.rev !added; control }
 
 let pass =
   Pass.make ~name:"compile-invoke"

@@ -453,30 +453,78 @@ let rec guard_atoms = function
 
 let assignment_atoms a = a.src :: guard_atoms a.guard
 
-let rec map_guard_atoms f = function
-  | True -> True
-  | Atom a -> Atom (f a)
-  | Cmp (op, a, b) -> Cmp (op, f a, f b)
-  | And (g1, g2) -> And (map_guard_atoms f g1, map_guard_atoms f g2)
-  | Or (g1, g2) -> Or (map_guard_atoms f g1, map_guard_atoms f g2)
-  | Not g -> Not (map_guard_atoms f g)
+(* The maps below copy on change: where [f] changes nothing they return
+   their argument itself, so a pass that rewrites nothing leaves its
+   output sharing the input's lists, which the well-formedness re-check
+   after the pass then skips (Well_formed.recheck). Each rebuilds a
+   node with the same expression as a plain map and then keeps the old
+   node if no child changed: [f] may have effects (fresh names), so it
+   is called in the same order either way. *)
 
-let map_atom_ports f = function Port p -> Port (f p) | Lit _ as a -> a
+(* [List.map f l] (left to right), or [l] itself when every [f x == x]. *)
+let map_shared f l =
+  let rec go = function
+    | [] -> []
+    | x :: rest as l ->
+        let x' = f x in
+        let rest' = go rest in
+        if x' == x && rest' == rest then l else x' :: rest'
+  in
+  go l
+
+let rec map_guard_atoms f g =
+  let g' =
+    match g with
+    | True -> True
+    | Atom a -> Atom (f a)
+    | Cmp (op, a, b) -> Cmp (op, f a, f b)
+    | And (g1, g2) -> And (map_guard_atoms f g1, map_guard_atoms f g2)
+    | Or (g1, g2) -> Or (map_guard_atoms f g1, map_guard_atoms f g2)
+    | Not g -> Not (map_guard_atoms f g)
+  in
+  let same =
+    match (g, g') with
+    | True, _ -> true
+    | Atom a, Atom a' -> a == a'
+    | Cmp (_, a, b), Cmp (_, a', b') -> a == a' && b == b'
+    | And (x, y), And (x', y') | Or (x, y), Or (x', y') -> x == x' && y == y'
+    | Not x, Not x' -> x == x'
+    | _ -> false
+  in
+  if same then g else g'
+
+let map_atom_ports f = function
+  | Port p as a ->
+      let p' = f p in
+      if p' == p then a else Port p'
+  | Lit _ as a -> a
 
 let map_assignment_ports f a =
-  {
-    dst = f a.dst;
-    src = map_atom_ports f a.src;
-    guard = map_guard_atoms (map_atom_ports f) a.guard;
-  }
+  let a' =
+    {
+      dst = f a.dst;
+      src = map_atom_ports f a.src;
+      guard = map_guard_atoms (map_atom_ports f) a.guard;
+    }
+  in
+  if a'.dst == a.dst && a'.src == a.src && a'.guard == a.guard then a else a'
 
 let map_assignments f comp =
-  {
-    comp with
-    continuous = List.map f comp.continuous;
-    groups =
-      List.map (fun g -> { g with assigns = List.map f g.assigns }) comp.groups;
-  }
+  let comp' =
+    {
+      comp with
+      continuous = map_shared f comp.continuous;
+      groups =
+        map_shared
+          (fun g ->
+            let assigns = map_shared f g.assigns in
+            if assigns == g.assigns then g else { g with assigns })
+          comp.groups;
+    }
+  in
+  if comp'.continuous == comp.continuous && comp'.groups == comp.groups then
+    comp
+  else comp'
 
 let all_assignments comp =
   comp.continuous @ List.concat_map (fun g -> g.assigns) comp.groups
@@ -485,16 +533,26 @@ let rec map_control f ctrl =
   let ctrl' =
     match ctrl with
     | Empty | Enable _ | Invoke _ -> ctrl
-    | Seq (cs, a) -> Seq (List.map (map_control f) cs, a)
-    | Par (cs, a) -> Par (List.map (map_control f) cs, a)
-    | If r ->
-        If
-          {
-            r with
-            tbranch = map_control f r.tbranch;
-            fbranch = map_control f r.fbranch;
-          }
-    | While r -> While { r with body = map_control f r.body }
+    | Seq (cs, a) ->
+        let cs' = map_shared (map_control f) cs in
+        if cs' == cs then ctrl else Seq (cs', a)
+    | Par (cs, a) ->
+        let cs' = map_shared (map_control f) cs in
+        if cs' == cs then ctrl else Par (cs', a)
+    | If r -> (
+        match
+          If
+            {
+              r with
+              tbranch = map_control f r.tbranch;
+              fbranch = map_control f r.fbranch;
+            }
+        with
+        | If r' when r'.tbranch == r.tbranch && r'.fbranch == r.fbranch -> ctrl
+        | c -> c)
+    | While r ->
+        let body = map_control f r.body in
+        if body == r.body then ctrl else While { r with body }
   in
   f ctrl'
 

@@ -240,18 +240,24 @@ val guard_atoms : guard -> atom list
 val assignment_atoms : assignment -> atom list
 (** Source and guard atoms (not the destination). *)
 
+(** The maps copy on change: where the function returns its argument
+    ([==]) everywhere, they return theirs, and a rebuilt value shares
+    every part the function left alone. *)
+
 val map_guard_atoms : (atom -> atom) -> guard -> guard
 val map_assignment_ports : (port_ref -> port_ref) -> assignment -> assignment
 (** Applies to the destination, the source, and all guard atoms. *)
 
 val map_assignments : (assignment -> assignment) -> component -> component
-(** Over all groups and the continuous assignments. *)
+(** Over all groups and the continuous assignments. A group (or list)
+    none of whose assignments changed is kept as it is. *)
 
 val all_assignments : component -> assignment list
 (** Continuous assignments plus every group's assignments. *)
 
 val map_control : (control -> control) -> control -> control
-(** Bottom-up rewrite of every control node. *)
+(** Bottom-up rewrite of every control node. A node whose children are
+    unchanged is handed to the function as it is. *)
 
 val iter_control : (control -> unit) -> control -> unit
 (** Pre-order visit of every control node. *)

@@ -58,11 +58,22 @@ let span_counts sp =
       Some { components; cells; groups; assignments; control_nodes }
   | _ -> None
 
-let validate_after pass ctx' =
-  match
+(* The re-check compares the output with the input only when the input is
+   known to be well-formed (Well_formed.recheck); the span carries how
+   many assignments kept their verdict and how many were checked. *)
+let validate_after ~checked pass ctx ctx' =
+  let r =
     Calyx_telemetry.Trace.with_span ~cat:"pass" "revalidate" (fun () ->
-        Well_formed.errors ctx')
-  with
+        let before = if checked then Some ctx else None in
+        let r = Well_formed.recheck ?before ctx' in
+        if Calyx_telemetry.Runtime.on () then begin
+          let add k v = Calyx_telemetry.Trace.add_metric k (float_of_int v) in
+          add "reused_assignments" r.Well_formed.reused_assignments;
+          add "rechecked_assignments" r.Well_formed.rechecked_assignments
+        end;
+        r)
+  in
+  match r.Well_formed.errors with
   | [] -> ()
   | errors ->
       raise
@@ -74,16 +85,20 @@ let invocations =
     ~help:"Compiler pass invocations across the process"
     "calyx_pass_invocations_total"
 
-let run ?(validate = true) pass ctx =
+let run ?(validate = true) ?(checked = false) pass ctx =
   Calyx_telemetry.Metrics.inc invocations;
   Calyx_telemetry.Trace.with_span ~cat:"pass" pass.name @@ fun () ->
   let ctx' = pass.transform ctx in
-  if validate then validate_after pass ctx';
+  if validate then validate_after ~checked pass ctx ctx';
   record_counts ctx';
   ctx'
 
-let run_all ?validate passes ctx =
-  List.fold_left (fun ctx pass -> run ?validate pass ctx) ctx passes
+(* A validated pass's output is well-formed: the next pass's input. *)
+let run_all ?(validate = true) ?checked passes ctx =
+  fst
+    (List.fold_left
+       (fun (ctx, checked) pass -> (run ~validate ?checked pass ctx, Some validate))
+       (ctx, checked) passes)
 
 let per_component f (ctx : Ir.context) =
   {

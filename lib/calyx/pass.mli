@@ -40,13 +40,25 @@ val span_counts : Calyx_telemetry.Trace.span -> counts option
 
 (** {1 Running passes} *)
 
-val run : ?validate:bool -> t -> Ir.context -> Ir.context
+val run : ?validate:bool -> ?checked:bool -> t -> Ir.context -> Ir.context
 (** Apply one pass; with [validate] (default true), raises
     [Well_formed.Malformed] annotated with the pass name if the output is
     malformed. The pass runs in a telemetry span named after it; the
-    re-validation, in a ["revalidate"] span nested inside that one. *)
+    re-validation, in a ["revalidate"] span nested inside that one, whose
+    metrics, with telemetry on, are the [reused_assignments] and
+    [rechecked_assignments] of its {!Well_formed.recheck}.
 
-val run_all : ?validate:bool -> t list -> Ir.context -> Ir.context
+    [checked] (default false) says the input is well-formed: it has
+    passed {!Well_formed.check} or a re-validation. The re-check then
+    covers only what the pass changed ({!Well_formed.recheck}); without
+    it, the whole output is checked. Either way the errors are the full
+    check's. *)
+
+val run_all :
+  ?validate:bool -> ?checked:bool -> t list -> Ir.context -> Ir.context
+(** {!run} each pass in turn; [checked] is the first input's. Each later
+    input is checked when [validate] holds, since the pass before
+    validated it. *)
 
 val per_component : (Ir.context -> Ir.component -> Ir.component) -> Ir.context -> Ir.context
 (** Lift a per-component rewrite over every non-extern component. The

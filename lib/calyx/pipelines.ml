@@ -67,4 +67,4 @@ let compile ?(config = default_config) ctx =
   Tele.Trace.with_span ~cat:"stage" "check" (fun () -> Well_formed.check ctx);
   if config.lint then
     Tele.Trace.with_span ~cat:"stage" "lint" (fun () -> Lint.check ctx);
-  Pass.run_all (passes config) ctx
+  Pass.run_all ~checked:true (passes config) ctx

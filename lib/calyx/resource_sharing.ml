@@ -125,21 +125,30 @@ let sharing_map ?(profitable = fun _ -> true) ctx comp =
     ~order:(List.map (fun c -> c.cell_name) candidates)
 
 let apply_map comp mapping =
-  let rename_cell c = Option.value ~default:c (SM.find_opt c mapping) in
-  let rename = function
-    | Cell_port (c, p) -> Cell_port (rename_cell c, p)
-    | p -> p
-  in
-  let comp = map_assignments (map_assignment_ports rename) comp in
-  let control =
-    map_control
-      (function
-        | If r -> If { r with cond_port = rename r.cond_port }
-        | While r -> While { r with cond_port = rename r.cond_port }
-        | c -> c)
-      comp.control
-  in
-  { comp with control }
+  if SM.for_all String.equal mapping then comp
+  else begin
+    let rename = function
+      | Cell_port (c, p) as port -> (
+          match SM.find_opt c mapping with
+          | Some c' when not (String.equal c c') -> Cell_port (c', p)
+          | _ -> port)
+      | p -> p
+    in
+    let comp = map_assignments (map_assignment_ports rename) comp in
+    let control =
+      map_control
+        (function
+          | If r as c ->
+              let cond_port = rename r.cond_port in
+              if cond_port == r.cond_port then c else If { r with cond_port }
+          | While r as c ->
+              let cond_port = rename r.cond_port in
+              if cond_port == r.cond_port then c else While { r with cond_port }
+          | c -> c)
+        comp.control
+    in
+    if control == comp.control then comp else { comp with control }
+  end
 
 let share ?profitable (ctx : context) comp =
   apply_map comp (sharing_map ?profitable ctx comp)

@@ -11,10 +11,35 @@ exception Malformed of string list
      CX010 bad condition        CX011 bad invoke         CX012 no entrypoint
      CX013 no go/done interface *)
 
+(* What [scoped_diagnostics] checks of a component: the duplicate cell
+   and group names, the signature's (duplicate ports and the go/done
+   interface), the prototypes of the given cells, the continuous
+   assignments, the given groups (a sublist of the component's, in
+   order), and the control program. [everything] is the full check. *)
+type scope = {
+  sc_names : bool;
+  sc_signature : bool;
+  sc_cells : cell list;
+  sc_continuous : bool;
+  sc_groups : group list;
+  sc_control : bool;
+}
+
+let everything comp =
+  {
+    sc_names = true;
+    sc_signature = true;
+    sc_cells = comp.cells;
+    sc_continuous = true;
+    sc_groups = comp.groups;
+    sc_control = true;
+  }
+
 (* Locations are lazy: an assignment's location prints its destination
-   port, which is only worth doing for the few assignments reported. *)
-let component_diagnostics ctx comp =
-  let acc = ref [] in
+   port, which is only worth doing for the few assignments reported. The
+   diagnostics come with the number of assignments checked. *)
+let scoped_diagnostics ctx scope comp =
+  let acc = ref [] and checked = ref 0 in
   let report sev ~code ~loc fmt =
     Format.kasprintf
       (fun message ->
@@ -38,8 +63,8 @@ let component_diagnostics ctx comp =
   let control_loc path = Lazy.from_val (D.Control { comp = comp.comp_name; path }) in
   (* An unresolved prototype is reported once, at its cell (CX002/CX003),
      not again at every reference to its ports. *)
-  let ports = Ports.create ctx comp and groups = group_index comp in
-  let signature = signature_ports comp in
+  let ports = lazy (Ports.create ctx comp) in
+  let groups = lazy (group_index comp) in
   let check_duplicates what names =
     let tbl = Hashtbl.create 16 in
     List.iter
@@ -49,25 +74,30 @@ let component_diagnostics ctx comp =
         else Hashtbl.add tbl n ())
       names
   in
-  check_duplicates "cell" (List.map (fun c -> c.cell_name) comp.cells);
-  check_duplicates "group" (List.map (fun g -> g.group_name) comp.groups);
-  check_duplicates "port" (List.map (fun pd -> pd.pd_name) signature);
-  (* The calling convention (Section 4.1): a component with a body has a
-     1-bit go input and a 1-bit done output, which the control compiler
-     wires up. *)
-  if comp.is_extern = None then
-    List.iter
-      (fun (name, dir, what) ->
-        let ok =
-          match Ports.resolve ports (This name) with
-          | Ports.Resolved r -> r.dir = dir && r.width = 1
-          | _ -> false
-        in
-        if not ok then
-          error ~code:"CX013" ~loc:comp_loc
-            "component %s has no %s: 1 %s (the go/done interface)"
-            comp.comp_name name what)
-      [ ("go", Input, "input"); ("done", Output, "output") ];
+  if scope.sc_names then begin
+    check_duplicates "cell" (List.map (fun c -> c.cell_name) comp.cells);
+    check_duplicates "group" (List.map (fun g -> g.group_name) comp.groups)
+  end;
+  if scope.sc_signature then begin
+    check_duplicates "port"
+      (List.map (fun pd -> pd.pd_name) (signature_ports comp));
+    (* The calling convention (Section 4.1): a component with a body has a
+       1-bit go input and a 1-bit done output, which the control compiler
+       wires up. *)
+    if comp.is_extern = None then
+      List.iter
+        (fun (name, dir, what) ->
+          let ok =
+            match Ports.resolve (Lazy.force ports) (This name) with
+            | Ports.Resolved r -> r.dir = dir && r.width = 1
+            | _ -> false
+          in
+          if not ok then
+            error ~code:"CX013" ~loc:comp_loc
+              "component %s has no %s: 1 %s (the go/done interface)"
+              comp.comp_name name what)
+        [ ("go", Input, "input"); ("done", Output, "output") ]
+  end;
   (* Cells must instantiate known primitives or components. *)
   List.iter
     (fun c ->
@@ -90,12 +120,12 @@ let component_diagnostics ctx comp =
               if String.equal sub.comp_name comp.comp_name then
                 error ~code:"CX003" ~loc:(cell_loc c.cell_name)
                   "recursive instantiation of %s" name))
-    comp.cells;
+    scope.sc_cells;
   (* Port reference resolution + direction checks for assignments. *)
-  let group_exists g = Hashtbl.mem groups g in
+  let group_exists g = Hashtbl.mem (Lazy.force groups) g in
   let port_info ~loc p =
     (* Returns (width, is_readable, is_writable) or None with a problem. *)
-    match Ports.resolve ports p with
+    match Ports.resolve (Lazy.force ports) p with
     | Ports.Resolved r -> (
         match p with
         | Hole _ -> Some (1, true, true)
@@ -124,6 +154,7 @@ let component_diagnostics ctx comp =
     | Lit v -> Some (Bitvec.width v, true, false)
   in
   let check_assignment group a =
+    incr checked;
     let loc = assign_loc group a in
     let dst = port_info ~loc a.dst in
     (match dst with
@@ -164,7 +195,7 @@ let component_diagnostics ctx comp =
     in
     check_cmp_widths a.guard
   in
-  List.iter (check_assignment None) comp.continuous;
+  if scope.sc_continuous then List.iter (check_assignment None) comp.continuous;
   List.iter
     (fun g ->
       List.iter (check_assignment (Some g.group_name)) g.assigns;
@@ -192,7 +223,7 @@ let component_diagnostics ctx comp =
             else Hashtbl.add seen a.dst ()
           end)
         g.assigns)
-    comp.groups;
+    scope.sc_groups;
   (* Control references. *)
   let check_cond ~loc cond_group cond_port =
     (match cond_group with
@@ -219,7 +250,7 @@ let component_diagnostics ctx comp =
       | While { cond_group; cond_port; _ } ->
           check_cond ~loc cond_group cond_port
       | Invoke { cell; invoke_inputs; invoke_outputs; _ } -> (
-          match Ports.cell_ports ports cell with
+          match Ports.cell_ports (Lazy.force ports) cell with
           | None -> error ~code:"CX011" ~loc "invoke of unknown cell %s" cell
           | Some (Error _) -> () (* the prototype is reported at the cell *)
           | Some (Ok ports) ->
@@ -281,21 +312,42 @@ let component_diagnostics ctx comp =
                       | _ -> ()))
                 invoke_outputs)
       | Empty | Seq _ | Par _ -> ())
-    comp.control;
-  List.rev !acc
+    (if scope.sc_control then comp.control else Empty);
+  (List.rev !acc, !checked)
 
-let diagnostics ctx =
-  (match find_component_opt ctx ctx.entrypoint with
-  | Some _ -> []
-  | None ->
-      [
-        D.error ~code:"CX012" ~loc:D.Program
-          "entrypoint component %s not found" ctx.entrypoint;
-      ])
-  @
-  List.concat_map
-    (fun c -> if c.is_extern <> None then [] else component_diagnostics ctx c)
-    ctx.components
+let component_diagnostics ctx comp =
+  fst (scoped_diagnostics ctx (everything comp) comp)
+
+(* The whole program's diagnostics, each component checked within its
+   scope in [scopes] (in the order of the components), and the number of
+   assignments checked. *)
+let program_diagnostics ctx scopes =
+  let entry =
+    match find_component_opt ctx ctx.entrypoint with
+    | Some _ -> []
+    | None ->
+        [
+          D.error ~code:"CX012" ~loc:D.Program
+            "entrypoint component %s not found" ctx.entrypoint;
+        ]
+  in
+  let checked = ref 0 in
+  let components =
+    List.concat
+      (List.map2
+         (fun c scope ->
+           if c.is_extern <> None then []
+           else begin
+             let d, n = scoped_diagnostics ctx scope c in
+             checked := !checked + n;
+             d
+           end)
+         ctx.components scopes)
+  in
+  (entry @ components, !checked)
+
+let full_scopes ctx = List.map everything ctx.components
+let diagnostics ctx = fst (program_diagnostics ctx (full_scopes ctx))
 
 let check_component ctx comp =
   List.map D.render (component_diagnostics ctx comp)
@@ -304,3 +356,123 @@ let errors ctx = List.map D.render (diagnostics ctx)
 
 let check ctx =
   match errors ctx with [] -> () | problems -> raise (Malformed problems)
+
+(* Re-checking a pass's output against its well-formed input. *)
+
+type recheck = {
+  errors : string list;
+  reused_assignments : int;
+  rechecked_assignments : int;
+}
+
+(* What follows [prefix] in [l], when [l] starts with it, element by
+   element. *)
+let rec after_prefix same prefix l =
+  match (prefix, l) with
+  | [], l -> Some l
+  | x :: prefix, y :: l when same x y -> after_prefix same prefix l
+  | _ -> None
+
+(* The part of [after] whose verdict can differ from [before]'s, whose
+   component (and every other's) has the same signature: [None] when
+   [after] must be checked in full. Every name [before]'s parts resolve
+   must still resolve to the same thing: its cells must start [after]'s,
+   physically, and its groups' names [after]'s, in order. A group is
+   re-checked when its assignment list is not [==] [before]'s under the
+   same name, and so are the appended groups; the continuous assignments
+   and the control, when they are not [==]. The appended cells' prototypes
+   are checked, and the duplicate names when anything was appended. Also
+   returns the number of assignments left unchecked. *)
+let stale before after =
+  match
+    ( after_prefix ( == ) before.cells after.cells,
+      after_prefix
+        (fun b a -> String.equal b.group_name a.group_name)
+        before.groups after.groups )
+  with
+  | Some new_cells, Some new_groups ->
+      let reused = ref 0 in
+      let keep l = reused := !reused + List.length l in
+      let rec groups before after =
+        match (before, after) with
+        | b :: before, a :: after ->
+            if a.assigns == b.assigns then begin
+              keep a.assigns;
+              groups before after
+            end
+            else a :: groups before after
+        | _ -> new_groups
+      in
+      let continuous = not (after.continuous == before.continuous) in
+      if not continuous then keep after.continuous;
+      let scope =
+        {
+          sc_names = new_cells <> [] || new_groups <> [];
+          sc_signature = false;
+          sc_cells = new_cells;
+          sc_continuous = continuous;
+          sc_groups = groups before.groups after.groups;
+          sc_control = not (after.control == before.control);
+        }
+      in
+      Some (scope, !reused)
+  | _ -> None
+
+let same_signatures before after =
+  List.compare_lengths before.components after.components = 0
+  && List.for_all2
+       (fun b a ->
+         String.equal b.comp_name a.comp_name
+         && b.inputs == a.inputs && b.outputs == a.outputs
+         && b.is_extern = a.is_extern)
+       before.components after.components
+
+let nothing =
+  {
+    sc_names = false;
+    sc_signature = false;
+    sc_cells = [];
+    sc_continuous = false;
+    sc_groups = [];
+    sc_control = false;
+  }
+
+let recheck ?before ctx =
+  let full () =
+    let diagnostics, checked = program_diagnostics ctx (full_scopes ctx) in
+    {
+      errors = List.map D.render diagnostics;
+      reused_assignments = 0;
+      rechecked_assignments = checked;
+    }
+  in
+  match before with
+  | Some before when same_signatures before ctx -> (
+      let reused = ref 0 in
+      let scope b c =
+        match
+          if c == b then
+            Some
+              ( nothing,
+                List.fold_left
+                  (fun n g -> n + List.length g.assigns)
+                  (List.length c.continuous) c.groups )
+          else stale b c
+        with
+        | Some (scope, n) ->
+            reused := !reused + n;
+            scope
+        | None -> everything c
+      in
+      match
+        program_diagnostics ctx
+          (List.map2 scope before.components ctx.components)
+      with
+      | [], checked ->
+          {
+            errors = [];
+            reused_assignments = !reused;
+            rechecked_assignments = checked;
+          }
+      | _ :: _, _ -> full ())
+  | _ -> full ()

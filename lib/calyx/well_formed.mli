@@ -30,3 +30,29 @@ val check_component : Ir.context -> Ir.component -> string list
 
 val errors : Ir.context -> string list
 (** Rendered problems in the program, without raising. *)
+
+(** {1 Re-checking a pass's output} *)
+
+type recheck = {
+  errors : string list;  (** Exactly {!errors} of the program. *)
+  reused_assignments : int;
+      (** Assignments whose clean verdict was kept without a re-check. *)
+  rechecked_assignments : int;  (** Assignments checked again. *)
+}
+
+val recheck : ?before:Ir.context -> Ir.context -> recheck
+(** [recheck ~before ctx] is {!errors} of [ctx], computed from what
+    differs between [ctx] and [before], which must be well-formed ([errors
+    before = []]; a pass's input that has passed {!check} or a re-check).
+    A component keeps the clean verdicts of [before]'s parts when every
+    component keeps its name, position, extern-ness and physically equal
+    ([==]) [inputs] and [outputs], its input's cells start its own
+    physically, and its input's groups' names start its own in order.
+    Then only the groups whose [assigns] list is not [==] the input's
+    group's of the same name, and the continuous assignments and the
+    control program where those are not [==], are checked again; the
+    duplicate-name, go/done and prototype checks run again when the cells
+    or the groups are not [==]. A component that breaks the rule is
+    checked in full, and so is everything when the signatures differ.
+    When anything is wrong, the errors are those of the full {!errors}, in
+    its order. Without [before], this is the full check. *)

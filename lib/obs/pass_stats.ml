@@ -10,17 +10,30 @@ type row = {
   after : Pass.counts;
   timing_before : (int * float) option;
   timing_after : (int * float) option;
+  reused_assignments : int;
+  rechecked_assignments : int;
 }
 
 type t = row list
 
-let self_seconds spans (sp : Trace.span) =
-  List.fold_left
-    (fun acc (child : Trace.span) ->
-      if child.sp_parent = sp.sp_id && child.sp_name = "revalidate" then
-        acc -. Trace.seconds child
-      else acc)
-    (Trace.seconds sp) spans
+let revalidate_of spans (sp : Trace.span) =
+  List.find_opt
+    (fun (child : Trace.span) ->
+      child.sp_parent = sp.sp_id && child.sp_name = "revalidate")
+    spans
+
+let self_seconds spans sp =
+  match revalidate_of spans sp with
+  | Some child -> Trace.seconds sp -. Trace.seconds child
+  | None -> Trace.seconds sp
+
+(* The revalidate span's metric [k] (0 without one). *)
+let recheck_count spans sp k =
+  match revalidate_of spans sp with
+  | Some child ->
+      int_of_float
+        (Option.value ~default:0. (List.assoc_opt k (Trace.metrics child)))
+  | None -> 0
 
 (* Per-pass timing: mid-pipeline (structured) contexts are analyzed as
    their merged netlist, which can exhibit cycles that lowering later
@@ -65,6 +78,9 @@ let compile ?(config = Pipelines.default_config) ctx =
           after = counts.(i + 1);
           timing_before = timings.(i);
           timing_after = timings.(i + 1);
+          reused_assignments = recheck_count spans sp "reused_assignments";
+          rechecked_assignments =
+            recheck_count spans sp "rechecked_assignments";
         })
       (List.combine (Pipelines.passes config) pass_spans) )
 
@@ -84,7 +100,7 @@ let render t =
   let delay = Option.map fst and fmax = Option.map snd in
   let rows =
     [ "pass"; "ms"; "cells"; "groups"; "assigns"; "control";
-      "depth_ps"; "fmax_mhz" ]
+      "depth_ps"; "fmax_mhz"; "reused"; "rechecked" ]
     :: List.map
          (fun r ->
            let b = r.before and a = r.after in
@@ -100,6 +116,8 @@ let render t =
              odelta
                (fun f -> Printf.sprintf "%.0f" f)
                (fmax r.timing_before) (fmax r.timing_after);
+             string_of_int r.reused_assignments;
+             string_of_int r.rechecked_assignments;
            ])
          t
   in
@@ -135,6 +153,8 @@ let to_json t =
             ("delay_ps_after", delay r.timing_after);
             ("fmax_mhz_before", fmax r.timing_before);
             ("fmax_mhz_after", fmax r.timing_after);
+            ("reused_assignments", Json.int r.reused_assignments);
+            ("rechecked_assignments", Json.int r.rechecked_assignments);
           ])
       t
   in

@@ -20,6 +20,10 @@ type row = {
       (** Delay (ps) and Fmax (MHz) of the pass's input; [None] when its
           merged netlist cannot be timed. *)
   timing_after : (int * float) option;
+  reused_assignments : int;
+      (** Assignments the re-check after the pass left unchecked, keeping
+          their verdict from its input ({!Calyx.Well_formed.recheck}). *)
+  rechecked_assignments : int;  (** Assignments it checked again. *)
 }
 
 type t = row list
@@ -42,10 +46,12 @@ val render : t -> string
 (** The human table: per pass, milliseconds,
     [before->after (+/-delta)] for cells, groups, assignments, and control
     nodes, plus critical-path depth (ps) and Fmax (MHz) deltas from the
-    static timing analysis ("-" where a program cannot be timed). *)
+    static timing analysis ("-" where a program cannot be timed), and the
+    assignments the re-check after the pass reused and re-checked. *)
 
 val to_json : t -> string
 (** [{"passes": [...], "total_seconds": ...}] following the
     {!Calyx.Diagnostics} JSON conventions; each pass additionally carries
     [delay_ps_before/after] and [fmax_mhz_before/after] (null when the
-    intermediate netlist cannot be timed). *)
+    intermediate netlist cannot be timed), [reused_assignments] and
+    [rechecked_assignments]. *)

@@ -263,7 +263,8 @@ let test_pass_spans () =
 
 let pass_json_keys =
   [ "name"; "description"; "seconds"; "before"; "after"; "delay_ps_before";
-    "delay_ps_after"; "fmax_mhz_before"; "fmax_mhz_after" ]
+    "delay_ps_after"; "fmax_mhz_before"; "fmax_mhz_after";
+    "reused_assignments"; "rechecked_assignments" ]
 
 let test_pass_stats () =
   let ctx = systolic4 () in
@@ -284,6 +285,19 @@ let test_pass_stats () =
   Alcotest.(check int) "no groups after lowering" 0 last.after.groups;
   Alcotest.(check int) "no control after lowering" 0
     last.after.control_nodes;
+  (* The re-check after each pass sees every output assignment, reused
+     or checked again; remove-groups rebuilds them all. *)
+  List.iter
+    (fun (r : Pass_stats.row) ->
+      Alcotest.(check int) (r.pass ^ " re-check covers the output")
+        r.after.assignments
+        (r.reused_assignments + r.rechecked_assignments))
+    stats;
+  let remove_groups =
+    List.find (fun (r : Pass_stats.row) -> r.pass = "remove-groups") stats
+  in
+  Alcotest.(check int) "remove-groups reuses nothing" 0
+    remove_groups.reused_assignments;
   let doc = Json.parse (Pass_stats.to_json stats) in
   let passes =
     Option.get (Option.bind (Json.member "passes" doc) Json.to_list)
