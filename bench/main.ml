@@ -648,7 +648,7 @@ let stages () =
         ( systolic_name n,
           Systolic.generate (systolic_dims n),
           systolic_run n ))
-      [ 4; 8; 10; 16 ]
+      [ 4; 8; 10; 16; 32 ]
   in
   let kernels =
     List.map

@@ -89,7 +89,7 @@ let component ?(attrs = Attrs.empty) ?(inputs = []) ?(outputs = []) name =
   }
 
 let with_cells cells comp = Ir.add_cells comp cells
-let with_groups groups comp = List.fold_left Ir.add_group comp groups
+let with_groups groups comp = Ir.add_groups comp groups
 let with_continuous assigns comp = { comp with continuous = comp.continuous @ assigns }
 let with_control control comp = { comp with control }
 

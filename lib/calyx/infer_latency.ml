@@ -1,14 +1,20 @@
 open Ir
 
+(* [cells] is [cell_index comp]. *)
+let proto cells comp cell_name =
+  match Hashtbl.find_opt cells cell_name with
+  | Some c -> c.cell_proto
+  | None -> ir_error "unknown cell %s in component %s" cell_name comp.comp_name
+
 (* Latency of a cell's go/done (or write_en/done) protocol, if known. *)
-let cell_latency ctx comp cell_name =
-  match (find_cell comp cell_name).cell_proto with
+let cell_latency ctx cells comp cell_name =
+  match proto cells comp cell_name with
   | Prim (name, _) -> (
       match Prims.find name with Some info -> info.latency | None -> None)
   | Comp name -> Attrs.static (find_component ctx name).comp_attrs
 
-let is_register comp cell_name =
-  match (find_cell comp cell_name).cell_proto with
+let is_register cells comp cell_name =
+  match proto cells comp cell_name with
   | Prim (("std_reg" | "std_mem_d1" | "std_mem_d2"), _) -> true
   | _ -> false
 
@@ -62,32 +68,32 @@ let write_en_source cell group =
 (* The latency the idiom analysis can derive for a group, ignoring any
    existing "static" annotation. Shared with the latency-contract lint so a
    user annotation can be checked against what the hardware will do. *)
-let derived_group_latency ctx comp group =
+let derived_group_latency ctx cells comp group =
   match done_source group with
   | Some (Lit v) when Bitvec.is_true v -> Some 1
   | Some (Port (Cell_port (c, "done"))) -> (
-      if is_register comp c then
+      if is_register cells comp c then
         if drives_write_en_high c group then Some 1
         else begin
           (* r.write_en = c'.done; c' invoked within the group. *)
           match write_en_source c group with
           | Some c' when drives_go c' group -> (
-              match cell_latency ctx comp c' with
+              match cell_latency ctx cells comp c' with
               | Some l -> Some (l + 1)
               | None -> None)
           | _ -> None
         end
       else
-        match cell_latency ctx comp c with
+        match cell_latency ctx cells comp c with
         | Some l when drives_go c group -> Some l
         | _ -> None)
   | _ -> None
 
-let infer_group ctx comp group =
+let infer_group ctx cells comp group =
   match Attrs.static group.group_attrs with
   | Some _ -> (group, false)
   | None -> (
-      match derived_group_latency ctx comp group with
+      match derived_group_latency ctx cells comp group with
       | Some n ->
           ( { group with group_attrs = Attrs.with_static n group.group_attrs },
             true )
@@ -95,10 +101,11 @@ let infer_group ctx comp group =
 
 let infer_component ctx comp =
   let changed = ref false in
+  let cells = cell_index comp in
   let groups =
     List.map
       (fun g ->
-        let g', c = infer_group ctx comp g in
+        let g', c = infer_group ctx cells comp g in
         if c then changed := true;
         g')
       comp.groups
@@ -107,7 +114,7 @@ let infer_component ctx comp =
   let comp =
     if Attrs.static comp.comp_attrs <> None || comp.control = Empty then comp
     else
-      match Static_timing.control_latency comp comp.control with
+      match Static_timing.control_latency (group_index comp) comp comp.control with
       | Some n ->
           changed := true;
           { comp with comp_attrs = Attrs.with_static n comp.comp_attrs }

@@ -24,7 +24,13 @@
 val pass : Pass.t
 
 val derived_group_latency :
-  Ir.context -> Ir.component -> Ir.group -> int option
+  Ir.context ->
+  (string, Ir.cell) Hashtbl.t ->
+  Ir.component ->
+  Ir.group ->
+  int option
 (** The latency the group rules above derive, {e ignoring} any existing
     ["static"] annotation — what the inferred hardware will actually take.
-    The latency-contract lint compares this against the annotation. *)
+    The latency-contract lint compares this against the annotation. The
+    table is {!Ir.cell_index} of the component, built once by the caller;
+    a cell missing from it raises ["unknown cell %s in component %s"]. *)

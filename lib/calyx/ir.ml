@@ -92,22 +92,6 @@ let find_component ctx name =
 
 let entry ctx = find_component ctx ctx.entrypoint
 
-let find_cell_opt comp name =
-  List.find_opt (fun c -> String.equal c.cell_name name) comp.cells
-
-let find_cell comp name =
-  match find_cell_opt comp name with
-  | Some c -> c
-  | None -> ir_error "unknown cell %s in component %s" name comp.comp_name
-
-let find_group_opt comp name =
-  List.find_opt (fun g -> String.equal g.group_name name) comp.groups
-
-let find_group comp name =
-  match find_group_opt comp name with
-  | Some g -> g
-  | None -> ir_error "unknown group %s in component %s" name comp.comp_name
-
 let index_by name l =
   let tbl = Hashtbl.create 64 in
   List.iter
@@ -423,17 +407,34 @@ let name_supply taken =
     Hashtbl.replace used name ();
     name
 
-let add_cell comp cell =
-  if find_cell_opt comp cell.cell_name <> None then
-    ir_error "cell %s already exists in %s" cell.cell_name comp.comp_name;
-  { comp with cells = comp.cells @ [ cell ] }
+(* Appends [added] to [existing], raising on the first name in [added]
+   (in order) that is already taken, by [existing] or by an earlier
+   element of [added]. *)
+let append_fresh ~kind name comp existing added =
+  let taken = index_by name existing in
+  List.iter
+    (fun x ->
+      if Hashtbl.mem taken (name x) then
+        ir_error "%s %s already exists in %s" kind (name x) comp.comp_name;
+      Hashtbl.replace taken (name x) x)
+    added;
+  existing @ added
 
-let add_cells comp cells = List.fold_left add_cell comp cells
+let add_cells comp cells =
+  {
+    comp with
+    cells = append_fresh ~kind:"cell" (fun c -> c.cell_name) comp comp.cells cells;
+  }
 
-let add_group comp group =
-  if find_group_opt comp group.group_name <> None then
-    ir_error "group %s already exists in %s" group.group_name comp.comp_name;
-  { comp with groups = comp.groups @ [ group ] }
+let add_groups comp groups =
+  {
+    comp with
+    groups =
+      append_fresh ~kind:"group" (fun g -> g.group_name) comp comp.groups groups;
+  }
+
+let add_cell comp cell = add_cells comp [ cell ]
+let add_group comp group = add_groups comp [ group ]
 
 let remove_group comp name =
   {

@@ -124,16 +124,18 @@ val find_component : context -> string -> component
 val find_component_opt : context -> string -> component option
 val entry : context -> component
 
-val find_cell : component -> string -> cell
-val find_cell_opt : component -> string -> cell option
-val find_group : component -> string -> group
-val find_group_opt : component -> string -> group option
-
 val cell_index : component -> (string, cell) Hashtbl.t
 val group_index : component -> (string, group) Hashtbl.t
-(** Name tables, first declaration winning as in {!find_cell_opt} and
-    {!find_group_opt}: for analyses that look names up in a loop, where a
-    list scan per lookup would make them quadratic. *)
+(** The one way to look up a cell or group by name (or {!Ports.find_cell},
+    where a port table is already at hand). On a duplicate name the first
+    declaration wins. Each costs a pass over the component's cells or
+    groups: build it once per analysis per component and pass it down,
+    never once per query. A miss is reported as
+    ["unknown cell %s in component %s"] or
+    ["unknown group %s in component %s"].
+
+    The tables are not stored in {!component}: every [{ comp with cells }]
+    copy would carry a stale one. *)
 
 val signature_ports : component -> port_def list
 (** Inputs followed by outputs. *)
@@ -229,9 +231,17 @@ val name_supply : string list -> string -> string
     neither in [taken] nor a name the generator returned before. Amortized
     constant time per name. *)
 
-val add_cell : component -> cell -> component
 val add_cells : component -> cell list -> component
+val add_groups : component -> group list -> component
+(** Append in order, raising ["cell %s already exists in %s"] (or the
+    group counterpart) on the first name, in list order, that the
+    component or an earlier element already has. One name table per
+    call: add many at once rather than one by one. *)
+
+val add_cell : component -> cell -> component
 val add_group : component -> group -> component
+(** The one-element cases of {!add_cells} and {!add_groups}. *)
+
 val remove_group : component -> string -> component
 
 (** {1 Traversal} *)

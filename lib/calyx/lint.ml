@@ -12,10 +12,11 @@ let port_key p = Format.asprintf "%a" pp_port_ref p
 
 (* Two groups enabled under distinct arms of the same [par] may be active
    in the same cycle. If both drive a cell, or one drives a cell the other
-   reads, the outcome depends on the schedule — undefined behaviour. *)
-let par_races comp =
+   reads, the outcome depends on the schedule — undefined behaviour.
+   [cells] and [groups] are the component's {!cell_index} and
+   {!group_index}, as in every rule below that takes them. *)
+let par_races ~cells ~groups comp =
   let diags = ref [] in
-  let groups = group_index comp and cells = cell_index comp in
   let memo tbl f g =
     match Hashtbl.find_opt tbl g with
     | Some s -> s
@@ -141,8 +142,8 @@ let par_races comp =
    Registers and pipelined units break cycles (their outputs change only at
    clock edges); memories have a combinational read path from the address
    ports to [read_data]; user components are treated as opaque. *)
-let cell_comb_deps comp cell_name =
-  match find_cell_opt comp cell_name with
+let cell_comb_deps cells cell_name =
+  match Hashtbl.find_opt cells cell_name with
   | None -> None
   | Some c -> (
       match c.cell_proto with
@@ -175,16 +176,16 @@ let cell_comb_deps comp cell_name =
    can be live in the same cycle: one group plus the continuous
    assignments). Returns each cycle as a port list, deduplicated across
    scopes via [seen]. *)
-let scope_cycles comp ~seen assigns =
+let scope_cycles ~cells ~seen assigns =
   let succ : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
   let edge a b =
     match Hashtbl.find_opt succ a with
     | Some l -> if not (List.mem b !l) then l := b :: !l
     | None -> Hashtbl.replace succ a (ref [ b ])
   in
-  let cells = ref SS.empty in
+  let used = ref SS.empty in
   let note_port p =
-    match p with Cell_port (c, _) -> cells := SS.add c !cells | _ -> ()
+    match p with Cell_port (c, _) -> used := SS.add c !used | _ -> ()
   in
   List.iter
     (fun a ->
@@ -199,7 +200,7 @@ let scope_cycles comp ~seen assigns =
     assigns;
   SS.iter
     (fun c ->
-      match cell_comb_deps comp c with
+      match cell_comb_deps cells c with
       | Some (ins, outs) ->
           List.iter
             (fun i ->
@@ -210,7 +211,7 @@ let scope_cycles comp ~seen assigns =
                 outs)
             ins
       | None -> ())
-    !cells;
+    !used;
   let state = Hashtbl.create 64 in
   let cycles = ref [] in
   let rec dfs path node =
@@ -242,7 +243,7 @@ let scope_cycles comp ~seen assigns =
   Hashtbl.iter (fun node _ -> dfs [ node ] node) succ;
   List.rev !cycles
 
-let comb_cycles comp =
+let comb_cycles ~cells comp =
   let seen = Hashtbl.create 16 in
   let diag loc cycle =
     {
@@ -257,7 +258,7 @@ let comb_cycles comp =
   let continuous =
     List.map
       (fun c -> diag (D.Component comp.comp_name) c)
-      (scope_cycles comp ~seen comp.continuous)
+      (scope_cycles ~cells ~seen comp.continuous)
   in
   let grouped =
     List.concat_map
@@ -265,7 +266,7 @@ let comb_cycles comp =
         List.map
           (fun c ->
             diag (D.Group { comp = comp.comp_name; group = g.group_name }) c)
-          (scope_cycles comp ~seen (g.assigns @ comp.continuous)))
+          (scope_cycles ~cells ~seen (g.assigns @ comp.continuous)))
       comp.groups
   in
   continuous @ grouped
@@ -283,18 +284,18 @@ let comb_cycles comp =
    same operands. Conservative: anything unprovable counts as
    overlapping. *)
 
-let is_one_bit_wire comp c =
-  match find_cell_opt comp c with
+let is_one_bit_wire cells c =
+  match Hashtbl.find_opt cells c with
   | Some { cell_proto = Prim ("std_wire", [ 1 ]); _ } -> true
   | _ -> false
 
 (* wire name -> disjunction of its drivers' guards, when exact. *)
-let wire_table comp =
+let wire_table ~cells comp =
   let drivers = Hashtbl.create 16 in
   List.iter
     (fun a ->
       match a.dst with
-      | Cell_port (w, "in") when is_one_bit_wire comp w ->
+      | Cell_port (w, "in") when is_one_bit_wire cells w ->
           let prev =
             match Hashtbl.find_opt drivers w with Some l -> l | None -> []
           in
@@ -431,8 +432,8 @@ let guards_disjoint g1 g2 =
         d1
   | _ -> false
 
-let overlapping_drivers comp =
-  let table = wire_table comp in
+let overlapping_drivers ~cells comp =
+  let table = wire_table ~cells comp in
   let expand g = expand_guard table 4 (simplify_guard g) in
   let diags = ref [] in
   let scope ~loc ~in_scope assigns =
@@ -573,12 +574,13 @@ let dead_code comp =
 (* CX025: latency contracts                                            *)
 (* ------------------------------------------------------------------ *)
 
-let latency_contracts ctx comp =
+let latency_contracts ctx ~cells ~groups comp =
   let diags = ref [] in
   List.iter
     (fun g ->
       match
-        (Attrs.static g.group_attrs, Infer_latency.derived_group_latency ctx comp g)
+        ( Attrs.static g.group_attrs,
+          Infer_latency.derived_group_latency ctx cells comp g )
       with
       | Some annotated, Some derived when annotated <> derived ->
           diags :=
@@ -593,7 +595,7 @@ let latency_contracts ctx comp =
     comp.groups;
   (match (Attrs.static comp.comp_attrs, comp.control) with
   | Some annotated, ctrl when ctrl <> Empty -> (
-      match Static_timing.control_latency comp ctrl with
+      match Static_timing.control_latency groups comp ctrl with
       | Some derived when derived <> annotated ->
           diags :=
             D.error ~code:"CX025" ~loc:(D.Component comp.comp_name)
@@ -610,8 +612,12 @@ let latency_contracts ctx comp =
 (* ------------------------------------------------------------------ *)
 
 let component_diagnostics ctx comp =
-  par_races comp @ comb_cycles comp @ overlapping_drivers comp
-  @ dead_code comp @ latency_contracts ctx comp
+  let cells = cell_index comp and groups = group_index comp in
+  par_races ~cells ~groups comp
+  @ comb_cycles ~cells comp
+  @ overlapping_drivers ~cells comp
+  @ dead_code comp
+  @ latency_contracts ctx ~cells ~groups comp
 
 let diagnostics ctx =
   List.concat_map

@@ -44,7 +44,7 @@ let analyze ~id:reg_id comp =
         let group =
           match Hashtbl.find_opt groups g with
           | Some group -> group
-          | None -> find_group comp g
+          | None -> ir_error "unknown group %s in component %s" g comp.comp_name
         in
         let reads = bits (Read_write_set.reads regs group) in
         let may_writes = bits (Read_write_set.may_writes regs group) in

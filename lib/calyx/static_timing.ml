@@ -3,34 +3,37 @@ open Ir
 let generated_static n =
   Attrs.of_list [ ("generated", 1); ("static", n) ]
 
-let group_static comp g = Attrs.static (find_group comp g).group_attrs
+(* [groups] is [group_index comp], plus any groups generated since. *)
+let group_static groups comp g =
+  match Hashtbl.find_opt groups g with
+  | Some group -> Attrs.static group.group_attrs
+  | None -> ir_error "unknown group %s in component %s" g comp.comp_name
 
-let rec control_latency comp = function
-  | Empty -> Some 0
-  | Enable (g, _) -> group_static comp g
-  | Seq (cs, _) ->
-      List.fold_left
-        (fun acc c ->
-          match (acc, control_latency comp c) with
-          | Some a, Some b -> Some (a + b)
-          | _ -> None)
-        (Some 0) cs
-  | Par (cs, _) ->
-      List.fold_left
-        (fun acc c ->
-          match (acc, control_latency comp c) with
-          | Some a, Some b -> Some (max a b)
-          | _ -> None)
-        (Some 0) cs
-  | If { cond_group = Some cg; tbranch; fbranch; _ } -> (
-      match
-        ( group_static comp cg,
-          control_latency comp tbranch,
-          control_latency comp fbranch )
-      with
-      | Some c, Some t, Some f -> Some (c + max t f)
-      | _ -> None)
-  | If { cond_group = None; _ } | While _ | Invoke _ -> None
+let control_latency groups comp =
+  let rec go = function
+    | Empty -> Some 0
+    | Enable (g, _) -> group_static groups comp g
+    | Seq (cs, _) ->
+        List.fold_left
+          (fun acc c ->
+            match (acc, go c) with
+            | Some a, Some b -> Some (a + b)
+            | _ -> None)
+          (Some 0) cs
+    | Par (cs, _) ->
+        List.fold_left
+          (fun acc c ->
+            match (acc, go c) with
+            | Some a, Some b -> Some (max a b)
+            | _ -> None)
+          (Some 0) cs
+    | If { cond_group = Some cg; tbranch; fbranch; _ } -> (
+        match (group_static groups comp cg, go tbranch, go fbranch) with
+        | Some c, Some t, Some f -> Some (c + max t f)
+        | _ -> None)
+    | If { cond_group = None; _ } | While _ | Invoke _ -> None
+  in
+  go
 
 (* The pass state: fresh-name supplies, every group by name (original and
    generated), and the generated cells and groups, newest first. *)
@@ -49,10 +52,7 @@ let add_group st group =
   Hashtbl.replace st.groups group.group_name group;
   st.new_groups <- group :: st.new_groups
 
-let static_attr st g =
-  match Hashtbl.find_opt st.groups g with
-  | Some group -> Attrs.static group.group_attrs
-  | None -> group_static st.comp g
+let static_attr st g = group_static st.groups st.comp g
 
 (* A static group's FSM: a counter that increments every active cycle and
    wraps (unguarded, self-cleaning) from the final state. Returns the fsm

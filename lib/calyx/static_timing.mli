@@ -22,7 +22,11 @@
 
 val pass : Pass.t
 
-val control_latency : Ir.component -> Ir.control -> int option
+val control_latency :
+  (string, Ir.group) Hashtbl.t -> Ir.component -> Ir.control -> int option
 (** The latency this pass would realize for a control program, when every
     nested group is static. Shared with {!Infer_latency} so component-level
-    latencies agree with the generated hardware. *)
+    latencies agree with the generated hardware. The table is
+    {!Ir.group_index} of the component, built once by the caller; an
+    enabled group missing from it raises
+    ["unknown group %s in component %s"]. *)

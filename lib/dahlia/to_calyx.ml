@@ -11,6 +11,7 @@ let clog2 = Compile_control.clog2
 
 type st = {
   mutable comp : component;
+  cell_names : (string, unit) Hashtbl.t;  (* the cells of [comp] *)
   mutable counter : int;
   mutable widths : int SM.t;  (* variable -> width *)
   mems : decl SM.t;
@@ -21,13 +22,16 @@ let fresh st base =
   st.counter <- n + 1;
   Printf.sprintf "%s%d" base n
 
-let add_cell st cell = st.comp <- Ir.add_cell st.comp cell
+let add_cell st cell =
+  st.comp <- Ir.add_cell st.comp cell;
+  Hashtbl.replace st.cell_names cell.cell_name ()
+
 let add_group st group = st.comp <- Ir.add_group st.comp group
 
 let reg_cell var = "v_" ^ var
 
 let ensure_reg st var w =
-  if find_cell_opt st.comp (reg_cell var) = None then
+  if not (Hashtbl.mem st.cell_names (reg_cell var)) then
     add_cell st (Builder.reg (reg_cell var) w);
   st.widths <- SM.add var w st.widths
 
@@ -285,7 +289,13 @@ let compile prog =
     List.fold_left (fun acc d -> SM.add d.decl_name d acc) SM.empty lowered.decls
   in
   let st =
-    { comp = Builder.component "main"; counter = 0; widths = SM.empty; mems }
+    {
+      comp = Builder.component "main";
+      cell_names = Hashtbl.create 64;
+      counter = 0;
+      widths = SM.empty;
+      mems;
+    }
   in
   List.iter (fun d -> add_cell st (mem_cell d)) lowered.decls;
   let control = compile_stmt st lowered.body in

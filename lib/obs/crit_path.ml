@@ -27,17 +27,17 @@ let join p q = if p = "" then q else p ^ "." ^ q
    plain group enables: the derived latency, plus the done-observation
    cycle unless the group's done hole is combinational. Composite arms get
    no expectation (their latency composes control overhead this analysis is
-   precisely there to measure). *)
-let arm_expectation ctx comp (node : Ir.control) =
+   precisely there to measure). [cells] and [groups] index [comp]. *)
+let arm_expectation ctx ~cells ~groups comp (node : Ir.control) =
   match node with
   | Ir.Enable (g, _) -> (
-      match Ir.find_group_opt comp g with
+      match Hashtbl.find_opt groups g with
       | None -> None
       | Some grp ->
           Option.map
             (fun d ->
               if Profile.combinational_done grp then d else d + 1)
-            (Infer_latency.derived_group_latency ctx comp grp))
+            (Infer_latency.derived_group_latency ctx cells comp grp))
   | _ -> None
 
 let analyze ctx sim spans_t =
@@ -70,6 +70,7 @@ let analyze ctx sim spans_t =
       match Ir.find_component_opt ctx comp_name with
       | None -> ()
       | Some comp ->
+          let cells = Ir.cell_index comp and groups = Ir.group_index comp in
           let pre = Ir.control_preorder comp.Ir.control in
           let id_by_path = Hashtbl.create 16 in
           List.iter
@@ -98,7 +99,8 @@ let analyze ctx sim spans_t =
                                    ( arm_path,
                                      Ir.control_node_label c,
                                      id,
-                                     arm_expectation ctx comp c );
+                                     arm_expectation ctx ~cells ~groups
+                                       comp c );
                                  ])
                          cs)
                   in

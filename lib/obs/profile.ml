@@ -146,15 +146,26 @@ let combinational_done (g : Ir.group) =
     g.Ir.assigns
 
 let latency_rows ctx stats =
+  (* One cell and group index per component, shared by its instances. *)
+  let indexes = Hashtbl.create 8 in
+  let index comp =
+    match Hashtbl.find_opt indexes comp.Ir.comp_name with
+    | Some t -> t
+    | None ->
+        let t = (Ir.cell_index comp, Ir.group_index comp) in
+        Hashtbl.replace indexes comp.Ir.comp_name t;
+        t
+  in
   List.map
     (fun gs ->
       let info =
         match Ir.find_component_opt ctx gs.gs_component with
         | None -> None
         | Some comp -> (
-            match Ir.find_group_opt comp gs.gs_group with
+            let cells, groups = index comp in
+            match Hashtbl.find_opt groups gs.gs_group with
             | None -> None
-            | Some g -> Some (comp, g))
+            | Some g -> Some (comp, cells, g))
       in
       match info with
       | None ->
@@ -165,8 +176,8 @@ let latency_rows ctx stats =
             lr_expected = None;
             lr_mismatch = false;
           }
-      | Some (comp, g) ->
-          let derived = Infer_latency.derived_group_latency ctx comp g in
+      | Some (comp, cells, g) ->
+          let derived = Infer_latency.derived_group_latency ctx cells comp g in
           let annotated = Attrs.static g.Ir.group_attrs in
           let expected =
             Option.map

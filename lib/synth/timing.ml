@@ -482,33 +482,51 @@ let assignment_mentions cell (a : assignment) =
   of_port a.dst || of_atom a.src
   || List.exists of_atom (guard_atoms a.guard)
 
-(* Control statements of [comp] that enable group [gname]. *)
-let enabling_control comp gname =
-  List.filter_map
+(* Per component on an attribution: its cell and group index, and each
+   group's enabling control statements, labelled, from one pre-order walk. *)
+type index = {
+  ix_cells : (string, cell) Hashtbl.t;
+  ix_groups : (string, group) Hashtbl.t;
+  ix_enablers : (string, string list) Hashtbl.t;
+}
+
+let build_index comp =
+  let enablers = Hashtbl.create 64 in
+  List.iter
     (fun (_, path, node) ->
-      let here =
+      let enabled =
         match node with
-        | Enable (g, _) -> g = gname
-        | If { cond_group = Some g; _ } | While { cond_group = Some g; _ } ->
-            g = gname
-        | _ -> false
+        | Enable (g, _)
+        | If { cond_group = Some g; _ }
+        | While { cond_group = Some g; _ } ->
+            Some g
+        | _ -> None
       in
-      if here then
-        Some
-          (Printf.sprintf "%s @ %s" (control_node_label node)
-             (if path = "" then "root" else path))
-      else None)
-    (control_preorder comp.control)
+      Option.iter
+        (fun g ->
+          let label =
+            Printf.sprintf "%s @ %s" (control_node_label node)
+              (if path = "" then "root" else path)
+          in
+          Hashtbl.replace enablers g
+            (label :: Option.value ~default:[] (Hashtbl.find_opt enablers g)))
+        enabled)
+    (control_preorder comp.control);
+  {
+    ix_cells = cell_index comp;
+    ix_groups = group_index comp;
+    ix_enablers = enablers;
+  }
 
 (* Resolve a dotted cell path from the entrypoint down the instance
    hierarchy; returns the defining component, the instance prefix, and
    the local cell name. *)
-let resolve_cell ctx path =
+let resolve_cell ctx index path =
   let rec go comp prefix = function
     | [] -> None
     | [ cell ] -> Some (comp, prefix, cell)
     | seg :: rest -> (
-        match find_cell_opt comp seg with
+        match Hashtbl.find_opt (index comp).ix_cells seg with
         | Some { cell_proto = Comp cname; _ } ->
             go (find_component ctx cname) (join prefix seg) rest
         | _ -> None)
@@ -517,6 +535,15 @@ let resolve_cell ctx path =
 
 let attribute ctx ports =
   let seen = Hashtbl.create 16 in
+  let indexes = Hashtbl.create 4 in
+  let index comp =
+    match Hashtbl.find_opt indexes comp.comp_name with
+    | Some t -> t
+    | None ->
+        let t = build_index comp in
+        Hashtbl.replace indexes comp.comp_name t;
+        t
+  in
   List.filter_map
     (fun port ->
       match owner_of_port port with
@@ -525,13 +552,14 @@ let attribute ctx ports =
           if Hashtbl.mem seen owner then None
           else begin
             Hashtbl.replace seen owner ();
-            match resolve_cell ctx owner with
+            match resolve_cell ctx index owner with
             | None -> Some { at_cell = owner; at_groups = []; at_control = [] }
             | Some (comp, prefix, local) ->
                 let qualify n = if prefix = "" then n else prefix ^ "." ^ n in
+                let { ix_groups; ix_enablers; _ } = index comp in
                 (* A hole node's "cell" is its group. *)
                 let groups =
-                  if find_group_opt comp local <> None then [ local ]
+                  if Hashtbl.mem ix_groups local then [ local ]
                   else
                     List.filter_map
                       (fun grp ->
@@ -541,7 +569,10 @@ let attribute ctx ports =
                       comp.groups
                 in
                 let at_control =
-                  List.concat_map (enabling_control comp) groups
+                  List.concat_map
+                    (fun g ->
+                      Option.value ~default:[] (Hashtbl.find_opt ix_enablers g))
+                    groups
                   |> List.sort_uniq compare
                 in
                 Some

@@ -1,5 +1,5 @@
 (* The compile corpus, pinned by digest: systolic arrays 2x2 to 10x10,
-   12x12, 16x16, 1x12, 12x1 and 5x12 (depth 7),
+   12x12, 16x16, 24x24, 32x32, 1x12, 12x1 and 5x12 (depth 7),
    every PolyBench kernel and unrolled variant, and the .futil examples in
    DIR, each compiled under the default and the latency-insensitive
    configuration.
@@ -80,7 +80,7 @@ let () =
         configs)
     (List.map
        (fun n -> systolic (n, n, n))
-       [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 16 ]
+       [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 16; 24; 32 ]
     @ List.map systolic [ (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
     @ List.concat_map kernel Polybench.Kernels.all
     @ List.map (example dir) examples)

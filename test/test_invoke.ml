@@ -38,7 +38,7 @@ let test_lowering_shape () =
   let ctx = Pass.run Compile_invoke.pass (program 21) in
   let main = entry ctx in
   Alcotest.(check bool) "invoke group created" true
-    (find_group_opt main "invoke_d" <> None);
+    (Hashtbl.mem (group_index main) "invoke_d");
   let no_invokes = ref true in
   iter_control
     (function Invoke _ -> no_invokes := false | _ -> ())
@@ -62,7 +62,7 @@ let test_latency_inferred_through_invoke () =
   let main = entry ctx in
   (* doubler has latency 1; the generated invoke group inherits it. *)
   Alcotest.(check (option int)) "invoke group static" (Some 1)
-    (Attrs.static (find_group main "invoke_d").group_attrs);
+    (Attrs.static (Hashtbl.find (group_index main) "invoke_d").group_attrs);
   Alcotest.(check (option int)) "main static" (Some 2)
     (Attrs.static main.comp_attrs)
 

@@ -407,6 +407,42 @@ let test_prims_metadata () =
     (try ignore (Prims.info "std_bogus"); false
      with Prims.Unknown_primitive _ -> true)
 
+(* Name lookups that fail raise Ir_error with these texts, whichever
+   analysis does the lookup. *)
+let check_ir_error msg f =
+  Alcotest.check_raises msg (Ir_error msg) (fun () -> ignore (f ()))
+
+let test_unknown_group_latency () =
+  let main =
+    component "main"
+    |> with_cells [ reg "r" 8 ]
+    |> with_groups [ Progs.write_group "w" ~reg:"r" ~value:(lit ~width:8 1) ]
+    |> with_control (seq [ enable "w"; enable "g" ])
+  in
+  check_ir_error "unknown group g in component main" (fun () ->
+      Static_timing.control_latency (group_index main) main main.control)
+
+let test_unknown_cell_latency () =
+  let g = group "g" [ assign (hole "g" "done") (pa "c" "done") ] in
+  let main = component "main" |> with_groups [ g ] in
+  check_ir_error "unknown cell c in component main" (fun () ->
+      Infer_latency.derived_group_latency (context [ main ]) (cell_index main)
+        main g)
+
+let test_duplicate_names () =
+  let done_group name = group name [ assign (hole name "done") (bit true) ] in
+  check_ir_error "cell b already exists in main" (fun () ->
+      component "main" |> with_cells [ reg "a" 8; reg "b" 8; reg "b" 8; reg "a" 8 ]);
+  check_ir_error "cell a already exists in main" (fun () ->
+      component "main" |> with_cells [ reg "a" 8 ]
+      |> with_cells [ reg "c" 8; reg "a" 8; reg "c" 8 ]);
+  check_ir_error "group y already exists in main" (fun () ->
+      component "main"
+      |> with_groups [ done_group "x"; done_group "y"; done_group "y"; done_group "x" ]);
+  check_ir_error "group x already exists in main" (fun () ->
+      component "main" |> with_groups [ done_group "x" ]
+      |> with_groups [ done_group "z"; done_group "x"; done_group "z" ])
+
 let () =
   Alcotest.run "ir"
     [
@@ -427,6 +463,14 @@ let () =
           Alcotest.test_case "enabled groups" `Quick test_enabled_groups;
           Alcotest.test_case "control size" `Quick test_control_size;
           Alcotest.test_case "rename enables" `Quick test_rename_enables;
+        ] );
+      ( "lookup errors",
+        [
+          Alcotest.test_case "unknown group in control latency" `Quick
+            test_unknown_group_latency;
+          Alcotest.test_case "unknown cell in derived latency" `Quick
+            test_unknown_cell_latency;
+          Alcotest.test_case "duplicate names" `Quick test_duplicate_names;
         ] );
       ( "well-formedness",
         [

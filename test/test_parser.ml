@@ -75,7 +75,7 @@ let test_parse_and_run () =
 let test_parse_attrs () =
   let ctx = Parser.parse_string source_counter in
   let main = Ir.entry ctx in
-  let incr = Ir.find_group main "incr" in
+  let incr = Hashtbl.find (Ir.group_index main) "incr" in
   Alcotest.(check (option int)) "static attr" (Some 1)
     (Attrs.static incr.Ir.group_attrs)
 
@@ -97,7 +97,7 @@ component main(go: 1) -> (done: 1) {
 |}
   in
   let ctx = Parser.parse_string src in
-  let g = Ir.find_group (Ir.entry ctx) "g" in
+  let g = Hashtbl.find (Ir.group_index (Ir.entry ctx)) "g" in
   Alcotest.(check int) "four assignments" 4 (List.length g.Ir.assigns);
   roundtrip ctx
 

@@ -116,7 +116,7 @@ let test_static_faster () =
 let test_go_insertion () =
   let ctx = Pass.run Go_insertion.pass (Progs.two_writes_seq ()) in
   let main = entry ctx in
-  let one = find_group main "one" in
+  let one = Hashtbl.find (group_index main) "one" in
   List.iter
     (fun a ->
       match a.dst with
@@ -365,14 +365,14 @@ let test_register_sharing_parallel_blocked () =
 let test_infer_latency_rules () =
   let ctx = Pass.run Infer_latency.pass (Progs.mult_program ~x:2 ~y:3 ()) in
   let main = entry ctx in
-  let mul = find_group main "mul" in
+  let mul = Hashtbl.find (group_index main) "mul" in
   Alcotest.(check (option int)) "mult group = mult latency + 1"
     (Some (Prims.mult_latency + 1))
     (Attrs.static mul.group_attrs);
   let ctx = Pass.run Infer_latency.pass (Progs.two_writes_seq ()) in
   let main = entry ctx in
   Alcotest.(check (option int)) "register write group" (Some 1)
-    (Attrs.static (find_group main "one").group_attrs);
+    (Attrs.static (Hashtbl.find (group_index main) "one").group_attrs);
   (* Whole component: seq of two 1-cycle groups. *)
   Alcotest.(check (option int)) "component latency" (Some 2)
     (Attrs.static main.comp_attrs)
@@ -384,7 +384,7 @@ let test_infer_latency_hierarchy () =
     (Attrs.static doubler.comp_attrs);
   let main = entry ctx in
   Alcotest.(check (option int)) "invoke group inherits" (Some 1)
-    (Attrs.static (find_group main "call_d").group_attrs);
+    (Attrs.static (Hashtbl.find (group_index main) "call_d").group_attrs);
   Alcotest.(check (option int)) "main static" (Some 2)
     (Attrs.static main.comp_attrs)
 

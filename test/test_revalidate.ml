@@ -203,7 +203,9 @@ let test_damage_detected () =
 let expect_caught (pass : Pass.t) ~kept ctx =
   Alcotest.(check (list string)) "input" [] (Well_formed.errors ctx);
   let out = pass.Pass.transform ctx in
-  let assigns c g = (find_group (find_component c "main") g).assigns in
+  let assigns c g =
+    (Hashtbl.find (group_index (find_component c "main")) g).assigns
+  in
   Alcotest.(check bool) "group kept" true (assigns ctx kept == assigns out kept);
   let full = Well_formed.errors out in
   Alcotest.(check bool) "the output is malformed" true (full <> []);

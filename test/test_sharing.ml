@@ -68,7 +68,8 @@ module Reference = struct
      interfering pairwise. *)
   let liveness_cliques comp =
     let regs = SS.of_list (registers comp) in
-    let group g = find_group comp g in
+    let groups = group_index comp in
+    let group g = Hashtbl.find groups g in
     let reads g = Read_write_set.reads regs (group g) in
     let must_writes g = Read_write_set.must_writes regs (group g) in
     let may_writes g = Read_write_set.may_writes regs (group g) in
@@ -156,8 +157,9 @@ module Reference = struct
   let register_map comp =
     let g = Hashtbl.create 256 in
     List.iter (add_clique g) (liveness_cliques comp);
+    let cells = cell_index comp in
     let cls name =
-      match (find_cell comp name).cell_proto with
+      match (Hashtbl.find cells name).cell_proto with
       | Prim (_, [ w ]) -> string_of_int w
       | _ -> Alcotest.failf "%s is not a register" name
     in
@@ -211,8 +213,9 @@ module Reference = struct
           (fun c1 -> SS.iter (fun c2 -> add_edge g c1 c2) (usage g2))
           (usage g1))
       (Schedule_conflicts.conflicts comp.control);
+    let cells = cell_index comp in
     let cls name =
-      match (find_cell comp name).cell_proto with
+      match (Hashtbl.find cells name).cell_proto with
       | Prim (p, params) ->
           p ^ "(" ^ String.concat "," (List.map string_of_int params) ^ ")"
       | Comp c -> c ^ "()"

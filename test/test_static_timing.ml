@@ -107,7 +107,7 @@ let test_control_latency_model () =
   let ctx = Pass.run Infer_latency.pass (context [ main ]) in
   let main = entry ctx in
   Alcotest.(check (option int)) "control_latency" (Some 4)
-    (Static_timing.control_latency main main.control);
+    (Static_timing.control_latency (group_index main) main main.control);
   Alcotest.(check (option int)) "component attribute" (Some 4)
     (Attrs.static main.comp_attrs);
   let _, cycles = run (entry ctx) in
@@ -154,7 +154,7 @@ let test_partial_fusion () =
   (match fused.control with
   | Enable (g, _) ->
       Alcotest.(check bool) "fully fused" true
-        (Attrs.static (find_group fused g).group_attrs <> None)
+        (Attrs.static (Hashtbl.find (group_index fused) g).group_attrs <> None)
   | _ -> Alcotest.fail "expected a single static enable");
   (* Without inference, dyn has no latency: prefix wa/wb fuses, dyn and wd
      stay as-is (wd alone is a 1-element run). *)
@@ -179,7 +179,7 @@ let test_partial_fusion () =
   match comp.control with
   | Seq ([ Enable (fusedg, _); Enable ("dyn", _); Enable ("wd", _) ], _) ->
       Alcotest.(check (option int)) "fused prefix latency" (Some 2)
-        (Attrs.static (find_group comp fusedg).group_attrs)
+        (Attrs.static (Hashtbl.find (group_index comp) fusedg).group_attrs)
   | c ->
       Alcotest.failf "unexpected shape: %s"
         (Format.asprintf "%a" Printer.pp_control c)

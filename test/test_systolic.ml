@@ -215,8 +215,9 @@ let test_wraparound () =
   Alcotest.(check (list string)) "check passes" [] (tb.check io)
 
 (* Shapes whose grid indices reach two digits, where "pe_1_11" and
-   "pe_11_1" must stay apart, plus single-row, single-column and fully
-   rectangular arrays: each compiles, runs and passes its test bench. *)
+   "pe_11_1" must stay apart, up to 32x32, plus single-row, single-column
+   and fully rectangular arrays: each compiles, runs and passes its test
+   bench. *)
 let test_large_shapes () =
   List.iter
     (fun (rows, cols, depth) ->
@@ -229,7 +230,15 @@ let test_large_shapes () =
       Alcotest.(check (list string))
         (Printf.sprintf "%dx%dx%d" rows cols depth)
         [] check)
-    [ (12, 12, 12); (16, 16, 16); (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
+    [
+      (12, 12, 12);
+      (16, 16, 16);
+      (24, 24, 24);
+      (32, 32, 32);
+      (1, 12, 12);
+      (12, 1, 12);
+      (5, 12, 7);
+    ]
 
 let () =
   Alcotest.run "systolic"
