@@ -18,7 +18,6 @@ let g_and a b =
 let g_or a b = Or (a, b)
 let g_not g = Not g
 let g_eq a b = Cmp (Eq, a, b)
-let g_neq a b = Cmp (Neq, a, b)
 let g_lt a b = Cmp (Lt, a, b)
 let g_ge a b = Cmp (Ge, a, b)
 let g_and_all gs = List.fold_left g_and True gs
@@ -26,9 +25,6 @@ let assign ?(guard = True) dst src = { dst; src; guard }
 
 let group ?(attrs = Attrs.empty) name assigns =
   { group_name = name; group_attrs = attrs; assigns }
-
-let static_group latency name assigns =
-  group ~attrs:(Attrs.with_static latency Attrs.empty) name assigns
 
 let cell ?(attrs = Attrs.empty) name proto =
   { cell_name = name; cell_proto = proto; cell_attrs = attrs }

@@ -41,7 +41,6 @@ val g_and : guard -> guard -> guard
 val g_or : guard -> guard -> guard
 val g_not : guard -> guard
 val g_eq : atom -> atom -> guard
-val g_neq : atom -> atom -> guard
 val g_lt : atom -> atom -> guard
 val g_ge : atom -> atom -> guard
 val g_and_all : guard list -> guard
@@ -50,8 +49,6 @@ val g_and_all : guard list -> guard
 
 val assign : ?guard:guard -> port_ref -> atom -> assignment
 val group : ?attrs:Attrs.t -> string -> assignment list -> group
-val static_group : int -> string -> assignment list -> group
-(** A group carrying a ["static"] latency attribute. *)
 
 (** {1 Cells} *)
 

@@ -1,6 +1,6 @@
 open Ir
 
-let remove_dead (_ctx : context) comp =
+let referenced comp =
   let used = Hashtbl.create 32 in
   let mark = function
     | Cell_port (c, _) -> Hashtbl.replace used c ()
@@ -21,11 +21,15 @@ let remove_dead (_ctx : context) comp =
           List.iter (fun (_, dst) -> mark dst) invoke_outputs
       | Empty | Enable _ | Seq _ | Par _ -> ())
     comp.control;
+  Hashtbl.mem used
+
+let remove_dead (_ctx : context) comp =
+  let used = referenced comp in
   {
     comp with
     cells =
       List.filter
-        (fun c -> Hashtbl.mem used c.cell_name || Attrs.external_mem c.cell_attrs)
+        (fun c -> used c.cell_name || Attrs.external_mem c.cell_attrs)
         comp.cells;
   }
 

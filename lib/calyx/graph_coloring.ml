@@ -33,8 +33,6 @@ let add_edge g a b =
 
 let add_clique_ids g s = Bitset.iter (fun i -> connect g i s) s
 
-let add_clique g names = add_clique_ids g (Bitset.of_list (List.map (node g) names))
-
 (* Each member of arm [k] is connected to the union of the other arms: the
    union of the arms before [k] (a running prefix) and of those after it
    (precomputed suffixes). Every cross-arm pair is reached from both ends,
@@ -53,11 +51,6 @@ let add_cross_ids g arms =
       Bitset.iter (fun i -> connect g i others) arm;
       prefix := Bitset.union !prefix arm)
     arms
-
-let conflicting g a b =
-  match (Hashtbl.find_opt g.ids a, Hashtbl.find_opt g.ids b) with
-  | Some i, Some j -> Bitset.mem g.rows.(i) j
-  | _ -> false
 
 (* A representative's members, as one bitset: a node fits it when its own
    row is disjoint from that set. Representatives are kept per class, in

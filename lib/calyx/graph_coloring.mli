@@ -22,9 +22,6 @@ val node : t -> string -> int
 val add_edge : t -> string -> string -> unit
 (** Symmetric; implicitly adds the nodes. Self-edges are ignored. *)
 
-val add_clique : t -> string list -> unit
-(** Pairwise edges among all listed nodes. *)
-
 val add_clique_ids : t -> Bitset.t -> unit
 (** Pairwise edges among the nodes with these ids (already added). *)
 
@@ -33,8 +30,6 @@ val add_cross_ids : t -> Bitset.t list -> unit
     different sets — the interference of the arms of a [par]. Costs one
     union per member, not one edge per pair. The ids must already be
     added; a node in two sets gets no self-edge. *)
-
-val conflicting : t -> string -> string -> bool
 
 val greedy : t -> cls:(string -> string) -> order:string list -> string Ir.String_map.t
 (** [greedy g ~cls ~order] colors the nodes in [order] (each must have been

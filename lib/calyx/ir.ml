@@ -119,11 +119,6 @@ let update_component ctx comp =
   if not !found then ir_error "update_component: no component %s" comp.comp_name;
   { ctx with components }
 
-let add_component ctx comp =
-  if find_component_opt ctx comp.comp_name <> None then
-    ir_error "component %s already exists" comp.comp_name;
-  { ctx with components = ctx.components @ [ comp ] }
-
 (* Ports *)
 
 let cell_ports ctx proto =
@@ -435,13 +430,6 @@ let add_groups comp groups =
 
 let add_cell comp cell = add_cells comp [ cell ]
 let add_group comp group = add_groups comp [ group ]
-
-let remove_group comp name =
-  {
-    comp with
-    groups =
-      List.filter (fun g -> not (String.equal g.group_name name)) comp.groups;
-  }
 
 (* Traversal *)
 

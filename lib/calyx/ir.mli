@@ -143,8 +143,6 @@ val signature_ports : component -> port_def list
 val update_component : context -> component -> context
 (** Replace the component of the same name. *)
 
-val add_component : context -> component -> context
-
 (** {1 Ports} *)
 
 val cell_ports : context -> prototype -> (string * int * direction) list
@@ -241,8 +239,6 @@ val add_groups : component -> group list -> component
 val add_cell : component -> cell -> component
 val add_group : component -> group -> component
 (** The one-element cases of {!add_cells} and {!add_groups}. *)
-
-val remove_group : component -> string -> component
 
 (** {1 Traversal} *)
 

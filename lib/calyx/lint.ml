@@ -4,7 +4,11 @@ module SS = String_set
 
 exception Rejected of D.t list
 
-let port_key p = Format.asprintf "%a" pp_port_ref p
+(* The text {!pp_port_ref} prints, built without a formatter. *)
+let port_key = function
+  | Cell_port (c, p) -> String.concat "." [ c; p ]
+  | Hole (g, h) -> String.concat "" [ g; "["; h; "]" ]
+  | This p -> p
 
 (* ------------------------------------------------------------------ *)
 (* CX020: par data races                                               *)
@@ -138,39 +142,15 @@ let par_races ~cells ~groups comp =
 (* CX021: combinational cycles                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The combinational input -> output dependencies of one cell's ports.
-   Registers and pipelined units break cycles (their outputs change only at
-   clock edges); memories have a combinational read path from the address
-   ports to [read_data]; user components are treated as opaque. *)
-let cell_comb_deps cells cell_name =
+(* The combinational arcs of one cell ({!Prims.comb_arcs}). User
+   components are opaque, and a cell the well-formedness check would
+   reject has none. *)
+let cell_arcs cells cell_name =
   match Hashtbl.find_opt cells cell_name with
-  | None -> None
-  | Some c -> (
-      match c.cell_proto with
-      | Comp _ -> None
-      | Prim (name, params) -> (
-          match Prims.find name with
-          | None -> None
-          | Some info -> (
-              let ports = try info.make_ports params with _ -> [] in
-              let dir d =
-                List.filter_map
-                  (fun (p : Prims.prim_port) ->
-                    if p.pp_dir = d then Some p.pp_name else None)
-                  ports
-              in
-              if info.combinational then Some (dir Prims.In, dir Prims.Out)
-              else
-                match name with
-                | "std_mem_d1" | "std_mem_d2" ->
-                    Some
-                      ( List.filter
-                          (fun p ->
-                            String.length p >= 4
-                            && String.equal (String.sub p 0 4) "addr")
-                          (dir Prims.In),
-                        [ "read_data" ] )
-                | _ -> None)))
+  | Some { cell_proto = Prim (name, params); _ } -> (
+      try Prims.comb_arcs name params
+      with Prims.Unknown_primitive _ | Invalid_argument _ -> [])
+  | Some { cell_proto = Comp _; _ } | None -> []
 
 (* Find combinational cycles in one evaluation scope (the assignments that
    can be live in the same cycle: one group plus the continuous
@@ -178,10 +158,14 @@ let cell_comb_deps cells cell_name =
    scopes via [seen]. *)
 let scope_cycles ~cells ~seen assigns =
   let succ : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
+  let edges = Hashtbl.create 64 in
   let edge a b =
-    match Hashtbl.find_opt succ a with
-    | Some l -> if not (List.mem b !l) then l := b :: !l
-    | None -> Hashtbl.replace succ a (ref [ b ])
+    if not (Hashtbl.mem edges (a, b)) then begin
+      Hashtbl.replace edges (a, b) ();
+      match Hashtbl.find_opt succ a with
+      | Some l -> l := b :: !l
+      | None -> Hashtbl.replace succ a (ref [ b ])
+    end
   in
   let used = ref SS.empty in
   let note_port p =
@@ -200,17 +184,10 @@ let scope_cycles ~cells ~seen assigns =
     assigns;
   SS.iter
     (fun c ->
-      match cell_comb_deps cells c with
-      | Some (ins, outs) ->
-          List.iter
-            (fun i ->
-              List.iter
-                (fun o ->
-                  edge (port_key (Cell_port (c, i)))
-                    (port_key (Cell_port (c, o))))
-                outs)
-            ins
-      | None -> ())
+      List.iter
+        (fun (i, o) ->
+          edge (port_key (Cell_port (c, i))) (port_key (Cell_port (c, o))))
+        (cell_arcs cells c))
     !used;
   let state = Hashtbl.create 64 in
   let cycles = ref [] in
@@ -416,11 +393,19 @@ let conjunct_sat c =
           (fun l1 -> List.exists (fun l2 -> lits_complementary l1 l2) c)
           c)
 
-let guards_disjoint g1 g2 =
-  match (dnf g1, dnf g2) with
+(* A guard's normal form: the DNF of its expansion with the unsatisfiable
+   conjuncts dropped; [None] when the DNF exceeds the size cap. *)
+let normalizer ~cells comp =
+  let table = wire_table ~cells comp in
+  fun g ->
+    Option.map (List.filter conjunct_sat)
+      (dnf (expand_guard table 4 (simplify_guard g)))
+
+(* Every pair of conjuncts, one from each side, holds complementary
+   literals. *)
+let disjoint n1 n2 =
+  match (n1, n2) with
   | Some d1, Some d2 ->
-      let d1 = List.filter conjunct_sat d1
-      and d2 = List.filter conjunct_sat d2 in
       List.for_all
         (fun c1 ->
           List.for_all
@@ -432,59 +417,66 @@ let guards_disjoint g1 g2 =
         d1
   | _ -> false
 
+let exclusive comp =
+  let norm = normalizer ~cells:(cell_index comp) comp in
+  fun g1 g2 -> disjoint (norm g1) (norm g2)
+
+(* A driver's guard and its normal form, computed at most once and only
+   when a pair needs it: a port with one driver never normalizes. *)
+type driver = { guard : guard; norm : lit list list option Lazy.t }
+
+(* Two drivers of one port may both drive in a cycle when they run in the
+   same scope: two continuous assignments, two assignments of one group,
+   or one of each. So the continuous drivers are tabled once per
+   component, each group's drivers once, and a group's drivers are paired
+   with each other and with the continuous drivers of the same port.
+   Drivers of two different groups are never paired. Tables are keyed by
+   {!port_key} and hold each port's drivers newest first; iterating them
+   fixes the report order. *)
 let overlapping_drivers ~cells comp =
-  let table = wire_table ~cells comp in
-  let expand g = expand_guard table 4 (simplify_guard g) in
-  let diags = ref [] in
-  let scope ~loc ~in_scope assigns =
-    (* Drivers per destination; [in_scope] marks the assignments whose
-       conflicts this scope is responsible for reporting (group scopes skip
-       continuous-vs-continuous pairs, reported once per component). *)
-    let by_dst = Hashtbl.create 16 in
+  let norm = normalizer ~cells comp in
+  let by_dst assigns =
+    let table = Hashtbl.create 16 in
     List.iter
-      (fun (a, own) ->
+      (fun a ->
         let k = port_key a.dst in
-        let prev =
-          match Hashtbl.find_opt by_dst k with Some l -> l | None -> []
-        in
-        Hashtbl.replace by_dst k ((a, own) :: prev))
-      (List.map (fun a -> (a, in_scope a)) assigns);
-    Hashtbl.iter
-      (fun dst drivers ->
-        let rec pairs = function
-          | [] -> ()
-          | (a1, own1) :: rest ->
-              List.iter
-                (fun (a2, own2) ->
-                  if
-                    (own1 || own2)
-                    (* Both-unconditional pairs are CX008 errors. *)
-                    && not (a1.guard = True && a2.guard = True)
-                    && not (guards_disjoint (expand a1.guard) (expand a2.guard))
-                  then
-                    diags :=
-                      D.warning ~code:"CX022" ~loc
-                        "port %s has multiple drivers whose guards are not \
-                         provably exclusive: [%a] vs [%a]"
-                        dst pp_guard a1.guard pp_guard a2.guard
-                      :: !diags)
-                rest;
-              pairs rest
-        in
-        pairs drivers)
-      by_dst
+        let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
+        let d = { guard = a.guard; norm = lazy (norm a.guard) } in
+        Hashtbl.replace table k (d :: prev))
+      assigns;
+    table
   in
-  scope
-    ~loc:(D.Component comp.comp_name)
-    ~in_scope:(fun _ -> true)
-    comp.continuous;
+  let diags = ref [] in
+  let report ~loc dst d1 d2 =
+    match (d1.guard, d2.guard) with
+    | True, True -> () (* both unconditional: a CX008 error *)
+    | g1, g2 ->
+        if not (disjoint (Lazy.force d1.norm) (Lazy.force d2.norm)) then
+          diags :=
+            D.warning ~code:"CX022" ~loc
+              "port %s has multiple drivers whose guards are not provably \
+               exclusive: [%a] vs [%a]"
+              dst pp_guard g1 pp_guard g2
+            :: !diags
+  in
+  let rec pairs ~loc dst = function
+    | [] -> ()
+    | d :: rest ->
+        List.iter (report ~loc dst d) rest;
+        pairs ~loc dst rest
+  in
+  let continuous = by_dst comp.continuous in
+  Hashtbl.iter (pairs ~loc:(D.Component comp.comp_name)) continuous;
   List.iter
     (fun g ->
-      let mine a = List.exists (fun a' -> a' == a) g.assigns in
-      scope
-        ~loc:(D.Group { comp = comp.comp_name; group = g.group_name })
-        ~in_scope:mine
-        (g.assigns @ comp.continuous))
+      let loc = D.Group { comp = comp.comp_name; group = g.group_name } in
+      Hashtbl.iter
+        (fun dst drivers ->
+          List.iter
+            (fun c -> List.iter (report ~loc dst c) drivers)
+            (Option.value ~default:[] (Hashtbl.find_opt continuous dst));
+          pairs ~loc dst drivers)
+        (by_dst g.assigns))
     comp.groups;
   List.rev !diags
 
@@ -533,32 +525,11 @@ let dead_code comp =
             g.group_name
           :: !diags)
     comp.groups;
-  (* Cells: mirror Dead_cell_removal's liveness notion at lint time. *)
-  let used = Hashtbl.create 32 in
-  let mark = function
-    | Cell_port (c, _) -> Hashtbl.replace used c ()
-    | Hole _ | This _ -> ()
-  in
-  let mark_atom = function Port p -> mark p | Lit _ -> () in
-  List.iter
-    (fun a ->
-      mark a.dst;
-      List.iter mark_atom (assignment_atoms a))
-    (all_assignments comp);
-  iter_control
-    (function
-      | If { cond_port; _ } | While { cond_port; _ } -> mark cond_port
-      | Invoke { cell; invoke_inputs; invoke_outputs; _ } ->
-          Hashtbl.replace used cell ();
-          List.iter (fun (_, a) -> mark_atom a) invoke_inputs;
-          List.iter (fun (_, dst) -> mark dst) invoke_outputs
-      | Empty | Enable _ | Seq _ | Par _ -> ())
-    comp.control;
+  (* Cells: exactly the ones dead-cell removal would delete. *)
+  let used = Dead_cell_removal.referenced comp in
   List.iter
     (fun c ->
-      if
-        (not (Hashtbl.mem used c.cell_name))
-        && not (Attrs.external_mem c.cell_attrs)
+      if (not (used c.cell_name)) && not (Attrs.external_mem c.cell_attrs)
       then
         diags :=
           D.warning ~code:"CX024"
@@ -611,20 +582,25 @@ let latency_contracts ctx ~cells ~groups comp =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let component_diagnostics ctx comp =
+(* The rules that can reject (CX020, CX021, CX025) always run; the
+   warning-only ones (CX022-CX024) only when [warnings] is set. *)
+let run ~warnings ctx comp =
   let cells = cell_index comp and groups = group_index comp in
   par_races ~cells ~groups comp
   @ comb_cycles ~cells comp
-  @ overlapping_drivers ~cells comp
-  @ dead_code comp
+  @ (if warnings then overlapping_drivers ~cells comp @ dead_code comp
+     else [])
   @ latency_contracts ctx ~cells ~groups comp
 
-let diagnostics ctx =
+let run_all ~warnings ctx =
   List.concat_map
-    (fun c -> if c.is_extern <> None then [] else component_diagnostics ctx c)
+    (fun c -> if c.is_extern <> None then [] else run ~warnings ctx c)
     ctx.components
 
+let component_diagnostics ctx comp = run ~warnings:true ctx comp
+let diagnostics ctx = run_all ~warnings:true ctx
+
 let check ctx =
-  match D.errors_of (diagnostics ctx) with
+  match D.errors_of (run_all ~warnings:false ctx) with
   | [] -> ()
   | errs -> raise (Rejected errs)

@@ -25,7 +25,11 @@
       assignment or control statement.
     - {b CX025 latency contract violation} (error): a ["static"] attribute
       disagrees with the latency {!Infer_latency}/{!Static_timing} derive,
-      so latency-sensitive compilation would produce wrong hardware. *)
+      so latency-sensitive compilation would produce wrong hardware.
+
+    CX020, CX021 and CX025 are the errors; {!check} runs only these.
+    CX022–CX024 are warnings only: {!diagnostics} and
+    {!component_diagnostics} (behind [calyx check]) run every rule. *)
 
 exception Rejected of Diagnostics.t list
 (** Raised by {!check}: the error-severity lint diagnostics. *)
@@ -39,6 +43,12 @@ val diagnostics : Ir.context -> Diagnostics.t list
     ignored here, not reported twice. *)
 
 val check : Ir.context -> unit
-(** Run all lints; raises {!Rejected} when any {e error}-severity
-    diagnostic is found. Warnings never raise. Run by {!Pipelines.compile}
-    before optimization unless the [lint] config flag is off. *)
+(** Run the error rules; raises {!Rejected} with their diagnostics when
+    there are any. The warning rules never raise, so they are not run.
+    Run by {!Pipelines.compile} before optimization unless the [lint]
+    config flag is off. *)
+
+val exclusive : Ir.component -> Ir.guard -> Ir.guard -> bool
+(** [exclusive comp] prepares [comp]'s guard expansion once and answers
+    whether two of its guards are provably mutually exclusive: the proof
+    CX022 runs on a pair of drivers. *)

@@ -257,3 +257,19 @@ let port_width name params port =
   List.find_map
     (fun p -> if String.equal p.pp_name port then Some p.pp_width else None)
     (ports name params)
+
+let comb_arcs name params =
+  let info = info name in
+  let ports = info.make_ports params in
+  let names dir =
+    List.filter_map (fun p -> if p.pp_dir = dir then Some p.pp_name else None) ports
+  in
+  if info.combinational then
+    List.concat_map (fun i -> List.map (fun o -> (i, o)) (names Out)) (names In)
+  else if String.equal name "std_mem_d1" || String.equal name "std_mem_d2" then
+    List.filter_map
+      (fun i ->
+        if String.starts_with ~prefix:"addr" i then Some (i, "read_data")
+        else None)
+      (names In)
+  else []

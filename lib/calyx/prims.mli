@@ -49,6 +49,16 @@ val ports : string -> int list -> prim_port list
 val port_width : string -> int list -> string -> int option
 (** [port_width name params port] is the width of [port], if it exists. *)
 
+val comb_arcs : string -> int list -> (string * string) list
+(** [comb_arcs name params] lists the [(input, output)] port pairs of a
+    primitive through which a value passes within one cycle, inputs in
+    port order. A combinational primitive connects every input to every
+    output. Of the stateful ones only a memory has arcs, from each address
+    port to [read_data] (its asynchronous read); a register's or a
+    pipelined unit's outputs change only at a clock edge. This is the one
+    list the lints, the timing model and the simulator read. Raises like
+    {!ports}. *)
+
 val all : info list
 (** Every primitive, for documentation and exhaustive testing. *)
 

@@ -105,4 +105,3 @@ let pp_context fmt ctx =
     ctx.components
 
 let to_string ctx = Format.asprintf "%a" pp_context ctx
-let component_to_string c = Format.asprintf "@[<v>%a@]@." pp_component c

@@ -11,5 +11,3 @@ val pp_assignment : Format.formatter -> Ir.assignment -> unit
 
 val to_string : Ir.context -> string
 (** The whole program as Calyx source text. *)
-
-val component_to_string : Ir.component -> string

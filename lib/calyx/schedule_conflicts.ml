@@ -33,9 +33,3 @@ let conflicts ctrl =
       | _ -> ())
     ctrl;
   !pairs
-
-let conflict_graph ctrl =
-  let g = Graph_coloring.create () in
-  SS.iter (Graph_coloring.add_node g) (subtree_groups ctrl);
-  List.iter (fun (a, b) -> Graph_coloring.add_edge g a b) (conflicts ctrl);
-  g

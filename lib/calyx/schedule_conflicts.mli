@@ -9,7 +9,3 @@ val subtree_groups : Ir.control -> Ir.String_set.t
 
 val conflicts : Ir.control -> (string * string) list
 (** All conflicting group pairs (each pair once, unordered). *)
-
-val conflict_graph : Ir.control -> Graph_coloring.t
-(** The same information as a graph over group names; all referenced groups
-    are present as nodes. *)

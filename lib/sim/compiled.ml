@@ -138,13 +138,8 @@ let build_sched inst : sstate =
   Array.iteri
     (fun p pi ->
       nodes.(prim_node.(p)) <- NPrim p;
-      let reads =
-        match Prim_state.comb_inputs pi.pi_state with
-        | None -> List.map snd pi.pi_inputs
-        | Some names ->
-            List.filter_map (fun nm -> List.assoc_opt nm pi.pi_inputs) names
-      in
-      specs.(prim_node.(p)) <- (reads, [], List.map snd pi.pi_outputs))
+      specs.(prim_node.(p)) <-
+        (pi.pi_comb_reads, [], List.map snd pi.pi_outputs))
     inst.i_prims;
   Array.iteri
     (fun c (_, ch) ->

@@ -260,6 +260,9 @@ type prim_inst = {
   pi_state : Prim_state.t;
   pi_inputs : (string * int) list;  (* input port name -> slot *)
   pi_outputs : (string * int) list;
+  pi_comb_reads : int list;
+      (* the input slots an output reads within one cycle (the inputs of
+         Prims.comb_arcs; every input of an extern black box) *)
 }
 
 type instance = {

@@ -274,22 +274,6 @@ let commit t ~read =
         end
       end
 
-(* Which input ports an output can depend on *combinationally* (within one
-   cycle); [None] means "assume all". Registered primitives whose outputs
-   come only from committed state report the empty list — without this, a
-   register's in -> done path would appear as a false combinational cycle
-   in the slot-dependency graph. *)
-let comb_inputs = function
-  | Comb (Const _) -> Some []
-  | Comb Wire | Comb (Slice _) | Comb (Pad _) | Comb (Unop _) -> Some [ "in" ]
-  | Comb (Arith _) | Comb (Binop _) -> Some [ "left"; "right" ]
-  | Reg _ -> Some []
-  | Mem m ->
-      (* read_data addresses combinationally; done is registered. *)
-      Some (List.mapi (fun i _ -> Printf.sprintf "addr%d" i) m.m_dims)
-  | Pipe _ -> Some []
-  | Custom _ -> None
-
 (* Staged evaluation for the compiled engine: every port name is
    resolved to a slot thunk/writer ONCE, at closure-build time, so the
    per-settle hot path does no string lookups and allocates nothing

@@ -55,13 +55,6 @@ val compile_commit :
       go is high, and every custom model. Otherwise, running the edge
       again on the same inputs and state changes nothing. *)
 
-val comb_inputs : t -> string list option
-(** Input ports that an output of this primitive can depend on within the
-    same cycle ([None] = assume all of them). Registered primitives report
-    [Some []]; memories report their address ports. Lets the dependency
-    graph exclude through-register paths that would otherwise look like
-    combinational cycles. *)
-
 val reset : t -> unit
 (** Clear transient state (done flags, pipeline counters); keeps memory and
     register contents. *)

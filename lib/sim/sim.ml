@@ -116,11 +116,17 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
                 else None)
               cports
           in
+          let pi_state = Prim_state.create name params in
+          let comb = List.map fst (Prims.comb_arcs name params) in
           prims :=
             { pi_cell = c.cell_name;
-              pi_state = Prim_state.create name params;
+              pi_state;
               pi_inputs = ins;
-              pi_outputs = outs }
+              pi_outputs = outs;
+              pi_comb_reads =
+                List.filter_map
+                  (fun (p, slot) -> if List.mem p comb then Some slot else None)
+                  ins }
             :: !prims
       | Comp name when (find_component ctx name).is_extern <> None -> (
           (* Black-box RTL (Section 6.2): link a registered behavioural
@@ -152,7 +158,8 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
               in
               prims :=
                 { pi_cell = c.cell_name; pi_state = make_state ();
-                  pi_inputs = ins; pi_outputs = outs }
+                  pi_inputs = ins; pi_outputs = outs;
+                  pi_comb_reads = List.map snd ins }
                 :: !prims)
       | Comp name ->
           let sub = find_component ctx name in

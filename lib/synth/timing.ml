@@ -74,50 +74,24 @@ let mux_ps drivers =
     let rec go levels m = if m <= 1 then levels else go (levels + 1) (cdiv m 4) in
     t_lut * go 0 drivers
 
-(* Exact input->output combinational arcs of a primitive:
-   [(in, out, ps, levels)]. Sequential primitives expose only their
-   genuinely combinational arcs (a memory's asynchronous read); a
-   register's [write_en] or [in] never reaches [out]. *)
-let prim_arcs name params =
+(* The delay and logic levels [(ps, levels)] that each combinational arc
+   of a primitive ({!Prims.comb_arcs}) costs. *)
+let arc_delay name params =
   let w = match params with w :: _ -> w | [] -> 1 in
-  let binop ps lv = [ ("left", "out", ps, lv); ("right", "out", ps, lv) ] in
   match name with
-  | "std_add" | "std_sub" -> binop (adder_ps w) 1
-  | "std_lt" | "std_gt" | "std_le" | "std_ge" -> binop (adder_ps w) 1
-  | "std_eq" | "std_neq" -> binop (eq_ps w) 1
-  | "std_and" | "std_or" | "std_xor" -> binop t_lut 1
-  | "std_not" -> [ ("in", "out", t_lut, 1) ]
-  | "std_lsh" | "std_rsh" -> binop (shift_ps w) 2
-  | "std_mult" -> binop (mult_ps w) 3
-  | "std_wire" | "std_slice" | "std_pad" -> [ ("in", "out", 0, 0) ]
-  | "std_const" -> []
-  | "std_reg" | "std_mult_pipe" | "std_div_pipe" | "std_sqrt" -> []
+  | "std_add" | "std_sub" | "std_lt" | "std_gt" | "std_le" | "std_ge" ->
+      (adder_ps w, 1)
+  | "std_eq" | "std_neq" -> (eq_ps w, 1)
+  | "std_lsh" | "std_rsh" -> (shift_ps w, 2)
+  | "std_mult" -> (mult_ps w, 3)
+  | "std_wire" | "std_slice" | "std_pad" -> (0, 0)
   | "std_mem_d1" ->
       let size = match params with [ _; s; _ ] -> s | _ -> 1 in
-      [ ("addr0", "read_data", mem_ps size, 1) ]
+      (mem_ps size, 1)
   | "std_mem_d2" ->
       let size = match params with [ _; d0; d1; _; _ ] -> d0 * d1 | _ -> 1 in
-      [
-        ("addr0", "read_data", mem_ps size, 1);
-        ("addr1", "read_data", mem_ps size, 1);
-      ]
-  | name ->
-      (* Unknown combinational primitive: conservative full bipartite. *)
-      let info = Prims.info name in
-      if not info.Prims.combinational then []
-      else
-        let ports = info.Prims.make_ports params in
-        List.concat_map
-          (fun (i : Prims.prim_port) ->
-            if i.Prims.pp_dir <> Prims.In then []
-            else
-              List.filter_map
-                (fun (o : Prims.prim_port) ->
-                  if o.Prims.pp_dir = Prims.Out then
-                    Some (i.Prims.pp_name, o.Prims.pp_name, t_lut, 1)
-                  else None)
-                ports)
-          ports
+      (mem_ps size, 1)
+  | _ -> (t_lut, 1)
 
 (* Guard logic depth feeding a mux select: atoms pay an OR-reduction to
    one bit, comparisons pay their operator, each connective a LUT level
@@ -277,9 +251,10 @@ let build ctx comp =
               touch v;
               g.source.(v) <- 0
             end;
+            let ps, lv = arc_delay name params in
             List.iter
-              (fun (i, o, ps, lv) -> edge (pnode i) (pnode o) ps lv)
-              (prim_arcs name params)
+              (fun (i, o) -> edge (pnode i) (pnode o) ps lv)
+              (Prims.comb_arcs name params)
         | Some _, Comp cname -> (
             let child = find_component ctx cname in
             match child.is_extern with

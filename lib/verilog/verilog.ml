@@ -29,13 +29,16 @@ let cmp_sv = function
   | Le -> "<="
   | Ge -> ">="
 
-let rec guard_sv = function
-  | True -> "1'd1"
-  | Atom a -> Printf.sprintf "(%s != 0)" (atom_sv a)
-  | Cmp (op, a, b) -> Printf.sprintf "(%s %s %s)" (atom_sv a) (cmp_sv op) (atom_sv b)
-  | And (a, b) -> Printf.sprintf "(%s & %s)" (guard_sv a) (guard_sv b)
-  | Or (a, b) -> Printf.sprintf "(%s | %s)" (guard_sv a) (guard_sv b)
-  | Not a -> Printf.sprintf "(~%s)" (guard_sv a)
+(* Writes the guard straight into [b]: building it as a string would copy
+   each subterm once per level of nesting above it. *)
+let rec guard_sv b = function
+  | True -> buf_add b "1'd1"
+  | Atom a -> Printf.bprintf b "(%s != 0)" (atom_sv a)
+  | Cmp (op, x, y) ->
+      Printf.bprintf b "(%s %s %s)" (atom_sv x) (cmp_sv op) (atom_sv y)
+  | And (x, y) -> Printf.bprintf b "(%a & %a)" guard_sv x guard_sv y
+  | Or (x, y) -> Printf.bprintf b "(%a | %a)" guard_sv x guard_sv y
+  | Not x -> Printf.bprintf b "(~%a)" guard_sv x
 
 (* ------------------------------------------------------------------ *)
 (* Primitive module library                                            *)
@@ -332,8 +335,7 @@ let emit_component_into b ctx comp =
                (connections true)))
     cells;
   (* Guarded drivers per destination, destinations in first-appearance
-     order. Each list is consed newest first, so folding it from the left
-     nests the first driver outermost. *)
+     order, each list consed newest first. *)
   let order = ref [] in
   let drivers = Array.make (Ports.count ports) [] in
   List.iter
@@ -342,21 +344,20 @@ let emit_component_into b ctx comp =
       if drivers.(d) = [] then order := d :: !order;
       drivers.(d) <- (a.guard, a.src) :: drivers.(d))
     comp.continuous;
+  (* A port's [?:] chain goes straight into the buffer, first driver
+     outermost. It ends at the first unconditional driver, or at zero. *)
+  let rec chain d = function
+    | [] -> Printf.bprintf b "%d'd0" (Ports.width_of_id ports d)
+    | (True, src) :: _ -> buf_add b (atom_sv src)
+    | (g, src) :: rest ->
+        Printf.bprintf b "%a ? %s : " guard_sv g (atom_sv src);
+        chain d rest
+  in
   List.iter
     (fun d ->
-      let rhs =
-        List.fold_left
-          (fun acc (g, src) ->
-            match g with
-            | True -> atom_sv src
-            | _ -> Printf.sprintf "%s ? %s : %s" (guard_sv g) (atom_sv src) acc)
-          (Printf.sprintf "%d'd0" (Ports.width_of_id ports d))
-          drivers.(d)
-      in
-      buf_add b
-        (Printf.sprintf "  assign %s = %s;\n"
-           (wire_name (Ports.port ports d))
-           rhs))
+      Printf.bprintf b "  assign %s = " (wire_name (Ports.port ports d));
+      chain d (List.rev drivers.(d));
+      buf_add b ";\n")
     (List.rev !order);
   (* Undriven cell inputs default to zero so the netlist is closed. *)
   List.iter
@@ -370,11 +371,6 @@ let emit_component_into b ctx comp =
         cports)
     cells;
   buf_add b "endmodule\n"
-
-let emit_component ctx comp =
-  let b = Buffer.create 4096 in
-  emit_component_into b ctx comp;
-  Buffer.contents b
 
 let used_primitives ctx =
   let used = Hashtbl.create 16 in

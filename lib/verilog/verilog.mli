@@ -25,9 +25,6 @@ val emit : Ir.context -> string
 (** The whole program: primitive library followed by component modules (the
     entrypoint last). *)
 
-val emit_component : Ir.context -> Ir.component -> string
-(** A single component module. *)
-
 val primitive_library : Ir.context -> string
 (** Definitions of exactly the primitive modules the program instantiates. *)
 

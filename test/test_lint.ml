@@ -221,6 +221,25 @@ let test_overlap_with_continuous () =
   in
   has "group vs continuous" "CX022" (lint (context [ main ]))
 
+(* Two groups drive one port under unrelated guards. They never share a
+   scope, so the pair is not reported. *)
+let two_groups_prog () =
+  let drive name value guard =
+    group name
+      [
+        assign ~guard (port "r" "in") (lit ~width:8 value);
+        assign (port "r" "write_en") (bit true);
+        assign (hole name "done") (pa "r" "done");
+      ]
+  in
+  main_with
+    ~cells:[ reg "r" 8; reg "c" 1; reg "d" 1 ]
+    ~groups:
+      [ drive "a" 1 (g_port "c" "out"); drive "b" 2 (g_port "d" "out") ]
+    (seq [ enable "a"; enable "b" ])
+
+let test_two_groups_clean () = clean "two groups" (lint (two_groups_prog ()))
+
 let one_bit_cells = [ reg "r" 8; reg "c" 1 ]
 
 let test_complementary_guards_clean () =
@@ -405,6 +424,177 @@ let test_systolic_clean () =
   in
   clean "generated systolic array" (lint ctx)
 
+(* ------------------------------------------------------------------ *)
+(* CX022 against the pairwise reference                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference reporter: one scope for the continuous assignments and
+   one per group holding that group's assignments and the continuous
+   ones, every pair of a port's drivers tested within a scope. A group
+   scope reports only the pairs that involve one of its own assignments;
+   continuous pairs are reported once, by the component scope. *)
+module Reference = struct
+  let port_key p = Format.asprintf "%a" pp_port_ref p
+
+  let overlapping_drivers comp =
+    let exclusive = Lint.exclusive comp in
+    let diags = ref [] in
+    let scope ~loc ~in_scope assigns =
+      let by_dst = Hashtbl.create 16 in
+      List.iter
+        (fun (a, own) ->
+          let k = port_key a.dst in
+          let prev =
+            match Hashtbl.find_opt by_dst k with Some l -> l | None -> []
+          in
+          Hashtbl.replace by_dst k ((a, own) :: prev))
+        (List.map (fun a -> (a, in_scope a)) assigns);
+      Hashtbl.iter
+        (fun dst drivers ->
+          let rec pairs = function
+            | [] -> ()
+            | (a1, own1) :: rest ->
+                List.iter
+                  (fun (a2, own2) ->
+                    if
+                      (own1 || own2)
+                      && not (a1.guard = True && a2.guard = True)
+                      && not (exclusive a1.guard a2.guard)
+                    then
+                      diags :=
+                        Diagnostics.warning ~code:"CX022" ~loc
+                          "port %s has multiple drivers whose guards are not \
+                           provably exclusive: [%a] vs [%a]"
+                          dst pp_guard a1.guard pp_guard a2.guard
+                        :: !diags)
+                  rest;
+                pairs rest
+          in
+          pairs drivers)
+        by_dst
+    in
+    scope
+      ~loc:(Diagnostics.Component comp.comp_name)
+      ~in_scope:(fun _ -> true)
+      comp.continuous;
+    List.iter
+      (fun g ->
+        let mine a = List.exists (fun a' -> a' == a) g.assigns in
+        scope
+          ~loc:(Diagnostics.Group { comp = comp.comp_name; group = g.group_name })
+          ~in_scope:mine
+          (g.assigns @ comp.continuous))
+      comp.groups;
+    !diags
+end
+
+(* Every component's CX022 diagnostics equal the reference's, compared
+   sorted, locations included; on the program as given and lowered.
+   Returns how many warnings the two agreed on. *)
+let cx022_agrees name ctx =
+  let lowered =
+    Pipelines.compile
+      ~config:{ Pipelines.default_config with lint = false }
+      ctx
+  in
+  List.fold_left
+    (fun total (stage, ctx) ->
+      List.fold_left
+        (fun total comp ->
+          if comp.is_extern <> None then total
+          else
+            let got =
+              List.filter
+                (fun d -> String.equal d.Diagnostics.code "CX022")
+                (Lint.component_diagnostics ctx comp)
+            in
+            let sorted ds = List.sort compare ds in
+            let expected = sorted (Reference.overlapping_drivers comp)
+            and got = sorted got in
+            if expected <> got then
+              Alcotest.failf
+                "%s (%s), component %s: CX022 differs from the reference\n\
+                \  reference (%d):\n%s\n  rule (%d):\n%s"
+                name stage comp.comp_name (List.length expected)
+                (Diagnostics.render_all expected)
+                (List.length got) (Diagnostics.render_all got);
+            total + List.length got)
+        total ctx.components)
+    0
+    [ ("structured", ctx); ("lowered", lowered) ]
+
+let prop_cx022_fuzz =
+  QCheck.Test.make ~name:"random programs: CX022 = pairwise reference"
+    ~count:1000
+    (Fuzz_seed.spec_arb "cx022-reference")
+    (fun spec ->
+      ignore (cx022_agrees (Fuzz_gen.to_string spec) (Fuzz_gen.build spec));
+      true)
+
+let parse_source path =
+  if Filename.check_suffix path ".dahlia" then
+    Dahlia.To_calyx.compile
+      (Dahlia.Parser.parse_string
+         (In_channel.with_open_bin path In_channel.input_all))
+  else Parser.parse_file path
+
+let test_cx022_corpus () =
+  let examples =
+    ("two groups", two_groups_prog ())
+    :: List.map
+         (fun file -> (file, parse_source (example file)))
+         [ "counter.futil"; "invoke.futil"; "dotprod.dahlia"; "histogram.dahlia" ]
+  in
+  let polybench =
+    List.concat_map
+      (fun (k : Polybench.Kernels.kernel) ->
+        (k.name, Polybench.Harness.build k ~unrolled:false)
+        ::
+        (if k.unrolled <> None then
+           [ (k.name ^ "-unrolled", Polybench.Harness.build k ~unrolled:true) ]
+         else []))
+      Polybench.Kernels.all
+  in
+  let systolic =
+    List.map
+      (fun (rows, depth, cols) ->
+        ( Printf.sprintf "systolic-%dx%dx%d" rows depth cols,
+          Systolic.generate { Systolic.rows; cols; depth; width = 32 } ))
+      [ (4, 4, 4); (8, 8, 8); (12, 12, 12); (5, 12, 7) ]
+  in
+  Alcotest.(check int) "PolyBench variants" 30 (List.length polybench);
+  let warnings =
+    List.fold_left
+      (fun n (name, ctx) -> n + cx022_agrees name ctx)
+      0
+      (examples @ polybench @ systolic)
+  in
+  (* The lowered systolic arrays alone carry thousands of warnings, so an
+     empty comparison would show nothing. *)
+  Alcotest.(check bool) "the corpus has CX022 warnings" true (warnings > 1000)
+
+(* ------------------------------------------------------------------ *)
+(* Primitive arcs                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let arcs msg name params expected =
+  Alcotest.(check (list (pair string string)))
+    msg expected (Prims.comb_arcs name params)
+
+let test_comb_arcs () =
+  arcs "binop" "std_add" [ 8 ] [ ("left", "out"); ("right", "out") ];
+  arcs "comparison" "std_lt" [ 8 ] [ ("left", "out"); ("right", "out") ];
+  arcs "std_not" "std_not" [ 4 ] [ ("in", "out") ];
+  arcs "std_const" "std_const" [ 4; 3 ] [];
+  arcs "std_slice" "std_slice" [ 8; 4 ] [ ("in", "out") ];
+  arcs "std_reg" "std_reg" [ 8 ] [];
+  arcs "std_mult_pipe" "std_mult_pipe" [ 32 ] [];
+  arcs "std_div_pipe" "std_div_pipe" [ 32 ] [];
+  arcs "std_sqrt" "std_sqrt" [ 32 ] [];
+  arcs "std_mem_d1" "std_mem_d1" [ 32; 4; 2 ] [ ("addr0", "read_data") ];
+  arcs "std_mem_d2" "std_mem_d2" [ 32; 4; 4; 2; 2 ]
+    [ ("addr0", "read_data"); ("addr1", "read_data") ]
+
 let () =
   Alcotest.run "lint"
     [
@@ -440,6 +630,8 @@ let () =
             test_distinct_constants_clean;
           Alcotest.test_case "complementary comparisons clean" `Quick
             test_complementary_cmps_clean;
+          Alcotest.test_case "drivers of two groups clean" `Quick
+            test_two_groups_clean;
         ] );
       ( "dead code",
         [
@@ -477,4 +669,11 @@ let () =
           Alcotest.test_case "systolic array clean" `Quick
             test_systolic_clean;
         ] );
+      ( "overlapping drivers reference",
+        [
+          QCheck_alcotest.to_alcotest prop_cx022_fuzz;
+          Alcotest.test_case "examples, polybench, systolic" `Quick
+            test_cx022_corpus;
+        ] );
+      ("primitive arcs", [ Alcotest.test_case "comb_arcs" `Quick test_comb_arcs ]);
     ]
