@@ -669,7 +669,7 @@ let () =
           Alcotest.test_case "systolic array clean" `Quick
             test_systolic_clean;
         ] );
-      ( "overlapping drivers reference",
+      ( "CX022 reference",
         [
           QCheck_alcotest.to_alcotest prop_cx022_fuzz;
           Alcotest.test_case "examples, polybench, systolic" `Quick
