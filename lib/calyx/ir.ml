@@ -650,8 +650,6 @@ let equal_port_ref a b =
   | This p1, This p2 -> String.equal p1 p2
   | (Cell_port _ | Hole _ | This _), _ -> false
 
-let compare_port_ref a b = compare a b
-
 let equal_atom a b =
   match (a, b) with
   | Port p1, Port p2 -> equal_port_ref p1 p2
@@ -673,10 +671,12 @@ let equal_assignment a b =
   equal_port_ref a.dst b.dst && equal_atom a.src b.src
   && equal_guard a.guard b.guard
 
-let pp_port_ref fmt = function
-  | Cell_port (c, p) -> Format.fprintf fmt "%s.%s" c p
-  | Hole (g, h) -> Format.fprintf fmt "%s[%s]" g h
-  | This p -> Format.pp_print_string fmt p
+let port_name = function
+  | Cell_port (c, p) -> String.concat "." [ c; p ]
+  | Hole (g, h) -> String.concat "" [ g; "["; h; "]" ]
+  | This p -> p
+
+let pp_port_ref fmt p = Format.pp_print_string fmt (port_name p)
 
 let pp_atom fmt = function
   | Port p -> pp_port_ref fmt p
@@ -700,14 +700,6 @@ let rec pp_guard fmt = function
   | Or (g1, g2) -> Format.fprintf fmt "(%a | %a)" pp_guard g1 pp_guard g2
   | Not g -> Format.fprintf fmt "!%a" pp_guard g
 
-module Port_ref_ord = struct
-  type t = port_ref
-
-  let compare = compare_port_ref
-end
-
-module Port_ref_set = Set.Make (Port_ref_ord)
-module Port_ref_map = Map.Make (Port_ref_ord)
 module String_set = Set.Make (String)
 module String_map = Map.Make (String)
 

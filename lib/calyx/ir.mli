@@ -298,17 +298,20 @@ val rename_enables : (string -> string) -> control -> control
 (** {1 Equality and printing (for diagnostics and tests)} *)
 
 val equal_port_ref : port_ref -> port_ref -> bool
-val compare_port_ref : port_ref -> port_ref -> int
 val equal_atom : atom -> atom -> bool
 val equal_guard : guard -> guard -> bool
 val equal_assignment : assignment -> assignment -> bool
 
+val port_name : port_ref -> string
+(** The one printed form of a port: [cell.port], [group[hole]] or a
+    signature port's name. *)
+
 val pp_port_ref : Format.formatter -> port_ref -> unit
+(** Prints {!port_name}. *)
+
 val pp_atom : Format.formatter -> atom -> unit
 val pp_guard : Format.formatter -> guard -> unit
 
-module Port_ref_set : Set.S with type elt = port_ref
-module Port_ref_map : Map.S with type key = port_ref
 module String_set : Set.S with type elt = string
 module String_map : Map.S with type key = string
 

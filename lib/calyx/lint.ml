@@ -4,12 +4,6 @@ module SS = String_set
 
 exception Rejected of D.t list
 
-(* The text {!pp_port_ref} prints, built without a formatter. *)
-let port_key = function
-  | Cell_port (c, p) -> String.concat "." [ c; p ]
-  | Hole (g, h) -> String.concat "" [ g; "["; h; "]" ]
-  | This p -> p
-
 (* ------------------------------------------------------------------ *)
 (* CX020: par data races                                               *)
 (* ------------------------------------------------------------------ *)
@@ -145,108 +139,106 @@ let par_races ~cells ~groups comp =
 (* The combinational arcs of one cell ({!Prims.comb_arcs}). User
    components are opaque, and a cell the well-formedness check would
    reject has none. *)
-let cell_arcs cells cell_name =
-  match Hashtbl.find_opt cells cell_name with
-  | Some { cell_proto = Prim (name, params); _ } -> (
+let cell_arcs cell =
+  match cell.cell_proto with
+  | Prim (name, params) -> (
       try Prims.comb_arcs name params
       with Prims.Unknown_primitive _ | Invalid_argument _ -> [])
-  | Some { cell_proto = Comp _; _ } | None -> []
+  | Comp _ -> []
 
-(* Find combinational cycles in one evaluation scope (the assignments that
-   can be live in the same cycle: one group plus the continuous
-   assignments). Returns each cycle as a port list, deduplicated across
-   scopes via [seen]. *)
-let scope_cycles ~cells ~seen assigns =
-  let succ : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  let edges = Hashtbl.create 64 in
-  let edge a b =
-    if not (Hashtbl.mem edges (a, b)) then begin
-      Hashtbl.replace edges (a, b) ();
-      match Hashtbl.find_opt succ a with
-      | Some l -> l := b :: !l
-      | None -> Hashtbl.replace succ a (ref [ b ])
-    end
+(* A port's {!Ports} id; [None] for a port that does not resolve, which
+   the well-formedness check reports. *)
+let port_id ports p =
+  match Ports.resolve ports p with Ports.Resolved r -> Some r.id | _ -> None
+
+(* An evaluation scope is the set of assignments that can be live in the
+   same cycle: the continuous assignments alone, or one group's together
+   with them. The graph over port ids is built once per component and
+   holds every primitive's arcs and every continuous assignment's edges.
+   The continuous scope searches from the continuous edges' sources. A
+   group scope pushes its own edges, searches from their sources and pops
+   them again: a cycle without a group edge belongs to the continuous
+   scope. A cell no assignment of the scope touches keeps its arcs in the
+   graph, but no edge enters its inputs or leaves its outputs, so they
+   close no cycle. Each cycle is reported once, in the first scope that
+   finds it, as the ports along its edges. *)
+let comb_cycles ~cells ~ports comp =
+  let n = Ports.count ports in
+  let succ = Array.make n [] in
+  (* Push the edges of [assigns]; returns their sources. *)
+  let push assigns =
+    List.fold_left
+      (fun sources a ->
+        match port_id ports a.dst with
+        | None -> sources
+        | Some d ->
+            List.fold_left
+              (fun sources -> function
+                | Port p -> (
+                    match port_id ports p with
+                    | Some s ->
+                        succ.(s) <- d :: succ.(s);
+                        s :: sources
+                    | None -> sources)
+                | Lit _ -> sources)
+              sources (assignment_atoms a))
+      [] assigns
   in
-  let used = ref SS.empty in
-  let note_port p =
-    match p with Cell_port (c, _) -> used := SS.add c !used | _ -> ()
-  in
-  List.iter
-    (fun a ->
-      note_port a.dst;
-      List.iter
-        (function
-          | Port p ->
-              note_port p;
-              edge (port_key p) (port_key a.dst)
-          | Lit _ -> ())
-        (assignment_atoms a))
-    assigns;
-  SS.iter
-    (fun c ->
+  Hashtbl.iter
+    (fun name cell ->
       List.iter
         (fun (i, o) ->
-          edge (port_key (Cell_port (c, i))) (port_key (Cell_port (c, o))))
-        (cell_arcs cells c))
-    !used;
-  let state = Hashtbl.create 64 in
-  let cycles = ref [] in
-  let rec dfs path node =
-    match Hashtbl.find_opt state node with
-    | Some `Done -> ()
-    | Some `Active ->
-        (* [path] runs from the current node back to the root; the cycle is
-           the prefix up to (and including) the first occurrence of
-           [node]. *)
+          match
+            ( port_id ports (Cell_port (name, i)),
+              port_id ports (Cell_port (name, o)) )
+          with
+          | Some i, Some o -> succ.(i) <- o :: succ.(i)
+          | _ -> ())
+        (cell_arcs cell))
+    cells;
+  (* DFS state: below [!base] unvisited, [!base] on the path, [!base + 1]
+     done; each scope moves [base] past the last one's marks. *)
+  let state = Array.make n 0 and base = ref 0 in
+  let seen = Hashtbl.create 16 and diags = ref [] in
+  let search loc sources =
+    base := !base + 2;
+    let rec dfs path v =
+      if state.(v) = !base then begin
+        (* [path] runs from the current port back to the root; the cycle
+           is its prefix up to [v], in edge order from [v]. *)
         let rec take acc = function
-          | [] -> List.rev acc
-          | n :: rest ->
-              if String.equal n node then List.rev (n :: acc)
-              else take (n :: acc) rest
+          | [] -> acc
+          | u :: rest -> if u = v then u :: acc else take (u :: acc) rest
         in
         let cycle = take [] path in
-        let key = String.concat "\x00" (List.sort String.compare cycle) in
+        let key = List.sort Int.compare cycle in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.replace seen key ();
-          cycles := cycle :: !cycles
+          let names =
+            List.map (fun i -> port_name (Ports.port ports i)) cycle
+          in
+          diags :=
+            D.error ~code:"CX021" ~loc "combinational cycle: %s"
+              (String.concat " -> " (names @ [ List.hd names ]))
+            :: !diags
         end
-    | None ->
-        Hashtbl.replace state node `Active;
-        (match Hashtbl.find_opt succ node with
-        | Some l -> List.iter (dfs (node :: path)) !l
-        | None -> ());
-        Hashtbl.replace state node `Done
+      end
+      else if state.(v) < !base then begin
+        state.(v) <- !base;
+        List.iter (dfs (v :: path)) succ.(v);
+        state.(v) <- !base + 1
+      end
+    in
+    List.iter (dfs []) sources
   in
-  Hashtbl.iter (fun node _ -> dfs [ node ] node) succ;
-  List.rev !cycles
-
-let comb_cycles ~cells comp =
-  let seen = Hashtbl.create 16 in
-  let diag loc cycle =
-    {
-      D.code = "CX021";
-      severity = D.Error;
-      loc;
-      message =
-        Printf.sprintf "combinational cycle: %s"
-          (String.concat " -> " (cycle @ [ List.hd cycle ]));
-    }
-  in
-  let continuous =
-    List.map
-      (fun c -> diag (D.Component comp.comp_name) c)
-      (scope_cycles ~cells ~seen comp.continuous)
-  in
-  let grouped =
-    List.concat_map
-      (fun g ->
-        List.map
-          (fun c ->
-            diag (D.Group { comp = comp.comp_name; group = g.group_name }) c)
-          (scope_cycles ~cells ~seen (g.assigns @ comp.continuous)))
-      comp.groups
-  in
-  continuous @ grouped
+  search (D.Component comp.comp_name) (push comp.continuous);
+  List.iter
+    (fun g ->
+      let own = push g.assigns in
+      search (D.Group { comp = comp.comp_name; group = g.group_name }) own;
+      List.iter (fun s -> succ.(s) <- List.tl succ.(s)) own)
+    comp.groups;
+  List.rev !diags
 
 (* ------------------------------------------------------------------ *)
 (* CX022: overlapping guarded drivers                                  *)
@@ -431,18 +423,20 @@ type driver = { guard : guard; norm : lit list list option Lazy.t }
    component, each group's drivers once, and a group's drivers are paired
    with each other and with the continuous drivers of the same port.
    Drivers of two different groups are never paired. Tables are keyed by
-   {!port_key} and hold each port's drivers newest first; iterating them
-   fixes the report order. *)
-let overlapping_drivers ~cells comp =
+   the destination's {!Ports} id and hold each port's drivers newest
+   first. *)
+let overlapping_drivers ~cells ~ports comp =
   let norm = normalizer ~cells comp in
   let by_dst assigns =
     let table = Hashtbl.create 16 in
     List.iter
-      (fun a ->
-        let k = port_key a.dst in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
-        let d = { guard = a.guard; norm = lazy (norm a.guard) } in
-        Hashtbl.replace table k (d :: prev))
+      (fun (a : assignment) ->
+        Option.iter
+          (fun k ->
+            let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
+            let d = { guard = a.guard; norm = lazy (norm a.guard) } in
+            Hashtbl.replace table k (d :: prev))
+          (port_id ports a.dst))
       assigns;
     table
   in
@@ -456,7 +450,8 @@ let overlapping_drivers ~cells comp =
             D.warning ~code:"CX022" ~loc
               "port %s has multiple drivers whose guards are not provably \
                exclusive: [%a] vs [%a]"
-              dst pp_guard g1 pp_guard g2
+              (port_name (Ports.port ports dst))
+              pp_guard g1 pp_guard g2
             :: !diags
   in
   let rec pairs ~loc dst = function
@@ -586,9 +581,10 @@ let latency_contracts ctx ~cells ~groups comp =
    warning-only ones (CX022-CX024) only when [warnings] is set. *)
 let run ~warnings ctx comp =
   let cells = cell_index comp and groups = group_index comp in
+  let ports = Ports.create ctx comp in
   par_races ~cells ~groups comp
-  @ comb_cycles ~cells comp
-  @ (if warnings then overlapping_drivers ~cells comp @ dead_code comp
+  @ comb_cycles ~cells ~ports comp
+  @ (if warnings then overlapping_drivers ~cells ~ports comp @ dead_code comp
      else [])
   @ latency_contracts ctx ~cells ~groups comp
 

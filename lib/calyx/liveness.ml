@@ -63,8 +63,9 @@ let analyze ~id:reg_id comp =
     | Port (Cell_port (c, "out")) -> Hashtbl.find_opt id c
     | _ -> None
   in
-  (* Registers read from continuous assignments are observable at any time
-     (e.g. they feed output ports); they interfere with everything. *)
+  (* Registers continuous assignments read or write are in use in every
+     cycle (they feed output ports, or hold a lowered program's state);
+     they interfere with everything, each other included. *)
   let always_live = B.create () in
   List.iter
     (fun a ->
@@ -75,7 +76,7 @@ let analyze ~id:reg_id comp =
               | Some i -> B.add always_live i
               | None -> ())
           | Lit _ | Port _ -> ())
-        (a.src :: guard_atoms a.guard))
+        (Port a.dst :: assignment_atoms a))
     comp.continuous;
   (* Live sets repeat heavily across groups; deduplicate. Sets are never
      mutated once built, so they can be shared as table keys. *)
@@ -87,6 +88,7 @@ let analyze ~id:reg_id comp =
       cliques := s :: !cliques
     end
   in
+  clique always_live;
   let union_all = List.fold_left B.union (B.create ()) in
   let cond = function Some g -> (sets g).touched | None -> B.create () in
   (* Registers touched anywhere in a subtree (for parallel interference). *)

@@ -27,4 +27,5 @@ val analyze : id:(string -> int) -> Ir.component -> result
     [std_reg] cells. [id] numbers the registers: it is called once per
     register, in declaration order, before any set is built, and must give
     distinct names distinct ids. Registers referenced by continuous
-    assignments are treated as live everywhere (they join every clique). *)
+    assignments are treated as live everywhere: they join every clique
+    and form one clique of their own. *)

@@ -57,7 +57,7 @@ let scoped_diagnostics ctx scope comp =
          {
            comp = comp.comp_name;
            group;
-           dst = Format.asprintf "%a" pp_port_ref a.dst;
+           dst = port_name a.dst;
          })
   in
   let control_loc path = Lazy.from_val (D.Control { comp = comp.comp_name; path }) in

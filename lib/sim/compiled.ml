@@ -730,7 +730,7 @@ let compile inst : compiled =
     done
   in
   let proto_str cell =
-    match List.find_opt (fun c -> String.equal c.cell_name cell) inst.i_comp.cells with
+    match Ports.find_cell inst.i_ports cell with
     | Some { cell_proto = Prim (n, ps); _ } ->
         Printf.sprintf "%s(%s)" n (String.concat "," (List.map string_of_int ps))
     | Some { cell_proto = Comp n; _ } -> n

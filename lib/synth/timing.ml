@@ -127,11 +127,6 @@ type graph = {
 
 let join prefix name = if prefix = "" then name else prefix ^ "." ^ name
 
-let local_name = function
-  | Cell_port (c, p) -> c ^ "." ^ p
-  | This p -> p
-  | Hole (grp, h) -> grp ^ "[" ^ h ^ "]"
-
 let build ctx comp =
   let table = Ports.tables ctx in
   (* Room for every port of every instance; a child's signature ports
@@ -176,7 +171,7 @@ let build ctx comp =
           | port, _ ->
               let v = !next in
               incr next;
-              g.names.(v) <- join prefix (local_name port);
+              g.names.(v) <- join prefix (port_name port);
               v)
     in
     let node p = map.(Ports.id ports p) in

@@ -425,17 +425,112 @@ let test_systolic_clean () =
   clean "generated systolic array" (lint ctx)
 
 (* ------------------------------------------------------------------ *)
-(* CX022 against the pairwise reference                                *)
+(* CX021 and CX022 against the reference reporters                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference reporter: one scope for the continuous assignments and
-   one per group holding that group's assignments and the continuous
-   ones, every pair of a port's drivers tested within a scope. A group
-   scope reports only the pairs that involve one of its own assignments;
-   continuous pairs are reported once, by the component scope. *)
+(* The reference reporters, keyed by printed port names and rebuilt per
+   scope. *)
 module Reference = struct
   let port_key p = Format.asprintf "%a" pp_port_ref p
 
+  (* CX021: one graph per evaluation scope over printed port names, built
+     from the scope's assignments and the arcs of the cells they touch,
+     searched from every port. The continuous assignments are one scope;
+     each group's assignments with them another. A cycle is reported
+     once, in the first scope that finds it. *)
+  let cell_arcs cells c =
+    match Hashtbl.find_opt cells c with
+    | Some { cell_proto = Prim (name, params); _ } -> (
+        try Prims.comb_arcs name params
+        with Prims.Unknown_primitive _ | Invalid_argument _ -> [])
+    | Some { cell_proto = Comp _; _ } | None -> []
+
+  let scope_cycles ~cells ~seen assigns =
+    let succ : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
+    let edges = Hashtbl.create 64 in
+    let edge a b =
+      if not (Hashtbl.mem edges (a, b)) then begin
+        Hashtbl.replace edges (a, b) ();
+        match Hashtbl.find_opt succ a with
+        | Some l -> l := b :: !l
+        | None -> Hashtbl.replace succ a (ref [ b ])
+      end
+    in
+    let used = ref String_set.empty in
+    let note_port = function
+      | Cell_port (c, _) -> used := String_set.add c !used
+      | _ -> ()
+    in
+    List.iter
+      (fun a ->
+        note_port a.dst;
+        List.iter
+          (function
+            | Port p ->
+                note_port p;
+                edge (port_key p) (port_key a.dst)
+            | Lit _ -> ())
+          (assignment_atoms a))
+      assigns;
+    String_set.iter
+      (fun c ->
+        List.iter
+          (fun (i, o) ->
+            edge (port_key (Cell_port (c, i))) (port_key (Cell_port (c, o))))
+          (cell_arcs cells c))
+      !used;
+    let state = Hashtbl.create 64 in
+    let cycles = ref [] in
+    let rec dfs path node =
+      match Hashtbl.find_opt state node with
+      | Some `Done -> ()
+      | Some `Active ->
+          let rec take acc = function
+            | [] -> List.rev acc
+            | n :: rest ->
+                if String.equal n node then List.rev (n :: acc)
+                else take (n :: acc) rest
+          in
+          let cycle = take [] path in
+          let key = String.concat "\x00" (List.sort String.compare cycle) in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.replace seen key ();
+            cycles := cycle :: !cycles
+          end
+      | None ->
+          Hashtbl.replace state node `Active;
+          (match Hashtbl.find_opt succ node with
+          | Some l -> List.iter (dfs (node :: path)) !l
+          | None -> ());
+          Hashtbl.replace state node `Done
+    in
+    Hashtbl.iter (fun node _ -> dfs [ node ] node) succ;
+    List.rev !cycles
+
+  let comb_cycles comp =
+    let cells = cell_index comp in
+    let seen = Hashtbl.create 16 in
+    let diag loc cycle =
+      Diagnostics.error ~code:"CX021" ~loc "combinational cycle: %s"
+        (String.concat " -> " (cycle @ [ List.hd cycle ]))
+    in
+    List.map
+      (diag (Diagnostics.Component comp.comp_name))
+      (scope_cycles ~cells ~seen comp.continuous)
+    @ List.concat_map
+        (fun g ->
+          List.map
+            (diag
+               (Diagnostics.Group
+                  { comp = comp.comp_name; group = g.group_name }))
+            (scope_cycles ~cells ~seen (g.assigns @ comp.continuous)))
+        comp.groups
+
+  (* CX022: one scope for the continuous assignments and one per group
+     holding that group's assignments and the continuous ones, every pair
+     of a port's drivers tested within a scope. A group scope reports only
+     the pairs that involve one of its own assignments; continuous pairs
+     are reported once, by the component scope. *)
   let overlapping_drivers comp =
     let exclusive = Lint.exclusive comp in
     let diags = ref [] in
@@ -488,40 +583,69 @@ module Reference = struct
     !diags
 end
 
-(* Every component's CX022 diagnostics equal the reference's, compared
-   sorted, locations included; on the program as given and lowered.
-   Returns how many warnings the two agreed on. *)
-let cx022_agrees name ctx =
-  let lowered =
-    Pipelines.compile
-      ~config:{ Pipelines.default_config with lint = false }
-      ctx
+(* The program as given and lowered. *)
+let stages ctx =
+  [
+    ("structured", ctx);
+    ( "lowered",
+      Pipelines.compile
+        ~config:{ Pipelines.default_config with lint = false }
+        ctx );
+  ]
+
+(* A CX021 diagnostic as its location and the set of ports on its cycle,
+   so two reporters that walk a cycle from different ports agree. *)
+let cycle_of (d : Diagnostics.t) =
+  let prefix = "combinational cycle: " in
+  let p = String.length prefix in
+  let ports =
+    String.sub d.message p (String.length d.message - p)
+    |> String.split_on_char ' '
+    |> List.filter (fun w -> w <> "->")
   in
+  (d.loc, List.sort_uniq String.compare ports)
+
+(* Every component's [code] diagnostics equal [reference]'s, compared
+   sorted after [norm]. Returns how many diagnostics the two agreed on. *)
+let same ~code ~reference ~norm name ctx =
   List.fold_left
-    (fun total (stage, ctx) ->
-      List.fold_left
-        (fun total comp ->
-          if comp.is_extern <> None then total
-          else
-            let got =
-              List.filter
-                (fun d -> String.equal d.Diagnostics.code "CX022")
-                (Lint.component_diagnostics ctx comp)
-            in
-            let sorted ds = List.sort compare ds in
-            let expected = sorted (Reference.overlapping_drivers comp)
-            and got = sorted got in
-            if expected <> got then
-              Alcotest.failf
-                "%s (%s), component %s: CX022 differs from the reference\n\
-                \  reference (%d):\n%s\n  rule (%d):\n%s"
-                name stage comp.comp_name (List.length expected)
-                (Diagnostics.render_all expected)
-                (List.length got) (Diagnostics.render_all got);
-            total + List.length got)
-        total ctx.components)
-    0
-    [ ("structured", ctx); ("lowered", lowered) ]
+    (fun total comp ->
+      if comp.is_extern <> None then total
+      else
+        let got =
+          List.filter
+            (fun d -> String.equal d.Diagnostics.code code)
+            (Lint.component_diagnostics ctx comp)
+        in
+        let expected = reference comp in
+        let sorted ds = List.sort compare (List.map norm ds) in
+        if sorted expected <> sorted got then
+          Alcotest.failf
+            "%s, component %s: %s differs from the reference\n\
+            \  reference (%d):\n%s\n  rule (%d):\n%s"
+            name comp.comp_name code (List.length expected)
+            (Diagnostics.render_all expected)
+            (List.length got) (Diagnostics.render_all got);
+        total + List.length got)
+    0 ctx.components
+
+(* [same] on the program as given and lowered. *)
+let agrees ~code ~reference ~norm name ctx =
+  List.fold_left
+    (fun n (stage, ctx) ->
+      n + same ~code ~reference ~norm (Printf.sprintf "%s (%s)" name stage) ctx)
+    0 (stages ctx)
+
+(* CX022 compares whole diagnostics, locations and messages included;
+   CX021 compares each cycle as a set of ports, locations included. *)
+let cx022_agrees =
+  agrees ~code:"CX022" ~reference:Reference.overlapping_drivers ~norm:Fun.id
+
+let cx021_same =
+  same ~code:"CX021" ~reference:Reference.comb_cycles ~norm:cycle_of
+
+let cx021_agrees =
+  agrees ~code:"CX021" ~reference:Reference.comb_cycles ~norm:cycle_of
 
 let prop_cx022_fuzz =
   QCheck.Test.make ~name:"random programs: CX022 = pairwise reference"
@@ -538,7 +662,8 @@ let parse_source path =
          (In_channel.with_open_bin path In_channel.input_all))
   else Parser.parse_file path
 
-let test_cx022_corpus () =
+(* The examples, the 30 PolyBench variants and four systolic arrays. *)
+let corpus () =
   let examples =
     ("two groups", two_groups_prog ())
     :: List.map
@@ -563,15 +688,142 @@ let test_cx022_corpus () =
       [ (4, 4, 4); (8, 8, 8); (12, 12, 12); (5, 12, 7) ]
   in
   Alcotest.(check int) "PolyBench variants" 30 (List.length polybench);
+  examples @ polybench @ systolic
+
+let test_cx022_corpus () =
   let warnings =
     List.fold_left
       (fun n (name, ctx) -> n + cx022_agrees name ctx)
-      0
-      (examples @ polybench @ systolic)
+      0 (corpus ())
   in
   (* The lowered systolic arrays alone carry thousands of warnings, so an
      empty comparison would show nothing. *)
   Alcotest.(check bool) "the corpus has CX022 warnings" true (warnings > 1000)
+
+let prop_cx021_fuzz =
+  QCheck.Test.make ~name:"random programs: CX021 = reference" ~count:1000
+    (Fuzz_seed.spec_arb "cx021-reference")
+    (fun spec ->
+      ignore (cx021_agrees (Fuzz_gen.to_string spec) (Fuzz_gen.build spec));
+      true)
+
+(* The corpus compiles, so it is cycle-free: the rule must stay as silent
+   as the reference on it. The fixtures below carry the cycles. *)
+let test_cx021_corpus () =
+  Alcotest.(check int)
+    "no cycles" 0
+    (List.fold_left
+       (fun n (name, ctx) -> n + cx021_agrees name ctx)
+       0 (corpus ()))
+
+(* The rule's CX021 locations on [ctx], after checking it against the
+   reference. *)
+let cycle_locs name ctx =
+  Well_formed.check ctx;
+  ignore (cx021_same name ctx);
+  List.filter_map
+    (fun d ->
+      if String.equal d.Diagnostics.code "CX021" then Some d.Diagnostics.loc
+      else None)
+    (Lint.diagnostics ctx)
+
+let at_group g = Diagnostics.Group { comp = "main"; group = g }
+
+let test_two_disjoint_cycles () =
+  let ctx =
+    main_with
+      ~cells:
+        [
+          prim "a" "std_add" [ 8 ];
+          prim "b" "std_add" [ 8 ];
+          prim "c" "std_add" [ 8 ];
+        ]
+      ~continuous:
+        [
+          assign (port "a" "left") (pa "a" "out");
+          assign (port "b" "left") (pa "c" "out");
+          assign (port "c" "left") (pa "b" "out");
+        ]
+      Empty
+  in
+  Alcotest.(check int)
+    "two cycles in the continuous scope" 2
+    (List.length (cycle_locs "two disjoint cycles" ctx))
+
+let test_cycle_through_hole () =
+  (* g[done] = n.out; n.in = g[done]: the cycle runs through the hole. *)
+  let ctx =
+    main_with
+      ~cells:[ prim "n" "std_not" [ 1 ] ]
+      ~groups:
+        [
+          group "g"
+            [
+              assign (port "n" "in") (ha "g" "done");
+              assign (hole "g" "done") (pa "n" "out");
+            ];
+        ]
+      (enable "g")
+  in
+  Alcotest.(check bool)
+    "one cycle, in g" true
+    (cycle_locs "cycle through a hole" ctx = [ at_group "g" ])
+
+(* [a.left = b.out] in each named group closes [b.left = a.out]. *)
+let closing_groups closing =
+  let drive name closes =
+    group name
+      [
+        assign (port "a" "left")
+          (if closes then pa "b" "out" else pa "r" "out");
+        assign (hole name "done") (bit true);
+      ]
+  in
+  main_with
+    ~cells:[ reg "r" 8; prim "a" "std_add" [ 8 ]; prim "b" "std_add" [ 8 ] ]
+    ~continuous:[ assign (port "b" "left") (pa "a" "out") ]
+    ~groups:(List.map (fun (g, closes) -> drive g closes) closing)
+    (seq (List.map (fun (g, _) -> enable g) closing))
+
+let test_cycle_closed_by_group () =
+  (* [h] runs after [g]; it must not see [g]'s edges. *)
+  Alcotest.(check bool)
+    "one cycle, in g" true
+    (cycle_locs "closed by one group"
+       (closing_groups [ ("g", true); ("h", false) ])
+    = [ at_group "g" ])
+
+let test_halves_in_two_groups_clean () =
+  (* g drives a.left from b.out and h drives b.left from a.out: the two
+     edges never share a scope. *)
+  let ctx =
+    main_with
+      ~cells:[ prim "a" "std_add" [ 8 ]; prim "b" "std_add" [ 8 ] ]
+      ~groups:
+        [
+          group "g"
+            [
+              assign (port "a" "left") (pa "b" "out");
+              assign (hole "g" "done") (bit true);
+            ];
+          group "h"
+            [
+              assign (port "b" "left") (pa "a" "out");
+              assign (hole "h" "done") (bit true);
+            ];
+        ]
+      (seq [ enable "g"; enable "h" ])
+  in
+  Alcotest.(check int)
+    "no cycle" 0
+    (List.length (cycle_locs "halves in two groups" ctx))
+
+let test_cycle_closed_by_two_groups () =
+  Alcotest.(check bool)
+    "one cycle, at the first group" true
+    (cycle_locs "closed by two groups"
+       (closing_groups [ ("g1", true); ("g2", true) ])
+    = [ at_group "g1" ])
 
 (* ------------------------------------------------------------------ *)
 (* Primitive arcs                                                      *)
@@ -674,6 +926,22 @@ let () =
           QCheck_alcotest.to_alcotest prop_cx022_fuzz;
           Alcotest.test_case "examples, polybench, systolic" `Quick
             test_cx022_corpus;
+        ] );
+      ( "CX021 reference",
+        [
+          QCheck_alcotest.to_alcotest prop_cx021_fuzz;
+          Alcotest.test_case "examples, polybench, systolic" `Quick
+            test_cx021_corpus;
+          Alcotest.test_case "two disjoint cycles" `Quick
+            test_two_disjoint_cycles;
+          Alcotest.test_case "cycle through a hole" `Quick
+            test_cycle_through_hole;
+          Alcotest.test_case "closed by one group" `Quick
+            test_cycle_closed_by_group;
+          Alcotest.test_case "closed by two groups" `Quick
+            test_cycle_closed_by_two_groups;
+          Alcotest.test_case "halves in two groups clean" `Quick
+            test_halves_in_two_groups_clean;
         ] );
       ("primitive arcs", [ Alcotest.test_case "comb_arcs" `Quick test_comb_arcs ]);
     ]
