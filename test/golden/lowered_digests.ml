@@ -14,7 +14,14 @@
    program (five worst paths, attributed to the structured program; a
    structured program's combinational loop prints as "loop"), and the area
    model's [Area.pp] of the structured and the lowered program. A change
-   to the emitter, the timing analysis or the area model shows up here. *)
+   to the emitter, the timing analysis or the area model shows up here.
+
+   [lowered_digests plan DIR] prints the MD5s of the compiled engine's
+   plan ([Sim.compiled_plan]) of the lowered and of the structured
+   program, on the same corpus without the systolic arrays above 16x16.
+   A systolic array instantiates one processing-element component once
+   per cell, so a change to how the simulator builds instances of a
+   shared component shows up here. *)
 
 let systolic (rows, cols, depth) =
   ( (if rows = cols && cols = depth then
@@ -56,13 +63,22 @@ let backend_line structured lowered =
   String.concat " "
     [ md5 sv; md5 (timing structured ^ timing lowered); md5 area ]
 
+let plan_line structured lowered =
+  let plan ctx =
+    match Calyx_sim.Sim.compiled_plan (Calyx_sim.Sim.create ~engine:`Compiled ctx) with
+    | Some p -> p
+    | None -> failwith "compiled engine produced no plan"
+  in
+  md5 (plan lowered) ^ " " ^ md5 (plan structured)
+
 let () =
-  let line, dir =
+  let line, dir, max_side =
     match Sys.argv with
-    | [| _; dir |] -> (lowered_line, dir)
-    | [| _; "backend"; dir |] -> (backend_line, dir)
+    | [| _; dir |] -> (lowered_line, dir, max_int)
+    | [| _; "backend"; dir |] -> (backend_line, dir, max_int)
+    | [| _; "plan"; dir |] -> (plan_line, dir, 16)
     | _ ->
-        prerr_endline "usage: lowered_digests [backend] DIR";
+        prerr_endline "usage: lowered_digests [backend|plan] DIR";
         exit 2
   in
   let examples =
@@ -80,7 +96,9 @@ let () =
         configs)
     (List.map
        (fun n -> systolic (n, n, n))
-       [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 16; 24; 32 ]
+       (List.filter
+          (fun n -> n <= max_side)
+          [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 16; 24; 32 ])
     @ List.map systolic [ (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
     @ List.concat_map kernel Polybench.Kernels.all
     @ List.map (example dir) examples)
