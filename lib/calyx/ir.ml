@@ -140,12 +140,16 @@ let cell_ports ctx proto =
    table: nothing is cached across [create] calls, so tables built on
    different domains share no state. *)
 module Ports = struct
+  (* Name tables compare keys with [String.equal], not the polymorphic
+     compare: a port lookup is two of them. *)
+  module Names = Hashtbl.Make (String)
+
   type proto = {
     pr_list : (string * int * direction) list;
     pr_ports : (string * int * direction) array;
         (* the first declaration of each name, in order: a cell's ports
            take consecutive ids from its base in this order *)
-    pr_index : (string, int) Hashtbl.t;  (* name -> offset in pr_ports *)
+    pr_index : int Names.t;  (* name -> offset in pr_ports *)
   }
 
   (* A cell's first declaration: its base id and its prototype's ports, or
@@ -160,9 +164,9 @@ module Ports = struct
   type t = {
     comp : component;
     proto_of : prototype -> (proto, exn) result;
-    cells : (string, cell_entry) Hashtbl.t;
-    signature : (string, int * port_def) Hashtbl.t;
-    holes : (string, int) Hashtbl.t;  (* group -> id of its go hole *)
+    cells : cell_entry Names.t;
+    signature : (int * port_def) Names.t;
+    holes : int Names.t;  (* group -> id of its go hole *)
     count : int;
     by_id : (port_ref array * int array * direction array) Lazy.t;
         (* built on the first query by id: the checker and the area model
@@ -186,13 +190,13 @@ module Ports = struct
           let r =
             match cell_ports ctx p with
             | ports ->
-                let index = Hashtbl.create 8 in
+                let index = Names.create 8 in
                 let distinct =
                   List.filter
                     (fun (n, _, _) ->
-                      if Hashtbl.mem index n then false
+                      if Names.mem index n then false
                       else begin
-                        Hashtbl.replace index n (Hashtbl.length index);
+                        Names.replace index n (Names.length index);
                         true
                       end)
                     ports
@@ -212,39 +216,39 @@ module Ports = struct
           r
     in
     let count = ref 0 in
-    let signature = Hashtbl.create 8 in
+    let signature = Names.create 8 in
     let sig_order =
       List.filter
         (fun pd ->
-          if Hashtbl.mem signature pd.pd_name then false
+          if Names.mem signature pd.pd_name then false
           else begin
-            Hashtbl.replace signature pd.pd_name (!count, pd);
+            Names.replace signature pd.pd_name (!count, pd);
             incr count;
             true
           end)
         (signature_ports comp)
     in
-    let holes = Hashtbl.create 16 in
+    let holes = Names.create 16 in
     let group_order =
       List.filter
         (fun g ->
-          if Hashtbl.mem holes g.group_name then false
+          if Names.mem holes g.group_name then false
           else begin
-            Hashtbl.replace holes g.group_name !count;
+            Names.replace holes g.group_name !count;
             count := !count + 2;
             true
           end)
         comp.groups
     in
-    let cells = Hashtbl.create 64 in
+    let cells = Names.create 64 in
     let cell_order =
       List.filter_map
         (fun c ->
-          if Hashtbl.mem cells c.cell_name then None
+          if Names.mem cells c.cell_name then None
           else begin
             let ce_proto = proto_of c.cell_proto in
             let ce = { ce_cell = c; ce_base = !count; ce_proto } in
-            Hashtbl.replace cells c.cell_name ce;
+            Names.replace cells c.cell_name ce;
             (match ce.ce_proto with
             | Ok pr -> count := !count + Array.length pr.pr_ports
             | Error _ -> ());
@@ -268,7 +272,7 @@ module Ports = struct
            sig_order;
          List.iter
            (fun g ->
-             let i = Hashtbl.find holes g.group_name in
+             let i = Names.find holes g.group_name in
              set i (Hole (g.group_name, "go")) 1 Input;
              set (i + 1) (Hole (g.group_name, "done")) 1 Output)
            group_order;
@@ -312,7 +316,7 @@ module Ports = struct
     dirs.(i)
 
   let find_cell t name =
-    Option.map (fun ce -> ce.ce_cell) (Hashtbl.find_opt t.cells name)
+    Option.map (fun ce -> ce.ce_cell) (Names.find_opt t.cells name)
 
   let proto_ports t p =
     match t.proto_of p with Ok pr -> pr.pr_list | Error e -> raise e
@@ -320,15 +324,15 @@ module Ports = struct
   let cell_ports t name =
     Option.map
       (fun ce -> Result.map (fun pr -> pr.pr_list) ce.ce_proto)
-      (Hashtbl.find_opt t.cells name)
+      (Names.find_opt t.cells name)
 
   let resolve t = function
     | This p -> (
-        match Hashtbl.find_opt t.signature p with
+        match Names.find_opt t.signature p with
         | Some (id, pd) -> Resolved { id; width = pd.pd_width; dir = pd.pd_dir }
         | None -> No_port)
     | Hole (g, h) -> (
-        match Hashtbl.find_opt t.holes g with
+        match Names.find_opt t.holes g with
         | None -> Unknown_cell
         | Some id -> (
             match h with
@@ -336,11 +340,11 @@ module Ports = struct
             | "done" -> Resolved { id = id + 1; width = 1; dir = Output }
             | _ -> No_port))
     | Cell_port (c, p) -> (
-        match Hashtbl.find_opt t.cells c with
+        match Names.find_opt t.cells c with
         | None -> Unknown_cell
         | Some { ce_proto = Error e; _ } -> Unresolved_prototype e
         | Some { ce_proto = Ok pr; ce_base; _ } -> (
-            match Hashtbl.find_opt pr.pr_index p with
+            match Names.find_opt pr.pr_index p with
             | Some k ->
                 let _, width, dir = pr.pr_ports.(k) in
                 Resolved { id = ce_base + k; width; dir }
@@ -355,15 +359,31 @@ module Ports = struct
         match p with
         | This p -> ir_error "component %s has no port %s" comp p
         | Hole (g, h) ->
-            if Hashtbl.mem t.holes g then
+            if Names.mem t.holes g then
               ir_error "group %s (in %s) has no hole %s" g comp h
             else ir_error "unknown group %s in component %s" g comp
         | Cell_port (c, p) ->
-            if Hashtbl.mem t.cells c then
+            if Names.mem t.cells c then
               ir_error "cell %s (in %s) has no port %s" c comp p
             else ir_error "unknown cell %s in component %s" c comp)
 
-  let id t p = (resolved t p).id
+  (* The hot path of every back end: plain lookups that allocate nothing,
+     and [resolved] only to raise what an unresolved port raises. *)
+  let id t p =
+    match
+      match p with
+      | This n -> fst (Names.find t.signature n)
+      | Hole (g, "go") -> Names.find t.holes g
+      | Hole (g, "done") -> Names.find t.holes g + 1
+      | Hole _ -> raise Not_found
+      | Cell_port (c, n) -> (
+          match Names.find t.cells c with
+          | { ce_proto = Ok pr; ce_base; _ } ->
+              ce_base + Names.find pr.pr_index n
+          | { ce_proto = Error _; _ } -> raise Not_found)
+    with
+    | i -> i
+    | exception Not_found -> (resolved t p).id
 
   (* A hole is one bit whether or not its group exists. *)
   let width t = function Hole _ -> 1 | p -> (resolved t p).width

@@ -1,7 +1,8 @@
-(* The compiled engine: each instance's slot-dependency graph (Sched)
-   with one specialized closure per node, driven by Sched's dirty-set
-   settle. The engine's state is private to this module; an instance
-   reaches it only through the closures [compile] returns. *)
+(* The compiled engine: each component's slot-dependency graph (Sched),
+   planned once, and per instance one specialized closure per node,
+   driven by Sched's dirty-set settle. The engine's state is private to
+   this module; an instance reaches it only through the closures
+   [compile] returns. *)
 
 open Calyx
 open Ir
@@ -11,42 +12,68 @@ module Tele = Calyx_telemetry
 (* One graph node per primitive, child instance, group go hole, and
    assignment. Prim/child nodes push their outputs into the per-slot [base]
    value; assignment nodes compute liveness + value; go nodes compute the
-   go hole from the active-entry list. *)
+   go hole from the active-entry list. Nodes are numbered primitives
+   first, then children, go holes and assignments. *)
 type snode =
-  | NPrim of int  (* index into i_prims *)
-  | NChild of int  (* index into i_children *)
+  | NPrim of int  (* index into p_prims *)
+  | NChild of int  (* index into p_children *)
   | NGo of int  (* group index *)
-  | NAssign of int  (* index into s_assigns *)
+  | NAssign of int  (* index into c_assigns *)
+
+(* A guard partially evaluated against the component: constants fold to
+   always/never; the rest is a guard over the instance's env whose
+   comparisons all have equal widths ([SExact], read by [holds]), or one
+   with a width mismatch ([SChecked], read by [guard_holds], which raises
+   Width_error at run time as the reference engine does). *)
+type sguard = SConst of bool | SExact of rguard | SChecked of rguard
+
+(* How an assignment node drives its slot. *)
+type drive =
+  | Elided  (* single writer that never drives: the slot stays zero *)
+  | Folded of Bitvec.t
+      (* constant continuous single writer: folded into the initial env *)
+  | Direct  (* single writer, no producer: writes the env directly *)
+  | Shared  (* keeps a live/value cell and re-resolves the slot *)
 
 type sassign = {
-  sa_ca : compiled_assign;
+  sa_ra : rassign;
   sa_group : int;  (* -1 for continuous assignments *)
   sa_data : bool;  (* a group data assignment (gated while done reads 1) *)
-  mutable sa_live : bool;  (* scheduled && guard true, as of the last eval *)
-  mutable sa_val : Bitvec.t;  (* driven value while live *)
+  sa_guard : sguard;
+  sa_drive : drive;
 }
 
-type sstate = {
-  s_graph : Sched.t;
-  s_nodes : snode array;
-  s_assigns : sassign array;
-  s_base : Bitvec.t array;
-      (* per-slot value from non-assignment producers (component inputs,
-         primitive outputs, child outputs, go holes) — zero otherwise *)
-  s_writers : int array array;
-      (* slot -> indices into s_assigns that statically target it, in the
+(* Everything about the engine that depends only on the component, built
+   once per component and shared by its instances. *)
+type plan = {
+  c_topo : Sched.topo;
+  c_nodes : snode array;
+  c_assigns : sassign array;  (* in the reference engine's scan order *)
+  c_writers : int array array;
+      (* slot -> indices into c_assigns that statically target it, in the
          reference engine's scan order (continuous, then per group in
          declaration order: dones then datas) *)
+  c_has_producer : bool array;
+      (* slot -> has a non-assignment producer (component input,
+         primitive output, child output or done, go hole) *)
+  c_group_nodes : int array array;
+      (* group index -> its go node and assignment nodes, re-marked
+         whenever the group's active-entry list changes *)
+  c_text : string Lazy.t;  (* the rendered plan *)
+}
+
+(* One instance's engine state. *)
+type sstate = {
+  s_graph : Sched.t;
+  s_live : bool array;  (* assignment -> scheduled && guard true, as of its last eval *)
+  s_val : Bitvec.t array;  (* assignment -> driven value while live *)
+  s_base : Bitvec.t array;
+      (* per-slot value from non-assignment producers — zero otherwise *)
   s_live_count : int array;  (* live writers per multi-writer slot *)
   mutable s_suspects : int;  (* slots currently holding >= 2 live writers *)
   s_entries : bool array array;
       (* group index -> gating flags of its active entries, in actives
          order ([||] = inactive); diffed to re-mark on schedule changes *)
-  s_prim_node : int array;
-  s_child_node : int array;
-  s_group_nodes : int array array;
-      (* group index -> its go node and assignment nodes, re-marked
-         whenever the group's active-entry list changes *)
   mutable s_entry_valid : bool;
       (* the fields below describe the lifecycle state the entry view was
          last computed from; [cadvance] preserves physical identity across
@@ -61,9 +88,8 @@ type sstate = {
    per-slot live count (maintained only for statically multi-written
    slots) tells us when the exact — and comparatively expensive — settled
    check can be skipped. Maintained by the shared-slot closures. *)
-let live_transition st sa becoming =
-  let dst = sa.sa_ca.ca_dst in
-  if Array.length st.s_writers.(dst) > 1 then begin
+let live_transition cp st dst becoming =
+  if Array.length cp.c_writers.(dst) > 1 then begin
     let c =
       if becoming then st.s_live_count.(dst) + 1
       else st.s_live_count.(dst) - 1
@@ -77,8 +103,8 @@ let live_transition st sa becoming =
    against the last settle's view; a changed group has its go node and all
    its assignment nodes re-marked. Cheap (one walk of the control state),
    so it runs unconditionally at the top of every settle. *)
-let refresh_entries inst st =
-  let go = Bitvec.is_true inst.i_env.(inst.i_go_slot) in
+let refresh_entries cp inst st =
+  let go = Bitvec.is_true inst.i_env.(inst.i_plan.p_go_slot) in
   (* The active-group view is a pure function of (running, ctrl, go), and
      control only moves at clock edges — on the quiet settles in between
      this degenerates to three compares. *)
@@ -92,7 +118,7 @@ let refresh_entries inst st =
     st.s_entry_ctrl <- inst.i_ctrl;
     st.s_entry_running <- inst.i_running;
     st.s_entry_go <- go;
-    let ngroups = Array.length inst.i_groups in
+    let ngroups = Array.length inst.i_plan.p_groups in
     let fresh = Array.make (max ngroups 1) [] in
     List.iter
       (fun (g, gated) -> fresh.(g) <- gated :: fresh.(g))
@@ -101,117 +127,102 @@ let refresh_entries inst st =
       let ne = Array.of_list (List.rev fresh.(g)) in
       if ne <> st.s_entries.(g) then begin
         st.s_entries.(g) <- ne;
-        Array.iter (Sched.mark_node st.s_graph) st.s_group_nodes.(g)
+        Array.iter (Sched.mark_node st.s_graph) cp.c_group_nodes.(g)
       end
     done
   end
 
-(* Construct the dependency graph of one instance: which slots each node
-   reads and writes, in the terms Sched expects. *)
-let build_sched inst : sstate =
-  let ngroups = Array.length inst.i_groups in
-  (* Assignments in the reference engine's static scan order. *)
-  let assigns = ref [] in
-  let add ca group data =
-    assigns :=
-      { sa_ca = ca; sa_group = group; sa_data = data;
-        sa_live = false; sa_val = Bitvec.zero 1 }
-      :: !assigns
+(* An unsigned comparison of two payloads: bitvec payloads are masked, so
+   for operands of equal width it is the comparison of the values. *)
+let compare_int64 op x y =
+  match op with
+  | Eq -> Int64.equal x y
+  | Neq -> not (Int64.equal x y)
+  | Lt -> Int64.unsigned_compare x y < 0
+  | Gt -> Int64.unsigned_compare x y > 0
+  | Le -> Int64.unsigned_compare x y <= 0
+  | Ge -> Int64.unsigned_compare x y >= 0
+
+(* [guard_holds] for a guard whose comparisons have equal widths: payload
+   compares, no width checks, no allocation. *)
+let rec holds env = function
+  | RTrue -> true
+  | RAtom a -> Bitvec.is_true (atom_value env a)
+  | RCmp (op, a, b) ->
+      compare_int64 op
+        (Bitvec.to_int64 (atom_value env a))
+        (Bitvec.to_int64 (atom_value env b))
+  | RAnd (g1, g2) -> holds env g1 && holds env g2
+  | ROr (g1, g2) -> holds env g1 || holds env g2
+  | RNot g -> not (holds env g)
+
+(* [f] on each slot a guard reads, left to right. *)
+let rec guard_iter f = function
+  | RTrue | RAtom (RLit _) -> ()
+  | RAtom (RSlot i) -> f i
+  | RCmp (_, a, b) ->
+      (match a with RSlot i -> f i | RLit _ -> ());
+      (match b with RSlot i -> f i | RLit _ -> ())
+  | RAnd (g1, g2) | ROr (g1, g2) ->
+      guard_iter f g1;
+      guard_iter f g2
+  | RNot g -> guard_iter f g
+
+(* Whether a guard reads slot [s]. *)
+let rec guard_reads s = function
+  | RTrue | RAtom (RLit _) -> false
+  | RAtom (RSlot i) -> i = s
+  | RCmp (_, a, b) -> (
+      (match a with RSlot i -> i = s | RLit _ -> false)
+      || match b with RSlot i -> i = s | RLit _ -> false)
+  | RAnd (g1, g2) | ROr (g1, g2) -> guard_reads s g1 || guard_reads s g2
+  | RNot g -> guard_reads s g
+
+(* Partial evaluation of a guard: constant subterms fold away, and a
+   comparison of atoms of different widths makes the whole guard
+   [SChecked]. *)
+let stage_guard zeros g =
+  let exception Bail in
+  let width = function
+    | RLit v -> Bitvec.width v
+    | RSlot i -> Bitvec.width zeros.(i)
   in
-  Array.iter (fun ca -> add ca (-1) false) inst.i_continuous;
-  Array.iteri
-    (fun g (dones, datas) ->
-      Array.iter (fun ca -> add ca g false) dones;
-      Array.iter (fun ca -> add ca g true) datas)
-    inst.i_group_assigns;
-  let s_assigns = Array.of_list (List.rev !assigns) in
-  let na = Array.length s_assigns in
-  let np = Array.length inst.i_prims in
-  let nc = Array.length inst.i_children in
-  let n = np + nc + ngroups + na in
-  let prim_node = Array.init np (fun p -> p) in
-  let child_node = Array.init nc (fun c -> np + c) in
-  let go_node = Array.init ngroups (fun g -> np + nc + g) in
-  let assign_node = Array.init na (fun ai -> np + nc + ngroups + ai) in
-  let nodes = Array.make (max n 1) (NGo 0) in
-  let specs = Array.make (max n 1) ([], [], []) in
-  Array.iteri
-    (fun p pi ->
-      nodes.(prim_node.(p)) <- NPrim p;
-      specs.(prim_node.(p)) <-
-        (pi.pi_comb_reads, [], List.map snd pi.pi_outputs))
-    inst.i_prims;
-  Array.iteri
-    (fun c (_, ch) ->
-      nodes.(child_node.(c)) <- NChild c;
-      let reads = Array.to_list (Array.map fst ch.c_input_map) in
-      let writes =
-        ch.c_done_parent_slot :: Array.to_list (Array.map snd ch.c_output_map)
-      in
-      specs.(child_node.(c)) <- (reads, [], writes))
-    inst.i_children;
-  for g = 0 to ngroups - 1 do
-    nodes.(go_node.(g)) <- NGo g;
-    (* The go hole depends on the done hole through the gating rule. *)
-    specs.(go_node.(g)) <-
-      ([ inst.i_group_done.(g) ], [], [ inst.i_group_go.(g) ])
-  done;
-  Array.iteri
-    (fun ai sa ->
-      nodes.(assign_node.(ai)) <- NAssign ai;
-      (* The guard's reads wake the node always, the source's only while
-         it drives. The group done hole gates a data write, so it counts
-         as a guard read. *)
-      let guard, source =
-        match (sa.sa_ca.ca_ast.src, sa.sa_ca.ca_reads) with
-        | Port _, s :: guard ->
-            if List.mem s guard then (guard, []) else (guard, [ s ])
-        | _, reads -> (reads, [])
-      in
-      let guard =
-        if sa.sa_data then inst.i_group_done.(sa.sa_group) :: guard else guard
-      in
-      specs.(assign_node.(ai)) <- (guard, source, [ sa.sa_ca.ca_dst ]))
-    s_assigns;
-  let graph =
-    Sched.build ~slots:inst.i_slots ~nodes:(Array.sub specs 0 n)
+  (* Never [SChecked]: a width mismatch raises [Bail]. *)
+  let rec go g =
+    match g with
+    | RTrue -> SConst true
+    | RAtom (RLit v) -> SConst (Bitvec.is_true v)
+    | RAtom (RSlot _) -> SExact g
+    | RCmp (op, a, b) -> (
+        if width a <> width b then raise Bail;
+        match (a, b) with
+        | RLit x, RLit y ->
+            SConst (compare_int64 op (Bitvec.to_int64 x) (Bitvec.to_int64 y))
+        | _ -> SExact g)
+    | RAnd (g1, g2) -> (
+        match (go g1, go g2) with
+        | SConst false, _ | _, SConst false -> SConst false
+        | SConst true, s | s, SConst true -> s
+        | SExact t1, SExact t2 ->
+            SExact (if t1 == g1 && t2 == g2 then g else RAnd (t1, t2))
+        | SChecked _, _ | _, SChecked _ -> raise Bail)
+    | ROr (g1, g2) -> (
+        match (go g1, go g2) with
+        | SConst true, _ | _, SConst true -> SConst true
+        | SConst false, s | s, SConst false -> s
+        | SExact t1, SExact t2 ->
+            SExact (if t1 == g1 && t2 == g2 then g else ROr (t1, t2))
+        | SChecked _, _ | _, SChecked _ -> raise Bail)
+    | RNot g1 -> (
+        match go g1 with
+        | SConst b -> SConst (not b)
+        | SExact t1 -> SExact (if t1 == g1 then g else RNot t1)
+        | SChecked _ -> raise Bail)
   in
-  let writer_lists = Array.make (max inst.i_slots 1) [] in
-  Array.iteri
-    (fun ai sa ->
-      writer_lists.(sa.sa_ca.ca_dst) <- ai :: writer_lists.(sa.sa_ca.ca_dst))
-    s_assigns;
-  let group_lists =
-    Array.init (max ngroups 1) (fun g -> if g < ngroups then [ go_node.(g) ] else [])
-  in
-  Array.iteri
-    (fun ai sa ->
-      if sa.sa_group >= 0 then
-        group_lists.(sa.sa_group) <-
-          assign_node.(ai) :: group_lists.(sa.sa_group))
-    s_assigns;
-  let group_nodes = Array.map Array.of_list group_lists in
-  let st =
-    {
-      s_graph = graph;
-      s_nodes = nodes;
-      s_assigns;
-      s_base = Array.copy inst.i_zeros;
-      s_writers = Array.map (fun l -> Array.of_list (List.rev l)) writer_lists;
-      s_live_count = Array.make (max inst.i_slots 1) 0;
-      s_suspects = 0;
-      s_entries = Array.make (max ngroups 1) [||];
-      s_prim_node = prim_node;
-      s_child_node = child_node;
-      s_group_nodes = group_nodes;
-      s_entry_valid = false;
-      s_entry_ctrl = CDone;
-      s_entry_running = false;
-      s_entry_go = false;
-    }
-  in
-  Sched.mark_all st.s_graph;
-  st
+  match go g with s -> s | exception Bail -> SChecked g
+
+(* The evaluation of a non-constant staged guard. *)
+let evaluator = function SChecked _ -> guard_holds | SConst _ | SExact _ -> holds
 
 (* The graph as text: per level, its acyclic nodes in ascending order,
    then each cyclic component of the level (in ascending order of its
@@ -255,24 +266,221 @@ let render ~label g =
   done;
   Buffer.contents b
 
-(* Specialize the instance's graph into one closure per node and return
-   the engine's entry points. Each node is cheap: guards and sources are
-   partially evaluated against the AST (constant guards fold to
-   always/never, constant single-writer assignments fold into the initial
-   env and disappear, comparisons compile to alloc-free int64 compares),
-   primitive port names are resolved to slot thunks/writers once via
+(* The component's graph and every decision that does not depend on an
+   instance's state: which slots each node reads and writes (in the terms
+   Sched expects), the writers of each slot, the staged guards, and how
+   each assignment drives. Guards are partially evaluated (constant
+   guards fold to always/never, constant single-writer assignments fold
+   into the initial env and disappear, comparisons compile to alloc-free
+   int64 compares). *)
+let plan (ip : Instance.plan) : plan =
+  let ngroups = Array.length ip.p_groups in
+  let nslots = ip.p_slots in
+  (* Assignments in the reference engine's static scan order. *)
+  let assigns = ref [] in
+  let add ra group data = assigns := (ra, group, data) :: !assigns in
+  Array.iter (fun ra -> add ra (-1) false) ip.p_continuous;
+  Array.iteri
+    (fun g (dones, datas) ->
+      Array.iter (fun ra -> add ra g false) dones;
+      Array.iter (fun ra -> add ra g true) datas)
+    ip.p_group_assigns;
+  let order = Array.of_list (List.rev !assigns) in
+  let na = Array.length order in
+  let np = Array.length ip.p_prims in
+  let nc = Array.length ip.p_children in
+  let n = np + nc + ngroups + na in
+  let first_assign = np + nc + ngroups in
+  let nodes = Array.make (max n 1) (NGo 0) in
+  Array.iteri (fun p _ -> nodes.(p) <- NPrim p) ip.p_prims;
+  Array.iteri (fun c _ -> nodes.(np + c) <- NChild c) ip.p_children;
+  for g = 0 to ngroups - 1 do
+    nodes.(np + nc + g) <- NGo g
+  done;
+  Array.iteri (fun ai _ -> nodes.(first_assign + ai) <- NAssign ai) order;
+  let edges k ~read ~source ~write =
+    match nodes.(k) with
+    | NPrim p ->
+        let pp = ip.p_prims.(p) in
+        List.iter read pp.pp_comb_reads;
+        List.iter (fun (_, s) -> write s) pp.pp_outputs
+    | NChild c ->
+        let cp = ip.p_children.(c) in
+        Array.iter (fun (s, _) -> read s) cp.cp_input_map;
+        write cp.cp_done_slot;
+        Array.iter (fun (_, s) -> write s) cp.cp_output_map
+    | NGo g ->
+        (* The go hole depends on the done hole through the gating rule. *)
+        read ip.p_group_done.(g);
+        write ip.p_group_go.(g)
+    | NAssign ai ->
+        (* The guard's reads wake the node always, the source's only while
+           it drives. The group done hole gates a data write, so it counts
+           as a guard read. *)
+        let ra, group, data = order.(ai) in
+        if data then read ip.p_group_done.(group);
+        guard_iter read ra.ra_guard;
+        (match ra.ra_src with
+        | RSlot s when not (guard_reads s ra.ra_guard) -> source s
+        | _ -> ());
+        write ra.ra_dst
+  in
+  let topo = Sched.build_with ~slots:nslots ~nodes:n edges in
+  let nwriters = Array.make (max nslots 1) 0 in
+  Array.iter (fun (ra, _, _) -> nwriters.(ra.ra_dst) <- nwriters.(ra.ra_dst) + 1) order;
+  let writers = Array.map (fun c -> Array.make c 0) nwriters in
+  Array.fill nwriters 0 (Array.length nwriters) 0;
+  Array.iteri
+    (fun ai (ra, _, _) ->
+      let dst = ra.ra_dst in
+      writers.(dst).(nwriters.(dst)) <- ai;
+      nwriters.(dst) <- nwriters.(dst) + 1)
+    order;
+  let has_producer = Array.make (max nslots 1) false in
+  List.iter (fun (_, s) -> has_producer.(s) <- true) ip.p_input_slots;
+  Array.iter
+    (fun pp -> List.iter (fun (_, s) -> has_producer.(s) <- true) pp.pp_outputs)
+    ip.p_prims;
+  Array.iter
+    (fun cp ->
+      Array.iter (fun (_, ps) -> has_producer.(ps) <- true) cp.cp_output_map;
+      has_producer.(cp.cp_done_slot) <- true)
+    ip.p_children;
+  Array.iter (fun s -> has_producer.(s) <- true) ip.p_group_go;
+  let group_lists = Array.init (max ngroups 1) (fun g -> if g < ngroups then [ np + nc + g ] else []) in
+  Array.iteri
+    (fun ai (_, group, _) ->
+      if group >= 0 then
+        group_lists.(group) <- (first_assign + ai) :: group_lists.(group))
+    order;
+  let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
+  let c_assigns =
+    Array.map
+      (fun (ra, group, data) ->
+        let guard =
+          match ra.ra_guard with
+          | RTrue -> SConst true
+          | g -> (
+              match stage_guard ip.p_zeros g with
+              | SConst _ as s ->
+                  incr fold_guards;
+                  s
+              | s -> s)
+        in
+        (match ra.ra_src with RLit _ -> incr fold_consts | RSlot _ -> ());
+        let dst = ra.ra_dst in
+        let drive =
+          if Array.length writers.(dst) = 1 && not has_producer.(dst) then
+            match guard with
+            | SConst false ->
+                incr elided;
+                Elided
+            | SConst true when group < 0 -> (
+                match ra.ra_src with
+                | RLit v ->
+                    incr elided;
+                    Folded v
+                | RSlot _ -> Direct)
+            | _ -> Direct
+          else Shared
+        in
+        { sa_ra = ra; sa_group = group; sa_data = data; sa_guard = guard;
+          sa_drive = drive })
+      order
+  in
+  let fold_guards = !fold_guards and fold_consts = !fold_consts
+  and elided = !elided in
+  let proto_str cell =
+    match Ports.find_cell ip.p_ports cell with
+    | Some { cell_proto = Prim (n, ps); _ } ->
+        Printf.sprintf "%s(%s)" n (String.concat "," (List.map string_of_int ps))
+    | Some { cell_proto = Comp n; _ } -> n
+    | None -> "?"
+  in
+  let notes sa =
+    (match sa.sa_guard with
+    | SConst true when sa.sa_ra.ra_guard <> RTrue -> "  [guard: always]"
+    | SConst false -> "  [guard: never]"
+    | _ -> "")
+    ^ (match sa.sa_ra.ra_src with RLit _ -> "  [const src]" | RSlot _ -> "")
+    ^
+    match sa.sa_drive with
+    | Elided -> "  [elided]"
+    | Folded _ -> "  [folded]"
+    | Direct | Shared -> ""
+  in
+  let label k =
+    match nodes.(k) with
+    | NPrim p ->
+        let pp = ip.p_prims.(p) in
+        Printf.sprintf "prim %s : %s" pp.pp_cell (proto_str pp.pp_cell)
+    | NChild c ->
+        let cp = ip.p_children.(c) in
+        Printf.sprintf "child %s : %s" cp.cp_cell cp.cp_plan.p_comp.comp_name
+    | NGo g -> Printf.sprintf "go %s" ip.p_groups.(g).group_name
+    | NAssign ai ->
+        let sa = c_assigns.(ai) in
+        let where =
+          if sa.sa_group < 0 then "continuous"
+          else
+            Printf.sprintf "%s%s" ip.p_groups.(sa.sa_group).group_name
+              (if sa.sa_data then "" else " done")
+        in
+        Printf.sprintf "assign [%s] %s%s" where (assign_text sa.sa_ra)
+          (notes sa)
+  in
+  {
+    c_topo = topo;
+    c_nodes = nodes;
+    c_assigns;
+    c_writers = writers;
+    c_has_producer = has_producer;
+    c_group_nodes = Array.map Array.of_list group_lists;
+    (* Lazy: rendering walks and prints every node, and only tests and
+       [Sim.compiled_plan] ask. *)
+    c_text =
+      lazy
+        (Printf.sprintf
+           "component %s: %d guards folded, %d constant sources, %d nodes \
+            elided\n%s"
+           ip.p_comp.comp_name fold_guards fold_consts elided
+           (render ~label topo));
+  }
+
+(* Stage the component's plan into one closure per node over the
+   instance's private state and return the engine's entry points.
+   Primitive port names are resolved to slot thunks/writers once via
    Prim_state.compile_step, and slot resolution replays the reference
-   scan through prefetched writer cells with an early exit instead of
-   re-walking index arrays. Children must already be compiled. *)
-let compile inst : compiled =
-  let st = build_sched inst in
+   scan over the slot's writers with an early exit instead of re-walking
+   every assignment. Children must already be compiled. *)
+let compile (cp : plan) inst : compiled =
+  let ip = inst.i_plan in
   let env = inst.i_env in
-  let zeros = inst.i_zeros in
-  let nslots = inst.i_slots in
-  let na = Array.length st.s_assigns in
-  let blocked = Sched.blocked st.s_graph in
-  let stage_read ?(on_slot = ignore) pi name =
-    match List.assoc_opt name pi.pi_inputs with
+  let zeros = ip.p_zeros in
+  let nslots = ip.p_slots in
+  let na = Array.length cp.c_assigns in
+  let ngroups = Array.length ip.p_groups in
+  let graph = Sched.create cp.c_topo in
+  let st =
+    {
+      s_graph = graph;
+      s_live = Array.make (max na 1) false;
+      s_val = Array.make (max na 1) (Bitvec.zero 1);
+      s_base = Array.copy zeros;
+      s_live_count = Array.make (max nslots 1) 0;
+      s_suspects = 0;
+      s_entries = Array.make (max ngroups 1) [||];
+      s_entry_valid = false;
+      s_entry_ctrl = CDone;
+      s_entry_running = false;
+      s_entry_go = false;
+    }
+  in
+  Sched.mark_all graph;
+  let blocked = Sched.blocked graph in
+  let writers = cp.c_writers and has_producer = cp.c_has_producer in
+  let stage_read ?(on_slot = ignore) pp name =
+    match List.assoc_opt name pp.pp_inputs with
     | Some slot ->
         on_slot slot;
         fun () -> env.(slot)
@@ -289,7 +497,7 @@ let compile inst : compiled =
      their edge reads changes or their state is poked, and kept while
      the edge is not idempotent. Every primitive but a combinational one
      latches at the first edge. *)
-  let np = Array.length inst.i_prims in
+  let np = Array.length ip.p_prims in
   let latch = Array.make np false in
   (* The primitives in [latch], in the order they were set. *)
   let queue = Array.make np 0 in
@@ -303,7 +511,7 @@ let compile inst : compiled =
   in
   let commits =
     Array.mapi
-      (fun p pi ->
+      (fun p pp ->
         let on_slot s =
           if !staging then
             match edge_reads.(s) with
@@ -311,13 +519,14 @@ let compile inst : compiled =
             | ps -> edge_reads.(s) <- p :: ps
         in
         match
-          Prim_state.compile_commit pi.pi_state ~read:(stage_read ~on_slot pi)
+          Prim_state.compile_commit inst.i_prims.(p)
+            ~read:(stage_read ~on_slot pp)
         with
         | Some f ->
             enqueue p;
             f
         | None -> fun () -> 0)
-      inst.i_prims
+      ip.p_prims
   in
   staging := false;
   let edge_readers =
@@ -328,163 +537,45 @@ let compile inst : compiled =
   let wr slot v =
     if not (Bitvec.equal env.(slot) v) then begin
       env.(slot) <- v;
-      Sched.mark_slot st.s_graph slot;
+      Sched.mark_slot graph slot;
       let ps = edge_readers.(slot) in
       for i = 0 to Array.length ps - 1 do
         enqueue ps.(i)
       done
     end
   in
-  (* Slots with a non-assignment producer (component input, primitive
-     output, child output or done, go hole). *)
-  let has_producer = Array.make (max nslots 1) false in
-  List.iter (fun (_, s) -> has_producer.(s) <- true) inst.i_input_slots;
-  Array.iter
-    (fun pi ->
-      List.iter (fun (_, s) -> has_producer.(s) <- true) pi.pi_outputs)
-    inst.i_prims;
-  Array.iter
-    (fun (_, ch) ->
-      Array.iter (fun (_, ps) -> has_producer.(ps) <- true) ch.c_output_map;
-      has_producer.(ch.c_done_parent_slot) <- true)
-    inst.i_children;
-  Array.iter (fun s -> has_producer.(s) <- true) inst.i_group_go;
-  (* Staged per-slot resolvers for slots with assignment writers: the
-     last live writer in static scan order wins, else the producer's
-     base — the reference engine's last-write-wins scan, with the writer
-     records prefetched and an early exit from the back, no allocation. *)
-  let resolvers = Array.make (max nslots 1) (fun () -> ()) in
-  for slot = 0 to nslots - 1 do
-    let ws = st.s_writers.(slot) in
-    if Array.length ws > 0 then begin
-      let sas = Array.map (fun ai -> st.s_assigns.(ai)) ws in
-      let n = Array.length sas in
-      let base =
-        if has_producer.(slot) then fun () -> st.s_base.(slot)
-        else
-          let z = zeros.(slot) in
-          fun () -> z
-      in
-      resolvers.(slot) <-
-        fun () ->
-          let i = ref (n - 1) in
-          while !i >= 0 && not sas.(!i).sa_live do
-            decr i
-          done;
-          wr slot (if !i < 0 then base () else sas.(!i).sa_val)
-    end
-  done;
+  (* A slot with assignment writers: the last live writer in static scan
+     order wins, else the producer's base — the reference engine's
+     last-write-wins scan, with an early exit from the back, no
+     allocation. *)
+  let resolve slot =
+    let ws = writers.(slot) in
+    let i = ref (Array.length ws - 1) in
+    while !i >= 0 && not st.s_live.(ws.(!i)) do
+      decr i
+    done;
+    wr slot
+      (if !i >= 0 then st.s_val.(ws.(!i))
+       else if has_producer.(slot) then st.s_base.(slot)
+       else zeros.(slot))
+  in
   (* A non-assignment producer pushed a value: writer-less slots skip
      the base cell and write the env directly; writer-shadowed slots
      stage the base and re-resolve. *)
   let produce slot =
-    if Array.length st.s_writers.(slot) = 0 then fun v -> wr slot v
-    else begin
-      let r = resolvers.(slot) in
-      fun v ->
-        if not (Bitvec.equal st.s_base.(slot) v) then begin
-          st.s_base.(slot) <- v;
-          r ()
-        end
-    end
-  in
-  (* Partial evaluation of guards and sources against the AST. Constants
-     fold at build time; comparisons between same-width atoms compile to
-     alloc-free int64 compares (bitvec payloads are masked, so unsigned
-     comparison of the raw values is exact). Width mismatches bail out
-     to the generic closure to preserve the runtime Width_error. *)
-  let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
-  let notes = Array.make (max na 1) "" in
-  let slot_of = Ports.id inst.i_ports in
-  let stage_src = function
-    | Lit v ->
-        incr fold_consts;
-        `Const v
-    | Port p ->
-        let i = slot_of p in
-        `Slot i
-  in
-  let stage_guard g =
-    let exception Bail in
-    let atom = function
-      | Lit v -> `Const v
-      | Port p -> `Slot (slot_of p)
-    in
-    let width = function
-      | `Const v -> Bitvec.width v
-      | `Slot i -> Bitvec.width zeros.(i)
-    in
-    let cmp_i64 = function
-      | Eq -> fun x y -> Int64.equal x y
-      | Neq -> fun x y -> not (Int64.equal x y)
-      | Lt -> fun x y -> Int64.unsigned_compare x y < 0
-      | Gt -> fun x y -> Int64.unsigned_compare x y > 0
-      | Le -> fun x y -> Int64.unsigned_compare x y <= 0
-      | Ge -> fun x y -> Int64.unsigned_compare x y >= 0
-    in
-    let rec go = function
-      | True -> `Const true
-      | Atom a -> (
-          match atom a with
-          | `Const v -> `Const (Bitvec.is_true v)
-          | `Slot i -> `Fun (fun () -> Bitvec.is_true env.(i)))
-      | Cmp (op, a, b) -> (
-          let sa = atom a and sb = atom b in
-          if width sa <> width sb then raise Bail;
-          let cmp = cmp_i64 op in
-          match (sa, sb) with
-          | `Const x, `Const y ->
-              `Const (cmp (Bitvec.to_int64 x) (Bitvec.to_int64 y))
-          | `Const x, `Slot j ->
-              let xv = Bitvec.to_int64 x in
-              `Fun (fun () -> cmp xv (Bitvec.to_int64 env.(j)))
-          | `Slot i, `Const y ->
-              let yv = Bitvec.to_int64 y in
-              `Fun (fun () -> cmp (Bitvec.to_int64 env.(i)) yv)
-          | `Slot i, `Slot j ->
-              `Fun
-                (fun () ->
-                  cmp (Bitvec.to_int64 env.(i)) (Bitvec.to_int64 env.(j))))
-      | And (g1, g2) -> (
-          match (go g1, go g2) with
-          | `Const false, _ | _, `Const false -> `Const false
-          | `Const true, s | s, `Const true -> s
-          | `Fun f1, `Fun f2 -> `Fun (fun () -> f1 () && f2 ()))
-      | Or (g1, g2) -> (
-          match (go g1, go g2) with
-          | `Const true, _ | _, `Const true -> `Const true
-          | `Const false, s | s, `Const false -> s
-          | `Fun f1, `Fun f2 -> `Fun (fun () -> f1 () || f2 ()))
-      | Not g -> (
-          match go g with
-          | `Const b -> `Const (not b)
-          | `Fun f -> `Fun (fun () -> not (f ())))
-    in
-    match go g with
-    | `Const b ->
-        incr fold_guards;
-        `Const b
-    | s -> s
+    if Array.length writers.(slot) = 0 then fun v -> wr slot v
+    else fun v ->
+      if not (Bitvec.equal st.s_base.(slot) v) then begin
+        st.s_base.(slot) <- v;
+        resolve slot
+      end
   in
   (* Every assignment closure records in [blocked] whether it drives, so
      that Sched skips it on a source change while it does not. *)
   let build_assign k ai =
-    let sa = st.s_assigns.(ai) in
-    let ca = sa.sa_ca in
-    let dst = ca.ca_dst in
-    let guard =
-      (* A width-mismatched comparison must keep raising Width_error at
-         run time: fall back to the generic compiled guard. *)
-      let generic () = `Fun (fun () -> ca.ca_guard env) in
-      match ca.ca_ast.guard with
-      | True -> `Const true
-      | g -> ( try stage_guard g with _ -> generic ())
-    in
-    let src =
-      match stage_src ca.ca_ast.src with
-      | `Const v -> fun () -> v
-      | `Slot i -> fun () -> env.(i)
-    in
+    let sa = cp.c_assigns.(ai) in
+    let dst = sa.sa_ra.ra_dst in
+    let src = sa.sa_ra.ra_src in
     (* Group gating, staged against the entry view [refresh_entries]
        maintains: a done write is live while its group is active, a data
        write unless every entry is gated and the done hole reads 1. *)
@@ -492,7 +583,7 @@ let compile inst : compiled =
       if sa.sa_group < 0 then None
       else if sa.sa_data then begin
         let g = sa.sa_group in
-        let done_slot = inst.i_group_done.(g) in
+        let done_slot = ip.p_group_done.(g) in
         Some
           (fun () ->
             let entries = st.s_entries.(g) in
@@ -504,87 +595,74 @@ let compile inst : compiled =
         let g = sa.sa_group in
         Some (fun () -> Array.length st.s_entries.(g) > 0)
     in
-    let note s = notes.(ai) <- notes.(ai) ^ s in
-    (match guard with
-    | `Const true when ca.ca_ast.guard <> True -> note "  [guard: always]"
-    | `Const false -> note "  [guard: never]"
-    | _ -> ());
-    (match ca.ca_ast.src with Lit _ -> note "  [const src]" | _ -> ());
-    if Array.length st.s_writers.(dst) = 1 && not has_producer.(dst) then begin
-      (* Single writer, no producer: the slot's value is a pure
-         function of drive, so write the env directly. *)
-      let z = zeros.(dst) in
-      match (sched, guard) with
-      | _, `Const false ->
-          (* Never drives; env.(dst) stays at its zero initial. *)
-          incr elided;
-          note "  [elided]";
-          blocked.(k) <- true;
-          fun () -> ()
-      | None, `Const true -> (
-          match ca.ca_ast.src with
-          | Lit v ->
-              (* Constant continuous assignment: fold it into the
-                 initial env and drop the node from the hot path. *)
-              env.(dst) <- v;
-              incr elided;
-              note "  [folded]";
-              fun () -> ()
-          | _ -> fun () -> wr dst (src ()))
-      | None, `Fun g ->
-          fun () ->
-            let d = g () in
-            blocked.(k) <- not d;
-            wr dst (if d then src () else z)
-      | Some on, `Const true ->
-          fun () ->
-            let d = on () in
-            blocked.(k) <- not d;
-            wr dst (if d then src () else z)
-      | Some on, `Fun g ->
-          fun () ->
-            let d = on () && g () in
-            blocked.(k) <- not d;
-            wr dst (if d then src () else z)
-    end
-    else begin
-      (* Shared slot: maintain this writer's live/value cell — the
-         sstate's own record, so live transitions feed the suspect count
-         that gates the conflict check — and re-resolve the slot. *)
-      let resolve = resolvers.(dst) in
-      let drive =
-        match (sched, guard) with
-        | None, `Const b -> fun () -> b
-        | None, `Fun g -> g
-        | Some on, `Const true -> on
-        | Some _, `Const false -> fun () -> false
-        | Some on, `Fun g -> fun () -> on () && g ()
-      in
-      fun () ->
-        let d = drive () in
-        blocked.(k) <- not d;
-        if d then begin
-          let v = src () in
-          if (not sa.sa_live) || not (Bitvec.equal v sa.sa_val) then begin
-            if not sa.sa_live then live_transition st sa true;
-            sa.sa_live <- true;
-            sa.sa_val <- v;
-            resolve ()
+    match sa.sa_drive with
+    | Elided ->
+        (* Never drives; env.(dst) stays at its zero initial. *)
+        blocked.(k) <- true;
+        fun () -> ()
+    | Folded v ->
+        env.(dst) <- v;
+        fun () -> ()
+    | Direct -> (
+        (* Single writer, no producer: the slot's value is a pure
+           function of drive, so write the env directly. *)
+        let z = zeros.(dst) in
+        let holds = evaluator sa.sa_guard in
+        match (sched, sa.sa_guard) with
+        | None, SConst _ -> fun () -> wr dst (atom_value env src)
+        | None, (SExact g | SChecked g) ->
+            fun () ->
+              let d = holds env g in
+              blocked.(k) <- not d;
+              wr dst (if d then atom_value env src else z)
+        | Some on, SConst _ ->
+            fun () ->
+              let d = on () in
+              blocked.(k) <- not d;
+              wr dst (if d then atom_value env src else z)
+        | Some on, (SExact g | SChecked g) ->
+            fun () ->
+              let d = on () && holds env g in
+              blocked.(k) <- not d;
+              wr dst (if d then atom_value env src else z))
+    | Shared ->
+        (* Shared slot: maintain this writer's live/value cell — live
+           transitions feed the suspect count that gates the conflict
+           check — and re-resolve the slot. *)
+        let holds = evaluator sa.sa_guard in
+        let drive =
+          match (sched, sa.sa_guard) with
+          | None, SConst b -> fun () -> b
+          | None, (SExact g | SChecked g) -> fun () -> holds env g
+          | Some on, SConst true -> on
+          | Some _, SConst false -> fun () -> false
+          | Some on, (SExact g | SChecked g) -> fun () -> on () && holds env g
+        in
+        fun () ->
+          let d = drive () in
+          blocked.(k) <- not d;
+          if d then begin
+            let v = atom_value env src in
+            if (not st.s_live.(ai)) || not (Bitvec.equal v st.s_val.(ai))
+            then begin
+              if not st.s_live.(ai) then live_transition cp st dst true;
+              st.s_live.(ai) <- true;
+              st.s_val.(ai) <- v;
+              resolve dst
+            end
           end
-        end
-        else if sa.sa_live then begin
-          live_transition st sa false;
-          sa.sa_live <- false;
-          resolve ()
-        end
-    end
+          else if st.s_live.(ai) then begin
+            live_transition cp st dst false;
+            st.s_live.(ai) <- false;
+            resolve dst
+          end
   in
   let one1 = Bitvec.one 1 and zero1 = Bitvec.zero 1 in
   let build_go g =
     (* Mirrors the reference loop: one write per active entry in actives
        order, so the last entry's liveness wins. *)
-    let w = produce inst.i_group_go.(g) in
-    let done_slot = inst.i_group_done.(g) in
+    let w = produce ip.p_group_go.(g) in
+    let done_slot = ip.p_group_done.(g) in
     fun () ->
       let entries = st.s_entries.(g) in
       w
@@ -596,32 +674,32 @@ let compile inst : compiled =
          else zero1)
   in
   let build_prim p =
-    let pi = inst.i_prims.(p) in
-    let writers = List.map (fun (q, slot) -> (q, produce slot)) pi.pi_outputs in
-    Prim_state.compile_step pi.pi_state ~read:(stage_read pi)
+    let pp = ip.p_prims.(p) in
+    let writers = List.map (fun (q, slot) -> (q, produce slot)) pp.pp_outputs in
+    Prim_state.compile_step inst.i_prims.(p) ~read:(stage_read pp)
       ~write:(fun name -> List.assoc_opt name writers)
   in
   let build_child c =
-    let _, ch = inst.i_children.(c) in
+    let ch = inst.i_children.(c) in
+    let chp = ch.c_plan in
+    let structured = chp.cp_plan.p_structured in
     (* A structured child's [done] is registered ([i_done_reg]), not its
        combinational [done] output — stage only the registered writer for
        that slot, or the transient internal value would keep re-marking
        the slot's readers every settle. *)
     let outs =
-      Array.to_list ch.c_output_map
+      Array.to_list chp.cp_output_map
       |> List.filter_map (fun (cslot, pslot) ->
-             if ch.c_inst.i_structured && pslot = ch.c_done_parent_slot then
-               None
+             if structured && pslot = chp.cp_done_slot then None
              else Some (cslot, produce pslot))
       |> Array.of_list
     in
     let done_w =
-      if ch.c_inst.i_structured then Some (produce ch.c_done_parent_slot)
-      else None
+      if structured then Some (produce chp.cp_done_slot) else None
     in
     (* Flat index arrays so the closure's staging loops allocate
        nothing per call. *)
-    let in_pslots = Array.map fst ch.c_input_map in
+    let in_pslots = Array.map fst chp.cp_input_map in
     let out_cslots = Array.map fst outs in
     let out_ws = Array.map snd outs in
     let buf = ch.c_buf in
@@ -644,16 +722,16 @@ let compile inst : compiled =
       | None -> ()
   in
   let closure_of k =
-    match st.s_nodes.(k) with
+    match cp.c_nodes.(k) with
     | NPrim p -> build_prim p
     | NChild c -> build_child c
     | NGo g -> build_go g
     | NAssign ai -> build_assign k ai
   in
-  let closures = Array.init (Sched.node_count st.s_graph) closure_of in
+  let closures = Array.init (Sched.node_count cp.c_topo) closure_of in
   let eval k = closures.(k) () in
   let inputs =
-    Array.of_list (List.map (fun (_, slot) -> produce slot) inst.i_input_slots)
+    Array.of_list (List.map (fun (_, slot) -> produce slot) ip.p_input_slots)
   in
   (* One settle: stage the inputs, refresh the per-group entry view, then
      let Sched evaluate the dirty nodes level by level. Cyclic components
@@ -664,14 +742,14 @@ let compile inst : compiled =
     for i = 0 to Array.length inputs - 1 do
       inputs.(i) values.(i)
     done;
-    refresh_entries inst st;
+    refresh_entries cp inst st;
     let touched =
-      try Sched.run st.s_graph ~eval ~max_passes:inst.i_max_iters
+      try Sched.run graph ~eval ~max_passes:inst.i_max_iters
       with Sched.Diverged ->
         raise
           (Unstable_msg
              (Printf.sprintf "component %s: combinational fixpoint diverged"
-                inst.i_comp.comp_name))
+                ip.p_comp.comp_name))
     in
     inst.i_iters_cycle <- inst.i_iters_cycle + touched;
     if Tele.Runtime.on () then
@@ -682,7 +760,7 @@ let compile inst : compiled =
      order. Commit-time invalidation then re-marks exactly the nodes whose
      outputs can differ next cycle — primitives whose latched state
      changed, and every child (whose internal control may advance with
-     stable inputs). *)
+     stable inputs). Primitive [p] is node [p], child [c] node [np + c]. *)
   let x_commit commit_child =
     let n = !queued in
     (* Either order costs at most [np] steps: insertion sort while the
@@ -717,60 +795,22 @@ let compile inst : compiled =
         incr kept
       end
       else latch.(p) <- false;
-      if r land Prim_state.edge_changed <> 0 then
-        Sched.mark_node st.s_graph st.s_prim_node.(p)
+      if r land Prim_state.edge_changed <> 0 then Sched.mark_node graph p
     done;
     queued := !kept;
     if Tele.Runtime.on () then
       Tele.Metrics.observe commit_set_size (float_of_int n);
     for c = 0 to Array.length inst.i_children - 1 do
-      let _, ch = inst.i_children.(c) in
-      commit_child ch.c_inst;
-      Sched.mark_node st.s_graph st.s_child_node.(c)
+      commit_child inst.i_children.(c).c_inst;
+      Sched.mark_node graph (np + c)
     done
-  in
-  let proto_str cell =
-    match Ports.find_cell inst.i_ports cell with
-    | Some { cell_proto = Prim (n, ps); _ } ->
-        Printf.sprintf "%s(%s)" n (String.concat "," (List.map string_of_int ps))
-    | Some { cell_proto = Comp n; _ } -> n
-    | None -> "?"
-  in
-  let label k =
-    match st.s_nodes.(k) with
-    | NPrim p ->
-        let pi = inst.i_prims.(p) in
-        Printf.sprintf "prim %s : %s" pi.pi_cell (proto_str pi.pi_cell)
-    | NChild c ->
-        let name, ch = inst.i_children.(c) in
-        Printf.sprintf "child %s : %s" name ch.c_inst.i_comp.comp_name
-    | NGo g -> Printf.sprintf "go %s" inst.i_groups.(g).group_name
-    | NAssign ai ->
-        let sa = st.s_assigns.(ai) in
-        let where =
-          if sa.sa_group < 0 then "continuous"
-          else
-            Printf.sprintf "%s%s" inst.i_groups.(sa.sa_group).group_name
-              (if sa.sa_data then "" else " done")
-        in
-        Printf.sprintf "assign [%s] %s%s" where
-          (Lazy.force sa.sa_ca.ca_text)
-          notes.(ai)
   in
   {
     x_settle;
     x_commit;
     x_touch_prim =
       (fun p ->
-        Sched.mark_node st.s_graph st.s_prim_node.(p);
+        Sched.mark_node graph p;
         enqueue p);
-    (* Lazy: rendering walks and prints every node, and only tests and
-       [Sim.compiled_plan] ask. *)
-    x_plan =
-      lazy
-        (Printf.sprintf
-           "component %s: %d guards folded, %d constant sources, %d nodes \
-            elided\n%s"
-           inst.i_comp.comp_name !fold_guards !fold_consts !elided
-           (render ~label st.s_graph));
+    x_plan = cp.c_text;
   }

@@ -1,11 +1,12 @@
 (** The compiled simulation engine.
 
-    Per instance, the engine builds a slot-dependency graph ({!Sched}):
+    Per component, the engine plans a slot-dependency graph ({!Sched}):
     one node per primitive, child instance, group [go] hole and
     assignment, condensed into strongly connected components and
-    levelized. Each node is compiled ahead of time into one specialized
-    closure: guards are partially evaluated, constant assignments folded,
-    primitive port names resolved to slots. A settle runs {!Sched.run}: it
+    levelized, with guards partially evaluated and constant assignments
+    folded. Per instance, each node is staged ahead of time into one
+    specialized closure over the instance's state, primitive port names
+    resolved to slots. A settle runs {!Sched.run}: it
     evaluates only the dirty nodes, level by level, each level in the
     order its nodes were marked, with a worklist for the members of cyclic
     components; an assignment whose last evaluation did not drive is not
@@ -17,8 +18,18 @@
     The engine's state is private to this module: an instance reaches it
     only through the {!Instance.compiled} closures {!compile} returns. *)
 
-val compile : Instance.instance -> Instance.compiled
-(** Build the engine for one instance whose children are already
-    compiled. Its plan is the instance's graph as text, one line per
-    node with the partial-evaluation annotations, grouped by level with
-    cyclic components marked: the format of the [.plan] goldens. *)
+type plan
+(** What every instance of one component shares: the graph's topology,
+    the writers of each slot, the staged guards and how each assignment
+    drives. Immutable once built. *)
+
+val plan : Instance.plan -> plan
+(** Plan a component, once per simulator build. *)
+
+val compile : plan -> Instance.instance -> Instance.compiled
+(** Build the engine for one instance of the planned component, whose
+    children are already compiled. Its plan text is the component's
+    graph, one line per node with the partial-evaluation annotations,
+    grouped by level with cyclic components marked: the format of the
+    [.plan] goldens. It is rendered once per component, on first
+    request. *)

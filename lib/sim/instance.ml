@@ -239,55 +239,110 @@ let rec cadvance ~emit st ~group_done ~port_true =
       | s' -> if s' == s then st else CWhileBody (id, s', cond, port, body))
 
 (* ------------------------------------------------------------------ *)
-(* Instances                                                           *)
+(* Plans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type compiled_assign = {
-  ca_dst : int;
-  ca_guard : Bitvec.t array -> bool;
-  ca_src : Bitvec.t array -> Bitvec.t;
-  ca_reads : int list;
-      (* slots the source and guard read: the source's first when it is
-         a port, then the guard's *)
-  ca_text : string Lazy.t;
-      (* for conflict diagnostics and plan labels — lazy, since pretty-
-         printing thousands of assignments would dominate [create] *)
-  ca_ast : assignment;  (* for the compiled engine's partial evaluation *)
+(* What every instance of one component shares, resolved once per
+   [Sim.create]: its ports numbered as slots (a slot is a port id of
+   [p_ports]), every assignment over those slots, the slots of each
+   primitive, child and group hole, and the annotated control program.
+   Instances read it and never write it. *)
+
+type ratom = RSlot of int | RLit of Bitvec.t
+
+type rguard =
+  | RTrue
+  | RAtom of ratom
+  | RCmp of cmp_op * ratom * ratom
+  | RAnd of rguard * rguard
+  | ROr of rguard * rguard
+  | RNot of rguard
+
+type rassign = {
+  ra_dst : int;
+  ra_guard : rguard;
+  ra_src : ratom;
+  ra_ast : assignment;  (* printed in conflict diagnostics and plan labels *)
 }
 
-type prim_inst = {
-  pi_cell : string;  (* cell name, for test-bench resolution *)
-  pi_state : Prim_state.t;
-  pi_inputs : (string * int) list;  (* input port name -> slot *)
-  pi_outputs : (string * int) list;
-  pi_comb_reads : int list;
+type prim_plan = {
+  pp_cell : string;  (* cell name, for test-bench resolution *)
+  pp_make : unit -> Prim_state.t;  (* fresh state for one instance *)
+  pp_inputs : (string * int) list;  (* input port name -> slot *)
+  pp_outputs : (string * int) list;
+  pp_comb_reads : int list;
       (* the input slots an output reads within one cycle (the inputs of
          Prims.comb_arcs; every input of an extern black box) *)
 }
 
-type instance = {
-  i_comp : component;
-  i_path : string;  (* dotted instance path from the entrypoint; root is "" *)
-  i_slots : int;  (* number of ports in [i_ports] *)
-  i_zeros : Bitvec.t array;  (* per-slot zero values (template) *)
-  mutable i_env : Bitvec.t array;
-  mutable i_next : Bitvec.t array;
-  i_prims : prim_inst array;
-  i_children : (string * child) array;
-  i_continuous : compiled_assign array;
-  i_groups : group array;
+type plan = {
+  p_comp : component;
+  p_ports : Ports.t;
+  p_slots : int;  (* number of ports in [p_ports] *)
+  p_zeros : Bitvec.t array;  (* per-slot zero values (template) *)
+  p_cells : cell_plan array;  (* primitives and children, in cell order *)
+  p_prims : prim_plan array;
+  p_children : child_plan array;
+  p_continuous : rassign array;
+  p_groups : group array;
       (* declaration order: a group's index here is its number everywhere *)
-  i_group_assigns : (compiled_assign array * compiled_assign array) array;
+  p_group_assigns : (rassign array * rassign array) array;
       (* per group: done-hole writes (always live while scheduled), data
          assignments *)
-  i_group_go : int array;  (* per group: slot of its go hole *)
-  i_group_done : int array;  (* per group: slot of its done hole *)
-  i_input_slots : (string * int) list;  (* This input ports *)
-  i_go_slot : int;  (* slot of the [go] input (read on every settle) *)
-  i_output_slots : (string * int) list;
-  i_ports : Ports.t;  (* slot numbering: a slot is a port id *)
-  i_structured : bool;  (* control program is non-empty *)
-  i_ictrl : ictrl;  (* control program annotated with preorder node ids *)
+  p_group_go : int array;  (* per group: slot of its go hole *)
+  p_group_done : int array;  (* per group: slot of its done hole *)
+  p_input_slots : (string * int) list;  (* This input ports *)
+  p_go_slot : int;  (* slot of the [go] input (read on every settle) *)
+  p_output_slots : (string * int) list;
+  p_structured : bool;  (* control program is non-empty *)
+  p_ictrl : ictrl;  (* control program annotated with preorder node ids *)
+}
+
+and cell_plan = Prim_cell of int | Child_cell of int
+
+and child_plan = {
+  cp_cell : string;
+  cp_plan : plan;
+  cp_input_map : (int * int) array;  (* parent slot of c.in -> child input slot *)
+  cp_output_map : (int * int) array;  (* child output slot -> parent slot *)
+  cp_done_slot : int;  (* parent slot of the child's done output *)
+}
+
+let atom_value env = function RSlot i -> env.(i) | RLit v -> v
+
+(* The reference evaluation of a resolved guard: what the fixpoint engine
+   and the conflict check read, and the compiled engine's fallback. *)
+let rec guard_holds env = function
+  | RTrue -> true
+  | RAtom a -> Bitvec.is_true (atom_value env a)
+  | RCmp (op, a, b) ->
+      let cmp =
+        match op with
+        | Eq -> Bitvec.eq
+        | Neq -> Bitvec.neq
+        | Lt -> Bitvec.lt
+        | Gt -> Bitvec.gt
+        | Le -> Bitvec.le
+        | Ge -> Bitvec.ge
+      in
+      Bitvec.is_true (cmp (atom_value env a) (atom_value env b))
+  | RAnd (g1, g2) -> guard_holds env g1 && guard_holds env g2
+  | ROr (g1, g2) -> guard_holds env g1 || guard_holds env g2
+  | RNot g -> not (guard_holds env g)
+
+let assign_text ra = Format.asprintf "%a" Printer.pp_assignment ra.ra_ast
+
+(* ------------------------------------------------------------------ *)
+(* Instances                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type instance = {
+  i_plan : plan;
+  i_path : string;  (* dotted instance path from the entrypoint; root is "" *)
+  mutable i_env : Bitvec.t array;
+  mutable i_next : Bitvec.t array;
+  i_prims : Prim_state.t array;  (* indexed like [p_prims] *)
+  i_children : child array;  (* indexed like [p_children] *)
   mutable i_ctrl : cstate;
   mutable i_running : bool;
   mutable i_done_reg : bool;
@@ -296,21 +351,24 @@ type instance = {
          the reference engine, nodes touched under the compiled engine;
          reset at commit *)
   i_max_iters : int;  (* fixpoint iteration / worklist pass budget *)
-  (* Reusable conflict-check scratch (one slot-indexed "driver table" per
-     instance, generation-stamped so clearing is O(1) per cycle). *)
+  (* Conflict-check scratch (one slot-indexed "driver table" per
+     instance, generation-stamped so clearing is O(1) per cycle), made on
+     the first check. *)
   mutable i_gen : int;
-  i_drv_gen : int array;
-  i_drv_val : Bitvec.t array;
-  i_drv_text : string Lazy.t array;
+  mutable i_drivers : drivers option;
   mutable i_compiled : compiled option;  (* Some iff built with `Compiled *)
 }
 
+and drivers = {
+  d_gen : int array;
+  d_val : Bitvec.t array;
+  d_by : rassign array;
+}
+
 and child = {
+  c_plan : child_plan;
   c_inst : instance;
-  c_input_map : (int * int) array;  (* parent slot of c.in -> child input slot *)
-  c_output_map : (int * int) array;  (* child output slot -> parent slot *)
-  c_done_parent_slot : int;  (* parent slot of the child's done output *)
-  c_buf : Bitvec.t array;  (* reused input buffer, indexed like c_input_map *)
+  c_buf : Bitvec.t array;  (* reused input buffer, indexed like cp_input_map *)
   mutable c_buf_valid : bool;
       (* fixpoint engine: c_buf holds the inputs of the last child eval,
          so an unchanged-input iteration skips re-evaluating the child *)
@@ -320,7 +378,7 @@ and child = {
    state (see Compiled). *)
 and compiled = {
   x_settle : Bitvec.t array -> unit;
-      (* one settle; the inputs are indexed like [i_input_slots] *)
+      (* one settle; the inputs are indexed like [p_input_slots] *)
   x_commit : (instance -> unit) -> unit;
       (* the clock edge below the control lifecycle: latch the
          primitives, commit every child with the given function, and
@@ -333,12 +391,28 @@ and compiled = {
 (* Groups active in the current cycle, given the lifecycle state. If the
    instance is idle but go is high, control starts this very cycle. *)
 let effective_ctrl inst ~go =
-  if not inst.i_structured then CDone
+  if not inst.i_plan.p_structured then CDone
   else if inst.i_running then inst.i_ctrl
-  else if go then cstart ~emit:no_emit inst.i_ictrl
+  else if go then cstart ~emit:no_emit inst.i_plan.p_ictrl
   else CDone
 
 let active_groups inst ~go = cactive [] (effective_ctrl inst ~go)
+
+let drivers inst =
+  match inst.i_drivers with
+  | Some d -> d
+  | None ->
+      let n = max inst.i_plan.p_slots 1 in
+      let none =
+        { ra_dst = 0; ra_guard = RTrue; ra_src = RSlot 0;
+          ra_ast = { dst = This ""; src = Port (This ""); guard = True } }
+      in
+      let d =
+        { d_gen = Array.make n 0; d_val = Array.copy inst.i_plan.p_zeros;
+          d_by = Array.make n none }
+      in
+      inst.i_drivers <- Some d;
+      d
 
 (* Conflict detection at the settled point: two active assignments driving
    the same port with different values is undefined behaviour. Shared by
@@ -346,38 +420,40 @@ let active_groups inst ~go = cactive [] (effective_ctrl inst ~go)
    table is a generation-stamped per-instance scratch array — bumping
    [i_gen] clears it in O(1). *)
 let check_conflicts inst =
+  let plan = inst.i_plan in
   let env = inst.i_env in
+  let drv = drivers inst in
   inst.i_gen <- inst.i_gen + 1;
   let gen = inst.i_gen in
-  let check ca =
-    if ca.ca_guard env then begin
-      let v = ca.ca_src env in
-      let dst = ca.ca_dst in
-      if inst.i_drv_gen.(dst) = gen then begin
-        if not (Bitvec.equal v inst.i_drv_val.(dst)) then
+  let check ra =
+    if guard_holds env ra.ra_guard then begin
+      let v = atom_value env ra.ra_src in
+      let dst = ra.ra_dst in
+      if drv.d_gen.(dst) = gen then begin
+        if not (Bitvec.equal v drv.d_val.(dst)) then
           raise
             (Conflict_msg
                (Printf.sprintf
                   "component %s: conflicting drivers in the same cycle:\n  %s\n  %s"
-                  inst.i_comp.comp_name
-                  (Lazy.force inst.i_drv_text.(dst))
-                  (Lazy.force ca.ca_text)))
+                  plan.p_comp.comp_name
+                  (assign_text drv.d_by.(dst))
+                  (assign_text ra)))
       end
       else begin
-        inst.i_drv_gen.(dst) <- gen;
-        inst.i_drv_val.(dst) <- v;
-        inst.i_drv_text.(dst) <- ca.ca_text
+        drv.d_gen.(dst) <- gen;
+        drv.d_val.(dst) <- v;
+        drv.d_by.(dst) <- ra
       end
     end
   in
-  let go = Bitvec.is_true env.(inst.i_go_slot) in
-  Array.iter check inst.i_continuous;
+  let go = Bitvec.is_true env.(plan.p_go_slot) in
+  Array.iter check plan.p_continuous;
   List.iter
     (fun (g, gated) ->
-      let dones, datas = inst.i_group_assigns.(g) in
+      let dones, datas = plan.p_group_assigns.(g) in
       Array.iter check dones;
       let live =
-        (not gated) || not (Bitvec.is_true env.(inst.i_group_done.(g)))
+        (not gated) || not (Bitvec.is_true env.(plan.p_group_done.(g)))
       in
       if live then Array.iter check datas)
     (active_groups inst ~go)

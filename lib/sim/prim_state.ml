@@ -325,9 +325,11 @@ let staged_mem_address m ~read =
     done;
     !addr
 
+let t1 = Bitvec.one 1
+let f1 = Bitvec.zero 1
+
 let compile_step t ~read ~write =
   let w name = match write name with Some f -> f | None -> fun _ -> () in
-  let t1 = Bitvec.one 1 and f1 = Bitvec.zero 1 in
   match t with
   | Comb (Const v) ->
       let out = w "out" in

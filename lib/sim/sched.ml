@@ -10,7 +10,9 @@
    worklist until they stop re-marking each other (or exceed the budget,
    which is the graph analogue of a diverging fixpoint).
 
-   The scheduler itself never reads slot values; the caller's [eval]
+   [build] makes the graph's topology, which never changes and may be
+   shared; [create] makes one evaluation state over it (the dirty set and
+   the blocked flags). The scheduler itself never reads slot values; the caller's [eval]
    callback performs the actual computation and reports value changes back
    through [mark_slot], which enqueues the readers of that slot. Dirt
    persists across [run] calls, so commit-time invalidation (a register
@@ -35,21 +37,35 @@ let vec_push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-type t = {
+(* The graph's shape, fixed at [build] and shared by every state made
+   from it. *)
+type topo = {
   n : int;
   readers : int array array;  (* slot -> nodes that read it *)
   split : int array;
       (* slot -> where its source readers (those that read it only while
          they drive) start in [readers] *)
-  blocked : bool array;  (* node -> last evaluation did not drive *)
   level : int array;  (* node -> level of its component *)
   cyclic : bool array;  (* node -> member of a cyclic component? *)
   scc : int array;  (* node -> component id *)
   scc_size : int array;
+  scc_cyclic : bool array;  (* component id -> cyclic? *)
   nlevels : int;
+  cyclic_at : int array array;  (* level -> cyclic component ids *)
+}
+
+(* One evaluation's dirt over a topology. The shared arrays the hot path
+   reads are copied in as fields, one indirection fewer per mark. *)
+type t = {
+  topo : topo;
+  t_readers : int array array;
+  t_split : int array;
+  t_level : int array;
+  t_cyclic : bool array;
+  t_scc : int array;
+  blocked : bool array;  (* node -> last evaluation did not drive *)
   acyclic_bucket : vec array;  (* level -> dirty acyclic nodes *)
   scc_bucket : vec array;  (* cyclic component id -> its dirty members *)
-  cyclic_at : int array array;  (* level -> cyclic component ids *)
   dirty : bool array;
   pending : int array;  (* level -> dirty node count *)
   mutable npending : int;  (* total dirty nodes, for early exit *)
@@ -57,90 +73,134 @@ type t = {
 
 exception Diverged
 
-let build ~slots ~(nodes : (int list * int list * int list) array) =
-  let n = Array.length nodes in
+(* Whether node [k] reads one of the slots [wslot.(w)], [w] in
+   [w, stop). *)
+let rec reads_own_write readers wslot k w stop =
+  w < stop
+  &&
+  let rs = readers.(wslot.(w)) in
+  let rec mem i = i < Array.length rs && (rs.(i) = k || mem (i + 1)) in
+  mem 0 || reads_own_write readers wslot k (w + 1) stop
+
+(* Every other component reading one of the slots [wslot.(w)], [w] in
+   [w, stop) (written by a member of component [id]), sits above [id]. *)
+let rec raise_levels readers wslot scc scc_level id w stop =
+  if w < stop then begin
+    let rs = readers.(wslot.(w)) in
+    for i = 0 to Array.length rs - 1 do
+      let c = scc.(rs.(i)) in
+      if c <> id then scc_level.(c) <- max scc_level.(c) (scc_level.(id) + 1)
+    done;
+    raise_levels readers wslot scc scc_level id (w + 1) stop
+  end
+
+type edges = read:(int -> unit) -> source:(int -> unit) -> write:(int -> unit) -> unit
+
+let ignore_slot (_ : int) = ()
+
+let build_with ~slots ~nodes:n (edges : int -> edges) =
   (* Reader lists per slot: the nodes that read it always, then from
-     [split.(s)] on the nodes that read it only as a source. *)
+     [split.(s)] on the nodes that read it only as a source. The writes
+     go into one flat array, node [k]'s from [wstart.(k)]. Each pass asks
+     every node for its slots again, so nothing per node is kept but
+     the writes. *)
   let split = Array.make (max slots 1) 0 in
   let fill = Array.make (max slots 1) 0 in
-  Array.iter
-    (fun (reads, sources, _) ->
-      List.iter (fun s -> split.(s) <- split.(s) + 1) reads;
-      List.iter (fun s -> fill.(s) <- fill.(s) + 1) sources)
-    nodes;
+  let nwrites = ref 0 in
+  let count_read s = split.(s) <- split.(s) + 1 in
+  let count_source s = fill.(s) <- fill.(s) + 1 in
+  let count_write _ = incr nwrites in
+  for k = 0 to n - 1 do
+    edges k ~read:count_read ~source:count_source ~write:count_write
+  done;
   let readers = Array.mapi (fun s c -> Array.make (split.(s) + c) 0) fill in
-  let sfill = Array.copy split in
+  let wstart = Array.make (n + 1) 0 in
+  let wslot = Array.make (max !nwrites 1) 0 in
+  (* Place the plain readers, which leaves [fill.(s) = split.(s)], then
+     the source readers after them. *)
   Array.fill fill 0 (Array.length fill) 0;
-  Array.iteri
-    (fun k (reads, sources, _) ->
-      List.iter
-        (fun s ->
-          readers.(s).(fill.(s)) <- k;
-          fill.(s) <- fill.(s) + 1)
-        reads;
-      List.iter
-        (fun s ->
-          readers.(s).(sfill.(s)) <- k;
-          sfill.(s) <- sfill.(s) + 1)
-        sources)
-    nodes;
-  (* Successor adjacency (duplicates are harmless below). *)
-  let succs =
-    Array.map
-      (fun (_, _, writes) ->
-        Array.concat (List.map (fun s -> readers.(s)) writes))
-      nodes
+  let node = ref 0 in
+  let place s =
+    readers.(s).(fill.(s)) <- !node;
+    fill.(s) <- fill.(s) + 1
   in
+  let nw = ref 0 in
+  let add_write s =
+    wslot.(!nw) <- s;
+    incr nw
+  in
+  for k = 0 to n - 1 do
+    node := k;
+    wstart.(k) <- !nw;
+    edges k ~read:place ~source:ignore_slot ~write:add_write
+  done;
+  wstart.(n) <- !nw;
+  for k = 0 to n - 1 do
+    node := k;
+    edges k ~read:ignore_slot ~source:place ~write:ignore_slot
+  done;
   (* Iterative Tarjan SCC. Components are numbered such that every edge
      leaving a component goes to a lower id, so decreasing id order is a
-     topological order of the condensation. *)
+     topological order of the condensation. A node is on Tarjan's stack
+     while it has an index and no component. *)
   let index = Array.make (max n 1) (-1) in
   let lowlink = Array.make (max n 1) 0 in
-  let on_stack = Array.make (max n 1) false in
   let scc = Array.make (max n 1) (-1) in
   let stack = vec_make () in
   let scc_count = ref 0 in
   let next_index = ref 0 in
-  let frames = vec_make () in
-  let iters = vec_make () in
+  (* The DFS frames, grown on demand: each frame's node, the index in
+     [wslot] of the slot whose readers it is walking, and the next
+     reader's index in that slot. A node's successors are the readers of
+     the slots it writes, in order (duplicates are harmless below). *)
+  let fv = vec_make () and fw = vec_make () and fi = vec_make () in
+  let enter v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
+    incr next_index;
+    vec_push stack v;
+    vec_push fv v;
+    vec_push fw wstart.(v);
+    vec_push fi 0
+  in
+  (* The next successor of frame [d], or -1. *)
+  let rec next d =
+    let w = fw.data.(d) in
+    if w >= wstart.(fv.data.(d) + 1) then -1
+    else
+      let rs = readers.(wslot.(w)) in
+      let i = fi.data.(d) in
+      if i < Array.length rs then begin
+        fi.data.(d) <- i + 1;
+        rs.(i)
+      end
+      else begin
+        fw.data.(d) <- w + 1;
+        fi.data.(d) <- 0;
+        next d
+      end
+  in
   (* Nodes in the order Tarjan pops them: grouped by component, in
      increasing component id. *)
   let popped = Array.make (max n 1) 0 in
   let npopped = ref 0 in
   for root = 0 to n - 1 do
     if index.(root) < 0 then begin
-      frames.len <- 0;
-      iters.len <- 0;
-      vec_push frames root;
-      vec_push iters 0;
-      index.(root) <- !next_index;
-      lowlink.(root) <- !next_index;
-      incr next_index;
-      vec_push stack root;
-      on_stack.(root) <- true;
-      while frames.len > 0 do
-        let v = frames.data.(frames.len - 1) in
-        let i = iters.data.(frames.len - 1) in
-        if i < Array.length succs.(v) then begin
-          iters.data.(frames.len - 1) <- i + 1;
-          let w = succs.(v).(i) in
-          if index.(w) < 0 then begin
-            index.(w) <- !next_index;
-            lowlink.(w) <- !next_index;
-            incr next_index;
-            vec_push stack w;
-            on_stack.(w) <- true;
-            vec_push frames w;
-            vec_push iters 0
-          end
-          else if on_stack.(w) then
-            lowlink.(v) <- min lowlink.(v) index.(w)
+      enter root;
+      while fv.len > 0 do
+        let d = fv.len - 1 in
+        let v = fv.data.(d) in
+        let w = next d in
+        if w >= 0 then begin
+          if index.(w) < 0 then enter w
+          else if scc.(w) < 0 then lowlink.(v) <- min lowlink.(v) index.(w)
         end
         else begin
-          frames.len <- frames.len - 1;
-          iters.len <- iters.len - 1;
-          if frames.len > 0 then begin
-            let p = frames.data.(frames.len - 1) in
+          fv.len <- d;
+          fw.len <- d;
+          fi.len <- d;
+          if d > 0 then begin
+            let p = fv.data.(d - 1) in
             lowlink.(p) <- min lowlink.(p) lowlink.(v)
           end;
           if lowlink.(v) = index.(v) then begin
@@ -150,7 +210,6 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
             while !continue do
               let w = stack.data.(stack.len - 1) in
               stack.len <- stack.len - 1;
-              on_stack.(w) <- false;
               scc.(w) <- id;
               popped.(!npopped) <- w;
               incr npopped;
@@ -170,7 +229,7 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
   let scc_cyclic = Array.make (max nscc 1) false in
   for k = 0 to n - 1 do
     if scc_size.(scc.(k)) > 1 then scc_cyclic.(scc.(k)) <- true
-    else if Array.exists (fun w -> w = k) succs.(k) then
+    else if reads_own_write readers wslot k wstart.(k) wstart.(k + 1) then
       scc_cyclic.(scc.(k)) <- true
   done;
   (* Levelize the condensation: predecessors have higher component ids, so
@@ -179,12 +238,7 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
   let scc_level = Array.make (max nscc 1) 0 in
   for i = n - 1 downto 0 do
     let k = popped.(i) in
-    let id = scc.(k) in
-    Array.iter
-      (fun w ->
-        if scc.(w) <> id then
-          scc_level.(scc.(w)) <- max scc_level.(scc.(w)) (scc_level.(id) + 1))
-      succs.(k)
+    raise_levels readers wslot scc scc_level scc.(k) wstart.(k) wstart.(k + 1)
   done;
   let nlevels =
     1 + Array.fold_left max 0 (if nscc = 0 then [| 0 |] else scc_level)
@@ -203,21 +257,42 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
     n;
     readers;
     split;
-    blocked = Array.make (max n 1) false;
     level;
     cyclic;
     scc;
     scc_size;
+    scc_cyclic;
     nlevels;
-    acyclic_bucket = Array.init nlevels (fun _ -> vec_make ());
+    cyclic_at;
+  }
+
+let build ~slots ~(nodes : (int list * int list * int list) array) =
+  build_with ~slots ~nodes:(Array.length nodes)
+    (fun k ~read ~source ~write ->
+      let reads, sources, writes = nodes.(k) in
+      List.iter read reads;
+      List.iter source sources;
+      List.iter write writes)
+
+let create topo =
+  let n = topo.n in
+  {
+    topo;
+    t_readers = topo.readers;
+    t_split = topo.split;
+    t_level = topo.level;
+    t_cyclic = topo.cyclic;
+    t_scc = topo.scc;
+    blocked = Array.make (max n 1) false;
+    acyclic_bucket = Array.init topo.nlevels (fun _ -> vec_make ());
     scc_bucket =
       (* Only a cyclic component is ever queued on its own bucket. *)
       (let unused = vec_make () in
-       Array.init (max nscc 1) (fun id ->
-           if scc_cyclic.(id) then vec_make () else unused));
-    cyclic_at;
+       Array.map
+         (fun cyclic -> if cyclic then vec_make () else unused)
+         topo.scc_cyclic);
     dirty = Array.make (max n 1) false;
-    pending = Array.make nlevels 0;
+    pending = Array.make topo.nlevels 0;
     npending = 0;
   }
 
@@ -225,15 +300,15 @@ let mark_node t k =
   if not t.dirty.(k) then begin
     t.dirty.(k) <- true;
     t.npending <- t.npending + 1;
-    let l = t.level.(k) in
+    let l = t.t_level.(k) in
     t.pending.(l) <- t.pending.(l) + 1;
-    if t.cyclic.(k) then vec_push t.scc_bucket.(t.scc.(k)) k
+    if t.t_cyclic.(k) then vec_push t.scc_bucket.(t.t_scc.(k)) k
     else vec_push t.acyclic_bucket.(l) k
   end
 
 let mark_slot t s =
-  let rs = t.readers.(s) in
-  let split = t.split.(s) in
+  let rs = t.t_readers.(s) in
+  let split = t.t_split.(s) in
   for i = 0 to split - 1 do
     mark_node t rs.(i)
   done;
@@ -245,7 +320,7 @@ let mark_slot t s =
 let blocked t = t.blocked
 
 let mark_all t =
-  for k = 0 to t.n - 1 do
+  for k = 0 to t.topo.n - 1 do
     mark_node t k
   done
 
@@ -254,8 +329,9 @@ let run t ~eval ~max_passes =
   let evals = ref 0 in
   (* Dirt only propagates to higher levels, so once the global pending
      count hits zero no later bucket can be non-empty. *)
+  let topo = t.topo in
   let l = ref 0 in
-  while !l < t.nlevels && t.npending > 0 do
+  while !l < topo.nlevels && t.npending > 0 do
     let lv = !l in
     if t.pending.(lv) > 0 then begin
       (* Acyclic nodes at one level are mutually independent: evaluating
@@ -275,11 +351,11 @@ let run t ~eval ~max_passes =
       b.len <- 0;
       (* Cyclic components at this level iterate until quiet. Distinct
          components at one level are independent of each other. *)
-      let ids = t.cyclic_at.(lv) in
+      let ids = topo.cyclic_at.(lv) in
       for c = 0 to Array.length ids - 1 do
         let id = ids.(c) in
         let b = t.scc_bucket.(id) in
-        let budget = max_passes * t.scc_size.(id) in
+        let budget = max_passes * topo.scc_size.(id) in
         let steps = ref 0 in
         while b.len > 0 do
           let k = b.data.(b.len - 1) in
@@ -300,7 +376,8 @@ let run t ~eval ~max_passes =
   done;
   !evals
 
-let node_count t = t.n
-let level t k = t.level.(k)
-let cyclic t k = t.cyclic.(k)
-let scc t k = t.scc.(k)
+let topology t = t.topo
+let node_count g = g.n
+let level g k = g.level.(k)
+let cyclic g k = g.cyclic.(k)
+let scc g k = g.scc.(k)

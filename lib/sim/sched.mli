@@ -14,11 +14,20 @@
     clock-edge commit can invalidate exactly the nodes whose inputs changed
     (a register that latched, a child whose control advanced) and the next
     cycle's settle costs O(nodes touched) rather than
-    O(iterations x all slots). *)
+    O(iterations x all slots).
+
+    The graph's topology ({!topo}) is immutable and may be shared by many
+    evaluation states ({!t}): the simulator builds one topology per
+    component and one state per instance. *)
+
+type topo
+(** The condensed, levelized graph. *)
 
 type t
+(** One evaluation state over a {!topo}: its dirty set and blocked
+    flags. *)
 
-val build : slots:int -> nodes:(int list * int list * int list) array -> t
+val build : slots:int -> nodes:(int list * int list * int list) array -> topo
 (** [build ~slots ~nodes] where [nodes.(k) = (reads, source_reads, writes)]
     lists the slot ids node [k] reads and writes; slot ids must be
     [< slots]. A source read is a slot the node reads only while it drives
@@ -26,6 +35,19 @@ val build : slots:int -> nodes:(int list * int list * int list) array -> t
     to it does not wake the node while the node is blocked (see
     {!blocked}). Source reads are edges like any other for components and
     levels. *)
+
+type edges = read:(int -> unit) -> source:(int -> unit) -> write:(int -> unit) -> unit
+(** One node's slots, as calls: [read] for each slot it reads, [source]
+    for each source read, [write] for each slot it writes, each kind in
+    order. *)
+
+val build_with : slots:int -> nodes:int -> (int -> edges) -> topo
+(** {!build} of [nodes] nodes whose slots node [k]'s [edges] reports:
+    the same graph, without a list per node. It is asked several times
+    per node and must answer the same each time. *)
+
+val create : topo -> t
+(** A fresh state over the topology: nothing dirty, nothing blocked. *)
 
 val mark_node : t -> int -> unit
 (** Enqueue a node for re-evaluation (idempotent while already queued). *)
@@ -56,18 +78,20 @@ val run : t -> eval:(int -> unit) -> max_passes:int -> int
 
 (** {1 Introspection (for tests and stats)} *)
 
-val node_count : t -> int
+val topology : t -> topo
 
-val level : t -> int -> int
+val node_count : topo -> int
+
+val level : topo -> int -> int
 (** The topological level of a node's component; every node reading a slot
     this node writes sits at a strictly higher level (unless they share a
     cyclic component). *)
 
-val cyclic : t -> int -> bool
+val cyclic : topo -> int -> bool
 (** Whether the node belongs to a genuinely cyclic component (the worklist
     remainder) rather than the levelized DAG. *)
 
-val scc : t -> int -> int
+val scc : topo -> int -> int
 (** The id of the strongly connected component the node belongs to. Ids
     are assigned in reverse topological order (every edge of the
     condensation goes to a strictly smaller id), so two nodes are

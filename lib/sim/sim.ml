@@ -39,9 +39,16 @@ let engine_name (e : engine) =
 
 let default_engine : engine = `Compiled
 
-let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
-    ~(engine : engine) ?(max_iters = 1000) ~(path : string) ~ports_of
-    (ctx : context) (comp : component) : instance =
+(* Resolve one component into the plan its instances share. Every port
+   the simulator reads is resolved to its slot here, once per component;
+   [plan_of] returns a child component's plan. A fault is raised in the
+   order the parts are resolved below: the cells (a child's own plan
+   first), the group done holes, the group assignments (in each, its
+   source, then its guard left to right, then its destination), the
+   signature, the control program, the [go] input, and the continuous
+   assignments. *)
+let plan_component ~externs ~ports_of ~plan_of (ctx : context)
+    (comp : component) : plan =
   let ports = ports_of comp in
   let id = Ports.id ports in
   let slots = Ports.count ports in
@@ -49,85 +56,65 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
     Array.init (max slots 1) (fun i ->
         Bitvec.zero (if i < slots then Ports.width_of_id ports i else 1))
   in
-  let compile_atom = function
-    | Lit v -> fun _ -> v
-    | Port p ->
-        let i = id p in
-        fun env -> env.(i)
-  in
-  let rec compile_guard = function
-    | True -> fun _ -> true
-    | Atom a ->
-        let f = compile_atom a in
-        fun env -> Bitvec.is_true (f env)
+  let atom = function Lit v -> RLit v | Port p -> RSlot (id p) in
+  let rec guard = function
+    | True -> RTrue
+    | Atom a -> RAtom (atom a)
     | Cmp (op, a, b) ->
-        let fa = compile_atom a and fb = compile_atom b in
-        let cmp =
-          match op with
-          | Eq -> Bitvec.eq
-          | Neq -> Bitvec.neq
-          | Lt -> Bitvec.lt
-          | Gt -> Bitvec.gt
-          | Le -> Bitvec.le
-          | Ge -> Bitvec.ge
-        in
-        fun env -> Bitvec.is_true (cmp (fa env) (fb env))
+        let a = atom a in
+        RCmp (op, a, atom b)
     | And (g1, g2) ->
-        let f1 = compile_guard g1 and f2 = compile_guard g2 in
-        fun env -> f1 env && f2 env
+        let g1 = guard g1 in
+        RAnd (g1, guard g2)
     | Or (g1, g2) ->
-        let f1 = compile_guard g1 and f2 = compile_guard g2 in
-        fun env -> f1 env || f2 env
-    | Not g ->
-        let f = compile_guard g in
-        fun env -> not (f env)
+        let g1 = guard g1 in
+        ROr (g1, guard g2)
+    | Not g -> RNot (guard g)
   in
-  let compile_assign a =
-    {
-      ca_dst = id a.dst;
-      ca_guard = compile_guard a.guard;
-      ca_src = compile_atom a.src;
-      ca_reads =
-        List.filter_map
-          (function Port p -> Some (id p) | Lit _ -> None)
-          (assignment_atoms a);
-      ca_text = lazy (Format.asprintf "%a" Printer.pp_assignment a);
-      ca_ast = a;
-    }
+  let resolve a =
+    let ra_src = atom a.src in
+    let ra_guard = guard a.guard in
+    { ra_dst = id a.dst; ra_guard; ra_src; ra_ast = a }
   in
-  let prims = ref [] in
-  let children = ref [] in
+  let signature_slots dir sub cell =
+    List.filter_map
+      (fun pd ->
+        if pd.pd_dir = dir then
+          Some (pd.pd_name, id (Cell_port (cell, pd.pd_name)))
+        else None)
+      (signature_ports sub)
+  in
+  let prims = ref [] and children = ref [] and cells = ref [] in
+  let nprims = ref 0 and nchildren = ref 0 in
+  let add_prim pp =
+    cells := Prim_cell !nprims :: !cells;
+    incr nprims;
+    prims := pp :: !prims
+  in
   List.iter
     (fun c ->
       match c.cell_proto with
       | Prim (name, params) ->
           let cports = Ports.proto_ports ports c.cell_proto in
-          let ins =
+          let slots_of dir =
             List.filter_map
               (fun (p, _, d) ->
-                if d = Input then Some (p, id (Cell_port (c.cell_name, p)))
+                if d = dir then Some (p, id (Cell_port (c.cell_name, p)))
                 else None)
               cports
           in
-          let outs =
-            List.filter_map
-              (fun (p, _, d) ->
-                if d = Output then Some (p, id (Cell_port (c.cell_name, p)))
-                else None)
-              cports
-          in
-          let pi_state = Prim_state.create name params in
+          let ins = slots_of Input in
+          let outs = slots_of Output in
           let comb = List.map fst (Prims.comb_arcs name params) in
-          prims :=
-            { pi_cell = c.cell_name;
-              pi_state;
-              pi_inputs = ins;
-              pi_outputs = outs;
-              pi_comb_reads =
+          add_prim
+            { pp_cell = c.cell_name;
+              pp_make = (fun () -> Prim_state.create name params);
+              pp_inputs = ins;
+              pp_outputs = outs;
+              pp_comb_reads =
                 List.filter_map
                   (fun (p, slot) -> if List.mem p comb then Some slot else None)
                   ins }
-            :: !prims
       | Comp name when (find_component ctx name).is_extern <> None -> (
           (* Black-box RTL (Section 6.2): link a registered behavioural
              model, playing the role of the .sv file the real compiler
@@ -140,57 +127,32 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
                 name
           | Some make_state ->
               let sub = find_component ctx name in
-              let ins =
-                List.filter_map
-                  (fun pd ->
-                    if pd.pd_dir = Input then
-                      Some (pd.pd_name, id (Cell_port (c.cell_name, pd.pd_name)))
-                    else None)
-                  (signature_ports sub)
-              in
-              let outs =
-                List.filter_map
-                  (fun pd ->
-                    if pd.pd_dir = Output then
-                      Some (pd.pd_name, id (Cell_port (c.cell_name, pd.pd_name)))
-                    else None)
-                  (signature_ports sub)
-              in
-              prims :=
-                { pi_cell = c.cell_name; pi_state = make_state ();
-                  pi_inputs = ins; pi_outputs = outs;
-                  pi_comb_reads = List.map snd ins }
-                :: !prims)
+              let ins = signature_slots Input sub c.cell_name in
+              let outs = signature_slots Output sub c.cell_name in
+              add_prim
+                { pp_cell = c.cell_name; pp_make = make_state;
+                  pp_inputs = ins; pp_outputs = outs;
+                  pp_comb_reads = List.map snd ins })
       | Comp name ->
-          let sub = find_component ctx name in
-          let child_path =
-            if path = "" then c.cell_name else path ^ "." ^ c.cell_name
-          in
-          let inst =
-            build ~externs ~engine ~max_iters ~path:child_path ~ports_of ctx sub
-          in
-          let input_map =
+          let sub = plan_of (find_component ctx name) in
+          let cp_input_map =
             List.map
               (fun (p, slot) -> (id (Cell_port (c.cell_name, p)), slot))
-              inst.i_input_slots
+              sub.p_input_slots
           in
-          let output_map =
+          let cp_output_map =
             List.map
               (fun (p, slot) -> (slot, id (Cell_port (c.cell_name, p))))
-              inst.i_output_slots
+              sub.p_output_slots
           in
+          cells := Child_cell !nchildren :: !cells;
+          incr nchildren;
           children :=
-            ( c.cell_name,
-              {
-                c_inst = inst;
-                c_input_map = Array.of_list input_map;
-                c_output_map = Array.of_list output_map;
-                c_done_parent_slot = id (Cell_port (c.cell_name, "done"));
-                c_buf =
-                  Array.of_list
-                    (List.map (fun (_, cslot) -> inst.i_zeros.(cslot)) input_map);
-                c_buf_valid = false;
-              } )
+            { cp_cell = c.cell_name;
+              cp_plan = sub;
+              cp_input_map = Array.of_list cp_input_map;
+              cp_output_map = Array.of_list cp_output_map;
+              cp_done_slot = id (Cell_port (c.cell_name, "done")) }
             :: !children)
     comp.cells;
   let groups = Array.of_list comp.groups in
@@ -211,8 +173,8 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
       (fun i g ->
         let dones, datas =
           List.partition
-            (fun ca -> ca.ca_dst = group_done.(i))
-            (List.map compile_assign g.assigns)
+            (fun ra -> ra.ra_dst = group_done.(i))
+            (List.map resolve g.assigns)
         in
         (Array.of_list dones, Array.of_list datas))
       groups
@@ -223,56 +185,92 @@ let rec build ?(externs : (string * (unit -> Prim_state.t)) list = [])
   let output_slots =
     List.map (fun pd -> (pd.pd_name, id (This pd.pd_name))) comp.outputs
   in
+  let ictrl = annotate ~group comp.control in
+  let go_slot = List.assoc "go" input_slots in
+  let group_go = hole_slots "go" in
+  let continuous = Array.of_list (List.map resolve comp.continuous) in
+  {
+    p_comp = comp;
+    p_ports = ports;
+    p_slots = slots;
+    p_zeros = zeros;
+    p_cells = Array.of_list (List.rev !cells);
+    p_prims = Array.of_list (List.rev !prims);
+    p_children = Array.of_list (List.rev !children);
+    p_continuous = continuous;
+    p_groups = groups;
+    p_group_assigns = group_assigns;
+    p_group_go = group_go;
+    p_group_done = group_done;
+    p_input_slots = input_slots;
+    p_go_slot = go_slot;
+    p_output_slots = output_slots;
+    p_structured = comp.control <> Empty;
+    p_ictrl = ictrl;
+  }
+
+(* One instance of a planned component: its own values, primitive states
+   and children, in cell order, and under the compiled engine its node
+   closures, staged from the component's engine plan ([compiled_of]). *)
+let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
+  let prims = ref [] and children = ref [] in
+  Array.iter
+    (function
+      | Prim_cell p -> prims := plan.p_prims.(p).pp_make () :: !prims
+      | Child_cell c ->
+          let cp = plan.p_children.(c) in
+          let child_path =
+            if path = "" then cp.cp_cell else path ^ "." ^ cp.cp_cell
+          in
+          let inst =
+            instantiate ~engine ~max_iters ~compiled_of ~path:child_path
+              cp.cp_plan
+          in
+          let czeros = cp.cp_plan.p_zeros in
+          children :=
+            { c_plan = cp;
+              c_inst = inst;
+              c_buf = Array.map (fun (_, cslot) -> czeros.(cslot)) cp.cp_input_map;
+              c_buf_valid = false }
+            :: !children)
+    plan.p_cells;
   let inst =
     {
-      i_comp = comp;
+      i_plan = plan;
       i_path = path;
-      i_slots = slots;
-      i_zeros = zeros;
-      i_env = Array.copy zeros;
-      i_next = Array.copy zeros;
+      i_env = Array.copy plan.p_zeros;
+      i_next = Array.copy plan.p_zeros;
       i_prims = Array.of_list (List.rev !prims);
       i_children = Array.of_list (List.rev !children);
-      i_continuous = Array.of_list (List.map compile_assign comp.continuous);
-      i_groups = groups;
-      i_group_assigns = group_assigns;
-      i_group_go = hole_slots "go";
-      i_group_done = group_done;
-      i_input_slots = input_slots;
-      i_go_slot = List.assoc "go" input_slots;
-      i_output_slots = output_slots;
-      i_ports = ports;
-      i_structured = comp.control <> Empty;
-      i_ictrl = annotate ~group comp.control;
       i_ctrl = CDone;
       i_running = false;
       i_done_reg = false;
       i_iters_cycle = 0;
       i_max_iters = max_iters;
       i_gen = 0;
-      i_drv_gen = Array.make (max slots 1) 0;
-      i_drv_val = Array.copy zeros;
-      i_drv_text = Array.make (max slots 1) (lazy "");
+      i_drivers = None;
       i_compiled = None;
     }
   in
-  if engine = `Compiled then inst.i_compiled <- Some (Compiled.compile inst);
+  if engine = `Compiled then
+    inst.i_compiled <- Some (Compiled.compile (compiled_of plan) inst);
   inst
 
 (* ------------------------------------------------------------------ *)
 (* The fixpoint reference engine                                       *)
 (* ------------------------------------------------------------------ *)
 
-let prim_reader env (pi : prim_inst) name =
-  match List.assoc_opt name pi.pi_inputs with
+let prim_reader env (pp : prim_plan) name =
+  match List.assoc_opt name pp.pp_inputs with
   | Some slot -> env.(slot)
   | None ->
       (* Reading an output during commit (never happens) or a missing port. *)
       raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
 
 let rec eval_comb inst (inputs : Bitvec.t array) =
-  (* [inputs] is indexed in the order of [i_input_slots]. *)
-  let n = inst.i_slots in
+  (* [inputs] is indexed in the order of [p_input_slots]. *)
+  let plan = inst.i_plan in
+  let n = plan.p_slots in
   let changed = ref true in
   let iters = ref 0 in
   while !changed do
@@ -281,33 +279,34 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
       raise
         (Unstable_msg
            (Printf.sprintf "component %s: combinational fixpoint diverged"
-              inst.i_comp.comp_name));
+              plan.p_comp.comp_name));
     changed := false;
     let old = inst.i_env and next = inst.i_next in
-    Array.blit inst.i_zeros 0 next 0 n;
+    Array.blit plan.p_zeros 0 next 0 n;
     (* Component inputs. *)
     List.iteri
       (fun i (_, slot) -> next.(slot) <- inputs.(i))
-      inst.i_input_slots;
+      plan.p_input_slots;
     (* go holes of active groups. *)
-    let go = Bitvec.is_true next.(inst.i_go_slot) in
+    let go = Bitvec.is_true next.(plan.p_go_slot) in
     let actives = active_groups inst ~go in
     let group_live (g, gated) =
       (not gated)
-      || not (Bitvec.is_true old.(inst.i_group_done.(g)))
+      || not (Bitvec.is_true old.(plan.p_group_done.(g)))
     in
     List.iter
       (fun ((g, _) as entry) ->
-        next.(inst.i_group_go.(g)) <-
+        next.(plan.p_group_go.(g)) <-
           (if group_live entry then Bitvec.one 1 else Bitvec.zero 1))
       actives;
     (* Primitive outputs, from the previous iteration's inputs. *)
-    Array.iter
-      (fun pi ->
-        let outs = Prim_state.outputs pi.pi_state ~read:(prim_reader old pi) in
+    Array.iteri
+      (fun p state ->
+        let pp = plan.p_prims.(p) in
+        let outs = Prim_state.outputs state ~read:(prim_reader old pp) in
         List.iter
-          (fun (p, v) ->
-            match List.assoc_opt p pi.pi_outputs with
+          (fun (q, v) ->
+            match List.assoc_opt q pp.pp_outputs with
             | Some slot -> next.(slot) <- v
             | None -> ())
           outs)
@@ -315,7 +314,8 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
     (* Child component outputs. The input buffer is reused across
        iterations; an iteration that leaves it unchanged skips the child. *)
     Array.iter
-      (fun (_, ch) ->
+      (fun ch ->
+        let cp = ch.c_plan in
         let recompute = ref (not ch.c_buf_valid) in
         Array.iteri
           (fun i (pslot, _) ->
@@ -324,27 +324,28 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
               ch.c_buf.(i) <- v;
               recompute := true
             end)
-          ch.c_input_map;
+          cp.cp_input_map;
         if !recompute then begin
           eval_comb ch.c_inst ch.c_buf;
           ch.c_buf_valid <- true
         end;
         Array.iter
           (fun (cslot, pslot) -> next.(pslot) <- ch.c_inst.i_env.(cslot))
-          ch.c_output_map;
+          cp.cp_output_map;
         (* Structured children report a registered done. *)
-        if ch.c_inst.i_structured then
-          next.(ch.c_done_parent_slot) <-
+        if cp.cp_plan.p_structured then
+          next.(cp.cp_done_slot) <-
             (if ch.c_inst.i_done_reg then Bitvec.one 1 else Bitvec.zero 1))
       inst.i_children;
     (* Active assignments, reading the previous iteration. *)
-    let run_assign ca =
-      if ca.ca_guard old then next.(ca.ca_dst) <- ca.ca_src old
+    let run_assign ra =
+      if guard_holds old ra.ra_guard then
+        next.(ra.ra_dst) <- atom_value old ra.ra_src
     in
-    Array.iter run_assign inst.i_continuous;
+    Array.iter run_assign plan.p_continuous;
     List.iter
       (fun ((g, _) as entry) ->
-        let dones, datas = inst.i_group_assigns.(g) in
+        let dones, datas = plan.p_group_assigns.(g) in
         Array.iter run_assign dones;
         if group_live entry then Array.iter run_assign datas)
       actives;
@@ -379,20 +380,22 @@ let rec commit ~now ~csink inst =
         | Some _ -> commit ~now ~csink)
   | None ->
       (* Primitive state updates. *)
-      Array.iter
-        (fun pi -> Prim_state.commit pi.pi_state ~read:(prim_reader env pi))
+      Array.iteri
+        (fun p state ->
+          Prim_state.commit state ~read:(prim_reader env inst.i_plan.p_prims.(p)))
         inst.i_prims;
       (* Child updates (their env is consistent with the converged parent
          env). *)
       Array.iter
-        (fun (_, ch) ->
+        (fun ch ->
           commit ~now ~csink ch.c_inst;
           ch.c_buf_valid <- false)
         inst.i_children);
   (* Control lifecycle. The emit closures are only materialized when a
      control sink is attached — on the hot no-sink path every instance
      would otherwise allocate them at every clock edge. *)
-  if inst.i_structured then begin
+  let plan = inst.i_plan in
+  if plan.p_structured then begin
     (* Control that starts because [go] rose was already active during this
        cycle (effective_ctrl runs it speculatively), so its enters carry
        [now]. A node reached by advancement only begins executing next
@@ -419,15 +422,15 @@ let rec commit ~now ~csink inst =
               | Ctrl_enter -> emit_next phase id
               | Ctrl_exit | Ctrl_branch _ -> emit_start phase id )
     in
-    let go = Bitvec.is_true env.(inst.i_go_slot) in
+    let go = Bitvec.is_true env.(plan.p_go_slot) in
     if (not inst.i_running) && go then begin
       inst.i_running <- true;
-      inst.i_ctrl <- cstart ~emit:emit_start inst.i_ictrl
+      inst.i_ctrl <- cstart ~emit:emit_start plan.p_ictrl
     end;
     if inst.i_running then begin
-      let group_done g = Bitvec.is_true env.(inst.i_group_done.(g)) in
+      let group_done g = Bitvec.is_true env.(plan.p_group_done.(g)) in
       let port_true p =
-        Bitvec.is_true env.(Ports.id inst.i_ports p)
+        Bitvec.is_true env.(Ports.id plan.p_ports p)
       in
       inst.i_ctrl <- cadvance ~emit:emit_adv inst.i_ctrl ~group_done ~port_true;
       if inst.i_ctrl = CDone then begin
@@ -472,7 +475,7 @@ type sink = event -> unit
 
 type t = {
   root : instance;
-  inputs : Bitvec.t array;  (* indexed like root.i_input_slots *)
+  inputs : Bitvec.t array;  (* indexed like the root's p_input_slots *)
   mutable finished : bool;
   mutable cycles : int;  (* clock edges since creation *)
   mutable sink : sink option;
@@ -482,13 +485,35 @@ type t = {
   done_slot : int option;  (* the root's [done] output *)
 }
 
-let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
-    =
+(* The plans are memoized per component inside one build: every instance
+   of a component shares them, and nothing outlives the [Sim.t], so
+   simulations built on different domains share no state. *)
+let create ?(externs = []) ?(engine = default_engine)
+    ?(max_fixpoint_iters = 1000) ctx =
   Tele.Trace.with_span ~cat:"stage" "sim-build" @@ fun () ->
   let comp = entry ctx in
+  let ports_of = Ports.tables ctx in
+  let plans = Hashtbl.create 8 and compiled = Hashtbl.create 8 in
+  let rec plan_of comp =
+    match Hashtbl.find_opt plans comp.comp_name with
+    | Some plan -> plan
+    | None ->
+        let plan = plan_component ~externs ~ports_of ~plan_of ctx comp in
+        Hashtbl.replace plans comp.comp_name plan;
+        plan
+  in
+  let compiled_of plan =
+    let name = plan.p_comp.comp_name in
+    match Hashtbl.find_opt compiled name with
+    | Some cp -> cp
+    | None ->
+        let cp = Compiled.plan plan in
+        Hashtbl.replace compiled name cp;
+        cp
+  in
   let root =
-    build ?externs ~engine ~max_iters:max_fixpoint_iters ~path:""
-      ~ports_of:(Ports.tables ctx) ctx comp
+    instantiate ~engine ~max_iters:max_fixpoint_iters ~compiled_of ~path:""
+      (plan_of comp)
   in
   let inputs =
     Array.of_list
@@ -496,7 +521,7 @@ let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
          (fun (name, _) ->
            Bitvec.zero
              (List.find (fun pd -> pd.pd_name = name) comp.inputs).pd_width)
-         root.i_input_slots)
+         root.i_plan.p_input_slots)
   in
   {
     root;
@@ -506,7 +531,7 @@ let create ?externs ?(engine = default_engine) ?(max_fixpoint_iters = 1000) ctx
     sink = None;
     ctrl_sink = None;
     probes = None;
-    done_slot = List.assoc_opt "done" root.i_output_slots;
+    done_slot = List.assoc_opt "done" root.i_plan.p_output_slots;
   }
 
 (* Flattened views of the instance hierarchy. Instance paths are dotted
@@ -519,9 +544,10 @@ let build_probes t =
   let rec walk prefix inst acc =
     let inst_path = strip_prefix prefix in
     let acc = ref acc in
-    for slot = 0 to inst.i_slots - 1 do
+    let plan = inst.i_plan in
+    for slot = 0 to plan.p_slots - 1 do
       let kind, local =
-        match Ports.port inst.i_ports slot with
+        match Ports.port plan.p_ports slot with
         | This n -> (Sig_this n, n)
         | Hole (g, h) -> (Sig_hole (g, h), g ^ "." ^ h)
         | Cell_port (c, q) -> (Sig_cell (c, q), c ^ "." ^ q)
@@ -529,7 +555,7 @@ let build_probes t =
       acc :=
         ( {
             sig_path = prefix ^ local;
-            sig_width = Bitvec.width inst.i_zeros.(slot);
+            sig_width = Bitvec.width plan.p_zeros.(slot);
             sig_instance = inst_path;
             sig_kind = kind;
           },
@@ -537,7 +563,7 @@ let build_probes t =
         :: !acc
     done;
     Array.fold_left
-      (fun acc (name, ch) -> walk (prefix ^ name ^ ".") ch.c_inst acc)
+      (fun acc ch -> walk (prefix ^ ch.c_plan.cp_cell ^ ".") ch.c_inst acc)
       !acc inst.i_children
   in
   let entries = List.rev (walk "" t.root []) in
@@ -555,9 +581,9 @@ let signals t = fst (probes t)
 
 let instances t =
   let rec walk prefix inst acc =
-    let acc = (strip_prefix prefix, inst.i_comp.comp_name) :: acc in
+    let acc = (strip_prefix prefix, inst.i_plan.p_comp.comp_name) :: acc in
     Array.fold_left
-      (fun acc (name, ch) -> walk (prefix ^ name ^ ".") ch.c_inst acc)
+      (fun acc ch -> walk (prefix ^ ch.c_plan.cp_cell ^ ".") ch.c_inst acc)
       acc inst.i_children
   in
   List.rev (walk "" t.root [])
@@ -600,28 +626,29 @@ let capture_values t =
   let _, slots = probes t in
   Array.map (fun (inst, slot) -> inst.i_env.(slot)) slots
 
-let instance_go inst = Bitvec.is_true inst.i_env.(inst.i_go_slot)
+let instance_go inst = Bitvec.is_true inst.i_env.(inst.i_plan.p_go_slot)
 
 let collect_active t =
   let rec walk prefix inst acc =
     let acc =
-      if not inst.i_structured then acc
+      if not inst.i_plan.p_structured then acc
       else
         let inst_path = strip_prefix prefix in
         List.fold_left
-          (fun acc (g, _) -> (inst_path, inst.i_groups.(g).group_name) :: acc)
+          (fun acc (g, _) ->
+            (inst_path, inst.i_plan.p_groups.(g).group_name) :: acc)
           acc
           (active_groups inst ~go:(instance_go inst))
     in
     Array.fold_left
-      (fun acc (name, ch) -> walk (prefix ^ name ^ ".") ch.c_inst acc)
+      (fun acc ch -> walk (prefix ^ ch.c_plan.cp_cell ^ ".") ch.c_inst acc)
       acc inst.i_children
   in
   List.rev (walk "" t.root [])
 
 let rec total_iters inst =
   Array.fold_left
-    (fun acc (_, ch) -> acc + total_iters ch.c_inst)
+    (fun acc ch -> acc + total_iters ch.c_inst)
     inst.i_iters_cycle inst.i_children
 
 (* ------------------------------------------------------------------ *)
@@ -631,7 +658,7 @@ let rec total_iters inst =
 let cstate_to_string inst =
   let rec str = function
     | CDone -> "done"
-    | CEnable (_, g) -> inst.i_groups.(g).group_name
+    | CEnable (_, g) -> inst.i_plan.p_groups.(g).group_name
     | CSeq (_, s, rest) -> (
         match List.length rest with
         | 0 -> Printf.sprintf "seq(%s)" (str s)
@@ -657,16 +684,17 @@ let status t =
   add "simulation state after %d cycles:" t.cycles;
   let rec walk path inst =
     let name = if path = "" then "<entry>" else path in
-    if inst.i_structured then begin
+    let plan = inst.i_plan in
+    if plan.p_structured then begin
       let state =
         if inst.i_running then "running " ^ cstate_to_string inst
         else if inst.i_done_reg then "presenting done"
         else "idle"
       in
-      add "  %s (component %s): %s" name inst.i_comp.comp_name state;
+      add "  %s (component %s): %s" name plan.p_comp.comp_name state;
       List.iter
         (fun (g, _) ->
-          let g = inst.i_groups.(g) in
+          let g = plan.p_groups.(g) in
           List.iter
             (fun a ->
               if equal_port_ref a.dst (Hole (g.group_name, "done")) then
@@ -676,27 +704,26 @@ let status t =
         (active_groups inst ~go:(instance_go inst))
     end
     else begin
-      add "  %s (component %s): flat netlist" name inst.i_comp.comp_name;
+      add "  %s (component %s): flat netlist" name plan.p_comp.comp_name;
       List.iter
         (fun a ->
           if equal_port_ref a.dst (This "done") then
             add "    done wiring: %s"
               (Format.asprintf "%a" Printer.pp_assignment a))
-        inst.i_comp.continuous;
-      Array.iter
-        (fun pi ->
-          if
-            String.length pi.pi_cell >= 3
-            && String.sub pi.pi_cell 0 3 = "fsm"
-          then
+        plan.p_comp.continuous;
+      Array.iteri
+        (fun p state ->
+          let cell = plan.p_prims.(p).pp_cell in
+          if String.length cell >= 3 && String.sub cell 0 3 = "fsm" then
             try
-              add "    fsm register %s = %s" pi.pi_cell
-                (Bitvec.to_string (Prim_state.get_register pi.pi_state))
+              add "    fsm register %s = %s" cell
+                (Bitvec.to_string (Prim_state.get_register state))
             with Prim_state.Sim_error _ -> ())
         inst.i_prims
     end;
     Array.iter
-      (fun (n, ch) ->
+      (fun ch ->
+        let n = ch.c_plan.cp_cell in
         walk (if path = "" then n else path ^ "." ^ n) ch.c_inst)
       inst.i_children
   in
@@ -709,12 +736,12 @@ let set_input t name v =
     | (n, _) :: _ when String.equal n name -> t.inputs.(i) <- v
     | _ :: rest -> go (i + 1) rest
   in
-  go 0 t.root.i_input_slots
+  go 0 t.root.i_plan.p_input_slots
 
 let read_output t name =
-  match List.assoc_opt name t.root.i_output_slots with
+  match List.assoc_opt name t.root.i_plan.p_output_slots with
   | Some slot ->
-      if String.equal name "done" && t.root.i_structured then
+      if String.equal name "done" && t.root.i_plan.p_structured then
         if t.root.i_done_reg then Bitvec.one 1 else Bitvec.zero 1
       else t.root.i_env.(slot)
   | None -> ir_error "no output port %s" name
@@ -733,7 +760,7 @@ let compiled_plan t =
         (match inst.i_compiled with
         | Some x -> Buffer.add_string buf (Lazy.force x.x_plan)
         | None -> ());
-        Array.iter (fun (_, ch) -> walk ch.c_inst) inst.i_children
+        Array.iter (fun ch -> walk ch.c_inst) inst.i_children
       in
       walk t.root;
       Some (Buffer.contents buf)
@@ -761,7 +788,7 @@ let cycle t =
           ev_iters = total_iters t.root;
         });
   let flat_done =
-    (not t.root.i_structured)
+    (not t.root.i_plan.p_structured)
     &&
     match t.done_slot with
     | Some s -> Bitvec.is_true t.root.i_env.(s)
@@ -769,7 +796,7 @@ let cycle t =
   in
   commit ~now:t.cycles ~csink:t.ctrl_sink t.root;
   let structured_done =
-    t.root.i_structured && t.root.i_done_reg
+    t.root.i_plan.p_structured && t.root.i_done_reg
   in
   if flat_done || structured_done then t.finished <- true;
   t.cycles <- t.cycles + 1
@@ -801,8 +828,8 @@ let rec resolve_prim inst path =
   | None ->
       let rec find p =
         if p >= Array.length inst.i_prims then
-          ir_error "no primitive cell %s in %s" path inst.i_comp.comp_name
-        else if String.equal inst.i_prims.(p).pi_cell path then (inst, p)
+          ir_error "no primitive cell %s in %s" path inst.i_plan.p_comp.comp_name
+        else if String.equal inst.i_plan.p_prims.(p).pp_cell path then (inst, p)
         else find (p + 1)
       in
       find 0
@@ -811,14 +838,16 @@ let rec resolve_prim inst path =
       let tl = String.sub path (i + 1) (String.length path - i - 1) in
       let ch =
         match
-          Array.find_opt (fun (n, _) -> String.equal n hd) inst.i_children
+          Array.find_opt
+            (fun ch -> String.equal ch.c_plan.cp_cell hd)
+            inst.i_children
         with
-        | Some (_, ch) -> ch
+        | Some ch -> ch
         | None -> ir_error "no child instance %s" hd
       in
       resolve_prim ch.c_inst tl
 
-let prim_state_at (inst, p) = inst.i_prims.(p).pi_state
+let prim_state_at (inst, p) = inst.i_prims.(p)
 
 (* A test-bench write changed primitive state behind the compiled engine's
    back; it re-marks the primitive so the next settle re-reads its
@@ -855,7 +884,7 @@ let external_memories t =
   List.filter_map
     (fun c ->
       if Attrs.external_mem c.cell_attrs then Some c.cell_name else None)
-    t.root.i_comp.cells
+    t.root.i_plan.p_comp.cells
 
 (* ------------------------------------------------------------------ *)
 (* Engine differential                                                 *)

@@ -1450,9 +1450,10 @@ let finalize d =
   let slots rs = List.sort_uniq compare (List.map slot rs) in
   let procs = Array.of_list (List.rev d.rev_procs) in
   d.sched <-
-    Sched.build ~slots:nslots
-      ~nodes:
-        (Array.map (fun p -> (slots p.pr_reads, [], slots p.pr_writes)) procs);
+    Sched.create
+      (Sched.build ~slots:nslots
+         ~nodes:
+           (Array.map (fun p -> (slots p.pr_reads, [], slots p.pr_writes)) procs));
   let runs = Array.map (fun p -> p.pr_run) procs in
   d.eval <- (fun k -> runs.(k) ());
   let ffs = Array.of_list (List.rev d.rev_ffs) in
@@ -1513,7 +1514,7 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
       ff_targets = Hashtbl.create 64;
       rev_procs = [];
       rev_ffs = [];
-      sched = Sched.build ~slots:0 ~nodes:[||];
+      sched = Sched.create (Sched.build ~slots:0 ~nodes:[||]);
       eval = ignore;
       root = [||];
       fwd = [||];
@@ -1745,4 +1746,5 @@ let write_memory d path values =
     values;
   defer d (d.nnets + a.a_id)
 
-let stats d = (d.nnets, Sched.node_count d.sched + Array.length d.ffs)
+let stats d =
+  (d.nnets, Sched.node_count (Sched.topology d.sched) + Array.length d.ffs)

@@ -44,7 +44,7 @@ let test_levels () =
 (* Dirty-set evaluation over the diamond: each acyclic node evaluates at
    most once per settle, and evaluation order respects levels. *)
 let test_dirty_order () =
-  let g = diamond () in
+  let g = Sched.create (diamond ()) in
   Sched.mark_all g;
   let order = ref [] in
   let n = Sched.run g ~eval:(fun k -> order := k :: !order) ~max_passes:10 in
@@ -81,6 +81,7 @@ let test_cycle_converges () =
   Alcotest.(check bool) "reader acyclic" false (Sched.cyclic g 2);
   Alcotest.(check bool) "reader downstream" true
     (Sched.level g 2 > Sched.level g 0);
+  let g = Sched.create g in
   (* max-propagation to a fixed point: a = max(a, b), b = max(a, b). *)
   let slots = [| 5; 3; 0 |] in
   let eval k =
@@ -108,7 +109,10 @@ let test_cycle_converges () =
 
 (* A cycle whose members re-mark each other forever must trip the budget. *)
 let test_cycle_diverges () =
-  let g = Sched.build ~slots:2 ~nodes:[| ([ 1 ], [], [ 0 ]); ([ 0 ], [], [ 1 ]) |] in
+  let g =
+    Sched.create
+      (Sched.build ~slots:2 ~nodes:[| ([ 1 ], [], [ 0 ]); ([ 0 ], [], [ 1 ]) |])
+  in
   Sched.mark_all g;
   Alcotest.check_raises "budget exceeded" Sched.Diverged (fun () ->
       ignore
@@ -126,7 +130,8 @@ let test_self_edge () =
    node without source reads is woken by every read. *)
 let test_source_reads () =
   let g =
-    Sched.build ~slots:2 ~nodes:[| ([ 0 ], [ 1 ], []); ([ 1 ], [], []) |]
+    Sched.create
+      (Sched.build ~slots:2 ~nodes:[| ([ 0 ], [ 1 ], []); ([ 1 ], [], []) |])
   in
   let settle () = Sched.run g ~eval:(fun _ -> ()) ~max_passes:10 in
   Sched.mark_slot g 1;
