@@ -10,22 +10,17 @@ open Instance
 module Tele = Calyx_telemetry
 
 (* One graph node per primitive, child instance, group go hole, and
-   assignment. Prim/child nodes push their outputs into the per-slot [base]
-   value; assignment nodes compute liveness + value; go nodes compute the
-   go hole from the active-entry list. Nodes are numbered primitives
-   first, then children, go holes and assignments. *)
-type snode =
-  | NPrim of int  (* index into p_prims *)
-  | NChild of int  (* index into p_children *)
-  | NGo of int  (* group index *)
-  | NAssign of int  (* index into c_assigns *)
+   assignment, numbered in that order: primitive [p] is node [p], child
+   [c] node [np + c], group [g]'s go hole node [np + nc + g], and
+   assignment [a] node [np + nc + ng + a]. Prim/child nodes push their
+   outputs into the per-slot [base] value; assignment nodes compute
+   liveness + value; go nodes compute the go hole from the active-entry
+   list. *)
 
 (* A guard partially evaluated against the component: constants fold to
-   always/never; the rest is a guard over the instance's env whose
-   comparisons all have equal widths ([SExact], read by [holds]), or one
-   with a width mismatch ([SChecked], read by [guard_holds], which raises
-   Width_error at run time as the reference engine does). *)
-type sguard = SConst of bool | SExact of rguard | SChecked of rguard
+   always/never, the rest is a function of an instance's env, shared by
+   every instance. *)
+type sguard = SConst of bool | SFun of (Bitvec.t array -> bool)
 
 (* How an assignment node drives its slot. *)
 type drive =
@@ -40,14 +35,13 @@ type sassign = {
   sa_group : int;  (* -1 for continuous assignments *)
   sa_data : bool;  (* a group data assignment (gated while done reads 1) *)
   sa_guard : sguard;
-  sa_drive : drive;
+  mutable sa_drive : drive;  (* set once, when the plan is built *)
 }
 
 (* Everything about the engine that depends only on the component, built
    once per component and shared by its instances. *)
 type plan = {
   c_topo : Sched.topo;
-  c_nodes : snode array;
   c_assigns : sassign array;  (* in the reference engine's scan order *)
   c_writers : int array array;
       (* slot -> indices into c_assigns that statically target it, in the
@@ -132,30 +126,6 @@ let refresh_entries cp inst st =
     done
   end
 
-(* An unsigned comparison of two payloads: bitvec payloads are masked, so
-   for operands of equal width it is the comparison of the values. *)
-let compare_int64 op x y =
-  match op with
-  | Eq -> Int64.equal x y
-  | Neq -> not (Int64.equal x y)
-  | Lt -> Int64.unsigned_compare x y < 0
-  | Gt -> Int64.unsigned_compare x y > 0
-  | Le -> Int64.unsigned_compare x y <= 0
-  | Ge -> Int64.unsigned_compare x y >= 0
-
-(* [guard_holds] for a guard whose comparisons have equal widths: payload
-   compares, no width checks, no allocation. *)
-let rec holds env = function
-  | RTrue -> true
-  | RAtom a -> Bitvec.is_true (atom_value env a)
-  | RCmp (op, a, b) ->
-      compare_int64 op
-        (Bitvec.to_int64 (atom_value env a))
-        (Bitvec.to_int64 (atom_value env b))
-  | RAnd (g1, g2) -> holds env g1 && holds env g2
-  | ROr (g1, g2) -> holds env g1 || holds env g2
-  | RNot g -> not (holds env g)
-
 (* [f] on each slot a guard reads, left to right. *)
 let rec guard_iter f = function
   | RTrue | RAtom (RLit _) -> ()
@@ -178,51 +148,62 @@ let rec guard_reads s = function
   | RAnd (g1, g2) | ROr (g1, g2) -> guard_reads s g1 || guard_reads s g2
   | RNot g -> guard_reads s g
 
-(* Partial evaluation of a guard: constant subterms fold away, and a
-   comparison of atoms of different widths makes the whole guard
-   [SChecked]. *)
-let stage_guard zeros g =
-  let exception Bail in
-  let width = function
-    | RLit v -> Bitvec.width v
-    | RSlot i -> Bitvec.width zeros.(i)
-  in
-  (* Never [SChecked]: a width mismatch raises [Bail]. *)
-  let rec go g =
-    match g with
-    | RTrue -> SConst true
-    | RAtom (RLit v) -> SConst (Bitvec.is_true v)
-    | RAtom (RSlot _) -> SExact g
-    | RCmp (op, a, b) -> (
-        if width a <> width b then raise Bail;
-        match (a, b) with
-        | RLit x, RLit y ->
-            SConst (compare_int64 op (Bitvec.to_int64 x) (Bitvec.to_int64 y))
-        | _ -> SExact g)
-    | RAnd (g1, g2) -> (
-        match (go g1, go g2) with
-        | SConst false, _ | _, SConst false -> SConst false
-        | SConst true, s | s, SConst true -> s
-        | SExact t1, SExact t2 ->
-            SExact (if t1 == g1 && t2 == g2 then g else RAnd (t1, t2))
-        | SChecked _, _ | _, SChecked _ -> raise Bail)
-    | ROr (g1, g2) -> (
-        match (go g1, go g2) with
-        | SConst true, _ | _, SConst true -> SConst true
-        | SConst false, s | s, SConst false -> s
-        | SExact t1, SExact t2 ->
-            SExact (if t1 == g1 && t2 == g2 then g else ROr (t1, t2))
-        | SChecked _, _ | _, SChecked _ -> raise Bail)
-    | RNot g1 -> (
-        match go g1 with
-        | SConst b -> SConst (not b)
-        | SExact t1 -> SExact (if t1 == g1 then g else RNot t1)
-        | SChecked _ -> raise Bail)
-  in
-  match go g with s -> s | exception Bail -> SChecked g
+(* Partial evaluation of a guard. Constants fold at build time;
+   comparisons between same-width atoms compile to alloc-free int64
+   compares (bitvec payloads are masked, so unsigned comparison of the
+   raw values is exact). A width mismatch falls back to the reference
+   evaluation, which keeps raising Width_error at run time. *)
+exception Bail
 
-(* The evaluation of a non-constant staged guard. *)
-let evaluator = function SChecked _ -> guard_holds | SConst _ | SExact _ -> holds
+let atom_width zeros = function
+  | RLit v -> Bitvec.width v
+  | RSlot i -> Bitvec.width zeros.(i)
+
+let cmp_i64 = function
+  | Eq -> fun x y -> Int64.equal x y
+  | Neq -> fun x y -> not (Int64.equal x y)
+  | Lt -> fun x y -> Int64.unsigned_compare x y < 0
+  | Gt -> fun x y -> Int64.unsigned_compare x y > 0
+  | Le -> fun x y -> Int64.unsigned_compare x y <= 0
+  | Ge -> fun x y -> Int64.unsigned_compare x y >= 0
+
+let rec fold_guard zeros = function
+  | RTrue -> SConst true
+  | RAtom (RLit v) -> SConst (Bitvec.is_true v)
+  | RAtom (RSlot i) -> SFun (fun env -> Bitvec.is_true env.(i))
+  | RCmp (op, a, b) -> (
+      if atom_width zeros a <> atom_width zeros b then raise Bail;
+      let cmp = cmp_i64 op in
+      match (a, b) with
+      | RLit x, RLit y -> SConst (cmp (Bitvec.to_int64 x) (Bitvec.to_int64 y))
+      | RLit x, RSlot j ->
+          let xv = Bitvec.to_int64 x in
+          SFun (fun env -> cmp xv (Bitvec.to_int64 env.(j)))
+      | RSlot i, RLit y ->
+          let yv = Bitvec.to_int64 y in
+          SFun (fun env -> cmp (Bitvec.to_int64 env.(i)) yv)
+      | RSlot i, RSlot j ->
+          SFun
+            (fun env -> cmp (Bitvec.to_int64 env.(i)) (Bitvec.to_int64 env.(j))))
+  | RAnd (g1, g2) -> (
+      match (fold_guard zeros g1, fold_guard zeros g2) with
+      | SConst false, _ | _, SConst false -> SConst false
+      | SConst true, s | s, SConst true -> s
+      | SFun f1, SFun f2 -> SFun (fun env -> f1 env && f2 env))
+  | ROr (g1, g2) -> (
+      match (fold_guard zeros g1, fold_guard zeros g2) with
+      | SConst true, _ | _, SConst true -> SConst true
+      | SConst false, s | s, SConst false -> s
+      | SFun f1, SFun f2 -> SFun (fun env -> f1 env || f2 env))
+  | RNot g -> (
+      match fold_guard zeros g with
+      | SConst b -> SConst (not b)
+      | SFun f -> SFun (fun env -> not (f env)))
+
+let stage_guard zeros g =
+  match fold_guard zeros g with
+  | s -> s
+  | exception Bail -> SFun (fun env -> guard_holds env g)
 
 (* The graph as text: per level, its acyclic nodes in ascending order,
    then each cyclic component of the level (in ascending order of its
@@ -276,66 +257,83 @@ let render ~label g =
 let plan (ip : Instance.plan) : plan =
   let ngroups = Array.length ip.p_groups in
   let nslots = ip.p_slots in
+  let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
+  let stage group data ra =
+    let guard =
+      match ra.ra_guard with
+      | RTrue -> SConst true
+      | g -> (
+          match stage_guard ip.p_zeros g with
+          | SConst _ as s ->
+              incr fold_guards;
+              s
+          | s -> s)
+    in
+    (match ra.ra_src with RLit _ -> incr fold_consts | RSlot _ -> ());
+    { sa_ra = ra; sa_group = group; sa_data = data; sa_guard = guard;
+      sa_drive = Shared }
+  in
   (* Assignments in the reference engine's static scan order. *)
-  let assigns = ref [] in
-  let add ra group data = assigns := (ra, group, data) :: !assigns in
-  Array.iter (fun ra -> add ra (-1) false) ip.p_continuous;
-  Array.iteri
-    (fun g (dones, datas) ->
-      Array.iter (fun ra -> add ra g false) dones;
-      Array.iter (fun ra -> add ra g true) datas)
-    ip.p_group_assigns;
-  let order = Array.of_list (List.rev !assigns) in
-  let na = Array.length order in
+  let c_assigns =
+    Array.concat
+      (Array.map (stage (-1) false) ip.p_continuous
+      :: List.concat
+           (List.mapi
+              (fun g (dones, datas) ->
+                [ Array.map (stage g false) dones; Array.map (stage g true) datas ])
+              (Array.to_list ip.p_group_assigns)))
+  in
+  let na = Array.length c_assigns in
   let np = Array.length ip.p_prims in
   let nc = Array.length ip.p_children in
-  let n = np + nc + ngroups + na in
   let first_assign = np + nc + ngroups in
-  let nodes = Array.make (max n 1) (NGo 0) in
-  Array.iteri (fun p _ -> nodes.(p) <- NPrim p) ip.p_prims;
-  Array.iteri (fun c _ -> nodes.(np + c) <- NChild c) ip.p_children;
-  for g = 0 to ngroups - 1 do
-    nodes.(np + nc + g) <- NGo g
-  done;
-  Array.iteri (fun ai _ -> nodes.(first_assign + ai) <- NAssign ai) order;
   let edges k ~read ~source ~write =
-    match nodes.(k) with
-    | NPrim p ->
-        let pp = ip.p_prims.(p) in
-        List.iter read pp.pp_comb_reads;
-        List.iter (fun (_, s) -> write s) pp.pp_outputs
-    | NChild c ->
-        let cp = ip.p_children.(c) in
-        Array.iter (fun (s, _) -> read s) cp.cp_input_map;
-        write cp.cp_done_slot;
-        Array.iter (fun (_, s) -> write s) cp.cp_output_map
-    | NGo g ->
-        (* The go hole depends on the done hole through the gating rule. *)
-        read ip.p_group_done.(g);
-        write ip.p_group_go.(g)
-    | NAssign ai ->
-        (* The guard's reads wake the node always, the source's only while
-           it drives. The group done hole gates a data write, so it counts
-           as a guard read. *)
-        let ra, group, data = order.(ai) in
-        if data then read ip.p_group_done.(group);
-        guard_iter read ra.ra_guard;
-        (match ra.ra_src with
-        | RSlot s when not (guard_reads s ra.ra_guard) -> source s
-        | _ -> ());
-        write ra.ra_dst
+    if k < np then begin
+      let pp = ip.p_prims.(k) in
+      List.iter read pp.pp_comb_reads;
+      List.iter (fun (_, s) -> write s) pp.pp_outputs
+    end
+    else if k < np + nc then begin
+      let cp = ip.p_children.(k - np) in
+      Array.iter (fun (s, _) -> read s) cp.cp_input_map;
+      write cp.cp_done_slot;
+      Array.iter (fun (_, s) -> write s) cp.cp_output_map
+    end
+    else if k < first_assign then begin
+      (* The go hole depends on the done hole through the gating rule. *)
+      let g = k - np - nc in
+      read ip.p_group_done.(g);
+      write ip.p_group_go.(g)
+    end
+    else begin
+      (* The guard's reads wake the node always, the source's only while
+         it drives. The group done hole gates a data write, so it counts
+         as a guard read. *)
+      let sa = c_assigns.(k - first_assign) in
+      let ra = sa.sa_ra in
+      if sa.sa_data then read ip.p_group_done.(sa.sa_group);
+      guard_iter read ra.ra_guard;
+      (match ra.ra_src with
+      | RSlot s when not (guard_reads s ra.ra_guard) -> source s
+      | _ -> ());
+      write ra.ra_dst
+    end
   in
-  let topo = Sched.build_with ~slots:nslots ~nodes:n edges in
+  let topo = Sched.build_with ~slots:nslots ~nodes:(first_assign + na) edges in
   let nwriters = Array.make (max nslots 1) 0 in
-  Array.iter (fun (ra, _, _) -> nwriters.(ra.ra_dst) <- nwriters.(ra.ra_dst) + 1) order;
+  Array.iter
+    (fun sa ->
+      let dst = sa.sa_ra.ra_dst in
+      nwriters.(dst) <- nwriters.(dst) + 1)
+    c_assigns;
   let writers = Array.map (fun c -> Array.make c 0) nwriters in
   Array.fill nwriters 0 (Array.length nwriters) 0;
   Array.iteri
-    (fun ai (ra, _, _) ->
-      let dst = ra.ra_dst in
+    (fun ai sa ->
+      let dst = sa.sa_ra.ra_dst in
       writers.(dst).(nwriters.(dst)) <- ai;
       nwriters.(dst) <- nwriters.(dst) + 1)
-    order;
+    c_assigns;
   let has_producer = Array.make (max nslots 1) false in
   List.iter (fun (_, s) -> has_producer.(s) <- true) ip.p_input_slots;
   Array.iter
@@ -347,47 +345,29 @@ let plan (ip : Instance.plan) : plan =
       has_producer.(cp.cp_done_slot) <- true)
     ip.p_children;
   Array.iter (fun s -> has_producer.(s) <- true) ip.p_group_go;
-  let group_lists = Array.init (max ngroups 1) (fun g -> if g < ngroups then [ np + nc + g ] else []) in
-  Array.iteri
-    (fun ai (_, group, _) ->
-      if group >= 0 then
-        group_lists.(group) <- (first_assign + ai) :: group_lists.(group))
-    order;
-  let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
-  let c_assigns =
-    Array.map
-      (fun (ra, group, data) ->
-        let guard =
-          match ra.ra_guard with
-          | RTrue -> SConst true
-          | g -> (
-              match stage_guard ip.p_zeros g with
-              | SConst _ as s ->
-                  incr fold_guards;
-                  s
-              | s -> s)
-        in
-        (match ra.ra_src with RLit _ -> incr fold_consts | RSlot _ -> ());
-        let dst = ra.ra_dst in
-        let drive =
-          if Array.length writers.(dst) = 1 && not has_producer.(dst) then
-            match guard with
-            | SConst false ->
-                incr elided;
-                Elided
-            | SConst true when group < 0 -> (
-                match ra.ra_src with
-                | RLit v ->
-                    incr elided;
-                    Folded v
-                | RSlot _ -> Direct)
-            | _ -> Direct
-          else Shared
-        in
-        { sa_ra = ra; sa_group = group; sa_data = data; sa_guard = guard;
-          sa_drive = drive })
-      order
+  let group_lists =
+    Array.init (max ngroups 1) (fun g -> if g < ngroups then [ np + nc + g ] else [])
   in
+  Array.iteri
+    (fun ai sa ->
+      let dst = sa.sa_ra.ra_dst in
+      if sa.sa_group >= 0 then
+        group_lists.(sa.sa_group) <-
+          (first_assign + ai) :: group_lists.(sa.sa_group);
+      if Array.length writers.(dst) = 1 && not has_producer.(dst) then
+        sa.sa_drive <-
+          (match sa.sa_guard with
+          | SConst false ->
+              incr elided;
+              Elided
+          | SConst true when sa.sa_group < 0 -> (
+              match sa.sa_ra.ra_src with
+              | RLit v ->
+                  incr elided;
+                  Folded v
+              | RSlot _ -> Direct)
+          | _ -> Direct))
+    c_assigns;
   let fold_guards = !fold_guards and fold_consts = !fold_consts
   and elided = !elided in
   let proto_str cell =
@@ -410,16 +390,16 @@ let plan (ip : Instance.plan) : plan =
     | Direct | Shared -> ""
   in
   let label k =
-    match nodes.(k) with
-    | NPrim p ->
-        let pp = ip.p_prims.(p) in
-        Printf.sprintf "prim %s : %s" pp.pp_cell (proto_str pp.pp_cell)
-    | NChild c ->
-        let cp = ip.p_children.(c) in
-        Printf.sprintf "child %s : %s" cp.cp_cell cp.cp_plan.p_comp.comp_name
-    | NGo g -> Printf.sprintf "go %s" ip.p_groups.(g).group_name
-    | NAssign ai ->
-        let sa = c_assigns.(ai) in
+    if k < np then
+      let pp = ip.p_prims.(k) in
+      Printf.sprintf "prim %s : %s" pp.pp_cell (proto_str pp.pp_cell)
+    else if k < np + nc then
+      let cp = ip.p_children.(k - np) in
+      Printf.sprintf "child %s : %s" cp.cp_cell cp.cp_plan.p_comp.comp_name
+    else if k < first_assign then
+      Printf.sprintf "go %s" ip.p_groups.(k - np - nc).group_name
+    else
+        let sa = c_assigns.(k - first_assign) in
         let where =
           if sa.sa_group < 0 then "continuous"
           else
@@ -431,7 +411,6 @@ let plan (ip : Instance.plan) : plan =
   in
   {
     c_topo = topo;
-    c_nodes = nodes;
     c_assigns;
     c_writers = writers;
     c_has_producer = has_producer;
@@ -607,12 +586,11 @@ let compile (cp : plan) inst : compiled =
         (* Single writer, no producer: the slot's value is a pure
            function of drive, so write the env directly. *)
         let z = zeros.(dst) in
-        let holds = evaluator sa.sa_guard in
         match (sched, sa.sa_guard) with
         | None, SConst _ -> fun () -> wr dst (atom_value env src)
-        | None, (SExact g | SChecked g) ->
+        | None, SFun g ->
             fun () ->
-              let d = holds env g in
+              let d = g env in
               blocked.(k) <- not d;
               wr dst (if d then atom_value env src else z)
         | Some on, SConst _ ->
@@ -620,23 +598,22 @@ let compile (cp : plan) inst : compiled =
               let d = on () in
               blocked.(k) <- not d;
               wr dst (if d then atom_value env src else z)
-        | Some on, (SExact g | SChecked g) ->
+        | Some on, SFun g ->
             fun () ->
-              let d = on () && holds env g in
+              let d = on () && g env in
               blocked.(k) <- not d;
               wr dst (if d then atom_value env src else z))
     | Shared ->
         (* Shared slot: maintain this writer's live/value cell — live
            transitions feed the suspect count that gates the conflict
            check — and re-resolve the slot. *)
-        let holds = evaluator sa.sa_guard in
         let drive =
           match (sched, sa.sa_guard) with
           | None, SConst b -> fun () -> b
-          | None, (SExact g | SChecked g) -> fun () -> holds env g
+          | None, SFun g -> fun () -> g env
           | Some on, SConst true -> on
           | Some _, SConst false -> fun () -> false
-          | Some on, (SExact g | SChecked g) -> fun () -> on () && holds env g
+          | Some on, SFun g -> fun () -> on () && g env
         in
         fun () ->
           let d = drive () in
@@ -721,12 +698,13 @@ let compile (cp : plan) inst : compiled =
       | Some w -> w (if ch.c_inst.i_done_reg then one1 else zero1)
       | None -> ()
   in
+  let nc = Array.length ip.p_children in
+  let first_assign = np + nc + ngroups in
   let closure_of k =
-    match cp.c_nodes.(k) with
-    | NPrim p -> build_prim p
-    | NChild c -> build_child c
-    | NGo g -> build_go g
-    | NAssign ai -> build_assign k ai
+    if k < np then build_prim k
+    else if k < np + nc then build_child (k - np)
+    else if k < first_assign then build_go (k - np - nc)
+    else build_assign k (k - first_assign)
   in
   let closures = Array.init (Sched.node_count cp.c_topo) closure_of in
   let eval k = closures.(k) () in

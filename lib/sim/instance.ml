@@ -340,7 +340,7 @@ type instance = {
   i_plan : plan;
   i_path : string;  (* dotted instance path from the entrypoint; root is "" *)
   mutable i_env : Bitvec.t array;
-  mutable i_next : Bitvec.t array;
+  mutable i_next : Bitvec.t array;  (* the fixpoint engine's scratch, made on first use *)
   i_prims : Prim_state.t array;  (* indexed like [p_prims] *)
   i_children : child array;  (* indexed like [p_children] *)
   mutable i_ctrl : cstate;

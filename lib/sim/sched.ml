@@ -274,6 +274,9 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
       List.iter source sources;
       List.iter write writes)
 
+(* The bucket of every acyclic component, which is never pushed to. *)
+let unused = { data = [||]; len = 0 }
+
 let create topo =
   let n = topo.n in
   {
@@ -287,10 +290,9 @@ let create topo =
     acyclic_bucket = Array.init topo.nlevels (fun _ -> vec_make ());
     scc_bucket =
       (* Only a cyclic component is ever queued on its own bucket. *)
-      (let unused = vec_make () in
-       Array.map
-         (fun cyclic -> if cyclic then vec_make () else unused)
-         topo.scc_cyclic);
+      Array.map
+        (fun cyclic -> if cyclic then vec_make () else unused)
+        topo.scc_cyclic;
     dirty = Array.make (max n 1) false;
     pending = Array.make topo.nlevels 0;
     npending = 0;

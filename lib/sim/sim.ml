@@ -84,6 +84,17 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
         else None)
       (signature_ports sub)
   in
+  (* The inputs an output of a primitive reads within one cycle, per
+     prototype. *)
+  let comb_inputs = Hashtbl.create 8 in
+  let comb_of proto name params =
+    match Hashtbl.find_opt comb_inputs proto with
+    | Some comb -> comb
+    | None ->
+        let comb = List.map fst (Prims.comb_arcs name params) in
+        Hashtbl.replace comb_inputs proto comb;
+        comb
+  in
   let prims = ref [] and children = ref [] and cells = ref [] in
   let nprims = ref 0 and nchildren = ref 0 in
   let add_prim pp =
@@ -105,7 +116,7 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
           in
           let ins = slots_of Input in
           let outs = slots_of Output in
-          let comb = List.map fst (Prims.comb_arcs name params) in
+          let comb = comb_of c.cell_proto name params in
           add_prim
             { pp_cell = c.cell_name;
               pp_make = (fun () -> Prim_state.create name params);
@@ -239,7 +250,7 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
       i_plan = plan;
       i_path = path;
       i_env = Array.copy plan.p_zeros;
-      i_next = Array.copy plan.p_zeros;
+      i_next = [||];
       i_prims = Array.of_list (List.rev !prims);
       i_children = Array.of_list (List.rev !children);
       i_ctrl = CDone;
@@ -281,6 +292,7 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
            (Printf.sprintf "component %s: combinational fixpoint diverged"
               plan.p_comp.comp_name));
     changed := false;
+    if Array.length inst.i_next = 0 then inst.i_next <- Array.copy plan.p_zeros;
     let old = inst.i_env and next = inst.i_next in
     Array.blit plan.p_zeros 0 next 0 n;
     (* Component inputs. *)
