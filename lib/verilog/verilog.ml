@@ -5,40 +5,89 @@ exception Not_lowered of string
 
 let buf_add = Buffer.add_string
 
+(* A non-negative int in decimal, digit by digit: no intermediate string
+   and no format parsing. *)
+let rec buf_int b n =
+  if n >= 10 then buf_int b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
 (* ------------------------------------------------------------------ *)
 (* Names and expressions                                               *)
 (* ------------------------------------------------------------------ *)
 
-let wire_name = function
-  | Cell_port (c, p) -> c ^ "_" ^ p
-  | This p -> p
-  | Hole (g, h) ->
-      raise (Not_lowered (Printf.sprintf "hole %s[%s] survived lowering" g h))
+(* Every name and expression is written straight into the module's
+   buffer: building each as a string first would copy it once per level
+   of nesting above it. *)
 
-let lit_sv v = Printf.sprintf "%d'd%Lu" (Bitvec.width v) (Bitvec.to_int64 v)
+let hole_error g h =
+  raise (Not_lowered (Printf.sprintf "hole %s[%s] survived lowering" g h))
 
-let atom_sv = function
-  | Port p -> wire_name p
-  | Lit v -> lit_sv v
+let add_wire b = function
+  | Cell_port (c, p) ->
+      buf_add b c;
+      Buffer.add_char b '_';
+      buf_add b p
+  | This p -> buf_add b p
+  | Hole (g, h) -> hole_error g h
+
+(* A cell port's wire: [c_p]. *)
+let add_cell_wire b c p =
+  buf_add b c;
+  Buffer.add_char b '_';
+  buf_add b p
+
+(* [W'dV], the value unsigned. *)
+let add_lit b v =
+  buf_int b (Bitvec.width v);
+  buf_add b "'d";
+  let x = Bitvec.to_int64 v in
+  if Int64.compare x 0L >= 0 && Int64.compare x (Int64.of_int max_int) <= 0
+  then buf_int b (Int64.to_int x)
+  else buf_add b (Printf.sprintf "%Lu" x)
+
+let add_atom b = function Port p -> add_wire b p | Lit v -> add_lit b v
+
+(* Raises what writing the atom would, before anything is written: the
+   order in which a hole is reported stays that of evaluating the
+   operands right to left. *)
+let check_atom = function Port (Hole (g, h)) -> hole_error g h | _ -> ()
 
 let cmp_sv = function
-  | Eq -> "=="
-  | Neq -> "!="
-  | Lt -> "<"
-  | Gt -> ">"
-  | Le -> "<="
-  | Ge -> ">="
+  | Eq -> " == "
+  | Neq -> " != "
+  | Lt -> " < "
+  | Gt -> " > "
+  | Le -> " <= "
+  | Ge -> " >= "
 
-(* Writes the guard straight into [b]: building it as a string would copy
-   each subterm once per level of nesting above it. *)
 let rec guard_sv b = function
   | True -> buf_add b "1'd1"
-  | Atom a -> Printf.bprintf b "(%s != 0)" (atom_sv a)
+  | Atom a ->
+      check_atom a;
+      Buffer.add_char b '(';
+      add_atom b a;
+      buf_add b " != 0)"
   | Cmp (op, x, y) ->
-      Printf.bprintf b "(%s %s %s)" (atom_sv x) (cmp_sv op) (atom_sv y)
-  | And (x, y) -> Printf.bprintf b "(%a & %a)" guard_sv x guard_sv y
-  | Or (x, y) -> Printf.bprintf b "(%a | %a)" guard_sv x guard_sv y
-  | Not x -> Printf.bprintf b "(~%a)" guard_sv x
+      check_atom y;
+      check_atom x;
+      Buffer.add_char b '(';
+      add_atom b x;
+      buf_add b (cmp_sv op);
+      add_atom b y;
+      Buffer.add_char b ')'
+  | And (x, y) -> binary b x " & " y
+  | Or (x, y) -> binary b x " | " y
+  | Not x ->
+      buf_add b "(~";
+      guard_sv b x;
+      Buffer.add_char b ')'
+
+and binary b x op y =
+  Buffer.add_char b '(';
+  guard_sv b x;
+  buf_add b op;
+  guard_sv b y;
+  Buffer.add_char b ')'
 
 (* ------------------------------------------------------------------ *)
 (* Primitive module library                                            *)
@@ -257,11 +306,22 @@ endmodule
 |}
   | _ -> None
 
-let prim_params_sv name params =
-  let info = Prims.info name in
-  let pairs = List.combine info.Prims.param_names params in
-  String.concat ", "
-    (List.map (fun (p, v) -> Printf.sprintf ".%s(%d)" p v) pairs)
+(* [ #(.P(V), ...)] of a primitive's parameters, nothing without any. *)
+let add_prim_params b name params =
+  match List.combine (Prims.info name).Prims.param_names params with
+  | [] -> ()
+  | pairs ->
+      buf_add b " #(";
+      List.iteri
+        (fun i (p, v) ->
+          if i > 0 then buf_add b ", ";
+          Buffer.add_char b '.';
+          buf_add b p;
+          Buffer.add_char b '(';
+          buf_int b v;
+          Buffer.add_char b ')')
+        pairs;
+      Buffer.add_char b ')'
 
 let prim_is_clocked name =
   match Prims.find name with
@@ -284,16 +344,29 @@ let check_component comp =
 (* Appends the module to [b], which may already hold other modules. *)
 let emit_component_into b ctx comp =
   check_component comp;
-  let port_decl pd dir =
-    Printf.sprintf "  %s logic [%d-1:0] %s" dir pd.pd_width pd.pd_name
+  buf_add b "module ";
+  buf_add b comp.comp_name;
+  buf_add b " (\n";
+  let port_decl dir pd =
+    buf_add b "  ";
+    buf_add b dir;
+    buf_add b " logic [";
+    buf_int b pd.pd_width;
+    buf_add b "-1:0] ";
+    buf_add b pd.pd_name
   in
-  let ports =
-    List.map (fun pd -> port_decl pd "input ") comp.inputs
-    @ [ "  input  logic clk" ]
-    @ List.map (fun pd -> port_decl pd "output") comp.outputs
-  in
-  buf_add b (Printf.sprintf "module %s (\n%s\n);\n" comp.comp_name
-               (String.concat ",\n" ports));
+  List.iter
+    (fun pd ->
+      port_decl "input " pd;
+      buf_add b ",\n")
+    comp.inputs;
+  buf_add b "  input  logic clk";
+  List.iter
+    (fun pd ->
+      buf_add b ",\n";
+      port_decl "output" pd)
+    comp.outputs;
+  buf_add b "\n);\n";
   let ports = Ports.create ctx comp in
   let cells =
     List.map (fun c -> (c, Ports.proto_ports ports c.cell_proto)) comp.cells
@@ -303,36 +376,45 @@ let emit_component_into b ctx comp =
     (fun (c, cports) ->
       List.iter
         (fun (p, w, _) ->
-          buf_add b
-            (Printf.sprintf "  logic [%d-1:0] %s;\n" w
-               (wire_name (Cell_port (c.cell_name, p)))))
+          buf_add b "  logic [";
+          buf_int b w;
+          buf_add b "-1:0] ";
+          add_cell_wire b c.cell_name p;
+          buf_add b ";\n")
         cports)
     cells;
   (* Instantiate cells. *)
   List.iter
     (fun (c, cports) ->
       let connections clocked =
-        String.concat ", "
-          ((List.map
-              (fun (p, _, _) ->
-                Printf.sprintf ".%s(%s)" p (wire_name (Cell_port (c.cell_name, p))))
-              cports)
-          @ if clocked then [ ".clk(clk)" ] else [])
+        List.iteri
+          (fun i (p, _, _) ->
+            if i > 0 then buf_add b ", ";
+            Buffer.add_char b '.';
+            buf_add b p;
+            Buffer.add_char b '(';
+            add_cell_wire b c.cell_name p;
+            Buffer.add_char b ')')
+          cports;
+        if clocked then
+          buf_add b (match cports with [] -> ".clk(clk)" | _ -> ", .clk(clk)")
       in
-      match c.cell_proto with
+      buf_add b "  ";
+      (match c.cell_proto with
       | Prim (name, params) ->
-          let params_sv = prim_params_sv name params in
-          let header =
-            if String.equal params_sv "" then name
-            else Printf.sprintf "%s #(%s)" name params_sv
-          in
-          buf_add b
-            (Printf.sprintf "  %s %s (%s);\n" header c.cell_name
-               (connections (prim_is_clocked name)))
+          buf_add b name;
+          add_prim_params b name params;
+          Buffer.add_char b ' ';
+          buf_add b c.cell_name;
+          buf_add b " (";
+          connections (prim_is_clocked name)
       | Comp name ->
-          buf_add b
-            (Printf.sprintf "  %s %s (%s);\n" name c.cell_name
-               (connections true)))
+          buf_add b name;
+          Buffer.add_char b ' ';
+          buf_add b c.cell_name;
+          buf_add b " (";
+          connections true);
+      buf_add b ");\n")
     cells;
   (* Guarded drivers per destination, destinations in first-appearance
      order, each list consed newest first. *)
@@ -341,21 +423,31 @@ let emit_component_into b ctx comp =
   List.iter
     (fun a ->
       let d = Ports.id ports a.dst in
-      if drivers.(d) = [] then order := d :: !order;
+      (match drivers.(d) with [] -> order := d :: !order | _ -> ());
       drivers.(d) <- (a.guard, a.src) :: drivers.(d))
     comp.continuous;
-  (* A port's [?:] chain goes straight into the buffer, first driver
-     outermost. It ends at the first unconditional driver, or at zero. *)
+  let add_zero w =
+    buf_int b w;
+    buf_add b "'d0"
+  in
+  (* A port's [?:] chain, first driver outermost. It ends at the first
+     unconditional driver, or at zero. *)
   let rec chain d = function
-    | [] -> Printf.bprintf b "%d'd0" (Ports.width_of_id ports d)
-    | (True, src) :: _ -> buf_add b (atom_sv src)
+    | [] -> add_zero (Ports.width_of_id ports d)
+    | (True, src) :: _ -> add_atom b src
     | (g, src) :: rest ->
-        Printf.bprintf b "%a ? %s : " guard_sv g (atom_sv src);
+        check_atom src;
+        guard_sv b g;
+        buf_add b " ? ";
+        add_atom b src;
+        buf_add b " : ";
         chain d rest
   in
   List.iter
     (fun d ->
-      Printf.bprintf b "  assign %s = " (wire_name (Ports.port ports d));
+      buf_add b "  assign ";
+      add_wire b (Ports.port ports d);
+      buf_add b " = ";
       chain d (List.rev drivers.(d));
       buf_add b ";\n")
     (List.rev !order);
@@ -364,10 +456,18 @@ let emit_component_into b ctx comp =
     (fun (c, cports) ->
       List.iter
         (fun (p, w, dir) ->
-          let pr = Cell_port (c.cell_name, p) in
-          if dir = Input && drivers.(Ports.id ports pr) = [] then
-            buf_add b
-              (Printf.sprintf "  assign %s = %d'd0;\n" (wire_name pr) w))
+          if
+            dir = Input
+            && match drivers.(Ports.id ports (Cell_port (c.cell_name, p))) with
+               | [] -> true
+               | _ -> false
+          then begin
+            buf_add b "  assign ";
+            add_cell_wire b c.cell_name p;
+            buf_add b " = ";
+            add_zero w;
+            buf_add b ";\n"
+          end)
         cports)
     cells;
   buf_add b "endmodule\n"
@@ -403,7 +503,14 @@ let check_lowered ctx = List.iter check_component (modules ctx)
 
 let emit ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "emit" @@ fun () ->
-  let b = Buffer.create 16384 in
+  (* Sized from the program, about 90 bytes per assignment and cell, so
+     that a large design's buffer is not copied at every doubling. *)
+  let b =
+    Buffer.create
+      (List.fold_left
+         (fun n c -> n + (96 * (List.length c.continuous + List.length c.cells)))
+         16384 ctx.components)
+  in
   buf_add b "// Generated by the Calyx (OCaml) compiler.\n";
   List.iter
     (fun c ->
@@ -421,8 +528,17 @@ let emit ctx =
     (modules ctx);
   Buffer.contents b
 
+(* Non-blank lines, counted in one scan: a line is blank when it holds
+   only spaces, tabs, carriage returns and form feeds. *)
 let loc text =
-  List.length
-    (List.filter
-       (fun l -> String.trim l <> "")
-       (String.split_on_char '\n' text))
+  let count = ref 0 and blank = ref true in
+  for i = 0 to String.length text - 1 do
+    match String.unsafe_get text i with
+    | '\n' ->
+        if not !blank then incr count;
+        blank := true
+    | ' ' | '\t' | '\r' | '\012' -> ()
+    | _ -> blank := false
+  done;
+  if not !blank then incr count;
+  !count
