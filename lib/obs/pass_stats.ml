@@ -6,6 +6,7 @@ type row = {
   pass : string;
   description : string;
   seconds : float;
+  minor_words : int;
   before : Pass.counts;
   after : Pass.counts;
   timing_before : (int * float) option;
@@ -26,6 +27,12 @@ let self_seconds spans sp =
   match revalidate_of spans sp with
   | Some child -> Trace.seconds sp -. Trace.seconds child
   | None -> Trace.seconds sp
+
+let self_minor_words spans (sp : Trace.span) =
+  int_of_float
+    (match revalidate_of spans sp with
+    | Some child -> sp.sp_minor_words -. child.sp_minor_words
+    | None -> sp.sp_minor_words)
 
 (* The revalidate span's metric [k] (0 without one). *)
 let recheck_count spans sp k =
@@ -74,6 +81,7 @@ let compile ?(config = Pipelines.default_config) ctx =
           pass = p.Pass.name;
           description = p.Pass.description;
           seconds = self_seconds spans sp;
+          minor_words = self_minor_words spans sp;
           before = counts.(i);
           after = counts.(i + 1);
           timing_before = timings.(i);
@@ -99,7 +107,7 @@ let odelta fmt before after =
 let render t =
   let delay = Option.map fst and fmax = Option.map snd in
   let rows =
-    [ "pass"; "ms"; "cells"; "groups"; "assigns"; "control";
+    [ "pass"; "ms"; "minor_words"; "cells"; "groups"; "assigns"; "control";
       "depth_ps"; "fmax_mhz"; "reused"; "rechecked" ]
     :: List.map
          (fun r ->
@@ -107,6 +115,7 @@ let render t =
            [
              r.pass;
              Printf.sprintf "%.2f" (r.seconds *. 1000.);
+             string_of_int r.minor_words;
              delta b.Pass.cells a.Pass.cells;
              delta b.Pass.groups a.Pass.groups;
              delta b.Pass.assignments a.Pass.assignments;
@@ -147,6 +156,7 @@ let to_json t =
             ("name", Json.str r.pass);
             ("description", Json.str r.description);
             ("seconds", Json.float r.seconds);
+            ("minor_words", Json.int r.minor_words);
             ("before", counts_json r.before);
             ("after", counts_json r.after);
             ("delay_ps_before", delay r.timing_before);

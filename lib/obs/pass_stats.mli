@@ -14,6 +14,9 @@ type row = {
   pass : string;
   description : string;
   seconds : float;  (** {!self_seconds} of the pass span. *)
+  minor_words : int;
+      (** {!self_minor_words} of the pass span: what the pass itself
+          allocated. *)
   before : Pass.counts;
   after : Pass.counts;
   timing_before : (int * float) option;
@@ -38,12 +41,17 @@ val self_seconds :
 (** A pass span's duration minus its ["revalidate"] child's (found in the
     list): the pass's own time. *)
 
+val self_minor_words :
+  Calyx_telemetry.Trace.span list -> Calyx_telemetry.Trace.span -> int
+(** The words a pass span allocated on the minor heap minus its
+    ["revalidate"] child's. *)
+
 val replay : Pipelines.config -> Ir.context -> (Ir.context -> 'a) -> 'a list
 (** [f] of the input and of each pass's output, folding the passes'
     transforms once; one intermediate program is alive at a time. *)
 
 val render : t -> string
-(** The human table: per pass, milliseconds,
+(** The human table: per pass, milliseconds, minor-heap words allocated,
     [before->after (+/-delta)] for cells, groups, assignments, and control
     nodes, plus critical-path depth (ps) and Fmax (MHz) deltas from the
     static timing analysis ("-" where a program cannot be timed), and the
@@ -52,6 +60,6 @@ val render : t -> string
 val to_json : t -> string
 (** [{"passes": [...], "total_seconds": ...}] following the
     {!Calyx.Diagnostics} JSON conventions; each pass additionally carries
-    [delay_ps_before/after] and [fmax_mhz_before/after] (null when the
-    intermediate netlist cannot be timed), [reused_assignments] and
-    [rechecked_assignments]. *)
+    [minor_words], [delay_ps_before/after] and [fmax_mhz_before/after]
+    (null when the intermediate netlist cannot be timed),
+    [reused_assignments] and [rechecked_assignments]. *)

@@ -109,6 +109,9 @@ let with_span ?(cat = "span") ?(args = []) name f =
   if not (Runtime.on ()) then f ()
   else begin
     let g0 = Gc.quick_stat () in
+    (* [quick_stat]'s minor count moves only at a minor collection;
+       [Gc.minor_words] also counts the current minor heap. *)
+    let minor0 = Gc.minor_words () in
     let stack = stack () in
     let parent, depth =
       match !stack with
@@ -139,7 +142,7 @@ let with_span ?(cat = "span") ?(args = []) name f =
     let finish () =
       sp.sp_end_ns <- Clock.now_ns ();
       let g1 = Gc.quick_stat () in
-      sp.sp_minor_words <- g1.Gc.minor_words -. g0.Gc.minor_words;
+      sp.sp_minor_words <- Gc.minor_words () -. minor0;
       sp.sp_major_words <- g1.Gc.major_words -. g0.Gc.major_words;
       sp.sp_heap_delta_words <- g1.Gc.heap_words - g0.Gc.heap_words;
       sp.sp_seq_close <- Atomic.fetch_and_add next_seq 1;

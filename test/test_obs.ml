@@ -262,7 +262,7 @@ let test_pass_spans () =
     (span_corpus ())
 
 let pass_json_keys =
-  [ "name"; "description"; "seconds"; "before"; "after"; "delay_ps_before";
+  [ "name"; "description"; "seconds"; "minor_words"; "before"; "after"; "delay_ps_before";
     "delay_ps_after"; "fmax_mhz_before"; "fmax_mhz_after";
     "reused_assignments"; "rechecked_assignments" ]
 
@@ -309,6 +309,23 @@ let test_pass_stats () =
       Alcotest.(check (list string)) "pass JSON keys" pass_json_keys
         (Json.keys p))
     passes
+
+(* Each row counts what its pass allocated, without the re-check after
+   it: never negative, and above zero for a pass that rewrites the
+   program. *)
+let test_pass_allocation () =
+  let _, stats = Pass_stats.compile (systolic4 ()) in
+  List.iter
+    (fun (r : Pass_stats.row) ->
+      Alcotest.(check bool) (r.pass ^ " minor words are non-negative") true
+        (r.minor_words >= 0))
+    stats;
+  let remove_groups =
+    List.find (fun (r : Pass_stats.row) -> r.pass = "remove-groups") stats
+  in
+  Alcotest.(check bool) "remove-groups allocates" true
+    (remove_groups.after <> remove_groups.before
+    && remove_groups.minor_words > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Tracing is pure observation                                         *)
@@ -391,6 +408,7 @@ let () =
         [
           Alcotest.test_case "span counts and replay" `Quick test_pass_spans;
           Alcotest.test_case "rows and JSON" `Quick test_pass_stats;
+          Alcotest.test_case "allocation per pass" `Quick test_pass_allocation;
         ] );
       ( "neutrality",
         [
