@@ -290,8 +290,8 @@ let plan (ip : Instance.plan) : plan =
   let edges k ~read ~source ~write =
     if k < np then begin
       let pp = ip.p_prims.(k) in
-      List.iter read pp.pp_comb_reads;
-      List.iter (fun (_, s) -> write s) pp.pp_outputs
+      Array.iteri (fun i comb -> if comb then read pp.pp_in.(i)) pp.pp_proto.pr_comb;
+      Array.iter write pp.pp_out
     end
     else if k < np + nc then begin
       let cp = ip.p_children.(k - np) in
@@ -337,7 +337,7 @@ let plan (ip : Instance.plan) : plan =
   let has_producer = Array.make (max nslots 1) false in
   List.iter (fun (_, s) -> has_producer.(s) <- true) ip.p_input_slots;
   Array.iter
-    (fun pp -> List.iter (fun (_, s) -> has_producer.(s) <- true) pp.pp_outputs)
+    (fun pp -> Array.iter (fun s -> has_producer.(s) <- true) pp.pp_out)
     ip.p_prims;
   Array.iter
     (fun cp ->
@@ -459,11 +459,11 @@ let compile (cp : plan) inst : compiled =
   let blocked = Sched.blocked graph in
   let writers = cp.c_writers and has_producer = cp.c_has_producer in
   let stage_read ?(on_slot = ignore) pp name =
-    match List.assoc_opt name pp.pp_inputs with
-    | Some slot ->
+    match input_slot pp name with
+    | slot when slot >= 0 ->
         on_slot slot;
         fun () -> env.(slot)
-    | None ->
+    | _ ->
         raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
   in
   (* Every primitive's clock edge, staged first so that [wr] knows which
@@ -652,9 +652,11 @@ let compile (cp : plan) inst : compiled =
   in
   let build_prim p =
     let pp = ip.p_prims.(p) in
-    let writers = List.map (fun (q, slot) -> (q, produce slot)) pp.pp_outputs in
     Prim_state.compile_step inst.i_prims.(p) ~read:(stage_read pp)
-      ~write:(fun name -> List.assoc_opt name writers)
+      ~write:(fun name ->
+        match output_slot pp name with
+        | slot when slot >= 0 -> Some (produce slot)
+        | _ -> None)
   in
   let build_child c =
     let ch = inst.i_children.(c) in

@@ -265,14 +265,22 @@ type rassign = {
   ra_ast : assignment;  (* printed in conflict diagnostics and plan labels *)
 }
 
+(* One primitive prototype's (or extern component's) port names and
+   behavioural model, shared by every cell of it. *)
+type proto_plan = {
+  pr_make : unit -> Prim_state.t;  (* fresh state for one instance *)
+  pr_inputs : string array;  (* input port names, in port order *)
+  pr_outputs : string array;
+  pr_comb : bool array;
+      (* per input: an output reads it within one cycle (the inputs of
+         Prims.comb_arcs; every input of an extern black box) *)
+}
+
 type prim_plan = {
   pp_cell : string;  (* cell name, for test-bench resolution *)
-  pp_make : unit -> Prim_state.t;  (* fresh state for one instance *)
-  pp_inputs : (string * int) list;  (* input port name -> slot *)
-  pp_outputs : (string * int) list;
-  pp_comb_reads : int list;
-      (* the input slots an output reads within one cycle (the inputs of
-         Prims.comb_arcs; every input of an extern black box) *)
+  pp_proto : proto_plan;
+  pp_in : int array;  (* the slot of each of [pr_inputs] *)
+  pp_out : int array;  (* the slot of each of [pr_outputs] *)
 }
 
 type plan = {
@@ -309,6 +317,24 @@ and child_plan = {
 }
 
 let atom_value env = function RSlot i -> env.(i) | RLit v -> v
+
+(* The first index of [name] in [names], or -1. *)
+let index_of names name =
+  let rec go i =
+    if i = Array.length names then -1
+    else if String.equal names.(i) name then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The slot of a primitive's input or output port, or -1. *)
+let input_slot pp name =
+  let i = index_of pp.pp_proto.pr_inputs name in
+  if i < 0 then -1 else pp.pp_in.(i)
+
+let output_slot pp name =
+  let i = index_of pp.pp_proto.pr_outputs name in
+  if i < 0 then -1 else pp.pp_out.(i)
 
 (* The reference evaluation of a resolved guard: what the fixpoint engine
    and the conflict check read, and the compiled engine's fallback. *)

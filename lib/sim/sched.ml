@@ -28,9 +28,11 @@ type vec = { mutable data : int array; mutable len : int }
 
 let vec_make () = { data = Array.make 8 0; len = 0 }
 
+let vec_sized n = { data = Array.make n 0; len = 0 }
+
 let vec_push v x =
   if v.len = Array.length v.data then begin
-    let d = Array.make (2 * v.len) 0 in
+    let d = Array.make (max 8 (2 * v.len)) 0 in
     Array.blit v.data 0 d 0 v.len;
     v.data <- d
   end;
@@ -51,6 +53,9 @@ type topo = {
   scc_size : int array;
   scc_cyclic : bool array;  (* component id -> cyclic? *)
   nlevels : int;
+  level_acyclic : int array;
+      (* level -> its acyclic nodes: a bucket never holds more, as a
+         node is queued only while it is not already *)
   cyclic_at : int array array;  (* level -> cyclic component ids *)
 }
 
@@ -245,6 +250,10 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
   in
   let level = Array.init (max n 1) (fun k -> if k < n then scc_level.(scc.(k)) else 0) in
   let cyclic = Array.init (max n 1) (fun k -> if k < n then scc_cyclic.(scc.(k)) else false) in
+  let level_acyclic = Array.make nlevels 0 in
+  for k = 0 to n - 1 do
+    if not cyclic.(k) then level_acyclic.(level.(k)) <- level_acyclic.(level.(k)) + 1
+  done;
   let cyclic_at =
     let by_level = Array.make nlevels [] in
     for id = 0 to nscc - 1 do
@@ -263,6 +272,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
     scc_size;
     scc_cyclic;
     nlevels;
+    level_acyclic;
     cyclic_at;
   }
 
@@ -287,11 +297,11 @@ let create topo =
     t_cyclic = topo.cyclic;
     t_scc = topo.scc;
     blocked = Array.make (max n 1) false;
-    acyclic_bucket = Array.init topo.nlevels (fun _ -> vec_make ());
+    acyclic_bucket = Array.map vec_sized topo.level_acyclic;
     scc_bucket =
       (* Only a cyclic component is ever queued on its own bucket. *)
-      Array.map
-        (fun cyclic -> if cyclic then vec_make () else unused)
+      Array.mapi
+        (fun id cyclic -> if cyclic then vec_sized topo.scc_size.(id) else unused)
         topo.scc_cyclic;
     dirty = Array.make (max n 1) false;
     pending = Array.make topo.nlevels 0;

@@ -76,56 +76,54 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
     let ra_guard = guard a.guard in
     { ra_dst = id a.dst; ra_guard; ra_src; ra_ast = a }
   in
-  let signature_slots dir sub cell =
-    List.filter_map
-      (fun pd ->
-        if pd.pd_dir = dir then
-          Some (pd.pd_name, id (Cell_port (cell, pd.pd_name)))
-        else None)
-      (signature_ports sub)
-  in
-  (* The inputs an output of a primitive reads within one cycle, per
-     prototype. *)
-  let comb_inputs = Hashtbl.create 8 in
-  let comb_of proto name params =
-    match Hashtbl.find_opt comb_inputs proto with
-    | Some comb -> comb
-    | None ->
-        let comb = List.map fst (Prims.comb_arcs name params) in
-        Hashtbl.replace comb_inputs proto comb;
-        comb
+  (* Each prototype's ports and model, planned at its first cell. *)
+  let protos = Hashtbl.create 8 in
+  let new_proto proto ~make ~ports ~comb =
+    let names dir =
+      Array.of_list
+        (List.filter_map (fun (p, d) -> if d = dir then Some p else None) ports)
+    in
+    let inputs = names Input in
+    let pr =
+      { pr_make = make; pr_inputs = inputs; pr_outputs = names Output;
+        pr_comb = Array.map comb inputs }
+    in
+    Hashtbl.replace protos proto pr;
+    pr
   in
   let prims = ref [] and children = ref [] and cells = ref [] in
   let nprims = ref 0 and nchildren = ref 0 in
-  let add_prim pp =
+  let cell_slots cell names =
+    let slots = Array.make (Array.length names) 0 in
+    for i = 0 to Array.length names - 1 do
+      slots.(i) <- id (Cell_port (cell, names.(i)))
+    done;
+    slots
+  in
+  let add_prim c pr =
+    let pp_in = cell_slots c.cell_name pr.pr_inputs in
+    let pp_out = cell_slots c.cell_name pr.pr_outputs in
     cells := Prim_cell !nprims :: !cells;
     incr nprims;
-    prims := pp :: !prims
+    prims := { pp_cell = c.cell_name; pp_proto = pr; pp_in; pp_out } :: !prims
   in
   List.iter
     (fun c ->
       match c.cell_proto with
       | Prim (name, params) ->
-          let cports = Ports.proto_ports ports c.cell_proto in
-          let slots_of dir =
-            List.filter_map
-              (fun (p, _, d) ->
-                if d = dir then Some (p, id (Cell_port (c.cell_name, p)))
-                else None)
-              cports
-          in
-          let ins = slots_of Input in
-          let outs = slots_of Output in
-          let comb = comb_of c.cell_proto name params in
-          add_prim
-            { pp_cell = c.cell_name;
-              pp_make = (fun () -> Prim_state.create name params);
-              pp_inputs = ins;
-              pp_outputs = outs;
-              pp_comb_reads =
-                List.filter_map
-                  (fun (p, slot) -> if List.mem p comb then Some slot else None)
-                  ins }
+          add_prim c
+            (match Hashtbl.find_opt protos c.cell_proto with
+            | Some pr -> pr
+            | None ->
+                let cports =
+                  List.map (fun (p, _, d) -> (p, d))
+                    (Ports.proto_ports ports c.cell_proto)
+                in
+                let comb = Prims.comb_arcs name params in
+                new_proto c.cell_proto
+                  ~make:(fun () -> Prim_state.create name params)
+                  ~ports:cports
+                  ~comb:(fun p -> List.exists (fun (i, _) -> String.equal i p) comb))
       | Comp name when (find_component ctx name).is_extern <> None -> (
           (* Black-box RTL (Section 6.2): link a registered behavioural
              model, playing the role of the .sv file the real compiler
@@ -137,13 +135,16 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
                  (register one via Sim.create ~externs)"
                 name
           | Some make_state ->
-              let sub = find_component ctx name in
-              let ins = signature_slots Input sub c.cell_name in
-              let outs = signature_slots Output sub c.cell_name in
-              add_prim
-                { pp_cell = c.cell_name; pp_make = make_state;
-                  pp_inputs = ins; pp_outputs = outs;
-                  pp_comb_reads = List.map snd ins })
+              add_prim c
+                (match Hashtbl.find_opt protos c.cell_proto with
+                | Some pr -> pr
+                | None ->
+                    new_proto c.cell_proto ~make:make_state
+                      ~ports:
+                        (List.map
+                           (fun pd -> (pd.pd_name, pd.pd_dir))
+                           (signature_ports (find_component ctx name)))
+                      ~comb:(fun _ -> true)))
       | Comp name ->
           let sub = plan_of (find_component ctx name) in
           let cp_input_map =
@@ -227,7 +228,7 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
   let prims = ref [] and children = ref [] in
   Array.iter
     (function
-      | Prim_cell p -> prims := plan.p_prims.(p).pp_make () :: !prims
+      | Prim_cell p -> prims := plan.p_prims.(p).pp_proto.pr_make () :: !prims
       | Child_cell c ->
           let cp = plan.p_children.(c) in
           let child_path =
@@ -272,9 +273,9 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
 (* ------------------------------------------------------------------ *)
 
 let prim_reader env (pp : prim_plan) name =
-  match List.assoc_opt name pp.pp_inputs with
-  | Some slot -> env.(slot)
-  | None ->
+  match input_slot pp name with
+  | slot when slot >= 0 -> env.(slot)
+  | _ ->
       (* Reading an output during commit (never happens) or a missing port. *)
       raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
 
@@ -318,9 +319,9 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
         let outs = Prim_state.outputs state ~read:(prim_reader old pp) in
         List.iter
           (fun (q, v) ->
-            match List.assoc_opt q pp.pp_outputs with
-            | Some slot -> next.(slot) <- v
-            | None -> ())
+            match output_slot pp q with
+            | slot when slot >= 0 -> next.(slot) <- v
+            | _ -> ())
           outs)
       inst.i_prims;
     (* Child component outputs. The input buffer is reused across
