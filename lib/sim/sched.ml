@@ -24,6 +24,10 @@
    change to one of them does not wake it. The edges still count for
    components and levels. *)
 
+(* [Stdlib.min]/[max] compare polymorphically; these compare ints. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
+
 type vec = { mutable data : int array; mutable len : int }
 
 let vec_make () = { data = Array.make 8 0; len = 0 }
@@ -94,7 +98,7 @@ let rec raise_levels readers wslot scc scc_level id w stop =
     let rs = readers.(wslot.(w)) in
     for i = 0 to Array.length rs - 1 do
       let c = scc.(rs.(i)) in
-      if c <> id then scc_level.(c) <- max scc_level.(c) (scc_level.(id) + 1)
+      if c <> id then scc_level.(c) <- imax scc_level.(c) (scc_level.(id) + 1)
     done;
     raise_levels readers wslot scc scc_level id (w + 1) stop
   end
@@ -198,7 +202,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
         let w = next d in
         if w >= 0 then begin
           if index.(w) < 0 then enter w
-          else if scc.(w) < 0 then lowlink.(v) <- min lowlink.(v) index.(w)
+          else if scc.(w) < 0 then lowlink.(v) <- imin lowlink.(v) index.(w)
         end
         else begin
           fv.len <- d;
@@ -206,7 +210,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
           fi.len <- d;
           if d > 0 then begin
             let p = fv.data.(d - 1) in
-            lowlink.(p) <- min lowlink.(p) lowlink.(v)
+            lowlink.(p) <- imin lowlink.(p) lowlink.(v)
           end;
           if lowlink.(v) = index.(v) then begin
             let id = !scc_count in
@@ -246,7 +250,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
     raise_levels readers wslot scc scc_level scc.(k) wstart.(k) wstart.(k + 1)
   done;
   let nlevels =
-    1 + Array.fold_left max 0 (if nscc = 0 then [| 0 |] else scc_level)
+    1 + Array.fold_left imax 0 (if nscc = 0 then [| 0 |] else scc_level)
   in
   let level = Array.init (max n 1) (fun k -> if k < n then scc_level.(scc.(k)) else 0) in
   let cyclic = Array.init (max n 1) (fun k -> if k < n then scc_cyclic.(scc.(k)) else false) in
