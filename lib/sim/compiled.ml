@@ -27,6 +27,9 @@ type drive =
   | Elided  (* single writer that never drives: the slot stays zero *)
   | Folded of Bitvec.t
       (* constant continuous single writer: folded into the initial env *)
+  | Always
+      (* continuous single writer, no producer, guard always true: writes
+         its source to the env *)
   | Direct  (* single writer, no producer: writes the env directly *)
   | Shared  (* keeps a live/value cell and re-resolves the slot *)
 
@@ -365,7 +368,7 @@ let plan (ip : Instance.plan) : plan =
               | RLit v ->
                   incr elided;
                   Folded v
-              | RSlot _ -> Direct)
+              | RSlot _ -> Always)
           | _ -> Direct))
     c_assigns;
   let fold_guards = !fold_guards and fold_consts = !fold_consts
@@ -387,7 +390,7 @@ let plan (ip : Instance.plan) : plan =
     match sa.sa_drive with
     | Elided -> "  [elided]"
     | Folded _ -> "  [folded]"
-    | Direct | Shared -> ""
+    | Always | Direct | Shared -> ""
   in
   let label k =
     if k < np then
@@ -440,6 +443,9 @@ let compile (cp : plan) inst : compiled =
   let na = Array.length cp.c_assigns in
   let ngroups = Array.length ip.p_groups in
   let graph = Sched.create cp.c_topo in
+  let first_assign =
+    Array.length ip.p_prims + Array.length ip.p_children + ngroups
+  in
   let st =
     {
       s_graph = graph;
@@ -549,91 +555,66 @@ let compile (cp : plan) inst : compiled =
         resolve slot
       end
   in
-  (* Every assignment closure records in [blocked] whether it drives, so
-     that Sched skips it on a source change while it does not. *)
-  let build_assign k ai =
+  (* Group gating, against the entry view [refresh_entries] maintains: a
+     done write is live while its group is active, a data write unless
+     every entry is gated and the done hole reads 1. *)
+  let scheduled sa =
+    let g = sa.sa_group in
+    g < 0
+    ||
+    let entries = st.s_entries.(g) in
+    Array.length entries > 0
+    && ((not sa.sa_data)
+       || Array.exists not entries
+       || not (Bitvec.is_true env.(ip.p_group_done.(g))))
+  in
+  let drives sa =
+    scheduled sa && match sa.sa_guard with SConst b -> b | SFun g -> g env
+  in
+  (* Every assignment records in [blocked] whether it drives, so that
+     Sched skips it on a source change while it does not. *)
+  let eval_assign k ai =
     let sa = cp.c_assigns.(ai) in
     let dst = sa.sa_ra.ra_dst in
-    let src = sa.sa_ra.ra_src in
-    (* Group gating, staged against the entry view [refresh_entries]
-       maintains: a done write is live while its group is active, a data
-       write unless every entry is gated and the done hole reads 1. *)
-    let sched =
-      if sa.sa_group < 0 then None
-      else if sa.sa_data then begin
-        let g = sa.sa_group in
-        let done_slot = ip.p_group_done.(g) in
-        Some
-          (fun () ->
-            let entries = st.s_entries.(g) in
-            Array.length entries > 0
-            && (Array.exists not entries
-               || not (Bitvec.is_true env.(done_slot))))
-      end
-      else
-        let g = sa.sa_group in
-        Some (fun () -> Array.length st.s_entries.(g) > 0)
-    in
     match sa.sa_drive with
-    | Elided ->
-        (* Never drives; env.(dst) stays at its zero initial. *)
-        blocked.(k) <- true;
-        fun () -> ()
-    | Folded v ->
-        env.(dst) <- v;
-        fun () -> ()
-    | Direct -> (
+    | Elided | Folded _ -> ()
+    | Always -> wr dst (atom_value env sa.sa_ra.ra_src)
+    | Direct ->
         (* Single writer, no producer: the slot's value is a pure
            function of drive, so write the env directly. *)
-        let z = zeros.(dst) in
-        match (sched, sa.sa_guard) with
-        | None, SConst _ -> fun () -> wr dst (atom_value env src)
-        | None, SFun g ->
-            fun () ->
-              let d = g env in
-              blocked.(k) <- not d;
-              wr dst (if d then atom_value env src else z)
-        | Some on, SConst _ ->
-            fun () ->
-              let d = on () in
-              blocked.(k) <- not d;
-              wr dst (if d then atom_value env src else z)
-        | Some on, SFun g ->
-            fun () ->
-              let d = on () && g env in
-              blocked.(k) <- not d;
-              wr dst (if d then atom_value env src else z))
+        let d = drives sa in
+        blocked.(k) <- not d;
+        wr dst (if d then atom_value env sa.sa_ra.ra_src else zeros.(dst))
     | Shared ->
         (* Shared slot: maintain this writer's live/value cell — live
            transitions feed the suspect count that gates the conflict
            check — and re-resolve the slot. *)
-        let drive =
-          match (sched, sa.sa_guard) with
-          | None, SConst b -> fun () -> b
-          | None, SFun g -> fun () -> g env
-          | Some on, SConst true -> on
-          | Some _, SConst false -> fun () -> false
-          | Some on, SFun g -> fun () -> on () && g env
-        in
-        fun () ->
-          let d = drive () in
-          blocked.(k) <- not d;
-          if d then begin
-            let v = atom_value env src in
-            if (not st.s_live.(ai)) || not (Bitvec.equal v st.s_val.(ai))
-            then begin
-              if not st.s_live.(ai) then live_transition cp st dst true;
-              st.s_live.(ai) <- true;
-              st.s_val.(ai) <- v;
-              resolve dst
-            end
-          end
-          else if st.s_live.(ai) then begin
-            live_transition cp st dst false;
-            st.s_live.(ai) <- false;
+        let d = drives sa in
+        blocked.(k) <- not d;
+        if d then begin
+          let v = atom_value env sa.sa_ra.ra_src in
+          if (not st.s_live.(ai)) || not (Bitvec.equal v st.s_val.(ai)) then begin
+            if not st.s_live.(ai) then live_transition cp st dst true;
+            st.s_live.(ai) <- true;
+            st.s_val.(ai) <- v;
             resolve dst
           end
+        end
+        else if st.s_live.(ai) then begin
+          live_transition cp st dst false;
+          st.s_live.(ai) <- false;
+          resolve dst
+        end
   in
+  (* A never-driving writer starts blocked; a folded one's constant is
+     the slot's initial value. *)
+  Array.iteri
+    (fun ai sa ->
+      match sa.sa_drive with
+      | Elided -> blocked.(first_assign + ai) <- true
+      | Folded v -> env.(sa.sa_ra.ra_dst) <- v
+      | Always | Direct | Shared -> ())
+    cp.c_assigns;
   let one1 = Bitvec.one 1 and zero1 = Bitvec.zero 1 in
   let build_go g =
     (* Mirrors the reference loop: one write per active entry in actives
@@ -701,15 +682,16 @@ let compile (cp : plan) inst : compiled =
       | None -> ()
   in
   let nc = Array.length ip.p_children in
-  let first_assign = np + nc + ngroups in
   let closure_of k =
     if k < np then build_prim k
     else if k < np + nc then build_child (k - np)
-    else if k < first_assign then build_go (k - np - nc)
-    else build_assign k (k - first_assign)
+    else build_go (k - np - nc)
   in
-  let closures = Array.init (Sched.node_count cp.c_topo) closure_of in
-  let eval k = closures.(k) () in
+  let closures = Array.init first_assign closure_of in
+  let eval k =
+    if k >= first_assign then eval_assign k (k - first_assign)
+    else closures.(k) ()
+  in
   let inputs =
     Array.of_list (List.map (fun (_, slot) -> produce slot) ip.p_input_slots)
   in
