@@ -46,10 +46,12 @@ type sassign = {
 type plan = {
   c_topo : Sched.topo;
   c_assigns : sassign array;  (* in the reference engine's scan order *)
-  c_writers : int array array;
-      (* slot -> indices into c_assigns that statically target it, in the
-         reference engine's scan order (continuous, then per group in
-         declaration order: dones then datas) *)
+  c_wstart : int array;
+  c_writers : int array;
+      (* the indices into c_assigns that statically target slot [s] are
+         [c_writers.(c_wstart.(s))] up to [c_writers.(c_wstart.(s + 1) - 1)],
+         in the reference engine's scan order (continuous, then per group
+         in declaration order: dones then datas) *)
   c_has_producer : bool array;
       (* slot -> has a non-assignment producer (component input,
          primitive output, child output or done, go hole) *)
@@ -85,8 +87,10 @@ type sstate = {
    per-slot live count (maintained only for statically multi-written
    slots) tells us when the exact — and comparatively expensive — settled
    check can be skipped. Maintained by the shared-slot closures. *)
+let writer_count cp slot = cp.c_wstart.(slot + 1) - cp.c_wstart.(slot)
+
 let live_transition cp st dst becoming =
-  if Array.length cp.c_writers.(dst) > 1 then begin
+  if writer_count cp dst > 1 then begin
     let c =
       if becoming then st.s_live_count.(dst) + 1
       else st.s_live_count.(dst) - 1
@@ -95,6 +99,13 @@ let live_transition cp st dst becoming =
     if becoming && c = 2 then st.s_suspects <- st.s_suspects + 1
     else if (not becoming) && c = 1 then st.s_suspects <- st.s_suspects - 1
   end
+
+(* Writes a list backwards into [a], its head at [i]. *)
+let rec fill_down a i = function
+  | [] -> ()
+  | x :: rest ->
+      a.(i) <- x;
+      fill_down a (i - 1) rest
 
 (* Recompute which groups the control schedules this cycle and diff
    against the last settle's view; a changed group has its go node and all
@@ -323,19 +334,22 @@ let plan (ip : Instance.plan) : plan =
     end
   in
   let topo = Sched.build_with ~slots:nslots ~nodes:(first_assign + na) edges in
-  let nwriters = Array.make (max nslots 1) 0 in
+  let wstart = Array.make (nslots + 1) 0 in
   Array.iter
     (fun sa ->
       let dst = sa.sa_ra.ra_dst in
-      nwriters.(dst) <- nwriters.(dst) + 1)
+      wstart.(dst + 1) <- wstart.(dst + 1) + 1)
     c_assigns;
-  let writers = Array.map (fun c -> Array.make c 0) nwriters in
-  Array.fill nwriters 0 (Array.length nwriters) 0;
+  for s = 1 to nslots do
+    wstart.(s) <- wstart.(s) + wstart.(s - 1)
+  done;
+  let writers = Array.make (max na 1) 0 in
+  let fill = Array.sub wstart 0 (max nslots 1) in
   Array.iteri
     (fun ai sa ->
       let dst = sa.sa_ra.ra_dst in
-      writers.(dst).(nwriters.(dst)) <- ai;
-      nwriters.(dst) <- nwriters.(dst) + 1)
+      writers.(fill.(dst)) <- ai;
+      fill.(dst) <- fill.(dst) + 1)
     c_assigns;
   let has_producer = Array.make (max nslots 1) false in
   List.iter (fun (_, s) -> has_producer.(s) <- true) ip.p_input_slots;
@@ -357,7 +371,7 @@ let plan (ip : Instance.plan) : plan =
       if sa.sa_group >= 0 then
         group_lists.(sa.sa_group) <-
           (first_assign + ai) :: group_lists.(sa.sa_group);
-      if Array.length writers.(dst) = 1 && not has_producer.(dst) then
+      if wstart.(dst + 1) - wstart.(dst) = 1 && not has_producer.(dst) then
         sa.sa_drive <-
           (match sa.sa_guard with
           | SConst false ->
@@ -415,6 +429,7 @@ let plan (ip : Instance.plan) : plan =
   {
     c_topo = topo;
     c_assigns;
+    c_wstart = wstart;
     c_writers = writers;
     c_has_producer = has_producer;
     c_group_nodes = Array.map Array.of_list group_lists;
@@ -463,7 +478,8 @@ let compile (cp : plan) inst : compiled =
   in
   Sched.mark_all graph;
   let blocked = Sched.blocked graph in
-  let writers = cp.c_writers and has_producer = cp.c_has_producer in
+  let wstart = cp.c_wstart and writers = cp.c_writers in
+  let has_producer = cp.c_has_producer in
   let stage_read ?(on_slot = ignore) pp name =
     match input_slot pp name with
     | slot when slot >= 0 ->
@@ -514,18 +530,24 @@ let compile (cp : plan) inst : compiled =
       ip.p_prims
   in
   staging := false;
-  let edge_readers =
-    Array.map (fun ps -> Array.of_list (List.rev ps)) edge_reads
-  in
+  (* The edges that read slot [s], in staging order, are
+     [edge_readers.(estart.(s))] up to [edge_readers.(estart.(s + 1) - 1)]. *)
+  let estart = Array.make (nslots + 1) 0 in
+  for s = 0 to nslots - 1 do
+    estart.(s + 1) <- estart.(s) + List.length edge_reads.(s)
+  done;
+  let edge_readers = Array.make (max estart.(nslots) 1) 0 in
+  for s = 0 to nslots - 1 do
+    fill_down edge_readers (estart.(s + 1) - 1) edge_reads.(s)
+  done;
   (* The single sink for every computed slot value: a change enqueues
      the slot's readers and the edges that read it. *)
   let wr slot v =
     if not (Bitvec.equal env.(slot) v) then begin
       env.(slot) <- v;
       Sched.mark_slot graph slot;
-      let ps = edge_readers.(slot) in
-      for i = 0 to Array.length ps - 1 do
-        enqueue ps.(i)
+      for i = estart.(slot) to estart.(slot + 1) - 1 do
+        enqueue edge_readers.(i)
       done
     end
   in
@@ -534,13 +556,13 @@ let compile (cp : plan) inst : compiled =
      last-write-wins scan, with an early exit from the back, no
      allocation. *)
   let resolve slot =
-    let ws = writers.(slot) in
-    let i = ref (Array.length ws - 1) in
-    while !i >= 0 && not st.s_live.(ws.(!i)) do
+    let first = wstart.(slot) in
+    let i = ref (wstart.(slot + 1) - 1) in
+    while !i >= first && not st.s_live.(writers.(!i)) do
       decr i
     done;
     wr slot
-      (if !i >= 0 then st.s_val.(ws.(!i))
+      (if !i >= first then st.s_val.(writers.(!i))
        else if has_producer.(slot) then st.s_base.(slot)
        else zeros.(slot))
   in
@@ -548,7 +570,7 @@ let compile (cp : plan) inst : compiled =
      the base cell and write the env directly; writer-shadowed slots
      stage the base and re-resolve. *)
   let produce slot =
-    if Array.length writers.(slot) = 0 then fun v -> wr slot v
+    if writer_count cp slot = 0 then fun v -> wr slot v
     else fun v ->
       if not (Bitvec.equal st.s_base.(slot) v) then begin
         st.s_base.(slot) <- v;

@@ -47,10 +47,13 @@ let vec_push v x =
    from it. *)
 type topo = {
   n : int;
-  readers : int array array;  (* slot -> nodes that read it *)
+  rstart : int array;
+  rnodes : int array;
+      (* the readers of slot [s] are [rnodes.(rstart.(s))] up to
+         [rnodes.(rstart.(s + 1) - 1)], one flat array *)
   split : int array;
       (* slot -> where its source readers (those that read it only while
-         they drive) start in [readers] *)
+         they drive) start in [rnodes] *)
   level : int array;  (* node -> level of its component *)
   cyclic : bool array;  (* node -> member of a cyclic component? *)
   scc : int array;  (* node -> component id *)
@@ -67,7 +70,8 @@ type topo = {
    reads are copied in as fields, one indirection fewer per mark. *)
 type t = {
   topo : topo;
-  t_readers : int array array;
+  t_rstart : int array;
+  t_rnodes : int array;
   t_split : int array;
   t_level : int array;
   t_cyclic : bool array;
@@ -84,54 +88,62 @@ exception Diverged
 
 (* Whether node [k] reads one of the slots [wslot.(w)], [w] in
    [w, stop). *)
-let rec reads_own_write readers wslot k w stop =
+let rec reads_own_write rstart rnodes wslot k w stop =
   w < stop
   &&
-  let rs = readers.(wslot.(w)) in
-  let rec mem i = i < Array.length rs && (rs.(i) = k || mem (i + 1)) in
-  mem 0 || reads_own_write readers wslot k (w + 1) stop
+  let s = wslot.(w) in
+  let rec mem i = i < rstart.(s + 1) && (rnodes.(i) = k || mem (i + 1)) in
+  mem rstart.(s) || reads_own_write rstart rnodes wslot k (w + 1) stop
 
 (* Every other component reading one of the slots [wslot.(w)], [w] in
    [w, stop) (written by a member of component [id]), sits above [id]. *)
-let rec raise_levels readers wslot scc scc_level id w stop =
+let rec raise_levels rstart rnodes wslot scc scc_level id w stop =
   if w < stop then begin
-    let rs = readers.(wslot.(w)) in
-    for i = 0 to Array.length rs - 1 do
-      let c = scc.(rs.(i)) in
+    let s = wslot.(w) in
+    for i = rstart.(s) to rstart.(s + 1) - 1 do
+      let c = scc.(rnodes.(i)) in
       if c <> id then scc_level.(c) <- imax scc_level.(c) (scc_level.(id) + 1)
     done;
-    raise_levels readers wslot scc scc_level id (w + 1) stop
+    raise_levels rstart rnodes wslot scc scc_level id (w + 1) stop
   end
 
 type edges = read:(int -> unit) -> source:(int -> unit) -> write:(int -> unit) -> unit
 
-let ignore_slot (_ : int) = ()
-
 let build_with ~slots ~nodes:n (edges : int -> edges) =
-  (* Reader lists per slot: the nodes that read it always, then from
-     [split.(s)] on the nodes that read it only as a source. The writes
-     go into one flat array, node [k]'s from [wstart.(k)]. Each pass asks
-     every node for its slots again, so nothing per node is kept but
-     the writes. *)
-  let split = Array.make (max slots 1) 0 in
-  let fill = Array.make (max slots 1) 0 in
+  (* The readers of every slot in one flat array: per slot, the nodes
+     that read it always, then from [split.(s)] on the nodes that read it
+     only as a source. The writes go into another, node [k]'s from
+     [wstart.(k)]. Nodes report their slots twice, to be counted and to
+     be placed, so nothing per node is kept but the writes. *)
+  let nread = Array.make (max slots 1) 0 in
+  let nsource = Array.make (max slots 1) 0 in
   let nwrites = ref 0 in
-  let count_read s = split.(s) <- split.(s) + 1 in
-  let count_source s = fill.(s) <- fill.(s) + 1 in
+  let count_read s = nread.(s) <- nread.(s) + 1 in
+  let count_source s = nsource.(s) <- nsource.(s) + 1 in
   let count_write _ = incr nwrites in
   for k = 0 to n - 1 do
     edges k ~read:count_read ~source:count_source ~write:count_write
   done;
-  let readers = Array.mapi (fun s c -> Array.make (split.(s) + c) 0) fill in
+  let rstart = Array.make (slots + 1) 0 in
+  let split = Array.make (max slots 1) 0 in
+  for s = 0 to slots - 1 do
+    split.(s) <- rstart.(s) + nread.(s);
+    rstart.(s + 1) <- split.(s) + nsource.(s)
+  done;
+  let rnodes = Array.make (max rstart.(slots) 1) 0 in
   let wstart = Array.make (n + 1) 0 in
   let wslot = Array.make (max !nwrites 1) 0 in
-  (* Place the plain readers, which leaves [fill.(s) = split.(s)], then
-     the source readers after them. *)
-  Array.fill fill 0 (Array.length fill) 0;
+  (* The counts become each region's next free place. *)
+  Array.blit rstart 0 nread 0 slots;
+  Array.blit split 0 nsource 0 slots;
   let node = ref 0 in
-  let place s =
-    readers.(s).(fill.(s)) <- !node;
-    fill.(s) <- fill.(s) + 1
+  let place_read s =
+    rnodes.(nread.(s)) <- !node;
+    nread.(s) <- nread.(s) + 1
+  in
+  let place_source s =
+    rnodes.(nsource.(s)) <- !node;
+    nsource.(s) <- nsource.(s) + 1
   in
   let nw = ref 0 in
   let add_write s =
@@ -141,13 +153,9 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
   for k = 0 to n - 1 do
     node := k;
     wstart.(k) <- !nw;
-    edges k ~read:place ~source:ignore_slot ~write:add_write
+    edges k ~read:place_read ~source:place_source ~write:add_write
   done;
   wstart.(n) <- !nw;
-  for k = 0 to n - 1 do
-    node := k;
-    edges k ~read:ignore_slot ~source:place ~write:ignore_slot
-  done;
   (* Iterative Tarjan SCC. Components are numbered such that every edge
      leaving a component goes to a lower id, so decreasing id order is a
      topological order of the condensation. A node is on Tarjan's stack
@@ -163,6 +171,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
      reader's index in that slot. A node's successors are the readers of
      the slots it writes, in order (duplicates are harmless below). *)
   let fv = vec_make () and fw = vec_make () and fi = vec_make () in
+  let first_reader w = if w < Array.length wslot then rstart.(wslot.(w)) else 0 in
   let enter v =
     index.(v) <- !next_index;
     lowlink.(v) <- !next_index;
@@ -170,22 +179,21 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
     vec_push stack v;
     vec_push fv v;
     vec_push fw wstart.(v);
-    vec_push fi 0
+    vec_push fi (first_reader wstart.(v))
   in
   (* The next successor of frame [d], or -1. *)
   let rec next d =
     let w = fw.data.(d) in
     if w >= wstart.(fv.data.(d) + 1) then -1
     else
-      let rs = readers.(wslot.(w)) in
       let i = fi.data.(d) in
-      if i < Array.length rs then begin
+      if i < rstart.(wslot.(w) + 1) then begin
         fi.data.(d) <- i + 1;
-        rs.(i)
+        rnodes.(i)
       end
       else begin
         fw.data.(d) <- w + 1;
-        fi.data.(d) <- 0;
+        fi.data.(d) <- first_reader (w + 1);
         next d
       end
   in
@@ -238,7 +246,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
   let scc_cyclic = Array.make (max nscc 1) false in
   for k = 0 to n - 1 do
     if scc_size.(scc.(k)) > 1 then scc_cyclic.(scc.(k)) <- true
-    else if reads_own_write readers wslot k wstart.(k) wstart.(k + 1) then
+    else if reads_own_write rstart rnodes wslot k wstart.(k) wstart.(k + 1) then
       scc_cyclic.(scc.(k)) <- true
   done;
   (* Levelize the condensation: predecessors have higher component ids, so
@@ -247,7 +255,7 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
   let scc_level = Array.make (max nscc 1) 0 in
   for i = n - 1 downto 0 do
     let k = popped.(i) in
-    raise_levels readers wslot scc scc_level scc.(k) wstart.(k) wstart.(k + 1)
+    raise_levels rstart rnodes wslot scc scc_level scc.(k) wstart.(k) wstart.(k + 1)
   done;
   let nlevels =
     1 + Array.fold_left imax 0 (if nscc = 0 then [| 0 |] else scc_level)
@@ -268,7 +276,8 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
   in
   {
     n;
-    readers;
+    rstart;
+    rnodes;
     split;
     level;
     cyclic;
@@ -295,7 +304,8 @@ let create topo =
   let n = topo.n in
   {
     topo;
-    t_readers = topo.readers;
+    t_rstart = topo.rstart;
+    t_rnodes = topo.rnodes;
     t_split = topo.split;
     t_level = topo.level;
     t_cyclic = topo.cyclic;
@@ -323,12 +333,12 @@ let mark_node t k =
   end
 
 let mark_slot t s =
-  let rs = t.t_readers.(s) in
+  let rs = t.t_rnodes in
   let split = t.t_split.(s) in
-  for i = 0 to split - 1 do
+  for i = t.t_rstart.(s) to split - 1 do
     mark_node t rs.(i)
   done;
-  for i = split to Array.length rs - 1 do
+  for i = split to t.t_rstart.(s + 1) - 1 do
     let k = rs.(i) in
     if not t.blocked.(k) then mark_node t k
   done
