@@ -1,21 +1,14 @@
-(* The compiled engine: each component's slot-dependency graph (Sched),
-   planned once, and per instance one specialized closure per node,
-   driven by Sched's dirty-set settle. The engine's state is private to
-   this module; an instance reaches it only through the closures
-   [compile] returns. *)
+(* The compiled engine: each component's slot-dependency graph (Sched)
+   and every decision about its nodes, planned once per component, and
+   per instance the state and closures that evaluate the nodes, driven by
+   Sched's dirty-set settle. The engine's state is private to this
+   module; an instance reaches it only through the closures [compile]
+   returns. *)
 
 open Calyx
 open Ir
 open Instance
 module Tele = Calyx_telemetry
-
-(* One graph node per primitive, child instance, group go hole, and
-   assignment, numbered in that order: primitive [p] is node [p], child
-   [c] node [np + c], group [g]'s go hole node [np + nc + g], and
-   assignment [a] node [np + nc + ng + a]. Prim/child nodes push their
-   outputs into the per-slot [base] value; assignment nodes compute
-   liveness + value; go nodes compute the go hole from the active-entry
-   list. *)
 
 (* A guard partially evaluated against the component: constants fold to
    always/never, the rest is a function of an instance's env, shared by
@@ -42,7 +35,13 @@ type sassign = {
 }
 
 (* Everything about the engine that depends only on the component, built
-   once per component and shared by its instances. *)
+   once per component and shared by its instances. The graph has one
+   node per primitive, child instance, group go hole, and assignment,
+   numbered in that order: primitive [p] is node [p], child [c] node
+   [np + c], group [g]'s go hole node [np + nc + g], and assignment [a]
+   node [np + nc + ng + a]. Prim/child nodes push their outputs into the
+   per-slot [base] value; assignment nodes compute liveness + value; go
+   nodes compute the go hole from the active-entry list. *)
 type plan = {
   c_topo : Sched.topo;
   c_assigns : sassign array;  (* in the reference engine's scan order *)
@@ -64,7 +63,8 @@ type plan = {
 (* One instance's engine state. *)
 type sstate = {
   s_graph : Sched.t;
-  s_live : bool array;  (* assignment -> scheduled && guard true, as of its last eval *)
+  s_live : bool array;
+      (* assignment -> scheduled && guard true, as of its last eval *)
   s_val : Bitvec.t array;  (* assignment -> driven value while live *)
   s_base : Bitvec.t array;
       (* per-slot value from non-assignment producers — zero otherwise *)
@@ -86,7 +86,7 @@ type sstate = {
 (* Conflicts need >= 2 simultaneously-live writers on one slot, so a
    per-slot live count (maintained only for statically multi-written
    slots) tells us when the exact — and comparatively expensive — settled
-   check can be skipped. Maintained by the shared-slot closures. *)
+   check can be skipped. Maintained by the shared-slot assignments. *)
 let writer_count cp slot = cp.c_wstart.(slot + 1) - cp.c_wstart.(slot)
 
 let live_transition cp st dst becoming =
@@ -416,15 +416,15 @@ let plan (ip : Instance.plan) : plan =
     else if k < first_assign then
       Printf.sprintf "go %s" ip.p_groups.(k - np - nc).group_name
     else
-        let sa = c_assigns.(k - first_assign) in
-        let where =
-          if sa.sa_group < 0 then "continuous"
-          else
-            Printf.sprintf "%s%s" ip.p_groups.(sa.sa_group).group_name
-              (if sa.sa_data then "" else " done")
-        in
-        Printf.sprintf "assign [%s] %s%s" where (assign_text sa.sa_ra)
-          (notes sa)
+      let sa = c_assigns.(k - first_assign) in
+      let where =
+        if sa.sa_group < 0 then "continuous"
+        else
+          Printf.sprintf "%s%s" ip.p_groups.(sa.sa_group).group_name
+            (if sa.sa_data then "" else " done")
+      in
+      Printf.sprintf "assign [%s] %s%s" where (assign_text sa.sa_ra)
+        (notes sa)
   in
   {
     c_topo = topo;
@@ -444,12 +444,13 @@ let plan (ip : Instance.plan) : plan =
            (render ~label topo));
   }
 
-(* Stage the component's plan into one closure per node over the
-   instance's private state and return the engine's entry points.
-   Primitive port names are resolved to slot thunks/writers once via
-   Prim_state.compile_step, and slot resolution replays the reference
-   scan over the slot's writers with an early exit instead of re-walking
-   every assignment. Children must already be compiled. *)
+(* Stage the component's plan over the instance's private state and
+   return the engine's entry points: one closure per primitive, child and
+   go node, and one function that evaluates any assignment node from the
+   shared plan. Primitive port names are resolved to slot thunks/writers
+   once via Prim_state.compile_step, and slot resolution replays the
+   reference scan over the slot's writers with an early exit instead of
+   re-walking every assignment. Children must already be compiled. *)
 let compile (cp : plan) inst : compiled =
   let ip = inst.i_plan in
   let env = inst.i_env in

@@ -4,9 +4,10 @@
     one node per primitive, child instance, group [go] hole and
     assignment, condensed into strongly connected components and
     levelized, with guards partially evaluated and constant assignments
-    folded. Per instance, each node is staged ahead of time into one
-    specialized closure over the instance's state, primitive port names
-    resolved to slots. A settle runs {!Sched.run}: it
+    folded. Per instance, the engine stages one closure over the
+    instance's state per primitive (its port names resolved to slots),
+    child and [go] hole, and evaluates assignment nodes straight from the
+    shared plan. A settle runs {!Sched.run}: it
     evaluates only the dirty nodes, level by level, each level in the
     order its nodes were marked, with a worklist for the members of cyclic
     components; an assignment whose last evaluation did not drive is not

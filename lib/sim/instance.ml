@@ -1,13 +1,16 @@
 (* The simulator's instance model, read by both evaluation engines: one
-   record per component instance, its groups numbered once (their index
-   in [i_groups], declaration order, which is also the static scan order
-   of every settle), and the control interpreter that decides which
-   groups run in a cycle (the reference semantics of Section 3.4).
+   plan per component, shared by all its instances (its ports numbered
+   as slots, every assignment resolved over them, its groups numbered
+   once: their index in [p_groups], declaration order, which is also the
+   static scan order of every settle), one record per component instance
+   with its own values and state, and the control interpreter that
+   decides which groups run in a cycle (the reference semantics of
+   Section 3.4).
 
-   Sim builds instances and runs the fixpoint reference engine and the
-   clock-edge lifecycle over them; Compiled adds the compiled engine to an
-   instance as closures over its own private state. Group names appear
-   only where something is printed. *)
+   Sim builds plans and instances and runs the fixpoint reference engine
+   and the clock-edge lifecycle over them; Compiled adds the compiled
+   engine to an instance as closures over its own private state. Group
+   names appear only where something is printed. *)
 
 open Calyx
 open Ir
@@ -52,8 +55,7 @@ type ctrl_phase = Ctrl_enter | Ctrl_exit | Ctrl_branch of bool
 
 (* The control program, annotated with its Ir.control_preorder node ids so
    the interpreter can attribute enter/exit/branch events, and with group
-   indices in place of names. Built once per instance at construction
-   time. *)
+   indices in place of names. Built once per component, in its plan. *)
 type ictrl =
   | IEmpty
   | IEnable of int * int
