@@ -16,20 +16,21 @@
     control program when its [go] input rises and presents [done] for one
     cycle when it finishes.
 
-    Every component instance is one record that both evaluation
-    {b engines} read: its slots, its primitives and children, its groups
-    (numbered once, in declaration order) and its control state. The
-    engines implement the settle:
+    Every component is planned once per {!create}: its ports numbered as
+    slots, its assignments resolved over them, its groups numbered once
+    in declaration order. Every instance of it is one record with its own
+    values, primitives, children and control state; both evaluation
+    {b engines} read the two. The engines implement the settle:
 
     - [`Fixpoint] — the reference engine: dense Jacobi iteration
       re-evaluating every assignment and primitive until the full
       environment stops changing. The semantic oracle.
     - [`Compiled] (the default) — a static slot-dependency graph is built
-      per instance at construction time, condensed into strongly connected
-      components and levelized ({!Sched}), and compiled ahead of time into
-      one specialized OCaml closure per node (guards partially evaluated,
-      constant assignments folded, primitive port names resolved to slots,
-      no dispatch). Each settle runs only the {e dirty} closures, level by
+      per component at construction time, condensed into strongly
+      connected components and levelized ({!Sched}), with guards
+      partially evaluated and constant assignments folded; each instance
+      stages it ahead of time over its own state (primitive port names
+      resolved to slots). Each settle runs only the {e dirty} nodes, level by
       level, with a worklist for the (rare) cyclic remainder, and the
       clock edge re-marks exactly the primitives whose committed state
       changed, so a settled cycle costs O(nodes touched) instead of
@@ -112,8 +113,9 @@ val engine : t -> engine
 
 val compiled_plan : t -> string option
 (** The [`Compiled] engine's graph of every instance, as text: one line
-    per node (the closure it compiled, with partial-evaluation
-    annotations), grouped by level, cyclic components marked. A
+    per node (with its partial-evaluation annotations), grouped by
+    level, cyclic components marked; instances of one component share
+    one rendering. A
     rendering of the graph a settle runs on, not an execution order:
     within a level, dirty nodes run in the order they were marked.
     [None] unless built with [`Compiled]. Snapshot-tested so codegen
