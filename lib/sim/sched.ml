@@ -12,12 +12,13 @@
 
    [build] makes the graph's topology, which never changes and may be
    shared; [create] makes one evaluation state over it (the dirty set and
-   the blocked flags). The scheduler itself never reads slot values; the caller's [eval]
-   callback performs the actual computation and reports value changes back
-   through [mark_slot], which enqueues the readers of that slot. Dirt
-   persists across [run] calls, so commit-time invalidation (a register
-   that latched a new value, a child whose state advanced) simply marks the
-   affected nodes and the next settle touches only what can have changed.
+   the blocked flags). The scheduler itself never reads slot values; the
+   caller's [eval] callback performs the actual computation and reports
+   value changes back through [mark_slot], which enqueues the readers of
+   that slot. Dirt persists across [run] calls, so commit-time
+   invalidation (a register that latched a new value, a child whose state
+   advanced) simply marks the affected nodes and the next settle touches
+   only what can have changed.
 
    A node may also name source reads: slots it reads only while it
    drives. While its last evaluation left it blocked (see [blocked]), a
@@ -62,7 +63,7 @@ type topo = {
   nlevels : int;
   level_acyclic : int array;
       (* level -> its acyclic nodes: a bucket never holds more, as a
-         node is queued only while it is not already *)
+         node is queued only while it is not queued already *)
   cyclic_at : int array array;  (* level -> cyclic component ids *)
 }
 
