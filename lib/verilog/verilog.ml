@@ -22,19 +22,16 @@ let rec buf_int b n =
 let hole_error g h =
   raise (Not_lowered (Printf.sprintf "hole %s[%s] survived lowering" g h))
 
-let add_wire b = function
-  | Cell_port (c, p) ->
-      buf_add b c;
-      Buffer.add_char b '_';
-      buf_add b p
-  | This p -> buf_add b p
-  | Hole (g, h) -> hole_error g h
-
 (* A cell port's wire: [c_p]. *)
 let add_cell_wire b c p =
   buf_add b c;
   Buffer.add_char b '_';
   buf_add b p
+
+let add_wire b = function
+  | Cell_port (c, p) -> add_cell_wire b c p
+  | This p -> buf_add b p
+  | Hole (g, h) -> hole_error g h
 
 (* [W'dV], the value unsigned. *)
 let add_lit b v =
