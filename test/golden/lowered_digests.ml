@@ -21,21 +21,44 @@
    program, on the same corpus without the systolic arrays above 16x16.
    A systolic array instantiates one processing-element component once
    per cell, so a change to how the simulator builds instances of a
-   shared component shows up here. *)
+   shared component shows up here.
 
+   [lowered_digests rtl DIR] runs the emitted SystemVerilog of the lowered
+   program under the RTL interpreter ([Vinterp]) on the same corpus as
+   [plan], systolic arrays and PolyBench kernels on their test benches'
+   inputs, and prints one MD5 per design and config over
+   [Vinterp.stats], the cycle count, the settle evaluations and every
+   final register and memory ([Sim.state_cells]). Then come the
+   [Parse_error]/[Elab_error] messages of a fixed list of faulty sources,
+   one line each. A change to how [Vinterp] parses, elaborates or
+   schedules a design shows up here. *)
+
+(* A corpus entry: its name, how to build the structured program, and
+   how its test bench loads the inputs (only [rtl] mode loads them). *)
 let systolic (rows, cols, depth) =
+  let d = Systolic.{ rows; cols; depth; width = 32 } in
   ( (if rows = cols && cols = depth then
        Printf.sprintf "systolic-%dx%d" rows cols
      else Printf.sprintf "systolic-%dx%dx%d" rows cols depth),
-    fun () -> Systolic.generate Systolic.{ rows; cols; depth; width = 32 } )
+    (fun () -> Systolic.generate d),
+    fun io ->
+      let a, b = Systolic.sample d in
+      Systolic.load d ~a ~b io )
 
 let kernel (k : Polybench.Kernels.kernel) =
-  (k.name, fun () -> Polybench.Harness.build k ~unrolled:false)
-  ::
-  (if k.unrolled = None then []
-   else [ (k.name ^ "-unrolled", fun () -> Polybench.Harness.build k ~unrolled:true) ])
+  let entry name unrolled =
+    ( name,
+      (fun () -> Polybench.Harness.build k ~unrolled),
+      fun io ->
+        Polybench.Harness.load_inputs k
+          (Polybench.Harness.program k ~unrolled)
+          io )
+  in
+  entry k.name false
+  :: (if k.unrolled = None then [] else [ entry (k.name ^ "-unrolled") true ])
 
-let example dir f = (f, fun () -> Calyx.Parser.parse_file (Filename.concat dir f))
+let example dir f =
+  (f, (fun () -> Calyx.Parser.parse_file (Filename.concat dir f)), ignore)
 
 let configs =
   [
@@ -45,9 +68,10 @@ let configs =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let lowered_line _structured lowered = md5 (Calyx.Printer.to_string lowered)
+let lowered_line _structured lowered _load =
+  md5 (Calyx.Printer.to_string lowered)
 
-let backend_line structured lowered =
+let backend_line structured lowered _load =
   let sv = Calyx_verilog.Verilog.emit lowered in
   let timing ctx =
     match Calyx_synth.Timing.context_timing ~paths:5 ctx with
@@ -63,7 +87,7 @@ let backend_line structured lowered =
   String.concat " "
     [ md5 sv; md5 (timing structured ^ timing lowered); md5 area ]
 
-let plan_line structured lowered =
+let plan_line structured lowered _load =
   let plan ctx =
     match Calyx_sim.Sim.compiled_plan (Calyx_sim.Sim.create ~engine:`Compiled ctx) with
     | Some p -> p
@@ -71,14 +95,104 @@ let plan_line structured lowered =
   in
   md5 (plan lowered) ^ " " ^ md5 (plan structured)
 
+let rtl_line _structured lowered load =
+  let module V = Calyx_verilog.Vinterp in
+  let rtl =
+    V.load ~top:lowered.Calyx.Ir.entrypoint (Calyx_verilog.Verilog.emit lowered)
+  in
+  let io = Calyx_verilog.Validate.rtl_io rtl in
+  load io;
+  let cycles = V.run rtl in
+  let b = Buffer.create 4096 in
+  let nets, procs = V.stats rtl in
+  Printf.bprintf b "stats %d %d cycles %d evals %d\n" nets procs cycles
+    (V.evals rtl);
+  let regs, mems = Calyx_sim.Sim.state_cells lowered in
+  List.iter
+    (fun path ->
+      Printf.bprintf b "reg %s %s\n" path
+        (Calyx.Bitvec.to_string (io.read_register path)))
+    regs;
+  List.iter
+    (fun path ->
+      Printf.bprintf b "mem %s" path;
+      Array.iter
+        (fun v -> Printf.bprintf b " %s" (Calyx.Bitvec.to_string v))
+        (io.read_memory path);
+      Buffer.add_char b '\n')
+    mems;
+  md5 (Buffer.contents b)
+
+(* Faulty sources, one fault each, and the exact error text [Vinterp.load]
+   reports for each. *)
+let faults =
+  let m body = "module main(input logic clk, input logic [7:0] a, output logic [7:0] b);\n" ^ body ^ "endmodule\n" in
+  let reg =
+    "module r(input logic clk, input logic [7:0] d, output logic [7:0] q);\n\
+     always_ff @(posedge clk) q <= d;\n\
+     endmodule\n"
+  in
+  [
+    ("unknown module", m "nosuch u (.x(a));\n");
+    ("unknown module parameterized", m "nosuch #(.W(8)) u (.x(a));\n");
+    ("unbound net", m "assign b = c;\n");
+    ("unbound net in instance", reg ^ m "r u (.clk(clk), .d(zz), .q(b));\n");
+    ("unbound net in child", "module c(input logic x);\nassign y = x;\nendmodule\n" ^ m "c u (.x(a[0]));\nassign b = a;\n");
+    ( "unbound net in grandchild",
+      "module g(input logic x);\nassign y = x;\nendmodule\n\
+       module c(input logic x);\ng v (.x(x));\nendmodule\n"
+      ^ m "c u (.x(a[0]));\n" );
+    ("duplicate net", m "logic [3:0] t;\nlogic t;\nassign b = a;\n");
+    ("duplicate net in child", "module c(input logic x);\nlogic x;\nendmodule\n" ^ m "c u (.x(a[0]));\n");
+    ("duplicate array", m "logic [7:0] mm[3:0];\nlogic [7:0] mm[1:0];\n");
+    ("double driver", m "assign b = a;\nassign b = 8'd1;\n");
+    ("double driver through a port", reg ^ m "r u (.clk(clk), .d(a), .q(b));\nassign b = a + 8'd1;\n");
+    ("double always_ff driver", m "always_ff @(posedge clk) b <= a;\nalways_ff @(posedge clk) b <= 8'd0;\n");
+    ("double always_ff memory driver", m "logic [7:0] mm[3:0];\nalways_ff @(posedge clk) mm[0] <= a;\nalways_ff @(posedge clk) mm[1] <= a;\n");
+    ("assign and always_ff", m "assign b = a;\nalways_ff @(posedge clk) b <= 8'd0;\n");
+    ("assign and always_comb", m "assign b = a;\nalways_comb b = 8'd0;\n");
+    ("array write outside always_ff", m "logic [7:0] mm[3:0];\nalways_comb mm[0] = a;\n");
+    ("unknown port", reg ^ m "r u (.clk(clk), .d(a), .nope(b));\n");
+    ("output to an expression", reg ^ m "r u (.clk(clk), .d(a), .q(b[0]));\n");
+    ("unsupported width", m "logic [70:0] w;\n");
+    ( "unsupported width in child",
+      "module c #(parameter W = 4) (input logic x);\nlogic [W-1:0] w;\nendmodule\n"
+      ^ m "c #(.W(2)) u0 (.x(a[0]));\nc #(.W(80)) u1 (.x(a[1]));\n" );
+    ( "double always_ff memory driver in child",
+      "module c(input logic clk, input logic x);\nlogic [7:0] mm[3:0];\n\
+       always_ff @(posedge clk) mm[0] <= 8'd1;\n\
+       always_ff @(posedge clk) mm[x] <= 8'd2;\nendmodule\n"
+      ^ m "c u (.clk(clk), .x(a[0]));\n" );
+    ("non-constant parameter", reg ^ m "r #(.W(a)) u (.clk(clk), .d(a), .q(b));\n");
+    ("unsupported range", m "logic [7:1] w;\n");
+    ("non-constant range", m "logic [a:0] w;\n");
+    ("wide concatenation", m "logic [63:0] w;\nassign w = {w, a};\n");
+    ("bad part-select", m "assign b = a[70:2];\n");
+    ("unknown array", m "always_ff @(posedge clk) nope[0] <= a;\n");
+    ("no top module", "module other();\nendmodule\n");
+    ("bad literal", m "assign b = 8'q1;\n");
+    ("bad literal width", m "assign b = 65'd1;\n");
+    ("bad binary digits", m "assign b = 8'b102;\n");
+    ("no digits", m "assign b = 8'h;\n");
+    ("unexpected character", m "assign b = a ` a;\n");
+  ]
+
+let fault_line src =
+  let module V = Calyx_verilog.Vinterp in
+  match V.load ~top:"main" src with
+  | _ -> "loaded"
+  | exception V.Parse_error msg -> "Parse_error: " ^ msg
+  | exception V.Elab_error msg -> "Elab_error: " ^ msg
+
 let () =
   let line, dir, max_side =
     match Sys.argv with
     | [| _; dir |] -> (lowered_line, dir, max_int)
     | [| _; "backend"; dir |] -> (backend_line, dir, max_int)
     | [| _; "plan"; dir |] -> (plan_line, dir, 16)
+    | [| _; "rtl"; dir |] -> (rtl_line, dir, 16)
     | _ ->
-        prerr_endline "usage: lowered_digests [backend|plan] DIR";
+        prerr_endline "usage: lowered_digests [backend|plan|rtl] DIR";
         exit 2
   in
   let examples =
@@ -87,12 +201,12 @@ let () =
     |> List.sort compare
   in
   List.iter
-    (fun (name, build) ->
+    (fun (name, build, load) ->
       List.iter
         (fun (cname, config) ->
           let structured = build () in
           let lowered = Calyx.Pipelines.compile ~config structured in
-          Printf.printf "%s %s %s\n" name cname (line structured lowered))
+          Printf.printf "%s %s %s\n" name cname (line structured lowered load))
         configs)
     (List.map
        (fun n -> systolic (n, n, n))
@@ -101,4 +215,8 @@ let () =
           [ 2; 3; 4; 5; 6; 7; 8; 9; 10; 12; 16; 24; 32 ])
     @ List.map systolic [ (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
     @ List.concat_map kernel Polybench.Kernels.all
-    @ List.map (example dir) examples)
+    @ List.map (example dir) examples);
+  if line == rtl_line then
+    List.iter
+      (fun (name, src) -> Printf.printf "fault %s: %s\n" name (fault_line src))
+      faults
