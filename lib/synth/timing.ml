@@ -51,6 +51,9 @@ let delay_constants =
 
 let cdiv a b = (a + b - 1) / b
 
+(* [Stdlib.max] compares polymorphically; this compares ints. *)
+let imax (a : int) b = if a >= b then a else b
+
 let clog2 n =
   let rec go bits cap = if cap >= n then bits else go (bits + 1) (cap * 2) in
   go 1 2
@@ -100,10 +103,10 @@ let rec guard_ps ports = function
   | True -> 0
   | Atom a -> reduce_ps (Ports.atom_width ports a)
   | Cmp (op, a, b) ->
-      let w = max (Ports.atom_width ports a) (Ports.atom_width ports b) in
+      let w = imax (Ports.atom_width ports a) (Ports.atom_width ports b) in
       (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
   | And (g1, g2) | Or (g1, g2) ->
-      t_lut + max (guard_ps ports g1) (guard_ps ports g2)
+      t_lut + imax (guard_ps ports g1) (guard_ps ports g2)
   | Not g -> guard_ps ports g
 
 (* ------------------------------------------------------------------ *)
@@ -317,7 +320,7 @@ let longest_paths g =
               blv := clv;
               bnext := dst
             end;
-            deep := max !deep (lv + r.deep.(dst)))
+            deep := imax !deep (lv + r.deep.(dst)))
           g.edges.(v);
         r.ps.(v) <- !bps;
         r.lv.(v) <- !blv;

@@ -1,9 +1,19 @@
 (* A cycle-accurate interpreter for the SystemVerilog subset the emitter
    produces. Three stages: a lexer/recursive-descent parser over the
    synthesizable subset, an elaborator that flattens the instance hierarchy
-   into one net table (every net named by its dotted hierarchical path,
-   parameters bound, constant expressions folded, expressions compiled to
-   closures), and a two-phase engine mirroring Sim's per-cycle discipline.
+   into one net table (parameters bound, constant expressions folded,
+   expressions compiled to closures), and a two-phase engine mirroring
+   Sim's per-cycle discipline.
+
+   The front end allocates in proportion to the design, not to the source
+   text. The lexer writes tokens into flat arrays, keeps literal values as
+   native ints (Int64 only past 62 bits) and interns every identifier, so
+   a name is one int and only its first occurrence allocates. Elaboration
+   works out each module under each parameter binding once — a plan: its
+   nets' widths, its memory arrays, its name tables, its children's plans
+   and port bindings — and an instance is its plan at an offset: its local
+   net [l] is net [base + l]. Dotted hierarchical names are built only
+   when a test bench asks for a net or an error message names one.
 
    The engine is activity-driven. Settle processes (continuous assigns,
    port bindings, always_comb blocks) are the nodes of a
@@ -28,14 +38,165 @@ exception Timeout of { budget : int }
 let parse_error fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
 let elab_error fmt = Format.kasprintf (fun s -> raise (Elab_error s)) fmt
 
+(* [Stdlib.max] and [min] compare polymorphically; these compare ints. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+(* A growable int buffer. *)
+type ivec = { mutable a : int array; mutable len : int }
+
+let ivec () = { a = [||]; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.a then begin
+    let a = Array.make (imax 64 (2 * v.len)) 0 in
+    Array.blit v.a 0 a 0 v.len;
+    v.a <- a
+  end;
+  Array.unsafe_set v.a v.len x;
+  v.len <- v.len + 1
+
+(* Tables keyed by symbols. *)
+module IT = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* ------------------------------------------------------------------ *)
+(* Symbols                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every distinct identifier of a source is one symbol: its index in
+   [names]. [slots] is an open-addressing table of symbol + 1 (0 when
+   empty) keyed by the name's characters, so the lexer looks a name up
+   straight from the source text. *)
+type syms = {
+  mutable names : string array;
+  mutable hashes : int array;  (* symbol -> [hash_sub] of its name *)
+  mutable nsyms : int;
+  mutable slots : int array;  (* a power of two long, at most half full *)
+}
+
+(* The keywords are the first symbols, in this order. *)
+let keywords =
+  [|
+    "module"; "endmodule"; "parameter"; "input"; "output"; "logic"; "assign";
+    "always_ff"; "always_comb"; "posedge"; "begin"; "end"; "if"; "else";
+    "sqrt"; "clk";
+  |]
+
+let kw_module = 0
+let kw_endmodule = 1
+let kw_parameter = 2
+let kw_input = 3
+let kw_output = 4
+let kw_logic = 5
+let kw_assign = 6
+let kw_always_ff = 7
+let kw_always_comb = 8
+let kw_posedge = 9
+let kw_begin = 10
+let kw_end = 11
+let kw_if = 12
+let kw_else = 13
+let kw_sqrt = 14
+let kw_clk = 15
+
+let hash_sub s pos len =
+  let h = ref 0 in
+  for i = pos to pos + len - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s i)
+  done;
+  !h land max_int
+
+(* [name] is [s.[pos]] .. [s.[pos + len - 1]] from its [i]th character
+   on, compared eight bytes at a time. *)
+let rec equal_from name s pos len i =
+  if i + 8 <= len then
+    Int64.equal (String.get_int64_ne name i) (String.get_int64_ne s (pos + i))
+    && equal_from name s pos len (i + 8)
+  else
+    i = len
+    || String.unsafe_get name i = String.unsafe_get s (pos + i)
+       && equal_from name s pos len (i + 1)
+
+let rec probe sy s pos len h i =
+  let e = sy.slots.(i) in
+  if
+    e = 0
+    || sy.hashes.(e - 1) = h
+       &&
+       let name = sy.names.(e - 1) in
+       String.length name = len && equal_from name s pos len 0
+  then i
+  else probe sy s pos len h ((i + 1) land (Array.length sy.slots - 1))
+
+(* The slot of the name [s.[pos]] .. [s.[pos + len - 1]], whose hash is
+   [h], or the empty slot it would go in. *)
+let slot_of sy s pos len h =
+  probe sy s pos len h (h land (Array.length sy.slots - 1))
+
+let intern_hashed sy s pos len h =
+  let i = slot_of sy s pos len h in
+  let e = sy.slots.(i) in
+  if e > 0 then e - 1
+  else begin
+    let id = sy.nsyms in
+    if id = Array.length sy.names then begin
+      let a = Array.make (2 * id) "" in
+      Array.blit sy.names 0 a 0 id;
+      sy.names <- a;
+      let a = Array.make (2 * id) 0 in
+      Array.blit sy.hashes 0 a 0 id;
+      sy.hashes <- a
+    end;
+    sy.hashes.(id) <- h;
+    sy.names.(id) <-
+      (if pos = 0 && len = String.length s then s else String.sub s pos len);
+    sy.nsyms <- id + 1;
+    sy.slots.(i) <- id + 1;
+    if 2 * sy.nsyms > Array.length sy.slots then begin
+      let old = sy.slots in
+      sy.slots <- Array.make (2 * Array.length old) 0;
+      Array.iter
+        (fun e ->
+          if e > 0 then
+            let n = sy.names.(e - 1) in
+            sy.slots.(slot_of sy n 0 (String.length n) sy.hashes.(e - 1)) <- e)
+        old
+    end;
+    id
+  end
+
+(* The symbol of [name], or -1 when the source never mentions it. *)
+let lookup sy name =
+  let len = String.length name in
+  sy.slots.(slot_of sy name 0 len (hash_sub name 0 len)) - 1
+
+let new_syms () =
+  let sy = { names = Array.make 512 ""; hashes = Array.make 512 0; nsyms = 0; slots = Array.make 1024 0 } in
+  Array.iter
+    (fun k ->
+      let len = String.length k in
+      ignore (intern_hashed sy k 0 len (hash_sub k 0 len)))
+    keywords;
+  sy
+
+let name sy id = sy.names.(id)
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A token's kind. Its payload, if any, is in [lexed.args] at the same
+   index. *)
 type tok =
-  | Tid of string
-  | Tsys of string  (* $sqrt *)
-  | Tnum of int option * int64  (* sized width (None = unsized), value *)
+  | Tid  (* the symbol *)
+  | Tsys  (* $sqrt; the symbol after the $ *)
+  | Tnum  (* the value, below 2^62 *)
+  | Tbig  (* a value past 62 bits: its index in [bigs] *)
   | Tones  (* '1 *)
   | Tlp | Trp | Tlb | Trb | Tlc | Trc
   | Tsemi | Tcomma | Tcolon | Tquest | Tat | Thash | Tdot
@@ -44,227 +205,327 @@ type tok =
   | Tlt | Tgt | Tle | Tge | Teqeq | Tneq | Tshl | Tshr
   | Teof
 
-let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_id_char c = is_id_start c || (c >= '0' && c <= '9')
-let is_digit c = c >= '0' && c <= '9'
+(* Every kind, by its code. *)
+let tok_of =
+  [|
+    Tid; Tsys; Tnum; Tbig; Tones; Tlp; Trp; Tlb; Trb; Tlc; Trc; Tsemi; Tcomma;
+    Tcolon; Tquest; Tat; Thash; Tdot; Tassign; Tplus; Tminus; Tstar; Tslash;
+    Tpercent; Tamp; Tpipe; Tcaret; Ttilde; Tbang; Tlt; Tgt; Tle; Tge; Teqeq;
+    Tneq; Tshl; Tshr; Teof;
+  |]
 
-(* Monomorphic token equality: constant constructors are immediates. *)
-let tok_equal a b =
-  match (a, b) with
-  | Tid x, Tid y | Tsys x, Tsys y -> String.equal x y
-  | Tnum (w, v), Tnum (w', v') -> Option.equal Int.equal w w' && Int64.equal v v'
-  | (Tid _ | Tsys _ | Tnum _), _ | _, (Tid _ | Tsys _ | Tnum _) -> false
-  | _ -> a == b
+let code t =
+  let rec go i = if tok_of.(i) == t then i else go (i + 1) in
+  go 0
 
-(* The token stream: [toks] and the line of each token in [lines], up to
-   [last], the index of the closing [Teof]. *)
-type lexed = { toks : tok array; lines : int array; last : int }
+(* The one-character tokens by character, as codes; -1 for the others. *)
+let punct =
+  let a = Array.make 256 (-1) in
+  List.iter
+    (fun (c, t) -> a.(Char.code c) <- code t)
+    [
+      ('(', Tlp); (')', Trp); ('[', Tlb); (']', Trb); ('{', Tlc); ('}', Trc);
+      (';', Tsemi); (',', Tcomma); (':', Tcolon); ('?', Tquest); ('@', Tat);
+      ('#', Thash); ('.', Tdot); ('=', Tassign); ('+', Tplus); ('-', Tminus);
+      ('*', Tstar); ('/', Tslash); ('%', Tpercent); ('&', Tamp); ('|', Tpipe);
+      ('^', Tcaret); ('~', Ttilde); ('!', Tbang); ('<', Tlt); ('>', Tgt);
+    ];
+  a
 
-let lex src =
+(* Character classes: what a token starting with the character is. *)
+let cl_space = '\001'
+let cl_newline = '\002'
+let cl_digit = '\003'
+let cl_id = '\004'
+
+let classes =
+  let b = Bytes.make 256 '\000' in
+  let set c k = Bytes.set b (Char.code c) k in
+  List.iter (fun c -> set c cl_space) [ ' '; '\t'; '\r' ];
+  set '\n' cl_newline;
+  String.iter (fun c -> set c cl_digit) "0123456789";
+  String.iter (fun c -> set c cl_id) "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_";
+  Bytes.unsafe_to_string b
+
+let is_id_char c =
+  let k = String.unsafe_get classes (Char.code c) in
+  k = cl_id || k = cl_digit
+
+(* The token stream up to [last], the index of the closing [Teof]. Token
+   [i] is [kinds.(i)]: its kind's code in the low 6 bits, a literal's
+   width (0 unsized) in the next 7, its line above; and [args.(i)], its
+   payload. *)
+type lexed = {
+  kinds : int array;
+  args : int array;
+  last : int;
+  bigs : int64 array;
+  syms : syms;
+}
+
+let kind_at lx i = tok_of.(lx.kinds.(i) land 63)
+let width_at lx i = (lx.kinds.(i) lsr 6) land 127
+let line_at lx i = lx.kinds.(i) lsr 13
+
+(* The largest value a literal holds as a native int. *)
+let narrow_max = (1 lsl 62) - 1
+
+let digit_val c =
+  if c >= '0' && c <= '9' then Char.code c - Char.code '0'
+  else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
+  else if c >= 'A' && c <= 'F' then Char.code c - Char.code 'A' + 10
+  else -1
+
+(* A literal's digits, modulo 2^64: [dv] while the value is at most
+   [narrow_max], [big] (with [is_big] set) past that. *)
+type digits = { mutable dv : int; mutable big : int64; mutable is_big : bool }
+
+(* Read digits in [base] from [i], skipping '_'; returns where they end. *)
+let scan_digits src i base dg line =
   let n = String.length src in
-  let cap = (n / 4) + 16 in
-  let toks = ref (Array.make cap Teof) and lines = ref (Array.make cap 0) in
-  let ntoks = ref 0 and line = ref 1 in
-  let emit t =
-    if !ntoks = Array.length !toks then begin
-      let grow a fill =
-        let b = Array.make (2 * !ntoks) fill in
-        Array.blit a 0 b 0 !ntoks;
+  let j = ref i and v = ref 0 and any = ref false and continue = ref true in
+  dg.is_big <- false;
+  while !continue && !j < n do
+    let c = String.unsafe_get src !j in
+    if c = '_' then incr j
+    else
+      let d = digit_val c in
+      if d >= 0 && d < base then begin
+        any := true;
+        if dg.is_big then
+          dg.big <- Int64.add (Int64.mul dg.big (Int64.of_int base)) (Int64.of_int d)
+        else if !v > (narrow_max - d) / base then begin
+          dg.is_big <- true;
+          dg.big <-
+            Int64.add (Int64.mul (Int64.of_int !v) (Int64.of_int base)) (Int64.of_int d)
+        end
+        else v := (!v * base) + d;
+        incr j
+      end
+      else continue := false
+  done;
+  if not !any then parse_error "line %d: expected digits" line;
+  dg.dv <- !v;
+  !j
+
+let c_id = code Tid
+let c_sys = code Tsys
+let c_num = code Tnum
+let c_big = code Tbig
+let c_ones = code Tones
+let c_eof = code Teof
+
+(* The token arrays, kept per domain from one [lex] to the next: a
+   source's tokens are dead once it is parsed, and fresh arrays of this
+   size cost more to allocate than to fill. *)
+type buffers = { mutable b_kinds : int array; mutable b_args : int array }
+
+let buffers = Domain.DLS.new_key (fun () -> { b_kinds = [||]; b_args = [||] })
+
+let lex sy src =
+  let n = String.length src in
+  let buf = Domain.DLS.get buffers in
+  let cap = (n / 3) + 16 in
+  if Array.length buf.b_kinds < cap then begin
+    buf.b_kinds <- Array.make cap 0;
+    buf.b_args <- Array.make cap 0
+  end;
+  let kinds = ref buf.b_kinds and args = ref buf.b_args in
+  let ntoks = ref 0 in
+  let emit kind arg =
+    let k = !ntoks in
+    if k = Array.length !kinds then begin
+      let grow a =
+        let b = Array.make (2 * k) 0 in
+        Array.blit a 0 b 0 k;
         b
       in
-      toks := grow !toks Teof;
-      lines := grow !lines 0
+      kinds := grow !kinds;
+      args := grow !args;
+      buf.b_kinds <- !kinds;
+      buf.b_args <- !args
     end;
-    Array.unsafe_set !toks !ntoks t;
-    Array.unsafe_set !lines !ntoks !line;
-    incr ntoks
+    Array.unsafe_set !kinds k kind;
+    Array.unsafe_set !args k arg;
+    ntoks := k + 1
   in
-  let i = ref 0 in
-  let digit_val c =
-    if is_digit c then Char.code c - Char.code '0'
-    else if c >= 'a' && c <= 'f' then Char.code c - Char.code 'a' + 10
-    else if c >= 'A' && c <= 'F' then Char.code c - Char.code 'A' + 10
-    else -1
-  in
-  let read_digits base =
-    let v = ref 0L in
-    let any = ref false in
-    let continue = ref true in
-    while !continue && !i < n do
-      let c = src.[!i] in
-      if c = '_' then incr i
-      else
-        let d = digit_val c in
-        if d >= 0 && d < base then begin
-          any := true;
-          v := Int64.add (Int64.mul !v (Int64.of_int base)) (Int64.of_int d);
-          incr i
-        end
-        else continue := false
-    done;
-    if not !any then parse_error "line %d: expected digits" !line;
-    !v
-  in
-  let word () =
-    let s = !i in
-    while !i < n && is_id_char src.[!i] do incr i done;
-    String.sub src s (!i - s)
-  in
-  let two t =
-    emit t;
-    i := !i + 2
-  in
-  while !i < n do
-    let c = src.[!i] in
-    if c = '\n' then begin incr line; incr i end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then begin
-      while !i < n && src.[!i] <> '\n' do incr i done
+  let bigs = ref [] and nbigs = ref 0 in
+  let dg = { dv = 0; big = 0L; is_big = false } in
+  let num w line =
+    if dg.is_big then begin
+      bigs := dg.big :: !bigs;
+      emit (c_big lor (w lsl 6) lor (line lsl 13)) !nbigs;
+      incr nbigs
     end
-    else if is_digit c then begin
-      let v = read_digits 10 in
-      if !i < n && src.[!i] = '\'' then begin
+    else emit (c_num lor (w lsl 6) lor (line lsl 13)) dg.dv
+  in
+  (* An identifier from [s], interned; returns where it ends. *)
+  let word c s =
+    let h = ref 0 and j = ref s in
+    while !j < n && is_id_char (String.unsafe_get src !j) do
+      h := (!h * 31) + Char.code (String.unsafe_get src !j);
+      incr j
+    done;
+    emit c (intern_hashed sy src s (!j - s) (!h land max_int));
+    !j
+  in
+  let i = ref 0 and line = ref 1 in
+  while !i < n do
+    let c = String.unsafe_get src !i in
+    let cl = String.unsafe_get classes (Char.code c) in
+    if cl = cl_space then incr i
+    else if cl = cl_newline then begin incr line; incr i end
+    else if cl = cl_id then i := word (c_id lor (!line lsl 13)) !i
+    else if cl = cl_digit then begin
+      i := scan_digits src !i 10 dg !line;
+      if !i < n && String.unsafe_get src !i = '\'' then begin
+        let w = if dg.is_big then Int64.to_int dg.big else dg.dv in
         incr i;
         let base =
           if !i >= n then parse_error "line %d: truncated literal" !line
           else
-            match src.[!i] with
+            match String.unsafe_get src !i with
             | 'd' | 'D' -> 10
             | 'b' | 'B' -> 2
             | 'h' | 'H' -> 16
             | c -> parse_error "line %d: unsupported base '%c'" !line c
         in
         incr i;
-        let value = read_digits base in
-        let w = Int64.to_int v in
+        i := scan_digits src !i base dg !line;
         if w < 1 || w > 64 then
           parse_error "line %d: literal width %d out of range" !line w;
-        emit (Tnum (Some w, value))
+        num w !line
       end
-      else emit (Tnum (None, v))
-    end
-    else if c = '\'' then begin
-      incr i;
-      if !i < n && src.[!i] = '1' then begin incr i; emit Tones end
-      else if !i < n && src.[!i] = '0' then begin
-        incr i;
-        emit (Tnum (None, 0L))
-      end
-      else parse_error "line %d: unsupported unsized literal" !line
-    end
-    else if is_id_start c then emit (Tid (word ()))
-    else if c = '$' then begin
-      incr i;
-      emit (Tsys (word ()))
+      else num 0 !line
     end
     else begin
-      let c2 = if !i + 1 < n then src.[!i + 1] else ' ' in
-      match (c, c2) with
-      | '<', '=' -> two Tle
-      | '>', '=' -> two Tge
-      | '=', '=' -> two Teqeq
-      | '!', '=' -> two Tneq
-      | '<', '<' -> two Tshl
-      | '>', '>' -> two Tshr
-      | _ ->
-          (match c with
-          | '(' -> emit Tlp
-          | ')' -> emit Trp
-          | '[' -> emit Tlb
-          | ']' -> emit Trb
-          | '{' -> emit Tlc
-          | '}' -> emit Trc
-          | ';' -> emit Tsemi
-          | ',' -> emit Tcomma
-          | ':' -> emit Tcolon
-          | '?' -> emit Tquest
-          | '@' -> emit Tat
-          | '#' -> emit Thash
-          | '.' -> emit Tdot
-          | '=' -> emit Tassign
-          | '+' -> emit Tplus
-          | '-' -> emit Tminus
-          | '*' -> emit Tstar
-          | '/' -> emit Tslash
-          | '%' -> emit Tpercent
-          | '&' -> emit Tamp
-          | '|' -> emit Tpipe
-          | '^' -> emit Tcaret
-          | '~' -> emit Ttilde
-          | '!' -> emit Tbang
-          | '<' -> emit Tlt
-          | '>' -> emit Tgt
-          | c -> parse_error "line %d: unexpected character '%c'" !line c);
+      let c2 = if !i + 1 < n then String.unsafe_get src (!i + 1) else ' ' in
+      if c = '/' && c2 = '/' then
+        while !i < n && String.unsafe_get src !i <> '\n' do incr i done
+      else if c = '\'' then begin
+        if c2 = '1' then emit (c_ones lor (!line lsl 13)) 0
+        else if c2 = '0' then emit (c_num lor (!line lsl 13)) 0
+        else parse_error "line %d: unsupported unsized literal" !line;
+        i := !i + 2
+      end
+      else if c = '$' then i := word (c_sys lor (!line lsl 13)) (!i + 1)
+      else
+        let two =
+          match (c, c2) with
+          | '<', '=' -> code Tle
+          | '>', '=' -> code Tge
+          | '=', '=' -> code Teqeq
+          | '!', '=' -> code Tneq
+          | '<', '<' -> code Tshl
+          | '>', '>' -> code Tshr
+          | _ -> -1
+        in
+        if two >= 0 then begin
+          emit (two lor (!line lsl 13)) 0;
+          i := !i + 2
+        end
+        else begin
+          let k = punct.(Char.code c) in
+          if k < 0 then parse_error "line %d: unexpected character '%c'" !line c;
+          emit (k lor (!line lsl 13)) 0;
           incr i
+        end
     end
   done;
-  emit Teof;
-  { toks = !toks; lines = !lines; last = !ntoks - 1 }
+  emit (c_eof lor (!line lsl 13)) 0;
+  {
+    kinds = !kinds;
+    args = !args;
+    last = !ntoks - 1;
+    bigs = Array.of_list (List.rev !bigs);
+    syms = sy;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* AST and parser                                                      *)
 (* ------------------------------------------------------------------ *)
 
+type unop = U_not | U_lnot | U_neg
+
+type binop =
+  | B_or | B_xor | B_and | B_eq | B_ne | B_lt | B_gt | B_le | B_ge
+  | B_shl | B_shr | B_add | B_sub | B_mul | B_div | B_mod
+
+(* Names are symbols. A literal's width is 0 when it is unsized. *)
 type expr =
-  | E_id of string
-  | E_num of int option * int64
+  | E_id of int
+  | E_num of int * int  (* width, value below 2^62 *)
+  | E_big of int * int64  (* width, value past 62 bits *)
   | E_ones
-  | E_un of char * expr
-  | E_bin of string * expr * expr
+  | E_un of unop * expr
+  | E_bin of binop * expr * expr
   | E_cond of expr * expr * expr
   | E_concat of expr list
   | E_repl of expr * expr
-  | E_select of string * expr * expr  (* name[msb:lsb], constant bounds *)
-  | E_index of string * expr  (* array element or dynamic bit select *)
+  | E_select of int * expr * expr  (* name[msb:lsb], constant bounds *)
+  | E_index of int * expr  (* array element or dynamic bit select *)
   | E_sqrt of expr
 
 type stmt =
   | S_if of expr * stmt list * stmt list
   | S_assign of lval * expr
 
-and lval = L_id of string | L_idx of string * expr
+and lval = L_id of int | L_idx of int * expr
 
 type range = expr * expr
 
 type item =
-  | I_decl of range option * string list
-  | I_array of range * string * range
-  | I_assign of string * expr
+  | I_decl of range option * int list
+  | I_array of range * int * range
+  | I_assign of int * expr
   | I_ff of stmt list
   | I_comb of stmt list
   | I_inst of {
-      i_mod : string;
-      i_params : (string * expr) list;
-      i_name : string;
-      i_conns : (string * expr) list;
+      i_mod : int;
+      i_params : (int * expr) list;
+      i_name : int;
+      i_conns : (int * expr) list;
+      i_ord : int;  (* its place among the module's instances *)
     }
 
-type port = { p_name : string; p_dir : [ `In | `Out ]; p_range : range option }
+type port = { p_name : int; p_dir : [ `In | `Out ]; p_range : range option }
 
-type vmodule = {
-  m_name : string;
-  m_params : (string * expr) list;
-  m_ports : port list;
-  m_items : item list;
-}
+(* [ids] holds each symbol's [E_id] node once it has occurred, so that
+   every reference to a name shares one node. *)
+type pstate = { lx : lexed; mutable pos : int; ids : expr array }
 
-type pstate = { lx : lexed; mutable pos : int }
+(* Literal nodes of small values, shared: most of a source's literals are
+   these. Unsized ones go to 127, sized ones to 3. *)
+let unsized_nums = Array.init 128 (fun v -> E_num (0, v))
+let sized_nums = Array.init 65 (fun w -> Array.init 4 (fun v -> E_num (w, v)))
+
+let num_node w v =
+  if w = 0 then if v < 128 then unsized_nums.(v) else E_num (0, v)
+  else if v < 4 then sized_nums.(w).(v)
+  else E_num (w, v)
+
+let id_node p s =
+  let e = p.ids.(s) in
+  if e == E_ones then begin
+    let e = E_id s in
+    p.ids.(s) <- e;
+    e
+  end
+  else e
 
 (* The parser never moves past the closing [Teof]. *)
-let peek p = p.lx.toks.(p.pos)
-let cur_line p = p.lx.lines.(p.pos)
+let peek p = kind_at p.lx p.pos
+let arg p = p.lx.args.(p.pos)
+let cur_line p = line_at p.lx p.pos
 let advance p = if p.pos < p.lx.last then p.pos <- p.pos + 1
-let is p t = tok_equal (peek p) t
+let is p t = peek p == t
+let is_kw p kw = peek p == Tid && arg p = kw
 
-let next p =
-  let t = peek p in
-  advance p;
-  t
-
-let describe = function
-  | Tid s -> Printf.sprintf "identifier %s" s
-  | Tsys s -> "$" ^ s
-  | Tnum _ -> "number"
+let describe lx i =
+  match kind_at lx i with
+  | Tid -> Printf.sprintf "identifier %s" (name lx.syms lx.args.(i))
+  | Tsys -> "$" ^ name lx.syms lx.args.(i)
+  | Tnum | Tbig -> "number"
   | Tones -> "'1"
   | Teof -> "end of input"
   | _ -> "punctuation"
@@ -272,92 +533,96 @@ let describe = function
 let expect p t what =
   if is p t then advance p
   else parse_error "line %d: expected %s, found %s" (cur_line p) what
-      (describe (peek p))
+      (describe p.lx p.pos)
 
+(* The errors of the consuming checks report the line of the token after
+   the offending one. *)
 let expect_id p =
-  match next p with
-  | Tid s -> s
-  | t -> parse_error "line %d: expected identifier, found %s" (cur_line p) (describe t)
+  let i = p.pos in
+  advance p;
+  if kind_at p.lx i == Tid then p.lx.args.(i)
+  else
+    parse_error "line %d: expected identifier, found %s" (cur_line p)
+      (describe p.lx i)
 
 let expect_kw p kw =
-  match next p with
-  | Tid s when String.equal s kw -> ()
-  | t -> parse_error "line %d: expected %s, found %s" (cur_line p) kw (describe t)
+  let i = p.pos in
+  advance p;
+  if not (kind_at p.lx i == Tid && p.lx.args.(i) = kw) then
+    parse_error "line %d: expected %s, found %s" (cur_line p)
+      (name p.lx.syms kw) (describe p.lx i)
 
-(* Expression grammar, lowest precedence first (Verilog's order). *)
-let rec parse_expr p = parse_cond p
+(* Binary operators by precedence, lowest first (Verilog's order); 0 for
+   any other token. *)
+let prec = function
+  | Tpipe -> 1
+  | Tcaret -> 2
+  | Tamp -> 3
+  | Teqeq | Tneq -> 4
+  | Tlt | Tgt | Tle | Tge -> 5
+  | Tshl | Tshr -> 6
+  | Tplus | Tminus -> 7
+  | Tstar | Tslash | Tpercent -> 8
+  | _ -> 0
 
-and parse_cond p =
-  let c = parse_or p in
+let binop = function
+  | Tpipe -> B_or
+  | Tcaret -> B_xor
+  | Tamp -> B_and
+  | Teqeq -> B_eq
+  | Tneq -> B_ne
+  | Tlt -> B_lt
+  | Tgt -> B_gt
+  | Tle -> B_le
+  | Tge -> B_ge
+  | Tshl -> B_shl
+  | Tshr -> B_shr
+  | Tplus -> B_add
+  | Tminus -> B_sub
+  | Tstar -> B_mul
+  | Tslash -> B_div
+  | _ -> B_mod
+
+let rec parse_expr p =
+  let c = parse_bin p 1 in
   if is p Tquest then begin
     advance p;
-    let t = parse_cond p in
+    let t = parse_expr p in
     expect p Tcolon ":";
-    let f = parse_cond p in
+    let f = parse_expr p in
     E_cond (c, t, f)
   end
   else c
 
-and parse_binlevel p ops sub =
-  let rec go acc =
-    match ops (peek p) with
-    | Some name ->
-        advance p;
-        go (E_bin (name, acc, sub p))
-    | None -> acc
-  in
-  go (sub p)
-
-and parse_or p =
-  parse_binlevel p (function Tpipe -> Some "|" | _ -> None) parse_xor
-
-and parse_xor p =
-  parse_binlevel p (function Tcaret -> Some "^" | _ -> None) parse_and
-
-and parse_and p =
-  parse_binlevel p (function Tamp -> Some "&" | _ -> None) parse_eq
-
-and parse_eq p =
-  parse_binlevel p
-    (function Teqeq -> Some "==" | Tneq -> Some "!=" | _ -> None)
-    parse_rel
-
-and parse_rel p =
-  parse_binlevel p
-    (function
-      | Tlt -> Some "<"
-      | Tgt -> Some ">"
-      | Tle -> Some "<="
-      | Tge -> Some ">="
-      | _ -> None)
-    parse_shift
-
-and parse_shift p =
-  parse_binlevel p
-    (function Tshl -> Some "<<" | Tshr -> Some ">>" | _ -> None)
-    parse_add
-
-and parse_add p =
-  parse_binlevel p
-    (function Tplus -> Some "+" | Tminus -> Some "-" | _ -> None)
-    parse_mul
-
-and parse_mul p =
-  parse_binlevel p
-    (function
-      | Tstar -> Some "*" | Tslash -> Some "/" | Tpercent -> Some "%" | _ -> None)
-    parse_unary
+(* Operators of precedence [min] or higher, left-associative. *)
+and parse_bin p min =
+  let lhs = ref (parse_unary p) in
+  let continue = ref true in
+  while !continue do
+    let t = peek p in
+    let pr = prec t in
+    if pr > 0 && pr >= min then begin
+      advance p;
+      let rhs = parse_bin p (pr + 1) in
+      lhs := E_bin (binop t, !lhs, rhs)
+    end
+    else continue := false
+  done;
+  !lhs
 
 and parse_unary p =
   match peek p with
-  | Ttilde -> advance p; E_un ('~', parse_unary p)
-  | Tbang -> advance p; E_un ('!', parse_unary p)
-  | Tminus -> advance p; E_un ('-', parse_unary p)
+  | Ttilde -> advance p; E_un (U_not, parse_unary p)
+  | Tbang -> advance p; E_un (U_lnot, parse_unary p)
+  | Tminus -> advance p; E_un (U_neg, parse_unary p)
   | _ -> parse_primary p
 
 and parse_primary p =
-  match next p with
-  | Tnum (w, v) -> E_num (w, v)
+  let lx = p.lx and i = p.pos in
+  advance p;
+  match kind_at lx i with
+  | Tnum -> num_node (width_at lx i) lx.args.(i)
+  | Tbig -> E_big (width_at lx i, lx.bigs.(lx.args.(i)))
   | Tones -> E_ones
   | Tlp ->
       let e = parse_expr p in
@@ -382,12 +647,13 @@ and parse_primary p =
         expect p Trc "}";
         E_concat (List.rev !elems)
       end
-  | Tsys "sqrt" ->
+  | Tsys when lx.args.(i) = kw_sqrt ->
       expect p Tlp "(";
       let e = parse_expr p in
       expect p Trp ")";
       E_sqrt e
-  | Tid name ->
+  | Tid ->
+      let name = lx.args.(i) in
       if is p Tlb then begin
         advance p;
         let e1 = parse_expr p in
@@ -402,89 +668,121 @@ and parse_primary p =
           E_index (name, e1)
         end
       end
-      else E_id name
-  | t ->
+      else id_node p name
+  | _ ->
       parse_error "line %d: unexpected %s in expression" (cur_line p)
-        (describe t)
+        (describe lx i)
+
+(* The ranges [k:0], k up to 64, shared. *)
+let small_ranges = Array.init 65 (fun k -> (unsized_nums.(k), unsized_nums.(0)))
 
 let parse_range p =
   expect p Tlb "[";
-  let msb = parse_expr p in
-  expect p Tcolon ":";
-  let lsb = parse_expr p in
-  expect p Trb "]";
-  (msb, lsb)
+  let lx = p.lx and i = p.pos in
+  (* The emitter writes [N-1:0]; with unsized literals it is [k:0], k =
+     N - 1, whatever the range is used for. *)
+  let unsized j = width_at lx j = 0 in
+  let arg j = lx.args.(j) in
+  if
+    i + 6 <= lx.last
+    && kind_at lx i == Tnum && kind_at lx (i + 1) == Tminus
+    && kind_at lx (i + 2) == Tnum && kind_at lx (i + 3) == Tcolon
+    && kind_at lx (i + 4) == Tnum && kind_at lx (i + 5) == Trb
+    && unsized i && unsized (i + 2) && unsized (i + 4) && arg (i + 4) = 0
+    && arg i - arg (i + 2) >= 0 && arg i - arg (i + 2) <= 64
+  then begin
+    p.pos <- i + 6;
+    small_ranges.(arg i - arg (i + 2))
+  end
+  else begin
+    let msb = parse_expr p in
+    expect p Tcolon ":";
+    let lsb = parse_expr p in
+    expect p Trb "]";
+    (msb, lsb)
+  end
 
 let parse_range_opt p = if is p Tlb then Some (parse_range p) else None
 
 let rec parse_stmt p =
-  match peek p with
-  | Tid "begin" ->
-      advance p;
-      let acc = ref [] in
-      while not (is p (Tid "end")) do
-        acc := List.rev_append (parse_stmt p) !acc
-      done;
-      advance p;
-      List.rev !acc
-  | Tid "if" ->
-      advance p;
-      expect p Tlp "(";
-      let c = parse_expr p in
-      expect p Trp ")";
-      let t = parse_stmt p in
-      let f =
-        if is p (Tid "else") then begin
-          advance p;
-          parse_stmt p
-        end
-        else []
-      in
-      [ S_if (c, t, f) ]
-  | _ ->
-      let name = expect_id p in
-      let lv =
-        if is p Tlb then begin
-          advance p;
-          let ix = parse_expr p in
-          expect p Trb "]";
-          L_idx (name, ix)
-        end
-        else L_id name
-      in
-      (match next p with
-      | Tle | Tassign -> ()
-      | t ->
-          parse_error "line %d: expected assignment, found %s" (cur_line p)
-            (describe t));
-      let e = parse_expr p in
-      expect p Tsemi ";";
-      [ S_assign (lv, e) ]
+  if is_kw p kw_begin then begin
+    advance p;
+    let acc = ref [] in
+    while not (is_kw p kw_end) do
+      acc := List.rev_append (parse_stmt p) !acc
+    done;
+    advance p;
+    List.rev !acc
+  end
+  else if is_kw p kw_if then begin
+    advance p;
+    expect p Tlp "(";
+    let c = parse_expr p in
+    expect p Trp ")";
+    let t = parse_stmt p in
+    let f =
+      if is_kw p kw_else then begin
+        advance p;
+        parse_stmt p
+      end
+      else []
+    in
+    [ S_if (c, t, f) ]
+  end
+  else begin
+    let name = expect_id p in
+    let lv =
+      if is p Tlb then begin
+        advance p;
+        let ix = parse_expr p in
+        expect p Trb "]";
+        L_idx (name, ix)
+      end
+      else L_id name
+    in
+    let i = p.pos in
+    advance p;
+    (match kind_at p.lx i with
+    | Tle | Tassign -> ()
+    | _ ->
+        parse_error "line %d: expected assignment, found %s" (cur_line p)
+          (describe p.lx i));
+    let e = parse_expr p in
+    expect p Tsemi ";";
+    [ S_assign (lv, e) ]
+  end
 
 let parse_named_bindings p =
   expect p Tlp "(";
-  let acc = ref [] in
-  if not (is p Trp) then begin
-    let one () =
-      expect p Tdot ".";
-      let name = expect_id p in
-      expect p Tlp "(";
-      let e = parse_expr p in
-      expect p Trp ")";
-      acc := (name, e) :: !acc
-    in
-    one ();
-    while is p Tcomma do
+  let one () =
+    expect p Tdot ".";
+    let name = expect_id p in
+    expect p Tlp "(";
+    let e = parse_expr p in
+    expect p Trp ")";
+    (name, e)
+  in
+  let rec rest () =
+    if is p Tcomma then begin
       advance p;
-      one ()
-    done
-  end;
+      let b = one () in
+      b :: rest ()
+    end
+    else []
+  in
+  let bindings =
+    if is p Trp then []
+    else
+      let b = one () in
+      b :: rest ()
+  in
   expect p Trp ")";
-  List.rev !acc
+  bindings
 
-let parse_item p =
-  match peek p with
-  | Tid "logic" ->
+let parse_item p ~ninst =
+  if peek p == Tid then
+    let kw = arg p in
+    if kw = kw_logic then begin
       advance p;
       let r = parse_range_opt p in
       let name = expect_id p in
@@ -492,120 +790,65 @@ let parse_item p =
         let sr = parse_range p in
         expect p Tsemi ";";
         let er =
-          match r with
-          | Some r -> r
-          | None -> (E_num (None, 0L), E_num (None, 0L))
+          match r with Some r -> r | None -> small_ranges.(0)
         in
         I_array (er, name, sr)
       end
       else begin
-        let names = ref [ name ] in
-        while is p Tcomma do
-          advance p;
-          names := expect_id p :: !names
-        done;
+        let rec more () =
+          if is p Tcomma then begin
+            advance p;
+            let n = expect_id p in
+            n :: more ()
+          end
+          else []
+        in
+        let names = name :: more () in
         expect p Tsemi ";";
-        I_decl (r, List.rev !names)
+        I_decl (r, names)
       end
-  | Tid "assign" ->
+    end
+    else if kw = kw_assign then begin
       advance p;
       let lhs = expect_id p in
       expect p Tassign "=";
       let rhs = parse_expr p in
       expect p Tsemi ";";
       I_assign (lhs, rhs)
-  | Tid "always_ff" ->
+    end
+    else if kw = kw_always_ff then begin
       advance p;
       expect p Tat "@";
       expect p Tlp "(";
-      expect_kw p "posedge";
+      expect_kw p kw_posedge;
       let _clk = expect_id p in
       expect p Trp ")";
       I_ff (parse_stmt p)
-  | Tid "always_comb" ->
+    end
+    else if kw = kw_always_comb then begin
       advance p;
       I_comb (parse_stmt p)
-  | Tid _ ->
+    end
+    else begin
+      (* #(.WIDTH(32)) — parameter bindings keep their names. *)
       let m = expect_id p in
-      let params = if is p Thash then (advance p; parse_named_bindings p) else [] in
       let params =
-        (* #(.WIDTH(32)) — parameter bindings keep their names. *)
-        params
+        if is p Thash then begin
+          advance p;
+          parse_named_bindings p
+        end
+        else []
       in
       let name = expect_id p in
       let conns = parse_named_bindings p in
       expect p Tsemi ";";
-      I_inst { i_mod = m; i_params = params; i_name = name; i_conns = conns }
-  | t -> parse_error "line %d: unexpected %s in module body" (cur_line p) (describe t)
-
-let parse_module p =
-  expect_kw p "module";
-  let name = expect_id p in
-  let params =
-    if is p Thash then begin
-      advance p;
-      expect p Tlp "(";
-      let acc = ref [] in
-      let one () =
-        expect_kw p "parameter";
-        let pname = expect_id p in
-        expect p Tassign "=";
-        acc := (pname, parse_expr p) :: !acc
-      in
-      one ();
-      while is p Tcomma do
-        advance p;
-        one ()
-      done;
-      expect p Trp ")";
-      List.rev !acc
+      let ord = !ninst in
+      incr ninst;
+      I_inst { i_mod = m; i_params = params; i_name = name; i_conns = conns; i_ord = ord }
     end
-    else []
-  in
-  expect p Tlp "(";
-  let ports = ref [] in
-  if not (is p Trp) then begin
-    let one () =
-      let dir =
-        match next p with
-        | Tid "input" -> `In
-        | Tid "output" -> `Out
-        | t ->
-            parse_error "line %d: expected port direction, found %s"
-              (cur_line p) (describe t)
-      in
-      expect_kw p "logic";
-      let r = parse_range_opt p in
-      let pname = expect_id p in
-      ports := { p_name = pname; p_dir = dir; p_range = r } :: !ports
-    in
-    one ();
-    while is p Tcomma do
-      advance p;
-      one ()
-    done
-  end;
-  expect p Trp ")";
-  expect p Tsemi ";";
-  let items = ref [] in
-  while not (is p (Tid "endmodule")) do
-    items := parse_item p :: !items
-  done;
-  advance p;
-  {
-    m_name = name;
-    m_params = params;
-    m_ports = List.rev !ports;
-    m_items = List.rev !items;
-  }
-
-let parse_file src =
-  let p = { lx = lex src; pos = 0 } in
-  let mods = ref [] in
-  while not (is p Teof) do
-    mods := parse_module p :: !mods
-  done;
-  List.rev !mods
+  else
+    parse_error "line %d: unexpected %s in module body" (cur_line p)
+      (describe p.lx p.pos)
 
 (* ------------------------------------------------------------------ *)
 (* Elaborated design                                                   *)
@@ -623,13 +866,15 @@ let is_wide w = w > narrow
 (* A memory array. Its schedule slot is [nnets + a_id]; until elaboration
    has counted every net, read and write sets name it [lnot a_id]. The
    elements live in [a_data], or in [a_wide] when they are wider than
-   [narrow] bits. *)
+   [narrow] bits. [a_inst] and [a_name] name it. *)
 type arr = {
   a_id : int;
   a_width : int;
   a_len : int;
   a_data : int array;
   a_wide : int64 array;
+  a_inst : int;
+  a_name : int;
 }
 
 (* A compiled expression: its self-determined width [w] and a static bound
@@ -659,12 +904,26 @@ type cstmt =
       (* array, index (-1 when out of range), mask, rhs *)
   | C_warr of arr * (unit -> int) * (unit -> int64)  (* wide elements *)
 
-(* A settle-time evaluation process: a continuous assign or an always_comb
-   block. [pr_run] marks every net it changes. *)
-type proc = { pr_reads : int list; pr_writes : int list; pr_run : unit -> unit }
+(* How the instances of a module name what they hold, by symbol: their
+   nets, memory arrays and child instances. *)
+type names = {
+  nm_nets : int IT.t;  (* name -> local net *)
+  nm_net_syms : int array;  (* local net -> name *)
+  nm_arrays : int IT.t;  (* name -> local array *)
+  nm_array_syms : int array;  (* local array -> name *)
+  nm_kids : int IT.t;  (* instance name -> its first ordinal *)
+}
 
-(* An always_ff block and every slot it reads or writes. *)
-type ff = { ff_slots : int list; ff_body : cstmt list }
+(* One instance: its plan's nets from [in_base], its arrays from
+   [in_abase], and its child instances by ordinal. *)
+type inst = {
+  in_names : names;
+  in_base : int;
+  in_abase : int;
+  in_parent : int;  (* -1 at the top *)
+  in_name : int;  (* -1 at the top *)
+  in_kids : int array;
+}
 
 type t = {
   mutable vals : int array;  (* narrow nets *)
@@ -672,20 +931,23 @@ type t = {
   mutable widths : int array;
   mutable asrc : int array;  (* net -> the net it aliases, or -1 *)
   mutable nnets : int;
-  net_ids : (string, int) Hashtbl.t;
-  arrays_tbl : (string, arr) Hashtbl.t;
+  syms : syms;
+  mutable insts : inst array;  (* the top is instance 0 *)
+  mutable ninsts : int;
   mutable arrays : arr array;  (* by [a_id] *)
-  driven : (int, unit) Hashtbl.t;
-  ff_targets : (int, unit) Hashtbl.t;  (* nets and [lnot a_id] arrays *)
-  mutable rev_procs : proc list;
-  mutable rev_ffs : ff list;
+  mutable narrays : int;
   (* Built by [finalize] once every net is known. *)
   mutable sched : Sched.t;  (* settle processes over the slots *)
   mutable eval : int -> unit;  (* run settle process k *)
   mutable root : int array;  (* slot -> the slot its readers listen on *)
-  mutable fwd : int array array;  (* slot -> every net aliasing it *)
+  (* slot -> every net aliasing it: [fwd.(fwd_start.(s))] up to
+     [fwd.(fwd_start.(s + 1) - 1)] *)
+  mutable fwd_start : int array;
+  mutable fwd : int array;
   mutable ffs : cstmt list array;
-  mutable ff_readers : int array array;  (* slot -> ff blocks touching it *)
+  (* slot -> the always_ff blocks touching it, in the same layout *)
+  mutable ffr_start : int array;
+  mutable ffr : int array;
   mutable ff_dirty : bool array;
   (* Slots changed outside a settle, by a commit or a poke, waiting for
      the next settle to forward and mark them. *)
@@ -709,49 +971,45 @@ let mask64 w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
 (* [mask64 w] on the native image of a value: its low min(w, 63) bits. *)
 let imask w = if w >= 63 then -1 else (1 lsl w) - 1
 
-let new_net d name w =
-  if Hashtbl.mem d.net_ids name then elab_error "duplicate net %s" name;
-  if d.nnets = Array.length d.vals then begin
-    let cap = max 64 (2 * d.nnets) in
-    let grow a z =
-      let b = Array.make cap z in
-      Array.blit a 0 b 0 d.nnets;
-      b
-    in
-    d.vals <- grow d.vals 0;
-    d.wvals <- grow d.wvals 0L;
-    d.widths <- grow d.widths 0;
-    d.asrc <- grow d.asrc (-1)
-  end;
-  let id = d.nnets in
-  d.nnets <- id + 1;
-  d.widths.(id) <- w;
-  Hashtbl.add d.net_ids name id;
-  id
+(* The dotted prefix of instance [i]'s names: "" at the top, "a.b." for
+   instance b of instance a. *)
+let inst_prefix d i =
+  let rec go i acc =
+    let n = d.insts.(i) in
+    if n.in_parent < 0 then acc else go n.in_parent (name d.syms n.in_name ^ "." ^ acc)
+  in
+  go i ""
+
+let net_name d id =
+  let rec find i = if d.insts.(i).in_base <= id then i else find (i - 1) in
+  let i = find (d.ninsts - 1) in
+  let n = d.insts.(i) in
+  inst_prefix d i ^ name d.syms n.in_names.nm_net_syms.(id - n.in_base)
+
+let array_name d a = inst_prefix d a.a_inst ^ name d.syms a.a_name
 
 (* A slot changed during a settle: copy its value into every net that
    aliases it, then mark the readers of its alias class — the settle
    processes through [Sched], the always_ff blocks for the next commit. *)
 let touch d s =
-  let fw = d.fwd.(s) in
-  if Array.length fw > 0 then
+  let lo = d.fwd_start.(s) and hi = d.fwd_start.(s + 1) in
+  if hi > lo then
     if is_wide d.widths.(s) then begin
       let v = d.wvals.(s) in
-      for i = 0 to Array.length fw - 1 do
-        d.wvals.(fw.(i)) <- v
+      for i = lo to hi - 1 do
+        d.wvals.(d.fwd.(i)) <- v
       done
     end
     else begin
       let v = d.vals.(s) in
-      for i = 0 to Array.length fw - 1 do
-        d.vals.(fw.(i)) <- v
+      for i = lo to hi - 1 do
+        d.vals.(d.fwd.(i)) <- v
       done
     end;
   let r = d.root.(s) in
   Sched.mark_slot d.sched r;
-  let blocks = d.ff_readers.(r) in
-  for i = 0 to Array.length blocks - 1 do
-    d.ff_dirty.(blocks.(i)) <- true
+  for i = d.ffr_start.(r) to d.ffr_start.(r + 1) - 1 do
+    d.ff_dirty.(d.ffr.(i)) <- true
   done
 
 (* A slot changed outside a settle. Its aliases keep their old values
@@ -759,46 +1017,404 @@ let touch d s =
    would, so the touch waits in [pend]. *)
 let defer d s =
   if d.npend = Array.length d.pend then begin
-    let p = Array.make (max 16 (2 * d.npend)) 0 in
+    let p = Array.make (imax 16 (2 * d.npend)) 0 in
     Array.blit d.pend 0 p 0 d.npend;
     d.pend <- p
   end;
   d.pend.(d.npend) <- s;
   d.npend <- d.npend + 1
 
-let net_name d id =
-  Hashtbl.fold (fun name i acc -> if i = id then name else acc) d.net_ids "?"
+(* ------------------------------------------------------------------ *)
+(* Modules and plans                                                   *)
+(* ------------------------------------------------------------------ *)
 
-type scope = { sc_d : t; sc_prefix : string; sc_params : (string * int64) list }
+type vmodule = {
+  m_name : int;
+  m_params : (int * expr) list;
+  m_ports : port array;
+  m_items : item array;
+  m_ninst : int;
+  m_conns : int array array;
+      (* instance ordinal -> per connection: the child's port (its local
+         net, [lnot] it for an output), found on first use *)
+  mutable m_names : names option;  (* made with the first plan *)
+  mutable m_plans : ((int * int64) list * plan) list;
+      (* by parameter overrides *)
+}
 
-let net_id sc name =
-  let full = sc.sc_prefix ^ name in
-  match Hashtbl.find_opt sc.sc_d.net_ids full with
-  | Some id -> id
-  | None -> elab_error "unbound net %s" full
+(* A module under one parameter binding: what all its instances share. *)
+and plan = {
+  pl_mod : vmodule;
+  pl_params : (int * int64) list;
+  pl_names : names;
+  pl_widths : int array;  (* local net -> width *)
+  pl_arrays : (int * int) array;  (* local array -> element width, length *)
+  pl_decls : int array;
+      (* declaration order: local net [l] as [l], local array [j] as
+         [lnot j] *)
+  pl_child : plan option array;  (* instance ordinal -> its plan *)
+}
+
+(* A connection whose port is not yet looked up. *)
+let unresolved = max_int
+
+let parse_module p =
+  expect_kw p kw_module;
+  let name = expect_id p in
+  let params =
+    if is p Thash then begin
+      advance p;
+      expect p Tlp "(";
+      let acc = ref [] in
+      let one () =
+        expect_kw p kw_parameter;
+        let pname = expect_id p in
+        expect p Tassign "=";
+        acc := (pname, parse_expr p) :: !acc
+      in
+      one ();
+      while is p Tcomma do
+        advance p;
+        one ()
+      done;
+      expect p Trp ")";
+      List.rev !acc
+    end
+    else []
+  in
+  expect p Tlp "(";
+  let ports = ref [] in
+  if not (is p Trp) then begin
+    let one () =
+      let i = p.pos in
+      advance p;
+      let dir =
+        if kind_at p.lx i == Tid && p.lx.args.(i) = kw_input then `In
+        else if kind_at p.lx i == Tid && p.lx.args.(i) = kw_output then `Out
+        else
+          parse_error "line %d: expected port direction, found %s"
+            (cur_line p) (describe p.lx i)
+      in
+      expect_kw p kw_logic;
+      let r = parse_range_opt p in
+      let pname = expect_id p in
+      ports := { p_name = pname; p_dir = dir; p_range = r } :: !ports
+    in
+    one ();
+    while is p Tcomma do
+      advance p;
+      one ()
+    done
+  end;
+  expect p Trp ")";
+  expect p Tsemi ";";
+  let items = ref [] and ninst = ref 0 in
+  while not (is_kw p kw_endmodule) do
+    items := parse_item p ~ninst :: !items
+  done;
+  advance p;
+  let items = Array.of_list (List.rev !items) in
+  let conns = Array.make !ninst [||] in
+  Array.iter
+    (function
+      | I_inst { i_conns; i_ord; _ } ->
+          conns.(i_ord) <- Array.make (List.length i_conns) unresolved
+      | _ -> ())
+    items;
+  {
+    m_name = name;
+    m_params = params;
+    m_ports = Array.of_list (List.rev !ports);
+    m_items = items;
+    m_ninst = !ninst;
+    m_conns = conns;
+    m_names = None;
+    m_plans = [];
+  }
+
+let parse_file sy src =
+  let lx = lex sy src in
+  let p = { lx; pos = 0; ids = Array.make sy.nsyms E_ones } in
+  let mods = ref [] in
+  while not (is p Teof) do
+    mods := parse_module p :: !mods
+  done;
+  List.rev !mods
+
+let rec find_param n = function
+  | [] -> raise Not_found
+  | (k, v) :: rest -> if k = n then v else find_param n rest
+
+let rec is_param n = function
+  | [] -> false
+  | (k, _) :: rest -> k = n || is_param n rest
 
 (* Constant expressions: parameters and literals only (ranges, replication
    counts, select bounds, instance parameter bindings). *)
-let rec const_eval sc e =
+let rec const_eval sy params e =
   match e with
-  | E_num (Some w, v) -> Int64.logand v (mask64 w)
-  | E_num (None, v) -> v
+  | E_num (0, v) -> Int64.of_int v
+  | E_num (w, v) -> Int64.logand (Int64.of_int v) (mask64 w)
+  | E_big (0, v) -> v
+  | E_big (w, v) -> Int64.logand v (mask64 w)
   | E_id n -> (
-      match List.assoc_opt n sc.sc_params with
-      | Some v -> v
-      | None -> elab_error "non-constant name %s in constant expression" n)
-  | E_un ('-', a) -> Int64.neg (const_eval sc a)
-  | E_bin ("+", a, b) -> Int64.add (const_eval sc a) (const_eval sc b)
-  | E_bin ("-", a, b) -> Int64.sub (const_eval sc a) (const_eval sc b)
-  | E_bin ("*", a, b) -> Int64.mul (const_eval sc a) (const_eval sc b)
-  | E_bin ("/", a, b) -> Int64.div (const_eval sc a) (const_eval sc b)
+      match find_param n params with
+      | v -> v
+      | exception Not_found ->
+          elab_error "non-constant name %s in constant expression" (name sy n))
+  | E_un (U_neg, a) -> Int64.neg (const_eval sy params a)
+  | E_bin (B_add, a, b) -> Int64.add (const_eval sy params a) (const_eval sy params b)
+  | E_bin (B_sub, a, b) -> Int64.sub (const_eval sy params a) (const_eval sy params b)
+  | E_bin (B_mul, a, b) -> Int64.mul (const_eval sy params a) (const_eval sy params b)
+  | E_bin (B_div, a, b) -> Int64.div (const_eval sy params a) (const_eval sy params b)
   | _ -> elab_error "unsupported constant expression"
 
-let range_width sc (msb, lsb) =
-  let msb = Int64.to_int (const_eval sc msb)
-  and lsb = Int64.to_int (const_eval sc lsb) in
+let range_width sy params (msb, lsb) =
+  let msb = Int64.to_int (const_eval sy params msb)
+  and lsb = Int64.to_int (const_eval sy params lsb) in
   if lsb <> 0 then elab_error "only [msb:0] ranges are supported";
   msb - lsb + 1
+
+(* Parameter values: each default sees the parameters before it. *)
+let resolve_params sy m overrides =
+  List.fold_left
+    (fun acc (pname, default) ->
+      let v =
+        match find_param pname overrides with
+        | v -> v
+        | exception Not_found -> const_eval sy acc default
+      in
+      acc @ [ (pname, v) ])
+    [] m.m_params
+
+(* The plan of [m] under [params]. Declarations are checked in source
+   order, as the first instance declares them; [prefix] names that
+   instance in messages. The module's name tables come with its first
+   plan. *)
+let new_plan sy m params ~prefix =
+  let fresh = Option.is_none m.m_names in
+  let nets, arrays =
+    match m.m_names with
+    | Some nm -> (nm.nm_nets, nm.nm_arrays)
+    | None -> (IT.create 64, IT.create 8)
+  in
+  let widths = ivec () and net_syms = ivec () and decls = ivec () in
+  let arr = ref [] and arr_syms = ivec () in
+  let declare nm range =
+    let w = match range with None -> 1 | Some r -> range_width sy params r in
+    if w < 1 || w > 64 then
+      elab_error "net %s%s has unsupported width %d" (prefix ()) (name sy nm) w;
+    if fresh then begin
+      if IT.mem nets nm then elab_error "duplicate net %s%s" (prefix ()) (name sy nm);
+      IT.add nets nm widths.len
+    end;
+    push decls widths.len;
+    push net_syms nm;
+    push widths w
+  in
+  Array.iter (fun p -> declare p.p_name p.p_range) m.m_ports;
+  Array.iter
+    (function
+      | I_decl (r, names) -> List.iter (fun nm -> declare nm r) names
+      | I_array (er, nm, sr) ->
+          let ew = range_width sy params er in
+          let size = range_width sy params sr in
+          if ew < 1 || ew > 64 then
+            elab_error "array %s%s has unsupported element width %d"
+              (prefix ()) (name sy nm) ew;
+          if fresh then begin
+            if IT.mem arrays nm then
+              elab_error "duplicate array %s%s" (prefix ()) (name sy nm);
+            IT.add arrays nm arr_syms.len
+          end;
+          push decls (lnot arr_syms.len);
+          push arr_syms nm;
+          arr := (ew, size) :: !arr
+      | _ -> ())
+    m.m_items;
+  let nm =
+    match m.m_names with
+    | Some nm -> nm
+    | None ->
+        let kids = IT.create (imax 1 m.m_ninst) in
+        Array.iter
+          (function
+            | I_inst { i_name; i_ord; _ } ->
+                if not (IT.mem kids i_name) then IT.add kids i_name i_ord
+            | _ -> ())
+          m.m_items;
+        let nm =
+          {
+            nm_nets = nets;
+            nm_net_syms = Array.sub net_syms.a 0 net_syms.len;
+            nm_arrays = arrays;
+            nm_array_syms = Array.sub arr_syms.a 0 arr_syms.len;
+            nm_kids = kids;
+          }
+        in
+        m.m_names <- Some nm;
+        nm
+  in
+  {
+    pl_mod = m;
+    pl_params = params;
+    pl_names = nm;
+    pl_widths = Array.sub widths.a 0 widths.len;
+    pl_arrays = Array.of_list (List.rev !arr);
+    pl_decls = Array.sub decls.a 0 decls.len;
+    pl_child = Array.make m.m_ninst None;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Elaboration state                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* What elaboration collects and [finalize] turns into the schedule.
+   Settle process [k] runs [runs.(k)]; its reads are [p_reads.a.(i)] for
+   [i] from [p_rstart.a.(k)] up to the next start, its writes likewise;
+   always_ff block [b]'s slots are laid out the same way in [f_slots]. A
+   net or array is named by its id or [lnot a_id] until [finalize] maps
+   both to slots. *)
+type elab = {
+  d : t;
+  mods : vmodule IT.t;
+  rd : ivec;  (* the reads of the process being compiled *)
+  wr : ivec;  (* and its writes *)
+  mutable driven : Bytes.t;  (* net -> driven by a settle process or alias *)
+  mutable ff_net : Bytes.t;  (* net -> written by an always_ff block *)
+  mutable ff_arr : Bytes.t;  (* array -> written by an always_ff block *)
+  mutable runs : (unit -> unit) array;
+  mutable nprocs : int;
+  p_rstart : ivec;
+  p_reads : ivec;
+  p_wstart : ivec;
+  p_writes : ivec;
+  mutable ff_bodies : cstmt list array;
+  mutable nff : int;
+  f_start : ivec;
+  f_slots : ivec;
+}
+
+(* [k] more nets with widths [ws], after the last; returns the first. *)
+let alloc_nets el (ws : int array) =
+  let d = el.d in
+  let base = d.nnets and k = Array.length ws in
+  let need = base + k in
+  if need > Array.length d.vals then begin
+    let cap = imax need (imax 256 (2 * Array.length d.vals)) in
+    let grow a z =
+      let b = Array.make cap z in
+      Array.blit a 0 b 0 base;
+      b
+    in
+    d.vals <- grow d.vals 0;
+    d.wvals <- grow d.wvals 0L;
+    d.widths <- grow d.widths 0;
+    d.asrc <- grow d.asrc (-1);
+    let flags s =
+      let b = Bytes.make cap '\000' in
+      Bytes.blit s 0 b 0 base;
+      b
+    in
+    el.driven <- flags el.driven;
+    el.ff_net <- flags el.ff_net
+  end;
+  Array.blit ws 0 d.widths base k;
+  d.nnets <- need;
+  base
+
+let add_array el a =
+  let d = el.d in
+  let n = d.narrays in
+  if n = Array.length d.arrays then begin
+    let b = Array.make (imax 16 (2 * n)) a in
+    Array.blit d.arrays 0 b 0 n;
+    d.arrays <- b;
+    let f = Bytes.make (Array.length b) '\000' in
+    Bytes.blit el.ff_arr 0 f 0 n;
+    el.ff_arr <- f
+  end;
+  d.arrays.(n) <- a;
+  d.narrays <- n + 1
+
+let add_inst el i =
+  let d = el.d in
+  let n = d.ninsts in
+  if n = Array.length d.insts then begin
+    let b = Array.make (imax 16 (2 * n)) i in
+    Array.blit d.insts 0 b 0 n;
+    d.insts <- b
+  end;
+  d.insts.(n) <- i;
+  d.ninsts <- n + 1;
+  n
+
+let append dst (src : ivec) =
+  for i = 0 to src.len - 1 do
+    push dst src.a.(i)
+  done
+
+(* A settle process: [run], reading [el.rd] and writing [el.wr]. *)
+let add_proc el run =
+  let n = el.nprocs in
+  if n = Array.length el.runs then begin
+    let b = Array.make (imax 64 (2 * n)) ignore in
+    Array.blit el.runs 0 b 0 n;
+    el.runs <- b
+  end;
+  el.runs.(n) <- run;
+  el.nprocs <- n + 1;
+  push el.p_rstart el.p_reads.len;
+  append el.p_reads el.rd;
+  push el.p_wstart el.p_writes.len;
+  append el.p_writes el.wr
+
+(* Sort [a.(lo)] .. [a.(hi - 1)] and drop repeats; returns the new end. *)
+let sort_uniq (a : int array) lo hi =
+  if hi - lo > 32 then begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+  else
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+  if hi <= lo then lo
+  else begin
+    let e = ref (lo + 1) in
+    for i = lo + 1 to hi - 1 do
+      if a.(i) <> a.(!e - 1) then begin
+        a.(!e) <- a.(i);
+        incr e
+      end
+    done;
+    !e
+  end
+
+(* An instance's view of elaboration: its plan and where its nets and
+   arrays start. *)
+type scope = {
+  el : elab;
+  pl : plan;
+  nm : names;
+  base : int;
+  abase : int;
+  inst : int;
+}
+
+let net_id sc n =
+  match IT.find sc.nm.nm_nets n with
+  | l -> sc.base + l
+  | exception Not_found ->
+      let d = sc.el.d in
+      elab_error "unbound net %s%s" (inst_prefix d sc.inst) (name d.syms n)
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -807,19 +1423,40 @@ let range_width sc (msb, lsb) =
 let no_wide : unit -> unit -> int64 =
  fun () -> invalid_arg "Vinterp: no wide form below 63 bits"
 
+(* The [ev] field of a constant or a net, whose evaluator [ev_of] makes
+   only where one is needed. *)
+let no_ev : unit -> int = fun () -> invalid_arg "Vinterp: evaluator not built"
+
+let ev_of d c =
+  match c.k with
+  | K_net id -> fun () -> d.vals.(id)
+  | K_const n -> fun () -> n
+  | K_expr -> c.ev
+
+(* The bit length of a non-negative [n]. *)
+let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1)
+
 let rec bits64 n v =
   if Int64.equal v 0L then n else bits64 (n + 1) (Int64.shift_right_logical v 1)
 
+(* Constants 0 and 1 of every width, shared. *)
+let small_consts =
+  Array.init 65 (fun w ->
+      Array.init 2 (fun n -> { w; b = n; k = K_const n; ev = no_ev; wide = no_wide }))
+
+(* A constant [n] below 2^62, already masked to [w] bits. *)
+let const_n w n =
+  if n < 2 then small_consts.(w).(n)
+  else { w; b = bits n 0; k = K_const n; ev = no_ev; wide = no_wide }
+
 (* A constant [v], already masked to [w] bits. *)
 let const w v =
-  let b = bits64 0 v and n = Int64.to_int v in
-  {
-    w;
-    b;
-    k = (if is_wide b then K_expr else K_const n);
-    ev = (fun () -> n);
-    wide = (if is_wide b then fun () () -> v else no_wide);
-  }
+  if Int64.compare v 0L >= 0 && Int64.compare v (Int64.of_int narrow_max) <= 0
+  then const_n w (Int64.to_int v)
+  else
+    (* Negative or past [narrow_max]: more than [narrow] bits. *)
+    let n = Int64.to_int v in
+    { w; b = bits64 0 v; k = K_expr; ev = (fun () -> n); wide = (fun () () -> v) }
 
 let net_expr d id =
   let w = d.widths.(id) in
@@ -831,13 +1468,13 @@ let net_expr d id =
       ev = (fun () -> Int64.to_int d.wvals.(id));
       wide = (fun () () -> d.wvals.(id));
     }
-  else { w; b = w; k = K_net id; ev = (fun () -> d.vals.(id)); wide = no_wide }
+  else { w; b = w; k = K_net id; ev = no_ev; wide = no_wide }
 
 (* The whole value of [c], as an Int64 closure. *)
-let exact c =
+let exact d c =
   if is_wide c.b then c.wide ()
   else
-    let f = c.ev in
+    let f = ev_of d c in
     fun () -> Int64.of_int (f ())
 
 (* A node computed through Int64: the path for whole values above [narrow]
@@ -851,10 +1488,23 @@ let of_wide w b f =
     wide = (fun () -> f);
   }
 
-(* A node whose low bits come from [ev] and whose whole value, when it can
-   exceed [narrow] bits, from [wide]. *)
-let node w b ev wide =
-  { w; b; k = K_expr; ev; wide = (if is_wide b then wide else no_wide) }
+(* A node over operands [x] and [y] whose low bits come from [ev]. Its
+   whole value, when it can exceed [narrow] bits, is [op m x y] on the
+   operands' whole values, [m] the node's mask: that Int64 closure is
+   built only then, so a narrow node builds none. [op] names no
+   variables, so passing it allocates nothing. *)
+let rec node d w b ev x y op =
+  {
+    w;
+    b;
+    k = K_expr;
+    ev;
+    wide = (if is_wide b then wide2 d op (mask64 w) x y else no_wide);
+  }
+
+and wide2 d op m x y () =
+  let fx = exact d x and fy = exact d y in
+  fun () -> op m (fx ()) (fy ())
 
 let bit c = { w = 1; b = 1; k = K_expr; ev = c; wide = no_wide }
 
@@ -873,47 +1523,71 @@ let truth d c =
         let f = c.ev in
         fun () -> f () <> 0
 
-(* Unsigned comparisons. Narrow values are non-negative ints, so the native
-   order is the unsigned one. *)
+(* Unsigned comparisons, as conditions. Narrow values are non-negative
+   ints, so the native order is the unsigned one. *)
+let compare_cond d op a b =
+  if is_wide a.b || is_wide b.b then
+    let fa = exact d a and fb = exact d b in
+    let c () = Int64.unsigned_compare (fa ()) (fb ()) in
+    match op with
+    | B_eq -> fun () -> Int64.equal (fa ()) (fb ())
+    | B_ne -> fun () -> not (Int64.equal (fa ()) (fb ()))
+    | B_lt -> fun () -> c () < 0
+    | B_gt -> fun () -> c () > 0
+    | B_le -> fun () -> c () <= 0
+    | _ -> fun () -> c () >= 0
+  else
+    match (a.k, b.k) with
+    | K_net i, K_const n -> (
+        match op with
+        | B_eq -> fun () -> d.vals.(i) = n
+        | B_ne -> fun () -> d.vals.(i) <> n
+        | B_lt -> fun () -> d.vals.(i) < n
+        | B_gt -> fun () -> d.vals.(i) > n
+        | B_le -> fun () -> d.vals.(i) <= n
+        | _ -> fun () -> d.vals.(i) >= n)
+    | _ -> (
+        let fa = ev_of d a and fb = ev_of d b in
+        match op with
+        | B_eq -> fun () -> fa () = fb ()
+        | B_ne -> fun () -> fa () <> fb ()
+        | B_lt -> fun () -> fa () < fb ()
+        | B_gt -> fun () -> fa () > fb ()
+        | B_le -> fun () -> fa () <= fb ()
+        | _ -> fun () -> fa () >= fb ())
+
+(* The same comparisons as 1-bit values. *)
 let compare_op d op a b =
   if is_wide a.b || is_wide b.b then
-    let fa = exact a and fb = exact b in
-    let c () = Int64.unsigned_compare (fa ()) (fb ()) in
-    bit
-      (match op with
-      | "==" -> fun () -> if Int64.equal (fa ()) (fb ()) then 1 else 0
-      | "!=" -> fun () -> if Int64.equal (fa ()) (fb ()) then 0 else 1
-      | "<" -> fun () -> if c () < 0 then 1 else 0
-      | ">" -> fun () -> if c () > 0 then 1 else 0
-      | "<=" -> fun () -> if c () <= 0 then 1 else 0
-      | _ -> fun () -> if c () >= 0 then 1 else 0)
+    let c = compare_cond d op a b in
+    bit (fun () -> if c () then 1 else 0)
   else
     match (a.k, b.k) with
     | K_net i, K_const n ->
         bit
           (match op with
-          | "==" -> fun () -> if d.vals.(i) = n then 1 else 0
-          | "!=" -> fun () -> if d.vals.(i) <> n then 1 else 0
-          | "<" -> fun () -> if d.vals.(i) < n then 1 else 0
-          | ">" -> fun () -> if d.vals.(i) > n then 1 else 0
-          | "<=" -> fun () -> if d.vals.(i) <= n then 1 else 0
+          | B_eq -> fun () -> if d.vals.(i) = n then 1 else 0
+          | B_ne -> fun () -> if d.vals.(i) <> n then 1 else 0
+          | B_lt -> fun () -> if d.vals.(i) < n then 1 else 0
+          | B_gt -> fun () -> if d.vals.(i) > n then 1 else 0
+          | B_le -> fun () -> if d.vals.(i) <= n then 1 else 0
           | _ -> fun () -> if d.vals.(i) >= n then 1 else 0)
     | _ ->
-        let fa = a.ev and fb = b.ev in
+        let fa = ev_of d a and fb = ev_of d b in
         bit
           (match op with
-          | "==" -> fun () -> if fa () = fb () then 1 else 0
-          | "!=" -> fun () -> if fa () <> fb () then 1 else 0
-          | "<" -> fun () -> if fa () < fb () then 1 else 0
-          | ">" -> fun () -> if fa () > fb () then 1 else 0
-          | "<=" -> fun () -> if fa () <= fb () then 1 else 0
+          | B_eq -> fun () -> if fa () = fb () then 1 else 0
+          | B_ne -> fun () -> if fa () <> fb () then 1 else 0
+          | B_lt -> fun () -> if fa () < fb () then 1 else 0
+          | B_gt -> fun () -> if fa () > fb () then 1 else 0
+          | B_le -> fun () -> if fa () <= fb () then 1 else 0
           | _ -> fun () -> if fa () >= fb () then 1 else 0)
 
 (* [x lsl s] for a static [s]; shifts of 63 or more leave no low bits. *)
 let shl63 x s = if s >= 63 then 0 else x lsl s
 
 (* An array index, as the element number or -1 when out of range. *)
-let index ci len =
+let index d ci len =
   if is_wide ci.b then
     let f = ci.wide () in
     let len64 = Int64.of_int len in
@@ -921,225 +1595,268 @@ let index ci len =
       let i = f () in
       if Int64.unsigned_compare i len64 < 0 then Int64.to_int i else -1
   else
-    let f = ci.ev in
+    let f = ev_of d ci in
     fun () ->
       let i = f () in
       if i < len then i else -1
 
 let compile_bin d op a b =
-  let w = max a.w b.w in
-  let m = imask w and fa = a.ev and fb = b.ev in
-  (* Both operands' Int64 closures, for a wide result. *)
-  let wide2 f () =
-    let xa = exact a and xb = exact b in
-    fun () -> f (xa ()) (xb ())
-  in
-  let m64 = mask64 w in
-  (* Whole-value operators: native when both operands are narrow. *)
-  let whole b_res native wide =
-    if is_wide a.b || is_wide b.b then of_wide w b_res (wide2 wide ())
-    else node w b_res native (wide2 wide)
-  in
   match op with
-  | "+" ->
-      let nb = max a.b b.b + 1 in
-      if nb <= w then
-        node w nb (fun () -> fa () + fb ()) (wide2 (fun x y -> Int64.add x y))
-      else
-        node w w
-          (fun () -> (fa () + fb ()) land m)
-          (wide2 (fun x y -> Int64.logand (Int64.add x y) m64))
-  | "-" ->
-      node w w
-        (fun () -> (fa () - fb ()) land m)
-        (wide2 (fun x y -> Int64.logand (Int64.sub x y) m64))
-  | "*" ->
-      let nb = a.b + b.b in
-      if nb <= w then
-        node w nb (fun () -> fa () * fb ()) (wide2 (fun x y -> Int64.mul x y))
-      else
-        node w w
-          (fun () -> fa () * fb () land m)
-          (wide2 (fun x y -> Int64.logand (Int64.mul x y) m64))
-  | "/" ->
-      (* Division by zero yields all-ones, like Bitvec.div. *)
-      whole w
-        (fun () ->
-          let bv = fb () in
-          if bv = 0 then m else fa () / bv)
-        (fun x y -> if Int64.equal y 0L then m64 else Int64.unsigned_div x y)
-  | "%" ->
-      whole a.b
-        (fun () ->
-          let av = fa () and bv = fb () in
-          if bv = 0 then av else av mod bv)
-        (fun x y -> if Int64.equal y 0L then x else Int64.unsigned_rem x y)
-  | "&" ->
-      node w (min a.b b.b) (fun () -> fa () land fb ()) (wide2 Int64.logand)
-  | "|" -> node w (max a.b b.b) (fun () -> fa () lor fb ()) (wide2 Int64.logor)
-  | "^" ->
-      node w (max a.b b.b) (fun () -> fa () lxor fb ()) (wide2 Int64.logxor)
-  | "<<" ->
-      let w = a.w in
-      let m = imask w and m64 = mask64 w in
-      (* Shifts of at least min(w, 63) leave no low bits. *)
-      let lim = min w 63 in
-      let wide () =
-        let xa = exact a and xb = exact b in
-        fun () ->
-          let s = xb () in
-          if Int64.unsigned_compare s 64L >= 0 then 0L
-          else Int64.logand (Int64.shift_left (xa ()) (Int64.to_int s)) m64
-      in
-      if is_wide b.b then
-        let xb = b.wide () in
-        let lim64 = Int64.of_int lim in
-        node w w
-          (fun () ->
-            let s = xb () in
-            if Int64.unsigned_compare s lim64 >= 0 then 0
-            else (fa () lsl Int64.to_int s) land m)
-          wide
-      else
-        node w w
-          (fun () ->
-            let s = fb () in
-            if s >= lim then 0 else (fa () lsl s) land m)
-          wide
-  | ">>" ->
-      let w = a.w in
-      let wide x s =
-        if Int64.unsigned_compare s 64L >= 0 then 0L
-        else Int64.shift_right_logical x (Int64.to_int s)
-      in
-      if is_wide a.b || is_wide b.b then of_wide w a.b (wide2 wide ())
-      else
-        node w a.b
-          (fun () ->
-            let s = fb () in
-            if s >= narrow then 0 else fa () lsr s)
-          (wide2 wide)
-  | "==" | "!=" | "<" | ">" | "<=" | ">=" -> compare_op d op a b
-  | op -> elab_error "unsupported operator %s" op
+  | B_eq | B_ne | B_lt | B_gt | B_le | B_ge -> compare_op d op a b
+  | _ -> (
+      let w = imax a.w b.w in
+      let m = imask w and fa = ev_of d a and fb = ev_of d b in
+      (* Whole-value operators are native when both operands are narrow. *)
+      let whole = is_wide a.b || is_wide b.b in
+      match op with
+      | B_add ->
+          let nb = imax a.b b.b + 1 in
+          if nb <= w then
+            node d w nb (fun () -> fa () + fb ()) a b (fun _ x y -> Int64.add x y)
+          else
+            node d w w
+              (fun () -> (fa () + fb ()) land m)
+              a b
+              (fun m x y -> Int64.logand (Int64.add x y) m)
+      | B_sub ->
+          node d w w
+            (fun () -> (fa () - fb ()) land m)
+            a b
+            (fun m x y -> Int64.logand (Int64.sub x y) m)
+      | B_mul ->
+          let nb = a.b + b.b in
+          if nb <= w then
+            node d w nb (fun () -> fa () * fb ()) a b (fun _ x y -> Int64.mul x y)
+          else
+            node d w w
+              (fun () -> fa () * fb () land m)
+              a b
+              (fun m x y -> Int64.logand (Int64.mul x y) m)
+      | B_div ->
+          (* Division by zero yields all-ones, like Bitvec.div. *)
+          let div m x y = if Int64.equal y 0L then m else Int64.unsigned_div x y in
+          if whole then of_wide w w (wide2 d div (mask64 w) a b ())
+          else
+            node d w w
+              (fun () ->
+                let bv = fb () in
+                if bv = 0 then m else fa () / bv)
+              a b div
+      | B_mod ->
+          let rem _ x y = if Int64.equal y 0L then x else Int64.unsigned_rem x y in
+          if whole then of_wide w a.b (wide2 d rem 0L a b ())
+          else
+            node d w a.b
+              (fun () ->
+                let av = fa () and bv = fb () in
+                if bv = 0 then av else av mod bv)
+              a b rem
+      | B_and ->
+          node d w (imin a.b b.b) (fun () -> fa () land fb ()) a b (fun _ -> Int64.logand)
+      | B_or ->
+          node d w (imax a.b b.b) (fun () -> fa () lor fb ()) a b (fun _ -> Int64.logor)
+      | B_xor ->
+          node d w (imax a.b b.b) (fun () -> fa () lxor fb ()) a b (fun _ -> Int64.logxor)
+      | B_shl ->
+          let w = a.w in
+          let m = imask w in
+          (* Shifts of at least min(w, 63) leave no low bits. *)
+          let lim = imin w 63 in
+          let shl m x s =
+            if Int64.unsigned_compare s 64L >= 0 then 0L
+            else Int64.logand (Int64.shift_left x (Int64.to_int s)) m
+          in
+          if is_wide b.b then
+            let xb = b.wide () in
+            let lim64 = Int64.of_int lim in
+            node d w w
+              (fun () ->
+                let s = xb () in
+                if Int64.unsigned_compare s lim64 >= 0 then 0
+                else (fa () lsl Int64.to_int s) land m)
+              a b shl
+          else
+            node d w w
+              (fun () ->
+                let s = fb () in
+                if s >= lim then 0 else (fa () lsl s) land m)
+              a b shl
+      | B_shr ->
+          let w = a.w in
+          let shr _ x s =
+            if Int64.unsigned_compare s 64L >= 0 then 0L
+            else Int64.shift_right_logical x (Int64.to_int s)
+          in
+          if whole then of_wide w a.b (wide2 d shr 0L a b ())
+          else
+            node d w a.b
+              (fun () ->
+                let s = fb () in
+                if s >= narrow then 0 else fa () lsr s)
+              a b shr
+      | B_eq | B_ne | B_lt | B_gt | B_le | B_ge -> assert false)
 
-let rec compile sc rd e =
-  let d = sc.sc_d in
+let w_cond d tc t f () =
+  let ft = exact d t and ff = exact d f in
+  fun () -> if tc () then ft () else ff ()
+
+let w_concat d ces ws () =
+  let fs = Array.map (exact d) ces in
+  fun () ->
+    let acc = ref 0L in
+    for i = 0 to Array.length fs - 1 do
+      acc := Int64.logor (Int64.shift_left !acc ws.(i)) (fs.(i) ())
+    done;
+    !acc
+
+let w_repl d ce count () =
+  let fe = exact d ce and ew = ce.w in
+  fun () ->
+    let v = fe () in
+    let acc = ref 0L in
+    for _ = 1 to count do
+      acc := Int64.logor (Int64.shift_left !acc ew) v
+    done;
+    !acc
+
+let w_select d base lsb m () =
+  let fb = exact d base in
+  fun () -> Int64.logand (Int64.shift_right_logical (fb ()) lsb) m
+
+let compile_id sc n =
+  match find_param n sc.pl.pl_params with
+  | v -> const 64 v
+  | exception Not_found ->
+      let id = net_id sc n in
+      push sc.el.rd id;
+      net_expr sc.el.d id
+
+(* Whether [e] is one bit wide whatever its operands: a comparison, a
+   logical negation, or [~], [&], [|] and [^] over such. *)
+let rec is_bit = function
+  | E_bin ((B_eq | B_ne | B_lt | B_gt | B_le | B_ge), _, _) | E_un (U_lnot, _) -> true
+  | E_un (U_not, a) -> is_bit a
+  | E_bin ((B_and | B_or | B_xor), a, b) -> is_bit a && is_bit b
+  | _ -> false
+
+let rec compile sc e =
+  let d = sc.el.d in
   match e with
-  | E_num (Some w, v) -> const w (Int64.logand v (mask64 w))
-  | E_num (None, v) -> const 64 v
+  | E_num (0, v) -> const_n 64 v
+  | E_num (w, v) -> const_n w (v land imask w)
+  | E_big (0, v) -> const 64 v
+  | E_big (w, v) -> const w (Int64.logand v (mask64 w))
   | E_ones -> const 64 (-1L)
-  | E_id n -> (
-      match List.assoc_opt n sc.sc_params with
-      | Some v -> const 64 v
-      | None ->
-          let id = net_id sc n in
-          rd := id :: !rd;
-          net_expr d id)
-  | E_un ('~', a) ->
-      let a = compile sc rd a in
-      let m = imask a.w and fa = a.ev in
-      node a.w a.w
+  | E_id n -> compile_id sc n
+  | E_un (U_not, a) ->
+      let a = compile sc a in
+      let m = imask a.w and fa = ev_of d a in
+      node d a.w a.w
         (fun () -> lnot (fa ()) land m)
-        (fun () ->
-          let fa = exact a and m = mask64 a.w in
-          fun () -> Int64.logand (Int64.lognot (fa ())) m)
-  | E_un ('!', a) ->
-      let t = truth d (compile sc rd a) in
+        a a
+        (fun m x _ -> Int64.logand (Int64.lognot x) m)
+  | E_un (U_lnot, a) ->
+      let t = cond sc a in
       bit (fun () -> if t () then 0 else 1)
-  | E_un ('-', a) ->
-      let a = compile sc rd a in
-      let m = imask a.w and fa = a.ev in
-      node a.w a.w
+  | E_un (U_neg, a) ->
+      let a = compile sc a in
+      let m = imask a.w and fa = ev_of d a in
+      node d a.w a.w
         (fun () -> -fa () land m)
-        (fun () ->
-          let fa = exact a and m = mask64 a.w in
-          fun () -> Int64.logand (Int64.neg (fa ())) m)
-  | E_un (c, _) -> elab_error "unsupported unary operator %c" c
-  | E_bin (op, a, b) -> compile_bin d op (compile sc rd a) (compile sc rd b)
+        a a
+        (fun m x _ -> Int64.logand (Int64.neg x) m)
+  | E_bin (op, a, b) -> compile_bin d op (compile sc a) (compile sc b)
   | E_cond (c, t, f) ->
-      let tc = truth d (compile sc rd c) in
-      let t = compile sc rd t and f = compile sc rd f in
+      let tc = cond sc c in
+      let t = compile sc t and f = compile sc f in
       let ev =
         match (t.k, f.k) with
         | K_const x, K_const y -> fun () -> if tc () then x else y
+        | K_net i, K_const y -> fun () -> if tc () then d.vals.(i) else y
         | _, K_const y ->
-            let ft = t.ev in
+            let ft = ev_of d t in
             fun () -> if tc () then ft () else y
+        | K_const x, _ ->
+            let ff = ev_of d f in
+            fun () -> if tc () then x else ff ()
+        | K_net i, _ ->
+            let ff = ev_of d f in
+            fun () -> if tc () then d.vals.(i) else ff ()
         | _ ->
-            let ft = t.ev and ff = f.ev in
+            let ft = ev_of d t and ff = ev_of d f in
             fun () -> if tc () then ft () else ff ()
       in
-      node (max t.w f.w) (max t.b f.b) ev (fun () ->
-          let ft = exact t and ff = exact f in
-          fun () -> if tc () then ft () else ff ())
+      let w = imax t.w f.w and b = imax t.b f.b in
+      if is_wide b then { w; b; k = K_expr; ev; wide = w_cond d tc t f }
+      else { w; b; k = K_expr; ev; wide = no_wide }
   | E_concat es ->
-      let ces = Array.of_list (List.map (compile sc rd) es) in
+      let ces = Array.of_list (List.map (compile sc) es) in
       let w = Array.fold_left (fun acc c -> acc + c.w) 0 ces in
       if w > 64 then elab_error "concatenation wider than 64 bits";
       let b = if Array.length ces = 0 then 0 else w - ces.(0).w + ces.(0).b in
       let ws = Array.map (fun c -> c.w) ces
-      and evs = Array.map (fun c -> c.ev) ces in
-      node w b
-        (fun () ->
-          let acc = ref 0 in
-          for i = 0 to Array.length evs - 1 do
-            acc := shl63 !acc ws.(i) lor evs.(i) ()
-          done;
-          !acc)
-        (fun () ->
-          let fs = Array.map exact ces in
-          fun () ->
-            let acc = ref 0L in
-            for i = 0 to Array.length fs - 1 do
-              acc := Int64.logor (Int64.shift_left !acc ws.(i)) (fs.(i) ())
-            done;
-            !acc)
+      and evs = Array.map (ev_of d) ces in
+      let ev () =
+        let acc = ref 0 in
+        for i = 0 to Array.length evs - 1 do
+          acc := shl63 !acc ws.(i) lor evs.(i) ()
+        done;
+        !acc
+      in
+      {
+        w;
+        b;
+        k = K_expr;
+        ev;
+        wide = (if is_wide b then w_concat d ces ws else no_wide);
+      }
   | E_repl (count, e) ->
-      let count = Int64.to_int (const_eval sc count) in
-      let ce = compile sc rd e in
+      let count = Int64.to_int (const_eval d.syms sc.pl.pl_params count) in
+      let ce = compile sc e in
       if count < 0 then elab_error "negative replication count";
       let w = count * ce.w in
       if w > 64 then elab_error "replication wider than 64 bits";
       let b = if count = 0 then 0 else w - ce.w + ce.b in
-      let ew = ce.w and fe = ce.ev in
-      node w b
-        (fun () ->
-          let v = fe () in
-          let acc = ref 0 in
-          for _ = 1 to count do
-            acc := shl63 !acc ew lor v
-          done;
-          !acc)
-        (fun () ->
-          let fe = exact ce in
-          fun () ->
-            let v = fe () in
-            let acc = ref 0L in
-            for _ = 1 to count do
-              acc := Int64.logor (Int64.shift_left !acc ew) v
-            done;
-            !acc)
-  | E_select (name, msb, lsb) ->
-      let base = compile sc rd (E_id name) in
-      let msb = Int64.to_int (const_eval sc msb)
-      and lsb = Int64.to_int (const_eval sc lsb) in
+      let ew = ce.w and fe = ev_of d ce in
+      let ev () =
+        let v = fe () in
+        let acc = ref 0 in
+        for _ = 1 to count do
+          acc := shl63 !acc ew lor v
+        done;
+        !acc
+      in
+      {
+        w;
+        b;
+        k = K_expr;
+        ev;
+        wide = (if is_wide b then w_repl d ce count else no_wide);
+      }
+  | E_select (nm, msb, lsb) ->
+      let base = compile_id sc nm in
+      let msb = Int64.to_int (const_eval d.syms sc.pl.pl_params msb)
+      and lsb = Int64.to_int (const_eval d.syms sc.pl.pl_params lsb) in
       let w = msb - lsb + 1 in
       if lsb < 0 || w < 1 || w > 64 || lsb > 63 then
-        elab_error "bad part-select [%d:%d] on %s" msb lsb name;
-      let wide () =
-        let fb = exact base and m = mask64 w in
-        fun () -> Int64.logand (Int64.shift_right_logical (fb ()) lsb) m
-      in
+        elab_error "bad part-select [%d:%d] on %s" msb lsb (name d.syms nm);
       if msb < 63 then
         (* Every selected bit is among the low 63 that [ev] holds. *)
-        let m = imask w and fb = base.ev in
-        node w w (fun () -> (fb () lsr lsb) land m) wide
-      else of_wide w w (wide ())
-  | E_index (name, ix) -> (
-      match Hashtbl.find_opt d.arrays_tbl (sc.sc_prefix ^ name) with
-      | Some a ->
-          rd := lnot a.a_id :: !rd;
-          let ix = index (compile sc rd ix) a.a_len in
+        let m = imask w and fb = ev_of d base in
+        {
+          w;
+          b = w;
+          k = K_expr;
+          ev = (fun () -> (fb () lsr lsb) land m);
+          wide = (if is_wide w then w_select d base lsb (mask64 w) else no_wide);
+        }
+      else of_wide w w (w_select d base lsb (mask64 w) ())
+  | E_index (nm, ix) -> (
+      match IT.find sc.nm.nm_arrays nm with
+      | j ->
+          let a = d.arrays.(sc.abase + j) in
+          push sc.el.rd (lnot a.a_id);
+          let ix = index d (compile sc ix) a.a_len in
           if is_wide a.a_width then
             of_wide a.a_width a.a_width (fun () ->
                 let i = ix () in
@@ -1155,12 +1872,12 @@ let rec compile sc rd e =
                   if i >= 0 then a.a_data.(i) else 0);
               wide = no_wide;
             }
-      | None ->
+      | exception Not_found ->
           (* Dynamic bit select of a scalar net. *)
-          let base = compile sc rd (E_id name) in
-          let ci = compile sc rd ix in
+          let base = compile_id sc nm in
+          let ci = compile sc ix in
           if is_wide base.b || is_wide ci.b then
-            let fb = exact base and fi = exact ci in
+            let fb = exact d base and fi = exact d ci in
             of_wide 1 1 (fun () ->
                 let i = fi () in
                 if Int64.unsigned_compare i 64L >= 0 then 0L
@@ -1170,46 +1887,80 @@ let rec compile sc rd e =
                     1L)
           else
             (* A narrow base has no bits at [narrow] or above. *)
-            let fb = base.ev and fi = ci.ev in
+            let fb = ev_of d base and fi = ev_of d ci in
             bit (fun () ->
                 let i = fi () in
                 if i >= narrow then 0 else (fb () lsr i) land 1))
   | E_sqrt e ->
-      let ce = compile sc rd e in
-      let f = exact ce in
+      let ce = compile sc e in
+      let f = exact d ce in
       of_wide ce.w ce.b (fun () -> Calyx_sim.Prim_state.isqrt (f ()))
+
+(* [e] is not zero, as a condition: [truth] of its value, with a
+   comparison and the bit operators over comparisons evaluated as bools
+   rather than as 1-bit values. Operands compile in the order [compile]
+   takes them. *)
+and cond sc e =
+  let d = sc.el.d in
+  match e with
+  | E_bin (((B_eq | B_ne | B_lt | B_gt | B_le | B_ge) as op), a, b) ->
+      let b = compile sc b in
+      let a = compile sc a in
+      compare_cond d op a b
+  | E_bin (B_and, a, b) when is_bit e ->
+      let cb = cond sc b in
+      let ca = cond sc a in
+      fun () -> ca () && cb ()
+  | E_bin (B_or, a, b) when is_bit e ->
+      let cb = cond sc b in
+      let ca = cond sc a in
+      fun () -> ca () || cb ()
+  | E_bin (B_xor, a, b) when is_bit e ->
+      let cb = cond sc b in
+      let ca = cond sc a in
+      fun () -> ca () <> cb ()
+  | E_un (U_not, a) when is_bit a ->
+      let c = cond sc a in
+      fun () -> not (c ())
+  | E_un (U_lnot, a) ->
+      let c = cond sc a in
+      fun () -> not (c ())
+  | _ -> truth d (compile sc e)
 
 (* The value of [ce] truncated or zero-extended to a narrow target of
    [tw] bits: its mask, or -1 when the value already fits. *)
 let fit tw (ce : cexpr) = if ce.b <= tw then -1 else imask tw
 
-let rec compile_stmts sc rd wr stmts =
-  let d = sc.sc_d in
+let rec compile_stmts sc stmts =
+  let d = sc.el.d in
   List.map
     (fun s ->
       match s with
       | S_if (c, t, f) ->
-          let c = truth d (compile sc rd c) in
-          C_if (c, compile_stmts sc rd wr t, compile_stmts sc rd wr f)
+          let c = cond sc c in
+          C_if (c, compile_stmts sc t, compile_stmts sc f)
       | S_assign (L_id n, e) ->
           let id = net_id sc n in
-          wr := id :: !wr;
-          let ce = compile sc rd e and tw = d.widths.(id) in
+          push sc.el.wr id;
+          let ce = compile sc e and tw = d.widths.(id) in
           if is_wide tw then
-            let f = exact ce and m = mask64 tw in
+            let f = exact d ce and m = mask64 tw in
             C_wnet (id, fun () -> Int64.logand (f ()) m)
-          else C_net (id, fit tw ce, ce.ev)
+          else C_net (id, fit tw ce, ev_of d ce)
       | S_assign (L_idx (n, ix), e) -> (
-          match Hashtbl.find_opt d.arrays_tbl (sc.sc_prefix ^ n) with
-          | Some a ->
-              wr := lnot a.a_id :: !wr;
-              let ix = index (compile sc rd ix) a.a_len in
-              let ce = compile sc rd e in
+          match IT.find sc.nm.nm_arrays n with
+          | j ->
+              let a = d.arrays.(sc.abase + j) in
+              push sc.el.wr (lnot a.a_id);
+              let ix = index d (compile sc ix) a.a_len in
+              let ce = compile sc e in
               if is_wide a.a_width then
-                let f = exact ce and m = mask64 a.a_width in
+                let f = exact d ce and m = mask64 a.a_width in
                 C_warr (a, ix, fun () -> Int64.logand (f ()) m)
-              else C_arr (a, ix, fit a.a_width ce, ce.ev)
-          | None -> elab_error "assignment to unknown array %s%s" sc.sc_prefix n))
+              else C_arr (a, ix, fit a.a_width ce, ev_of d ce)
+          | exception Not_found ->
+              elab_error "assignment to unknown array %s%s"
+                (inst_prefix d sc.inst) (name d.syms n)))
     stmts
 
 let set_net d id v =
@@ -1224,36 +1975,45 @@ let set_wnet d id v =
     touch d id
   end
 
-let check_undriven d tgt =
-  if Hashtbl.mem d.driven tgt then
-    elab_error "multiple drivers for net %s" (net_name d tgt);
-  Hashtbl.add d.driven tgt ()
+let check_undriven el tgt =
+  if Bytes.get el.driven tgt <> '\000' then
+    elab_error "multiple drivers for net %s" (net_name el.d tgt);
+  Bytes.set el.driven tgt '\001'
 
-let add_drive d tgt (ce : cexpr) reads =
-  check_undriven d tgt;
+(* A continuous driver of [tgt]; its reads are in [el.rd]. *)
+let add_drive el tgt (ce : cexpr) =
+  let d = el.d in
+  check_undriven el tgt;
   let tw = d.widths.(tgt) in
   let run =
     if is_wide tw then
-      let f = exact ce and m = mask64 tw in
+      let f = exact d ce and m = mask64 tw in
       fun () -> set_wnet d tgt (Int64.logand (f ()) m)
     else
-      let f = ce.ev and m = fit tw ce in
+      let f = ev_of d ce and m = fit tw ce in
       fun () -> set_net d tgt (f () land m)
   in
-  d.rev_procs <- { pr_reads = reads; pr_writes = [ tgt ]; pr_run = run } :: d.rev_procs
+  el.wr.len <- 0;
+  push el.wr tgt;
+  add_proc el run
 
 (* A net-to-net copy [tgt = src]. At the same width it becomes an alias:
    no process, the readers of [tgt] listen on [src]'s slot, and each change
    of [src] is copied into [tgt] (see [finalize] and [touch]). A copy that
    would close a cycle of aliases stays a process, so a copy loop settles
    or diverges as it always has. *)
-let add_copy d tgt src =
+let add_copy el tgt src =
+  let d = el.d in
   let rec reaches s = s = tgt || (s >= 0 && reaches d.asrc.(s)) in
   if d.widths.(tgt) = d.widths.(src) && not (reaches src) then begin
-    check_undriven d tgt;
+    check_undriven el tgt;
     d.asrc.(tgt) <- src
   end
-  else add_drive d tgt (net_expr d src) [ src ]
+  else begin
+    el.rd.len <- 0;
+    push el.rd src;
+    add_drive el tgt (net_expr d src)
+  end
 
 let rec exec_comb d = function
   | [] -> ()
@@ -1265,154 +2025,213 @@ let rec exec_comb d = function
       | C_arr _ | C_warr _ -> assert false (* rejected by [add_comb] *));
       exec_comb d rest
 
-let add_comb d stmts reads writes =
+(* An always_comb block; its reads and writes are in [el.rd] and [el.wr]. *)
+let add_comb el stmts =
   (* Branches of an if chain each assign the target, so the collected
      write set repeats nets; one always_comb is still one driver. *)
-  let writes = List.sort_uniq compare writes in
-  List.iter
-    (fun tgt ->
-      if tgt < 0 then elab_error "array write outside always_ff";
-      if Hashtbl.mem d.driven tgt then
-        elab_error "net driven by both assign and always_comb";
-      Hashtbl.add d.driven tgt ())
-    writes;
-  let run () = exec_comb d stmts in
-  d.rev_procs <- { pr_reads = reads; pr_writes = writes; pr_run = run } :: d.rev_procs
+  let wr = el.wr in
+  wr.len <- sort_uniq wr.a 0 wr.len;
+  for i = 0 to wr.len - 1 do
+    let tgt = wr.a.(i) in
+    if tgt < 0 then elab_error "array write outside always_ff";
+    if Bytes.get el.driven tgt <> '\000' then
+      elab_error "net driven by both assign and always_comb";
+    Bytes.set el.driven tgt '\001'
+  done;
+  let d = el.d in
+  add_proc el (fun () -> exec_comb d stmts)
 
 (* One always_ff block. Every net or memory it writes must have no other
    always_ff driver: [commit] skips blocks whose inputs are unchanged, which
    is exact only while each target has a single writer. *)
-let add_ff d stmts reads writes =
-  let writes = List.sort_uniq compare writes in
-  List.iter
-    (fun tgt ->
-      if Hashtbl.mem d.ff_targets tgt then
-        if tgt >= 0 then
-          elab_error "multiple drivers for net %s" (net_name d tgt)
-        else
-          elab_error "multiple drivers for memory %s"
-            (Hashtbl.fold
-               (fun name a acc -> if a.a_id = lnot tgt then name else acc)
-               d.arrays_tbl "?");
-      Hashtbl.add d.ff_targets tgt ())
-    writes;
-  d.rev_ffs <- { ff_slots = reads @ writes; ff_body = stmts } :: d.rev_ffs
+let add_ff el stmts =
+  let d = el.d in
+  let wr = el.wr in
+  wr.len <- sort_uniq wr.a 0 wr.len;
+  for i = 0 to wr.len - 1 do
+    let tgt = wr.a.(i) in
+    if tgt >= 0 then begin
+      if Bytes.get el.ff_net tgt <> '\000' then
+        elab_error "multiple drivers for net %s" (net_name d tgt);
+      Bytes.set el.ff_net tgt '\001'
+    end
+    else begin
+      let a = lnot tgt in
+      if Bytes.get el.ff_arr a <> '\000' then
+        elab_error "multiple drivers for memory %s" (array_name d d.arrays.(a));
+      Bytes.set el.ff_arr a '\001'
+    end
+  done;
+  let n = el.nff in
+  if n = Array.length el.ff_bodies then begin
+    let b = Array.make (imax 16 (2 * n)) [] in
+    Array.blit el.ff_bodies 0 b 0 n;
+    el.ff_bodies <- b
+  end;
+  el.ff_bodies.(n) <- stmts;
+  el.nff <- n + 1;
+  push el.f_start el.f_slots.len;
+  append el.f_slots el.rd;
+  append el.f_slots el.wr
 
 (* ------------------------------------------------------------------ *)
 (* Elaboration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_params sc_of cm overrides =
-  List.fold_left
-    (fun acc (name, default) ->
-      let v =
-        match List.assoc_opt name overrides with
-        | Some v -> v
-        | None -> const_eval (sc_of acc) default
-      in
-      acc @ [ (name, v) ])
-    [] cm.m_params
+(* A continuous driver of [tgt]: an alias when [e] is a plain net. *)
+let drive sc tgt e =
+  match e with
+  | E_id n when not (is_param n sc.pl.pl_params) -> add_copy sc.el tgt (net_id sc n)
+  | _ ->
+      sc.el.rd.len <- 0;
+      let ce = compile sc e in
+      add_drive sc.el tgt ce
 
-(* A plain net reference, not a parameter. *)
-let plain_net sc = function
-  | E_id n when not (List.mem_assoc n sc.sc_params) -> Some (net_id sc n)
-  | _ -> None
+(* Port [pname] of module [cm], as a connection: its local net, [lnot] it
+   for an output. *)
+let find_port sy cm pname =
+  let rec go l =
+    if l = Array.length cm.m_ports then
+      elab_error "module %s has no port %s" (name sy cm.m_name) (name sy pname)
+    else
+      let p = cm.m_ports.(l) in
+      if p.p_name = pname then match p.p_dir with `In -> l | `Out -> lnot l
+      else go (l + 1)
+  in
+  go 0
 
-let rec elab_module d mods ~path ~params m =
-  let prefix = if String.equal path "" then "" else path ^ "." in
-  let sc = { sc_d = d; sc_prefix = prefix; sc_params = params } in
-  let declare name range =
-    let w = match range with None -> 1 | Some r -> range_width sc r in
-    if w < 1 || w > 64 then
-      elab_error "net %s%s has unsupported width %d" prefix name w;
-    ignore (new_net d (prefix ^ name) w)
+(* Bind child instance [cid]'s ports, connection [j] on; [ports] caches
+   each connection's port. *)
+let rec bind_ports sc cm cid ports j = function
+  | [] -> ()
+  | (pname, e) :: rest ->
+      if pname <> kw_clk then begin
+        let d = sc.el.d in
+        let port =
+          if ports.(j) <> unresolved then ports.(j)
+          else begin
+            let p = find_port d.syms cm pname in
+            ports.(j) <- p;
+            p
+          end
+        in
+        let cbase = d.insts.(cid).in_base in
+        if port >= 0 then drive sc (cbase + port) e
+        else
+          match e with
+          | E_id wnet -> add_copy sc.el (net_id sc wnet) (cbase + lnot port)
+          | _ ->
+              elab_error "output port %s of %s must connect to a plain net"
+                (name d.syms pname) (name d.syms cm.m_name)
+      end;
+      bind_ports sc cm cid ports (j + 1) rest
+
+(* The plan of [cm] under [overrides]: made by its first instance. *)
+let plan_for sy cm overrides ~prefix =
+  let rec find = function
+    | [] ->
+        let params = resolve_params sy cm overrides in
+        let pl = new_plan sy cm params ~prefix in
+        cm.m_plans <- (overrides, pl) :: cm.m_plans;
+        pl
+    | (k, pl) :: rest ->
+        if List.equal (fun (a, x) (b, y) -> a = b && Int64.equal x y) k overrides
+        then pl
+        else find rest
   in
-  (* A continuous driver of [tgt]: an alias when [e] is a plain net. *)
-  let drive tgt e =
-    match plain_net sc e with
-    | Some src -> add_copy d tgt src
-    | None ->
-        let rd = ref [] in
-        let ce = compile sc rd e in
-        add_drive d tgt ce !rd
+  find cm.m_plans
+
+(* Instantiate [pl]: allocate its nets and arrays after the last, then
+   elaborate its items in source order, each child instance before its
+   port bindings. Returns the instance id. *)
+let rec instantiate el pl ~parent ~inst_name =
+  let d = el.d in
+  let m = pl.pl_mod in
+  let base = alloc_nets el pl.pl_widths in
+  let abase = d.narrays in
+  let id =
+    add_inst el
+      {
+        in_names = pl.pl_names;
+        in_base = base;
+        in_abase = abase;
+        in_parent = parent;
+        in_name = inst_name;
+        in_kids = (if m.m_ninst = 0 then [||] else Array.make m.m_ninst (-1));
+      }
   in
-  List.iter (fun p -> declare p.p_name p.p_range) m.m_ports;
-  List.iter
-    (fun it ->
-      match it with
-      | I_decl (r, names) -> List.iter (fun nm -> declare nm r) names
-      | I_array (er, name, sr) ->
-          let ew = range_width sc er in
-          let size = range_width sc sr in
-          if ew < 1 || ew > 64 then
-            elab_error "array %s%s has unsupported element width %d" prefix
-              name ew;
-          if Hashtbl.mem d.arrays_tbl (prefix ^ name) then
-            elab_error "duplicate array %s%s" prefix name;
-          let a_id = Hashtbl.length d.arrays_tbl in
-          let wide = is_wide ew in
-          Hashtbl.add d.arrays_tbl (prefix ^ name)
-            {
-              a_id;
-              a_width = ew;
-              a_len = size;
-              a_data = (if wide then [||] else Array.make size 0);
-              a_wide = (if wide then Array.make size 0L else [||]);
-            }
-      | _ -> ())
-    m.m_items;
-  List.iter
-    (fun it ->
-      match it with
-      | I_decl _ | I_array _ -> ()
-      | I_assign (lhs, rhs) -> drive (net_id sc lhs) rhs
-      | I_ff stmts ->
-          let rd = ref [] and wr = ref [] in
-          let cs = compile_stmts sc rd wr stmts in
-          add_ff d cs !rd !wr
-      | I_comb stmts ->
-          let rd = ref [] and wr = ref [] in
-          let cs = compile_stmts sc rd wr stmts in
-          add_comb d cs !rd !wr
-      | I_inst { i_mod; i_params; i_name; i_conns } ->
-          let cm =
-            match Hashtbl.find_opt mods i_mod with
-            | Some m -> m
-            | None -> elab_error "unknown module %s" i_mod
-          in
-          let overrides =
-            List.map (fun (p, e) -> (p, const_eval sc e)) i_params
-          in
-          let child_params =
-            resolve_params
-              (fun acc -> { sc with sc_params = acc })
-              cm overrides
-          in
-          let child_path = prefix ^ i_name in
-          elab_module d mods ~path:child_path ~params:child_params cm;
-          let child_prefix = child_path ^ "." in
-          List.iter
-            (fun (pname, e) ->
-              if not (String.equal pname "clk") then
-                match
-                  List.find_opt
-                    (fun p -> String.equal p.p_name pname)
-                    cm.m_ports
-                with
-                | None -> elab_error "module %s has no port %s" i_mod pname
-                | Some { p_dir = `In; _ } ->
-                    drive (Hashtbl.find d.net_ids (child_prefix ^ pname)) e
-                | Some { p_dir = `Out; _ } -> (
-                    match e with
-                    | E_id wnet ->
-                        add_copy d (net_id sc wnet)
-                          (Hashtbl.find d.net_ids (child_prefix ^ pname))
-                    | _ ->
-                        elab_error
-                          "output port %s of %s must connect to a plain net"
-                          pname i_mod))
-            i_conns)
-    m.m_items
+  for j = 0 to Array.length pl.pl_arrays - 1 do
+    let ew, size = pl.pl_arrays.(j) in
+    let wide = is_wide ew in
+    add_array el
+      {
+        a_id = abase + j;
+        a_width = ew;
+        a_len = size;
+        a_data = (if wide then [||] else Array.make size 0);
+        a_wide = (if wide then Array.make size 0L else [||]);
+        a_inst = id;
+        a_name = pl.pl_names.nm_array_syms.(j);
+      }
+  done;
+  let sc = { el; pl; nm = pl.pl_names; base; abase; inst = id } in
+  for k = 0 to Array.length m.m_items - 1 do
+    match m.m_items.(k) with
+    | I_decl _ | I_array _ -> ()
+    | I_assign (lhs, rhs) -> drive sc (net_id sc lhs) rhs
+    | I_ff stmts ->
+        el.rd.len <- 0;
+        el.wr.len <- 0;
+        add_ff el (compile_stmts sc stmts)
+    | I_comb stmts ->
+        el.rd.len <- 0;
+        el.wr.len <- 0;
+        add_comb el (compile_stmts sc stmts)
+    | I_inst { i_mod; i_params; i_name; i_conns; i_ord } ->
+        let sy = d.syms in
+        let prefix () = inst_prefix d id ^ name sy i_name ^ "." in
+        let child =
+          match pl.pl_child.(i_ord) with
+          | Some c -> c
+          | None ->
+              let cm =
+                match IT.find el.mods i_mod with
+                | cm -> cm
+                | exception Not_found -> elab_error "unknown module %s" (name sy i_mod)
+              in
+              let overrides =
+                List.map (fun (p, e) -> (p, const_eval sy pl.pl_params e)) i_params
+              in
+              let c = plan_for sy cm overrides ~prefix in
+              pl.pl_child.(i_ord) <- Some c;
+              c
+        in
+        let first = IT.find pl.pl_names.nm_kids i_name in
+        if first <> i_ord then
+          check_same_name el child d.insts.(d.insts.(id).in_kids.(first)) ~prefix;
+        let cid = instantiate el child ~parent:id ~inst_name:i_name in
+        d.insts.(id).in_kids.(i_ord) <- cid;
+        bind_ports sc child.pl_mod cid m.m_conns.(i_ord) 0 i_conns
+  done;
+  id
+
+(* A second instance of one name: the first of its declarations that the
+   earlier instance already holds is a duplicate, as it would be in one
+   flat table of dotted names. *)
+and check_same_name el child other ~prefix =
+  let sy = el.d.syms in
+  Array.iter
+    (fun e ->
+      if e >= 0 then begin
+        let s = child.pl_names.nm_net_syms.(e) in
+        if IT.mem other.in_names.nm_nets s then
+          elab_error "duplicate net %s%s" (prefix ()) (name sy s)
+      end
+      else
+        let s = child.pl_names.nm_array_syms.(lnot e) in
+        if IT.mem other.in_names.nm_arrays s then
+          elab_error "duplicate array %s%s" (prefix ()) (name sy s))
+    child.pl_decls
 
 (* Build the activity schedule once every net is known. Slots are the nets,
    then one per memory array. Each alias class — a net and every net that
@@ -1423,55 +2242,116 @@ let rec elab_module d mods ~path ~params m =
    writes. State nets and top-level inputs have no settle-time producer:
    their changes arrive from [commit] and the pokes through [pend].
    Everything starts dirty, so the first cycle sees the whole design. *)
-let finalize d =
-  let nslots = d.nnets + Hashtbl.length d.arrays_tbl in
-  let root = Array.init nslots (fun s -> s) in
+let finalize el =
+  let d = el.d in
+  let nnets = d.nnets in
+  let nslots = nnets + d.narrays in
+  let root = Array.make (imax nslots 1) 0 in
+  for s = 0 to nslots - 1 do
+    root.(s) <- s
+  done;
   let rec root_of s =
     let a = d.asrc.(s) in
     if a < 0 then s else root_of a
   in
-  let targets = Array.make nslots [] in
-  for s = d.nnets - 1 downto 0 do
+  (* The nets aliasing net [a] directly, in increasing order:
+     [kids.(kstart.(a))] up to [kids.(kstart.(a + 1) - 1)]. *)
+  let kstart = Array.make (nnets + 1) 0 in
+  for s = 0 to nnets - 1 do
     let a = d.asrc.(s) in
     if a >= 0 then begin
       root.(s) <- root_of s;
-      targets.(a) <- s :: targets.(a)
+      kstart.(a + 1) <- kstart.(a + 1) + 1
     end
   done;
-  let rec subtree acc s =
-    List.fold_left (fun acc t -> subtree (t :: acc) t) acc targets.(s)
+  for s = 0 to nnets - 1 do
+    kstart.(s + 1) <- kstart.(s + 1) + kstart.(s)
+  done;
+  let kids = Array.make (imax 1 kstart.(nnets)) 0 in
+  let next = Array.sub kstart 0 (imax 1 nnets) in
+  for s = 0 to nnets - 1 do
+    let a = d.asrc.(s) in
+    if a >= 0 then begin
+      kids.(next.(a)) <- s;
+      next.(a) <- next.(a) + 1
+    end
+  done;
+  (* Each slot's aliases, depth first in increasing order. *)
+  let fwd = ivec () in
+  let rec subtree s =
+    for i = kstart.(s) to kstart.(s + 1) - 1 do
+      let t = kids.(i) in
+      push fwd t;
+      subtree t
+    done
   in
+  let fwd_start = Array.make (nslots + 1) 0 in
+  for s = 0 to nslots - 1 do
+    fwd_start.(s) <- fwd.len;
+    if s < nnets then subtree s
+  done;
+  fwd_start.(nslots) <- fwd.len;
   d.root <- root;
-  d.fwd <-
-    Array.init nslots (fun s ->
-        if targets.(s) = [] then [||]
-        else Array.of_list (List.rev (subtree [] s)));
-  let slot r = root.(if r >= 0 then r else d.nnets + lnot r) in
-  let slots rs = List.sort_uniq compare (List.map slot rs) in
-  let procs = Array.of_list (List.rev d.rev_procs) in
-  d.sched <-
-    Sched.create
-      (Sched.build ~slots:nslots
-         ~nodes:
-           (Array.map (fun p -> (slots p.pr_reads, [], slots p.pr_writes)) procs));
-  let runs = Array.map (fun p -> p.pr_run) procs in
+  d.fwd_start <- fwd_start;
+  d.fwd <- fwd.a;
+  (* Map each process's and block's reads and writes to slots, each list
+     sorted without repeats. *)
+  let slot r = root.(if r >= 0 then r else nnets + lnot r) in
+  let to_slots (start : ivec) (v : ivec) n =
+    push start v.len;
+    let stop = Array.make (imax n 1) 0 in
+    for k = 0 to n - 1 do
+      let lo = start.a.(k) and hi = start.a.(k + 1) in
+      for i = lo to hi - 1 do
+        v.a.(i) <- slot v.a.(i)
+      done;
+      stop.(k) <- sort_uniq v.a lo hi
+    done;
+    stop
+  in
+  let np = el.nprocs in
+  let rend = to_slots el.p_rstart el.p_reads np
+  and wend = to_slots el.p_wstart el.p_writes np in
+  let rstart = el.p_rstart.a and reads = el.p_reads.a in
+  let wstart = el.p_wstart.a and writes = el.p_writes.a in
+  let edges k ~read ~source:_ ~write =
+    for i = rstart.(k) to rend.(k) - 1 do
+      read reads.(i)
+    done;
+    for i = wstart.(k) to wend.(k) - 1 do
+      write writes.(i)
+    done
+  in
+  d.sched <- Sched.create (Sched.build_with ~slots:nslots ~nodes:np edges);
+  let runs = el.runs in
   d.eval <- (fun k -> runs.(k) ());
-  let ffs = Array.of_list (List.rev d.rev_ffs) in
-  let readers = Array.make nslots [] in
-  Array.iteri
-    (fun b ff ->
-      List.iter
-        (fun s -> readers.(s) <- b :: readers.(s))
-        (slots ff.ff_slots))
-    ffs;
-  d.ff_readers <- Array.map (fun bs -> Array.of_list (List.rev bs)) readers;
-  d.ffs <- Array.map (fun ff -> ff.ff_body) ffs;
-  d.ff_dirty <- Array.make (Array.length ffs) true;
-  d.arrays <-
-    Array.of_list
-      (List.sort
-         (fun a b -> compare a.a_id b.a_id)
-         (Hashtbl.fold (fun _ a acc -> a :: acc) d.arrays_tbl []));
+  let nff = el.nff in
+  let fend = to_slots el.f_start el.f_slots nff in
+  let fstart = el.f_start.a and fslots = el.f_slots.a in
+  (* The blocks touching each slot, in increasing order. *)
+  let ffr_start = Array.make (nslots + 1) 0 in
+  for b = 0 to nff - 1 do
+    for i = fstart.(b) to fend.(b) - 1 do
+      let s = fslots.(i) in
+      ffr_start.(s + 1) <- ffr_start.(s + 1) + 1
+    done
+  done;
+  for s = 0 to nslots - 1 do
+    ffr_start.(s + 1) <- ffr_start.(s + 1) + ffr_start.(s)
+  done;
+  let ffr = Array.make (imax 1 ffr_start.(nslots)) 0 in
+  let next = Array.sub ffr_start 0 (imax 1 nslots) in
+  for b = 0 to nff - 1 do
+    for i = fstart.(b) to fend.(b) - 1 do
+      let s = fslots.(i) in
+      ffr.(next.(s)) <- b;
+      next.(s) <- next.(s) + 1
+    done
+  done;
+  d.ffr_start <- ffr_start;
+  d.ffr <- ffr;
+  d.ffs <- Array.sub el.ff_bodies 0 nff;
+  d.ff_dirty <- Array.make nff true;
   (* Each assignment runs at most once per edge, so this many staging
      entries always suffice. *)
   let rec assigns n = function
@@ -1487,18 +2367,39 @@ let finalize d =
   Sched.mark_all d.sched;
   (* The first settle copies every source into its aliases, as the first
      run of every copy process would. *)
-  for s = 0 to d.nnets - 1 do
-    if root.(s) = s && Array.length d.fwd.(s) > 0 then defer d s
+  for s = 0 to nnets - 1 do
+    if root.(s) = s && fwd_start.(s + 1) > fwd_start.(s) then defer d s
   done
 
-let load ?(max_fixpoint_iters = 1000) ~top src =
-  let modules = parse_file src in
-  let mods = Hashtbl.create 16 in
-  List.iter (fun m -> Hashtbl.replace mods m.m_name m) modules;
+let no_sched = Sched.create (Sched.build ~slots:0 ~nodes:[||])
+
+let elaborate el modules ~top =
+  let d = el.d in
+  List.iter (fun m -> IT.replace el.mods m.m_name m) modules;
   let topm =
-    match Hashtbl.find_opt mods top with
-    | Some m -> m
-    | None -> elab_error "no module %s in the source" top
+    match IT.find el.mods (lookup d.syms top) with
+    | m -> m
+    | exception Not_found -> elab_error "no module %s in the source" top
+  in
+  let params = resolve_params d.syms topm [] in
+  let pl = new_plan d.syms topm params ~prefix:(fun () -> "") in
+  topm.m_plans <- [ ([], pl) ];
+  ignore (instantiate el pl ~parent:(-1) ~inst_name:(-1));
+  (* A net driven continuously must not also be an always_ff target. *)
+  for id = 0 to d.nnets - 1 do
+    if Bytes.get el.ff_net id <> '\000' && Bytes.get el.driven id <> '\000' then
+      elab_error "net driven by both continuous logic and always_ff"
+  done
+
+let stats d =
+  (d.nnets, Sched.node_count (Sched.topology d.sched) + Array.length d.ffs)
+
+let load ?(max_fixpoint_iters = 1000) ~top src =
+  let module Trace = Calyx_telemetry.Trace in
+  Trace.with_span ~cat:"stage" "rtl-load" @@ fun () ->
+  let syms = new_syms () in
+  let modules =
+    Trace.with_span ~cat:"stage" "rtl-parse" (fun () -> parse_file syms src)
   in
   let d =
     {
@@ -1507,19 +2408,19 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
       widths = [||];
       asrc = [||];
       nnets = 0;
-      net_ids = Hashtbl.create 256;
-      arrays_tbl = Hashtbl.create 16;
+      syms;
+      insts = [||];
+      ninsts = 0;
       arrays = [||];
-      driven = Hashtbl.create 256;
-      ff_targets = Hashtbl.create 64;
-      rev_procs = [];
-      rev_ffs = [];
-      sched = Sched.create (Sched.build ~slots:0 ~nodes:[||]);
+      narrays = 0;
+      sched = no_sched;
       eval = ignore;
       root = [||];
+      fwd_start = [||];
       fwd = [||];
       ffs = [||];
-      ff_readers = [||];
+      ffr_start = [||];
+      ffr = [||];
       ff_dirty = [||];
       pend = [||];
       npend = 0;
@@ -1533,19 +2434,36 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
       evals = 0;
     }
   in
-  let params =
-    resolve_params
-      (fun acc -> { sc_d = d; sc_prefix = ""; sc_params = acc })
-      topm []
+  let el =
+    {
+      d;
+      mods = IT.create 16;
+      rd = ivec ();
+      wr = ivec ();
+      driven = Bytes.empty;
+      ff_net = Bytes.empty;
+      ff_arr = Bytes.empty;
+      runs = [||];
+      nprocs = 0;
+      p_rstart = ivec ();
+      p_reads = ivec ();
+      p_wstart = ivec ();
+      p_writes = ivec ();
+      ff_bodies = [||];
+      nff = 0;
+      f_start = ivec ();
+      f_slots = ivec ();
+    }
   in
-  elab_module d mods ~path:"" ~params topm;
-  (* A net driven continuously must not also be an always_ff target. *)
-  Hashtbl.iter
-    (fun id () ->
-      if Hashtbl.mem d.driven id then
-        elab_error "net driven by both continuous logic and always_ff")
-    d.ff_targets;
-  finalize d;
+  Trace.with_span ~cat:"stage" "rtl-elaborate" (fun () ->
+      elaborate el modules ~top);
+  Trace.with_span ~cat:"stage" "rtl-schedule" (fun () -> finalize el);
+  if Calyx_telemetry.Runtime.on () then begin
+    let nets, procs = stats d in
+    Trace.add_metric "bytes" (float_of_int (String.length src));
+    Trace.add_metric "nets" (float_of_int nets);
+    Trace.add_metric "procs" (float_of_int procs)
+  end;
   d
 
 (* ------------------------------------------------------------------ *)
@@ -1650,10 +2568,31 @@ let cycle d =
 let cycles_elapsed d = d.cycles
 let evals d = d.evals
 
+(* The instance holding the last component of the dotted [path], and
+   that component's symbol. Raises [Not_found]. *)
+let find_path d path =
+  let sym s =
+    let x = lookup d.syms s in
+    if x < 0 then raise Not_found else x
+  in
+  let rec go inst i =
+    match String.index_from_opt path i '.' with
+    | None -> (inst, sym (String.sub path i (String.length path - i)))
+    | Some j ->
+        let n = d.insts.(inst) in
+        go n.in_kids.(IT.find n.in_names.nm_kids (sym (String.sub path i (j - i)))) (j + 1)
+  in
+  go 0 0
+
+let find_net d path =
+  let inst, s = find_path d path in
+  let n = d.insts.(inst) in
+  n.in_base + IT.find n.in_names.nm_nets s
+
 let top_net d name =
-  match Hashtbl.find_opt d.net_ids name with
-  | Some id -> id
-  | None -> elab_error "no top-level net %s" name
+  match find_net d name with
+  | id -> id
+  | exception Not_found -> elab_error "no top-level net %s" name
 
 let read_net d id =
   let width = d.widths.(id) in
@@ -1713,18 +2652,21 @@ let run ?(max_cycles = 5_000_000) d =
 (* ------------------------------------------------------------------ *)
 
 let register_net d path =
-  let name = path ^ ".out" in
-  match Hashtbl.find_opt d.net_ids name with
-  | Some id -> id
-  | None -> elab_error "no register at %s" path
+  match find_net d (path ^ ".out") with
+  | id -> id
+  | exception Not_found -> elab_error "no register at %s" path
 
 let read_register d path = read_net d (register_net d path)
 let write_register d path v = poke_net d (register_net d path) v
 
 let memory_array d path =
-  match Hashtbl.find_opt d.arrays_tbl (path ^ ".mem") with
-  | Some a -> a
-  | None -> elab_error "no memory at %s" path
+  match find_path d (path ^ ".mem") with
+  | inst, s -> (
+      let n = d.insts.(inst) in
+      match IT.find n.in_names.nm_arrays s with
+      | j -> d.arrays.(n.in_abase + j)
+      | exception Not_found -> elab_error "no memory at %s" path)
+  | exception Not_found -> elab_error "no memory at %s" path
 
 let read_memory d path =
   let a = memory_array d path in
@@ -1745,6 +2687,3 @@ let write_memory d path values =
       else a.a_data.(i) <- Int64.to_int v)
     values;
   defer d (d.nnets + a.a_id)
-
-let stats d =
-  (d.nnets, Sched.node_count (Sched.topology d.sched) + Array.length d.ffs)
