@@ -675,6 +675,7 @@ and parse_primary p =
 
 (* The ranges [k:0], k up to 64, shared. *)
 let small_ranges = Array.init 65 (fun k -> (unsized_nums.(k), unsized_nums.(0)))
+let some_ranges = Array.map Option.some small_ranges
 
 let parse_range p =
   expect p Tlb "[";
@@ -702,7 +703,12 @@ let parse_range p =
     (msb, lsb)
   end
 
-let parse_range_opt p = if is p Tlb then Some (parse_range p) else None
+let parse_range_opt p =
+  if is p Tlb then
+    let r = parse_range p in
+    let k = match fst r with E_num (0, k) when k <= 64 -> k | _ -> 0 in
+    if r == small_ranges.(k) then some_ranges.(k) else Some r
+  else None
 
 let rec parse_stmt p =
   if is_kw p kw_begin then begin
@@ -896,6 +902,16 @@ type cexpr = {
 
 and kind = K_const of int | K_net of int | K_expr
 
+let no_wide : unit -> unit -> int64 =
+ fun () -> invalid_arg "Vinterp: no wide form below 63 bits"
+
+(* The [ev] field of a constant or a net, whose evaluator [ev_of] makes
+   only where one is needed. *)
+let no_ev : unit -> int = fun () -> invalid_arg "Vinterp: evaluator not built"
+
+(* No expression: the empty entries of [elab.net_cx]. *)
+let no_cx = { w = 0; b = 0; k = K_expr; ev = no_ev; wide = no_wide }
+
 type cstmt =
   | C_if of (unit -> bool) * cstmt list * cstmt list
   | C_net of int * int * (unit -> int)  (* target, mask, rhs *)
@@ -1034,9 +1050,8 @@ type vmodule = {
   m_ports : port array;
   m_items : item array;
   m_ninst : int;
-  m_conns : int array array;
-      (* instance ordinal -> per connection: the child's port (its local
-         net, [lnot] it for an output), found on first use *)
+  m_nnets : int;  (* ports and declared nets *)
+  m_narrays : int;
   mutable m_names : names option;  (* made with the first plan *)
   mutable m_plans : ((int * int64) list * plan) list;
       (* by parameter overrides *)
@@ -1049,14 +1064,8 @@ and plan = {
   pl_names : names;
   pl_widths : int array;  (* local net -> width *)
   pl_arrays : (int * int) array;  (* local array -> element width, length *)
-  pl_decls : int array;
-      (* declaration order: local net [l] as [l], local array [j] as
-         [lnot j] *)
   pl_child : plan option array;  (* instance ordinal -> its plan *)
 }
-
-(* A connection whose port is not yet looked up. *)
-let unresolved = max_int
 
 let parse_module p =
   expect_kw p kw_module;
@@ -1114,20 +1123,22 @@ let parse_module p =
   done;
   advance p;
   let items = Array.of_list (List.rev !items) in
-  let conns = Array.make !ninst [||] in
+  let ports = Array.of_list (List.rev !ports) in
+  let nnets = ref (Array.length ports) and narrays = ref 0 in
   Array.iter
     (function
-      | I_inst { i_conns; i_ord; _ } ->
-          conns.(i_ord) <- Array.make (List.length i_conns) unresolved
+      | I_decl (_, names) -> nnets := !nnets + List.length names
+      | I_array _ -> incr narrays
       | _ -> ())
     items;
   {
     m_name = name;
     m_params = params;
-    m_ports = Array.of_list (List.rev !ports);
+    m_ports = ports;
     m_items = items;
     m_ninst = !ninst;
-    m_conns = conns;
+    m_nnets = !nnets;
+    m_narrays = !narrays;
     m_names = None;
     m_plans = [];
   }
@@ -1193,75 +1204,66 @@ let resolve_params sy m overrides =
    plan. *)
 let new_plan sy m params ~prefix =
   let fresh = Option.is_none m.m_names in
-  let nets, arrays =
-    match m.m_names with
-    | Some nm -> (nm.nm_nets, nm.nm_arrays)
-    | None -> (IT.create 64, IT.create 8)
-  in
-  let widths = ivec () and net_syms = ivec () and decls = ivec () in
-  let arr = ref [] and arr_syms = ivec () in
-  let declare nm range =
-    let w = match range with None -> 1 | Some r -> range_width sy params r in
-    if w < 1 || w > 64 then
-      elab_error "net %s%s has unsupported width %d" (prefix ()) (name sy nm) w;
-    if fresh then begin
-      if IT.mem nets nm then elab_error "duplicate net %s%s" (prefix ()) (name sy nm);
-      IT.add nets nm widths.len
-    end;
-    push decls widths.len;
-    push net_syms nm;
-    push widths w
-  in
-  Array.iter (fun p -> declare p.p_name p.p_range) m.m_ports;
-  Array.iter
-    (function
-      | I_decl (r, names) -> List.iter (fun nm -> declare nm r) names
-      | I_array (er, nm, sr) ->
-          let ew = range_width sy params er in
-          let size = range_width sy params sr in
-          if ew < 1 || ew > 64 then
-            elab_error "array %s%s has unsupported element width %d"
-              (prefix ()) (name sy nm) ew;
-          if fresh then begin
-            if IT.mem arrays nm then
-              elab_error "duplicate array %s%s" (prefix ()) (name sy nm);
-            IT.add arrays nm arr_syms.len
-          end;
-          push decls (lnot arr_syms.len);
-          push arr_syms nm;
-          arr := (ew, size) :: !arr
-      | _ -> ())
-    m.m_items;
   let nm =
     match m.m_names with
     | Some nm -> nm
     | None ->
-        let kids = IT.create (imax 1 m.m_ninst) in
+        let kids = IT.create m.m_ninst in
         Array.iter
           (function
             | I_inst { i_name; i_ord; _ } ->
                 if not (IT.mem kids i_name) then IT.add kids i_name i_ord
             | _ -> ())
           m.m_items;
-        let nm =
-          {
-            nm_nets = nets;
-            nm_net_syms = Array.sub net_syms.a 0 net_syms.len;
-            nm_arrays = arrays;
-            nm_array_syms = Array.sub arr_syms.a 0 arr_syms.len;
-            nm_kids = kids;
-          }
-        in
-        m.m_names <- Some nm;
-        nm
+        {
+          nm_nets = IT.create m.m_nnets;
+          nm_net_syms = Array.make m.m_nnets 0;
+          nm_arrays = IT.create m.m_narrays;
+          nm_array_syms = Array.make m.m_narrays 0;
+          nm_kids = kids;
+        }
   in
+  let widths = Array.make m.m_nnets 0 and arrays = Array.make m.m_narrays (0, 0) in
+  let nn = ref 0 and na = ref 0 in
+  let declare s range =
+    let w = match range with None -> 1 | Some r -> range_width sy params r in
+    if w < 1 || w > 64 then
+      elab_error "net %s%s has unsupported width %d" (prefix ()) (name sy s) w;
+    if fresh then begin
+      if IT.mem nm.nm_nets s then elab_error "duplicate net %s%s" (prefix ()) (name sy s);
+      IT.add nm.nm_nets s !nn;
+      nm.nm_net_syms.(!nn) <- s
+    end;
+    widths.(!nn) <- w;
+    incr nn
+  in
+  Array.iter (fun p -> declare p.p_name p.p_range) m.m_ports;
+  Array.iter
+    (function
+      | I_decl (r, names) -> List.iter (fun s -> declare s r) names
+      | I_array (er, s, sr) ->
+          let ew = range_width sy params er in
+          let size = range_width sy params sr in
+          if ew < 1 || ew > 64 then
+            elab_error "array %s%s has unsupported element width %d"
+              (prefix ()) (name sy s) ew;
+          if fresh then begin
+            if IT.mem nm.nm_arrays s then
+              elab_error "duplicate array %s%s" (prefix ()) (name sy s);
+            IT.add nm.nm_arrays s !na;
+            nm.nm_array_syms.(!na) <- s
+          end;
+          arrays.(!na) <- (ew, size);
+          incr na
+      | _ -> ())
+    m.m_items;
+  m.m_names <- Some nm;
   {
     pl_mod = m;
     pl_params = params;
     pl_names = nm;
-    pl_widths = Array.sub widths.a 0 widths.len;
-    pl_arrays = Array.of_list (List.rev !arr);
-    pl_decls = Array.sub decls.a 0 decls.len;
+    pl_widths = widths;
+    pl_arrays = arrays;
     pl_child = Array.make m.m_ninst None;
   }
 
@@ -1278,6 +1280,7 @@ let new_plan sy m params ~prefix =
 type elab = {
   d : t;
   mods : vmodule IT.t;
+  mutable net_cx : cexpr array;  (* net -> its expression, once made *)
   rd : ivec;  (* the reads of the process being compiled *)
   wr : ivec;  (* and its writes *)
   mutable driven : Bytes.t;  (* net -> driven by a settle process or alias *)
@@ -1317,7 +1320,10 @@ let alloc_nets el (ws : int array) =
       b
     in
     el.driven <- flags el.driven;
-    el.ff_net <- flags el.ff_net
+    el.ff_net <- flags el.ff_net;
+    let cx = Array.make cap no_cx in
+    Array.blit el.net_cx 0 cx 0 base;
+    el.net_cx <- cx
   end;
   Array.blit ws 0 d.widths base k;
   d.nnets <- need;
@@ -1420,13 +1426,6 @@ let net_id sc n =
 (* Expression compilation                                              *)
 (* ------------------------------------------------------------------ *)
 
-let no_wide : unit -> unit -> int64 =
- fun () -> invalid_arg "Vinterp: no wide form below 63 bits"
-
-(* The [ev] field of a constant or a net, whose evaluator [ev_of] makes
-   only where one is needed. *)
-let no_ev : unit -> int = fun () -> invalid_arg "Vinterp: evaluator not built"
-
 let ev_of d c =
   match c.k with
   | K_net id -> fun () -> d.vals.(id)
@@ -1458,17 +1457,27 @@ let const w v =
     let n = Int64.to_int v in
     { w; b = bits64 0 v; k = K_expr; ev = (fun () -> n); wide = (fun () () -> v) }
 
-let net_expr d id =
-  let w = d.widths.(id) in
-  if is_wide w then
-    {
-      w;
-      b = w;
-      k = K_expr;
-      ev = (fun () -> Int64.to_int d.wvals.(id));
-      wide = (fun () () -> d.wvals.(id));
-    }
-  else { w; b = w; k = K_net id; ev = no_ev; wide = no_wide }
+(* Net [id], one expression shared by every reference to it. *)
+let net_expr el id =
+  let c = el.net_cx.(id) in
+  if c != no_cx then c
+  else begin
+    let d = el.d in
+    let w = d.widths.(id) in
+    let c =
+      if is_wide w then
+        {
+          w;
+          b = w;
+          k = K_expr;
+          ev = (fun () -> Int64.to_int d.wvals.(id));
+          wide = (fun () () -> d.wvals.(id));
+        }
+      else { w; b = w; k = K_net id; ev = no_ev; wide = no_wide }
+    in
+    el.net_cx.(id) <- c;
+    c
+  end
 
 (* The whole value of [c], as an Int64 closure. *)
 let exact d c =
@@ -1729,7 +1738,7 @@ let compile_id sc n =
   | exception Not_found ->
       let id = net_id sc n in
       push sc.el.rd id;
-      net_expr sc.el.d id
+      net_expr sc.el id
 
 (* Whether [e] is one bit wide whatever its operands: a comparison, a
    logical negation, or [~], [&], [|] and [^] over such. *)
@@ -1931,37 +1940,39 @@ and cond sc e =
    [tw] bits: its mask, or -1 when the value already fits. *)
 let fit tw (ce : cexpr) = if ce.b <= tw then -1 else imask tw
 
-let rec compile_stmts sc stmts =
-  let d = sc.el.d in
-  List.map
-    (fun s ->
-      match s with
-      | S_if (c, t, f) ->
-          let c = cond sc c in
-          C_if (c, compile_stmts sc t, compile_stmts sc f)
-      | S_assign (L_id n, e) ->
-          let id = net_id sc n in
-          push sc.el.wr id;
-          let ce = compile sc e and tw = d.widths.(id) in
-          if is_wide tw then
-            let f = exact d ce and m = mask64 tw in
-            C_wnet (id, fun () -> Int64.logand (f ()) m)
-          else C_net (id, fit tw ce, ev_of d ce)
-      | S_assign (L_idx (n, ix), e) -> (
-          match IT.find sc.nm.nm_arrays n with
-          | j ->
-              let a = d.arrays.(sc.abase + j) in
-              push sc.el.wr (lnot a.a_id);
-              let ix = index d (compile sc ix) a.a_len in
-              let ce = compile sc e in
-              if is_wide a.a_width then
-                let f = exact d ce and m = mask64 a.a_width in
-                C_warr (a, ix, fun () -> Int64.logand (f ()) m)
-              else C_arr (a, ix, fit a.a_width ce, ev_of d ce)
-          | exception Not_found ->
-              elab_error "assignment to unknown array %s%s"
-                (inst_prefix d sc.inst) (name d.syms n)))
-    stmts
+let rec compile_stmts sc = function
+  | [] -> []
+  | s :: rest ->
+      let d = sc.el.d in
+      let c =
+        match s with
+        | S_if (c, t, f) ->
+            let c = cond sc c in
+            C_if (c, compile_stmts sc t, compile_stmts sc f)
+        | S_assign (L_id n, e) ->
+            let id = net_id sc n in
+            push sc.el.wr id;
+            let ce = compile sc e and tw = d.widths.(id) in
+            if is_wide tw then
+              let f = exact d ce and m = mask64 tw in
+              C_wnet (id, fun () -> Int64.logand (f ()) m)
+            else C_net (id, fit tw ce, ev_of d ce)
+        | S_assign (L_idx (n, ix), e) -> (
+            match IT.find sc.nm.nm_arrays n with
+            | j ->
+                let a = d.arrays.(sc.abase + j) in
+                push sc.el.wr (lnot a.a_id);
+                let ix = index d (compile sc ix) a.a_len in
+                let ce = compile sc e in
+                if is_wide a.a_width then
+                  let f = exact d ce and m = mask64 a.a_width in
+                  C_warr (a, ix, fun () -> Int64.logand (f ()) m)
+                else C_arr (a, ix, fit a.a_width ce, ev_of d ce)
+            | exception Not_found ->
+                elab_error "assignment to unknown array %s%s"
+                  (inst_prefix d sc.inst) (name d.syms n))
+      in
+      c :: compile_stmts sc rest
 
 let set_net d id v =
   if d.vals.(id) <> v then begin
@@ -2002,17 +2013,18 @@ let add_drive el tgt (ce : cexpr) =
    of [src] is copied into [tgt] (see [finalize] and [touch]). A copy that
    would close a cycle of aliases stays a process, so a copy loop settles
    or diverges as it always has. *)
+let rec reaches asrc tgt s = s = tgt || (s >= 0 && reaches asrc tgt asrc.(s))
+
 let add_copy el tgt src =
   let d = el.d in
-  let rec reaches s = s = tgt || (s >= 0 && reaches d.asrc.(s)) in
-  if d.widths.(tgt) = d.widths.(src) && not (reaches src) then begin
+  if d.widths.(tgt) = d.widths.(src) && not (reaches d.asrc tgt src) then begin
     check_undriven el tgt;
     d.asrc.(tgt) <- src
   end
   else begin
     el.rd.len <- 0;
     push el.rd src;
-    add_drive el tgt (net_expr d src)
+    add_drive el tgt (net_expr el src)
   end
 
 let rec exec_comb d = function
@@ -2088,33 +2100,22 @@ let drive sc tgt e =
       add_drive sc.el tgt ce
 
 (* Port [pname] of module [cm], as a connection: its local net, [lnot] it
-   for an output. *)
+   for an output. Ports are a module's first nets. *)
 let find_port sy cm pname =
-  let rec go l =
-    if l = Array.length cm.m_ports then
+  let nm = Option.get cm.m_names in
+  match IT.find nm.nm_nets pname with
+  | l when l < Array.length cm.m_ports -> (
+      match cm.m_ports.(l).p_dir with `In -> l | `Out -> lnot l)
+  | _ | (exception Not_found) ->
       elab_error "module %s has no port %s" (name sy cm.m_name) (name sy pname)
-    else
-      let p = cm.m_ports.(l) in
-      if p.p_name = pname then match p.p_dir with `In -> l | `Out -> lnot l
-      else go (l + 1)
-  in
-  go 0
 
-(* Bind child instance [cid]'s ports, connection [j] on; [ports] caches
-   each connection's port. *)
-let rec bind_ports sc cm cid ports j = function
+(* Bind child instance [cid]'s ports. *)
+let rec bind_ports sc cm cid = function
   | [] -> ()
   | (pname, e) :: rest ->
       if pname <> kw_clk then begin
         let d = sc.el.d in
-        let port =
-          if ports.(j) <> unresolved then ports.(j)
-          else begin
-            let p = find_port d.syms cm pname in
-            ports.(j) <- p;
-            p
-          end
-        in
+        let port = find_port d.syms cm pname in
         let cbase = d.insts.(cid).in_base in
         if port >= 0 then drive sc (cbase + port) e
         else
@@ -2124,22 +2125,26 @@ let rec bind_ports sc cm cid ports j = function
               elab_error "output port %s of %s must connect to a plain net"
                 (name d.syms pname) (name d.syms cm.m_name)
       end;
-      bind_ports sc cm cid ports (j + 1) rest
+      bind_ports sc cm cid rest
 
 (* The plan of [cm] under [overrides]: made by its first instance. *)
+let rec same_overrides a b =
+  match (a, b) with
+  | [], [] -> true
+  | (p, x) :: a, (q, y) :: b -> p = q && Int64.equal x y && same_overrides a b
+  | _ -> false
+
 let plan_for sy cm overrides ~prefix =
-  let rec find = function
-    | [] ->
-        let params = resolve_params sy cm overrides in
-        let pl = new_plan sy cm params ~prefix in
-        cm.m_plans <- (overrides, pl) :: cm.m_plans;
-        pl
-    | (k, pl) :: rest ->
-        if List.equal (fun (a, x) (b, y) -> a = b && Int64.equal x y) k overrides
-        then pl
-        else find rest
-  in
-  find cm.m_plans
+  match List.find (fun (k, _) -> same_overrides k overrides) cm.m_plans with
+  | _, pl -> pl
+  | exception Not_found ->
+      let params = resolve_params sy cm overrides in
+      let pl = new_plan sy cm params ~prefix in
+      cm.m_plans <- (overrides, pl) :: cm.m_plans;
+      pl
+
+(* The dotted prefix of child [i_name] of instance [id]. *)
+let child_prefix d id i_name = inst_prefix d id ^ name d.syms i_name ^ "."
 
 (* Instantiate [pl]: allocate its nets and arrays after the last, then
    elaborate its items in source order, each child instance before its
@@ -2189,7 +2194,6 @@ let rec instantiate el pl ~parent ~inst_name =
         add_comb el (compile_stmts sc stmts)
     | I_inst { i_mod; i_params; i_name; i_conns; i_ord } ->
         let sy = d.syms in
-        let prefix () = inst_prefix d id ^ name sy i_name ^ "." in
         let child =
           match pl.pl_child.(i_ord) with
           | Some c -> c
@@ -2202,36 +2206,34 @@ let rec instantiate el pl ~parent ~inst_name =
               let overrides =
                 List.map (fun (p, e) -> (p, const_eval sy pl.pl_params e)) i_params
               in
-              let c = plan_for sy cm overrides ~prefix in
+              let c =
+                plan_for sy cm overrides ~prefix:(fun () -> child_prefix d id i_name)
+              in
               pl.pl_child.(i_ord) <- Some c;
               c
         in
         let first = IT.find pl.pl_names.nm_kids i_name in
         if first <> i_ord then
-          check_same_name el child d.insts.(d.insts.(id).in_kids.(first)) ~prefix;
+          check_same_name d child d.insts.(d.insts.(id).in_kids.(first))
+            (child_prefix d id i_name);
         let cid = instantiate el child ~parent:id ~inst_name:i_name in
         d.insts.(id).in_kids.(i_ord) <- cid;
-        bind_ports sc child.pl_mod cid m.m_conns.(i_ord) 0 i_conns
+        bind_ports sc child.pl_mod cid i_conns
   done;
   id
 
-(* A second instance of one name: the first of its declarations that the
-   earlier instance already holds is a duplicate, as it would be in one
-   flat table of dotted names. *)
-and check_same_name el child other ~prefix =
-  let sy = el.d.syms in
-  Array.iter
-    (fun e ->
-      if e >= 0 then begin
-        let s = child.pl_names.nm_net_syms.(e) in
-        if IT.mem other.in_names.nm_nets s then
-          elab_error "duplicate net %s%s" (prefix ()) (name sy s)
-      end
-      else
-        let s = child.pl_names.nm_array_syms.(lnot e) in
-        if IT.mem other.in_names.nm_arrays s then
-          elab_error "duplicate array %s%s" (prefix ()) (name sy s))
-    child.pl_decls
+(* A second instance of one name: a net or array that the earlier
+   instance already holds is a duplicate, as it would be in one flat
+   table of dotted names. *)
+and check_same_name d child other prefix =
+  let dup what names tbl =
+    Array.iter
+      (fun s ->
+        if IT.mem tbl s then elab_error "duplicate %s %s%s" what prefix (name d.syms s))
+      names
+  in
+  dup "net" child.pl_names.nm_net_syms other.in_names.nm_nets;
+  dup "array" child.pl_names.nm_array_syms other.in_names.nm_arrays
 
 (* Build the activity schedule once every net is known. Slots are the nets,
    then one per memory array. Each alias class — a net and every net that
@@ -2438,6 +2440,7 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
     {
       d;
       mods = IT.create 16;
+      net_cx = [||];
       rd = ivec ();
       wr = ivec ();
       driven = Bytes.empty;

@@ -316,7 +316,19 @@ let test_validate_across_domains () =
     (fun name ->
       Alcotest.(check bool) (name ^ " inside validate") true
         (descends (find name)))
-    [ "sim-build"; "sim"; "emit"; "rtl-sim" ];
+    [ "sim-build"; "sim"; "emit"; "rtl-load"; "rtl-sim" ];
+  (* The RTL load's phases are its children, and it carries the size of
+     what it loaded. *)
+  let load = find "rtl-load" in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " is a child of rtl-load") load.T.Trace.sp_id
+        (find name).T.Trace.sp_parent)
+    [ "rtl-parse"; "rtl-elaborate"; "rtl-schedule" ];
+  Alcotest.(check (list string)) "rtl-load metrics" [ "bytes"; "nets"; "procs" ]
+    (List.filter
+       (fun m -> List.mem m [ "bytes"; "nets"; "procs" ])
+       (List.map fst (T.Trace.metrics load)));
   Alcotest.(check int) "sim is a child of validate"
     (validate.T.Trace.sp_depth + 1) (find "sim").T.Trace.sp_depth;
   Alcotest.(check bool) "sim ran on the helper when a core was spare"

@@ -741,6 +741,31 @@ let test_alloc_per_cycle () =
   in
   per_cycle "Vinterp.run" (fun () -> V.run rtl) (Validate.rtl_io rtl)
 
+(* Vinterp.load allocates in proportion to the design, not to its
+   source text: lowered gemm's emitted SystemVerilog, with the minor-heap
+   words one load allocates divided by the source's bytes (about 1.6;
+   7.5 when every digit boxed an Int64 and every net had a dotted name).
+   The first load is not counted, so the per-domain token buffers it
+   sizes are not either. *)
+let test_load_alloc () =
+  let k =
+    List.find
+      (fun k -> String.equal k.Polybench.Kernels.name "gemm")
+      Polybench.Kernels.all
+  in
+  let prog = Polybench.Harness.program k ~unrolled:false in
+  let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
+  let sv = Calyx_verilog.Verilog.emit lowered in
+  let top = lowered.Ir.entrypoint in
+  ignore (V.load ~top sv);
+  let w0 = Gc.minor_words () in
+  let rtl = V.load ~top sv in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (String.length sv) in
+  ignore (Sys.opaque_identity rtl);
+  if words > 2. then
+    Alcotest.failf "Vinterp.load: %.2f minor words per source byte over %d bytes"
+      words (String.length sv)
+
 (* ------------------------------------------------------------------ *)
 (* Random programs                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1009,6 +1034,7 @@ let () =
             test_parity_corpus;
           Alcotest.test_case "failure precedence" `Quick test_parity_failures;
           Alcotest.test_case "allocation per cycle" `Quick test_alloc_per_cycle;
+          Alcotest.test_case "load allocation" `Quick test_load_alloc;
         ] );
       ( "fuzz",
         [
