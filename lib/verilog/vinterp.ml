@@ -112,15 +112,11 @@ let hash_sub s pos len =
   !h land max_int
 
 (* [name] is [s.[pos]] .. [s.[pos + len - 1]] from its [i]th character
-   on, compared eight bytes at a time. *)
+   on. *)
 let rec equal_from name s pos len i =
-  if i + 8 <= len then
-    Int64.equal (String.get_int64_ne name i) (String.get_int64_ne s (pos + i))
-    && equal_from name s pos len (i + 8)
-  else
-    i = len
-    || String.unsafe_get name i = String.unsafe_get s (pos + i)
-       && equal_from name s pos len (i + 1)
+  i = len
+  || String.unsafe_get name i = String.unsafe_get s (pos + i)
+     && equal_from name s pos len (i + 1)
 
 let rec probe sy s pos len h i =
   let e = sy.slots.(i) in
@@ -176,7 +172,14 @@ let lookup sy name =
   sy.slots.(slot_of sy name 0 len (hash_sub name 0 len)) - 1
 
 let new_syms () =
-  let sy = { names = Array.make 512 ""; hashes = Array.make 512 0; nsyms = 0; slots = Array.make 1024 0 } in
+  let sy =
+    {
+      names = Array.make 512 "";
+      hashes = Array.make 512 0;
+      nsyms = 0;
+      slots = Array.make 1024 0;
+    }
+  in
   Array.iter
     (fun k ->
       let len = String.length k in
@@ -1565,33 +1568,6 @@ let compare_cond d op a b =
         | B_le -> fun () -> fa () <= fb ()
         | _ -> fun () -> fa () >= fb ())
 
-(* The same comparisons as 1-bit values. *)
-let compare_op d op a b =
-  if is_wide a.b || is_wide b.b then
-    let c = compare_cond d op a b in
-    bit (fun () -> if c () then 1 else 0)
-  else
-    match (a.k, b.k) with
-    | K_net i, K_const n ->
-        bit
-          (match op with
-          | B_eq -> fun () -> if d.vals.(i) = n then 1 else 0
-          | B_ne -> fun () -> if d.vals.(i) <> n then 1 else 0
-          | B_lt -> fun () -> if d.vals.(i) < n then 1 else 0
-          | B_gt -> fun () -> if d.vals.(i) > n then 1 else 0
-          | B_le -> fun () -> if d.vals.(i) <= n then 1 else 0
-          | _ -> fun () -> if d.vals.(i) >= n then 1 else 0)
-    | _ ->
-        let fa = ev_of d a and fb = ev_of d b in
-        bit
-          (match op with
-          | B_eq -> fun () -> if fa () = fb () then 1 else 0
-          | B_ne -> fun () -> if fa () <> fb () then 1 else 0
-          | B_lt -> fun () -> if fa () < fb () then 1 else 0
-          | B_gt -> fun () -> if fa () > fb () then 1 else 0
-          | B_le -> fun () -> if fa () <= fb () then 1 else 0
-          | _ -> fun () -> if fa () >= fb () then 1 else 0)
-
 (* [x lsl s] for a static [s]; shifts of 63 or more leave no low bits. *)
 let shl63 x s = if s >= 63 then 0 else x lsl s
 
@@ -1611,7 +1587,9 @@ let index d ci len =
 
 let compile_bin d op a b =
   match op with
-  | B_eq | B_ne | B_lt | B_gt | B_le | B_ge -> compare_op d op a b
+  | B_eq | B_ne | B_lt | B_gt | B_le | B_ge ->
+      let c = compare_cond d op a b in
+      bit (fun () -> if c () then 1 else 0)
   | _ -> (
       let w = imax a.w b.w in
       let m = imask w and fa = ev_of d a and fb = ev_of d b in
@@ -2008,13 +1986,14 @@ let add_drive el tgt (ce : cexpr) =
   push el.wr tgt;
   add_proc el run
 
+(* Whether following aliases from [s] reaches [tgt]. *)
+let rec reaches asrc tgt s = s = tgt || (s >= 0 && reaches asrc tgt asrc.(s))
+
 (* A net-to-net copy [tgt = src]. At the same width it becomes an alias:
    no process, the readers of [tgt] listen on [src]'s slot, and each change
    of [src] is copied into [tgt] (see [finalize] and [touch]). A copy that
    would close a cycle of aliases stays a process, so a copy loop settles
    or diverges as it always has. *)
-let rec reaches asrc tgt s = s = tgt || (s >= 0 && reaches asrc tgt asrc.(s))
-
 let add_copy el tgt src =
   let d = el.d in
   if d.widths.(tgt) = d.widths.(src) && not (reaches d.asrc tgt src) then begin
@@ -2127,13 +2106,13 @@ let rec bind_ports sc cm cid = function
       end;
       bind_ports sc cm cid rest
 
-(* The plan of [cm] under [overrides]: made by its first instance. *)
 let rec same_overrides a b =
   match (a, b) with
   | [], [] -> true
   | (p, x) :: a, (q, y) :: b -> p = q && Int64.equal x y && same_overrides a b
   | _ -> false
 
+(* The plan of [cm] under [overrides]: made by its first instance. *)
 let plan_for sy cm overrides ~prefix =
   match List.find (fun (k, _) -> same_overrides k overrides) cm.m_plans with
   | _, pl -> pl
@@ -2145,6 +2124,20 @@ let plan_for sy cm overrides ~prefix =
 
 (* The dotted prefix of child [i_name] of instance [id]. *)
 let child_prefix d id i_name = inst_prefix d id ^ name d.syms i_name ^ "."
+
+(* A second instance of one name: a net or array that the earlier
+   instance already holds is a duplicate, as it would be in one flat
+   table of dotted names. *)
+let check_same_name d child other prefix =
+  let dup what names tbl =
+    Array.iter
+      (fun s ->
+        if IT.mem tbl s then
+          elab_error "duplicate %s %s%s" what prefix (name d.syms s))
+      names
+  in
+  dup "net" child.pl_names.nm_net_syms other.in_names.nm_nets;
+  dup "array" child.pl_names.nm_array_syms other.in_names.nm_arrays
 
 (* Instantiate [pl]: allocate its nets and arrays after the last, then
    elaborate its items in source order, each child instance before its
@@ -2221,19 +2214,6 @@ let rec instantiate el pl ~parent ~inst_name =
         bind_ports sc child.pl_mod cid i_conns
   done;
   id
-
-(* A second instance of one name: a net or array that the earlier
-   instance already holds is a duplicate, as it would be in one flat
-   table of dotted names. *)
-and check_same_name d child other prefix =
-  let dup what names tbl =
-    Array.iter
-      (fun s ->
-        if IT.mem tbl s then elab_error "duplicate %s %s%s" what prefix (name d.syms s))
-      names
-  in
-  dup "net" child.pl_names.nm_net_syms other.in_names.nm_nets;
-  dup "array" child.pl_names.nm_array_syms other.in_names.nm_arrays
 
 (* Build the activity schedule once every net is known. Slots are the nets,
    then one per memory array. Each alias class — a net and every net that

@@ -6,8 +6,10 @@
     parameters, [logic] net and array declarations, continuous [assign]s,
     [always_ff @(posedge clk)] and [always_comb] blocks, hierarchical
     instances with named parameter/port bindings), elaborated into one flat
-    design — every instance's nets named by its dotted hierarchical path,
-    parameters bound, constant expressions folded — and then simulated with
+    design — parameters bound, constant expressions folded, each module
+    worked out once per parameter binding and instantiated at an offset
+    in the net table, nets addressed by their dotted hierarchical path —
+    and then simulated with
     the same per-cycle discipline as {!Calyx_sim.Sim}: continuous
     assignments and [always_comb] blocks settle to a fixpoint, then all
     [always_ff] blocks execute with non-blocking semantics — right-hand
@@ -76,7 +78,10 @@ val load : ?max_fixpoint_iters:int -> top:string -> string -> t
 (** [load ~top source] parses [source] and elaborates module [top] (the
     design's entrypoint, instantiated at the empty hierarchical path).
     [max_fixpoint_iters] bounds how often each member of a combinational
-    cycle may evaluate in one settle (default 1000). *)
+    cycle may evaluate in one settle (default 1000). It runs in an
+    [rtl-load] span with children [rtl-parse], [rtl-elaborate] and
+    [rtl-schedule]; with telemetry on, [rtl-load] carries the source's
+    [bytes] and the design's [nets] and [procs] ({!stats}). *)
 
 (** {1 The [go]/[done] test-bench convention} *)
 
