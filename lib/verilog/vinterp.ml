@@ -1051,7 +1051,7 @@ type vmodule = {
   m_name : int;
   m_params : (int * expr) list;
   m_ports : port array;
-  m_items : item array;
+  m_items : item list;
   m_ninst : int;
   m_nnets : int;  (* ports and declared nets *)
   m_narrays : int;
@@ -1125,10 +1125,10 @@ let parse_module p =
     items := parse_item p ~ninst :: !items
   done;
   advance p;
-  let items = Array.of_list (List.rev !items) in
+  let items = List.rev !items in
   let ports = Array.of_list (List.rev !ports) in
   let nnets = ref (Array.length ports) and narrays = ref 0 in
-  Array.iter
+  List.iter
     (function
       | I_decl (_, names) -> nnets := !nnets + List.length names
       | I_array _ -> incr narrays
@@ -1212,7 +1212,7 @@ let new_plan sy m params ~prefix =
     | Some nm -> nm
     | None ->
         let kids = IT.create m.m_ninst in
-        Array.iter
+        List.iter
           (function
             | I_inst { i_name; i_ord; _ } ->
                 if not (IT.mem kids i_name) then IT.add kids i_name i_ord
@@ -1241,7 +1241,7 @@ let new_plan sy m params ~prefix =
     incr nn
   in
   Array.iter (fun p -> declare p.p_name p.p_range) m.m_ports;
-  Array.iter
+  List.iter
     (function
       | I_decl (r, names) -> List.iter (fun s -> declare s r) names
       | I_array (er, s, sr) ->
@@ -1332,11 +1332,28 @@ let alloc_nets el (ws : int array) =
   d.nnets <- need;
   base
 
+(* Fillers for the growable arrays of records below. A large array made
+   with a young element forces a minor collection; these are not young. *)
+let no_arr =
+  { a_id = -1; a_width = 0; a_len = 0; a_data = [||]; a_wide = [||]; a_inst = -1; a_name = -1 }
+
+let no_inst =
+  let t = IT.create 1 in
+  {
+    in_names =
+      { nm_nets = t; nm_net_syms = [||]; nm_arrays = t; nm_array_syms = [||]; nm_kids = t };
+    in_base = 0;
+    in_abase = 0;
+    in_parent = -1;
+    in_name = -1;
+    in_kids = [||];
+  }
+
 let add_array el a =
   let d = el.d in
   let n = d.narrays in
   if n = Array.length d.arrays then begin
-    let b = Array.make (imax 16 (2 * n)) a in
+    let b = Array.make (imax 16 (2 * n)) no_arr in
     Array.blit d.arrays 0 b 0 n;
     d.arrays <- b;
     let f = Bytes.make (Array.length b) '\000' in
@@ -1350,7 +1367,7 @@ let add_inst el i =
   let d = el.d in
   let n = d.ninsts in
   if n = Array.length d.insts then begin
-    let b = Array.make (imax 16 (2 * n)) i in
+    let b = Array.make (imax 16 (2 * n)) no_inst in
     Array.blit d.insts 0 b 0 n;
     d.insts <- b
   end;
@@ -2173,8 +2190,8 @@ let rec instantiate el pl ~parent ~inst_name =
       }
   done;
   let sc = { el; pl; nm = pl.pl_names; base; abase; inst = id } in
-  for k = 0 to Array.length m.m_items - 1 do
-    match m.m_items.(k) with
+  List.iter
+    (function
     | I_decl _ | I_array _ -> ()
     | I_assign (lhs, rhs) -> drive sc (net_id sc lhs) rhs
     | I_ff stmts ->
@@ -2211,8 +2228,8 @@ let rec instantiate el pl ~parent ~inst_name =
             (child_prefix d id i_name);
         let cid = instantiate el child ~parent:id ~inst_name:i_name in
         d.insts.(id).in_kids.(i_ord) <- cid;
-        bind_ports sc child.pl_mod cid i_conns
-  done;
+        bind_ports sc child.pl_mod cid i_conns)
+    m.m_items;
   id
 
 (* Build the activity schedule once every net is known. Slots are the nets,
