@@ -74,7 +74,6 @@ end)
    straight from the source text. *)
 type syms = {
   mutable names : string array;
-  mutable hashes : int array;  (* symbol -> [hash_sub] of its name *)
   mutable nsyms : int;
   mutable slots : int array;  (* a power of two long, at most half full *)
 }
@@ -118,21 +117,20 @@ let rec equal_from name s pos len i =
   || String.unsafe_get name i = String.unsafe_get s (pos + i)
      && equal_from name s pos len (i + 1)
 
-let rec probe sy s pos len h i =
+let rec probe sy s pos len i =
   let e = sy.slots.(i) in
   if
     e = 0
-    || sy.hashes.(e - 1) = h
-       &&
-       let name = sy.names.(e - 1) in
-       String.length name = len && equal_from name s pos len 0
+    ||
+    let name = sy.names.(e - 1) in
+    String.length name = len && equal_from name s pos len 0
   then i
-  else probe sy s pos len h ((i + 1) land (Array.length sy.slots - 1))
+  else probe sy s pos len ((i + 1) land (Array.length sy.slots - 1))
 
 (* The slot of the name [s.[pos]] .. [s.[pos + len - 1]], whose hash is
    [h], or the empty slot it would go in. *)
 let slot_of sy s pos len h =
-  probe sy s pos len h (h land (Array.length sy.slots - 1))
+  probe sy s pos len (h land (Array.length sy.slots - 1))
 
 let intern_hashed sy s pos len h =
   let i = slot_of sy s pos len h in
@@ -143,12 +141,8 @@ let intern_hashed sy s pos len h =
     if id = Array.length sy.names then begin
       let a = Array.make (2 * id) "" in
       Array.blit sy.names 0 a 0 id;
-      sy.names <- a;
-      let a = Array.make (2 * id) 0 in
-      Array.blit sy.hashes 0 a 0 id;
-      sy.hashes <- a
+      sy.names <- a
     end;
-    sy.hashes.(id) <- h;
     sy.names.(id) <-
       (if pos = 0 && len = String.length s then s else String.sub s pos len);
     sy.nsyms <- id + 1;
@@ -160,7 +154,8 @@ let intern_hashed sy s pos len h =
         (fun e ->
           if e > 0 then
             let n = sy.names.(e - 1) in
-            sy.slots.(slot_of sy n 0 (String.length n) sy.hashes.(e - 1)) <- e)
+            let len = String.length n in
+            sy.slots.(slot_of sy n 0 len (hash_sub n 0 len)) <- e)
         old
     end;
     id
@@ -175,7 +170,6 @@ let new_syms () =
   let sy =
     {
       names = Array.make 512 "";
-      hashes = Array.make 512 0;
       nsyms = 0;
       slots = Array.make 1024 0;
     }
@@ -317,6 +311,12 @@ let c_num = code Tnum
 let c_big = code Tbig
 let c_ones = code Tones
 let c_eof = code Teof
+let c_le = code Tle
+let c_ge = code Tge
+let c_eqeq = code Teqeq
+let c_neq = code Tneq
+let c_shl = code Tshl
+let c_shr = code Tshr
 
 (* The token arrays, kept per domain from one [lex] to the next: a
    source's tokens are dead once it is parsed, and fresh arrays of this
@@ -415,12 +415,12 @@ let lex sy src =
       else
         let two =
           match (c, c2) with
-          | '<', '=' -> code Tle
-          | '>', '=' -> code Tge
-          | '=', '=' -> code Teqeq
-          | '!', '=' -> code Tneq
-          | '<', '<' -> code Tshl
-          | '>', '>' -> code Tshr
+          | '<', '=' -> c_le
+          | '>', '=' -> c_ge
+          | '=', '=' -> c_eqeq
+          | '!', '=' -> c_neq
+          | '<', '<' -> c_shl
+          | '>', '>' -> c_shr
           | _ -> -1
         in
         if two >= 0 then begin
@@ -680,31 +680,20 @@ and parse_primary p =
 let small_ranges = Array.init 65 (fun k -> (unsized_nums.(k), unsized_nums.(0)))
 let some_ranges = Array.map Option.some small_ranges
 
+(* A range of unsized literals [k:0] or [N-1:0] (as the emitter writes
+   them) comes back as the shared [k:0] of the same width. *)
 let parse_range p =
   expect p Tlb "[";
-  let lx = p.lx and i = p.pos in
-  (* The emitter writes [N-1:0]; with unsized literals it is [k:0], k =
-     N - 1, whatever the range is used for. *)
-  let unsized j = width_at lx j = 0 in
-  let arg j = lx.args.(j) in
-  if
-    i + 6 <= lx.last
-    && kind_at lx i == Tnum && kind_at lx (i + 1) == Tminus
-    && kind_at lx (i + 2) == Tnum && kind_at lx (i + 3) == Tcolon
-    && kind_at lx (i + 4) == Tnum && kind_at lx (i + 5) == Trb
-    && unsized i && unsized (i + 2) && unsized (i + 4) && arg (i + 4) = 0
-    && arg i - arg (i + 2) >= 0 && arg i - arg (i + 2) <= 64
-  then begin
-    p.pos <- i + 6;
-    small_ranges.(arg i - arg (i + 2))
-  end
-  else begin
-    let msb = parse_expr p in
-    expect p Tcolon ":";
-    let lsb = parse_expr p in
-    expect p Trb "]";
-    (msb, lsb)
-  end
+  let msb = parse_expr p in
+  expect p Tcolon ":";
+  let lsb = parse_expr p in
+  expect p Trb "]";
+  match (msb, lsb) with
+  | E_bin (B_sub, E_num (0, a), E_num (0, b)), E_num (0, 0)
+    when a - b >= 0 && a - b <= 64 ->
+      small_ranges.(a - b)
+  | E_num (0, k), E_num (0, 0) when k <= 64 -> small_ranges.(k)
+  | _ -> (msb, lsb)
 
 let parse_range_opt p =
   if is p Tlb then
