@@ -1239,6 +1239,9 @@ let new_plan sy m params ~prefix =
           if ew < 1 || ew > 64 then
             elab_error "array %s%s has unsupported element width %d"
               (prefix ()) (name sy s) ew;
+          if size < 0 then
+            elab_error "array %s%s has negative length %d" (prefix ()) (name sy s)
+              size;
           if fresh then begin
             if IT.mem nm.nm_arrays s then
               elab_error "duplicate array %s%s" (prefix ()) (name sy s);

@@ -350,6 +350,18 @@ let test_pokes_between_cycles () =
   Alcotest.(check (array int)) "and reads back" [| 10; 11; 12; 13 |]
     (Array.map Bitvec.to_int (V.read_memory d "m"))
 
+(* A memory declared with a negative length is an elaboration error, not
+   an escaping [Invalid_argument]. *)
+let test_negative_array () =
+  Alcotest.(check string) "negative array length"
+    "array mm has negative length -2"
+    (match
+       V.load ~top:"main"
+         "module main(input logic clk);\nlogic [7:0] mm[-3:0];\nendmodule\n"
+     with
+    | exception V.Elab_error msg -> msg
+    | _ -> "loaded")
+
 let test_parse_error () =
   Alcotest.(check bool) "garbage rejected" true
     (match V.load ~top:"main" "module main(; endmodule" with
@@ -1006,6 +1018,7 @@ let () =
             test_alias_chain;
           Alcotest.test_case "copy cycles" `Quick test_copy_cycles;
           Alcotest.test_case "double driver rejected" `Quick test_double_driver;
+          Alcotest.test_case "negative array length" `Quick test_negative_array;
           Alcotest.test_case "memory write reads back" `Quick
             test_memory_readback;
           Alcotest.test_case "pokes between cycles" `Quick
