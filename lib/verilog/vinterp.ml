@@ -597,14 +597,14 @@ let rec parse_expr p =
   end
   else c
 
-(* Operators of precedence [min] or higher, left-associative. *)
-and parse_bin p min =
+(* Operators of precedence [lowest] or higher, left-associative. *)
+and parse_bin p lowest =
   let lhs = ref (parse_unary p) in
   let continue = ref true in
   while !continue do
     let t = peek p in
     let pr = prec t in
-    if pr > 0 && pr >= min then begin
+    if pr > 0 && pr >= lowest then begin
       advance p;
       let rhs = parse_bin p (pr + 1) in
       lhs := E_bin (binop t, !lhs, rhs)
