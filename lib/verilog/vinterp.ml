@@ -320,15 +320,21 @@ let c_shr = code Tshr
 
 (* The token arrays, kept per domain from one [lex] to the next: a
    source's tokens are dead once it is parsed, and fresh arrays of this
-   size cost more to allocate than to fill. *)
+   size cost more to allocate than to fill. A source of more than
+   [kept_tokens] gets arrays of its own, so a domain keeps at most a few
+   tens of megabytes. *)
 type buffers = { mutable b_kinds : int array; mutable b_args : int array }
 
 let buffers = Domain.DLS.new_key (fun () -> { b_kinds = [||]; b_args = [||] })
+let kept_tokens = 1 lsl 20
 
 let lex sy src =
   let n = String.length src in
-  let buf = Domain.DLS.get buffers in
   let cap = (n / 3) + 16 in
+  let buf =
+    if cap <= kept_tokens then Domain.DLS.get buffers
+    else { b_kinds = [||]; b_args = [||] }
+  in
   if Array.length buf.b_kinds < cap then begin
     buf.b_kinds <- Array.make cap 0;
     buf.b_args <- Array.make cap 0
