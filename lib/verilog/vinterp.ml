@@ -318,28 +318,10 @@ let c_neq = code Tneq
 let c_shl = code Tshl
 let c_shr = code Tshr
 
-(* The token arrays, kept per domain from one [lex] to the next: a
-   source's tokens are dead once it is parsed, and fresh arrays of this
-   size cost more to allocate than to fill. A source of more than
-   [kept_tokens] gets arrays of its own, so a domain keeps at most a few
-   tens of megabytes. *)
-type buffers = { mutable b_kinds : int array; mutable b_args : int array }
-
-let buffers = Domain.DLS.new_key (fun () -> { b_kinds = [||]; b_args = [||] })
-let kept_tokens = 1 lsl 20
-
 let lex sy src =
   let n = String.length src in
   let cap = (n / 3) + 16 in
-  let buf =
-    if cap <= kept_tokens then Domain.DLS.get buffers
-    else { b_kinds = [||]; b_args = [||] }
-  in
-  if Array.length buf.b_kinds < cap then begin
-    buf.b_kinds <- Array.make cap 0;
-    buf.b_args <- Array.make cap 0
-  end;
-  let kinds = ref buf.b_kinds and args = ref buf.b_args in
+  let kinds = ref (Array.make cap 0) and args = ref (Array.make cap 0) in
   let ntoks = ref 0 in
   let emit kind arg =
     let k = !ntoks in
@@ -350,9 +332,7 @@ let lex sy src =
         b
       in
       kinds := grow !kinds;
-      args := grow !args;
-      buf.b_kinds <- !kinds;
-      buf.b_args <- !args
+      args := grow !args
     end;
     Array.unsafe_set !kinds k kind;
     Array.unsafe_set !args k arg;
@@ -499,28 +479,7 @@ type item =
 
 type port = { p_name : int; p_dir : [ `In | `Out ]; p_range : range option }
 
-(* [ids] holds each symbol's [E_id] node once it has occurred, so that
-   every reference to a name shares one node. *)
-type pstate = { lx : lexed; mutable pos : int; ids : expr array }
-
-(* Literal nodes of small values, shared: most of a source's literals are
-   these. Unsized ones go to 127, sized ones to 3. *)
-let unsized_nums = Array.init 128 (fun v -> E_num (0, v))
-let sized_nums = Array.init 65 (fun w -> Array.init 4 (fun v -> E_num (w, v)))
-
-let num_node w v =
-  if w = 0 then if v < 128 then unsized_nums.(v) else E_num (0, v)
-  else if v < 4 then sized_nums.(w).(v)
-  else E_num (w, v)
-
-let id_node p s =
-  let e = p.ids.(s) in
-  if e == E_ones then begin
-    let e = E_id s in
-    p.ids.(s) <- e;
-    e
-  end
-  else e
+type pstate = { lx : lexed; mutable pos : int }
 
 (* The parser never moves past the closing [Teof]. *)
 let peek p = kind_at p.lx p.pos
@@ -630,7 +589,7 @@ and parse_primary p =
   let lx = p.lx and i = p.pos in
   advance p;
   match kind_at lx i with
-  | Tnum -> num_node (width_at lx i) lx.args.(i)
+  | Tnum -> E_num (width_at lx i, lx.args.(i))
   | Tbig -> E_big (width_at lx i, lx.bigs.(lx.args.(i)))
   | Tones -> E_ones
   | Tlp ->
@@ -677,36 +636,20 @@ and parse_primary p =
           E_index (name, e1)
         end
       end
-      else id_node p name
+      else E_id name
   | _ ->
       parse_error "line %d: unexpected %s in expression" (cur_line p)
         (describe lx i)
 
-(* The ranges [k:0], k up to 64, shared. *)
-let small_ranges = Array.init 65 (fun k -> (unsized_nums.(k), unsized_nums.(0)))
-let some_ranges = Array.map Option.some small_ranges
-
-(* A range of unsized literals [k:0] or [N-1:0] (as the emitter writes
-   them) comes back as the shared [k:0] of the same width. *)
 let parse_range p =
   expect p Tlb "[";
   let msb = parse_expr p in
   expect p Tcolon ":";
   let lsb = parse_expr p in
   expect p Trb "]";
-  match (msb, lsb) with
-  | E_bin (B_sub, E_num (0, a), E_num (0, b)), E_num (0, 0)
-    when a - b >= 0 && a - b <= 64 ->
-      small_ranges.(a - b)
-  | E_num (0, k), E_num (0, 0) when k <= 64 -> small_ranges.(k)
-  | _ -> (msb, lsb)
+  (msb, lsb)
 
-let parse_range_opt p =
-  if is p Tlb then
-    let r = parse_range p in
-    let k = match fst r with E_num (0, k) when k <= 64 -> k | _ -> 0 in
-    if r == small_ranges.(k) then some_ranges.(k) else Some r
-  else None
+let parse_range_opt p = if is p Tlb then Some (parse_range p) else None
 
 let rec parse_stmt p =
   if is_kw p kw_begin then begin
@@ -793,9 +736,7 @@ let parse_item p ~ninst =
       if is p Tlb then begin
         let sr = parse_range p in
         expect p Tsemi ";";
-        let er =
-          match r with Some r -> r | None -> small_ranges.(0)
-        in
+        let er = match r with Some r -> r | None -> (E_num (0, 0), E_num (0, 0)) in
         I_array (er, name, sr)
       end
       else begin
@@ -925,11 +866,13 @@ type names = {
   nm_net_syms : int array;  (* local net -> name *)
   nm_arrays : int IT.t;  (* name -> local array *)
   nm_array_syms : int array;  (* local array -> name *)
-  nm_kids : int IT.t;  (* instance name -> its first ordinal *)
+  nm_kids : int list IT.t;  (* instance name -> its ordinals *)
 }
 
 (* One instance: its plan's nets from [in_base], its arrays from
-   [in_abase], and its child instances by ordinal. *)
+   [in_abase], and its child instances by ordinal. A module may
+   instantiate one name more than once; the instances of one dotted name
+   then share its namespace, so [in_same] lists the earlier ones. *)
 type inst = {
   in_names : names;
   in_base : int;
@@ -937,6 +880,7 @@ type inst = {
   in_parent : int;  (* -1 at the top *)
   in_name : int;  (* -1 at the top *)
   in_kids : int array;
+  in_same : int list;  (* earlier instances of the same dotted name *)
 }
 
 type t = {
@@ -1143,7 +1087,7 @@ let parse_module p =
 
 let parse_file sy src =
   let lx = lex sy src in
-  let p = { lx; pos = 0; ids = Array.make sy.nsyms E_ones } in
+  let p = { lx; pos = 0 } in
   let mods = ref [] in
   while not (is p Teof) do
     mods := parse_module p :: !mods
@@ -1198,9 +1142,10 @@ let resolve_params sy m overrides =
 
 (* The plan of [m] under [params]. Declarations are checked in source
    order, as the first instance declares them; [prefix] names that
-   instance in messages. The module's name tables come with its first
-   plan. *)
-let new_plan sy m params ~prefix =
+   instance in messages. A name that one of the [taken] name tables
+   holds is a duplicate: those are the earlier instances of the same
+   dotted name. The module's name tables come with its first plan. *)
+let new_plan sy m params ~prefix ~taken =
   let fresh = Option.is_none m.m_names in
   let nm =
     match m.m_names with
@@ -1210,7 +1155,8 @@ let new_plan sy m params ~prefix =
         List.iter
           (function
             | I_inst { i_name; i_ord; _ } ->
-                if not (IT.mem kids i_name) then IT.add kids i_name i_ord
+                IT.replace kids i_name
+                  (i_ord :: Option.value (IT.find_opt kids i_name) ~default:[])
             | _ -> ())
           m.m_items;
         {
@@ -1227,6 +1173,8 @@ let new_plan sy m params ~prefix =
     let w = match range with None -> 1 | Some r -> range_width sy params r in
     if w < 1 || w > 64 then
       elab_error "net %s%s has unsupported width %d" (prefix ()) (name sy s) w;
+    if List.exists (fun t -> IT.mem t.nm_nets s) taken then
+      elab_error "duplicate net %s%s" (prefix ()) (name sy s);
     if fresh then begin
       if IT.mem nm.nm_nets s then elab_error "duplicate net %s%s" (prefix ()) (name sy s);
       IT.add nm.nm_nets s !nn;
@@ -1248,6 +1196,8 @@ let new_plan sy m params ~prefix =
           if size < 0 then
             elab_error "array %s%s has negative length %d" (prefix ()) (name sy s)
               size;
+          if List.exists (fun t -> IT.mem t.nm_arrays s) taken then
+            elab_error "duplicate array %s%s" (prefix ()) (name sy s);
           if fresh then begin
             if IT.mem nm.nm_arrays s then
               elab_error "duplicate array %s%s" (prefix ()) (name sy s);
@@ -1339,12 +1289,19 @@ let no_inst =
   let t = IT.create 1 in
   {
     in_names =
-      { nm_nets = t; nm_net_syms = [||]; nm_arrays = t; nm_array_syms = [||]; nm_kids = t };
+      {
+        nm_nets = t;
+        nm_net_syms = [||];
+        nm_arrays = t;
+        nm_array_syms = [||];
+        nm_kids = IT.create 1;
+      };
     in_base = 0;
     in_abase = 0;
     in_parent = -1;
     in_name = -1;
     in_kids = [||];
+    in_same = [];
   }
 
 let add_array el a =
@@ -2127,37 +2084,35 @@ let rec same_overrides a b =
   | (p, x) :: a, (q, y) :: b -> p = q && Int64.equal x y && same_overrides a b
   | _ -> false
 
-(* The plan of [cm] under [overrides]: made by its first instance. *)
-let plan_for sy cm overrides ~prefix =
+(* The plan of [cm] under [overrides]: made by its first instance. An
+   instance whose dotted name is [taken] declares the plan's names again
+   to check them against the earlier ones. *)
+let plan_for sy cm overrides ~prefix ~taken =
   match List.find (fun (k, _) -> same_overrides k overrides) cm.m_plans with
-  | _, pl -> pl
+  | _, pl ->
+      if not (List.is_empty taken) then ignore (new_plan sy cm pl.pl_params ~prefix ~taken);
+      pl
   | exception Not_found ->
       let params = resolve_params sy cm overrides in
-      let pl = new_plan sy cm params ~prefix in
+      let pl = new_plan sy cm params ~prefix ~taken in
       cm.m_plans <- (overrides, pl) :: cm.m_plans;
       pl
 
 (* The dotted prefix of child [i_name] of instance [id]. *)
 let child_prefix d id i_name = inst_prefix d id ^ name d.syms i_name ^ "."
 
-(* A second instance of one name: a net or array that the earlier
-   instance already holds is a duplicate, as it would be in one flat
-   table of dotted names. *)
-let check_same_name d child other prefix =
-  let dup what names tbl =
-    Array.iter
-      (fun s ->
-        if IT.mem tbl s then
-          elab_error "duplicate %s %s%s" what prefix (name d.syms s))
-      names
-  in
-  dup "net" child.pl_names.nm_net_syms other.in_names.nm_nets;
-  dup "array" child.pl_names.nm_array_syms other.in_names.nm_arrays
+(* The child instances of [q] named [n], of ordinal below [before]. *)
+let kids_named d q n ~before =
+  let iq = d.insts.(q) in
+  match IT.find iq.in_names.nm_kids n with
+  | ords ->
+      List.filter_map (fun o -> if o < before then Some iq.in_kids.(o) else None) ords
+  | exception Not_found -> []
 
 (* Instantiate [pl]: allocate its nets and arrays after the last, then
    elaborate its items in source order, each child instance before its
    port bindings. Returns the instance id. *)
-let rec instantiate el pl ~parent ~inst_name =
+let rec instantiate el pl ~parent ~inst_name ~same =
   let d = el.d in
   let m = pl.pl_mod in
   let base = alloc_nets el pl.pl_widths in
@@ -2171,6 +2126,7 @@ let rec instantiate el pl ~parent ~inst_name =
         in_parent = parent;
         in_name = inst_name;
         in_kids = (if m.m_ninst = 0 then [||] else Array.make m.m_ninst (-1));
+        in_same = same;
       }
   in
   for j = 0 to Array.length pl.pl_arrays - 1 do
@@ -2202,10 +2158,20 @@ let rec instantiate el pl ~parent ~inst_name =
         add_comb el (compile_stmts sc stmts)
     | I_inst { i_mod; i_params; i_name; i_conns; i_ord } ->
         let sy = d.syms in
+        (* The earlier instances of this dotted name: siblings of this
+           name, and children of this name of the earlier instances of
+           this instance's own name. *)
+        let same =
+          kids_named d id i_name ~before:i_ord
+          @ List.concat_map
+              (fun q -> kids_named d q i_name ~before:max_int)
+              d.insts.(id).in_same
+        in
+        let taken = List.map (fun i -> d.insts.(i).in_names) same in
         let child =
           match pl.pl_child.(i_ord) with
-          | Some c -> c
-          | None ->
+          | Some c when List.is_empty taken -> c
+          | _ ->
               let cm =
                 match IT.find el.mods i_mod with
                 | cm -> cm
@@ -2215,16 +2181,14 @@ let rec instantiate el pl ~parent ~inst_name =
                 List.map (fun (p, e) -> (p, const_eval sy pl.pl_params e)) i_params
               in
               let c =
-                plan_for sy cm overrides ~prefix:(fun () -> child_prefix d id i_name)
+                plan_for sy cm overrides
+                  ~prefix:(fun () -> child_prefix d id i_name)
+                  ~taken
               in
               pl.pl_child.(i_ord) <- Some c;
               c
         in
-        let first = IT.find pl.pl_names.nm_kids i_name in
-        if first <> i_ord then
-          check_same_name d child d.insts.(d.insts.(id).in_kids.(first))
-            (child_prefix d id i_name);
-        let cid = instantiate el child ~parent:id ~inst_name:i_name in
+        let cid = instantiate el child ~parent:id ~inst_name:i_name ~same in
         d.insts.(id).in_kids.(i_ord) <- cid;
         bind_ports sc child.pl_mod cid i_conns)
     m.m_items;
@@ -2379,9 +2343,9 @@ let elaborate el modules ~top =
     | exception Not_found -> elab_error "no module %s in the source" top
   in
   let params = resolve_params d.syms topm [] in
-  let pl = new_plan d.syms topm params ~prefix:(fun () -> "") in
+  let pl = new_plan d.syms topm params ~prefix:(fun () -> "") ~taken:[] in
   topm.m_plans <- [ ([], pl) ];
-  ignore (instantiate el pl ~parent:(-1) ~inst_name:(-1));
+  ignore (instantiate el pl ~parent:(-1) ~inst_name:(-1) ~same:[]);
   (* A net driven continuously must not also be an always_ff target. *)
   for id = 0 to d.nnets - 1 do
     if Bytes.get el.ff_net id <> '\000' && Bytes.get el.driven id <> '\000' then
@@ -2566,26 +2530,37 @@ let cycle d =
 let cycles_elapsed d = d.cycles
 let evals d = d.evals
 
-(* The instance holding the last component of the dotted [path], and
-   that component's symbol. Raises [Not_found]. *)
+(* The instances at the dotted [path] up to its last component — more
+   than one where a name was instantiated more than once — and that
+   component's symbol. Raises [Not_found]. *)
 let find_path d path =
   let sym s =
     let x = lookup d.syms s in
     if x < 0 then raise Not_found else x
   in
-  let rec go inst i =
+  let rec go insts i =
     match String.index_from_opt path i '.' with
-    | None -> (inst, sym (String.sub path i (String.length path - i)))
+    | None -> (insts, sym (String.sub path i (String.length path - i)))
     | Some j ->
-        let n = d.insts.(inst) in
-        go n.in_kids.(IT.find n.in_names.nm_kids (sym (String.sub path i (j - i)))) (j + 1)
+        let s = sym (String.sub path i (j - i)) in
+        go (List.concat_map (fun q -> kids_named d q s ~before:max_int) insts) (j + 1)
   in
-  go 0 0
+  go [ 0 ] 0
+
+(* The first of [insts] whose table [tbl] holds [s]: the instance and
+   [s]'s local index. *)
+let rec holder d tbl s = function
+  | [] -> raise Not_found
+  | i :: rest -> (
+      let n = d.insts.(i) in
+      match IT.find (tbl n.in_names) s with
+      | l -> (n, l)
+      | exception Not_found -> holder d tbl s rest)
 
 let find_net d path =
-  let inst, s = find_path d path in
-  let n = d.insts.(inst) in
-  n.in_base + IT.find n.in_names.nm_nets s
+  let insts, s = find_path d path in
+  let n, l = holder d (fun nm -> nm.nm_nets) s insts in
+  n.in_base + l
 
 let top_net d name =
   match find_net d name with
@@ -2659,10 +2634,9 @@ let write_register d path v = poke_net d (register_net d path) v
 
 let memory_array d path =
   match find_path d (path ^ ".mem") with
-  | inst, s -> (
-      let n = d.insts.(inst) in
-      match IT.find n.in_names.nm_arrays s with
-      | j -> d.arrays.(n.in_abase + j)
+  | insts, s -> (
+      match holder d (fun nm -> nm.nm_arrays) s insts with
+      | n, j -> d.arrays.(n.in_abase + j)
       | exception Not_found -> elab_error "no memory at %s" path)
   | exception Not_found -> elab_error "no memory at %s" path
 

@@ -145,6 +145,31 @@ let faults =
     ("duplicate net", m "logic [3:0] t;\nlogic t;\nassign b = a;\n");
     ("duplicate net in child", "module c(input logic x);\nlogic x;\nendmodule\n" ^ m "c u (.x(a[0]));\n");
     ("duplicate array", m "logic [7:0] mm[3:0];\nlogic [7:0] mm[1:0];\n");
+    ( "repeated instance name",
+      "module c(input logic x);\nendmodule\n" ^ m "c u (.x(a[0]));\nc u (.x(a[1]));\n" );
+    ( "repeated instance name, third instance",
+      "module p(input logic pa);\nlogic x;\nendmodule\n\
+       module q(input logic qa);\nlogic y;\nendmodule\n\
+       module s(input logic sa);\nlogic y;\nendmodule\n"
+      ^ m "p u (.pa(a[0]));\nq u (.qa(a[1]));\ns u (.sa(a[2]));\n" );
+    ( "repeated instance name, disjoint nets",
+      "module p(input logic pa);\nlogic x;\nendmodule\n\
+       module q(input logic qa);\nlogic y;\nendmodule\n"
+      ^ m "p u (.pa(a[0]));\nq u (.qa(a[1]));\nassign b = a;\n" );
+    ( "repeated instance name in grandchild",
+      "module g1(input logic x);\nlogic p;\nendmodule\n\
+       module g2(input logic z);\nlogic p;\nendmodule\n\
+       module c1(input logic x);\ng1 g (.x(x));\nendmodule\n\
+       module c2(input logic z);\ng2 g (.z(z));\nendmodule\n"
+      ^ m "c1 u (.x(a[0]));\nc2 u (.z(a[1]));\n" );
+    ( "repeated instance name before a bad width",
+      "module c1(input logic x);\nlogic y;\nendmodule\n\
+       module c2(input logic z);\nlogic y;\nlogic [70:0] w;\nendmodule\n"
+      ^ m "c1 u (.x(a[0]));\nc2 u (.z(a[1]));\n" );
+    ( "repeated instance name, array first",
+      "module c1(input logic x);\nlogic y;\nlogic [7:0] mm[3:0];\nendmodule\n\
+       module c2(input logic z);\nlogic [7:0] mm[3:0];\nlogic y;\nendmodule\n"
+      ^ m "c1 u (.x(a[0]));\nc2 u (.z(a[1]));\n" );
     ("double driver", m "assign b = a;\nassign b = 8'd1;\n");
     ("double driver through a port", reg ^ m "r u (.clk(clk), .d(a), .q(b));\nassign b = a + 8'd1;\n");
     ("double always_ff driver", m "always_ff @(posedge clk) b <= a;\nalways_ff @(posedge clk) b <= 8'd0;\n");

@@ -362,6 +362,33 @@ let test_negative_array () =
     | exception V.Elab_error msg -> msg
     | _ -> "loaded")
 
+(* Two instances of one name share its dotted namespace: a register or
+   memory that only the second holds is still reachable by its path. *)
+let test_repeated_instance_name () =
+  let d =
+    V.load ~top:"main"
+      {|
+module a(input logic [7:0] x);
+endmodule
+module b(input logic clk, input logic [7:0] in);
+logic [7:0] out;
+logic [7:0] mem[1:0];
+always_ff @(posedge clk) out <= in;
+always_ff @(posedge clk) mem[1] <= in;
+endmodule
+module main(input logic clk, input logic go, output logic done);
+a u (.x(8'd1));
+b u (.clk(clk), .in(8'd5));
+assign done = go;
+endmodule
+|}
+  in
+  ignore (V.run d);
+  Alcotest.(check int) "register of the second instance" 5
+    (Bitvec.to_int (V.read_register d "u"));
+  Alcotest.(check (array int)) "memory of the second instance" [| 0; 5 |]
+    (Array.map Bitvec.to_int (V.read_memory d "u"))
+
 let test_parse_error () =
   Alcotest.(check bool) "garbage rejected" true
     (match V.load ~top:"main" "module main(; endmodule" with
@@ -1019,6 +1046,8 @@ let () =
           Alcotest.test_case "copy cycles" `Quick test_copy_cycles;
           Alcotest.test_case "double driver rejected" `Quick test_double_driver;
           Alcotest.test_case "negative array length" `Quick test_negative_array;
+          Alcotest.test_case "repeated instance name" `Quick
+            test_repeated_instance_name;
           Alcotest.test_case "memory write reads back" `Quick
             test_memory_readback;
           Alcotest.test_case "pokes between cycles" `Quick
