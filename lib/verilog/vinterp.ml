@@ -1140,6 +1140,11 @@ let resolve_params sy m overrides =
       acc @ [ (pname, v) ])
     [] m.m_params
 
+(* Whether the table [tbl] of one of [names] holds [s]. *)
+let rec in_any tbl s = function
+  | [] -> false
+  | nm :: rest -> IT.mem (tbl nm) s || in_any tbl s rest
+
 (* The plan of [m] under [params]. Declarations are checked in source
    order, as the first instance declares them; [prefix] names that
    instance in messages. A name that one of the [taken] name tables
@@ -1155,8 +1160,8 @@ let new_plan sy m params ~prefix ~taken =
         List.iter
           (function
             | I_inst { i_name; i_ord; _ } ->
-                IT.replace kids i_name
-                  (i_ord :: Option.value (IT.find_opt kids i_name) ~default:[])
+                let earlier = try IT.find kids i_name with Not_found -> [] in
+                IT.replace kids i_name (i_ord :: earlier)
             | _ -> ())
           m.m_items;
         {
@@ -1173,7 +1178,7 @@ let new_plan sy m params ~prefix ~taken =
     let w = match range with None -> 1 | Some r -> range_width sy params r in
     if w < 1 || w > 64 then
       elab_error "net %s%s has unsupported width %d" (prefix ()) (name sy s) w;
-    if List.exists (fun t -> IT.mem t.nm_nets s) taken then
+    if in_any (fun t -> t.nm_nets) s taken then
       elab_error "duplicate net %s%s" (prefix ()) (name sy s);
     if fresh then begin
       if IT.mem nm.nm_nets s then elab_error "duplicate net %s%s" (prefix ()) (name sy s);
@@ -1196,7 +1201,7 @@ let new_plan sy m params ~prefix ~taken =
           if size < 0 then
             elab_error "array %s%s has negative length %d" (prefix ()) (name sy s)
               size;
-          if List.exists (fun t -> IT.mem t.nm_arrays s) taken then
+          if in_any (fun t -> t.nm_arrays) s taken then
             elab_error "duplicate array %s%s" (prefix ()) (name sy s);
           if fresh then begin
             if IT.mem nm.nm_arrays s then
@@ -2101,12 +2106,17 @@ let plan_for sy cm overrides ~prefix ~taken =
 (* The dotted prefix of child [i_name] of instance [id]. *)
 let child_prefix d id i_name = inst_prefix d id ^ name d.syms i_name ^ "."
 
+let rec kids_below iq before = function
+  | [] -> []
+  | o :: rest ->
+      if o < before then iq.in_kids.(o) :: kids_below iq before rest
+      else kids_below iq before rest
+
 (* The child instances of [q] named [n], of ordinal below [before]. *)
 let kids_named d q n ~before =
   let iq = d.insts.(q) in
   match IT.find iq.in_names.nm_kids n with
-  | ords ->
-      List.filter_map (fun o -> if o < before then Some iq.in_kids.(o) else None) ords
+  | ords -> kids_below iq before ords
   | exception Not_found -> []
 
 (* Instantiate [pl]: allocate its nets and arrays after the last, then
@@ -2162,12 +2172,15 @@ let rec instantiate el pl ~parent ~inst_name ~same =
            name, and children of this name of the earlier instances of
            this instance's own name. *)
         let same =
-          kids_named d id i_name ~before:i_ord
-          @ List.concat_map
-              (fun q -> kids_named d q i_name ~before:max_int)
-              d.insts.(id).in_same
+          match d.insts.(id).in_same with
+          | [] -> kids_named d id i_name ~before:i_ord
+          | up ->
+              kids_named d id i_name ~before:i_ord
+              @ List.concat_map (fun q -> kids_named d q i_name ~before:max_int) up
         in
-        let taken = List.map (fun i -> d.insts.(i).in_names) same in
+        let taken =
+          match same with [] -> [] | _ -> List.map (fun i -> d.insts.(i).in_names) same
+        in
         let child =
           match pl.pl_child.(i_ord) with
           | Some c when List.is_empty taken -> c
