@@ -6,9 +6,10 @@
    Sim's per-cycle discipline.
 
    The front end allocates in proportion to the design, not to the source
-   text. The lexer writes tokens into flat arrays, keeps literal values as
-   native ints (Int64 only past 62 bits) and interns every identifier, so
-   a name is one int and only its first occurrence allocates. Elaboration
+   text. The parser pulls one token at a time from the lexer, which keeps
+   literal values as native ints (Int64 only past 62 bits) and interns
+   every identifier, so a name is one int and only its first occurrence
+   allocates. Elaboration
    works out each module under each parameter binding once — a plan: its
    nets' widths, its memory arrays, its name tables, its children's plans
    and port bindings — and an instance is its plan at an offset: its local
@@ -187,13 +188,12 @@ let name sy id = sy.names.(id)
 (* Lexer                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A token's kind. Its payload, if any, is in [lexed.args] at the same
-   index. *)
+(* A token's kind. Its payload, if any, is in the lexer's [arg]. *)
 type tok =
   | Tid  (* the symbol *)
   | Tsys  (* $sqrt; the symbol after the $ *)
   | Tnum  (* the value, below 2^62 *)
-  | Tbig  (* a value past 62 bits: its index in [bigs] *)
+  | Tbig  (* a value past 62 bits, in [big] *)
   | Tones  (* '1 *)
   | Tlp | Trp | Tlb | Trb | Tlc | Trc
   | Tsemi | Tcomma | Tcolon | Tquest | Tat | Thash | Tdot
@@ -202,24 +202,11 @@ type tok =
   | Tlt | Tgt | Tle | Tge | Teqeq | Tneq | Tshl | Tshr
   | Teof
 
-(* Every kind, by its code. *)
-let tok_of =
-  [|
-    Tid; Tsys; Tnum; Tbig; Tones; Tlp; Trp; Tlb; Trb; Tlc; Trc; Tsemi; Tcomma;
-    Tcolon; Tquest; Tat; Thash; Tdot; Tassign; Tplus; Tminus; Tstar; Tslash;
-    Tpercent; Tamp; Tpipe; Tcaret; Ttilde; Tbang; Tlt; Tgt; Tle; Tge; Teqeq;
-    Tneq; Tshl; Tshr; Teof;
-  |]
-
-let code t =
-  let rec go i = if tok_of.(i) == t then i else go (i + 1) in
-  go 0
-
-(* The one-character tokens by character, as codes; -1 for the others. *)
+(* The one-character tokens by character; [Teof] for the others. *)
 let punct =
-  let a = Array.make 256 (-1) in
+  let a = Array.make 256 Teof in
   List.iter
-    (fun (c, t) -> a.(Char.code c) <- code t)
+    (fun (c, t) -> a.(Char.code c) <- t)
     [
       ('(', Tlp); (')', Trp); ('[', Tlb); (']', Trb); ('{', Tlc); ('}', Trc);
       (';', Tsemi); (',', Tcomma); (':', Tcolon); ('?', Tquest); ('@', Tat);
@@ -247,22 +234,6 @@ let classes =
 let is_id_char c =
   let k = String.unsafe_get classes (Char.code c) in
   k = cl_id || k = cl_digit
-
-(* The token stream up to [last], the index of the closing [Teof]. Token
-   [i] is [kinds.(i)]: its kind's code in the low 6 bits, a literal's
-   width (0 unsized) in the next 7, its line above; and [args.(i)], its
-   payload. *)
-type lexed = {
-  kinds : int array;
-  args : int array;
-  last : int;
-  bigs : int64 array;
-  syms : syms;
-}
-
-let kind_at lx i = tok_of.(lx.kinds.(i) land 63)
-let width_at lx i = (lx.kinds.(i) lsr 6) land 127
-let line_at lx i = lx.kinds.(i) lsr 13
 
 (* The largest value a literal holds as a native int. *)
 let narrow_max = (1 lsl 62) - 1
@@ -305,130 +276,124 @@ let scan_digits src i base dg line =
   dg.dv <- !v;
   !j
 
-let c_id = code Tid
-let c_sys = code Tsys
-let c_num = code Tnum
-let c_big = code Tbig
-let c_ones = code Tones
-let c_eof = code Teof
-let c_le = code Tle
-let c_ge = code Tge
-let c_eqeq = code Teqeq
-let c_neq = code Tneq
-let c_shl = code Tshl
-let c_shr = code Tshr
+(* The lexer: a cursor over the source that the parser advances one
+   token at a time, so no token outlives the next. The current token is
+   [kind] on [line]: a literal's [width] (0 unsized) and its value in
+   [arg], or in [big] past 62 bits; a name's symbol in [arg]. [i] is the
+   byte after it and [nl] the line there. A lexical error leaves [i] at
+   the start of the offending token. *)
+type lexer = {
+  src : string;
+  syms : syms;
+  dg : digits;
+  mutable i : int;
+  mutable nl : int;
+  mutable kind : tok;
+  mutable line : int;
+  mutable width : int;
+  mutable arg : int;
+  mutable big : int64;
+}
 
-let lex sy src =
+let set p kind width arg j =
+  p.kind <- kind;
+  p.width <- width;
+  p.arg <- arg;
+  p.i <- j
+
+(* A name from [s], interned. *)
+let word p kind s =
+  let src = p.src in
   let n = String.length src in
-  let cap = (n / 3) + 16 in
-  let kinds = ref (Array.make cap 0) and args = ref (Array.make cap 0) in
-  let ntoks = ref 0 in
-  let emit kind arg =
-    let k = !ntoks in
-    if k = Array.length !kinds then begin
-      let grow a =
-        let b = Array.make (2 * k) 0 in
-        Array.blit a 0 b 0 k;
-        b
+  let h = ref 0 and j = ref s in
+  while !j < n && is_id_char (String.unsafe_get src !j) do
+    h := (!h * 31) + Char.code (String.unsafe_get src !j);
+    incr j
+  done;
+  set p kind 0 (intern_hashed p.syms src s (!j - s) (!h land max_int)) !j
+
+(* A literal from [s]: decimal digits, then a base and digits if sized. *)
+let number p s =
+  let src = p.src and dg = p.dg and line = p.line in
+  let n = String.length src in
+  let j = scan_digits src s 10 dg line in
+  let w, j =
+    if j < n && String.unsafe_get src j = '\'' then begin
+      let w = if dg.is_big then Int64.to_int dg.big else dg.dv in
+      let base =
+        if j + 1 >= n then parse_error "line %d: truncated literal" line
+        else
+          match String.unsafe_get src (j + 1) with
+          | 'd' | 'D' -> 10
+          | 'b' | 'B' -> 2
+          | 'h' | 'H' -> 16
+          | c -> parse_error "line %d: unsupported base '%c'" line c
       in
-      kinds := grow !kinds;
-      args := grow !args
-    end;
-    Array.unsafe_set !kinds k kind;
-    Array.unsafe_set !args k arg;
-    ntoks := k + 1
-  in
-  let bigs = ref [] and nbigs = ref 0 in
-  let dg = { dv = 0; big = 0L; is_big = false } in
-  let num w line =
-    if dg.is_big then begin
-      bigs := dg.big :: !bigs;
-      emit (c_big lor (w lsl 6) lor (line lsl 13)) !nbigs;
-      incr nbigs
+      let j = scan_digits src (j + 2) base dg line in
+      if w < 1 || w > 64 then
+        parse_error "line %d: literal width %d out of range" line w;
+      (w, j)
     end
-    else emit (c_num lor (w lsl 6) lor (line lsl 13)) dg.dv
+    else (0, j)
   in
-  (* An identifier from [s], interned; returns where it ends. *)
-  let word c s =
-    let h = ref 0 and j = ref s in
-    while !j < n && is_id_char (String.unsafe_get src !j) do
-      h := (!h * 31) + Char.code (String.unsafe_get src !j);
-      incr j
-    done;
-    emit c (intern_hashed sy src s (!j - s) (!h land max_int));
-    !j
-  in
-  let i = ref 0 and line = ref 1 in
-  while !i < n do
+  if dg.is_big then begin
+    p.big <- dg.big;
+    set p Tbig w 0 j
+  end
+  else set p Tnum w dg.dv j
+
+(* Move to the next token, past blanks and comments. *)
+let next p =
+  let src = p.src in
+  let n = String.length src in
+  let i = ref p.i and blank = ref true in
+  while !blank && !i < n do
     let c = String.unsafe_get src !i in
     let cl = String.unsafe_get classes (Char.code c) in
     if cl = cl_space then incr i
-    else if cl = cl_newline then begin incr line; incr i end
-    else if cl = cl_id then i := word (c_id lor (!line lsl 13)) !i
-    else if cl = cl_digit then begin
-      i := scan_digits src !i 10 dg !line;
-      if !i < n && String.unsafe_get src !i = '\'' then begin
-        let w = if dg.is_big then Int64.to_int dg.big else dg.dv in
-        incr i;
-        let base =
-          if !i >= n then parse_error "line %d: truncated literal" !line
-          else
-            match String.unsafe_get src !i with
-            | 'd' | 'D' -> 10
-            | 'b' | 'B' -> 2
-            | 'h' | 'H' -> 16
-            | c -> parse_error "line %d: unsupported base '%c'" !line c
-        in
-        incr i;
-        i := scan_digits src !i base dg !line;
-        if w < 1 || w > 64 then
-          parse_error "line %d: literal width %d out of range" !line w;
-        num w !line
-      end
-      else num 0 !line
+    else if cl = cl_newline then begin
+      p.nl <- p.nl + 1;
+      incr i
     end
+    else if c = '/' && !i + 1 < n && String.unsafe_get src (!i + 1) = '/' then
+      while !i < n && String.unsafe_get src !i <> '\n' do incr i done
+    else blank := false
+  done;
+  let i = !i in
+  p.i <- i;
+  p.line <- p.nl;
+  if i >= n then set p Teof 0 0 i
+  else
+    let c = String.unsafe_get src i in
+    let cl = String.unsafe_get classes (Char.code c) in
+    if cl = cl_id then word p Tid i
+    else if cl = cl_digit then number p i
     else begin
-      let c2 = if !i + 1 < n then String.unsafe_get src (!i + 1) else ' ' in
-      if c = '/' && c2 = '/' then
-        while !i < n && String.unsafe_get src !i <> '\n' do incr i done
-      else if c = '\'' then begin
-        if c2 = '1' then emit (c_ones lor (!line lsl 13)) 0
-        else if c2 = '0' then emit (c_num lor (!line lsl 13)) 0
-        else parse_error "line %d: unsupported unsized literal" !line;
-        i := !i + 2
+      let c2 = if i + 1 < n then String.unsafe_get src (i + 1) else ' ' in
+      if c = '\'' then begin
+        if c2 = '1' then set p Tones 0 0 (i + 2)
+        else if c2 = '0' then set p Tnum 0 0 (i + 2)
+        else parse_error "line %d: unsupported unsized literal" p.line
       end
-      else if c = '$' then i := word (c_sys lor (!line lsl 13)) (!i + 1)
+      else if c = '$' then word p Tsys (i + 1)
       else
         let two =
           match (c, c2) with
-          | '<', '=' -> c_le
-          | '>', '=' -> c_ge
-          | '=', '=' -> c_eqeq
-          | '!', '=' -> c_neq
-          | '<', '<' -> c_shl
-          | '>', '>' -> c_shr
-          | _ -> -1
+          | '<', '=' -> Tle
+          | '>', '=' -> Tge
+          | '=', '=' -> Teqeq
+          | '!', '=' -> Tneq
+          | '<', '<' -> Tshl
+          | '>', '>' -> Tshr
+          | _ -> Teof
         in
-        if two >= 0 then begin
-          emit (two lor (!line lsl 13)) 0;
-          i := !i + 2
-        end
+        if two != Teof then set p two 0 0 (i + 2)
         else begin
           let k = punct.(Char.code c) in
-          if k < 0 then parse_error "line %d: unexpected character '%c'" !line c;
-          emit (k lor (!line lsl 13)) 0;
-          incr i
+          if k == Teof then parse_error "line %d: unexpected character '%c'" p.line c;
+          set p k 0 0 (i + 1)
         end
     end
-  done;
-  emit (c_eof lor (!line lsl 13)) 0;
-  {
-    kinds = !kinds;
-    args = !args;
-    last = !ntoks - 1;
-    bigs = Array.of_list (List.rev !bigs);
-    syms = sy;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* AST and parser                                                      *)
@@ -479,20 +444,18 @@ type item =
 
 type port = { p_name : int; p_dir : [ `In | `Out ]; p_range : range option }
 
-type pstate = { lx : lexed; mutable pos : int }
+(* The parser never moves past the end of input. *)
+let peek p = p.kind
+let arg p = p.arg
+let cur_line p = p.line
+let advance p = if p.kind != Teof then next p
+let is p t = p.kind == t
+let is_kw p kw = p.kind == Tid && p.arg = kw
 
-(* The parser never moves past the closing [Teof]. *)
-let peek p = kind_at p.lx p.pos
-let arg p = p.lx.args.(p.pos)
-let cur_line p = line_at p.lx p.pos
-let advance p = if p.pos < p.lx.last then p.pos <- p.pos + 1
-let is p t = peek p == t
-let is_kw p kw = peek p == Tid && arg p = kw
-
-let describe lx i =
-  match kind_at lx i with
-  | Tid -> Printf.sprintf "identifier %s" (name lx.syms lx.args.(i))
-  | Tsys -> "$" ^ name lx.syms lx.args.(i)
+let describe sy kind arg =
+  match kind with
+  | Tid -> Printf.sprintf "identifier %s" (name sy arg)
+  | Tsys -> "$" ^ name sy arg
   | Tnum | Tbig -> "number"
   | Tones -> "'1"
   | Teof -> "end of input"
@@ -501,24 +464,24 @@ let describe lx i =
 let expect p t what =
   if is p t then advance p
   else parse_error "line %d: expected %s, found %s" (cur_line p) what
-      (describe p.lx p.pos)
+      (describe p.syms p.kind p.arg)
 
 (* The errors of the consuming checks report the line of the token after
    the offending one. *)
 let expect_id p =
-  let i = p.pos in
+  let k = p.kind and a = p.arg in
   advance p;
-  if kind_at p.lx i == Tid then p.lx.args.(i)
+  if k == Tid then a
   else
     parse_error "line %d: expected identifier, found %s" (cur_line p)
-      (describe p.lx i)
+      (describe p.syms k a)
 
 let expect_kw p kw =
-  let i = p.pos in
+  let k = p.kind and a = p.arg in
   advance p;
-  if not (kind_at p.lx i == Tid && p.lx.args.(i) = kw) then
+  if not (k == Tid && a = kw) then
     parse_error "line %d: expected %s, found %s" (cur_line p)
-      (name p.lx.syms kw) (describe p.lx i)
+      (name p.syms kw) (describe p.syms k a)
 
 (* Binary operators by precedence, lowest first (Verilog's order); 0 for
    any other token. *)
@@ -586,11 +549,11 @@ and parse_unary p =
   | _ -> parse_primary p
 
 and parse_primary p =
-  let lx = p.lx and i = p.pos in
+  let k = p.kind and w = p.width and a = p.arg and big = p.big in
   advance p;
-  match kind_at lx i with
-  | Tnum -> E_num (width_at lx i, lx.args.(i))
-  | Tbig -> E_big (width_at lx i, lx.bigs.(lx.args.(i)))
+  match k with
+  | Tnum -> E_num (w, a)
+  | Tbig -> E_big (w, big)
   | Tones -> E_ones
   | Tlp ->
       let e = parse_expr p in
@@ -615,13 +578,13 @@ and parse_primary p =
         expect p Trc "}";
         E_concat (List.rev !elems)
       end
-  | Tsys when lx.args.(i) = kw_sqrt ->
+  | Tsys when a = kw_sqrt ->
       expect p Tlp "(";
       let e = parse_expr p in
       expect p Trp ")";
       E_sqrt e
   | Tid ->
-      let name = lx.args.(i) in
+      let name = a in
       if is p Tlb then begin
         advance p;
         let e1 = parse_expr p in
@@ -639,7 +602,7 @@ and parse_primary p =
       else E_id name
   | _ ->
       parse_error "line %d: unexpected %s in expression" (cur_line p)
-        (describe lx i)
+        (describe p.syms k a)
 
 let parse_range p =
   expect p Tlb "[";
@@ -687,13 +650,13 @@ let rec parse_stmt p =
       end
       else L_id name
     in
-    let i = p.pos in
+    let k = p.kind and a = p.arg in
     advance p;
-    (match kind_at p.lx i with
+    (match k with
     | Tle | Tassign -> ()
     | _ ->
         parse_error "line %d: expected assignment, found %s" (cur_line p)
-          (describe p.lx i));
+          (describe p.syms k a));
     let e = parse_expr p in
     expect p Tsemi ";";
     [ S_assign (lv, e) ]
@@ -793,7 +756,7 @@ let parse_item p ~ninst =
     end
   else
     parse_error "line %d: unexpected %s in module body" (cur_line p)
-      (describe p.lx p.pos)
+      (describe p.syms p.kind p.arg)
 
 (* ------------------------------------------------------------------ *)
 (* Elaborated design                                                   *)
@@ -1037,14 +1000,14 @@ let parse_module p =
   let ports = ref [] in
   if not (is p Trp) then begin
     let one () =
-      let i = p.pos in
+      let k = p.kind and a = p.arg in
       advance p;
       let dir =
-        if kind_at p.lx i == Tid && p.lx.args.(i) = kw_input then `In
-        else if kind_at p.lx i == Tid && p.lx.args.(i) = kw_output then `Out
+        if k == Tid && a = kw_input then `In
+        else if k == Tid && a = kw_output then `Out
         else
           parse_error "line %d: expected port direction, found %s"
-            (cur_line p) (describe p.lx i)
+            (cur_line p) (describe p.syms k a)
       in
       expect_kw p kw_logic;
       let r = parse_range_opt p in
@@ -1085,14 +1048,37 @@ let parse_module p =
     m_plans = [];
   }
 
+(* A lexical error anywhere in the source is reported before any parse
+   error, as when the whole source was lexed first: a parse error lexes
+   the rest of the source before it is raised. *)
 let parse_file sy src =
-  let lx = lex sy src in
-  let p = { lx; pos = 0 } in
+  let p =
+    {
+      src;
+      syms = sy;
+      dg = { dv = 0; big = 0L; is_big = false };
+      i = 0;
+      nl = 1;
+      kind = Teof;
+      line = 1;
+      width = 0;
+      arg = 0;
+      big = 0L;
+    }
+  in
   let mods = ref [] in
-  while not (is p Teof) do
-    mods := parse_module p :: !mods
-  done;
-  List.rev !mods
+  match
+    next p;
+    while not (is p Teof) do
+      mods := parse_module p :: !mods
+    done
+  with
+  | () -> List.rev !mods
+  | exception (Parse_error _ as e) ->
+      while p.kind != Teof do
+        next p
+      done;
+      raise e
 
 let rec find_param n = function
   | [] -> raise Not_found
