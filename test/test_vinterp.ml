@@ -445,6 +445,11 @@ let test_parse_error_messages () =
       (m ^ "assign b = '1 '1;\nendmodule", "line 2: expected ;, found '1");
       (m ^ "assign b = a 5;\nendmodule", "line 2: expected ;, found number");
       (m ^ "assign = a;\nendmodule", "line 2: expected identifier, found punctuation");
+      (* A lexical error after a parse error is the one reported. *)
+      ( m ^ "assign b = a 5;\nassign c = `d;\nendmodule",
+        "line 3: unexpected character '`'" );
+      (m ^ "assign b = ;\nassign c = 8'q1;\nendmodule", "line 3: unsupported base 'q'");
+      ("modul main();\n`", "line 2: unexpected character '`'");
     ]
 
 (* A two-character operator whose first character ends the input lexes
