@@ -31,7 +31,16 @@
    final register and memory ([Sim.state_cells]). Then come the
    [Parse_error]/[Elab_error] messages of a fixed list of faulty sources,
    one line each. A change to how [Vinterp] parses, elaborates or
-   schedules a design shows up here. *)
+   schedules a design shows up here.
+
+   [lowered_digests faults] builds no corpus. It parses a fixed list of
+   lowered programs, each with one fault that no check has rejected, and
+   prints what [Sim.create], [Verilog.emit], [Timing.context_timing] and
+   [Area.context_usage] raise on each, one line per program and back end
+   ("ok" when nothing is raised). One more program has a faulty source
+   and a faulty destination in one assignment; its line pins which of
+   the two [Sim.create] reports. A change to how a back end resolves
+   ports shows up here as a changed error text. *)
 
 (* A corpus entry: its name, how to build the structured program, and
    how its test bench loads the inputs (only [rtl] mode loads them). *)
@@ -125,7 +134,7 @@ let rtl_line _structured lowered load =
 
 (* Faulty sources, one fault each, and the exact error text [Vinterp.load]
    reports for each. *)
-let faults =
+let rtl_faults =
   let m body = "module main(input logic clk, input logic [7:0] a, output logic [7:0] b);\n" ^ body ^ "endmodule\n" in
   let reg =
     "module r(input logic clk, input logic [7:0] d, output logic [7:0] q);\n\
@@ -209,6 +218,61 @@ let fault_line src =
   | exception V.Parse_error msg -> "Parse_error: " ^ msg
   | exception V.Elab_error msg -> "Elab_error: " ^ msg
 
+(* Lowered programs with one fault each, which the back ends meet
+   unchecked. *)
+let backend_faults =
+  let m ?(cells = "") wires =
+    "component main(go: 1) -> (done: 1) {\n  cells {\n    r = std_reg(8);\n"
+    ^ cells ^ "  }\n  wires {\n    r.write_en = go;\n    done = r.done;\n"
+    ^ wires ^ "  }\n  control {}\n}\n"
+  in
+  [
+    ("unknown cell in a source", m "    r.in = x.out;\n");
+    ("missing port in a guard", m "    r.in = r.nope ? 8'd1;\n");
+    ("unknown group's hole as a destination", m "    g[go] = 1'd1;\n    r.in = 8'd1;\n");
+    ( "unresolved primitive prototype",
+      m ~cells:"    z = std_reg(0);\n" "    z.in = 8'd1;\n    r.in = 8'd1;\n" );
+    ( "unknown component prototype",
+      m ~cells:"    c = nosuch();\n" "    c.go = go;\n    r.in = 8'd1;\n" );
+  ]
+
+(* A bad source and a bad destination in one assignment. *)
+let two_faults =
+  "component main(go: 1) -> (done: 1) {\n  cells {\n    r = std_reg(8);\n  }\n\
+  \  wires {\n    r.write_en = go;\n    done = r.done;\n    y.in = x.out;\n  }\n\
+  \  control {}\n}\n"
+
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Calyx.Ir.Ir_error msg -> "Ir_error: " ^ msg
+  | exception e -> Printexc.to_string e
+
+let backend_fault_lines () =
+  let sim ctx () = ignore (Calyx_sim.Sim.create ctx) in
+  List.iter
+    (fun (name, src) ->
+      let ctx = Calyx.Parser.parse_string src in
+      List.iter
+        (fun (backend, run) ->
+          Printf.printf "fault %s: %s: %s\n" name backend (outcome (run ctx)))
+        [
+          ("sim", sim);
+          ("emit", fun ctx () -> ignore (Calyx_verilog.Verilog.emit ctx));
+          ( "timing",
+            fun ctx () -> ignore (Calyx_synth.Timing.context_timing ctx) );
+          ("area", fun ctx () -> ignore (Calyx_synth.Area.context_usage ctx));
+        ])
+    backend_faults;
+  Printf.printf "fault source and destination: sim: %s\n"
+    (outcome (sim (Calyx.Parser.parse_string two_faults)))
+
+let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "faults" then begin
+    backend_fault_lines ();
+    exit 0
+  end
+
 let () =
   let line, dir, max_side =
     match Sys.argv with
@@ -217,7 +281,7 @@ let () =
     | [| _; "plan"; dir |] -> (plan_line, dir, 16)
     | [| _; "rtl"; dir |] -> (rtl_line, dir, 16)
     | _ ->
-        prerr_endline "usage: lowered_digests [backend|plan|rtl] DIR";
+        prerr_endline "usage: lowered_digests [backend|plan|rtl] DIR | faults";
         exit 2
   in
   let examples =
@@ -244,4 +308,4 @@ let () =
   if line == rtl_line then
     List.iter
       (fun (name, src) -> Printf.printf "fault %s: %s\n" name (fault_line src))
-      faults
+      rtl_faults
