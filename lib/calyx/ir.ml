@@ -16,19 +16,23 @@ type port_ref =
   | Hole of string * string
   | This of string
 
-type atom = Port of port_ref | Lit of Bitvec.t
+type 'p atom_ = Port of 'p | Lit of Bitvec.t
+type atom = port_ref atom_
 
 type cmp_op = Eq | Neq | Lt | Gt | Le | Ge
 
-type guard =
+type 'p guard_ =
   | True
-  | Atom of atom
-  | Cmp of cmp_op * atom * atom
-  | And of guard * guard
-  | Or of guard * guard
-  | Not of guard
+  | Atom of 'p atom_
+  | Cmp of cmp_op * 'p atom_ * 'p atom_
+  | And of 'p guard_ * 'p guard_
+  | Or of 'p guard_ * 'p guard_
+  | Not of 'p guard_
 
-type assignment = { dst : port_ref; src : atom; guard : guard }
+type guard = port_ref guard_
+
+type 'p assignment_ = { dst : 'p; src : 'p atom_; guard : 'p guard_ }
+type assignment = port_ref assignment_
 
 type group = {
   group_name : string;
@@ -388,7 +392,30 @@ module Ports = struct
   (* A hole is one bit whether or not its group exists. *)
   let width t = function Hole _ -> 1 | p -> (resolved t p).width
 
-  let atom_width t = function Port p -> width t p | Lit v -> Bitvec.width v
+  (* [f] on every port of an assignment: the source, then the guard's
+     atoms left to right, then the destination. *)
+  let map_ports f a =
+    let atom = function Port p -> Port (f p) | Lit v -> Lit v in
+    let rec guard = function
+      | True -> True
+      | Atom a -> Atom (atom a)
+      | Cmp (op, a, b) ->
+          let a = atom a in
+          Cmp (op, a, atom b)
+      | And (g1, g2) ->
+          let g1 = guard g1 in
+          And (g1, guard g2)
+      | Or (g1, g2) ->
+          let g1 = guard g1 in
+          Or (g1, guard g2)
+      | Not g -> Not (guard g)
+    in
+    let src = atom a.src in
+    let guard = guard a.guard in
+    { dst = f a.dst; src; guard }
+
+  let resolve_assignment t a = map_ports (id t) a
+  let assignment_of_ids t a = map_ports (port t) a
 end
 
 (* Construction *)

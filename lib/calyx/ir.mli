@@ -39,24 +39,33 @@ type port_ref =
       (** [g[h]] — interface hole [h] (["go"] or ["done"]) of group [g]. *)
   | This of string  (** A port of the enclosing component. *)
 
-(** The leaves of guards and the sources of assignments. *)
-type atom = Port of port_ref | Lit of Bitvec.t
+(** The leaves of guards and the sources of assignments. Atoms, guards
+    and assignments take their port type as a parameter: a program names
+    ports ({!port_ref}); its resolved form ({!Ports.resolve_assignment})
+    numbers them with {!Ports} ids. *)
+type 'p atom_ = Port of 'p | Lit of Bitvec.t
+
+type atom = port_ref atom_
 
 type cmp_op = Eq | Neq | Lt | Gt | Le | Ge
 
 (** Guard expressions (Section 3.2): boolean connectives over port
     truthiness and unsigned comparisons of atoms. *)
-type guard =
+type 'p guard_ =
   | True
-  | Atom of atom  (** True iff the atom's value is non-zero. *)
-  | Cmp of cmp_op * atom * atom
-  | And of guard * guard
-  | Or of guard * guard
-  | Not of guard
+  | Atom of 'p atom_  (** True iff the atom's value is non-zero. *)
+  | Cmp of cmp_op * 'p atom_ * 'p atom_
+  | And of 'p guard_ * 'p guard_
+  | Or of 'p guard_ * 'p guard_
+  | Not of 'p guard_
 
-type assignment = { dst : port_ref; src : atom; guard : guard }
+type guard = port_ref guard_
+
+type 'p assignment_ = { dst : 'p; src : 'p atom_; guard : 'p guard_ }
 (** [dst = guard ? src]. Assignments are non-blocking: all active
     assignments propagate within the same cycle. *)
+
+type assignment = port_ref assignment_
 
 type group = {
   group_name : string;
@@ -207,7 +216,15 @@ module Ports : sig
   (** Width of a port; a hole is 1 bit even when its group is unknown.
       Raises as {!id} otherwise. *)
 
-  val atom_width : t -> atom -> int
+  val resolve_assignment : t -> assignment -> int assignment_
+  (** The assignment over port ids, the one resolved form the back ends
+      read. Its source is resolved first, then its guard's atoms left to
+      right, then its destination; the first that does not resolve
+      raises as {!id}. *)
+
+  val assignment_of_ids : t -> int assignment_ -> assignment
+  (** The inverse of {!resolve_assignment}, for messages: it prints as
+      the assignment that was resolved. *)
 
   val find_cell : t -> string -> cell option
   (** The first declaration of a cell. *)
@@ -242,15 +259,16 @@ val add_group : component -> group -> component
 
 (** {1 Traversal} *)
 
-val guard_atoms : guard -> atom list
-val assignment_atoms : assignment -> atom list
+val guard_atoms : 'p guard_ -> 'p atom_ list
+(** Left to right. *)
+
+val assignment_atoms : 'p assignment_ -> 'p atom_ list
 (** Source and guard atoms (not the destination). *)
 
 (** The maps copy on change: where the function returns its argument
     ([==]) everywhere, they return theirs, and a rebuilt value shares
     every part the function left alone. *)
 
-val map_guard_atoms : (atom -> atom) -> guard -> guard
 val map_assignment_ports : (port_ref -> port_ref) -> assignment -> assignment
 (** Applies to the destination, the source, and all guard atoms. *)
 
@@ -319,5 +337,5 @@ val simplify_guard : guard -> guard
 (** Boolean simplification ([And (True, g)] = [g], double negation, …);
     [Not True] is the canonical false. *)
 
-val guard_size : guard -> int
+val guard_size : 'p guard_ -> int
 (** Number of operators and atoms in a guard (used by the area model). *)

@@ -146,10 +146,13 @@ let cell_arcs cell =
       with Prims.Unknown_primitive _ | Invalid_argument _ -> [])
   | Comp _ -> []
 
-(* A port's {!Ports} id; [None] for a port that does not resolve, which
-   the well-formedness check reports. *)
-let port_id ports p =
-  match Ports.resolve ports p with Ports.Resolved r -> Some r.id | _ -> None
+(* [f x], or [None] where it raises what an unresolved port raises: the
+   well-formedness check reports those, and the rules below skip them. *)
+let resolved f x =
+  match f x with
+  | r -> Some r
+  | exception (Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _) ->
+      None
 
 (* An evaluation scope is the set of assignments that can be live in the
    same cycle: the continuous assignments alone, or one group's together
@@ -169,17 +172,14 @@ let comb_cycles ~cells ~ports comp =
   let push assigns =
     List.fold_left
       (fun sources a ->
-        match port_id ports a.dst with
+        match resolved (Ports.resolve_assignment ports) a with
         | None -> sources
-        | Some d ->
+        | Some a ->
             List.fold_left
               (fun sources -> function
-                | Port p -> (
-                    match port_id ports p with
-                    | Some s ->
-                        succ.(s) <- d :: succ.(s);
-                        s :: sources
-                    | None -> sources)
+                | Port s ->
+                    succ.(s) <- a.dst :: succ.(s);
+                    s :: sources
                 | Lit _ -> sources)
               sources (assignment_atoms a))
       [] assigns
@@ -188,12 +188,10 @@ let comb_cycles ~cells ~ports comp =
     (fun name cell ->
       List.iter
         (fun (i, o) ->
-          match
-            ( port_id ports (Cell_port (name, i)),
-              port_id ports (Cell_port (name, o)) )
-          with
-          | Some i, Some o -> succ.(i) <- o :: succ.(i)
-          | _ -> ())
+          let id p = Ports.id ports (Cell_port (name, p)) in
+          Option.iter
+            (fun (i, o) -> succ.(i) <- o :: succ.(i))
+            (resolved (fun () -> (id i, id o)) ()))
         (cell_arcs cell))
     cells;
   (* DFS state: below [!base] unvisited, [!base] on the path, [!base + 1]
@@ -436,7 +434,7 @@ let overlapping_drivers ~cells ~ports comp =
             let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
             let d = { guard = a.guard; norm = lazy (norm a.guard) } in
             Hashtbl.replace table k (d :: prev))
-          (port_id ports a.dst))
+          (resolved (Ports.id ports) a.dst))
       assigns;
     table
   in

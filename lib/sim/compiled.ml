@@ -27,7 +27,7 @@ type drive =
   | Shared  (* keeps a live/value cell and re-resolves the slot *)
 
 type sassign = {
-  sa_ra : rassign;
+  sa_ra : int assignment_;
   sa_group : int;  (* -1 for continuous assignments *)
   sa_data : bool;  (* a group data assignment (gated while done reads 1) *)
   sa_guard : sguard;
@@ -140,28 +140,6 @@ let refresh_entries cp inst st =
     done
   end
 
-(* [f] on each slot a guard reads, left to right. *)
-let rec guard_iter f = function
-  | RTrue | RAtom (RLit _) -> ()
-  | RAtom (RSlot i) -> f i
-  | RCmp (_, a, b) ->
-      (match a with RSlot i -> f i | RLit _ -> ());
-      (match b with RSlot i -> f i | RLit _ -> ())
-  | RAnd (g1, g2) | ROr (g1, g2) ->
-      guard_iter f g1;
-      guard_iter f g2
-  | RNot g -> guard_iter f g
-
-(* Whether a guard reads slot [s]. *)
-let rec guard_reads s = function
-  | RTrue | RAtom (RLit _) -> false
-  | RAtom (RSlot i) -> i = s
-  | RCmp (_, a, b) -> (
-      (match a with RSlot i -> i = s | RLit _ -> false)
-      || match b with RSlot i -> i = s | RLit _ -> false)
-  | RAnd (g1, g2) | ROr (g1, g2) -> guard_reads s g1 || guard_reads s g2
-  | RNot g -> guard_reads s g
-
 (* Partial evaluation of a guard. Constants fold at build time;
    comparisons between same-width atoms compile to alloc-free int64
    compares (bitvec payloads are masked, so unsigned comparison of the
@@ -170,8 +148,8 @@ let rec guard_reads s = function
 exception Bail
 
 let atom_width zeros = function
-  | RLit v -> Bitvec.width v
-  | RSlot i -> Bitvec.width zeros.(i)
+  | Lit v -> Bitvec.width v
+  | Port i -> Bitvec.width zeros.(i)
 
 let cmp_i64 = function
   | Eq -> fun x y -> Int64.equal x y
@@ -182,34 +160,34 @@ let cmp_i64 = function
   | Ge -> fun x y -> Int64.unsigned_compare x y >= 0
 
 let rec fold_guard zeros = function
-  | RTrue -> SConst true
-  | RAtom (RLit v) -> SConst (Bitvec.is_true v)
-  | RAtom (RSlot i) -> SFun (fun env -> Bitvec.is_true env.(i))
-  | RCmp (op, a, b) -> (
+  | True -> SConst true
+  | Atom (Lit v) -> SConst (Bitvec.is_true v)
+  | Atom (Port i) -> SFun (fun env -> Bitvec.is_true env.(i))
+  | Cmp (op, a, b) -> (
       if atom_width zeros a <> atom_width zeros b then raise Bail;
       let cmp = cmp_i64 op in
       match (a, b) with
-      | RLit x, RLit y -> SConst (cmp (Bitvec.to_int64 x) (Bitvec.to_int64 y))
-      | RLit x, RSlot j ->
+      | Lit x, Lit y -> SConst (cmp (Bitvec.to_int64 x) (Bitvec.to_int64 y))
+      | Lit x, Port j ->
           let xv = Bitvec.to_int64 x in
           SFun (fun env -> cmp xv (Bitvec.to_int64 env.(j)))
-      | RSlot i, RLit y ->
+      | Port i, Lit y ->
           let yv = Bitvec.to_int64 y in
           SFun (fun env -> cmp (Bitvec.to_int64 env.(i)) yv)
-      | RSlot i, RSlot j ->
+      | Port i, Port j ->
           SFun
             (fun env -> cmp (Bitvec.to_int64 env.(i)) (Bitvec.to_int64 env.(j))))
-  | RAnd (g1, g2) -> (
+  | And (g1, g2) -> (
       match (fold_guard zeros g1, fold_guard zeros g2) with
       | SConst false, _ | _, SConst false -> SConst false
       | SConst true, s | s, SConst true -> s
       | SFun f1, SFun f2 -> SFun (fun env -> f1 env && f2 env))
-  | ROr (g1, g2) -> (
+  | Or (g1, g2) -> (
       match (fold_guard zeros g1, fold_guard zeros g2) with
       | SConst true, _ | _, SConst true -> SConst true
       | SConst false, s | s, SConst false -> s
       | SFun f1, SFun f2 -> SFun (fun env -> f1 env || f2 env))
-  | RNot g -> (
+  | Not g -> (
       match fold_guard zeros g with
       | SConst b -> SConst (not b)
       | SFun f -> SFun (fun env -> not (f env)))
@@ -274,8 +252,8 @@ let plan (ip : Instance.plan) : plan =
   let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
   let stage group data ra =
     let guard =
-      match ra.ra_guard with
-      | RTrue -> SConst true
+      match ra.guard with
+      | True -> SConst true
       | g -> (
           match stage_guard ip.p_zeros g with
           | SConst _ as s ->
@@ -283,7 +261,7 @@ let plan (ip : Instance.plan) : plan =
               s
           | s -> s)
     in
-    (match ra.ra_src with RLit _ -> incr fold_consts | RSlot _ -> ());
+    (match ra.src with Lit _ -> incr fold_consts | Port _ -> ());
     { sa_ra = ra; sa_group = group; sa_data = data; sa_guard = guard;
       sa_drive = Shared }
   in
@@ -326,18 +304,19 @@ let plan (ip : Instance.plan) : plan =
       let sa = c_assigns.(k - first_assign) in
       let ra = sa.sa_ra in
       if sa.sa_data then read ip.p_group_done.(sa.sa_group);
-      guard_iter read ra.ra_guard;
-      (match ra.ra_src with
-      | RSlot s when not (guard_reads s ra.ra_guard) -> source s
+      let reads = guard_atoms ra.guard in
+      List.iter (function Port s -> read s | Lit _ -> ()) reads;
+      (match ra.src with
+      | Port s when not (List.mem (Port s) reads) -> source s
       | _ -> ());
-      write ra.ra_dst
+      write ra.dst
     end
   in
   let topo = Sched.build_with ~slots:nslots ~nodes:(first_assign + na) edges in
   let wstart = Array.make (nslots + 1) 0 in
   Array.iter
     (fun sa ->
-      let dst = sa.sa_ra.ra_dst in
+      let dst = sa.sa_ra.dst in
       wstart.(dst + 1) <- wstart.(dst + 1) + 1)
     c_assigns;
   for s = 1 to nslots do
@@ -347,7 +326,7 @@ let plan (ip : Instance.plan) : plan =
   let fill = Array.sub wstart 0 (max nslots 1) in
   Array.iteri
     (fun ai sa ->
-      let dst = sa.sa_ra.ra_dst in
+      let dst = sa.sa_ra.dst in
       writers.(fill.(dst)) <- ai;
       fill.(dst) <- fill.(dst) + 1)
     c_assigns;
@@ -367,7 +346,7 @@ let plan (ip : Instance.plan) : plan =
   in
   Array.iteri
     (fun ai sa ->
-      let dst = sa.sa_ra.ra_dst in
+      let dst = sa.sa_ra.dst in
       if sa.sa_group >= 0 then
         group_lists.(sa.sa_group) <-
           (first_assign + ai) :: group_lists.(sa.sa_group);
@@ -378,11 +357,11 @@ let plan (ip : Instance.plan) : plan =
               incr elided;
               Elided
           | SConst true when sa.sa_group < 0 -> (
-              match sa.sa_ra.ra_src with
-              | RLit v ->
+              match sa.sa_ra.src with
+              | Lit v ->
                   incr elided;
                   Folded v
-              | RSlot _ -> Always)
+              | Port _ -> Always)
           | _ -> Direct))
     c_assigns;
   let fold_guards = !fold_guards and fold_consts = !fold_consts
@@ -396,10 +375,10 @@ let plan (ip : Instance.plan) : plan =
   in
   let notes sa =
     (match sa.sa_guard with
-    | SConst true when sa.sa_ra.ra_guard <> RTrue -> "  [guard: always]"
+    | SConst true when sa.sa_ra.guard <> True -> "  [guard: always]"
     | SConst false -> "  [guard: never]"
     | _ -> "")
-    ^ (match sa.sa_ra.ra_src with RLit _ -> "  [const src]" | RSlot _ -> "")
+    ^ (match sa.sa_ra.src with Lit _ -> "  [const src]" | Port _ -> "")
     ^
     match sa.sa_drive with
     | Elided -> "  [elided]"
@@ -423,7 +402,7 @@ let plan (ip : Instance.plan) : plan =
           Printf.sprintf "%s%s" ip.p_groups.(sa.sa_group).group_name
             (if sa.sa_data then "" else " done")
       in
-      Printf.sprintf "assign [%s] %s%s" where (assign_text sa.sa_ra)
+      Printf.sprintf "assign [%s] %s%s" where (assign_text ip sa.sa_ra)
         (notes sa)
   in
   {
@@ -598,16 +577,16 @@ let compile (cp : plan) inst : compiled =
      Sched skips it on a source change while it does not. *)
   let eval_assign k ai =
     let sa = cp.c_assigns.(ai) in
-    let dst = sa.sa_ra.ra_dst in
+    let dst = sa.sa_ra.dst in
     match sa.sa_drive with
     | Elided | Folded _ -> ()
-    | Always -> wr dst (atom_value env sa.sa_ra.ra_src)
+    | Always -> wr dst (atom_value env sa.sa_ra.src)
     | Direct ->
         (* Single writer, no producer: the slot's value is a pure
            function of drive, so write the env directly. *)
         let d = drives sa in
         blocked.(k) <- not d;
-        wr dst (if d then atom_value env sa.sa_ra.ra_src else zeros.(dst))
+        wr dst (if d then atom_value env sa.sa_ra.src else zeros.(dst))
     | Shared ->
         (* Shared slot: maintain this writer's live/value cell — live
            transitions feed the suspect count that gates the conflict
@@ -615,7 +594,7 @@ let compile (cp : plan) inst : compiled =
         let d = drives sa in
         blocked.(k) <- not d;
         if d then begin
-          let v = atom_value env sa.sa_ra.ra_src in
+          let v = atom_value env sa.sa_ra.src in
           if (not st.s_live.(ai)) || not (Bitvec.equal v st.s_val.(ai)) then begin
             if not st.s_live.(ai) then live_transition cp st dst true;
             st.s_live.(ai) <- true;
@@ -635,7 +614,7 @@ let compile (cp : plan) inst : compiled =
     (fun ai sa ->
       match sa.sa_drive with
       | Elided -> blocked.(first_assign + ai) <- true
-      | Folded v -> env.(sa.sa_ra.ra_dst) <- v
+      | Folded v -> env.(sa.sa_ra.dst) <- v
       | Always | Direct | Shared -> ())
     cp.c_assigns;
   let one1 = Bitvec.one 1 and zero1 = Bitvec.zero 1 in

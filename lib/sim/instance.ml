@@ -250,23 +250,6 @@ let rec cadvance ~emit st ~group_done ~port_true =
    primitive, child and group hole, and the annotated control program.
    Instances read it and never write it. *)
 
-type ratom = RSlot of int | RLit of Bitvec.t
-
-type rguard =
-  | RTrue
-  | RAtom of ratom
-  | RCmp of cmp_op * ratom * ratom
-  | RAnd of rguard * rguard
-  | ROr of rguard * rguard
-  | RNot of rguard
-
-type rassign = {
-  ra_dst : int;
-  ra_guard : rguard;
-  ra_src : ratom;
-  ra_ast : assignment;  (* printed in conflict diagnostics and plan labels *)
-}
-
 (* One primitive prototype's (or extern component's) port names and
    behavioural model, shared by every cell of it. *)
 type proto_plan = {
@@ -293,10 +276,10 @@ type plan = {
   p_cells : cell_plan array;  (* primitives and children, in cell order *)
   p_prims : prim_plan array;
   p_children : child_plan array;
-  p_continuous : rassign array;
+  p_continuous : int assignment_ array;
   p_groups : group array;
       (* declaration order: a group's index here is its number everywhere *)
-  p_group_assigns : (rassign array * rassign array) array;
+  p_group_assigns : (int assignment_ array * int assignment_ array) array;
       (* per group: done-hole writes (always live while scheduled), data
          assignments *)
   p_group_go : int array;  (* per group: slot of its go hole *)
@@ -318,7 +301,7 @@ and child_plan = {
   cp_done_slot : int;  (* parent slot of the child's done output *)
 }
 
-let atom_value env = function RSlot i -> env.(i) | RLit v -> v
+let atom_value env = function Port i -> env.(i) | Lit v -> v
 
 (* The first index of [name] in [names], or -1. *)
 let index_of names name =
@@ -341,9 +324,9 @@ let output_slot pp name =
 (* The reference evaluation of a resolved guard: what the fixpoint engine
    and the conflict check read, and the compiled engine's fallback. *)
 let rec guard_holds env = function
-  | RTrue -> true
-  | RAtom a -> Bitvec.is_true (atom_value env a)
-  | RCmp (op, a, b) ->
+  | True -> true
+  | Atom a -> Bitvec.is_true (atom_value env a)
+  | Cmp (op, a, b) ->
       let cmp =
         match op with
         | Eq -> Bitvec.eq
@@ -354,11 +337,13 @@ let rec guard_holds env = function
         | Ge -> Bitvec.ge
       in
       Bitvec.is_true (cmp (atom_value env a) (atom_value env b))
-  | RAnd (g1, g2) -> guard_holds env g1 && guard_holds env g2
-  | ROr (g1, g2) -> guard_holds env g1 || guard_holds env g2
-  | RNot g -> not (guard_holds env g)
+  | And (g1, g2) -> guard_holds env g1 && guard_holds env g2
+  | Or (g1, g2) -> guard_holds env g1 || guard_holds env g2
+  | Not g -> not (guard_holds env g)
 
-let assign_text ra = Format.asprintf "%a" Printer.pp_assignment ra.ra_ast
+let assign_text plan a =
+  Format.asprintf "%a" Printer.pp_assignment
+    (Ports.assignment_of_ids plan.p_ports a)
 
 (* ------------------------------------------------------------------ *)
 (* Instances                                                           *)
@@ -390,7 +375,7 @@ type instance = {
 and drivers = {
   d_gen : int array;
   d_val : Bitvec.t array;
-  d_by : rassign array;
+  d_by : int assignment_ array;
 }
 
 and child = {
@@ -431,10 +416,7 @@ let drivers inst =
   | Some d -> d
   | None ->
       let n = max inst.i_plan.p_slots 1 in
-      let none =
-        { ra_dst = 0; ra_guard = RTrue; ra_src = RSlot 0;
-          ra_ast = { dst = This ""; src = Port (This ""); guard = True } }
-      in
+      let none = { dst = 0; src = Port 0; guard = True } in
       let d =
         { d_gen = Array.make n 0; d_val = Array.copy inst.i_plan.p_zeros;
           d_by = Array.make n none }
@@ -454,9 +436,9 @@ let check_conflicts inst =
   inst.i_gen <- inst.i_gen + 1;
   let gen = inst.i_gen in
   let check ra =
-    if guard_holds env ra.ra_guard then begin
-      let v = atom_value env ra.ra_src in
-      let dst = ra.ra_dst in
+    if guard_holds env ra.guard then begin
+      let v = atom_value env ra.src in
+      let dst = ra.dst in
       if drv.d_gen.(dst) = gen then begin
         if not (Bitvec.equal v drv.d_val.(dst)) then
           raise
@@ -464,8 +446,8 @@ let check_conflicts inst =
                (Printf.sprintf
                   "component %s: conflicting drivers in the same cycle:\n  %s\n  %s"
                   plan.p_comp.comp_name
-                  (assign_text drv.d_by.(dst))
-                  (assign_text ra)))
+                  (assign_text plan drv.d_by.(dst))
+                  (assign_text plan ra)))
       end
       else begin
         drv.d_gen.(dst) <- gen;

@@ -43,8 +43,9 @@ let default_engine : engine = `Compiled
    the simulator reads is resolved to its slot here, once per component;
    [plan_of] returns a child component's plan. A fault is raised in the
    order the parts are resolved below: the cells (a child's own plan
-   first), the group done holes, the group assignments (in each, its
-   source, then its guard left to right, then its destination), the
+   first), the group done holes, the group assignments (in each, as
+   [Ports.resolve_assignment] resolves it: its source, then its guard
+   left to right, then its destination), the
    signature, the control program, the [go] input, and the continuous
    assignments. *)
 let plan_component ~externs ~ports_of ~plan_of (ctx : context)
@@ -56,26 +57,7 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
     Array.init (max slots 1) (fun i ->
         Bitvec.zero (if i < slots then Ports.width_of_id ports i else 1))
   in
-  let atom = function Lit v -> RLit v | Port p -> RSlot (id p) in
-  let rec guard = function
-    | True -> RTrue
-    | Atom a -> RAtom (atom a)
-    | Cmp (op, a, b) ->
-        let a = atom a in
-        RCmp (op, a, atom b)
-    | And (g1, g2) ->
-        let g1 = guard g1 in
-        RAnd (g1, guard g2)
-    | Or (g1, g2) ->
-        let g1 = guard g1 in
-        ROr (g1, guard g2)
-    | Not g -> RNot (guard g)
-  in
-  let resolve a =
-    let ra_src = atom a.src in
-    let ra_guard = guard a.guard in
-    { ra_dst = id a.dst; ra_guard; ra_src; ra_ast = a }
-  in
+  let resolve = Ports.resolve_assignment ports in
   (* Each prototype's ports and model, planned at its first cell. *)
   let protos = Hashtbl.create 8 in
   let new_proto proto ~make ~ports ~comb =
@@ -185,7 +167,7 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
       (fun i g ->
         let dones, datas =
           List.partition
-            (fun ra -> ra.ra_dst = group_done.(i))
+            (fun (ra : int assignment_) -> ra.dst = group_done.(i))
             (List.map resolve g.assigns)
         in
         (Array.of_list dones, Array.of_list datas))
@@ -352,8 +334,8 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
       inst.i_children;
     (* Active assignments, reading the previous iteration. *)
     let run_assign ra =
-      if guard_holds old ra.ra_guard then
-        next.(ra.ra_dst) <- atom_value old ra.ra_src
+      if guard_holds old ra.guard then
+        next.(ra.dst) <- atom_value old ra.src
     in
     Array.iter run_assign plan.p_continuous;
     List.iter

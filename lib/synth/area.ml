@@ -63,22 +63,36 @@ let primitive_usage name params =
 
 (* Multiplexing: k guarded drivers of a w-bit port synthesize to a k:1 mux,
    roughly one LUT6 per 3 extra inputs per bit; guard expressions cost one
-   LUT per ~5 operators. *)
+   LUT per ~5 operators. Drivers are counted per destination id; a
+   destination that does not resolve is a 1-bit port of its own. *)
 let wiring_usage ports comp =
-  let drivers : (port_ref, int * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun a ->
-      let count, gsize =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt drivers a.dst)
-      in
-      Hashtbl.replace drivers a.dst (count + 1, gsize + guard_size a.guard))
-    (all_assignments comp);
-  Hashtbl.fold
-    (fun dst (count, gsize) acc ->
-      let w = try Ports.width ports dst with Ir_error _ -> 1 in
-      let mux = if count <= 1 then 0 else w * cdiv (count - 1) 3 in
-      add acc { zero with luts = mux + cdiv gsize 5 })
-    drivers zero
+  let n = Ports.count ports in
+  let count = Array.make n 0 and gsize = Array.make n 0 in
+  let port_usage ~width count gsize =
+    let mux = if count <= 1 then 0 else width * cdiv (count - 1) 3 in
+    { zero with luts = mux + cdiv gsize 5 }
+  in
+  let unresolved =
+    List.fold_left
+      (fun acc a ->
+        match Ports.resolve ports a.dst with
+        | Ports.Resolved { id; _ } ->
+            count.(id) <- count.(id) + 1;
+            gsize.(id) <- gsize.(id) + guard_size a.guard;
+            acc
+        | Ports.Unresolved_prototype e -> raise e
+        | Ports.Unknown_cell | Ports.No_port ->
+            add acc (port_usage ~width:1 1 (guard_size a.guard)))
+      zero (all_assignments comp)
+  in
+  let acc = ref unresolved in
+  for id = 0 to n - 1 do
+    if count.(id) > 0 then
+      acc :=
+        add !acc
+          (port_usage ~width:(Ports.width_of_id ports id) count.(id) gsize.(id))
+  done;
+  !acc
 
 (* A component's cost depends on nothing but its definition, so each one
    is costed once per call however often it is instantiated. *)

@@ -96,14 +96,18 @@ let arc_delay name params =
       (mem_ps size, 1)
   | _ -> (t_lut, 1)
 
-(* Guard logic depth feeding a mux select: atoms pay an OR-reduction to
-   one bit, comparisons pay their operator, each connective a LUT level
-   (negation folds into the LUT). *)
+(* Guard logic depth feeding a mux select, over port ids: atoms pay an
+   OR-reduction to one bit, comparisons pay their operator, each
+   connective a LUT level (negation folds into the LUT). *)
+let atom_width ports = function
+  | Port i -> Ports.width_of_id ports i
+  | Lit v -> Bitvec.width v
+
 let rec guard_ps ports = function
   | True -> 0
-  | Atom a -> reduce_ps (Ports.atom_width ports a)
+  | Atom a -> reduce_ps (atom_width ports a)
   | Cmp (op, a, b) ->
-      let w = imax (Ports.atom_width ports a) (Ports.atom_width ports b) in
+      let w = imax (atom_width ports a) (atom_width ports b) in
       (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
   | And (g1, g2) | Or (g1, g2) ->
       t_lut + imax (guard_ps ports g1) (guard_ps ports g2)
@@ -199,29 +203,28 @@ let build ctx comp =
       comp.groups;
     (* Assignments: data rides the destination's mux tree, guard reads
        additionally pay the guard logic into the mux select. *)
-    let assigns = all_assignments comp in
     let drivers = Array.make (Ports.count ports) 0 in
     let assigns =
       List.map
         (fun a ->
-          let d = Ports.id ports a.dst in
-          drivers.(d) <- drivers.(d) + 1;
-          (d, a))
-        assigns
+          let a = Ports.resolve_assignment ports a in
+          drivers.(a.dst) <- drivers.(a.dst) + 1;
+          a)
+        (all_assignments comp)
     in
     List.iter
-      (fun (d, a) ->
-        let dst = map.(d) in
+      (fun a ->
+        let dst = map.(a.dst) in
         touch dst;
         g.driven.(dst) <- true;
-        let mux = mux_ps drivers.(d) in
-        (match a.src with Port p -> edge (node p) dst mux 1 | Lit _ -> ());
+        let mux = mux_ps drivers.(a.dst) in
+        (match a.src with Port p -> edge map.(p) dst mux 1 | Lit _ -> ());
         match a.guard with
         | True -> ()
         | guard ->
             let gps = guard_ps ports guard + mux in
             List.iter
-              (function Port p -> edge (node p) dst gps 1 | Lit _ -> ())
+              (function Port p -> edge map.(p) dst gps 1 | Lit _ -> ())
               (guard_atoms guard))
       assigns;
     (* Cells: primitives contribute their exact arcs and launch/capture
