@@ -829,13 +829,11 @@ type names = {
   nm_net_syms : int array;  (* local net -> name *)
   nm_arrays : int IT.t;  (* name -> local array *)
   nm_array_syms : int array;  (* local array -> name *)
-  nm_kids : int list IT.t;  (* instance name -> its ordinals *)
+  nm_kids : int IT.t;  (* instance name -> its ordinal *)
 }
 
 (* One instance: its plan's nets from [in_base], its arrays from
-   [in_abase], and its child instances by ordinal. A module may
-   instantiate one name more than once; the instances of one dotted name
-   then share its namespace, so [in_same] lists the earlier ones. *)
+   [in_abase], and its child instances by ordinal. *)
 type inst = {
   in_names : names;
   in_base : int;
@@ -843,7 +841,6 @@ type inst = {
   in_parent : int;  (* -1 at the top *)
   in_name : int;  (* -1 at the top *)
   in_kids : int array;
-  in_same : int list;  (* earlier instances of the same dotted name *)
 }
 
 type t = {
@@ -1126,17 +1123,12 @@ let resolve_params sy m overrides =
       acc @ [ (pname, v) ])
     [] m.m_params
 
-(* Whether the table [tbl] of one of [names] holds [s]. *)
-let rec in_any tbl s = function
-  | [] -> false
-  | nm :: rest -> IT.mem (tbl nm) s || in_any tbl s rest
-
 (* The plan of [m] under [params]. Declarations are checked in source
    order, as the first instance declares them; [prefix] names that
-   instance in messages. A name that one of the [taken] name tables
-   holds is a duplicate: those are the earlier instances of the same
-   dotted name. The module's name tables come with its first plan. *)
-let new_plan sy m params ~prefix ~taken =
+   instance in messages. The module's name tables come with its first
+   plan, which rejects a repeated instance name before any declaration:
+   one scope declares each name once. *)
+let new_plan sy m params ~prefix =
   let fresh = Option.is_none m.m_names in
   let nm =
     match m.m_names with
@@ -1146,8 +1138,9 @@ let new_plan sy m params ~prefix ~taken =
         List.iter
           (function
             | I_inst { i_name; i_ord; _ } ->
-                let earlier = try IT.find kids i_name with Not_found -> [] in
-                IT.replace kids i_name (i_ord :: earlier)
+                if IT.mem kids i_name then
+                  elab_error "duplicate instance %s%s" (prefix ()) (name sy i_name);
+                IT.add kids i_name i_ord
             | _ -> ())
           m.m_items;
         {
@@ -1164,8 +1157,6 @@ let new_plan sy m params ~prefix ~taken =
     let w = match range with None -> 1 | Some r -> range_width sy params r in
     if w < 1 || w > 64 then
       elab_error "net %s%s has unsupported width %d" (prefix ()) (name sy s) w;
-    if in_any (fun t -> t.nm_nets) s taken then
-      elab_error "duplicate net %s%s" (prefix ()) (name sy s);
     if fresh then begin
       if IT.mem nm.nm_nets s then elab_error "duplicate net %s%s" (prefix ()) (name sy s);
       IT.add nm.nm_nets s !nn;
@@ -1187,8 +1178,6 @@ let new_plan sy m params ~prefix ~taken =
           if size < 0 then
             elab_error "array %s%s has negative length %d" (prefix ()) (name sy s)
               size;
-          if in_any (fun t -> t.nm_arrays) s taken then
-            elab_error "duplicate array %s%s" (prefix ()) (name sy s);
           if fresh then begin
             if IT.mem nm.nm_arrays s then
               elab_error "duplicate array %s%s" (prefix ()) (name sy s);
@@ -1292,7 +1281,6 @@ let no_inst =
     in_parent = -1;
     in_name = -1;
     in_kids = [||];
-    in_same = [];
   }
 
 let add_array el a =
@@ -2075,40 +2063,23 @@ let rec same_overrides a b =
   | (p, x) :: a, (q, y) :: b -> p = q && Int64.equal x y && same_overrides a b
   | _ -> false
 
-(* The plan of [cm] under [overrides]: made by its first instance. An
-   instance whose dotted name is [taken] declares the plan's names again
-   to check them against the earlier ones. *)
-let plan_for sy cm overrides ~prefix ~taken =
+(* The plan of [cm] under [overrides]: made by its first instance. *)
+let plan_for sy cm overrides ~prefix =
   match List.find (fun (k, _) -> same_overrides k overrides) cm.m_plans with
-  | _, pl ->
-      if not (List.is_empty taken) then ignore (new_plan sy cm pl.pl_params ~prefix ~taken);
-      pl
+  | _, pl -> pl
   | exception Not_found ->
       let params = resolve_params sy cm overrides in
-      let pl = new_plan sy cm params ~prefix ~taken in
+      let pl = new_plan sy cm params ~prefix in
       cm.m_plans <- (overrides, pl) :: cm.m_plans;
       pl
 
 (* The dotted prefix of child [i_name] of instance [id]. *)
 let child_prefix d id i_name = inst_prefix d id ^ name d.syms i_name ^ "."
 
-let rec kids_below iq before = function
-  | [] -> []
-  | o :: rest ->
-      if o < before then iq.in_kids.(o) :: kids_below iq before rest
-      else kids_below iq before rest
-
-(* The child instances of [q] named [n], of ordinal below [before]. *)
-let kids_named d q n ~before =
-  let iq = d.insts.(q) in
-  match IT.find iq.in_names.nm_kids n with
-  | ords -> kids_below iq before ords
-  | exception Not_found -> []
-
 (* Instantiate [pl]: allocate its nets and arrays after the last, then
    elaborate its items in source order, each child instance before its
    port bindings. Returns the instance id. *)
-let rec instantiate el pl ~parent ~inst_name ~same =
+let rec instantiate el pl ~parent ~inst_name =
   let d = el.d in
   let m = pl.pl_mod in
   let base = alloc_nets el pl.pl_widths in
@@ -2122,7 +2093,6 @@ let rec instantiate el pl ~parent ~inst_name ~same =
         in_parent = parent;
         in_name = inst_name;
         in_kids = (if m.m_ninst = 0 then [||] else Array.make m.m_ninst (-1));
-        in_same = same;
       }
   in
   for j = 0 to Array.length pl.pl_arrays - 1 do
@@ -2154,23 +2124,10 @@ let rec instantiate el pl ~parent ~inst_name ~same =
         add_comb el (compile_stmts sc stmts)
     | I_inst { i_mod; i_params; i_name; i_conns; i_ord } ->
         let sy = d.syms in
-        (* The earlier instances of this dotted name: siblings of this
-           name, and children of this name of the earlier instances of
-           this instance's own name. *)
-        let same =
-          match d.insts.(id).in_same with
-          | [] -> kids_named d id i_name ~before:i_ord
-          | up ->
-              kids_named d id i_name ~before:i_ord
-              @ List.concat_map (fun q -> kids_named d q i_name ~before:max_int) up
-        in
-        let taken =
-          match same with [] -> [] | _ -> List.map (fun i -> d.insts.(i).in_names) same
-        in
         let child =
           match pl.pl_child.(i_ord) with
-          | Some c when List.is_empty taken -> c
-          | _ ->
+          | Some c -> c
+          | None ->
               let cm =
                 match IT.find el.mods i_mod with
                 | cm -> cm
@@ -2182,12 +2139,11 @@ let rec instantiate el pl ~parent ~inst_name ~same =
               let c =
                 plan_for sy cm overrides
                   ~prefix:(fun () -> child_prefix d id i_name)
-                  ~taken
               in
               pl.pl_child.(i_ord) <- Some c;
               c
         in
-        let cid = instantiate el child ~parent:id ~inst_name:i_name ~same in
+        let cid = instantiate el child ~parent:id ~inst_name:i_name in
         d.insts.(id).in_kids.(i_ord) <- cid;
         bind_ports sc child.pl_mod cid i_conns)
     m.m_items;
@@ -2342,9 +2298,9 @@ let elaborate el modules ~top =
     | exception Not_found -> elab_error "no module %s in the source" top
   in
   let params = resolve_params d.syms topm [] in
-  let pl = new_plan d.syms topm params ~prefix:(fun () -> "") ~taken:[] in
+  let pl = new_plan d.syms topm params ~prefix:(fun () -> "") in
   topm.m_plans <- [ ([], pl) ];
-  ignore (instantiate el pl ~parent:(-1) ~inst_name:(-1) ~same:[]);
+  ignore (instantiate el pl ~parent:(-1) ~inst_name:(-1));
   (* A net driven continuously must not also be an always_ff target. *)
   for id = 0 to d.nnets - 1 do
     if Bytes.get el.ff_net id <> '\000' && Bytes.get el.driven id <> '\000' then
@@ -2529,37 +2485,25 @@ let cycle d =
 let cycles_elapsed d = d.cycles
 let evals d = d.evals
 
-(* The instances at the dotted [path] up to its last component — more
-   than one where a name was instantiated more than once — and that
+(* The instance at the dotted [path] up to its last component, and that
    component's symbol. Raises [Not_found]. *)
 let find_path d path =
   let sym s =
     let x = lookup d.syms s in
     if x < 0 then raise Not_found else x
   in
-  let rec go insts i =
+  let rec go n i =
     match String.index_from_opt path i '.' with
-    | None -> (insts, sym (String.sub path i (String.length path - i)))
+    | None -> (n, sym (String.sub path i (String.length path - i)))
     | Some j ->
         let s = sym (String.sub path i (j - i)) in
-        go (List.concat_map (fun q -> kids_named d q s ~before:max_int) insts) (j + 1)
+        go d.insts.(n.in_kids.(IT.find n.in_names.nm_kids s)) (j + 1)
   in
-  go [ 0 ] 0
-
-(* The first of [insts] whose table [tbl] holds [s]: the instance and
-   [s]'s local index. *)
-let rec holder d tbl s = function
-  | [] -> raise Not_found
-  | i :: rest -> (
-      let n = d.insts.(i) in
-      match IT.find (tbl n.in_names) s with
-      | l -> (n, l)
-      | exception Not_found -> holder d tbl s rest)
+  go d.insts.(0) 0
 
 let find_net d path =
-  let insts, s = find_path d path in
-  let n, l = holder d (fun nm -> nm.nm_nets) s insts in
-  n.in_base + l
+  let n, s = find_path d path in
+  n.in_base + IT.find n.in_names.nm_nets s
 
 let top_net d name =
   match find_net d name with
@@ -2632,11 +2576,11 @@ let read_register d path = read_net d (register_net d path)
 let write_register d path v = poke_net d (register_net d path) v
 
 let memory_array d path =
-  match find_path d (path ^ ".mem") with
-  | insts, s -> (
-      match holder d (fun nm -> nm.nm_arrays) s insts with
-      | n, j -> d.arrays.(n.in_abase + j)
-      | exception Not_found -> elab_error "no memory at %s" path)
+  match
+    let n, s = find_path d (path ^ ".mem") in
+    n.in_abase + IT.find n.in_names.nm_arrays s
+  with
+  | a -> d.arrays.(a)
   | exception Not_found -> elab_error "no memory at %s" path
 
 let read_memory d path =

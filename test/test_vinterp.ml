@@ -364,10 +364,17 @@ let test_negative_array () =
 
 (* Two instances of one name share its dotted namespace: a register or
    memory that only the second holds is still reachable by its path. *)
+(* One scope declares each instance name once: a repeated name is
+   rejected, whatever the two instances hold, at the top and below it. *)
 let test_repeated_instance_name () =
-  let d =
-    V.load ~top:"main"
-      {|
+  let elab_error src =
+    match V.load ~top:"main" src with
+    | exception V.Elab_error msg -> msg
+    | _ -> Alcotest.failf "expected an elaboration error: %S" src
+  in
+  Alcotest.(check string) "at the top" "duplicate instance u"
+    (elab_error
+       {|
 module a(input logic [7:0] x);
 endmodule
 module b(input logic clk, input logic [7:0] in);
@@ -381,13 +388,21 @@ a u (.x(8'd1));
 b u (.clk(clk), .in(8'd5));
 assign done = go;
 endmodule
-|}
-  in
-  ignore (V.run d);
-  Alcotest.(check int) "register of the second instance" 5
-    (Bitvec.to_int (V.read_register d "u"));
-  Alcotest.(check (array int)) "memory of the second instance" [| 0; 5 |]
-    (Array.map Bitvec.to_int (V.read_memory d "u"))
+|});
+  Alcotest.(check string) "in a child" "duplicate instance c.g"
+    (elab_error
+       {|
+module a(input logic x);
+endmodule
+module p(input logic x);
+a g (.x(x));
+a g (.x(x));
+endmodule
+module main(input logic clk, input logic go, output logic done);
+p c (.x(go));
+assign done = go;
+endmodule
+|})
 
 let test_parse_error () =
   Alcotest.(check bool) "garbage rejected" true
