@@ -68,31 +68,27 @@ let primitive_usage name params =
 let wiring_usage ports comp =
   let n = Ports.count ports in
   let count = Array.make n 0 and gsize = Array.make n 0 in
-  let port_usage ~width count gsize =
+  let luts ~width count gsize =
     let mux = if count <= 1 then 0 else width * cdiv (count - 1) 3 in
-    { zero with luts = mux + cdiv gsize 5 }
+    mux + cdiv gsize 5
   in
-  let unresolved =
-    List.fold_left
-      (fun acc a ->
-        match Ports.resolve ports a.dst with
-        | Ports.Resolved { id; _ } ->
-            count.(id) <- count.(id) + 1;
-            gsize.(id) <- gsize.(id) + guard_size a.guard;
-            acc
-        | Ports.Unresolved_prototype e -> raise e
-        | Ports.Unknown_cell | Ports.No_port ->
-            add acc (port_usage ~width:1 1 (guard_size a.guard)))
-      zero (all_assignments comp)
-  in
-  let acc = ref unresolved in
+  let total = ref 0 in
+  List.iter
+    (fun a ->
+      match Ports.resolve ports a.dst with
+      | Ports.Resolved { id; _ } ->
+          count.(id) <- count.(id) + 1;
+          gsize.(id) <- gsize.(id) + guard_size a.guard
+      | Ports.Unresolved_prototype e -> raise e
+      | Ports.Unknown_cell | Ports.No_port ->
+          total := !total + luts ~width:1 1 (guard_size a.guard))
+    (all_assignments comp);
   for id = 0 to n - 1 do
     if count.(id) > 0 then
-      acc :=
-        add !acc
-          (port_usage ~width:(Ports.width_of_id ports id) count.(id) gsize.(id))
+      total :=
+        !total + luts ~width:(Ports.width_of_id ports id) count.(id) gsize.(id)
   done;
-  !acc
+  { zero with luts = !total }
 
 (* A component's cost depends on nothing but its definition, so each one
    is costed once per call however often it is instantiated. *)
