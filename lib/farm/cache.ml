@@ -43,12 +43,6 @@ let key ~source ~pipeline ~engine =
 
 let path c ~key = Filename.concat c.c_dir (key ^ ".json")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Blob format: the payload is carried as a JSON *string* so the exact
    byte sequence that was hashed for integrity round-trips unchanged
    through the parser. *)
@@ -81,7 +75,7 @@ let evict = delete_blob
 
 let find c ~key =
   let p = path c ~key in
-  match read_file p with
+  match In_channel.with_open_bin p In_channel.input_all with
   | exception Sys_error _ ->
       counted c (fun c -> c.c_misses <- c.c_misses + 1);
       None

@@ -22,18 +22,13 @@ let make ?(config = Calyx.Pipelines.default_config)
     ?(engine = Calyx_sim.Sim.default_engine) ?(check = Simulate) source =
   { source; config; engine; check }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let of_file ?config ?engine ?check file =
   let dahlia =
     Filename.check_suffix file ".dahlia" || Filename.check_suffix file ".fuse"
   in
+  let text = In_channel.with_open_bin file In_channel.input_all in
   make ?config ?engine ?check
-    (Text { name = Filename.basename file; dahlia; text = read_file file })
+    (Text { name = Filename.basename file; dahlia; text })
 
 let label t =
   match t.source with

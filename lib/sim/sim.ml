@@ -603,8 +603,6 @@ let add_sink t sink =
              prev ev;
              sink ev))
 
-let set_ctrl_sink t sink = t.ctrl_sink <- sink
-
 let add_ctrl_sink t sink =
   t.ctrl_sink <-
     (match t.ctrl_sink with
@@ -892,7 +890,7 @@ let observe ~load engine ctx regs mems =
     let sim = create ~engine ctx in
     load sim;
     let events = ref [] in
-    set_ctrl_sink sim (Some (fun e -> events := e :: !events));
+    add_ctrl_sink sim (fun e -> events := e :: !events);
     let cycles = run ~max_cycles:400_000 sim in
     ( cycles,
       List.map (fun r -> Bitvec.to_int64 (read_register sim r)) regs,

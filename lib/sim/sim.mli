@@ -229,10 +229,6 @@ type ctrl_event = {
 
 type ctrl_sink = ctrl_event -> unit
 
-val set_ctrl_sink : t -> ctrl_sink option -> unit
-(** Install or remove the control-event observer, replacing any existing
-    one. *)
-
 val add_ctrl_sink : t -> ctrl_sink -> unit
 (** Attach a control-event observer in addition to any already installed. *)
 

@@ -21,9 +21,7 @@ let add a b =
 
 let cdiv a b = (a + b - 1) / b
 
-let clog2 n =
-  let rec go bits cap = if cap >= n then bits else go (bits + 1) (cap * 2) in
-  go 1 2
+let clog2 = Calyx.Compile_control.clog2
 
 (* LUT6 fabric: an adder uses one LUT per bit (carry chain), a wide equality
    packs ~3 bits per LUT, ordered comparison ~2 bits, bitwise ops ~3 bits. *)

@@ -27,11 +27,8 @@ val add : usage -> usage -> usage
 val primitive_usage : string -> int list -> usage
 (** Cost of one primitive instance. Unknown primitives cost {!zero}. *)
 
-val component_usage : Ir.context -> Ir.component -> usage
-(** Full cost of a component, including instantiated sub-components,
-    multiplexing, and guard logic. *)
-
 val context_usage : Ir.context -> usage
-(** {!component_usage} of the entrypoint. *)
+(** Full cost of the entrypoint, including instantiated sub-components,
+    multiplexing, and guard logic. *)
 
 val pp : Format.formatter -> usage -> unit

@@ -54,9 +54,7 @@ let cdiv a b = (a + b - 1) / b
 (* [Stdlib.max] compares polymorphically; this compares ints. *)
 let imax (a : int) b = if a >= b then a else b
 
-let clog2 n =
-  let rec go bits cap = if cap >= n then bits else go (bits + 1) (cap * 2) in
-  go 1 2
+let clog2 = Compile_control.clog2
 
 (* Levels of a 6-ary LUT reduction tree over [n] inputs. *)
 let lut_tree_depth n =
@@ -413,8 +411,7 @@ let context_timing ?paths ctx =
     Calyx_telemetry.Trace.add_metric "levels" (float_of_int t.levels)
   end;
   t
-let component_depth ctx comp = component_timing ~paths:1 ctx comp
-let context_depth ctx = component_depth ctx (entry ctx)
+let context_depth ctx = component_timing ~paths:1 ctx (entry ctx)
 
 let period_ps r = max r.delay_ps min_period_ps
 let period_ns r = float_of_int (period_ps r) /. 1000.

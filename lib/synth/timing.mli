@@ -56,18 +56,12 @@ exception Combinational_loop of string
 
 (** {1 Analysis} *)
 
-val component_timing : ?paths:int -> Ir.context -> Ir.component -> report
-(** Full analysis of one component (lowered or structured); [paths]
+val context_timing : ?paths:int -> Ir.context -> report
+(** Full analysis of the entrypoint (lowered or structured); [paths]
     bounds the number of reported worst paths (default 5). *)
 
-val context_timing : ?paths:int -> Ir.context -> report
-(** {!component_timing} of the entrypoint. *)
-
-val component_depth : Ir.context -> Ir.component -> report
-(** Compatibility wrapper: {!component_timing} keeping a single path. *)
-
 val context_depth : Ir.context -> report
-(** {!component_depth} of the entrypoint. *)
+(** {!context_timing} keeping a single path. *)
 
 (** {1 Clock and wall-time derivation} *)
 

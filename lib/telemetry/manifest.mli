@@ -44,10 +44,6 @@ val carry : unit -> (unit -> 'a) -> 'a
 val to_json : event -> string
 (** One event as a single-line JSON object. *)
 
-val of_json : Json.value -> event option
-(** Inverse of {!to_json} (via the shared {!Json} parser); [None] when the
-    object has no ["stage"] field. *)
-
 val read_file : string -> event list
 (** Parse a JSONL manifest; blank lines are skipped. *)
 
@@ -69,8 +65,6 @@ val record :
     not span-shaped). *)
 
 (** {1 The Trace bridge} *)
-
-val event_of_span : Trace.span -> event
 
 val install : writer -> unit
 (** Subscribe to {!Trace.set_on_close}: every completed span of category

@@ -36,10 +36,6 @@ type perf_delta = {
   p_regressed : bool;
 }
 
-val perf_rows : Json.value -> (string * float) list
-(** The [(name, ns_per_run)] rows of a BENCH_results.json ["perf"]
-    experiment. *)
-
 val compare_perf :
   threshold:float -> baseline:Json.value -> current:Json.value ->
   perf_delta list * float

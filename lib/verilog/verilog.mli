@@ -25,8 +25,5 @@ val emit : Ir.context -> string
 (** The whole program: primitive library followed by component modules (the
     entrypoint last). *)
 
-val primitive_library : Ir.context -> string
-(** Definitions of exactly the primitive modules the program instantiates. *)
-
 val loc : string -> int
 (** Non-empty line count of generated code (the Section 7.4 statistic). *)
