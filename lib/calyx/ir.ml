@@ -392,30 +392,32 @@ module Ports = struct
   (* A hole is one bit whether or not its group exists. *)
   let width t = function Hole _ -> 1 | p -> (resolved t p).width
 
-  (* [f] on every port of an assignment: the source, then the guard's
-     atoms left to right, then the destination. *)
-  let map_ports f a =
-    let atom = function Port p -> Port (f p) | Lit v -> Lit v in
-    let rec guard = function
-      | True -> True
-      | Atom a -> Atom (atom a)
-      | Cmp (op, a, b) ->
-          let a = atom a in
-          Cmp (op, a, atom b)
-      | And (g1, g2) ->
-          let g1 = guard g1 in
-          And (g1, guard g2)
-      | Or (g1, g2) ->
-          let g1 = guard g1 in
-          Or (g1, guard g2)
-      | Not g -> Not (guard g)
-    in
-    let src = atom a.src in
-    let guard = guard a.guard in
-    { dst = f a.dst; src; guard }
+  (* [f t] on every port of an assignment: the source, then the guard's
+     atoms left to right, then the destination. [f] and [t] are passed
+     apart so that a call allocates no closure. *)
+  let map_atom f t = function Port p -> Port (f t p) | Lit v -> Lit v
 
-  let resolve_assignment t a = map_ports (id t) a
-  let assignment_of_ids t a = map_ports (port t) a
+  let rec map_guard f t = function
+    | True -> True
+    | Atom a -> Atom (map_atom f t a)
+    | Cmp (op, a, b) ->
+        let a = map_atom f t a in
+        Cmp (op, a, map_atom f t b)
+    | And (g1, g2) ->
+        let g1 = map_guard f t g1 in
+        And (g1, map_guard f t g2)
+    | Or (g1, g2) ->
+        let g1 = map_guard f t g1 in
+        Or (g1, map_guard f t g2)
+    | Not g -> Not (map_guard f t g)
+
+  let map_ports f t a =
+    let src = map_atom f t a.src in
+    let guard = map_guard f t a.guard in
+    { dst = f t a.dst; src; guard }
+
+  let resolve_assignment t a = map_ports id t a
+  let assignment_of_ids t a = map_ports port t a
 end
 
 (* Construction *)
@@ -480,12 +482,16 @@ let add_group comp group = add_groups comp [ group ]
 
 (* Traversal *)
 
-let rec guard_atoms = function
-  | True -> []
-  | Atom a -> [ a ]
-  | Cmp (_, a, b) -> [ a; b ]
-  | And (g1, g2) | Or (g1, g2) -> guard_atoms g1 @ guard_atoms g2
-  | Not g -> guard_atoms g
+(* Built right to left, one cons per atom. *)
+let guard_atoms g =
+  let rec go acc = function
+    | True -> acc
+    | Atom a -> a :: acc
+    | Cmp (_, a, b) -> a :: b :: acc
+    | And (g1, g2) | Or (g1, g2) -> go (go acc g2) g1
+    | Not g -> go acc g
+  in
+  go [] g
 
 let assignment_atoms a = a.src :: guard_atoms a.guard
 

@@ -307,7 +307,10 @@ let plan (ip : Instance.plan) : plan =
       let reads = guard_atoms ra.guard in
       List.iter (function Port s -> read s | Lit _ -> ()) reads;
       (match ra.src with
-      | Port s when not (List.mem (Port s) reads) -> source s
+      | Port s
+        when not (List.exists (function Port r -> r = s | Lit _ -> false) reads)
+        ->
+          source s
       | _ -> ());
       write ra.dst
     end

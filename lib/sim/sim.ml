@@ -43,11 +43,10 @@ let default_engine : engine = `Compiled
    the simulator reads is resolved to its slot here, once per component;
    [plan_of] returns a child component's plan. A fault is raised in the
    order the parts are resolved below: the cells (a child's own plan
-   first), the group done holes, the group assignments (in each, as
-   [Ports.resolve_assignment] resolves it: its source, then its guard
-   left to right, then its destination), the
-   signature, the control program, the [go] input, and the continuous
-   assignments. *)
+   first), the group done holes, the group assignments (each in
+   [Ports.resolve_assignment]'s order: its source, then its guard left
+   to right, then its destination), the signature, the control program,
+   the [go] input, and the continuous assignments. *)
 let plan_component ~externs ~ports_of ~plan_of (ctx : context)
     (comp : component) : plan =
   let ports = ports_of comp in
@@ -167,7 +166,7 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
       (fun i g ->
         let dones, datas =
           List.partition
-            (fun (ra : int assignment_) -> ra.dst = group_done.(i))
+            (fun ra -> ra.dst = group_done.(i))
             (List.map resolve g.assigns)
         in
         (Array.of_list dones, Array.of_list datas))

@@ -201,17 +201,18 @@ let build ctx comp =
       comp.groups;
     (* Assignments: data rides the destination's mux tree, guard reads
        additionally pay the guard logic into the mux select. *)
+    let assigns = all_assignments comp in
     let drivers = Array.make (Ports.count ports) 0 in
-    let assigns =
-      List.map
-        (fun a ->
-          let a = Ports.resolve_assignment ports a in
-          drivers.(a.dst) <- drivers.(a.dst) + 1;
-          a)
-        (all_assignments comp)
-    in
     List.iter
       (fun a ->
+        let d = Ports.id ports a.dst in
+        drivers.(d) <- drivers.(d) + 1)
+      assigns;
+    (* Each assignment is resolved where it is used, so no resolved copy
+       of the component outlives its edges. *)
+    List.iter
+      (fun a ->
+        let a = Ports.resolve_assignment ports a in
         let dst = map.(a.dst) in
         touch dst;
         g.driven.(dst) <- true;
