@@ -66,27 +66,24 @@ let primitive_usage name params =
 let wiring_usage ports comp =
   let n = Ports.count ports in
   let count = Array.make n 0 and gsize = Array.make n 0 in
-  let luts ~width count gsize =
-    let mux = if count <= 1 then 0 else width * cdiv (count - 1) 3 in
-    mux + cdiv gsize 5
-  in
-  let total = ref 0 in
+  let luts = ref 0 in
   List.iter
     (fun a ->
+      let g = guard_size a.guard in
       match Ports.resolve ports a.dst with
       | Ports.Resolved { id; _ } ->
           count.(id) <- count.(id) + 1;
-          gsize.(id) <- gsize.(id) + guard_size a.guard
+          gsize.(id) <- gsize.(id) + g
       | Ports.Unresolved_prototype e -> raise e
-      | Ports.Unknown_cell | Ports.No_port ->
-          total := !total + luts ~width:1 1 (guard_size a.guard))
+      | Ports.Unknown_cell | Ports.No_port -> luts := !luts + cdiv g 5)
     (all_assignments comp);
-  for id = 0 to n - 1 do
-    if count.(id) > 0 then
-      total :=
-        !total + luts ~width:(Ports.width_of_id ports id) count.(id) gsize.(id)
-  done;
-  { zero with luts = !total }
+  Array.iteri
+    (fun id k ->
+      if k > 1 then
+        luts := !luts + (Ports.width_of_id ports id * cdiv (k - 1) 3);
+      luts := !luts + cdiv gsize.(id) 5)
+    count;
+  { zero with luts = !luts }
 
 (* A component's cost depends on nothing but its definition, so each one
    is costed once per call however often it is instantiated. *)
