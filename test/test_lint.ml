@@ -396,6 +396,32 @@ let test_invoke_output_width_mismatch () =
   in
   has "width mismatch" "CX011" (wf ctx)
 
+(* Lint assumes a well-formed program but never raises on one that is
+   not: a reference that does not resolve is left to well-formedness. *)
+let test_unresolved_not_raised () =
+  List.iter
+    (fun (what, cells, wire) ->
+      let ctx =
+        Parser.parse_string
+          (Printf.sprintf
+             "component main(go: 1) -> (done: 1) {\n\
+             \  cells { r = std_reg(8); w = std_wire(8); %s }\n\
+             \  wires { w.in = r.out; r.write_en = go; done = r.done; %s }\n\
+             \  control {}\n}\n"
+             cells wire)
+      in
+      match Lint.diagnostics ctx with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: lint raised %s" what (Printexc.to_string e))
+    [
+      ("unknown cell in a source", "", "r.in = x.out;");
+      ("missing port in a guard", "", "r.in = r.nope ? w.out;");
+      ("unknown group's hole as a destination", "", "g[go] = w.out;");
+      ("unresolved prototype", "z = std_reg(0);", "z.in = w.out;");
+      ("cycle through an unknown cell", "", "w.in = x.out; x.in = w.out;");
+    ]
+
 let test_cond_port_not_readable () =
   let ctx =
     main_with
@@ -913,6 +939,8 @@ let () =
             test_invoke_output_width_mismatch;
           Alcotest.test_case "unreadable condition port" `Quick
             test_cond_port_not_readable;
+          Alcotest.test_case "unresolved references not raised" `Quick
+            test_unresolved_not_raised;
         ] );
       ( "corpus",
         [
