@@ -168,11 +168,12 @@ let resolved f x =
 let comb_cycles ~cells ~ports comp =
   let n = Ports.count ports in
   let succ = Array.make n [] in
+  let resolve = Ports.resolve_assignment ports in
   (* Push the edges of [assigns]; returns their sources. *)
   let push assigns =
     List.fold_left
       (fun sources a ->
-        match resolved (Ports.resolve_assignment ports) a with
+        match resolved resolve a with
         | None -> sources
         | Some a ->
             List.fold_left
@@ -425,6 +426,7 @@ type driver = { guard : guard; norm : lit list list option Lazy.t }
    first. *)
 let overlapping_drivers ~cells ~ports comp =
   let norm = normalizer ~cells comp in
+  let id = Ports.id ports in
   let by_dst assigns =
     let table = Hashtbl.create 16 in
     List.iter
@@ -434,7 +436,7 @@ let overlapping_drivers ~cells ~ports comp =
             let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
             let d = { guard = a.guard; norm = lazy (norm a.guard) } in
             Hashtbl.replace table k (d :: prev))
-          (resolved (Ports.id ports) a.dst))
+          (resolved id a.dst))
       assigns;
     table
   in
