@@ -2,8 +2,12 @@
 
     Every value travelling on a Calyx wire is a bit vector with a width
     between 1 and 64 bits. Arithmetic is modulo [2^width]; comparisons are
-    unsigned. This is the single value type shared by the simulator, the
-    reference interpreter, and constant folding in the compiler. *)
+    unsigned. This is the type of the IR's literals and constant folding
+    in the compiler, and the value type at the edges of both simulators
+    (test benches, events, register and memory access). Inside, the
+    simulators store values as native ints ([Calyx_sim.Slot] and the RTL
+    interpreter's nets); the fixpoint engine, the simulator's reference,
+    computes on this module's operators. *)
 
 type t
 (** A bit vector: a width and a value truncated to that width. *)

@@ -1,9 +1,9 @@
 (* The compiled engine: each component's slot-dependency graph (Sched)
    and every decision about its nodes, planned once per component, and
    per instance the state and closures that evaluate the nodes, driven by
-   Sched's dirty-set settle. The engine's state is private to this
-   module; an instance reaches it only through the closures [compile]
-   returns. *)
+   Sched's dirty-set settle, on the instance's native-int values
+   ([Slot.env]). The engine's state is private to this module; an
+   instance reaches it only through the closures [compile] returns. *)
 
 open Calyx
 open Ir
@@ -11,23 +11,30 @@ open Instance
 module Tele = Calyx_telemetry
 
 (* A guard partially evaluated against the component: constants fold to
-   always/never, the rest is a function of an instance's env, shared by
-   every instance. *)
-type sguard = SConst of bool | SFun of (Bitvec.t array -> bool)
+   always/never, the rest is a function of an instance's values, shared
+   by every instance. *)
+type sguard = SConst of bool | SFun of (Slot.env -> bool)
 
-(* How an assignment node drives its slot. *)
+(* How an assignment node drives its slot. The source and destination
+   of an assignment have one width (Sim.create checks it), so a narrow
+   destination's writer copies ints and a wide one's int64s. *)
 type drive =
   | Elided  (* single writer that never drives: the slot stays zero *)
-  | Folded of Bitvec.t
-      (* constant continuous single writer: folded into the initial env *)
+  | Folded
+      (* constant continuous single writer: its constant is the slot's
+         initial value *)
   | Always
       (* continuous single writer, no producer, guard always true: writes
          its source to the env *)
   | Direct  (* single writer, no producer: writes the env directly *)
   | Shared  (* keeps a live/value cell and re-resolves the slot *)
+  | Wide  (* any other writer of a wide slot: [Shared] on int64s *)
 
 type sassign = {
   sa_ra : int assignment_;
+  sa_src : int;
+      (* the source slot, or [-1 - v] for a narrow literal [v] (a wide
+         writer reads its literal from [sa_ra]) *)
   sa_group : int;  (* -1 for continuous assignments *)
   sa_data : bool;  (* a group data assignment (gated while done reads 1) *)
   sa_guard : sguard;
@@ -65,9 +72,11 @@ type sstate = {
   s_graph : Sched.t;
   s_live : bool array;
       (* assignment -> scheduled && guard true, as of its last eval *)
-  s_val : Bitvec.t array;  (* assignment -> driven value while live *)
-  s_base : Bitvec.t array;
+  s_val : int array;  (* assignment -> driven value while live *)
+  s_wval : int64 array;  (* the same for a [Wide] writer ([||] if none) *)
+  s_base : int array;
       (* per-slot value from non-assignment producers — zero otherwise *)
+  s_wbase : int64 array;  (* the same for a wide slot ([||] if none) *)
   s_live_count : int array;  (* live writers per multi-writer slot *)
   mutable s_suspects : int;  (* slots currently holding >= 2 live writers *)
   s_entries : bool array array;
@@ -112,7 +121,7 @@ let rec fill_down a i = function
    its assignment nodes re-marked. Cheap (one walk of the control state),
    so it runs unconditionally at the top of every settle. *)
 let refresh_entries cp inst st =
-  let go = Bitvec.is_true inst.i_env.(inst.i_plan.p_go_slot) in
+  let go = inst.i_env.ints.(inst.i_plan.p_go_slot) <> 0 in
   (* The active-group view is a pure function of (running, ctrl, go), and
      control only moves at clock edges — on the quiet settles in between
      this degenerates to three compares. *)
@@ -141,15 +150,43 @@ let refresh_entries cp inst st =
   end
 
 (* Partial evaluation of a guard. Constants fold at build time;
-   comparisons between same-width atoms compile to alloc-free int64
-   compares (bitvec payloads are masked, so unsigned comparison of the
-   raw values is exact). A width mismatch falls back to the reference
-   evaluation, which keeps raising Width_error at run time. *)
+   comparisons between same-width atoms compile to alloc-free native
+   compares (slot values are masked, so signed comparison of narrow ints
+   and unsigned comparison of int64s are exact). A width mismatch falls
+   back to the reference evaluation, which keeps raising Width_error at
+   run time. *)
 exception Bail
 
-let atom_width zeros = function
+let atom_width widths = function
   | Lit v -> Bitvec.width v
-  | Port i -> Bitvec.width zeros.(i)
+  | Port i -> widths.(i)
+
+(* [p op y]: a narrow port against a narrow literal. *)
+let cmp_port_lit op i (y : int) : Slot.env -> bool =
+  match op with
+  | Eq -> fun e -> e.ints.(i) = y
+  | Neq -> fun e -> e.ints.(i) <> y
+  | Lt -> fun e -> e.ints.(i) < y
+  | Gt -> fun e -> e.ints.(i) > y
+  | Le -> fun e -> e.ints.(i) <= y
+  | Ge -> fun e -> e.ints.(i) >= y
+
+let cmp_ports op i j : Slot.env -> bool =
+  match op with
+  | Eq -> fun e -> e.ints.(i) = e.ints.(j)
+  | Neq -> fun e -> e.ints.(i) <> e.ints.(j)
+  | Lt -> fun e -> e.ints.(i) < e.ints.(j)
+  | Gt -> fun e -> e.ints.(i) > e.ints.(j)
+  | Le -> fun e -> e.ints.(i) <= e.ints.(j)
+  | Ge -> fun e -> e.ints.(i) >= e.ints.(j)
+
+(* [x op y] is [y (flip op) x]. *)
+let flip = function
+  | Lt -> Gt
+  | Gt -> Lt
+  | Le -> Ge
+  | Ge -> Le
+  | (Eq | Neq) as op -> op
 
 let cmp_i64 = function
   | Eq -> fun x y -> Int64.equal x y
@@ -159,43 +196,76 @@ let cmp_i64 = function
   | Le -> fun x y -> Int64.unsigned_compare x y <= 0
   | Ge -> fun x y -> Int64.unsigned_compare x y >= 0
 
-let rec fold_guard zeros = function
+let rec fold_guard widths = function
   | True -> SConst true
   | Atom (Lit v) -> SConst (Bitvec.is_true v)
-  | Atom (Port i) -> SFun (fun env -> Bitvec.is_true env.(i))
+  | Atom (Port i) ->
+      if Slot.is_wide widths.(i) then
+        SFun (fun e -> not (Int64.equal e.wides.(i) 0L))
+      else SFun (fun e -> e.ints.(i) <> 0)
   | Cmp (op, a, b) -> (
-      if atom_width zeros a <> atom_width zeros b then raise Bail;
-      let cmp = cmp_i64 op in
+      let width = atom_width widths a in
+      if width <> atom_width widths b then raise Bail;
+      let lit v = Slot.int_of_bits width v in
       match (a, b) with
-      | Lit x, Lit y -> SConst (cmp (Bitvec.to_int64 x) (Bitvec.to_int64 y))
-      | Lit x, Port j ->
-          let xv = Bitvec.to_int64 x in
-          SFun (fun env -> cmp xv (Bitvec.to_int64 env.(j)))
-      | Port i, Lit y ->
-          let yv = Bitvec.to_int64 y in
-          SFun (fun env -> cmp (Bitvec.to_int64 env.(i)) yv)
-      | Port i, Port j ->
-          SFun
-            (fun env -> cmp (Bitvec.to_int64 env.(i)) (Bitvec.to_int64 env.(j))))
+      | Lit x, Lit y ->
+          SConst (cmp_i64 op (Bitvec.to_int64 x) (Bitvec.to_int64 y))
+      | _ when Slot.is_wide width ->
+          let cmp = cmp_i64 op in
+          let value = function
+            | Lit v ->
+                let x = Bitvec.to_int64 v in
+                fun (_ : Slot.env) -> x
+            | Port i -> fun e -> e.wides.(i)
+          in
+          let x = value a and y = value b in
+          SFun (fun e -> cmp (x e) (y e))
+      | Lit x, Port j -> SFun (cmp_port_lit (flip op) j (lit x))
+      | Port i, Lit y -> SFun (cmp_port_lit op i (lit y))
+      | Port i, Port j -> SFun (cmp_ports op i j))
   | And (g1, g2) -> (
-      match (fold_guard zeros g1, fold_guard zeros g2) with
+      match (fold_guard widths g1, fold_guard widths g2) with
       | SConst false, _ | _, SConst false -> SConst false
       | SConst true, s | s, SConst true -> s
-      | SFun f1, SFun f2 -> SFun (fun env -> f1 env && f2 env))
+      | SFun f1, SFun f2 -> SFun (fun e -> f1 e && f2 e))
   | Or (g1, g2) -> (
-      match (fold_guard zeros g1, fold_guard zeros g2) with
+      match (fold_guard widths g1, fold_guard widths g2) with
       | SConst true, _ | _, SConst true -> SConst true
       | SConst false, s | s, SConst false -> s
-      | SFun f1, SFun f2 -> SFun (fun env -> f1 env || f2 env))
+      | SFun f1, SFun f2 -> SFun (fun e -> f1 e || f2 e))
   | Not g -> (
-      match fold_guard zeros g with
+      match fold_guard widths g with
       | SConst b -> SConst (not b)
-      | SFun f -> SFun (fun env -> not (f env)))
+      | SFun f -> SFun (fun e -> not (f e)))
 
-let stage_guard zeros g =
-  match fold_guard zeros g with
+let stage_guard widths g =
+  match fold_guard widths g with
   | s -> s
   | exception Bail -> SFun (fun env -> guard_holds env g)
+
+(* The slots a guard reads, left to right, each passed to [read]; and
+   whether it reads slot [s]. Neither allocates. *)
+let atom_reads read = function Port s -> read s | Lit _ -> ()
+
+let rec guard_reads read = function
+  | True -> ()
+  | Atom a -> atom_reads read a
+  | Cmp (_, a, b) ->
+      atom_reads read a;
+      atom_reads read b
+  | And (g1, g2) | Or (g1, g2) ->
+      guard_reads read g1;
+      guard_reads read g2
+  | Not g -> guard_reads read g
+
+let atom_is s = function Port r -> r = s | Lit _ -> false
+
+let rec guard_reads_slot s = function
+  | True -> false
+  | Atom a -> atom_is s a
+  | Cmp (_, a, b) -> atom_is s a || atom_is s b
+  | And (g1, g2) | Or (g1, g2) -> guard_reads_slot s g1 || guard_reads_slot s g2
+  | Not g -> guard_reads_slot s g
 
 (* The graph as text: per level, its acyclic nodes in ascending order,
    then each cyclic component of the level (in ascending order of its
@@ -239,57 +309,91 @@ let render ~label g =
   done;
   Buffer.contents b
 
+(* A placeholder for fresh arrays of staged assignments, long-lived so
+   that OCaml 5 does not run a minor collection before it makes a large
+   array from it. *)
+let no_sassign =
+  { sa_ra = Instance.no_assign; sa_src = -1; sa_group = -1;
+    sa_data = false; sa_guard = SConst false; sa_drive = Elided }
+
 (* The component's graph and every decision that does not depend on an
    instance's state: which slots each node reads and writes (in the terms
    Sched expects), the writers of each slot, the staged guards, and how
    each assignment drives. Guards are partially evaluated (constant
    guards fold to always/never, constant single-writer assignments fold
    into the initial env and disappear, comparisons compile to alloc-free
-   int64 compares). *)
+   native compares). *)
 let plan (ip : Instance.plan) : plan =
   let ngroups = Array.length ip.p_groups in
   let nslots = ip.p_slots in
+  let widths = ip.p_widths in
   let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
   let stage group data ra =
     let guard =
       match ra.guard with
       | True -> SConst true
       | g -> (
-          match stage_guard ip.p_zeros g with
+          match stage_guard widths g with
           | SConst _ as s ->
               incr fold_guards;
               s
           | s -> s)
     in
-    (match ra.src with Lit _ -> incr fold_consts | Port _ -> ());
-    { sa_ra = ra; sa_group = group; sa_data = data; sa_guard = guard;
-      sa_drive = Shared }
+    let sa_src =
+      match ra.src with
+      | Port s -> s
+      | Lit v ->
+          incr fold_consts;
+          let w = widths.(ra.dst) in
+          -1 - if Slot.is_wide w then 0 else Slot.int_of_bits w v
+    in
+    { sa_ra = ra; sa_src; sa_group = group; sa_data = data;
+      sa_guard = guard; sa_drive = Shared }
   in
   (* Assignments in the reference engine's static scan order. *)
-  let c_assigns =
-    Array.concat
-      (Array.map (stage (-1) false) ip.p_continuous
-      :: List.concat
-           (List.mapi
-              (fun g (dones, datas) ->
-                [ Array.map (stage g false) dones; Array.map (stage g true) datas ])
-              (Array.to_list ip.p_group_assigns)))
+  let na =
+    Array.fold_left
+      (fun n (dones, datas) -> n + Array.length dones + Array.length datas)
+      (Array.length ip.p_continuous) ip.p_group_assigns
   in
-  let na = Array.length c_assigns in
+  let c_assigns = Array.make na no_sassign in
+  let next = ref 0 in
+  let add group data ras =
+    Array.iter
+      (fun ra ->
+        c_assigns.(!next) <- stage group data ra;
+        incr next)
+      ras
+  in
+  add (-1) false ip.p_continuous;
+  Array.iteri
+    (fun g (dones, datas) ->
+      add g false dones;
+      add g true datas)
+    ip.p_group_assigns;
   let np = Array.length ip.p_prims in
   let nc = Array.length ip.p_children in
   let first_assign = np + nc + ngroups in
   let edges k ~read ~source ~write =
     if k < np then begin
       let pp = ip.p_prims.(k) in
-      Array.iteri (fun i comb -> if comb then read pp.pp_in.(i)) pp.pp_proto.pr_comb;
-      Array.iter write pp.pp_out
+      let comb = pp.pp_proto.pr_comb in
+      for i = 0 to Array.length comb - 1 do
+        if comb.(i) then read pp.pp_in.(i)
+      done;
+      for i = 0 to Array.length pp.pp_out - 1 do
+        write pp.pp_out.(i)
+      done
     end
     else if k < np + nc then begin
       let cp = ip.p_children.(k - np) in
-      Array.iter (fun (s, _) -> read s) cp.cp_input_map;
+      for i = 0 to Array.length cp.cp_input_map - 1 do
+        read (fst cp.cp_input_map.(i))
+      done;
       write cp.cp_done_slot;
-      Array.iter (fun (_, s) -> write s) cp.cp_output_map
+      for i = 0 to Array.length cp.cp_output_map - 1 do
+        write (snd cp.cp_output_map.(i))
+      done
     end
     else if k < first_assign then begin
       (* The go hole depends on the done hole through the gating rule. *)
@@ -304,13 +408,9 @@ let plan (ip : Instance.plan) : plan =
       let sa = c_assigns.(k - first_assign) in
       let ra = sa.sa_ra in
       if sa.sa_data then read ip.p_group_done.(sa.sa_group);
-      let reads = guard_atoms ra.guard in
-      List.iter (function Port s -> read s | Lit _ -> ()) reads;
+      guard_reads read ra.guard;
       (match ra.src with
-      | Port s
-        when not (List.exists (function Port r -> r = s | Lit _ -> false) reads)
-        ->
-          source s
+      | Port s when not (guard_reads_slot s ra.guard) -> source s
       | _ -> ());
       write ra.dst
     end
@@ -344,9 +444,10 @@ let plan (ip : Instance.plan) : plan =
       has_producer.(cp.cp_done_slot) <- true)
     ip.p_children;
   Array.iter (fun s -> has_producer.(s) <- true) ip.p_group_go;
-  let group_lists =
-    Array.init (max ngroups 1) (fun g -> if g < ngroups then [ np + nc + g ] else [])
-  in
+  let group_lists = Array.make (max ngroups 1) [] in
+  for g = 0 to ngroups - 1 do
+    group_lists.(g) <- [ np + nc + g ]
+  done;
   Array.iteri
     (fun ai sa ->
       let dst = sa.sa_ra.dst in
@@ -361,12 +462,18 @@ let plan (ip : Instance.plan) : plan =
               Elided
           | SConst true when sa.sa_group < 0 -> (
               match sa.sa_ra.src with
-              | Lit v ->
+              | Lit _ ->
                   incr elided;
-                  Folded v
+                  Folded
               | Port _ -> Always)
-          | _ -> Direct))
+          | _ -> Direct);
+      match sa.sa_drive with
+      | (Always | Direct | Shared) when Slot.is_wide widths.(dst) ->
+          sa.sa_drive <- Wide
+      | _ -> ())
     c_assigns;
+  let group_nodes = Array.make (max ngroups 1) [||] in
+  Array.iteri (fun g l -> group_nodes.(g) <- Array.of_list l) group_lists;
   let fold_guards = !fold_guards and fold_consts = !fold_consts
   and elided = !elided in
   let proto_str cell =
@@ -385,8 +492,8 @@ let plan (ip : Instance.plan) : plan =
     ^
     match sa.sa_drive with
     | Elided -> "  [elided]"
-    | Folded _ -> "  [folded]"
-    | Always | Direct | Shared -> ""
+    | Folded -> "  [folded]"
+    | Always | Direct | Shared | Wide -> ""
   in
   let label k =
     if k < np then
@@ -414,7 +521,7 @@ let plan (ip : Instance.plan) : plan =
     c_wstart = wstart;
     c_writers = writers;
     c_has_producer = has_producer;
-    c_group_nodes = Array.map Array.of_list group_lists;
+    c_group_nodes = group_nodes;
     (* Lazy: rendering walks and prints every node, and only tests and
        [Sim.compiled_plan] ask. *)
     c_text =
@@ -429,14 +536,18 @@ let plan (ip : Instance.plan) : plan =
 (* Stage the component's plan over the instance's private state and
    return the engine's entry points: one closure per primitive, child and
    go node, and one function that evaluates any assignment node from the
-   shared plan. Primitive port names are resolved to slot thunks/writers
-   once via Prim_state.compile_step, and slot resolution replays the
-   reference scan over the slot's writers with an early exit instead of
-   re-walking every assignment. Children must already be compiled. *)
+   shared plan. Primitive port names are resolved to slots via
+   Prim_state.compile_step, and slot resolution replays the reference
+   scan over the slot's writers with an early exit instead of re-walking
+   every assignment. Whether a slot is narrow or wide is decided here,
+   once per slot: each writer, producer and child port below is staged
+   for one of the two. Children must already be compiled. *)
 let compile (cp : plan) inst : compiled =
   let ip = inst.i_plan in
   let env = inst.i_env in
-  let zeros = ip.p_zeros in
+  let ints = env.ints and wides = env.wides in
+  let widths = ip.p_widths in
+  let wide s = Slot.is_wide widths.(s) in
   let nslots = ip.p_slots in
   let na = Array.length cp.c_assigns in
   let ngroups = Array.length ip.p_groups in
@@ -448,8 +559,13 @@ let compile (cp : plan) inst : compiled =
     {
       s_graph = graph;
       s_live = Array.make (max na 1) false;
-      s_val = Array.make (max na 1) (Bitvec.zero 1);
-      s_base = Array.copy zeros;
+      s_val = Array.make (max na 1) 0;
+      s_wval =
+        (if Array.exists (fun sa -> sa.sa_drive = Wide) cp.c_assigns then
+           Array.make na 0L
+         else [||]);
+      s_base = Array.make (max nslots 1) 0;
+      s_wbase = (if Array.length wides > 0 then Array.make nslots 0L else [||]);
       s_live_count = Array.make (max nslots 1) 0;
       s_suspects = 0;
       s_entries = Array.make (max ngroups 1) [||];
@@ -463,14 +579,6 @@ let compile (cp : plan) inst : compiled =
   let blocked = Sched.blocked graph in
   let wstart = cp.c_wstart and writers = cp.c_writers in
   let has_producer = cp.c_has_producer in
-  let stage_read ?(on_slot = ignore) pp name =
-    match input_slot pp name with
-    | slot when slot >= 0 ->
-        on_slot slot;
-        fun () -> env.(slot)
-    | _ ->
-        raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
-  in
   (* Every primitive's clock edge, staged first so that [wr] knows which
      edges read each slot: [edge_reads] is filled in while the reads are
      staged. A custom model reads by name at run time, after [staging]
@@ -493,25 +601,42 @@ let compile (cp : plan) inst : compiled =
       incr queued
     end
   in
-  let commits =
-    Array.mapi
-      (fun p pp ->
-        let on_slot s =
-          if !staging then
-            match edge_reads.(s) with
-            | q :: _ when q = p -> ()
-            | ps -> edge_reads.(s) <- p :: ps
-        in
-        match
-          Prim_state.compile_commit inst.i_prims.(p)
-            ~read:(stage_read ~on_slot pp)
-        with
-        | Some f ->
-            enqueue p;
-            f
-        | None -> fun () -> 0)
-      ip.p_prims
+  (* Where primitive [pp] reads and writes; a clock edge writes
+     nothing. *)
+  let ports ?(on_slot = ignore) ~write ~write_wide pp =
+    {
+      Prim_state.env;
+      input =
+        (fun name ->
+          match input_slot pp name with
+          | slot when slot >= 0 ->
+              on_slot slot;
+              slot
+          | _ ->
+              raise (Prim_state.Sim_error ("unknown primitive input " ^ name)));
+      output = output_slot pp;
+      write;
+      write_wide;
+    }
   in
+  let commits = Array.make np (fun () -> 0) in
+  Array.iteri
+    (fun p pp ->
+      let on_slot s =
+        if !staging then
+          match edge_reads.(s) with
+          | q :: _ when q = p -> ()
+          | ps -> edge_reads.(s) <- p :: ps
+      in
+      let ports =
+        ports ~on_slot ~write:(fun _ -> ignore) ~write_wide:(fun _ -> ignore) pp
+      in
+      match Prim_state.compile_commit inst.i_prims.(p) ports with
+      | Some f ->
+          enqueue p;
+          commits.(p) <- f
+      | None -> ())
+    ip.p_prims;
   staging := false;
   (* The edges that read slot [s], in staging order, are
      [edge_readers.(estart.(s))] up to [edge_readers.(estart.(s + 1) - 1)]. *)
@@ -525,29 +650,49 @@ let compile (cp : plan) inst : compiled =
   done;
   (* The single sink for every computed slot value: a change enqueues
      the slot's readers and the edges that read it. *)
+  let changed slot =
+    Sched.mark_slot graph slot;
+    for i = estart.(slot) to estart.(slot + 1) - 1 do
+      enqueue edge_readers.(i)
+    done
+  in
   let wr slot v =
-    if not (Bitvec.equal env.(slot) v) then begin
-      env.(slot) <- v;
-      Sched.mark_slot graph slot;
-      for i = estart.(slot) to estart.(slot + 1) - 1 do
-        enqueue edge_readers.(i)
-      done
+    if ints.(slot) <> v then begin
+      ints.(slot) <- v;
+      changed slot
+    end
+  in
+  let wr_wide slot v =
+    if not (Int64.equal wides.(slot) v) then begin
+      wides.(slot) <- v;
+      changed slot
     end
   in
   (* A slot with assignment writers: the last live writer in static scan
      order wins, else the producer's base — the reference engine's
      last-write-wins scan, with an early exit from the back, no
      allocation. *)
-  let resolve slot =
+  let last_live slot =
     let first = wstart.(slot) in
     let i = ref (wstart.(slot + 1) - 1) in
     while !i >= first && not st.s_live.(writers.(!i)) do
       decr i
     done;
+    if !i >= first then writers.(!i) else -1
+  in
+  let resolve slot =
+    let w = last_live slot in
     wr slot
-      (if !i >= first then st.s_val.(writers.(!i))
+      (if w >= 0 then st.s_val.(w)
        else if has_producer.(slot) then st.s_base.(slot)
-       else zeros.(slot))
+       else 0)
+  in
+  let resolve_wide slot =
+    let w = last_live slot in
+    wr_wide slot
+      (if w >= 0 then st.s_wval.(w)
+       else if has_producer.(slot) then st.s_wbase.(slot)
+       else 0L)
   in
   (* A non-assignment producer pushed a value: writer-less slots skip
      the base cell and write the env directly; writer-shadowed slots
@@ -555,9 +700,17 @@ let compile (cp : plan) inst : compiled =
   let produce slot =
     if writer_count cp slot = 0 then fun v -> wr slot v
     else fun v ->
-      if not (Bitvec.equal st.s_base.(slot) v) then begin
+      if st.s_base.(slot) <> v then begin
         st.s_base.(slot) <- v;
         resolve slot
+      end
+  in
+  let produce_wide slot =
+    if writer_count cp slot = 0 then fun v -> wr_wide slot v
+    else fun v ->
+      if not (Int64.equal st.s_wbase.(slot) v) then begin
+        st.s_wbase.(slot) <- v;
+        resolve_wide slot
       end
   in
   (* Group gating, against the entry view [refresh_entries] maintains: a
@@ -571,10 +724,33 @@ let compile (cp : plan) inst : compiled =
     Array.length entries > 0
     && ((not sa.sa_data)
        || Array.exists not entries
-       || not (Bitvec.is_true env.(ip.p_group_done.(g))))
+       || ints.(ip.p_group_done.(g)) = 0)
   in
   let drives sa =
-    scheduled sa && match sa.sa_guard with SConst b -> b | SFun g -> g env
+    scheduled sa
+    &&
+    match sa.sa_guard with
+    | SConst b -> b
+    | SFun g -> g env
+  in
+  let src sa =
+    let s = sa.sa_src in
+    if s >= 0 then ints.(s) else -1 - s
+  in
+  let src_wide sa =
+    match sa.sa_ra.src with Port s -> wides.(s) | Lit v -> Bitvec.to_int64 v
+  in
+  (* A writer's live transitions, which feed the suspect count that
+     gates the conflict check. *)
+  let set_live ai dst =
+    if not st.s_live.(ai) then begin
+      live_transition cp st dst true;
+      st.s_live.(ai) <- true
+    end
+  in
+  let set_dead ai dst =
+    live_transition cp st dst false;
+    st.s_live.(ai) <- false
   in
   (* Every assignment records in [blocked] whether it drives, so that
      Sched skips it on a source change while it does not. *)
@@ -582,45 +758,58 @@ let compile (cp : plan) inst : compiled =
     let sa = cp.c_assigns.(ai) in
     let dst = sa.sa_ra.dst in
     match sa.sa_drive with
-    | Elided | Folded _ -> ()
-    | Always -> wr dst (atom_value env sa.sa_ra.src)
+    | Elided | Folded -> ()
+    | Always -> wr dst (src sa)
     | Direct ->
         (* Single writer, no producer: the slot's value is a pure
            function of drive, so write the env directly. *)
         let d = drives sa in
         blocked.(k) <- not d;
-        wr dst (if d then atom_value env sa.sa_ra.src else zeros.(dst))
+        wr dst (if d then src sa else 0)
     | Shared ->
-        (* Shared slot: maintain this writer's live/value cell — live
-           transitions feed the suspect count that gates the conflict
-           check — and re-resolve the slot. *)
+        (* Shared slot: maintain this writer's live/value cell and
+           re-resolve the slot. *)
         let d = drives sa in
         blocked.(k) <- not d;
         if d then begin
-          let v = atom_value env sa.sa_ra.src in
-          if (not st.s_live.(ai)) || not (Bitvec.equal v st.s_val.(ai)) then begin
-            if not st.s_live.(ai) then live_transition cp st dst true;
-            st.s_live.(ai) <- true;
+          let v = src sa in
+          if (not st.s_live.(ai)) || v <> st.s_val.(ai) then begin
+            set_live ai dst;
             st.s_val.(ai) <- v;
             resolve dst
           end
         end
         else if st.s_live.(ai) then begin
-          live_transition cp st dst false;
-          st.s_live.(ai) <- false;
+          set_dead ai dst;
           resolve dst
+        end
+    | Wide ->
+        let d = drives sa in
+        blocked.(k) <- not d;
+        if d then begin
+          let v = src_wide sa in
+          if (not st.s_live.(ai)) || not (Int64.equal v st.s_wval.(ai)) then begin
+            set_live ai dst;
+            st.s_wval.(ai) <- v;
+            resolve_wide dst
+          end
+        end
+        else if st.s_live.(ai) then begin
+          set_dead ai dst;
+          resolve_wide dst
         end
   in
   (* A never-driving writer starts blocked; a folded one's constant is
      the slot's initial value. *)
   Array.iteri
     (fun ai sa ->
+      let dst = sa.sa_ra.dst in
       match sa.sa_drive with
       | Elided -> blocked.(first_assign + ai) <- true
-      | Folded v -> env.(sa.sa_ra.dst) <- v
-      | Always | Direct | Shared -> ())
+      | Folded when wide dst -> wides.(dst) <- src_wide sa
+      | Folded -> ints.(dst) <- src sa
+      | Always | Direct | Shared | Wide -> ())
     cp.c_assigns;
-  let one1 = Bitvec.one 1 and zero1 = Bitvec.zero 1 in
   let build_go g =
     (* Mirrors the reference loop: one write per active entry in actives
        order, so the last entry's liveness wins. *)
@@ -629,20 +818,15 @@ let compile (cp : plan) inst : compiled =
     fun () ->
       let entries = st.s_entries.(g) in
       w
-        (if Array.length entries = 0 then zero1
-         else if
-           (not entries.(Array.length entries - 1))
-           || not (Bitvec.is_true env.(done_slot))
-         then one1
-         else zero1)
+        (if Array.length entries = 0 then 0
+         else if (not entries.(Array.length entries - 1)) || ints.(done_slot) = 0
+         then 1
+         else 0)
   in
   let build_prim p =
     let pp = ip.p_prims.(p) in
-    Prim_state.compile_step inst.i_prims.(p) ~read:(stage_read pp)
-      ~write:(fun name ->
-        match output_slot pp name with
-        | slot when slot >= 0 -> Some (produce slot)
-        | _ -> None)
+    Prim_state.compile_step inst.i_prims.(p)
+      (ports ~write:produce ~write_wide:produce_wide pp)
   in
   let build_child c =
     let ch = inst.i_children.(c) in
@@ -653,21 +837,32 @@ let compile (cp : plan) inst : compiled =
        that slot, or the transient internal value would keep re-marking
        the slot's readers every settle. *)
     let outs =
-      Array.to_list chp.cp_output_map
-      |> List.filter_map (fun (cslot, pslot) ->
-             if structured && pslot = chp.cp_done_slot then None
-             else Some (cslot, produce pslot))
-      |> Array.of_list
+      List.filter
+        (fun (_, pslot) -> not (structured && pslot = chp.cp_done_slot))
+        (Array.to_list chp.cp_output_map)
     in
-    let done_w =
-      if structured then Some (produce chp.cp_done_slot) else None
-    in
+    let wide_outs, narrow_outs = List.partition (fun (_, p) -> wide p) outs in
+    let done_w = if structured then Some (produce chp.cp_done_slot) else None in
     (* Flat index arrays so the closure's staging loops allocate
-       nothing per call. *)
+       nothing per call. Every input's int is copied (a wide one's is
+       zero); a wide input's int64 too. *)
     let in_pslots = Array.map fst chp.cp_input_map in
-    let out_cslots = Array.map fst outs in
-    let out_ws = Array.map snd outs in
+    let wide_in =
+      Array.of_list
+        (List.filter
+           (fun i -> wide in_pslots.(i))
+           (List.init (Array.length in_pslots) Fun.id))
+    in
+    let out_cslots = Array.of_list (List.map fst narrow_outs) in
+    let out_ws = Array.of_list (List.map (fun (_, p) -> produce p) narrow_outs) in
+    let wout_cslots = Array.of_list (List.map fst wide_outs) in
+    let wout_ws =
+      Array.of_list (List.map (fun (_, p) -> produce_wide p) wide_outs)
+    in
     let buf = ch.c_buf in
+    let bints = buf.ints and bwides = buf.wides in
+    let cenv = ch.c_inst.i_env in
+    let cints = cenv.ints and cwides = cenv.wides in
     let child_settle =
       match ch.c_inst.i_compiled with
       | Some x -> x.x_settle
@@ -675,39 +870,57 @@ let compile (cp : plan) inst : compiled =
     in
     fun () ->
       for i = 0 to Array.length in_pslots - 1 do
-        buf.(i) <- env.(in_pslots.(i))
+        bints.(i) <- ints.(in_pslots.(i))
+      done;
+      for i = 0 to Array.length wide_in - 1 do
+        let j = wide_in.(i) in
+        bwides.(j) <- wides.(in_pslots.(j))
       done;
       child_settle buf;
-      let cenv = ch.c_inst.i_env in
       for i = 0 to Array.length out_ws - 1 do
-        out_ws.(i) cenv.(out_cslots.(i))
+        out_ws.(i) cints.(out_cslots.(i))
+      done;
+      for i = 0 to Array.length wout_ws - 1 do
+        wout_ws.(i) cwides.(wout_cslots.(i))
       done;
       match done_w with
-      | Some w -> w (if ch.c_inst.i_done_reg then one1 else zero1)
+      | Some w -> w (if ch.c_inst.i_done_reg then 1 else 0)
       | None -> ()
   in
   let nc = Array.length ip.p_children in
-  let closure_of k =
-    if k < np then build_prim k
-    else if k < np + nc then build_child (k - np)
-    else build_go (k - np - nc)
-  in
-  let closures = Array.init first_assign closure_of in
+  let closures = Array.make first_assign ignore in
+  for k = 0 to first_assign - 1 do
+    closures.(k) <-
+      (if k < np then build_prim k
+       else if k < np + nc then build_child (k - np)
+       else build_go (k - np - nc))
+  done;
   let eval k =
     if k >= first_assign then eval_assign k (k - first_assign)
     else closures.(k) ()
   in
+  (* The inputs, indexed like [p_input_slots]: each one's int or int64 is
+     pushed into its slot. *)
   let inputs =
-    Array.of_list (List.map (fun (_, slot) -> produce slot) ip.p_input_slots)
+    Array.of_list
+      (List.map
+         (fun (_, slot) ->
+           if wide slot then
+             let w = produce_wide slot in
+             fun (b : Slot.env) i -> w b.wides.(i)
+           else
+             let w = produce slot in
+             fun (b : Slot.env) i -> w b.ints.(i))
+         ip.p_input_slots)
   in
   (* One settle: stage the inputs, refresh the per-group entry view, then
      let Sched evaluate the dirty nodes level by level. Cyclic components
      iterate on its worklist under the fixpoint engine's divergence budget
      and message, and the conflict check runs only while some slot has
      two live writers, so error paths stay bit-identical. *)
-  let x_settle (values : Bitvec.t array) =
+  let x_settle (values : Slot.env) =
     for i = 0 to Array.length inputs - 1 do
-      inputs.(i) values.(i)
+      inputs.(i) values i
     done;
     refresh_entries cp inst st;
     let touched =

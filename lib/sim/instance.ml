@@ -3,9 +3,9 @@
    as slots, every assignment resolved over them, its groups numbered
    once: their index in [p_groups], declaration order, which is also the
    static scan order of every settle), one record per component instance
-   with its own values and state, and the control interpreter that
-   decides which groups run in a cycle (the reference semantics of
-   Section 3.4).
+   with its own values ([Slot.env]) and state, and the control
+   interpreter that decides which groups run in a cycle (the reference
+   semantics of Section 3.4).
 
    Sim builds plans and instances and runs the fixpoint reference engine
    and the clock-edge lifecycle over them; Compiled adds the compiled
@@ -272,7 +272,7 @@ type plan = {
   p_comp : component;
   p_ports : Ports.t;
   p_slots : int;  (* number of ports in [p_ports] *)
-  p_zeros : Bitvec.t array;  (* per-slot zero values (template) *)
+  p_widths : int array;  (* per-slot width *)
   p_cells : cell_plan array;  (* primitives and children, in cell order *)
   p_prims : prim_plan array;
   p_children : child_plan array;
@@ -301,7 +301,7 @@ and child_plan = {
   cp_done_slot : int;  (* parent slot of the child's done output *)
 }
 
-let atom_value env = function Port i -> env.(i) | Lit v -> v
+let atom_value env = function Port i -> Slot.get env i | Lit v -> v
 
 (* The first index of [name] in [names], or -1. *)
 let index_of names name =
@@ -321,8 +321,9 @@ let output_slot pp name =
   let i = index_of pp.pp_proto.pr_outputs name in
   if i < 0 then -1 else pp.pp_out.(i)
 
-(* The reference evaluation of a resolved guard: what the fixpoint engine
-   and the conflict check read, and the compiled engine's fallback. *)
+(* The reference evaluation of a resolved guard, on Bitvec: what the
+   fixpoint engine and the conflict check read, and the compiled engine's
+   fallback. *)
 let rec guard_holds env = function
   | True -> true
   | Atom a -> Bitvec.is_true (atom_value env a)
@@ -352,8 +353,10 @@ let assign_text plan a =
 type instance = {
   i_plan : plan;
   i_path : string;  (* dotted instance path from the entrypoint; root is "" *)
-  mutable i_env : Bitvec.t array;
-  mutable i_next : Bitvec.t array;  (* the fixpoint engine's scratch, made on first use *)
+  mutable i_env : Slot.env;  (* every slot's value, read by both engines *)
+  mutable i_next : Slot.env;
+      (* the fixpoint engine's scratch, made on first use ([no_env]
+         until then) *)
   i_prims : Prim_state.t array;  (* indexed like [p_prims] *)
   i_children : child array;  (* indexed like [p_children] *)
   mutable i_ctrl : cstate;
@@ -381,7 +384,7 @@ and drivers = {
 and child = {
   c_plan : child_plan;
   c_inst : instance;
-  c_buf : Bitvec.t array;  (* reused input buffer, indexed like cp_input_map *)
+  c_buf : Slot.env;  (* reused input buffer, indexed like cp_input_map *)
   mutable c_buf_valid : bool;
       (* fixpoint engine: c_buf holds the inputs of the last child eval,
          so an unchanged-input iteration skips re-evaluating the child *)
@@ -390,7 +393,7 @@ and child = {
 (* The compiled engine of one instance, as closures over its private
    state (see Compiled). *)
 and compiled = {
-  x_settle : Bitvec.t array -> unit;
+  x_settle : Slot.env -> unit;
       (* one settle; the inputs are indexed like [p_input_slots] *)
   x_commit : (instance -> unit) -> unit;
       (* the clock edge below the control lifecycle: latch the
@@ -411,15 +414,38 @@ let effective_ctrl inst ~go =
 
 let active_groups inst ~go = cactive [] (effective_ctrl inst ~go)
 
+(* Long-lived fillers for fresh arrays: OCaml 5 runs a minor collection
+   before it makes a large array from a young value. *)
+let no_env = Slot.create [||]
+let no_assign = { dst = 0; src = Port 0; guard = True }
+let no_prim = Prim_state.create "std_wire" [ 1 ]
+
+let no_prim_plan =
+  {
+    pp_cell = "";
+    pp_proto =
+      { pr_make = (fun () -> raise Exit); pr_inputs = [||]; pr_outputs = [||];
+        pr_comb = [||] };
+    pp_in = [||];
+    pp_out = [||];
+  }
+
+let zero1 = Bitvec.zero 1
+
+(* [Array.of_list l], made from [filler] rather than from [l]'s head. *)
+let array_of_list filler l =
+  let a = Array.make (List.length l) filler in
+  List.iteri (fun i x -> a.(i) <- x) l;
+  a
+
 let drivers inst =
   match inst.i_drivers with
   | Some d -> d
   | None ->
       let n = max inst.i_plan.p_slots 1 in
-      let none = { dst = 0; src = Port 0; guard = True } in
       let d =
-        { d_gen = Array.make n 0; d_val = Array.copy inst.i_plan.p_zeros;
-          d_by = Array.make n none }
+        { d_gen = Array.make n 0; d_val = Array.make n zero1;
+          d_by = Array.make n no_assign }
       in
       inst.i_drivers <- Some d;
       d
@@ -456,14 +482,12 @@ let check_conflicts inst =
       end
     end
   in
-  let go = Bitvec.is_true env.(plan.p_go_slot) in
+  let go = env.ints.(plan.p_go_slot) <> 0 in
   Array.iter check plan.p_continuous;
   List.iter
     (fun (g, gated) ->
       let dones, datas = plan.p_group_assigns.(g) in
       Array.iter check dones;
-      let live =
-        (not gated) || not (Bitvec.is_true env.(plan.p_group_done.(g)))
-      in
+      let live = (not gated) || env.ints.(plan.p_group_done.(g)) = 0 in
       if live then Array.iter check datas)
     (active_groups inst ~go)

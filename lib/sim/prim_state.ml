@@ -4,9 +4,11 @@ exception Sim_error of string
 
 let sim_error fmt = Format.kasprintf (fun s -> raise (Sim_error s)) fmt
 
-(* Two-operand arithmetic, named so that the compiled engine can evaluate
-   it on native ints (see [compile_step]). *)
+(* Two-operand arithmetic and comparison, named so that each engine can
+   evaluate them its own way: the fixpoint engine on Bitvec, the
+   compiled engine on native ints (see [compile_step]). *)
 type arith = Add | Sub | Mul | And | Or | Xor | Lsh | Rsh
+type cmp = Lt | Gt | Eq | Neq | Le | Ge
 
 type comb_kind =
   | Const of Bitvec.t
@@ -14,43 +16,60 @@ type comb_kind =
   | Slice of int
   | Pad of int
   | Arith of arith
-  | Binop of (Bitvec.t -> Bitvec.t -> Bitvec.t)
-  | Unop of (Bitvec.t -> Bitvec.t)
+  | Compare of cmp
+  | Not
 
-(* An operator's reference semantics (Bitvec's, which the fixpoint engine
-   runs) and its native-int form, whose result the caller masks. A
-   shift's native form takes an amount below the width. *)
-let arith_fn = function
-  | Add -> (Bitvec.add, ( + ))
-  | Sub -> (Bitvec.sub, ( - ))
-  | Mul -> (Bitvec.mul, ( * ))
-  | And -> (Bitvec.logand, ( land ))
-  | Or -> (Bitvec.logor, ( lor ))
-  | Xor -> (Bitvec.logxor, ( lxor ))
-  | Lsh -> (Bitvec.shift_left, ( lsl ))
-  | Rsh -> (Bitvec.shift_right, ( lsr ))
+let arith_bits = function
+  | Add -> Bitvec.add
+  | Sub -> Bitvec.sub
+  | Mul -> Bitvec.mul
+  | And -> Bitvec.logand
+  | Or -> Bitvec.logor
+  | Xor -> Bitvec.logxor
+  | Lsh -> Bitvec.shift_left
+  | Rsh -> Bitvec.shift_right
+
+let cmp_bits = function
+  | Lt -> Bitvec.lt
+  | Gt -> Bitvec.gt
+  | Eq -> Bitvec.eq
+  | Neq -> Bitvec.neq
+  | Le -> Bitvec.le
+  | Ge -> Bitvec.ge
 
 type pipe_op =
   | Mult
   | Div
   | Sqrt
 
+(* Stored values are kept as a slot stores them (Slot): a native int up
+   to [Slot.narrow] bits, an int64 above; the other field stays zero. *)
 type pipe = {
   p_op : pipe_op;
   p_width : int;
   p_fixed_latency : int option;  (* None: data-dependent (sqrt) *)
   mutable p_counter : int;
   mutable p_target : int;  (* cycles for the in-flight operation *)
-  mutable p_results : (string * Bitvec.t) list;
+  mutable p_out : int;  (* the result (the quotient of a division) *)
+  mutable p_rem : int;  (* a division's remainder *)
+  mutable p_wout : int64;
+  mutable p_wrem : int64;
   mutable p_done : bool;
 }
 
 type mem = {
   m_width : int;
-  m_dims : int list;  (* sizes per dimension *)
-  m_idx : int list;  (* address widths per dimension *)
-  m_data : Bitvec.t array;  (* row-major *)
+  m_dims : int array;  (* sizes per dimension *)
+  m_ints : int array;  (* row-major; [||] when the elements are wide *)
+  m_wides : int64 array;  (* row-major; [||] when they are narrow *)
   mutable m_done : bool;
+}
+
+type reg = {
+  r_width : int;
+  mutable r_int : int;
+  mutable r_wide : int64;
+  mutable r_done : bool;
 }
 
 type custom = {
@@ -61,7 +80,7 @@ type custom = {
 
 type t =
   | Comb of comb_kind
-  | Reg of { r_width : int; mutable r_value : Bitvec.t; mutable r_done : bool }
+  | Reg of reg
   | Mem of mem
   | Pipe of pipe
   | Custom of custom
@@ -80,9 +99,37 @@ let isqrt v =
       go (Int64.max guess 1L)
   end
 
+let mem w dims =
+  let size = Array.fold_left ( * ) 1 dims in
+  let wide = Slot.is_wide w in
+  Mem
+    {
+      m_width = w;
+      m_dims = dims;
+      m_ints = (if wide then [||] else Array.make size 0);
+      m_wides = (if wide then Array.make size 0L else [||]);
+      m_done = false;
+    }
+
+let pipe op w latency =
+  Pipe
+    {
+      p_op = op;
+      p_width = w;
+      p_fixed_latency = latency;
+      p_counter = 0;
+      p_target = 0;
+      p_out = 0;
+      p_rem = 0;
+      p_wout = 0L;
+      p_wrem = 0L;
+      p_done = false;
+    }
+
 let create name params =
   match (name, params) with
-  | "std_reg", [ w ] -> Reg { r_width = w; r_value = Bitvec.zero w; r_done = false }
+  | "std_reg", [ w ] ->
+      Reg { r_width = w; r_int = 0; r_wide = 0L; r_done = false }
   | "std_const", [ w; v ] -> Comb (Const (Bitvec.of_int ~width:w v))
   | "std_wire", [ _ ] -> Comb Wire
   | "std_slice", [ _; ow ] -> Comb (Slice ow)
@@ -92,100 +139,87 @@ let create name params =
   | "std_and", [ _ ] -> Comb (Arith And)
   | "std_or", [ _ ] -> Comb (Arith Or)
   | "std_xor", [ _ ] -> Comb (Arith Xor)
-  | "std_not", [ _ ] -> Comb (Unop Bitvec.lognot)
+  | "std_not", [ _ ] -> Comb Not
   | "std_lsh", [ _ ] -> Comb (Arith Lsh)
   | "std_rsh", [ _ ] -> Comb (Arith Rsh)
   | "std_mult", [ _ ] -> Comb (Arith Mul)
-  | "std_lt", [ _ ] -> Comb (Binop Bitvec.lt)
-  | "std_gt", [ _ ] -> Comb (Binop Bitvec.gt)
-  | "std_eq", [ _ ] -> Comb (Binop Bitvec.eq)
-  | "std_neq", [ _ ] -> Comb (Binop Bitvec.neq)
-  | "std_le", [ _ ] -> Comb (Binop Bitvec.le)
-  | "std_ge", [ _ ] -> Comb (Binop Bitvec.ge)
-  | "std_mem_d1", [ w; size; idx ] ->
-      Mem
-        {
-          m_width = w;
-          m_dims = [ size ];
-          m_idx = [ idx ];
-          m_data = Array.make size (Bitvec.zero w);
-          m_done = false;
-        }
-  | "std_mem_d2", [ w; d0; d1; i0; i1 ] ->
-      Mem
-        {
-          m_width = w;
-          m_dims = [ d0; d1 ];
-          m_idx = [ i0; i1 ];
-          m_data = Array.make (d0 * d1) (Bitvec.zero w);
-          m_done = false;
-        }
-  | "std_mult_pipe", [ w ] ->
-      Pipe
-        {
-          p_op = Mult;
-          p_width = w;
-          p_fixed_latency = Some Calyx.Prims.mult_latency;
-          p_counter = 0;
-          p_target = 0;
-          p_results = [];
-          p_done = false;
-        }
-  | "std_div_pipe", [ w ] ->
-      Pipe
-        {
-          p_op = Div;
-          p_width = w;
-          p_fixed_latency = Some Calyx.Prims.div_latency;
-          p_counter = 0;
-          p_target = 0;
-          p_results = [];
-          p_done = false;
-        }
-  | "std_sqrt", [ w ] ->
-      Pipe
-        {
-          p_op = Sqrt;
-          p_width = w;
-          p_fixed_latency = None;
-          p_counter = 0;
-          p_target = 0;
-          p_results = [];
-          p_done = false;
-        }
+  | "std_lt", [ _ ] -> Comb (Compare Lt)
+  | "std_gt", [ _ ] -> Comb (Compare Gt)
+  | "std_eq", [ _ ] -> Comb (Compare Eq)
+  | "std_neq", [ _ ] -> Comb (Compare Neq)
+  | "std_le", [ _ ] -> Comb (Compare Le)
+  | "std_ge", [ _ ] -> Comb (Compare Ge)
+  | "std_mem_d1", [ w; size; _ ] -> mem w [| size |]
+  | "std_mem_d2", [ w; d0; d1; _; _ ] -> mem w [| d0; d1 |]
+  | "std_mult_pipe", [ w ] -> pipe Mult w (Some Calyx.Prims.mult_latency)
+  | "std_div_pipe", [ w ] -> pipe Div w (Some Calyx.Prims.div_latency)
+  | "std_sqrt", [ w ] -> pipe Sqrt w None
   | _ ->
       (* Validate the name so unknown primitives raise Unknown_primitive and
          known ones with bad parameters raise Invalid_argument. *)
       ignore (Calyx.Prims.ports name params);
       sim_error "primitive %s has no behavioural model" name
 
+(* ------------------------------------------------------------------ *)
+(* The reference model: Bitvec in, Bitvec out (the fixpoint engine)    *)
+(* ------------------------------------------------------------------ *)
+
 let bool_bit b = if b then Bitvec.one 1 else Bitvec.zero 1
+let addr_name i = "addr" ^ string_of_int i
 
 let mem_address m ~read =
   (* Flatten the (possibly multi-dimensional) address; out-of-range reads
      fall outside the array and are handled by the caller. *)
-  let rec go dims idxs addr =
-    match (dims, idxs) with
-    | [], [] -> Some addr
-    | d :: dims', i :: idxs' ->
-        let v = Bitvec.to_int (read (Printf.sprintf "addr%d" i)) in
-        if v >= d then None else go dims' idxs' ((addr * d) + v)
-    | _ -> assert false
+  let rec go i addr =
+    if i = Array.length m.m_dims then Some addr
+    else
+      let d = m.m_dims.(i) in
+      let v = Bitvec.to_int (read (addr_name i)) in
+      if v >= d then None else go (i + 1) ((addr * d) + v)
   in
-  let positions = List.mapi (fun i _ -> i) m.m_dims in
-  go m.m_dims positions 0
+  go 0 0
+
+let mem_get m a =
+  if Slot.is_wide m.m_width then Bitvec.make ~width:m.m_width m.m_wides.(a)
+  else Bitvec.of_int ~width:m.m_width m.m_ints.(a)
+
+let mem_set m a v =
+  if Slot.is_wide m.m_width then m.m_wides.(a) <- Slot.wide_of_bits m.m_width v
+  else m.m_ints.(a) <- Slot.int_of_bits m.m_width v
+
+let reg_get r = Slot.to_bits r.r_width r.r_int r.r_wide
+
+let reg_set r v =
+  if Slot.is_wide r.r_width then r.r_wide <- Slot.wide_of_bits r.r_width v
+  else r.r_int <- Slot.int_of_bits r.r_width v
+
+let pipe_out p = Slot.to_bits p.p_width p.p_out p.p_wout
+let pipe_rem p = Slot.to_bits p.p_width p.p_rem p.p_wrem
+
+let pipe_store p out rem =
+  let w = p.p_width in
+  if Slot.is_wide w then begin
+    p.p_wout <- Slot.wide_of_bits w out;
+    p.p_wrem <- Slot.wide_of_bits w rem
+  end
+  else begin
+    p.p_out <- Slot.int_of_bits w out;
+    p.p_rem <- Slot.int_of_bits w rem
+  end
 
 let pipe_compute p ~read =
   match p.p_op with
   | Mult ->
-      [ ("out", Bitvec.mul (read "left") (read "right")) ]
+      pipe_store p
+        (Bitvec.mul (read "left") (read "right"))
+        (Bitvec.zero p.p_width)
   | Div ->
-      [
-        ("out_quotient", Bitvec.div (read "left") (read "right"));
-        ("out_remainder", Bitvec.rem (read "left") (read "right"));
-      ]
+      let l = read "left" and r = read "right" in
+      pipe_store p (Bitvec.div l r) (Bitvec.rem l r)
   | Sqrt ->
-      [ ("out", Bitvec.make ~width:p.p_width (isqrt (Bitvec.to_int64 (read "in")))) ]
+      pipe_store p
+        (Bitvec.make ~width:p.p_width (isqrt (Bitvec.to_int64 (read "in"))))
+        (Bitvec.zero p.p_width)
 
 let sqrt_cycles v =
   (* Data-dependent latency: one cycle per two significant bits, at least
@@ -203,30 +237,22 @@ let outputs t ~read =
   | Comb Wire -> [ ("out", read "in") ]
   | Comb (Slice ow) -> [ ("out", Bitvec.truncate (read "in") ow) ]
   | Comb (Pad ow) -> [ ("out", Bitvec.zero_extend (read "in") ow) ]
-  | Comb (Arith op) ->
-      [ ("out", fst (arith_fn op) (read "left") (read "right")) ]
-  | Comb (Binop f) -> [ ("out", f (read "left") (read "right")) ]
-  | Comb (Unop f) -> [ ("out", f (read "in")) ]
-  | Reg r -> [ ("out", r.r_value); ("done", bool_bit r.r_done) ]
+  | Comb (Arith op) -> [ ("out", arith_bits op (read "left") (read "right")) ]
+  | Comb (Compare op) -> [ ("out", cmp_bits op (read "left") (read "right")) ]
+  | Comb Not -> [ ("out", Bitvec.lognot (read "in")) ]
+  | Reg r -> [ ("out", reg_get r); ("done", bool_bit r.r_done) ]
   | Mem m ->
       let data =
         match mem_address m ~read with
-        | Some addr -> m.m_data.(addr)
+        | Some addr -> mem_get m addr
         | None -> Bitvec.zero m.m_width
       in
       [ ("read_data", data); ("done", bool_bit m.m_done) ]
   | Pipe p ->
       let outs =
-        match p.p_results with
-        | [] -> (
-            match p.p_op with
-            | Mult | Sqrt -> [ ("out", Bitvec.zero p.p_width) ]
-            | Div ->
-                [
-                  ("out_quotient", Bitvec.zero p.p_width);
-                  ("out_remainder", Bitvec.zero p.p_width);
-                ])
-        | outs -> outs
+        match p.p_op with
+        | Mult | Sqrt -> [ ("out", pipe_out p) ]
+        | Div -> [ ("out_quotient", pipe_out p); ("out_remainder", pipe_rem p) ]
       in
       outs @ [ ("done", bool_bit p.p_done) ]
 
@@ -236,14 +262,14 @@ let commit t ~read =
   | Comb _ -> ()
   | Reg r ->
       if Bitvec.is_true (read "write_en") then begin
-        r.r_value <- read "in";
+        reg_set r (read "in");
         r.r_done <- true
       end
       else r.r_done <- false
   | Mem m ->
       if Bitvec.is_true (read "write_en") then begin
         (match mem_address m ~read with
-        | Some addr -> m.m_data.(addr) <- read "write_data"
+        | Some addr -> mem_set m addr (read "write_data")
         | None -> ());
         m.m_done <- true
       end
@@ -268,181 +294,336 @@ let commit t ~read =
              | None -> sqrt_cycles (Bitvec.to_int64 (read "in"))));
         p.p_counter <- p.p_counter + 1;
         if p.p_counter >= p.p_target then begin
-          p.p_results <- pipe_compute p ~read;
+          pipe_compute p ~read;
           p.p_done <- true;
           p.p_counter <- 0
         end
       end
 
-(* Staged evaluation for the compiled engine: every port name is
-   resolved to a slot thunk/writer ONCE, at closure-build time, so the
-   per-settle hot path does no string lookups and allocates nothing
-   beyond the result bitvecs. Semantics mirror [outputs] and [commit]
-   exactly — the differential fuzz against the fixpoint engine depends
-   on it. *)
+(* ------------------------------------------------------------------ *)
+(* The staged model: slots in, slots out (the compiled engine)         *)
+(* ------------------------------------------------------------------ *)
 
-(* Native-int arithmetic for [Arith] results of up to [narrow] bits. A
-   result below 256 comes from [small], like Bitvec's own interned values,
-   so it costs no allocation. *)
-let narrow = 62
+(* Every port name is resolved to its slot ONCE, at closure-build time,
+   and whether a port is narrow or wide is decided there too, so the
+   per-settle hot path does no string lookups, no width tests and, on
+   narrow ports, no allocation. The arithmetic is this section's own,
+   on native ints (int64 for wide ports); its semantics mirror [outputs]
+   and [commit] exactly — the differential fuzz against the fixpoint
+   engine depends on it. *)
 
-let small =
-  Array.init narrow (fun wi ->
-      Array.init 256 (fun v -> Bitvec.of_int ~width:(wi + 1) v))
+type ports = {
+  env : Slot.env;
+  input : string -> int;
+  output : string -> int;
+  write : int -> int -> unit;
+  write_wide : int -> int64 -> unit;
+}
 
-let[@inline] ival x = Int64.to_int (Bitvec.to_int64 x)
-let[@inline] nmask w = (1 lsl w) - 1
+let width p s = p.env.Slot.widths.(s)
+let narrow_slot p s = s < 0 || not (Slot.is_wide (width p s))
 
-(* A [w]-bit value already masked to [w] bits. *)
-let native w v = if v < 256 then small.(w - 1).(v) else Bitvec.of_int ~width:w v
+(* The writer of a narrow output, which drops the value if the port has
+   no slot. *)
+let out p name = match p.output name with s when s >= 0 -> p.write s | _ -> ignore
 
-(* Bitvec's shift amount: 64 stands for any amount of 64 or more. *)
-let shift_amount s =
-  let v = Bitvec.to_int64 s in
-  if Int64.unsigned_compare v 64L >= 0 then 64 else Int64.to_int v
+(* The slow path, for a primitive with a wide port: read any input as an
+   int64, and write any output from an int64, masked to its width. *)
+let read64 p name =
+  let s = p.input name in
+  if Slot.is_wide (width p s) then
+    let a = p.env.wides in
+    fun () -> a.(s)
+  else
+    let a = p.env.ints in
+    fun () -> Int64.of_int a.(s)
+
+let write64 p name =
+  match p.output name with
+  | s when s < 0 -> ignore
+  | s ->
+      let w = width p s in
+      if Slot.is_wide w then
+        let f = p.write_wide s and m = Slot.mask64 w in
+        fun x -> f (Int64.logand x m)
+      else
+        let f = p.write s and m = Slot.mask w in
+        fun x -> f (Int64.to_int x land m)
+
+let bit b = if b then 1 else 0
+
+(* Native-int arithmetic of [w]-bit operands, [w <= Slot.narrow]: values
+   are non-negative, so signed compares and [/] are the unsigned ones. *)
+let narrow_arith op w o a l r =
+  let m = Slot.mask w in
+  match op with
+  | Add -> fun () -> o ((a.(l) + a.(r)) land m)
+  | Sub -> fun () -> o ((a.(l) - a.(r)) land m)
+  | Mul -> fun () -> o (a.(l) * a.(r) land m)
+  | And -> fun () -> o (a.(l) land a.(r))
+  | Or -> fun () -> o (a.(l) lor a.(r))
+  | Xor -> fun () -> o (a.(l) lxor a.(r))
+  | Lsh ->
+      fun () ->
+        let n = a.(r) in
+        o (if n >= w then 0 else (a.(l) lsl n) land m)
+  | Rsh ->
+      fun () ->
+        let n = a.(r) in
+        o (if n >= w then 0 else a.(l) lsr n)
+
+let narrow_cmp op o (a : int array) l r =
+  match op with
+  | Lt -> fun () -> o (bit (a.(l) < a.(r)))
+  | Gt -> fun () -> o (bit (a.(l) > a.(r)))
+  | Eq -> fun () -> o (bit (a.(l) = a.(r)))
+  | Neq -> fun () -> o (bit (a.(l) <> a.(r)))
+  | Le -> fun () -> o (bit (a.(l) <= a.(r)))
+  | Ge -> fun () -> o (bit (a.(l) >= a.(r)))
+
+(* The same on int64s, for [w] up to 64; [write64] masks the result. *)
+let wide_arith op w x y =
+  match op with
+  | Add -> Int64.add x y
+  | Sub -> Int64.sub x y
+  | Mul -> Int64.mul x y
+  | And -> Int64.logand x y
+  | Or -> Int64.logor x y
+  | Xor -> Int64.logxor x y
+  | Lsh when Int64.unsigned_compare y (Int64.of_int w) < 0 ->
+      Int64.shift_left x (Int64.to_int y)
+  | Rsh when Int64.unsigned_compare y (Int64.of_int w) < 0 ->
+      Int64.shift_right_logical x (Int64.to_int y)
+  | Lsh | Rsh -> 0L
+
+let wide_cmp op x y =
+  let c = Int64.unsigned_compare x y in
+  match op with
+  | Lt -> c < 0
+  | Gt -> c > 0
+  | Eq -> c = 0
+  | Neq -> c <> 0
+  | Le -> c <= 0
+  | Ge -> c >= 0
+
+let compile_comb p kind =
+  let ins =
+    List.map p.input
+      (match kind with
+      | Arith _ | Compare _ -> [ "left"; "right" ]
+      | Const _ -> []
+      | Wire | Slice _ | Pad _ | Not -> [ "in" ])
+  in
+  let o = p.output "out" in
+  let a = p.env.ints in
+  (* The operation's width: its first input's, or the constant's. *)
+  let w =
+    match (kind, ins) with
+    | Const v, _ -> Bitvec.width v
+    | _, s :: _ -> width p s
+    | _, [] -> 1
+  in
+  match (kind, ins) with
+  | Pad ow, [ i ] when ow < width p i ->
+      (* A narrowing pad raises Bitvec's width error, as the reference
+         does. *)
+      fun () -> ignore (Bitvec.zero_extend (Slot.get p.env i) ow)
+  | _ when List.for_all (narrow_slot p) (o :: ins) && not (Slot.is_wide w) -> (
+      let o = out p "out" in
+      match (kind, ins) with
+      | Const v, _ ->
+          let x = Slot.int_of_bits w v in
+          fun () -> o x
+      | (Wire | Pad _), [ i ] -> fun () -> o a.(i)
+      | Slice ow, [ i ] ->
+          let m = Slot.mask (min ow Slot.narrow) in
+          fun () -> o (a.(i) land m)
+      | Not, [ i ] ->
+          let m = Slot.mask w in
+          fun () -> o (lnot a.(i) land m)
+      | Arith op, [ l; r ] -> narrow_arith op w o a l r
+      | Compare op, [ l; r ] -> narrow_cmp op o a l r
+      | _ -> assert false)
+  | _ -> (
+      let o = write64 p "out" in
+      match (kind, ins) with
+      | Const v, _ ->
+          let x = Bitvec.to_int64 v in
+          fun () -> o x
+      | (Wire | Pad _ | Slice _), _ ->
+          let i = read64 p "in" in
+          fun () -> o (i ())
+      | Not, _ ->
+          let i = read64 p "in" in
+          fun () -> o (Int64.lognot (i ()))
+      | Arith op, _ ->
+          let l = read64 p "left" and r = read64 p "right" in
+          fun () -> o (wide_arith op w (l ()) (r ()))
+      | Compare op, _ ->
+          let l = read64 p "left" and r = read64 p "right" in
+          fun () -> o (if wide_cmp op (l ()) (r ()) then 1L else 0L))
 
 (* The flat element index the address ports select, or -1 when one of
    them is out of range. *)
-let staged_mem_address m ~read =
-  let dims = Array.of_list m.m_dims in
-  let thunks =
-    Array.of_list
-      (List.mapi (fun i _ -> read (Printf.sprintf "addr%d" i)) m.m_dims)
-  in
+let staged_mem_address p m =
+  let dims = m.m_dims in
   let n = Array.length dims in
-  fun () ->
-    let addr = ref 0 and i = ref 0 in
-    while !i < n do
-      let v = Bitvec.to_int (thunks.(!i) ()) in
-      if v >= dims.(!i) then begin
-        addr := -1;
-        i := n
-      end
-      else begin
-        addr := (!addr * dims.(!i)) + v;
-        incr i
-      end
-    done;
-    !addr
+  let slots = Array.init n (fun i -> p.input (addr_name i)) in
+  if Array.for_all (narrow_slot p) slots then begin
+    let a = p.env.ints in
+    fun () ->
+      let addr = ref 0 and i = ref 0 in
+      while !i < n do
+        let v = a.(slots.(!i)) in
+        if v >= dims.(!i) then begin
+          addr := -1;
+          i := n
+        end
+        else begin
+          addr := (!addr * dims.(!i)) + v;
+          incr i
+        end
+      done;
+      !addr
+  end
+  else fun () ->
+    match mem_address m ~read:(fun name -> Slot.get p.env (p.input name)) with
+    | Some a -> a
+    | None -> -1
 
-let t1 = Bitvec.one 1
-let f1 = Bitvec.zero 1
-
-let compile_step t ~read ~write =
-  let w name = match write name with Some f -> f | None -> fun _ -> () in
+let compile_step t p =
   match t with
-  | Comb (Const v) ->
-      let out = w "out" in
-      fun () -> out v
-  | Comb Wire ->
-      let out = w "out" and vin = read "in" in
-      fun () -> out (vin ())
-  | Comb (Slice ow) ->
-      let out = w "out" and vin = read "in" in
-      fun () -> out (Bitvec.truncate (vin ()) ow)
-  | Comb (Pad ow) ->
-      let out = w "out" and vin = read "in" in
-      fun () -> out (Bitvec.zero_extend (vin ()) ow)
-  | Comb (Arith op) ->
-      let out = w "out" and l = read "left" and r = read "right" in
-      let slow, f = arith_fn op in
-      let shift = op = Lsh || op = Rsh in
-      (* Operands of up to [narrow] bits compute on native ints; anything
-         else, the width error included, takes Bitvec's operator. *)
-      fun () ->
-        let a = l () and b = r () in
-        let w = Bitvec.width a in
-        if w > narrow then out (slow a b)
-        else if shift then
-          let n = shift_amount b in
-          out (native w (if n >= w then 0 else f (ival a) n land nmask w))
-        else if w <> Bitvec.width b then out (slow a b)
-        else out (native w (f (ival a) (ival b) land nmask w))
-  | Comb (Binop f) ->
-      let out = w "out" and l = read "left" and r = read "right" in
-      fun () -> out (f (l ()) (r ()))
-  | Comb (Unop f) ->
-      let out = w "out" and vin = read "in" in
-      fun () -> out (f (vin ()))
+  | Comb kind -> compile_comb p kind
   | Reg r ->
-      let out = w "out" and dn = w "done" in
-      fun () ->
-        out r.r_value;
-        dn (if r.r_done then t1 else f1)
+      let dn = out p "done" in
+      if Slot.is_wide r.r_width then
+        let o = write64 p "out" in
+        fun () ->
+          o r.r_wide;
+          dn (bit r.r_done)
+      else
+        let o = out p "out" in
+        fun () ->
+          o r.r_int;
+          dn (bit r.r_done)
   | Mem m ->
-      let rd = w "read_data" and dn = w "done" in
-      let zero = Bitvec.zero m.m_width in
-      let addr = staged_mem_address m ~read in
-      fun () ->
-        (let a = addr () in
-         rd (if a < 0 then zero else m.m_data.(a)));
-        dn (if m.m_done then t1 else f1)
-  | Pipe p -> (
-      let dn = w "done" in
-      let zero = Bitvec.zero p.p_width in
-      match p.p_op with
+      let dn = out p "done" in
+      let addr = staged_mem_address p m in
+      if Slot.is_wide m.m_width then
+        let rd = write64 p "read_data" in
+        fun () ->
+          (let a = addr () in
+           rd (if a < 0 then 0L else m.m_wides.(a)));
+          dn (bit m.m_done)
+      else
+        let rd = out p "read_data" in
+        fun () ->
+          (let a = addr () in
+           rd (if a < 0 then 0 else m.m_ints.(a)));
+          dn (bit m.m_done)
+  | Pipe pp -> (
+      let dn = out p "done" in
+      let wide = Slot.is_wide pp.p_width in
+      match pp.p_op with
       | Mult | Sqrt ->
-          let out = w "out" in
-          fun () ->
-            (match p.p_results with
-            | (_, v) :: _ -> out v
-            | [] -> out zero);
-            dn (if p.p_done then t1 else f1)
+          if wide then
+            let o = write64 p "out" in
+            fun () ->
+              o pp.p_wout;
+              dn (bit pp.p_done)
+          else
+            let o = out p "out" in
+            fun () ->
+              o pp.p_out;
+              dn (bit pp.p_done)
       | Div ->
-          let q = w "out_quotient" and r = w "out_remainder" in
-          fun () ->
-            (match p.p_results with
-            | [ (_, qv); (_, rv) ] ->
-                q qv;
-                r rv
-            | _ ->
-                q zero;
-                r zero);
-            dn (if p.p_done then t1 else f1))
+          if wide then
+            let q = write64 p "out_quotient" and r = write64 p "out_remainder" in
+            fun () ->
+              q pp.p_wout;
+              r pp.p_wrem;
+              dn (bit pp.p_done)
+          else
+            let q = out p "out_quotient" and r = out p "out_remainder" in
+            fun () ->
+              q pp.p_out;
+              r pp.p_rem;
+              dn (bit pp.p_done))
   | Custom c ->
-      (* Custom models read and write by name at runtime; stage lazily so
+      (* Custom models read and write by name at runtime, as Bitvec, so
          their behaviour (including errors on unknown ports) is
          unchanged. *)
       fun () ->
-        let rd name = (read name) () in
-        List.iter (fun (pname, v) -> (w pname) v) (c.c_outputs rd)
+        List.iter
+          (fun (name, v) ->
+            match p.output name with
+            | s when s < 0 -> ()
+            | s ->
+                let w = width p s in
+                if Slot.is_wide w then p.write_wide s (Slot.wide_of_bits w v)
+                else p.write s (Slot.int_of_bits w v))
+          (c.c_outputs (fun name -> Slot.get p.env (p.input name)))
 
 (* What a staged clock edge reports, as a bit set. *)
 let edge_changed = 1
 let edge_again = 2
 
-let compile_commit t ~read =
+let compile_commit t p =
+  let a = p.env.ints in
   match t with
   | Comb _ -> None
   | Custom c ->
       Some
         (fun () ->
-          c.c_commit (fun name -> (read name) ());
+          c.c_commit (fun name -> Slot.get p.env (p.input name));
           edge_changed lor edge_again)
   | Reg r ->
-      let we = read "write_en" and vin = read "in" in
-      Some
-        (fun () ->
-          if Bitvec.is_true (we ()) then begin
-            let v = vin () in
-            let changed = (not r.r_done) || not (Bitvec.equal r.r_value v) in
-            r.r_value <- v;
-            r.r_done <- true;
-            if changed then edge_changed else 0
-          end
-          else begin
-            let changed = r.r_done in
-            r.r_done <- false;
-            if changed then edge_changed else 0
-          end)
+      let we = p.input "write_en" in
+      let idle () =
+        let changed = r.r_done in
+        r.r_done <- false;
+        if changed then edge_changed else 0
+      in
+      if Slot.is_wide r.r_width then
+        let vin = read64 p "in" in
+        Some
+          (fun () ->
+            if a.(we) = 0 then idle ()
+            else begin
+              let v = vin () in
+              let changed = (not r.r_done) || not (Int64.equal r.r_wide v) in
+              r.r_wide <- v;
+              r.r_done <- true;
+              if changed then edge_changed else 0
+            end)
+      else
+        let vin = p.input "in" in
+        Some
+          (fun () ->
+            if a.(we) = 0 then idle ()
+            else begin
+              let v = a.(vin) in
+              let changed = (not r.r_done) || r.r_int <> v in
+              r.r_int <- v;
+              r.r_done <- true;
+              if changed then edge_changed else 0
+            end)
   | Mem m ->
-      let we = read "write_en" and wd = read "write_data" in
-      let addr = staged_mem_address m ~read in
+      let we = p.input "write_en" in
+      let addr = staged_mem_address p m in
+      let store =
+        if Slot.is_wide m.m_width then
+          let wd = read64 p "write_data" in
+          fun i -> m.m_wides.(i) <- wd ()
+        else
+          let wd = p.input "write_data" in
+          fun i -> m.m_ints.(i) <- a.(wd)
+      in
       Some
         (fun () ->
-          if Bitvec.is_true (we ()) then begin
-            (let a = addr () in
-             if a >= 0 then m.m_data.(a) <- wd ());
+          if a.(we) <> 0 then begin
+            (let i = addr () in
+             if i >= 0 then store i);
             m.m_done <- true;
             edge_changed
           end
@@ -451,66 +632,96 @@ let compile_commit t ~read =
             m.m_done <- false;
             if changed then edge_changed else 0
           end)
-  | Pipe p ->
-      let go = read "go" in
+  | Pipe pp ->
+      let go = p.input "go" in
+      let w = pp.p_width in
       let compute, target =
-        match p.p_op with
-        | Mult ->
-            let l = read "left" and r = read "right" in
-            ( (fun () -> [ ("out", Bitvec.mul (l ()) (r ())) ]),
-              fun () -> Option.get p.p_fixed_latency )
-        | Div ->
-            let l = read "left" and r = read "right" in
-            ( (fun () ->
-                let lv = l () and rv = r () in
-                [
-                  ("out_quotient", Bitvec.div lv rv);
-                  ("out_remainder", Bitvec.rem lv rv);
-                ]),
-              fun () -> Option.get p.p_fixed_latency )
-        | Sqrt ->
-            let i = read "in" in
-            ( (fun () ->
-                [
-                  ( "out",
-                    Bitvec.make ~width:p.p_width
-                      (isqrt (Bitvec.to_int64 (i ()))) );
-                ]),
-              fun () ->
-                match p.p_fixed_latency with
-                | Some l -> l
-                | None -> sqrt_cycles (Bitvec.to_int64 (i ())) )
+        let fixed () = Option.get pp.p_fixed_latency in
+        if Slot.is_wide w then
+          let m = Slot.mask64 w in
+          match pp.p_op with
+          | Mult ->
+              let l = read64 p "left" and r = read64 p "right" in
+              ( (fun () -> pp.p_wout <- Int64.logand (Int64.mul (l ()) (r ())) m),
+                fixed )
+          | Div ->
+              let l = read64 p "left" and r = read64 p "right" in
+              ( (fun () ->
+                  let lv = l () and rv = r () in
+                  if Int64.equal rv 0L then begin
+                    pp.p_wout <- m;
+                    pp.p_wrem <- lv
+                  end
+                  else begin
+                    pp.p_wout <- Int64.unsigned_div lv rv;
+                    pp.p_wrem <- Int64.unsigned_rem lv rv
+                  end),
+                fixed )
+          | Sqrt ->
+              let i = read64 p "in" in
+              ( (fun () -> pp.p_wout <- Int64.logand (isqrt (i ())) m),
+                fun () ->
+                  match pp.p_fixed_latency with
+                  | Some l -> l
+                  | None -> sqrt_cycles (i ()) )
+        else
+          let m = Slot.mask w in
+          match pp.p_op with
+          | Mult ->
+              let l = p.input "left" and r = p.input "right" in
+              ((fun () -> pp.p_out <- a.(l) * a.(r) land m), fixed)
+          | Div ->
+              let l = p.input "left" and r = p.input "right" in
+              ( (fun () ->
+                  let lv = a.(l) and rv = a.(r) in
+                  if rv = 0 then begin
+                    pp.p_out <- m;
+                    pp.p_rem <- lv
+                  end
+                  else begin
+                    pp.p_out <- lv / rv;
+                    pp.p_rem <- lv mod rv
+                  end),
+                fixed )
+          | Sqrt ->
+              let i = p.input "in" in
+              ( (fun () -> pp.p_out <- Int64.to_int (isqrt (Int64.of_int a.(i)))),
+                fun () ->
+                  match pp.p_fixed_latency with
+                  | Some l -> l
+                  | None -> sqrt_cycles (Int64.of_int a.(i)) )
       in
       Some
         (fun () ->
-          let was_done = p.p_done and was_results = p.p_results in
+          let was_done = pp.p_done in
           (* With go low the edge clears the unit, which is idempotent;
-             with go high it counts, so the next edge must run too. *)
-          let again =
-            if not (Bitvec.is_true (go ())) then begin
-              p.p_counter <- 0;
-              p.p_done <- false;
-              0
+             with go high it counts, so the next edge must run too. A
+             result computed anew counts as a change. *)
+          let again, computed =
+            if a.(go) = 0 then begin
+              pp.p_counter <- 0;
+              pp.p_done <- false;
+              (0, false)
             end
-            else if p.p_done then begin
+            else if pp.p_done then begin
               (* go held through the done cycle: restart. *)
-              p.p_done <- false;
-              p.p_counter <- 0;
-              edge_again
+              pp.p_done <- false;
+              pp.p_counter <- 0;
+              (edge_again, false)
             end
             else begin
-              if p.p_counter = 0 then p.p_target <- target ();
-              p.p_counter <- p.p_counter + 1;
-              if p.p_counter >= p.p_target then begin
-                p.p_results <- compute ();
-                p.p_done <- true;
-                p.p_counter <- 0
-              end;
-              edge_again
+              if pp.p_counter = 0 then pp.p_target <- target ();
+              pp.p_counter <- pp.p_counter + 1;
+              if pp.p_counter >= pp.p_target then begin
+                compute ();
+                pp.p_done <- true;
+                pp.p_counter <- 0;
+                (edge_again, true)
+              end
+              else (edge_again, false)
             end
           in
-          if p.p_done <> was_done || p.p_results != was_results then
-            again lor edge_changed
+          if pp.p_done <> was_done || computed then again lor edge_changed
           else again)
 
 let reset = function
@@ -521,10 +732,13 @@ let reset = function
   | Pipe p ->
       p.p_counter <- 0;
       p.p_done <- false;
-      p.p_results <- []
+      p.p_out <- 0;
+      p.p_rem <- 0;
+      p.p_wout <- 0L;
+      p.p_wrem <- 0L
 
 let get_register = function
-  | Reg r -> r.r_value
+  | Reg r -> reg_get r
   | _ -> sim_error "not a register"
 
 let set_register t v =
@@ -532,23 +746,25 @@ let set_register t v =
   | Reg r ->
       if Bitvec.width v <> r.r_width then
         sim_error "register width mismatch: %d vs %d" (Bitvec.width v) r.r_width;
-      r.r_value <- v
+      reg_set r v
   | _ -> sim_error "not a register"
 
+let mem_length m = Array.length m.m_ints + Array.length m.m_wides
+
 let get_memory = function
-  | Mem m -> Array.copy m.m_data
+  | Mem m -> Array.init (mem_length m) (mem_get m)
   | _ -> sim_error "not a memory"
 
 let set_memory t data =
   match t with
   | Mem m ->
-      if Array.length data <> Array.length m.m_data then
+      if Array.length data <> mem_length m then
         sim_error "memory size mismatch: %d vs %d" (Array.length data)
-          (Array.length m.m_data);
+          (mem_length m);
       Array.iteri
         (fun i v ->
           if Bitvec.width v <> m.m_width then
             sim_error "memory element width mismatch at %d" i
-          else m.m_data.(i) <- v)
+          else mem_set m i v)
         data
   | _ -> sim_error "not a memory"

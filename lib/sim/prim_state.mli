@@ -1,8 +1,12 @@
 (** Behavioural models of the Calyx standard primitives.
 
-    Each instantiated primitive cell carries a {!t}. Per clock cycle the
-    simulator calls {!outputs} (possibly many times, during combinational
-    fixpoint iteration) and then {!commit} exactly once at the clock edge.
+    Each instantiated primitive cell carries a {!t}: its registered
+    values, stored as {!Slot} stores a value of their width. Per clock
+    cycle the fixpoint engine calls {!outputs} (possibly many times,
+    during combinational fixpoint iteration) and then {!commit} exactly
+    once at the clock edge, both on {!Calyx.Bitvec}; the compiled engine
+    runs the staged forms, {!compile_step} and {!compile_commit}, on
+    native ints.
 
     Timing contract: a go/done primitive of latency [L] that sees its
     go/write-enable raised during cycle [t] commits its result at the end of
@@ -26,23 +30,31 @@ val outputs : t -> read:(string -> Bitvec.t) -> (string * Bitvec.t) list
 val commit : t -> read:(string -> Bitvec.t) -> unit
 (** Clock edge: update internal state from the input ports. *)
 
-val compile_step :
-  t ->
-  read:(string -> unit -> Bitvec.t) ->
-  write:(string -> (Bitvec.t -> unit) option) ->
-  unit ->
-  unit
-(** Staged {!outputs} for the compiled engine: [read]/[write] resolve a
-    port name to a slot thunk/writer once at build time, and the
-    returned closure evaluates the primitive's outputs with no string
-    lookups or list allocation per call. [write] answering [None] drops
-    that output. Behaviourally identical to {!outputs}. *)
+(** {1 Staged evaluation (the compiled engine)} *)
+
+type ports = {
+  env : Slot.env;  (** the instance's slot values *)
+  input : string -> int;
+      (** an input port's slot; raises {!Sim_error} for an unknown name *)
+  output : string -> int;  (** an output port's slot, or -1 to drop it *)
+  write : int -> int -> unit;
+      (** [write s] is the writer of narrow output slot [s] *)
+  write_wide : int -> int64 -> unit;  (** the same for a wide slot *)
+}
+(** Where a staged primitive reads its inputs and sends its outputs. *)
+
+val compile_step : t -> ports -> unit -> unit
+(** Staged {!outputs} for the compiled engine: port names are resolved
+    to slots, and each port's narrow or wide storage chosen, once at
+    build time; the returned closure reads the slots and calls the
+    writers with no string lookups, and on narrow ports no allocation,
+    per call. Its arithmetic is its own, on native ints, and behaves
+    like {!outputs}'s on Bitvec. *)
 
 val edge_changed : int
 val edge_again : int
 
-val compile_commit :
-  t -> read:(string -> unit -> Bitvec.t) -> (unit -> int) option
+val compile_commit : t -> ports -> (unit -> int) option
 (** Staged {!commit}: same clock-edge semantics, names resolved at build
     time; [None] for a combinational primitive, which has no edge. The
     closure returns a bit set, the compiled engine's commit-time

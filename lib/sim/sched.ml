@@ -273,7 +273,9 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
       if scc_cyclic.(id) then
         by_level.(scc_level.(id)) <- id :: by_level.(scc_level.(id))
     done;
-    Array.map (fun ids -> Array.of_list (List.rev ids)) by_level
+    let a = Array.make nlevels [||] in
+    Array.iteri (fun l ids -> a.(l) <- Array.of_list (List.rev ids)) by_level;
+    a
   in
   {
     n;
@@ -298,11 +300,23 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
       List.iter source sources;
       List.iter write writes)
 
-(* The bucket of every acyclic component, which is never pushed to. *)
+(* The bucket of every acyclic component, which is never pushed to; it
+   also fills the bucket arrays before their buckets are made, as OCaml 5
+   runs a minor collection before it makes a large array from a young
+   value. *)
 let unused = { data = [||]; len = 0 }
 
 let create topo =
   let n = topo.n in
+  let acyclic_bucket = Array.make topo.nlevels unused in
+  Array.iteri
+    (fun l size -> acyclic_bucket.(l) <- vec_sized size)
+    topo.level_acyclic;
+  (* Only a cyclic component is ever queued on its own bucket. *)
+  let scc_bucket = Array.make (Array.length topo.scc_cyclic) unused in
+  Array.iteri
+    (fun id cyclic -> if cyclic then scc_bucket.(id) <- vec_sized topo.scc_size.(id))
+    topo.scc_cyclic;
   {
     topo;
     t_rstart = topo.rstart;
@@ -312,12 +326,8 @@ let create topo =
     t_cyclic = topo.cyclic;
     t_scc = topo.scc;
     blocked = Array.make (max n 1) false;
-    acyclic_bucket = Array.map vec_sized topo.level_acyclic;
-    scc_bucket =
-      (* Only a cyclic component is ever queued on its own bucket. *)
-      Array.mapi
-        (fun id cyclic -> if cyclic then vec_sized topo.scc_size.(id) else unused)
-        topo.scc_cyclic;
+    acyclic_bucket;
+    scc_bucket;
     dirty = Array.make (max n 1) false;
     pending = Array.make topo.nlevels 0;
     npending = 0;

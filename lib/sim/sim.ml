@@ -52,11 +52,22 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
   let ports = ports_of comp in
   let id = Ports.id ports in
   let slots = Ports.count ports in
-  let zeros =
+  let widths =
     Array.init (max slots 1) (fun i ->
-        Bitvec.zero (if i < slots then Ports.width_of_id ports i else 1))
+        if i < slots then Ports.width_of_id ports i else 1)
   in
-  let resolve = Ports.resolve_assignment ports in
+  (* The engines copy a source into its destination as stored, so the two
+     must be one width, as the checker demands (CX006). *)
+  let resolve a =
+    let ra = Ports.resolve_assignment ports a in
+    let src_width =
+      match ra.src with Port s -> widths.(s) | Lit v -> Bitvec.width v
+    in
+    if src_width <> widths.(ra.dst) then
+      ir_error "simulator: width mismatch in %a = %a (%d vs %d)" pp_port_ref
+        a.dst pp_atom a.src widths.(ra.dst) src_width;
+    ra
+  in
   (* Each prototype's ports and model, planned at its first cell. *)
   let protos = Hashtbl.create 8 in
   let new_proto proto ~make ~ports ~comb =
@@ -161,17 +172,16 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
     Array.map (fun g -> id (Hole (g.group_name, hole))) groups
   in
   let group_done = hole_slots "done" in
-  let group_assigns =
-    Array.mapi
-      (fun i g ->
-        let dones, datas =
-          List.partition
-            (fun ra -> ra.dst = group_done.(i))
-            (List.map resolve g.assigns)
-        in
-        (Array.of_list dones, Array.of_list datas))
-      groups
-  in
+  let group_assigns = Array.make (Array.length groups) ([||], [||]) in
+  Array.iteri
+    (fun i g ->
+      let dones, datas =
+        List.partition
+          (fun ra -> ra.dst = group_done.(i))
+          (List.map resolve g.assigns)
+      in
+      group_assigns.(i) <- (Array.of_list dones, Array.of_list datas))
+    groups;
   let input_slots =
     List.map (fun pd -> (pd.pd_name, id (This pd.pd_name))) comp.inputs
   in
@@ -181,14 +191,14 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
   let ictrl = annotate ~group comp.control in
   let go_slot = List.assoc "go" input_slots in
   let group_go = hole_slots "go" in
-  let continuous = Array.of_list (List.map resolve comp.continuous) in
+  let continuous = array_of_list no_assign (List.map resolve comp.continuous) in
   {
     p_comp = comp;
     p_ports = ports;
     p_slots = slots;
-    p_zeros = zeros;
-    p_cells = Array.of_list (List.rev !cells);
-    p_prims = Array.of_list (List.rev !prims);
+    p_widths = widths;
+    p_cells = array_of_list (Prim_cell 0) (List.rev !cells);
+    p_prims = array_of_list no_prim_plan (List.rev !prims);
     p_children = Array.of_list (List.rev !children);
     p_continuous = continuous;
     p_groups = groups;
@@ -219,11 +229,13 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
             instantiate ~engine ~max_iters ~compiled_of ~path:child_path
               cp.cp_plan
           in
-          let czeros = cp.cp_plan.p_zeros in
+          let cwidths = cp.cp_plan.p_widths in
           children :=
             { c_plan = cp;
               c_inst = inst;
-              c_buf = Array.map (fun (_, cslot) -> czeros.(cslot)) cp.cp_input_map;
+              c_buf =
+                Slot.create
+                  (Array.map (fun (_, cslot) -> cwidths.(cslot)) cp.cp_input_map);
               c_buf_valid = false }
             :: !children)
     plan.p_cells;
@@ -231,9 +243,9 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
     {
       i_plan = plan;
       i_path = path;
-      i_env = Array.copy plan.p_zeros;
-      i_next = [||];
-      i_prims = Array.of_list (List.rev !prims);
+      i_env = Slot.create plan.p_widths;
+      i_next = no_env;
+      i_prims = array_of_list no_prim (List.rev !prims);
       i_children = Array.of_list (List.rev !children);
       i_ctrl = CDone;
       i_running = false;
@@ -253,14 +265,17 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
 (* The fixpoint reference engine                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The fixpoint engine reads and writes the slots through Slot's
+   conversion and computes on Bitvec, so the engine differential compares
+   two independent implementations. *)
 let prim_reader env (pp : prim_plan) name =
   match input_slot pp name with
-  | slot when slot >= 0 -> env.(slot)
+  | slot when slot >= 0 -> Slot.get env slot
   | _ ->
       (* Reading an output during commit (never happens) or a missing port. *)
       raise (Prim_state.Sim_error ("unknown primitive input " ^ name))
 
-let rec eval_comb inst (inputs : Bitvec.t array) =
+let rec eval_comb inst (inputs : Slot.env) =
   (* [inputs] is indexed in the order of [p_input_slots]. *)
   let plan = inst.i_plan in
   let n = plan.p_slots in
@@ -274,23 +289,22 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
            (Printf.sprintf "component %s: combinational fixpoint diverged"
               plan.p_comp.comp_name));
     changed := false;
-    if Array.length inst.i_next = 0 then inst.i_next <- Array.copy plan.p_zeros;
+    if inst.i_next == no_env then inst.i_next <- Slot.create plan.p_widths;
     let old = inst.i_env and next = inst.i_next in
-    Array.blit plan.p_zeros 0 next 0 n;
+    Slot.clear next;
     (* Component inputs. *)
     List.iteri
-      (fun i (_, slot) -> next.(slot) <- inputs.(i))
+      (fun i (_, slot) -> Slot.set next slot (Slot.get inputs i))
       plan.p_input_slots;
     (* go holes of active groups. *)
-    let go = Bitvec.is_true next.(plan.p_go_slot) in
+    let go = Slot.is_true next plan.p_go_slot in
     let actives = active_groups inst ~go in
     let group_live (g, gated) =
-      (not gated)
-      || not (Bitvec.is_true old.(plan.p_group_done.(g)))
+      (not gated) || not (Slot.is_true old plan.p_group_done.(g))
     in
     List.iter
       (fun ((g, _) as entry) ->
-        next.(plan.p_group_go.(g)) <-
+        Slot.set next plan.p_group_go.(g)
           (if group_live entry then Bitvec.one 1 else Bitvec.zero 1))
       actives;
     (* Primitive outputs, from the previous iteration's inputs. *)
@@ -301,7 +315,7 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
         List.iter
           (fun (q, v) ->
             match output_slot pp q with
-            | slot when slot >= 0 -> next.(slot) <- v
+            | slot when slot >= 0 -> Slot.set next slot v
             | _ -> ())
           outs)
       inst.i_prims;
@@ -313,9 +327,9 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
         let recompute = ref (not ch.c_buf_valid) in
         Array.iteri
           (fun i (pslot, _) ->
-            let v = old.(pslot) in
-            if not (Bitvec.equal ch.c_buf.(i) v) then begin
-              ch.c_buf.(i) <- v;
+            let v = Slot.get old pslot in
+            if not (Bitvec.equal (Slot.get ch.c_buf i) v) then begin
+              Slot.set ch.c_buf i v;
               recompute := true
             end)
           cp.cp_input_map;
@@ -324,17 +338,18 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
           ch.c_buf_valid <- true
         end;
         Array.iter
-          (fun (cslot, pslot) -> next.(pslot) <- ch.c_inst.i_env.(cslot))
+          (fun (cslot, pslot) ->
+            Slot.set next pslot (Slot.get ch.c_inst.i_env cslot))
           cp.cp_output_map;
         (* Structured children report a registered done. *)
         if cp.cp_plan.p_structured then
-          next.(cp.cp_done_slot) <-
+          Slot.set next cp.cp_done_slot
             (if ch.c_inst.i_done_reg then Bitvec.one 1 else Bitvec.zero 1))
       inst.i_children;
     (* Active assignments, reading the previous iteration. *)
     let run_assign ra =
       if guard_holds old ra.guard then
-        next.(ra.dst) <- atom_value old ra.src
+        Slot.set next ra.dst (atom_value old ra.src)
     in
     Array.iter run_assign plan.p_continuous;
     List.iter
@@ -346,7 +361,7 @@ let rec eval_comb inst (inputs : Bitvec.t array) =
     (* Converged? *)
     (try
        for i = 0 to n - 1 do
-         if not (Bitvec.equal old.(i) next.(i)) then raise Exit
+         if not (Slot.equal_at old next i) then raise Exit
        done
      with Exit -> changed := true);
     inst.i_env <- next;
@@ -416,16 +431,14 @@ let rec commit ~now ~csink inst =
               | Ctrl_enter -> emit_next phase id
               | Ctrl_exit | Ctrl_branch _ -> emit_start phase id )
     in
-    let go = Bitvec.is_true env.(plan.p_go_slot) in
+    let go = Slot.is_true env plan.p_go_slot in
     if (not inst.i_running) && go then begin
       inst.i_running <- true;
       inst.i_ctrl <- cstart ~emit:emit_start plan.p_ictrl
     end;
     if inst.i_running then begin
-      let group_done g = Bitvec.is_true env.(plan.p_group_done.(g)) in
-      let port_true p =
-        Bitvec.is_true env.(Ports.id plan.p_ports p)
-      in
+      let group_done g = Slot.is_true env plan.p_group_done.(g) in
+      let port_true p = Slot.is_true env (Ports.id plan.p_ports p) in
       inst.i_ctrl <- cadvance ~emit:emit_adv inst.i_ctrl ~group_done ~port_true;
       if inst.i_ctrl = CDone then begin
         inst.i_running <- false;
@@ -469,7 +482,7 @@ type sink = event -> unit
 
 type t = {
   root : instance;
-  inputs : Bitvec.t array;  (* indexed like the root's p_input_slots *)
+  inputs : Slot.env;  (* indexed like the root's p_input_slots *)
   mutable finished : bool;
   mutable cycles : int;  (* clock edges since creation *)
   mutable sink : sink option;
@@ -509,13 +522,11 @@ let create ?(externs = []) ?(engine = default_engine)
     instantiate ~engine ~max_iters:max_fixpoint_iters ~compiled_of ~path:""
       (plan_of comp)
   in
+  let widths = root.i_plan.p_widths in
   let inputs =
-    Array.of_list
-      (List.map
-         (fun (name, _) ->
-           Bitvec.zero
-             (List.find (fun pd -> pd.pd_name = name) comp.inputs).pd_width)
-         root.i_plan.p_input_slots)
+    Slot.create
+      (Array.of_list
+         (List.map (fun (_, slot) -> widths.(slot)) root.i_plan.p_input_slots))
   in
   {
     root;
@@ -549,7 +560,7 @@ let build_probes t =
       acc :=
         ( {
             sig_path = prefix ^ local;
-            sig_width = Bitvec.width plan.p_zeros.(slot);
+            sig_width = plan.p_widths.(slot);
             sig_instance = inst_path;
             sig_kind = kind;
           },
@@ -616,9 +627,9 @@ let cycles_elapsed t = t.cycles
 
 let capture_values t =
   let _, slots = probes t in
-  Array.map (fun (inst, slot) -> inst.i_env.(slot)) slots
+  Array.map (fun (inst, slot) -> Slot.get inst.i_env slot) slots
 
-let instance_go inst = Bitvec.is_true inst.i_env.(inst.i_plan.p_go_slot)
+let instance_go inst = Slot.is_true inst.i_env inst.i_plan.p_go_slot
 
 let collect_active t =
   let rec walk prefix inst acc =
@@ -725,7 +736,7 @@ let status t =
 let set_input t name v =
   let rec go i = function
     | [] -> ir_error "no input port %s" name
-    | (n, _) :: _ when String.equal n name -> t.inputs.(i) <- v
+    | (n, _) :: _ when String.equal n name -> Slot.set t.inputs i v
     | _ :: rest -> go (i + 1) rest
   in
   go 0 t.root.i_plan.p_input_slots
@@ -735,7 +746,7 @@ let read_output t name =
   | Some slot ->
       if String.equal name "done" && t.root.i_plan.p_structured then
         if t.root.i_done_reg then Bitvec.one 1 else Bitvec.zero 1
-      else t.root.i_env.(slot)
+      else Slot.get t.root.i_env slot
   | None -> ir_error "no output port %s" name
 
 let engine t : engine =
@@ -783,7 +794,7 @@ let cycle t =
     (not t.root.i_plan.p_structured)
     &&
     match t.done_slot with
-    | Some s -> Bitvec.is_true t.root.i_env.(s)
+    | Some s -> Slot.is_true t.root.i_env s
     | None -> raise Not_found
   in
   commit ~now:t.cycles ~csink:t.ctrl_sink t.root;

@@ -20,11 +20,16 @@
     slots, its assignments resolved over them, its groups numbered once
     in declaration order. Every instance of it is one record with its own
     values, primitives, children and control state; both evaluation
-    {b engines} read the two. The engines implement the settle:
+    {b engines} read the two. An instance's values are native ints
+    ({!Slot}: an [int] per slot of up to 62 bits, an [int64] per wider
+    one); {!Calyx.Bitvec} is the type only at this interface's edges and
+    in the fixpoint engine's arithmetic. The engines implement the
+    settle:
 
     - [`Fixpoint] — the reference engine: dense Jacobi iteration
       re-evaluating every assignment and primitive until the full
-      environment stops changing. The semantic oracle.
+      environment stops changing, computing on [Bitvec] through one
+      width-aware conversion of the slots. The semantic oracle.
     - [`Compiled] (the default) — a static slot-dependency graph is built
       per component at construction time, condensed into strongly
       connected components and levelized ({!Sched}), with guards
@@ -99,7 +104,10 @@ val create :
   ?max_fixpoint_iters:int ->
   Ir.context ->
   t
-(** Instantiate the entrypoint component of a program. [externs] supplies
+(** Instantiate the entrypoint component of a program. Raises
+    [Ir.Ir_error] on a port that does not resolve and on an assignment
+    whose source and destination widths differ (which the checker
+    reports as CX006). [externs] supplies
     behavioural models for [extern] black-box components by component name
     (the simulation-side analogue of linking the referenced [.sv] file,
     Section 6.2); a fresh state is made per instance. [engine] selects the
@@ -233,7 +241,8 @@ val add_ctrl_sink : t -> ctrl_sink -> unit
 (** Attach a control-event observer in addition to any already installed. *)
 
 val set_input : t -> string -> Bitvec.t -> unit
-(** Set a top-level input port value (held until changed). *)
+(** Set a top-level input port value (held until changed), truncated or
+    zero-extended to the port's width. *)
 
 val read_output : t -> string -> Bitvec.t
 (** The value of a top-level output port after the last {!cycle}. *)

@@ -597,6 +597,99 @@ let test_sqrt_prim () =
       Alcotest.failf "isqrt %d wrong: %Ld" i r
   done
 
+(* Values at the edges of the simulator's storage: a slot of up to 62
+   bits holds a native int, a wider one an int64, so widths 62, 63 and 64
+   take different paths through both engines. One program per width adds,
+   subtracts and compares two registers, picks the larger through guard
+   comparisons, slices and pads, multiplies on the pipelined unit and
+   stores into a memory; the test bench pokes the operands and a memory
+   word and peeks every result through [Testbench.io]. *)
+let width_program w =
+  let h = (w + 1) / 2 in
+  Printf.sprintf
+    {|component main(go: 1) -> (done: 1) {
+  cells {
+    a = std_reg(%d); b = std_reg(%d);
+    add = std_add(%d); sub = std_sub(%d); lt = std_lt(%d);
+    sl = std_slice(%d, %d); pad = std_pad(%d, %d); mul = std_mult_pipe(%d);
+    sum = std_reg(%d); diff = std_reg(%d); less = std_reg(1);
+    big = std_reg(%d); low = std_reg(%d); prod = std_reg(%d);
+    m = std_mem_d1(%d, 4, 2);
+  }
+  wires {
+    group arith {
+      add.left = a.out; add.right = b.out; sum.in = add.out; sum.write_en = 1'd1;
+      sub.left = a.out; sub.right = b.out; diff.in = sub.out; diff.write_en = 1'd1;
+      lt.left = a.out; lt.right = b.out; less.in = lt.out; less.write_en = 1'd1;
+      arith[done] = sum.done;
+    }
+    group pick {
+      big.in = a.out > b.out ? a.out;
+      big.in = a.out <= b.out ? b.out;
+      big.write_en = 1'd1;
+      pick[done] = big.done;
+    }
+    group halve {
+      sl.in = a.out; pad.in = sl.out; low.in = pad.out; low.write_en = 1'd1;
+      halve[done] = low.done;
+    }
+    group multiply {
+      mul.left = a.out; mul.right = b.out; mul.go = !mul.done ? 1'd1;
+      prod.in = mul.out; prod.write_en = mul.done;
+      multiply[done] = prod.done;
+    }
+    group store {
+      m.addr0 = 2'd1; m.write_data = sum.out; m.write_en = 1'd1;
+      store[done] = m.done;
+    }
+  }
+  control { seq { arith; pick; halve; multiply; store; } }
+}|}
+    w w w w w w h h w w w w w w w w
+
+let test_width_edges () =
+  let mask w = if w = 64 then -1L else Int64.pred (Int64.shift_left 1L w) in
+  List.iter
+    (fun w ->
+      let m = mask w and h = (w + 1) / 2 in
+      let ones = m and alt = Int64.logand 0x5555555555555555L m in
+      let alt' = Int64.logand 0xAAAAAAAAAAAAAAAAL m in
+      let ctx = Parser.parse_string (width_program w) in
+      Well_formed.check ctx;
+      let bits v = Bitvec.make ~width:w v in
+      List.iter
+        (fun (engine, (a, b)) ->
+          let what = Printf.sprintf "width %d, %s, a=%Lx b=%Lx" w
+              (Calyx_sim.Sim.engine_name engine) a b in
+          let sim = Calyx_sim.Sim.create ~engine ctx in
+          let io = Calyx_sim.Testbench.of_sim sim in
+          io.write_register "a" (bits a);
+          io.write_register "b" (bits b);
+          io.write_memory "m" [| bits ones; bits 0L; bits 0L; bits alt |];
+          ignore (Calyx_sim.Sim.run sim);
+          let reg name = Bitvec.to_int64 (io.read_register name) in
+          let check name expected =
+            Alcotest.(check int64) (what ^ ": " ^ name) expected (reg name)
+          in
+          let sum = Int64.logand (Int64.add a b) m in
+          check "sum" sum;
+          check "diff" (Int64.logand (Int64.sub a b) m);
+          check "less" (if Int64.unsigned_compare a b < 0 then 1L else 0L);
+          check "big" (if Int64.unsigned_compare a b > 0 then a else b);
+          check "low" (Int64.logand a (mask h));
+          check "prod" (Int64.logand (Int64.mul a b) m);
+          Alcotest.(check (list int64)) (what ^ ": memory")
+            [ ones; sum; 0L; alt ]
+            (Array.to_list (Array.map Bitvec.to_int64 (io.read_memory "m")));
+          Alcotest.(check int) (what ^ ": result width") w
+            (Bitvec.width (io.read_register "sum")))
+        (List.concat_map
+           (fun e ->
+             [ (e, (ones, alt)); (e, (alt, ones)); (e, (ones, ones));
+               (e, (alt', alt)) ])
+           [ `Fixpoint; `Compiled ]))
+    [ 1; 8; 62; 63; 64 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -628,6 +721,7 @@ let () =
           Alcotest.test_case "extern behavioural model" `Quick
             test_extern_behavioural_model;
           Alcotest.test_case "2-D memory" `Quick test_mem_d2;
+          Alcotest.test_case "widths 1, 8, 62, 63, 64" `Quick test_width_edges;
           Alcotest.test_case "slice/pad/shift/xor" `Quick
             test_width_adapters_and_ops;
           Alcotest.test_case "pipelined divider" `Quick test_div_pipe;
