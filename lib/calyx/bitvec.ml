@@ -12,9 +12,22 @@ let check_width w =
   if w < 1 || w > max_width then
     width_error "bit vector width %d out of range [1, %d]" w max_width
 
+(* Bit vectors are immutable, so small values — the 1-bit control wires,
+   done flags and little counters that dominate traffic numerically — are
+   interned rather than re-allocated: a {w; boxed int64} pair costs two
+   heap blocks per [make], and the simulators mint millions of them. *)
+let interned =
+  Array.init max_width (fun wi ->
+      let w = wi + 1 in
+      Array.init 256 (fun v ->
+          { w; v = Int64.logand (Int64.of_int v) (mask w) }))
+
 let make ~width v =
   check_width width;
-  { w = width; v = Int64.logand v (mask width) }
+  let v = Int64.logand v (mask width) in
+  if Int64.unsigned_compare v 255L <= 0 then
+    interned.(width - 1).(Int64.to_int v)
+  else { w = width; v }
 
 let of_int ~width v = make ~width (Int64.of_int v)
 let zero w = make ~width:w 0L
@@ -77,7 +90,7 @@ let shift_right a s =
   if n >= a.w then zero a.w
   else make ~width:a.w (Int64.shift_right_logical a.v n)
 
-let bool_bit b = if b then one 1 else zero 1
+let bool_bit b = if b then interned.(0).(1) else interned.(0).(0)
 
 let cmp op f a b =
   same_width op a b;

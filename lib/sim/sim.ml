@@ -265,9 +265,10 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
 (* The fixpoint reference engine                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The fixpoint engine reads and writes the slots through Slot's
-   conversion and computes on Bitvec, so the engine differential compares
-   two independent implementations. *)
+(* The fixpoint engine computes on Bitvec, reading and writing the slots
+   through Slot's conversion, so the engine differential compares two
+   independent implementations; a value it only moves (an input, a
+   child's port, an assignment's source) is copied as stored. *)
 let prim_reader env (pp : prim_plan) name =
   match input_slot pp name with
   | slot when slot >= 0 -> Slot.get env slot
@@ -294,7 +295,7 @@ let rec eval_comb inst (inputs : Slot.env) =
     Slot.clear next;
     (* Component inputs. *)
     List.iteri
-      (fun i (_, slot) -> Slot.set next slot (Slot.get inputs i))
+      (fun i (_, slot) -> Slot.copy inputs i next slot)
       plan.p_input_slots;
     (* go holes of active groups. *)
     let go = Slot.is_true next plan.p_go_slot in
@@ -327,9 +328,8 @@ let rec eval_comb inst (inputs : Slot.env) =
         let recompute = ref (not ch.c_buf_valid) in
         Array.iteri
           (fun i (pslot, _) ->
-            let v = Slot.get old pslot in
-            if not (Bitvec.equal (Slot.get ch.c_buf i) v) then begin
-              Slot.set ch.c_buf i v;
+            if not (Slot.same old pslot ch.c_buf i) then begin
+              Slot.copy old pslot ch.c_buf i;
               recompute := true
             end)
           cp.cp_input_map;
@@ -339,7 +339,7 @@ let rec eval_comb inst (inputs : Slot.env) =
         end;
         Array.iter
           (fun (cslot, pslot) ->
-            Slot.set next pslot (Slot.get ch.c_inst.i_env cslot))
+            Slot.copy ch.c_inst.i_env cslot next pslot)
           cp.cp_output_map;
         (* Structured children report a registered done. *)
         if cp.cp_plan.p_structured then
@@ -349,7 +349,9 @@ let rec eval_comb inst (inputs : Slot.env) =
     (* Active assignments, reading the previous iteration. *)
     let run_assign ra =
       if guard_holds old ra.guard then
-        Slot.set next ra.dst (atom_value old ra.src)
+        match ra.src with
+        | Port s -> Slot.copy old s next ra.dst
+        | Lit v -> Slot.set next ra.dst v
     in
     Array.iter run_assign plan.p_continuous;
     List.iter
@@ -361,7 +363,7 @@ let rec eval_comb inst (inputs : Slot.env) =
     (* Converged? *)
     (try
        for i = 0 to n - 1 do
-         if not (Slot.equal_at old next i) then raise Exit
+         if not (Slot.same old i next i) then raise Exit
        done
      with Exit -> changed := true);
     inst.i_env <- next;

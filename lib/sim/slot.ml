@@ -35,9 +35,13 @@ let is_true e s =
   if is_wide e.widths.(s) then not (Int64.equal e.wides.(s) 0L)
   else e.ints.(s) <> 0
 
-let equal_at a b s =
-  a.ints.(s) = b.ints.(s)
-  && ((not (is_wide a.widths.(s))) || Int64.equal a.wides.(s) b.wides.(s))
+let same a s b t =
+  a.ints.(s) = b.ints.(t)
+  && ((not (is_wide a.widths.(s))) || Int64.equal a.wides.(s) b.wides.(t))
+
+let copy a s b t =
+  b.ints.(t) <- a.ints.(s);
+  if is_wide a.widths.(s) then b.wides.(t) <- a.wides.(s)
 
 let clear e =
   Array.fill e.ints 0 (Array.length e.ints) 0;

@@ -55,9 +55,13 @@ val set : env -> int -> Bitvec.t -> unit
 val is_true : env -> int -> bool
 (** Whether a slot's value is non-zero (guard truthiness). *)
 
-val equal_at : env -> env -> int -> bool
-(** Whether slot [s] holds the same value in two envs of one width
-    table. *)
+val same : env -> int -> env -> int -> bool
+(** [same a s b t]: whether slot [s] of [a] and slot [t] of [b], of one
+    width, hold the same value. *)
+
+val copy : env -> int -> env -> int -> unit
+(** [copy a s b t] stores slot [s] of [a] in slot [t] of [b], of one
+    width. *)
 
 val clear : env -> unit
 (** Every slot back to zero. *)
