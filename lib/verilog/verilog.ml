@@ -49,92 +49,6 @@ let add_atom b = function Port p -> add_wire b p | Lit v -> add_lit b v
    operands right to left. *)
 let check_atom = function Port (Hole (g, h)) -> hole_error g h | _ -> ()
 
-(* Every source and guard port is resolved as [Sim.create] resolves it,
-   as it is written, so that one that does not resolve raises the same
-   error instead of naming a wire that nothing declares. A lowered
-   program reads few cells many times, so a cell that resolved is
-   remembered with its ports in a table, at a slot picked from the length
-   and last characters of its name, and a read of it finds its port in
-   that short list by physical or string equality instead of looking up
-   the cell and the name. The component's own ports are one more such
-   list. A port that is not found goes through [Ports.id], which raises
-   the error. Allocates nothing per read. *)
-type resolved = {
-  ports : Ports.t;
-  this : (string * int * direction) list;  (* the signature's ports *)
-  mask : int;
-  cells : string array;  (* slot -> a cell that resolved; "" when empty *)
-  protos : (string * int * direction) list array;  (* slot -> its ports *)
-}
-
-let resolved ports comp ~cells =
-  let size = ref 64 in
-  while !size < 2 * cells do
-    size := 2 * !size
-  done;
-  {
-    ports;
-    this =
-      List.map (fun pd -> (pd.pd_name, pd.pd_width, pd.pd_dir))
-        (signature_ports comp);
-    mask = !size - 1;
-    cells = Array.make !size "";
-    protos = Array.make !size [];
-  }
-
-(* The length and the last six characters of [s]. *)
-let mix s =
-  let n = String.length s in
-  let h = ref n in
-  for i = max 0 (n - 6) to n - 1 do
-    h := (!h * 31) + Char.code (String.unsafe_get s i)
-  done;
-  !h
-
-let same x y =
-  x == y || (String.length x = String.length y && String.equal x y)
-
-let rec has p = function
-  | [] -> false
-  | (q, _, _) :: rest -> same p q || has p rest
-
-let resolve_this r p port = if not (has p r.this) then ignore (Ports.id r.ports port)
-
-let resolve_cell r c p port =
-  let i = mix c land r.mask in
-  if not (same c r.cells.(i) && has p r.protos.(i)) then
-    match Ports.cell_ports r.ports c with
-    | Some (Ok l) when has p l ->
-        r.cells.(i) <- c;
-        r.protos.(i) <- l
-    | _ -> ignore (Ports.id r.ports port)
-
-let resolve_atom r = function
-  | Port (Cell_port (c, p) as port) -> resolve_cell r c p port
-  | Port (This p as port) -> resolve_this r p port
-  | Port (Hole _) | Lit _ -> ()
-
-let rec resolve_guard r = function
-  | True -> ()
-  | Atom a -> resolve_atom r a
-  | Cmp (_, a, b) ->
-      resolve_atom r a;
-      resolve_atom r b
-  | And (g1, g2) | Or (g1, g2) ->
-      resolve_guard r g1;
-      resolve_guard r g2
-  | Not g -> resolve_guard r g
-
-(* A source or guard atom, resolved as it is written. *)
-let add_atom_resolved r b = function
-  | Port (Cell_port (c, p) as port) ->
-      resolve_cell r c p port;
-      add_cell_wire b c p
-  | Port (This p as port) ->
-      resolve_this r p port;
-      buf_add b p
-  | a -> add_atom b a
-
 let cmp_sv = function
   | Eq -> " == "
   | Neq -> " != "
@@ -143,33 +57,33 @@ let cmp_sv = function
   | Le -> " <= "
   | Ge -> " >= "
 
-let rec guard_sv r b = function
+let rec guard_sv b = function
   | True -> buf_add b "1'd1"
   | Atom a ->
       check_atom a;
       Buffer.add_char b '(';
-      add_atom_resolved r b a;
+      add_atom b a;
       buf_add b " != 0)"
   | Cmp (op, x, y) ->
       check_atom y;
       check_atom x;
       Buffer.add_char b '(';
-      add_atom_resolved r b x;
+      add_atom b x;
       buf_add b (cmp_sv op);
-      add_atom_resolved r b y;
+      add_atom b y;
       Buffer.add_char b ')'
-  | And (x, y) -> binary r b x " & " y
-  | Or (x, y) -> binary r b x " | " y
+  | And (x, y) -> binary b x " & " y
+  | Or (x, y) -> binary b x " | " y
   | Not x ->
       buf_add b "(~";
-      guard_sv r b x;
+      guard_sv b x;
       Buffer.add_char b ')'
 
-and binary r b x op y =
+and binary b x op y =
   Buffer.add_char b '(';
-  guard_sv r b x;
+  guard_sv b x;
   buf_add b op;
-  guard_sv r b y;
+  guard_sv b y;
   Buffer.add_char b ')'
 
 (* ------------------------------------------------------------------ *)
@@ -500,12 +414,15 @@ let emit_component_into b ctx comp =
       buf_add b ");\n")
     cells;
   (* Guarded drivers per destination, destinations in first-appearance
-     order, each list consed newest first. *)
+     order, each list consed newest first. Each assignment is resolved
+     whole, as [Sim.create] resolves it, so that a source or guard port
+     that does not resolve raises its error instead of naming a wire
+     that nothing declares. *)
   let order = ref [] in
   let drivers = Array.make (Ports.count ports) [] in
   List.iter
     (fun a ->
-      let d = Ports.id ports a.dst in
+      let d = (Ports.resolve_assignment ports a).dst in
       (match drivers.(d) with [] -> order := d :: !order | _ -> ());
       drivers.(d) <- (a.guard, a.src) :: drivers.(d))
     comp.continuous;
@@ -514,23 +431,15 @@ let emit_component_into b ctx comp =
     buf_add b "'d0"
   in
   (* A port's [?:] chain, first driver outermost. It ends at the first
-     unconditional driver, or at zero; the drivers it leaves out are
-     resolved all the same. *)
-  let r = resolved ports comp ~cells:(List.length cells) in
+     unconditional driver, or at zero. *)
   let rec chain d = function
     | [] -> add_zero (Ports.width_of_id ports d)
-    | (True, src) :: rest ->
-        add_atom_resolved r b src;
-        List.iter
-          (fun (g, src) ->
-            resolve_atom r src;
-            resolve_guard r g)
-          rest
+    | (True, src) :: _ -> add_atom b src
     | (g, src) :: rest ->
         check_atom src;
-        guard_sv r b g;
+        guard_sv b g;
         buf_add b " ? ";
-        add_atom_resolved r b src;
+        add_atom b src;
         buf_add b " : ";
         chain d rest
   in

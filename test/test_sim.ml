@@ -121,6 +121,37 @@ let test_timeout () =
       Alcotest.(check bool) "snapshot shows the done wiring" true
         (contains ~needle:"r.done" snapshot)
 
+(* Without the checker, a source narrower than its destination is refused
+   when the simulator is built, by either engine; a port that does not
+   resolve is reported before the widths are compared. *)
+let test_width_mismatch_unchecked () =
+  let program src =
+    Parser.parse_string
+      (Printf.sprintf
+         {|component main(go: 1) -> (done: 1) {
+  cells { r = std_reg(8); }
+  wires {
+    group g { r.in = %s; r.write_en = 1'd1; g[done] = r.done; }
+  }
+  control { g; }
+}|}
+         src)
+  in
+  let raises name expected ctx =
+    List.iter
+      (fun engine ->
+        match Calyx_sim.Sim.create ~engine ctx with
+        | _ -> Alcotest.failf "%s: expected Ir_error" name
+        | exception Ir.Ir_error msg -> Alcotest.(check string) name expected msg)
+      [ `Fixpoint; `Compiled ]
+  in
+  raises "mismatched literal"
+    "simulator: width mismatch in r.in = 1'd1 (8 vs 1)" (program "1'd1");
+  raises "mismatched port" "simulator: width mismatch in r.in = r.done (8 vs 1)"
+    (program "r.done");
+  raises "unknown cell first" "unknown cell x in component main"
+    (program "x.out")
+
 let test_empty_control_times_out_without_done () =
   (* An empty control program finishes immediately. *)
   let open Calyx.Builder in
@@ -714,6 +745,8 @@ let () =
           Alcotest.test_case "conflicting drivers" `Quick test_conflict_detected;
           Alcotest.test_case "combinational cycle" `Quick test_unstable_detected;
           Alcotest.test_case "timeout" `Quick test_timeout;
+          Alcotest.test_case "width mismatch, unchecked" `Quick
+            test_width_mismatch_unchecked;
         ] );
       ( "primitives",
         [
