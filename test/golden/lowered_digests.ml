@@ -33,6 +33,15 @@
    one line each. A change to how [Vinterp] parses, elaborates or
    schedules a design shows up here.
 
+   [lowered_digests work DIR] runs the compiled engine on the lowered and
+   on the structured program of the same corpus as [plan], on the test
+   benches' inputs, and prints per design and config the cycle count, the
+   settle evaluations and the primitives latched of each run: the sums of
+   the [calyx_sched_dirty_set_size] and [calyx_sched_commit_set_size]
+   histograms, or the error a structured program that the simulator
+   cannot run raises. A change to which nodes the engine evaluates or which
+   primitives it latches shows up here, even where the results agree.
+
    [lowered_digests faults] builds no corpus. It parses a fixed list of
    lowered programs, each with one fault that no check has rejected, and
    prints what [Sim.create], [Verilog.emit], [Timing.context_timing] and
@@ -131,6 +140,29 @@ let rtl_line _structured lowered load =
       Buffer.add_char b '\n')
     mems;
   md5 (Buffer.contents b)
+
+let work_line structured lowered load =
+  let module T = Calyx_telemetry in
+  let sum name =
+    match T.Metrics.histogram_counts name with
+    | Some (_, s, _) -> int_of_float s
+    | None -> 0
+  in
+  let run ctx =
+    T.Runtime.with_enabled (fun () ->
+        let evals = sum "calyx_sched_dirty_set_size"
+        and latched = sum "calyx_sched_commit_set_size" in
+        let sim = Calyx_sim.Sim.create ~engine:`Compiled ctx in
+        load (Calyx_sim.Testbench.of_sim sim);
+        let cycles = Calyx_sim.Sim.run sim in
+        Printf.sprintf "cycles %d evals %d latched %d" cycles
+          (sum "calyx_sched_dirty_set_size" - evals)
+          (sum "calyx_sched_commit_set_size" - latched))
+  in
+  Printf.sprintf "lowered %s structured %s" (run lowered)
+    (match run structured with
+    | line -> line
+    | exception Calyx.Ir.Ir_error msg -> "Ir_error: " ^ msg)
 
 (* Faulty sources, one fault each, and the exact error text [Vinterp.load]
    reports for each. *)
@@ -280,8 +312,10 @@ let () =
     | [| _; "backend"; dir |] -> (backend_line, dir, max_int)
     | [| _; "plan"; dir |] -> (plan_line, dir, 16)
     | [| _; "rtl"; dir |] -> (rtl_line, dir, 16)
+    | [| _; "work"; dir |] -> (work_line, dir, 16)
     | _ ->
-        prerr_endline "usage: lowered_digests [backend|plan|rtl] DIR | faults";
+        prerr_endline
+          "usage: lowered_digests [backend|plan|rtl|work] DIR | faults";
         exit 2
   in
   let examples =
