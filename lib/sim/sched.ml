@@ -58,13 +58,12 @@ type topo = {
   level : int array;  (* node -> level of its component *)
   cyclic : bool array;  (* node -> member of a cyclic component? *)
   scc : int array;  (* node -> component id *)
-  scc_size : int array;
-  scc_cyclic : bool array;  (* component id -> cyclic? *)
   nlevels : int;
-  level_acyclic : int array;
-      (* level -> its acyclic nodes: a bucket never holds more, as a
-         node is queued only while it is not queued already *)
-  cyclic_at : int array array;  (* level -> cyclic component ids *)
+  bucket : int array;
+      (* node -> its bucket: its level's for an acyclic node, bucket
+         [nlevels + j] for a member of the [j]th cyclic component *)
+  bucket_size : int array;  (* bucket -> the nodes that map to it *)
+  cyclic_at : int array array;  (* level -> its cyclic components' buckets *)
 }
 
 (* One evaluation's dirt over a topology. The shared arrays the hot path
@@ -74,14 +73,14 @@ type t = {
   t_rstart : int array;
   t_rnodes : int array;
   t_split : int array;
-  t_level : int array;
-  t_cyclic : bool array;
-  t_scc : int array;
+  t_bucket : int array;
   blocked : bool array;  (* node -> last evaluation did not drive *)
-  acyclic_bucket : vec array;  (* level -> dirty acyclic nodes *)
-  scc_bucket : vec array;  (* cyclic component id -> its dirty members *)
+  buckets : vec array;
+      (* bucket -> its dirty nodes, each once: a node is queued when it
+         turns dirty and turns clean when [run] takes it, so a bucket
+         never holds more than [bucket_size] and every node in an
+         acyclic bucket is dirty *)
   dirty : bool array;
-  pending : int array;  (* level -> dirty node count *)
   mutable npending : int;  (* total dirty nodes, for early exit *)
 }
 
@@ -263,34 +262,35 @@ let build_with ~slots ~nodes:n (edges : int -> edges) =
   in
   let level = Array.init (max n 1) (fun k -> if k < n then scc_level.(scc.(k)) else 0) in
   let cyclic = Array.init (max n 1) (fun k -> if k < n then scc_cyclic.(scc.(k)) else false) in
-  let level_acyclic = Array.make nlevels 0 in
+  (* Acyclic buckets first, one per level, then one per cyclic
+     component in increasing id. *)
+  let cyclic_bucket = Array.make (max nscc 1) 0 in
+  let nbuckets = ref nlevels in
+  for id = 0 to nscc - 1 do
+    if scc_cyclic.(id) then begin
+      cyclic_bucket.(id) <- !nbuckets;
+      incr nbuckets
+    end
+  done;
+  let bucket =
+    Array.init (max n 1) (fun k ->
+        if k >= n then 0
+        else if cyclic.(k) then cyclic_bucket.(scc.(k))
+        else level.(k))
+  in
+  let bucket_size = Array.make !nbuckets 0 in
   for k = 0 to n - 1 do
-    if not cyclic.(k) then level_acyclic.(level.(k)) <- level_acyclic.(level.(k)) + 1
+    bucket_size.(bucket.(k)) <- bucket_size.(bucket.(k)) + 1
   done;
   let cyclic_at =
     let by_level = Array.make nlevels [] in
-    for id = 0 to nscc - 1 do
+    for id = nscc - 1 downto 0 do
       if scc_cyclic.(id) then
-        by_level.(scc_level.(id)) <- id :: by_level.(scc_level.(id))
+        by_level.(scc_level.(id)) <- cyclic_bucket.(id) :: by_level.(scc_level.(id))
     done;
-    let a = Array.make nlevels [||] in
-    Array.iteri (fun l ids -> a.(l) <- Array.of_list (List.rev ids)) by_level;
-    a
+    Array.map Array.of_list by_level
   in
-  {
-    n;
-    rstart;
-    rnodes;
-    split;
-    level;
-    cyclic;
-    scc;
-    scc_size;
-    scc_cyclic;
-    nlevels;
-    level_acyclic;
-    cyclic_at;
-  }
+  { n; rstart; rnodes; split; level; cyclic; scc; nlevels; bucket; bucket_size; cyclic_at }
 
 let build ~slots ~(nodes : (int list * int list * int list) array) =
   build_with ~slots ~nodes:(Array.length nodes)
@@ -300,58 +300,52 @@ let build ~slots ~(nodes : (int list * int list * int list) array) =
       List.iter source sources;
       List.iter write writes)
 
-(* The bucket of every acyclic component, which is never pushed to; it
-   also fills the bucket arrays before their buckets are made, as OCaml 5
-   runs a minor collection before it makes a large array from a young
-   value. *)
+(* The bucket of a level without acyclic nodes, which is never pushed
+   to; it also fills the bucket array before its buckets are made, as
+   OCaml 5 runs a minor collection before it makes a large array from a
+   young value. *)
 let unused = { data = [||]; len = 0 }
 
 let create topo =
   let n = topo.n in
-  let acyclic_bucket = Array.make topo.nlevels unused in
+  let buckets = Array.make (Array.length topo.bucket_size) unused in
   Array.iteri
-    (fun l size -> acyclic_bucket.(l) <- vec_sized size)
-    topo.level_acyclic;
-  (* Only a cyclic component is ever queued on its own bucket. *)
-  let scc_bucket = Array.make (Array.length topo.scc_cyclic) unused in
-  Array.iteri
-    (fun id cyclic -> if cyclic then scc_bucket.(id) <- vec_sized topo.scc_size.(id))
-    topo.scc_cyclic;
+    (fun b size -> if size > 0 then buckets.(b) <- vec_sized size)
+    topo.bucket_size;
   {
     topo;
     t_rstart = topo.rstart;
     t_rnodes = topo.rnodes;
     t_split = topo.split;
-    t_level = topo.level;
-    t_cyclic = topo.cyclic;
-    t_scc = topo.scc;
+    t_bucket = topo.bucket;
     blocked = Array.make (max n 1) false;
-    acyclic_bucket;
-    scc_bucket;
+    buckets;
     dirty = Array.make (max n 1) false;
-    pending = Array.make topo.nlevels 0;
     npending = 0;
   }
 
-let mark_node t k =
-  if not t.dirty.(k) then begin
-    t.dirty.(k) <- true;
-    t.npending <- t.npending + 1;
-    let l = t.t_level.(k) in
-    t.pending.(l) <- t.pending.(l) + 1;
-    if t.t_cyclic.(k) then vec_push t.scc_bucket.(t.t_scc.(k)) k
-    else vec_push t.acyclic_bucket.(l) k
-  end
+(* Queue clean node [k]. A bucket is made with its full capacity, so a
+   push never grows it. *)
+let[@inline] queue t k =
+  t.dirty.(k) <- true;
+  t.npending <- t.npending + 1;
+  let b = t.buckets.(t.t_bucket.(k)) in
+  b.data.(b.len) <- k;
+  b.len <- b.len + 1
+
+let mark_node t k = if not t.dirty.(k) then queue t k
 
 let mark_slot t s =
-  let rs = t.t_rnodes in
+  let rs = t.t_rnodes and dirty = t.dirty in
   let split = t.t_split.(s) in
   for i = t.t_rstart.(s) to split - 1 do
-    mark_node t rs.(i)
+    let k = rs.(i) in
+    if not dirty.(k) then queue t k
   done;
+  let blocked = t.blocked in
   for i = split to t.t_rstart.(s + 1) - 1 do
     let k = rs.(i) in
-    if not t.blocked.(k) then mark_node t k
+    if not (dirty.(k) || blocked.(k)) then queue t k
   done
 
 let blocked t = t.blocked
@@ -367,48 +361,61 @@ let run t ~eval ~max_passes =
   (* Dirt only propagates to higher levels, so once the global pending
      count hits zero no later bucket can be non-empty. *)
   let topo = t.topo in
+  let dirty = t.dirty in
   let l = ref 0 in
   while !l < topo.nlevels && t.npending > 0 do
     let lv = !l in
-    if t.pending.(lv) > 0 then begin
-      (* Acyclic nodes at one level are mutually independent: evaluating
-         one can only dirty strictly higher levels, so a single sweep
-         settles the whole bucket. *)
-      let b = t.acyclic_bucket.(lv) in
-      for i = 0 to b.len - 1 do
-        let k = b.data.(i) in
-        if t.dirty.(k) then begin
-          t.dirty.(k) <- false;
-          t.pending.(lv) <- t.pending.(lv) - 1;
+    (* Acyclic nodes at one level are mutually independent: evaluating
+       one can only dirty strictly higher levels, so a single sweep
+       settles the whole bucket. *)
+    let b = t.buckets.(lv) in
+    let n = b.len in
+    if n > 0 then begin
+      let data = b.data in
+      (try
+         for i = 0 to n - 1 do
+           let k = data.(i) in
+           dirty.(k) <- false;
+           eval k
+         done
+       with e ->
+         (* Keep the nodes not yet taken queued, so that the state stays
+            whole when an evaluation raises. *)
+         let kept = ref 0 in
+         for i = 0 to n - 1 do
+           let k = data.(i) in
+           if dirty.(k) then begin
+             data.(!kept) <- k;
+             incr kept
+           end
+         done;
+         b.len <- !kept;
+         t.npending <- t.npending - (n - !kept);
+         raise e);
+      b.len <- 0;
+      t.npending <- t.npending - n;
+      evals := !evals + n
+    end;
+    (* Cyclic components at this level iterate until quiet. Distinct
+       components at one level are independent of each other. *)
+    let ids = topo.cyclic_at.(lv) in
+    for c = 0 to Array.length ids - 1 do
+      let b = t.buckets.(ids.(c)) in
+      let budget = max_passes * Array.length b.data in
+      let steps = ref 0 in
+      while b.len > 0 do
+        let k = b.data.(b.len - 1) in
+        b.len <- b.len - 1;
+        if dirty.(k) then begin
+          dirty.(k) <- false;
           t.npending <- t.npending - 1;
+          incr steps;
+          if !steps > budget then raise Diverged;
           incr evals;
           eval k
         end
-      done;
-      b.len <- 0;
-      (* Cyclic components at this level iterate until quiet. Distinct
-         components at one level are independent of each other. *)
-      let ids = topo.cyclic_at.(lv) in
-      for c = 0 to Array.length ids - 1 do
-        let id = ids.(c) in
-        let b = t.scc_bucket.(id) in
-        let budget = max_passes * topo.scc_size.(id) in
-        let steps = ref 0 in
-        while b.len > 0 do
-          let k = b.data.(b.len - 1) in
-          b.len <- b.len - 1;
-          if t.dirty.(k) then begin
-            t.dirty.(k) <- false;
-            t.pending.(lv) <- t.pending.(lv) - 1;
-            t.npending <- t.npending - 1;
-            incr steps;
-            if !steps > budget then raise Diverged;
-            incr evals;
-            eval k
-          end
-        done
       done
-    end;
+    done;
     incr l
   done;
   !evals
