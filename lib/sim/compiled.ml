@@ -30,17 +30,6 @@ type drive =
   | Shared  (* keeps a live/value cell and re-resolves the slot *)
   | Wide  (* any other writer of a wide slot: [Shared] on int64s *)
 
-type sassign = {
-  sa_ra : int assignment_;
-  sa_src : int;
-      (* the source slot, or [-1 - v] for a narrow literal [v] (a wide
-         writer reads its literal from [sa_ra]) *)
-  sa_group : int;  (* -1 for continuous assignments *)
-  sa_data : bool;  (* a group data assignment (gated while done reads 1) *)
-  sa_guard : sguard;
-  mutable sa_drive : drive;  (* set once, when the plan is built *)
-}
-
 (* Everything about the engine that depends only on the component, built
    once per component and shared by its instances. The graph has one
    node per primitive, child instance, group go hole, and assignment,
@@ -48,13 +37,26 @@ type sassign = {
    [np + c], group [g]'s go hole node [np + nc + g], and assignment [a]
    node [np + nc + ng + a]. Prim/child nodes push their outputs into the
    per-slot [base] value; assignment nodes compute liveness + value; go
-   nodes compute the go hole from the active-entry list. *)
+   nodes compute the go hole from the active-entry list.
+
+   Assignment [a] is described by the [a]th element of each of the
+   arrays from [c_dst] to [c_guard], assignments numbered in the
+   reference engine's scan order. *)
 type plan = {
   c_topo : Sched.topo;
-  c_assigns : sassign array;  (* in the reference engine's scan order *)
+  c_dst : int array;  (* the destination slot *)
+  c_src : int array;
+      (* the source slot, or [-1 - v] for a narrow literal [v] *)
+  c_wlit : int64 array;
+      (* a wide writer's literal source ([||] if no writer has one) *)
+  c_drive : drive array;
+  c_group : int array;  (* -1 for continuous assignments *)
+  c_data : bool array;
+      (* a group data assignment (gated while done reads 1) *)
+  c_guard : sguard array;  (* the staged guard *)
   c_wstart : int array;
   c_writers : int array;
-      (* the indices into c_assigns that statically target slot [s] are
+      (* the assignments that statically target slot [s] are
          [c_writers.(c_wstart.(s))] up to [c_writers.(c_wstart.(s + 1) - 1)],
          in the reference engine's scan order (continuous, then per group
          in declaration order: dones then datas) *)
@@ -227,7 +229,17 @@ let rec fold_guard widths = function
       match (fold_guard widths g1, fold_guard widths g2) with
       | SConst false, _ | _, SConst false -> SConst false
       | SConst true, s | s, SConst true -> s
-      | SFun f1, SFun f2 -> SFun (fun e -> f1 e && f2 e))
+      | SFun f1, SFun f2 -> (
+          (* The common left operands, a narrow state compare or port,
+             test inline: one closure call fewer. [g1] folded, so its
+             widths agree. *)
+          match g1 with
+          | Cmp (Eq, Port i, Lit y) when not (Slot.is_wide widths.(i)) ->
+              let y = Slot.int_of_bits widths.(i) y in
+              SFun (fun e -> e.ints.(i) = y && f2 e)
+          | Atom (Port i) when not (Slot.is_wide widths.(i)) ->
+              SFun (fun e -> e.ints.(i) <> 0 && f2 e)
+          | _ -> SFun (fun e -> f1 e && f2 e)))
   | Or (g1, g2) -> (
       match (fold_guard widths g1, fold_guard widths g2) with
       | SConst true, _ | _, SConst true -> SConst true
@@ -309,13 +321,6 @@ let render ~label g =
   done;
   Buffer.contents b
 
-(* A placeholder for fresh arrays of staged assignments, long-lived so
-   that OCaml 5 does not run a minor collection before it makes a large
-   array from it. *)
-let no_sassign =
-  { sa_ra = Instance.no_assign; sa_src = -1; sa_group = -1;
-    sa_data = false; sa_guard = SConst false; sa_drive = Elided }
-
 (* The component's graph and every decision that does not depend on an
    instance's state: which slots each node reads and writes (in the terms
    Sched expects), the writers of each slot, the staged guards, and how
@@ -328,42 +333,22 @@ let plan (ip : Instance.plan) : plan =
   let nslots = ip.p_slots in
   let widths = ip.p_widths in
   let fold_guards = ref 0 and fold_consts = ref 0 and elided = ref 0 in
-  let stage group data ra =
-    let guard =
-      match ra.guard with
-      | True -> SConst true
-      | g -> (
-          match stage_guard widths g with
-          | SConst _ as s ->
-              incr fold_guards;
-              s
-          | s -> s)
-    in
-    let sa_src =
-      match ra.src with
-      | Port s -> s
-      | Lit v ->
-          incr fold_consts;
-          let w = widths.(ra.dst) in
-          -1 - if Slot.is_wide w then 0 else Slot.int_of_bits w v
-    in
-    { sa_ra = ra; sa_src; sa_group = group; sa_data = data;
-      sa_guard = guard; sa_drive = Shared }
-  in
-  (* Assignments in the reference engine's static scan order. *)
+  (* Assignments in the reference engine's static scan order, each
+     array started from a long-lived filler. *)
   let na =
     Array.fold_left
       (fun n (dones, datas) -> n + Array.length dones + Array.length datas)
       (Array.length ip.p_continuous) ip.p_group_assigns
   in
-  let c_assigns = Array.make na no_sassign in
+  let ras = Array.make na Instance.no_assign in
+  let c_group = Array.make na (-1) and c_data = Array.make na false in
   let next = ref 0 in
-  let add group data ras =
-    Array.iter
-      (fun ra ->
-        c_assigns.(!next) <- stage group data ra;
+  let add group data =
+    Array.iter (fun ra ->
+        ras.(!next) <- ra;
+        c_group.(!next) <- group;
+        c_data.(!next) <- data;
         incr next)
-      ras
   in
   add (-1) false ip.p_continuous;
   Array.iteri
@@ -371,6 +356,41 @@ let plan (ip : Instance.plan) : plan =
       add g false dones;
       add g true datas)
     ip.p_group_assigns;
+  let c_dst = Array.map (fun ra -> ra.dst) ras in
+  let c_guard = Array.make na (SConst false) in
+  let c_src = Array.make na 0 in
+  let c_wlit =
+    if
+      Array.exists
+        (fun ra ->
+          match ra.src with Lit _ -> Slot.is_wide widths.(ra.dst) | Port _ -> false)
+        ras
+    then Array.make na 0L
+    else [||]
+  in
+  Array.iteri
+    (fun ai ra ->
+      (c_guard.(ai) <-
+         match ra.guard with
+         | True -> SConst true
+         | g -> (
+             match stage_guard widths g with
+             | SConst _ as s ->
+                 incr fold_guards;
+                 s
+             | s -> s));
+      c_src.(ai) <-
+        (match ra.src with
+        | Port s -> s
+        | Lit v ->
+            incr fold_consts;
+            let w = widths.(ra.dst) in
+            if Slot.is_wide w then begin
+              c_wlit.(ai) <- Bitvec.to_int64 v;
+              -1
+            end
+            else -1 - Slot.int_of_bits w v))
+    ras;
   let np = Array.length ip.p_prims in
   let nc = Array.length ip.p_children in
   let first_assign = np + nc + ngroups in
@@ -405,9 +425,9 @@ let plan (ip : Instance.plan) : plan =
       (* The guard's reads wake the node always, the source's only while
          it drives. The group done hole gates a data write, so it counts
          as a guard read. *)
-      let sa = c_assigns.(k - first_assign) in
-      let ra = sa.sa_ra in
-      if sa.sa_data then read ip.p_group_done.(sa.sa_group);
+      let ai = k - first_assign in
+      let ra = ras.(ai) in
+      if c_data.(ai) then read ip.p_group_done.(c_group.(ai));
       guard_reads read ra.guard;
       (match ra.src with
       | Port s when not (guard_reads_slot s ra.guard) -> source s
@@ -417,22 +437,17 @@ let plan (ip : Instance.plan) : plan =
   in
   let topo = Sched.build_with ~slots:nslots ~nodes:(first_assign + na) edges in
   let wstart = Array.make (nslots + 1) 0 in
-  Array.iter
-    (fun sa ->
-      let dst = sa.sa_ra.dst in
-      wstart.(dst + 1) <- wstart.(dst + 1) + 1)
-    c_assigns;
+  Array.iter (fun dst -> wstart.(dst + 1) <- wstart.(dst + 1) + 1) c_dst;
   for s = 1 to nslots do
     wstart.(s) <- wstart.(s) + wstart.(s - 1)
   done;
   let writers = Array.make (max na 1) 0 in
   let fill = Array.sub wstart 0 (max nslots 1) in
   Array.iteri
-    (fun ai sa ->
-      let dst = sa.sa_ra.dst in
+    (fun ai dst ->
       writers.(fill.(dst)) <- ai;
       fill.(dst) <- fill.(dst) + 1)
-    c_assigns;
+    c_dst;
   let has_producer = Array.make (max nslots 1) false in
   List.iter (fun (_, s) -> has_producer.(s) <- true) ip.p_input_slots;
   Array.iter
@@ -448,30 +463,30 @@ let plan (ip : Instance.plan) : plan =
   for g = 0 to ngroups - 1 do
     group_lists.(g) <- [ np + nc + g ]
   done;
+  let c_drive = Array.make na Shared in
   Array.iteri
-    (fun ai sa ->
-      let dst = sa.sa_ra.dst in
-      if sa.sa_group >= 0 then
-        group_lists.(sa.sa_group) <-
-          (first_assign + ai) :: group_lists.(sa.sa_group);
+    (fun ai dst ->
+      let group = c_group.(ai) in
+      if group >= 0 then
+        group_lists.(group) <- (first_assign + ai) :: group_lists.(group);
       if wstart.(dst + 1) - wstart.(dst) = 1 && not has_producer.(dst) then
-        sa.sa_drive <-
-          (match sa.sa_guard with
+        c_drive.(ai) <-
+          (match c_guard.(ai) with
           | SConst false ->
               incr elided;
               Elided
-          | SConst true when sa.sa_group < 0 -> (
-              match sa.sa_ra.src with
+          | SConst true when group < 0 -> (
+              match ras.(ai).src with
               | Lit _ ->
                   incr elided;
                   Folded
               | Port _ -> Always)
           | _ -> Direct);
-      match sa.sa_drive with
+      match c_drive.(ai) with
       | (Always | Direct | Shared) when Slot.is_wide widths.(dst) ->
-          sa.sa_drive <- Wide
+          c_drive.(ai) <- Wide
       | _ -> ())
-    c_assigns;
+    c_dst;
   let group_nodes = Array.make (max ngroups 1) [||] in
   Array.iteri (fun g l -> group_nodes.(g) <- Array.of_list l) group_lists;
   let fold_guards = !fold_guards and fold_consts = !fold_consts
@@ -483,14 +498,14 @@ let plan (ip : Instance.plan) : plan =
     | Some { cell_proto = Comp n; _ } -> n
     | None -> "?"
   in
-  let notes sa =
-    (match sa.sa_guard with
-    | SConst true when sa.sa_ra.guard <> True -> "  [guard: always]"
+  let notes ai =
+    (match c_guard.(ai) with
+    | SConst true when ras.(ai).guard <> True -> "  [guard: always]"
     | SConst false -> "  [guard: never]"
     | _ -> "")
-    ^ (match sa.sa_ra.src with Lit _ -> "  [const src]" | Port _ -> "")
+    ^ (match ras.(ai).src with Lit _ -> "  [const src]" | Port _ -> "")
     ^
-    match sa.sa_drive with
+    match c_drive.(ai) with
     | Elided -> "  [elided]"
     | Folded -> "  [folded]"
     | Always | Direct | Shared | Wide -> ""
@@ -505,19 +520,25 @@ let plan (ip : Instance.plan) : plan =
     else if k < first_assign then
       Printf.sprintf "go %s" ip.p_groups.(k - np - nc).group_name
     else
-      let sa = c_assigns.(k - first_assign) in
+      let ai = k - first_assign in
       let where =
-        if sa.sa_group < 0 then "continuous"
+        if c_group.(ai) < 0 then "continuous"
         else
-          Printf.sprintf "%s%s" ip.p_groups.(sa.sa_group).group_name
-            (if sa.sa_data then "" else " done")
+          Printf.sprintf "%s%s" ip.p_groups.(c_group.(ai)).group_name
+            (if c_data.(ai) then "" else " done")
       in
-      Printf.sprintf "assign [%s] %s%s" where (assign_text ip sa.sa_ra)
-        (notes sa)
+      Printf.sprintf "assign [%s] %s%s" where (assign_text ip ras.(ai))
+        (notes ai)
   in
   {
     c_topo = topo;
-    c_assigns;
+    c_dst;
+    c_src;
+    c_wlit;
+    c_drive;
+    c_group;
+    c_data;
+    c_guard;
     c_wstart = wstart;
     c_writers = writers;
     c_has_producer = has_producer;
@@ -549,7 +570,7 @@ let compile (cp : plan) inst : compiled =
   let widths = ip.p_widths in
   let wide s = Slot.is_wide widths.(s) in
   let nslots = ip.p_slots in
-  let na = Array.length cp.c_assigns in
+  let na = Array.length cp.c_dst in
   let ngroups = Array.length ip.p_groups in
   let graph = Sched.create cp.c_topo in
   let first_assign =
@@ -561,7 +582,7 @@ let compile (cp : plan) inst : compiled =
       s_live = Array.make (max na 1) false;
       s_val = Array.make (max na 1) 0;
       s_wval =
-        (if Array.exists (fun sa -> sa.sa_drive = Wide) cp.c_assigns then
+        (if Array.memq Wide cp.c_drive then
            Array.make na 0L
          else [||]);
       s_base = Array.make (max nslots 1) 0;
@@ -716,29 +737,31 @@ let compile (cp : plan) inst : compiled =
   (* Group gating, against the entry view [refresh_entries] maintains: a
      done write is live while its group is active, a data write unless
      every entry is gated and the done hole reads 1. *)
-  let scheduled sa =
-    let g = sa.sa_group in
-    g < 0
-    ||
+  let dsts = cp.c_dst and srcs = cp.c_src and wlits = cp.c_wlit in
+  let drive = cp.c_drive and groups = cp.c_group and datas = cp.c_data in
+  let guards = cp.c_guard in
+  let group_scheduled ai g =
     let entries = st.s_entries.(g) in
     Array.length entries > 0
-    && ((not sa.sa_data)
+    && ((not datas.(ai))
        || Array.exists not entries
        || ints.(ip.p_group_done.(g)) = 0)
   in
-  let drives sa =
-    scheduled sa
+  let[@inline] drives ai =
+    (let g = groups.(ai) in
+     g < 0 || group_scheduled ai g)
     &&
-    match sa.sa_guard with
+    match guards.(ai) with
     | SConst b -> b
     | SFun g -> g env
   in
-  let src sa =
-    let s = sa.sa_src in
+  let[@inline] src ai =
+    let s = srcs.(ai) in
     if s >= 0 then ints.(s) else -1 - s
   in
-  let src_wide sa =
-    match sa.sa_ra.src with Port s -> wides.(s) | Lit v -> Bitvec.to_int64 v
+  let[@inline] src_wide ai =
+    let s = srcs.(ai) in
+    if s >= 0 then wides.(s) else wlits.(ai)
   in
   (* A writer's live transitions, which feed the suspect count that
      gates the conflict check. *)
@@ -755,24 +778,23 @@ let compile (cp : plan) inst : compiled =
   (* Every assignment records in [blocked] whether it drives, so that
      Sched skips it on a source change while it does not. *)
   let eval_assign k ai =
-    let sa = cp.c_assigns.(ai) in
-    let dst = sa.sa_ra.dst in
-    match sa.sa_drive with
+    let dst = dsts.(ai) in
+    match drive.(ai) with
     | Elided | Folded -> ()
-    | Always -> wr dst (src sa)
+    | Always -> wr dst (src ai)
     | Direct ->
         (* Single writer, no producer: the slot's value is a pure
            function of drive, so write the env directly. *)
-        let d = drives sa in
+        let d = drives ai in
         blocked.(k) <- not d;
-        wr dst (if d then src sa else 0)
+        wr dst (if d then src ai else 0)
     | Shared ->
         (* Shared slot: maintain this writer's live/value cell and
            re-resolve the slot. *)
-        let d = drives sa in
+        let d = drives ai in
         blocked.(k) <- not d;
         if d then begin
-          let v = src sa in
+          let v = src ai in
           if (not st.s_live.(ai)) || v <> st.s_val.(ai) then begin
             set_live ai dst;
             st.s_val.(ai) <- v;
@@ -784,10 +806,10 @@ let compile (cp : plan) inst : compiled =
           resolve dst
         end
     | Wide ->
-        let d = drives sa in
+        let d = drives ai in
         blocked.(k) <- not d;
         if d then begin
-          let v = src_wide sa in
+          let v = src_wide ai in
           if (not st.s_live.(ai)) || not (Int64.equal v st.s_wval.(ai)) then begin
             set_live ai dst;
             st.s_wval.(ai) <- v;
@@ -801,15 +823,14 @@ let compile (cp : plan) inst : compiled =
   in
   (* A never-driving writer starts blocked; a folded one's constant is
      the slot's initial value. *)
-  Array.iteri
-    (fun ai sa ->
-      let dst = sa.sa_ra.dst in
-      match sa.sa_drive with
-      | Elided -> blocked.(first_assign + ai) <- true
-      | Folded when wide dst -> wides.(dst) <- src_wide sa
-      | Folded -> ints.(dst) <- src sa
-      | Always | Direct | Shared | Wide -> ())
-    cp.c_assigns;
+  for ai = 0 to na - 1 do
+    let dst = dsts.(ai) in
+    match drive.(ai) with
+    | Elided -> blocked.(first_assign + ai) <- true
+    | Folded when wide dst -> wides.(dst) <- src_wide ai
+    | Folded -> ints.(dst) <- src ai
+    | Always | Direct | Shared | Wide -> ()
+  done;
   let build_go g =
     (* Mirrors the reference loop: one write per active entry in actives
        order, so the last entry's liveness wins. *)
