@@ -417,6 +417,26 @@ module Ports = struct
     { dst = f t a.dst; src; guard }
 
   let resolve_assignment t a = map_ports id t a
+
+  (* [id] of every port of an assignment in [resolve_assignment]'s order,
+     for what it raises: a walk that builds nothing. *)
+  let check_atom t = function Port p -> ignore (id t p) | Lit _ -> ()
+
+  let rec check_guard t = function
+    | True -> ()
+    | Atom a -> check_atom t a
+    | Cmp (_, a, b) ->
+        check_atom t a;
+        check_atom t b
+    | And (g1, g2) | Or (g1, g2) ->
+        check_guard t g1;
+        check_guard t g2
+    | Not g -> check_guard t g
+
+  let resolve_dst t a =
+    check_atom t a.src;
+    check_guard t a.guard;
+    id t a.dst
   let assignment_of_ids t a = map_ports port t a
 end
 

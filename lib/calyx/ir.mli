@@ -222,6 +222,11 @@ module Ports : sig
       right, then its destination; the first that does not resolve
       raises as {!id}. *)
 
+  val resolve_dst : t -> assignment -> int
+  (** The destination's id of {!resolve_assignment}'s result, resolving
+      the other ports in the same order, so it raises what that raises,
+      and allocating nothing. *)
+
   val assignment_of_ids : t -> int assignment_ -> assignment
   (** The inverse of {!resolve_assignment}, for messages: it prints as
       the assignment that was resolved. *)

@@ -415,14 +415,14 @@ let emit_component_into b ctx comp =
     cells;
   (* Guarded drivers per destination, destinations in first-appearance
      order, each list consed newest first. Each assignment is resolved
-     whole, as [Sim.create] resolves it, so that a source or guard port
+     whole, in [Sim.create]'s order, so that a source or guard port
      that does not resolve raises its error instead of naming a wire
      that nothing declares. *)
   let order = ref [] in
   let drivers = Array.make (Ports.count ports) [] in
   List.iter
     (fun a ->
-      let d = (Ports.resolve_assignment ports a).dst in
+      let d = Ports.resolve_dst ports a in
       (match drivers.(d) with [] -> order := d :: !order | _ -> ());
       drivers.(d) <- (a.guard, a.src) :: drivers.(d))
     comp.continuous;
