@@ -882,6 +882,8 @@ type t = {
   max_iters : int;
   mutable cycles : int;
   mutable evals : int;
+  mutable ff_runs : int;  (* always_ff blocks run by [commit] *)
+  mutable staged : int;  (* writes they staged *)
 }
 
 let mask64 w = if w >= 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
@@ -2348,6 +2350,8 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
       max_iters = max_fixpoint_iters;
       cycles = 0;
       evals = 0;
+      ff_runs = 0;
+      staged = 0;
     }
   in
   let el =
@@ -2434,12 +2438,16 @@ let rec stage d = function
    targets hold, so skipping it is exact. *)
 let commit d =
   d.stg_len <- 0;
+  let ran = ref 0 in
   for b = 0 to Array.length d.ffs - 1 do
     if d.ff_dirty.(b) then begin
       d.ff_dirty.(b) <- false;
+      incr ran;
       stage d d.ffs.(b)
     end
   done;
+  d.ff_runs <- d.ff_runs + !ran;
+  d.staged <- d.staged + d.stg_len;
   for i = 0 to d.stg_len - 1 do
     let s = d.stg_slot.(i) in
     if s < d.nnets then begin
@@ -2539,7 +2547,7 @@ let run ?(max_cycles = 5_000_000) d =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "rtl-sim" @@ fun () ->
   if Calyx_telemetry.Runtime.on () then
     Calyx_telemetry.Trace.add_tag "engine" "rtl";
-  let evals0 = d.evals in
+  let evals0 = d.evals and ff_runs0 = d.ff_runs and staged0 = d.staged in
   set_input d "go" (Bitvec.one 1);
   let done_id = top_net d "done" in
   let done_wide = is_wide d.widths.(done_id) in
@@ -2559,7 +2567,10 @@ let run ?(max_cycles = 5_000_000) d =
   done;
   if Calyx_telemetry.Runtime.on () then begin
     Calyx_telemetry.Trace.add_metric "cycles" (float_of_int !count);
-    Calyx_telemetry.Trace.add_metric "evals" (float_of_int (d.evals - evals0))
+    Calyx_telemetry.Trace.add_metric "evals" (float_of_int (d.evals - evals0));
+    Calyx_telemetry.Trace.add_metric "ff_blocks"
+      (float_of_int (d.ff_runs - ff_runs0));
+    Calyx_telemetry.Trace.add_metric "staged" (float_of_int (d.staged - staged0))
   end;
   !count
 

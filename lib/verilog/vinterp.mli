@@ -90,7 +90,9 @@ val run : ?max_cycles:int -> t -> int
     presents [done]; returns the latency in cycles, the done cycle
     included — the exact counting convention of {!Calyx_sim.Sim.run}.
     [max_cycles] defaults to 5,000,000. With telemetry on, the [rtl-sim]
-    span carries the run's [cycles] and settle [evals]. *)
+    span carries the run's [cycles], settle [evals], [always_ff] blocks
+    run ([ff_blocks]; a block whose inputs and targets did not change is
+    skipped) and the writes those blocks [staged]. *)
 
 val cycle : t -> unit
 (** Advance one clock: settle, then commit every [always_ff] block. *)

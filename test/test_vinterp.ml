@@ -811,6 +811,85 @@ let test_alloc_per_cycle () =
         (false :: (if k.unrolled = None then [] else [ true ])))
     Polybench.Kernels.all
 
+(* The [rtl-sim] span's [always_ff] metrics. On a design of two blocks
+   they are counted by hand. On gemm they are checked against the blocks
+   its source declares, counted from the text: the first edge runs every
+   block, no edge runs more, and every branch of gemm's primitives writes
+   one to three targets. Recording them changes nothing the run does. *)
+let test_ff_metrics () =
+  let module T = Calyx_telemetry in
+  let rtl_sim d =
+    let cycles, spans = T.Trace.collect (fun () -> V.run d) in
+    match List.find_opt (fun sp -> sp.T.Trace.sp_name = "rtl-sim") spans with
+    | None -> Alcotest.fail "no rtl-sim span"
+    | Some sp ->
+        let metric name =
+          match List.assoc_opt name (T.Trace.metrics sp) with
+          | Some v -> int_of_float v
+          | None -> Alcotest.failf "rtl-sim has no %s metric" name
+        in
+        (cycles, metric "ff_blocks", metric "staged")
+  in
+  let src =
+    {|
+module main(input logic clk, input logic go, output logic done);
+logic [3:0] c;
+logic [3:0] k;
+always_ff @(posedge clk) if (go) c <= c + 4'd1;
+always_ff @(posedge clk) k <= 4'd5;
+assign done = c == 4'd3;
+endmodule
+|}
+  in
+  (* Both blocks run at the first edge and, as [k] changed, at the
+     second; then only the counter's, until [done] reads 1 in the fourth
+     cycle. *)
+  Alcotest.(check (triple int int int))
+    "two blocks: cycles, blocks run, writes staged" (4, 6, 6)
+    (rtl_sim (V.load ~top:"main" src));
+  let k = Polybench.Kernels.find "gemm" in
+  let prog = Polybench.Harness.program k ~unrolled:false in
+  let tb = Polybench.Harness.testbench k prog in
+  let sv =
+    Calyx_verilog.Verilog.emit
+      (Pipelines.compile (Dahlia.To_calyx.compile prog))
+  in
+  (* Lowered gemm is one flat module of primitive instances: each
+     instance holds its module's blocks. *)
+  let own = Hashtbl.create 16 and current = ref "" and blocks = ref 0 in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | "module" :: name :: _ ->
+          let name = List.hd (String.split_on_char '(' name) in
+          current := name;
+          Hashtbl.replace own name 0
+      | "always_ff" :: _ ->
+          Hashtbl.replace own !current (Hashtbl.find own !current + 1);
+          if !current = "main" then incr blocks
+      | m :: _ when !current = "main" && Hashtbl.mem own m ->
+          blocks := !blocks + Hashtbl.find own m
+      | _ -> ())
+    (String.split_on_char '\n' sv);
+  let nff = !blocks in
+  let load () =
+    let d = V.load ~top:"main" sv in
+    tb.load (Validate.rtl_io d);
+    d
+  in
+  let plain = load () in
+  let plain_cycles = V.run plain in
+  let traced = load () in
+  let cycles, ff_blocks, staged = rtl_sim traced in
+  Alcotest.(check bool) "gemm declares blocks" true (nff > 0);
+  Alcotest.(check (pair int int)) "cycles and evals as untraced"
+    (plain_cycles, V.evals plain) (cycles, V.evals traced);
+  if ff_blocks < nff || ff_blocks > nff * cycles then
+    Alcotest.failf "%d blocks run in %d cycles of %d blocks" ff_blocks cycles
+      nff;
+  if staged < ff_blocks || staged > 3 * ff_blocks then
+    Alcotest.failf "%d writes staged by %d block runs" staged ff_blocks
+
 (* Vinterp.load allocates in proportion to the design, not to its
    source text: lowered gemm's emitted SystemVerilog, with the minor-heap
    words one load allocates divided by the source's bytes (about 1.6;
@@ -1107,6 +1186,7 @@ let () =
             test_parity_corpus;
           Alcotest.test_case "failure precedence" `Quick test_parity_failures;
           Alcotest.test_case "allocation per cycle" `Quick test_alloc_per_cycle;
+          Alcotest.test_case "always_ff metrics" `Quick test_ff_metrics;
           Alcotest.test_case "load allocation" `Quick test_load_alloc;
         ] );
       ( "fuzz",
