@@ -46,7 +46,8 @@ type plan = {
   c_topo : Sched.topo;
   c_dst : int array;  (* the destination slot *)
   c_src : int array;
-      (* the source slot, or [-1 - v] for a narrow literal [v] *)
+      (* the source slot, or [-1 - v] for a narrow literal [v] (-1 for a
+         wide one, whose value is in [c_wlit]) *)
   c_wlit : int64 array;
       (* a wide writer's literal source ([||] if no writer has one) *)
   c_drive : drive array;
@@ -734,12 +735,12 @@ let compile (cp : plan) inst : compiled =
         resolve_wide slot
       end
   in
-  (* Group gating, against the entry view [refresh_entries] maintains: a
-     done write is live while its group is active, a data write unless
-     every entry is gated and the done hole reads 1. *)
   let dsts = cp.c_dst and srcs = cp.c_src and wlits = cp.c_wlit in
   let drive = cp.c_drive and groups = cp.c_group and datas = cp.c_data in
   let guards = cp.c_guard in
+  (* Group gating, against the entry view [refresh_entries] maintains: a
+     done write is live while its group is active, a data write unless
+     every entry is gated and the done hole reads 1. *)
   let group_scheduled ai g =
     let entries = st.s_entries.(g) in
     Array.length entries > 0
