@@ -109,12 +109,17 @@ let load_mems (io : Calyx_sim.Testbench.io) flags =
       Calyx_sim.Testbench.write_memory_ints io name ~width values)
     flags
 
+(* Each element in unsigned decimal, at any width up to 64 bits. *)
 let dump_externals sim =
   List.iter
     (fun name ->
-      let values = Calyx_sim.Sim.read_memory_ints sim name in
+      let values = Calyx_sim.Sim.read_memory sim name in
       Printf.printf "%s = [%s]\n" name
-        (String.concat "; " (List.map string_of_int values)))
+        (String.concat "; "
+           (Array.to_list
+              (Array.map
+                 (fun v -> Printf.sprintf "%Lu" (Calyx.Bitvec.to_int64 v))
+                 values))))
     (Calyx_sim.Sim.external_memories sim)
 
 let handle_errors f =
@@ -203,12 +208,6 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  src
-
 (* ------------------------------------------------------------------ *)
 (* Telemetry plumbing (shared by every subcommand)                     *)
 (* ------------------------------------------------------------------ *)
@@ -280,7 +279,9 @@ let with_telemetry ?source tele f =
     (match source with
     | Some file when Sys.file_exists file ->
         Tele.Manifest.set_run ~source:(Filename.basename file)
-          ~source_hash:(Tele.Manifest.hash (read_file file))
+          ~source_hash:
+            (Tele.Manifest.hash
+               (In_channel.with_open_bin file In_channel.input_all))
           ()
     | _ -> ());
     let finalize () =
@@ -314,7 +315,7 @@ let with_spans sp f =
 let parse_source file =
   if Filename.check_suffix file ".dahlia" || Filename.check_suffix file ".fuse"
   then begin
-    let src = read_file file in
+    let src = In_channel.with_open_bin file In_channel.input_all in
     let prog =
       Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
           Dahlia.Parser.parse_string src)
@@ -684,7 +685,9 @@ let validate_cmd =
             (fun file ->
               if Tele.Runtime.on () then
                 Tele.Manifest.set_run ~source:(Filename.basename file)
-                  ~source_hash:(Tele.Manifest.hash (read_file file))
+                  ~source_hash:
+                    (Tele.Manifest.hash
+                       (In_channel.with_open_bin file In_channel.input_all))
                   ~pipeline:(Calyx.Pipelines.id config) ();
               let lowered =
                 Calyx.Pipelines.compile ~config (parse_source file)
@@ -752,7 +755,8 @@ let farm_cmd =
        fuzz SEED
      Blank lines and #-comments are skipped. *)
   let manifest_sources path =
-    String.split_on_char '\n' (read_file path)
+    String.split_on_char '\n'
+      (In_channel.with_open_bin path In_channel.input_all)
     |> List.concat_map (fun line ->
            let line = String.trim line in
            if line = "" || line.[0] = '#' then []
@@ -1143,7 +1147,10 @@ let report_cmd =
           | Some base, benches ->
               if benches = [] then
                 failwith "report: --baseline needs a current bench results file";
-              let parse_results path = Tele.Json.parse (read_file path) in
+              let parse_results path =
+                Tele.Json.parse
+                  (In_channel.with_open_bin path In_channel.input_all)
+              in
               let baseline_v = parse_results base in
               List.iter
                 (fun bench ->

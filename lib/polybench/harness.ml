@@ -103,15 +103,3 @@ let run_rtl ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
 let rtl_ok r =
   r.report.Calyx_verilog.Validate.ok
   && r.mismatches_sim = [] && r.mismatches_rtl = []
-
-let run_interp ?engine k ~unrolled =
-  stamp_run k ~unrolled ~config:Calyx.Pipelines.default_config ~engine;
-  let prog = program k ~unrolled in
-  let ctx = Dahlia.To_calyx.compile prog in
-  (* Structured programs are timed as their merged netlist, which can have
-     cycles lowering would resolve; fall back to the lowered design. *)
-  result ?engine k prog ctx ~timed:(fun () ->
-      try Calyx_synth.Timing.context_timing ~paths:1 ctx
-      with Calyx_synth.Timing.Combinational_loop _ ->
-        Calyx_synth.Timing.context_timing ~paths:1
-          (Calyx.Pipelines.compile ctx))

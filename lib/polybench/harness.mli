@@ -50,11 +50,6 @@ val run :
     selects the simulator's evaluation engine (default
     {!Calyx_sim.Sim.default_engine}). *)
 
-val run_interp :
-  ?engine:Calyx_sim.Sim.engine -> Kernels.kernel -> unrolled:bool -> result
-(** Execute with the reference interpreter instead of compiling (area is
-    measured on the structured program). *)
-
 (** {1 Translation validation} *)
 
 type rtl_result = {

@@ -15,9 +15,7 @@ module Tele = Calyx_telemetry
    by every instance. *)
 type sguard = SConst of bool | SFun of (Slot.env -> bool)
 
-(* How an assignment node drives its slot. The source and destination
-   of an assignment have one width (Sim.create checks it), so a narrow
-   destination's writer copies ints and a wide one's int64s. *)
+(* How an assignment node drives its slot. *)
 type drive =
   | Elided  (* single writer that never drives: the slot stays zero *)
   | Folded
@@ -28,7 +26,6 @@ type drive =
          its source to the env *)
   | Direct  (* single writer, no producer: writes the env directly *)
   | Shared  (* keeps a live/value cell and re-resolves the slot *)
-  | Wide  (* any other writer of a wide slot: [Shared] on int64s *)
 
 (* Everything about the engine that depends only on the component, built
    once per component and shared by its instances. The graph has one
@@ -45,11 +42,7 @@ type drive =
 type plan = {
   c_topo : Sched.topo;
   c_dst : int array;  (* the destination slot *)
-  c_src : int array;
-      (* the source slot, or [-1 - v] for a narrow literal [v] (-1 for a
-         wide one, whose value is in [c_wlit]) *)
-  c_wlit : int64 array;
-      (* a wide writer's literal source ([||] if no writer has one) *)
+  c_src : int array;  (* the source slot, or [-1 - v] for a literal [v] *)
   c_drive : drive array;
   c_group : int array;  (* -1 for continuous assignments *)
   c_data : bool array;
@@ -76,10 +69,8 @@ type sstate = {
   s_live : bool array;
       (* assignment -> scheduled && guard true, as of its last eval *)
   s_val : int array;  (* assignment -> driven value while live *)
-  s_wval : int64 array;  (* the same for a [Wide] writer ([||] if none) *)
   s_base : int array;
       (* per-slot value from non-assignment producers — zero otherwise *)
-  s_wbase : int64 array;  (* the same for a wide slot ([||] if none) *)
   s_live_count : int array;  (* live writers per multi-writer slot *)
   mutable s_suspects : int;  (* slots currently holding >= 2 live writers *)
   s_entries : bool array array;
@@ -154,10 +145,9 @@ let refresh_entries cp inst st =
 
 (* Partial evaluation of a guard. Constants fold at build time;
    comparisons between same-width atoms compile to alloc-free native
-   compares (slot values are masked, so signed comparison of narrow ints
-   and unsigned comparison of int64s are exact). A width mismatch falls
-   back to the reference evaluation, which keeps raising Width_error at
-   run time. *)
+   compares (slot values are masked and narrow, so signed comparison is
+   exact). A width mismatch falls back to the reference evaluation, which
+   keeps raising Width_error at run time. *)
 exception Bail
 
 let atom_width widths = function
@@ -191,38 +181,16 @@ let flip = function
   | Ge -> Le
   | (Eq | Neq) as op -> op
 
-let cmp_i64 = function
-  | Eq -> fun x y -> Int64.equal x y
-  | Neq -> fun x y -> not (Int64.equal x y)
-  | Lt -> fun x y -> Int64.unsigned_compare x y < 0
-  | Gt -> fun x y -> Int64.unsigned_compare x y > 0
-  | Le -> fun x y -> Int64.unsigned_compare x y <= 0
-  | Ge -> fun x y -> Int64.unsigned_compare x y >= 0
-
 let rec fold_guard widths = function
   | True -> SConst true
   | Atom (Lit v) -> SConst (Bitvec.is_true v)
-  | Atom (Port i) ->
-      if Slot.is_wide widths.(i) then
-        SFun (fun e -> not (Int64.equal e.wides.(i) 0L))
-      else SFun (fun e -> e.ints.(i) <> 0)
-  | Cmp (op, a, b) -> (
+  | Atom (Port i) -> SFun (fun e -> e.ints.(i) <> 0)
+  | Cmp (op, a, b) as g -> (
       let width = atom_width widths a in
       if width <> atom_width widths b then raise Bail;
       let lit v = Slot.int_of_bits width v in
       match (a, b) with
-      | Lit x, Lit y ->
-          SConst (cmp_i64 op (Bitvec.to_int64 x) (Bitvec.to_int64 y))
-      | _ when Slot.is_wide width ->
-          let cmp = cmp_i64 op in
-          let value = function
-            | Lit v ->
-                let x = Bitvec.to_int64 v in
-                fun (_ : Slot.env) -> x
-            | Port i -> fun e -> e.wides.(i)
-          in
-          let x = value a and y = value b in
-          SFun (fun e -> cmp (x e) (y e))
+      | Lit _, Lit _ -> SConst (guard_holds no_env g)
       | Lit x, Port j -> SFun (cmp_port_lit (flip op) j (lit x))
       | Port i, Lit y -> SFun (cmp_port_lit op i (lit y))
       | Port i, Port j -> SFun (cmp_ports op i j))
@@ -231,14 +199,14 @@ let rec fold_guard widths = function
       | SConst false, _ | _, SConst false -> SConst false
       | SConst true, s | s, SConst true -> s
       | SFun f1, SFun f2 -> (
-          (* The common left operands, a narrow state compare or port,
-             test inline: one closure call fewer. [g1] folded, so its
-             widths agree. *)
+          (* The common left operands, a state compare or port, test
+             inline: one closure call fewer. [g1] folded, so its widths
+             agree. *)
           match g1 with
-          | Cmp (Eq, Port i, Lit y) when not (Slot.is_wide widths.(i)) ->
+          | Cmp (Eq, Port i, Lit y) ->
               let y = Slot.int_of_bits widths.(i) y in
               SFun (fun e -> e.ints.(i) = y && f2 e)
-          | Atom (Port i) when not (Slot.is_wide widths.(i)) ->
+          | Atom (Port i) ->
               SFun (fun e -> e.ints.(i) <> 0 && f2 e)
           | _ -> SFun (fun e -> f1 e && f2 e)))
   | Or (g1, g2) -> (
@@ -360,15 +328,6 @@ let plan (ip : Instance.plan) : plan =
   let c_dst = Array.map (fun ra -> ra.dst) ras in
   let c_guard = Array.make na (SConst false) in
   let c_src = Array.make na 0 in
-  let c_wlit =
-    if
-      Array.exists
-        (fun ra ->
-          match ra.src with Lit _ -> Slot.is_wide widths.(ra.dst) | Port _ -> false)
-        ras
-    then Array.make na 0L
-    else [||]
-  in
   Array.iteri
     (fun ai ra ->
       (c_guard.(ai) <-
@@ -385,12 +344,7 @@ let plan (ip : Instance.plan) : plan =
         | Port s -> s
         | Lit v ->
             incr fold_consts;
-            let w = widths.(ra.dst) in
-            if Slot.is_wide w then begin
-              c_wlit.(ai) <- Bitvec.to_int64 v;
-              -1
-            end
-            else -1 - Slot.int_of_bits w v))
+            -1 - Slot.int_of_bits widths.(ra.dst) v))
     ras;
   let np = Array.length ip.p_prims in
   let nc = Array.length ip.p_children in
@@ -482,11 +436,7 @@ let plan (ip : Instance.plan) : plan =
                   incr elided;
                   Folded
               | Port _ -> Always)
-          | _ -> Direct);
-      match c_drive.(ai) with
-      | (Always | Direct | Shared) when Slot.is_wide widths.(dst) ->
-          c_drive.(ai) <- Wide
-      | _ -> ())
+          | _ -> Direct))
     c_dst;
   let group_nodes = Array.make (max ngroups 1) [||] in
   Array.iteri (fun g l -> group_nodes.(g) <- Array.of_list l) group_lists;
@@ -509,7 +459,7 @@ let plan (ip : Instance.plan) : plan =
     match c_drive.(ai) with
     | Elided -> "  [elided]"
     | Folded -> "  [folded]"
-    | Always | Direct | Shared | Wide -> ""
+    | Always | Direct | Shared -> ""
   in
   let label k =
     if k < np then
@@ -535,7 +485,6 @@ let plan (ip : Instance.plan) : plan =
     c_topo = topo;
     c_dst;
     c_src;
-    c_wlit;
     c_drive;
     c_group;
     c_data;
@@ -561,15 +510,11 @@ let plan (ip : Instance.plan) : plan =
    shared plan. Primitive port names are resolved to slots via
    Prim_state.compile_step, and slot resolution replays the reference
    scan over the slot's writers with an early exit instead of re-walking
-   every assignment. Whether a slot is narrow or wide is decided here,
-   once per slot: each writer, producer and child port below is staged
-   for one of the two. Children must already be compiled. *)
+   every assignment. Children must already be compiled. *)
 let compile (cp : plan) inst : compiled =
   let ip = inst.i_plan in
   let env = inst.i_env in
-  let ints = env.ints and wides = env.wides in
-  let widths = ip.p_widths in
-  let wide s = Slot.is_wide widths.(s) in
+  let ints = env.ints in
   let nslots = ip.p_slots in
   let na = Array.length cp.c_dst in
   let ngroups = Array.length ip.p_groups in
@@ -582,12 +527,7 @@ let compile (cp : plan) inst : compiled =
       s_graph = graph;
       s_live = Array.make (max na 1) false;
       s_val = Array.make (max na 1) 0;
-      s_wval =
-        (if Array.memq Wide cp.c_drive then
-           Array.make na 0L
-         else [||]);
       s_base = Array.make (max nslots 1) 0;
-      s_wbase = (if Array.length wides > 0 then Array.make nslots 0L else [||]);
       s_live_count = Array.make (max nslots 1) 0;
       s_suspects = 0;
       s_entries = Array.make (max ngroups 1) [||];
@@ -625,7 +565,7 @@ let compile (cp : plan) inst : compiled =
   in
   (* Where primitive [pp] reads and writes; a clock edge writes
      nothing. *)
-  let ports ?(on_slot = ignore) ~write ~write_wide pp =
+  let ports ?(on_slot = ignore) ~write pp =
     {
       Prim_state.env;
       input =
@@ -638,7 +578,6 @@ let compile (cp : plan) inst : compiled =
               raise (Prim_state.Sim_error ("unknown primitive input " ^ name)));
       output = output_slot pp;
       write;
-      write_wide;
     }
   in
   let commits = Array.make np (fun () -> 0) in
@@ -650,9 +589,7 @@ let compile (cp : plan) inst : compiled =
           | q :: _ when q = p -> ()
           | ps -> edge_reads.(s) <- p :: ps
       in
-      let ports =
-        ports ~on_slot ~write:(fun _ -> ignore) ~write_wide:(fun _ -> ignore) pp
-      in
+      let ports = ports ~on_slot ~write:(fun _ -> ignore) pp in
       match Prim_state.compile_commit inst.i_prims.(p) ports with
       | Some f ->
           enqueue p;
@@ -684,12 +621,6 @@ let compile (cp : plan) inst : compiled =
       changed slot
     end
   in
-  let wr_wide slot v =
-    if not (Int64.equal wides.(slot) v) then begin
-      wides.(slot) <- v;
-      changed slot
-    end
-  in
   (* A slot with assignment writers: the last live writer in static scan
      order wins, else the producer's base — the reference engine's
      last-write-wins scan, with an early exit from the back, no
@@ -709,13 +640,6 @@ let compile (cp : plan) inst : compiled =
        else if has_producer.(slot) then st.s_base.(slot)
        else 0)
   in
-  let resolve_wide slot =
-    let w = last_live slot in
-    wr_wide slot
-      (if w >= 0 then st.s_wval.(w)
-       else if has_producer.(slot) then st.s_wbase.(slot)
-       else 0L)
-  in
   (* A non-assignment producer pushed a value: writer-less slots skip
      the base cell and write the env directly; writer-shadowed slots
      stage the base and re-resolve. *)
@@ -727,15 +651,7 @@ let compile (cp : plan) inst : compiled =
         resolve slot
       end
   in
-  let produce_wide slot =
-    if writer_count cp slot = 0 then fun v -> wr_wide slot v
-    else fun v ->
-      if not (Int64.equal st.s_wbase.(slot) v) then begin
-        st.s_wbase.(slot) <- v;
-        resolve_wide slot
-      end
-  in
-  let dsts = cp.c_dst and srcs = cp.c_src and wlits = cp.c_wlit in
+  let dsts = cp.c_dst and srcs = cp.c_src in
   let drive = cp.c_drive and groups = cp.c_group and datas = cp.c_data in
   let guards = cp.c_guard in
   (* Group gating, against the entry view [refresh_entries] maintains: a
@@ -759,10 +675,6 @@ let compile (cp : plan) inst : compiled =
   let[@inline] src ai =
     let s = srcs.(ai) in
     if s >= 0 then ints.(s) else -1 - s
-  in
-  let[@inline] src_wide ai =
-    let s = srcs.(ai) in
-    if s >= 0 then wides.(s) else wlits.(ai)
   in
   (* A writer's live transitions, which feed the suspect count that
      gates the conflict check. *)
@@ -806,31 +718,14 @@ let compile (cp : plan) inst : compiled =
           set_dead ai dst;
           resolve dst
         end
-    | Wide ->
-        let d = drives ai in
-        blocked.(k) <- not d;
-        if d then begin
-          let v = src_wide ai in
-          if (not st.s_live.(ai)) || not (Int64.equal v st.s_wval.(ai)) then begin
-            set_live ai dst;
-            st.s_wval.(ai) <- v;
-            resolve_wide dst
-          end
-        end
-        else if st.s_live.(ai) then begin
-          set_dead ai dst;
-          resolve_wide dst
-        end
   in
   (* A never-driving writer starts blocked; a folded one's constant is
      the slot's initial value. *)
   for ai = 0 to na - 1 do
-    let dst = dsts.(ai) in
     match drive.(ai) with
     | Elided -> blocked.(first_assign + ai) <- true
-    | Folded when wide dst -> wides.(dst) <- src_wide ai
-    | Folded -> ints.(dst) <- src ai
-    | Always | Direct | Shared | Wide -> ()
+    | Folded -> ints.(dsts.(ai)) <- src ai
+    | Always | Direct | Shared -> ()
   done;
   let build_go g =
     (* Mirrors the reference loop: one write per active entry in actives
@@ -848,7 +743,7 @@ let compile (cp : plan) inst : compiled =
   let build_prim p =
     let pp = ip.p_prims.(p) in
     Prim_state.compile_step inst.i_prims.(p)
-      (ports ~write:produce ~write_wide:produce_wide pp)
+      (ports ~write:produce pp)
   in
   let build_child c =
     let ch = inst.i_children.(c) in
@@ -863,28 +758,15 @@ let compile (cp : plan) inst : compiled =
         (fun (_, pslot) -> not (structured && pslot = chp.cp_done_slot))
         (Array.to_list chp.cp_output_map)
     in
-    let wide_outs, narrow_outs = List.partition (fun (_, p) -> wide p) outs in
     let done_w = if structured then Some (produce chp.cp_done_slot) else None in
     (* Flat index arrays so the closure's staging loops allocate
-       nothing per call. Every input's int is copied (a wide one's is
-       zero); a wide input's int64 too. *)
+       nothing per call. *)
     let in_pslots = Array.map fst chp.cp_input_map in
-    let wide_in =
-      Array.of_list
-        (List.filter
-           (fun i -> wide in_pslots.(i))
-           (List.init (Array.length in_pslots) Fun.id))
-    in
-    let out_cslots = Array.of_list (List.map fst narrow_outs) in
-    let out_ws = Array.of_list (List.map (fun (_, p) -> produce p) narrow_outs) in
-    let wout_cslots = Array.of_list (List.map fst wide_outs) in
-    let wout_ws =
-      Array.of_list (List.map (fun (_, p) -> produce_wide p) wide_outs)
-    in
+    let out_cslots = Array.of_list (List.map fst outs) in
+    let out_ws = Array.of_list (List.map (fun (_, p) -> produce p) outs) in
     let buf = ch.c_buf in
-    let bints = buf.ints and bwides = buf.wides in
-    let cenv = ch.c_inst.i_env in
-    let cints = cenv.ints and cwides = cenv.wides in
+    let bints = buf.ints in
+    let cints = ch.c_inst.i_env.ints in
     let child_settle =
       match ch.c_inst.i_compiled with
       | Some x -> x.x_settle
@@ -894,16 +776,9 @@ let compile (cp : plan) inst : compiled =
       for i = 0 to Array.length in_pslots - 1 do
         bints.(i) <- ints.(in_pslots.(i))
       done;
-      for i = 0 to Array.length wide_in - 1 do
-        let j = wide_in.(i) in
-        bwides.(j) <- wides.(in_pslots.(j))
-      done;
       child_settle buf;
       for i = 0 to Array.length out_ws - 1 do
         out_ws.(i) cints.(out_cslots.(i))
-      done;
-      for i = 0 to Array.length wout_ws - 1 do
-        wout_ws.(i) cwides.(wout_cslots.(i))
       done;
       match done_w with
       | Some w -> w (if ch.c_inst.i_done_reg then 1 else 0)
@@ -921,19 +796,9 @@ let compile (cp : plan) inst : compiled =
     if k >= first_assign then eval_assign k (k - first_assign)
     else closures.(k) ()
   in
-  (* The inputs, indexed like [p_input_slots]: each one's int or int64 is
-     pushed into its slot. *)
+  (* The inputs' writers, indexed like [p_input_slots]. *)
   let inputs =
-    Array.of_list
-      (List.map
-         (fun (_, slot) ->
-           if wide slot then
-             let w = produce_wide slot in
-             fun (b : Slot.env) i -> w b.wides.(i)
-           else
-             let w = produce slot in
-             fun (b : Slot.env) i -> w b.ints.(i))
-         ip.p_input_slots)
+    Array.of_list (List.map (fun (_, slot) -> produce slot) ip.p_input_slots)
   in
   (* One settle: stage the inputs, refresh the per-group entry view, then
      let Sched evaluate the dirty nodes level by level. Cyclic components
@@ -942,11 +807,11 @@ let compile (cp : plan) inst : compiled =
      two live writers, so error paths stay bit-identical. *)
   let x_settle (values : Slot.env) =
     for i = 0 to Array.length inputs - 1 do
-      inputs.(i) values i
+      inputs.(i) values.ints.(i)
     done;
     refresh_entries cp inst st;
     let touched =
-      try Sched.run graph ~eval ~max_passes:inst.i_max_iters
+      try Sched.run graph ~eval ~max_passes:max_settle_iters
       with Sched.Diverged ->
         raise
           (Unstable_msg

@@ -7,11 +7,11 @@
     folded. Per instance, the engine stages one closure over the
     instance's state per primitive (its port names resolved to slots),
     child and [go] hole, and evaluates assignment nodes straight from the
-    shared plan. Values live in the instance's {!Slot.env}: each slot's
-    closures, writers and producer cells are staged for its native [int]
-    (up to 62 bits) or its [int64] (63 and 64 bits) once, when the
-    instance is built, so a settle makes no width test and, on narrow
-    slots, allocates nothing. A settle runs {!Sched.run}: it
+    shared plan. Values live in the native ints of the instance's
+    {!Slot.env}: the engine runs only designs whose slots are all at most
+    {!Slot.narrow} bits wide ({!Sim.create} runs any other on the
+    fixpoint engine), so a settle makes no width test and allocates
+    nothing. A settle runs {!Sched.run}: it
     evaluates only the dirty nodes, level by level, each level in the
     order its nodes were marked, with a worklist for the members of cyclic
     components; an assignment whose last evaluation did not drive is not

@@ -47,6 +47,11 @@ let commit_set_size =
 exception Conflict_msg of string
 exception Unstable_msg of string
 
+(* The settle budget past which either engine raises [Unstable_msg]:
+   Jacobi iterations per cycle under the fixpoint engine, worklist passes
+   per cyclic-component member under the compiled engine. *)
+let max_settle_iters = 1000
+
 type ctrl_phase = Ctrl_enter | Ctrl_exit | Ctrl_branch of bool
 
 (* ------------------------------------------------------------------ *)
@@ -366,7 +371,6 @@ type instance = {
       (* evaluation work accumulated this cycle: fixpoint iterations under
          the reference engine, nodes touched under the compiled engine;
          reset at commit *)
-  i_max_iters : int;  (* fixpoint iteration / worklist pass budget *)
   (* Conflict-check scratch (one slot-indexed "driver table" per
      instance, generation-stamped so clearing is O(1) per cycle), made on
      the first check. *)

@@ -305,50 +305,25 @@ let commit t ~read =
 (* ------------------------------------------------------------------ *)
 
 (* Every port name is resolved to its slot ONCE, at closure-build time,
-   and whether a port is narrow or wide is decided there too, so the
-   per-settle hot path does no string lookups, no width tests and, on
-   narrow ports, no allocation. The arithmetic is this section's own,
-   on native ints (int64 for wide ports); its semantics mirror [outputs]
-   and [commit] exactly — the differential fuzz against the fixpoint
-   engine depends on it. *)
+   so the per-settle hot path does no string lookups and no allocation.
+   The compiled engine runs only designs whose slots are all narrow
+   (Sim.create), so every port here is a native int. The arithmetic is
+   this section's own; its semantics mirror [outputs] and [commit]
+   exactly — the differential fuzz against the fixpoint engine depends
+   on it. *)
 
 type ports = {
   env : Slot.env;
   input : string -> int;
   output : string -> int;
   write : int -> int -> unit;
-  write_wide : int -> int64 -> unit;
 }
 
 let width p s = p.env.Slot.widths.(s)
-let narrow_slot p s = s < 0 || not (Slot.is_wide (width p s))
 
-(* The writer of a narrow output, which drops the value if the port has
-   no slot. *)
+(* The writer of an output, which drops the value if the port has no
+   slot. *)
 let out p name = match p.output name with s when s >= 0 -> p.write s | _ -> ignore
-
-(* The slow path, for a primitive with a wide port: read any input as an
-   int64, and write any output from an int64, masked to its width. *)
-let read64 p name =
-  let s = p.input name in
-  if Slot.is_wide (width p s) then
-    let a = p.env.wides in
-    fun () -> a.(s)
-  else
-    let a = p.env.ints in
-    fun () -> Int64.of_int a.(s)
-
-let write64 p name =
-  match p.output name with
-  | s when s < 0 -> ignore
-  | s ->
-      let w = width p s in
-      if Slot.is_wide w then
-        let f = p.write_wide s and m = Slot.mask64 w in
-        fun x -> f (Int64.logand x m)
-      else
-        let f = p.write s and m = Slot.mask w in
-        fun x -> f (Int64.to_int x land m)
 
 let bit b = if b then 1 else 0
 
@@ -381,31 +356,6 @@ let narrow_cmp op o (a : int array) l r =
   | Le -> fun () -> o (bit (a.(l) <= a.(r)))
   | Ge -> fun () -> o (bit (a.(l) >= a.(r)))
 
-(* The same on int64s, for [w] up to 64; [write64] masks the result. *)
-let wide_arith op w x y =
-  match op with
-  | Add -> Int64.add x y
-  | Sub -> Int64.sub x y
-  | Mul -> Int64.mul x y
-  | And -> Int64.logand x y
-  | Or -> Int64.logor x y
-  | Xor -> Int64.logxor x y
-  | Lsh when Int64.unsigned_compare y (Int64.of_int w) < 0 ->
-      Int64.shift_left x (Int64.to_int y)
-  | Rsh when Int64.unsigned_compare y (Int64.of_int w) < 0 ->
-      Int64.shift_right_logical x (Int64.to_int y)
-  | Lsh | Rsh -> 0L
-
-let wide_cmp op x y =
-  let c = Int64.unsigned_compare x y in
-  match op with
-  | Lt -> c < 0
-  | Gt -> c > 0
-  | Eq -> c = 0
-  | Neq -> c <> 0
-  | Le -> c <= 0
-  | Ge -> c >= 0
-
 let compile_comb p kind =
   let ins =
     List.map p.input
@@ -414,54 +364,26 @@ let compile_comb p kind =
       | Const _ -> []
       | Wire | Slice _ | Pad _ | Not -> [ "in" ])
   in
-  let o = p.output "out" in
   let a = p.env.ints in
-  (* The operation's width: its first input's, or the constant's. *)
-  let w =
-    match (kind, ins) with
-    | Const v, _ -> Bitvec.width v
-    | _, s :: _ -> width p s
-    | _, [] -> 1
-  in
+  let o = out p "out" in
   match (kind, ins) with
   | Pad ow, [ i ] when ow < width p i ->
       (* A narrowing pad raises Bitvec's width error, as the reference
          does. *)
       fun () -> ignore (Bitvec.zero_extend (Slot.get p.env i) ow)
-  | _ when List.for_all (narrow_slot p) (o :: ins) && not (Slot.is_wide w) -> (
-      let o = out p "out" in
-      match (kind, ins) with
-      | Const v, _ ->
-          let x = Slot.int_of_bits w v in
-          fun () -> o x
-      | (Wire | Pad _), [ i ] -> fun () -> o a.(i)
-      | Slice ow, [ i ] ->
-          let m = Slot.mask (min ow Slot.narrow) in
-          fun () -> o (a.(i) land m)
-      | Not, [ i ] ->
-          let m = Slot.mask w in
-          fun () -> o (lnot a.(i) land m)
-      | Arith op, [ l; r ] -> narrow_arith op w o a l r
-      | Compare op, [ l; r ] -> narrow_cmp op o a l r
-      | _ -> assert false)
-  | _ -> (
-      let o = write64 p "out" in
-      match (kind, ins) with
-      | Const v, _ ->
-          let x = Bitvec.to_int64 v in
-          fun () -> o x
-      | (Wire | Pad _ | Slice _), _ ->
-          let i = read64 p "in" in
-          fun () -> o (i ())
-      | Not, _ ->
-          let i = read64 p "in" in
-          fun () -> o (Int64.lognot (i ()))
-      | Arith op, _ ->
-          let l = read64 p "left" and r = read64 p "right" in
-          fun () -> o (wide_arith op w (l ()) (r ()))
-      | Compare op, _ ->
-          let l = read64 p "left" and r = read64 p "right" in
-          fun () -> o (if wide_cmp op (l ()) (r ()) then 1L else 0L))
+  | Const v, _ ->
+      let x = Slot.int_of_bits (Bitvec.width v) v in
+      fun () -> o x
+  | (Wire | Pad _), [ i ] -> fun () -> o a.(i)
+  | Slice ow, [ i ] ->
+      let m = Slot.mask ow in
+      fun () -> o (a.(i) land m)
+  | Not, [ i ] ->
+      let m = Slot.mask (width p i) in
+      fun () -> o (lnot a.(i) land m)
+  | Arith op, [ l; r ] -> narrow_arith op (width p l) o a l r
+  | Compare op, [ l; r ] -> narrow_cmp op o a l r
+  | _ -> assert false
 
 (* The flat element index the address ports select, or -1 when one of
    them is out of range. *)
@@ -469,86 +391,51 @@ let staged_mem_address p m =
   let dims = m.m_dims in
   let n = Array.length dims in
   let slots = Array.init n (fun i -> p.input (addr_name i)) in
-  if Array.for_all (narrow_slot p) slots then begin
-    let a = p.env.ints in
-    fun () ->
-      let addr = ref 0 and i = ref 0 in
-      while !i < n do
-        let v = a.(slots.(!i)) in
-        if v >= dims.(!i) then begin
-          addr := -1;
-          i := n
-        end
-        else begin
-          addr := (!addr * dims.(!i)) + v;
-          incr i
-        end
-      done;
-      !addr
-  end
-  else fun () ->
-    match mem_address m ~read:(fun name -> Slot.get p.env (p.input name)) with
-    | Some a -> a
-    | None -> -1
+  let a = p.env.ints in
+  fun () ->
+    let addr = ref 0 and i = ref 0 in
+    while !i < n do
+      let v = a.(slots.(!i)) in
+      if v >= dims.(!i) then begin
+        addr := -1;
+        i := n
+      end
+      else begin
+        addr := (!addr * dims.(!i)) + v;
+        incr i
+      end
+    done;
+    !addr
 
 let compile_step t p =
   match t with
   | Comb kind -> compile_comb p kind
   | Reg r ->
-      let dn = out p "done" in
-      if Slot.is_wide r.r_width then
-        let o = write64 p "out" in
-        fun () ->
-          o r.r_wide;
-          dn (bit r.r_done)
-      else
-        let o = out p "out" in
-        fun () ->
-          o r.r_int;
-          dn (bit r.r_done)
+      let o = out p "out" and dn = out p "done" in
+      fun () ->
+        o r.r_int;
+        dn (bit r.r_done)
   | Mem m ->
-      let dn = out p "done" in
+      let rd = out p "read_data" and dn = out p "done" in
       let addr = staged_mem_address p m in
-      if Slot.is_wide m.m_width then
-        let rd = write64 p "read_data" in
-        fun () ->
-          (let a = addr () in
-           rd (if a < 0 then 0L else m.m_wides.(a)));
-          dn (bit m.m_done)
-      else
-        let rd = out p "read_data" in
-        fun () ->
-          (let a = addr () in
-           rd (if a < 0 then 0 else m.m_ints.(a)));
-          dn (bit m.m_done)
+      fun () ->
+        (let a = addr () in
+         rd (if a < 0 then 0 else m.m_ints.(a)));
+        dn (bit m.m_done)
   | Pipe pp -> (
       let dn = out p "done" in
-      let wide = Slot.is_wide pp.p_width in
       match pp.p_op with
       | Mult | Sqrt ->
-          if wide then
-            let o = write64 p "out" in
-            fun () ->
-              o pp.p_wout;
-              dn (bit pp.p_done)
-          else
-            let o = out p "out" in
-            fun () ->
-              o pp.p_out;
-              dn (bit pp.p_done)
+          let o = out p "out" in
+          fun () ->
+            o pp.p_out;
+            dn (bit pp.p_done)
       | Div ->
-          if wide then
-            let q = write64 p "out_quotient" and r = write64 p "out_remainder" in
-            fun () ->
-              q pp.p_wout;
-              r pp.p_wrem;
-              dn (bit pp.p_done)
-          else
-            let q = out p "out_quotient" and r = out p "out_remainder" in
-            fun () ->
-              q pp.p_out;
-              r pp.p_rem;
-              dn (bit pp.p_done))
+          let q = out p "out_quotient" and r = out p "out_remainder" in
+          fun () ->
+            q pp.p_out;
+            r pp.p_rem;
+            dn (bit pp.p_done))
   | Custom c ->
       (* Custom models read and write by name at runtime, as Bitvec, so
          their behaviour (including errors on unknown ports) is
@@ -558,10 +445,7 @@ let compile_step t p =
           (fun (name, v) ->
             match p.output name with
             | s when s < 0 -> ()
-            | s ->
-                let w = width p s in
-                if Slot.is_wide w then p.write_wide s (Slot.wide_of_bits w v)
-                else p.write s (Slot.int_of_bits w v))
+            | s -> p.write s (Slot.int_of_bits (width p s) v))
           (c.c_outputs (fun name -> Slot.get p.env (p.input name)))
 
 (* What a staged clock edge reports, as a bit set. *)
@@ -578,52 +462,30 @@ let compile_commit t p =
           c.c_commit (fun name -> Slot.get p.env (p.input name));
           edge_changed lor edge_again)
   | Reg r ->
-      let we = p.input "write_en" in
-      let idle () =
-        let changed = r.r_done in
-        r.r_done <- false;
-        if changed then edge_changed else 0
-      in
-      if Slot.is_wide r.r_width then
-        let vin = read64 p "in" in
-        Some
-          (fun () ->
-            if a.(we) = 0 then idle ()
-            else begin
-              let v = vin () in
-              let changed = (not r.r_done) || not (Int64.equal r.r_wide v) in
-              r.r_wide <- v;
-              r.r_done <- true;
-              if changed then edge_changed else 0
-            end)
-      else
-        let vin = p.input "in" in
-        Some
-          (fun () ->
-            if a.(we) = 0 then idle ()
-            else begin
-              let v = a.(vin) in
-              let changed = (not r.r_done) || r.r_int <> v in
-              r.r_int <- v;
-              r.r_done <- true;
-              if changed then edge_changed else 0
-            end)
+      let we = p.input "write_en" and vin = p.input "in" in
+      Some
+        (fun () ->
+          if a.(we) = 0 then begin
+            let changed = r.r_done in
+            r.r_done <- false;
+            if changed then edge_changed else 0
+          end
+          else begin
+            let v = a.(vin) in
+            let changed = (not r.r_done) || r.r_int <> v in
+            r.r_int <- v;
+            r.r_done <- true;
+            if changed then edge_changed else 0
+          end)
   | Mem m ->
       let we = p.input "write_en" in
       let addr = staged_mem_address p m in
-      let store =
-        if Slot.is_wide m.m_width then
-          let wd = read64 p "write_data" in
-          fun i -> m.m_wides.(i) <- wd ()
-        else
-          let wd = p.input "write_data" in
-          fun i -> m.m_ints.(i) <- a.(wd)
-      in
+      let wd = p.input "write_data" in
       Some
         (fun () ->
           if a.(we) <> 0 then begin
             (let i = addr () in
-             if i >= 0 then store i);
+             if i >= 0 then m.m_ints.(i) <- a.(wd));
             m.m_done <- true;
             edge_changed
           end
@@ -634,62 +496,33 @@ let compile_commit t p =
           end)
   | Pipe pp ->
       let go = p.input "go" in
-      let w = pp.p_width in
       let compute, target =
         let fixed () = Option.get pp.p_fixed_latency in
-        if Slot.is_wide w then
-          let m = Slot.mask64 w in
-          match pp.p_op with
-          | Mult ->
-              let l = read64 p "left" and r = read64 p "right" in
-              ( (fun () -> pp.p_wout <- Int64.logand (Int64.mul (l ()) (r ())) m),
-                fixed )
-          | Div ->
-              let l = read64 p "left" and r = read64 p "right" in
-              ( (fun () ->
-                  let lv = l () and rv = r () in
-                  if Int64.equal rv 0L then begin
-                    pp.p_wout <- m;
-                    pp.p_wrem <- lv
-                  end
-                  else begin
-                    pp.p_wout <- Int64.unsigned_div lv rv;
-                    pp.p_wrem <- Int64.unsigned_rem lv rv
-                  end),
-                fixed )
-          | Sqrt ->
-              let i = read64 p "in" in
-              ( (fun () -> pp.p_wout <- Int64.logand (isqrt (i ())) m),
-                fun () ->
-                  match pp.p_fixed_latency with
-                  | Some l -> l
-                  | None -> sqrt_cycles (i ()) )
-        else
-          let m = Slot.mask w in
-          match pp.p_op with
-          | Mult ->
-              let l = p.input "left" and r = p.input "right" in
-              ((fun () -> pp.p_out <- a.(l) * a.(r) land m), fixed)
-          | Div ->
-              let l = p.input "left" and r = p.input "right" in
-              ( (fun () ->
-                  let lv = a.(l) and rv = a.(r) in
-                  if rv = 0 then begin
-                    pp.p_out <- m;
-                    pp.p_rem <- lv
-                  end
-                  else begin
-                    pp.p_out <- lv / rv;
-                    pp.p_rem <- lv mod rv
-                  end),
-                fixed )
-          | Sqrt ->
-              let i = p.input "in" in
-              ( (fun () -> pp.p_out <- Int64.to_int (isqrt (Int64.of_int a.(i)))),
-                fun () ->
-                  match pp.p_fixed_latency with
-                  | Some l -> l
-                  | None -> sqrt_cycles (Int64.of_int a.(i)) )
+        let m = Slot.mask pp.p_width in
+        match pp.p_op with
+        | Mult ->
+            let l = p.input "left" and r = p.input "right" in
+            ((fun () -> pp.p_out <- a.(l) * a.(r) land m), fixed)
+        | Div ->
+            let l = p.input "left" and r = p.input "right" in
+            ( (fun () ->
+                let lv = a.(l) and rv = a.(r) in
+                if rv = 0 then begin
+                  pp.p_out <- m;
+                  pp.p_rem <- lv
+                end
+                else begin
+                  pp.p_out <- lv / rv;
+                  pp.p_rem <- lv mod rv
+                end),
+              fixed )
+        | Sqrt ->
+            let i = p.input "in" in
+            ( (fun () -> pp.p_out <- Int64.to_int (isqrt (Int64.of_int a.(i)))),
+              fun () ->
+                match pp.p_fixed_latency with
+                | Some l -> l
+                | None -> sqrt_cycles (Int64.of_int a.(i)) )
       in
       Some
         (fun () ->

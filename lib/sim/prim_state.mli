@@ -4,9 +4,10 @@
     values, stored as {!Slot} stores a value of their width. Per clock
     cycle the fixpoint engine calls {!outputs} (possibly many times,
     during combinational fixpoint iteration) and then {!commit} exactly
-    once at the clock edge, both on {!Calyx.Bitvec}; the compiled engine
-    runs the staged forms, {!compile_step} and {!compile_commit}, on
-    native ints.
+    once at the clock edge, both on {!Calyx.Bitvec}, at every width; the
+    compiled engine runs the staged forms, {!compile_step} and
+    {!compile_commit}, on native ints, and only on primitives whose ports
+    are all at most {!Slot.narrow} bits wide (see {!Sim.create}).
 
     Timing contract: a go/done primitive of latency [L] that sees its
     go/write-enable raised during cycle [t] commits its result at the end of
@@ -37,19 +38,17 @@ type ports = {
   input : string -> int;
       (** an input port's slot; raises {!Sim_error} for an unknown name *)
   output : string -> int;  (** an output port's slot, or -1 to drop it *)
-  write : int -> int -> unit;
-      (** [write s] is the writer of narrow output slot [s] *)
-  write_wide : int -> int64 -> unit;  (** the same for a wide slot *)
+  write : int -> int -> unit;  (** [write s] is the writer of output slot [s] *)
 }
-(** Where a staged primitive reads its inputs and sends its outputs. *)
+(** Where a staged primitive reads its inputs and sends its outputs. Every
+    slot is narrow: at most {!Slot.narrow} bits, held in [env.ints]. *)
 
 val compile_step : t -> ports -> unit -> unit
 (** Staged {!outputs} for the compiled engine: port names are resolved
-    to slots, and each port's narrow or wide storage chosen, once at
-    build time; the returned closure reads the slots and calls the
-    writers with no string lookups, and on narrow ports no allocation,
-    per call. Its arithmetic is its own, on native ints, and behaves
-    like {!outputs}'s on Bitvec. *)
+    to slots once at build time; the returned closure reads the slots
+    and calls the writers with no string lookups and no allocation per
+    call. Its arithmetic is its own, on native ints, and behaves like
+    {!outputs}'s on Bitvec. The primitive's ports must all be narrow. *)
 
 val edge_changed : int
 val edge_again : int

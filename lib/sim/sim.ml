@@ -215,7 +215,7 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
 (* One instance of a planned component: its own values, primitive states
    and children, in cell order, and under the compiled engine its node
    closures, staged from the component's engine plan ([compiled_of]). *)
-let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
+let rec instantiate ~engine ~compiled_of ~path plan : instance =
   let prims = ref [] and children = ref [] in
   Array.iter
     (function
@@ -226,7 +226,7 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
             if path = "" then cp.cp_cell else path ^ "." ^ cp.cp_cell
           in
           let inst =
-            instantiate ~engine ~max_iters ~compiled_of ~path:child_path
+            instantiate ~engine ~compiled_of ~path:child_path
               cp.cp_plan
           in
           let cwidths = cp.cp_plan.p_widths in
@@ -251,7 +251,6 @@ let rec instantiate ~engine ~max_iters ~compiled_of ~path plan : instance =
       i_running = false;
       i_done_reg = false;
       i_iters_cycle = 0;
-      i_max_iters = max_iters;
       i_gen = 0;
       i_drivers = None;
       i_compiled = None;
@@ -284,7 +283,7 @@ let rec eval_comb inst (inputs : Slot.env) =
   let iters = ref 0 in
   while !changed do
     incr iters;
-    if !iters > inst.i_max_iters then
+    if !iters > max_settle_iters then
       raise
         (Unstable_msg
            (Printf.sprintf "component %s: combinational fixpoint diverged"
@@ -497,8 +496,7 @@ type t = {
 (* The plans are memoized per component inside one build: every instance
    of a component shares them, and nothing outlives the [Sim.t], so
    simulations built on different domains share no state. *)
-let create ?(externs = []) ?(engine = default_engine)
-    ?(max_fixpoint_iters = 1000) ctx =
+let create ?(externs = []) ?(engine = default_engine) ctx =
   Tele.Trace.with_span ~cat:"stage" "sim-build" @@ fun () ->
   let comp = entry ctx in
   let ports_of = Ports.tables ctx in
@@ -520,10 +518,19 @@ let create ?(externs = []) ?(engine = default_engine)
         Hashtbl.replace compiled name cp;
         cp
   in
-  let root =
-    instantiate ~engine ~max_iters:max_fixpoint_iters ~compiled_of ~path:""
-      (plan_of comp)
+  let root_plan = plan_of comp in
+  (* The compiled engine computes on native ints: a design with a slot
+     wider than [Slot.narrow] anywhere runs on the fixpoint engine, which
+     computes every width on Bitvec. *)
+  let engine =
+    if
+      Seq.exists
+        (fun p -> Array.exists Slot.is_wide p.p_widths)
+        (Hashtbl.to_seq_values plans)
+    then `Fixpoint
+    else engine
   in
+  let root = instantiate ~engine ~compiled_of ~path:"" root_plan in
   let widths = root.i_plan.p_widths in
   let inputs =
     Slot.create

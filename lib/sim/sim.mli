@@ -39,8 +39,10 @@
       level, with a worklist for the (rare) cyclic remainder, and the
       clock edge re-marks exactly the primitives whose committed state
       changed, so a settled cycle costs O(nodes touched) instead of
-      O(iterations x all slots). The engine lives in [Compiled]; see
-      {!compiled_plan} for its graph as text.
+      O(iterations x all slots). It computes on native ints only, so it
+      runs designs whose slots are all at most 62 bits wide; {!create}
+      runs any other design on [`Fixpoint]. The engine lives in
+      [Compiled]; see {!compiled_plan} for its graph as text.
 
     The engines are observably equivalent: same cycle counts, same
     {!Conflict}/{!Unstable} errors at the same cycle, same event streams
@@ -74,7 +76,9 @@ val state_cells : Ir.context -> string list * string list
 val disagreement : ?load:(t -> unit) -> Ir.context -> string option
 (** The engine differential: run [ctx] under every engine in {!engines}
     (each built fresh, [load] applied before the run, 400 000-cycle
-    budget) and return the first pairwise disagreement, or [None]. The
+    budget) and return the first pairwise disagreement, or [None]. A
+    design wider than {!Slot.narrow} bits runs on [`Fixpoint] under
+    every engine ({!create}), so it always agrees. The
     engines must agree on cycle count, the final value of every register
     and memory in {!state_cells}, and the ordered control-event stream —
     or, on the error paths, raise the same {!Conflict}/{!Unstable}/
@@ -101,7 +105,6 @@ exception Unstable of { cycle : int; message : string; snapshot : string }
 val create :
   ?externs:(string * (unit -> Prim_state.t)) list ->
   ?engine:engine ->
-  ?max_fixpoint_iters:int ->
   Ir.context ->
   t
 (** Instantiate the entrypoint component of a program. Raises
@@ -111,13 +114,17 @@ val create :
     behavioural models for [extern] black-box components by component name
     (the simulation-side analogue of linking the referenced [.sv] file,
     Section 6.2); a fresh state is made per instance. [engine] selects the
-    evaluation engine (default {!default_engine}). [max_fixpoint_iters]
-    bounds the settle work per cycle before {!Unstable} is raised: fixpoint
-    iterations under [`Fixpoint], worklist passes per cyclic-component
-    member under [`Compiled] (default 1000). *)
+    evaluation engine (default {!default_engine}), with one exception:
+    a design with any port wider than {!Slot.narrow} (62) bits, in any
+    component reachable from the entrypoint, runs on [`Fixpoint] whatever
+    is asked. The settle work per cycle is bounded before {!Unstable} is
+    raised: 1000 fixpoint iterations under [`Fixpoint], 1000 worklist
+    passes per cyclic-component member under [`Compiled]. *)
 
 val engine : t -> engine
-(** Which evaluation engine this simulation was built with. *)
+(** The evaluation engine this simulation runs on: the one {!create} was
+    asked for, or [`Fixpoint] for a design with a port wider than
+    {!Slot.narrow} bits. *)
 
 val compiled_plan : t -> string option
 (** The [`Compiled] engine's graph of every instance, as text: one line
@@ -126,7 +133,7 @@ val compiled_plan : t -> string option
     one rendering. A
     rendering of the graph a settle runs on, not an execution order:
     within a level, dirty nodes run in the order they were marked.
-    [None] unless built with [`Compiled]. Snapshot-tested so codegen
+    [None] unless {!engine} is [`Compiled]. Snapshot-tested so codegen
     changes show up as reviewable diffs. *)
 
 val run : ?max_cycles:int -> t -> int

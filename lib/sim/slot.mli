@@ -4,8 +4,9 @@
     holds its value as a native [int] in {!env.ints}; a wider slot (63 or
     64 bits, which an OCaml [int] cannot hold unsigned) holds it as an
     [int64] in {!env.wides}. Values are kept masked to the slot's width.
-    Which of the two a slot uses follows from its width alone, so the
-    compiled engine chooses once per slot, when it stages its closures.
+    Which of the two a slot uses follows from its width alone. The
+    fixpoint engine reads both; the compiled engine reads only
+    {!env.ints}, and runs only designs with no wide slot.
 
     {!Calyx.Bitvec} stays the type at the simulator's edges (test
     benches, sinks, status snapshots) and in the fixpoint engine's
@@ -22,9 +23,6 @@ val is_wide : int -> bool
 
 val mask : int -> int
 (** [mask w] is [2^w - 1], for [w <= narrow]. *)
-
-val mask64 : int -> int64
-(** [mask64 w] is [2^w - 1] as an [int64], for [w <= 64]. *)
 
 val to_bits : int -> int -> int64 -> Bitvec.t
 (** [to_bits w i x] is the [w]-bit value whose storage is [i] if [w] is

@@ -879,7 +879,6 @@ type t = {
   mutable stg_val : int array;
   mutable stg_wval : int64 array;
   mutable stg_len : int;
-  max_iters : int;
   mutable cycles : int;
   mutable evals : int;
   mutable ff_runs : int;  (* always_ff blocks run by [commit] *)
@@ -2312,7 +2311,7 @@ let elaborate el modules ~top =
 let stats d =
   (d.nnets, Sched.node_count (Sched.topology d.sched) + Array.length d.ffs)
 
-let load ?(max_fixpoint_iters = 1000) ~top src =
+let load ~top src =
   let module Trace = Calyx_telemetry.Trace in
   Trace.with_span ~cat:"stage" "rtl-load" @@ fun () ->
   let syms = new_syms () in
@@ -2347,7 +2346,6 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
       stg_val = [||];
       stg_wval = [||];
       stg_len = 0;
-      max_iters = max_fixpoint_iters;
       cycles = 0;
       evals = 0;
       ff_runs = 0;
@@ -2391,6 +2389,10 @@ let load ?(max_fixpoint_iters = 1000) ~top src =
 (* Simulation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* How often each member of a combinational cycle may evaluate in one
+   settle before it raises [Unstable]. *)
+let max_settle_passes = 1000
+
 (* Touch what changed since the last settle, then run the dirty
    processes. *)
 let settle d =
@@ -2398,7 +2400,7 @@ let settle d =
     touch d d.pend.(i)
   done;
   d.npend <- 0;
-  match Sched.run d.sched ~eval:d.eval ~max_passes:d.max_iters with
+  match Sched.run d.sched ~eval:d.eval ~max_passes:max_settle_passes with
   | evals -> d.evals <- d.evals + evals
   | exception Sched.Diverged ->
       raise

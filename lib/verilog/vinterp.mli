@@ -74,11 +74,11 @@ exception Timeout of { budget : int }
 type t
 (** An elaborated design plus its simulation state. *)
 
-val load : ?max_fixpoint_iters:int -> top:string -> string -> t
+val load : top:string -> string -> t
 (** [load ~top source] parses [source] and elaborates module [top] (the
     design's entrypoint, instantiated at the empty hierarchical path).
-    [max_fixpoint_iters] bounds how often each member of a combinational
-    cycle may evaluate in one settle (default 1000). It runs in an
+    Each member of a combinational cycle may evaluate at most 1000 times
+    in one settle before {!Unstable} is raised. It runs in an
     [rtl-load] span with children [rtl-parse], [rtl-elaborate] and
     [rtl-schedule]; with telemetry on, [rtl-load] carries the source's
     [bytes] and the design's [nets] and [procs] ({!stats}). *)

@@ -293,3 +293,51 @@ module Fuzz = struct
   let gen_program = Calyx.Fuzz_gen.program_of_seed
 end
 
+(* One program per width [w]: adds, subtracts and compares two [w]-bit
+   registers [a] and [b] into [sum], [diff] and [less], picks the larger
+   into [big] through guard comparisons, slices [a] to half its width and
+   pads it back into [low], multiplies on the pipelined unit into [prod]
+   and stores [sum] into word 1 of memory [m]. Widths 62, 63 and 64 sit
+   on either side of the simulator's native-int slots. *)
+let width_program w =
+  let h = (w + 1) / 2 in
+  Printf.sprintf
+    {|component main(go: 1) -> (done: 1) {
+  cells {
+    a = std_reg(%d); b = std_reg(%d);
+    add = std_add(%d); sub = std_sub(%d); lt = std_lt(%d);
+    sl = std_slice(%d, %d); pad = std_pad(%d, %d); mul = std_mult_pipe(%d);
+    sum = std_reg(%d); diff = std_reg(%d); less = std_reg(1);
+    big = std_reg(%d); low = std_reg(%d); prod = std_reg(%d);
+    m = std_mem_d1(%d, 4, 2);
+  }
+  wires {
+    group arith {
+      add.left = a.out; add.right = b.out; sum.in = add.out; sum.write_en = 1'd1;
+      sub.left = a.out; sub.right = b.out; diff.in = sub.out; diff.write_en = 1'd1;
+      lt.left = a.out; lt.right = b.out; less.in = lt.out; less.write_en = 1'd1;
+      arith[done] = sum.done;
+    }
+    group pick {
+      big.in = a.out > b.out ? a.out;
+      big.in = a.out <= b.out ? b.out;
+      big.write_en = 1'd1;
+      pick[done] = big.done;
+    }
+    group halve {
+      sl.in = a.out; pad.in = sl.out; low.in = pad.out; low.write_en = 1'd1;
+      halve[done] = low.done;
+    }
+    group multiply {
+      mul.left = a.out; mul.right = b.out; mul.go = !mul.done ? 1'd1;
+      prod.in = mul.out; prod.write_en = mul.done;
+      multiply[done] = prod.done;
+    }
+    group store {
+      m.addr0 = 2'd1; m.write_data = sum.out; m.write_en = 1'd1;
+      store[done] = m.done;
+    }
+  }
+  control { seq { arith; pick; halve; multiply; store; } }
+}|}
+    w w w w w w h h w w w w w w w w

@@ -10,12 +10,22 @@ let check_result name (r : Polybench.Harness.result) =
       (String.concat ", " r.Polybench.Harness.mismatches);
   Alcotest.(check bool) (name ^ " ran") true (r.Polybench.Harness.cycles > 0)
 
+(* The structured program, before the compilation pipeline, under the
+   simulator's control interpreter. *)
 let test_interp_quick () =
   List.iter
     (fun name ->
       let k = Polybench.Kernels.find name in
-      check_result (name ^ "/interp")
-        (Polybench.Harness.run_interp k ~unrolled:false))
+      let prog = Polybench.Harness.program k ~unrolled:false in
+      let cycles, mismatches =
+        Calyx_sim.Testbench.run
+          (Polybench.Harness.testbench k prog)
+          (Dahlia.To_calyx.compile prog)
+      in
+      if mismatches <> [] then
+        Alcotest.failf "%s/interp: mismatching outputs: %s" name
+          (String.concat ", " mismatches);
+      Alcotest.(check bool) (name ^ "/interp ran") true (cycles > 0))
     quick_kernels
 
 let test_compiled_all_kernels () =

@@ -703,6 +703,33 @@ let test_examples () =
         (r'.Validate.cycles_sim, r'.Validate.cycles_rtl))
     [ "counter.futil"; "invoke.futil"; "dotprod.dahlia"; "histogram.dahlia" ]
 
+(* The widths on either side of the simulator's native-int slots, end to
+   end. At 62 bits the compiled engine runs the design; at 63 and 64 it
+   hands it to the fixpoint engine, so there Prim_state's reference model
+   and the emitted SystemVerilog library on the RTL interpreter are the
+   two independent implementations that must agree. *)
+let test_width_edges_validated () =
+  List.iter
+    (fun w ->
+      let mask = if w = 64 then -1L else Int64.pred (Int64.shift_left 1L w) in
+      let bits v = Bitvec.make ~width:w (Int64.logand v mask) in
+      let ones = -1L and alt = 0x5555555555555555L in
+      let lowered =
+        Pipelines.compile (Parser.parse_string (Progs.width_program w))
+      in
+      List.iter
+        (fun (a, b) ->
+          let load (io : Calyx_sim.Testbench.io) =
+            io.write_register "a" (bits a);
+            io.write_register "b" (bits b);
+            io.write_memory "m" [| bits ones; bits 0L; bits 0L; bits alt |]
+          in
+          check_ok
+            (Printf.sprintf "%d bits, a=%Lx b=%Lx" w a b)
+            (Validate.validate ~load lowered))
+        [ (ones, alt); (alt, ones); (ones, ones); (Int64.lognot alt, alt) ])
+    [ 62; 63; 64 ]
+
 (* Pass-configuration sweep: the RTL must track the simulator under every
    pipeline variant, not just the default. *)
 let test_example_configs () =
@@ -1178,6 +1205,8 @@ let () =
         [
           Alcotest.test_case "examples" `Quick test_examples;
           Alcotest.test_case "pass configurations" `Quick test_example_configs;
+          Alcotest.test_case "widths 62, 63, 64" `Quick
+            test_width_edges_validated;
           Alcotest.test_case "polybench (all kernels)" `Slow test_polybench_all;
           Alcotest.test_case "polybench (unrolled)" `Slow
             test_polybench_unrolled;
