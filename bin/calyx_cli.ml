@@ -122,6 +122,9 @@ let dump_externals sim =
                  values))))
     (Calyx_sim.Sim.external_memories sim)
 
+(* The CLI formats well-formedness, lint and simulator failures itself;
+   every other error the toolchain raises prints the line a farm job
+   records for it. *)
 let handle_errors f =
   try
     f ();
@@ -133,17 +136,6 @@ let handle_errors f =
   | Calyx.Lint.Rejected ds ->
       List.iter (fun d -> prerr_endline (Calyx.Diagnostics.render d)) ds;
       Printf.eprintf "lint rejected the program (rerun with --no-lint to override)\n";
-      1
-  | Calyx.Parser.Parse_error msg
-  | Calyx.Lexer.Lex_error msg
-  | Calyx.Ir.Ir_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | Dahlia.Parser.Parse_error msg
-  | Dahlia.Typecheck.Type_error msg
-  | Dahlia.Lowering.Lowering_error msg
-  | Dahlia.To_calyx.Backend_error msg ->
-      Printf.eprintf "dahlia error: %s\n" msg;
       1
   | Calyx_sim.Sim.Conflict { cycle; message; snapshot }
   | Calyx_sim.Sim.Unstable { cycle; message; snapshot } ->
@@ -161,6 +153,12 @@ let handle_errors f =
          exit 1, not cmdliner's "internal error" backtrace. *)
       Printf.eprintf "error: %s\n" msg;
       1
+  | e -> (
+      match Calyx_farm.Job.describe_error e with
+      | Some msg ->
+          prerr_endline msg;
+          1
+      | None -> raise e)
 
 let output ctx = function
   | `Calyx -> print_string (Calyx.Printer.to_string ctx)

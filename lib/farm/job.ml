@@ -163,6 +163,7 @@ let describe_error = function
       Some (Printf.sprintf "simulation error at cycle %d: %s" cycle message)
   | Calyx_sim.Sim.Timeout { budget; _ } ->
       Some (Printf.sprintf "simulation timeout after %d cycles" budget)
+  | Calyx_sim.Prim_state.Sim_error msg -> Some ("simulation error: " ^ msg)
   | Calyx_verilog.Verilog.Not_lowered msg -> Some ("emit error: " ^ msg)
   | Calyx_verilog.Vinterp.Parse_error msg
   | Calyx_verilog.Vinterp.Elab_error msg ->
@@ -174,6 +175,7 @@ let describe_error = function
   | Calyx_synth.Timing.Combinational_loop port ->
       Some ("combinational loop through " ^ port)
   | Polybench.Data.Data_error msg -> Some ("data error: " ^ msg)
+  | Tele.Json.Parse_error msg -> Some ("json error: " ^ msg)
   | Failure msg -> Some ("failure: " ^ msg)
   | Not_found -> Some "failure: unknown kernel or memory"
   | Invalid_argument msg -> Some ("invalid argument: " ^ msg)

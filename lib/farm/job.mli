@@ -108,6 +108,11 @@ val run : t -> outcome
 (** Execute the job. Never raises: compile-time diagnostics, simulation
     errors, and golden mismatches are captured in [o_diagnostics]. *)
 
+val describe_error : exn -> string option
+(** The one-line diagnostic of an exception the toolchain raises (the
+    text a failed job records, and [calyx]'s for every error it does not
+    format itself); [None] for any other exception. *)
+
 val outcome_to_json : outcome -> string
 (** Canonical single-line JSON — the cache payload and the byte string
     the determinism suite compares. [outcome_of_json] inverts it exactly:

@@ -913,7 +913,7 @@ let observe ~load engine ctx regs mems =
     let cycles = run ~max_cycles:400_000 sim in
     ( cycles,
       List.map (fun r -> Bitvec.to_int64 (read_register sim r)) regs,
-      List.map (fun m -> read_memory_ints sim m) mems,
+      List.map (fun m -> read_memory sim m) mems,
       List.rev !events )
   with
   | obs -> Ok obs

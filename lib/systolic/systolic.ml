@@ -85,6 +85,10 @@ let sad_pe ~width =
   |> with_control (enable "do_sad")
 
 let generate ?pe d =
+  if d.rows < 1 || d.cols < 1 || d.depth < 1 then
+    invalid_arg
+      (Printf.sprintf "Systolic.generate: dimensions %dx%dx%d, each must be at least 1"
+         d.rows d.cols d.depth);
   let pe = match pe with Some p -> p | None -> matmul_pe ~width:d.width in
   let w = d.width in
   let idx_w = clog2 (d.depth + 1) in

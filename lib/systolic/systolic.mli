@@ -33,7 +33,9 @@ val sad_pe : width:int -> Ir.component
 
 val generate : ?pe:Ir.component -> dims -> Ir.context
 (** The full program; the entrypoint is ["main"]. [pe] defaults to
-    {!matmul_pe} at the array's width. *)
+    {!matmul_pe} at the array's width.
+    @raise Invalid_argument naming the dimensions when [rows], [cols] or
+    [depth] is below 1. *)
 
 (** {1 Test bench}
 

@@ -16,11 +16,11 @@
    net [l] is net [base + l]. Dotted hierarchical names are built only
    when a test bench asks for a net or an error message names one.
 
-   The engine is activity-driven. Settle processes (continuous assigns,
-   port bindings, always_comb blocks) are the nodes of a
-   [Calyx_sim.Sched] graph whose slots are the nets plus one slot per
-   memory array; settle runs only the dirty processes, in level order,
-   with the scheduler's divergence budget on cyclic components. Commit
+   The engine is activity-driven. Settle processes (continuous assigns
+   and port bindings) are the nodes of a [Calyx_sim.Sched] graph whose
+   slots are the nets plus one slot per memory array; settle runs only
+   the dirty processes, in level order, with the scheduler's divergence
+   budget on cyclic components. Commit
    runs an always_ff block only when a slot it reads or writes changed
    since its last run, staging its non-blocking writes in preallocated
    buffers. Every change to a slot — by a process, a commit write or a
@@ -83,7 +83,7 @@ type syms = {
 let keywords =
   [|
     "module"; "endmodule"; "parameter"; "input"; "output"; "logic"; "assign";
-    "always_ff"; "always_comb"; "posedge"; "begin"; "end"; "if"; "else";
+    "always_ff"; "posedge"; "begin"; "end"; "if"; "else";
     "sqrt"; "clk";
   |]
 
@@ -95,14 +95,13 @@ let kw_output = 4
 let kw_logic = 5
 let kw_assign = 6
 let kw_always_ff = 7
-let kw_always_comb = 8
-let kw_posedge = 9
-let kw_begin = 10
-let kw_end = 11
-let kw_if = 12
-let kw_else = 13
-let kw_sqrt = 14
-let kw_clk = 15
+let kw_posedge = 8
+let kw_begin = 9
+let kw_end = 10
+let kw_if = 11
+let kw_else = 12
+let kw_sqrt = 13
+let kw_clk = 14
 
 let hash_sub s pos len =
   let h = ref 0 in
@@ -399,7 +398,7 @@ let next p =
 (* AST and parser                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type unop = U_not | U_lnot | U_neg
+type unop = U_not | U_lnot
 
 type binop =
   | B_or | B_xor | B_and | B_eq | B_ne | B_lt | B_gt | B_le | B_ge
@@ -417,7 +416,7 @@ type expr =
   | E_concat of expr list
   | E_repl of expr * expr
   | E_select of int * expr * expr  (* name[msb:lsb], constant bounds *)
-  | E_index of int * expr  (* array element or dynamic bit select *)
+  | E_index of int * expr  (* array element *)
   | E_sqrt of expr
 
 type stmt =
@@ -429,11 +428,10 @@ and lval = L_id of int | L_idx of int * expr
 type range = expr * expr
 
 type item =
-  | I_decl of range option * int list
+  | I_decl of range option * int
   | I_array of range * int * range
   | I_assign of int * expr
   | I_ff of stmt list
-  | I_comb of stmt list
   | I_inst of {
       i_mod : int;
       i_params : (int * expr) list;
@@ -545,7 +543,6 @@ and parse_unary p =
   match peek p with
   | Ttilde -> advance p; E_un (U_not, parse_unary p)
   | Tbang -> advance p; E_un (U_lnot, parse_unary p)
-  | Tminus -> advance p; E_un (U_neg, parse_unary p)
   | _ -> parse_primary p
 
 and parse_primary p =
@@ -652,11 +649,9 @@ let rec parse_stmt p =
     in
     let k = p.kind and a = p.arg in
     advance p;
-    (match k with
-    | Tle | Tassign -> ()
-    | _ ->
-        parse_error "line %d: expected assignment, found %s" (cur_line p)
-          (describe p.syms k a));
+    if k != Tle then
+      parse_error "line %d: expected assignment, found %s" (cur_line p)
+        (describe p.syms k a);
     let e = parse_expr p in
     expect p Tsemi ";";
     [ S_assign (lv, e) ]
@@ -703,17 +698,8 @@ let parse_item p ~ninst =
         I_array (er, name, sr)
       end
       else begin
-        let rec more () =
-          if is p Tcomma then begin
-            advance p;
-            let n = expect_id p in
-            n :: more ()
-          end
-          else []
-        in
-        let names = name :: more () in
         expect p Tsemi ";";
-        I_decl (r, names)
+        I_decl (r, name)
       end
     end
     else if kw = kw_assign then begin
@@ -732,10 +718,6 @@ let parse_item p ~ninst =
       let _clk = expect_id p in
       expect p Trp ")";
       I_ff (parse_stmt p)
-    end
-    else if kw = kw_always_comb then begin
-      advance p;
-      I_comb (parse_stmt p)
     end
     else begin
       (* #(.WIDTH(32)) — parameter bindings keep their names. *)
@@ -1030,7 +1012,7 @@ let parse_module p =
   let nnets = ref (Array.length ports) and narrays = ref 0 in
   List.iter
     (function
-      | I_decl (_, names) -> nnets := !nnets + List.length names
+      | I_decl _ -> incr nnets
       | I_array _ -> incr narrays
       | _ -> ())
     items;
@@ -1099,7 +1081,6 @@ let rec const_eval sy params e =
       | v -> v
       | exception Not_found ->
           elab_error "non-constant name %s in constant expression" (name sy n))
-  | E_un (U_neg, a) -> Int64.neg (const_eval sy params a)
   | E_bin (B_add, a, b) -> Int64.add (const_eval sy params a) (const_eval sy params b)
   | E_bin (B_sub, a, b) -> Int64.sub (const_eval sy params a) (const_eval sy params b)
   | E_bin (B_mul, a, b) -> Int64.mul (const_eval sy params a) (const_eval sy params b)
@@ -1169,7 +1150,7 @@ let new_plan sy m params ~prefix =
   Array.iter (fun p -> declare p.p_name p.p_range) m.m_ports;
   List.iter
     (function
-      | I_decl (r, names) -> List.iter (fun s -> declare s r) names
+      | I_decl (r, s) -> declare s r
       | I_array (er, s, sr) ->
           let ew = range_width sy params er in
           let size = range_width sy params sr in
@@ -1697,13 +1678,6 @@ let rec compile sc e =
   | E_un (U_lnot, a) ->
       let t = cond sc a in
       bit (fun () -> if t () then 0 else 1)
-  | E_un (U_neg, a) ->
-      let a = compile sc a in
-      let m = imask a.w and fa = ev_of d a in
-      node d a.w a.w
-        (fun () -> -fa () land m)
-        a a
-        (fun m x _ -> Int64.logand (Int64.neg x) m)
   | E_bin (op, a, b) -> compile_bin d op (compile sc a) (compile sc b)
   | E_cond (c, t, f) ->
       let tc = cond sc c in
@@ -1812,24 +1786,8 @@ let rec compile sc e =
               wide = no_wide;
             }
       | exception Not_found ->
-          (* Dynamic bit select of a scalar net. *)
-          let base = compile_id sc nm in
-          let ci = compile sc ix in
-          if is_wide base.b || is_wide ci.b then
-            let fb = exact d base and fi = exact d ci in
-            of_wide 1 1 (fun () ->
-                let i = fi () in
-                if Int64.unsigned_compare i 64L >= 0 then 0L
-                else
-                  Int64.logand
-                    (Int64.shift_right_logical (fb ()) (Int64.to_int i))
-                    1L)
-          else
-            (* A narrow base has no bits at [narrow] or above. *)
-            let fb = ev_of d base and fi = ev_of d ci in
-            bit (fun () ->
-                let i = fi () in
-                if i >= narrow then 0 else (fb () lsr i) land 1))
+          elab_error "index of unknown array %s%s" (inst_prefix d sc.inst)
+            (name d.syms nm))
   | E_sqrt e ->
       let ce = compile sc e in
       let f = exact d ce in
@@ -1957,32 +1915,6 @@ let add_copy el tgt src =
     push el.rd src;
     add_drive el tgt (net_expr el src)
   end
-
-let rec exec_comb d = function
-  | [] -> ()
-  | s :: rest ->
-      (match s with
-      | C_if (c, t, f) -> exec_comb d (if c () then t else f)
-      | C_net (id, m, e) -> set_net d id (e () land m)
-      | C_wnet (id, e) -> set_wnet d id (e ())
-      | C_arr _ | C_warr _ -> assert false (* rejected by [add_comb] *));
-      exec_comb d rest
-
-(* An always_comb block; its reads and writes are in [el.rd] and [el.wr]. *)
-let add_comb el stmts =
-  (* Branches of an if chain each assign the target, so the collected
-     write set repeats nets; one always_comb is still one driver. *)
-  let wr = el.wr in
-  wr.len <- sort_uniq wr.a 0 wr.len;
-  for i = 0 to wr.len - 1 do
-    let tgt = wr.a.(i) in
-    if tgt < 0 then elab_error "array write outside always_ff";
-    if Bytes.get el.driven tgt <> '\000' then
-      elab_error "net driven by both assign and always_comb";
-    Bytes.set el.driven tgt '\001'
-  done;
-  let d = el.d in
-  add_proc el (fun () -> exec_comb d stmts)
 
 (* One always_ff block. Every net or memory it writes must have no other
    always_ff driver: [commit] skips blocks whose inputs are unchanged, which
@@ -2119,10 +2051,6 @@ let rec instantiate el pl ~parent ~inst_name =
         el.rd.len <- 0;
         el.wr.len <- 0;
         add_ff el (compile_stmts sc stmts)
-    | I_comb stmts ->
-        el.rd.len <- 0;
-        el.wr.len <- 0;
-        add_comb el (compile_stmts sc stmts)
     | I_inst { i_mod; i_params; i_name; i_conns; i_ord } ->
         let sy = d.syms in
         let child =

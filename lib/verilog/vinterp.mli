@@ -1,19 +1,31 @@
 (** A cycle-accurate interpreter for the SystemVerilog subset {!Verilog}
     emits — the execution half of the translation-validation story.
 
-    The emitted RTL is parsed (a small recursive-descent front end over the
-    synthesizable subset the emitter produces: module headers with
-    parameters, [logic] net and array declarations, continuous [assign]s,
-    [always_ff @(posedge clk)] and [always_comb] blocks, hierarchical
-    instances with named parameter/port bindings), elaborated into one flat
-    design — parameters bound, constant expressions folded, each module
-    worked out once per parameter binding and instantiated at an offset
-    in the net table, nets addressed by their dotted hierarchical path —
-    and then simulated with
-    the same per-cycle discipline as {!Calyx_sim.Sim}: continuous
-    assignments and [always_comb] blocks settle to a fixpoint, then all
-    [always_ff] blocks execute with non-blocking semantics — right-hand
-    sides read pre-edge values, all updates commit atomically.
+    The emitted RTL is parsed by a small recursive-descent front end that
+    accepts exactly what the emitter writes:
+    - module headers with [#(parameter P = e, ...)] defaults and
+      [input]/[output logic [msb:0] name] ports;
+    - [logic [msb:0] name;] declarations, one name each, and memory
+      arrays [logic [msb:0] name [msb:0];];
+    - continuous [assign name = e;];
+    - [always_ff @(posedge clk)] blocks of [begin]/[end], [if]/[else] and
+      non-blocking [<=] writes to nets and array elements;
+    - instances with named parameter and port bindings;
+    - expressions over sized and unsized literals, ['1], names, constant
+      part-selects [name[msb:lsb]], array elements [name[e]], [~], [!],
+      the binary operators [| ^ & == != < > <= >= << >> + - * / %],
+      [?:], concatenation, replication and [$sqrt].
+
+    Anything else is a {!Parse_error} with a line number, or an
+    {!Elab_error} (an index of a name that is no array, for one). The
+    design is elaborated into one flat net table — parameters bound,
+    constant expressions folded, each module worked out once per parameter
+    binding and instantiated at an offset in the net table, nets addressed
+    by their dotted hierarchical path — and then simulated with the same
+    per-cycle discipline as {!Calyx_sim.Sim}: continuous assignments
+    settle to a fixpoint, then all [always_ff] blocks execute with
+    non-blocking semantics — right-hand sides read pre-edge values, all
+    updates commit atomically.
 
     Simulation is activity-driven, on the compiled engine's scheduler
     ({!Calyx_sim.Sched}). The settle processes are its nodes and its slots
@@ -60,7 +72,8 @@ exception Parse_error of string
 (** The source is outside the supported subset (with a line number). *)
 
 exception Elab_error of string
-(** Elaboration failed: unknown module, unbound name, non-constant range,
+(** Elaboration failed: unknown module, unbound name, index of a name that
+    is no array, non-constant range,
     multiple drivers on one net or memory (two continuous drivers, or two
     [always_ff] blocks writing it), or similar. *)
 
@@ -127,4 +140,4 @@ val write_memory : t -> string -> Calyx.Bitvec.t array -> unit
 val stats : t -> int * int
 (** [(nets, processes)] of the elaborated design: flattened net count and
     the number of evaluation processes (continuous assigns and port
-    bindings that are not aliases, comb blocks, ff blocks). *)
+    bindings that are not aliases, and [always_ff] blocks). *)

@@ -216,14 +216,12 @@ let rtl_faults =
     ("double always_ff driver", m "always_ff @(posedge clk) b <= a;\nalways_ff @(posedge clk) b <= 8'd0;\n");
     ("double always_ff memory driver", m "logic [7:0] mm[3:0];\nalways_ff @(posedge clk) mm[0] <= a;\nalways_ff @(posedge clk) mm[1] <= a;\n");
     ("assign and always_ff", m "assign b = a;\nalways_ff @(posedge clk) b <= 8'd0;\n");
-    ("assign and always_comb", m "assign b = a;\nalways_comb b = 8'd0;\n");
-    ("array write outside always_ff", m "logic [7:0] mm[3:0];\nalways_comb mm[0] = a;\n");
     ("unknown port", reg ^ m "r u (.clk(clk), .d(a), .nope(b));\n");
     ("output to an expression", reg ^ m "r u (.clk(clk), .d(a), .q(b[0]));\n");
     ("unsupported width", m "logic [70:0] w;\n");
     ( "unsupported width in child",
       "module c #(parameter W = 4) (input logic x);\nlogic [W-1:0] w;\nendmodule\n"
-      ^ m "c #(.W(2)) u0 (.x(a[0]));\nc #(.W(80)) u1 (.x(a[1]));\n" );
+      ^ m "c #(.W(2)) u0 (.x(a[0:0]));\nc #(.W(80)) u1 (.x(a[1:1]));\n" );
     ( "double always_ff memory driver in child",
       "module c(input logic clk, input logic x);\nlogic [7:0] mm[3:0];\n\
        always_ff @(posedge clk) mm[0] <= 8'd1;\n\

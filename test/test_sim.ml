@@ -514,6 +514,53 @@ let test_differential_child_memory () =
     (fun sim -> Calyx_sim.Sim.write_memory_ints sim "m.l.lm" ~width:8 [ 7; 9 ])
     "fixpoint vs compiled: final memories differ"
 
+(* Memories are compared at full width: a 64-bit element of 2^62 or more
+   is a value like any other, not an error both engines share. The loader
+   runs once per engine; only its second call pokes m[0] differently, and
+   no register sees m[0]. *)
+let test_differential_wide_memory () =
+  let ctx =
+    Parser.parse_string
+      {|
+component main(go: 1) -> (done: 1) {
+  cells {
+    m = std_mem_d1(64, 2, 1);
+    r = std_reg(64);
+    add = std_add(64);
+  }
+  wires {
+    group load {
+      m.addr0 = 1'd1; r.in = m.read_data; r.write_en = 1'd1;
+      load[done] = r.done;
+    }
+    group double {
+      add.left = r.out; add.right = r.out; r.in = add.out; r.write_en = 1'd1;
+      double[done] = r.done;
+    }
+    group store {
+      m.addr0 = 1'd1; m.write_data = r.out; m.write_en = 1'd1;
+      store[done] = m.done;
+    }
+  }
+  control { seq { load; double; store; } }
+}
+|}
+  in
+  let loader second =
+    let calls = ref 0 in
+    fun sim ->
+      incr calls;
+      let m0 = if !calls = 2 then second else Int64.shift_left 1L 62 in
+      Calyx_sim.Sim.write_memory sim "m"
+        [| Bitvec.make ~width:64 m0; Bitvec.of_int ~width:64 3 |]
+  in
+  Alcotest.(check (option string))
+    "equal wide memories agree" None
+    (Calyx_sim.Sim.disagreement ~load:(loader (Int64.shift_left 1L 62)) ctx);
+  Alcotest.(check (option string))
+    "a wide element differs" (Some "fixpoint vs compiled: final memories differ")
+    (Calyx_sim.Sim.disagreement ~load:(loader (-1L)) ctx)
+
 (* Clock-edge exactness under pokes: both engines step in lockstep, the
    test bench pokes state between cycles, and every register and memory
    must agree after every cycle. The compiled engine latches only the
@@ -748,6 +795,8 @@ let () =
             test_differential_child_register;
           Alcotest.test_case "child memory bites" `Quick
             test_differential_child_memory;
+          Alcotest.test_case "wide memory element bites" `Quick
+            test_differential_wide_memory;
           Alcotest.test_case "register poked, write_en held" `Quick
             test_poke_register_held;
           Alcotest.test_case "memory poked, write_en held" `Quick

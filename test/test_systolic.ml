@@ -240,6 +240,19 @@ let test_large_shapes () =
       (5, 12, 7);
     ]
 
+(* A dimension below 1 is rejected by name, before any cell is made. *)
+let test_empty_dimensions () =
+  List.iter
+    (fun (rows, cols, depth) ->
+      let what = Printf.sprintf "%dx%dx%d" rows cols depth in
+      Alcotest.check_raises what
+        (Invalid_argument
+           (Printf.sprintf
+              "Systolic.generate: dimensions %s, each must be at least 1" what))
+        (fun () ->
+          ignore (Systolic.generate { Systolic.rows; cols; depth; width = 32 })))
+    [ (0, 2, 2); (2, 0, 2); (2, 2, 0); (-1, 1, 1) ]
+
 let () =
   Alcotest.run "systolic"
     [
@@ -257,6 +270,7 @@ let () =
           Alcotest.test_case "wrap-around at the data width" `Quick
             test_wraparound;
           Alcotest.test_case "shapes above 10x10" `Quick test_large_shapes;
+          Alcotest.test_case "dimensions below 1" `Quick test_empty_dimensions;
         ] );
       ( "test bench",
         [
