@@ -52,6 +52,13 @@ let add_cross_ids g arms =
       prefix := Bitset.union !prefix arm)
     arms
 
+let edges g =
+  let degrees = ref 0 in
+  for i = 0 to Hashtbl.length g.ids - 1 do
+    degrees := !degrees + Bitset.cardinal g.rows.(i)
+  done;
+  !degrees / 2
+
 (* A representative's members, as one bitset: a node fits it when its own
    row is disjoint from that set. Representatives are kept per class, in
    creation order, so the first fit is the first fit overall. *)

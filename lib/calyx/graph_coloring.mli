@@ -31,6 +31,9 @@ val add_cross_ids : t -> Bitset.t list -> unit
     union per member, not one edge per pair. The ids must already be
     added; a node in two sets gets no self-edge. *)
 
+val edges : t -> int
+(** The number of edges: unordered pairs of distinct conflicting nodes. *)
+
 val greedy : t -> cls:(string -> string) -> order:string list -> string Ir.String_map.t
 (** [greedy g ~cls ~order] colors the nodes in [order] (each must have been
     added). Two nodes may share a representative only when [cls] agrees and

@@ -1,6 +1,8 @@
 open Ir
 
-let sharing_map (_ctx : context) comp =
+(* The register map, and the graph it colors with its register and
+   clique counts. *)
+let color comp =
   let graph = Graph_coloring.create () in
   let { Liveness.registers; conflict_cliques; _ } =
     Liveness.analyze ~id:(Graph_coloring.node graph) comp
@@ -12,12 +14,35 @@ let sharing_map (_ctx : context) comp =
     | Some { cell_proto = Prim ("std_reg", [ w ]); _ } -> string_of_int w
     | _ -> ir_error "register-sharing: %s is not a register" name
   in
-  Graph_coloring.greedy graph ~cls ~order:registers
+  ( Graph_coloring.greedy graph ~cls ~order:registers,
+    (graph, List.length registers, List.length conflict_cliques) )
 
-let share (ctx : context) comp =
-  Resource_sharing.apply_map comp (sharing_map ctx comp)
+let sharing_map (_ctx : context) comp = fst (color comp)
+
+(* With telemetry on, the pass span carries the size of the graphs it
+   colored, summed over components: registers, distinct conflict cliques
+   and conflict edges. *)
+let share ctx =
+  let on = Calyx_telemetry.Runtime.on () in
+  let registers = ref 0 and cliques = ref 0 and edges = ref 0 in
+  let ctx' =
+    Pass.per_component
+      (fun _ comp ->
+        let map, (graph, r, c) = color comp in
+        if on then begin
+          registers := !registers + r;
+          cliques := !cliques + c;
+          edges := !edges + Graph_coloring.edges graph
+        end;
+        Resource_sharing.apply_map comp map)
+      ctx
+  in
+  if on then
+    List.iter
+      (fun (k, v) -> Calyx_telemetry.Trace.add_metric k (float_of_int v))
+      [ ("registers", !registers); ("cliques", !cliques); ("conflict_edges", !edges) ];
+  ctx'
 
 let pass =
   Pass.make ~name:"register-sharing"
-    ~description:"merge registers with disjoint live ranges"
-    (Pass.per_component share)
+    ~description:"merge registers with disjoint live ranges" share

@@ -49,7 +49,14 @@
    ("ok" when nothing is raised). One more program has a faulty source
    and a faulty destination in one assignment; its line pins which of
    the two [Sim.create] reports. A change to how a back end resolves
-   ports shows up here as a changed error text. *)
+   ports shows up here as a changed error text.
+
+   [lowered_digests sharing] compiles systolic arrays 8x8, 16x16 and 32x32
+   and every PolyBench kernel and unrolled variant under the default
+   configuration with telemetry on, and prints the register-sharing pass
+   span's metrics per design: registers, distinct conflict cliques and
+   conflict edges. They describe the interference graph the pass colors,
+   so a rewrite of the analysis that keeps that graph keeps every line. *)
 
 (* A corpus entry: its name, how to build the structured program, and
    how its test bench loads the inputs (only [rtl] mode loads them). *)
@@ -297,11 +304,29 @@ let backend_fault_lines () =
   Printf.printf "fault source and destination: sim: %s\n"
     (outcome (sim (Calyx.Parser.parse_string two_faults)))
 
+let sharing_lines () =
+  let module T = Calyx_telemetry in
+  List.iter
+    (fun (name, build, _) ->
+      let _, spans = T.Trace.collect (fun () -> Calyx.Pipelines.compile (build ())) in
+      let sp =
+        List.find (fun (sp : T.Trace.span) -> sp.sp_name = "register-sharing") spans
+      in
+      let metric k = int_of_float (List.assoc k (T.Trace.metrics sp)) in
+      Printf.printf "%s registers %d cliques %d conflict_edges %d\n" name
+        (metric "registers") (metric "cliques") (metric "conflict_edges"))
+    (List.map (fun n -> systolic (n, n, n)) [ 8; 16; 32 ]
+    @ List.concat_map kernel Polybench.Kernels.all)
+
 let () =
-  if Array.length Sys.argv = 2 && Sys.argv.(1) = "faults" then begin
-    backend_fault_lines ();
-    exit 0
-  end
+  match Sys.argv with
+  | [| _; "faults" |] ->
+      backend_fault_lines ();
+      exit 0
+  | [| _; "sharing" |] ->
+      sharing_lines ();
+      exit 0
+  | _ -> ()
 
 let () =
   let line, dir, max_side =
@@ -313,7 +338,7 @@ let () =
     | [| _; "work"; dir |] -> (work_line, dir, 16)
     | _ ->
         prerr_endline
-          "usage: lowered_digests [backend|plan|rtl|work] DIR | faults";
+          "usage: lowered_digests [backend|plan|rtl|work] DIR | faults | sharing";
         exit 2
   in
   let examples =
