@@ -6,10 +6,14 @@
     conflict with, or to itself.
 
     Nodes are interned: the first time a name is added it gets the next
-    dense id, counting from 0. The [_ids] functions take node sets as
-    {!Bitset}s over those ids, and each node's adjacency is one bitset, so
-    adding a clique of [k] nodes costs [k] bitset unions rather than
-    [k²] edge insertions. *)
+    dense id, counting from 0. Conflicts are given as {!Intset}s over
+    those ids, as cliques and as cross products, and kept as given: no
+    adjacency is built. Coloring first derives, for each node, the set of
+    earlier nodes it does not conflict with, applying the cliques largest
+    first and skipping nodes that already conflict with every earlier
+    node. So a clique costs a scan of its words plus a pass over the
+    members still open, not one edge per pair, and a conflict graph that
+    is complete is found so after its largest clique. *)
 
 type t
 
@@ -22,21 +26,20 @@ val node : t -> string -> int
 val add_edge : t -> string -> string -> unit
 (** Symmetric; implicitly adds the nodes. Self-edges are ignored. *)
 
-val add_clique_ids : t -> Bitset.t -> unit
+val add_clique : t -> Intset.t -> unit
 (** Pairwise edges among the nodes with these ids (already added). *)
 
-val add_cross_ids : t -> Bitset.t list -> unit
-(** [add_cross_ids g sets]: an edge between every two nodes drawn from two
-    different sets — the interference of the arms of a [par]. Costs one
-    union per member, not one edge per pair. The ids must already be
-    added; a node in two sets gets no self-edge. *)
+val add_cross : t -> Intset.t list -> unit
+(** [add_cross g sets]: an edge between every two nodes drawn from two
+    different sets — the interference of the arms of a [par]. The ids
+    must already be added; a node in two sets gets no self-edge. *)
 
 val edges : t -> int
 (** The number of edges: unordered pairs of distinct conflicting nodes. *)
 
-val greedy : t -> cls:(string -> string) -> order:string list -> string Ir.String_map.t
-(** [greedy g ~cls ~order] colors the nodes in [order] (each must have been
-    added). Two nodes may share a representative only when [cls] agrees and
-    no member already assigned to the representative conflicts with the
-    node. Returns the complete node-to-representative map (identity for
-    unshared nodes). [cls] is called once per node. *)
+val greedy : t -> cls:(string -> string) -> string Ir.String_map.t
+(** [greedy g ~cls] colors every node, in id order. Two nodes may share a
+    representative only when [cls] agrees and no member already assigned
+    to the representative conflicts with the node. Returns the complete
+    node-to-representative map (identity for unshared nodes). [cls] is
+    called once per node. *)

@@ -10,16 +10,19 @@
     colors: two registers conflict when one is defined (or live) at a point
     where the other is live, or when parallel branches touch both.
 
-    Register sets are {!Bitset}s over the register ids that the caller
-    supplies, so they index the caller's own tables directly. *)
+    Register sets are {!Intset}s over the register ids that the caller
+    supplies, so they index the caller's own tables directly. Each group's
+    read, must-write and touched sets are built once, in one walk over its
+    assignments; the live sets then flow through the control tree as
+    persistent tries, so each step costs the registers it adds or kills,
+    not the size of the register file. *)
 
 type result = {
   registers : string list;
       (** The component's [std_reg] cells, in declaration order. *)
-  live_in : Bitset.t;
-      (** Registers live on entry to the whole control program. *)
-  conflict_cliques : Bitset.t list;
-      (** Each set is pairwise-interfering; no two sets are equal. *)
+  cliques : Intset.t list;
+      (** Each set is pairwise-interfering and has two or more members;
+          no two sets are equal. *)
 }
 
 val analyze : id:(string -> int) -> Ir.component -> result

@@ -2,20 +2,25 @@
 
     Conservative over-approximation as the paper requires: the read set is
     the registers a group {e may} read; the must-write set is the registers
-    it {e must} write (an unconditional [write_en = 1] drive).
+    it {e must} write (an unconditional [write_en = 1] drive). Every
+    must-write is also a may-write. *)
 
-    The per-group sets take the names of the component's [std_reg] cells,
-    computed once by the caller. *)
+type 'r registers = {
+  reads : 'r list;
+      (** Registers whose [out] port appears in a source or guard of the
+          group. *)
+  must_writes : 'r list;
+      (** Registers whose [write_en] the group drives unconditionally with
+          a non-zero constant. *)
+  may_writes : 'r list;
+      (** Registers whose [in] or [write_en] port is driven by the group. *)
+}
+(** Each list may name a register more than once. *)
 
-val reads : Ir.String_set.t -> Ir.group -> Ir.String_set.t
-(** Registers whose [out] port appears in a source or guard of the group. *)
-
-val may_writes : Ir.String_set.t -> Ir.group -> Ir.String_set.t
-(** Registers whose [in] or [write_en] port is driven by the group. *)
-
-val must_writes : Ir.String_set.t -> Ir.group -> Ir.String_set.t
-(** Registers whose [write_en] the group drives unconditionally with a
-    non-zero constant. *)
+val registers : (string -> 'r option) -> Ir.group -> 'r registers
+(** [registers reg group]: one walk over the group's assignments. [reg]
+    maps a cell name to its register (an id, or the name itself), or to
+    [None] for a cell that is not a register. *)
 
 (** {1 Cell-granularity sets}
 

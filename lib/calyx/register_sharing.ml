@@ -4,18 +4,18 @@ open Ir
    clique counts. *)
 let color comp =
   let graph = Graph_coloring.create () in
-  let { Liveness.registers; conflict_cliques; _ } =
+  let { Liveness.registers; cliques } =
     Liveness.analyze ~id:(Graph_coloring.node graph) comp
   in
-  List.iter (Graph_coloring.add_clique_ids graph) conflict_cliques;
+  List.iter (Graph_coloring.add_clique graph) cliques;
   let cells = cell_index comp in
   let cls name =
     match Hashtbl.find_opt cells name with
     | Some { cell_proto = Prim ("std_reg", [ w ]); _ } -> string_of_int w
     | _ -> ir_error "register-sharing: %s is not a register" name
   in
-  ( Graph_coloring.greedy graph ~cls ~order:registers,
-    (graph, List.length registers, List.length conflict_cliques) )
+  ( Graph_coloring.greedy graph ~cls,
+    (graph, List.length registers, List.length cliques) )
 
 let sharing_map (_ctx : context) comp = fst (color comp)
 

@@ -88,41 +88,40 @@ let sharing_map ?(profitable = fun _ -> true) ctx comp =
   let usage = Hashtbl.create 64 in
   List.iter
     (fun g ->
-      let used = Bitset.create () in
-      SS.iter
-        (fun c ->
-          if Hashtbl.mem protos c then Bitset.add used (Graph_coloring.node graph c))
-        (cells_used g);
+      let used =
+        SS.fold
+          (fun c used ->
+            if Hashtbl.mem protos c then Intset.add (Graph_coloring.node graph c) used
+            else used)
+          (cells_used g) Intset.empty
+      in
       (* Cells used within one group conflict. *)
-      Graph_coloring.add_clique_ids graph used;
+      Graph_coloring.add_clique graph used;
       if not (Hashtbl.mem usage g.group_name) then
         Hashtbl.replace usage g.group_name used)
     comp.groups;
   let usage_of g =
-    match Hashtbl.find_opt usage g with Some s -> s | None -> Bitset.create ()
+    match Hashtbl.find_opt usage g with Some s -> s | None -> Intset.empty
   in
   (* Cells used by groups that may run in parallel conflict: those under
      different arms of a [par]. One bottom-up walk collects each subtree's
      usage, and each [par] connects its arms' usages in one cross product
      (the edges of all the group pairs Schedule_conflicts lists). *)
-  let union_all = List.fold_left Bitset.union (Bitset.create ()) in
-  let cond = function Some g -> usage_of g | None -> Bitset.create () in
+  let cond = function Some g -> usage_of g | None -> Intset.empty in
   let rec used = function
-    | Empty | Invoke _ -> Bitset.create ()
+    | Empty | Invoke _ -> Intset.empty
     | Enable (g, _) -> usage_of g
-    | Seq (cs, _) -> union_all (List.map used cs)
+    | Seq (cs, _) -> Intset.union_many (List.map used cs)
     | Par (cs, _) ->
         let arms = List.map used cs in
-        Graph_coloring.add_cross_ids graph arms;
-        union_all arms
+        Graph_coloring.add_cross graph arms;
+        Intset.union_many arms
     | If { cond_group; tbranch; fbranch; _ } ->
-        union_all [ cond cond_group; used tbranch; used fbranch ]
-    | While { cond_group; body; _ } -> Bitset.union (cond cond_group) (used body)
+        Intset.union_many [ cond cond_group; used tbranch; used fbranch ]
+    | While { cond_group; body; _ } -> Intset.union (cond cond_group) (used body)
   in
   ignore (used comp.control);
-  Graph_coloring.greedy graph
-    ~cls:(Hashtbl.find protos)
-    ~order:(List.map (fun c -> c.cell_name) candidates)
+  Graph_coloring.greedy graph ~cls:(Hashtbl.find protos)
 
 let apply_map comp mapping =
   if SM.for_all String.equal mapping then comp

@@ -428,13 +428,43 @@ let test_graph_coloring () =
   Graph_coloring.add_edge g "a" "b";
   Graph_coloring.add_edge g "b" "c";
   let m =
-    Graph_coloring.greedy g ~cls:(fun _ -> "x") ~order:[ "a"; "b"; "c"; "d" ]
+    Graph_coloring.greedy g ~cls:(fun _ -> "x")
   in
   Alcotest.(check string) "a self" "a" (String_map.find "a" m);
   Alcotest.(check bool) "b not with a" true
     (not (String.equal (String_map.find "b" m) "a"));
   Alcotest.(check string) "c reuses a" "a" (String_map.find "c" m);
   Alcotest.(check string) "d reuses a" "a" (String_map.find "d" m)
+
+(* Intset against the standard library's sets, on random sets spanning
+   several words (bit 62 included); a union with a subset of an argument
+   is that argument itself. *)
+let prop_intset =
+  let module M = Set.Make (Int) in
+  let elements s =
+    let acc = ref [] in
+    Intset.iter_words (Intset.iter_bits (fun i -> acc := i :: !acc)) s;
+    List.sort Int.compare !acc
+  in
+  QCheck.Test.make ~name:"intset agrees with Set.Make (Int)" ~count:500
+    QCheck.(pair (small_list (int_bound 400)) (small_list (int_bound 400)))
+    (fun (a, b) ->
+      let sa = Intset.of_list a and sb = Intset.of_list b in
+      let ma = M.of_list a and mb = M.of_list b in
+      let same s m =
+        elements s = M.elements m
+        && Intset.cardinal s = M.cardinal m
+        && Intset.several s = (M.cardinal m > 1)
+      in
+      let ab = Intset.union sa sb and ba = Intset.union sb sa in
+      same ab (M.union ma mb)
+      && same (Intset.diff sa sb) (M.diff ma mb)
+      && same (Intset.union_many [ sa; sb; sa ]) (M.union ma mb)
+      && Intset.equal ab ba
+      && Intset.hash ab = Intset.hash ba
+      && Intset.equal sa sb = M.equal ma mb
+      && Intset.equal (Intset.diff ab sb) (Intset.diff sa sb)
+      && Intset.union sa (Intset.diff sa sb) == sa)
 
 (* --- pass algebra --- *)
 
@@ -566,6 +596,7 @@ let () =
         [
           Alcotest.test_case "schedule conflicts" `Quick test_schedule_conflicts;
           Alcotest.test_case "greedy coloring" `Quick test_graph_coloring;
+          QCheck_alcotest.to_alcotest prop_intset;
         ] );
       ( "pass algebra",
         [

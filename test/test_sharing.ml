@@ -70,9 +70,14 @@ module Reference = struct
     let regs = SS.of_list (registers comp) in
     let groups = group_index comp in
     let group g = Hashtbl.find groups g in
-    let reads g = Read_write_set.reads regs (group g) in
-    let must_writes g = Read_write_set.must_writes regs (group g) in
-    let may_writes g = Read_write_set.may_writes regs (group g) in
+    let sets g =
+      Read_write_set.registers
+        (fun c -> if SS.mem c regs then Some c else None)
+        (group g)
+    in
+    let reads g = SS.of_list (sets g).reads in
+    let must_writes g = SS.of_list (sets g).must_writes in
+    let may_writes g = SS.of_list (sets g).may_writes in
     let always_live =
       List.fold_left
         (fun acc a ->
@@ -293,32 +298,39 @@ let test_polybench () =
         agree (k.name ^ "-unrolled") (Polybench.Harness.build k ~unrolled:true))
     Polybench.Kernels.all
 
+(* Square arrays, and shapes where the PE count and the number of arms
+   of each [par] differ: a single row, a single column, and 5x12 of depth
+   7. *)
 let test_systolic () =
   List.iter
-    (fun n ->
+    (fun (rows, cols, depth) ->
       agree
-        (Printf.sprintf "systolic-%dx%d" n n)
-        (Systolic.generate { Systolic.rows = n; cols = n; depth = n; width = 32 }))
-    [ 2; 3; 4 ]
+        (Printf.sprintf "systolic-%dx%dx%d" rows cols depth)
+        (Systolic.generate { Systolic.rows; cols; depth; width = 32 }))
+    [ (2, 2, 2); (3, 3, 3); (4, 4, 4); (8, 8, 8); (1, 12, 12); (12, 1, 12); (5, 12, 7) ]
 
 (* A lowered program keeps all of its state in continuous assignments and
    has no control left. Compiling it again must keep its registers apart:
    the maps agree with the reference, and the array still computes the
    product. *)
 let test_lowered_again () =
-  let d = { Systolic.rows = 3; cols = 3; depth = 3; width = 32 } in
-  let lowered =
-    Parser.parse_string
-      (Printer.to_string (Pipelines.compile (Systolic.generate d)))
-  in
-  agree "systolic-3x3 lowered" lowered;
-  let sim = Calyx_sim.Sim.create (Pipelines.compile lowered) in
-  let io = Calyx_sim.Testbench.of_sim sim in
-  let a, b = Systolic.sample d in
-  let tb = Systolic.testbench d ~a ~b in
-  tb.load io;
-  ignore (Calyx_sim.Sim.run sim);
-  Alcotest.(check (list string)) "product" [] (tb.check io)
+  List.iter
+    (fun n ->
+      let d = { Systolic.rows = n; cols = n; depth = n; width = 32 } in
+      let name = Printf.sprintf "systolic-%dx%d lowered" n n in
+      let lowered =
+        Parser.parse_string
+          (Printer.to_string (Pipelines.compile (Systolic.generate d)))
+      in
+      agree name lowered;
+      let sim = Calyx_sim.Sim.create (Pipelines.compile lowered) in
+      let io = Calyx_sim.Testbench.of_sim sim in
+      let a, b = Systolic.sample d in
+      let tb = Systolic.testbench d ~a ~b in
+      tb.load io;
+      ignore (Calyx_sim.Sim.run sim);
+      Alcotest.(check (list string)) (name ^ ": product") [] (tb.check io))
+    [ 3; 4 ]
 
 let () =
   Alcotest.run "sharing"
