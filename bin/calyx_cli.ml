@@ -1146,7 +1146,7 @@ let report_cmd =
               if benches = [] then
                 failwith "report: --baseline needs a current bench results file";
               let parse_results path =
-                Tele.Json.parse
+                Tele.Json.parse_located ~file:path
                   (In_channel.with_open_bin path In_channel.input_all)
               in
               let baseline_v = parse_results base in

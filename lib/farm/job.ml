@@ -177,7 +177,7 @@ let describe_error = function
   | Polybench.Data.Data_error msg -> Some ("data error: " ^ msg)
   | Tele.Json.Parse_error msg -> Some ("json error: " ^ msg)
   | Failure msg -> Some ("failure: " ^ msg)
-  | Not_found -> Some "failure: unknown kernel or memory"
+  | Not_found -> Some "failure: a lookup found nothing (Not_found)"
   | Invalid_argument msg -> Some ("invalid argument: " ^ msg)
   | _ -> None
 

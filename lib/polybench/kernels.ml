@@ -1287,5 +1287,11 @@ let all =
     cholesky; durbin; gramschmidt; lu; ludcmp; trisolv;
   ]
 
-let find name = List.find (fun k -> String.equal k.name name) all
+let find name =
+  match List.find_opt (fun k -> String.equal k.name name) all with
+  | Some k -> k
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown PolyBench kernel %S (kernels: %s)" name
+           (String.concat ", " (List.map (fun k -> k.name) all)))
 let unrollable = List.filter (fun k -> k.unrolled <> None) all

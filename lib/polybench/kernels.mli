@@ -26,7 +26,8 @@ val all : kernel list
 (** All 19 kernels, in the paper's category order. *)
 
 val find : string -> kernel
-(** Raises [Not_found]. *)
+(** Raises [Invalid_argument] naming the unknown kernel and listing the
+    known ones. *)
 
 val unrollable : kernel list
 (** The 11 kernels with an unrolled variant. *)

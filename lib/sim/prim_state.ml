@@ -592,7 +592,7 @@ let set_memory t data =
   match t with
   | Mem m ->
       if Array.length data <> mem_length m then
-        sim_error "memory size mismatch: %d vs %d" (Array.length data)
+        sim_error "%d values for a memory of %d elements" (Array.length data)
           (mem_length m);
       Array.iteri
         (fun i v ->

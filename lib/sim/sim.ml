@@ -869,20 +869,28 @@ let touch_prim (inst, p) =
   | Some x -> x.x_touch_prim p
   | None -> ()  (* the fixpoint engine re-reads every output *)
 
+(* Test-bench access: an error names the cell it is about. *)
+let named path f =
+  try f ()
+  with Prim_state.Sim_error msg ->
+    raise (Prim_state.Sim_error (Printf.sprintf "%s: %s" path msg))
+
 let read_register t path =
-  Prim_state.get_register (prim_state_at (resolve_prim t.root path))
+  named path (fun () ->
+      Prim_state.get_register (prim_state_at (resolve_prim t.root path)))
 
 let write_register t path v =
   let loc = resolve_prim t.root path in
-  Prim_state.set_register (prim_state_at loc) v;
+  named path (fun () -> Prim_state.set_register (prim_state_at loc) v);
   touch_prim loc
 
 let read_memory t path =
-  Prim_state.get_memory (prim_state_at (resolve_prim t.root path))
+  named path (fun () ->
+      Prim_state.get_memory (prim_state_at (resolve_prim t.root path)))
 
 let write_memory t path data =
   let loc = resolve_prim t.root path in
-  Prim_state.set_memory (prim_state_at loc) data;
+  named path (fun () -> Prim_state.set_memory (prim_state_at loc) data);
   touch_prim loc
 
 let write_memory_ints t path ~width ints =

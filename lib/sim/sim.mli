@@ -257,7 +257,9 @@ val read_output : t -> string -> Bitvec.t
 (** {1 Test-bench access}
 
     Cells are addressed by dotted hierarchical paths from the entrypoint,
-    e.g. ["pe00.acc"] for register [acc] inside cell [pe00]. *)
+    e.g. ["pe00.acc"] for register [acc] inside cell [pe00]. A
+    {!Prim_state.Sim_error} raised by an access (a width or length
+    mismatch, a cell of the wrong kind) starts with the path. *)
 
 val read_register : t -> string -> Bitvec.t
 val write_register : t -> string -> Bitvec.t -> unit

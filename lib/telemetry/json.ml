@@ -55,13 +55,14 @@ type value =
 
 exception Parse_error of string
 
+(* Raised inside the parser with the byte offset; [parse] and
+   [parse_located] render the position their own way. *)
+exception Failed_at of int * string
+
 type parser_state = { src : string; mutable pos : int }
 
 let parse_fail st fmt =
-  Printf.ksprintf
-    (fun msg ->
-      raise (Parse_error (Printf.sprintf "at offset %d: %s" st.pos msg)))
-    fmt
+  Printf.ksprintf (fun msg -> raise (Failed_at (st.pos, msg))) fmt
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
@@ -223,12 +224,30 @@ let rec parse_value st =
   | Some 'n' -> literal st "null" Null
   | Some _ -> parse_number st
 
-let parse src =
+let parse_document src =
   let st = { src; pos = 0 } in
   let v = parse_value st in
   skip_ws st;
   if st.pos <> String.length src then parse_fail st "trailing input";
   v
+
+let parse src =
+  try parse_document src
+  with Failed_at (pos, msg) ->
+    raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg))
+
+let parse_located ~file ?(line = 1) src =
+  try parse_document src
+  with Failed_at (pos, msg) ->
+    (* An error at the end of the input is placed on its last line of
+       text, not on the empty line after a final newline. *)
+    let rec back p =
+      if p > 0 && String.contains " \t\r\n" src.[p - 1] then back (p - 1) else p
+    in
+    let pos = if pos >= String.length src then back (String.length src) else pos in
+    let lines = ref line in
+    String.iteri (fun i c -> if i < pos && c = '\n' then incr lines) src;
+    raise (Parse_error (Printf.sprintf "%s:%d: %s" file !lines msg))
 
 let member key = function
   | Object fields -> List.assoc_opt key fields

@@ -48,6 +48,11 @@ val parse : string -> value
 (** Parse a complete JSON document; raises {!Parse_error} (with the byte
     offset) on malformed input or trailing garbage. *)
 
+val parse_located : file:string -> ?line:int -> string -> value
+(** {!parse} for text read from [file], starting at its line [line]
+    (default 1): the {!Parse_error} message starts with ["FILE:LINE: "],
+    the line of the offending byte. *)
+
 val member : string -> value -> value option
 (** Field lookup on an [Object]; [None] on other values. *)
 

@@ -136,22 +136,22 @@ let of_json v =
           mf_data = data;
         }
 
-let parse_line line =
-  match String.trim line with
-  | "" -> None
-  | body -> of_json (Json.parse body)
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let events = ref [] in
+      let events = ref [] and line = ref 0 in
       (try
          while true do
-           match parse_line (input_line ic) with
-           | Some e -> events := e :: !events
-           | None -> ()
+           let text = input_line ic in
+           incr line;
+           match String.trim text with
+           | "" -> ()
+           | body -> (
+               match of_json (Json.parse_located ~file:path ~line:!line body) with
+               | Some e -> events := e :: !events
+               | None -> ())
          done
        with End_of_file -> ());
       List.rev !events)

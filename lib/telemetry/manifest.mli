@@ -45,7 +45,8 @@ val to_json : event -> string
 (** One event as a single-line JSON object. *)
 
 val read_file : string -> event list
-(** Parse a JSONL manifest; blank lines are skipped. *)
+(** Parse a JSONL manifest; blank lines are skipped. A malformed line
+    raises {!Json.Parse_error} located at ["FILE:LINE: "]. *)
 
 (** {1 Writing} *)
 
