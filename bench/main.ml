@@ -606,7 +606,9 @@ let stats () =
    back end then runs on the lowered program under the same spans: emit,
    the simulator build inside the simulation, timing and area. The stage
    list (the "stages" count) and the cycle counts are deterministic and
-   regression-gated; the "_s" times are informational. *)
+   regression-gated; the "_s" times are informational. Also returned: the
+   control nodes the register-sharing span counts (its output's, which
+   are its input's: the pass renames registers only). *)
 let stage_times ctx simulate =
   let module T = Calyx_telemetry in
   let cycles, spans =
@@ -631,7 +633,16 @@ let stage_times ctx simulate =
       (fun (sp : T.Trace.span) -> sp.sp_cat = "pass" && not (named "revalidate" sp))
       spans
   in
+  let control =
+    match
+      List.find_opt (named "register-sharing") spans
+      |> Fun.flip Option.bind Pass.span_counts
+    with
+    | Some c -> c.Pass.control_nodes
+    | None -> 0
+  in
   ( cycles,
+    control,
     [ stage "check"; stage "lint" ]
     @ List.map
         (fun (sp : T.Trace.span) ->
@@ -671,9 +682,16 @@ let stages () =
   let rows =
     List.map
       (fun (name, ctx, simulate) ->
-        let cycles, stages, total = stage_times ctx simulate in
-        (name, stages, total, cycles))
+        let cycles, control, stages, total = stage_times ctx simulate in
+        (name, stages, total, cycles, control))
       (systolic @ (lowered :: kernels))
+  in
+  let rows, controls =
+    List.split
+      (List.map
+         (fun (name, stages, total, cycles, control) ->
+           ((name, stages, total, cycles), (name, control)))
+         rows)
   in
   let _, first, _, _ = List.hd rows in
   Printf.printf "%-22s %9s %8s %s\n" "design" "compile" "cycles"
@@ -699,7 +717,22 @@ let stages () =
            (fun acc (_, stages, _, _) ->
              acc +. Option.value ~default:0. (List.assoc_opt s stages))
            0. rows))
-    first
+    first;
+  (* How register sharing scales with the array: its time ratio from
+     16x16 to 32x32 over the ratio in control nodes (1 = linear in the
+     control program). Wall-clock derived, so an "_x" summary. *)
+  let at n =
+    let name = systolic_name n in
+    let _, stages, _, _ = List.find (fun (d, _, _, _) -> d = name) rows in
+    (List.assoc "register-sharing" stages, float_of_int (List.assoc name controls))
+  in
+  let t16, c16 = at 16 and t32, c32 = at 32 in
+  let growth = t32 /. t16 /. (c32 /. c16) in
+  Printf.printf
+    "register-sharing 16x16 -> 32x32: time x%.1f, control nodes x%.1f, \
+     growth over control-node growth %.2f\n"
+    (t32 /. t16) (c32 /. c16) growth;
+  Record.summary "register_sharing_growth_x" growth
 
 (* ------------------------------------------------------------------ *)
 (* Simulator engines: fixpoint vs compiled                            *)
