@@ -1,6 +1,6 @@
 open Ir
 
-(* The register map, and the graph it colors with its register and
+(* The register map, the graph it colors, and that graph's register and
    clique counts. *)
 let color comp =
   let graph = Graph_coloring.create () in
@@ -15,9 +15,13 @@ let color comp =
     | _ -> ir_error "register-sharing: %s is not a register" name
   in
   ( Graph_coloring.greedy graph ~cls,
-    (graph, List.length registers, List.length cliques) )
+    graph,
+    List.length registers,
+    List.length cliques )
 
-let sharing_map (_ctx : context) comp = fst (color comp)
+let sharing_map (_ctx : context) comp =
+  let map, _, _, _ = color comp in
+  map
 
 (* With telemetry on, the pass span carries the size of the graphs it
    colored, summed over components: registers, distinct conflict cliques
@@ -28,7 +32,7 @@ let share ctx =
   let ctx' =
     Pass.per_component
       (fun _ comp ->
-        let map, (graph, r, c) = color comp in
+        let map, graph, r, c = color comp in
         if on then begin
           registers := !registers + r;
           cliques := !cliques + c;
