@@ -114,7 +114,9 @@ let edges g =
   Array.iteri
     (fun v -> function
       | None -> ()
-      | Some w -> total := !total + v - Array.fold_left (fun n x -> n + Intset.popcount x) 0 w)
+      | Some w ->
+          let apart = Array.fold_left (fun n x -> n + Intset.popcount x) 0 w in
+          total := !total + v - apart)
     table;
   !total
 
@@ -163,8 +165,7 @@ let greedy g ~cls =
           let rec first k =
             if k >= Array.length !reps then None
             else if !reps.(k) = 0 then first (k + 1)
-            else
-              Some ((k * bits) + lowest !reps.(k))
+            else Some ((k * bits) + lowest !reps.(k))
           in
           first 0
       | Some w ->
