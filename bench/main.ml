@@ -686,18 +686,11 @@ let stages () =
         (name, stages, total, cycles, control))
       (systolic @ (lowered :: kernels))
   in
-  let rows, controls =
-    List.split
-      (List.map
-         (fun (name, stages, total, cycles, control) ->
-           ((name, stages, total, cycles), (name, control)))
-         rows)
-  in
-  let _, first, _, _ = List.hd rows in
+  let _, first, _, _, _ = List.hd rows in
   Printf.printf "%-22s %9s %8s %s\n" "design" "compile" "cycles"
     (String.concat " " (List.map (fun (s, _) -> Printf.sprintf "%10s" s) first));
   List.iter
-    (fun (name, stages, total, cycles) ->
+    (fun (name, stages, total, cycles, _) ->
       Printf.printf "%-22s %7.1fms %8d %s\n" name (total *. 1e3) cycles
         (String.concat " "
            (List.map (fun (_, t) -> Printf.sprintf "%8.1fms" (t *. 1e3)) stages));
@@ -714,7 +707,7 @@ let stages () =
     (fun (s, _) ->
       Record.summary (s ^ "_s")
         (List.fold_left
-           (fun acc (_, stages, _, _) ->
+           (fun acc (_, stages, _, _, _) ->
              acc +. Option.value ~default:0. (List.assoc_opt s stages))
            0. rows))
     first;
@@ -723,8 +716,10 @@ let stages () =
      control program). Wall-clock derived, so an "_x" summary. *)
   let at n =
     let name = systolic_name n in
-    let _, stages, _, _ = List.find (fun (d, _, _, _) -> d = name) rows in
-    (List.assoc "register-sharing" stages, float_of_int (List.assoc name controls))
+    let _, stages, _, _, control =
+      List.find (fun (d, _, _, _, _) -> d = name) rows
+    in
+    (List.assoc "register-sharing" stages, float_of_int control)
   in
   let t16, c16 = at 16 and t32, c32 = at 32 in
   let growth = t32 /. t16 /. (c32 /. c16) in

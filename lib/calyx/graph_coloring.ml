@@ -4,17 +4,14 @@ let bits = Sys.int_size
 
 (* Nodes are interned to dense ids in first-add order. Conflicts are kept
    as given, cliques and cross products of node sets; no adjacency is
-   built. [earlier] is the non-neighbour table below, built on first use
-   and dropped when a conflict is added. *)
+   built. *)
 type t = {
   ids : (string, int) Hashtbl.t;
   mutable cliques : Intset.t list;
   mutable crosses : Intset.t list list;
-  mutable earlier : int array option array option;
 }
 
-let create () =
-  { ids = Hashtbl.create 64; cliques = []; crosses = []; earlier = None }
+let create () = { ids = Hashtbl.create 64; cliques = []; crosses = [] }
 
 let node g n =
   match Hashtbl.find_opt g.ids n with
@@ -26,17 +23,11 @@ let node g n =
 
 let add_node g n = ignore (node g n)
 
-let add_clique g s =
-  if Intset.several s then begin
-    g.cliques <- s :: g.cliques;
-    g.earlier <- None
-  end
+let add_clique g s = if Intset.several s then g.cliques <- s :: g.cliques
 
 let add_edge g a b = add_clique g (Intset.of_list [ node g a; node g b ])
 
-let add_cross g arms =
-  g.crosses <- arms :: g.crosses;
-  g.earlier <- None
+let add_cross g arms = g.crosses <- arms :: g.crosses
 
 (* [table.(v)], for each node [v], is the set of nodes [u < v] that do not
    conflict with [v], as words of bits; [None] while no conflict has
@@ -45,59 +36,55 @@ let add_cross g arms =
    go largest first: one that holds every node closes them all at once,
    and the rest cost a scan of their words. *)
 let non_neighbours g =
-  match g.earlier with
-  | Some table -> table
-  | None ->
-      let n = Hashtbl.length g.ids in
-      let table = Array.make n None in
-      let open_ = Array.make ((n / bits) + 1) (-1) in
-      open_.(0) <- open_.(0) land lnot 1;
-      let subtract v others =
-        let w =
-          match table.(v) with
-          | Some w -> w
-          | None ->
-              let w =
-                Array.init ((v / bits) + 1) (fun k ->
-                    if k < v / bits then -1 else (1 lsl (v mod bits)) - 1)
-              in
-              table.(v) <- Some w;
-              w
-        in
-        Intset.iter_words
-          (fun k m -> if k < Array.length w then w.(k) <- w.(k) land lnot m)
-          others;
-        if Array.for_all (fun x -> x = 0) w then
-          open_.(v / bits) <- open_.(v / bits) land lnot (1 lsl (v mod bits))
-      in
-      let each_open members f =
-        Intset.iter_words
-          (fun k m -> Intset.iter_bits f k (m land open_.(k)))
-          members
-      in
-      List.map (fun c -> (Intset.cardinal c, c)) g.cliques
-      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare b a)
-      |> List.iter (fun (_, c) -> each_open c (fun v -> subtract v c));
-      (* Each arm's members conflict with the union of the other arms: the
-         arms before it (a running prefix) and after it (suffixes). *)
-      List.iter
-        (fun arms ->
-          let arms = Array.of_list arms in
-          let k = Array.length arms in
-          let suffix = Array.make (k + 1) Intset.empty in
-          for i = k - 1 downto 0 do
-            suffix.(i) <- Intset.union arms.(i) suffix.(i + 1)
-          done;
-          let prefix = ref Intset.empty in
-          Array.iteri
-            (fun i arm ->
-              let others = Intset.union !prefix suffix.(i + 1) in
-              each_open arm (fun v -> subtract v others);
-              prefix := Intset.union !prefix arm)
-            arms)
-        g.crosses;
-      g.earlier <- Some table;
-      table
+  let n = Hashtbl.length g.ids in
+  let table = Array.make n None in
+  let open_ = Array.make ((n / bits) + 1) (-1) in
+  open_.(0) <- open_.(0) land lnot 1;
+  let subtract v others =
+    let w =
+      match table.(v) with
+      | Some w -> w
+      | None ->
+          let w =
+            Array.init ((v / bits) + 1) (fun k ->
+                if k < v / bits then -1 else (1 lsl (v mod bits)) - 1)
+          in
+          table.(v) <- Some w;
+          w
+    in
+    Intset.iter_words
+      (fun k m -> if k < Array.length w then w.(k) <- w.(k) land lnot m)
+      others;
+    if Array.for_all (fun x -> x = 0) w then
+      open_.(v / bits) <- open_.(v / bits) land lnot (1 lsl (v mod bits))
+  in
+  let each_open members f =
+    Intset.iter_words
+      (fun k m -> Intset.iter_bits f k (m land open_.(k)))
+      members
+  in
+  List.map (fun c -> (Intset.cardinal c, c)) g.cliques
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare b a)
+  |> List.iter (fun (_, c) -> each_open c (fun v -> subtract v c));
+  (* Each arm's members conflict with the union of the other arms: the
+     arms before it (a running prefix) and after it (suffixes). *)
+  List.iter
+    (fun arms ->
+      let arms = Array.of_list arms in
+      let k = Array.length arms in
+      let suffix = Array.make (k + 1) Intset.empty in
+      for i = k - 1 downto 0 do
+        suffix.(i) <- Intset.union arms.(i) suffix.(i + 1)
+      done;
+      let prefix = ref Intset.empty in
+      Array.iteri
+        (fun i arm ->
+          let others = Intset.union !prefix suffix.(i + 1) in
+          each_open arm (fun v -> subtract v others);
+          prefix := Intset.union !prefix arm)
+        arms)
+    g.crosses;
+  table
 
 (* The index of the lowest set bit of a non-zero word. *)
 let lowest m =

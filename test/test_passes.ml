@@ -434,7 +434,14 @@ let test_graph_coloring () =
   Alcotest.(check bool) "b not with a" true
     (not (String.equal (String_map.find "b" m) "a"));
   Alcotest.(check string) "c reuses a" "a" (String_map.find "c" m);
-  Alcotest.(check string) "d reuses a" "a" (String_map.find "d" m)
+  Alcotest.(check string) "d reuses a" "a" (String_map.find "d" m);
+  (* A graph colored once can still grow: a node added afterwards is
+     colored too, and counted. *)
+  Alcotest.(check int) "edges" 2 (Graph_coloring.edges g);
+  Graph_coloring.add_edge g "e" "a";
+  let m = Graph_coloring.greedy g ~cls:(fun _ -> "x") in
+  Alcotest.(check string) "e reuses b" "b" (String_map.find "e" m);
+  Alcotest.(check int) "edges after growth" 3 (Graph_coloring.edges g)
 
 (* Intset against the standard library's sets, on random sets spanning
    several words (bit 62 included); a union with a subset of an argument
