@@ -532,6 +532,16 @@ let fig9c () =
    times the passes). *)
 let time f = Calyx_telemetry.Clock.timed f
 
+(* [f]'s last result and its best time over [n] runs. *)
+let best_of n f =
+  let b = ref infinity and res = ref None in
+  for _ = 1 to n do
+    let r, dt = time f in
+    if dt < !b then b := dt;
+    res := Some r
+  done;
+  (Option.get !res, !b)
+
 let stats () =
   header "Section 7.4: compilation statistics";
   let gemver = Polybench.Kernels.find "gemver" in
@@ -713,19 +723,26 @@ let stages () =
     first;
   (* How register sharing scales with the array: its time ratio from
      16x16 to 32x32 over the ratio in control nodes (1 = linear in the
-     control program). Wall-clock derived, so an "_x" summary. *)
+     control program). One timing per size spreads too far to compare, so
+     the pass runs alone on its pipeline input, best of 5 per size.
+     Wall-clock derived, so an "_x" summary. *)
   let at n =
     let name = systolic_name n in
-    let _, stages, _, _, control =
-      List.find (fun (d, _, _, _, _) -> d = name) rows
+    let _, _, _, _, control = List.find (fun (d, _, _, _, _) -> d = name) rows in
+    let before =
+      List.filter
+        (fun (p : Pass.t) -> p.name <> Register_sharing.pass.name)
+        (Pipelines.optimize Pipelines.default_config)
     in
-    (List.assoc "register-sharing" stages, float_of_int control)
+    let input = Pass.run_all before (Systolic.generate (systolic_dims n)) in
+    let _, t = best_of 5 (fun () -> Register_sharing.pass.transform input) in
+    (t, float_of_int control)
   in
   let t16, c16 = at 16 and t32, c32 = at 32 in
   let growth = t32 /. t16 /. (c32 /. c16) in
   Printf.printf
-    "register-sharing 16x16 -> 32x32: time x%.1f, control nodes x%.1f, \
-     growth over control-node growth %.2f\n"
+    "register-sharing 16x16 -> 32x32 (best of 5): time x%.1f, control \
+     nodes x%.1f, growth over control-node growth %.2f\n"
     (t32 /. t16) (c32 /. c16) growth;
   Record.summary "register_sharing_growth_x" growth
 
@@ -748,15 +765,6 @@ let stages () =
    and "_x" fields are wall-clock derived and excluded from regression;
    the cycle counts and the mismatch counter are deterministic and
    compared. *)
-let best_of_3 f =
-  let b = ref infinity and res = ref None in
-  for _ = 1 to 3 do
-    let r, dt = time f in
-    if dt < !b then b := dt;
-    res := Some r
-  done;
-  (Option.get !res, !b)
-
 (* [f ()] must return [(result, create_seconds, simulate_seconds)]; keeps
    the best of each phase independently across the three repetitions. *)
 let best_of_3_phased f =
@@ -840,15 +848,14 @@ let engines () =
 
 (* Two-sided proof that telemetry is free when off:
 
-   1. Micro: the measured cost of one disabled instrument site (a metric
-      increment, a span) — a single [Runtime.on] branch each.
+   1. Micro: the measured cost of one disabled site (a span, a span
+      arg) — a single [Runtime.on] branch each.
    2. Macro: per engine row, the estimated disabled-mode overhead =
-      (sites x ns-per-disabled-site) / disabled runtime, gated against
-      the 2% budget. The site count — the number of times a disabled
-      site actually executes on the sim hot path, once per settle and
-      once per clock edge — is read back from the compiled engine's
-      dirty-set and commit-set histograms under an enabled run, so the
-      estimate uses the real op count rather than a guess.
+      (spans x ns-per-span + args x ns-per-arg) / disabled runtime,
+      gated against the 2% budget. The spans and args are those an
+      enabled run of the same design records ([Trace.collect]), so the
+      estimate uses the real site count rather than a guess: neither
+      engine has a telemetry site per settle or per clock edge.
 
    The enabled/disabled wall ratio is also recorded ("_x", excluded from
    regression — it is noise-dominated at these runtimes); the regression
@@ -859,12 +866,11 @@ let telemetry_bench () =
   header "Telemetry: disabled-site cost, overhead budget, neutrality";
   assert (not (T.Runtime.on ()));
   (* Micro-costs of one disabled site. *)
-  let probe = T.Metrics.counter "bench_telemetry_probe_total" in
-  let inc_iters = 10_000_000 in
-  let (), inc_s =
+  let arg_iters = 10_000_000 in
+  let (), args_s =
     time (fun () ->
-        for _ = 1 to inc_iters do
-          T.Metrics.inc probe
+        for _ = 1 to arg_iters do
+          T.Trace.add_metric "probe" 1.
         done)
   in
   let span_iters = 1_000_000 in
@@ -874,33 +880,22 @@ let telemetry_bench () =
           T.Trace.with_span "probe" (fun () -> ())
         done)
   in
-  let inc_ns = inc_s *. 1e9 /. float_of_int inc_iters in
+  let arg_ns = args_s *. 1e9 /. float_of_int arg_iters in
   let span_ns = spans_s *. 1e9 /. float_of_int span_iters in
   Printf.printf
-    "disabled site cost: metric update %.2f ns, span %.2f ns (one branch \
+    "disabled site cost: span arg %.2f ns, span %.2f ns (one branch \
      each)\n\n"
-    inc_ns span_ns;
+    arg_ns span_ns;
   Printf.printf "%-22s %9s %9s %10s %10s %9s %12s %6s\n" "design" "cycles"
     "sites" "off-s" "on-s" "on/off" "est-ovh" "match";
   let mismatches = ref 0 and over_budget = ref 0 and rows = ref 0 in
   let budget = 0.02 in
-  let site_count run =
-    (* Number of compiled-engine settles and clock edges in one run: the
-       dirty-set and commit-set histograms' count deltas under an enabled
-       run. This is exactly how many times the per-settle and per-edge
-       telemetry branches execute. *)
-    let count name =
-      match T.Metrics.histogram_counts name with
-      | Some (_, _, c) -> c
-      | None -> 0
-    in
-    let count () =
-      count "calyx_sched_dirty_set_size" + count "calyx_sched_commit_set_size"
-    in
-    T.Runtime.with_enabled (fun () ->
-        let before = count () in
-        ignore (run `Compiled ());
-        count () - before)
+  let site_count run engine =
+    (* The spans and span args one enabled run records: how many times
+       a disabled run takes a telemetry branch. *)
+    let _, spans = T.Trace.collect (run engine) in
+    ( List.length spans,
+      List.fold_left (fun n sp -> n + List.length (T.Trace.args sp)) 0 spans )
   in
   let report name ctx (tb : Calyx_sim.Testbench.t) =
     (* The timed run creates, loads and runs; the check comes after. *)
@@ -914,24 +909,23 @@ let telemetry_bench () =
       verdict name (tb.check io);
       (cycles, s)
     in
-    let sites = site_count run in
     List.iter
       (fun (label, engine) ->
         incr rows;
-        let cycles_off, off_s = checked (best_of_3 (run engine)) in
+        let spans, args = site_count run engine in
+        let cycles_off, off_s = checked (best_of 3 (run engine)) in
         let cycles_on, on_s =
-          checked (T.Runtime.with_enabled (fun () -> best_of_3 (run engine)))
+          checked (T.Runtime.with_enabled (fun () -> best_of 3 (run engine)))
         in
         if cycles_off <> cycles_on then incr mismatches;
-        (* Estimated disabled overhead: every settle and every edge
-           evaluates one telemetry branch, plus a handful of per-run
-           sites. *)
         let est =
-          float_of_int (sites + 8) *. (inc_ns /. 1e9) /. off_s
+          ((float_of_int spans *. span_ns) +. (float_of_int args *. arg_ns))
+          /. 1e9 /. off_s
         in
         if est > budget then incr over_budget;
         Printf.printf "%-22s %9d %9d %10.4f %10.4f %8.2fx %11.4f%% %6s\n"
-          (name ^ "/" ^ label) cycles_off sites off_s on_s (on_s /. off_s)
+          (name ^ "/" ^ label) cycles_off (spans + args) off_s on_s
+          (on_s /. off_s)
           (est *. 100.)
           (if cycles_off = cycles_on then "ok" else "FAIL");
         Record.row
@@ -958,7 +952,7 @@ let telemetry_bench () =
     "\n%d/%d rows within the %.0f%% disabled-overhead budget; %d cycle \
      mismatch(es) between enabled and disabled runs\n"
     (!rows - !over_budget) !rows (budget *. 100.) !mismatches;
-  Record.summary "metric_site_s" (inc_ns /. 1e9);
+  Record.summary "arg_site_s" (arg_ns /. 1e9);
   Record.summary "span_site_s" (span_ns /. 1e9);
   Record.summary "rows" (float_of_int !rows);
   Record.summary "over_budget" (float_of_int !over_budget);

@@ -21,8 +21,7 @@
    Every command that takes a source FILE chooses the frontend by its
    suffix: .dahlia/.fuse sources go through Dahlia, anything else parses
    as Calyx. Every subcommand additionally takes --telemetry/
-   --trace-pipeline/--metrics-out/--log-level (see telemetry_term
-   below). *)
+   --trace-pipeline/--log-level (see telemetry_term below). *)
 
 open Cmdliner
 module Tele = Calyx_telemetry
@@ -213,7 +212,6 @@ let write_file path contents =
 type telemetry_opts = {
   t_manifest : string option;
   t_chrome : string option;
-  t_metrics : string option;
   t_log : Tele.Log.level option;
 }
 
@@ -232,13 +230,6 @@ let telemetry_term =
       & info [ "trace-pipeline" ] ~docv:"FILE"
           ~doc:"Write a Chrome trace_event JSON of the toolchain's own spans (parse, check, each pass, sim, emit, timing) to $(docv); load it at ui.perfetto.dev.")
   in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Dump the process metrics registry (counters, gauges, histograms) in OpenMetrics text format to $(docv) on exit.")
-  in
   let log =
     Arg.(
       value
@@ -254,10 +245,8 @@ let telemetry_term =
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:"Stderr verbosity: $(b,quiet), $(b,info), or $(b,debug). Defaults from the $(b,CALYX_LOG) environment variable.")
   in
-  let make t_manifest t_chrome t_metrics t_log =
-    { t_manifest; t_chrome; t_metrics; t_log }
-  in
-  Term.(const make $ manifest $ chrome $ metrics $ log)
+  let make t_manifest t_chrome t_log = { t_manifest; t_chrome; t_log } in
+  Term.(const make $ manifest $ chrome $ log)
 
 (* Enable telemetry when any sink was requested, stamp the run context
    with the input's content hash, run the command, and write the
@@ -265,10 +254,7 @@ let telemetry_term =
    stream line-by-line regardless). *)
 let with_telemetry ?source tele f =
   Option.iter Tele.Log.set_level tele.t_log;
-  let wanted =
-    tele.t_manifest <> None || tele.t_chrome <> None || tele.t_metrics <> None
-  in
-  if not wanted then f ()
+  if tele.t_manifest = None && tele.t_chrome = None then f ()
   else begin
     Tele.Runtime.enable ();
     if tele.t_chrome <> None then Tele.Trace.set_keep true;
@@ -286,9 +272,6 @@ let with_telemetry ?source tele f =
       Option.iter
         (fun p -> write_file p (Tele.Trace.to_chrome ()))
         tele.t_chrome;
-      Option.iter
-        (fun p -> write_file p (Tele.Metrics.to_openmetrics ()))
-        tele.t_metrics;
       Option.iter
         (fun w ->
           Tele.Manifest.uninstall ();

@@ -204,13 +204,7 @@ let rec build_ctrl b safe spec =
       ( while_ ~cond (Cell_port (cmp, "out")) (seq [ bc; enable incr ]),
         counter :: wb )
 
-let generated =
-  Calyx_telemetry.Metrics.counter
-    ~help:"Random programs built by the fuzz generator"
-    "calyx_fuzz_programs_total"
-
 let build spec =
-  Calyx_telemetry.Metrics.inc generated;
   let b =
     { cells = []; groups = []; reg_count = 0; group_count = 0; cell_count = 0 }
   in

@@ -80,13 +80,7 @@ let validate_after ~checked pass ctx ctx' =
         (Well_formed.Malformed
            (List.map (fun e -> Printf.sprintf "[after %s] %s" pass.name e) errors))
 
-let invocations =
-  Calyx_telemetry.Metrics.counter
-    ~help:"Compiler pass invocations across the process"
-    "calyx_pass_invocations_total"
-
 let run ?(validate = true) ?(checked = false) pass ctx =
-  Calyx_telemetry.Metrics.inc invocations;
   Calyx_telemetry.Trace.with_span ~cat:"pass" pass.name @@ fun () ->
   let ctx' = pass.transform ctx in
   if validate then validate_after ~checked pass ctx ctx';

@@ -54,12 +54,7 @@ let description config =
 
 let id config = Tele.Manifest.hash (description config)
 
-let programs_compiled =
-  Tele.Metrics.counter ~help:"Programs taken through the full pass pipeline"
-    "calyx_programs_compiled_total"
-
 let compile ?(config = default_config) ctx =
-  Tele.Metrics.inc programs_compiled;
   if Tele.Runtime.on () then Tele.Manifest.set_run ~pipeline:(id config) ();
   Tele.Trace.with_span ~cat:"stage" "compile" @@ fun () ->
   Tele.Log.debug "compile: pipeline %s (%s)" (id config) (description config);

@@ -20,8 +20,8 @@ let shareable ctx cell =
       | Some c -> Attrs.shareable c.comp_attrs
       | None -> false)
 
-(* Cells a group uses (in any role). *)
-let cells_used group =
+(* Cells a list of assignments uses (in any role). *)
+let cells_used assigns =
   List.fold_left
     (fun acc a ->
       let add acc = function
@@ -30,7 +30,7 @@ let cells_used group =
       in
       let acc = match a.dst with Cell_port (c, _) -> SS.add c acc | _ -> acc in
       List.fold_left add acc (assignment_atoms a))
-    SS.empty group.assigns
+    SS.empty assigns
 
 (* Rough per-primitive LUT weight, for the profitability heuristic
    (Section 9's "target-specific optimization" direction): sharing a cell
@@ -57,71 +57,67 @@ let cost_guided proto =
   sharing_profit proto > mux_cost
 
 let sharing_map ?(profitable = fun _ -> true) ctx comp =
-  (* Cells referenced by continuous assignments are permanently in use. *)
-  let continuous_cells =
-    List.fold_left
-      (fun acc a ->
-        let add acc = function
-          | Port (Cell_port (c, _)) -> SS.add c acc
-          | _ -> acc
-        in
-        let acc = match a.dst with Cell_port (c, _) -> SS.add c acc | _ -> acc in
-        List.fold_left add acc (assignment_atoms a))
-      SS.empty comp.continuous
-  in
-  let candidates =
-    List.filter
+  (* Without groups and control only continuous assignments use cells,
+     and those are never shared: a lowered program has nothing to share
+     and keeps every name. *)
+  if comp.groups = [] && comp.control = Empty then SM.empty
+  else begin
+    (* Cells referenced by continuous assignments are permanently in use. *)
+    let continuous_cells = cells_used comp.continuous in
+    let candidates =
+      List.filter
+        (fun c ->
+          shareable ctx c && profitable c.cell_proto
+          && not (SS.mem c.cell_name continuous_cells))
+        comp.cells
+    in
+    let graph = Graph_coloring.create () in
+    let protos = Hashtbl.create 64 in
+    List.iter
       (fun c ->
-        shareable ctx c && profitable c.cell_proto
-        && not (SS.mem c.cell_name continuous_cells))
-      comp.cells
-  in
-  let graph = Graph_coloring.create () in
-  let protos = Hashtbl.create 64 in
-  List.iter
-    (fun c ->
-      Graph_coloring.add_node graph c.cell_name;
-      if not (Hashtbl.mem protos c.cell_name) then
-        Hashtbl.replace protos c.cell_name (proto_key c.cell_proto))
-    candidates;
-  (* Candidate cells a group uses, as graph ids. *)
-  let usage = Hashtbl.create 64 in
-  List.iter
-    (fun g ->
-      let used =
-        SS.fold
-          (fun c used ->
-            if Hashtbl.mem protos c then Intset.add (Graph_coloring.node graph c) used
-            else used)
-          (cells_used g) Intset.empty
-      in
-      (* Cells used within one group conflict. *)
-      Graph_coloring.add_clique graph used;
-      if not (Hashtbl.mem usage g.group_name) then
-        Hashtbl.replace usage g.group_name used)
-    comp.groups;
-  let usage_of g =
-    match Hashtbl.find_opt usage g with Some s -> s | None -> Intset.empty
-  in
-  (* Cells used by groups that may run in parallel conflict: those under
-     different arms of a [par]. One bottom-up walk collects each subtree's
-     usage, and each [par] connects its arms' usages in one cross product
-     (the edges of all the group pairs Schedule_conflicts lists). *)
-  let cond = function Some g -> usage_of g | None -> Intset.empty in
-  let rec used = function
-    | Empty | Invoke _ -> Intset.empty
-    | Enable (g, _) -> usage_of g
-    | Seq (cs, _) -> Intset.union_many (List.map used cs)
-    | Par (cs, _) ->
-        let arms = List.map used cs in
-        Graph_coloring.add_cross graph arms;
-        Intset.union_many arms
-    | If { cond_group; tbranch; fbranch; _ } ->
-        Intset.union_many [ cond cond_group; used tbranch; used fbranch ]
-    | While { cond_group; body; _ } -> Intset.union (cond cond_group) (used body)
-  in
-  ignore (used comp.control);
-  Graph_coloring.greedy graph ~cls:(Hashtbl.find protos)
+        Graph_coloring.add_node graph c.cell_name;
+        if not (Hashtbl.mem protos c.cell_name) then
+          Hashtbl.replace protos c.cell_name (proto_key c.cell_proto))
+      candidates;
+    (* Candidate cells a group uses, as graph ids. *)
+    let usage = Hashtbl.create 64 in
+    List.iter
+      (fun g ->
+        let used =
+          SS.fold
+            (fun c used ->
+              if Hashtbl.mem protos c then Intset.add (Graph_coloring.node graph c) used
+              else used)
+            (cells_used g.assigns) Intset.empty
+        in
+        (* Cells used within one group conflict. *)
+        Graph_coloring.add_clique graph used;
+        if not (Hashtbl.mem usage g.group_name) then
+          Hashtbl.replace usage g.group_name used)
+      comp.groups;
+    let usage_of g =
+      match Hashtbl.find_opt usage g with Some s -> s | None -> Intset.empty
+    in
+    (* Cells used by groups that may run in parallel conflict: those under
+       different arms of a [par]. One bottom-up walk collects each subtree's
+       usage, and each [par] connects its arms' usages in one cross product
+       (the edges of all the group pairs Schedule_conflicts lists). *)
+    let cond = function Some g -> usage_of g | None -> Intset.empty in
+    let rec used = function
+      | Empty | Invoke _ -> Intset.empty
+      | Enable (g, _) -> usage_of g
+      | Seq (cs, _) -> Intset.union_many (List.map used cs)
+      | Par (cs, _) ->
+          let arms = List.map used cs in
+          Graph_coloring.add_cross graph arms;
+          Intset.union_many arms
+      | If { cond_group; tbranch; fbranch; _ } ->
+          Intset.union_many [ cond cond_group; used tbranch; used fbranch ]
+      | While { cond_group; body; _ } -> Intset.union (cond cond_group) (used body)
+    in
+    ignore (used comp.control);
+    Graph_coloring.greedy graph ~cls:(Hashtbl.find protos)
+  end
 
 let apply_map comp mapping =
   if SM.for_all String.equal mapping then comp

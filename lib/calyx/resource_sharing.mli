@@ -23,7 +23,8 @@ val sharing_map :
   ?profitable:(Ir.prototype -> bool) ->
   Ir.context -> Ir.component -> string Ir.String_map.t
 (** The cell-to-representative map the pass would apply (exposed for tests
-    and the ablation harness). *)
+    and the ablation harness). A cell the map omits keeps its name; the
+    map is empty for a component with no groups and [Empty] control. *)
 
 val apply_map : Ir.component -> string Ir.String_map.t -> Ir.component
 (** Rename cells throughout a component (assignments and control condition

@@ -18,24 +18,6 @@ type summary = {
   cache_dir : string option;
 }
 
-(* Farm metrics, registered once at module initialization (the registry is
-   idempotent and mutex-guarded, so this is domain-safe too). *)
-let m_jobs = Tele.Metrics.counter ~help:"Jobs executed by the farm" "calyx_farm_jobs_total"
-
-let m_hits =
-  Tele.Metrics.counter ~help:"Farm cache hits" "calyx_farm_cache_hits_total"
-
-let m_misses =
-  Tele.Metrics.counter ~help:"Farm cache misses" "calyx_farm_cache_misses_total"
-
-let m_stores =
-  Tele.Metrics.counter ~help:"Farm cache blobs written"
-    "calyx_farm_cache_stores_total"
-
-let m_evictions =
-  Tele.Metrics.counter ~help:"Farm cache blobs evicted as corrupt"
-    "calyx_farm_cache_evictions_total"
-
 let job_key job =
   Cache.key ~source:(Job.key_source job)
     ~pipeline:(Calyx.Pipelines.id job.Job.config)
@@ -99,11 +81,6 @@ let run ?jobs ?cache batch =
   and misses = after.misses - before.misses
   and stores = after.stores - before.stores
   and evictions = after.evictions - before.evictions in
-  Tele.Metrics.inc ~by:(float_of_int (List.length batch)) m_jobs;
-  Tele.Metrics.inc ~by:(float_of_int hits) m_hits;
-  Tele.Metrics.inc ~by:(float_of_int misses) m_misses;
-  Tele.Metrics.inc ~by:(float_of_int stores) m_stores;
-  Tele.Metrics.inc ~by:(float_of_int evictions) m_evictions;
   {
     results;
     jobs;

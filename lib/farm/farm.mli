@@ -31,9 +31,9 @@ val run : ?jobs:int -> ?cache:Cache.t -> Job.t list -> summary
     worker looks up the cache key (source text + pass-pipeline id +
     engine + tool version); a verified hit is decoded instead of run, a
     decode failure evicts the blob and falls back to a cold run, and cold
-    outcomes are stored back. Farm counters
-    ([calyx_farm_jobs_total], [calyx_farm_cache_{hits,misses,stores,evictions}_total])
-    are bumped on the calling domain after the join. *)
+    outcomes are stored back. The summary's cache counts are this
+    batch's deltas of {!Cache.stats}, read on the calling domain after
+    the join. *)
 
 val hit_rate : summary -> float
 (** Hits over cache lookups, in percent; [0.] when nothing was looked

@@ -8,7 +8,6 @@
 open Calyx
 open Ir
 open Instance
-module Tele = Calyx_telemetry
 
 (* A guard partially evaluated against the component: constants fold to
    always/never, the rest is a function of an instance's values, shared
@@ -819,8 +818,6 @@ let compile (cp : plan) inst : compiled =
                 ip.p_comp.comp_name))
     in
     inst.i_iters_cycle <- inst.i_iters_cycle + touched;
-    if Tele.Runtime.on () then
-      Tele.Metrics.observe dirty_set_size (float_of_int touched);
     if st.s_suspects > 0 then check_conflicts inst
   in
   (* The clock edge latches only the primitives in [latch], in ascending
@@ -865,8 +862,7 @@ let compile (cp : plan) inst : compiled =
       if r land Prim_state.edge_changed <> 0 then Sched.mark_node graph p
     done;
     queued := !kept;
-    if Tele.Runtime.on () then
-      Tele.Metrics.observe commit_set_size (float_of_int n);
+    inst.i_latched <- inst.i_latched + n;
     for c = 0 to Array.length inst.i_children - 1 do
       commit_child inst.i_children.(c).c_inst;
       Sched.mark_node graph (np + c)

@@ -14,32 +14,6 @@
 
 open Calyx
 open Ir
-module Tele = Calyx_telemetry
-
-(* The simulator's process-wide instruments, defined here below both
-   engines so they register in one fixed order. Updates sit off the
-   per-slot hot path (one per settle / one per run) and are single-branch
-   no-ops when telemetry is disabled. *)
-let sim_cycles_total =
-  Tele.Metrics.counter ~help:"Clock cycles simulated across all runs"
-    "calyx_sim_cycles_total"
-
-let fixpoint_iterations_total =
-  Tele.Metrics.counter
-    ~help:"Jacobi fixpoint iterations of the reference engine"
-    "calyx_fixpoint_iterations_total"
-
-let dirty_set_size =
-  Tele.Metrics.histogram
-    ~help:"Nodes touched per compiled-engine settle"
-    ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. ]
-    "calyx_sched_dirty_set_size"
-
-let commit_set_size =
-  Tele.Metrics.histogram
-    ~help:"Primitives latched per compiled-engine clock edge"
-    ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. ]
-    "calyx_sched_commit_set_size"
 
 (* Raised deep inside either engine's settle, where neither the cycle
    number nor the status snapshot is in scope; [Sim.cycle] catches them
@@ -370,7 +344,10 @@ type instance = {
   mutable i_iters_cycle : int;
       (* evaluation work accumulated this cycle: fixpoint iterations under
          the reference engine, nodes touched under the compiled engine;
-         reset at commit *)
+         folded into [i_evals] at commit *)
+  mutable i_evals : int;  (* settle work of every committed cycle *)
+  mutable i_latched : int;
+      (* primitives latched over every clock edge (compiled engine) *)
   (* Conflict-check scratch (one slot-indexed "driver table" per
      instance, generation-stamped so clearing is O(1) per cycle), made on
      the first check. *)

@@ -251,6 +251,8 @@ let rec instantiate ~engine ~compiled_of ~path plan : instance =
       i_running = false;
       i_done_reg = false;
       i_iters_cycle = 0;
+      i_evals = 0;
+      i_latched = 0;
       i_gen = 0;
       i_drivers = None;
       i_compiled = None;
@@ -369,8 +371,6 @@ let rec eval_comb inst (inputs : Slot.env) =
     inst.i_next <- old
   done;
   inst.i_iters_cycle <- inst.i_iters_cycle + !iters;
-  if Tele.Runtime.on () then
-    Tele.Metrics.inc ~by:(float_of_int !iters) fixpoint_iterations_total;
   check_conflicts inst
 
 (* ------------------------------------------------------------------ *)
@@ -378,6 +378,7 @@ let rec eval_comb inst (inputs : Slot.env) =
 (* ------------------------------------------------------------------ *)
 
 let rec commit ~now ~csink inst =
+  inst.i_evals <- inst.i_evals + inst.i_iters_cycle;
   inst.i_iters_cycle <- 0;
   let env = inst.i_env in
   (match inst.i_compiled with
@@ -602,25 +603,22 @@ let instances t =
   in
   List.rev (walk "" t.root [])
 
-let set_sink t sink =
-  t.sink <- sink;
-  (* Pre-build the probe index so the first observed cycle is not slower
-     than the rest. *)
-  if sink <> None then ignore (probes t)
-
 (* Compose with whatever sink is already installed, so independent
    observers (a VCD tracer, a profiler, a coverage collector) can attach to
    the same simulation without knowing about each other. Installed sinks
    run in attachment order. *)
 let add_sink t sink =
-  match t.sink with
-  | None -> set_sink t (Some sink)
-  | Some prev ->
-      set_sink t
-        (Some
-           (fun ev ->
-             prev ev;
-             sink ev))
+  t.sink <-
+    (match t.sink with
+    | None -> Some sink
+    | Some prev ->
+        Some
+          (fun ev ->
+            prev ev;
+            sink ev));
+  (* Pre-build the probe index so the first observed cycle is not slower
+     than the rest. *)
+  ignore (probes t)
 
 let add_ctrl_sink t sink =
   t.ctrl_sink <-
@@ -658,10 +656,11 @@ let collect_active t =
   in
   List.rev (walk "" t.root [])
 
-let rec total_iters inst =
+(* [count] summed over the instance tree. *)
+let rec tree_sum count inst =
   Array.fold_left
-    (fun acc ch -> acc + total_iters ch.c_inst)
-    inst.i_iters_cycle inst.i_children
+    (fun acc ch -> acc + tree_sum count ch.c_inst)
+    (count inst) inst.i_children
 
 (* ------------------------------------------------------------------ *)
 (* Status snapshots (Timeout debugging)                                *)
@@ -797,7 +796,7 @@ let cycle t =
           ev_cycle = t.cycles;
           ev_values = capture_values t;
           ev_active = collect_active t;
-          ev_iters = total_iters t.root;
+          ev_iters = tree_sum (fun i -> i.i_iters_cycle) t.root;
         });
   let flat_done =
     (not t.root.i_plan.p_structured)
@@ -820,6 +819,9 @@ let run ?(max_cycles = 5_000_000) t =
   if Tele.Runtime.on () then
     Tele.Trace.add_tag "engine" (engine_name (engine t));
   set_input t "go" (Bitvec.one 1);
+  let evals () = tree_sum (fun i -> i.i_evals) t.root
+  and latched () = tree_sum (fun i -> i.i_latched) t.root in
+  let evals0 = evals () and latched0 = latched () in
   let cycles = ref 0 in
   while (not t.finished) && !cycles < max_cycles do
     cycle t;
@@ -828,8 +830,10 @@ let run ?(max_cycles = 5_000_000) t =
   if not t.finished then
     raise (Timeout { budget = max_cycles; snapshot = status t });
   if Tele.Runtime.on () then begin
-    Tele.Metrics.inc ~by:(float_of_int !cycles) sim_cycles_total;
-    Tele.Trace.add_metric "cycles" (float_of_int !cycles)
+    Tele.Trace.add_metric "cycles" (float_of_int !cycles);
+    Tele.Trace.add_metric "evals" (float_of_int (evals () - evals0));
+    if engine t = `Compiled then
+      Tele.Trace.add_metric "latched" (float_of_int (latched () - latched0))
   end;
   !cycles
 

@@ -139,7 +139,10 @@ val compiled_plan : t -> string option
 val run : ?max_cycles:int -> t -> int
 (** Drive [go] high and simulate until the design signals [done]; returns
     the latency in cycles (the done cycle included). [max_cycles] defaults
-    to 5,000,000. *)
+    to 5,000,000. Runs in a ["sim"] telemetry span whose args, with
+    telemetry on, are the [engine], the [cycles], the [evals] (the run's
+    [ev_iters] of its cycles summed) and, under [`Compiled], [latched]: the
+    primitives latched over every clock edge of the instance tree. *)
 
 val cycle : t -> unit
 (** Advance a single clock cycle (for fine-grained tests). *)
@@ -207,13 +210,10 @@ val signals : t -> signal array
 val instances : t -> (string * string) list
 (** All instances as [(path, component name)]; the root is [("", entry)]. *)
 
-val set_sink : t -> sink option -> unit
-(** Install or remove the per-cycle observer, replacing any existing one. *)
-
 val add_sink : t -> sink -> unit
-(** Attach an observer {e in addition to} any already installed; sinks run
-    in attachment order. This is how independent observers (a VCD tracer, a
-    profiler, a coverage collector) share one simulation. *)
+(** Attach a per-cycle observer {e in addition to} any already installed;
+    sinks run in attachment order. This is how independent observers (a
+    VCD tracer, a profiler, a coverage collector) share one simulation. *)
 
 (** {1 Control events (span tracing)}
 

@@ -1,7 +1,7 @@
 (** The process-wide telemetry switch.
 
-    All collection — spans ({!Trace}), instrument updates ({!Metrics}),
-    manifest events ({!Manifest}) — is gated on this one flag. When it is
+    All collection — spans and their args ({!Trace}), manifest events
+    ({!Manifest}) — is gated on this one flag. When it is
     off (the default), every instrumented site in the toolchain reduces to
     a single [ref] read, which is what makes the "no-op sink compiled in
     by default" zero-cost claim testable (the bench [telemetry]

@@ -34,16 +34,6 @@ let mem_to_string vs =
   String.concat ","
     (Array.to_list (Array.map (fun v -> Int64.to_string (Bitvec.to_int64 v)) vs))
 
-let agreements =
-  Calyx_telemetry.Metrics.counter
-    ~help:"Translation validations where simulator and RTL agreed exactly"
-    "calyx_validate_agree_total"
-
-let disagreements =
-  Calyx_telemetry.Metrics.counter
-    ~help:"Translation validations with at least one mismatch"
-    "calyx_validate_disagree_total"
-
 (* One half of a validation: its result, or its exception with the rank
    of the step that raised it in the sequential order emit (0),
    Sim.create (1), Vinterp.load (2), load sim (3), load rtl (4), Sim.run
@@ -125,8 +115,6 @@ let validate ?engine ?max_cycles
     mems;
   let nets, procs = Vinterp.stats rtl in
   if Calyx_telemetry.Runtime.on () then begin
-    Calyx_telemetry.Metrics.inc
-      (if !mismatches = [] then agreements else disagreements);
     Calyx_telemetry.Trace.add_metric "mismatches"
       (float_of_int (List.length !mismatches));
     Calyx_telemetry.Trace.add_metric "cycles" (float_of_int cycles_sim)

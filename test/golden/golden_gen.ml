@@ -1,11 +1,10 @@
 (* Deterministic renderer behind the golden-file snapshot tests: prints
    the structured program (the `calyx compile --emit calyx` view), the
    fully lowered SystemVerilog, the timing report, the compiled engine's
-   plan (of the lowered or the structured program), the scrubbed Chrome
-   trace of a whole toolchain run, or the OpenMetrics exposition after
-   one. The dune rules diff its
-   output against checked-in .expected files; `dune promote` accepts
-   intentional changes. *)
+   plan (of the lowered or the structured program), or the scrubbed
+   Chrome trace of a whole toolchain run. The dune rules diff its output
+   against checked-in .expected files; `dune promote` accepts intentional
+   changes. *)
 
 module Tele = Calyx_telemetry
 
@@ -19,11 +18,10 @@ let parse file =
   else Calyx.Parser.parse_file file
 
 (* One full telemetry-enabled toolchain run: parse, compile, simulate
-   under both engines, analyze timing, emit. Everything the instruments
-   and spans record for it is deterministic — cycle counts, pass lists,
-   dirty-set sizes — which is what makes these two modes golden-testable
-   (wall-clock fields are scrubbed from the trace and never exported by
-   the registry). *)
+   under both engines, analyze timing, emit. Every span arg it records is
+   deterministic — cycle counts, pass counts, settle evaluations,
+   primitives latched — which is what makes the trace golden-testable
+   (wall-clock fields are scrubbed from it). *)
 let pipeline_run file =
   Tele.Runtime.enable ();
   Tele.Trace.set_keep true;
@@ -36,21 +34,6 @@ let pipeline_run file =
     [ `Fixpoint; `Compiled ];
   ignore (Calyx_synth.Timing.context_timing lowered);
   ignore (Calyx_verilog.Verilog.emit lowered)
-
-(* The toolchain-owned instruments, in registration-independent order, so
-   the golden file does not depend on module initialization order. *)
-let instrument_names =
-  [
-    "calyx_programs_compiled_total";
-    "calyx_pass_invocations_total";
-    "calyx_sim_cycles_total";
-    "calyx_fixpoint_iterations_total";
-    "calyx_sched_dirty_set_size";
-    "calyx_sched_commit_set_size";
-    "calyx_validate_agree_total";
-    "calyx_validate_disagree_total";
-    "calyx_fuzz_programs_total";
-  ]
 
 let () =
   match Sys.argv with
@@ -86,11 +69,8 @@ let () =
   | [| _; "trace"; file |] ->
       pipeline_run file;
       print_string (Tele.Trace.to_chrome ~scrub:true ())
-  | [| _; "metrics"; file |] ->
-      pipeline_run file;
-      print_string (Tele.Metrics.to_openmetrics ~names:instrument_names ())
   | _ ->
       prerr_endline
         "usage: golden_gen \
-         (print|verilog|timing|plan|structured-plan|trace|metrics) FILE";
+         (print|verilog|timing|plan|structured-plan|trace) FILE";
       exit 2

@@ -36,11 +36,11 @@
    [lowered_digests work DIR] runs the compiled engine on the lowered and
    on the structured program of the same corpus as [plan], on the test
    benches' inputs, and prints per design and config the cycle count, the
-   settle evaluations and the primitives latched of each run: the sums of
-   the [calyx_sched_dirty_set_size] and [calyx_sched_commit_set_size]
-   histograms, or the error a structured program that the simulator
-   cannot run raises. A change to which nodes the engine evaluates or which
-   primitives it latches shows up here, even where the results agree.
+   settle evaluations and the primitives latched of each run: the [sim]
+   span's [cycles], [evals] and [latched] args, or the error a structured
+   program that the simulator cannot run raises. A change to which nodes
+   the engine evaluates or which primitives it latches shows up here, even
+   where the results agree.
 
    [lowered_digests faults] builds no corpus. It parses a fixed list of
    lowered programs, each with one fault that no check has rejected, and
@@ -149,22 +149,20 @@ let rtl_line _structured lowered load =
   md5 (Buffer.contents b)
 
 let work_line structured lowered load =
-  let module T = Calyx_telemetry in
-  let sum name =
-    match T.Metrics.histogram_counts name with
-    | Some (_, s, _) -> int_of_float s
-    | None -> 0
-  in
+  let module T = Calyx_telemetry.Trace in
   let run ctx =
-    T.Runtime.with_enabled (fun () ->
-        let evals = sum "calyx_sched_dirty_set_size"
-        and latched = sum "calyx_sched_commit_set_size" in
-        let sim = Calyx_sim.Sim.create ~engine:`Compiled ctx in
-        load (Calyx_sim.Testbench.of_sim sim);
-        let cycles = Calyx_sim.Sim.run sim in
-        Printf.sprintf "cycles %d evals %d latched %d" cycles
-          (sum "calyx_sched_dirty_set_size" - evals)
-          (sum "calyx_sched_commit_set_size" - latched))
+    let cycles, spans =
+      T.collect (fun () ->
+          let sim = Calyx_sim.Sim.create ~engine:`Compiled ctx in
+          load (Calyx_sim.Testbench.of_sim sim);
+          Calyx_sim.Sim.run sim)
+    in
+    let sim = List.find (fun sp -> sp.T.sp_name = "sim") spans in
+    let arg key =
+      match T.find_arg sim key with Some (T.F f) -> int_of_float f | _ -> 0
+    in
+    Printf.sprintf "cycles %d evals %d latched %d" cycles (arg "evals")
+      (arg "latched")
   in
   Printf.sprintf "lowered %s structured %s" (run lowered)
     (match run structured with

@@ -748,36 +748,59 @@ let test_iters_stat () =
     (List.fold_left min max_int !per_cycle
     < List.fold_left max 0 !per_cycle)
 
-(* The work per cycle on gemm, read from the engine's two histograms:
+(* A run of [ctx] under [engine], observed twice: the [sim] span's
+   numeric args, and the sum of [ev_iters] an [add_sink] observer sees. *)
+let sim_span_args ?(load = ignore) ?(check = fun _ -> []) engine ctx =
+  let module T = Calyx_telemetry.Trace in
+  let iters = ref 0 in
+  let (), spans =
+    T.collect (fun () ->
+        let sim = Sim.create ~engine ctx in
+        Sim.add_sink sim (fun ev -> iters := !iters + ev.Sim.ev_iters);
+        let io = Calyx_sim.Testbench.of_sim sim in
+        load io;
+        ignore (Sim.run sim);
+        Alcotest.(check (list string)) "test bench" [] (check io))
+  in
+  match List.filter (fun sp -> sp.T.sp_name = "sim") spans with
+  | [ sp ] -> (T.metrics sp, !iters)
+  | sps -> Alcotest.failf "%d sim spans" (List.length sps)
+
+(* The sim span's work args on a design with a child instance, whose
+   settles and edges are counted in its own instance: [evals] is the
+   settle work of both instances under either engine, which a sink sees
+   cycle by cycle as [ev_iters]; [latched] (compiled engine only) is the
+   6 latches of [r] in main and [acc] in the child together. *)
+let test_work_args_hierarchy () =
+  let ctx = Progs.hierarchy ~input:50 () in
+  List.iter
+    (fun (name, engine) ->
+      let args, iters = sim_span_args engine ctx in
+      Alcotest.(check (option (float 0.)))
+        (name ^ " evals")
+        (Some (float_of_int iters))
+        (List.assoc_opt "evals" args);
+      Alcotest.(check (option (float 0.)))
+        (name ^ " latched")
+        (if engine = `Compiled then Some 6. else None)
+        (List.assoc_opt "latched" args))
+    Sim.engines
+
+(* The work per cycle on gemm, read from the sim span's args:
    primitives latched per clock edge, and nodes evaluated per settle. An
    edge latches only the primitives whose edge inputs changed, and a
    settle skips an assignment whose guard blocks it when only its source
    changed. *)
 let test_work_per_cycle () =
-  let module T = Calyx_telemetry in
   let k = Polybench.Kernels.find "gemm" in
   let prog = Polybench.Harness.program k ~unrolled:false in
   let tb = Polybench.Harness.testbench k prog in
   let lowered = Pipelines.compile (Dahlia.To_calyx.compile prog) in
-  let sum name =
-    match T.Metrics.histogram_counts name with
-    | Some (_, s, _) -> s
-    | None -> Alcotest.failf "no histogram %s" name
+  let args, _ =
+    sim_span_args ~load:tb.load ~check:tb.check `Compiled lowered
   in
-  let commits0 = sum "calyx_sched_commit_set_size"
-  and evals0 = sum "calyx_sched_dirty_set_size" in
-  let cycles =
-    T.Runtime.with_enabled (fun () ->
-        let sim = Sim.create ~engine:`Compiled lowered in
-        let io = Calyx_sim.Testbench.of_sim sim in
-        tb.load io;
-        let cycles = Sim.run sim in
-        Alcotest.(check (list string)) "product" [] (tb.check io);
-        float_of_int cycles)
-  in
-  let per_cycle name base = (sum name -. base) /. cycles in
-  let commits = per_cycle "calyx_sched_commit_set_size" commits0
-  and evals = per_cycle "calyx_sched_dirty_set_size" evals0 in
+  let per_cycle name = List.assoc name args /. List.assoc "cycles" args in
+  let commits = per_cycle "latched" and evals = per_cycle "evals" in
   if commits > 8. then
     Alcotest.failf "%.1f primitives latched per cycle (at most 8)" commits;
   if evals > 32. then
@@ -818,6 +841,8 @@ let () =
           Alcotest.test_case "engine accessor" `Quick test_engine_accessor;
           Alcotest.test_case "test-bench write" `Quick test_testbench_write;
           Alcotest.test_case "iters stat" `Quick test_iters_stat;
+          Alcotest.test_case "work args on a hierarchy" `Quick
+            test_work_args_hierarchy;
           Alcotest.test_case "work per cycle on gemm" `Quick
             test_work_per_cycle;
         ] );

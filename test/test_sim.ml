@@ -352,8 +352,8 @@ let test_add_sink_composes () =
      cycle, in attachment order. *)
   let sim = create (Progs.two_writes_seq ()) in
   let calls = ref [] in
-  Calyx_sim.Sim.set_sink sim
-    (Some (fun ev -> calls := ("a", ev.Calyx_sim.Sim.ev_cycle) :: !calls));
+  Calyx_sim.Sim.add_sink sim (fun ev ->
+      calls := ("a", ev.Calyx_sim.Sim.ev_cycle) :: !calls);
   Calyx_sim.Sim.add_sink sim (fun ev ->
       calls := ("b", ev.Calyx_sim.Sim.ev_cycle) :: !calls);
   let cycles = Calyx_sim.Sim.run sim in

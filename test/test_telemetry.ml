@@ -1,16 +1,15 @@
-(* The telemetry layer: clock monotonicity, the metrics registry and its
-   OpenMetrics exporter, span nesting and the Chrome export, manifest
-   JSONL round-trips through the shared Json parser, report aggregation
-   and the machine-factor perf comparison — plus the neutrality fuzz
-   property: enabling telemetry must never change observable toolchain
-   behaviour (cycle counts, register values, diagnostics). *)
+(* The telemetry layer: clock monotonicity, span nesting and the Chrome
+   export, manifest JSONL round-trips through the shared Json parser,
+   report aggregation and the machine-factor perf comparison — plus the
+   neutrality fuzz property: enabling telemetry must never change
+   observable toolchain behaviour (cycle counts, register values,
+   diagnostics). *)
 
 open Calyx
 module T = Calyx_telemetry
 
 (* Every test leaves the process the way it found it: telemetry off,
-   spans dropped. Instruments stay registered (the registry is
-   process-wide by design) so each test uses its own names. *)
+   spans dropped. *)
 let scrub () =
   T.Runtime.disable ();
   T.Trace.set_keep false;
@@ -29,75 +28,6 @@ let test_clock () =
   Alcotest.(check bool) "timed non-negative" true (dt >= 0.);
   let x, _ = T.Clock.timed (fun () -> 42) in
   Alcotest.(check int) "timed returns the result" 42 x
-
-(* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_counter_gating () =
-  let c = T.Metrics.counter ~help:"test" "test_gating_total" in
-  T.Metrics.inc c;
-  Alcotest.(check (float 0.)) "disabled inc is a no-op" 0. (T.Metrics.peek c);
-  T.Runtime.with_enabled (fun () ->
-      T.Metrics.inc c;
-      T.Metrics.inc ~by:2.5 c);
-  Alcotest.(check (float 0.)) "enabled incs accumulate" 3.5 (T.Metrics.peek c);
-  scrub ()
-
-let test_gauge () =
-  let g = T.Metrics.gauge "test_gauge" in
-  T.Runtime.with_enabled (fun () -> T.Metrics.set g 7.);
-  Alcotest.(check (option (float 0.)))
-    "gauge set and read back by name" (Some 7.)
-    (T.Metrics.value "test_gauge");
-  scrub ()
-
-let test_reregistration () =
-  let a = T.Metrics.counter "test_rereg_total" in
-  let b = T.Metrics.counter "test_rereg_total" in
-  T.Runtime.with_enabled (fun () -> T.Metrics.inc a);
-  Alcotest.(check (float 0.)) "same instrument" 1. (T.Metrics.peek b);
-  Alcotest.check_raises "kind change rejected"
-    (Invalid_argument
-       "Metrics.test_rereg_total: already registered with a different kind")
-    (fun () -> ignore (T.Metrics.gauge "test_rereg_total"));
-  scrub ()
-
-let test_histogram_edges () =
-  let h = T.Metrics.histogram ~buckets:[ 1.; 2.; 4. ] "test_hist_edges" in
-  T.Runtime.with_enabled (fun () ->
-      (* Values exactly on a bound land in that bound's bucket (le is
-         inclusive, as in Prometheus). *)
-      List.iter (T.Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 4.0; 5.0 ]);
-  match T.Metrics.histogram_counts "test_hist_edges" with
-  | None -> Alcotest.fail "histogram not registered"
-  | Some (counts, sum, count) ->
-      Alcotest.(check (list int)) "per-bucket counts" [ 2; 2; 1; 1 ] counts;
-      Alcotest.(check (float 1e-9)) "sum" 14.0 sum;
-      Alcotest.(check int) "count" 6 count;
-      scrub ()
-
-let test_openmetrics () =
-  let c = T.Metrics.counter ~help:"A test counter." "test_om_total" in
-  let h = T.Metrics.histogram ~buckets:[ 1.; 2. ] "test_om_hist" in
-  T.Runtime.with_enabled (fun () ->
-      T.Metrics.inc ~by:3. c;
-      List.iter (T.Metrics.observe h) [ 0.5; 1.5; 9. ]);
-  let out = T.Metrics.to_openmetrics ~names:[ "test_om_total"; "test_om_hist" ] () in
-  let expected =
-    "# HELP test_om_total A test counter.\n\
-     # TYPE test_om_total counter\n\
-     test_om_total 3\n\
-     # TYPE test_om_hist histogram\n\
-     test_om_hist_bucket{le=\"1\"} 1\n\
-     test_om_hist_bucket{le=\"2\"} 2\n\
-     test_om_hist_bucket{le=\"+Inf\"} 3\n\
-     test_om_hist_sum 11\n\
-     test_om_hist_count 3\n\
-     # EOF\n"
-  in
-  Alcotest.(check string) "exposition format" expected out;
-  scrub ()
 
 (* ------------------------------------------------------------------ *)
 (* Trace spans                                                         *)
@@ -179,6 +109,22 @@ let keeping () =
   let before = T.Trace.spans () in
   T.Runtime.with_enabled (fun () -> T.Trace.with_span "probe" ignore);
   List.length (T.Trace.spans ()) > List.length before
+
+(* Telemetry off, a span and its args cost one branch and record nothing,
+   even while buffering; an arg outside any span is dropped. *)
+let test_disabled_sites () =
+  T.Trace.reset ();
+  T.Trace.set_keep true;
+  T.Trace.with_span "off" (fun () -> T.Trace.add_metric "cycles" 1.);
+  T.Runtime.with_enabled (fun () ->
+      T.Trace.add_metric "orphan" 1.;
+      T.Trace.with_span "on" ignore);
+  (match T.Trace.spans () with
+  | [ sp ] ->
+      Alcotest.(check string) "only the enabled span" "on" sp.T.Trace.sp_name;
+      Alcotest.(check int) "no args" 0 (List.length (T.Trace.args sp))
+  | sps -> Alcotest.failf "%d spans buffered" (List.length sps));
+  scrub ()
 
 let test_collect () =
   T.Trace.reset ();
@@ -485,21 +431,13 @@ let () =
   Alcotest.run "telemetry"
     [
       ("clock", [ Alcotest.test_case "monotonic" `Quick test_clock ]);
-      ( "metrics",
-        [
-          Alcotest.test_case "counter gating" `Quick test_counter_gating;
-          Alcotest.test_case "gauge" `Quick test_gauge;
-          Alcotest.test_case "re-registration" `Quick test_reregistration;
-          Alcotest.test_case "histogram bucket edges" `Quick
-            test_histogram_edges;
-          Alcotest.test_case "openmetrics format" `Quick test_openmetrics;
-        ] );
       ( "trace",
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
           Alcotest.test_case "collect" `Quick test_collect;
+          Alcotest.test_case "disabled sites" `Quick test_disabled_sites;
         ] );
       ( "manifest",
         [
