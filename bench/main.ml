@@ -5,6 +5,10 @@
      dune exec bench/main.exe -- fig7a   -- one experiment
      dune exec bench/main.exe -- perf    -- Bechamel micro-benchmarks
 
+   Every run writes BENCH_results.json; the harness only measures.
+   `calyx report --baseline OLD.json BENCH_results.json` judges a run
+   against a saved one.
+
    Absolute numbers come from this repository's simulator and area model
    (Verilator/Vivado substitutes — see DESIGN.md); the paper's claims are
    about the *relative* series, which are printed with each figure and
@@ -44,130 +48,12 @@ module Record = struct
           ] )
       :: !experiments
 
-  let current () = Json.obj (List.rev !experiments)
-
   let write path =
     let oc = open_out path in
-    output_string oc (current ());
+    output_string oc (Json.obj (List.rev !experiments));
     output_char oc '\n';
     close_out oc;
     Printf.printf "wrote %s\n" path
-end
-
-(* Regression mode: diff the current run against a previous
-   BENCH_results.json. Every numeric leaf (summary statistics and per-row
-   fields) is compared; wall-clock measurements (keys ending in "_s",
-   Bechamel's "ns_per_run", and the whole "perf" experiment) are excluded
-   because they vary run to run, while everything else in this harness is
-   deterministic — so any drift past the threshold is a real behavioural
-   change and fails the run. *)
-module Regress = struct
-  let time_key k =
-    (* "_s" = wall-clock seconds; "_x" = ratios derived from wall clock
-       (the engine experiment's speedups); both vary run to run. *)
-    k = "ns_per_run"
-    || String.length k >= 2
-       &&
-       let suffix = String.sub k (String.length k - 2) 2 in
-       suffix = "_s" || suffix = "_x"
-
-  (* (label, value) pairs for an experiment object: summary fields plus
-     per-row numeric fields; booleans (the "correct" checks) count as 0/1
-     so a correctness flip shows up as a 100% delta. *)
-  let leaves exp_value =
-    let acc = ref [] in
-    let leaf label v =
-      match (v : Json.value) with
-      | Json.Number f -> acc := (label, f) :: !acc
-      | Json.Bool b -> acc := (label, if b then 1. else 0.) :: !acc
-      | _ -> ()
-    in
-    (match Json.member "summary" exp_value with
-    | Some (Json.Object fields) ->
-        List.iter
-          (fun (k, v) -> if not (time_key k) then leaf ("summary." ^ k) v)
-          fields
-    | _ -> ());
-    (match Json.member "rows" exp_value with
-    | Some (Json.Array rows) ->
-        List.iteri
-          (fun i row ->
-            match row with
-            | Json.Object fields ->
-                (* Label rows by their identifying field when present so
-                   diffs stay readable if the row order ever changes. *)
-                let id =
-                  match
-                    ( Json.member "kernel" row,
-                      Json.member "n" row,
-                      Json.member "design" row )
-                  with
-                  | Some (Json.String s), _, _ -> s
-                  | _, Some (Json.Number n), _ ->
-                      Printf.sprintf "n=%d" (int_of_float n)
-                  | _, _, Some (Json.String s) -> s
-                  | _ -> string_of_int i
-                in
-                List.iter
-                  (fun (k, v) ->
-                    if not (time_key k) then
-                      leaf (Printf.sprintf "rows[%s].%s" id k) v)
-                  fields
-            | _ -> ())
-          rows
-    | _ -> ());
-    List.rev !acc
-
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-
-  (* Returns the number of metrics that moved past [threshold] percent. *)
-  let run ~baseline_path ~threshold current =
-    header
-      (Printf.sprintf "regression vs %s (threshold %.1f%%)" baseline_path
-         threshold);
-    let base = Json.parse (read_file baseline_path) in
-    let cur = Json.parse current in
-    let compared = ref 0 and changed = ref 0 and regressions = ref 0 in
-    List.iter
-      (fun name ->
-        if name <> "perf" then
-          match (Json.member name base, Json.member name cur) with
-          | Some bexp, Some cexp ->
-              let bl = leaves bexp in
-              List.iter
-                (fun (label, c) ->
-                  match List.assoc_opt label bl with
-                  | None ->
-                      Printf.printf "  %-15s %-40s new metric (%.4g)\n" name
-                        label c
-                  | Some b ->
-                      incr compared;
-                      let delta =
-                        if b = 0. then if c = 0. then 0. else Float.infinity
-                        else 100. *. (c -. b) /. Float.abs b
-                      in
-                      let flag = Float.abs delta > threshold in
-                      if flag then incr regressions;
-                      if delta <> 0. then begin
-                        incr changed;
-                        Printf.printf
-                          "  %-15s %-40s %14.6g -> %-14.6g %+8.2f%%%s\n" name
-                          label b c delta
-                          (if flag then "  REGRESSION" else "")
-                      end)
-                (leaves cexp)
-          | None, Some _ ->
-              Printf.printf "  %-15s not in baseline (skipped)\n" name
-          | _, None -> ())
-      (Json.keys cur);
-    Printf.printf
-      "%d metrics compared, %d changed, %d past the ±%.1f%% threshold\n"
-      !compared !changed !regressions threshold;
-    !regressions
 end
 
 let sensitive_config =
@@ -964,7 +850,7 @@ let telemetry_bench () =
 
 (* Structured-interpretation coverage of the systolic generator's output:
    a generator bug that stops exercising a group or branch shows up here
-   as a coverage drop, which the regression mode then catches. *)
+   as a coverage drop, which the `calyx report` gate then catches. *)
 let cover () =
   header "Coverage: structured interpretation of generated designs";
   Printf.printf "%-14s %8s %9s %9s %10s\n" "design" "cycles" "groups"
@@ -1009,7 +895,7 @@ let cover () =
    item): the sensitive pass trades schedule cycles against critical-path
    depth, and this experiment records both sides. Every field is
    deterministic — delays come from the static model, not wall-clock — so
-   the regression mode gates all of them. *)
+   the `calyx report` gate checks all of them. *)
 let timing_bench () =
   header "Timing: Fmax and wall-clock estimates (sensitive vs insensitive)";
   Printf.printf "%-12s %9s %9s %10s %9s %9s %10s %8s\n" "kernel" "i-fmax"
@@ -1156,7 +1042,7 @@ let perf () =
 (* ------------------------------------------------------------------ *)
 
 (* Corpus-wide RTL-vs-simulator agreement. Every row's cycle counts and
-   agreement flag are deterministic, so the regression mode catches both
+   agreement flag are deterministic, so the `calyx report` gate catches both
    a divergence (agree drops to 0) and an unexplained schedule change
    (cycles move). [rtl_evals], the RTL settle-process evaluations, is
    deterministic too: a rise flags lost activity sparsity. *)
@@ -1183,22 +1069,26 @@ let validate () =
         ("rtl_evals", Json.int r.Calyx_verilog.Validate.evals);
       ]
   in
+  (* Both the simulated and the RTL run must pass the test bench. *)
+  let checked_validate name (tb : Calyx_sim.Testbench.t) ctx =
+    let r = Calyx_verilog.Validate.validate ~load:tb.load ctx in
+    verdict name
+      (tb.check r.Calyx_verilog.Validate.sim_io
+      @ tb.check r.Calyx_verilog.Validate.rtl_io);
+    emit name r
+  in
   List.iter
     (fun name ->
       let k = Polybench.Kernels.find name in
-      let r = Polybench.Harness.run_rtl k ~unrolled:false in
-      if not (Polybench.Harness.rtl_ok r) then incr disagreements;
-      emit name r.Polybench.Harness.report)
+      let prog = Polybench.Harness.program k ~unrolled:false in
+      checked_validate name
+        (Polybench.Harness.testbench k prog)
+        (Pipelines.compile (Dahlia.To_calyx.compile prog)))
     [ "gemm"; "atax"; "mvt"; "cholesky"; "gramschmidt"; "trisolv" ];
   List.iter
     (fun n ->
-      let tb = systolic_testbench n in
-      let r =
-        Calyx_verilog.Validate.validate ~load:tb.load
-          (systolic_ctx n Pipelines.default_config)
-      in
-      verdict (systolic_name n) (tb.check r.Calyx_verilog.Validate.sim_io);
-      emit (systolic_name n) r)
+      checked_validate (systolic_name n) (systolic_testbench n)
+        (systolic_ctx n Pipelines.default_config))
     [ 2; 4 ];
   (* A fixed fuzz sweep: agreement count is a deterministic metric. *)
   let fuzz_total = 100 in
@@ -1323,26 +1213,7 @@ let experiments =
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let baseline = ref None and threshold = ref 5.0 in
-  let rec parse_args acc = function
-    | [] -> List.rev acc
-    | "--baseline" :: file :: rest ->
-        baseline := Some file;
-        parse_args acc rest
-    | "--threshold" :: pct :: rest ->
-        (match float_of_string_opt pct with
-        | Some t -> threshold := t
-        | None ->
-            Printf.eprintf "--threshold expects a percentage, got %s\n" pct;
-            exit 2);
-        parse_args acc rest
-    | ("--baseline" | "--threshold") :: [] ->
-        Printf.eprintf "--baseline FILE / --threshold PCT need an argument\n";
-        exit 2
-    | name :: rest -> parse_args (name :: acc) rest
-  in
-  (match parse_args [] args with
+  (match List.tl (Array.to_list Sys.argv) with
   | [] ->
       List.iter (fun (name, f) -> Record.experiment name f) experiments;
       print_newline ()
@@ -1356,14 +1227,4 @@ let () =
                 (String.concat ", " (List.map fst experiments));
               exit 1)
         names);
-  Record.write "BENCH_results.json";
-  match !baseline with
-  | None -> ()
-  | Some path ->
-      if not (Sys.file_exists path) then begin
-        Printf.eprintf "baseline %s does not exist\n" path;
-        exit 2
-      end;
-      if Regress.run ~baseline_path:path ~threshold:!threshold (Record.current ())
-         > 0
-      then exit 1
+  Record.write "BENCH_results.json"

@@ -16,7 +16,7 @@
      validate   translation validation of single designs (RTL vs sim)
      stats      compilation statistics for a design (Section 7.4)
      timing     static timing analysis: critical path, Fmax, worst paths
-     report     aggregate telemetry manifests; gate perf regressions
+     report     aggregate telemetry manifests; gate bench results
 
    Every command that takes a source FILE chooses the frontend by its
    suffix: .dahlia/.fuse sources go through Dahlia, anything else parses
@@ -307,6 +307,15 @@ let parse_source file =
     Tele.Trace.with_span ~cat:"stage" "parse" (fun () ->
         Calyx.Parser.parse_file file)
 
+(* The prelude of every command that interprets the structured program
+   (interp, profile, cover): the checked source, and the program the
+   interpreter runs. Invoke is the one control construct the interpreter
+   refuses, so it is compiled away. *)
+let parse_structured file =
+  let ctx = parse_source file in
+  Calyx.Well_formed.check ctx;
+  (ctx, Calyx.Pass.run Calyx.Compile_invoke.pass ctx)
+
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -380,11 +389,12 @@ let interp_cmd =
   let run file mems spans engine tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
-        let ctx = parse_source file in
-        Calyx.Well_formed.check ctx;
-        let sim = Calyx_sim.Sim.create ?engine ctx in
+        let _, runnable = parse_structured file in
+        let sim = Calyx_sim.Sim.create ?engine runnable in
         let sp =
-          Option.map (fun path -> (path, Calyx_obs.Spans.create ctx sim)) spans
+          Option.map
+            (fun path -> (path, Calyx_obs.Spans.create runnable sim))
+            spans
         in
         load_mems (Calyx_sim.Testbench.of_sim sim) mems;
         with_spans sp (fun () ->
@@ -482,14 +492,11 @@ let profile_cmd =
     let failed = ref false in
     let code =
       handle_errors (fun () ->
-          let ctx = parse_source file in
-          Calyx.Well_formed.check ctx;
-          (* Compile once for the pass-pipeline report... *)
+          let ctx, runnable = parse_structured file in
+          (* Compile once for the pass-pipeline report, and interpret the
+             structured program for group-level profiling (lowering erases
+             groups). *)
           let lowered, stats = Calyx_obs.Pass_stats.compile ~config ctx in
-          (* ...and interpret the structured program for group-level
-             profiling (lowering erases groups). Invoke is the one control
-             construct the interpreter refuses, so compile it away. *)
-          let runnable = Calyx.Pass.run Calyx.Compile_invoke.pass ctx in
           let sim = Calyx_sim.Sim.create ?engine runnable in
           load_mems (Calyx_sim.Testbench.of_sim sim) mems;
           with_observers sim ~trace ~profile:true (fun prof ->
@@ -570,12 +577,9 @@ let cover_cmd =
     let failed = ref false in
     let code =
       handle_errors (fun () ->
-          let ctx = parse_source file in
-          Calyx.Well_formed.check ctx;
           (* One structured pass gathers group/branch coverage, spans, and
-             the par critical path; invoke is the one control construct
-             the interpreter refuses, so compile it away first. *)
-          let runnable = Calyx.Pass.run Calyx.Compile_invoke.pass ctx in
+             the par critical path. *)
+          let ctx, runnable = parse_structured file in
           let ssim = Calyx_sim.Sim.create ?engine runnable in
           let cov = Calyx_obs.Coverage.create runnable ssim in
           let sp = Calyx_obs.Spans.create runnable ssim in
@@ -713,63 +717,18 @@ let validate_cmd =
           $ max_cycles $ telemetry_term)
 
 let farm_cmd =
-  let int_or_bad what s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "farm: bad %s %S" what s)
-  in
   let systolic_source s =
+    let dim d =
+      match int_of_string_opt d with
+      | Some v -> v
+      | None -> failwith (Printf.sprintf "farm: bad --systolic dimension %S" d)
+    in
     match String.split_on_char 'x' (String.lowercase_ascii s) with
-    | [ r; c; d ] ->
-        Fjob.Systolic
-          {
-            rows = int_or_bad "--systolic dimension" r;
-            cols = int_or_bad "--systolic dimension" c;
-            depth = int_or_bad "--systolic dimension" d;
-          }
+    | [ r; c; d ] -> Fjob.Systolic { rows = dim r; cols = dim c; depth = dim d }
     | _ -> failwith ("farm: bad --systolic argument (expected RxCxD): " ^ s)
   in
-  (* A corpus manifest is one job per line:
-       file PATH
-       polybench NAME [unrolled]
-       systolic R C D
-       fuzz SEED
-     Blank lines and #-comments are skipped. *)
-  let manifest_sources path =
-    String.split_on_char '\n'
-      (In_channel.with_open_bin path In_channel.input_all)
-    |> List.concat_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then []
-           else
-             match
-               String.split_on_char ' ' line
-               |> List.filter (fun w -> w <> "")
-             with
-             | [ "file"; p ] -> [ `File p ]
-             | [ "polybench"; name ] ->
-                 [ `Source (Fjob.Polybench { kernel = name; unrolled = false }) ]
-             | [ "polybench"; name; "unrolled" ] ->
-                 [ `Source (Fjob.Polybench { kernel = name; unrolled = true }) ]
-             | [ "systolic"; r; c; d ] ->
-                 [
-                   `Source
-                     (Fjob.Systolic
-                        {
-                          rows = int_or_bad "manifest dimension" r;
-                          cols = int_or_bad "manifest dimension" c;
-                          depth = int_or_bad "manifest dimension" d;
-                        });
-                 ]
-             | [ "fuzz"; s ] ->
-                 [ `Source (Fjob.Fuzz { seed = int_or_bad "manifest seed" s }) ]
-             | _ ->
-                 failwith
-                   (Printf.sprintf "%s: unrecognized manifest line %S" path
-                      line))
-  in
-  let run files polybench kernel unrolled systolic fuzz seed manifest check
-      cex_dir engine farm_jobs cache_dir no_cache json min_hit_rate config tele =
+  let run files polybench kernel unrolled systolic fuzz seed check cex_dir
+      engine farm_jobs cache_dir no_cache json min_hit_rate config tele =
     with_telemetry tele @@ fun () ->
     let job_failed = ref false in
     let gate_failed = ref false in
@@ -794,25 +753,15 @@ let farm_cmd =
                        { kernel = k.Polybench.Kernels.name; unrolled }))
                 kernels
           in
-          let manifest_jobs =
-            match manifest with
-            | None -> []
-            | Some path ->
-                List.map
-                  (function `File p -> of_file p | `Source s -> mk s)
-                  (manifest_sources path)
-          in
           let jobs =
             List.map of_file files
             @ kernel_jobs
             @ List.map (fun s -> mk (systolic_source s)) systolic
             @ List.init fuzz (fun i -> mk (Fjob.Fuzz { seed = seed + i }))
-            @ manifest_jobs
           in
           if jobs = [] then
             failwith
-              "farm: no jobs (pass FILES, --polybench, --systolic, --fuzz, \
-               or --manifest)";
+              "farm: no jobs (pass FILES, --polybench, --systolic or --fuzz)";
           let cache =
             if no_cache then None else Some (Fcache.open_dir cache_dir)
           in
@@ -900,13 +849,6 @@ let farm_cmd =
       & info [ "seed" ] ~docv:"S"
           ~doc:"Base seed for --fuzz (program $(i,i) uses seed S+i).")
   in
-  let manifest =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "manifest" ] ~docv:"FILE"
-          ~doc:"Corpus manifest: one job per line ($(b,file PATH), $(b,polybench NAME [unrolled]), $(b,systolic R C D), $(b,fuzz SEED)); blank lines and #-comments skipped.")
-  in
   let check =
     Arg.(
       value
@@ -951,9 +893,9 @@ let farm_cmd =
   in
   Cmd.v
     (Cmd.info "farm"
-       ~doc:"The corpus runner: batch compile/sim/validate/timing jobs across OCaml domains with a content-addressed result cache. The batch is assembled from source FILES, --polybench, --systolic, --fuzz, and/or a --manifest corpus; results are reported in submission order and are byte-identical whether computed sequentially, in parallel, or served from the cache. Failed --fuzz jobs are shrunk to minimal counterexample programs.")
+       ~doc:"The corpus runner: batch compile/sim/validate/timing jobs across OCaml domains with a content-addressed result cache. The batch is assembled from source FILES, --polybench, --systolic and/or --fuzz; results are reported in submission order and are byte-identical whether computed sequentially, in parallel, or served from the cache. Failed --fuzz jobs are shrunk to minimal counterexample programs.")
     Term.(const run $ files $ polybench $ kernel $ unrolled $ systolic $ fuzz
-          $ seed $ manifest $ check $ cex_dir $ engine_term $ farm_jobs $ cache_dir
+          $ seed $ check $ cex_dir $ engine_term $ farm_jobs $ cache_dir
           $ no_cache $ json $ min_hit_rate $ config_term $ telemetry_term)
 
 let stats_cmd =
@@ -1097,7 +1039,7 @@ let timing_cmd =
           $ telemetry_term)
 
 let report_cmd =
-  let run files json baseline threshold tele =
+  let run files json baseline tele =
     with_telemetry tele @@ fun () ->
     let failed = ref false in
     let code =
@@ -1113,8 +1055,7 @@ let report_cmd =
             if json then print_endline (Tele.Report.to_json rollups)
             else print_string (Tele.Report.render rollups)
           end;
-          (* Bench results files gate compile-time regressions against a
-             baseline recording. *)
+          (* Bench results files are gated against a baseline recording. *)
           (match (baseline, benches) with
           | None, [] when manifests = [] ->
               Tele.Log.info
@@ -1132,17 +1073,14 @@ let report_cmd =
                 Tele.Json.parse_located ~file:path
                   (In_channel.with_open_bin path In_channel.input_all)
               in
-              let baseline_v = parse_results base in
+              let baseline = parse_results base in
               List.iter
                 (fun bench ->
-                  let current = parse_results bench in
-                  let deltas, factor =
-                    Tele.Report.compare_perf ~threshold ~baseline:baseline_v
-                      ~current
+                  let g =
+                    Tele.Report.gate ~baseline ~current:(parse_results bench)
                   in
-                  print_string
-                    (Tele.Report.render_perf ~threshold (deltas, factor));
-                  if Tele.Report.regressions deltas <> [] then failed := true)
+                  print_string (Tele.Report.render_gate g);
+                  if Tele.Report.failed g then failed := true)
                 benches))
     in
     if code <> 0 then code else if !failed then 1 else 0
@@ -1163,18 +1101,12 @@ let report_cmd =
       value
       & opt (some file) None
       & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Baseline bench results file; perf rows of the current file are compared against it.")
-  in
-  let threshold =
-    Arg.(
-      value & opt float 0.25
-      & info [ "threshold" ] ~docv:"R"
-          ~doc:"Regression tolerance: a row fails when its runtime ratio exceeds the machine factor (the geomean ratio across all rows, which absorbs baseline-vs-current machine speed differences) by more than $(docv).")
+          ~doc:"Baseline bench results file to gate the current one against: every deterministic leaf may move at most 5%, and each perf row may slow down at most 25% more than the machine factor (the geomean runtime ratio across all perf rows).")
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Aggregate telemetry run manifests into per-kernel, per-stage rollups (invocations, wall time, GC allocation, stage metrics), and gate compile-time regressions by comparing a bench results file against a baseline with machine-factor normalization. Exits non-zero when any row regresses beyond --threshold.")
-    Term.(const run $ files $ json $ baseline $ threshold $ telemetry_term)
+       ~doc:"Aggregate telemetry run manifests into per-kernel, per-stage rollups (invocations, wall time, GC allocation, stage metrics), and gate a bench results file against a baseline: deterministic metrics (cycles, area, correctness flags) within 5%, compile times within 25% of the machine factor. Exits non-zero when either rule fails.")
+    Term.(const run $ files $ json $ baseline $ telemetry_term)
 
 let () =
   let doc = "the Calyx compiler infrastructure (OCaml reproduction)" in

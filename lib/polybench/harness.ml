@@ -81,25 +81,3 @@ let run ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
   let lowered = Calyx.Pipelines.compile ~config (Dahlia.To_calyx.compile prog) in
   result ?engine k prog lowered ~timed:(fun () ->
       Calyx_synth.Timing.context_timing ~paths:1 lowered)
-
-type rtl_result = {
-  report : Calyx_verilog.Validate.report;
-  mismatches_sim : string list;
-  mismatches_rtl : string list;
-}
-
-let run_rtl ?(config = Calyx.Pipelines.default_config) ?engine k ~unrolled =
-  stamp_run k ~unrolled ~config ~engine;
-  let prog = program k ~unrolled in
-  let lowered = Calyx.Pipelines.compile ~config (Dahlia.To_calyx.compile prog) in
-  let tb = testbench k prog in
-  let report = Calyx_verilog.Validate.validate ?engine ~load:tb.load lowered in
-  {
-    report;
-    mismatches_sim = tb.check report.Calyx_verilog.Validate.sim_io;
-    mismatches_rtl = tb.check report.Calyx_verilog.Validate.rtl_io;
-  }
-
-let rtl_ok r =
-  r.report.Calyx_verilog.Validate.ok
-  && r.mismatches_sim = [] && r.mismatches_rtl = []

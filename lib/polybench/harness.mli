@@ -49,29 +49,3 @@ val run :
     ({!Calyx_sim.Testbench.run}). [engine]
     selects the simulator's evaluation engine (default
     {!Calyx_sim.Sim.default_engine}). *)
-
-(** {1 Translation validation} *)
-
-type rtl_result = {
-  report : Calyx_verilog.Validate.report;
-      (** RTL-vs-simulator agreement on cycles and all architectural state. *)
-  mismatches_sim : string list;
-      (** The test bench's check of the simulator's final state. *)
-  mismatches_rtl : string list;
-      (** The test bench's check of the RTL interpreter's final state. *)
-}
-
-val run_rtl :
-  ?config:Calyx.Pipelines.config ->
-  ?engine:Calyx_sim.Sim.engine ->
-  Kernels.kernel ->
-  unrolled:bool ->
-  rtl_result
-(** Compile the kernel, then run the emitted SystemVerilog under the RTL
-    interpreter and the lowered design under the simulator on identical
-    inputs (the {!testbench}'s loader), comparing both against each other
-    and, through the test bench's check, against the source's semantics
-    ({!verify}). *)
-
-val rtl_ok : rtl_result -> bool
-(** Exact RTL/simulator agreement {e and} both match {!verify}. *)

@@ -42,7 +42,7 @@ let obj fields =
 let arr items = "[" ^ String.concat "," items ^ "]"
 
 (* ------------------------------------------------------------------ *)
-(* Parsing (for the bench regression mode and the cover test suite)    *)
+(* Parsing (for the calyx report gate and the cover test suite)        *)
 (* ------------------------------------------------------------------ *)
 
 type value =

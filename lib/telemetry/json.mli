@@ -29,8 +29,8 @@ val arr : string list -> string
 (** {1 Parsing}
 
     A small recursive-descent reader, enough to consume this repository's
-    own machine outputs (the bench regression mode diffs two
-    [BENCH_results.json] files; the test suite validates coverage reports
+    own machine outputs ([calyx report --baseline] gates one
+    [BENCH_results.json] file against another; the test suite validates coverage reports
     and span traces). Numbers are represented as [float] — exact for the
     integer ranges these files contain. *)
 

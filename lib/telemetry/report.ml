@@ -1,6 +1,5 @@
 (* Aggregation of manifest corpora into per-source/per-stage rollups, and
-   the compile-time regression comparison behind
-   `calyx report --baseline BENCH_results.json --threshold R`. *)
+   the gate behind `calyx report --baseline OLD.json BENCH_results.json`. *)
 
 type rollup = {
   r_source : string;
@@ -146,8 +145,76 @@ let to_json rollups =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Compile-time regression: the bench perf experiment vs a baseline     *)
+(* The gate: a bench results file vs a baseline                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Everything the bench harness records is deterministic except wall
+   clock, so a deterministic leaf may move at most [leaf_tolerance_pct]
+   percent; perf rows may slow down at most [perf_tolerance] relative to
+   the machine factor. *)
+let leaf_tolerance_pct = 5.
+let perf_tolerance = 0.25
+
+(* "_s" = wall-clock seconds; "_x" = ratios derived from wall clock (the
+   engine experiment's speedups); Bechamel's "ns_per_run". *)
+let time_key k =
+  k = "ns_per_run"
+  || String.ends_with ~suffix:"_s" k
+  || String.ends_with ~suffix:"_x" k
+
+(* (label, value) pairs for an experiment object: summary fields plus
+   per-row fields; booleans (the "correct" checks) count as 0/1 so a
+   correctness flip shows up as a 100% delta. *)
+let leaves exp_value =
+  let fields prefix = function
+    | Json.Object fs ->
+        List.filter_map
+          (fun (k, v) ->
+            match (v : Json.value) with
+            | _ when time_key k -> None
+            | Json.Number f -> Some (prefix ^ k, f)
+            | Json.Bool b -> Some (prefix ^ k, if b then 1. else 0.)
+            | _ -> None)
+          fs
+    | _ -> []
+  in
+  (* Rows are labelled by their identifying field when present, so the
+     report stays readable if the row order ever changes. *)
+  let row_id i row =
+    match
+      (Json.member "kernel" row, Json.member "n" row, Json.member "design" row)
+    with
+    | Some (Json.String s), _, _ -> s
+    | _, Some (Json.Number n), _ -> Printf.sprintf "n=%d" (int_of_float n)
+    | _, _, Some (Json.String s) -> s
+    | _ -> string_of_int i
+  in
+  (match Json.member "summary" exp_value with
+  | Some s -> fields "summary." s
+  | None -> [])
+  @
+  match Json.member "rows" exp_value with
+  | Some (Json.Array rows) ->
+      List.concat
+        (List.mapi
+           (fun i row -> fields (Printf.sprintf "rows[%s]." (row_id i row)) row)
+           rows)
+  | _ -> []
+
+type leaf = {
+  l_experiment : string;
+  l_label : string;
+  l_base : float option;  (* None: not in the baseline *)
+  l_cur : float;
+}
+
+let leaf_delta_pct l =
+  match l.l_base with
+  | None -> 0.
+  | Some b when b = 0. -> if l.l_cur = 0. then 0. else Float.infinity
+  | Some b -> 100. *. (l.l_cur -. b) /. Float.abs b
+
+let leaf_failed l = Float.abs (leaf_delta_pct l) > leaf_tolerance_pct
 
 type perf_delta = {
   p_name : string;
@@ -183,9 +250,9 @@ let perf_rows v =
    a CI runner with an absolute threshold would always fire. The machine
    factor — the geomean of all cur/base ratios — captures the overall
    speed difference; a row regresses only when its own ratio exceeds the
-   factor by more than [threshold] (a *relative* slowdown: this operation
-   got slower than the toolchain as a whole did). *)
-let compare_perf ~threshold ~baseline ~current =
+   factor by more than [perf_tolerance] (a *relative* slowdown: this
+   operation got slower than the toolchain as a whole did). *)
+let compare_perf ~baseline ~current =
   let base = perf_rows baseline and cur = perf_rows current in
   let paired =
     List.filter_map
@@ -206,32 +273,85 @@ let compare_perf ~threshold ~baseline ~current =
           p_cur_ns = c;
           p_ratio = ratio;
           p_normalized = normalized;
-          p_regressed = normalized > 1. +. threshold;
+          p_regressed = normalized > 1. +. perf_tolerance;
         })
       paired
   in
   (deltas, factor)
 
-let render_perf ~threshold (deltas, factor) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "compile-time regression check (machine factor %.3fx, threshold \
-        +%.0f%% relative)\n"
-       factor (threshold *. 100.));
-  Buffer.add_string buf
-    (Printf.sprintf "%-46s %14s %14s %9s %9s\n" "operation" "baseline_ns"
-       "current_ns" "ratio" "relative");
+type gate = {
+  g_leaves : leaf list;  (* every deterministic leaf of the current file *)
+  g_skipped : string list;  (* experiments missing from the baseline *)
+  g_perf : perf_delta list;
+  g_factor : float;
+}
+
+let gate ~baseline ~current =
+  let compared, skipped =
+    List.partition
+      (fun name -> Json.member name baseline <> None)
+      (List.filter (fun name -> name <> "perf") (Json.keys current))
+  in
+  let leaves_of name =
+    let of_file v = Option.fold ~none:[] ~some:leaves (Json.member name v) in
+    let base = of_file baseline in
+    List.map
+      (fun (label, c) ->
+        {
+          l_experiment = name;
+          l_label = label;
+          l_base = List.assoc_opt label base;
+          l_cur = c;
+        })
+      (of_file current)
+  in
+  let perf, factor = compare_perf ~baseline ~current in
+  {
+    g_leaves = List.concat_map leaves_of compared;
+    g_skipped = skipped;
+    g_perf = perf;
+    g_factor = factor;
+  }
+
+let failed g =
+  List.exists leaf_failed g.g_leaves
+  || List.exists (fun d -> d.p_regressed) g.g_perf
+
+let render_gate g =
+  let buf = Buffer.create 1024 in
+  let line fmt = Printf.bprintf buf fmt in
+  let count p l = List.length (List.filter p l) in
+  line "deterministic metrics (threshold ±%.1f%%):\n" leaf_tolerance_pct;
+  List.iter
+    (fun l ->
+      match l.l_base with
+      | None ->
+          line "  %-15s %-40s new metric (%.4g)\n" l.l_experiment l.l_label
+            l.l_cur
+      | Some b ->
+          let delta = leaf_delta_pct l in
+          if delta <> 0. then
+            line "  %-15s %-40s %14.6g -> %-14.6g %+8.2f%%%s\n"
+              l.l_experiment l.l_label b l.l_cur delta
+              (if leaf_failed l then "  REGRESSION" else ""))
+    g.g_leaves;
+  List.iter (line "  %-15s not in baseline (skipped)\n") g.g_skipped;
+  let compared = List.filter (fun l -> l.l_base <> None) g.g_leaves in
+  line "%d metrics compared, %d changed, %d past the threshold\n"
+    (List.length compared)
+    (count (fun l -> leaf_delta_pct l <> 0.) compared)
+    (count leaf_failed compared);
+  line "\ncompile time (machine factor %.3fx, threshold +%.0f%% relative):\n"
+    g.g_factor (perf_tolerance *. 100.);
+  line "%-46s %14s %14s %9s %9s\n" "operation" "baseline_ns" "current_ns"
+    "ratio" "relative";
   List.iter
     (fun d ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-46s %14.1f %14.1f %8.2fx %8.2fx%s\n" d.p_name
-           d.p_base_ns d.p_cur_ns d.p_ratio d.p_normalized
-           (if d.p_regressed then "  REGRESSION" else "")))
-    deltas;
-  let n = List.length (List.filter (fun d -> d.p_regressed) deltas) in
-  Buffer.add_string buf
-    (Printf.sprintf "%d of %d operations regressed\n" n (List.length deltas));
+      line "%-46s %14.1f %14.1f %8.2fx %8.2fx%s\n" d.p_name d.p_base_ns
+        d.p_cur_ns d.p_ratio d.p_normalized
+        (if d.p_regressed then "  REGRESSION" else ""))
+    g.g_perf;
+  line "%d of %d operations regressed\n"
+    (count (fun d -> d.p_regressed) g.g_perf)
+    (List.length g.g_perf);
   Buffer.contents buf
-
-let regressions deltas = List.filter (fun d -> d.p_regressed) deltas

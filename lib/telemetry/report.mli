@@ -1,7 +1,7 @@
 (** Aggregation behind [calyx report]: fold a corpus of JSONL run
     manifests into per-source, per-stage rollups (invocation counts, wall
-    time, GC words, summed stage metrics), and compare two bench results
-    files for compile-time regressions. *)
+    time, GC words, summed stage metrics), and gate a bench results file
+    against a baseline. *)
 
 type rollup = {
   r_source : string;
@@ -25,7 +25,26 @@ val totals_by_source : rollup list -> (string * (float * float)) list
 val render : rollup list -> string
 val to_json : rollup list -> string
 
-(** {1 Compile-time regression vs a baseline} *)
+(** {1 The gate: a bench results file vs a baseline}
+
+    Two rules over one parsed pair of [BENCH_results.json] files. Every
+    deterministic numeric or boolean leaf of each experiment's [summary]
+    and [rows] may move at most 5% (booleans
+    count as 0/1; a zero baseline fails on any change). Wall-clock leaves
+    (keys ending in [_s] or [_x], and [ns_per_run]) and the whole [perf]
+    experiment are not compared that way: the [perf] rows are gated by
+    machine factor instead (see {!compare_perf}). *)
+
+type leaf = {
+  l_experiment : string;
+  l_label : string;
+      (** ["summary.KEY"] or ["rows[ID].KEY"], where ID is the row's
+          [kernel], then [n] (as ["n=N"]), then [design], then its index. *)
+  l_base : float option;  (** [None]: not in the baseline (a new leaf). *)
+  l_cur : float;
+}
+
+val leaf_failed : leaf -> bool
 
 type perf_delta = {
   p_name : string;
@@ -37,14 +56,26 @@ type perf_delta = {
 }
 
 val compare_perf :
-  threshold:float -> baseline:Json.value -> current:Json.value ->
-  perf_delta list * float
+  baseline:Json.value -> current:Json.value -> perf_delta list * float
 (** Pair the perf rows of two bench results files. The returned machine
     factor is the geomean of all current/baseline ratios; a row is
-    regressed when its own ratio exceeds the factor by more than
-    [threshold] — i.e. it slowed down relative to the toolchain as a
-    whole, which is robust to the baseline having been recorded on a
+    regressed when its own ratio exceeds the factor by more than 25%
+    — i.e. it slowed down relative to the toolchain as
+    a whole, which is robust to the baseline having been recorded on a
     different machine. *)
 
-val render_perf : threshold:float -> perf_delta list * float -> string
-val regressions : perf_delta list -> perf_delta list
+type gate = {
+  g_leaves : leaf list;  (** Every deterministic leaf of the current file. *)
+  g_skipped : string list;  (** Experiments missing from the baseline. *)
+  g_perf : perf_delta list;
+  g_factor : float;  (** The perf rows' machine factor. *)
+}
+
+val gate : baseline:Json.value -> current:Json.value -> gate
+
+val failed : gate -> bool
+(** A leaf past its tolerance or a regressed perf row. *)
+
+val render_gate : gate -> string
+(** The changed and new leaves, skipped experiments, and every perf row,
+    with counts. *)

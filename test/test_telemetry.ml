@@ -347,30 +347,82 @@ let bench_json rows =
                Printf.sprintf {|{"name":"%s","ns_per_run":%f}|} n ns)
              rows)))
 
+let regressions = List.filter (fun d -> d.T.Report.p_regressed)
+
 let test_compare_perf () =
   (* A uniform 2x slowdown is a machine difference, not a regression. *)
   let baseline = bench_json [ ("a", 100.); ("b", 200.); ("c", 300.) ] in
   let uniform = bench_json [ ("a", 200.); ("b", 400.); ("c", 600.) ] in
   let deltas, factor =
-    T.Report.compare_perf ~threshold:0.25 ~baseline ~current:uniform
+    T.Report.compare_perf ~baseline ~current:uniform
   in
   Alcotest.(check (float 1e-9)) "machine factor" 2. factor;
   Alcotest.(check int) "no regressions" 0
-    (List.length (T.Report.regressions deltas));
+    (List.length (regressions deltas));
   (* One row 4x while the rest hold: that row regressed. *)
   let skewed = bench_json [ ("a", 400.); ("b", 200.); ("c", 300.) ] in
   let deltas, _ =
-    T.Report.compare_perf ~threshold:0.25 ~baseline ~current:skewed
+    T.Report.compare_perf ~baseline ~current:skewed
   in
-  (match T.Report.regressions deltas with
+  (match regressions deltas with
   | [ d ] -> Alcotest.(check string) "the skewed row" "a" d.T.Report.p_name
   | ds -> Alcotest.failf "expected 1 regression, got %d" (List.length ds));
   (* Rows missing from either side are skipped, not compared. *)
   let partial = bench_json [ ("a", 100.); ("d", 50.) ] in
   let deltas, _ =
-    T.Report.compare_perf ~threshold:0.25 ~baseline ~current:partial
+    T.Report.compare_perf ~baseline ~current:partial
   in
   Alcotest.(check int) "only shared rows" 1 (List.length deltas)
+
+(* The deterministic-leaf rule: two bench results files that differ in
+   one experiment's fields. *)
+let bench_exp ?(name = "fig") fields =
+  T.Json.parse
+    (Printf.sprintf {|{"%s":{"rows":[{"kernel":"gemm",%s}],"summary":{}}}|}
+       name
+       (String.concat ","
+          (List.map (fun (k, v) -> Printf.sprintf {|"%s":%s|} k v) fields)))
+
+let test_gate_leaves () =
+  let gate base cur =
+    T.Report.gate ~baseline:(bench_exp base) ~current:(bench_exp cur)
+  in
+  let mentions g s =
+    let text = T.Report.render_gate g in
+    let n = String.length s in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = s || go (i + 1))
+    in
+    go 0
+  in
+  let cycles = "rows[gemm].cycles" in
+  let g = gate [ ("cycles", "100") ] [ ("cycles", "106") ] in
+  Alcotest.(check bool) "+6% cycles fails" true (T.Report.failed g);
+  Alcotest.(check bool) "the failing leaf is named" true (mentions g cycles);
+  let g = gate [ ("cycles", "100") ] [ ("cycles", "104") ] in
+  Alcotest.(check bool) "+4% cycles passes" false (T.Report.failed g);
+  Alcotest.(check bool) "but is listed as changed" true (mentions g cycles);
+  Alcotest.(check bool) "a flipped correct flag fails" true
+    (T.Report.failed (gate [ ("correct", "true") ] [ ("correct", "false") ]));
+  let timed = [ "compile_s"; "speedup_x"; "ns_per_run" ] in
+  let g =
+    gate
+      (List.map (fun k -> (k, "1")) timed)
+      (List.map (fun k -> (k, "1000")) timed)
+  in
+  Alcotest.(check bool) "wall-clock leaves never fail" false (T.Report.failed g);
+  Alcotest.(check int) "nor are compared" 0 (List.length g.T.Report.g_leaves);
+  let g = gate [ ("cycles", "100") ] [ ("cycles", "100"); ("luts", "7") ] in
+  Alcotest.(check bool) "a new leaf passes" false (T.Report.failed g);
+  Alcotest.(check bool) "and is reported" true (mentions g "new metric");
+  let g =
+    T.Report.gate
+      ~baseline:(bench_exp [ ("cycles", "100") ])
+      ~current:(bench_exp ~name:"other" [ ("cycles", "1") ])
+  in
+  Alcotest.(check bool) "a new experiment passes" false (T.Report.failed g);
+  Alcotest.(check (list string)) "and is skipped" [ "other" ]
+    g.T.Report.g_skipped
 
 (* ------------------------------------------------------------------ *)
 (* Log levels                                                          *)
@@ -451,6 +503,7 @@ let () =
         [
           Alcotest.test_case "aggregation" `Quick test_aggregate;
           Alcotest.test_case "perf comparison" `Quick test_compare_perf;
+          Alcotest.test_case "deterministic leaf gate" `Quick test_gate_leaves;
         ] );
       ("log", [ Alcotest.test_case "levels" `Quick test_log_levels ]);
       ("neutrality", [ QCheck_alcotest.to_alcotest prop_neutrality ]);

@@ -750,30 +750,27 @@ let test_example_configs () =
       ("default", Pipelines.default_config);
     ]
 
+(* The emitted RTL and the simulator agree on a kernel, and both pass its
+   test bench. *)
+let check_polybench ~unrolled (k : Polybench.Kernels.kernel) =
+  let name = k.name ^ if unrolled then " (unrolled)" else "" in
+  let prog = Polybench.Harness.program k ~unrolled in
+  let tb = Polybench.Harness.testbench k prog in
+  let r =
+    Validate.validate ~load:tb.load
+      (Pipelines.compile (Dahlia.To_calyx.compile prog))
+  in
+  check_ok name r;
+  Alcotest.(check (list string)) (name ^ ": simulated answer") []
+    (tb.check r.Validate.sim_io);
+  Alcotest.(check (list string)) (name ^ ": RTL answer") []
+    (tb.check r.Validate.rtl_io)
+
 let test_polybench_all () =
-  List.iter
-    (fun k ->
-      let r = Polybench.Harness.run_rtl k ~unrolled:false in
-      if not (Polybench.Harness.rtl_ok r) then
-        Alcotest.failf "%s: %s%s" k.Polybench.Kernels.name
-          (Format.asprintf "%a" Validate.pp_report r.Polybench.Harness.report)
-          (match
-             (r.Polybench.Harness.mismatches_sim,
-              r.Polybench.Harness.mismatches_rtl)
-           with
-          | [], [] -> ""
-          | s, rt ->
-              Printf.sprintf "; ref mismatches sim=[%s] rtl=[%s]"
-                (String.concat "," s) (String.concat "," rt)))
-    Polybench.Kernels.all
+  List.iter (check_polybench ~unrolled:false) Polybench.Kernels.all
 
 let test_polybench_unrolled () =
-  List.iter
-    (fun k ->
-      let r = Polybench.Harness.run_rtl k ~unrolled:true in
-      if not (Polybench.Harness.rtl_ok r) then
-        Alcotest.failf "%s (unrolled) diverged" k.Polybench.Kernels.name)
-    Polybench.Kernels.unrollable
+  List.iter (check_polybench ~unrolled:true) Polybench.Kernels.unrollable
 
 (* A lowered systolic array and a test bench for it. *)
 let systolic (rows, cols, depth) =
