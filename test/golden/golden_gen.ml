@@ -35,8 +35,86 @@ let pipeline_run file =
   ignore (Calyx_synth.Timing.context_timing lowered);
   ignore (Calyx_verilog.Verilog.emit lowered)
 
+(* Parameter lists for every primitive at width [w]: memories on both
+   sides of the area model's 1024-bit LUTRAM/BRAM cutoff, slices and pads
+   at their valid in/out pairs. *)
+let prim_params (info : Calyx.Prims.info) w =
+  let params =
+    match info.Calyx.Prims.param_names with
+    | [ "WIDTH" ] -> [ [ w ] ]
+    | [ "WIDTH"; "VALUE" ] -> [ [ w; 1 ] ]
+    | [ "IN_WIDTH"; "OUT_WIDTH" ] when info.Calyx.Prims.prim_name = "std_slice"
+      ->
+        [ [ w; w ]; [ w; 1 ] ]
+    | [ "IN_WIDTH"; "OUT_WIDTH" ] -> [ [ 1; w ]; [ w; w ] ]
+    | [ _; _; _ ] -> [ [ w; 16; 4 ]; [ w; 4096; 12 ] ]
+    | [ _; _; _; _; _ ] -> [ [ w; 4; 4; 2; 2 ]; [ w; 64; 64; 6; 6 ] ]
+    | names ->
+        failwith
+          (info.Calyx.Prims.prim_name ^ ": no parameters for "
+         ^ String.concat "," names)
+  in
+  List.sort_uniq compare params
+
+(* One line per primitive instance: what the table says it is, its
+   combinational arcs, its area, whether cost-guided sharing takes it,
+   and the critical path of a component holding only that cell. *)
+let prim_costs () =
+  let module P = Calyx.Prims in
+  List.iter
+    (fun (info : P.info) ->
+      List.iter
+        (fun w ->
+          List.iter
+            (fun params ->
+              let name = info.P.prim_name in
+              let kind =
+                let has port =
+                  List.exists
+                    (fun (p : P.prim_port) -> p.P.pp_name = port)
+                    (P.ports name params)
+                in
+                if info.P.combinational then "combinational"
+                else if has "read_data" then "memory"
+                else if has "go" then "pipelined"
+                else "register"
+              in
+              let arcs =
+                String.concat ","
+                  (List.map
+                     (fun (i, o) -> i ^ ">" ^ o)
+                     (P.comb_arcs name params))
+              in
+              let proto = Calyx.Ir.Prim (name, params) in
+              let ctx =
+                Calyx.Builder.context
+                  [
+                    Calyx.Builder.with_cells
+                      [ Calyx.Builder.prim "c" name params ]
+                      (Calyx.Builder.component "main");
+                  ]
+              in
+              let t = Calyx_synth.Timing.context_timing ~paths:1 ctx in
+              Format.printf
+                "%s(%s) kind=%s latency=%s shareable=%b arcs=[%s] area=%a \
+                 cost_guided=%b delay_ps=%d levels=%d@."
+                name
+                (String.concat ", " (List.map string_of_int params))
+                kind
+                (match info.P.latency with
+                | Some l -> string_of_int l
+                | None -> "-")
+                info.P.shareable arcs Calyx_synth.Area.pp
+                (Calyx_synth.Area.primitive_usage name params)
+                (Calyx.Resource_sharing.cost_guided proto)
+                t.Calyx_synth.Timing.delay_ps t.Calyx_synth.Timing.levels)
+            (prim_params info w))
+        [ 1; 8; 31; 32; 64 ])
+    P.all
+
 let () =
   match Sys.argv with
+  | [| _; "prims" |] -> prim_costs ()
   | [| _; "print"; file |] ->
       print_string (Calyx.Printer.to_string (parse file))
   | [| _; "verilog"; file |] ->
@@ -72,5 +150,5 @@ let () =
   | _ ->
       prerr_endline
         "usage: golden_gen \
-         (print|verilog|timing|plan|structured-plan|trace) FILE";
+         (print|verilog|timing|plan|structured-plan|trace) FILE | prims";
       exit 2
