@@ -15,8 +15,11 @@ let cell_latency ctx cells comp cell_name =
 
 let is_register cells comp cell_name =
   match proto cells comp cell_name with
-  | Prim (("std_reg" | "std_mem_d1" | "std_mem_d2"), _) -> true
-  | _ -> false
+  | Prim (name, _) -> (
+      match Prims.find name with
+      | Some { kind = Register | Memory; _ } -> true
+      | Some _ | None -> false)
+  | Comp _ -> false
 
 (* The group's sole unconditional write to its own done hole, if any. *)
 let done_source group =

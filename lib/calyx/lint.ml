@@ -37,7 +37,7 @@ let par_races ~cells ~groups comp =
     match Hashtbl.find_opt cells c with
     | Some { cell_proto = Prim (name, _); _ } -> (
         match Prims.find name with
-        | Some i -> not i.combinational
+        | Some i -> i.kind <> Combinational
         | None -> true)
     | Some { cell_proto = Comp _; _ } | None -> true
   in

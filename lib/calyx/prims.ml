@@ -2,13 +2,29 @@ type direction = In | Out
 
 type prim_port = { pp_name : string; pp_width : int; pp_dir : direction }
 
+type kind = Register | Memory | Pipelined | Combinational
+
+type cost =
+  | Free
+  | Adder
+  | Ordered_compare
+  | Equality
+  | Bitwise
+  | Shift
+  | Multiplier
+  | Flip_flops
+  | Ram
+  | Mult_pipe
+  | Div_pipe
+  | Sqrt_pipe
+
 type info = {
   prim_name : string;
   param_names : string list;
-  stateful : bool;
+  kind : kind;
+  cost : cost;
   shareable : bool;
   latency : int option;
-  combinational : bool;
   make_ports : int list -> prim_port list;
 }
 
@@ -42,201 +58,100 @@ let with_params name n f params =
   if List.length params <> n then bad_params name n (List.length params)
   else check_widths name params (f params)
 
+let prim ?(shareable = false) ?latency name kind cost param_names ports =
+  {
+    prim_name = name;
+    param_names;
+    kind;
+    cost;
+    shareable;
+    latency;
+    make_ports = with_params name (List.length param_names) ports;
+  }
+
+(* A primitive whose ports follow from its one WIDTH parameter. *)
+let of_width ?shareable ?latency name kind cost ports =
+  prim ?shareable ?latency name kind cost [ "WIDTH" ] (function
+    | [ w ] -> ports w
+    | _ -> assert false)
+
 (* A two-input, one-output combinational operator of uniform width. *)
-let binop ?(out_width = fun w -> w) name =
-  {
-    prim_name = name;
-    param_names = [ "WIDTH" ];
-    stateful = false;
-    shareable = true;
-    latency = None;
-    combinational = true;
-    make_ports =
-      with_params name 1 (function
-        | [ w ] -> [ inp "left" w; inp "right" w; outp "out" (out_width w) ]
-        | _ -> assert false);
-  }
+let binop ?(out_width = Fun.id) name cost =
+  of_width ~shareable:true name Combinational cost (fun w ->
+      [ inp "left" w; inp "right" w; outp "out" (out_width w) ])
 
-let comparison name = binop ~out_width:(fun _ -> 1) name
+let comparison = binop ~out_width:(fun _ -> 1)
 
-let unop name =
-  {
-    prim_name = name;
-    param_names = [ "WIDTH" ];
-    stateful = false;
-    shareable = true;
-    latency = None;
-    combinational = true;
-    make_ports =
-      with_params name 1 (function
-        | [ w ] -> [ inp "in" w; outp "out" w ]
-        | _ -> assert false);
-  }
+let unop ?(shareable = true) name cost =
+  of_width ~shareable name Combinational cost (fun w ->
+      [ inp "in" w; outp "out" w ])
 
-let std_reg =
-  {
-    prim_name = "std_reg";
-    param_names = [ "WIDTH" ];
-    stateful = true;
-    shareable = false;
-    latency = Some 1;
-    combinational = false;
-    make_ports =
-      with_params "std_reg" 1 (function
-        | [ w ] -> [ inp "in" w; inp "write_en" 1; outp "out" w; outp "done" 1 ]
-        | _ -> assert false);
-  }
+(* A width adapter: [fits iw ow] holds for the widths it can map
+   between (a slice only narrows, a pad only widens). *)
+let adapter name ~fits ~wrong_way =
+  prim ~shareable:true name Combinational Free [ "IN_WIDTH"; "OUT_WIDTH" ]
+    (function
+    | [ iw; ow ] when fits iw ow -> [ inp "in" iw; outp "out" ow ]
+    | [ iw; ow ] ->
+        invalid_arg
+          (Printf.sprintf "%s(%d, %d): OUT_WIDTH %d is %s than IN_WIDTH %d"
+             name iw ow ow wrong_way iw)
+    | _ -> assert false)
 
-let std_const =
-  {
-    prim_name = "std_const";
-    param_names = [ "WIDTH"; "VALUE" ];
-    stateful = false;
-    shareable = false;
-    latency = None;
-    combinational = true;
-    make_ports =
-      with_params "std_const" 2 (function
-        | [ w; _v ] -> [ outp "out" w ]
-        | _ -> assert false);
-  }
+(* A go/done unit computing [outs] from [ins] over [latency] cycles. *)
+let pipelined ?latency name cost ~ins ~outs =
+  of_width ?latency name Pipelined cost (fun w ->
+      List.map (fun p -> inp p w) ins
+      @ (inp "go" 1 :: List.map (fun p -> outp p w) outs)
+      @ [ outp "done" 1 ])
 
-let std_wire =
-  { (unop "std_wire") with shareable = false }
-
-let std_slice =
-  {
-    prim_name = "std_slice";
-    param_names = [ "IN_WIDTH"; "OUT_WIDTH" ];
-    stateful = false;
-    shareable = true;
-    latency = None;
-    combinational = true;
-    make_ports =
-      with_params "std_slice" 2 (function
-        | [ iw; ow ] -> [ inp "in" iw; outp "out" ow ]
-        | _ -> assert false);
-  }
-
-let std_pad =
-  {
-    prim_name = "std_pad";
-    param_names = [ "IN_WIDTH"; "OUT_WIDTH" ];
-    stateful = false;
-    shareable = true;
-    latency = None;
-    combinational = true;
-    make_ports =
-      with_params "std_pad" 2 (function
-        | [ iw; ow ] -> [ inp "in" iw; outp "out" ow ]
-        | _ -> assert false);
-  }
-
-let std_mult_pipe =
-  {
-    prim_name = "std_mult_pipe";
-    param_names = [ "WIDTH" ];
-    stateful = true;
-    shareable = false;
-    latency = Some mult_latency;
-    combinational = false;
-    make_ports =
-      with_params "std_mult_pipe" 1 (function
-        | [ w ] ->
-            [ inp "left" w; inp "right" w; inp "go" 1; outp "out" w;
-              outp "done" 1 ]
-        | _ -> assert false);
-  }
-
-let std_div_pipe =
-  {
-    prim_name = "std_div_pipe";
-    param_names = [ "WIDTH" ];
-    stateful = true;
-    shareable = false;
-    latency = Some div_latency;
-    combinational = false;
-    make_ports =
-      with_params "std_div_pipe" 1 (function
-        | [ w ] ->
-            [ inp "left" w; inp "right" w; inp "go" 1;
-              outp "out_quotient" w; outp "out_remainder" w; outp "done" 1 ]
-        | _ -> assert false);
-  }
-
-let std_sqrt =
-  {
-    prim_name = "std_sqrt";
-    param_names = [ "WIDTH" ];
-    stateful = true;
-    shareable = false;
-    latency = None (* data-dependent; the paper's mixed-latency example *);
-    combinational = false;
-    make_ports =
-      with_params "std_sqrt" 1 (function
-        | [ w ] -> [ inp "in" w; inp "go" 1; outp "out" w; outp "done" 1 ]
-        | _ -> assert false);
-  }
-
-let std_mem_d1 =
-  {
-    prim_name = "std_mem_d1";
-    param_names = [ "WIDTH"; "SIZE"; "IDX_SIZE" ];
-    stateful = true;
-    shareable = false;
-    latency = Some 1;
-    combinational = false;
-    make_ports =
-      with_params "std_mem_d1" 3 (function
-        | [ w; _size; idx ] ->
-            [ inp "addr0" idx; inp "write_data" w; inp "write_en" 1;
-              outp "read_data" w; outp "done" 1 ]
-        | _ -> assert false);
-  }
-
-let std_mem_d2 =
-  {
-    prim_name = "std_mem_d2";
-    param_names = [ "WIDTH"; "D0_SIZE"; "D1_SIZE"; "D0_IDX_SIZE"; "D1_IDX_SIZE" ];
-    stateful = true;
-    shareable = false;
-    latency = Some 1;
-    combinational = false;
-    make_ports =
-      with_params "std_mem_d2" 5 (function
-        | [ w; _d0; _d1; i0; i1 ] ->
-            [ inp "addr0" i0; inp "addr1" i1; inp "write_data" w;
-              inp "write_en" 1; outp "read_data" w; outp "done" 1 ]
-        | _ -> assert false);
-  }
+(* Parameters: WIDTH, one size per dimension, then one address width per
+   dimension. *)
+let memory name param_names =
+  let dims = (List.length param_names - 1) / 2 in
+  prim ~latency:1 name Memory Ram param_names (function
+    | w :: sizes ->
+        List.mapi
+          (fun i idx -> inp ("addr" ^ string_of_int i) idx)
+          (List.filteri (fun i _ -> i >= dims) sizes)
+        @ [ inp "write_data" w; inp "write_en" 1; outp "read_data" w;
+            outp "done" 1 ]
+    | [] -> assert false)
 
 let all =
   [
-    std_reg;
-    std_const;
-    std_wire;
-    std_slice;
-    std_pad;
-    binop "std_add";
-    binop "std_sub";
-    binop "std_and";
-    binop "std_or";
-    binop "std_xor";
-    unop "std_not";
-    binop "std_lsh";
-    binop "std_rsh";
-    binop "std_mult";
-    comparison "std_lt";
-    comparison "std_gt";
-    comparison "std_eq";
-    comparison "std_neq";
-    comparison "std_le";
-    comparison "std_ge";
-    std_mult_pipe;
-    std_div_pipe;
-    std_sqrt;
-    std_mem_d1;
-    std_mem_d2;
+    of_width ~latency:1 "std_reg" Register Flip_flops (fun w ->
+        [ inp "in" w; inp "write_en" 1; outp "out" w; outp "done" 1 ]);
+    prim "std_const" Combinational Free [ "WIDTH"; "VALUE" ] (function
+      | [ w; _ ] -> [ outp "out" w ]
+      | _ -> assert false);
+    unop ~shareable:false "std_wire" Free;
+    adapter "std_slice" ~fits:( >= ) ~wrong_way:"wider";
+    adapter "std_pad" ~fits:( <= ) ~wrong_way:"narrower";
+    binop "std_add" Adder;
+    binop "std_sub" Adder;
+    binop "std_and" Bitwise;
+    binop "std_or" Bitwise;
+    binop "std_xor" Bitwise;
+    unop "std_not" Bitwise;
+    binop "std_lsh" Shift;
+    binop "std_rsh" Shift;
+    binop "std_mult" Multiplier;
+    comparison "std_lt" Ordered_compare;
+    comparison "std_gt" Ordered_compare;
+    comparison "std_eq" Equality;
+    comparison "std_neq" Equality;
+    comparison "std_le" Ordered_compare;
+    comparison "std_ge" Ordered_compare;
+    pipelined ~latency:mult_latency "std_mult_pipe" Mult_pipe
+      ~ins:[ "left"; "right" ] ~outs:[ "out" ];
+    pipelined ~latency:div_latency "std_div_pipe" Div_pipe
+      ~ins:[ "left"; "right" ] ~outs:[ "out_quotient"; "out_remainder" ];
+    (* No fixed latency: the paper's data-dependent example. *)
+    pipelined "std_sqrt" Sqrt_pipe ~ins:[ "in" ] ~outs:[ "out" ];
+    memory "std_mem_d1" [ "WIDTH"; "SIZE"; "IDX_SIZE" ];
+    memory "std_mem_d2"
+      [ "WIDTH"; "D0_SIZE"; "D1_SIZE"; "D0_IDX_SIZE"; "D1_IDX_SIZE" ];
   ]
 
 let table =
@@ -258,18 +173,26 @@ let port_width name params port =
     (fun p -> if String.equal p.pp_name port then Some p.pp_width else None)
     (ports name params)
 
+let words name params =
+  match ((info name).kind, params) with
+  | Memory, _ :: sizes ->
+      List.filteri (fun i _ -> i < List.length sizes / 2) sizes
+      |> List.fold_left ( * ) 1
+  | _ -> 1
+
 let comb_arcs name params =
   let info = info name in
   let ports = info.make_ports params in
   let names dir =
     List.filter_map (fun p -> if p.pp_dir = dir then Some p.pp_name else None) ports
   in
-  if info.combinational then
-    List.concat_map (fun i -> List.map (fun o -> (i, o)) (names Out)) (names In)
-  else if String.equal name "std_mem_d1" || String.equal name "std_mem_d2" then
-    List.filter_map
-      (fun i ->
-        if String.starts_with ~prefix:"addr" i then Some (i, "read_data")
-        else None)
-      (names In)
-  else []
+  match info.kind with
+  | Combinational ->
+      List.concat_map (fun i -> List.map (fun o -> (i, o)) (names Out)) (names In)
+  | Memory ->
+      List.filter_map
+        (fun i ->
+          if String.starts_with ~prefix:"addr" i then Some (i, "read_data")
+          else None)
+        (names In)
+  | Register | Pipelined -> []

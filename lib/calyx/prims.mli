@@ -1,11 +1,17 @@
-(** The Calyx standard primitive library (interface metadata).
+(** The Calyx standard primitive library: one table of what each
+    primitive is.
 
     Primitives are the leaf cells of Calyx designs: registers, adders,
-    comparators, memories, pipelined multipliers, and so on. This module
-    describes their {e interfaces} — port names, widths (as a function of the
-    instantiation parameters), statefulness, shareability, and fixed latency.
-    Behavioural models live in the simulator ([Calyx_sim.Prim_state]); area
-    costs live in the synthesis model ([Calyx_synth.Area]). *)
+    comparators, memories, pipelined multipliers, and so on. Each entry
+    gives a primitive's port names and widths (as a function of the
+    instantiation parameters), its {!kind}, its {!cost} class,
+    shareability and fixed latency. Every layer reads these facts from
+    here: the lints, the passes, both simulator engines' cell collection,
+    the emitter, and the area, timing and sharing cost models, which each
+    map a {!cost} class to their own numbers. Only the behaviours are
+    kept per name: the simulator's models ([Calyx_sim.Prim_state.create])
+    and the emitted SystemVerilog modules
+    ([Calyx_verilog.Verilog]'s primitive library). *)
 
 type direction = In | Out
 
@@ -16,22 +22,51 @@ type prim_port = {
 }
 (** One port of an instantiated primitive. *)
 
+(** What a primitive is, as every layer distinguishes it. Only
+    [Combinational] primitives have outputs that are pure functions of
+    this cycle's inputs; the other three hold state, are clocked in the
+    emitted RTL and are never shared by resource sharing. *)
+type kind =
+  | Register  (** [std_reg]: written when [write_en] is high. *)
+  | Memory
+      (** [std_mem_d1], [std_mem_d2]: an asynchronous read through the
+          address ports, a clocked write. *)
+  | Pipelined  (** A go/done unit: [std_mult_pipe], [std_div_pipe], [std_sqrt]. *)
+  | Combinational
+
+(** The group a primitive's cost belongs to. The area, timing and
+    sharing models each give every class their own numbers and match on
+    it with no default, so a new class must be priced in each. *)
+type cost =
+  | Free  (** const, wire, slice, pad: no logic. *)
+  | Adder  (** add, sub. *)
+  | Ordered_compare  (** lt, gt, le, ge. *)
+  | Equality  (** eq, neq. *)
+  | Bitwise  (** and, or, xor, not. *)
+  | Shift  (** lsh, rsh. *)
+  | Multiplier  (** the combinational [std_mult]. *)
+  | Flip_flops  (** a register. *)
+  | Ram  (** a memory, sized by {!words}. *)
+  | Mult_pipe
+  | Div_pipe
+  | Sqrt_pipe
+      (** The three pipelined units, one class each: their areas differ. *)
+
 type info = {
   prim_name : string;  (** e.g. ["std_add"]. *)
   param_names : string list;  (** e.g. [["WIDTH"]], for documentation. *)
-  stateful : bool;
-      (** True for primitives with internal state (registers, memories,
-          pipelined units): these are never shared by resource sharing. *)
+  kind : kind;
+  cost : cost;
   shareable : bool;  (** Default value of the ["share"] attribute. *)
   latency : int option;
       (** Fixed latency in cycles for go/done primitives, [Some 1] for
           registers and memories; [None] for combinational primitives and for
           data-dependent ones (e.g. [std_sqrt]). *)
-  combinational : bool;
-      (** True when all outputs are pure functions of current inputs. *)
   make_ports : int list -> prim_port list;
       (** Instantiate the port list for concrete parameters. Raises
-          [Invalid_argument] when the parameter count is wrong. *)
+          [Invalid_argument] when the parameter count is wrong, a port
+          would be outside 1..{!Bitvec.max_width} bits, or a slice would
+          widen or a pad narrow. *)
 }
 
 exception Unknown_primitive of string
@@ -48,6 +83,11 @@ val ports : string -> int list -> prim_port list
 
 val port_width : string -> int list -> string -> int option
 (** [port_width name params port] is the width of [port], if it exists. *)
+
+val words : string -> int list -> int
+(** [words name params] is the number of words a memory of these
+    parameters holds (the product of its dimension sizes); 1 for any
+    other primitive. Raises {!Unknown_primitive}. *)
 
 val comb_arcs : string -> int list -> (string * string) list
 (** [comb_arcs name params] lists the [(input, output)] port pairs of a

@@ -13,7 +13,7 @@ let shareable ctx cell =
   match cell.cell_proto with
   | Prim (name, _) -> (
       match Prims.find name with
-      | Some info -> info.shareable && not info.stateful
+      | Some info -> info.shareable
       | None -> false)
   | Comp name -> (
       match find_component_opt ctx name with
@@ -38,12 +38,17 @@ let cells_used assigns =
    port per extra driver), so sharing only pays off for cells whose logic
    outweighs the steering. *)
 let sharing_profit = function
-  | Prim (("std_add" | "std_sub"), [ w ]) -> w
-  | Prim (("std_lsh" | "std_rsh"), [ w ]) -> w * 2
-  | Prim ("std_mult", [ w ]) -> w * 8
-  | Prim (("std_lt" | "std_gt" | "std_le" | "std_ge"), [ w ]) -> w / 2
-  | Prim (("std_eq" | "std_neq"), [ w ]) -> w / 3
-  | Prim (("std_and" | "std_or" | "std_xor" | "std_not"), [ w ]) -> w / 3
+  | Prim (name, [ w ]) -> (
+      match Prims.find name with
+      | None -> 0
+      | Some info -> (
+          match info.cost with
+          | Adder -> w
+          | Shift -> w * 2
+          | Multiplier -> w * 8
+          | Ordered_compare -> w / 2
+          | Equality | Bitwise -> w / 3
+          | Free | Flip_flops | Ram | Mult_pipe | Div_pipe | Sqrt_pipe -> 0))
   | Prim _ -> 0
   | Comp _ -> 64 (* user components are presumed substantial *)
 

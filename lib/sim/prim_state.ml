@@ -85,8 +85,13 @@ type t =
   | Pipe of pipe
   | Custom of custom
 
-let isqrt v =
-  if Int64.compare v 0L < 0 then sim_error "isqrt of negative value"
+let rec isqrt v =
+  if Int64.compare v 0L < 0 then
+    (* Unsigned [v] >= 2^63: the root is 2r or 2r + 1 for r the root of
+       v / 4, and (2r + 1)^2 < 2^64. *)
+    let s = Int64.shift_left (isqrt (Int64.shift_right_logical v 2)) 1 in
+    let s1 = Int64.succ s in
+    if Int64.unsigned_compare (Int64.mul s1 s1) v <= 0 then s1 else s
   else begin
     (* Newton iteration on Int64; inputs are < 2^63 here. *)
     let rec go x =
@@ -367,10 +372,6 @@ let compile_comb p kind =
   let a = p.env.ints in
   let o = out p "out" in
   match (kind, ins) with
-  | Pad ow, [ i ] when ow < width p i ->
-      (* A narrowing pad raises Bitvec's width error, as the reference
-         does. *)
-      fun () -> ignore (Bitvec.zero_extend (Slot.get p.env i) ow)
   | Const v, _ ->
       let x = Slot.int_of_bits (Bitvec.width v) v in
       fun () -> o x

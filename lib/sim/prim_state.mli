@@ -85,7 +85,8 @@ val set_memory : t -> Bitvec.t array -> unit
 (** Load memory contents; lengths must match. *)
 
 val isqrt : int64 -> int64
-(** Integer square root (used by the [std_sqrt] model and its tests). *)
+(** Integer square root of an unsigned 64-bit value (used by the
+    [std_sqrt] model and its tests). *)
 
 val custom :
   outputs:((string -> Bitvec.t) -> (string * Bitvec.t) list) ->

@@ -946,9 +946,11 @@ let state_cells ctx =
           if prefix = "" then c.cell_name else prefix ^ "." ^ c.cell_name
         in
         match c.cell_proto with
-        | Prim ("std_reg", _) -> regs := path :: !regs
-        | Prim (("std_mem_d1" | "std_mem_d2"), _) -> mems := path :: !mems
-        | Prim _ -> ()
+        | Prim (name, _) -> (
+            match Prims.find name with
+            | Some { kind = Register; _ } -> regs := path :: !regs
+            | Some { kind = Memory; _ } -> mems := path :: !mems
+            | Some _ | None -> ())
         | Comp name -> walk (find_component ctx name) path)
       comp.cells
   in

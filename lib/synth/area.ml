@@ -26,38 +26,34 @@ let clog2 = Calyx.Compile_control.clog2
 (* LUT6 fabric: an adder uses one LUT per bit (carry chain), a wide equality
    packs ~3 bits per LUT, ordered comparison ~2 bits, bitwise ops ~3 bits. *)
 let primitive_usage name params =
-  let p n = List.nth params n in
-  match name with
-  | "std_reg" ->
-      { zero with registers = p 0 + 1 (* value + done *); register_cells = 1 }
-  | "std_const" | "std_wire" | "std_slice" | "std_pad" -> zero
-  | "std_add" | "std_sub" -> { zero with luts = p 0 }
-  | "std_and" | "std_or" | "std_xor" | "std_not" -> { zero with luts = cdiv (p 0) 3 }
-  | "std_lsh" | "std_rsh" ->
-      (* Barrel shifter: log stages of 2:1 muxes. *)
-      { zero with luts = cdiv (p 0 * clog2 (p 0)) 2 }
-  | "std_mult" -> { zero with dsps = cdiv (p 0) 18 * cdiv (p 0) 18 }
-  | "std_mult_pipe" ->
-      {
-        zero with
-        dsps = cdiv (p 0) 18 * cdiv (p 0) 18;
-        registers = (2 * p 0) + 4;
-        luts = 4;
-      }
-  | "std_div_pipe" ->
-      { zero with luts = 3 * p 0; registers = (3 * p 0) + 8 }
-  | "std_sqrt" -> { zero with luts = 2 * p 0; registers = (2 * p 0) + 4 }
-  | "std_lt" | "std_gt" | "std_le" | "std_ge" -> { zero with luts = cdiv (p 0) 2 }
-  | "std_eq" | "std_neq" -> { zero with luts = cdiv (p 0) 3 }
-  | "std_mem_d1" ->
-      let bits = p 0 * p 1 in
-      if bits <= 1024 then { zero with luts = cdiv bits 64; registers = 1 }
-      else { zero with brams = cdiv bits 18432; registers = 1 }
-  | "std_mem_d2" ->
-      let bits = p 0 * p 1 * p 2 in
-      if bits <= 1024 then { zero with luts = cdiv bits 64; registers = 1 }
-      else { zero with brams = cdiv bits 18432; registers = 1 }
-  | _ -> zero
+  match Calyx.Prims.find name with
+  | None -> zero
+  | Some info -> (
+      let p n = List.nth params n in
+      match info.cost with
+      | Flip_flops ->
+          { zero with registers = p 0 + 1 (* value + done *); register_cells = 1 }
+      | Free -> zero
+      | Adder -> { zero with luts = p 0 }
+      | Bitwise | Equality -> { zero with luts = cdiv (p 0) 3 }
+      | Ordered_compare -> { zero with luts = cdiv (p 0) 2 }
+      | Shift ->
+          (* Barrel shifter: log stages of 2:1 muxes. *)
+          { zero with luts = cdiv (p 0 * clog2 (p 0)) 2 }
+      | Multiplier -> { zero with dsps = cdiv (p 0) 18 * cdiv (p 0) 18 }
+      | Mult_pipe ->
+          {
+            zero with
+            dsps = cdiv (p 0) 18 * cdiv (p 0) 18;
+            registers = (2 * p 0) + 4;
+            luts = 4;
+          }
+      | Div_pipe -> { zero with luts = 3 * p 0; registers = (3 * p 0) + 8 }
+      | Sqrt_pipe -> { zero with luts = 2 * p 0; registers = (2 * p 0) + 4 }
+      | Ram ->
+          let bits = p 0 * Calyx.Prims.words name params in
+          if bits <= 1024 then { zero with luts = cdiv bits 64; registers = 1 }
+          else { zero with brams = cdiv bits 18432; registers = 1 })
 
 (* Multiplexing: k guarded drivers of a w-bit port synthesize to a k:1 mux,
    roughly one LUT6 per 3 extra inputs per bit; guard expressions cost one

@@ -77,22 +77,17 @@ let mux_ps drivers =
 
 (* The delay and logic levels [(ps, levels)] that each combinational arc
    of a primitive ({!Prims.comb_arcs}) costs. *)
-let arc_delay name params =
+let arc_delay (info : Prims.info) params =
   let w = match params with w :: _ -> w | [] -> 1 in
-  match name with
-  | "std_add" | "std_sub" | "std_lt" | "std_gt" | "std_le" | "std_ge" ->
-      (adder_ps w, 1)
-  | "std_eq" | "std_neq" -> (eq_ps w, 1)
-  | "std_lsh" | "std_rsh" -> (shift_ps w, 2)
-  | "std_mult" -> (mult_ps w, 3)
-  | "std_wire" | "std_slice" | "std_pad" -> (0, 0)
-  | "std_mem_d1" ->
-      let size = match params with [ _; s; _ ] -> s | _ -> 1 in
-      (mem_ps size, 1)
-  | "std_mem_d2" ->
-      let size = match params with [ _; d0; d1; _; _ ] -> d0 * d1 | _ -> 1 in
-      (mem_ps size, 1)
-  | _ -> (t_lut, 1)
+  match info.cost with
+  | Adder | Ordered_compare -> (adder_ps w, 1)
+  | Equality -> (eq_ps w, 1)
+  | Bitwise -> (t_lut, 1)
+  | Shift -> (shift_ps w, 2)
+  | Multiplier -> (mult_ps w, 3)
+  | Free -> (0, 0)
+  | Ram -> (mem_ps (Prims.words info.prim_name params), 1)
+  | Flip_flops | Mult_pipe | Div_pipe | Sqrt_pipe -> (0, 0) (* no arcs *)
 
 (* Guard logic depth feeding a mux select, over port ids: atoms pay an
    OR-reduction to one bit, comparisons pay their operator, each
@@ -237,21 +232,21 @@ let build ctx comp =
         | Some first, _ when first != c -> ()
         | Some _, Prim (name, params) ->
             let info = Prims.info name in
-            if info.Prims.stateful then
+            let ports = info.make_ports params in
+            (* A stateful cell launches at its outputs and captures at its
+               inputs; a constant, having no inputs, launches at its output. *)
+            let clocked = info.kind <> Combinational in
+            if clocked || List.for_all (fun (p : Prims.prim_port) -> p.pp_dir = Out) ports
+            then
               List.iter
                 (fun (p : Prims.prim_port) ->
-                  let v = pnode p.Prims.pp_name in
+                  let v = pnode p.pp_name in
                   touch v;
-                  match p.Prims.pp_dir with
-                  | Prims.Out -> g.source.(v) <- t_clk_q
-                  | Prims.In -> g.setup.(v) <- t_setup)
-                (info.Prims.make_ports params);
-            if name = "std_const" then begin
-              let v = pnode "out" in
-              touch v;
-              g.source.(v) <- 0
-            end;
-            let ps, lv = arc_delay name params in
+                  match p.pp_dir with
+                  | Out -> g.source.(v) <- (if clocked then t_clk_q else 0)
+                  | In -> g.setup.(v) <- t_setup)
+                ports;
+            let ps, lv = arc_delay info params in
             List.iter
               (fun (i, o) -> edge (pnode i) (pnode o) ps lv)
               (Prims.comb_arcs name params)

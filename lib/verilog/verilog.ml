@@ -322,7 +322,7 @@ let add_prim_params b name params =
 
 let prim_is_clocked name =
   match Prims.find name with
-  | Some info -> not info.Prims.combinational
+  | Some info -> info.Prims.kind <> Prims.Combinational
   | None -> false
 
 (* ------------------------------------------------------------------ *)

@@ -69,15 +69,11 @@ let prim_costs () =
             (fun params ->
               let name = info.P.prim_name in
               let kind =
-                let has port =
-                  List.exists
-                    (fun (p : P.prim_port) -> p.P.pp_name = port)
-                    (P.ports name params)
-                in
-                if info.P.combinational then "combinational"
-                else if has "read_data" then "memory"
-                else if has "go" then "pipelined"
-                else "register"
+                match info.P.kind with
+                | P.Combinational -> "combinational"
+                | P.Memory -> "memory"
+                | P.Pipelined -> "pipelined"
+                | P.Register -> "register"
               in
               let arcs =
                 String.concat ","

@@ -394,11 +394,11 @@ let test_wf_missing_interface () =
 
 let test_prims_metadata () =
   let info = Prims.info "std_reg" in
-  Alcotest.(check bool) "stateful" true info.Prims.stateful;
+  Alcotest.(check bool) "stateful" true (info.Prims.kind = Prims.Register);
   Alcotest.(check (option int)) "latency" (Some 1) info.Prims.latency;
   let add = Prims.info "std_add" in
   Alcotest.(check bool) "add shareable" true add.Prims.shareable;
-  Alcotest.(check bool) "add comb" true add.Prims.combinational;
+  Alcotest.(check bool) "add comb" true (add.Prims.kind = Prims.Combinational);
   Alcotest.(check (option int)) "lt out width" (Some 1)
     (Prims.port_width "std_lt" [ 32 ] "out");
   Alcotest.(check (option int)) "mem read width" (Some 16)

@@ -176,7 +176,7 @@ module Reference = struct
     match cell.cell_proto with
     | Prim (name, _) -> (
         match Prims.find name with
-        | Some info -> info.shareable && not info.stateful
+        | Some info -> info.shareable && info.kind = Prims.Combinational
         | None -> false)
     | Comp name -> (
         match find_component_opt ctx name with

@@ -1163,6 +1163,161 @@ let test_parity_failures () =
   | _ -> Alcotest.fail "a structured program validated");
   Alcotest.(check int) "nothing loaded" 0 !loads
 
+(* ------------------------------------------------------------------ *)
+(* Every primitive: three behaviours agree                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Each primitive has three behaviours: Prim_state's reference model
+   (the fixpoint engine), its staged model (the compiled engine) and the
+   SystemVerilog module the emitter writes (run by Vinterp). One
+   single-cell program per entry of [Prims.all] and width drives the cell
+   from registers and captures its outputs in registers; the engines must
+   agree up to 62 bits (above, both run the reference model) and the
+   simulator must agree with the RTL at every width. *)
+
+(* Parameters for [info] at width [w], drawn from [rng] where the table
+   leaves a choice: a constant's value, the other width of a slice or
+   pad (whichever way round the table accepts), a memory's sizes. *)
+let prim_params rng (info : Prims.info) w =
+  let accepts params =
+    match info.make_ports params with
+    | _ -> true
+    | exception Invalid_argument _ -> false
+  in
+  match info.param_names with
+  | [ "WIDTH" ] -> [ w ]
+  | [ "WIDTH"; "VALUE" ] -> [ w; Random.State.bits rng land ((1 lsl min w 30) - 1) ]
+  | [ _; _ ] ->
+      let other = 1 + Random.State.int rng w in
+      if accepts [ w; other ] then [ w; other ] else [ other; w ]
+  | names ->
+      let sizes =
+        List.init ((List.length names - 1) / 2) (fun _ ->
+            1 + Random.State.int rng 4)
+      in
+      (w :: sizes) @ List.map (fun n -> max 1 (Compile_control.clog2 n)) sizes
+
+(* The single-cell program: [i_<port>] registers drive the cell's data
+   inputs, [o_<port>] registers capture its data outputs. A register or
+   memory is written in one group and read in the next, a memory through
+   the [j_<addr>] registers; a pipelined unit runs under go until done. *)
+let prim_program name params =
+  let info = Prims.info name in
+  let ports = Prims.ports name params in
+  let data dir =
+    List.filter
+      (fun (p : Prims.prim_port) ->
+        p.pp_dir = dir && not (List.mem p.pp_name [ "go"; "write_en"; "done" ]))
+      ports
+  in
+  let ins = data Prims.In and outs = data Prims.Out in
+  let addrs =
+    List.filter
+      (fun (p : Prims.prim_port) -> String.starts_with ~prefix:"addr" p.pp_name)
+      ins
+  in
+  let b = Buffer.create 512 in
+  let pr fmt = Printf.bprintf b fmt in
+  let regs prefix =
+    List.iter (fun (p : Prims.prim_port) ->
+        pr "    %s_%s = std_reg(%d);\n" prefix p.pp_name p.pp_width)
+  in
+  let drive prefix =
+    List.iter (fun (p : Prims.prim_port) ->
+        pr "      p.%s = %s_%s.out;\n" p.pp_name prefix p.pp_name)
+  in
+  let capture guard =
+    List.iter (fun (p : Prims.prim_port) ->
+        pr "      o_%s.in = p.%s; o_%s.write_en = %s1'd1;\n" p.pp_name p.pp_name
+          p.pp_name guard)
+      outs
+  in
+  let first_out = (List.hd outs).pp_name in
+  pr "component main(go: 1) -> (done: 1) {\n  cells {\n    p = %s(%s);\n" name
+    (String.concat ", " (List.map string_of_int params));
+  regs "i" ins;
+  regs "j" addrs;
+  regs "o" outs;
+  pr "  }\n  wires {\n    group run {\n";
+  drive "i" ins;
+  (match info.kind with
+  | Register | Memory ->
+      pr "      p.write_en = 1'd1; run[done] = p.done;\n    }\n    group read {\n";
+      drive "j" addrs;
+      capture "";
+      pr "      read[done] = o_%s.done;\n    }\n  }\n  control { seq { run; read; } }\n}\n"
+        first_out
+  | Pipelined ->
+      pr "      p.go = !p.done ? 1'd1;\n";
+      capture "p.done ? ";
+      pr "      run[done] = o_%s.done;\n    }\n  }\n  control { run; }\n}\n" first_out
+  | Combinational ->
+      capture "";
+      pr "      run[done] = o_%s.done;\n    }\n  }\n  control { run; }\n}\n" first_out);
+  (Buffer.contents b, ins, addrs)
+
+(* A load of the input registers: addresses in range, data uniform over
+   its width or, with [small], at most the width (shift amounts and
+   operands near each other). *)
+let prim_load rng ~small ~sizes ins addrs : Calyx_sim.Testbench.io -> unit =
+  let value (p : Prims.prim_port) =
+    match List.assoc_opt p.pp_name sizes with
+    | Some size -> Bitvec.of_int ~width:p.pp_width (Random.State.int rng size)
+    | None when small ->
+        Bitvec.make ~width:p.pp_width
+          (Int64.of_int (Random.State.int rng (p.pp_width + 1)))
+    | None ->
+        let v = Random.State.bits64 rng in
+        Bitvec.make ~width:p.pp_width
+          (if p.pp_width = 64 then v
+           else Int64.logand v (Int64.pred (Int64.shift_left 1L p.pp_width)))
+  in
+  let values prefix =
+    List.map (fun (p : Prims.prim_port) -> (prefix ^ "_" ^ p.pp_name, value p))
+  in
+  let writes = values "i" ins @ values "j" addrs in
+  fun io -> List.iter (fun (r, v) -> io.write_register r v) writes
+
+let test_prim_behaviours () =
+  let rng = Fuzz_seed.state_of (Fuzz_seed.derive "prim-behaviours") in
+  List.iter
+    (fun (info : Prims.info) ->
+      List.iter
+        (fun w ->
+          let params = prim_params rng info w in
+          let name = info.prim_name in
+          let where =
+            Printf.sprintf "%s(%s) at %d bits" name
+              (String.concat ", " (List.map string_of_int params))
+              w
+          in
+          let src, ins, addrs = prim_program name params in
+          let lowered = Pipelines.compile (Parser.parse_string src) in
+          (* Memory address ports index dimension i, sized by parameter
+             i + 1. *)
+          let sizes =
+            List.mapi
+              (fun i (p : Prims.prim_port) -> (p.pp_name, List.nth params (i + 1)))
+              addrs
+          in
+          List.iter
+            (fun small ->
+              let load = prim_load rng ~small ~sizes ins addrs in
+              if w <= 62 then
+                Option.iter
+                  (Alcotest.failf "%s: engines disagree: %s" where)
+                  (Calyx_sim.Sim.disagreement
+                     ~load:(fun sim -> load (Calyx_sim.Testbench.of_sim sim))
+                     lowered);
+              match Validate.validate ~load lowered with
+              | r -> check_ok where r
+              | exception e ->
+                  Alcotest.failf "%s: validation raised %s" where
+                    (Printexc.to_string e))
+            [ false; true ])
+        [ 1; 31; 32; 62; 63; 64 ])
+    Prims.all
+
 let () =
   Alcotest.run "vinterp"
     [
@@ -1216,6 +1371,8 @@ let () =
           Alcotest.test_case "allocation per cycle" `Quick test_alloc_per_cycle;
           Alcotest.test_case "always_ff metrics" `Quick test_ff_metrics;
           Alcotest.test_case "load allocation" `Quick test_load_alloc;
+          Alcotest.test_case "every primitive, three behaviours" `Quick
+            test_prim_behaviours;
         ] );
       ( "fuzz",
         [
