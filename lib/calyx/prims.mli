@@ -6,7 +6,7 @@
     gives a primitive's port names and widths (as a function of the
     instantiation parameters), its {!kind}, its {!cost} class,
     shareability and fixed latency. Every layer reads these facts from
-    here: the lints, the passes, both simulator engines' cell collection,
+    here: the lints, the passes, the simulator's list of state cells,
     the emitter, and the area, timing and sharing cost models, which each
     map a {!cost} class to their own numbers. Only the behaviours are
     kept per name: the simulator's models ([Calyx_sim.Prim_state.create])
@@ -31,7 +31,8 @@ type kind =
   | Memory
       (** [std_mem_d1], [std_mem_d2]: an asynchronous read through the
           address ports, a clocked write. *)
-  | Pipelined  (** A go/done unit: [std_mult_pipe], [std_div_pipe], [std_sqrt]. *)
+  | Pipelined
+      (** A go/done unit: [std_mult_pipe], [std_div_pipe], [std_sqrt]. *)
   | Combinational
 
 (** The group a primitive's cost belongs to. The area, timing and

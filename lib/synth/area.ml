@@ -32,7 +32,8 @@ let primitive_usage name params =
       let p n = List.nth params n in
       match info.cost with
       | Flip_flops ->
-          { zero with registers = p 0 + 1 (* value + done *); register_cells = 1 }
+          (* value + done *)
+          { zero with registers = p 0 + 1; register_cells = 1 }
       | Free -> zero
       | Adder -> { zero with luts = p 0 }
       | Bitwise | Equality -> { zero with luts = cdiv (p 0) 3 }

@@ -232,12 +232,14 @@ let build ctx comp =
         | Some first, _ when first != c -> ()
         | Some _, Prim (name, params) ->
             let info = Prims.info name in
-            let ports = info.make_ports params in
+            let cell_ports = info.make_ports params in
             (* A stateful cell launches at its outputs and captures at its
                inputs; a constant, having no inputs, launches at its output. *)
             let clocked = info.kind <> Combinational in
-            if clocked || List.for_all (fun (p : Prims.prim_port) -> p.pp_dir = Out) ports
-            then
+            let outputs_only =
+              List.for_all (fun (p : Prims.prim_port) -> p.pp_dir = Out) cell_ports
+            in
+            if clocked || outputs_only then
               List.iter
                 (fun (p : Prims.prim_port) ->
                   let v = pnode p.pp_name in
@@ -245,7 +247,7 @@ let build ctx comp =
                   match p.pp_dir with
                   | Out -> g.source.(v) <- (if clocked then t_clk_q else 0)
                   | In -> g.setup.(v) <- t_setup)
-                ports;
+                cell_ports;
             let ps, lv = arc_delay info params in
             List.iter
               (fun (i, o) -> edge (pnode i) (pnode o) ps lv)

@@ -666,6 +666,11 @@ let test_sqrt_prim () =
   Alcotest.(check int64) "isqrt 1" 1L (Calyx_sim.Prim_state.isqrt 1L);
   Alcotest.(check int64) "isqrt 99" 9L (Calyx_sim.Prim_state.isqrt 99L);
   Alcotest.(check int64) "isqrt 100" 10L (Calyx_sim.Prim_state.isqrt 100L);
+  (* Operands of 2^63 and above are unsigned 64-bit values. *)
+  Alcotest.(check int64) "isqrt 2^63" 3037000499L
+    (Calyx_sim.Prim_state.isqrt Int64.min_int);
+  Alcotest.(check int64) "isqrt 2^64 - 1" 4294967295L
+    (Calyx_sim.Prim_state.isqrt (-1L));
   for i = 0 to 2000 do
     let v = Int64.of_int i in
     let r = Calyx_sim.Prim_state.isqrt v in

@@ -1186,7 +1186,8 @@ let prim_params rng (info : Prims.info) w =
   in
   match info.param_names with
   | [ "WIDTH" ] -> [ w ]
-  | [ "WIDTH"; "VALUE" ] -> [ w; Random.State.bits rng land ((1 lsl min w 30) - 1) ]
+  | [ "WIDTH"; "VALUE" ] ->
+      [ w; Random.State.bits rng land ((1 lsl min w 30) - 1) ]
   | [ _; _ ] ->
       let other = 1 + Random.State.int rng w in
       if accepts [ w; other ] then [ w; other ] else [ other; w ]
@@ -1207,7 +1208,8 @@ let prim_program name params =
   let data dir =
     List.filter
       (fun (p : Prims.prim_port) ->
-        p.pp_dir = dir && not (List.mem p.pp_name [ "go"; "write_en"; "done" ]))
+        p.pp_dir = dir
+        && not (List.mem p.pp_name [ "go"; "write_en"; "done" ]))
       ports
   in
   let ins = data Prims.In and outs = data Prims.Out in
@@ -1228,11 +1230,10 @@ let prim_program name params =
   in
   let capture guard =
     List.iter (fun (p : Prims.prim_port) ->
-        pr "      o_%s.in = p.%s; o_%s.write_en = %s1'd1;\n" p.pp_name p.pp_name
-          p.pp_name guard)
+        pr "      o_%s.in = p.%s; o_%s.write_en = %s1'd1;\n" p.pp_name
+          p.pp_name p.pp_name guard)
       outs
   in
-  let first_out = (List.hd outs).pp_name in
   pr "component main(go: 1) -> (done: 1) {\n  cells {\n    p = %s(%s);\n" name
     (String.concat ", " (List.map string_of_int params));
   regs "i" ins;
@@ -1240,20 +1241,25 @@ let prim_program name params =
   regs "o" outs;
   pr "  }\n  wires {\n    group run {\n";
   drive "i" ins;
-  (match info.kind with
-  | Register | Memory ->
-      pr "      p.write_en = 1'd1; run[done] = p.done;\n    }\n    group read {\n";
-      drive "j" addrs;
-      capture "";
-      pr "      read[done] = o_%s.done;\n    }\n  }\n  control { seq { run; read; } }\n}\n"
-        first_out
-  | Pipelined ->
-      pr "      p.go = !p.done ? 1'd1;\n";
-      capture "p.done ? ";
-      pr "      run[done] = o_%s.done;\n    }\n  }\n  control { run; }\n}\n" first_out
-  | Combinational ->
-      capture "";
-      pr "      run[done] = o_%s.done;\n    }\n  }\n  control { run; }\n}\n" first_out);
+  let last =
+    match info.kind with
+    | Register | Memory ->
+        pr "      p.write_en = 1'd1; run[done] = p.done;\n    }\n";
+        pr "    group read {\n";
+        drive "j" addrs;
+        capture "";
+        "read"
+    | Pipelined ->
+        pr "      p.go = !p.done ? 1'd1;\n";
+        capture "p.done ? ";
+        "run"
+    | Combinational ->
+        capture "";
+        "run"
+  in
+  pr "      %s[done] = o_%s.done;\n    }\n  }\n" last (List.hd outs).pp_name;
+  pr "  control { seq { run; %s} }\n}\n"
+    (if last = "read" then "read; " else "");
   (Buffer.contents b, ins, addrs)
 
 (* A load of the input registers: addresses in range, data uniform over
@@ -1297,7 +1303,8 @@ let test_prim_behaviours () =
              i + 1. *)
           let sizes =
             List.mapi
-              (fun i (p : Prims.prim_port) -> (p.pp_name, List.nth params (i + 1)))
+              (fun i (p : Prims.prim_port) ->
+                (p.pp_name, List.nth params (i + 1)))
               addrs
           in
           List.iter
