@@ -334,8 +334,14 @@ let longest_paths g =
 
 let fmax_of_ps ps = 1e6 /. float_of_int (max ps min_period_ps)
 
-let component_timing ?(paths = 5) ctx comp =
-  let g = build ctx comp in
+(* The graph's size for the [timing] span: the nodes the analysis
+   mentions and the edges between them. *)
+let graph_size g =
+  let nodes = Array.fold_left (fun n p -> if p then n + 1 else n) 0 g.present in
+  let edges = Array.fold_left (fun n es -> n + List.length es) 0 g.edges in
+  (nodes, edges)
+
+let graph_timing ?(paths = 5) g =
   let r = longest_paths g in
   let chain v =
     let rec go v acc =
@@ -403,13 +409,19 @@ let component_timing ?(paths = 5) ctx comp =
 
 let context_timing ?paths ctx =
   Calyx_telemetry.Trace.with_span ~cat:"stage" "timing" @@ fun () ->
-  let t = component_timing ?paths ctx (entry ctx) in
+  let g = build ctx (entry ctx) in
+  if Calyx_telemetry.Runtime.on () then begin
+    let nodes, edges = graph_size g in
+    Calyx_telemetry.Trace.add_metric "nodes" (float_of_int nodes);
+    Calyx_telemetry.Trace.add_metric "edges" (float_of_int edges)
+  end;
+  let t = graph_timing ?paths g in
   if Calyx_telemetry.Runtime.on () then begin
     Calyx_telemetry.Trace.add_metric "delay_ps" (float_of_int t.delay_ps);
     Calyx_telemetry.Trace.add_metric "levels" (float_of_int t.levels)
   end;
   t
-let context_depth ctx = component_timing ~paths:1 ctx (entry ctx)
+let context_depth ctx = graph_timing ~paths:1 (build ctx (entry ctx))
 
 let period_ps r = max r.delay_ps min_period_ps
 let period_ns r = float_of_int (period_ps r) /. 1000.

@@ -16,6 +16,13 @@
    model's [Area.pp] of the structured and the lowered program. A change
    to the emitter, the timing analysis or the area model shows up here.
 
+   [lowered_digests graph DIR] runs the static timing analysis with
+   telemetry on over the same corpus as [backend] and prints per design
+   and config the [timing] span's [nodes] and [edges] args of the
+   structured and the lowered program (a structured program with a
+   combinational loop adds "loop"). A change to the graph the analysis
+   builds shows up here, even where the reports agree.
+
    [lowered_digests plan DIR] prints the MD5s of the compiled engine's
    plan ([Sim.compiled_plan]) of the lowered and of the structured
    program, on the same corpus without the systolic arrays above 16x16.
@@ -111,6 +118,24 @@ let backend_line structured lowered _load =
   in
   String.concat " "
     [ md5 sv; md5 (timing structured ^ timing lowered); md5 area ]
+
+let graph_line structured lowered _load =
+  let module T = Calyx_telemetry.Trace in
+  let graph ctx =
+    let looped, spans =
+      T.collect (fun () ->
+          match Calyx_synth.Timing.context_timing ~paths:1 ctx with
+          | _ -> false
+          | exception Calyx_synth.Timing.Combinational_loop _ -> true)
+    in
+    let sp = List.find (fun sp -> sp.T.sp_name = "timing") spans in
+    let arg key =
+      match T.find_arg sp key with Some (T.F f) -> int_of_float f | _ -> 0
+    in
+    Printf.sprintf "nodes %d edges %d%s" (arg "nodes") (arg "edges")
+      (if looped then " loop" else "")
+  in
+  Printf.sprintf "structured %s lowered %s" (graph structured) (graph lowered)
 
 let plan_line structured lowered _load =
   let plan ctx =
@@ -331,12 +356,14 @@ let () =
     match Sys.argv with
     | [| _; dir |] -> (lowered_line, dir, max_int)
     | [| _; "backend"; dir |] -> (backend_line, dir, max_int)
+    | [| _; "graph"; dir |] -> (graph_line, dir, max_int)
     | [| _; "plan"; dir |] -> (plan_line, dir, 16)
     | [| _; "rtl"; dir |] -> (rtl_line, dir, 16)
     | [| _; "work"; dir |] -> (work_line, dir, 16)
     | _ ->
         prerr_endline
-          "usage: lowered_digests [backend|plan|rtl|work] DIR | faults | sharing";
+          "usage: lowered_digests [backend|graph|plan|rtl|work] DIR | faults | \
+           sharing";
         exit 2
   in
   let examples =

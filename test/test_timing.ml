@@ -284,6 +284,100 @@ let test_json_parses () =
   | _ -> Alcotest.fail "no paths in JSON"
 
 (* ------------------------------------------------------------------ *)
+(* Path order                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* What [paths:k] promises for k = 1..8: a prefix of [paths:(k+1)],
+   worst first with equal delays ordered by (start, end), one path per
+   endpoint, each running from its start to its end, with [critical] and
+   [delay_ps] the head's; [paths:0] reports no path but the same delay
+   and levels. A program whose structured form has a combinational loop
+   checks nothing. *)
+let check_path_order what ctx =
+  match Timing.context_timing ~paths:0 ctx with
+  | exception Timing.Combinational_loop _ -> ()
+  | r0 ->
+      let fail fmt =
+        Printf.ksprintf (fun m -> Alcotest.fail (what ^ ": " ^ m)) fmt
+      in
+      if r0.Timing.paths <> [] then fail "paths:0 reports paths";
+      let run k = Timing.context_timing ~paths:k ctx in
+      let prev = ref (run 1) in
+      for k = 1 to 8 do
+        let r = !prev in
+        let next = run (k + 1) in
+        let ps = r.Timing.paths in
+        if List.length ps > k then
+          fail "paths:%d keeps %d paths" k (List.length ps);
+        if List.filteri (fun i _ -> i < List.length ps) next.Timing.paths <> ps
+        then fail "paths:%d is not a prefix of paths:%d" k (k + 1);
+        if
+          r.Timing.delay_ps <> r0.Timing.delay_ps
+          || r.Timing.levels <> r0.Timing.levels
+        then fail "paths:%d and paths:0 disagree on delay or levels" k;
+        (match ps with
+        | [] -> fail "paths:%d reports no path" k
+        | p :: _ ->
+            if r.Timing.critical <> p.Timing.p_ports then
+              fail "paths:%d: critical is not the head path" k;
+            if r.Timing.delay_ps <> p.Timing.p_delay_ps then
+              fail "paths:%d: delay_ps is not the head path's" k);
+        List.iter
+          (fun (p : Timing.path) ->
+            match p.p_ports with
+            | [] -> fail "empty path %s -> %s" p.p_start p.p_end
+            | first :: _ ->
+                let last = List.nth p.p_ports (List.length p.p_ports - 1) in
+                if first <> p.p_start || last <> p.p_end then
+                  fail "path %s -> %s runs elsewhere" p.p_start p.p_end)
+          ps;
+        let ends =
+          List.sort_uniq compare
+            (List.map (fun (p : Timing.path) -> p.p_end) ps)
+        in
+        if List.length ends <> List.length ps then
+          fail "paths:%d repeats an endpoint" k;
+        let rec ordered = function
+          | (a : Timing.path) :: (b :: _ as rest) ->
+              (a.p_delay_ps > b.p_delay_ps
+              || (a.p_delay_ps = b.p_delay_ps
+                 && compare (a.p_start, a.p_end) (b.p_start, b.p_end) < 0))
+              && ordered rest
+          | _ -> true
+        in
+        if not (ordered ps) then fail "paths:%d out of order" k;
+        prev := next
+      done
+
+let check_compiled what structured =
+  check_path_order (what ^ " structured") structured;
+  List.iter
+    (fun (cname, config) ->
+      check_path_order
+        (what ^ " lowered " ^ cname)
+        (Pipelines.compile ~config structured))
+    [
+      ("default", Pipelines.default_config);
+      ("insensitive", Pipelines.insensitive_config);
+    ]
+
+let prop_path_order =
+  QCheck.Test.make ~name:"path order on fuzzed programs" ~count:30
+    (Fuzz_seed.seed_arb "timing-path-order")
+    (fun seed ->
+      check_compiled (Fuzz_seed.print_seed "timing-path-order" seed)
+        (Fuzz_gen.program_of_seed seed);
+      true)
+
+let test_path_order_systolic () =
+  List.iter
+    (fun (rows, cols, depth) ->
+      check_compiled
+        (Printf.sprintf "systolic %dx%dx%d" rows cols depth)
+        (Systolic.generate Systolic.{ rows; cols; depth; width = 32 }))
+    [ (4, 4, 4); (5, 12, 7) ]
+
+(* ------------------------------------------------------------------ *)
 (* Cross-check against the simulator's Sched levelization             *)
 (* ------------------------------------------------------------------ *)
 
@@ -375,6 +469,11 @@ let () =
             test_counter_report;
           Alcotest.test_case "json round-trips" `Quick test_json_parses;
           Alcotest.test_case "combinational loop port" `Quick test_loop_port;
+        ] );
+      ( "path order",
+        [
+          QCheck_alcotest.to_alcotest prop_path_order;
+          Alcotest.test_case "systolic" `Quick test_path_order_systolic;
         ] );
       ( "cross-check",
         [
