@@ -20,8 +20,11 @@ let analyze ~id:reg_id comp =
     List.filter_map
       (fun c ->
         match c.cell_proto with
-        | Prim ("std_reg", _) -> Some c.cell_name
-        | _ -> None)
+        | Prim (name, _) -> (
+            match Prims.find name with
+            | Some { kind = Register; _ } -> Some c.cell_name
+            | Some _ | None -> None)
+        | Comp _ -> None)
       comp.cells
   in
   let id = Name_tbl.create 64 in

@@ -11,7 +11,11 @@ let color comp =
   let cells = cell_index comp in
   let cls name =
     match Hashtbl.find_opt cells name with
-    | Some { cell_proto = Prim ("std_reg", [ w ]); _ } -> string_of_int w
+    | Some { cell_proto = Prim (prim, [ w ]); _ }
+      when match Prims.find prim with
+           | Some { kind = Register; _ } -> true
+           | Some _ | None -> false ->
+        string_of_int w
     | _ -> ir_error "register-sharing: %s is not a register" name
   in
   ( Graph_coloring.greedy graph ~cls,

@@ -7,12 +7,18 @@ module Json = Calyx_telemetry.Json
 (* ------------------------------------------------------------------ *)
 
 let is_fsm_cell (c : Ir.cell) =
-  match c.Ir.cell_proto with
-  | Ir.Prim ("std_reg", _) ->
-      Attrs.get "generated" ~default:0 c.Ir.cell_attrs <> 0
-      && String.length c.Ir.cell_name >= 3
-      && String.sub c.Ir.cell_name 0 3 = "fsm"
-  | _ -> false
+  let register =
+    match c.Ir.cell_proto with
+    | Ir.Prim (name, _) -> (
+        match Prims.find name with
+        | Some { kind = Register; _ } -> true
+        | Some _ | None -> false)
+    | Ir.Comp _ -> false
+  in
+  register
+  && Attrs.get "generated" ~default:0 c.Ir.cell_attrs <> 0
+  && String.length c.Ir.cell_name >= 3
+  && String.sub c.Ir.cell_name 0 3 = "fsm"
 
 (* States a compiled schedule can put an fsm register in: every literal
    written to its [in] port, plus the reset state 0. *)
