@@ -169,6 +169,7 @@ module Ports = struct
     comp : component;
     proto_of : prototype -> (proto, exn) result;
     cells : cell_entry Names.t;
+    cell_bases : int array;  (* in [comp.cells] order, -1 when repeated *)
     signature : (int * port_def) Names.t;
     holes : int Names.t;  (* group -> id of its go hole *)
     count : int;
@@ -245,14 +246,18 @@ module Ports = struct
         comp.groups
     in
     let cells = Names.create 64 in
+    let cell_bases = Array.make (List.length comp.cells) (-1) in
+    let i = ref (-1) in
     let cell_order =
       List.filter_map
         (fun c ->
+          incr i;
           if Names.mem cells c.cell_name then None
           else begin
             let ce_proto = proto_of c.cell_proto in
             let ce = { ce_cell = c; ce_base = !count; ce_proto } in
             Names.replace cells c.cell_name ce;
+            cell_bases.(!i) <- !count;
             (match ce.ce_proto with
             | Ok pr -> count := !count + Array.length pr.pr_ports
             | Error _ -> ());
@@ -293,7 +298,7 @@ module Ports = struct
            cell_order;
          (ports, widths, dirs))
     in
-    { comp; proto_of; cells; signature; holes; count; by_id }
+    { comp; proto_of; cells; cell_bases; signature; holes; count; by_id }
 
   let tables ctx =
     let memo = Hashtbl.create 8 in
@@ -321,6 +326,8 @@ module Ports = struct
 
   let find_cell t name =
     Option.map (fun ce -> ce.ce_cell) (Names.find_opt t.cells name)
+
+  let cell_base t i = t.cell_bases.(i)
 
   let proto_ports t p =
     match t.proto_of p with Ok pr -> pr.pr_list | Error e -> raise e

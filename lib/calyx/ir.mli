@@ -234,6 +234,13 @@ module Ports : sig
   val find_cell : t -> string -> cell option
   (** The first declaration of a cell. *)
 
+  val cell_base : t -> int -> int
+  (** The id of the first port of the component's [i]th cell (in [cells]
+      order), or -1 when an earlier cell has its name: its ports take
+      consecutive ids from there, in {!proto_ports} order with repeated
+      names dropped. No lookup, for analyses that visit every port of
+      every cell. *)
+
   val cell_ports :
     t -> string -> ((string * int * direction) list, exn) result option
   (** The ports of a cell's prototype ([None] for an unknown cell). *)

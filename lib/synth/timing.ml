@@ -89,23 +89,6 @@ let arc_delay (info : Prims.info) params =
   | Ram -> (mem_ps (Prims.words info.prim_name params), 1)
   | Flip_flops | Mult_pipe | Div_pipe | Sqrt_pipe -> (0, 0) (* no arcs *)
 
-(* Guard logic depth feeding a mux select, over port ids: atoms pay an
-   OR-reduction to one bit, comparisons pay their operator, each
-   connective a LUT level (negation folds into the LUT). *)
-let atom_width ports = function
-  | Port i -> Ports.width_of_id ports i
-  | Lit v -> Bitvec.width v
-
-let rec guard_ps ports = function
-  | True -> 0
-  | Atom a -> reduce_ps (atom_width ports a)
-  | Cmp (op, a, b) ->
-      let w = imax (atom_width ports a) (atom_width ports b) in
-      (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
-  | And (g1, g2) | Or (g1, g2) ->
-      t_lut + imax (guard_ps ports g1) (guard_ps ports g2)
-  | Not g -> guard_ps ports g
-
 (* ------------------------------------------------------------------ *)
 (* The flattened port graph                                            *)
 (* ------------------------------------------------------------------ *)
@@ -115,163 +98,413 @@ let rec guard_ps ports = function
    child's signature ports are the parent's ports of that cell, so
    hierarchical binding is the id map. A node is [present] when the
    analysis mentions it (a launch or capture point, an edge end, an
-   assigned port); only present nodes launch paths. *)
+   assigned port); only present nodes launch paths.
+
+   Edges are flat int arrays, sized from the IR before anything is
+   resolved: each node's edges form a list threaded through [e_next],
+   most recently added first. Names are built only for the nodes a
+   report prints, from the instance that owns the node. *)
+type instance = {
+  i_base : int;  (* its first own node *)
+  i_skip : int;  (* signature ports owned by the parent's cell (0 at the root) *)
+  i_table : Ports.t;
+  i_prefix : string;  (* dotted path from the analysis root *)
+}
+
 type graph = {
-  names : string array;  (* dotted path from the analysis root *)
-  edges : (int * int * int) list array;  (* dst, ps, levels *)
+  instances : instance array;  (* in creation order, so by [i_base] *)
+  head : int array;  (* a node's most recent edge; -1 when none *)
+  e_dst : int array;
+  e_ps : int array;
+  e_lv : int array;
+  e_next : int array;  (* the same source's previous edge; -1 at the end *)
+  edges : int;
   source : int array;  (* launch offset (clock-to-Q); -1 when none *)
   setup : int array;  (* capture cost when a path ends here *)
-  driven : bool array;
-  present : bool array;
+  driven : Bytes.t;  (* '\001' when assigned or an edge ends here *)
+  present : Bytes.t;
 }
 
 let join prefix name = if prefix = "" then name else prefix ^ "." ^ name
 
+(* The owner of [v] is the last instance whose range starts at or
+   before it: a child's range follows its parent's. *)
+let name g v =
+  let rec find lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if g.instances.(mid).i_base <= v then find mid hi else find lo (mid - 1)
+  in
+  let i = g.instances.(find 0 (Array.length g.instances - 1)) in
+  join i.i_prefix (port_name (Ports.port i.i_table (v - i.i_base + i.i_skip)))
+
+(* What a primitive or black-box cell adds to the graph, as offsets from
+   its base id: its launch and capture points and its arcs, which all
+   cost [arc_ps] and [arc_lv]. *)
+type mark = Launch of int (* clock-to-Q *) | Capture
+
+type cell_facts = {
+  marks : (int * mark) list;
+  arcs : int array;  (* (input, output) offset pairs, in arc order *)
+  arc_ps : int;
+  arc_lv : int;
+}
+
+(* The offset of each name in a prototype's port list: its first
+   occurrence among the distinct names, as {!Ports} numbers them. *)
+let offsets names =
+  let index = Hashtbl.create 8 in
+  List.iter
+    (fun n ->
+      if not (Hashtbl.mem index n) then Hashtbl.replace index n (Hashtbl.length index))
+    names;
+  Hashtbl.find index
+
+let cell_facts ctx = function
+  | Prim (name, params) ->
+      let info = Prims.info name in
+      let ports = info.make_ports params in
+      let offset = offsets (List.map (fun (p : Prims.prim_port) -> p.pp_name) ports) in
+      (* A stateful cell launches at its outputs and captures at its
+         inputs; a constant, having no inputs, launches at its output. *)
+      let clocked = info.kind <> Combinational in
+      let outputs_only =
+        List.for_all (fun (p : Prims.prim_port) -> p.pp_dir = Out) ports
+      in
+      let marks =
+        if clocked || outputs_only then
+          List.map
+            (fun (p : Prims.prim_port) ->
+              ( offset p.pp_name,
+                match p.pp_dir with
+                | Out -> Launch (if clocked then t_clk_q else 0)
+                | In -> Capture ))
+            ports
+        else []
+      in
+      let arc_ps, arc_lv = arc_delay info params in
+      let arcs =
+        Array.of_list
+          (List.concat_map
+             (fun (i, o) -> [ offset i; offset o ])
+             (Prims.comb_arcs name params))
+      in
+      { marks; arcs; arc_ps; arc_lv }
+  | Comp cname ->
+      (* Black box: its outputs launch, its inputs capture. *)
+      let ports = signature_ports (find_component ctx cname) in
+      let offset = offsets (List.map (fun (p : port_def) -> p.pd_name) ports) in
+      {
+        marks =
+          List.map
+            (fun (p : port_def) ->
+              ( offset p.pd_name,
+                match p.pd_dir with Output -> Launch t_clk_q | Input -> Capture ))
+            ports;
+        arcs = [||];
+        arc_ps = 0;
+        arc_lv = 0;
+      }
+
+(* A cell is a leaf, with its prototype's facts or what computing them
+   raised (raised where the cell is met, after its component's
+   assignments), or a sub-component to flatten in place. *)
+type role = Leaf of (cell_facts, exn) result | Child of component
+
+(* One component's share of the graph in its port table's ids, resolved
+   at its first instance and copied into every instance: its go holes,
+   each port's number of drivers, and its assignment edges as (src, dst,
+   ps) triples of one logic level each, in the order they are added. *)
+type template = {
+  t_holes : int array;
+  t_drivers : int array;
+  t_edges : int array;
+}
+
+(* Per component: its port table, its signature ports, each cell's role,
+   and the nodes and an upper bound on the edges of one instance of it,
+   children included, all read from the IR without resolving a port; and
+   its template. *)
+type comp_info = {
+  ci_table : Ports.t;
+  ci_signature : int;
+  ci_roles : role array;  (* in [cells] order *)
+  ci_nodes : int;
+  ci_edges : int;
+  ci_template : template Lazy.t;
+}
+
+let atom_ports = function Port _ -> 1 | Lit _ -> 0
+
+let rec guard_ports = function
+  | True -> 0
+  | Atom a -> atom_ports a
+  | Cmp (_, a, b) -> atom_ports a + atom_ports b
+  | And (g1, g2) | Or (g1, g2) -> guard_ports g1 + guard_ports g2
+  | Not g -> guard_ports g
+
+(* Continuous assignments, then each group's, as {!all_assignments}. *)
+let iter_assignments f comp =
+  List.iter f comp.continuous;
+  List.iter (fun grp -> List.iter f grp.assigns) comp.groups
+
+(* Each port occurrence of [comp] is resolved once: the go holes, then
+   every destination, as in the other back ends, then each assignment's
+   source and guard atoms left to right, in the walk that adds their
+   edges. [assigns] and [edges] count its assignments and their port
+   sources and guard atoms. Data rides the destination's mux tree; guard
+   reads additionally pay the guard logic into the mux select: atoms pay
+   an OR-reduction to one bit, comparisons their operator, each
+   connective a LUT level (negation folds into the LUT). *)
+let template ports comp ~assigns ~edges =
+  let t_holes =
+    Array.of_list
+      (List.map (fun grp -> Ports.id ports (Hole (grp.group_name, "go"))) comp.groups)
+  in
+  let dsts = Array.make assigns 0 in
+  let drivers = Array.make (Ports.count ports) 0 in
+  let i = ref 0 in
+  iter_assignments
+    (fun a ->
+      let d = Ports.id ports a.dst in
+      dsts.(!i) <- d;
+      drivers.(d) <- drivers.(d) + 1;
+      incr i)
+    comp;
+  let t_edges = Array.make (3 * edges) 0 and n = ref 0 in
+  let add src dst ps =
+    t_edges.(!n) <- src;
+    t_edges.(!n + 1) <- dst;
+    t_edges.(!n + 2) <- ps;
+    n := !n + 3
+  in
+  (* A guard atom's edge is added as it is resolved; its delay, the whole
+     guard's, is filled in after the walk. *)
+  let atom dst = function
+    | Port p ->
+        let k = Ports.id ports p in
+        add k dst 0;
+        Ports.width_of_id ports k
+    | Lit v -> Bitvec.width v
+  in
+  let rec guard dst = function
+    | True -> 0
+    | Atom a -> reduce_ps (atom dst a)
+    | Cmp (op, a, b) ->
+        let wa = atom dst a in
+        let w = imax wa (atom dst b) in
+        (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
+    | And (g1, g2) | Or (g1, g2) ->
+        let p1 = guard dst g1 in
+        t_lut + imax p1 (guard dst g2)
+    | Not g -> guard dst g
+  in
+  i := 0;
+  iter_assignments
+    (fun a ->
+      let dst = dsts.(!i) in
+      incr i;
+      let mux = mux_ps drivers.(dst) in
+      (match a.src with Port p -> add (Ports.id ports p) dst mux | Lit _ -> ());
+      let e = ref !n in
+      let gps = guard dst a.guard + mux in
+      while !e < !n do
+        t_edges.(!e + 2) <- gps;
+        e := !e + 3
+      done)
+    comp;
+  { t_holes; t_drivers = drivers; t_edges }
+
 let build ctx comp =
   let table = Ports.tables ctx in
-  (* Room for every port of every instance; a child's signature ports
-     share the parent's ids, so a few trailing slots stay unused. *)
-  let rec size comp =
-    List.fold_left
-      (fun acc c ->
-        match c.cell_proto with
-        | Comp cname -> (
-            let child = find_component ctx cname in
-            match child.is_extern with Some _ -> acc | None -> acc + size child)
-        | Prim _ -> acc)
-      (Ports.count (table comp)) comp.cells
+  let facts_memo = Hashtbl.create 16 in
+  let facts proto =
+    match Hashtbl.find_opt facts_memo proto with
+    | Some r -> r
+    | None ->
+        let r =
+          match cell_facts ctx proto with
+          | f -> Ok f
+          | exception
+              ((Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
+               as e) ->
+              Error e
+        in
+        Hashtbl.replace facts_memo proto r;
+        r
   in
-  let n = size comp in
-  let g =
-    {
-      names = Array.make n "";
-      edges = Array.make n [];
-      source = Array.make n (-1);
-      setup = Array.make n 0;
-      driven = Array.make n false;
-      present = Array.make n false;
-    }
+  (* Sized from the IR alone: room for every port of every instance (a
+     child's signature ports share the parent's ids, so a few trailing
+     slots stay unused) and for every source, guard atom and arc. *)
+  let infos = Hashtbl.create 8 in
+  let rec info comp =
+    match Hashtbl.find_opt infos comp.comp_name with
+    | Some i -> i
+    | None ->
+        let t = table comp in
+        let assigns = ref 0 and own_edges = ref 0 in
+        iter_assignments
+          (fun a ->
+            incr assigns;
+            own_edges := !own_edges + atom_ports a.src + guard_ports a.guard)
+          comp;
+        let nodes = ref (Ports.count t) and edges = ref !own_edges in
+        let role c =
+          match c.cell_proto with
+          | Comp cname -> (
+              let child = find_component ctx cname in
+              match child.is_extern with
+              | Some _ -> Leaf (facts c.cell_proto)
+              | None ->
+                  let ci = info child in
+                  nodes := !nodes + ci.ci_nodes;
+                  edges := !edges + ci.ci_edges;
+                  Child child)
+          | Prim _ ->
+              let r = facts c.cell_proto in
+              (match r with
+              | Ok f -> edges := !edges + (Array.length f.arcs / 2)
+              | Error _ -> ());
+              Leaf r
+        in
+        let roles = Array.of_list (List.map role comp.cells) in
+        let signature = Hashtbl.create 8 in
+        List.iter
+          (fun (p : port_def) -> Hashtbl.replace signature p.pd_name ())
+          (signature_ports comp);
+        let assigns = !assigns and own_edges = !own_edges in
+        let i =
+          {
+            ci_table = t;
+            ci_signature = Hashtbl.length signature;
+            ci_roles = roles;
+            ci_nodes = !nodes;
+            ci_edges = !edges;
+            ci_template =
+              lazy (template t comp ~assigns ~edges:own_edges);
+          }
+        in
+        Hashtbl.replace infos comp.comp_name i;
+        i
   in
-  let next = ref 0 in
-  let touch v = g.present.(v) <- true in
+  let root = info comp in
+  let n = root.ci_nodes and m = root.ci_edges in
+  let head = Array.make n (-1) in
+  let e_dst = Array.make m 0
+  and e_ps = Array.make m 0
+  and e_lv = Array.make m 0
+  and e_next = Array.make m 0 in
+  let edges = ref 0 in
+  let source = Array.make n (-1) and setup = Array.make n 0 in
+  let driven = Bytes.make n '\000' and present = Bytes.make n '\000' in
+  let touch v = Bytes.unsafe_set present v '\001' in
   let edge src dst ps lv =
     touch src;
     touch dst;
-    g.edges.(src) <- (dst, ps, lv) :: g.edges.(src);
-    g.driven.(dst) <- true
+    let e = !edges in
+    e_dst.(e) <- dst;
+    e_ps.(e) <- ps;
+    e_lv.(e) <- lv;
+    e_next.(e) <- head.(src);
+    head.(src) <- e;
+    edges := e + 1;
+    Bytes.unsafe_set driven dst '\001'
   in
-  (* [outer] maps a child instance's signature ports to the parent's
-     ports of its cell; the root owns its signature ports. *)
+  let instances = ref [] in
+  let next = ref 0 in
+  (* A child's signature port [k] is node [outer + k]: its cell's port in
+     the parent. The root owns its signature ports. *)
   let rec add_instance ~prefix ~outer comp =
-    let ports = table comp in
-    let map =
-      Array.init (Ports.count ports) (fun i ->
-          match (Ports.port ports i, outer) with
-          | This p, Some outer -> outer p
-          | port, _ ->
-              let v = !next in
-              incr next;
-              g.names.(v) <- join prefix (port_name port);
-              v)
-    in
-    let node p = map.(Ports.id ports p) in
+    let ci = info comp in
+    let ports = ci.ci_table in
+    let root = outer = None in
+    let skip = if root then 0 else ci.ci_signature in
+    let base = !next in
+    next := base + Ports.count ports - skip;
+    instances :=
+      { i_base = base; i_skip = skip; i_table = ports; i_prefix = prefix }
+      :: !instances;
+    let own = base - skip and outer = Option.value outer ~default:0 in
+    let node k = if k < skip then outer + k else own + k in
     (* Interface ports of the analysis root launch and capture paths. *)
-    if outer = None then begin
+    if root then begin
       List.iter
         (fun (p : port_def) ->
-          let v = node (This p.pd_name) in
+          let v = node (Ports.id ports (This p.pd_name)) in
           touch v;
-          g.source.(v) <- 0)
+          source.(v) <- 0)
         comp.inputs;
       List.iter
-        (fun (p : port_def) -> touch (node (This p.pd_name)))
+        (fun (p : port_def) -> touch (node (Ports.id ports (This p.pd_name))))
         comp.outputs
     end;
+    let tp = Lazy.force ci.ci_template in
     (* Group go holes are FSM-driven once compiled: they launch paths. *)
-    List.iter
-      (fun grp ->
-        let v = node (Hole (grp.group_name, "go")) in
+    Array.iter
+      (fun k ->
+        let v = node k in
         touch v;
-        g.source.(v) <- t_clk_q)
-      comp.groups;
-    (* Assignments: data rides the destination's mux tree, guard reads
-       additionally pay the guard logic into the mux select. *)
-    let assigns = all_assignments comp in
-    let drivers = Array.make (Ports.count ports) 0 in
-    List.iter
-      (fun a ->
-        let d = Ports.id ports a.dst in
-        drivers.(d) <- drivers.(d) + 1)
-      assigns;
-    (* Each assignment is resolved where it is used, so no resolved copy
-       of the component outlives its edges. *)
-    List.iter
-      (fun a ->
-        let a = Ports.resolve_assignment ports a in
-        let dst = map.(a.dst) in
-        touch dst;
-        g.driven.(dst) <- true;
-        let mux = mux_ps drivers.(a.dst) in
-        (match a.src with Port p -> edge map.(p) dst mux 1 | Lit _ -> ());
-        match a.guard with
-        | True -> ()
-        | guard ->
-            let gps = guard_ps ports guard + mux in
-            List.iter
-              (function Port p -> edge map.(p) dst gps 1 | Lit _ -> ())
-              (guard_atoms guard))
-      assigns;
+        source.(v) <- t_clk_q)
+      tp.t_holes;
+    Array.iteri
+      (fun k d ->
+        if d > 0 then begin
+          let v = node k in
+          touch v;
+          Bytes.unsafe_set driven v '\001'
+        end)
+      tp.t_drivers;
+    let es = tp.t_edges in
+    for e = 0 to (Array.length es / 3) - 1 do
+      edge (node es.(3 * e)) (node es.((3 * e) + 1)) es.((3 * e) + 2) 1
+    done;
     (* Cells: primitives contribute their exact arcs and launch/capture
        points; sub-components are flattened in place. A repeated
        declaration of a cell name is skipped, as in the port table. *)
-    List.iter
-      (fun c ->
-        let pnode p = node (Cell_port (c.cell_name, p)) in
-        match (Ports.find_cell ports c.cell_name, c.cell_proto) with
-        | None, _ -> ()
-        | Some first, _ when first != c -> ()
-        | Some _, Prim (name, params) ->
-            let info = Prims.info name in
-            let cell_ports = info.make_ports params in
-            (* A stateful cell launches at its outputs and captures at its
-               inputs; a constant, having no inputs, launches at its output. *)
-            let clocked = info.kind <> Combinational in
-            let outputs_only =
-              List.for_all (fun (p : Prims.prim_port) -> p.pp_dir = Out) cell_ports
-            in
-            if clocked || outputs_only then
+    List.iteri
+      (fun i c ->
+        let cb = Ports.cell_base ports i in
+        if cb >= 0 then
+          let cell = own + cb in
+          match ci.ci_roles.(i) with
+          | Leaf (Error e) -> raise e
+          | Leaf (Ok f) ->
               List.iter
-                (fun (p : Prims.prim_port) ->
-                  let v = pnode p.pp_name in
+                (fun (k, mark) ->
+                  let v = cell + k in
                   touch v;
-                  match p.pp_dir with
-                  | Out -> g.source.(v) <- (if clocked then t_clk_q else 0)
-                  | In -> g.setup.(v) <- t_setup)
-                cell_ports;
-            let ps, lv = arc_delay info params in
-            List.iter
-              (fun (i, o) -> edge (pnode i) (pnode o) ps lv)
-              (Prims.comb_arcs name params)
-        | Some _, Comp cname -> (
-            let child = find_component ctx cname in
-            match child.is_extern with
-            | Some _ ->
-                (* Black box: its outputs launch, its inputs capture. *)
-                List.iter
-                  (fun (p : port_def) ->
-                    let v = pnode p.pd_name in
-                    touch v;
-                    match p.pd_dir with
-                    | Output -> g.source.(v) <- t_clk_q
-                    | Input -> g.setup.(v) <- t_setup)
-                  (signature_ports child)
-            | None ->
-                add_instance ~prefix:(join prefix c.cell_name)
-                  ~outer:(Some pnode) child))
+                  match mark with
+                  | Launch ps -> source.(v) <- ps
+                  | Capture -> setup.(v) <- t_setup)
+                f.marks;
+              for a = 0 to (Array.length f.arcs / 2) - 1 do
+                edge
+                  (cell + f.arcs.(2 * a))
+                  (cell + f.arcs.((2 * a) + 1))
+                  f.arc_ps f.arc_lv
+              done
+          | Child child ->
+              add_instance ~prefix:(join prefix c.cell_name)
+                ~outer:(Some cell) child)
       comp.cells
   in
   add_instance ~prefix:"" ~outer:None comp;
-  g
+  {
+    instances = Array.of_list (List.rev !instances);
+    head;
+    e_dst;
+    e_ps;
+    e_lv;
+    e_next;
+    edges = !edges;
+    source;
+    setup;
+    driven;
+    present;
+  }
+
+let is_present g v = Bytes.unsafe_get g.present v <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Longest paths                                                       *)
@@ -292,7 +525,7 @@ type longest = {
 }
 
 let longest_paths g =
-  let n = Array.length g.names in
+  let n = Array.length g.head in
   let r =
     {
       ps = Array.make n 0;
@@ -305,22 +538,24 @@ let longest_paths g =
   let rec down v =
     match Bytes.get state v with
     | '\002' -> ()
-    | '\001' -> raise (Combinational_loop g.names.(v))
+    | '\001' -> raise (Combinational_loop (name g v))
     | _ ->
         Bytes.set state v '\001';
         let bps = ref g.setup.(v) and blv = ref 0 and bnext = ref (-1) in
         let deep = ref 0 in
-        List.iter
-          (fun (dst, ps, lv) ->
-            down dst;
-            let cps = ps + r.ps.(dst) and clv = lv + r.lv.(dst) in
-            if cps > !bps || (cps = !bps && clv > !blv) then begin
-              bps := cps;
-              blv := clv;
-              bnext := dst
-            end;
-            deep := imax !deep (lv + r.deep.(dst)))
-          g.edges.(v);
+        let e = ref g.head.(v) in
+        while !e >= 0 do
+          let dst = g.e_dst.(!e) and ps = g.e_ps.(!e) and lv = g.e_lv.(!e) in
+          down dst;
+          let cps = ps + r.ps.(dst) and clv = lv + r.lv.(dst) in
+          if cps > !bps || (cps = !bps && clv > !blv) then begin
+            bps := cps;
+            blv := clv;
+            bnext := dst
+          end;
+          deep := imax !deep (lv + r.deep.(dst));
+          e := g.e_next.(!e)
+        done;
         r.ps.(v) <- !bps;
         r.lv.(v) <- !blv;
         r.next.(v) <- !bnext;
@@ -328,7 +563,7 @@ let longest_paths g =
         Bytes.set state v '\002'
   in
   for v = 0 to n - 1 do
-    if g.present.(v) then down v
+    if is_present g v then down v
   done;
   r
 
@@ -337,68 +572,96 @@ let fmax_of_ps ps = 1e6 /. float_of_int (max ps min_period_ps)
 (* The graph's size for the [timing] span: the nodes the analysis
    mentions and the edges between them. *)
 let graph_size g =
-  let nodes = Array.fold_left (fun n p -> if p then n + 1 else n) 0 g.present in
-  let edges = Array.fold_left (fun n es -> n + List.length es) 0 g.edges in
-  (nodes, edges)
+  let nodes = ref 0 in
+  for v = 0 to Array.length g.head - 1 do
+    if is_present g v then incr nodes
+  done;
+  (!nodes, g.edges)
 
+(* Paths launch at declared sources (register outputs, constants, the
+   root's inputs, go holes) and at any undriven port, sorted by delay,
+   worst first, and on equal delays by (start, end) name. A source with
+   no combinational fanout is not a path: the degenerate single-port
+   candidates count only when nothing else exists. The worst path per
+   distinct endpoint is kept. Names are built only to order the runs of
+   equal delay that the selection reaches, and for the kept paths. *)
 let graph_timing ?(paths = 5) g =
   let r = longest_paths g in
-  let chain v =
-    let rec go v acc =
-      if v < 0 then List.rev acc else go r.next.(v) (v :: acc)
-    in
-    go v []
+  let offset v =
+    if g.source.(v) >= 0 then g.source.(v)
+    else if Bytes.unsafe_get g.driven v <> '\000' then -1
+    else 0
   in
-  (* Paths launch at declared sources (register outputs, constants, the
-     root's inputs, go holes) and at any undriven port. *)
-  let candidates = ref [] in
-  for v = Array.length g.names - 1 downto 0 do
-    if g.present.(v) then
-      let offset =
-        if g.source.(v) >= 0 then g.source.(v)
-        else if g.driven.(v) then -1
-        else 0
-      in
-      if offset >= 0 then candidates := (v, offset) :: !candidates
-  done;
+  let delay v = offset v + r.ps.(v) in
+  let rec last v = if r.next.(v) < 0 then v else last r.next.(v) in
+  let candidates ~real =
+    let acc = ref [] in
+    for v = Array.length g.head - 1 downto 0 do
+      if is_present g v && offset v >= 0 && ((not real) || r.next.(v) >= 0)
+      then acc := v :: !acc
+    done;
+    !acc
+  in
   let candidates =
-    List.map
-      (fun (v, offset) ->
-        let ports = List.map (fun v -> g.names.(v)) (chain v) in
+    match candidates ~real:true with [] -> candidates ~real:false | c -> c
+  in
+  let sorted = Array.of_list candidates in
+  Array.stable_sort (fun a b -> Int.compare (delay b) (delay a)) sorted;
+  let want = max paths 1 in
+  let seen = Bytes.make (Array.length g.head) '\000' in
+  let kept = ref [] and n_kept = ref 0 in
+  let keep v =
+    let e = last v in
+    if Bytes.get seen e = '\000' then begin
+      Bytes.set seen e '\001';
+      kept := v :: !kept;
+      incr n_kept
+    end
+  in
+  let i = ref 0 in
+  while !n_kept < want && !i < Array.length sorted do
+    (* The run of equal delay from [i], less the endpoints already kept:
+       only a run of two or more needs names to be ordered. *)
+    let d = delay sorted.(!i) in
+    let j = ref !i in
+    while !j < Array.length sorted && delay sorted.(!j) = d do
+      incr j
+    done;
+    let run =
+      List.filter
+        (fun v -> Bytes.get seen (last v) = '\000')
+        (Array.to_list (Array.sub sorted !i (!j - !i)))
+    in
+    (match run with
+    | [] -> ()
+    | [ v ] -> keep v
+    | run ->
+        List.map (fun v -> (name g v, name g (last v), v)) run
+        |> List.stable_sort (fun (s1, e1, _) (s2, e2, _) ->
+               match String.compare s1 s2 with
+               | 0 -> String.compare e1 e2
+               | c -> c)
+        |> List.iter (fun (_, _, v) -> if !n_kept < want then keep v));
+    i := !j
+  done;
+  let kept =
+    List.rev_map
+      (fun v ->
+        let rec chain v acc =
+          if v < 0 then List.rev acc else chain r.next.(v) (name g v :: acc)
+        in
+        let ports = chain v [] in
         {
-          p_start = g.names.(v);
+          p_start = List.hd ports;
           p_end = List.nth ports (List.length ports - 1);
-          p_delay_ps = offset + r.ps.(v);
+          p_delay_ps = delay v;
           p_levels = r.lv.(v);
           p_ports = ports;
         })
-      !candidates
-    |> List.sort (fun a b ->
-           match compare b.p_delay_ps a.p_delay_ps with
-           | 0 -> compare (a.p_start, a.p_end) (b.p_start, b.p_end)
-           | c -> c)
+      !kept
   in
-  (* A source with no combinational fanout is not a path; drop the
-     degenerate single-port candidates unless nothing else exists. *)
-  let candidates =
-    let real = List.filter (fun p -> List.length p.p_ports > 1) candidates in
-    if real = [] then candidates else real
-  in
-  (* Keep the worst path per distinct endpoint. *)
-  let seen = Hashtbl.create 16 in
-  let worst =
-    List.filter
-      (fun p ->
-        if Hashtbl.mem seen p.p_end then false
-        else begin
-          Hashtbl.replace seen p.p_end ();
-          true
-        end)
-      candidates
-  in
-  let kept = List.filteri (fun i _ -> i < max paths 1) worst in
-  let levels = Array.fold_left max 0 r.deep in
-  let delay_ps = match worst with [] -> 0 | p :: _ -> p.p_delay_ps in
+  let levels = Array.fold_left imax 0 r.deep in
+  let delay_ps = if Array.length sorted = 0 then 0 else delay sorted.(0) in
   {
     levels;
     critical = (match kept with [] -> [] | p :: _ -> p.p_ports);
@@ -432,11 +695,13 @@ let port_edges ctx comp =
   let g = build ctx comp in
   let acc = ref [] in
   Array.iteri
-    (fun src es ->
-      List.iter
-        (fun (dst, _, _) -> acc := (g.names.(src), g.names.(dst)) :: !acc)
-        es)
-    g.edges;
+    (fun src e ->
+      let e = ref e in
+      while !e >= 0 do
+        acc := (name g src, name g g.e_dst.(!e)) :: !acc;
+        e := g.e_next.(!e)
+      done)
+    g.head;
   List.sort_uniq compare !acc
 
 (* ------------------------------------------------------------------ *)
