@@ -116,7 +116,7 @@ type graph = {
   head : int array;  (* a node's most recent edge; -1 when none *)
   e_dst : int array;
   e_ps : int array;
-  e_lv : int array;
+  e_lv : Bytes.t;  (* logic levels, at most 3 *)
   e_next : int array;  (* the same source's previous edge; -1 at the end *)
   edges : int;
   source : int array;  (* launch offset (clock-to-Q); -1 when none *)
@@ -212,10 +212,12 @@ let cell_facts ctx = function
    assignments), or a sub-component to flatten in place. *)
 type role = Leaf of (cell_facts, exn) result | Child of component
 
-(* One component's share of the graph in its port table's ids, resolved
-   at its first instance and copied into every instance: its go holes,
-   each port's number of drivers, and its assignment edges as (src, dst,
-   ps) triples of one logic level each, in the order they are added. *)
+(* A child component's share of the graph in its port table's ids,
+   resolved at its first instance and copied into every instance: its go
+   holes, each port's number of drivers, and its assignment edges as
+   (src, dst, ps) triples of one logic level each, in the order they are
+   added. The analysis root, instantiated once, adds its edges as it
+   resolves them. *)
 type template = {
   t_holes : int array;
   t_drivers : int array;
@@ -230,6 +232,7 @@ type comp_info = {
   ci_table : Ports.t;
   ci_signature : int;
   ci_roles : role array;  (* in [cells] order *)
+  ci_assigns : int;
   ci_nodes : int;
   ci_edges : int;
   ci_template : template Lazy.t;
@@ -249,16 +252,17 @@ let iter_assignments f comp =
   List.iter f comp.continuous;
   List.iter (fun grp -> List.iter f grp.assigns) comp.groups
 
-(* Each port occurrence of [comp] is resolved once: the go holes, then
-   every destination, as in the other back ends, then each assignment's
-   source and guard atoms left to right, in the walk that adds their
-   edges. [assigns] and [edges] count its assignments and their port
-   sources and guard atoms. Data rides the destination's mux tree; guard
-   reads additionally pay the guard logic into the mux select: atoms pay
-   an OR-reduction to one bit, comparisons their operator, each
-   connective a LUT level (negation folds into the LUT). *)
-let template ports comp ~assigns ~edges =
-  let t_holes =
+(* Each port occurrence of [comp] is resolved once, in [ports]' ids: the
+   go holes, then every destination, as in the other back ends, then each
+   assignment's source and guard atoms left to right. [add src dst ps]
+   receives each assignment edge, of one logic level, in the order the
+   edges are added. Data rides the destination's mux tree; guard reads
+   additionally pay the guard logic into the mux select: atoms pay an
+   OR-reduction to one bit, comparisons their operator, each connective
+   a LUT level (negation folds into the LUT). Returns the go holes and
+   each port's number of drivers. *)
+let resolve ports comp ~assigns add =
+  let holes =
     Array.of_list
       (List.map (fun grp -> Ports.id ports (Hole (grp.group_name, "go"))) comp.groups)
   in
@@ -272,33 +276,33 @@ let template ports comp ~assigns ~edges =
       drivers.(d) <- drivers.(d) + 1;
       incr i)
     comp;
-  let t_edges = Array.make (3 * edges) 0 and n = ref 0 in
-  let add src dst ps =
-    t_edges.(!n) <- src;
-    t_edges.(!n + 1) <- dst;
-    t_edges.(!n + 2) <- ps;
-    n := !n + 3
-  in
-  (* A guard atom's edge is added as it is resolved; its delay, the whole
-     guard's, is filled in after the walk. *)
-  let atom dst = function
+  (* The current guard's atoms: their edges wait for the whole guard's
+     delay. *)
+  let atoms = ref (Array.make 8 0) and n_atoms = ref 0 in
+  let atom = function
     | Port p ->
         let k = Ports.id ports p in
-        add k dst 0;
+        if !n_atoms = Array.length !atoms then begin
+          let grown = Array.make (2 * !n_atoms) 0 in
+          Array.blit !atoms 0 grown 0 !n_atoms;
+          atoms := grown
+        end;
+        !atoms.(!n_atoms) <- k;
+        incr n_atoms;
         Ports.width_of_id ports k
     | Lit v -> Bitvec.width v
   in
-  let rec guard dst = function
+  let rec guard = function
     | True -> 0
-    | Atom a -> reduce_ps (atom dst a)
+    | Atom a -> reduce_ps (atom a)
     | Cmp (op, a, b) ->
-        let wa = atom dst a in
-        let w = imax wa (atom dst b) in
+        let wa = atom a in
+        let w = imax wa (atom b) in
         (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
     | And (g1, g2) | Or (g1, g2) ->
-        let p1 = guard dst g1 in
-        t_lut + imax p1 (guard dst g2)
-    | Not g -> guard dst g
+        let p1 = guard g1 in
+        t_lut + imax p1 (guard g2)
+    | Not g -> guard g
   in
   i := 0;
   iter_assignments
@@ -307,14 +311,27 @@ let template ports comp ~assigns ~edges =
       incr i;
       let mux = mux_ps drivers.(dst) in
       (match a.src with Port p -> add (Ports.id ports p) dst mux | Lit _ -> ());
-      let e = ref !n in
-      let gps = guard dst a.guard + mux in
-      while !e < !n do
-        t_edges.(!e + 2) <- gps;
-        e := !e + 3
+      n_atoms := 0;
+      let gps = guard a.guard + mux in
+      for k = 0 to !n_atoms - 1 do
+        add !atoms.(k) dst gps
       done)
     comp;
-  { t_holes; t_drivers = drivers; t_edges }
+  (holes, drivers)
+
+(* [resolve]'s output kept as (src, dst, ps) triples, for a component
+   that is instantiated below the analysis root, perhaps many times.
+   [edges] counts its assignments' port sources and guard atoms. *)
+let template ports comp ~assigns ~edges =
+  let t_edges = Array.make (3 * edges) 0 and n = ref 0 in
+  let t_holes, t_drivers =
+    resolve ports comp ~assigns (fun src dst ps ->
+        t_edges.(!n) <- src;
+        t_edges.(!n + 1) <- dst;
+        t_edges.(!n + 2) <- ps;
+        n := !n + 3)
+  in
+  { t_holes; t_drivers; t_edges }
 
 let build ctx comp =
   let table = Ports.tables ctx in
@@ -379,6 +396,7 @@ let build ctx comp =
             ci_table = t;
             ci_signature = Hashtbl.length signature;
             ci_roles = roles;
+            ci_assigns = assigns;
             ci_nodes = !nodes;
             ci_edges = !edges;
             ci_template =
@@ -393,7 +411,7 @@ let build ctx comp =
   let head = Array.make n (-1) in
   let e_dst = Array.make m 0
   and e_ps = Array.make m 0
-  and e_lv = Array.make m 0
+  and e_lv = Bytes.make m '\000'
   and e_next = Array.make m 0 in
   let edges = ref 0 in
   let source = Array.make n (-1) and setup = Array.make n 0 in
@@ -405,7 +423,7 @@ let build ctx comp =
     let e = !edges in
     e_dst.(e) <- dst;
     e_ps.(e) <- ps;
-    e_lv.(e) <- lv;
+    Bytes.unsafe_set e_lv e (Char.chr lv);
     e_next.(e) <- head.(src);
     head.(src) <- e;
     edges := e + 1;
@@ -439,14 +457,26 @@ let build ctx comp =
         (fun (p : port_def) -> touch (node (Ports.id ports (This p.pd_name))))
         comp.outputs
     end;
-    let tp = Lazy.force ci.ci_template in
+    let holes, drivers =
+      if root then
+        resolve ports comp ~assigns:ci.ci_assigns (fun src dst ps ->
+            edge (node src) (node dst) ps 1)
+      else begin
+        let tp = Lazy.force ci.ci_template in
+        let es = tp.t_edges in
+        for e = 0 to (Array.length es / 3) - 1 do
+          edge (node es.(3 * e)) (node es.((3 * e) + 1)) es.((3 * e) + 2) 1
+        done;
+        (tp.t_holes, tp.t_drivers)
+      end
+    in
     (* Group go holes are FSM-driven once compiled: they launch paths. *)
     Array.iter
       (fun k ->
         let v = node k in
         touch v;
         source.(v) <- t_clk_q)
-      tp.t_holes;
+      holes;
     Array.iteri
       (fun k d ->
         if d > 0 then begin
@@ -454,11 +484,7 @@ let build ctx comp =
           touch v;
           Bytes.unsafe_set driven v '\001'
         end)
-      tp.t_drivers;
-    let es = tp.t_edges in
-    for e = 0 to (Array.length es / 3) - 1 do
-      edge (node es.(3 * e)) (node es.((3 * e) + 1)) es.((3 * e) + 2) 1
-    done;
+      drivers;
     (* Cells: primitives contribute their exact arcs and launch/capture
        points; sub-components are flattened in place. A repeated
        declaration of a cell name is skipped, as in the port table. *)
@@ -545,7 +571,8 @@ let longest_paths g =
         let deep = ref 0 in
         let e = ref g.head.(v) in
         while !e >= 0 do
-          let dst = g.e_dst.(!e) and ps = g.e_ps.(!e) and lv = g.e_lv.(!e) in
+          let dst = g.e_dst.(!e) and ps = g.e_ps.(!e) in
+          let lv = Char.code (Bytes.unsafe_get g.e_lv !e) in
           down dst;
           let cps = ps + r.ps.(dst) and clv = lv + r.lv.(dst) in
           if cps > !bps || (cps = !bps && clv > !blv) then begin
