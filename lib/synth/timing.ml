@@ -96,9 +96,9 @@ let arc_delay (info : Prims.info) params =
 (* Nodes are ints: every instance of the flattened hierarchy owns a range
    of ids, one per port of its component's port table, except that a
    child's signature ports are the parent's ports of that cell, so
-   hierarchical binding is the id map. A node is [present] when the
-   analysis mentions it (a launch or capture point, an edge end, an
-   assigned port); only present nodes launch paths.
+   hierarchical binding is the id map. A node is present ([f_present])
+   when the analysis mentions it (a launch or capture point, an edge
+   end, an assigned port); only present nodes launch paths.
 
    Edges are flat int arrays, sized from the IR before anything is
    resolved: each node's edges form a list threaded through [e_next],
@@ -120,10 +120,13 @@ type graph = {
   e_next : int array;  (* the same source's previous edge; -1 at the end *)
   edges : int;
   source : int array;  (* launch offset (clock-to-Q); -1 when none *)
-  setup : int array;  (* capture cost when a path ends here *)
-  driven : Bytes.t;  (* '\001' when assigned or an edge ends here *)
-  present : Bytes.t;
+  flags : Bytes.t;  (* per node, the [f_] bits below *)
 }
+
+let f_present = 1 (* the analysis mentions the node *)
+let f_driven = 2 (* assigned, or an edge ends here *)
+let f_capture = 4 (* a path that ends here pays the setup time *)
+let has g v f = Char.code (Bytes.unsafe_get g.flags v) land f <> 0
 
 let join prefix name = if prefix = "" then name else prefix ^ "." ^ name
 
@@ -145,7 +148,7 @@ let name g v =
 type mark = Launch of int (* clock-to-Q *) | Capture
 
 type cell_facts = {
-  marks : (int * mark) list;
+  marks : (int * mark) array;
   arcs : int array;  (* (input, output) offset pairs, in arc order *)
   arc_ps : int;
   arc_lv : int;
@@ -174,14 +177,15 @@ let cell_facts ctx = function
       in
       let marks =
         if clocked || outputs_only then
-          List.map
-            (fun (p : Prims.prim_port) ->
-              ( offset p.pp_name,
-                match p.pp_dir with
-                | Out -> Launch (if clocked then t_clk_q else 0)
-                | In -> Capture ))
-            ports
-        else []
+          Array.of_list
+            (List.map
+               (fun (p : Prims.prim_port) ->
+                 ( offset p.pp_name,
+                   match p.pp_dir with
+                   | Out -> Launch (if clocked then t_clk_q else 0)
+                   | In -> Capture ))
+               ports)
+        else [||]
       in
       let arc_ps, arc_lv = arc_delay info params in
       let arcs =
@@ -197,11 +201,12 @@ let cell_facts ctx = function
       let offset = offsets (List.map (fun (p : port_def) -> p.pd_name) ports) in
       {
         marks =
-          List.map
-            (fun (p : port_def) ->
-              ( offset p.pd_name,
-                match p.pd_dir with Output -> Launch t_clk_q | Input -> Capture ))
-            ports;
+          Array.of_list
+            (List.map
+               (fun (p : port_def) ->
+                 ( offset p.pd_name,
+                   match p.pd_dir with Output -> Launch t_clk_q | Input -> Capture ))
+               ports);
         arcs = [||];
         arc_ps = 0;
         arc_lv = 0;
@@ -335,20 +340,20 @@ let template ports comp ~assigns ~edges =
 
 let build ctx comp =
   let table = Ports.tables ctx in
-  let facts_memo = Hashtbl.create 16 in
-  let facts proto =
-    match Hashtbl.find_opt facts_memo proto with
+  let leaves = Hashtbl.create 16 in
+  let leaf proto =
+    match Hashtbl.find_opt leaves proto with
     | Some r -> r
     | None ->
         let r =
           match cell_facts ctx proto with
-          | f -> Ok f
+          | f -> Leaf (Ok f)
           | exception
               ((Ir_error _ | Prims.Unknown_primitive _ | Invalid_argument _)
                as e) ->
-              Error e
+              Leaf (Error e)
         in
-        Hashtbl.replace facts_memo proto r;
+        Hashtbl.replace leaves proto r;
         r
   in
   (* Sized from the IR alone: room for every port of every instance (a
@@ -372,18 +377,18 @@ let build ctx comp =
           | Comp cname -> (
               let child = find_component ctx cname in
               match child.is_extern with
-              | Some _ -> Leaf (facts c.cell_proto)
+              | Some _ -> leaf c.cell_proto
               | None ->
                   let ci = info child in
                   nodes := !nodes + ci.ci_nodes;
                   edges := !edges + ci.ci_edges;
                   Child child)
           | Prim _ ->
-              let r = facts c.cell_proto in
+              let r = leaf c.cell_proto in
               (match r with
-              | Ok f -> edges := !edges + (Array.length f.arcs / 2)
-              | Error _ -> ());
-              Leaf r
+              | Leaf (Ok f) -> edges := !edges + (Array.length f.arcs / 2)
+              | Leaf (Error _) | Child _ -> ());
+              r
         in
         let roles = Array.of_list (List.map role comp.cells) in
         let signature = Hashtbl.create 8 in
@@ -414,9 +419,12 @@ let build ctx comp =
   and e_lv = Bytes.make m '\000'
   and e_next = Array.make m 0 in
   let edges = ref 0 in
-  let source = Array.make n (-1) and setup = Array.make n 0 in
-  let driven = Bytes.make n '\000' and present = Bytes.make n '\000' in
-  let touch v = Bytes.unsafe_set present v '\001' in
+  let source = Array.make n (-1) and flags = Bytes.make n '\000' in
+  let set_flag v f =
+    Bytes.unsafe_set flags v
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get flags v) lor f))
+  in
+  let touch v = set_flag v f_present in
   let edge src dst ps lv =
     touch src;
     touch dst;
@@ -427,7 +435,7 @@ let build ctx comp =
     e_next.(e) <- head.(src);
     head.(src) <- e;
     edges := e + 1;
-    Bytes.unsafe_set driven dst '\001'
+    set_flag dst f_driven
   in
   let instances = ref [] in
   let next = ref 0 in
@@ -478,12 +486,7 @@ let build ctx comp =
         source.(v) <- t_clk_q)
       holes;
     Array.iteri
-      (fun k d ->
-        if d > 0 then begin
-          let v = node k in
-          touch v;
-          Bytes.unsafe_set driven v '\001'
-        end)
+      (fun k d -> if d > 0 then set_flag (node k) (f_present lor f_driven))
       drivers;
     (* Cells: primitives contribute their exact arcs and launch/capture
        points; sub-components are flattened in place. A repeated
@@ -496,14 +499,14 @@ let build ctx comp =
           match ci.ci_roles.(i) with
           | Leaf (Error e) -> raise e
           | Leaf (Ok f) ->
-              List.iter
-                (fun (k, mark) ->
-                  let v = cell + k in
-                  touch v;
-                  match mark with
-                  | Launch ps -> source.(v) <- ps
-                  | Capture -> setup.(v) <- t_setup)
-                f.marks;
+              for j = 0 to Array.length f.marks - 1 do
+                let k, mark = f.marks.(j) in
+                let v = cell + k in
+                touch v;
+                match mark with
+                | Launch ps -> source.(v) <- ps
+                | Capture -> set_flag v f_capture
+              done;
               for a = 0 to (Array.length f.arcs / 2) - 1 do
                 edge
                   (cell + f.arcs.(2 * a))
@@ -525,12 +528,9 @@ let build ctx comp =
     e_next;
     edges = !edges;
     source;
-    setup;
-    driven;
-    present;
+    flags;
   }
 
-let is_present g v = Bytes.unsafe_get g.present v <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Longest paths                                                       *)
@@ -567,7 +567,8 @@ let longest_paths g =
     | '\001' -> raise (Combinational_loop (name g v))
     | _ ->
         Bytes.set state v '\001';
-        let bps = ref g.setup.(v) and blv = ref 0 and bnext = ref (-1) in
+        let bps = ref (if has g v f_capture then t_setup else 0) in
+        let blv = ref 0 and bnext = ref (-1) in
         let deep = ref 0 in
         let e = ref g.head.(v) in
         while !e >= 0 do
@@ -590,7 +591,7 @@ let longest_paths g =
         Bytes.set state v '\002'
   in
   for v = 0 to n - 1 do
-    if is_present g v then down v
+    if has g v f_present then down v
   done;
   r
 
@@ -601,7 +602,7 @@ let fmax_of_ps ps = 1e6 /. float_of_int (max ps min_period_ps)
 let graph_size g =
   let nodes = ref 0 in
   for v = 0 to Array.length g.head - 1 do
-    if is_present g v then incr nodes
+    if has g v f_present then incr nodes
   done;
   (!nodes, g.edges)
 
@@ -616,7 +617,7 @@ let graph_timing ?(paths = 5) g =
   let r = longest_paths g in
   let offset v =
     if g.source.(v) >= 0 then g.source.(v)
-    else if Bytes.unsafe_get g.driven v <> '\000' then -1
+    else if has g v f_driven then -1
     else 0
   in
   let delay v = offset v + r.ps.(v) in
@@ -624,7 +625,7 @@ let graph_timing ?(paths = 5) g =
   let candidates ~real =
     let acc = ref [] in
     for v = Array.length g.head - 1 downto 0 do
-      if is_present g v && offset v >= 0 && ((not real) || r.next.(v) >= 0)
+      if has g v f_present && offset v >= 0 && ((not real) || r.next.(v) >= 0)
       then acc := v :: !acc
     done;
     !acc

@@ -172,7 +172,28 @@ let ports_disagreement ctx =
             if Ports.id t p <> i || Ports.width_of_id t i <> w
                || Ports.direction_of_id t i <> d
             then fail "%s: id, width or direction of %a" name pp_port_ref p)
-          numbering)
+          numbering;
+        (* A cell's base is its first port's id; a repeated name has none. *)
+        List.iteri
+          (fun i c ->
+            let first =
+              List.find (fun c' -> String.equal c'.cell_name c.cell_name) comp.cells
+            in
+            let want =
+              if first != c then Some (-1)
+              else
+                List.find_index
+                  (function
+                    | Cell_port (c', _), _, _ -> String.equal c' c.cell_name
+                    | _ -> false)
+                  numbering
+            in
+            match want with
+            | Some w when w <> Ports.cell_base t i ->
+                fail "%s: cell %s (#%d) has base %d, reference %d" name
+                  c.cell_name i (Ports.cell_base t i) w
+            | Some _ | None -> ())
+          comp.cells)
       ctx.components;
     None
   with Differ m -> Some m
