@@ -119,13 +119,14 @@ type graph = {
   e_lv : Bytes.t;  (* logic levels, at most 3 *)
   e_next : int array;  (* the same source's previous edge; -1 at the end *)
   edges : int;
-  source : int array;  (* launch offset (clock-to-Q); -1 when none *)
   flags : Bytes.t;  (* per node, the [f_] bits below *)
 }
 
 let f_present = 1 (* the analysis mentions the node *)
 let f_driven = 2 (* assigned, or an edge ends here *)
 let f_capture = 4 (* a path that ends here pays the setup time *)
+let f_launch = 8 (* a declared path source *)
+let f_clocked = 16 (* with [f_launch]: launches after clock-to-Q *)
 let has g v f = Char.code (Bytes.unsafe_get g.flags v) land f <> 0
 
 let join prefix name = if prefix = "" then name else prefix ^ "." ^ name
@@ -145,7 +146,7 @@ let name g v =
 (* What a primitive or black-box cell adds to the graph, as offsets from
    its base id: its launch and capture points and its arcs, which all
    cost [arc_ps] and [arc_lv]. *)
-type mark = Launch of int (* clock-to-Q *) | Capture
+type mark = Launch of bool (* after clock-to-Q *) | Capture
 
 type cell_facts = {
   marks : (int * mark) array;
@@ -182,7 +183,7 @@ let cell_facts ctx = function
                (fun (p : Prims.prim_port) ->
                  ( offset p.pp_name,
                    match p.pp_dir with
-                   | Out -> Launch (if clocked then t_clk_q else 0)
+                   | Out -> Launch clocked
                    | In -> Capture ))
                ports)
         else [||]
@@ -205,7 +206,7 @@ let cell_facts ctx = function
             (List.map
                (fun (p : port_def) ->
                  ( offset p.pd_name,
-                   match p.pd_dir with Output -> Launch t_clk_q | Input -> Capture ))
+                   match p.pd_dir with Output -> Launch true | Input -> Capture ))
                ports);
         arcs = [||];
         arc_ps = 0;
@@ -301,7 +302,7 @@ let resolve ports comp ~assigns add =
     | True -> 0
     | Atom a -> reduce_ps (atom a)
     | Cmp (op, a, b) ->
-        let wa = atom a in
+        let wa = atom a (* first: atoms resolve left to right *) in
         let w = imax wa (atom b) in
         (match op with Eq | Neq -> eq_ps w | Lt | Gt | Le | Ge -> adder_ps w)
     | And (g1, g2) | Or (g1, g2) ->
@@ -419,12 +420,17 @@ let build ctx comp =
   and e_lv = Bytes.make m '\000'
   and e_next = Array.make m 0 in
   let edges = ref 0 in
-  let source = Array.make n (-1) and flags = Bytes.make n '\000' in
-  let set_flag v f =
-    Bytes.unsafe_set flags v
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get flags v) lor f))
-  in
+  let flags = Bytes.make n '\000' in
+  let get v = Char.code (Bytes.unsafe_get flags v) in
+  let put v f = Bytes.unsafe_set flags v (Char.unsafe_chr f) in
+  let set_flag v f = put v (get v lor f) in
   let touch v = set_flag v f_present in
+  (* A later launch mark replaces an earlier one. *)
+  let launch v ~clocked =
+    put v
+      (get v land lnot f_clocked lor f_present lor f_launch
+      lor if clocked then f_clocked else 0)
+  in
   let edge src dst ps lv =
     touch src;
     touch dst;
@@ -457,9 +463,7 @@ let build ctx comp =
     if root then begin
       List.iter
         (fun (p : port_def) ->
-          let v = node (Ports.id ports (This p.pd_name)) in
-          touch v;
-          source.(v) <- 0)
+          launch (node (Ports.id ports (This p.pd_name))) ~clocked:false)
         comp.inputs;
       List.iter
         (fun (p : port_def) -> touch (node (Ports.id ports (This p.pd_name))))
@@ -479,12 +483,7 @@ let build ctx comp =
       end
     in
     (* Group go holes are FSM-driven once compiled: they launch paths. *)
-    Array.iter
-      (fun k ->
-        let v = node k in
-        touch v;
-        source.(v) <- t_clk_q)
-      holes;
+    Array.iter (fun k -> launch (node k) ~clocked:true) holes;
     Array.iteri
       (fun k d -> if d > 0 then set_flag (node k) (f_present lor f_driven))
       drivers;
@@ -501,11 +500,9 @@ let build ctx comp =
           | Leaf (Ok f) ->
               for j = 0 to Array.length f.marks - 1 do
                 let k, mark = f.marks.(j) in
-                let v = cell + k in
-                touch v;
                 match mark with
-                | Launch ps -> source.(v) <- ps
-                | Capture -> set_flag v f_capture
+                | Launch clocked -> launch (cell + k) ~clocked
+                | Capture -> set_flag (cell + k) (f_present lor f_capture)
               done;
               for a = 0 to (Array.length f.arcs / 2) - 1 do
                 edge
@@ -527,10 +524,8 @@ let build ctx comp =
     e_lv;
     e_next;
     edges = !edges;
-    source;
     flags;
   }
-
 
 (* ------------------------------------------------------------------ *)
 (* Longest paths                                                       *)
@@ -568,14 +563,13 @@ let longest_paths g =
     | _ ->
         Bytes.set state v '\001';
         let bps = ref (if has g v f_capture then t_setup else 0) in
-        let blv = ref 0 and bnext = ref (-1) in
-        let deep = ref 0 in
+        let blv = ref 0 and bnext = ref (-1) and deep = ref 0 in
         let e = ref g.head.(v) in
         while !e >= 0 do
-          let dst = g.e_dst.(!e) and ps = g.e_ps.(!e) in
+          let dst = g.e_dst.(!e) in
           let lv = Char.code (Bytes.unsafe_get g.e_lv !e) in
           down dst;
-          let cps = ps + r.ps.(dst) and clv = lv + r.lv.(dst) in
+          let cps = g.e_ps.(!e) + r.ps.(dst) and clv = lv + r.lv.(dst) in
           if cps > !bps || (cps = !bps && clv > !blv) then begin
             bps := cps;
             blv := clv;
@@ -616,7 +610,7 @@ let graph_size g =
 let graph_timing ?(paths = 5) g =
   let r = longest_paths g in
   let offset v =
-    if g.source.(v) >= 0 then g.source.(v)
+    if has g v f_launch then (if has g v f_clocked then t_clk_q else 0)
     else if has g v f_driven then -1
     else 0
   in
