@@ -125,6 +125,11 @@ let update_component ctx comp =
 
 (* Ports *)
 
+let cell_kind c =
+  match c.cell_proto with
+  | Prim (name, _) -> Option.map (fun (i : Prims.info) -> i.kind) (Prims.find name)
+  | Comp _ -> None
+
 let cell_ports ctx proto =
   match proto with
   | Prim (name, params) ->

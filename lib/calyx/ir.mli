@@ -154,6 +154,10 @@ val update_component : context -> component -> context
 
 (** {1 Ports} *)
 
+val cell_kind : cell -> Prims.kind option
+(** What a primitive cell is ({!Prims.info}'s [kind]); [None] for a
+    component instance or an unknown primitive. *)
+
 val cell_ports : context -> prototype -> (string * int * direction) list
 (** All ports of a prototype as [(name, width, direction)]. *)
 

@@ -18,13 +18,7 @@ type sets = { reads : S.t; must_writes : S.t; touched : S.t }
 let analyze ~id:reg_id comp =
   let registers =
     List.filter_map
-      (fun c ->
-        match c.cell_proto with
-        | Prim (name, _) -> (
-            match Prims.find name with
-            | Some { kind = Register; _ } -> Some c.cell_name
-            | Some _ | None -> None)
-        | Comp _ -> None)
+      (fun c -> if cell_kind c = Some Register then Some c.cell_name else None)
       comp.cells
   in
   let id = Name_tbl.create 64 in

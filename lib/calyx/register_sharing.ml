@@ -11,10 +11,8 @@ let color comp =
   let cells = cell_index comp in
   let cls name =
     match Hashtbl.find_opt cells name with
-    | Some { cell_proto = Prim (prim, [ w ]); _ }
-      when match Prims.find prim with
-           | Some { kind = Register; _ } -> true
-           | Some _ | None -> false ->
+    | Some ({ cell_proto = Prim (_, [ w ]); _ } as c)
+      when cell_kind c = Some Register ->
         string_of_int w
     | _ -> ir_error "register-sharing: %s is not a register" name
   in

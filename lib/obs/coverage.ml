@@ -7,15 +7,7 @@ module Json = Calyx_telemetry.Json
 (* ------------------------------------------------------------------ *)
 
 let is_fsm_cell (c : Ir.cell) =
-  let register =
-    match c.Ir.cell_proto with
-    | Ir.Prim (name, _) -> (
-        match Prims.find name with
-        | Some { kind = Register; _ } -> true
-        | Some _ | None -> false)
-    | Ir.Comp _ -> false
-  in
-  register
+  Ir.cell_kind c = Some Prims.Register
   && Attrs.get "generated" ~default:0 c.Ir.cell_attrs <> 0
   && String.length c.Ir.cell_name >= 3
   && String.sub c.Ir.cell_name 0 3 = "fsm"
