@@ -412,8 +412,8 @@ let build ctx comp =
         Hashtbl.replace infos comp.comp_name i;
         i
   in
-  let root = info comp in
-  let n = root.ci_nodes and m = root.ci_edges in
+  let top = info comp in
+  let n = top.ci_nodes and m = top.ci_edges in
   let head = Array.make n (-1) in
   let e_dst = Array.make m 0
   and e_ps = Array.make m 0
@@ -450,8 +450,8 @@ let build ctx comp =
   let rec add_instance ~prefix ~outer comp =
     let ci = info comp in
     let ports = ci.ci_table in
-    let root = outer = None in
-    let skip = if root then 0 else ci.ci_signature in
+    let at_root = outer = None in
+    let skip = if at_root then 0 else ci.ci_signature in
     let base = !next in
     next := base + Ports.count ports - skip;
     instances :=
@@ -460,7 +460,7 @@ let build ctx comp =
     let own = base - skip and outer = Option.value outer ~default:0 in
     let node k = if k < skip then outer + k else own + k in
     (* Interface ports of the analysis root launch and capture paths. *)
-    if root then begin
+    if at_root then begin
       List.iter
         (fun (p : port_def) ->
           launch (node (Ports.id ports (This p.pd_name))) ~clocked:false)
@@ -470,7 +470,7 @@ let build ctx comp =
         comp.outputs
     end;
     let holes, drivers =
-      if root then
+      if at_root then
         resolve ports comp ~assigns:ci.ci_assigns (fun src dst ps ->
             edge (node src) (node dst) ps 1)
       else begin
