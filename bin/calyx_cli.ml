@@ -7,7 +7,7 @@
      interp     run a structured program with the reference interpreter
      sim        compile a program and run the flat simulator
      profile    merged compile + runtime report (pass stats, group cycles)
-     cover      coverage analysis, span traces, par critical-path report
+     cover      coverage analysis, par critical-path report
      systolic   generate (and optionally run and check) a systolic array
      farm       the corpus runner: batch compile/sim/validate/engine-
                 differential jobs (files, PolyBench, systolic, fuzz)
@@ -193,13 +193,6 @@ let trace_term =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE" ~doc:"Write a VCD waveform trace to $(docv).")
 
-let spans_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spans" ] ~docv:"FILE"
-        ~doc:"Write a Chrome trace_event span trace to $(docv) (load it at ui.perfetto.dev).")
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -228,7 +221,7 @@ let telemetry_term =
       value
       & opt (some string) None
       & info [ "trace-pipeline" ] ~docv:"FILE"
-          ~doc:"Write a Chrome trace_event JSON of the toolchain's own spans (parse, check, each pass, sim, emit, timing) to $(docv); load it at ui.perfetto.dev.")
+          ~doc:"Write a Chrome trace_event JSON to $(docv): the toolchain's own spans (parse, check, each pass, sim, emit, timing) in wall time, then the design spans of each simulation the command runs (control statements, or generated fsm register values) in cycles. Load it at ui.perfetto.dev.")
   in
   let log =
     Arg.(
@@ -248,16 +241,34 @@ let telemetry_term =
   let make t_manifest t_chrome t_log = { t_manifest; t_chrome; t_log } in
   Term.(const make $ manifest $ chrome $ log)
 
+(* The design spans of each simulation the command runs, in reverse,
+   while a --trace-pipeline file is asked for; [None] otherwise. *)
+let design_spans : Calyx_obs.Spans.t list option ref = ref None
+
+let trace_design sp =
+  Option.iter (fun l -> design_spans := Some (sp :: l)) !design_spans
+
+(* Build a simulator; under --trace-pipeline its design spans go into
+   the trace. *)
+let simulator ?engine ctx =
+  let sim = Calyx_sim.Sim.create ?engine ctx in
+  if !design_spans <> None then trace_design (Calyx_obs.Spans.create ctx sim);
+  sim
+
 (* Enable telemetry when any sink was requested, stamp the run context
    with the input's content hash, run the command, and write the
    requested outputs even when the command fails partway (manifests
-   stream line-by-line regardless). *)
+   stream line-by-line regardless; open design spans close at the last
+   simulated cycle, so a timed-out run's trace stays loadable). *)
 let with_telemetry ?source tele f =
   Option.iter Tele.Log.set_level tele.t_log;
   if tele.t_manifest = None && tele.t_chrome = None then f ()
   else begin
     Tele.Runtime.enable ();
-    if tele.t_chrome <> None then Tele.Trace.set_keep true;
+    if tele.t_chrome <> None then begin
+      Tele.Trace.set_keep true;
+      design_spans := Some []
+    end;
     let writer = Option.map Tele.Manifest.open_file tele.t_manifest in
     Option.iter Tele.Manifest.install writer;
     (match source with
@@ -270,7 +281,12 @@ let with_telemetry ?source tele f =
     | _ -> ());
     let finalize () =
       Option.iter
-        (fun p -> write_file p (Tele.Trace.to_chrome ()))
+        (fun p ->
+          let sims = List.rev (Option.value !design_spans ~default:[]) in
+          write_file p
+            (Tele.Trace.to_chrome
+               ~design:(List.concat_map Calyx_obs.Spans.events sims)
+               ()))
         tele.t_chrome;
       Option.iter
         (fun w ->
@@ -282,14 +298,6 @@ let with_telemetry ?source tele f =
     in
     Fun.protect ~finally:finalize f
   end
-
-(* Run [f], then write the --spans trace, also when [f] raises (e.g.
-   Timeout): partial traces stay loadable. *)
-let with_spans sp f =
-  Fun.protect f ~finally:(fun () ->
-      Option.iter
-        (fun (path, sp) -> write_file path (Calyx_obs.Spans.to_chrome sp))
-        sp)
 
 (* The one frontend dispatch, by suffix: .dahlia/.fuse sources go through
    the Dahlia frontend, everything else parses as Calyx. *)
@@ -386,53 +394,38 @@ let compile_cmd =
           $ telemetry_term)
 
 let interp_cmd =
-  let run file mems spans engine tele =
+  let run file mems engine tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
         let _, runnable = parse_structured file in
-        let sim = Calyx_sim.Sim.create ?engine runnable in
-        let sp =
-          Option.map
-            (fun path -> (path, Calyx_obs.Spans.create runnable sim))
-            spans
-        in
+        let sim = simulator ?engine runnable in
         load_mems (Calyx_sim.Testbench.of_sim sim) mems;
-        with_spans sp (fun () ->
-            let cycles = Calyx_sim.Sim.run sim in
-            Printf.printf "cycles: %d\n" cycles;
-            dump_externals sim))
+        let cycles = Calyx_sim.Sim.run sim in
+        Printf.printf "cycles: %d\n" cycles;
+        dump_externals sim)
   in
   Cmd.v
     (Cmd.info "interp" ~doc:"Execute a structured Calyx (or Dahlia) program with the reference interpreter.")
-    Term.(const run $ file_arg $ mems_term $ spans_term $ engine_term
-          $ telemetry_term)
+    Term.(const run $ file_arg $ mems_term $ engine_term $ telemetry_term)
 
 let sim_cmd =
-  let run file config mems trace profile spans engine tele =
+  let run file config mems trace profile engine tele =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
         let ctx = parse_source file in
         let lowered = Calyx.Pipelines.compile ~config ctx in
-        let sim = Calyx_sim.Sim.create ?engine lowered in
-        (* A compiled program has no control tree; derive spans from the
-           value runs of its generated fsm schedule registers instead. *)
-        let sp =
-          Option.map
-            (fun path -> (path, Calyx_obs.Spans.create_fsm lowered sim))
-            spans
-        in
+        let sim = simulator ?engine lowered in
         load_mems (Calyx_sim.Testbench.of_sim sim) mems;
-        with_spans sp (fun () ->
-            with_observers sim ~trace ~profile (fun prof ->
-                let cycles = Calyx_sim.Sim.run sim in
-                Printf.printf "cycles: %d\n" cycles;
-                dump_externals sim;
-                (* The lowered program has no groups left, so this reports
-                   totals, settle behaviour, and cell utilization; use the
-                   [profile] subcommand for group-level attribution. *)
-                Option.iter
-                  (fun p -> print_string (Calyx_obs.Profile.render p))
-                  prof)))
+        with_observers sim ~trace ~profile (fun prof ->
+            let cycles = Calyx_sim.Sim.run sim in
+            Printf.printf "cycles: %d\n" cycles;
+            dump_externals sim;
+            (* The lowered program has no groups left, so this reports
+               totals, settle behaviour, and cell utilization; use the
+               [profile] subcommand for group-level attribution. *)
+            Option.iter
+              (fun p -> print_string (Calyx_obs.Profile.render p))
+              prof))
   in
   let profile =
     Arg.(
@@ -443,7 +436,7 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim" ~doc:"Compile a Calyx (or Dahlia) program and run the cycle-accurate flat simulator.")
     Term.(const run $ file_arg $ config_term $ mems_term $ trace_term $ profile
-          $ spans_term $ engine_term $ telemetry_term)
+          $ engine_term $ telemetry_term)
 
 let systolic_cmd =
   let run rows cols depth config emit execute tele =
@@ -463,7 +456,7 @@ let systolic_cmd =
         in
         if execute then begin
           let lowered = Calyx.Pipelines.compile ~config ctx in
-          let sim = Calyx_sim.Sim.create lowered in
+          let sim = simulator lowered in
           let io = Calyx_sim.Testbench.of_sim sim in
           let a, b = Systolic.sample d in
           let tb = Systolic.testbench d ~a ~b in
@@ -497,7 +490,7 @@ let profile_cmd =
              structured program for group-level profiling (lowering erases
              groups). *)
           let lowered, stats = Calyx_obs.Pass_stats.compile ~config ctx in
-          let sim = Calyx_sim.Sim.create ?engine runnable in
+          let sim = simulator ?engine runnable in
           load_mems (Calyx_sim.Testbench.of_sim sim) mems;
           with_observers sim ~trace ~profile:true (fun prof ->
               let cycles = Calyx_sim.Sim.run sim in
@@ -572,7 +565,7 @@ let profile_cmd =
           $ strict $ engine_term $ telemetry_term)
 
 let cover_cmd =
-  let run file config mems json spans fail_under engine tele =
+  let run file config mems json fail_under engine tele =
     with_telemetry ~source:file tele @@ fun () ->
     let failed = ref false in
     let code =
@@ -583,61 +576,61 @@ let cover_cmd =
           let ssim = Calyx_sim.Sim.create ?engine runnable in
           let cov = Calyx_obs.Coverage.create runnable ssim in
           let sp = Calyx_obs.Spans.create runnable ssim in
+          trace_design sp;
           load_mems (Calyx_sim.Testbench.of_sim ssim) mems;
-          with_spans (Option.map (fun path -> (path, sp)) spans) (fun () ->
-              let scycles = Calyx_sim.Sim.run ssim in
-              let crit = Calyx_obs.Crit_path.analyze runnable ssim sp in
-              (* A second, compiled pass covers the generated fsm schedule
-                 registers — the states the lowered hardware visits. *)
-              let lowered = Calyx.Pipelines.compile ~config ctx in
-              let fsim = Calyx_sim.Sim.create ?engine lowered in
-              let fcov = Calyx_obs.Coverage.create lowered fsim in
-              load_mems (Calyx_sim.Testbench.of_sim fsim) mems;
-              let fcycles = Calyx_sim.Sim.run fsim in
-              (* STA of the lowered design converts the par report's
-                 cycle slacks into nanoseconds. *)
-              let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
-              let period_ns = Calyx_synth.Timing.period_ns timing in
-              if json then
-                print_endline
-                  (Tele.Json.obj
-                     [
-                       ("file", Tele.Json.str file);
-                       ("cycles", Tele.Json.int scycles);
-                       ("compiled_cycles", Tele.Json.int fcycles);
-                       ("period_ns", Tele.Json.float period_ns);
-                       ( "fmax_mhz",
-                         Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
-                       ("coverage", Calyx_obs.Coverage.to_json cov);
-                       ( "fsm_coverage",
-                         Calyx_obs.Coverage.to_json fcov );
-                       ( "critical_path",
-                         Calyx_obs.Crit_path.to_json ~period_ns crit );
-                     ])
-              else begin
-                Printf.printf "== coverage (structured, %d cycles) ==\n%s\n"
-                  scycles
-                  (Calyx_obs.Coverage.render cov);
-                Printf.printf "== par critical path ==\n%s\n"
-                  (Calyx_obs.Crit_path.render ~period_ns crit);
-                Printf.printf "== coverage (compiled, %d cycles) ==\n%s"
-                  fcycles
-                  (Calyx_obs.Coverage.render fcov)
-              end;
-              Option.iter
-                (fun threshold ->
-                  let got = Calyx_obs.Coverage.group_pct cov in
-                  if got < threshold then begin
-                    Printf.eprintf
-                      "group coverage %.1f%% is below the --fail-under \
-                       threshold %.1f%%\n"
-                      got threshold;
-                    List.iter
-                      (fun item -> Printf.eprintf "  %s\n" item)
-                      (Calyx_obs.Coverage.uncovered cov);
-                    failed := true
-                  end)
-                fail_under))
+          let scycles = Calyx_sim.Sim.run ssim in
+          let crit = Calyx_obs.Crit_path.analyze runnable ssim sp in
+          (* A second, compiled pass covers the generated fsm schedule
+             registers — the states the lowered hardware visits. *)
+          let lowered = Calyx.Pipelines.compile ~config ctx in
+          let fsim = simulator ?engine lowered in
+          let fcov = Calyx_obs.Coverage.create lowered fsim in
+          load_mems (Calyx_sim.Testbench.of_sim fsim) mems;
+          let fcycles = Calyx_sim.Sim.run fsim in
+          (* STA of the lowered design converts the par report's
+             cycle slacks into nanoseconds. *)
+          let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
+          let period_ns = Calyx_synth.Timing.period_ns timing in
+          if json then
+            print_endline
+              (Tele.Json.obj
+                 [
+                   ("file", Tele.Json.str file);
+                   ("cycles", Tele.Json.int scycles);
+                   ("compiled_cycles", Tele.Json.int fcycles);
+                   ("period_ns", Tele.Json.float period_ns);
+                   ( "fmax_mhz",
+                     Tele.Json.float timing.Calyx_synth.Timing.fmax_mhz );
+                   ("coverage", Calyx_obs.Coverage.to_json cov);
+                   ( "fsm_coverage",
+                     Calyx_obs.Coverage.to_json fcov );
+                   ( "critical_path",
+                     Calyx_obs.Crit_path.to_json ~period_ns crit );
+                 ])
+          else begin
+            Printf.printf "== coverage (structured, %d cycles) ==\n%s\n"
+              scycles
+              (Calyx_obs.Coverage.render cov);
+            Printf.printf "== par critical path ==\n%s\n"
+              (Calyx_obs.Crit_path.render ~period_ns crit);
+            Printf.printf "== coverage (compiled, %d cycles) ==\n%s"
+              fcycles
+              (Calyx_obs.Coverage.render fcov)
+          end;
+          Option.iter
+            (fun threshold ->
+              let got = Calyx_obs.Coverage.group_pct cov in
+              if got < threshold then begin
+                Printf.eprintf
+                  "group coverage %.1f%% is below the --fail-under \
+                   threshold %.1f%%\n"
+                  got threshold;
+                List.iter
+                  (fun item -> Printf.eprintf "  %s\n" item)
+                  (Calyx_obs.Coverage.uncovered cov);
+                failed := true
+              end)
+            fail_under)
     in
     if code <> 0 then code else if !failed then 1 else 0
   in
@@ -656,9 +649,9 @@ let cover_cmd =
   in
   Cmd.v
     (Cmd.info "cover"
-       ~doc:"Run a Calyx (or Dahlia) program under the coverage collectors: group-activation, if/while branch, and port-toggle coverage from the reference interpreter, FSM-state coverage from the compiled program, control-tree span traces (Chrome trace_event JSON for Perfetto), and a par critical-path report with per-arm slack cross-checked against derived latencies.")
-    Term.(const run $ file_arg $ config_term $ mems_term $ json $ spans_term
-          $ fail_under $ engine_term $ telemetry_term)
+       ~doc:"Run a Calyx (or Dahlia) program under the coverage collectors: group-activation, if/while branch, and port-toggle coverage from the reference interpreter, FSM-state coverage from the compiled program, and a par critical-path report with per-arm slack cross-checked against derived latencies.")
+    Term.(const run $ file_arg $ config_term $ mems_term $ json $ fail_under
+          $ engine_term $ telemetry_term)
 
 let validate_cmd =
   let run files mems config engine max_cycles tele =
@@ -903,15 +896,20 @@ let stats_cmd =
     with_telemetry ~source:file tele @@ fun () ->
     handle_errors (fun () ->
         let ctx = parse_source file in
-        let lowered, compile_s =
-          Tele.Clock.timed (fun () -> Calyx.Pipelines.compile ~config ctx)
+        (* The two times are those of the compile and emit spans. *)
+        let (lowered, sv), spans =
+          Tele.Trace.collect (fun () ->
+              let lowered = Calyx.Pipelines.compile ~config ctx in
+              (lowered, Calyx_verilog.Verilog.emit lowered))
         in
-        let sv, emit_s =
-          Tele.Clock.timed (fun () -> Calyx_verilog.Verilog.emit lowered)
+        let seconds name =
+          Tele.Trace.seconds
+            (List.find (fun (sp : Tele.Trace.span) -> sp.sp_name = name) spans)
         in
+        let compile_s = seconds "compile" and emit_s = seconds "emit" in
         let main = Calyx.Ir.entry ctx in
         let usage = Calyx_synth.Area.context_usage lowered in
-        let timing = Calyx_synth.Timing.context_depth lowered in
+        let timing = Calyx_synth.Timing.context_timing ~paths:1 lowered in
         if json then
           print_endline
             (Tele.Json.obj

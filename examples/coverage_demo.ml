@@ -6,13 +6,13 @@
    three collectors sharing one simulation pass:
 
    - Coverage: group activation, if/while branch coverage, toggles;
-   - Spans: a control-tree trace exported as Chrome trace_event JSON
-     (load coverage_demo_spans.json at https://ui.perfetto.dev);
+   - Spans: the control tree's activity, cycle by cycle;
    - Crit_path: per-arm cycles and slack for the par statement.
 
    The same run also compiles the program and reports FSM-state coverage
    of the generated schedule registers — what `calyx cover FILE` does for
-   a source file.
+   a source file. Both simulations' spans go into one Chrome trace
+   (load coverage_demo_spans.json at https://ui.perfetto.dev).
 
    Run with: dune exec examples/coverage_demo.exe *)
 
@@ -116,18 +116,21 @@ let () =
   Printf.printf "\n=== par critical path ===\n";
   print_string (Crit_path.render (Crit_path.analyze program sim sp));
 
-  (* The span trace, Perfetto-ready. *)
-  let out = "coverage_demo_spans.json" in
-  let oc = open_out out in
-  output_string oc (Spans.to_chrome sp);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s (load it at https://ui.perfetto.dev)\n" out;
-
-  (* The compiled form: FSM-state coverage of the generated schedule. *)
+  (* The compiled form: FSM-state coverage of the generated schedule. Its
+     spans are the values of the generated fsm registers. *)
   let lowered = Pipelines.compile program in
   let csim = Sim.create lowered in
   let ccov = Coverage.create lowered csim in
+  let csp = Spans.create lowered csim in
   let ccycles = Sim.run csim in
   Printf.printf "\n=== compiled run: %d cycles ===\n\n" ccycles;
-  print_string (Coverage.render ccov)
+  print_string (Coverage.render ccov);
+
+  (* Both runs' spans in one trace, Perfetto-ready. *)
+  let out = "coverage_demo_spans.json" in
+  let oc = open_out out in
+  output_string oc
+    (Calyx_telemetry.Trace.chrome (Spans.events sp @ Spans.events csp));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "\nwrote %s (load it at https://ui.perfetto.dev)\n" out

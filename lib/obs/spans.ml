@@ -26,9 +26,6 @@ type t = {
   fsms : fsm_track list;
 }
 
-let empty labels fsms =
-  { labels; open_nodes = Hashtbl.create 16; closed = []; last_cycle = -1; fsms }
-
 let node_span t inst node ~enter ~exit =
   let path, label =
     try Hashtbl.find t.labels (inst, node)
@@ -101,24 +98,22 @@ let create ctx sim =
                 (path, Ir.control_node_label node))
             (Ir.control_preorder comp.Ir.control))
     (Sim.instances sim);
-  let t = empty labels [] in
-  Sim.add_ctrl_sink sim (ctrl_sink t);
-  Sim.add_sink sim (fun ev -> t.last_cycle <- max t.last_cycle ev.Sim.ev_cycle);
-  t
-
-let create_fsm ctx sim =
-  let t =
-    empty (Hashtbl.create 1)
-      (List.map
-         (fun (inst, cell, slot) ->
-           {
-             ft_thread = (if inst = "" then cell else inst ^ "." ^ cell);
-             ft_cell = cell;
-             ft_slot = slot;
-             ft_since = None;
-           })
-         (Coverage.fsm_registers ctx sim))
+  let fsms =
+    List.map
+      (fun (inst, cell, slot) ->
+        {
+          ft_thread = (if inst = "" then cell else inst ^ "." ^ cell);
+          ft_cell = cell;
+          ft_slot = slot;
+          ft_since = None;
+        })
+      (Coverage.fsm_registers ctx sim)
   in
+  let t =
+    { labels; open_nodes = Hashtbl.create 16; closed = []; last_cycle = -1;
+      fsms }
+  in
+  Sim.add_ctrl_sink sim (ctrl_sink t);
   Sim.add_sink sim (value_sink t);
   t
 
@@ -144,13 +139,9 @@ let spans t =
   in
   List.rev_append t.closed (residual @ fsm_residual)
 
-(* ------------------------------------------------------------------ *)
-(* Chrome trace_event export (load at ui.perfetto.dev)                 *)
-(* ------------------------------------------------------------------ *)
-
 (* One track per instance or fsm register. Sorting by node id first breaks
    the exporter's (track, start, longest-first) ties. *)
-let to_chrome t =
+let events t =
   let module Trace = Calyx_telemetry.Trace in
   let event s =
     {
@@ -166,6 +157,5 @@ let to_chrome t =
             else [ ("node", Trace.F (float_of_int s.sp_node)) ]);
     }
   in
-  Trace.chrome
-    (List.map event
-       (List.stable_sort (fun a b -> compare a.sp_node b.sp_node) (spans t)))
+  List.map event
+    (List.stable_sort (fun a b -> compare a.sp_node b.sp_node) (spans t))

@@ -1,21 +1,24 @@
-(** Control-tree span collection and Chrome trace_event export.
+(** Design spans: what a simulation's control did, cycle by cycle.
 
-    {!create} listens to the reference interpreter's control events
-    ({!Calyx_sim.Sim.ctrl_event}) and records one span per control-node
-    activation: [seq]/[par]/[if]/[while]/[enable] each get an interval
-    [enter..exit] in cycles (inclusive at both ends — a node that starts
-    and finishes at the same clock edge spans one cycle).
+    {!create} records two kinds, as the program provides them:
 
-    {!create_fsm} serves {e compiled} programs, which have no control tree:
-    it derives spans from the value runs of the generated [fsm] schedule
-    registers instead ("fsm=3" for the interval the register held 3), one
-    trace thread per register.
+    - control spans, from the reference interpreter's control events
+      ({!Calyx_sim.Sim.ctrl_event}): one per control-node activation,
+      [seq]/[par]/[if]/[while]/[enable] each an interval [enter..exit] in
+      cycles (inclusive at both ends — a node that starts and finishes at
+      the same clock edge spans one cycle);
+    - fsm spans, from the value runs of the generated [fsm] schedule
+      registers ("fsm=3" for the interval the register held 3), one trace
+      thread per register.
 
-    {!to_chrome} renders either kind as Chrome trace_event JSON — open
-    {:https://ui.perfetto.dev} and drop the file in. The spans become
-    {!Calyx_telemetry.Trace.Cycles} events of the toolchain's one exporter,
-    {!Calyx_telemetry.Trace.chrome}: instances (or fsm registers) are named
-    threads ([<entry>] for the entrypoint); 1 cycle = 1 µs. *)
+    A structured program has a control tree and no generated registers; a
+    compiled one has no control tree (it emits no control events) and
+    holds its schedule in [fsm] registers.
+
+    {!events} gives the spans as {!Calyx_telemetry.Trace.Cycles} events
+    for the toolchain's one Chrome exporter,
+    {!Calyx_telemetry.Trace.chrome}: instances (or fsm registers) are
+    named threads ([<entry>] for the entrypoint); 1 cycle = 1 µs. *)
 
 open Calyx
 
@@ -33,16 +36,13 @@ type span = {
 type t
 
 val create : Ir.context -> Calyx_sim.Sim.t -> t
-(** Attach a control-span collector ([ctx] supplies node labels/paths). *)
-
-val create_fsm : Ir.context -> Calyx_sim.Sim.t -> t
-(** Attach an fsm-value span collector (for compiled programs). *)
+(** Attach a span collector to a simulation of [ctx] ([ctx] supplies node
+    labels and paths, and its generated [fsm] registers). *)
 
 val spans : t -> span list
 (** All recorded spans. Spans still open at the last observed cycle (a
     timed-out run) are closed there, so partial traces stay loadable. *)
 
-val to_chrome : t -> string
-(** The spans as a Chrome trace_event JSON document ([traceEvents] array of
-    ["X"] complete events plus process- and thread-name metadata),
-    deterministically ordered. *)
+val events : t -> Calyx_telemetry.Trace.event list
+(** The spans as Chrome trace events in the cycle domain (category
+    ["control"] or ["fsm"]), in a deterministic order. *)

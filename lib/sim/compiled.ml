@@ -542,9 +542,7 @@ let compile (cp : plan) inst : compiled =
   let has_producer = cp.c_has_producer in
   (* Every primitive's clock edge, staged first so that [wr] knows which
      edges read each slot: [edge_reads] is filled in while the reads are
-     staged. A custom model reads by name at run time, after [staging]
-     is cleared, and latches at every edge anyway. *)
-  let staging = ref true in
+     staged. *)
   let edge_reads = Array.make (max nslots 1) [] in
   (* Primitives whose next edge can change their state: set when a slot
      their edge reads changes or their state is poked, and kept while
@@ -583,10 +581,9 @@ let compile (cp : plan) inst : compiled =
   Array.iteri
     (fun p pp ->
       let on_slot s =
-        if !staging then
-          match edge_reads.(s) with
-          | q :: _ when q = p -> ()
-          | ps -> edge_reads.(s) <- p :: ps
+        match edge_reads.(s) with
+        | q :: _ when q = p -> ()
+        | ps -> edge_reads.(s) <- p :: ps
       in
       let ports = ports ~on_slot ~write:(fun _ -> ignore) pp in
       match Prim_state.compile_commit inst.i_prims.(p) ports with
@@ -595,7 +592,6 @@ let compile (cp : plan) inst : compiled =
           commits.(p) <- f
       | None -> ())
     ip.p_prims;
-  staging := false;
   (* The edges that read slot [s], in staging order, are
      [edge_readers.(estart.(s))] up to [edge_readers.(estart.(s + 1) - 1)]. *)
   let estart = Array.make (nslots + 1) 0 in

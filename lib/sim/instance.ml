@@ -229,15 +229,15 @@ let rec cadvance ~emit st ~group_done ~port_true =
    primitive, child and group hole, and the annotated control program.
    Instances read it and never write it. *)
 
-(* One primitive prototype's (or extern component's) port names and
-   behavioural model, shared by every cell of it. *)
+(* One primitive prototype's port names and behavioural model, shared
+   by every cell of it. *)
 type proto_plan = {
   pr_make : unit -> Prim_state.t;  (* fresh state for one instance *)
   pr_inputs : string array;  (* input port names, in port order *)
   pr_outputs : string array;
   pr_comb : bool array;
       (* per input: an output reads it within one cycle (the inputs of
-         Prims.comb_arcs; every input of an extern black box) *)
+         Prims.comb_arcs) *)
 }
 
 type prim_plan = {

@@ -72,18 +72,11 @@ type reg = {
   mutable r_done : bool;
 }
 
-type custom = {
-  c_outputs : (string -> Bitvec.t) -> (string * Bitvec.t) list;
-  c_commit : (string -> Bitvec.t) -> unit;
-  c_reset : unit -> unit;
-}
-
 type t =
   | Comb of comb_kind
   | Reg of reg
   | Mem of mem
   | Pipe of pipe
-  | Custom of custom
 
 let rec isqrt v =
   if Int64.compare v 0L < 0 then
@@ -232,12 +225,8 @@ let sqrt_cycles v =
   let rec bits n acc = if Int64.equal n 0L then acc else bits (Int64.shift_right_logical n 1) (acc + 1) in
   max 2 ((bits v 0 + 1) / 2)
 
-let custom ~outputs ~commit ?(reset = fun () -> ()) () =
-  Custom { c_outputs = outputs; c_commit = commit; c_reset = reset }
-
 let outputs t ~read =
   match t with
-  | Custom c -> c.c_outputs read
   | Comb (Const v) -> [ ("out", v) ]
   | Comb Wire -> [ ("out", read "in") ]
   | Comb (Slice ow) -> [ ("out", Bitvec.truncate (read "in") ow) ]
@@ -263,7 +252,6 @@ let outputs t ~read =
 
 let commit t ~read =
   match t with
-  | Custom c -> c.c_commit read
   | Comb _ -> ()
   | Reg r ->
       if Bitvec.is_true (read "write_en") then begin
@@ -437,17 +425,6 @@ let compile_step t p =
             q pp.p_out;
             r pp.p_rem;
             dn (bit pp.p_done))
-  | Custom c ->
-      (* Custom models read and write by name at runtime, as Bitvec, so
-         their behaviour (including errors on unknown ports) is
-         unchanged. *)
-      fun () ->
-        List.iter
-          (fun (name, v) ->
-            match p.output name with
-            | s when s < 0 -> ()
-            | s -> p.write s (Slot.int_of_bits (width p s) v))
-          (c.c_outputs (fun name -> Slot.get p.env (p.input name)))
 
 (* What a staged clock edge reports, as a bit set. *)
 let edge_changed = 1
@@ -457,11 +434,6 @@ let compile_commit t p =
   let a = p.env.ints in
   match t with
   | Comb _ -> None
-  | Custom c ->
-      Some
-        (fun () ->
-          c.c_commit (fun name -> Slot.get p.env (p.input name));
-          edge_changed lor edge_again)
   | Reg r ->
       let we = p.input "write_en" and vin = p.input "in" in
       Some
@@ -559,7 +531,6 @@ let compile_commit t p =
           else again)
 
 let reset = function
-  | Custom c -> c.c_reset ()
   | Comb _ -> ()
   | Reg r -> r.r_done <- false
   | Mem m -> m.m_done <- false

@@ -63,8 +63,8 @@ val compile_commit : t -> ports -> (unit -> int) option
       is). It re-marks the primitive's node in the slot graph.
     - {!edge_again}: the edge is not idempotent, so the next edge must
       run even if no input it reads changes — a pipelined unit while its
-      go is high, and every custom model. Otherwise, running the edge
-      again on the same inputs and state changes nothing. *)
+      go is high. Otherwise, running the edge again on the same inputs
+      and state changes nothing. *)
 
 val reset : t -> unit
 (** Clear transient state (done flags, pipeline counters); keeps memory and
@@ -88,13 +88,3 @@ val isqrt : int64 -> int64
 (** Integer square root of an unsigned 64-bit value (used by the
     [std_sqrt] model and its tests). *)
 
-val custom :
-  outputs:((string -> Bitvec.t) -> (string * Bitvec.t) list) ->
-  commit:((string -> Bitvec.t) -> unit) ->
-  ?reset:(unit -> unit) ->
-  unit ->
-  t
-(** A user-supplied behavioural model — how [extern] black-box components
-    (Section 6.2) are linked into simulation. [outputs] is the
-    combinational function of the current inputs and internal state;
-    [commit] is the clock edge. *)

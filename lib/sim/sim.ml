@@ -47,7 +47,7 @@ let default_engine : engine = `Compiled
    [Ports.resolve_assignment]'s order: its source, then its guard left
    to right, then its destination), the signature, the control program,
    the [go] input, and the continuous assignments. *)
-let plan_component ~externs ~ports_of ~plan_of (ctx : context)
+let plan_component ~ports_of ~plan_of (ctx : context)
     (comp : component) : plan =
   let ports = ports_of comp in
   let id = Ports.id ports in
@@ -70,18 +70,29 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
   in
   (* Each prototype's ports and model, planned at its first cell. *)
   let protos = Hashtbl.create 8 in
-  let new_proto proto ~make ~ports ~comb =
-    let names dir =
-      Array.of_list
-        (List.filter_map (fun (p, d) -> if d = dir then Some p else None) ports)
-    in
-    let inputs = names Input in
-    let pr =
-      { pr_make = make; pr_inputs = inputs; pr_outputs = names Output;
-        pr_comb = Array.map comb inputs }
-    in
-    Hashtbl.replace protos proto pr;
-    pr
+  let proto_of proto name params =
+    match Hashtbl.find_opt protos proto with
+    | Some pr -> pr
+    | None ->
+        let cports = Ports.proto_ports ports proto in
+        let names dir =
+          Array.of_list
+            (List.filter_map
+               (fun (p, _, d) -> if d = dir then Some p else None)
+               cports)
+        in
+        let inputs = names Input in
+        let comb = Prims.comb_arcs name params in
+        let pr =
+          { pr_make = (fun () -> Prim_state.create name params);
+            pr_inputs = inputs; pr_outputs = names Output;
+            pr_comb =
+              Array.map
+                (fun p -> List.exists (fun (i, _) -> String.equal i p) comb)
+                inputs }
+        in
+        Hashtbl.replace protos proto pr;
+        pr
   in
   let prims = ref [] and children = ref [] and cells = ref [] in
   let nprims = ref 0 and nchildren = ref 0 in
@@ -92,51 +103,24 @@ let plan_component ~externs ~ports_of ~plan_of (ctx : context)
     done;
     slots
   in
-  let add_prim c pr =
-    let pp_in = cell_slots c.cell_name pr.pr_inputs in
-    let pp_out = cell_slots c.cell_name pr.pr_outputs in
-    cells := Prim_cell !nprims :: !cells;
-    incr nprims;
-    prims := { pp_cell = c.cell_name; pp_proto = pr; pp_in; pp_out } :: !prims
-  in
   List.iter
     (fun c ->
       match c.cell_proto with
       | Prim (name, params) ->
-          add_prim c
-            (match Hashtbl.find_opt protos c.cell_proto with
-            | Some pr -> pr
-            | None ->
-                let cports =
-                  List.map (fun (p, _, d) -> (p, d))
-                    (Ports.proto_ports ports c.cell_proto)
-                in
-                let comb = Prims.comb_arcs name params in
-                new_proto c.cell_proto
-                  ~make:(fun () -> Prim_state.create name params)
-                  ~ports:cports
-                  ~comb:(fun p -> List.exists (fun (i, _) -> String.equal i p) comb))
-      | Comp name when (find_component ctx name).is_extern <> None -> (
-          (* Black-box RTL (Section 6.2): link a registered behavioural
-             model, playing the role of the .sv file the real compiler
-             links during code generation. *)
-          match List.assoc_opt name externs with
-          | None ->
-              ir_error
-                "simulator: extern component %s has no behavioural model \
-                 (register one via Sim.create ~externs)"
-                name
-          | Some make_state ->
-              add_prim c
-                (match Hashtbl.find_opt protos c.cell_proto with
-                | Some pr -> pr
-                | None ->
-                    new_proto c.cell_proto ~make:make_state
-                      ~ports:
-                        (List.map
-                           (fun pd -> (pd.pd_name, pd.pd_dir))
-                           (signature_ports (find_component ctx name)))
-                      ~comb:(fun _ -> true)))
+          let pr = proto_of c.cell_proto name params in
+          let pp_in = cell_slots c.cell_name pr.pr_inputs in
+          let pp_out = cell_slots c.cell_name pr.pr_outputs in
+          cells := Prim_cell !nprims :: !cells;
+          incr nprims;
+          prims :=
+            { pp_cell = c.cell_name; pp_proto = pr; pp_in; pp_out } :: !prims
+      | Comp name when (find_component ctx name).is_extern <> None ->
+          (* Black-box RTL (Section 6.2) is linked from its .sv file at
+             code generation; the simulator has no model of it. *)
+          ir_error
+            "simulator: extern component %s is black-box RTL and cannot be \
+             simulated"
+            name
       | Comp name ->
           let sub = plan_of (find_component ctx name) in
           let cp_input_map =
@@ -497,7 +481,7 @@ type t = {
 (* The plans are memoized per component inside one build: every instance
    of a component shares them, and nothing outlives the [Sim.t], so
    simulations built on different domains share no state. *)
-let create ?(externs = []) ?(engine = default_engine) ctx =
+let create ?(engine = default_engine) ctx =
   Tele.Trace.with_span ~cat:"stage" "sim-build" @@ fun () ->
   let comp = entry ctx in
   let ports_of = Ports.tables ctx in
@@ -506,7 +490,7 @@ let create ?(externs = []) ?(engine = default_engine) ctx =
     match Hashtbl.find_opt plans comp.comp_name with
     | Some plan -> plan
     | None ->
-        let plan = plan_component ~externs ~ports_of ~plan_of ctx comp in
+        let plan = plan_component ~ports_of ~plan_of ctx comp in
         Hashtbl.replace plans comp.comp_name plan;
         plan
   in

@@ -102,18 +102,12 @@ exception Unstable of { cycle : int; message : string; snapshot : string }
 (** The combinational fixpoint did not converge (combinational cycle).
     Carries the cycle number and a {!status} snapshot, like {!Conflict}. *)
 
-val create :
-  ?externs:(string * (unit -> Prim_state.t)) list ->
-  ?engine:engine ->
-  Ir.context ->
-  t
+val create : ?engine:engine -> Ir.context -> t
 (** Instantiate the entrypoint component of a program. Raises
-    [Ir.Ir_error] on a port that does not resolve and on an assignment
+    [Ir.Ir_error] on a port that does not resolve, on an assignment
     whose source and destination widths differ (which the checker
-    reports as CX006). [externs] supplies
-    behavioural models for [extern] black-box components by component name
-    (the simulation-side analogue of linking the referenced [.sv] file,
-    Section 6.2); a fresh state is made per instance. [engine] selects the
+    reports as CX006) and on a cell of an [extern] black-box component,
+    which has no simulation model (Section 6.2). [engine] selects the
     evaluation engine (default {!default_engine}), with one exception:
     a design with any port wider than {!Slot.narrow} (62) bits, in any
     component reachable from the entrypoint, runs on [`Fixpoint] whatever

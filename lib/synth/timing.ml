@@ -706,7 +706,6 @@ let context_timing ?paths ctx =
     Calyx_telemetry.Trace.add_metric "levels" (float_of_int t.levels)
   end;
   t
-let context_depth ctx = graph_timing ~paths:1 (build ctx (entry ctx))
 
 let period_ps r = max r.delay_ps min_period_ps
 let period_ns r = float_of_int (period_ps r) /. 1000.

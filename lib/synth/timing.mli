@@ -60,9 +60,6 @@ val context_timing : ?paths:int -> Ir.context -> report
 (** Full analysis of the entrypoint (lowered or structured); [paths]
     bounds the number of reported worst paths (default 5). *)
 
-val context_depth : Ir.context -> report
-(** {!context_timing} keeping a single path. *)
-
 (** {1 Clock and wall-time derivation} *)
 
 val min_period_ps : int

@@ -274,8 +274,9 @@ let chrome events =
 (* [scrub] gives the golden-test form: deterministic open/close sequence
    numbers for timestamps, no GC or error args. It pins the span structure
    (names, categories, nesting, cycle counts, IR sizes) without the
-   run-to-run timing noise. *)
-let to_chrome ?(scrub = false) () =
+   run-to-run timing noise. [design] events (the simulations' design
+   spans) follow the buffered spans into the one document. *)
+let to_chrome ?(scrub = false) ?(design = []) () =
   let event sp =
     let ev_start, ev_dur =
       if scrub then
@@ -304,4 +305,4 @@ let to_chrome ?(scrub = false) () =
     { ev_name = sp.sp_name; ev_cat = sp.sp_cat; ev_track; ev_domain = Wall;
       ev_start; ev_dur; ev_args }
   in
-  chrome (List.map event (spans ()))
+  chrome (List.map event (spans ()) @ design)

@@ -14,7 +14,8 @@
     {!collect} runs; they are always passed to the {!set_on_close} hook,
     which {!Manifest} uses to stream per-stage JSONL events. {!chrome} is
     the toolchain's one Chrome trace renderer, for these spans and for
-    the simulated-cycle spans of [Calyx_obs.Spans]. *)
+    the simulated-cycle spans of [Calyx_obs.Spans]; {!to_chrome} puts
+    both in one document. *)
 
 type arg = F of float | S of string
 
@@ -104,9 +105,11 @@ val chrome : event list -> string
     named-thread metadata, then one ["X"] event per event, by track, then
     start, longest first (ties keep the input order). *)
 
-val to_chrome : ?scrub:bool -> unit -> string
+val to_chrome : ?scrub:bool -> ?design:event list -> unit -> string
 (** The buffered spans as {!Wall} events: the main domain's on the
     unnamed track, each other domain's on a track named ["domain N"], so
     spans that ran at the same time never overlap on one track. [scrub]
     substitutes sequence numbers for timestamps and drops GC/error args:
-    byte-stable output for golden tests. *)
+    byte-stable output for golden tests. [design] (default none) adds
+    events to the same document, such as the {!Cycles} spans of the
+    simulations a run made. *)

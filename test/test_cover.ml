@@ -16,6 +16,7 @@ module Coverage = Calyx_obs.Coverage
 module Spans = Calyx_obs.Spans
 module Crit_path = Calyx_obs.Crit_path
 module Json = Calyx_telemetry.Json
+module Trace = Calyx_telemetry.Trace
 
 let example file =
   List.find Sys.file_exists
@@ -55,11 +56,11 @@ let test_golden_chrome () =
   let _, _, _, sp, cycles = covered (Progs.two_writes_seq ()) in
   Alcotest.(check int) "cycles" 4 cycles;
   Alcotest.(check string) "golden chrome JSON" golden_chrome
-    (Spans.to_chrome sp)
+    (Trace.chrome (Spans.events sp))
 
 let test_chrome_parses () =
   let _, _, _, sp, cycles = covered (Progs.counter ~limit:5 ()) in
-  let doc = Json.parse (Spans.to_chrome sp) in
+  let doc = Json.parse (Trace.chrome (Spans.events sp)) in
   let events =
     match Option.bind (Json.member "traceEvents" doc) Json.to_list with
     | Some l -> l
@@ -305,7 +306,7 @@ let test_examples_full_group_coverage () =
         100. (Coverage.group_pct cov);
       (* And the machine outputs stay parseable for every example. *)
       ignore (Json.parse (Coverage.to_json cov));
-      ignore (Json.parse (Spans.to_chrome sp)))
+      ignore (Json.parse (Trace.chrome (Spans.events sp))))
     [ "counter.futil"; "dotprod.dahlia"; "histogram.dahlia"; "invoke.futil" ]
 
 (* ------------------------------------------------------------------ *)
@@ -333,7 +334,7 @@ let check_neutral seed =
   let sp = Spans.create ctx sim in
   let cycles = Sim.run ~max_cycles:200_000 sim in
   ignore (Coverage.render cov);
-  ignore (Spans.to_chrome sp);
+  ignore (Trace.chrome (Spans.events sp));
   plain_cycles = cycles
   && final_state plain_sim regs = final_state sim regs
   && Coverage.cycles_observed cov = cycles
@@ -344,10 +345,10 @@ let check_neutral seed =
   let fpc = Sim.run ~max_cycles:200_000 fplain in
   let fsim = Sim.create lowered in
   let fcov = Coverage.create lowered fsim in
-  let fsp = Spans.create_fsm lowered fsim in
+  let fsp = Spans.create lowered fsim in
   let fc = Sim.run ~max_cycles:200_000 fsim in
   ignore (Coverage.render fcov);
-  ignore (Spans.to_chrome fsp);
+  ignore (Trace.chrome (Spans.events fsp));
   fpc = fc && final_state fplain regs = final_state fsim regs
 
 let test_neutral_fixed_seeds () =

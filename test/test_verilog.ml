@@ -127,7 +127,7 @@ let test_mux_cost_counted () =
 
 let test_timing_depth () =
   let lowered = lowered_counter () in
-  let report = Calyx_synth.Timing.context_depth lowered in
+  let report = Calyx_synth.Timing.context_timing ~paths:1 lowered in
   Alcotest.(check bool) "positive depth" true
     (report.Calyx_synth.Timing.levels > 0);
   Alcotest.(check bool) "has a path" true
@@ -138,7 +138,7 @@ let test_timing_depth () =
       (Progs.reduction_tree ())
   in
   Alcotest.(check bool) "reduction tree deeper than counter" true
-    ((Calyx_synth.Timing.context_depth deeper).Calyx_synth.Timing.levels
+    ((Calyx_synth.Timing.context_timing ~paths:1 deeper).Calyx_synth.Timing.levels
     >= report.Calyx_synth.Timing.levels)
 
 let test_timing_loop_detection () =
@@ -157,7 +157,7 @@ let test_timing_loop_detection () =
   let ctx = context [ main ] in
   Alcotest.(check bool) "loop detected" true
     (try
-       ignore (Calyx_synth.Timing.context_depth ctx);
+       ignore (Calyx_synth.Timing.context_timing ~paths:1 ctx);
        false
      with Calyx_synth.Timing.Combinational_loop _ -> true)
 
@@ -175,7 +175,7 @@ let test_timing_registers_cut_paths () =
            assign (this "done") (pa "r" "done");
          ]
   in
-  let report = Calyx_synth.Timing.context_depth (context [ main ]) in
+  let report = Calyx_synth.Timing.context_timing ~paths:1 (context [ main ]) in
   (* Only single-assignment hops (x -> r.in, r.out -> y). *)
   Alcotest.(check bool) "shallow" true (report.Calyx_synth.Timing.levels <= 1)
 
